@@ -14,15 +14,14 @@
 
 use xbgas_bench::{
     ablation_allreduce_on, ablation_gups_amo_on, ablation_sync_modes_on, ablation_topology_on,
-    ablation_unroll_on, backend_arg, collective_run_on, export_trace, plan_cache_arg,
-    sweep_broadcast_on, trace_arg, Algo,
+    ablation_unroll_on, backend_arg, collective_run_on, export_trace, sweep_broadcast_on,
+    trace_arg, Algo,
 };
 use xbrtime::collectives::AllReduceAlgo;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let engine = backend_arg(&args);
-    plan_cache_arg(&args);
     println!("# Ablation 1 — transfer loop unrolling (remote put of N u64)");
     println!(
         "{:>9} {:>14} {:>14} {:>8}",

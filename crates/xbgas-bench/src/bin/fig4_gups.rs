@@ -8,15 +8,13 @@
 //! `--backend {threads,coop}` to pick the execution engine.
 
 use xbgas_bench::{
-    backend_arg, export_trace, plan_cache_arg, render_rows, run_fig4_on, run_fig4_traced_on,
-    trace_arg,
+    backend_arg, export_trace, render_rows, run_fig4_on, run_fig4_traced_on, trace_arg,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
     let engine = backend_arg(&args);
-    plan_cache_arg(&args);
     let scale = if args.iter().any(|a| a == "--quick") {
         2
     } else {

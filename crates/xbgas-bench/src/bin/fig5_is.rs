@@ -9,15 +9,14 @@
 
 use xbgas_apps::IsClass;
 use xbgas_bench::{
-    backend_arg, export_trace, plan_cache_arg, render_rows, run_fig5_class_on, run_fig5_on,
-    run_fig5_traced_on, trace_arg,
+    backend_arg, export_trace, render_rows, run_fig5_class_on, run_fig5_on, run_fig5_traced_on,
+    trace_arg,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
     let engine = backend_arg(&args);
-    plan_cache_arg(&args);
     let scale = if args.iter().any(|a| a == "--quick") {
         1
     } else {

@@ -6,15 +6,15 @@
 //! with only the issue calls on the clock; the drain (signal waits,
 //! completion barriers, engine park/unpark) runs untimed between bursts,
 //! since that cost is identical in both arms and would otherwise bury
-//! the issue path this benchmark exists to expose. Cold disables the
-//! plan cache (`FabricConfig::with_plan_cache(false)`), so every issue
-//! regenerates its communication schedule — O(total ops) across *all*
-//! PEs — and lowers it before anything can go on the wire. Warm keeps
-//! the cache on: the first call lowers once, every later call fetches
-//! the compiled plan with one sharded hash lookup and issues it at
-//! service rate. Both arms execute the identical simulated-cycle
-//! trajectory — the plan layer is observationally transparent — so the
-//! gap is pure host-side issue overhead.
+//! the issue path this benchmark exists to expose. Both arms run on the
+//! same fabric; the cold arm additionally regenerates its communication
+//! schedule — O(total ops) across *all* PEs — and lowers it inside the
+//! timed region before every issue, which is exactly what each call
+//! would pay if there were no plan cache. The warm arm is the runtime as
+//! it is: the first call lowers once, every later call fetches the
+//! compiled plan with one sharded hash lookup and issues it at service
+//! rate. Both arms execute the identical simulated-cycle trajectory, so
+//! the gap is pure host-side issue overhead: what the cache saves.
 //!
 //! The fabric runs on the cooperative engine with **one worker** by
 //! default so every PE's issue path serializes onto a single host thread

@@ -28,8 +28,8 @@
 use std::time::Duration;
 use xbgas_bench::json::{to_string_pretty, Json, ToJson};
 use xbgas_bench::{
-    ablation_allreduce_on, backend_arg, export_trace, issue_rate, plan_cache_arg,
-    sweep_all_gather_on, sweep_allreduce_on, sweep_broadcast_on, sweep_broadcast_policy_on,
+    ablation_allreduce_on, backend_arg, export_trace, issue_rate, sweep_all_gather_on,
+    sweep_allreduce_on, sweep_broadcast_on, sweep_broadcast_policy_on,
     sweep_broadcast_policy_sync_on, sweep_broadcast_sync_on, sweep_gather_on, sweep_reduce_on,
     sweep_reduce_sync_on, sweep_scatter_on, trace_arg, traced_broadcast_on, Algo, SweepPoint,
 };
@@ -697,7 +697,6 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let large = args.iter().any(|a| a == "--large");
     let engine = backend_arg(&args);
-    plan_cache_arg(&args);
     if args.iter().any(|a| a == "--coop-smoke") {
         coop_smoke();
     }

@@ -16,7 +16,7 @@
 //! p999 — exits nonzero on any violation.
 
 use std::time::{Duration, Instant};
-use xbgas_bench::{backend_arg, plan_cache_arg, plan_cache_on};
+use xbgas_bench::backend_arg;
 use xbrtime::traffic::{run_traffic, TrafficConfig, TrafficError, TrafficReport};
 use xbrtime::{EngineConfig, FabricConfig, FaultConfig, SyncMode};
 
@@ -41,7 +41,6 @@ fn usize_arg(args: &[String], flag: &str, default: usize) -> usize {
 fn fabric(n_pes: usize, engine: EngineConfig, chaos: Option<u64>) -> FabricConfig {
     let mut cfg = FabricConfig::paper(n_pes)
         .with_engine(engine)
-        .with_plan_cache(plan_cache_on())
         .with_watchdog(Duration::from_secs(60));
     if let Some(seed) = chaos {
         cfg = cfg.with_faults(FaultConfig::delays(seed));
@@ -81,20 +80,15 @@ fn print_report(label: &str, report: &TrafficReport) {
             format!("{:016x}", t.digest),
         );
     }
-    match report.plan_cache {
-        Some(stats) => println!(
-            "# fairness {:.3}  plan-cache hit rate {:.1}% ({} hits / {} misses)  makespan {} cycles",
-            report.fairness,
-            stats.hit_rate() * 100.0,
-            stats.hits,
-            stats.misses,
-            report.makespan_cycles
-        ),
-        None => println!(
-            "# fairness {:.3}  plan cache off  makespan {} cycles",
-            report.fairness, report.makespan_cycles
-        ),
-    }
+    let stats = report.plan_cache.unwrap_or_default();
+    println!(
+        "# fairness {:.3}  plan-cache hit rate {:.1}% ({} hits / {} misses)  makespan {} cycles",
+        report.fairness,
+        stats.hit_rate() * 100.0,
+        stats.hits,
+        stats.misses,
+        report.makespan_cycles
+    );
 }
 
 fn run_or_die(fab: FabricConfig, cfg: &TrafficConfig) -> TrafficReport {
@@ -169,7 +163,6 @@ fn smoke(engine_flagged: bool, engine: EngineConfig, seed: u64) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let engine = backend_arg(&args);
-    plan_cache_arg(&args);
     let seed = usize_arg(&args, "--seed", 0x7EA) as u64;
     if args.iter().any(|a| a == "--smoke") {
         smoke(args.iter().any(|a| a == "--backend"), engine, seed);

@@ -23,7 +23,6 @@
 pub mod json;
 
 use json::{Json, ToJson};
-use std::sync::atomic::{AtomicBool, Ordering};
 use xbgas_apps::{run_gups, run_is, GupsConfig, GupsResult, IsConfig, IsResult};
 use xbrtime::collectives::{self, AllGatherAlgo, AllReduceAlgo};
 use xbrtime::{EngineConfig, Fabric, FabricConfig, Pe, ReduceOp, RunReport};
@@ -46,45 +45,6 @@ pub fn backend_arg(args: &[String]) -> EngineConfig {
             std::process::exit(2);
         }),
     }
-}
-
-static PLAN_CACHE: AtomicBool = AtomicBool::new(true);
-
-/// `--plan-cache {on,off}` flag shared by the harness binaries: whether
-/// every fabric built through [`paper_config`] routes collectives through
-/// the compiled plan cache (the default) or the interpretive schedule
-/// executor — the A/B baseline `xbench_issue` quantifies. Exits with an
-/// error on an unknown value rather than silently measuring the wrong
-/// configuration.
-pub fn plan_cache_arg(args: &[String]) {
-    if let Some(i) = args.iter().position(|a| a == "--plan-cache") {
-        match args.get(i + 1).map(String::as_str) {
-            Some("on") => set_plan_cache(true),
-            Some("off") => set_plan_cache(false),
-            other => {
-                eprintln!("--plan-cache expects `on` or `off`, got {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-/// Toggle the plan cache for every fabric subsequently built through
-/// [`paper_config`].
-pub fn set_plan_cache(on: bool) {
-    PLAN_CACHE.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`paper_config`] fabrics currently use the compiled plan cache.
-pub fn plan_cache_on() -> bool {
-    PLAN_CACHE.load(Ordering::Relaxed)
-}
-
-/// Paper-calibrated [`FabricConfig`] honouring the process-wide
-/// `--plan-cache` choice; every fabric in this crate is built through it
-/// so the flag covers the whole harness run.
-pub fn paper_config(n_pes: usize) -> FabricConfig {
-    FabricConfig::paper(n_pes).with_plan_cache(plan_cache_on())
 }
 
 /// Core frequency used to convert simulated cycles into seconds.
@@ -148,7 +108,7 @@ pub fn run_fig4_on(engine: EngineConfig, pe_counts: &[usize], scale_shift: u32) 
             let mut cfg = GupsConfig::fig4(n);
             cfg.updates_per_pe >>= scale_shift;
             let total_updates = cfg.updates_per_pe * n;
-            let fc = paper_config(n)
+            let fc = FabricConfig::paper(n)
                 .with_shared_bytes(cfg.table_bytes() + (1 << 20))
                 .with_engine(engine);
             let report = Fabric::run(fc, move |pe| run_gups(pe, &cfg));
@@ -212,7 +172,9 @@ fn run_fig5_impl(
             let (total_keys, max_key) = cfg.class.sizes();
             // Heap: histogram + mailbox (total keys) + slack.
             let heap = (max_key * 8 + total_keys * 4 + (1 << 22)).max(16 << 20);
-            let fc = paper_config(n).with_shared_bytes(heap).with_engine(engine);
+            let fc = FabricConfig::paper(n)
+                .with_shared_bytes(heap)
+                .with_engine(engine);
             let report = Fabric::run(fc, move |pe| run_is(pe, &cfg));
             assert!(
                 report.results.iter().all(|r| r.verified),
@@ -295,7 +257,7 @@ pub fn sweep_broadcast_on(
     n_pes: usize,
     nelems: usize,
 ) -> SweepPoint {
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
@@ -340,7 +302,7 @@ pub fn sweep_broadcast_policy_on(
     n_pes: usize,
     nelems: usize,
 ) -> u64 {
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
@@ -366,7 +328,7 @@ pub fn sweep_broadcast_policy_sync_on(
     n_pes: usize,
     nelems: usize,
 ) -> u64 {
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
@@ -406,7 +368,7 @@ pub fn sweep_broadcast_sync_on(
     n_pes: usize,
     nelems: usize,
 ) -> u64 {
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
@@ -437,7 +399,7 @@ pub fn sweep_reduce_sync_on(
     n_pes: usize,
     nelems: usize,
 ) -> u64 {
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 * 4 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
@@ -497,7 +459,7 @@ pub fn ablation_sync_modes_on(
     ]
     .into_iter()
     .map(|sync| {
-        let fc = paper_config(n_pes)
+        let fc = FabricConfig::paper(n_pes)
             .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
             .with_engine(engine);
         let report = Fabric::run(fc, move |pe| {
@@ -538,7 +500,7 @@ pub fn sweep_reduce_on(
     n_pes: usize,
     nelems: usize,
 ) -> SweepPoint {
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
@@ -585,7 +547,7 @@ pub fn sweep_scatter_on(
     per_pe: usize,
 ) -> SweepPoint {
     let nelems = per_pe * n_pes;
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
@@ -630,7 +592,7 @@ pub fn sweep_gather_on(
     per_pe: usize,
 ) -> SweepPoint {
     let nelems = per_pe * n_pes;
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
@@ -687,7 +649,7 @@ pub fn collective_run_on(
 ) -> RunReport<()> {
     let per_pe = nelems.max(1);
     let total = per_pe * n_pes;
-    let mut fc = paper_config(n_pes)
+    let mut fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((total * 8 * 4 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     if traced {
@@ -766,7 +728,7 @@ pub fn run_fig4_traced_on(
     // The collective episodes live in the verification tail (reduce +
     // broadcast of the error count) — the traced run keeps it on.
     cfg.verify = true;
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes(cfg.table_bytes() + (1 << 20))
         .with_trace()
         .with_engine(engine);
@@ -796,7 +758,7 @@ pub fn run_fig5_traced_on(
     cfg.iterations = (cfg.iterations >> scale_shift).max(1);
     let (total_keys, max_key) = cfg.class.sizes();
     let heap = (max_key * 8 + total_keys * 4 + (1 << 22)).max(16 << 20);
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes(heap)
         .with_trace()
         .with_engine(engine);
@@ -817,7 +779,7 @@ pub fn traced_broadcast_on(
     n_pes: usize,
     nelems: usize,
 ) -> RunReport<()> {
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
         .with_trace()
         .with_engine(engine);
@@ -859,14 +821,14 @@ pub fn export_trace(path: &str, trace: &xbrtime::Trace) {
 }
 
 /// One issue-rate cell: nonblocking collectives issued per second of
-/// host time spent *in the issue call*, cold (plan cache off — every
-/// call regenerates its communication schedule and lowers it before it
-/// can issue) vs warm (compiled plans fetched from the cache and issued
-/// at service rate). Only the issue phase is on the clock; the drain —
-/// waits, completion barriers, and the engine's park/unpark machinery —
-/// runs untimed between batches, because that cost is identical in both
-/// arms and (on a small host) would otherwise bury the issue path it is
-/// this benchmark's job to expose.
+/// host time spent *in the issue call*, cold (every call regenerates its
+/// communication schedule and lowers it before it issues — what a fabric
+/// without a plan cache would pay) vs warm (compiled plans fetched from
+/// the cache and issued at service rate). Only the issue phase is on the
+/// clock; the drain — waits, completion barriers, and the engine's
+/// park/unpark machinery — runs untimed between batches, because that
+/// cost is identical in both arms and (on a small host) would otherwise
+/// bury the issue path it is this benchmark's job to expose.
 #[derive(Clone, Copy, Debug)]
 pub struct IssueRateCell {
     /// PEs participating.
@@ -875,10 +837,11 @@ pub struct IssueRateCell {
     pub nelems: usize,
     /// Timed episodes per configuration.
     pub iters: usize,
-    /// Issue calls per second with the plan cache disabled.
+    /// Issue calls per second when every call also regenerates and lowers
+    /// its schedule.
     pub cold_per_sec: f64,
-    /// Issue calls per second with the plan cache enabled (after the
-    /// one-miss warm-up).
+    /// Issue calls per second from the plan cache (after the one-miss
+    /// warm-up).
     pub warm_per_sec: f64,
 }
 
@@ -913,11 +876,13 @@ const ISSUE_DEPTH: usize = 8;
 /// bursts of [`ISSUE_DEPTH`] on disjoint destination buffers. The clock
 /// runs only across the `ixbroadcast` calls — the signaled-discipline
 /// issue path never blocks, so the measurement is pure host issue cost:
-/// cold pays schedule generation + lowering on every call, warm pays one
-/// sharded hash lookup. Each burst is then drained (wait every handle,
-/// one alignment barrier) off the clock. One untimed full-depth round
-/// per configuration first pays signal-table growth and (warm arm) the
-/// single cache miss, so the timed loop isolates the steady state.
+/// warm pays one sharded hash lookup per call; cold additionally
+/// regenerates and lowers the schedule inside the timed region before
+/// each issue — exactly the per-PE work the cache exists to save. Each
+/// burst is then drained (wait every handle, one alignment barrier) off
+/// the clock. One untimed full-depth round per configuration first pays
+/// signal-table growth and the single cache miss, so the timed loop
+/// isolates the steady state.
 /// Simulated cycles are identical in both arms by construction — the
 /// plan layer's whole point — so this is the one probe in the crate that
 /// reports *host* throughput.
@@ -927,12 +892,12 @@ pub fn issue_rate(
     nelems: usize,
     iters: usize,
 ) -> IssueRateCell {
-    use xbrtime::collectives::SyncMode;
-    let run = |cached: bool| -> f64 {
+    use xbrtime::collectives::schedule::broadcast_binomial;
+    use xbrtime::collectives::{lower, SyncMode};
+    let run = |relower: bool| -> f64 {
         let cfg = FabricConfig::paper(n_pes)
             .with_shared_bytes((ISSUE_DEPTH * nelems * 8 + (1 << 16)).max(1 << 20))
-            .with_engine(engine)
-            .with_plan_cache(cached);
+            .with_engine(engine);
         let report = Fabric::run(cfg, move |pe| {
             let dests: Vec<_> = (0..ISSUE_DEPTH)
                 .map(|_| pe.shared_malloc::<u64>(nelems.max(1)))
@@ -963,6 +928,13 @@ pub fn issue_rate(
                 let burst = left.min(ISSUE_DEPTH);
                 let t0 = std::time::Instant::now();
                 for d in &dests[..burst] {
+                    if relower {
+                        std::hint::black_box(lower(
+                            &broadcast_binomial(n_pes, 0, nelems, 1),
+                            SyncMode::Signaled,
+                            8,
+                        ));
+                    }
                     handles.push(collectives::ixbroadcast(
                         pe,
                         d,
@@ -988,8 +960,8 @@ pub fn issue_rate(
         n_pes,
         nelems,
         iters,
-        cold_per_sec: run(false),
-        warm_per_sec: run(true),
+        cold_per_sec: run(true),
+        warm_per_sec: run(false),
     }
 }
 
@@ -1000,7 +972,7 @@ pub fn ablation_unroll(threshold: usize, nelems: usize) -> u64 {
 
 /// [`ablation_unroll`] on an explicit execution engine.
 pub fn ablation_unroll_on(engine: EngineConfig, threshold: usize, nelems: usize) -> u64 {
-    let mut fc = paper_config(2)
+    let mut fc = FabricConfig::paper(2)
         .with_shared_bytes((nelems * 8).max(1 << 20))
         .with_engine(engine);
     fc.timing.unroll_threshold = threshold;
@@ -1031,7 +1003,7 @@ pub fn ablation_topology_on(
     nelems: usize,
 ) -> (u64, u64) {
     use xbrtime::Topology;
-    let cfg = paper_config(n_pes)
+    let cfg = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
         .with_topology(Topology {
             pes_per_node,
@@ -1075,7 +1047,7 @@ pub fn ablation_gups_amo_on(engine: EngineConfig, n_pes: usize) -> (u64, u64, us
             policy: xbrtime::AlgorithmPolicy::Binomial,
             sync: xbrtime::SyncMode::Barrier,
         };
-        let fc = paper_config(n_pes)
+        let fc = FabricConfig::paper(n_pes)
             .with_shared_bytes(cfg.table_bytes() + (1 << 20))
             .with_engine(engine);
         let report = Fabric::run(fc, move |pe| run_gups(pe, &cfg));
@@ -1101,7 +1073,7 @@ pub fn ablation_allreduce_on(
     n_pes: usize,
     nelems: usize,
 ) -> u64 {
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
@@ -1129,7 +1101,7 @@ pub fn sweep_allreduce_on(
     n_pes: usize,
     nelems: usize,
 ) -> u64 {
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
@@ -1157,7 +1129,7 @@ pub fn sweep_all_gather_on(
     n_pes: usize,
     per_pe: usize,
 ) -> u64 {
-    let fc = paper_config(n_pes)
+    let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((per_pe * n_pes * 8 * 2 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {

@@ -2,7 +2,7 @@
 //! harness.
 //!
 //! The oracle in [`verify`](crate::collectives::verify) checks one
-//! interleaving; this module drives the same compiled programs through
+//! interleaving; this module drives the same translated plans through
 //! *many*. Everything is single-threaded and cooperative — a scheduler
 //! picks which PE steps next from the enabled set — so every ordering
 //! bug reproduces from `(seed, config)` alone, with no wall-clock or
@@ -28,8 +28,8 @@ use std::collections::HashSet;
 use crate::collectives::policy::SyncMode;
 use crate::collectives::schedule::{CommSchedule, OpKind, TransferOp};
 use crate::collectives::verify::{
-    check_schedule, compare, compile, CollectiveSpec, ConformanceReport, DeadlockInfo, Machine,
-    Mismatch, ModelConfig, Program, Space,
+    check_schedule, compare, CollectiveSpec, ConformanceReport, DeadlockInfo, Machine, Mismatch,
+    ModelConfig, Program, Space,
 };
 use crate::timing::SplitMix64;
 
@@ -103,7 +103,7 @@ impl Scheduler for RandomPriority {
     }
 }
 
-/// Compile `sched` under `sync` and run one full interleaving chosen by
+/// Lower `sched` under `sync` and run one full interleaving chosen by
 /// `scheduler`, with the vector-clock plane attached.
 pub fn check_with_scheduler(
     sched: &CommSchedule,
@@ -112,7 +112,7 @@ pub fn check_with_scheduler(
     cfg: &ModelConfig,
     scheduler: &mut dyn Scheduler,
 ) -> ConformanceReport {
-    let prog = compile(sched, sync, cfg);
+    let prog = Program::lower(sched, sync, cfg);
     crate::collectives::verify::run_with(&prog, spec, |enabled| scheduler.pick(enabled))
 }
 
@@ -223,7 +223,7 @@ pub fn explore_exhaustive(
     cfg: &ModelConfig,
     ecfg: &ExploreConfig,
 ) -> ExploreOutcome {
-    let prog = compile(sched, sync, cfg);
+    let prog = Program::lower(sched, sync, cfg);
     let exp = prog.expectation(spec);
     let mut visited: HashSet<u64> = HashSet::new();
     let mut complete_runs = 0usize;
@@ -362,7 +362,7 @@ pub fn replay_trace(
     cfg: &ModelConfig,
     trace: &[usize],
 ) -> ConformanceReport {
-    let prog = compile(sched, sync, cfg);
+    let prog = Program::lower(sched, sync, cfg);
     let mut i = 0usize;
     crate::collectives::verify::run_with(&prog, spec, |enabled| {
         let pe = trace.get(i).copied().unwrap_or(enabled[0]);

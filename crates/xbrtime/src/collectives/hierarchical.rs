@@ -22,8 +22,9 @@
 //! inspectable — the inter-node crossing count the hierarchy exists to
 //! minimise is just a filter over the ops.
 
-use crate::collectives::policy::SyncMode;
-use crate::collectives::schedule::{self, CommSchedule, OpKind, Stage, TransferOp};
+use crate::collectives::plan::{self, tag, PlanKey};
+use crate::collectives::policy::{Algorithm, SyncMode};
+use crate::collectives::schedule::{CommSchedule, OpKind, Stage, TransferOp};
 use crate::fabric::{ceil_log2, CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
 
@@ -221,8 +222,8 @@ pub fn broadcast_hier<T: XbrType>(
 }
 
 /// [`broadcast_hier`] under an explicit synchronization discipline —
-/// the hierarchical schedule runs unchanged through the signaled and
-/// pipelined executor paths.
+/// the hierarchical schedule lowers unchanged under the signaled and
+/// pipelined disciplines.
 pub fn broadcast_hier_sync<T: XbrType>(
     pe: &Pe,
     dest: &SymmAlloc<T>,
@@ -244,8 +245,29 @@ pub fn broadcast_hier_sync<T: XbrType>(
         return;
     }
 
-    let sched = broadcast_hier_sched(pe.n_pes(), topo.pes_per_node, root, nelems);
-    schedule::execute_sync(pe, &sched, dest.whole(), &[], &mut [], None, sync);
+    let (n_pes, k) = (pe.n_pes(), topo.pes_per_node);
+    let mut key = PlanKey::rooted(
+        CollectiveKind::Broadcast,
+        Algorithm::Binomial,
+        sync,
+        n_pes,
+        root,
+        nelems,
+        1,
+        std::mem::size_of::<T>(),
+        tag::BROADCAST_HIER,
+    );
+    key.shape.push(k as u64);
+    plan::run_schedule(
+        pe,
+        key,
+        || broadcast_hier_sched(n_pes, k, root, nelems),
+        dest.whole(),
+        &[],
+        &mut [],
+        None,
+        sync,
+    );
 }
 
 /// Hierarchical reduction with an arbitrary combiner: tier 1 within nodes
@@ -283,8 +305,29 @@ pub fn reduce_hier_sync<T: XbrType>(
     }
     pe.barrier();
 
-    let sched = reduce_hier_sched(pe.n_pes(), topo.pes_per_node, root, nelems);
-    schedule::execute_sync(pe, &sched, work.whole(), &[], &mut [], Some(&f), sync);
+    let (n_pes, k) = (pe.n_pes(), topo.pes_per_node);
+    let mut key = PlanKey::rooted(
+        CollectiveKind::Reduce,
+        Algorithm::Binomial,
+        sync,
+        n_pes,
+        root,
+        nelems,
+        1,
+        std::mem::size_of::<T>(),
+        tag::REDUCE_HIER,
+    );
+    key.shape.push(k as u64);
+    plan::run_schedule(
+        pe,
+        key,
+        || reduce_hier_sched(n_pes, k, root, nelems),
+        work.whole(),
+        &[],
+        &mut [],
+        Some(&f),
+        sync,
+    );
 
     if pe.rank() == root && nelems > 0 {
         pe.heap_read_strided(work.whole(), &mut dest[..nelems], nelems, 1);
@@ -322,7 +365,7 @@ mod tests {
         assert_eq!(sched.total_ops(), 11);
         assert_eq!(inter_node_ops(&sched, 3), 3);
         // The flat tree crosses more often on the same layout.
-        let flat = schedule::broadcast_binomial(12, 0, 64, 1);
+        let flat = crate::collectives::schedule::broadcast_binomial(12, 0, 64, 1);
         assert!(inter_node_ops(&flat, 3) > 3);
         // Reduce mirrors broadcast.
         let red = reduce_hier_sched(12, 3, 0, 64);

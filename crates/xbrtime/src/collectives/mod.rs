@@ -10,13 +10,15 @@
 //!
 //! Every collective here is built on the [`schedule`] layer: a generator
 //! materialises the communication pattern as a [`schedule::CommSchedule`]
-//! (pure data, unit-testable without a fabric) and one generic executor
-//! issues it on a PE. [`policy`] selects among algorithm shapes at runtime.
+//! (pure data, unit-testable without a fabric), [`plan::lower`] turns it
+//! into a flat per-PE step program — the one place the synchronization
+//! protocol is written — and one generic executor runs those steps on a
+//! PE. [`policy`] selects among algorithm shapes at runtime.
 //!
-//! Because schedules are pure data, they can be checked without a fabric:
-//! [`verify`] interprets a schedule against an abstract provenance memory
-//! model (final-buffer equivalence, happens-before, write races) and
-//! [`explore`] enumerates interleavings of the modelled executor — up to
+//! Because a lowered plan is pure data too, it can be checked without a
+//! fabric: [`verify`] interprets the same steps against an abstract
+//! provenance memory model (final-buffer equivalence, happens-before,
+//! write races) and [`explore`] enumerates their interleavings — up to
 //! exhaustively — and mutation-tests the oracle itself.
 
 pub mod baseline;

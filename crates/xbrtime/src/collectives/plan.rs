@@ -1,17 +1,14 @@
-//! Compiled schedule plans and the plan cache (ROADMAP item 3).
+//! Compiled schedule plans and the plan cache.
 //!
-//! [`schedule::execute_sync`] walks a [`CommSchedule`]'s nested
-//! stage/op structure interpretively on every call: it re-resolves
-//! `SyncMode::Auto`, recomputes signal-slot indices and pipeline chunk
-//! ranges, and re-runs the pending-signal bookkeeping — pure per-issue
-//! overhead that dominates at small payloads. This module lowers a
-//! `(CommSchedule, SyncMode, elem_bytes)` triple **once** into a
-//! [`Plan`]: a flat, branch-free per-PE array of [`PlanStep`]s with every
-//! slot index, chunk window and fold span pre-resolved, in the spirit of
-//! `verify::compile`'s abstract programs — except that this lowering
-//! preserves the executor's telemetry and trace behaviour call-for-call,
-//! so a compiled plan is observationally identical to the interpretive
-//! walk (the plan-equivalence suite pins this down).
+//! [`lower`] turns a `(CommSchedule, SyncMode, elem_bytes)` triple into a
+//! [`Plan`]: a flat, branch-free per-PE array of [`PlanStep`]s with
+//! `SyncMode::Auto` resolved and every signal-slot index, pipeline chunk
+//! window and fold span fixed. It is the **only** implementation of the
+//! slot/READY/ACK/chunk signalling protocol in the crate: the fabric
+//! executes the steps ([`execute_plan`]), and the conformance oracle
+//! ([`verify`](crate::collectives::verify)) and interleaving explorer
+//! translate the same steps into their abstract machine, so what is
+//! model-checked is the artefact that runs.
 //!
 //! Plans are memoized in a sharded [`PlanCache`] keyed by the full
 //! collective shape ([`PlanKey`]); repeat issues of the same collective
@@ -30,7 +27,7 @@ use crate::collectives::policy::{
     pipeline_chunks, Algorithm, SyncMode, ACK_SLOT, READY_SLOT, SLOTS_PER_OP,
 };
 use crate::collectives::schedule::{
-    self, broadcast_binomial, is_put_kind, reduce_binomial, CommSchedule, OpKind, TransferOp,
+    broadcast_binomial, is_put_kind, reduce_binomial, CommSchedule, OpKind, TransferOp,
 };
 use crate::fabric::{CollectiveKind, CollectiveSample, Pe, SymmAlloc, SymmRef};
 use crate::trace::TraceKind;
@@ -259,8 +256,8 @@ pub struct PeProgram {
     pub sample: SampleTemplate,
 }
 
-/// A fully lowered collective: per-PE step arrays plus everything the
-/// executor needs that the interpretive path recomputed per call.
+/// A fully lowered collective: per-PE step arrays plus the episode-wide
+/// facts the executor needs (resolved discipline, slot window, shape).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Plan {
     /// Telemetry kind episodes report under.
@@ -303,47 +300,122 @@ impl Plan {
 // Lowering
 // ---------------------------------------------------------------------------
 
-/// Compile-time image of the executor's pending-put list. The lowering
-/// replays the interpretive `consume_overlapping` scan — including its
-/// `swap_remove` ordering — so the emitted `Wait` steps consume slots in
-/// exactly the order the interpretive executor would.
+/// Schedule coordinates `(stage, op, chunk)` of the op a lowered step
+/// serves — `None` for stage markers, barriers and drain waits. The
+/// runtime discards them; the conformance oracle keeps them so a
+/// violation names the op that caused it.
+pub(crate) type Origin = Option<(usize, usize, Option<usize>)>;
+
+/// An incoming put chunk whose completion signal this PE has not consumed
+/// yet, with the element range it lands in. Before touching any region
+/// of its own symmetric buffer a PE consumes the pending signals that
+/// overlap it — the point-to-point replacement for the stage barrier.
 struct PendingAt {
-    slot: usize,
+    slot: u32,
     start: usize,
     end: usize,
 }
 
-fn consume_overlapping(
-    pending: &mut Vec<PendingAt>,
-    steps: &mut Vec<PlanStep>,
-    tmpl: &mut SampleTemplate,
-    start: usize,
-    end: usize,
-) {
-    let mut i = 0;
-    while i < pending.len() {
-        if pending[i].start < end && start < pending[i].end {
-            let p = pending.swap_remove(i);
-            steps.push(PlanStep::Wait {
-                slot: p.slot as u32,
-            });
-            tmpl.waits += 1;
-        } else {
-            i += 1;
-        }
-    }
-}
-
+/// Element window `[c0, c1)` of chunk `c` of `n`.
 fn chunk_elems(op: &TransferOp, c: usize, n: usize) -> (usize, usize) {
     let per = op.nelems.div_ceil(n);
     ((c * per).min(op.nelems), ((c + 1) * per).min(op.nelems))
 }
 
+/// Contiguous element range `[start, end)` that chunk window `[c0, c1)`
+/// of a strided span occupies, measured from buffer offset `at`. An empty
+/// window maps to an empty range rather than underflowing on `c1 - 1`
+/// (zero-`nelems` ops produce `c0 == c1 == 0`).
 fn chunk_range(at: usize, stride: usize, c0: usize, c1: usize) -> (usize, usize) {
     if c1 <= c0 {
         return (at, at);
     }
     (at + c0 * stride, at + (c1 - 1) * stride + 1)
+}
+
+/// The put step for elements `[c0, c1)` of a put-kind op.
+fn put_step(
+    op: &TransferOp,
+    c0: usize,
+    c1: usize,
+    sig: Option<u32>,
+    chunk: Option<u32>,
+) -> PlanStep {
+    let dst_at = (op.dst_at + c0 * op.stride) as u32;
+    let (src_lo, src_hi) = chunk_range(op.src_at, op.stride, c0, c1);
+    let (src_lo, src_hi) = (src_lo as u32, src_hi as u32);
+    let nelems = (c1 - c0) as u32;
+    let stride = op.stride as u32;
+    let dst_pe = op.dst_pe as u32;
+    match op.kind {
+        OpKind::Put => PlanStep::PutSymm {
+            dst_at,
+            src_at: src_lo,
+            nelems,
+            stride,
+            dst_pe,
+            sig,
+            chunk,
+        },
+        OpKind::PutFrom => PlanStep::PutFrom {
+            dst_at,
+            src_lo,
+            src_hi,
+            nelems,
+            stride,
+            dst_pe,
+            sig,
+            chunk,
+        },
+        OpKind::PutNb => PlanStep::PutNb {
+            dst_at,
+            src_lo,
+            src_hi,
+            nelems,
+            stride,
+            dst_pe,
+            sig,
+            chunk,
+        },
+        _ => unreachable!("put_step on a non-put op"),
+    }
+}
+
+/// The get step of a `Get`/`GetInto` op.
+fn get_step(op: &TransferOp) -> PlanStep {
+    let src_at = op.src_at as u32;
+    let nelems = op.nelems as u32;
+    let stride = op.stride as u32;
+    let src_pe = op.src_pe as u32;
+    match op.kind {
+        OpKind::Get => PlanStep::GetSymm {
+            dst_at: op.dst_at as u32,
+            src_at,
+            nelems,
+            stride,
+            src_pe,
+        },
+        OpKind::GetInto => PlanStep::GetInto {
+            dst_lo: op.dst_at as u32,
+            dst_hi: (op.dst_at + op.span()) as u32,
+            src_at,
+            nelems,
+            stride,
+            src_pe,
+        },
+        _ => unreachable!("get_step on a non-get op"),
+    }
+}
+
+/// The landing read of a fold op.
+fn landing_step(op: &TransferOp, ack: Option<u32>) -> PlanStep {
+    PlanStep::GetLanding {
+        src_at: op.src_at as u32,
+        nelems: op.nelems as u32,
+        stride: op.stride as u32,
+        src_pe: op.src_pe as u32,
+        ack,
+    }
 }
 
 fn fold_step(op: &TransferOp) -> PlanStep {
@@ -363,468 +435,391 @@ fn fold_step(op: &TransferOp) -> PlanStep {
     }
 }
 
-/// Lower `sched` under the requested `sync` into a [`Plan`].
-///
-/// `SyncMode::Auto` is resolved **here**, once, through the same
-/// [`CommSchedule::resolve_sync`] the interpretive executor consults per
-/// call; the resolved discipline is recorded in [`Plan::sync`]. The
-/// per-PE step streams replay the interpretive control flow exactly —
-/// same ops in the same order, same signal-slot indices, same pending
-/// consumption order, same trace events — so plan execution is
-/// observationally identical to `schedule::execute_sync`.
-pub fn lower(sched: &CommSchedule, sync: SyncMode, elem_bytes: usize) -> Plan {
-    sched.validate();
-    let es = elem_bytes;
-    let n_stages = sched.stages.len();
-    let empty = !sched.ops().any(|op| op.nelems > 0);
-    let resolved = sched.resolve_sync(sync, es);
-    let n_slots = if empty || resolved == SyncMode::Barrier {
-        0
-    } else {
-        sched.total_ops() * SLOTS_PER_OP
-    };
-    let op_base = sched.op_bases();
+/// One PE's program under construction.
+struct Lowering<'a, N> {
+    me: usize,
+    elem_bytes: usize,
+    steps: Vec<PlanStep>,
+    sample: SampleTemplate,
+    pending: Vec<PendingAt>,
+    note: &'a mut N,
+}
 
-    let mut per_pe = Vec::with_capacity(sched.n_pes);
-    for me in 0..sched.n_pes {
-        let mut tmpl = SampleTemplate {
-            stages: n_stages as u64,
-            ..SampleTemplate::default()
-        };
-        let mut steps: Vec<PlanStep> = Vec::new();
-        if empty {
-            per_pe.push(PeProgram {
-                steps,
-                drain_from: 0,
-                landing_len: 0,
-                sample: tmpl,
-            });
-            continue;
-        }
-        let landing_len = sched
-            .ops()
-            .filter(|op| op.is_fold() && op.dst_pe == me)
-            .map(|op| op.span().max(1))
-            .max()
-            .unwrap_or(0);
-
-        let count_put = |tmpl: &mut SampleTemplate, nelems: usize| {
-            tmpl.puts += 1;
-            tmpl.bytes_put += (nelems * es) as u64;
-        };
-        let count_get = |tmpl: &mut SampleTemplate, nelems: usize| {
-            tmpl.gets += 1;
-            tmpl.bytes_get += (nelems * es) as u64;
-        };
-
-        let drain_from;
-        if resolved == SyncMode::Barrier {
-            for (si, stage) in sched.stages.iter().enumerate() {
-                steps.push(PlanStep::StageStart { si: si as u32 });
-                if stage.deferred_fold {
-                    for op in &stage.ops {
-                        if op.issuer() != me {
-                            continue;
-                        }
-                        steps.push(PlanStep::GetLanding {
-                            src_at: op.src_at as u32,
-                            nelems: op.nelems as u32,
-                            stride: op.stride as u32,
-                            src_pe: op.src_pe as u32,
-                            ack: None,
-                        });
-                        count_get(&mut tmpl, op.nelems);
-                    }
-                    steps.push(PlanStep::Barrier);
-                    for op in &stage.ops {
-                        if op.issuer() == me {
-                            steps.push(fold_step(op));
-                        }
-                    }
-                    steps.push(PlanStep::Barrier);
-                    steps.push(PlanStep::StageEnd { si: si as u32 });
-                    continue;
-                }
-                for op in &stage.ops {
-                    if op.issuer() != me {
-                        continue;
-                    }
-                    match op.kind {
-                        OpKind::Put => {
-                            steps.push(PlanStep::PutSymm {
-                                dst_at: op.dst_at as u32,
-                                src_at: op.src_at as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                dst_pe: op.dst_pe as u32,
-                                sig: None,
-                                chunk: None,
-                            });
-                            count_put(&mut tmpl, op.nelems);
-                        }
-                        OpKind::Get => {
-                            steps.push(PlanStep::GetSymm {
-                                dst_at: op.dst_at as u32,
-                                src_at: op.src_at as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                src_pe: op.src_pe as u32,
-                            });
-                            count_get(&mut tmpl, op.nelems);
-                        }
-                        OpKind::PutFrom => {
-                            steps.push(PlanStep::PutFrom {
-                                dst_at: op.dst_at as u32,
-                                src_lo: op.src_at as u32,
-                                src_hi: (op.src_at + op.span()) as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                dst_pe: op.dst_pe as u32,
-                                sig: None,
-                                chunk: None,
-                            });
-                            count_put(&mut tmpl, op.nelems);
-                        }
-                        OpKind::PutNb => {
-                            steps.push(PlanStep::PutNb {
-                                dst_at: op.dst_at as u32,
-                                src_lo: op.src_at as u32,
-                                src_hi: (op.src_at + op.span()) as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                dst_pe: op.dst_pe as u32,
-                                sig: None,
-                                chunk: None,
-                            });
-                            count_put(&mut tmpl, op.nelems);
-                        }
-                        OpKind::GetInto => {
-                            steps.push(PlanStep::GetInto {
-                                dst_lo: op.dst_at as u32,
-                                dst_hi: (op.dst_at + op.span()) as u32,
-                                src_at: op.src_at as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                src_pe: op.src_pe as u32,
-                            });
-                            count_get(&mut tmpl, op.nelems);
-                        }
-                        OpKind::GetFold | OpKind::GetFoldInto => {
-                            steps.push(PlanStep::GetLanding {
-                                src_at: op.src_at as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                src_pe: op.src_pe as u32,
-                                ack: None,
-                            });
-                            count_get(&mut tmpl, op.nelems);
-                            steps.push(fold_step(op));
-                        }
-                    }
-                }
-                steps.push(PlanStep::Barrier);
-                steps.push(PlanStep::StageEnd { si: si as u32 });
+impl<N: FnMut(usize, &PlanStep, Origin)> Lowering<'_, N> {
+    /// Append `step`, tally it into the static telemetry template and
+    /// report its origin.
+    fn push(&mut self, step: PlanStep, at: Origin) {
+        let es = self.elem_bytes as u64;
+        let s = &mut self.sample;
+        match step {
+            PlanStep::PutSymm { nelems, sig, .. }
+            | PlanStep::PutFrom { nelems, sig, .. }
+            | PlanStep::PutNb { nelems, sig, .. } => {
+                s.puts += 1;
+                s.bytes_put += nelems as u64 * es;
+                s.signals += u64::from(sig.is_some());
             }
-            drain_from = steps.len();
-        } else {
-            let pipelined = resolved == SyncMode::Pipelined;
-            let chunks_of = |op: &TransferOp| -> usize {
-                if pipelined && is_put_kind(op.kind) {
-                    pipeline_chunks(op.nelems * es)
-                } else {
-                    1
-                }
+            PlanStep::GetSymm { nelems, .. } | PlanStep::GetInto { nelems, .. } => {
+                s.gets += 1;
+                s.bytes_get += nelems as u64 * es;
+            }
+            PlanStep::GetLanding { nelems, ack, .. } => {
+                s.gets += 1;
+                s.bytes_get += nelems as u64 * es;
+                s.signals += u64::from(ack.is_some());
+            }
+            PlanStep::Post { .. } => s.signals += 1,
+            PlanStep::Wait { .. } => s.waits += 1,
+            _ => {}
+        }
+        (self.note)(self.me, &step, at);
+        self.steps.push(step);
+    }
+
+    /// Wait on every pending incoming chunk overlapping `[start, end)`.
+    /// The `swap_remove` scan order is part of the plan: it fixes the
+    /// order a PE consumes its signals in.
+    fn consume_overlapping(&mut self, start: usize, end: usize, at: Origin) {
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].start < end && start < self.pending[i].end {
+                let slot = self.pending.swap_remove(i).slot;
+                self.push(PlanStep::Wait { slot }, at);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Barrier discipline: every PE issues the ops it owns and closes each
+    /// stage with a barrier — op for op and barrier for barrier the
+    /// paper's Algorithms 1–4.
+    fn barrier_stages(&mut self, sched: &CommSchedule) {
+        let me = self.me;
+        for (si, stage) in sched.stages.iter().enumerate() {
+            self.push(PlanStep::StageStart { si: si as u32 }, None);
+            let mine = || {
+                stage
+                    .ops
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, op)| op.issuer() == me)
+                    .map(move |(oi, op)| (op, Some((si, oi, None))))
             };
-            let mut pending: Vec<PendingAt> = Vec::new();
-            for (si, stage) in sched.stages.iter().enumerate() {
-                steps.push(PlanStep::StageStart { si: si as u32 });
-                let base = op_base[si];
-                if stage.deferred_fold {
-                    for (oi, op) in stage.ops.iter().enumerate() {
-                        if op.nelems > 0 && op.src_pe == me && op.issuer() != me {
-                            consume_overlapping(
-                                &mut pending,
-                                &mut steps,
-                                &mut tmpl,
-                                op.src_at,
-                                op.src_at + op.span(),
-                            );
-                            steps.push(PlanStep::Post {
-                                slot: ((base + oi) * SLOTS_PER_OP + READY_SLOT) as u32,
-                                dst_pe: op.dst_pe as u32,
-                            });
-                            tmpl.signals += 1;
-                        }
-                    }
-                    for (oi, op) in stage.ops.iter().enumerate() {
-                        if op.issuer() != me || op.nelems == 0 {
-                            continue;
-                        }
-                        if op.src_pe != me {
-                            steps.push(PlanStep::Wait {
-                                slot: ((base + oi) * SLOTS_PER_OP + READY_SLOT) as u32,
-                            });
-                            tmpl.waits += 1;
-                            steps.push(PlanStep::GetLanding {
-                                src_at: op.src_at as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                src_pe: op.src_pe as u32,
-                                ack: Some(((base + oi) * SLOTS_PER_OP + ACK_SLOT) as u32),
-                            });
-                            tmpl.signals += 1;
-                        } else {
-                            steps.push(PlanStep::GetLanding {
-                                src_at: op.src_at as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                src_pe: op.src_pe as u32,
-                                ack: None,
-                            });
-                        }
-                        count_get(&mut tmpl, op.nelems);
-                    }
-                    for (oi, op) in stage.ops.iter().enumerate() {
-                        if op.nelems > 0 && op.src_pe == me && op.issuer() != me {
-                            steps.push(PlanStep::Wait {
-                                slot: ((base + oi) * SLOTS_PER_OP + ACK_SLOT) as u32,
-                            });
-                            tmpl.waits += 1;
-                        }
-                    }
-                    for op in &stage.ops {
-                        if op.issuer() == me && op.nelems > 0 {
-                            steps.push(fold_step(op));
-                        }
-                    }
-                    steps.push(PlanStep::StageEnd { si: si as u32 });
-                    continue;
+            if stage.deferred_fold {
+                // Both partners read each other's buffer this stage, so
+                // every read lands before a mid-stage barrier and the
+                // folds happen after it.
+                for (op, at) in mine() {
+                    self.push(landing_step(op, None), at);
                 }
-
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems > 0
-                        && !is_put_kind(op.kind)
-                        && op.src_pe == me
-                        && op.issuer() != me
-                    {
-                        consume_overlapping(
-                            &mut pending,
-                            &mut steps,
-                            &mut tmpl,
-                            op.src_at,
-                            op.src_at + op.span(),
-                        );
-                        steps.push(PlanStep::Post {
-                            slot: ((base + oi) * SLOTS_PER_OP + READY_SLOT) as u32,
-                            dst_pe: op.dst_pe as u32,
-                        });
-                        tmpl.signals += 1;
-                    }
+                self.push(PlanStep::Barrier, None);
+                for (op, at) in mine() {
+                    self.push(fold_step(op), at);
                 }
-
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.issuer() != me || op.nelems == 0 {
-                        continue;
-                    }
-                    let sig = (base + oi) * SLOTS_PER_OP;
+            } else {
+                for (op, at) in mine() {
                     match op.kind {
                         OpKind::Put | OpKind::PutFrom | OpKind::PutNb => {
-                            let n = chunks_of(op);
-                            for c in 0..n {
-                                let (c0, c1) = chunk_elems(op, c, n);
-                                if c0 >= c1 {
-                                    continue;
-                                }
-                                let (s0, s1) = chunk_range(op.src_at, op.stride, c0, c1);
-                                // PutFrom/PutNb read private memory, so the
-                                // pending consume guards only Put's symmetric
-                                // source window — matching the executor.
-                                if op.kind == OpKind::Put {
-                                    consume_overlapping(
-                                        &mut pending,
-                                        &mut steps,
-                                        &mut tmpl,
-                                        s0,
-                                        s1,
-                                    );
-                                }
-                                let remote = op.dst_pe != me;
-                                let slot = remote.then_some((sig + c) as u32);
-                                let chunk = (n > 1).then_some(c as u32);
-                                let step = match op.kind {
-                                    OpKind::Put => PlanStep::PutSymm {
-                                        dst_at: (op.dst_at + c0 * op.stride) as u32,
-                                        src_at: (op.src_at + c0 * op.stride) as u32,
-                                        nelems: (c1 - c0) as u32,
-                                        stride: op.stride as u32,
-                                        dst_pe: op.dst_pe as u32,
-                                        sig: slot,
-                                        chunk,
-                                    },
-                                    OpKind::PutFrom => PlanStep::PutFrom {
-                                        dst_at: (op.dst_at + c0 * op.stride) as u32,
-                                        src_lo: s0 as u32,
-                                        src_hi: s1 as u32,
-                                        nelems: (c1 - c0) as u32,
-                                        stride: op.stride as u32,
-                                        dst_pe: op.dst_pe as u32,
-                                        sig: slot,
-                                        chunk,
-                                    },
-                                    OpKind::PutNb => PlanStep::PutNb {
-                                        dst_at: (op.dst_at + c0 * op.stride) as u32,
-                                        src_lo: s0 as u32,
-                                        src_hi: s1 as u32,
-                                        nelems: (c1 - c0) as u32,
-                                        stride: op.stride as u32,
-                                        dst_pe: op.dst_pe as u32,
-                                        sig: slot,
-                                        chunk,
-                                    },
-                                    _ => unreachable!(),
-                                };
-                                steps.push(step);
-                                if remote {
-                                    tmpl.signals += 1;
-                                }
-                                count_put(&mut tmpl, c1 - c0);
-                            }
+                            self.push(put_step(op, 0, op.nelems, None, None), at);
                         }
-                        OpKind::Get => {
-                            if op.src_pe != me {
-                                steps.push(PlanStep::Wait {
-                                    slot: (sig + READY_SLOT) as u32,
-                                });
-                                tmpl.waits += 1;
-                            }
-                            consume_overlapping(
-                                &mut pending,
-                                &mut steps,
-                                &mut tmpl,
-                                op.dst_at,
-                                op.dst_at + op.span(),
-                            );
-                            steps.push(PlanStep::GetSymm {
-                                dst_at: op.dst_at as u32,
-                                src_at: op.src_at as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                src_pe: op.src_pe as u32,
-                            });
-                            count_get(&mut tmpl, op.nelems);
-                        }
-                        OpKind::GetInto => {
-                            if op.src_pe != me {
-                                steps.push(PlanStep::Wait {
-                                    slot: (sig + READY_SLOT) as u32,
-                                });
-                                tmpl.waits += 1;
-                            } else {
-                                consume_overlapping(
-                                    &mut pending,
-                                    &mut steps,
-                                    &mut tmpl,
-                                    op.src_at,
-                                    op.src_at + op.span(),
-                                );
-                            }
-                            steps.push(PlanStep::GetInto {
-                                dst_lo: op.dst_at as u32,
-                                dst_hi: (op.dst_at + op.span()) as u32,
-                                src_at: op.src_at as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                src_pe: op.src_pe as u32,
-                            });
-                            count_get(&mut tmpl, op.nelems);
-                        }
+                        OpKind::Get | OpKind::GetInto => self.push(get_step(op), at),
                         OpKind::GetFold | OpKind::GetFoldInto => {
-                            if op.src_pe != me {
-                                steps.push(PlanStep::Wait {
-                                    slot: (sig + READY_SLOT) as u32,
-                                });
-                                tmpl.waits += 1;
-                            } else {
-                                consume_overlapping(
-                                    &mut pending,
-                                    &mut steps,
-                                    &mut tmpl,
-                                    op.src_at,
-                                    op.src_at + op.span(),
-                                );
-                            }
-                            steps.push(PlanStep::GetLanding {
-                                src_at: op.src_at as u32,
-                                nelems: op.nelems as u32,
-                                stride: op.stride as u32,
-                                src_pe: op.src_pe as u32,
-                                ack: None,
-                            });
-                            count_get(&mut tmpl, op.nelems);
-                            if op.kind == OpKind::GetFold {
-                                consume_overlapping(
-                                    &mut pending,
-                                    &mut steps,
-                                    &mut tmpl,
-                                    op.dst_at,
-                                    op.dst_at + op.span(),
-                                );
-                            }
-                            steps.push(fold_step(op));
+                            self.push(landing_step(op, None), at);
+                            self.push(fold_step(op), at);
                         }
                     }
                 }
+            }
+            self.push(PlanStep::Barrier, None);
+            self.push(PlanStep::StageEnd { si: si as u32 }, None);
+        }
+    }
 
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems == 0 || !is_put_kind(op.kind) || op.dst_pe != me || op.src_pe == me
-                    {
-                        continue;
+    /// Signaled / pipelined discipline: no per-stage barriers.
+    ///
+    /// Slot addressing is by *global op index* into the fabric's symmetric
+    /// signal table, so distinct ops never collide regardless of schedule
+    /// shape. A slot lives on the heap of the PE that waits on it: data
+    /// chunks on the put's destination, readiness on the get's issuer,
+    /// acknowledgement on the read segment's owner. Every posted slot is
+    /// consumed before the closing barrier (the drain), which keeps the
+    /// table all-zero between collectives — that invariant is what lets
+    /// the table be reused without a zeroing barrier per call.
+    fn signaled_stages(
+        &mut self,
+        sched: &CommSchedule,
+        op_base: &[usize],
+        chunks_of: impl Fn(&TransferOp) -> usize,
+    ) {
+        let me = self.me;
+        for (si, stage) in sched.stages.iter().enumerate() {
+            self.push(PlanStep::StageStart { si: si as u32 }, None);
+            let slot = |oi: usize, k: usize| ((op_base[si] + oi) * SLOTS_PER_OP + k) as u32;
+            let ops = || stage.ops.iter().enumerate().filter(|(_, op)| op.nelems > 0);
+            // Gets a peer issues against my segment (put kinds are issued
+            // by their source, so they never match).
+            let pulled_from_me = |op: &TransferOp| op.src_pe == me && op.issuer() != me;
+
+            // Readiness first: peers pulling from me this stage unblock as
+            // soon as my segment is consistent, before I start my own work.
+            for (oi, op) in ops().filter(|(_, op)| pulled_from_me(op)) {
+                let at = Some((si, oi, None));
+                self.consume_overlapping(op.src_at, op.src_at + op.span(), at);
+                self.push(
+                    PlanStep::Post {
+                        slot: slot(oi, READY_SLOT),
+                        dst_pe: op.dst_pe as u32,
+                    },
+                    at,
+                );
+            }
+
+            if stage.deferred_fold {
+                // Pull my partners' segments, acknowledging each read…
+                for (oi, op) in ops().filter(|(_, op)| op.issuer() == me) {
+                    let at = Some((si, oi, None));
+                    let remote = op.src_pe != me;
+                    if remote {
+                        self.push(
+                            PlanStep::Wait {
+                                slot: slot(oi, READY_SLOT),
+                            },
+                            at,
+                        );
                     }
+                    self.push(landing_step(op, remote.then(|| slot(oi, ACK_SLOT))), at);
+                }
+                // …wait until my own segment has been read, then fold.
+                for (oi, _) in ops().filter(|(_, op)| pulled_from_me(op)) {
+                    self.push(
+                        PlanStep::Wait {
+                            slot: slot(oi, ACK_SLOT),
+                        },
+                        Some((si, oi, None)),
+                    );
+                }
+                for (oi, op) in ops().filter(|(_, op)| op.issuer() == me) {
+                    self.push(fold_step(op), Some((si, oi, None)));
+                }
+                self.push(PlanStep::StageEnd { si: si as u32 }, None);
+                continue;
+            }
+
+            for (oi, op) in ops().filter(|(_, op)| op.issuer() == me) {
+                let at = Some((si, oi, None));
+                if is_put_kind(op.kind) {
                     let n = chunks_of(op);
                     for c in 0..n {
                         let (c0, c1) = chunk_elems(op, c, n);
                         if c0 >= c1 {
                             continue;
                         }
-                        let (start, end) = chunk_range(op.dst_at, op.stride, c0, c1);
-                        pending.push(PendingAt {
-                            slot: (base + oi) * SLOTS_PER_OP + c,
-                            start,
-                            end,
-                        });
+                        let chunk = (n > 1).then_some(c);
+                        let at = Some((si, oi, chunk));
+                        // Forwarding dependency, per segment: segment k of
+                        // an incoming put unblocks segment k's forward
+                        // while later segments are still in flight.
+                        // PutFrom/PutNb read private memory, which no
+                        // remote put can land in.
+                        if op.kind == OpKind::Put {
+                            let (s0, s1) = chunk_range(op.src_at, op.stride, c0, c1);
+                            self.consume_overlapping(s0, s1, at);
+                        }
+                        let sig = (op.dst_pe != me).then(|| slot(oi, c));
+                        self.push(put_step(op, c0, c1, sig, chunk.map(|c| c as u32)), at);
+                    }
+                    continue;
+                }
+                // Gets: wait for the producer's readiness (or, reading my
+                // own segment into private memory, for whatever is still
+                // landing in it).
+                if op.src_pe != me {
+                    self.push(
+                        PlanStep::Wait {
+                            slot: slot(oi, READY_SLOT),
+                        },
+                        at,
+                    );
+                } else {
+                    self.consume_overlapping(op.src_at, op.src_at + op.span(), at);
+                }
+                let dst = (op.dst_at, op.dst_at + op.span());
+                match op.kind {
+                    OpKind::Get => {
+                        self.consume_overlapping(dst.0, dst.1, at);
+                        self.push(get_step(op), at);
+                    }
+                    OpKind::GetInto => self.push(get_step(op), at),
+                    _ => {
+                        self.push(landing_step(op, None), at);
+                        if op.kind == OpKind::GetFold {
+                            self.consume_overlapping(dst.0, dst.1, at);
+                        }
+                        self.push(fold_step(op), at);
                     }
                 }
-                steps.push(PlanStep::StageEnd { si: si as u32 });
             }
 
-            drain_from = steps.len();
-            steps.push(PlanStep::StageStart {
-                si: n_stages as u32,
-            });
-            for p in pending.drain(..) {
-                steps.push(PlanStep::Wait {
-                    slot: p.slot as u32,
-                });
-                tmpl.waits += 1;
+            // This stage's puts into my buffer become pending: later
+            // stages (or the drain) consume their signals before touching
+            // the regions they land in.
+            for (oi, op) in ops() {
+                if !is_put_kind(op.kind) || op.dst_pe != me || op.src_pe == me {
+                    continue;
+                }
+                let n = chunks_of(op);
+                for c in 0..n {
+                    let (c0, c1) = chunk_elems(op, c, n);
+                    if c0 >= c1 {
+                        continue;
+                    }
+                    let (start, end) = chunk_range(op.dst_at, op.stride, c0, c1);
+                    self.pending.push(PendingAt {
+                        slot: slot(oi, c),
+                        start,
+                        end,
+                    });
+                }
             }
-            steps.push(PlanStep::Barrier);
-            steps.push(PlanStep::StageEnd {
-                si: n_stages as u32,
-            });
+            self.push(PlanStep::StageEnd { si: si as u32 }, None);
         }
-
-        per_pe.push(PeProgram {
-            steps,
-            drain_from,
-            landing_len,
-            sample: tmpl,
-        });
     }
+
+    /// Drain: consume every signal still in flight toward this PE, so the
+    /// signal table is all-zero again when the collective closes, then one
+    /// barrier closes the whole collective. Published as
+    /// one-past-the-last stage so a `DeadlockReport` can tell "stuck in
+    /// the drain" apart from "stuck inside a stage".
+    fn drain(&mut self, n_stages: usize) {
+        self.push(
+            PlanStep::StageStart {
+                si: n_stages as u32,
+            },
+            None,
+        );
+        for p in std::mem::take(&mut self.pending) {
+            self.push(PlanStep::Wait { slot: p.slot }, None);
+        }
+        self.push(PlanStep::Barrier, None);
+        self.push(
+            PlanStep::StageEnd {
+                si: n_stages as u32,
+            },
+            None,
+        );
+    }
+}
+
+/// Lower `sched` under the requested `sync` into a [`Plan`] for
+/// `elem_bytes`-sized elements — the one lowering of the
+/// slot/READY/ACK/chunk protocol: the fabric executes the result and the
+/// conformance oracle interprets the same steps abstractly.
+///
+/// `SyncMode::Auto` is resolved **here**, once, through
+/// [`CommSchedule::resolve_sync`]; the resolved discipline is recorded in
+/// [`Plan::sync`].
+///
+/// The signaled/pipelined disciplines require the standing schedule
+/// invariants the generators maintain (and the barrier discipline
+/// implicitly relies on): ops within one stage touch disjoint regions, a
+/// symmetric region is remotely written at most once, and a PE's segment
+/// is not overwritten after a peer read it except in `deferred_fold`
+/// stages (where reads are acknowledged explicitly).
+///
+/// # Panics
+/// Panics if the schedule fails [`CommSchedule::validate`].
+pub fn lower(sched: &CommSchedule, sync: SyncMode, elem_bytes: usize) -> Plan {
+    lower_with(
+        sched,
+        sync,
+        elem_bytes,
+        |op| pipeline_chunks(op.nelems * elem_bytes),
+        |_, _, _| {},
+    )
+}
+
+/// [`lower`] with the pipelined chunk-count rule and the step-origin
+/// observer made explicit: `chunk_rule` gives the number of segments a
+/// put-kind op splits into under `Pipelined`, and `note(pe, step, origin)`
+/// is called once per emitted step, in program order per PE.
+pub(crate) fn lower_with(
+    sched: &CommSchedule,
+    sync: SyncMode,
+    elem_bytes: usize,
+    chunk_rule: impl Fn(&TransferOp) -> usize,
+    mut note: impl FnMut(usize, &PlanStep, Origin),
+) -> Plan {
+    sched.validate();
+    let n_stages = sched.stages.len();
+    // Schedules that move no data (single-PE or zero-element collectives)
+    // need no transfers and therefore no ordering: no steps at all.
+    let empty = !sched.ops().any(|op| op.nelems > 0);
+    let resolved = sched.resolve_sync(sync, elem_bytes);
+    let signaled = resolved != SyncMode::Barrier;
+    let n_slots = if empty || !signaled {
+        0
+    } else {
+        sched.total_ops() * SLOTS_PER_OP
+    };
+    let op_base = sched.op_bases();
+    let chunks_of = |op: &TransferOp| {
+        if resolved == SyncMode::Pipelined && is_put_kind(op.kind) {
+            chunk_rule(op)
+        } else {
+            1
+        }
+    };
+
+    let per_pe = (0..sched.n_pes)
+        .map(|me| {
+            let sample = SampleTemplate {
+                stages: n_stages as u64,
+                ..SampleTemplate::default()
+            };
+            if empty {
+                return PeProgram {
+                    sample,
+                    ..PeProgram::default()
+                };
+            }
+            let mut l = Lowering {
+                me,
+                elem_bytes,
+                steps: Vec::new(),
+                sample,
+                pending: Vec::new(),
+                note: &mut note,
+            };
+            let drain_from;
+            if signaled {
+                l.signaled_stages(sched, &op_base, chunks_of);
+                drain_from = l.steps.len();
+                l.drain(n_stages);
+            } else {
+                l.barrier_stages(sched);
+                drain_from = l.steps.len();
+            }
+            // One landing buffer reused across every fold stage.
+            let landing_len = sched
+                .ops()
+                .filter(|op| op.is_fold() && op.dst_pe == me)
+                .map(|op| op.span().max(1))
+                .max()
+                .unwrap_or(0);
+            PeProgram {
+                steps: l.steps,
+                drain_from,
+                landing_len,
+                sample: l.sample,
+            }
+        })
+        .collect();
 
     Plan {
         kind: sched.kind,
         sync: resolved,
-        elem_bytes: es,
+        elem_bytes,
         n_pes: sched.n_pes,
         n_stages,
         empty,
@@ -858,6 +853,20 @@ fn run_steps<T: XbrType>(
             .expect("plan has signal steps but no table")
             .offset(base + s as usize)
     };
+    // Pipelined chunks each get their own trace span.
+    let chunk_start = |chunk: Option<u32>| chunk.and_then(|_| pe.trace_start());
+    let chunk_end = |t_ck: Option<u64>, chunk: Option<u32>, dst_pe: u32, nelems: u32| {
+        if let Some(c) = chunk {
+            let bytes = (nelems as usize * es) as u64;
+            pe.trace_emit(
+                t_ck,
+                TraceKind::Chunk,
+                Some(dst_pe as usize),
+                bytes,
+                c as u64,
+            );
+        }
+    };
     let mut wait_cycles = 0u64;
     let mut t_st: Option<u64> = None;
     for step in steps {
@@ -885,11 +894,7 @@ fn run_steps<T: XbrType>(
                 sig,
                 chunk,
             } => {
-                let t_ck = if chunk.is_some() {
-                    pe.trace_start()
-                } else {
-                    None
-                };
+                let t_ck = chunk_start(chunk);
                 match sig {
                     Some(s) => pe.put_symm_signal(
                         buf.offset(dst_at as usize),
@@ -907,15 +912,7 @@ fn run_steps<T: XbrType>(
                         dst_pe as usize,
                     ),
                 }
-                if let Some(c) = chunk {
-                    pe.trace_emit(
-                        t_ck,
-                        TraceKind::Chunk,
-                        Some(dst_pe as usize),
-                        (nelems as usize * es) as u64,
-                        c as u64,
-                    );
-                }
+                chunk_end(t_ck, chunk, dst_pe, nelems);
             }
             PlanStep::PutFrom {
                 dst_at,
@@ -927,11 +924,7 @@ fn run_steps<T: XbrType>(
                 sig,
                 chunk,
             } => {
-                let t_ck = if chunk.is_some() {
-                    pe.trace_start()
-                } else {
-                    None
-                };
+                let t_ck = chunk_start(chunk);
                 let seg = &local_src[src_lo as usize..src_hi as usize];
                 match sig {
                     Some(s) => pe.put_signal(
@@ -950,15 +943,7 @@ fn run_steps<T: XbrType>(
                         dst_pe as usize,
                     ),
                 }
-                if let Some(c) = chunk {
-                    pe.trace_emit(
-                        t_ck,
-                        TraceKind::Chunk,
-                        Some(dst_pe as usize),
-                        (nelems as usize * es) as u64,
-                        c as u64,
-                    );
-                }
+                chunk_end(t_ck, chunk, dst_pe, nelems);
             }
             PlanStep::PutNb {
                 dst_at,
@@ -970,11 +955,7 @@ fn run_steps<T: XbrType>(
                 sig,
                 chunk,
             } => {
-                let t_ck = if chunk.is_some() {
-                    pe.trace_start()
-                } else {
-                    None
-                };
+                let t_ck = chunk_start(chunk);
                 let seg = &local_src[src_lo as usize..src_hi as usize];
                 let h = pe.put_nb(
                     buf.offset(dst_at as usize),
@@ -983,18 +964,14 @@ fn run_steps<T: XbrType>(
                     stride as usize,
                     dst_pe as usize,
                 );
+                // The signal rides the transfer: posted now (the payload
+                // is already in flight — under the barrier discipline the
+                // stage barrier quiesces it instead) but stamped with the
+                // transfer's completion time.
                 if let Some(s) = sig {
                     pe.signal_post_at(slot_ref(s), dst_pe as usize, h.completion_cycles());
                 }
-                if let Some(c) = chunk {
-                    pe.trace_emit(
-                        t_ck,
-                        TraceKind::Chunk,
-                        Some(dst_pe as usize),
-                        (nelems as usize * es) as u64,
-                        c as u64,
-                    );
-                }
+                chunk_end(t_ck, chunk, dst_pe, nelems);
             }
             PlanStep::GetSymm {
                 dst_at,
@@ -1099,9 +1076,13 @@ fn run_steps<T: XbrType>(
     wait_cycles
 }
 
-/// Run a compiled plan to completion on this PE — the drop-in replacement
-/// for [`schedule::execute_sync`] once the plan exists. Every PE must
-/// call this collectively with the same plan.
+/// Run a compiled plan to completion on this PE. Every PE must call this
+/// collectively with the same plan.
+///
+/// `buf` is the base of the symmetric working buffer all symmetric step
+/// offsets index. `local_src`/`local_dst` back the private-memory steps
+/// (`PutFrom`/`PutNb`/`GetInto`/`FoldInto`) and may be empty when the
+/// plan has none. `fold` combines elements for the fold steps.
 ///
 /// # Panics
 /// Panics if the plan was lowered for a different world size or element
@@ -1228,6 +1209,12 @@ pub mod tag {
     pub const ALLGATHERV_RING: u64 = 21;
     /// [`vcoll::allgatherv_dissemination_sched`](crate::collectives::vcoll).
     pub const ALLGATHERV_DISS: u64 = 22;
+    /// [`hierarchical::broadcast_hier_sched`](crate::collectives::hierarchical)
+    /// (`pes_per_node` follows in the shape).
+    pub const BROADCAST_HIER: u64 = 23;
+    /// [`hierarchical::reduce_hier_sched`](crate::collectives::hierarchical)
+    /// (`pes_per_node` follows in the shape).
+    pub const REDUCE_HIER: u64 = 24;
 }
 
 /// FNV-1a digest of a counts/displacement table, for keying irregular
@@ -1448,15 +1435,13 @@ fn sync_bit(s: SyncMode) -> u64 {
     }
 }
 
-/// Issue one collective episode, through the plan cache when the fabric
-/// has one ([`FabricConfig::with_plan_cache`](crate::fabric::FabricConfig))
-/// and through the interpretive executor otherwise. `build` is only
-/// invoked on a cache miss (or on the interpretive path), so a warm
-/// issue never materialises the `CommSchedule` at all.
+/// Issue one blocking collective episode through the fabric's plan
+/// cache. `build` is only invoked on a cache miss, so a warm issue never
+/// materialises the `CommSchedule` at all.
 ///
-/// Both paths record the resolved algorithm/sync choice in the
-/// collective's [`CollectiveRecord`](crate::fabric::CollectiveRecord), so
-/// telemetry shows what actually ran regardless of caching.
+/// The resolved algorithm/sync choice is recorded in the collective's
+/// [`CollectiveRecord`](crate::fabric::CollectiveRecord), so telemetry
+/// shows what actually ran.
 #[allow(clippy::too_many_arguments)]
 pub fn run_schedule<T: XbrType>(
     pe: &Pe,
@@ -1468,24 +1453,14 @@ pub fn run_schedule<T: XbrType>(
     fold: Option<&dyn Fn(T, T) -> T>,
     sync: SyncMode,
 ) {
-    let es = std::mem::size_of::<T>();
-    debug_assert_eq!(es, key.elem_bytes, "key element size disagrees with T");
-    match pe.plan_cache() {
-        Some(cache) => {
-            let plan = cache.get_or_build(&key, || lower(&build(), sync, es));
-            pe.note_choice(plan.kind, algo_bit(key.algo), sync_bit(plan.sync));
-            execute_plan(pe, &plan, buf, local_src, local_dst, fold);
-        }
-        None => {
-            let sched = build();
-            pe.note_choice(
-                sched.kind,
-                algo_bit(key.algo),
-                sync_bit(sched.resolve_sync(sync, es)),
-            );
-            schedule::execute_sync(pe, &sched, buf, local_src, local_dst, fold, sync);
-        }
-    }
+    debug_assert_eq!(
+        std::mem::size_of::<T>(),
+        key.elem_bytes,
+        "key element size disagrees with T"
+    );
+    let plan = plan_for(pe, &key, sync, build);
+    pe.note_choice(plan.kind, algo_bit(key.algo), sync_bit(plan.sync));
+    execute_plan(pe, &plan, buf, local_src, local_dst, fold);
 }
 
 // ---------------------------------------------------------------------------
@@ -1523,8 +1498,8 @@ enum Readout {
 /// SPMD discipline: every PE must issue the same handles in the same
 /// order and wait on them in issue order. Overlapping episodes must
 /// touch disjoint symmetric buffers. While handles are in flight,
-/// blocking collectives remain safe on the compiled-plan path (they run
-/// above the outstanding slot window); see
+/// blocking collectives remain safe (they run above the outstanding slot
+/// window); see
 /// [`Pe::signal_table`](crate::fabric::Pe) for pre-sizing when many
 /// episodes overlap.
 ///
@@ -1557,12 +1532,8 @@ fn plan_for(
     sync: SyncMode,
     build: impl FnOnce() -> CommSchedule,
 ) -> Arc<Plan> {
-    match pe.plan_cache() {
-        Some(cache) => cache.get_or_build(key, || lower(&build(), sync, key.elem_bytes)),
-        // Cache disabled: nonblocking issue still needs a compiled plan
-        // (the interpretive executor cannot split issue from drain).
-        None => Arc::new(lower(&build(), sync, key.elem_bytes)),
-    }
+    pe.plan_cache()
+        .get_or_build(key, || lower(&build(), sync, key.elem_bytes))
 }
 
 /// Issue `plan`'s pre-drain steps and return the handle bookkeeping.
@@ -2035,7 +2006,7 @@ mod tests {
     use crate::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
     use crate::fabric::{Fabric, FabricConfig};
 
-    /// Lowering resolves Auto exactly like the interpretive executor.
+    /// Lowering resolves Auto through `CommSchedule::resolve_sync`.
     #[test]
     fn lowering_resolves_auto_once() {
         let sched = broadcast_binomial(8, 0, 4, 1);

@@ -87,8 +87,9 @@ pub enum SyncMode {
 /// barrier costs no more than the signal exchange that would replace it
 /// (`xbench_sweep` at 2 PEs: barrier wins every swept cell by the signal
 /// bookkeeping, ~30 cycles): `Auto` stays with the paper's barrier
-/// executor. The executor additionally falls back to barriers for
-/// single-stage schedules at any scale (see `execute_sync`).
+/// discipline. Lowering additionally falls back to barriers for
+/// single-stage schedules at any scale (see
+/// [`CommSchedule::resolve_sync`](crate::collectives::schedule::CommSchedule::resolve_sync)).
 const AUTO_SYNC_MIN_PES: usize = 4;
 
 /// Payload size (bytes per transfer) from which `Auto` turns on

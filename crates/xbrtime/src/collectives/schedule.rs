@@ -10,34 +10,39 @@
 //! values — op counts, stage counts, PE coverage — without spawning a
 //! single PE thread.
 //!
-//! A single generic executor runs any schedule on a [`Pe`], under one of
-//! three synchronization disciplines ([`SyncMode`]):
+//! A schedule runs by being lowered once into a flat per-PE
+//! [`Plan`](crate::collectives::plan::Plan) — [`plan::lower`] is the only
+//! place the synchronization protocol is written down — and executed by
+//! [`plan::execute_plan`], under one of three disciplines ([`SyncMode`]):
 //!
-//! * **Barrier** ([`execute`]) — each PE issues the ops it owns
+//! * **Barrier** — each PE issues the ops it owns
 //!   (`put_symm`/`get_symm`/`put`/`get`/`put_nb`), applies any folds, and
 //!   closes every stage with a barrier — reproducing, op for op and
 //!   barrier for barrier, the paper's Algorithms 1–4.
-//! * **Signaled** ([`execute_sync`]) — the per-stage barriers disappear.
-//!   Every op depends only on the point-to-point signals of the ops that
-//!   feed it: puts carry a completion flag into a per-op slot of the
-//!   fabric's symmetric signal table ([`Pe::put_symm_signal`]), gets wait
-//!   for a readiness flag from the producer, and a single barrier closes
-//!   the collective. Independent subtrees proceed without waiting for the
-//!   slowest PE of each stage.
+//! * **Signaled** — the per-stage barriers disappear. Every op depends
+//!   only on the point-to-point signals of the ops that feed it: puts
+//!   carry a completion flag into a per-op slot of the fabric's symmetric
+//!   signal table ([`Pe::put_symm_signal`]), gets wait for a readiness
+//!   flag from the producer, and a single barrier closes the collective.
+//!   Independent subtrees proceed without waiting for the slowest PE of
+//!   each stage.
 //! * **Pipelined** — signaled, plus large puts split into
-//!   [`pipeline_chunks`] segments, each signaled independently, so a
-//!   child can forward segment `k` while segment `k+1` is still in
-//!   flight to it (Träff-style doubly-pipelined stages).
+//!   [`pipeline_chunks`](crate::collectives::policy::pipeline_chunks)
+//!   segments, each signaled independently, so a child can forward
+//!   segment `k` while segment `k+1` is still in flight to it
+//!   (Träff-style doubly-pipelined stages).
 //!
-//! The executor reports per-collective telemetry (ops, bytes, stages,
-//! simulated cycles, signal posts/waits/stall cycles) to the fabric via
-//! [`Pe::note_collective`], surfaced through
-//! [`RunReport::collectives`](crate::fabric::RunReport).
+//! The collective wrappers reach plans through the fabric's plan cache
+//! ([`plan::run_schedule`]); [`execute`]/[`execute_sync`] here are the
+//! uncached one-shot route for ad-hoc schedules. Either way the episode
+//! reports per-collective telemetry (ops, bytes, stages, simulated
+//! cycles, signal posts/waits/stall cycles) via [`Pe::note_collective`],
+//! surfaced through [`RunReport::collectives`](crate::fabric::RunReport).
 
-use crate::collectives::policy::{pipeline_chunks, SyncMode, ACK_SLOT, READY_SLOT, SLOTS_PER_OP};
+use crate::collectives::plan;
+use crate::collectives::policy::SyncMode;
 use crate::collectives::vrank::logical_rank;
-use crate::fabric::{ceil_log2, CollectiveKind, CollectiveSample, Pe, SymmRef};
-use crate::trace::TraceKind;
+use crate::fabric::{ceil_log2, CollectiveKind, Pe, SymmRef};
 use crate::types::XbrType;
 
 /// `true` for the op kinds that push data (and therefore carry per-chunk
@@ -182,7 +187,7 @@ impl CommSchedule {
     }
 
     /// Global op index of each stage's first op (stage-major numbering) —
-    /// the base the executor's signal-slot addressing is built on, and the
+    /// the base the lowering's signal-slot addressing is built on, and the
     /// inverse of [`crate::collectives::policy::slot_role`]'s op index.
     pub fn op_bases(&self) -> Vec<usize> {
         let mut bases = Vec::with_capacity(self.stages.len());
@@ -216,14 +221,11 @@ impl CommSchedule {
             .unwrap_or(0)
     }
 
-    /// The concrete [`SyncMode`] the executor will run this schedule
-    /// under when asked for `sync` at element size `elem_bytes`: `Auto`
-    /// keeps the plain barrier discipline for single-stage schedules
-    /// (there is no per-stage barrier to eliminate) and otherwise resolves
-    /// on PE count and largest transfer; explicit modes are honoured as
-    /// given. The conformance oracle compiles its abstract machine from
-    /// this same answer, so model and executor can never disagree on the
-    /// discipline.
+    /// The concrete [`SyncMode`] this schedule is lowered under when asked
+    /// for `sync` at element size `elem_bytes`: `Auto` keeps the plain
+    /// barrier discipline for single-stage schedules (there is no
+    /// per-stage barrier to eliminate) and otherwise resolves on PE count
+    /// and largest transfer; explicit modes are honoured as given.
     pub fn resolve_sync(&self, sync: SyncMode, elem_bytes: usize) -> SyncMode {
         if sync == SyncMode::Auto && self.stages.len() < 2 {
             SyncMode::Barrier
@@ -258,8 +260,9 @@ impl CommSchedule {
     }
 }
 
-/// Run `sched` on this PE under the barrier discipline. Every PE of the
-/// fabric must call this collectively with the same schedule.
+/// Lower `sched` under the barrier discipline and run it once on this
+/// PE, bypassing the plan cache. Every PE of the fabric must call this
+/// collectively with the same schedule.
 ///
 /// `buf` is the base of the symmetric working buffer all symmetric op
 /// offsets index. `local_src`/`local_dst` back the private-memory op kinds
@@ -268,8 +271,8 @@ impl CommSchedule {
 /// `GetFoldInto` ops.
 ///
 /// # Panics
-/// Panics if the schedule was built for a different world size, or if it
-/// contains fold ops and `fold` is `None`.
+/// Panics if the schedule fails [`CommSchedule::validate`], was built for
+/// a different world size, or contains fold ops while `fold` is `None`.
 pub fn execute<T: XbrType>(
     pe: &Pe,
     sched: &CommSchedule,
@@ -292,14 +295,6 @@ pub fn execute<T: XbrType>(
 /// [`execute`] under an explicit [`SyncMode`]. `SyncMode::Auto` resolves
 /// from the schedule's PE count and largest transfer, identically on
 /// every PE.
-///
-/// The signaled/pipelined disciplines require the standing schedule
-/// invariants the generators in this module maintain (and the barrier
-/// discipline implicitly relied on): ops within one stage touch disjoint
-/// regions, a symmetric region is remotely written at most once, and a
-/// PE's segment is not overwritten after a peer read it except in
-/// `deferred_fold` stages (where the executor acknowledges reads
-/// explicitly).
 pub fn execute_sync<T: XbrType>(
     pe: &Pe,
     sched: &CommSchedule,
@@ -309,591 +304,8 @@ pub fn execute_sync<T: XbrType>(
     fold: Option<&dyn Fn(T, T) -> T>,
     sync: SyncMode,
 ) {
-    assert_eq!(
-        sched.n_pes,
-        pe.n_pes(),
-        "schedule built for {} PEs but the fabric has {}",
-        sched.n_pes,
-        pe.n_pes()
-    );
-    // Structural checks are a full schedule walk — debug builds (and the
-    // test suite) pay it on every call, release hot paths do not.
-    #[cfg(debug_assertions)]
-    sched.validate();
-
-    let me = pe.rank();
-    let es = std::mem::size_of::<T>();
-    let t0 = pe.cycles();
-    let mut sample = CollectiveSample {
-        stages: sched.stages.len() as u64,
-        ..CollectiveSample::default()
-    };
-
-    // Schedules that move no data (single-PE or zero-element collectives)
-    // need no transfers and therefore no ordering: skip every barrier.
-    if !sched.ops().any(|op| op.nelems > 0) {
-        pe.note_collective(sched.kind, sample);
-        return;
-    }
-
-    // Publish the episode to the progress plane so a watchdog firing
-    // anywhere in the fabric can name this collective (and stage) in its
-    // DeadlockReport.
-    pe.progress_collective(Some(sched.kind));
-    let t_ep = pe.trace_start();
-
-    let sync = sched.resolve_sync(sync, es);
-
-    // One landing buffer reused across every fold stage — the same buffer
-    // reuse (and therefore the same cache behaviour) as the hand-written
-    // algorithm loops this executor replaced. The vector itself is
-    // recycled across episodes through the PE's scratch pool, so steady
-    // state collective issue allocates nothing.
-    let landing_len = sched
-        .stages
-        .iter()
-        .flat_map(|s| s.ops.iter())
-        .filter(|op| op.is_fold() && op.dst_pe == me)
-        .map(|op| op.span().max(1))
-        .max()
-        .unwrap_or(0);
-    let mut landing: Vec<T> = pe.scratch_take();
-    landing.resize(landing_len, T::default());
-
-    let apply_fold = |pe: &Pe, op: &TransferOp, landing: &[T], local_dst: &mut [T]| {
-        let t_rd = pe.trace_start();
-        let f = fold.expect("schedule contains fold ops but no fold function was given");
-        match op.kind {
-            OpKind::GetFold => {
-                let span = op.span().max(1);
-                let mut mine = pe.heap_read_vec::<T>(buf.offset(op.dst_at), span);
-                for j in 0..op.nelems {
-                    mine[j * op.stride] = f(mine[j * op.stride], landing[j * op.stride]);
-                }
-                // Combine ALU work is part of the algorithm's cost.
-                pe.charge(pe.timing().cost.alu_cycles * op.nelems as u64);
-                pe.heap_write(buf.offset(op.dst_at), &mine);
-            }
-            OpKind::GetFoldInto => {
-                for j in 0..op.nelems {
-                    let at = op.dst_at + j * op.stride;
-                    local_dst[at] = f(local_dst[at], landing[j * op.stride]);
-                }
-                pe.charge(pe.timing().cost.alu_cycles * op.nelems as u64);
-            }
-            _ => unreachable!("apply_fold on a non-fold op"),
-        }
-        pe.trace_emit(t_rd, TraceKind::Reduce, None, (op.nelems * es) as u64, 0);
-    };
-
-    if sync == SyncMode::Barrier {
-        for (si, stage) in sched.stages.iter().enumerate() {
-            pe.progress_stage(si);
-            let t_st = pe.trace_start();
-            if stage.deferred_fold {
-                // Phase 1: every read lands.
-                for op in &stage.ops {
-                    if op.issuer() != me {
-                        continue;
-                    }
-                    debug_assert!(op.is_fold(), "deferred_fold stages hold only fold ops");
-                    pe.get(
-                        &mut landing,
-                        buf.offset(op.src_at),
-                        op.nelems,
-                        op.stride,
-                        op.src_pe,
-                    );
-                    sample.gets += 1;
-                    sample.bytes_get += (op.nelems * es) as u64;
-                }
-                // Both partners read each other's buffer this stage, so the
-                // combine must wait until every read has landed.
-                pe.barrier();
-                // Phase 2: fold.
-                for op in &stage.ops {
-                    if op.issuer() == me {
-                        apply_fold(pe, op, &landing, local_dst);
-                    }
-                }
-                pe.barrier();
-                pe.trace_emit(t_st, TraceKind::Stage, None, 0, si as u64);
-                continue;
-            }
-            for op in &stage.ops {
-                if op.issuer() != me {
-                    continue;
-                }
-                match op.kind {
-                    OpKind::Put => {
-                        pe.put_symm(
-                            buf.offset(op.dst_at),
-                            buf.offset(op.src_at),
-                            op.nelems,
-                            op.stride,
-                            op.dst_pe,
-                        );
-                        sample.puts += 1;
-                        sample.bytes_put += (op.nelems * es) as u64;
-                    }
-                    OpKind::Get => {
-                        pe.get_symm(
-                            buf.offset(op.dst_at),
-                            buf.offset(op.src_at),
-                            op.nelems,
-                            op.stride,
-                            op.src_pe,
-                        );
-                        sample.gets += 1;
-                        sample.bytes_get += (op.nelems * es) as u64;
-                    }
-                    OpKind::PutFrom => {
-                        let seg = &local_src[op.src_at..op.src_at + op.span()];
-                        pe.put(buf.offset(op.dst_at), seg, op.nelems, op.stride, op.dst_pe);
-                        sample.puts += 1;
-                        sample.bytes_put += (op.nelems * es) as u64;
-                    }
-                    OpKind::PutNb => {
-                        let seg = &local_src[op.src_at..op.src_at + op.span()];
-                        // The stage-closing barrier quiesces the transfer.
-                        let _ =
-                            pe.put_nb(buf.offset(op.dst_at), seg, op.nelems, op.stride, op.dst_pe);
-                        sample.puts += 1;
-                        sample.bytes_put += (op.nelems * es) as u64;
-                    }
-                    OpKind::GetInto => {
-                        let seg = &mut local_dst[op.dst_at..op.dst_at + op.span()];
-                        pe.get(seg, buf.offset(op.src_at), op.nelems, op.stride, op.src_pe);
-                        sample.gets += 1;
-                        sample.bytes_get += (op.nelems * es) as u64;
-                    }
-                    OpKind::GetFold | OpKind::GetFoldInto => {
-                        pe.get(
-                            &mut landing,
-                            buf.offset(op.src_at),
-                            op.nelems,
-                            op.stride,
-                            op.src_pe,
-                        );
-                        sample.gets += 1;
-                        sample.bytes_get += (op.nelems * es) as u64;
-                        apply_fold(pe, op, &landing, local_dst);
-                    }
-                }
-            }
-            pe.barrier();
-            pe.trace_emit(t_st, TraceKind::Stage, None, 0, si as u64);
-        }
-
-        // The episode span is emitted before the progress plane forgets the
-        // collective, so the event still carries its kind tag.
-        pe.trace_emit(t_ep, TraceKind::Collective, None, 0, 0);
-        pe.progress_collective(None);
-        sample.cycles = pe.cycles() - t0;
-        pe.note_collective(sched.kind, sample);
-        pe.scratch_put(landing);
-        return;
-    }
-
-    // ------------------------------------------------------------------
-    // Signaled / pipelined execution: no per-stage barriers.
-    //
-    // Slot addressing is by *global op index* into the fabric's symmetric
-    // signal table, so distinct ops never collide regardless of schedule
-    // shape. A slot lives on the heap of the PE that waits on it: data
-    // chunks on the put's destination, readiness on the get's issuer,
-    // acknowledgement on the read segment's owner. Every posted slot is
-    // consumed before the closing barrier (the drain below), which keeps
-    // the table all-zero between collectives — that invariant is what
-    // lets the table be reused without a zeroing barrier per call.
-    // ------------------------------------------------------------------
-    let pipelined = sync == SyncMode::Pipelined;
-    let op_base = sched.op_bases();
-    let table = pe.signal_table(sched.total_ops() * SLOTS_PER_OP);
-
-    let chunks_of = |op: &TransferOp| -> usize {
-        if pipelined && is_put_kind(op.kind) {
-            pipeline_chunks(op.nelems * es)
-        } else {
-            1
-        }
-    };
-    // Chunk `c` of an op covers elements [c·per, min((c+1)·per, nelems)).
-    let chunk_elems = |op: &TransferOp, c: usize, n: usize| -> (usize, usize) {
-        let per = op.nelems.div_ceil(n);
-        ((c * per).min(op.nelems), ((c + 1) * per).min(op.nelems))
-    };
-    // Contiguous element range [start, end) that chunk [c0, c1) of a
-    // strided span occupies, measured from buffer offset `at`. An empty
-    // chunk window maps to an empty range rather than underflowing on
-    // `c1 - 1` (zero-`nelems` ops produce `c0 == c1 == 0`).
-    let chunk_range = |at: usize, stride: usize, c0: usize, c1: usize| -> (usize, usize) {
-        if c1 <= c0 {
-            return (at, at);
-        }
-        (at + c0 * stride, at + (c1 - 1) * stride + 1)
-    };
-
-    // Incoming puts whose completion signals this PE has not consumed
-    // yet, with the element range they land in. Before using any region
-    // of its own symmetric buffer, a PE consumes the pending signals that
-    // overlap it — the point-to-point replacement for the stage barrier.
-    struct Pending {
-        slot: usize,
-        start: usize,
-        end: usize,
-    }
-    // Recycled through the scratch pool like `landing` — zero
-    // steady-state allocations per episode.
-    let mut pending: Vec<Pending> = pe.scratch_take();
-    let consume_overlapping =
-        |pending: &mut Vec<Pending>, sample: &mut CollectiveSample, start: usize, end: usize| {
-            let mut i = 0;
-            while i < pending.len() {
-                if pending[i].start < end && start < pending[i].end {
-                    let p = pending.swap_remove(i);
-                    sample.wait_cycles += pe.signal_wait(table.offset(p.slot));
-                    sample.waits += 1;
-                } else {
-                    i += 1;
-                }
-            }
-        };
-
-    for (si, stage) in sched.stages.iter().enumerate() {
-        pe.progress_stage(si);
-        let t_st = pe.trace_start();
-        let base = op_base[si];
-        if stage.deferred_fold {
-            // Announce my segments to the partners that will read them…
-            for (oi, op) in stage.ops.iter().enumerate() {
-                if op.nelems > 0 && op.src_pe == me && op.issuer() != me {
-                    consume_overlapping(
-                        &mut pending,
-                        &mut sample,
-                        op.src_at,
-                        op.src_at + op.span(),
-                    );
-                    pe.signal_post(
-                        table.offset((base + oi) * SLOTS_PER_OP + READY_SLOT),
-                        op.dst_pe,
-                    );
-                    sample.signals += 1;
-                }
-            }
-            // …pull my partners' segments, acknowledging each read…
-            for (oi, op) in stage.ops.iter().enumerate() {
-                if op.issuer() != me || op.nelems == 0 {
-                    continue;
-                }
-                debug_assert!(op.is_fold(), "deferred_fold stages hold only fold ops");
-                if op.src_pe != me {
-                    sample.wait_cycles +=
-                        pe.signal_wait(table.offset((base + oi) * SLOTS_PER_OP + READY_SLOT));
-                    sample.waits += 1;
-                    pe.get_signal(
-                        &mut landing,
-                        buf.offset(op.src_at),
-                        op.nelems,
-                        op.stride,
-                        op.src_pe,
-                        table.offset((base + oi) * SLOTS_PER_OP + ACK_SLOT),
-                    );
-                    sample.signals += 1;
-                } else {
-                    pe.get(
-                        &mut landing,
-                        buf.offset(op.src_at),
-                        op.nelems,
-                        op.stride,
-                        op.src_pe,
-                    );
-                }
-                sample.gets += 1;
-                sample.bytes_get += (op.nelems * es) as u64;
-            }
-            // …wait until my own segment has been read, then fold.
-            for (oi, op) in stage.ops.iter().enumerate() {
-                if op.nelems > 0 && op.src_pe == me && op.issuer() != me {
-                    sample.wait_cycles +=
-                        pe.signal_wait(table.offset((base + oi) * SLOTS_PER_OP + ACK_SLOT));
-                    sample.waits += 1;
-                }
-            }
-            for op in &stage.ops {
-                if op.issuer() == me && op.nelems > 0 {
-                    apply_fold(pe, op, &landing, local_dst);
-                }
-            }
-            pe.trace_emit(t_st, TraceKind::Stage, None, 0, si as u64);
-            continue;
-        }
-
-        // Readiness first: peers pulling from me this stage unblock as
-        // soon as my segment is consistent, before I start my own work.
-        for (oi, op) in stage.ops.iter().enumerate() {
-            if op.nelems > 0 && !is_put_kind(op.kind) && op.src_pe == me && op.issuer() != me {
-                consume_overlapping(&mut pending, &mut sample, op.src_at, op.src_at + op.span());
-                pe.signal_post(
-                    table.offset((base + oi) * SLOTS_PER_OP + READY_SLOT),
-                    op.dst_pe,
-                );
-                sample.signals += 1;
-            }
-        }
-
-        for (oi, op) in stage.ops.iter().enumerate() {
-            if op.issuer() != me || op.nelems == 0 {
-                continue;
-            }
-            let sig = (base + oi) * SLOTS_PER_OP;
-            match op.kind {
-                OpKind::Put => {
-                    let n = chunks_of(op);
-                    for c in 0..n {
-                        let (c0, c1) = chunk_elems(op, c, n);
-                        if c0 >= c1 {
-                            continue;
-                        }
-                        // Forwarding dependency, per segment: segment k of
-                        // the incoming put unblocks segment k's forward
-                        // while later segments are still in flight.
-                        let t_ck = if n > 1 { pe.trace_start() } else { None };
-                        let (s0, s1) = chunk_range(op.src_at, op.stride, c0, c1);
-                        consume_overlapping(&mut pending, &mut sample, s0, s1);
-                        if op.dst_pe == me {
-                            pe.put_symm(
-                                buf.offset(op.dst_at + c0 * op.stride),
-                                buf.offset(op.src_at + c0 * op.stride),
-                                c1 - c0,
-                                op.stride,
-                                op.dst_pe,
-                            );
-                        } else {
-                            pe.put_symm_signal(
-                                buf.offset(op.dst_at + c0 * op.stride),
-                                buf.offset(op.src_at + c0 * op.stride),
-                                c1 - c0,
-                                op.stride,
-                                op.dst_pe,
-                                table.offset(sig + c),
-                            );
-                            sample.signals += 1;
-                        }
-                        pe.trace_emit(
-                            t_ck,
-                            TraceKind::Chunk,
-                            Some(op.dst_pe),
-                            ((c1 - c0) * es) as u64,
-                            c as u64,
-                        );
-                        sample.puts += 1;
-                        sample.bytes_put += ((c1 - c0) * es) as u64;
-                    }
-                }
-                OpKind::PutFrom => {
-                    let n = chunks_of(op);
-                    for c in 0..n {
-                        let (c0, c1) = chunk_elems(op, c, n);
-                        if c0 >= c1 {
-                            continue;
-                        }
-                        let t_ck = if n > 1 { pe.trace_start() } else { None };
-                        let (s0, s1) = chunk_range(op.src_at, op.stride, c0, c1);
-                        let seg = &local_src[s0..s1];
-                        if op.dst_pe == me {
-                            pe.put(
-                                buf.offset(op.dst_at + c0 * op.stride),
-                                seg,
-                                c1 - c0,
-                                op.stride,
-                                op.dst_pe,
-                            );
-                        } else {
-                            pe.put_signal(
-                                buf.offset(op.dst_at + c0 * op.stride),
-                                seg,
-                                c1 - c0,
-                                op.stride,
-                                op.dst_pe,
-                                table.offset(sig + c),
-                            );
-                            sample.signals += 1;
-                        }
-                        pe.trace_emit(
-                            t_ck,
-                            TraceKind::Chunk,
-                            Some(op.dst_pe),
-                            ((c1 - c0) * es) as u64,
-                            c as u64,
-                        );
-                        sample.puts += 1;
-                        sample.bytes_put += ((c1 - c0) * es) as u64;
-                    }
-                }
-                OpKind::PutNb => {
-                    let n = chunks_of(op);
-                    for c in 0..n {
-                        let (c0, c1) = chunk_elems(op, c, n);
-                        if c0 >= c1 {
-                            continue;
-                        }
-                        let t_ck = if n > 1 { pe.trace_start() } else { None };
-                        let (s0, s1) = chunk_range(op.src_at, op.stride, c0, c1);
-                        let seg = &local_src[s0..s1];
-                        let h = pe.put_nb(
-                            buf.offset(op.dst_at + c0 * op.stride),
-                            seg,
-                            c1 - c0,
-                            op.stride,
-                            op.dst_pe,
-                        );
-                        if op.dst_pe != me {
-                            // The signal rides the transfer: it is posted
-                            // now (the payload is already in flight) but
-                            // stamped with the transfer's completion time.
-                            pe.signal_post_at(
-                                table.offset(sig + c),
-                                op.dst_pe,
-                                h.completion_cycles(),
-                            );
-                            sample.signals += 1;
-                        }
-                        pe.trace_emit(
-                            t_ck,
-                            TraceKind::Chunk,
-                            Some(op.dst_pe),
-                            ((c1 - c0) * es) as u64,
-                            c as u64,
-                        );
-                        sample.puts += 1;
-                        sample.bytes_put += ((c1 - c0) * es) as u64;
-                    }
-                }
-                OpKind::Get => {
-                    if op.src_pe != me {
-                        sample.wait_cycles += pe.signal_wait(table.offset(sig + READY_SLOT));
-                        sample.waits += 1;
-                    }
-                    consume_overlapping(
-                        &mut pending,
-                        &mut sample,
-                        op.dst_at,
-                        op.dst_at + op.span(),
-                    );
-                    pe.get_symm(
-                        buf.offset(op.dst_at),
-                        buf.offset(op.src_at),
-                        op.nelems,
-                        op.stride,
-                        op.src_pe,
-                    );
-                    sample.gets += 1;
-                    sample.bytes_get += (op.nelems * es) as u64;
-                }
-                OpKind::GetInto => {
-                    if op.src_pe != me {
-                        sample.wait_cycles += pe.signal_wait(table.offset(sig + READY_SLOT));
-                        sample.waits += 1;
-                    } else {
-                        consume_overlapping(
-                            &mut pending,
-                            &mut sample,
-                            op.src_at,
-                            op.src_at + op.span(),
-                        );
-                    }
-                    let seg = &mut local_dst[op.dst_at..op.dst_at + op.span()];
-                    pe.get(seg, buf.offset(op.src_at), op.nelems, op.stride, op.src_pe);
-                    sample.gets += 1;
-                    sample.bytes_get += (op.nelems * es) as u64;
-                }
-                OpKind::GetFold | OpKind::GetFoldInto => {
-                    if op.src_pe != me {
-                        sample.wait_cycles += pe.signal_wait(table.offset(sig + READY_SLOT));
-                        sample.waits += 1;
-                    } else {
-                        consume_overlapping(
-                            &mut pending,
-                            &mut sample,
-                            op.src_at,
-                            op.src_at + op.span(),
-                        );
-                    }
-                    pe.get(
-                        &mut landing,
-                        buf.offset(op.src_at),
-                        op.nelems,
-                        op.stride,
-                        op.src_pe,
-                    );
-                    sample.gets += 1;
-                    sample.bytes_get += (op.nelems * es) as u64;
-                    if op.kind == OpKind::GetFold {
-                        consume_overlapping(
-                            &mut pending,
-                            &mut sample,
-                            op.dst_at,
-                            op.dst_at + op.span(),
-                        );
-                    }
-                    apply_fold(pe, op, &landing, local_dst);
-                }
-            }
-        }
-
-        // This stage's puts into my buffer become pending: later stages
-        // (or the final drain) consume their signals before touching the
-        // regions they land in.
-        for (oi, op) in stage.ops.iter().enumerate() {
-            if op.nelems == 0 || !is_put_kind(op.kind) || op.dst_pe != me || op.src_pe == me {
-                continue;
-            }
-            let n = chunks_of(op);
-            for c in 0..n {
-                let (c0, c1) = chunk_elems(op, c, n);
-                if c0 >= c1 {
-                    continue;
-                }
-                let (start, end) = chunk_range(op.dst_at, op.stride, c0, c1);
-                pending.push(Pending {
-                    slot: (base + oi) * SLOTS_PER_OP + c,
-                    start,
-                    end,
-                });
-            }
-        }
-        pe.trace_emit(t_st, TraceKind::Stage, None, 0, si as u64);
-    }
-
-    // Drain: consume every signal still in flight toward this PE, so the
-    // signal table is all-zero again when the collective closes. Published
-    // as one-past-the-last stage so a DeadlockReport can tell "stuck in
-    // the drain" apart from "stuck inside a stage".
-    pe.progress_stage(sched.stages.len());
-    let t_drain = pe.trace_start();
-    for p in pending.drain(..) {
-        sample.wait_cycles += pe.signal_wait(table.offset(p.slot));
-        sample.waits += 1;
-    }
-    // One barrier closes the whole collective.
-    pe.barrier();
-    pe.trace_emit(
-        t_drain,
-        TraceKind::Stage,
-        None,
-        0,
-        sched.stages.len() as u64,
-    );
-
-    // Emitted before the progress plane forgets the collective, so the
-    // episode span still carries its kind tag.
-    pe.trace_emit(t_ep, TraceKind::Collective, None, 0, 0);
-    pe.progress_collective(None);
-    sample.cycles = pe.cycles() - t0;
-    pe.note_collective(sched.kind, sample);
-    pe.scratch_put(landing);
-    pe.scratch_put(pending);
+    let plan = plan::lower(sched, sync, std::mem::size_of::<T>());
+    plan::execute_plan(pe, &plan, buf, local_src, local_dst, fold);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-//! The schedule conformance oracle — a pure-data interpreter for
-//! [`CommSchedule`]s against an abstract provenance memory model.
+//! The schedule conformance oracle — a pure-data interpreter for lowered
+//! collective [`Plan`]s against an abstract provenance memory model.
 //!
-//! The executor in [`schedule`](crate::collectives::schedule) runs a
-//! schedule on the thread-per-PE fabric; this module runs the *same*
-//! schedule on an abstract machine where every element holds the sorted
-//! multiset of `(space, pe, index)` atoms that produced it, instead of
-//! numbers. Three checks fall out:
+//! [`plan::execute_plan`](crate::collectives::plan::execute_plan) runs a
+//! plan's [`PlanStep`]s on the fabric; this module runs the *same steps*
+//! on an abstract machine where every element holds the sorted multiset
+//! of `(space, pe, index)` atoms that produced it, instead of numbers.
+//! Three checks fall out:
 //!
 //! * **final-buffer equivalence** — the machine's final state is compared
 //!   against a *dense single-PE reference* computed directly from the
@@ -19,18 +19,20 @@
 //! * **write races** — the same plane flags unordered same-destination
 //!   writes and writes that overtake an unacknowledged read.
 //!
-//! The bridge between the two worlds is [`compile`]: it lowers a
-//! `(schedule, sync mode)` pair into per-PE step programs by *mirroring
-//! the executor's control flow* — the same slot addressing
-//! ([`SLOTS_PER_OP`] layout), the same readiness/ack protocol, the same
-//! pending-signal bookkeeping and chunking — so a dependency the executor
-//! relies on but the schedule does not justify shows up as a model
-//! violation. The deterministic interleaving explorer in
+//! There is no second copy of the signalling protocol here: a schedule
+//! is lowered by [`plan::lower`](crate::collectives::plan::lower)'s own
+//! loop and the resulting steps are translated one-to-one (puts and gets
+//! become copies, landing reads and folds keep their shape, posts, waits
+//! and barriers carry over, stage markers drop out), so a dependency the
+//! lowering forgot — or a plan broken by hand ([`check_plan`]) — shows up
+//! as a model violation in the artefact the fabric would execute. The
+//! deterministic interleaving explorer in
 //! [`explore`](crate::collectives::explore) replays these programs under
 //! pluggable schedulers, up to exhaustive DFS over all interleavings.
 
-use crate::collectives::policy::{pipeline_chunks, SyncMode, ACK_SLOT, READY_SLOT, SLOTS_PER_OP};
-use crate::collectives::schedule::{is_put_kind, CommSchedule, OpKind, TransferOp};
+use crate::collectives::plan::{lower_with, Origin, Plan, PlanStep};
+use crate::collectives::policy::{pipeline_chunks, SyncMode, SLOTS_PER_OP};
+use crate::collectives::schedule::CommSchedule;
 use crate::collectives::vrank::logical_rank;
 
 // ---------------------------------------------------------------------------
@@ -119,18 +121,27 @@ struct Loc {
 }
 
 impl Loc {
-    fn sym(pe: usize, at: usize, nelems: usize, stride: usize) -> Self {
+    fn new(space: Space, pe: usize, at: u32, nelems: u32, stride: u32) -> Self {
         Loc {
-            space: Space::Sym,
+            space,
             pe,
-            at,
-            nelems,
-            stride,
+            at: at as usize,
+            nelems: nelems as usize,
+            stride: stride as usize,
+        }
+    }
+
+    /// One past the last element the window touches (`at` when empty).
+    fn end(&self) -> usize {
+        match self.nelems {
+            0 => self.at,
+            n => self.at + (n - 1) * self.stride + 1,
         }
     }
 }
 
-/// One atomic step of a PE's compiled program.
+/// One atomic step of a PE's program — the abstract image of one
+/// [`PlanStep`].
 ///
 /// Copies carry their completion signal (`post`) in the same step,
 /// mirroring put-with-signal semantics: the flag can never be observed
@@ -139,7 +150,7 @@ impl Loc {
 enum Step {
     /// Global rendezvous (all PEs must be parked at their barrier).
     Barrier,
-    /// Raise signal-table slot `slot`.
+    /// Raise `slot`.
     Post { slot: usize },
     /// Block until `slot` is raised, then consume it.
     Wait { slot: usize },
@@ -159,19 +170,23 @@ enum Step {
 #[derive(Clone, Debug)]
 struct PStep {
     step: Step,
-    /// Op the step belongs to (`None` for barriers).
+    /// Op the step belongs to (`None` for barriers and drain waits, and
+    /// throughout when the plan came without origins).
     op: Option<OpRef>,
 }
 
-/// A `(schedule, sync mode)` pair lowered to per-PE step programs plus
+/// A lowered [`Plan`] translated to per-PE abstract step programs, plus
 /// the buffer geometry the abstract machine needs.
 pub struct Program {
     /// World size.
     pub n_pes: usize,
-    /// The concrete discipline the programs encode (after `Auto`
-    /// resolution — identical to what the executor would run).
+    /// The concrete discipline the plan was lowered under (after `Auto`
+    /// resolution).
     pub sync: SyncMode,
     steps: Vec<Vec<PStep>>,
+    /// Signal slots one episode occupies. The lowering gives every
+    /// (poster, waiter) pair a slot index of its own, so the machine keeps
+    /// one flag per index rather than a table per PE.
     n_slots: usize,
     sym_len: usize,
     lsrc_len: usize,
@@ -180,6 +195,182 @@ pub struct Program {
 }
 
 impl Program {
+    /// A program of `n_pes` empty step lists, to be filled by
+    /// [`Program::push`] and completed with the plan's header.
+    fn new(n_pes: usize) -> Self {
+        Program {
+            n_pes,
+            sync: SyncMode::Barrier,
+            steps: vec![Vec::new(); n_pes],
+            n_slots: 0,
+            sym_len: 0,
+            lsrc_len: 0,
+            ldst_len: 0,
+            landing_len: 0,
+        }
+    }
+
+    /// Append the abstract image of plan step `ps` to PE `me`'s program
+    /// (stage markers have none). `at` names the schedule op behind it.
+    fn push(&mut self, me: usize, ps: &PlanStep, at: Origin) {
+        let sym =
+            |pe: u32, at, nelems, stride| Loc::new(Space::Sym, pe as usize, at, nelems, stride);
+        let mine = |space, at, nelems, stride| Loc::new(space, me, at, nelems, stride);
+        let step = match *ps {
+            PlanStep::StageStart { .. } | PlanStep::StageEnd { .. } => return,
+            PlanStep::Barrier => Step::Barrier,
+            PlanStep::Post { slot, .. } => Step::Post {
+                slot: slot as usize,
+            },
+            PlanStep::Wait { slot } => Step::Wait {
+                slot: slot as usize,
+            },
+            PlanStep::PutSymm {
+                dst_at,
+                src_at,
+                nelems,
+                stride,
+                dst_pe,
+                sig,
+                ..
+            } => Step::Copy {
+                src: mine(Space::Sym, src_at, nelems, stride),
+                dst: sym(dst_pe, dst_at, nelems, stride),
+                post: sig.map(|s| s as usize),
+            },
+            PlanStep::PutFrom {
+                dst_at,
+                src_lo,
+                nelems,
+                stride,
+                dst_pe,
+                sig,
+                ..
+            }
+            | PlanStep::PutNb {
+                dst_at,
+                src_lo,
+                nelems,
+                stride,
+                dst_pe,
+                sig,
+                ..
+            } => Step::Copy {
+                src: mine(Space::LocalSrc, src_lo, nelems, stride),
+                dst: sym(dst_pe, dst_at, nelems, stride),
+                post: sig.map(|s| s as usize),
+            },
+            PlanStep::GetSymm {
+                dst_at,
+                src_at,
+                nelems,
+                stride,
+                src_pe,
+            } => Step::Copy {
+                src: sym(src_pe, src_at, nelems, stride),
+                dst: mine(Space::Sym, dst_at, nelems, stride),
+                post: None,
+            },
+            PlanStep::GetInto {
+                dst_lo,
+                src_at,
+                nelems,
+                stride,
+                src_pe,
+                ..
+            } => Step::Copy {
+                src: sym(src_pe, src_at, nelems, stride),
+                dst: mine(Space::LocalDst, dst_lo, nelems, stride),
+                post: None,
+            },
+            PlanStep::GetLanding {
+                src_at,
+                nelems,
+                stride,
+                src_pe,
+                ack,
+            } => Step::Landing {
+                src: sym(src_pe, src_at, nelems, stride),
+                post: ack.map(|s| s as usize),
+            },
+            PlanStep::FoldSymm {
+                dst_at,
+                nelems,
+                stride,
+                ..
+            } => Step::Fold {
+                dst: mine(Space::Sym, dst_at, nelems, stride),
+            },
+            PlanStep::FoldInto {
+                dst_at,
+                nelems,
+                stride,
+            } => Step::Fold {
+                dst: mine(Space::LocalDst, dst_at, nelems, stride),
+            },
+        };
+        self.cover(&step);
+        let op = at.map(|(stage, op, chunk)| OpRef { stage, op, chunk });
+        self.steps[me].push(PStep { step, op });
+    }
+
+    /// Translate `plan` step for step. A bare plan has no schedule
+    /// coordinates, so violations carry no op names.
+    fn from_plan(plan: &Plan) -> Self {
+        let mut prog = Program::new(plan.n_pes);
+        for (me, pe_prog) in plan.per_pe.iter().enumerate() {
+            for ps in &pe_prog.steps {
+                prog.push(me, ps, None);
+            }
+        }
+        prog.sync = plan.sync;
+        prog.n_slots = plan.n_slots;
+        prog
+    }
+
+    /// Grow the buffer geometry to hold everything `step` touches.
+    fn cover(&mut self, step: &Step) {
+        let mut grow = |loc: &Loc| {
+            let len = match loc.space {
+                Space::Sym => &mut self.sym_len,
+                Space::LocalSrc => &mut self.lsrc_len,
+                Space::LocalDst => &mut self.ldst_len,
+            };
+            *len = (*len).max(loc.end());
+        };
+        match step {
+            Step::Copy { src, dst, .. } => {
+                grow(src);
+                grow(dst);
+            }
+            Step::Landing { src: loc, .. } | Step::Fold { dst: loc } => {
+                grow(loc);
+                self.landing_len = self.landing_len.max(loc.end() - loc.at);
+            }
+            Step::Barrier | Step::Post { .. } | Step::Wait { .. } => {}
+        }
+    }
+
+    /// Lower `sched` under `sync` with [`lower_with`] — the runtime's own
+    /// lowering loop, with `cfg`'s chunk rule — translating each step as
+    /// it is emitted, together with its schedule coordinates.
+    pub(crate) fn lower(sched: &CommSchedule, sync: SyncMode, cfg: &ModelConfig) -> Self {
+        let mut prog = Program::new(sched.n_pes);
+        let plan = lower_with(
+            sched,
+            sync,
+            cfg.elem_bytes,
+            |op| match cfg.force_chunks {
+                Some(k) => k.clamp(1, SLOTS_PER_OP - 2).min(op.nelems.max(1)),
+                None => pipeline_chunks(op.nelems * cfg.elem_bytes),
+            },
+            |me, ps, at| prog.push(me, ps, at),
+        );
+        prog.sync = plan.sync;
+        prog.n_slots = plan.n_slots;
+        prog
+    }
+
     /// Total steps across all PEs.
     pub fn total_steps(&self) -> usize {
         self.steps.iter().map(Vec::len).sum()
@@ -195,7 +386,7 @@ impl Program {
 #[derive(Clone, Copy, Debug)]
 pub struct ModelConfig {
     /// Element size driving `Auto` resolution and pipeline chunking
-    /// (the executor's `size_of::<T>()`).
+    /// (the runtime's `size_of::<T>()`).
     pub elem_bytes: usize,
     /// When set, pipelined put-kind ops are split into this many chunks
     /// regardless of payload size — exercising per-chunk dependency edges
@@ -209,560 +400,6 @@ impl Default for ModelConfig {
         ModelConfig {
             elem_bytes: 8,
             force_chunks: None,
-        }
-    }
-}
-
-/// Contiguous element range `[start, end)` that chunk window `[c0, c1)`
-/// of a strided span occupies, measured from offset `at` (the executor's
-/// `chunk_range`).
-fn chunk_range(at: usize, stride: usize, c0: usize, c1: usize) -> (usize, usize) {
-    if c1 <= c0 {
-        return (at, at);
-    }
-    (at + c0 * stride, at + (c1 - 1) * stride + 1)
-}
-
-/// Element window of chunk `c` of `n` (the executor's `chunk_elems`).
-fn chunk_elems(op: &TransferOp, c: usize, n: usize) -> (usize, usize) {
-    let per = op.nelems.div_ceil(n);
-    ((c * per).min(op.nelems), ((c + 1) * per).min(op.nelems))
-}
-
-/// Lower `sched` under `sync` into per-PE step programs, mirroring the
-/// executor's control flow step for step (slot addressing, readiness and
-/// ack protocol, pending-signal consumption, chunking, drain, closing
-/// barrier).
-pub fn compile(sched: &CommSchedule, sync: SyncMode, cfg: &ModelConfig) -> Program {
-    let n = sched.n_pes;
-    let es = cfg.elem_bytes;
-    let resolved = sched.resolve_sync(sync, es);
-
-    let mut sym_len = 0usize;
-    let mut lsrc_len = 0usize;
-    let mut ldst_len = 0usize;
-    let mut landing_len = 0usize;
-    for op in sched.ops() {
-        let span = op.span();
-        match op.kind {
-            OpKind::Put | OpKind::Get | OpKind::GetFold => {
-                sym_len = sym_len.max(op.src_at + span).max(op.dst_at + span);
-            }
-            OpKind::PutFrom | OpKind::PutNb => {
-                lsrc_len = lsrc_len.max(op.src_at + span);
-                sym_len = sym_len.max(op.dst_at + span);
-            }
-            OpKind::GetInto | OpKind::GetFoldInto => {
-                sym_len = sym_len.max(op.src_at + span);
-                ldst_len = ldst_len.max(op.dst_at + span);
-            }
-        }
-        if op.is_fold() {
-            landing_len = landing_len.max(span);
-        }
-    }
-
-    let mut steps: Vec<Vec<PStep>> = vec![Vec::new(); n];
-    let base_prog = |sync| Program {
-        n_pes: n,
-        sync,
-        steps: Vec::new(),
-        n_slots: sched.total_ops() * SLOTS_PER_OP,
-        sym_len,
-        lsrc_len,
-        ldst_len,
-        landing_len,
-    };
-
-    // The executor's early exit: schedules that move no data perform no
-    // transfers and no barriers at all.
-    if !sched.ops().any(|op| op.nelems > 0) {
-        let mut p = base_prog(resolved);
-        p.steps = steps;
-        return p;
-    }
-
-    // Lower one op to its data-movement steps (no signals) — shared by
-    // the barrier discipline and reused with posts threaded in below.
-    let op_ref = |si: usize, oi: usize| OpRef {
-        stage: si,
-        op: oi,
-        chunk: None,
-    };
-
-    if resolved == SyncMode::Barrier {
-        for (si, stage) in sched.stages.iter().enumerate() {
-            if stage.deferred_fold {
-                // Phase 1: every read lands; mid-stage barrier; phase 2:
-                // folds; stage barrier.
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems == 0 || op.issuer() >= n {
-                        continue;
-                    }
-                    let me = op.issuer();
-                    steps[me].push(PStep {
-                        step: Step::Landing {
-                            src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                            post: None,
-                        },
-                        op: Some(op_ref(si, oi)),
-                    });
-                }
-                for pe_steps in steps.iter_mut() {
-                    pe_steps.push(PStep {
-                        step: Step::Barrier,
-                        op: None,
-                    });
-                }
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems == 0 {
-                        continue;
-                    }
-                    let me = op.issuer();
-                    steps[me].push(PStep {
-                        step: Step::Fold {
-                            dst: fold_dst(op, me),
-                        },
-                        op: Some(op_ref(si, oi)),
-                    });
-                }
-            } else {
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems == 0 {
-                        continue;
-                    }
-                    let me = op.issuer();
-                    push_plain_op(&mut steps[me], op, op_ref(si, oi));
-                }
-            }
-            for pe_steps in steps.iter_mut() {
-                pe_steps.push(PStep {
-                    step: Step::Barrier,
-                    op: None,
-                });
-            }
-        }
-        let mut p = base_prog(resolved);
-        p.steps = steps;
-        return p;
-    }
-
-    // ------------------------------------------------------------------
-    // Signaled / pipelined lowering.
-    // ------------------------------------------------------------------
-    let pipelined = resolved == SyncMode::Pipelined;
-    let op_base = sched.op_bases();
-    let chunks_of = |op: &TransferOp| -> usize {
-        if pipelined && is_put_kind(op.kind) {
-            match cfg.force_chunks {
-                Some(k) => k.clamp(1, SLOTS_PER_OP - 2).min(op.nelems.max(1)),
-                None => pipeline_chunks(op.nelems * es),
-            }
-        } else {
-            1
-        }
-    };
-
-    // Per-PE pending incoming-put signals `(slot, start, end)`, consumed
-    // with the executor's exact swap_remove scan so wait order matches.
-    let mut pending: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); n];
-    fn consume_overlapping(
-        pending: &mut Vec<(usize, usize, usize)>,
-        out: &mut Vec<PStep>,
-        start: usize,
-        end: usize,
-        op: Option<OpRef>,
-    ) {
-        let mut i = 0;
-        while i < pending.len() {
-            let (slot, s, e) = pending[i];
-            if s < end && start < e {
-                pending.swap_remove(i);
-                out.push(PStep {
-                    step: Step::Wait { slot },
-                    op,
-                });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    for (si, stage) in sched.stages.iter().enumerate() {
-        let base = op_base[si];
-        if stage.deferred_fold {
-            for me in 0..n {
-                // Announce my segments to the partners that will read them…
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems > 0 && op.src_pe == me && op.issuer() != me {
-                        consume_overlapping(
-                            &mut pending[me],
-                            &mut steps[me],
-                            op.src_at,
-                            op.src_at + op.span(),
-                            Some(op_ref(si, oi)),
-                        );
-                        steps[me].push(PStep {
-                            step: Step::Post {
-                                slot: (base + oi) * SLOTS_PER_OP + READY_SLOT,
-                            },
-                            op: Some(op_ref(si, oi)),
-                        });
-                    }
-                }
-                // …pull my partners' segments, acknowledging each read…
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.issuer() != me || op.nelems == 0 {
-                        continue;
-                    }
-                    let r = op_ref(si, oi);
-                    if op.src_pe != me {
-                        steps[me].push(PStep {
-                            step: Step::Wait {
-                                slot: (base + oi) * SLOTS_PER_OP + READY_SLOT,
-                            },
-                            op: Some(r),
-                        });
-                        steps[me].push(PStep {
-                            step: Step::Landing {
-                                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                                post: Some((base + oi) * SLOTS_PER_OP + ACK_SLOT),
-                            },
-                            op: Some(r),
-                        });
-                    } else {
-                        steps[me].push(PStep {
-                            step: Step::Landing {
-                                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                                post: None,
-                            },
-                            op: Some(r),
-                        });
-                    }
-                }
-                // …wait until my own segment has been read, then fold.
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.nelems > 0 && op.src_pe == me && op.issuer() != me {
-                        steps[me].push(PStep {
-                            step: Step::Wait {
-                                slot: (base + oi) * SLOTS_PER_OP + ACK_SLOT,
-                            },
-                            op: Some(op_ref(si, oi)),
-                        });
-                    }
-                }
-                for (oi, op) in stage.ops.iter().enumerate() {
-                    if op.issuer() == me && op.nelems > 0 {
-                        steps[me].push(PStep {
-                            step: Step::Fold {
-                                dst: fold_dst(op, me),
-                            },
-                            op: Some(op_ref(si, oi)),
-                        });
-                    }
-                }
-            }
-            continue;
-        }
-
-        for me in 0..n {
-            // Readiness first: peers pulling from me this stage unblock
-            // before I start my own work.
-            for (oi, op) in stage.ops.iter().enumerate() {
-                if op.nelems > 0 && !is_put_kind(op.kind) && op.src_pe == me && op.issuer() != me {
-                    consume_overlapping(
-                        &mut pending[me],
-                        &mut steps[me],
-                        op.src_at,
-                        op.src_at + op.span(),
-                        Some(op_ref(si, oi)),
-                    );
-                    steps[me].push(PStep {
-                        step: Step::Post {
-                            slot: (base + oi) * SLOTS_PER_OP + READY_SLOT,
-                        },
-                        op: Some(op_ref(si, oi)),
-                    });
-                }
-            }
-
-            for (oi, op) in stage.ops.iter().enumerate() {
-                if op.issuer() != me || op.nelems == 0 {
-                    continue;
-                }
-                let sig = (base + oi) * SLOTS_PER_OP;
-                let plain = op_ref(si, oi);
-                match op.kind {
-                    OpKind::Put | OpKind::PutFrom | OpKind::PutNb => {
-                        let nch = chunks_of(op);
-                        for c in 0..nch {
-                            let (c0, c1) = chunk_elems(op, c, nch);
-                            if c0 >= c1 {
-                                continue;
-                            }
-                            let r = OpRef {
-                                stage: si,
-                                op: oi,
-                                chunk: if nch > 1 { Some(c) } else { None },
-                            };
-                            // Only symmetric-source puts consume pending
-                            // over their source window (private slices
-                            // cannot receive remote puts).
-                            if op.kind == OpKind::Put {
-                                let (s0, s1) = chunk_range(op.src_at, op.stride, c0, c1);
-                                consume_overlapping(
-                                    &mut pending[me],
-                                    &mut steps[me],
-                                    s0,
-                                    s1,
-                                    Some(r),
-                                );
-                            }
-                            let src_space = if op.kind == OpKind::Put {
-                                Space::Sym
-                            } else {
-                                Space::LocalSrc
-                            };
-                            steps[me].push(PStep {
-                                step: Step::Copy {
-                                    src: Loc {
-                                        space: src_space,
-                                        pe: op.src_pe,
-                                        at: op.src_at + c0 * op.stride,
-                                        nelems: c1 - c0,
-                                        stride: op.stride,
-                                    },
-                                    dst: Loc::sym(
-                                        op.dst_pe,
-                                        op.dst_at + c0 * op.stride,
-                                        c1 - c0,
-                                        op.stride,
-                                    ),
-                                    post: (op.dst_pe != me).then_some(sig + c),
-                                },
-                                op: Some(r),
-                            });
-                        }
-                    }
-                    OpKind::Get => {
-                        if op.src_pe != me {
-                            steps[me].push(PStep {
-                                step: Step::Wait {
-                                    slot: sig + READY_SLOT,
-                                },
-                                op: Some(plain),
-                            });
-                        }
-                        consume_overlapping(
-                            &mut pending[me],
-                            &mut steps[me],
-                            op.dst_at,
-                            op.dst_at + op.span(),
-                            Some(plain),
-                        );
-                        steps[me].push(PStep {
-                            step: Step::Copy {
-                                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                                dst: Loc::sym(op.dst_pe, op.dst_at, op.nelems, op.stride),
-                                post: None,
-                            },
-                            op: Some(plain),
-                        });
-                    }
-                    OpKind::GetInto => {
-                        if op.src_pe != me {
-                            steps[me].push(PStep {
-                                step: Step::Wait {
-                                    slot: sig + READY_SLOT,
-                                },
-                                op: Some(plain),
-                            });
-                        } else {
-                            consume_overlapping(
-                                &mut pending[me],
-                                &mut steps[me],
-                                op.src_at,
-                                op.src_at + op.span(),
-                                Some(plain),
-                            );
-                        }
-                        steps[me].push(PStep {
-                            step: Step::Copy {
-                                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                                dst: Loc {
-                                    space: Space::LocalDst,
-                                    pe: me,
-                                    at: op.dst_at,
-                                    nelems: op.nelems,
-                                    stride: op.stride,
-                                },
-                                post: None,
-                            },
-                            op: Some(plain),
-                        });
-                    }
-                    OpKind::GetFold | OpKind::GetFoldInto => {
-                        if op.src_pe != me {
-                            steps[me].push(PStep {
-                                step: Step::Wait {
-                                    slot: sig + READY_SLOT,
-                                },
-                                op: Some(plain),
-                            });
-                        } else {
-                            consume_overlapping(
-                                &mut pending[me],
-                                &mut steps[me],
-                                op.src_at,
-                                op.src_at + op.span(),
-                                Some(plain),
-                            );
-                        }
-                        steps[me].push(PStep {
-                            step: Step::Landing {
-                                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                                post: None,
-                            },
-                            op: Some(plain),
-                        });
-                        if op.kind == OpKind::GetFold {
-                            consume_overlapping(
-                                &mut pending[me],
-                                &mut steps[me],
-                                op.dst_at,
-                                op.dst_at + op.span(),
-                                Some(plain),
-                            );
-                        }
-                        steps[me].push(PStep {
-                            step: Step::Fold {
-                                dst: fold_dst(op, me),
-                            },
-                            op: Some(plain),
-                        });
-                    }
-                }
-            }
-        }
-
-        // This stage's puts into a PE become pending for it, chunk by
-        // chunk (data-only: no steps emitted).
-        for (oi, op) in stage.ops.iter().enumerate() {
-            if op.nelems == 0 || !is_put_kind(op.kind) || op.src_pe == op.dst_pe {
-                continue;
-            }
-            let nch = chunks_of(op);
-            for c in 0..nch {
-                let (c0, c1) = chunk_elems(op, c, nch);
-                if c0 >= c1 {
-                    continue;
-                }
-                let (start, end) = chunk_range(op.dst_at, op.stride, c0, c1);
-                pending[op.dst_pe].push(((base + oi) * SLOTS_PER_OP + c, start, end));
-            }
-        }
-    }
-
-    // Drain: every PE consumes its remaining pending signals, then one
-    // barrier closes the collective.
-    for (me, pend) in pending.iter_mut().enumerate() {
-        for (slot, _, _) in pend.drain(..) {
-            steps[me].push(PStep {
-                step: Step::Wait { slot },
-                op: None,
-            });
-        }
-    }
-    for pe_steps in steps.iter_mut() {
-        pe_steps.push(PStep {
-            step: Step::Barrier,
-            op: None,
-        });
-    }
-
-    let mut p = base_prog(resolved);
-    p.steps = steps;
-    p
-}
-
-/// Destination window of a fold op (symmetric for `GetFold`, the
-/// issuer's `local_dst` for `GetFoldInto`).
-fn fold_dst(op: &TransferOp, me: usize) -> Loc {
-    match op.kind {
-        OpKind::GetFold => Loc::sym(me, op.dst_at, op.nelems, op.stride),
-        OpKind::GetFoldInto => Loc {
-            space: Space::LocalDst,
-            pe: me,
-            at: op.dst_at,
-            nelems: op.nelems,
-            stride: op.stride,
-        },
-        _ => unreachable!("fold_dst on a non-fold op"),
-    }
-}
-
-/// Barrier-discipline lowering of one op owned by its issuer.
-fn push_plain_op(out: &mut Vec<PStep>, op: &TransferOp, r: OpRef) {
-    let me = op.issuer();
-    match op.kind {
-        OpKind::Put => out.push(PStep {
-            step: Step::Copy {
-                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                dst: Loc::sym(op.dst_pe, op.dst_at, op.nelems, op.stride),
-                post: None,
-            },
-            op: Some(r),
-        }),
-        OpKind::Get => out.push(PStep {
-            step: Step::Copy {
-                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                dst: Loc::sym(op.dst_pe, op.dst_at, op.nelems, op.stride),
-                post: None,
-            },
-            op: Some(r),
-        }),
-        OpKind::PutFrom | OpKind::PutNb => out.push(PStep {
-            step: Step::Copy {
-                src: Loc {
-                    space: Space::LocalSrc,
-                    pe: me,
-                    at: op.src_at,
-                    nelems: op.nelems,
-                    stride: op.stride,
-                },
-                dst: Loc::sym(op.dst_pe, op.dst_at, op.nelems, op.stride),
-                post: None,
-            },
-            op: Some(r),
-        }),
-        OpKind::GetInto => out.push(PStep {
-            step: Step::Copy {
-                src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                dst: Loc {
-                    space: Space::LocalDst,
-                    pe: me,
-                    at: op.dst_at,
-                    nelems: op.nelems,
-                    stride: op.stride,
-                },
-                post: None,
-            },
-            op: Some(r),
-        }),
-        OpKind::GetFold | OpKind::GetFoldInto => {
-            out.push(PStep {
-                step: Step::Landing {
-                    src: Loc::sym(op.src_pe, op.src_at, op.nelems, op.stride),
-                    post: None,
-                },
-                op: Some(r),
-            });
-            out.push(PStep {
-                step: Step::Fold {
-                    dst: fold_dst(op, me),
-                },
-                op: Some(r),
-            });
         }
     }
 }
@@ -844,7 +481,7 @@ pub enum Violation {
         /// The op that re-posted.
         op: Option<OpRef>,
     },
-    /// A slot was still raised when the collective closed (the executor
+    /// A slot was still raised when the collective closed (the runtime
     /// relies on an all-zero table between collectives).
     StrandedSignal {
         /// The stranded slot.
@@ -1188,8 +825,8 @@ impl Machine {
         }
     }
 
-    /// Signal slots still raised — the executor requires an all-zero
-    /// table at collective close, so a clean run returns an empty list.
+    /// Signal slots still raised — the runtime requires an all-zero table
+    /// at collective close, so a clean run returns an empty list.
     pub fn stranded_slots(&self) -> Vec<usize> {
         self.sig
             .iter()
@@ -1670,25 +1307,35 @@ pub fn run_with(
     }
 }
 
-/// The oracle's front door: compile `sched` under `sync`, run the
-/// canonical round-robin interleaving with full happens-before and race
-/// checking, and compare the final buffers against `spec`'s dense
-/// reference.
+/// The canonical fair interleaving: rotate through the enabled ranks.
+fn run_round_robin(prog: &Program, spec: &CollectiveSpec) -> ConformanceReport {
+    let mut rr = 0usize;
+    run_with(prog, spec, |enabled| {
+        let pick = enabled[rr % enabled.len()];
+        rr = rr.wrapping_add(1);
+        pick
+    })
+}
+
+/// The oracle's front door: lower `sched` under `sync` with the runtime's
+/// lowering, run the canonical round-robin interleaving with full
+/// happens-before and race checking, and compare the final buffers
+/// against `spec`'s dense reference.
 pub fn check_schedule(
     sched: &CommSchedule,
     sync: SyncMode,
     spec: &CollectiveSpec,
     cfg: &ModelConfig,
 ) -> ConformanceReport {
-    let prog = compile(sched, sync, cfg);
-    let mut rr = 0usize;
-    run_with(&prog, spec, |enabled| {
-        // Round-robin: rotate through ranks, taking the next enabled one.
-        let n = enabled.len();
-        let pick = enabled[rr % n];
-        rr = rr.wrapping_add(1);
-        pick
-    })
+    run_round_robin(&Program::lower(sched, sync, cfg), spec)
+}
+
+/// [`check_schedule`] on an already-lowered [`Plan`] — the very value
+/// [`execute_plan`](crate::collectives::plan::execute_plan) would run.
+/// Violations carry no op names (a bare plan has no schedule
+/// coordinates).
+pub fn check_plan(plan: &Plan, spec: &CollectiveSpec) -> ConformanceReport {
+    run_round_robin(&Program::from_plan(plan), spec)
 }
 
 #[cfg(test)]
@@ -1894,16 +1541,16 @@ mod tests {
         let sched = broadcast_binomial(8, 0, 4, 1);
         let cfg = ModelConfig::default();
         assert_eq!(
-            compile(&sched, SyncMode::Auto, &cfg).sync,
+            Program::lower(&sched, SyncMode::Auto, &cfg).sync,
             SyncMode::Signaled
         );
         let single = broadcast_linear_sched(8, 0, 4, 1);
         assert_eq!(
-            compile(&single, SyncMode::Auto, &cfg).sync,
+            Program::lower(&single, SyncMode::Auto, &cfg).sync,
             SyncMode::Barrier
         );
         assert_eq!(
-            compile(&sched, SyncMode::Pipelined, &cfg).sync,
+            Program::lower(&sched, SyncMode::Pipelined, &cfg).sync,
             SyncMode::Pipelined
         );
     }

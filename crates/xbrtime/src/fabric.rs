@@ -223,13 +223,6 @@ pub struct FabricConfig {
     /// scheduler that multiplexes PEs over a small worker pool
     /// ([`EngineConfig::coop`]).
     pub engine: EngineConfig,
-    /// Compiled-plan cache: when `true` (the default) collective wrappers
-    /// lower each distinct schedule shape once into a flat per-PE plan
-    /// and reissue it from the cache
-    /// ([`PlanCache`](crate::collectives::PlanCache)); `false` forces the
-    /// interpretive executor on every call (the A/B baseline for
-    /// `xbench_issue`).
-    pub plan_cache: bool,
 }
 
 impl FabricConfig {
@@ -244,7 +237,6 @@ impl FabricConfig {
             watchdog: Some(DEFAULT_WATCHDOG),
             trace: None,
             engine: EngineConfig::threads(),
-            plan_cache: true,
         }
     }
 
@@ -259,7 +251,6 @@ impl FabricConfig {
             watchdog: Some(DEFAULT_WATCHDOG),
             trace: None,
             engine: EngineConfig::threads(),
-            plan_cache: true,
         }
     }
 
@@ -324,12 +315,6 @@ impl FabricConfig {
     /// Builder-style execution-engine override (see [`EngineConfig`]).
     pub const fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Enable or disable the compiled-plan cache (enabled by default).
-    pub const fn with_plan_cache(mut self, on: bool) -> Self {
-        self.plan_cache = on;
         self
     }
 }
@@ -860,9 +845,8 @@ struct Shared {
     trace: Option<TracePlane>,
     /// The cooperative scheduler; `None` on the thread backend.
     coop: Option<CoopSched>,
-    /// Compiled-plan memo shared by every PE; `None` disables the plan
-    /// path ([`FabricConfig::with_plan_cache`]).
-    plan_cache: Option<crate::collectives::PlanCache>,
+    /// Compiled-plan memo shared by every PE.
+    plan_cache: crate::collectives::PlanCache,
 }
 
 impl Shared {
@@ -898,7 +882,7 @@ impl Shared {
                 EngineKind::Coop => Some(CoopSched::new(cfg.n_pes, cfg.engine)),
                 EngineKind::Threads => None,
             },
-            plan_cache: cfg.plan_cache.then(crate::collectives::PlanCache::new),
+            plan_cache: crate::collectives::PlanCache::new(),
         }
     }
 
@@ -1312,9 +1296,9 @@ impl<'f> Pe<'f> {
         self.scratch.borrow_mut().push(Box::new(v));
     }
 
-    /// The compiled-plan cache, when the fabric was configured with one.
-    pub(crate) fn plan_cache(&self) -> Option<&crate::collectives::PlanCache> {
-        self.shared.plan_cache.as_ref()
+    /// The fabric's compiled-plan cache.
+    pub(crate) fn plan_cache(&self) -> &crate::collectives::PlanCache {
+        &self.shared.plan_cache
     }
 
     /// Record the resolved algorithm/sync choice for a collective kind
@@ -2804,8 +2788,7 @@ pub struct RunReport<R> {
     /// determinism test pins it down.
     pub sched_log: Vec<u32>,
     /// Compiled-plan cache telemetry (hits, misses, resident plans and
-    /// bytes); `None` when the cache was disabled
-    /// ([`FabricConfig::with_plan_cache`]).
+    /// bytes). Always `Some`: every fabric has a plan cache.
     pub plan_cache: Option<crate::collectives::PlanCacheStats>,
 }
 
@@ -3027,7 +3010,7 @@ impl Fabric {
                 .as_ref()
                 .map(|c| c.take_log())
                 .unwrap_or_default(),
-            plan_cache: shared.plan_cache.as_ref().map(|c| c.stats()),
+            plan_cache: Some(shared.plan_cache.stats()),
         })
     }
 }

@@ -13,7 +13,7 @@ use xbrtime::collectives::explore::{
 };
 use xbrtime::collectives::extended::allreduce_recursive_doubling;
 use xbrtime::collectives::hierarchical::{broadcast_hier_sched, reduce_hier_sched};
-use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
+use xbrtime::collectives::verify::{check_plan, check_schedule, CollectiveSpec, ModelConfig};
 use xbrtime::collectives::{SyncMode, Team};
 use xbrtime::fabric::FaultConfig;
 use xbrtime::timing::SplitMix64;
@@ -209,6 +209,57 @@ fn exhaustive_exploration_covers_ragged_hier_and_team() {
         );
         assert!(out.ok(), "team bcast {}: {}", sync.name(), out.summary());
     }
+}
+
+/// The oracle interprets the artefact the fabric executes: damage done
+/// to the lowered *plan* — which no schedule-level mutant can express,
+/// because the schedule stays correct — is flagged.
+#[test]
+fn oracle_flags_hand_broken_plans() {
+    use xbrtime::collectives::schedule::broadcast_binomial;
+    use xbrtime::collectives::{lower, PlanStep};
+
+    let spec = CollectiveSpec::Broadcast {
+        root: 0,
+        nelems: 4,
+        stride: 1,
+    };
+    let good = lower(&broadcast_binomial(4, 0, 4, 1), SyncMode::Signaled, 8);
+    let report = check_plan(&good, &spec);
+    assert!(report.ok(), "intact plan: {}", report.summary());
+
+    // A leaf forgets to consume its incoming put's completion signal in
+    // the drain: the slot is still raised when the collective closes.
+    let mut no_wait = good.clone();
+    let (leaf, at) = no_wait
+        .per_pe
+        .iter()
+        .enumerate()
+        .find_map(|(pe, p)| {
+            let i = p.steps[p.drain_from..]
+                .iter()
+                .position(|s| matches!(s, PlanStep::Wait { .. }))?;
+            Some((pe, p.drain_from + i))
+        })
+        .expect("a signaled broadcast drains at least one wait");
+    no_wait.per_pe[leaf].steps.remove(at);
+    let report = check_plan(&no_wait, &spec);
+    assert!(!report.violations.is_empty(), "{}", report.summary());
+
+    // A put loses its completion signal: its receiver waits forever.
+    let mut no_sig = good.clone();
+    let sig = no_sig
+        .per_pe
+        .iter_mut()
+        .flat_map(|p| p.steps.iter_mut())
+        .find_map(|s| match s {
+            PlanStep::PutSymm { sig, .. } if sig.is_some() => Some(sig),
+            _ => None,
+        })
+        .expect("a signaled broadcast has a signaled put");
+    *sig = None;
+    let report = check_plan(&no_sig, &spec);
+    assert!(report.deadlock.is_some(), "{}", report.summary());
 }
 
 #[test]

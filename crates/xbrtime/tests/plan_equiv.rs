@@ -1,16 +1,17 @@
-//! Compiled-plan equivalence: routing a collective through a compiled
-//! [`xbrtime::collectives::plan`] must be observationally identical to
-//! the interpretive schedule executor it was lowered from.
-//!
-//! For every collective × algorithm × sync mode × backend at paper-scale
-//! PE counts, the plan-cache-on and plan-cache-off configurations must
-//! produce byte-identical result buffers and structurally identical
-//! telemetry (op/byte/stage/signal counts; simulated cycle fields are
-//! masked exactly as in `backend_equiv.rs`). On top of that:
+//! The plan cache and the nonblocking collectives built on it:
 //! cache-key determinism (same key ⇒ one shared plan, shape change ⇒
-//! distinct entries), concurrent-issue counter exactness at 256 PEs
-//! under the work-stealing engine, and nonblocking overlap of ≥2
-//! in-flight collectives.
+//! distinct entries), exact hit/miss telemetry — including concurrent
+//! issue at 256 PEs under the work-stealing engine — nonblocking overlap
+//! of ≥2 in-flight collectives, blocking collectives issued above an
+//! in-flight slot window, and slot-window recycling when a handle is
+//! dropped.
+//!
+//! There is one lowering ([`xbrtime::collectives::plan::lower`]) and the
+//! fabric executes nothing else, so there is no second executor for a
+//! plan to be "equivalent" to; what every collective computes is checked
+//! against dense references in `collectives_crosscheck`,
+//! `allreduce_family`, `vcoll`, `backend_equiv`, `proptest_runtime` and
+//! `zero_length`.
 
 // The `..ProptestConfig::default()` spread is upstream proptest's
 // canonical config idiom; the local shim happens to have no other
@@ -18,42 +19,11 @@
 #![allow(clippy::needless_update)]
 
 use proptest::prelude::*;
+use xbrtime::collectives;
 use xbrtime::collectives::plan::{PlanCache, PlanKey};
 use xbrtime::collectives::policy::Algorithm;
 use xbrtime::collectives::schedule::broadcast_binomial;
-use xbrtime::collectives::{self, AllGatherAlgo, AllReduceAlgo};
-use xbrtime::{
-    AlgorithmPolicy, CollectiveKind, CollectiveRecord, EngineConfig, Fabric, FabricConfig,
-    ReduceOp, SyncMode,
-};
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    Broadcast,
-    Reduce,
-    Scatter,
-    Gather,
-    AllReduce,
-    AllGather,
-    AllToAll,
-}
-
-const KINDS: [Kind; 7] = [
-    Kind::Broadcast,
-    Kind::Reduce,
-    Kind::Scatter,
-    Kind::Gather,
-    Kind::AllReduce,
-    Kind::AllGather,
-    Kind::AllToAll,
-];
-
-const ALGOS: [AlgorithmPolicy; 4] = [
-    AlgorithmPolicy::Auto,
-    AlgorithmPolicy::Binomial,
-    AlgorithmPolicy::Linear,
-    AlgorithmPolicy::Ring,
-];
+use xbrtime::{CollectiveKind, EngineConfig, Fabric, FabricConfig, SyncMode, Topology};
 
 const SYNCS: [SyncMode; 4] = [
     SyncMode::Auto,
@@ -62,267 +32,10 @@ const SYNCS: [SyncMode; 4] = [
     SyncMode::Pipelined,
 ];
 
-/// Run one collective workload with the plan cache on or off and return
-/// what the equivalence check compares: per-PE result buffers plus the
-/// telemetry rows with interleaving-sensitive cycle fields masked.
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    engine: EngineConfig,
-    plan_cache: bool,
-    kind: Kind,
-    algo: AlgorithmPolicy,
-    sync: SyncMode,
-    n: usize,
-    nelems: usize,
-    root: usize,
-) -> (Vec<Vec<u64>>, Vec<CollectiveRecord>) {
-    let cfg = FabricConfig::paper(n)
-        .with_shared_bytes(1 << 20)
-        .with_engine(engine)
-        .with_plan_cache(plan_cache);
-    let msgs: Vec<usize> = (0..n).map(|i| 1 + (nelems + i * 3) % 17).collect();
-    let disp: Vec<usize> = msgs
-        .iter()
-        .scan(0, |at, &m| {
-            let d = *at;
-            *at += m;
-            Some(d)
-        })
-        .collect();
-    let total: usize = msgs.iter().sum();
-    let report = Fabric::run(cfg, |pe| {
-        let me = pe.rank() as u64;
-        match kind {
-            Kind::Broadcast => {
-                let dest = pe.shared_malloc::<u64>(nelems);
-                let src: Vec<u64> = (0..nelems as u64).map(|i| i * 3 + 1).collect();
-                collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, root, algo, sync);
-                pe.barrier();
-                pe.heap_read_vec(dest.whole(), nelems)
-            }
-            Kind::Reduce => {
-                let src = pe.shared_malloc::<u64>(nelems);
-                let vals: Vec<u64> = (0..nelems as u64).map(|i| me * 31 + i).collect();
-                pe.heap_write(src.whole(), &vals);
-                pe.barrier();
-                let mut dest = vec![0u64; nelems];
-                collectives::reduce_policy_sync(
-                    pe,
-                    &mut dest,
-                    &src,
-                    nelems,
-                    1,
-                    root,
-                    ReduceOp::Sum,
-                    algo,
-                    sync,
-                );
-                pe.barrier();
-                dest
-            }
-            Kind::Scatter => {
-                let src: Vec<u64> = (0..total as u64).map(|i| i * 7 + 3).collect();
-                let mut dest = vec![0u64; msgs[pe.rank()]];
-                collectives::scatter_policy_sync(
-                    pe, &mut dest, &src, &msgs, &disp, total, root, algo, sync,
-                );
-                pe.barrier();
-                dest
-            }
-            Kind::Gather => {
-                let src = vec![me * 5 + 1; msgs[pe.rank()]];
-                let mut dest = vec![0u64; total];
-                collectives::gather_policy_sync(
-                    pe, &mut dest, &src, &msgs, &disp, total, root, algo, sync,
-                );
-                pe.barrier();
-                dest
-            }
-            Kind::AllReduce => {
-                let src = pe.shared_malloc::<u64>(nelems);
-                let vals: Vec<u64> = (0..nelems as u64).map(|i| me + i * 11).collect();
-                pe.heap_write(src.whole(), &vals);
-                pe.barrier();
-                let mut dest = vec![0u64; nelems];
-                // Map the shared policy axis onto the allreduce family so
-                // every generator gets plan-vs-interpretive coverage.
-                let strat = match algo {
-                    AlgorithmPolicy::Auto => AllReduceAlgo::Auto,
-                    AlgorithmPolicy::Binomial => AllReduceAlgo::RecursiveDoubling,
-                    AlgorithmPolicy::Linear => AllReduceAlgo::Rabenseifner,
-                    AlgorithmPolicy::Ring => AllReduceAlgo::Ring,
-                };
-                collectives::reduce_all_sync(
-                    pe,
-                    &mut dest,
-                    &src,
-                    nelems,
-                    ReduceOp::Sum,
-                    strat,
-                    sync,
-                );
-                pe.barrier();
-                dest
-            }
-            Kind::AllGather => {
-                let per = msgs[0];
-                let src: Vec<u64> = (0..per as u64).map(|i| me * 100 + i).collect();
-                let mut dest = vec![0u64; per * n];
-                let strat = match algo {
-                    AlgorithmPolicy::Auto => AllGatherAlgo::Auto,
-                    AlgorithmPolicy::Ring => AllGatherAlgo::RecursiveDoubling,
-                    _ => AllGatherAlgo::Fan,
-                };
-                collectives::all_gather_algo_sync(pe, &mut dest, &src, per, strat, sync);
-                pe.barrier();
-                dest
-            }
-            Kind::AllToAll => {
-                let per = msgs[0];
-                let src: Vec<u64> = (0..(per * n) as u64).map(|i| me * 1000 + i).collect();
-                let mut dest = vec![0u64; per * n];
-                collectives::all_to_all_sync(pe, &mut dest, &src, per, sync);
-                pe.barrier();
-                dest
-            }
-        }
-    });
-    let masked = report
-        .collectives
-        .into_iter()
-        .map(|mut r| {
-            r.cycles = 0;
-            r.wait_cycles = 0;
-            r
-        })
-        .collect();
-    (report.results, masked)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn assert_plan_matches_interpretive(
-    engine: EngineConfig,
-    kind: Kind,
-    algo: AlgorithmPolicy,
-    sync: SyncMode,
-    n: usize,
-    nelems: usize,
-    root: usize,
-) {
-    let (res_on, coll_on) = run_one(engine, true, kind, algo, sync, n, nelems, root);
-    let (res_off, coll_off) = run_one(engine, false, kind, algo, sync, n, nelems, root);
-    assert_eq!(
-        res_on, res_off,
-        "results diverged: {kind:?} {algo:?} {sync:?} n={n} nelems={nelems} root={root}"
-    );
-    assert_eq!(
-        coll_on, coll_off,
-        "telemetry diverged: {kind:?} {algo:?} {sync:?} n={n} nelems={nelems} root={root}"
-    );
-}
-
-/// Deterministic sweep on the thread backend: every collective kind under
-/// every concrete sync mode, plan cache on vs off, byte-identical.
-#[test]
-fn compiled_plans_match_interpretive_thread_backend() {
-    for kind in KINDS {
-        for sync in SyncMode::CONCRETE {
-            for n in [2usize, 5, 8] {
-                assert_plan_matches_interpretive(
-                    EngineConfig::threads(),
-                    kind,
-                    AlgorithmPolicy::Auto,
-                    sync,
-                    n,
-                    33,
-                    n - 1,
-                );
-            }
-        }
-    }
-}
-
-/// Same sweep on the cooperative work-stealing backend.
-#[test]
-fn compiled_plans_match_interpretive_coop_backend() {
-    for kind in KINDS {
-        for sync in SyncMode::CONCRETE {
-            for n in [2usize, 5, 8] {
-                assert_plan_matches_interpretive(
-                    EngineConfig::coop().with_seed(0xA5),
-                    kind,
-                    AlgorithmPolicy::Auto,
-                    sync,
-                    n,
-                    33,
-                    n - 1,
-                );
-            }
-        }
-    }
-}
-
-/// Explicit algorithm shapes (binomial/linear/ring) through the plan
-/// path. For AllReduce/AllGather the policy axis maps onto the extended
-/// family (recursive doubling / Rabenseifner / ring, fan / dissemination
-/// — see `run_one`), so every new generator gets a pinned row here.
-#[test]
-fn compiled_plans_match_every_algorithm() {
-    for kind in [
-        Kind::Broadcast,
-        Kind::Reduce,
-        Kind::Scatter,
-        Kind::Gather,
-        Kind::AllReduce,
-        Kind::AllGather,
-    ] {
-        for algo in [
-            AlgorithmPolicy::Binomial,
-            AlgorithmPolicy::Linear,
-            AlgorithmPolicy::Ring,
-        ] {
-            assert_plan_matches_interpretive(
-                EngineConfig::threads(),
-                kind,
-                algo,
-                SyncMode::Barrier,
-                6,
-                17,
-                2,
-            );
-        }
-    }
-}
-
-/// The non-power-of-two segmented generators under signaled/pipelined
-/// sync, plan-on vs plan-off, both backends.
-#[test]
-fn compiled_plans_match_allreduce_family_non_pow2() {
-    for engine in [EngineConfig::threads(), EngineConfig::coop().with_seed(3)] {
-        for algo in [AlgorithmPolicy::Linear, AlgorithmPolicy::Ring] {
-            for sync in [SyncMode::Signaled, SyncMode::Pipelined] {
-                for n in [3usize, 7] {
-                    assert_plan_matches_interpretive(engine, Kind::AllReduce, algo, sync, n, 41, 0);
-                }
-            }
-        }
-    }
-}
-
-/// A run that exercises every kind reports exact cache telemetry: each
-/// lookup is either a hit or a miss, and each miss created one entry.
+/// Exact cache telemetry: each lookup is either a hit or a miss, and each
+/// miss created one entry.
 #[test]
 fn cache_telemetry_is_exact() {
-    let (_res, _coll) = run_one(
-        EngineConfig::threads(),
-        true,
-        Kind::Broadcast,
-        AlgorithmPolicy::Auto,
-        SyncMode::Signaled,
-        8,
-        33,
-        7,
-    );
     let report = Fabric::run(FabricConfig::new(4), |pe| {
         let dest = pe.shared_malloc::<u64>(8);
         for _ in 0..5 {
@@ -337,25 +50,6 @@ fn cache_telemetry_is_exact() {
     assert_eq!(stats.entries, 1);
     assert!(stats.bytes > 0);
     assert!(stats.hit_rate() > 0.9);
-}
-
-/// Plan cache disabled: the report carries no stats and collectives still
-/// record their resolved algorithm/sync choices.
-#[test]
-fn cache_off_reports_no_stats_but_full_telemetry() {
-    let report = Fabric::run(FabricConfig::new(4).with_plan_cache(false), |pe| {
-        let dest = pe.shared_malloc::<u64>(4);
-        collectives::broadcast(pe, &dest, &[9, 9, 9, 9], 4, 1, 0);
-        pe.barrier();
-    });
-    assert!(report.plan_cache.is_none());
-    let rec = report
-        .collectives
-        .iter()
-        .find(|r| r.kind == CollectiveKind::Broadcast)
-        .expect("broadcast recorded");
-    assert!(!rec.algorithms().is_empty(), "resolved algorithm recorded");
-    assert!(!rec.sync_modes().is_empty(), "resolved sync mode recorded");
 }
 
 /// 256 PEs concurrently issuing the same collective over the
@@ -486,6 +180,43 @@ fn dropped_handle_releases_slots_and_cursor() {
     }
 }
 
+/// Regression: hierarchical collectives once ran on a separate executor
+/// that took the signal table at slot base 0, so a signaled hierarchical
+/// broadcast issued while a same-rooted nonblocking handle was in flight
+/// reused the handle's slots and deadlocked. Through the plan path they run above
+/// the outstanding slot window like every other blocking collective.
+#[test]
+fn hierarchical_runs_above_in_flight_handle() {
+    // A short watchdog turns the regression into a prompt Err, not a
+    // minute-long hang; a healthy run finishes in milliseconds.
+    let cfg = FabricConfig::new(6)
+        .with_watchdog(std::time::Duration::from_secs(5))
+        .with_topology(Topology {
+            pes_per_node: 2,
+            intra_node_factor: 0.25,
+        });
+    let result = Fabric::try_run(cfg, |pe| {
+        let flat = pe.shared_malloc::<u64>(4);
+        let hier: Vec<_> = (0..2).map(|_| pe.shared_malloc::<u64>(4)).collect();
+        pe.barrier();
+        let h = collectives::ixbroadcast(pe, &flat, &[1, 2, 3, 4], 4, 0, SyncMode::Signaled);
+        for (dest, sync) in hier.iter().zip([SyncMode::Signaled, SyncMode::Pipelined]) {
+            collectives::broadcast_hier_sync(pe, dest, &[5, 6, 7, 8], 4, 0, sync);
+        }
+        h.wait(pe);
+        pe.barrier();
+        let mut out = pe.heap_read_vec::<u64>(flat.whole(), 4);
+        for dest in &hier {
+            out.extend(pe.heap_read_vec::<u64>(dest.whole(), 4));
+        }
+        out
+    });
+    let report = result.expect("hierarchical broadcast under an in-flight handle must not wedge");
+    for (rank, got) in report.results.iter().enumerate() {
+        assert_eq!(got, &[1, 2, 3, 4, 5, 6, 7, 8, 5, 6, 7, 8], "rank {rank}");
+    }
+}
+
 /// Persistent handles re-issue the same compiled plan: one miss, then
 /// hits for every subsequent start, with correct results each episode.
 #[test]
@@ -519,28 +250,6 @@ fn persistent_reissue_hits_cache() {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-    /// Randomised plan-on/off agreement across the full configuration
-    /// cross-product on the thread backend.
-    #[test]
-    fn plan_matches_interpretive_on_random_configs(
-        kind_i in 0usize..KINDS.len(),
-        algo_i in 0usize..ALGOS.len(),
-        sync_i in 0usize..SYNCS.len(),
-        n in 2usize..=8,
-        nelems in 1usize..=96,
-        root_i in 0usize..8,
-    ) {
-        assert_plan_matches_interpretive(
-            EngineConfig::threads(),
-            KINDS[kind_i],
-            ALGOS[algo_i],
-            SYNCS[sync_i],
-            n,
-            nelems,
-            root_i % n,
-        );
-    }
 
     /// Cache-key determinism: looking up the same key twice returns the
     /// same shared plan (no rebuild); varying any shape axis produces a
