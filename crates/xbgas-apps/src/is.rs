@@ -316,6 +316,7 @@ pub fn run_is(pe: &Pe, cfg: &IsConfig) -> IsResult {
             max_key,
             |a: u64, b: u64| a + b,
             AllReduceAlgo::ReduceThenBroadcast,
+            SyncMode::Barrier,
         );
 
         // Partial verification: the rank of key k is the number of keys

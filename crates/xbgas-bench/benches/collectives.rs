@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xbrtime::collectives;
-use xbrtime::{Fabric, FabricConfig, ReduceOp};
+use xbrtime::{AlgorithmPolicy, Fabric, FabricConfig, ReduceOp, SyncMode};
 
 const N_PES: usize = 4;
 
@@ -14,33 +14,22 @@ fn bench_broadcast(c: &mut Criterion) {
     let mut g = c.benchmark_group("broadcast");
     for nelems in [16usize, 1024, 65536] {
         g.throughput(Throughput::Bytes((nelems * 8) as u64));
-        g.bench_with_input(BenchmarkId::new("binomial", nelems), &nelems, |b, &n| {
-            b.iter(|| {
-                Fabric::run(FabricConfig::new(N_PES), |pe| {
-                    let dest = pe.shared_malloc::<u64>(n);
-                    let src = vec![3u64; n];
-                    collectives::broadcast(pe, &dest, &src, n, 1, 0);
+        for (name, policy) in [
+            ("binomial", AlgorithmPolicy::Binomial),
+            ("linear", AlgorithmPolicy::Linear),
+            ("ring", AlgorithmPolicy::Ring),
+        ] {
+            g.bench_with_input(BenchmarkId::new(name, nelems), &nelems, |b, &n| {
+                b.iter(|| {
+                    Fabric::run(FabricConfig::new(N_PES), move |pe| {
+                        let dest = pe.shared_malloc::<u64>(n);
+                        let src = vec![3u64; n];
+                        let sync = SyncMode::Barrier;
+                        collectives::broadcast_policy_sync(pe, &dest, &src, n, 1, 0, policy, sync);
+                    })
                 })
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("linear", nelems), &nelems, |b, &n| {
-            b.iter(|| {
-                Fabric::run(FabricConfig::new(N_PES), |pe| {
-                    let dest = pe.shared_malloc::<u64>(n);
-                    let src = vec![3u64; n];
-                    collectives::broadcast_linear(pe, &dest, &src, n, 1, 0);
-                })
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("ring", nelems), &nelems, |b, &n| {
-            b.iter(|| {
-                Fabric::run(FabricConfig::new(N_PES), |pe| {
-                    let dest = pe.shared_malloc::<u64>(n);
-                    let src = vec![3u64; n];
-                    collectives::broadcast_ring(pe, &dest, &src, n, 1, 0);
-                })
-            })
-        });
+            });
+        }
     }
     g.finish();
 }
@@ -49,40 +38,25 @@ fn bench_reduce(c: &mut Criterion) {
     let mut g = c.benchmark_group("reduce");
     for nelems in [16usize, 1024, 65536] {
         g.throughput(Throughput::Bytes((nelems * 8) as u64));
-        g.bench_with_input(
-            BenchmarkId::new("binomial_sum", nelems),
-            &nelems,
-            |b, &n| {
+        for (name, policy) in [
+            ("binomial_sum", AlgorithmPolicy::Binomial),
+            ("linear_sum", AlgorithmPolicy::Linear),
+        ] {
+            g.bench_with_input(BenchmarkId::new(name, nelems), &nelems, |b, &n| {
                 b.iter(|| {
-                    Fabric::run(FabricConfig::new(N_PES), |pe| {
+                    Fabric::run(FabricConfig::new(N_PES), move |pe| {
                         let src = pe.shared_malloc::<u64>(n);
                         pe.heap_write(src.whole(), &vec![pe.rank() as u64; n]);
                         pe.barrier();
                         let mut dest = vec![0u64; n];
-                        collectives::reduce(pe, &mut dest, &src, n, 1, 0, ReduceOp::Sum);
+                        let (op, sync) = (ReduceOp::Sum, SyncMode::Barrier);
+                        collectives::reduce_policy_sync(
+                            pe, &mut dest, &src, n, 1, 0, op, policy, sync,
+                        );
                     })
                 })
-            },
-        );
-        g.bench_with_input(BenchmarkId::new("linear_sum", nelems), &nelems, |b, &n| {
-            b.iter(|| {
-                Fabric::run(FabricConfig::new(N_PES), |pe| {
-                    let src = pe.shared_malloc::<u64>(n);
-                    pe.heap_write(src.whole(), &vec![pe.rank() as u64; n]);
-                    pe.barrier();
-                    let mut dest = vec![0u64; n];
-                    collectives::reduce_linear(
-                        pe,
-                        &mut dest,
-                        &src,
-                        n,
-                        1,
-                        0,
-                        <u64 as xbrtime::XbrNumeric>::red_sum,
-                    );
-                })
-            })
-        });
+            });
+        }
     }
     g.finish();
 }

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xbrtime::collectives::{self, AllReduceAlgo, Team};
 use xbrtime::shmem::{self, ActiveSet};
-use xbrtime::{Fabric, FabricConfig, ReduceOp, Topology};
+use xbrtime::{Fabric, FabricConfig, ReduceOp, SyncMode, Topology};
 
 const N_PES: usize = 4;
 
@@ -23,7 +23,15 @@ fn bench_allreduce(c: &mut Criterion) {
                         pe.heap_write(src.whole(), &vec![pe.rank() as u64; n]);
                         pe.barrier();
                         let mut dest = vec![0u64; n];
-                        collectives::reduce_all(pe, &mut dest, &src, n, ReduceOp::Sum, algo);
+                        collectives::reduce_all_sync(
+                            pe,
+                            &mut dest,
+                            &src,
+                            n,
+                            ReduceOp::Sum,
+                            algo,
+                            SyncMode::Barrier,
+                        );
                     })
                 })
             });
@@ -50,7 +58,7 @@ fn bench_allgather_alltoall(c: &mut Criterion) {
                 Fabric::run(FabricConfig::new(N_PES), move |pe| {
                     let src = vec![pe.rank() as u64; n * N_PES];
                     let mut dest = vec![0u64; n * N_PES];
-                    collectives::all_to_all(pe, &mut dest, &src, n);
+                    collectives::all_to_all_sync(pe, &mut dest, &src, n, SyncMode::Barrier);
                 })
             })
         });
@@ -65,7 +73,7 @@ fn bench_team(c: &mut Criterion) {
                 let team = Team::new((0..N_PES).step_by(2).collect());
                 let dest = pe.shared_malloc::<u64>(256);
                 let src = vec![1u64; 256];
-                team.broadcast(pe, &dest, &src, 256, 0);
+                team.broadcast(pe, &dest, &src, 256, 0, SyncMode::Barrier);
             })
         })
     });
@@ -101,7 +109,7 @@ fn bench_hierarchical(c: &mut Criterion) {
                 Fabric::run(cfg, move |pe| {
                     let d = pe.shared_malloc::<u64>(n);
                     let src = vec![1u64; n];
-                    collectives::broadcast_hier(pe, &d, &src, n, 0);
+                    collectives::broadcast_hier(pe, &d, &src, n, 0, SyncMode::Barrier);
                 })
             })
         });

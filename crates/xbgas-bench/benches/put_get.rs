@@ -4,7 +4,7 @@
 //! signaled vs pipelined).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use xbrtime::{collectives, Fabric, FabricConfig, ReduceOp, SyncMode};
+use xbrtime::{collectives, AlgorithmPolicy, Fabric, FabricConfig, ReduceOp, SyncMode};
 
 fn bench_put(c: &mut Criterion) {
     let mut g = c.benchmark_group("put");
@@ -77,7 +77,7 @@ fn bench_strided(c: &mut Criterion) {
 /// figures are drawn from: this measures what the host pays to run the
 /// signal plane (spin waits, chunk bookkeeping) relative to barriers.
 fn bench_broadcast_sync(c: &mut Criterion) {
-    let mut g = c.benchmark_group("broadcast_sync");
+    let mut g = c.benchmark_group("broadcast_sync_modes");
     g.sample_size(10);
     let nelems = 16_384usize;
     g.throughput(Throughput::Bytes((nelems * 8) as u64));
@@ -91,7 +91,16 @@ fn bench_broadcast_sync(c: &mut Criterion) {
                         move |pe| {
                             let dest = pe.shared_malloc::<u64>(nelems);
                             let src = vec![7u64; nelems];
-                            collectives::broadcast_sync(pe, &dest, &src, nelems, 1, 0, sync);
+                            collectives::broadcast_policy_sync(
+                                pe,
+                                &dest,
+                                &src,
+                                nelems,
+                                1,
+                                0,
+                                AlgorithmPolicy::Binomial,
+                                sync,
+                            );
                             pe.barrier();
                         },
                     )
@@ -128,7 +137,7 @@ fn bench_reduce_sync(c: &mut Criterion) {
                                 1,
                                 0,
                                 ReduceOp::Sum,
-                                xbrtime::AlgorithmPolicy::Binomial,
+                                AlgorithmPolicy::Binomial,
                                 sync,
                             );
                             pe.barrier();

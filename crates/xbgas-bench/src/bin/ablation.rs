@@ -13,11 +13,11 @@
 //! Pass `--backend {threads,coop}` to pick the execution engine.
 
 use xbgas_bench::{
-    ablation_allreduce_on, ablation_gups_amo_on, ablation_sync_modes_on, ablation_topology_on,
-    ablation_unroll_on, backend_arg, collective_run_on, export_trace, sweep_broadcast_on,
-    trace_arg, Algo,
+    ablation_allreduce, ablation_gups_amo, ablation_sync_modes, ablation_topology, ablation_unroll,
+    backend_arg, collective_run, export_trace, sweep_broadcast, trace_arg,
 };
 use xbrtime::collectives::AllReduceAlgo;
+use xbrtime::{AlgorithmPolicy, SyncMode};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -28,8 +28,8 @@ fn main() {
         "elems", "rolled (cyc)", "unrolled (cyc)", "speedup"
     );
     for nelems in [8usize, 64, 512, 4096, 32768] {
-        let rolled = ablation_unroll_on(engine, usize::MAX, nelems);
-        let unrolled = ablation_unroll_on(engine, 8, nelems);
+        let rolled = ablation_unroll(engine, usize::MAX, nelems);
+        let unrolled = ablation_unroll(engine, 8, nelems);
         println!(
             "{:>9} {:>14} {:>14} {:>8.2}",
             nelems,
@@ -46,8 +46,8 @@ fn main() {
     );
     for n in [2usize, 4, 8] {
         for nelems in [16usize, 1024, 16384] {
-            let a = ablation_allreduce_on(engine, AllReduceAlgo::ReduceThenBroadcast, n, nelems);
-            let b = ablation_allreduce_on(engine, AllReduceAlgo::RecursiveDoubling, n, nelems);
+            let a = ablation_allreduce(engine, AllReduceAlgo::ReduceThenBroadcast, n, nelems);
+            let b = ablation_allreduce(engine, AllReduceAlgo::RecursiveDoubling, n, nelems);
             println!("{n:>5} {nelems:>9} {a:>18} {b:>18}");
         }
     }
@@ -59,7 +59,7 @@ fn main() {
         "PEs", "node size", "hierarchical", "flat tree", "speedup"
     );
     for (n, k) in [(8usize, 4usize), (8, 2), (12, 3), (12, 4), (12, 6)] {
-        let (hier, flat) = ablation_topology_on(engine, n, k, 8192);
+        let (hier, flat) = ablation_topology(engine, n, k, 8192);
         println!(
             "{:>6} {:>10} {:>14} {:>12} {:>8.2}",
             n,
@@ -76,15 +76,16 @@ fn main() {
         "PEs", "get+put (cyc)", "amo (cyc)", "g/p errs", "amo errs"
     );
     for n in [2usize, 4, 8] {
-        let (gp, amo, gp_err, amo_err) = ablation_gups_amo_on(engine, n);
+        let (gp, amo, gp_err, amo_err) = ablation_gups_amo(engine, n);
         println!("{n:>5} {gp:>16} {amo:>12} {gp_err:>10} {amo_err:>10}");
     }
 
     println!("\n# Ablation 5 — binomial broadcast scaling in PEs (4096 u64)");
     println!("{:>5} {:>12} {:>12}", "PEs", "tree (cyc)", "linear (cyc)");
     for n in [2usize, 4, 8, 12] {
-        let t = sweep_broadcast_on(engine, Algo::Binomial, n, 4096).cycles;
-        let l = sweep_broadcast_on(engine, Algo::Linear, n, 4096).cycles;
+        let run = |policy| sweep_broadcast(engine, policy, SyncMode::Barrier, false, n, 4096);
+        let t = run(AlgorithmPolicy::Binomial);
+        let l = run(AlgorithmPolicy::Linear);
         println!("{n:>5} {t:>12} {l:>12}");
     }
 
@@ -96,7 +97,7 @@ fn main() {
             "{:>5} {:>9} {:>10} {:>12} {:>8} {:>7} {:>12} {:>8}",
             "PEs", "elems", "mode", "makespan", "signals", "waits", "wait cycles", "overlap"
         );
-        for row in ablation_sync_modes_on(engine, n, nelems) {
+        for row in ablation_sync_modes(engine, n, nelems) {
             println!(
                 "{:>5} {:>9} {:>10} {:>12} {:>8} {:>7} {:>12} {:>8.3}",
                 n,
@@ -120,7 +121,7 @@ fn main() {
     // The telemetry workload runs with the tracing plane on: the same run
     // feeds the table above, the event timeline below, and (with
     // `--trace <out.json>`) the exported Perfetto file.
-    let report = collective_run_on(engine, 8, 1024, true);
+    let report = collective_run(engine, 8, 1024, true);
     for rec in &report.collectives {
         println!(
             "{:>11} {:>6} {:>7} {:>7} {:>11} {:>11} {:>7} {:>12}",

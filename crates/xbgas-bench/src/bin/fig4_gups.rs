@@ -7,9 +7,7 @@
 //! event tracing on and export a Perfetto timeline of it, and
 //! `--backend {threads,coop}` to pick the execution engine.
 
-use xbgas_bench::{
-    backend_arg, export_trace, render_rows, run_fig4_on, run_fig4_traced_on, trace_arg,
-};
+use xbgas_bench::{backend_arg, export_trace, render_rows, run_fig4, run_fig4_traced, trace_arg};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -25,11 +23,11 @@ fn main() {
         // Traced runs always use the quarter-scale configuration: the
         // point is the event timeline of the collective tail, not the
         // MOPS numbers (which the untraced sweep below reports).
-        let report = run_fig4_traced_on(engine, 8, scale.max(2));
+        let report = run_fig4_traced(engine, 8, scale.max(2));
         export_trace(&path, report.trace.as_ref().expect("traced run"));
     }
 
-    let rows = run_fig4_on(engine, &[1, 2, 4, 8], scale);
+    let rows = run_fig4(engine, &[1, 2, 4, 8], scale);
     if json {
         println!("{}", xbgas_bench::json::to_string_pretty(&rows));
     } else {

@@ -8,10 +8,7 @@
 //! `--backend {threads,coop}` to pick the execution engine.
 
 use xbgas_apps::IsClass;
-use xbgas_bench::{
-    backend_arg, export_trace, render_rows, run_fig5_class_on, run_fig5_on, run_fig5_traced_on,
-    trace_arg,
-};
+use xbgas_bench::{backend_arg, export_trace, render_rows, run_fig5, run_fig5_traced, trace_arg};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -41,14 +38,11 @@ fn main() {
         // Traced IS runs use class S and one iteration regardless of the
         // requested scale: full-class traces are enormous and the ring
         // would wrap long before the timed region of interest.
-        let report = run_fig5_traced_on(engine, 8, 10, class.or(Some(IsClass::S)));
+        let report = run_fig5_traced(engine, 8, 10, class.or(Some(IsClass::S)));
         export_trace(&path, report.trace.as_ref().expect("traced run"));
     }
 
-    let rows = match class {
-        Some(c) => run_fig5_class_on(engine, &[1, 2, 4, 8], scale, c),
-        None => run_fig5_on(engine, &[1, 2, 4, 8], scale),
-    };
+    let rows = run_fig5(engine, &[1, 2, 4, 8], scale, class);
     if json {
         println!("{}", xbgas_bench::json::to_string_pretty(&rows));
     } else {

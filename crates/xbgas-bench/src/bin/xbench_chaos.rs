@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 use xbgas_bench::backend_arg;
 use xbrtime::collectives::{self, AllReduceAlgo};
 use xbrtime::{
-    EngineConfig, Fabric, FabricConfig, FabricStats, FaultConfig, ReduceOp, RunError, SyncMode,
-    WaitSite,
+    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FabricStats, FaultConfig, ReduceOp,
+    RunError, SyncMode, WaitSite,
 };
 
 const KINDS: [&str; 5] = ["broadcast", "reduce", "scatter", "gather", "reduce_all"];
@@ -56,7 +56,16 @@ fn run_case(
             "broadcast" => {
                 let dest = pe.shared_malloc::<u64>(64);
                 let src: Vec<u64> = (0..64).map(|i| i * 3 + 1).collect();
-                collectives::broadcast_sync(pe, &dest, &src, 64, 1, 0, sync);
+                collectives::broadcast_policy_sync(
+                    pe,
+                    &dest,
+                    &src,
+                    64,
+                    1,
+                    0,
+                    AlgorithmPolicy::Binomial,
+                    sync,
+                );
                 pe.heap_read_vec(dest.whole(), 64)
             }
             "reduce" => {
@@ -64,7 +73,7 @@ fn run_case(
                 pe.heap_write(src.whole(), &[me + 1; 32]);
                 pe.barrier();
                 let mut dest = vec![0u64; 32];
-                collectives::reduce_with_sync(
+                collectives::reduce_with(
                     pe,
                     &mut dest,
                     &src,
@@ -72,6 +81,7 @@ fn run_case(
                     1,
                     0,
                     u64::wrapping_add,
+                    AlgorithmPolicy::Binomial,
                     sync,
                 );
                 dest
@@ -203,7 +213,16 @@ fn main() {
         let t0 = Instant::now();
         let result = Fabric::try_run(cfg, move |pe| {
             let dest = pe.shared_malloc::<u64>(64);
-            collectives::broadcast_sync(pe, &dest, &[9u64; 64], 64, 1, 0, sync);
+            collectives::broadcast_policy_sync(
+                pe,
+                &dest,
+                &[9u64; 64],
+                64,
+                1,
+                0,
+                AlgorithmPolicy::Binomial,
+                sync,
+            );
         });
         let elapsed = t0.elapsed();
         match result {

@@ -28,15 +28,15 @@
 use std::time::Duration;
 use xbgas_bench::json::{to_string_pretty, Json, ToJson};
 use xbgas_bench::{
-    ablation_allreduce_on, backend_arg, export_trace, issue_rate, sweep_all_gather_on,
-    sweep_allreduce_on, sweep_broadcast_on, sweep_broadcast_policy_on,
-    sweep_broadcast_policy_sync_on, sweep_broadcast_sync_on, sweep_gather_on, sweep_reduce_on,
-    sweep_reduce_sync_on, sweep_scatter_on, trace_arg, traced_broadcast_on, Algo, SweepPoint,
+    ablation_allreduce, backend_arg, export_trace, issue_rate, sweep_all_gather, sweep_allreduce,
+    sweep_broadcast, sweep_gather, sweep_reduce, sweep_scatter, trace_arg, traced_broadcast,
+    SweepPoint,
 };
 use xbrtime::collectives::{self, AllGatherAlgo, AllReduceAlgo};
 use xbrtime::traffic::{run_traffic, TrafficConfig};
 use xbrtime::{
-    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FaultConfig, ReduceOp, RunError, SyncMode,
+    Algorithm, AlgorithmPolicy, CollectiveKind, EngineConfig, Fabric, FabricConfig, FaultConfig,
+    ReduceOp, RunError, SyncMode,
 };
 
 /// `Auto` vs always-binomial on one sweep cell.
@@ -89,8 +89,10 @@ impl SyncCell {
         nelems: usize,
     ) -> SyncCell {
         let run = |sync| match collective {
-            "broadcast" => sweep_broadcast_sync_on(engine, sync, n_pes, nelems),
-            _ => sweep_reduce_sync_on(engine, sync, n_pes, nelems),
+            "broadcast" => {
+                sweep_broadcast(engine, AlgorithmPolicy::Auto, sync, true, n_pes, nelems)
+            }
+            _ => sweep_reduce(engine, AlgorithmPolicy::Binomial, sync, true, n_pes, nelems),
         };
         SyncCell {
             collective,
@@ -173,7 +175,7 @@ impl AllReduceCell {
         // runs by a few percent — enough to fake a crossover.
         let run = |algo| {
             (0..3)
-                .map(|_| sweep_allreduce_on(engine, algo, SyncMode::Auto, n_pes, nelems))
+                .map(|_| sweep_allreduce(engine, algo, SyncMode::Auto, n_pes, nelems))
                 .min()
                 .expect("three samples")
         };
@@ -280,7 +282,7 @@ impl AllGatherCell {
         // Min-of-three per arm, as in [`AllReduceCell::measure`].
         let run = |algo| {
             (0..3)
-                .map(|_| sweep_all_gather_on(engine, algo, SyncMode::Auto, n_pes, per_pe))
+                .map(|_| sweep_all_gather(engine, algo, SyncMode::Auto, n_pes, per_pe))
                 .min()
                 .expect("three samples")
         };
@@ -446,8 +448,8 @@ fn crossover_bytes(points: &[SweepPoint], n_pes: usize, sizes: &[usize]) -> Opti
                     .map(|p| p.cycles)
                     .unwrap_or(u64::MAX)
             };
-            let b = cycles(Algo::Binomial);
-            b <= cycles(Algo::Linear) && b <= cycles(Algo::Ring)
+            let b = cycles(Algorithm::Binomial);
+            b <= cycles(Algorithm::Linear) && b <= cycles(Algorithm::Ring)
         })
         .map(|sz| sz * 8)
 }
@@ -524,13 +526,7 @@ fn large_sweep(engine: EngineConfig) -> (Vec<LargeCell>, Vec<ChainCapCell>) {
                 algo: "auto",
                 n_pes: n,
                 nelems: sz,
-                cycles: sweep_broadcast_policy_sync_on(
-                    engine,
-                    AlgorithmPolicy::Auto,
-                    SyncMode::Auto,
-                    n,
-                    sz,
-                ),
+                cycles: sweep_broadcast(engine, AlgorithmPolicy::Auto, SyncMode::Auto, true, n, sz),
                 backend,
             });
             eprintln!("large: allreduce recursive-doubling n_pes={n} nelems={sz}");
@@ -539,7 +535,7 @@ fn large_sweep(engine: EngineConfig) -> (Vec<LargeCell>, Vec<ChainCapCell>) {
                 algo: "recursive-doubling",
                 n_pes: n,
                 nelems: sz,
-                cycles: ablation_allreduce_on(engine, AllReduceAlgo::RecursiveDoubling, n, sz),
+                cycles: ablation_allreduce(engine, AllReduceAlgo::RecursiveDoubling, n, sz),
                 backend,
             });
         }
@@ -550,9 +546,8 @@ fn large_sweep(engine: EngineConfig) -> (Vec<LargeCell>, Vec<ChainCapCell>) {
         .into_iter()
         .map(|n| {
             eprintln!("large: chain-cap ring vs tree n_pes={n}");
-            let run = |policy| {
-                sweep_broadcast_policy_sync_on(engine, policy, SyncMode::Pipelined, n, 65_536)
-            };
+            let run =
+                |policy| sweep_broadcast(engine, policy, SyncMode::Pipelined, true, n, 65_536);
             ChainCapCell {
                 n_pes: n,
                 nelems: 65_536,
@@ -591,7 +586,16 @@ fn coop_smoke() -> ! {
                     "broadcast" => {
                         let dest = pe.shared_malloc::<u64>(NELEMS);
                         let src: Vec<u64> = (0..NELEMS as u64).map(|i| i * 3 + 1).collect();
-                        collectives::broadcast_sync(pe, &dest, &src, NELEMS, 1, 0, sync);
+                        collectives::broadcast_policy_sync(
+                            pe,
+                            &dest,
+                            &src,
+                            NELEMS,
+                            1,
+                            0,
+                            AlgorithmPolicy::Binomial,
+                            sync,
+                        );
                         pe.barrier();
                         pe.heap_read_vec(dest.whole(), NELEMS)
                     }
@@ -600,7 +604,7 @@ fn coop_smoke() -> ! {
                         pe.heap_write(src.whole(), &[me + 1; NELEMS]);
                         pe.barrier();
                         let mut dest = vec![0u64; NELEMS];
-                        collectives::reduce_with_sync(
+                        collectives::reduce_with(
                             pe,
                             &mut dest,
                             &src,
@@ -608,6 +612,7 @@ fn coop_smoke() -> ! {
                             1,
                             0,
                             u64::wrapping_add,
+                            AlgorithmPolicy::Binomial,
                             sync,
                         );
                         pe.barrier();
@@ -706,13 +711,17 @@ fn main() {
     // segmented chunk forwarding and signal flow arrows, small enough for
     // the CI smoke gate.
     if let Some(path) = trace_arg(&args) {
-        let report = traced_broadcast_on(engine, SyncMode::Pipelined, 8, 4096);
+        let report = traced_broadcast(engine, SyncMode::Pipelined, 8, 4096);
         export_trace(&path, report.trace.as_ref().expect("traced run"));
     }
 
     let pe_counts = [2usize, 4, 8];
     let sizes = [1usize, 16, 256, 4096, 65536];
-    let algos = [Algo::Binomial, Algo::Linear, Algo::Ring];
+    let algos = [
+        AlgorithmPolicy::Binomial,
+        AlgorithmPolicy::Linear,
+        AlgorithmPolicy::Ring,
+    ];
 
     // Executor sync-mode sweep: barrier vs signaled vs pipelined vs Auto.
     // Run first so `--smoke` (the CI gate) skips the algorithm sweep.
@@ -826,11 +835,19 @@ fn main() {
         .map(|(n, per)| AllGatherCell::measure(engine, n, per))
         .collect();
 
+    // The §4.7 comparison cells: one cold call under per-stage barriers.
+    let cold_broadcast =
+        |policy, n, sz| sweep_broadcast(engine, policy, SyncMode::Barrier, false, n, sz);
     let mut points = Vec::new();
     for &n in &pe_counts {
         for &sz in &sizes {
-            for &algo in &algos {
-                points.push(sweep_broadcast_on(engine, algo, n, sz));
+            for &policy in &algos {
+                points.push(SweepPoint {
+                    algo: policy.select(CollectiveKind::Broadcast, n, sz * 8),
+                    n_pes: n,
+                    nelems: sz,
+                    cycles: cold_broadcast(policy, n, sz),
+                });
             }
         }
     }
@@ -848,13 +865,8 @@ fn main() {
             sizes.iter().map(move |&sz| PolicyCell {
                 n_pes: n,
                 nelems: sz,
-                auto_cycles: sweep_broadcast_policy_on(engine, AlgorithmPolicy::Auto, n, sz),
-                binomial_cycles: sweep_broadcast_policy_on(
-                    engine,
-                    AlgorithmPolicy::Binomial,
-                    n,
-                    sz,
-                ),
+                auto_cycles: cold_broadcast(AlgorithmPolicy::Auto, n, sz),
+                binomial_cycles: cold_broadcast(AlgorithmPolicy::Binomial, n, sz),
             })
         })
         .collect();
@@ -1007,15 +1019,10 @@ fn main() {
     );
     for &n in &pe_counts {
         for &sz in &sizes {
-            let row: Vec<u64> = algos
+            let row: Vec<u64> = points
                 .iter()
-                .map(|&a| {
-                    points
-                        .iter()
-                        .find(|p| p.algo == a && p.n_pes == n && p.nelems == sz)
-                        .unwrap()
-                        .cycles
-                })
+                .filter(|p| p.n_pes == n && p.nelems == sz)
+                .map(|p| p.cycles)
                 .collect();
             let winner = match row.iter().enumerate().min_by_key(|(_, c)| **c) {
                 Some((0, _)) => "binomial",
@@ -1060,10 +1067,10 @@ fn main() {
     );
     for &n in &pe_counts {
         for per in [16usize, 1024, 8192] {
-            let st = sweep_scatter_on(engine, Algo::Binomial, n, per).cycles;
-            let sl = sweep_scatter_on(engine, Algo::Linear, n, per).cycles;
-            let gt = sweep_gather_on(engine, Algo::Binomial, n, per).cycles;
-            let gl = sweep_gather_on(engine, Algo::Linear, n, per).cycles;
+            let st = sweep_scatter(engine, AlgorithmPolicy::Binomial, n, per);
+            let sl = sweep_scatter(engine, AlgorithmPolicy::Linear, n, per);
+            let gt = sweep_gather(engine, AlgorithmPolicy::Binomial, n, per);
+            let gl = sweep_gather(engine, AlgorithmPolicy::Linear, n, per);
             println!("{n:>5} {per:>9} {st:>14} {sl:>14} {gt:>14} {gl:>14}");
         }
     }
@@ -1075,8 +1082,9 @@ fn main() {
     );
     for &n in &pe_counts {
         for &sz in &sizes {
-            let t = sweep_reduce_on(engine, Algo::Binomial, n, sz).cycles;
-            let l = sweep_reduce_on(engine, Algo::Linear, n, sz).cycles;
+            let cold = |policy| sweep_reduce(engine, policy, SyncMode::Barrier, false, n, sz);
+            let t = cold(AlgorithmPolicy::Binomial);
+            let l = cold(AlgorithmPolicy::Linear);
             println!(
                 "{:>5} {:>9} {:>12} {:>12}  {}",
                 n,

@@ -17,6 +17,9 @@
 //! The Criterion benches under `benches/` measure host wall-clock of the
 //! same operations; the binaries report *simulated* cycles, which is what
 //! the paper's figures are drawn from.
+//!
+//! Every measurement is one function whose first argument is the
+//! [`EngineConfig`] the fabric runs on (see [`backend_arg`]).
 
 #![warn(missing_docs)]
 
@@ -25,7 +28,10 @@ pub mod json;
 use json::{Json, ToJson};
 use xbgas_apps::{run_gups, run_is, GupsConfig, GupsResult, IsConfig, IsResult};
 use xbrtime::collectives::{self, AllGatherAlgo, AllReduceAlgo};
-use xbrtime::{EngineConfig, Fabric, FabricConfig, Pe, ReduceOp, RunReport};
+use xbrtime::{
+    Algorithm, AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, Pe, ReduceOp, RunReport,
+    SyncMode,
+};
 
 /// `--backend {threads,coop}` argument shared by the harness binaries:
 /// the execution engine every fabric in the run is built on. Defaults to
@@ -96,12 +102,7 @@ pub fn render_rows(title: &str, unit: &str, rows: &[FigureRow]) -> String {
 
 /// Run the Figure 4 GUPs sweep over `pe_counts` at `scale` (1 = the full
 /// harness size of 2^20 total updates; tests use a smaller scale).
-pub fn run_fig4(pe_counts: &[usize], scale_shift: u32) -> Vec<FigureRow> {
-    run_fig4_on(EngineConfig::threads(), pe_counts, scale_shift)
-}
-
-/// [`run_fig4`] on an explicit execution engine.
-pub fn run_fig4_on(engine: EngineConfig, pe_counts: &[usize], scale_shift: u32) -> Vec<FigureRow> {
+pub fn run_fig4(engine: EngineConfig, pe_counts: &[usize], scale_shift: u32) -> Vec<FigureRow> {
     pe_counts
         .iter()
         .map(|&n| {
@@ -126,36 +127,9 @@ pub fn run_fig4_on(engine: EngineConfig, pe_counts: &[usize], scale_shift: u32) 
 }
 
 /// Run the Figure 5 NAS IS sweep over `pe_counts`. `scale_shift` divides
-/// the iteration count (tests use fewer iterations).
-pub fn run_fig5(pe_counts: &[usize], scale_shift: u32) -> Vec<FigureRow> {
-    run_fig5_impl(EngineConfig::threads(), pe_counts, scale_shift, None)
-}
-
-/// [`run_fig5`] on an explicit execution engine.
-pub fn run_fig5_on(engine: EngineConfig, pe_counts: &[usize], scale_shift: u32) -> Vec<FigureRow> {
-    run_fig5_impl(engine, pe_counts, scale_shift, None)
-}
-
-/// [`run_fig5`] with an explicit NPB class instead of the scaled default.
-pub fn run_fig5_class(
-    pe_counts: &[usize],
-    scale_shift: u32,
-    class: xbgas_apps::IsClass,
-) -> Vec<FigureRow> {
-    run_fig5_impl(EngineConfig::threads(), pe_counts, scale_shift, Some(class))
-}
-
-/// [`run_fig5_class`] on an explicit execution engine.
-pub fn run_fig5_class_on(
-    engine: EngineConfig,
-    pe_counts: &[usize],
-    scale_shift: u32,
-    class: xbgas_apps::IsClass,
-) -> Vec<FigureRow> {
-    run_fig5_impl(engine, pe_counts, scale_shift, Some(class))
-}
-
-fn run_fig5_impl(
+/// the iteration count (tests use fewer iterations); `class` overrides the
+/// scaled default with an explicit NPB class.
+pub fn run_fig5(
     engine: EngineConfig,
     pe_counts: &[usize],
     scale_shift: u32,
@@ -193,39 +167,11 @@ fn run_fig5_impl(
         .collect()
 }
 
-/// Which collective algorithm a sweep point used.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algo {
-    /// The paper's binomial tree (Algorithms 1–4).
-    Binomial,
-    /// Root-sequential linear baseline.
-    Linear,
-    /// Neighbour ring baseline.
-    Ring,
-}
-
-impl Algo {
-    /// Stable lowercase-free name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algo::Binomial => "Binomial",
-            Algo::Linear => "Linear",
-            Algo::Ring => "Ring",
-        }
-    }
-}
-
-impl ToJson for Algo {
-    fn to_json(&self) -> Json {
-        Json::Str(self.name().to_string())
-    }
-}
-
 /// One sweep measurement: a collective at a message size and PE count.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepPoint {
     /// Algorithm measured.
-    pub algo: Algo,
+    pub algo: Algorithm,
     /// PEs participating.
     pub n_pes: usize,
     /// Message size in elements (u64).
@@ -237,7 +183,7 @@ pub struct SweepPoint {
 impl ToJson for SweepPoint {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("algo", self.algo.to_json()),
+            ("algo", Json::Str(format!("{:?}", self.algo))),
             ("n_pes", self.n_pes.to_json()),
             ("nelems", self.nelems.to_json()),
             ("cycles", self.cycles.to_json()),
@@ -245,174 +191,42 @@ impl ToJson for SweepPoint {
     }
 }
 
-/// Measure one broadcast call's simulated makespan.
-pub fn sweep_broadcast(algo: Algo, n_pes: usize, nelems: usize) -> SweepPoint {
-    sweep_broadcast_on(EngineConfig::threads(), algo, n_pes, nelems)
-}
-
-/// [`sweep_broadcast`] on an explicit execution engine.
-pub fn sweep_broadcast_on(
+/// Measure one broadcast call's simulated makespan (cycles) under an
+/// explicit algorithm policy and executor sync mode.
+///
+/// With `warm` the collective runs once untimed before the measured call,
+/// so the one-time signal-table growth barrier, plan compilation and cold
+/// queue-occupancy ratios are paid identically in every comparison arm —
+/// the timed region then isolates the steady-state cost the sync-mode
+/// sweep and the large-`n` chain-cap cells are after. Cold
+/// (`warm = false`) is the §4.7 algorithm comparison: one call, as an
+/// application would issue it.
+///
+/// `AlgorithmPolicy::Auto` makes the comparison one between the *best
+/// known configuration* under each sync mode: the barrier arm reproduces
+/// the pre-signal-plane library exactly, while the pipelined arm is free
+/// to take the chain shape that segmented signaling unlocks for large
+/// payloads.
+pub fn sweep_broadcast(
     engine: EngineConfig,
-    algo: Algo,
+    policy: AlgorithmPolicy,
+    sync: SyncMode,
+    warm: bool,
     n_pes: usize,
     nelems: usize,
-) -> SweepPoint {
+) -> u64 {
     let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
         let dest = pe.shared_malloc::<u64>(nelems.max(1));
         let src = vec![7u64; nelems];
-        pe.barrier();
-        let t0 = pe.cycles();
-        match algo {
-            Algo::Binomial => collectives::broadcast(pe, &dest, &src, nelems, 1, 0),
-            Algo::Linear => collectives::broadcast_linear(pe, &dest, &src, nelems, 1, 0),
-            Algo::Ring => collectives::broadcast_ring(pe, &dest, &src, nelems, 1, 0),
+        if warm {
+            collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
         }
         pe.barrier();
-        pe.cycles() - t0
-    });
-    SweepPoint {
-        algo,
-        n_pes,
-        nelems,
-        cycles: report.results.iter().copied().max().unwrap_or(0),
-    }
-}
-
-/// Measure one broadcast call dispatched through an [`AlgorithmPolicy`]
-/// (`xbrtime::collectives::broadcast_policy`) instead of a fixed
-/// algorithm. Returns the simulated makespan in cycles; used to show
-/// `Auto` tracks the per-cell winner of the fixed-algorithm sweep.
-///
-/// [`AlgorithmPolicy`]: xbrtime::AlgorithmPolicy
-pub fn sweep_broadcast_policy(
-    policy: xbrtime::AlgorithmPolicy,
-    n_pes: usize,
-    nelems: usize,
-) -> u64 {
-    sweep_broadcast_policy_on(EngineConfig::threads(), policy, n_pes, nelems)
-}
-
-/// [`sweep_broadcast_policy`] on an explicit execution engine.
-pub fn sweep_broadcast_policy_on(
-    engine: EngineConfig,
-    policy: xbrtime::AlgorithmPolicy,
-    n_pes: usize,
-    nelems: usize,
-) -> u64 {
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
-        .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let dest = pe.shared_malloc::<u64>(nelems.max(1));
-        let src = vec![7u64; nelems];
-        pe.barrier();
-        let t0 = pe.cycles();
-        collectives::broadcast_policy(pe, &dest, &src, nelems, 1, 0, policy);
-        pe.barrier();
-        pe.cycles() - t0
-    });
-    report.results.iter().copied().max().unwrap_or(0)
-}
-
-/// Measure one warmed broadcast under an explicit algorithm policy *and*
-/// executor sync mode — the probe behind the large-`n` chain-cap
-/// calibration cells (`xbench_sweep --large`), where the question is
-/// precisely "ring or tree, given that the executor pipelines".
-pub fn sweep_broadcast_policy_sync_on(
-    engine: EngineConfig,
-    policy: xbrtime::AlgorithmPolicy,
-    sync: xbrtime::SyncMode,
-    n_pes: usize,
-    nelems: usize,
-) -> u64 {
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
-        .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let dest = pe.shared_malloc::<u64>(nelems.max(1));
-        let src = vec![7u64; nelems];
-        collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
-        pe.barrier();
         let t0 = pe.cycles();
         collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
-        pe.barrier();
-        pe.cycles() - t0
-    });
-    report.results.iter().copied().max().unwrap_or(0)
-}
-
-/// Measure one broadcast call's simulated makespan under an explicit
-/// executor [`xbrtime::SyncMode`]. The collective runs once untimed
-/// before the measured call so the one-time signal-table growth barrier
-/// and cold queue-occupancy ratios are paid identically in every
-/// comparison arm — the timed region then isolates the steady-state
-/// synchronization cost the sync-mode sweep is after.
-///
-/// Each arm dispatches through `broadcast_policy_sync` with
-/// `AlgorithmPolicy::Auto`, so the comparison is between the *best known
-/// configuration* under each sync mode: the barrier arm reproduces the
-/// pre-signal-plane library exactly, while the pipelined arm is free to
-/// take the chain shape that segmented signaling unlocks for large
-/// payloads.
-pub fn sweep_broadcast_sync(sync: xbrtime::SyncMode, n_pes: usize, nelems: usize) -> u64 {
-    sweep_broadcast_sync_on(EngineConfig::threads(), sync, n_pes, nelems)
-}
-
-/// [`sweep_broadcast_sync`] on an explicit execution engine.
-pub fn sweep_broadcast_sync_on(
-    engine: EngineConfig,
-    sync: xbrtime::SyncMode,
-    n_pes: usize,
-    nelems: usize,
-) -> u64 {
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
-        .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let dest = pe.shared_malloc::<u64>(nelems.max(1));
-        let src = vec![7u64; nelems];
-        let policy = xbrtime::AlgorithmPolicy::Auto;
-        collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
-        pe.barrier();
-        let t0 = pe.cycles();
-        collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
-        pe.barrier();
-        pe.cycles() - t0
-    });
-    report.results.iter().copied().max().unwrap_or(0)
-}
-
-/// Measure one sum-reduction call's simulated makespan under an explicit
-/// executor [`xbrtime::SyncMode`], with the same warm-up discipline as
-/// [`sweep_broadcast_sync`].
-pub fn sweep_reduce_sync(sync: xbrtime::SyncMode, n_pes: usize, nelems: usize) -> u64 {
-    sweep_reduce_sync_on(EngineConfig::threads(), sync, n_pes, nelems)
-}
-
-/// [`sweep_reduce_sync`] on an explicit execution engine.
-pub fn sweep_reduce_sync_on(
-    engine: EngineConfig,
-    sync: xbrtime::SyncMode,
-    n_pes: usize,
-    nelems: usize,
-) -> u64 {
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 * 4 + (1 << 16)).max(1 << 20))
-        .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let src = pe.shared_malloc::<u64>(nelems.max(1));
-        let data: Vec<u64> = (0..nelems as u64).collect();
-        pe.heap_write(src.whole(), &data);
-        pe.barrier();
-        let mut dest = vec![0u64; nelems.max(1)];
-        let sum = <u64 as xbrtime::XbrNumeric>::red_sum;
-        collectives::reduce_with_sync(pe, &mut dest, &src, nelems, 1, 0, sum, sync);
-        pe.barrier();
-        let t0 = pe.cycles();
-        collectives::reduce_with_sync(pe, &mut dest, &src, nelems, 1, 0, sum, sync);
         pe.barrier();
         pe.cycles() - t0
     });
@@ -420,11 +234,11 @@ pub fn sweep_reduce_sync_on(
 }
 
 /// Sync-mode ablation row: one broadcast episode's executor telemetry
-/// under a given [`xbrtime::SyncMode`].
+/// under a given [`SyncMode`].
 #[derive(Clone, Copy, Debug)]
 pub struct SyncAblationRow {
     /// Mode the episode ran under.
-    pub sync: xbrtime::SyncMode,
+    pub sync: SyncMode,
     /// Simulated makespan of the timed call (max over PEs).
     pub makespan: u64,
     /// Completion signals posted across PEs.
@@ -437,20 +251,14 @@ pub struct SyncAblationRow {
     pub overlap_ratio: f64,
 }
 
-/// Run one warmed broadcast per [`xbrtime::SyncMode`] and report the
+/// Run one warmed binomial broadcast per [`SyncMode`] and report the
 /// executor's point-to-point telemetry next to the makespan, for the
 /// `ablation` binary's sync-mode section.
-pub fn ablation_sync_modes(n_pes: usize, nelems: usize) -> Vec<SyncAblationRow> {
-    ablation_sync_modes_on(EngineConfig::threads(), n_pes, nelems)
-}
-
-/// [`ablation_sync_modes`] on an explicit execution engine.
-pub fn ablation_sync_modes_on(
+pub fn ablation_sync_modes(
     engine: EngineConfig,
     n_pes: usize,
     nelems: usize,
 ) -> Vec<SyncAblationRow> {
-    use xbrtime::SyncMode;
     [
         SyncMode::Barrier,
         SyncMode::Signaled,
@@ -465,10 +273,11 @@ pub fn ablation_sync_modes_on(
         let report = Fabric::run(fc, move |pe| {
             let dest = pe.shared_malloc::<u64>(nelems.max(1));
             let src = vec![7u64; nelems];
-            collectives::broadcast_sync(pe, &dest, &src, nelems, 1, 0, sync);
+            let tree = AlgorithmPolicy::Binomial;
+            collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, tree, sync);
             pe.barrier();
             let t0 = pe.cycles();
-            collectives::broadcast_sync(pe, &dest, &src, nelems, 1, 0, sync);
+            collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, tree, sync);
             pe.barrier();
             pe.cycles() - t0
         });
@@ -488,20 +297,19 @@ pub fn ablation_sync_modes_on(
     .collect()
 }
 
-/// Measure one sum-reduction call's simulated makespan.
-pub fn sweep_reduce(algo: Algo, n_pes: usize, nelems: usize) -> SweepPoint {
-    sweep_reduce_on(EngineConfig::threads(), algo, n_pes, nelems)
-}
-
-/// [`sweep_reduce`] on an explicit execution engine.
-pub fn sweep_reduce_on(
+/// Measure one sum-reduction call's simulated makespan under an explicit
+/// algorithm policy and executor sync mode; `warm` as in
+/// [`sweep_broadcast`].
+pub fn sweep_reduce(
     engine: EngineConfig,
-    algo: Algo,
+    policy: AlgorithmPolicy,
+    sync: SyncMode,
+    warm: bool,
     n_pes: usize,
     nelems: usize,
-) -> SweepPoint {
+) -> u64 {
     let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
+        .with_shared_bytes((nelems * 8 * 4 + (1 << 16)).max(1 << 20))
         .with_engine(engine);
     let report = Fabric::run(fc, move |pe| {
         let src = pe.shared_malloc::<u64>(nelems.max(1));
@@ -509,43 +317,27 @@ pub fn sweep_reduce_on(
         pe.heap_write(src.whole(), &data);
         pe.barrier();
         let mut dest = vec![0u64; nelems.max(1)];
-        let t0 = pe.cycles();
-        match algo {
-            Algo::Binomial => collectives::reduce(pe, &mut dest, &src, nelems, 1, 0, ReduceOp::Sum),
-            Algo::Linear | Algo::Ring => collectives::reduce_linear(
-                pe,
-                &mut dest,
-                &src,
-                nelems,
-                1,
-                0,
-                <u64 as xbrtime::XbrNumeric>::red_sum,
-            ),
+        let op = ReduceOp::Sum;
+        if warm {
+            collectives::reduce_policy_sync(pe, &mut dest, &src, nelems, 1, 0, op, policy, sync);
+            pe.barrier();
         }
+        let t0 = pe.cycles();
+        collectives::reduce_policy_sync(pe, &mut dest, &src, nelems, 1, 0, op, policy, sync);
         pe.barrier();
         pe.cycles() - t0
     });
-    SweepPoint {
-        algo,
-        n_pes,
-        nelems,
-        cycles: report.results.iter().copied().max().unwrap_or(0),
-    }
+    report.results.iter().copied().max().unwrap_or(0)
 }
 
-/// Measure one scatter (tree or linear) call's simulated makespan with
-/// uniform per-PE counts.
-pub fn sweep_scatter(algo: Algo, n_pes: usize, per_pe: usize) -> SweepPoint {
-    sweep_scatter_on(EngineConfig::threads(), algo, n_pes, per_pe)
-}
-
-/// [`sweep_scatter`] on an explicit execution engine.
-pub fn sweep_scatter_on(
+/// Measure one scatter call's simulated makespan under `policy` with
+/// uniform per-PE counts (per-stage barriers).
+pub fn sweep_scatter(
     engine: EngineConfig,
-    algo: Algo,
+    policy: AlgorithmPolicy,
     n_pes: usize,
     per_pe: usize,
-) -> SweepPoint {
+) -> u64 {
     let nelems = per_pe * n_pes;
     let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
@@ -558,39 +350,34 @@ pub fn sweep_scatter_on(
         } else {
             vec![]
         };
-        let landing = pe.shared_malloc::<u64>(per_pe.max(1));
         let mut dest = vec![0u64; per_pe.max(1)];
         pe.barrier();
         let t0 = pe.cycles();
-        match algo {
-            Algo::Binomial => collectives::scatter(pe, &mut dest, &src, &msgs, &disp, nelems, 0),
-            Algo::Linear | Algo::Ring => {
-                collectives::scatter_linear(pe, &landing, &src, &msgs, &disp, nelems, 0)
-            }
-        }
+        collectives::scatter_policy_sync(
+            pe,
+            &mut dest,
+            &src,
+            &msgs,
+            &disp,
+            nelems,
+            0,
+            policy,
+            SyncMode::Barrier,
+        );
         pe.barrier();
         pe.cycles() - t0
     });
-    SweepPoint {
-        algo,
-        n_pes,
-        nelems,
-        cycles: report.results.iter().copied().max().unwrap_or(0),
-    }
+    report.results.iter().copied().max().unwrap_or(0)
 }
 
-/// Measure one gather (tree or linear) call's simulated makespan.
-pub fn sweep_gather(algo: Algo, n_pes: usize, per_pe: usize) -> SweepPoint {
-    sweep_gather_on(EngineConfig::threads(), algo, n_pes, per_pe)
-}
-
-/// [`sweep_gather`] on an explicit execution engine.
-pub fn sweep_gather_on(
+/// Measure one gather call's simulated makespan under `policy`
+/// (per-stage barriers).
+pub fn sweep_gather(
     engine: EngineConfig,
-    algo: Algo,
+    policy: AlgorithmPolicy,
     n_pes: usize,
     per_pe: usize,
-) -> SweepPoint {
+) -> u64 {
     let nelems = per_pe * n_pes;
     let fc = FabricConfig::paper(n_pes)
         .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
@@ -599,49 +386,34 @@ pub fn sweep_gather_on(
         let msgs = vec![per_pe; n_pes];
         let disp: Vec<usize> = (0..n_pes).map(|r| r * per_pe).collect();
         let mine: Vec<u64> = vec![pe.rank() as u64; per_pe.max(1)];
-        let staged = pe.shared_malloc::<u64>(per_pe.max(1));
-        pe.heap_write(staged.whole(), &mine);
         let mut dest = vec![0u64; nelems.max(1)];
         pe.barrier();
         let t0 = pe.cycles();
-        match algo {
-            Algo::Binomial => {
-                collectives::gather(pe, &mut dest, &mine[..per_pe], &msgs, &disp, nelems, 0)
-            }
-            Algo::Linear | Algo::Ring => {
-                collectives::gather_linear(pe, &mut dest, &staged, &msgs, &disp, nelems, 0)
-            }
-        }
+        collectives::gather_policy_sync(
+            pe,
+            &mut dest,
+            &mine[..per_pe],
+            &msgs,
+            &disp,
+            nelems,
+            0,
+            policy,
+            SyncMode::Barrier,
+        );
         pe.barrier();
         pe.cycles() - t0
     });
-    SweepPoint {
-        algo,
-        n_pes,
-        nelems,
-        cycles: report.results.iter().copied().max().unwrap_or(0),
-    }
+    report.results.iter().copied().max().unwrap_or(0)
 }
 
-/// Run a workload exercising every collective once and return the
-/// per-collective telemetry rows ([`xbrtime::CollectiveRecord`]) from the
-/// run's [`xbrtime::RunReport`] — the executor-level accounting the
-/// schedule/executor split provides for free.
-pub fn collective_telemetry(n_pes: usize, nelems: usize) -> Vec<xbrtime::CollectiveRecord> {
-    collective_run(n_pes, nelems, false).collectives
-}
-
-/// Run the every-collective workload behind [`collective_telemetry`] and
-/// return the full [`RunReport`]. With `traced` the fabric's event-tracing
-/// plane is on ([`FabricConfig::with_trace`]) and `report.trace` holds the
-/// merged per-PE event log — this is the run `ablation` prints a timeline
-/// for and `xbench_sweep --trace` exports as Perfetto JSON.
-pub fn collective_run(n_pes: usize, nelems: usize, traced: bool) -> RunReport<()> {
-    collective_run_on(EngineConfig::threads(), n_pes, nelems, traced)
-}
-
-/// [`collective_run`] on an explicit execution engine.
-pub fn collective_run_on(
+/// Run a workload exercising every collective once and return the full
+/// [`RunReport`], whose `collectives` rows ([`xbrtime::CollectiveRecord`])
+/// are the executor-level accounting the schedule/executor split provides
+/// for free. With `traced` the fabric's event-tracing plane is on
+/// ([`FabricConfig::with_trace`]) and `report.trace` holds the merged
+/// per-PE event log — this is the run `ablation` prints a timeline for and
+/// `xbench_sweep --trace` exports as Perfetto JSON.
+pub fn collective_run(
     engine: EngineConfig,
     n_pes: usize,
     nelems: usize,
@@ -658,8 +430,8 @@ pub fn collective_run_on(
     Fabric::run(fc, move |pe| collective_workload(pe, n_pes, per_pe))
 }
 
-/// One call to every collective in the library (the shared body of
-/// [`collective_telemetry`] / [`collective_run`]).
+/// One call to every collective in the library (the body of
+/// [`collective_run`]).
 fn collective_workload(pe: &Pe, n_pes: usize, per_pe: usize) {
     let total = per_pe * n_pes;
     {
@@ -692,17 +464,18 @@ fn collective_workload(pe: &Pe, n_pes: usize, per_pe: usize) {
         let mut all = vec![0u64; total];
         collectives::all_gather(pe, &mut all, &mine, per_pe);
         pe.barrier();
-        collectives::all_to_all(pe, &mut all, &back, per_pe);
+        collectives::all_to_all_sync(pe, &mut all, &back, per_pe, SyncMode::Barrier);
         pe.barrier();
 
         let mut everywhere = vec![0u64; per_pe];
-        collectives::reduce_all(
+        collectives::reduce_all_sync(
             pe,
             &mut everywhere,
             &red_src,
             per_pe,
             ReduceOp::Sum,
             AllReduceAlgo::ReduceThenBroadcast,
+            SyncMode::Barrier,
         );
         pe.barrier();
     }
@@ -713,12 +486,7 @@ fn collective_workload(pe: &Pe, n_pes: usize, per_pe: usize) {
 /// log that `fig4_gups --trace` exports as Perfetto JSON, and
 /// `report.collectives` the telemetry the trace's per-collective critical
 /// paths are checked against.
-pub fn run_fig4_traced(n_pes: usize, scale_shift: u32) -> RunReport<GupsResult> {
-    run_fig4_traced_on(EngineConfig::threads(), n_pes, scale_shift)
-}
-
-/// [`run_fig4_traced`] on an explicit execution engine.
-pub fn run_fig4_traced_on(
+pub fn run_fig4_traced(
     engine: EngineConfig,
     n_pes: usize,
     scale_shift: u32,
@@ -737,15 +505,6 @@ pub fn run_fig4_traced_on(
 
 /// [`run_fig4_traced`] for the Figure-5 IS harness.
 pub fn run_fig5_traced(
-    n_pes: usize,
-    scale_shift: u32,
-    class: Option<xbgas_apps::IsClass>,
-) -> RunReport<IsResult> {
-    run_fig5_traced_on(EngineConfig::threads(), n_pes, scale_shift, class)
-}
-
-/// [`run_fig5_traced`] on an explicit execution engine.
-pub fn run_fig5_traced_on(
     engine: EngineConfig,
     n_pes: usize,
     scale_shift: u32,
@@ -765,17 +524,12 @@ pub fn run_fig5_traced_on(
     Fabric::run(fc, move |pe| run_is(pe, &cfg))
 }
 
-/// One traced broadcast episode under an explicit [`xbrtime::SyncMode`] —
+/// One traced broadcast episode under an explicit [`SyncMode`] —
 /// the representative run `xbench_sweep --trace` exports. The warm-up call
 /// shares the trace, so the exported timeline shows both episodes.
-pub fn traced_broadcast(sync: xbrtime::SyncMode, n_pes: usize, nelems: usize) -> RunReport<()> {
-    traced_broadcast_on(EngineConfig::threads(), sync, n_pes, nelems)
-}
-
-/// [`traced_broadcast`] on an explicit execution engine.
-pub fn traced_broadcast_on(
+pub fn traced_broadcast(
     engine: EngineConfig,
-    sync: xbrtime::SyncMode,
+    sync: SyncMode,
     n_pes: usize,
     nelems: usize,
 ) -> RunReport<()> {
@@ -786,7 +540,7 @@ pub fn traced_broadcast_on(
     Fabric::run(fc, move |pe| {
         let dest = pe.shared_malloc::<u64>(nelems.max(1));
         let src = vec![7u64; nelems];
-        let policy = xbrtime::AlgorithmPolicy::Auto;
+        let policy = AlgorithmPolicy::Auto;
         collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
         pe.barrier();
         collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
@@ -873,7 +627,7 @@ impl ToJson for IssueRateCell {
 const ISSUE_DEPTH: usize = 8;
 
 /// Measure one issue-rate cell: `iters` nonblocking broadcasts issued in
-/// bursts of [`ISSUE_DEPTH`] on disjoint destination buffers. The clock
+/// bursts of `ISSUE_DEPTH` on disjoint destination buffers. The clock
 /// runs only across the `ixbroadcast` calls — the signaled-discipline
 /// issue path never blocks, so the measurement is pure host issue cost:
 /// warm pays one sharded hash lookup per call; cold additionally
@@ -966,12 +720,7 @@ pub fn issue_rate(
 }
 
 /// Ablation: simulated cycles for a bulk put at a given unroll threshold.
-pub fn ablation_unroll(threshold: usize, nelems: usize) -> u64 {
-    ablation_unroll_on(EngineConfig::threads(), threshold, nelems)
-}
-
-/// [`ablation_unroll`] on an explicit execution engine.
-pub fn ablation_unroll_on(engine: EngineConfig, threshold: usize, nelems: usize) -> u64 {
+pub fn ablation_unroll(engine: EngineConfig, threshold: usize, nelems: usize) -> u64 {
     let mut fc = FabricConfig::paper(2)
         .with_shared_bytes((nelems * 8).max(1 << 20))
         .with_engine(engine);
@@ -991,12 +740,7 @@ pub fn ablation_unroll_on(engine: EngineConfig, threshold: usize, nelems: usize)
 
 /// Ablation: hierarchical vs flat broadcast on a multi-node topology.
 /// Returns (hierarchical_cycles, flat_cycles).
-pub fn ablation_topology(n_pes: usize, pes_per_node: usize, nelems: usize) -> (u64, u64) {
-    ablation_topology_on(EngineConfig::threads(), n_pes, pes_per_node, nelems)
-}
-
-/// [`ablation_topology`] on an explicit execution engine.
-pub fn ablation_topology_on(
+pub fn ablation_topology(
     engine: EngineConfig,
     n_pes: usize,
     pes_per_node: usize,
@@ -1017,7 +761,7 @@ pub fn ablation_topology_on(
             pe.barrier();
             let t0 = pe.cycles();
             if hier {
-                collectives::broadcast_hier(pe, &dest, &src, nelems, 0);
+                collectives::broadcast_hier(pe, &dest, &src, nelems, 0, SyncMode::Barrier);
             } else {
                 collectives::broadcast(pe, &dest, &src, nelems, 1, 0);
             }
@@ -1032,20 +776,15 @@ pub fn ablation_topology_on(
 /// Ablation: GUPs remote-update strategy — the OSB get/xor/put pattern
 /// vs a single-crossing remote atomic xor. Returns
 /// (getput_makespan, amo_makespan, getput_errors, amo_errors).
-pub fn ablation_gups_amo(n_pes: usize) -> (u64, u64, usize, usize) {
-    ablation_gups_amo_on(EngineConfig::threads(), n_pes)
-}
-
-/// [`ablation_gups_amo`] on an explicit execution engine.
-pub fn ablation_gups_amo_on(engine: EngineConfig, n_pes: usize) -> (u64, u64, usize, usize) {
+pub fn ablation_gups_amo(engine: EngineConfig, n_pes: usize) -> (u64, u64, usize, usize) {
     let run = |use_amo: bool| {
         let cfg = xbgas_apps::GupsConfig {
             log2_table_size: 16,
             updates_per_pe: (1 << 16) / n_pes,
             verify: true,
             use_amo,
-            policy: xbrtime::AlgorithmPolicy::Binomial,
-            sync: xbrtime::SyncMode::Barrier,
+            policy: AlgorithmPolicy::Binomial,
+            sync: SyncMode::Barrier,
         };
         let fc = FabricConfig::paper(n_pes)
             .with_shared_bytes(cfg.table_bytes() + (1 << 20))
@@ -1060,14 +799,10 @@ pub fn ablation_gups_amo_on(engine: EngineConfig, n_pes: usize) -> (u64, u64, us
     (gp, amo, gp_err, amo_err)
 }
 
-/// Ablation: simulated makespan of all-reduce under both strategies.
-pub fn ablation_allreduce(algo: AllReduceAlgo, n_pes: usize, nelems: usize) -> u64 {
-    ablation_allreduce_on(EngineConfig::threads(), algo, n_pes, nelems)
-}
-
-/// [`ablation_allreduce`] on an explicit execution engine — doubling as
-/// the all-reduce probe of the large-`n` sweep cells.
-pub fn ablation_allreduce_on(
+/// Ablation: simulated makespan of one cold all-reduce under `algo`
+/// (per-stage barriers) — doubling as the all-reduce probe of the
+/// large-`n` sweep cells.
+pub fn ablation_allreduce(
     engine: EngineConfig,
     algo: AllReduceAlgo,
     n_pes: usize,
@@ -1082,7 +817,8 @@ pub fn ablation_allreduce_on(
         pe.barrier();
         let mut dest = vec![0u64; nelems.max(1)];
         let t0 = pe.cycles();
-        collectives::reduce_all(pe, &mut dest, &src, nelems, ReduceOp::Sum, algo);
+        let sync = SyncMode::Barrier;
+        collectives::reduce_all_sync(pe, &mut dest, &src, nelems, ReduceOp::Sum, algo, sync);
         pe.barrier();
         pe.cycles() - t0
     });
@@ -1094,10 +830,10 @@ pub fn ablation_allreduce_on(
 /// algorithm-selection crossover cells in `xbench_sweep`. The untimed
 /// first call pays plan compilation and the one-time signal-table growth
 /// identically in every arm.
-pub fn sweep_allreduce_on(
+pub fn sweep_allreduce(
     engine: EngineConfig,
     algo: AllReduceAlgo,
-    sync: xbrtime::SyncMode,
+    sync: SyncMode,
     n_pes: usize,
     nelems: usize,
 ) -> u64 {
@@ -1122,10 +858,10 @@ pub fn sweep_allreduce_on(
 /// Measure one warmed all-gather call's simulated makespan under an
 /// explicit algorithm — the probe behind the fan-vs-dissemination
 /// crossover cells in `xbench_sweep`.
-pub fn sweep_all_gather_on(
+pub fn sweep_all_gather(
     engine: EngineConfig,
     algo: AllGatherAlgo,
-    sync: xbrtime::SyncMode,
+    sync: SyncMode,
     n_pes: usize,
     per_pe: usize,
 ) -> u64 {
@@ -1155,7 +891,7 @@ mod tests {
     /// baseline at 2 and 4 PEs and falls below the 4-PE level at 8.
     #[test]
     fn fig4_shape_holds() {
-        let rows = run_fig4(&[1, 2, 4, 8], 2);
+        let rows = run_fig4(EngineConfig::threads(), &[1, 2, 4, 8], 2);
         let per_pe: Vec<f64> = rows.iter().map(|r| r.per_pe_mops).collect();
         assert!(
             per_pe[1] > per_pe[0] * 1.02,
@@ -1178,7 +914,7 @@ mod tests {
     /// 1–4 PEs, with a pronounced (paper: ~25%) drop at 8.
     #[test]
     fn fig5_shape_holds() {
-        let rows = run_fig5(&[1, 2, 4, 8], 1);
+        let rows = run_fig5(EngineConfig::threads(), &[1, 2, 4, 8], 1, None);
         let per_pe: Vec<f64> = rows.iter().map(|r| r.per_pe_mops).collect();
         assert!(
             per_pe[1] > per_pe[0] * 0.85,
@@ -1199,21 +935,15 @@ mod tests {
     /// §4.7: for 8 PEs the binomial tree beats the linear baseline.
     #[test]
     fn tree_beats_linear_at_scale() {
-        let tree = sweep_broadcast(Algo::Binomial, 8, 4096);
-        let linear = sweep_broadcast(Algo::Linear, 8, 4096);
-        let ring = sweep_broadcast(Algo::Ring, 8, 4096);
-        assert!(
-            tree.cycles < linear.cycles,
-            "tree {} vs linear {}",
-            tree.cycles,
-            linear.cycles
-        );
-        assert!(
-            tree.cycles < ring.cycles,
-            "tree {} vs ring {}",
-            tree.cycles,
-            ring.cycles
-        );
+        let run = |policy| {
+            let (engine, sync) = (EngineConfig::threads(), SyncMode::Barrier);
+            sweep_broadcast(engine, policy, sync, false, 8, 4096)
+        };
+        let tree = run(AlgorithmPolicy::Binomial);
+        let linear = run(AlgorithmPolicy::Linear);
+        let ring = run(AlgorithmPolicy::Ring);
+        assert!(tree < linear, "tree {tree} vs linear {linear}");
+        assert!(tree < ring, "tree {tree} vs ring {ring}");
     }
 
     /// Tentpole acceptance: at 8 PEs and a large payload the signaled and
@@ -1223,15 +953,15 @@ mod tests {
     /// tolerance rather than demanding strict inequality.
     #[test]
     fn pipelined_beats_barrier_at_scale() {
-        use xbrtime::SyncMode;
         let n_pes = 8;
         let nelems = 65_536; // 512 KiB payload — deep pipelining territory.
                              // The queue model samples other threads' cumulative occupancy at
                              // racy instants, which in debug builds adds up to ~10% jitter on
                              // a single run; the min of three is stable enough to compare.
         let best = |sync| {
+            let (engine, auto) = (EngineConfig::threads(), AlgorithmPolicy::Auto);
             (0..3)
-                .map(|_| sweep_broadcast_sync(sync, n_pes, nelems))
+                .map(|_| sweep_broadcast(engine, auto, sync, true, n_pes, nelems))
                 .min()
                 .unwrap()
         };
@@ -1262,8 +992,8 @@ mod tests {
     /// Paper §3.3: the unrolled fast path must make large puts cheaper.
     #[test]
     fn unroll_ablation_direction() {
-        let rolled = ablation_unroll(usize::MAX, 4096);
-        let unrolled = ablation_unroll(8, 4096);
+        let rolled = ablation_unroll(EngineConfig::threads(), usize::MAX, 4096);
+        let unrolled = ablation_unroll(EngineConfig::threads(), 8, 4096);
         assert!(
             unrolled < rolled,
             "unrolled {unrolled} should undercut rolled {rolled}"
@@ -1272,21 +1002,22 @@ mod tests {
 
     #[test]
     fn amo_gups_is_faster_and_exact() {
-        let (getput, amo, _gp_err, amo_err) = ablation_gups_amo(4);
+        let (getput, amo, _gp_err, amo_err) = ablation_gups_amo(EngineConfig::threads(), 4);
         assert_eq!(amo_err, 0, "AMO updates cannot race");
         assert!(amo < getput, "one crossing {amo} should beat two {getput}");
     }
 
     #[test]
     fn topology_ablation_hierarchy_wins_on_ragged_nodes() {
-        let (hier, flat) = ablation_topology(12, 3, 8192);
+        let (hier, flat) = ablation_topology(EngineConfig::threads(), 12, 3, 8192);
         assert!(hier < flat, "hier {hier} vs flat {flat}");
     }
 
     #[test]
     fn allreduce_strategies_both_complete() {
-        let a = ablation_allreduce(AllReduceAlgo::ReduceThenBroadcast, 8, 1024);
-        let b = ablation_allreduce(AllReduceAlgo::RecursiveDoubling, 8, 1024);
+        let engine = EngineConfig::threads();
+        let a = ablation_allreduce(engine, AllReduceAlgo::ReduceThenBroadcast, 8, 1024);
+        let b = ablation_allreduce(engine, AllReduceAlgo::RecursiveDoubling, 8, 1024);
         assert!(a > 0 && b > 0);
     }
 

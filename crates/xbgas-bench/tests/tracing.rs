@@ -2,7 +2,7 @@
 //! harness entry points the binaries use.
 
 use xbgas_bench::{collective_run, run_fig4_traced, traced_broadcast};
-use xbrtime::{CollectiveKind, SyncMode, TraceKind};
+use xbrtime::{CollectiveKind, EngineConfig, SyncMode, TraceKind};
 
 /// Percent tolerance for cycle-accounting comparisons.
 fn within(a: u64, b: u64, pct: f64) -> bool {
@@ -22,7 +22,7 @@ fn within(a: u64, b: u64, pct: f64) -> bool {
 ///   dropping an edge (or double-counting a wait) would open a gap.
 #[test]
 fn fig4_traced_critical_path_matches_report() {
-    let report = run_fig4_traced(8, 2);
+    let report = run_fig4_traced(EngineConfig::threads(), 8, 2);
     let trace = report.trace.as_ref().expect("traced run");
     assert!(!trace.is_empty());
 
@@ -68,7 +68,7 @@ fn fig4_traced_critical_path_matches_report() {
 /// and a well-formed Perfetto document.
 #[test]
 fn traced_broadcast_exports_flows() {
-    let report = traced_broadcast(SyncMode::Pipelined, 4, 4096);
+    let report = traced_broadcast(EngineConfig::threads(), SyncMode::Pipelined, 4, 4096);
     let trace = report.trace.as_ref().expect("traced run");
     let posts = trace
         .events
@@ -89,8 +89,8 @@ fn traced_broadcast_exports_flows() {
 /// kind, and identical runs produce structurally identical telemetry.
 #[test]
 fn collective_telemetry_is_deterministic() {
-    let a = collective_run(4, 256, false).collectives;
-    let b = collective_run(4, 256, false).collectives;
+    let a = collective_run(EngineConfig::threads(), 4, 256, false).collectives;
+    let b = collective_run(EngineConfig::threads(), 4, 256, false).collectives;
 
     let kind_index = |k: CollectiveKind| {
         CollectiveKind::ALL
@@ -124,8 +124,8 @@ fn collective_telemetry_is_deterministic() {
 /// equality is the deterministic comparison).
 #[test]
 fn tracing_does_not_change_telemetry_structure() {
-    let plain = collective_run(4, 256, false).collectives;
-    let traced = collective_run(4, 256, true).collectives;
+    let plain = collective_run(EngineConfig::threads(), 4, 256, false).collectives;
+    let traced = collective_run(EngineConfig::threads(), 4, 256, true).collectives;
     assert_eq!(plain.len(), traced.len());
     for (p, t) in plain.iter().zip(&traced) {
         assert_eq!(p.kind, t.kind);

@@ -6,15 +6,27 @@
 //! of PEs holding the data while halving the distance between partners.
 //! A barrier closes every stage (paper: *"While not shown in Algorithm 1, a
 //! barrier operation takes place at the end of each loop iteration"*).
+//!
+//! The paper's §4.7 compares the tree against OpenSHMEM's collectives;
+//! since those do not exist here, the comparators are the two shapes a
+//! flat runtime would use — **linear** (the root puts to every peer in one
+//! stage) and **ring** (the payload hops neighbour to neighbour for
+//! `N − 1` stages). Both are the same body under a different schedule
+//! generator, selected through [`broadcast_policy_sync`].
 
 use crate::collectives::plan::{self, PlanKey};
-use crate::collectives::policy::{Algorithm, SyncMode};
-use crate::collectives::schedule::broadcast_binomial;
+use crate::collectives::policy::{
+    auto_select_broadcast_sync, Algorithm, AlgorithmPolicy, SyncMode,
+};
+use crate::collectives::schedule::{
+    broadcast_binomial, broadcast_linear_sched, broadcast_ring_sched,
+};
 use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
 
 /// Broadcast `nelems` elements (at element `stride`, applied to both `src`
-/// and `dest`) from `root`'s `src` into every PE's symmetric `dest`.
+/// and `dest`) from `root`'s `src` into every PE's symmetric `dest` — the
+/// paper's signature: binomial tree, a barrier after every stage.
 ///
 /// `src` is read only on the root and need not be symmetric (paper §4.3:
 /// *"src is a pointer to the (not-necessarily shared) address for these
@@ -43,7 +55,7 @@ pub fn broadcast<T: XbrType>(
     stride: usize,
     root: usize,
 ) {
-    broadcast_kind(
+    broadcast_core(
         pe,
         dest,
         src,
@@ -51,20 +63,40 @@ pub fn broadcast<T: XbrType>(
         stride,
         root,
         CollectiveKind::Broadcast,
+        Algorithm::Binomial,
+        SyncMode::Barrier,
     );
 }
 
-/// [`broadcast`] with an explicit executor [`SyncMode`].
-pub fn broadcast_sync<T: XbrType>(
+/// [`broadcast`] under an explicit [`AlgorithmPolicy`] and executor
+/// [`SyncMode`]. `Auto` selects the algorithm *jointly* with the resolved
+/// sync mode: a pipelined executor makes the chain (ring) shape the
+/// bandwidth winner for large payloads (see
+/// [`auto_select_broadcast_sync`]).
+#[allow(clippy::too_many_arguments)]
+pub fn broadcast_policy_sync<T: XbrType>(
     pe: &Pe,
     dest: &SymmAlloc<T>,
     src: &[T],
     nelems: usize,
     stride: usize,
     root: usize,
+    policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
-    broadcast_kind_sync(
+    let nbytes = nelems * std::mem::size_of::<T>();
+    // For broadcast every schedule op carries the full payload, so
+    // resolving from `nbytes` here matches the executor's own
+    // max-op-bytes resolution exactly.
+    let resolved = sync.resolve(pe.n_pes(), nbytes);
+    let algo = match policy {
+        AlgorithmPolicy::Auto => auto_select_broadcast_sync(pe.n_pes(), nbytes, resolved),
+        _ => policy.select(CollectiveKind::Broadcast, pe.n_pes(), nbytes),
+    };
+    // The *original* mode goes to the executor: it re-resolves `Auto`
+    // with the schedule in hand (falling back to plain barriers for
+    // single-stage shapes), which `resolved` above cannot know about.
+    broadcast_core(
         pe,
         dest,
         src,
@@ -72,26 +104,17 @@ pub fn broadcast_sync<T: XbrType>(
         stride,
         root,
         CollectiveKind::Broadcast,
+        algo,
         sync,
     );
 }
 
-/// Broadcast, reporting telemetry under an explicit kind — so composites
-/// like reduce-to-all attribute their internal broadcast to themselves.
-pub(crate) fn broadcast_kind<T: XbrType>(
-    pe: &Pe,
-    dest: &SymmAlloc<T>,
-    src: &[T],
-    nelems: usize,
-    stride: usize,
-    root: usize,
-    kind: CollectiveKind,
-) {
-    broadcast_kind_sync(pe, dest, src, nelems, stride, root, kind, SyncMode::Barrier);
-}
-
+/// The one broadcast body: stage the root, key the plan, run `algo`'s
+/// schedule. `kind` is the telemetry kind the episode reports under — so
+/// composites like reduce-to-all attribute their internal broadcast to
+/// themselves.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn broadcast_kind_sync<T: XbrType>(
+pub(crate) fn broadcast_core<T: XbrType>(
     pe: &Pe,
     dest: &SymmAlloc<T>,
     src: &[T],
@@ -99,30 +122,40 @@ pub(crate) fn broadcast_kind_sync<T: XbrType>(
     stride: usize,
     root: usize,
     kind: CollectiveKind,
+    algo: Algorithm,
     sync: SyncMode,
 ) {
     // The root stages the payload into its symmetric dest so that interior
-    // tree stages can forward heap-to-heap with a single put each.
+    // stages can forward heap-to-heap with a single put each.
     if pe.rank() == root {
         pe.heap_write_strided(dest.whole(), src, nelems, stride);
     }
     let n_pes = pe.n_pes();
+    let tag = match algo {
+        Algorithm::Binomial => plan::tag::BROADCAST_BINOMIAL,
+        Algorithm::Linear => plan::tag::BROADCAST_LINEAR,
+        Algorithm::Ring => plan::tag::BROADCAST_RING,
+    };
     let key = PlanKey::rooted(
         kind,
-        Algorithm::Binomial,
+        algo,
         sync,
         n_pes,
         root,
         nelems,
         stride,
         std::mem::size_of::<T>(),
-        plan::tag::BROADCAST_BINOMIAL,
+        tag,
     );
     plan::run_schedule(
         pe,
         key,
         || {
-            let mut sched = broadcast_binomial(n_pes, root, nelems, stride);
+            let mut sched = match algo {
+                Algorithm::Binomial => broadcast_binomial(n_pes, root, nelems, stride),
+                Algorithm::Linear => broadcast_linear_sched(n_pes, root, nelems, stride),
+                Algorithm::Ring => broadcast_ring_sched(n_pes, root, nelems, stride),
+            };
             sched.kind = kind;
             sched
         },
@@ -224,5 +257,27 @@ mod tests {
         assert_eq!(rec.puts, 7);
         assert_eq!(rec.bytes_put, 7 * 4 * 8);
         assert_eq!(rec.stages, 3);
+    }
+
+    #[test]
+    fn linear_uses_more_sequential_root_traffic_than_tree() {
+        // Timing sanity: with the paper cost model and a serialised root,
+        // linear broadcast's makespan should exceed the tree's for 8 PEs.
+        let msg = 4096usize;
+        let run = |policy| {
+            let report = Fabric::run(FabricConfig::paper(8), move |pe| {
+                let d = pe.shared_malloc::<u64>(msg);
+                let src = vec![7u64; msg];
+                broadcast_policy_sync(pe, &d, &src, msg, 1, 0, policy, SyncMode::Barrier);
+                pe.cycles()
+            });
+            report.makespan_cycles()
+        };
+        let tree_cycles = run(AlgorithmPolicy::Binomial);
+        let linear_cycles = run(AlgorithmPolicy::Linear);
+        assert!(
+            linear_cycles > tree_cycles,
+            "linear {linear_cycles} should exceed tree {tree_cycles} at 8 PEs"
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! "integration of collective functionality between a subset of PEs".
 //! This module implements them:
 //!
-//! * [`reduce_all`] — reduction whose result lands on every PE. Four
+//! * [`reduce_all_sync`] — reduction whose result lands on every PE. Four
 //!   strategies ([`AllReduceAlgo`]): the paper's own composition ("must
 //!   instead be accomplished through the use of a broadcast operation
 //!   following the original call"), a direct recursive-doubling exchange,
@@ -17,14 +17,14 @@
 //! * [`all_gather`] — OpenSHMEM `fcollect` (equal counts, every PE receives
 //!   the concatenation); single-stage fan or log-stage dissemination
 //!   ([`AllGatherAlgo`]);
-//! * [`all_to_all`] — personalized all-to-all via pairwise exchange;
+//! * [`all_to_all_sync`] — personalized all-to-all via pairwise exchange;
 //! * [`Team`] — a subset of PEs with translated ranks; team-scoped
 //!   broadcast/reduce reuse the tree algorithms over team ranks.
 
-use crate::collectives::broadcast::broadcast_kind_sync;
+use crate::collectives::broadcast::broadcast_core;
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{self, Algorithm, SyncMode};
-use crate::collectives::reduce::reduce_with_kind_sync;
+use crate::collectives::reduce::reduce_core;
 use crate::collectives::schedule::{
     balanced_partition, binomial_halving_stages, CommSchedule, OpKind, Stage, TransferOp,
 };
@@ -417,7 +417,7 @@ pub fn all_to_all_sched(n_pes: usize, per_pe: usize) -> CommSchedule {
     }
 }
 
-/// Strategy for [`reduce_all`].
+/// Strategy for [`reduce_all_sync`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum AllReduceAlgo {
     /// Tree reduction to rank 0 followed by a tree broadcast — the
@@ -520,21 +520,9 @@ impl AllGatherAlgo {
     }
 }
 
-/// All-reduce: every PE receives the elementwise combination of all
-/// contributions. `src` must be symmetric; `dest` receives `nelems`
-/// elements (contiguous) on every PE.
-pub fn reduce_all<T: XbrNumeric>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &SymmAlloc<T>,
-    nelems: usize,
-    op: ReduceOp,
-    algo: AllReduceAlgo,
-) {
-    reduce_all_sync(pe, dest, src, nelems, op, algo, SyncMode::Barrier);
-}
-
-/// [`reduce_all`] under an explicit [`SyncMode`].
+/// All-reduce with a named operator: every PE receives the elementwise
+/// combination of all contributions. `src` must be symmetric; `dest`
+/// receives `nelems` elements (contiguous) on every PE.
 pub fn reduce_all_sync<T: XbrNumeric>(
     pe: &Pe,
     dest: &mut [T],
@@ -547,27 +535,15 @@ pub fn reduce_all_sync<T: XbrNumeric>(
     let f = op
         .combiner::<T>()
         .unwrap_or_else(|| panic!("reduction operator {op:?} requires a non-floating-point type"));
-    reduce_all_with_sync(pe, dest, src, nelems, f, algo, sync);
+    reduce_all_with(pe, dest, src, nelems, f, algo, sync);
 }
 
-/// All-reduce with an arbitrary associative, commutative combiner.
+/// All-reduce with an arbitrary associative, commutative combiner. `Auto`
+/// algorithm selection resolves here from `(n_pes, payload bytes)`. The
+/// direct strategies run as one compiled schedule — the non-power-of-two
+/// tail is folded inside the generators, so there is no caller-side
+/// pre/post reduce-through-rank-0 step.
 pub fn reduce_all_with<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &SymmAlloc<T>,
-    nelems: usize,
-    f: impl Fn(T, T) -> T + Copy,
-    algo: AllReduceAlgo,
-) {
-    reduce_all_with_sync(pe, dest, src, nelems, f, algo, SyncMode::Barrier);
-}
-
-/// [`reduce_all_with`] under an explicit [`SyncMode`]. `Auto` algorithm
-/// selection resolves here from `(n_pes, payload bytes)`. The direct
-/// strategies run as one compiled schedule — the non-power-of-two tail is
-/// folded inside the generators, so there is no caller-side pre/post
-/// reduce-through-rank-0 step.
-pub fn reduce_all_with_sync<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &SymmAlloc<T>,
@@ -592,7 +568,9 @@ pub fn reduce_all_with_sync<T: XbrType>(
     }
     let algo = algo.resolve(n_pes, nelems * std::mem::size_of::<T>());
     if algo == AllReduceAlgo::ReduceThenBroadcast {
-        reduce_with_kind_sync(pe, dest, src, nelems, 1, 0, kind, f, sync);
+        // The paper's composition: both halves are the binomial tree.
+        let tree = Algorithm::Binomial;
+        reduce_core(pe, dest, src, nelems, 1, 0, kind, f, tree, sync);
         let bcast = pe.shared_malloc::<T>(nelems);
         // Rank 0 holds the result; broadcast it to everyone.
         let payload: Vec<T> = if pe.rank() == 0 {
@@ -600,7 +578,7 @@ pub fn reduce_all_with_sync<T: XbrType>(
         } else {
             vec![T::default(); nelems]
         };
-        broadcast_kind_sync(pe, &bcast, &payload, nelems, 1, 0, kind, sync);
+        broadcast_core(pe, &bcast, &payload, nelems, 1, 0, kind, tree, sync);
         pe.barrier();
         pe.heap_read_strided(bcast.whole(), &mut dest[..nelems], nelems, 1);
         pe.barrier();
@@ -642,17 +620,6 @@ pub fn reduce_all_with_sync<T: XbrType>(
 /// concatenation (`n_pes * per_pe` elements). Auto algorithm and sync.
 pub fn all_gather<T: XbrType>(pe: &Pe, dest: &mut [T], src: &[T], per_pe: usize) {
     all_gather_algo_sync(pe, dest, src, per_pe, AllGatherAlgo::Auto, SyncMode::Auto);
-}
-
-/// [`all_gather`] under an explicit [`SyncMode`].
-pub fn all_gather_sync<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &[T],
-    per_pe: usize,
-    sync: SyncMode,
-) {
-    all_gather_algo_sync(pe, dest, src, per_pe, AllGatherAlgo::Auto, sync);
 }
 
 /// [`all_gather`] with explicit strategy and sync mode. Zero-length
@@ -715,13 +682,8 @@ pub fn all_gather_algo_sync<T: XbrType>(
 
 /// Personalized all-to-all: PE `s`'s block `src[d*per_pe..]` lands in PE
 /// `d`'s `dest[s*per_pe..]`. Pairwise-exchange schedule: stage `s` pairs
-/// each PE with `(rank + s) mod n`, spreading traffic evenly.
-pub fn all_to_all<T: XbrType>(pe: &Pe, dest: &mut [T], src: &[T], per_pe: usize) {
-    all_to_all_sync(pe, dest, src, per_pe, SyncMode::Barrier);
-}
-
-/// [`all_to_all`] under an explicit [`SyncMode`]. Zero-length exchanges
-/// are fully inert (telemetry only).
+/// each PE with `(rank + s) mod n`, spreading traffic evenly. Zero-length
+/// exchanges are fully inert (telemetry only).
 pub fn all_to_all_sync<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
@@ -883,23 +845,11 @@ impl Team {
     }
 
     /// Team-scoped broadcast from team-rank `team_root`. Every PE (member
-    /// or not) must call this; only members move data.
-    pub fn broadcast<T: XbrType>(
-        &self,
-        pe: &Pe,
-        dest: &SymmAlloc<T>,
-        src: &[T],
-        nelems: usize,
-        team_root: usize,
-    ) {
-        self.broadcast_sync(pe, dest, src, nelems, team_root, SyncMode::Barrier);
-    }
-
-    /// [`Team::broadcast`] under an explicit [`SyncMode`]. Non-members
+    /// or not) must call this; only members move data. Non-members
     /// appear in no op, so under signaled/pipelined sync they post and
     /// wait on no slots; like members, they join the collective's single
     /// closing barrier.
-    pub fn broadcast_sync<T: XbrType>(
+    pub fn broadcast<T: XbrType>(
         &self,
         pe: &Pe,
         dest: &SymmAlloc<T>,
@@ -908,7 +858,7 @@ impl Team {
         team_root: usize,
         sync: SyncMode,
     ) {
-        self.broadcast_with_kind_sync(
+        self.broadcast_with_kind(
             pe,
             dest,
             src,
@@ -920,7 +870,7 @@ impl Team {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn broadcast_with_kind_sync<T: XbrType>(
+    fn broadcast_with_kind<T: XbrType>(
         &self,
         pe: &Pe,
         dest: &SymmAlloc<T>,
@@ -971,18 +921,6 @@ impl Team {
         src: &SymmAlloc<T>,
         nelems: usize,
         f: impl Fn(T, T) -> T + Copy,
-    ) {
-        self.reduce_all_sync(pe, dest, src, nelems, f, SyncMode::Barrier);
-    }
-
-    /// [`Team::reduce_all`] under an explicit [`SyncMode`].
-    pub fn reduce_all_sync<T: XbrType>(
-        &self,
-        pe: &Pe,
-        dest: &mut [T],
-        src: &SymmAlloc<T>,
-        nelems: usize,
-        f: impl Fn(T, T) -> T + Copy,
         sync: SyncMode,
     ) {
         let my_team_rank = self.team_rank(pe.rank());
@@ -1021,7 +959,7 @@ impl Team {
         } else {
             vec![T::default(); nelems]
         };
-        self.broadcast_with_kind_sync(
+        self.broadcast_with_kind(
             pe,
             &work,
             &payload,
@@ -1059,7 +997,7 @@ mod tests {
                     pe.heap_write(src.whole(), &[pe.rank() as u64, 1, pe.rank() as u64 * 2]);
                     pe.barrier();
                     let mut d = [0u64; 3];
-                    reduce_all(pe, &mut d, &src, 3, ReduceOp::Sum, algo);
+                    reduce_all_sync(pe, &mut d, &src, 3, ReduceOp::Sum, algo, SyncMode::Barrier);
                     pe.barrier();
                     d
                 });
@@ -1100,7 +1038,7 @@ mod tests {
                 // src block for destination d: value 100*me + d.
                 let src: Vec<u64> = (0..n).map(|d| 100 * pe.rank() as u64 + d as u64).collect();
                 let mut dest = vec![0u64; n];
-                all_to_all(pe, &mut dest, &src, 1);
+                all_to_all_sync(pe, &mut dest, &src, 1, SyncMode::Barrier);
                 pe.barrier();
                 dest
             });
@@ -1120,7 +1058,7 @@ mod tests {
                 .map(|i| (pe.rank() * 1000 + i) as u32)
                 .collect();
             let mut dest = vec![0u32; n * per];
-            all_to_all(pe, &mut dest, &src, per);
+            all_to_all_sync(pe, &mut dest, &src, per, SyncMode::Barrier);
             pe.barrier();
             dest
         });
@@ -1141,7 +1079,8 @@ mod tests {
             pe.heap_write(dest.whole(), &[0, 0]);
             pe.barrier();
             let src = [42u64, 43];
-            team.broadcast(pe, &dest, &src, 2, 0); // team root = global rank 1
+            // Team root = global rank 1.
+            team.broadcast(pe, &dest, &src, 2, 0, SyncMode::Barrier);
             pe.barrier();
             pe.heap_read_vec(dest.whole(), 2)
         });
@@ -1162,7 +1101,7 @@ mod tests {
             pe.heap_store(src.whole(), pe.rank() as i64 + 1);
             pe.barrier();
             let mut d = [0i64];
-            team.reduce_all(pe, &mut d, &src, 1, |a, b| a + b);
+            team.reduce_all(pe, &mut d, &src, 1, |a, b| a + b, SyncMode::Barrier);
             pe.barrier();
             d[0]
         });
@@ -1181,7 +1120,7 @@ mod tests {
             let dest = pe.shared_malloc::<u32>(1);
             pe.heap_store(dest.whole(), 0);
             pe.barrier();
-            team.broadcast(pe, &dest, &[99], 1, 0);
+            team.broadcast(pe, &dest, &[99], 1, 0, SyncMode::Barrier);
             pe.barrier();
             pe.heap_load(dest.whole())
         });
@@ -1210,9 +1149,9 @@ mod tests {
                 let src_sum = pe.shared_malloc::<i64>(1);
                 pe.heap_store(src_sum.whole(), pe.rank() as i64 + 1);
                 pe.barrier();
-                team.broadcast_sync(pe, &dest, &[42, 43], 2, 0, sync);
+                team.broadcast(pe, &dest, &[42, 43], 2, 0, sync);
                 let mut sum = [0i64];
-                team.reduce_all_sync(pe, &mut sum, &src_sum, 1, |a, b| a + b, sync);
+                team.reduce_all(pe, &mut sum, &src_sum, 1, |a, b| a + b, sync);
                 pe.barrier();
                 (pe.heap_read_vec(dest.whole(), 2), sum[0])
             });
@@ -1250,15 +1189,7 @@ mod tests {
                         pe.heap_write(src.whole(), &[pe.rank() as u64, 1, pe.rank() as u64 * 2]);
                         pe.barrier();
                         let mut d = [0u64; 3];
-                        reduce_all_with_sync(
-                            pe,
-                            &mut d,
-                            &src,
-                            3,
-                            |a, b| a.wrapping_add(b),
-                            algo,
-                            sync,
-                        );
+                        reduce_all_with(pe, &mut d, &src, 3, |a, b| a.wrapping_add(b), algo, sync);
                         pe.barrier();
                         d
                     });
@@ -1300,7 +1231,7 @@ mod tests {
                     pe.heap_write(src.whole(), &mine);
                     pe.barrier();
                     let mut d = vec![0u64; nelems];
-                    reduce_all_with_sync(
+                    reduce_all_with(
                         pe,
                         &mut d,
                         &src,

@@ -7,7 +7,7 @@
 //! into *logical*-rank order through `pe_disp`.
 
 use crate::collectives::plan::{self, PlanKey};
-use crate::collectives::policy::{Algorithm, SyncMode};
+use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::scatter::adjusted_displacements;
 use crate::collectives::schedule::{gather_binomial, gather_linear_sched};
 use crate::collectives::vrank::virtual_rank;
@@ -41,7 +41,7 @@ pub fn gather<T: XbrType>(
     nelems: usize,
     root: usize,
 ) {
-    gather_impl(
+    gather_policy_sync(
         pe,
         dest,
         src,
@@ -49,38 +49,16 @@ pub fn gather<T: XbrType>(
         pe_disp,
         nelems,
         root,
-        Algorithm::Binomial,
-    );
-}
-
-/// Gather with an explicit algorithm shape over the shared staging
-/// wrapper (`Ring` falls back to linear).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_impl<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &[T],
-    pe_msgs: &[usize],
-    pe_disp: &[usize],
-    nelems: usize,
-    root: usize,
-    algo: Algorithm,
-) {
-    gather_impl_sync(
-        pe,
-        dest,
-        src,
-        pe_msgs,
-        pe_disp,
-        nelems,
-        root,
-        algo,
+        AlgorithmPolicy::Binomial,
         SyncMode::Barrier,
     );
 }
 
+/// [`gather`] under an explicit [`AlgorithmPolicy`] and executor
+/// [`SyncMode`], over the shared staging wrapper (`Ring` falls back to
+/// linear).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_impl_sync<T: XbrType>(
+pub fn gather_policy_sync<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &[T],
@@ -88,10 +66,15 @@ pub(crate) fn gather_impl_sync<T: XbrType>(
     pe_disp: &[usize],
     nelems: usize,
     root: usize,
-    algo: Algorithm,
+    policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
     let n_pes = pe.n_pes();
+    let algo = policy.select(
+        CollectiveKind::Gather,
+        n_pes,
+        nelems * std::mem::size_of::<T>(),
+    );
     let log_rank = pe.rank();
     assert!(root < n_pes, "root {root} out of range");
     assert_eq!(pe_msgs.len(), n_pes, "pe_msgs must have one entry per PE");

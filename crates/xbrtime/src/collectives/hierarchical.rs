@@ -1,10 +1,10 @@
 //! Topology-aware (hierarchical) collectives — paper §7's "location aware
 //! communication optimization using the xBGAS OLB".
 //!
-//! When the fabric carries a [`Topology`], the runtime knows which PEs
-//! share a node (in real xBGAS this is exactly what the OLB's object-ID
-//! mapping encodes). Hierarchical collectives exploit it by running the
-//! binomial tree in two tiers:
+//! When the fabric carries a [`Topology`](crate::fabric::Topology), the
+//! runtime knows which PEs share a node (in real xBGAS this is exactly
+//! what the OLB's object-ID mapping encodes). Hierarchical collectives
+//! exploit it by running the binomial tree in two tiers:
 //!
 //! * **broadcast**: root → node leaders over the (expensive) inter-node
 //!   fabric, then each leader → its node over the (cheap) intra-node
@@ -23,7 +23,7 @@
 //! minimise is just a filter over the ops.
 
 use crate::collectives::plan::{self, tag, PlanKey};
-use crate::collectives::policy::{Algorithm, SyncMode};
+use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::schedule::{CommSchedule, OpKind, Stage, TransferOp};
 use crate::fabric::{ceil_log2, CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
@@ -209,22 +209,10 @@ pub fn reduce_hier_sched(
 }
 
 /// Hierarchical broadcast: tier 1 across node leaders, tier 2 within
-/// nodes. Falls back to the flat binomial tree when the fabric has no
-/// topology.
+/// nodes, under an explicit synchronization discipline — the hierarchical
+/// schedule lowers unchanged under the signaled and pipelined disciplines.
+/// Falls back to the flat binomial tree when the fabric has no topology.
 pub fn broadcast_hier<T: XbrType>(
-    pe: &Pe,
-    dest: &SymmAlloc<T>,
-    src: &[T],
-    nelems: usize,
-    root: usize,
-) {
-    broadcast_hier_sync(pe, dest, src, nelems, root, SyncMode::Barrier);
-}
-
-/// [`broadcast_hier`] under an explicit synchronization discipline —
-/// the hierarchical schedule lowers unchanged under the signaled and
-/// pipelined disciplines.
-pub fn broadcast_hier_sync<T: XbrType>(
     pe: &Pe,
     dest: &SymmAlloc<T>,
     src: &[T],
@@ -233,16 +221,13 @@ pub fn broadcast_hier_sync<T: XbrType>(
     sync: SyncMode,
 ) {
     let Some(topo) = pe.topology() else {
-        crate::collectives::broadcast(pe, dest, src, nelems, 1, root);
+        let flat = AlgorithmPolicy::Binomial;
+        crate::collectives::broadcast_policy_sync(pe, dest, src, nelems, 1, root, flat, sync);
         return;
     };
 
     if pe.rank() == root {
         pe.heap_write_strided(dest.whole(), src, nelems, 1);
-    }
-    if nelems == 0 || pe.n_pes() == 1 {
-        pe.barrier();
-        return;
     }
 
     let (n_pes, k) = (pe.n_pes(), topo.pes_per_node);
@@ -270,22 +255,11 @@ pub fn broadcast_hier_sync<T: XbrType>(
     );
 }
 
-/// Hierarchical reduction with an arbitrary combiner: tier 1 within nodes
-/// (cheap links), tier 2 across leaders to the root. `src` must be
-/// symmetric; `dest` receives the result on the root only.
+/// Hierarchical reduction with an arbitrary combiner under an explicit
+/// synchronization discipline: tier 1 within nodes (cheap links), tier 2
+/// across leaders to the root. `src` must be symmetric; `dest` receives
+/// the result on the root only.
 pub fn reduce_hier<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &SymmAlloc<T>,
-    nelems: usize,
-    root: usize,
-    f: impl Fn(T, T) -> T + Copy,
-) {
-    reduce_hier_sync(pe, dest, src, nelems, root, f, SyncMode::Barrier);
-}
-
-/// [`reduce_hier`] under an explicit synchronization discipline.
-pub fn reduce_hier_sync<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &SymmAlloc<T>,
@@ -295,15 +269,19 @@ pub fn reduce_hier_sync<T: XbrType>(
     sync: SyncMode,
 ) {
     let Some(topo) = pe.topology() else {
-        crate::collectives::reduce_with(pe, dest, src, nelems, 1, root, f);
+        let flat = AlgorithmPolicy::Binomial;
+        crate::collectives::reduce_with(pe, dest, src, nelems, 1, root, f, flat, sync);
         return;
     };
 
+    // The staging barriers only order access to `work`, which a
+    // zero-length reduction never touches — skip them so an empty episode
+    // is fully inert.
     let work = pe.shared_malloc::<T>(nelems.max(1));
     if nelems > 0 {
         pe.get_symm(work.whole(), src.whole(), nelems, 1, pe.rank());
+        pe.barrier();
     }
-    pe.barrier();
 
     let (n_pes, k) = (pe.n_pes(), topo.pes_per_node);
     let mut key = PlanKey::rooted(
@@ -329,10 +307,12 @@ pub fn reduce_hier_sync<T: XbrType>(
         sync,
     );
 
-    if pe.rank() == root && nelems > 0 {
-        pe.heap_read_strided(work.whole(), &mut dest[..nelems], nelems, 1);
+    if nelems > 0 {
+        if pe.rank() == root {
+            pe.heap_read_strided(work.whole(), &mut dest[..nelems], nelems, 1);
+        }
+        pe.barrier();
     }
-    pe.barrier();
     pe.shared_free(work);
 }
 
@@ -386,7 +366,7 @@ mod tests {
         ] {
             let report = Fabric::run(topo_cfg(n, k), move |pe| {
                 let dest = pe.shared_malloc::<u64>(4);
-                broadcast_hier(pe, &dest, &[9, 8, 7, 6], 4, root);
+                broadcast_hier(pe, &dest, &[9, 8, 7, 6], 4, root, SyncMode::Barrier);
                 pe.barrier();
                 pe.heap_read_vec::<u64>(dest.whole(), 4)
             });
@@ -408,9 +388,27 @@ mod tests {
                 pe.heap_write(src.whole(), &[pe.rank() as u64, 1, 2 * pe.rank() as u64]);
                 pe.barrier();
                 let mut hier = [0u64; 3];
-                reduce_hier(pe, &mut hier, &src, 3, root, |a, b| a + b);
+                reduce_hier(
+                    pe,
+                    &mut hier,
+                    &src,
+                    3,
+                    root,
+                    |a, b| a + b,
+                    SyncMode::Barrier,
+                );
                 let mut flat = [0u64; 3];
-                crate::collectives::reduce_with(pe, &mut flat, &src, 3, 1, root, |a: u64, b| a + b);
+                crate::collectives::reduce_with(
+                    pe,
+                    &mut flat,
+                    &src,
+                    3,
+                    1,
+                    root,
+                    |a: u64, b| a + b,
+                    AlgorithmPolicy::Binomial,
+                    SyncMode::Barrier,
+                );
                 pe.barrier();
                 (hier, flat)
             });
@@ -425,11 +423,35 @@ mod tests {
     fn hier_without_topology_falls_back_to_flat() {
         let report = Fabric::run(FabricConfig::new(4), |pe| {
             let dest = pe.shared_malloc::<u64>(1);
-            broadcast_hier(pe, &dest, &[42], 1, 2);
+            broadcast_hier(pe, &dest, &[42], 1, 2, SyncMode::Barrier);
             pe.barrier();
             pe.heap_load(dest.whole())
         });
         assert_eq!(report.results, vec![42, 42, 42, 42]);
+    }
+
+    /// The no-topology fallback must run under the caller's sync mode,
+    /// not silently revert to per-stage barriers.
+    #[test]
+    fn hier_without_topology_keeps_sync_mode() {
+        let report = Fabric::run(FabricConfig::new(6), |pe| {
+            let dest = pe.shared_malloc::<u64>(2);
+            broadcast_hier(pe, &dest, &[4, 2], 2, 1, SyncMode::Signaled);
+            let src = pe.shared_malloc::<u64>(1);
+            pe.heap_store(src.whole(), pe.rank() as u64);
+            pe.barrier();
+            let mut sum = [0u64];
+            reduce_hier(pe, &mut sum, &src, 1, 1, |a, b| a + b, SyncMode::Signaled);
+            pe.barrier();
+            (pe.heap_read_vec::<u64>(dest.whole(), 2), sum[0])
+        });
+        assert!(report.results.iter().all(|(b, _)| b == &vec![4, 2]));
+        assert_eq!(report.results[1].1, 15);
+        for kind in [CollectiveKind::Broadcast, CollectiveKind::Reduce] {
+            let rec = report.collective(kind).unwrap();
+            assert_eq!(rec.sync_modes(), ["signaled"], "{}", kind.name());
+            assert!(rec.signals > 0, "{}: no signals posted", kind.name());
+        }
     }
 
     #[test]
@@ -451,7 +473,7 @@ mod tests {
                     pe.barrier();
                     let t0 = pe.cycles();
                     if hier {
-                        broadcast_hier(pe, &dest, &src, msg, 0);
+                        broadcast_hier(pe, &dest, &src, msg, 0, SyncMode::Barrier);
                     } else {
                         crate::collectives::broadcast(pe, &dest, &src, msg, 1, 0);
                     }
@@ -479,7 +501,7 @@ mod tests {
             for sync in SyncMode::CONCRETE {
                 let report = Fabric::run(topo_cfg(n, k), move |pe| {
                     let dest = pe.shared_malloc::<u64>(4);
-                    broadcast_hier_sync(pe, &dest, &[11, 22, 33, 44], 4, root, sync);
+                    broadcast_hier(pe, &dest, &[11, 22, 33, 44], 4, root, sync);
                     pe.barrier();
                     pe.heap_read_vec::<u64>(dest.whole(), 4)
                 });
@@ -497,7 +519,7 @@ mod tests {
                     pe.heap_write(src.whole(), &[pe.rank() as u64 + 1, 1]);
                     pe.barrier();
                     let mut out = [0u64; 2];
-                    reduce_hier_sync(pe, &mut out, &src, 2, root, |a, b| a + b, sync);
+                    reduce_hier(pe, &mut out, &src, 2, root, |a, b| a + b, sync);
                     pe.barrier();
                     out
                 });
@@ -516,7 +538,7 @@ mod tests {
     fn single_node_topology_works() {
         let report = Fabric::run(topo_cfg(4, 8), |pe| {
             let dest = pe.shared_malloc::<u64>(1);
-            broadcast_hier(pe, &dest, &[3], 1, 1);
+            broadcast_hier(pe, &dest, &[3], 1, 1, SyncMode::Barrier);
             pe.barrier();
             pe.heap_load(dest.whole())
         });

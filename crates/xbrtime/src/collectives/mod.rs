@@ -4,9 +4,20 @@
 //! with recursive halving/doubling (paper §4.2): broadcast, reduction,
 //! scatter and gather — "the collective operations most often utilized",
 //! combinable "to accomplish the semantics of several more complex
-//! operations". [`baseline`] provides linear and ring comparators, and
-//! [`extended`] the §7 future-work operations (reduce-to-all, all-gather,
-//! all-to-all, teams).
+//! operations". [`extended`] adds the §7 future-work operations
+//! (reduce-to-all, all-gather, all-to-all, teams), [`vcoll`] the
+//! irregular v-variants and [`hierarchical`] the topology-aware tiers.
+//!
+//! Every collective has exactly two public forms: the paper's signature
+//! ([`broadcast()`], [`reduce()`], [`scatter()`], [`gather()`] — binomial
+//! tree, a barrier after every stage, Algorithms 1–4 as written) and one
+//! *full* form whose trailing arguments are the call descriptor — an
+//! [`AlgorithmPolicy`] (or the family's own algorithm enum) and a
+//! [`SyncMode`]: [`broadcast_policy_sync`], [`reduce_policy_sync`] /
+//! [`reduce_with`], [`scatter_policy_sync`], [`gather_policy_sync`],
+//! [`reduce_all_sync`] / [`reduce_all_with`], [`all_gather_algo_sync`],
+//! [`all_to_all_sync`]. A new algorithm is a schedule generator plus a
+//! match arm in the collective's one body, not a new entry point.
 //!
 //! Every collective here is built on the [`schedule`] layer: a generator
 //! materialises the communication pattern as a [`schedule::CommSchedule`]
@@ -21,7 +32,6 @@
 //! write races) and [`explore`] enumerates their interleavings — up to
 //! exhaustively — and mutation-tests the oracle itself.
 
-pub mod baseline;
 pub mod broadcast;
 pub mod explore;
 pub mod extended;
@@ -36,35 +46,29 @@ pub mod vcoll;
 pub mod verify;
 pub mod vrank;
 
-pub use baseline::{
-    broadcast_linear, broadcast_linear_sync, broadcast_ring, broadcast_ring_sync, gather_linear,
-    reduce_linear, reduce_linear_sync, scatter_linear,
-};
-pub use broadcast::{broadcast, broadcast_sync};
+pub use broadcast::{broadcast, broadcast_policy_sync};
 pub use explore::{
     explore_exhaustive, run_mutation_harness, ExploreConfig, ExploreOutcome, Mutation,
     MutationReport, RandomPriority, RoundRobin, Scheduler,
 };
 pub use extended::{
-    all_gather, all_gather_algo_sync, all_gather_doubling_sched, all_gather_sync, all_to_all,
-    all_to_all_sync, allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring,
-    allreduce_schedule, reduce_all, reduce_all_sync, reduce_all_with, reduce_all_with_sync,
-    AllGatherAlgo, AllReduceAlgo, Team,
+    all_gather, all_gather_algo_sync, all_gather_doubling_sched, all_to_all_sync,
+    allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring, allreduce_schedule,
+    reduce_all_sync, reduce_all_with, AllGatherAlgo, AllReduceAlgo, Team,
 };
-pub use gather::gather;
-pub use hierarchical::{broadcast_hier, broadcast_hier_sync, reduce_hier, reduce_hier_sync};
+pub use gather::{gather, gather_policy_sync};
+pub use hierarchical::{broadcast_hier, reduce_hier};
 pub use plan::{
-    allreduce_fused, execute_plan, ixallreduce, ixallreduce_algo, ixbroadcast, ixreduce, lower,
+    allreduce_fused, execute_plan, ixallreduce, ixbroadcast, ixreduce, lower,
     plan_create_allreduce, plan_create_broadcast, CollHandle, PersistentAllReduce,
     PersistentBroadcast, Plan, PlanCache, PlanCacheStats, PlanKey, PlanStep,
 };
 pub use policy::{
-    broadcast_policy, broadcast_policy_sync, gather_policy, gather_policy_sync, pipeline_chunks,
-    reduce_policy, reduce_policy_sync, scatter_policy, scatter_policy_sync, Algorithm,
-    AlgorithmPolicy, SyncMode, MAX_PIPELINE_CHUNKS, PIPELINE_CHUNK_BYTES,
+    pipeline_chunks, Algorithm, AlgorithmPolicy, SyncMode, MAX_PIPELINE_CHUNKS,
+    PIPELINE_CHUNK_BYTES,
 };
-pub use reduce::{reduce, reduce_bitwise, reduce_with, reduce_with_sync};
-pub use scatter::scatter;
+pub use reduce::{reduce, reduce_bitwise, reduce_policy_sync, reduce_with};
+pub use scatter::{scatter, scatter_policy_sync};
 pub use vcoll::{
     allgatherv, allgatherv_dissemination_sched, allgatherv_fan_sched, allgatherv_ring_sched,
     gatherv, gatherv_ring_sched, prefix_displacements, scatterv, scatterv_ring_sched,

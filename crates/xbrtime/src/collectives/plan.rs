@@ -1470,7 +1470,7 @@ pub fn run_schedule<T: XbrType>(
 /// Fused allreduce schedule: binomial reduction to rank 0 followed by a
 /// binomial broadcast from rank 0, as **one** schedule — the composition
 /// the paper prescribes, without the intermediate barrier/read-out round
-/// trip of [`crate::collectives::extended::reduce_all`]. Tagged
+/// trip of [`crate::collectives::extended::reduce_all_sync`]. Tagged
 /// [`CollectiveKind::AllReduce`].
 pub fn allreduce_fused(n_pes: usize, nelems: usize) -> CommSchedule {
     let mut sched = reduce_binomial(n_pes, 0, nelems, 1);
@@ -1812,27 +1812,15 @@ pub fn ixreduce<'a, T: XbrType>(
 }
 
 /// Nonblocking allreduce. Complete with [`CollHandle::wait_into`]; every
-/// PE's `dest` receives the folded `nelems` elements. The strategy is
-/// chosen per shape by
-/// [`AllReduceAlgo::Auto`](crate::collectives::extended::AllReduceAlgo)
-/// — the same calibrated family as the blocking [`reduce_all`] path, so
-/// warm plans are shared between the two.
+/// PE's `dest` receives the folded `nelems` elements. Every member of the
+/// [`AllReduceAlgo`](crate::collectives::extended::AllReduceAlgo) family —
+/// the fused reduce-then-broadcast schedule ([`allreduce_fused`]),
+/// recursive doubling, Rabenseifner and ring — lowers through the plan
+/// cache and issues nonblocking; `Auto` picks per shape from the same
+/// calibrated crossovers as the blocking
+/// [`reduce_all_sync`](crate::collectives::extended::reduce_all_sync)
+/// path, so warm plans are shared between the two.
 pub fn ixallreduce<'a, T: XbrType>(
-    pe: &'a Pe,
-    src: &SymmAlloc<T>,
-    nelems: usize,
-    f: impl Fn(T, T) -> T + Copy,
-    sync: SyncMode,
-) -> CollHandle<'a, T> {
-    use crate::collectives::extended::AllReduceAlgo;
-    ixallreduce_algo(pe, src, nelems, f, AllReduceAlgo::Auto, sync)
-}
-
-/// [`ixallreduce`] with an explicit [`AllReduceAlgo`]: every member of
-/// the family — the fused reduce-then-broadcast schedule
-/// ([`allreduce_fused`]), recursive doubling, Rabenseifner and ring —
-/// lowers through the plan cache and issues nonblocking.
-pub fn ixallreduce_algo<'a, T: XbrType>(
     pe: &'a Pe,
     src: &SymmAlloc<T>,
     nelems: usize,
@@ -2002,6 +1990,7 @@ impl<T: XbrType> PersistentAllReduce<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::extended::AllReduceAlgo;
     use crate::collectives::schedule::{broadcast_ring_sched, reduce_linear_sched};
     use crate::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
     use crate::fabric::{Fabric, FabricConfig};
@@ -2127,7 +2116,8 @@ mod tests {
                     pe.heap_write(src.whole(), &[pe.rank() as u64 + 1, 10]);
                     pe.barrier();
                     let mut d = [0u64; 2];
-                    ixallreduce(pe, &src, 2, |a, b| a + b, sync).wait_into(pe, &mut d);
+                    ixallreduce(pe, &src, 2, |a, b| a + b, AllReduceAlgo::Auto, sync)
+                        .wait_into(pe, &mut d);
                     pe.barrier();
                     d
                 });

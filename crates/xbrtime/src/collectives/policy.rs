@@ -10,11 +10,13 @@
 //! constants calibrated against the `xbench_sweep` benchmark's cost-model
 //! measurements (see `BENCH_sweep.json`).
 //!
+//! The module is pure selection — enums, crossover constants and the
+//! `auto_select_*` functions. The entry points that take a policy
+//! (`*_policy_sync`) live next to their collective's body.
+//!
 //! [`Auto`]: AlgorithmPolicy::Auto
 
-use crate::collectives::{baseline, broadcast, gather, reduce, scatter};
-use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
-use crate::types::{ReduceOp, XbrNumeric, XbrType};
+use crate::fabric::CollectiveKind;
 
 /// A concrete collective algorithm shape.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -269,8 +271,8 @@ fn auto_select(kind: CollectiveKind, n_pes: usize, nbytes: usize) -> Algorithm {
 /// (`xbench_sweep`: 720k vs 818k cycles at 8 PEs / 512 KiB, 363k vs 478k
 /// at 4 PEs). This is the calibrated coupling: `Auto` switches broadcast
 /// to the chain exactly when the resolved mode pipelines and the payload
-/// clears [`AUTO_PIPELINE_MIN_BYTES`].
-fn auto_select_broadcast_sync(n_pes: usize, nbytes: usize, resolved: SyncMode) -> Algorithm {
+/// clears the 64 KiB pipelining threshold (`AUTO_PIPELINE_MIN_BYTES`).
+pub fn auto_select_broadcast_sync(n_pes: usize, nbytes: usize, resolved: SyncMode) -> Algorithm {
     if resolved == SyncMode::Pipelined
         && n_pes > 2
         && n_pes <= AUTO_CHAIN_MAX_PES
@@ -399,7 +401,7 @@ pub(crate) const AUTO_ALLGATHERV_RING_MIN_BYTES: usize = 64 * 1024;
 /// [`AllGatherVAlgo::Auto`](crate::collectives::vcoll::AllGatherVAlgo),
 /// keyed on total bytes *and* count skew — the irregular axis the
 /// uniform [`auto_select_all_gather`] doesn't have. High skew always
-/// takes dissemination (see [`AUTO_VCOLL_SKEW_PERMILLE`]); near-uniform
+/// takes dissemination (see `AUTO_VCOLL_SKEW_PERMILLE`); near-uniform
 /// tables follow the calibrated uniform crossovers: ring for
 /// bandwidth-bound totals at modest PE counts, dissemination from the
 /// n² fan-saturation point, fan for small latency-bound exchanges.
@@ -452,191 +454,14 @@ pub fn auto_select_vrooted(
     }
 }
 
-/// Broadcast under `policy`: dispatches to the binomial tree
-/// ([`broadcast::broadcast`]), [`baseline::broadcast_linear`], or
-/// [`baseline::broadcast_ring`]. Same contract as the tree version.
-pub fn broadcast_policy<T: XbrType>(
-    pe: &Pe,
-    dest: &SymmAlloc<T>,
-    src: &[T],
-    nelems: usize,
-    stride: usize,
-    root: usize,
-    policy: AlgorithmPolicy,
-) {
-    let nbytes = nelems * std::mem::size_of::<T>();
-    match policy.select(CollectiveKind::Broadcast, pe.n_pes(), nbytes) {
-        Algorithm::Binomial => broadcast::broadcast(pe, dest, src, nelems, stride, root),
-        Algorithm::Linear => baseline::broadcast_linear(pe, dest, src, nelems, stride, root),
-        Algorithm::Ring => baseline::broadcast_ring(pe, dest, src, nelems, stride, root),
-    }
-}
-
-/// Reduce under `policy` with a named operator; `Ring` falls back to
-/// linear (reductions have no ring shape here).
-#[allow(clippy::too_many_arguments)]
-pub fn reduce_policy<T: XbrNumeric>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &SymmAlloc<T>,
-    nelems: usize,
-    stride: usize,
-    root: usize,
-    op: ReduceOp,
-    policy: AlgorithmPolicy,
-) {
-    let nbytes = nelems * std::mem::size_of::<T>();
-    let f = op
-        .combiner::<T>()
-        .unwrap_or_else(|| panic!("reduction operator {op:?} requires a non-floating-point type"));
-    match policy.select(CollectiveKind::Reduce, pe.n_pes(), nbytes) {
-        Algorithm::Binomial => reduce::reduce_with(pe, dest, src, nelems, stride, root, f),
-        Algorithm::Linear | Algorithm::Ring => {
-            baseline::reduce_linear(pe, dest, src, nelems, stride, root, f)
-        }
-    }
-}
-
-/// Scatter under `policy`: the linear shape reuses the tree's staged
-/// (virtual-rank-reordered) layout so irregular `pe_msgs`/`pe_disp`
-/// semantics are identical; `Ring` falls back to linear.
-#[allow(clippy::too_many_arguments)]
-pub fn scatter_policy<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &[T],
-    pe_msgs: &[usize],
-    pe_disp: &[usize],
-    nelems: usize,
-    root: usize,
-    policy: AlgorithmPolicy,
-) {
-    let nbytes = nelems * std::mem::size_of::<T>();
-    let algo = policy.select(CollectiveKind::Scatter, pe.n_pes(), nbytes);
-    scatter::scatter_impl(pe, dest, src, pe_msgs, pe_disp, nelems, root, algo);
-}
-
-/// Gather under `policy`; `Ring` falls back to linear.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_policy<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &[T],
-    pe_msgs: &[usize],
-    pe_disp: &[usize],
-    nelems: usize,
-    root: usize,
-    policy: AlgorithmPolicy,
-) {
-    let nbytes = nelems * std::mem::size_of::<T>();
-    let algo = policy.select(CollectiveKind::Gather, pe.n_pes(), nbytes);
-    gather::gather_impl(pe, dest, src, pe_msgs, pe_disp, nelems, root, algo);
-}
-
-/// [`broadcast_policy`] with an explicit executor [`SyncMode`]. Unlike
-/// the barrier-only entry point, `Auto` here selects the algorithm
-/// *jointly* with the resolved sync mode: a pipelined executor makes the
-/// chain (ring) shape the bandwidth winner for large payloads (see
-/// [`auto_select_broadcast_sync`]).
-#[allow(clippy::too_many_arguments)]
-pub fn broadcast_policy_sync<T: XbrType>(
-    pe: &Pe,
-    dest: &SymmAlloc<T>,
-    src: &[T],
-    nelems: usize,
-    stride: usize,
-    root: usize,
-    policy: AlgorithmPolicy,
-    sync: SyncMode,
-) {
-    let nbytes = nelems * std::mem::size_of::<T>();
-    // For broadcast every schedule op carries the full payload, so
-    // resolving from `nbytes` here matches the executor's own
-    // max-op-bytes resolution exactly.
-    let resolved = sync.resolve(pe.n_pes(), nbytes);
-    let algo = match policy {
-        AlgorithmPolicy::Auto => auto_select_broadcast_sync(pe.n_pes(), nbytes, resolved),
-        _ => policy.select(CollectiveKind::Broadcast, pe.n_pes(), nbytes),
-    };
-    // The *original* mode goes to the executor: it re-resolves `Auto`
-    // with the schedule in hand (falling back to plain barriers for
-    // single-stage shapes), which `resolved` above cannot know about.
-    match algo {
-        Algorithm::Binomial => broadcast::broadcast_sync(pe, dest, src, nelems, stride, root, sync),
-        Algorithm::Linear => {
-            baseline::broadcast_linear_sync(pe, dest, src, nelems, stride, root, sync)
-        }
-        Algorithm::Ring => baseline::broadcast_ring_sync(pe, dest, src, nelems, stride, root, sync),
-    }
-}
-
-/// [`reduce_policy`] with an explicit executor [`SyncMode`].
-#[allow(clippy::too_many_arguments)]
-pub fn reduce_policy_sync<T: XbrNumeric>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &SymmAlloc<T>,
-    nelems: usize,
-    stride: usize,
-    root: usize,
-    op: ReduceOp,
-    policy: AlgorithmPolicy,
-    sync: SyncMode,
-) {
-    let nbytes = nelems * std::mem::size_of::<T>();
-    let f = op
-        .combiner::<T>()
-        .unwrap_or_else(|| panic!("reduction operator {op:?} requires a non-floating-point type"));
-    match policy.select(CollectiveKind::Reduce, pe.n_pes(), nbytes) {
-        Algorithm::Binomial => {
-            reduce::reduce_with_sync(pe, dest, src, nelems, stride, root, f, sync)
-        }
-        Algorithm::Linear | Algorithm::Ring => {
-            baseline::reduce_linear_sync(pe, dest, src, nelems, stride, root, f, sync)
-        }
-    }
-}
-
-/// [`scatter_policy`] with an explicit executor [`SyncMode`].
-#[allow(clippy::too_many_arguments)]
-pub fn scatter_policy_sync<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &[T],
-    pe_msgs: &[usize],
-    pe_disp: &[usize],
-    nelems: usize,
-    root: usize,
-    policy: AlgorithmPolicy,
-    sync: SyncMode,
-) {
-    let nbytes = nelems * std::mem::size_of::<T>();
-    let algo = policy.select(CollectiveKind::Scatter, pe.n_pes(), nbytes);
-    scatter::scatter_impl_sync(pe, dest, src, pe_msgs, pe_disp, nelems, root, algo, sync);
-}
-
-/// [`gather_policy`] with an explicit executor [`SyncMode`].
-#[allow(clippy::too_many_arguments)]
-pub fn gather_policy_sync<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &[T],
-    pe_msgs: &[usize],
-    pe_disp: &[usize],
-    nelems: usize,
-    root: usize,
-    policy: AlgorithmPolicy,
-    sync: SyncMode,
-) {
-    let nbytes = nelems * std::mem::size_of::<T>();
-    let algo = policy.select(CollectiveKind::Gather, pe.n_pes(), nbytes);
-    gather::gather_impl_sync(pe, dest, src, pe_msgs, pe_disp, nelems, root, algo, sync);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::{
+        broadcast_policy_sync, gather_policy_sync, reduce_policy_sync, scatter_policy_sync,
+    };
     use crate::fabric::{Fabric, FabricConfig};
+    use crate::types::ReduceOp;
 
     /// The measured `xbench_sweep` crossover cells the allreduce
     /// selector is calibrated against — each row a (n_pes, nbytes) cell
@@ -797,14 +622,15 @@ mod tests {
         ] {
             let report = Fabric::run(FabricConfig::new(5), |pe| {
                 let b = pe.shared_malloc::<u64>(4);
-                broadcast_policy(pe, &b, &[5, 6, 7, 8], 4, 1, 3, policy);
+                let sync = SyncMode::Barrier;
+                broadcast_policy_sync(pe, &b, &[5, 6, 7, 8], 4, 1, 3, policy, sync);
                 pe.barrier();
 
                 let src = pe.shared_malloc::<i64>(2);
                 pe.heap_write(src.whole(), &[pe.rank() as i64 + 1, 2]);
                 pe.barrier();
                 let mut sum = [0i64; 2];
-                reduce_policy(pe, &mut sum, &src, 2, 1, 0, ReduceOp::Sum, policy);
+                reduce_policy_sync(pe, &mut sum, &src, 2, 1, 0, ReduceOp::Sum, policy, sync);
                 pe.barrier();
 
                 let msgs = vec![2usize; 5];
@@ -812,10 +638,10 @@ mod tests {
                 let full: Vec<u64> = (0..10).collect();
                 let sc_src: Vec<u64> = if pe.rank() == 1 { full } else { vec![] };
                 let mut mine = [0u64; 2];
-                scatter_policy(pe, &mut mine, &sc_src, &msgs, &disp, 10, 1, policy);
+                scatter_policy_sync(pe, &mut mine, &sc_src, &msgs, &disp, 10, 1, policy, sync);
                 pe.barrier();
                 let mut back = vec![0u64; 10];
-                gather_policy(pe, &mut back, &mine, &msgs, &disp, 10, 1, policy);
+                gather_policy_sync(pe, &mut back, &mine, &msgs, &disp, 10, 1, policy, sync);
                 pe.barrier();
                 (pe.heap_read_vec::<u64>(b.whole(), 4), sum, mine, back)
             });

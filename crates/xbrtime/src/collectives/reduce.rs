@@ -9,21 +9,24 @@
 //! may be private.
 
 use crate::collectives::plan::{self, PlanKey};
-use crate::collectives::policy::{Algorithm, SyncMode};
-use crate::collectives::schedule::reduce_binomial;
+use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
+use crate::collectives::schedule::{reduce_binomial, reduce_linear_sched};
 use crate::collectives::vrank::virtual_rank;
 use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
 use crate::types::{ReduceOp, XbrBitwise, XbrNumeric, XbrType};
 
-/// Reduce with an arbitrary combining function.
+/// Reduce with an arbitrary combining function, under an explicit
+/// [`AlgorithmPolicy`] and executor [`SyncMode`].
 ///
 /// `src` is each PE's symmetric contribution (strided); on return, `root`'s
 /// `dest` slice holds the elementwise combination across all PEs at
 /// positions `0, stride, 2·stride, …`. Other PEs' `dest` is untouched.
 /// `f` must be associative and commutative for a deterministic result.
+/// `Ring` falls back to linear (reductions have no ring shape here).
 ///
 /// # Panics
 /// Panics on span violations or `root ≥ n_pes`.
+#[allow(clippy::too_many_arguments)]
 pub fn reduce_with<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
@@ -32,32 +35,12 @@ pub fn reduce_with<T: XbrType>(
     stride: usize,
     root: usize,
     f: impl Fn(T, T) -> T,
-) {
-    reduce_with_kind(
-        pe,
-        dest,
-        src,
-        nelems,
-        stride,
-        root,
-        CollectiveKind::Reduce,
-        f,
-    );
-}
-
-/// [`reduce_with`] with an explicit executor [`SyncMode`].
-#[allow(clippy::too_many_arguments)]
-pub fn reduce_with_sync<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &SymmAlloc<T>,
-    nelems: usize,
-    stride: usize,
-    root: usize,
-    f: impl Fn(T, T) -> T,
+    policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
-    reduce_with_kind_sync(
+    let nbytes = nelems * std::mem::size_of::<T>();
+    let algo = policy.select(CollectiveKind::Reduce, pe.n_pes(), nbytes);
+    reduce_core(
         pe,
         dest,
         src,
@@ -66,14 +49,16 @@ pub fn reduce_with_sync<T: XbrType>(
         root,
         CollectiveKind::Reduce,
         f,
+        algo,
         sync,
     );
 }
 
-/// Reduce, reporting telemetry under an explicit kind — so composites
-/// like reduce-to-all attribute their internal reduction to themselves.
+/// The one reduction body. `kind` is the telemetry kind the episode
+/// reports under — so composites like reduce-to-all attribute their
+/// internal reduction to themselves.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn reduce_with_kind<T: XbrType>(
+pub(crate) fn reduce_core<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &SymmAlloc<T>,
@@ -82,93 +67,109 @@ pub(crate) fn reduce_with_kind<T: XbrType>(
     root: usize,
     kind: CollectiveKind,
     f: impl Fn(T, T) -> T,
-) {
-    reduce_with_kind_sync(
-        pe,
-        dest,
-        src,
-        nelems,
-        stride,
-        root,
-        kind,
-        f,
-        SyncMode::Barrier,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn reduce_with_kind_sync<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &SymmAlloc<T>,
-    nelems: usize,
-    stride: usize,
-    root: usize,
-    kind: CollectiveKind,
-    f: impl Fn(T, T) -> T,
+    algo: Algorithm,
     sync: SyncMode,
 ) {
     let n_pes = pe.n_pes();
     let log_rank = pe.rank();
-    let vir_rank = virtual_rank(log_rank, root, n_pes);
-
-    // A symmetric staging buffer (read one-sidedly by partners) is
-    // "employed in order to prevent any unintended overwriting of values
-    // on any PE" (paper §4.4); the executor provides the private landing
-    // buffer that pairs with it.
     let span = if nelems == 0 {
         0
     } else {
         (nelems - 1) * stride + 1
     };
-    let s_buff = pe.shared_malloc::<T>(span.max(1));
-
-    // Load this PE's contribution into its shared staging buffer. The
-    // ordering barriers only guard the staging buffer, which a
-    // zero-length reduction never touches — skip them so an empty
-    // episode is fully inert (no barrier events in a trace either).
-    if nelems > 0 {
-        pe.get_symm(s_buff.whole(), src.whole(), nelems, stride, log_rank);
-        pe.barrier();
-    }
-
+    let (key_algo, tag) = match algo {
+        Algorithm::Binomial => (Algorithm::Binomial, plan::tag::REDUCE_BINOMIAL),
+        Algorithm::Linear | Algorithm::Ring => (Algorithm::Linear, plan::tag::REDUCE_LINEAR),
+    };
     let key = PlanKey::rooted(
         kind,
-        Algorithm::Binomial,
+        key_algo,
         sync,
         n_pes,
         root,
         nelems,
         stride,
         std::mem::size_of::<T>(),
-        plan::tag::REDUCE_BINOMIAL,
+        tag,
     );
-    plan::run_schedule(
-        pe,
-        key,
-        || {
-            let mut sched = reduce_binomial(n_pes, root, nelems, stride);
-            sched.kind = kind;
-            sched
-        },
-        s_buff.whole(),
-        &[],
-        &mut [],
-        Some(&f),
-        sync,
-    );
+    match algo {
+        Algorithm::Binomial => {
+            let vir_rank = virtual_rank(log_rank, root, n_pes);
 
-    if vir_rank == 0 && nelems > 0 {
-        pe.heap_read_strided(s_buff.whole(), dest, nelems, stride);
+            // A symmetric staging buffer (read one-sidedly by partners) is
+            // "employed in order to prevent any unintended overwriting of
+            // values on any PE" (paper §4.4); the executor provides the
+            // private landing buffer that pairs with it.
+            let s_buff = pe.shared_malloc::<T>(span.max(1));
+
+            // Load this PE's contribution into its shared staging buffer.
+            // The ordering barriers only guard the staging buffer, which a
+            // zero-length reduction never touches — skip them so an empty
+            // episode is fully inert (no barrier events in a trace either).
+            if nelems > 0 {
+                pe.get_symm(s_buff.whole(), src.whole(), nelems, stride, log_rank);
+                pe.barrier();
+            }
+
+            plan::run_schedule(
+                pe,
+                key,
+                || {
+                    let mut sched = reduce_binomial(n_pes, root, nelems, stride);
+                    sched.kind = kind;
+                    sched
+                },
+                s_buff.whole(),
+                &[],
+                &mut [],
+                Some(&f),
+                sync,
+            );
+
+            if vir_rank == 0 && nelems > 0 {
+                pe.heap_read_strided(s_buff.whole(), dest, nelems, stride);
+            }
+            if nelems > 0 {
+                pe.barrier();
+            }
+            pe.shared_free(s_buff);
+        }
+        // Linear: the root gets every peer's contribution and folds it
+        // into a private accumulator (never writing back into `src`).
+        Algorithm::Linear | Algorithm::Ring => {
+            assert!(root < n_pes, "root {root} out of range");
+            // All PEs participate in the barriers; only the root moves data.
+            pe.barrier();
+            let mut acc = vec![T::default(); span];
+            if log_rank == root && nelems > 0 {
+                pe.heap_read_strided(src.whole(), &mut acc, nelems, stride);
+            }
+            plan::run_schedule(
+                pe,
+                key,
+                || {
+                    let mut sched = reduce_linear_sched(n_pes, root, nelems, stride);
+                    sched.kind = kind;
+                    sched
+                },
+                src.whole(),
+                &[],
+                &mut acc,
+                Some(&f),
+                sync,
+            );
+            if log_rank == root {
+                for j in 0..nelems {
+                    dest[j * stride] = acc[j * stride];
+                }
+            }
+        }
     }
-    if nelems > 0 {
-        pe.barrier();
-    }
-    pe.shared_free(s_buff);
 }
 
 /// Reduce with a named arithmetic operator (`sum`, `prod`, `min`, `max`) —
-/// valid for every Table 1 type.
+/// valid for every Table 1 type. The paper's signature: binomial tree, a
+/// barrier after every stage.
 ///
 /// # Panics
 /// Panics if `op` is a bitwise operator (those require [`XbrBitwise`] —
@@ -196,13 +197,41 @@ pub fn reduce<T: XbrNumeric>(
     root: usize,
     op: ReduceOp,
 ) {
+    reduce_policy_sync(
+        pe,
+        dest,
+        src,
+        nelems,
+        stride,
+        root,
+        op,
+        AlgorithmPolicy::Binomial,
+        SyncMode::Barrier,
+    );
+}
+
+/// [`reduce`] under an explicit [`AlgorithmPolicy`] and executor
+/// [`SyncMode`].
+#[allow(clippy::too_many_arguments)]
+pub fn reduce_policy_sync<T: XbrNumeric>(
+    pe: &Pe,
+    dest: &mut [T],
+    src: &SymmAlloc<T>,
+    nelems: usize,
+    stride: usize,
+    root: usize,
+    op: ReduceOp,
+    policy: AlgorithmPolicy,
+    sync: SyncMode,
+) {
     let f = op
         .combiner::<T>()
         .unwrap_or_else(|| panic!("reduction operator {op:?} requires a non-floating-point type"));
-    reduce_with(pe, dest, src, nelems, stride, root, f);
+    reduce_with(pe, dest, src, nelems, stride, root, f, policy, sync);
 }
 
-/// Reduce with any operator, including bitwise, for non-floating-point types.
+/// Reduce with any operator, including bitwise, for non-floating-point
+/// types (binomial tree, per-stage barriers).
 pub fn reduce_bitwise<T: XbrBitwise>(
     pe: &Pe,
     dest: &mut [T],
@@ -220,6 +249,8 @@ pub fn reduce_bitwise<T: XbrBitwise>(
         stride,
         root,
         op.combiner_bitwise::<T>(),
+        AlgorithmPolicy::Binomial,
+        SyncMode::Barrier,
     );
 }
 

@@ -14,7 +14,7 @@
 //! indexing straight.
 
 use crate::collectives::plan::{self, PlanKey};
-use crate::collectives::policy::{Algorithm, SyncMode};
+use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::schedule::{scatter_binomial, scatter_linear_sched};
 use crate::collectives::vrank::{logical_rank, virtual_rank};
 use crate::fabric::{CollectiveKind, Pe};
@@ -80,7 +80,7 @@ pub fn scatter<T: XbrType>(
     nelems: usize,
     root: usize,
 ) {
-    scatter_impl(
+    scatter_policy_sync(
         pe,
         dest,
         src,
@@ -88,39 +88,17 @@ pub fn scatter<T: XbrType>(
         pe_disp,
         nelems,
         root,
-        Algorithm::Binomial,
-    );
-}
-
-/// Scatter with an explicit algorithm shape: the staging/relocation
-/// wrapper is shared, only the communication schedule differs (`Ring`
-/// falls back to linear).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scatter_impl<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &[T],
-    pe_msgs: &[usize],
-    pe_disp: &[usize],
-    nelems: usize,
-    root: usize,
-    algo: Algorithm,
-) {
-    scatter_impl_sync(
-        pe,
-        dest,
-        src,
-        pe_msgs,
-        pe_disp,
-        nelems,
-        root,
-        algo,
+        AlgorithmPolicy::Binomial,
         SyncMode::Barrier,
     );
 }
 
+/// [`scatter`] under an explicit [`AlgorithmPolicy`] and executor
+/// [`SyncMode`]: the staging/relocation wrapper is shared, only the
+/// communication schedule differs, so irregular `pe_msgs`/`pe_disp`
+/// semantics are identical across shapes (`Ring` falls back to linear).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scatter_impl_sync<T: XbrType>(
+pub fn scatter_policy_sync<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &[T],
@@ -128,10 +106,15 @@ pub(crate) fn scatter_impl_sync<T: XbrType>(
     pe_disp: &[usize],
     nelems: usize,
     root: usize,
-    algo: Algorithm,
+    policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
     let n_pes = pe.n_pes();
+    let algo = policy.select(
+        CollectiveKind::Scatter,
+        n_pes,
+        nelems * std::mem::size_of::<T>(),
+    );
     let log_rank = pe.rank();
     validate(pe_msgs, pe_disp, nelems, n_pes, root);
     let vir_rank = virtual_rank(log_rank, root, n_pes);

@@ -33,8 +33,8 @@
 //!   (Träff-style doubly-pipelined stages).
 //!
 //! The collective wrappers reach plans through the fabric's plan cache
-//! ([`plan::run_schedule`]); [`execute`]/[`execute_sync`] here are the
-//! uncached one-shot route for ad-hoc schedules. Either way the episode
+//! ([`plan::run_schedule`]); [`execute`] here is the uncached one-shot
+//! route for ad-hoc schedules. Either way the episode
 //! reports per-collective telemetry (ops, bytes, stages, simulated
 //! cycles, signal posts/waits/stall cycles) via [`Pe::note_collective`],
 //! surfaced through [`RunReport::collectives`](crate::fabric::RunReport).
@@ -260,9 +260,10 @@ impl CommSchedule {
     }
 }
 
-/// Lower `sched` under the barrier discipline and run it once on this
-/// PE, bypassing the plan cache. Every PE of the fabric must call this
-/// collectively with the same schedule.
+/// Lower `sched` under `sync` and run it once on this PE, bypassing the
+/// plan cache. Every PE of the fabric must call this collectively with the
+/// same schedule. `SyncMode::Auto` resolves from the schedule's PE count
+/// and largest transfer, identically on every PE.
 ///
 /// `buf` is the base of the symmetric working buffer all symmetric op
 /// offsets index. `local_src`/`local_dst` back the private-memory op kinds
@@ -274,28 +275,6 @@ impl CommSchedule {
 /// Panics if the schedule fails [`CommSchedule::validate`], was built for
 /// a different world size, or contains fold ops while `fold` is `None`.
 pub fn execute<T: XbrType>(
-    pe: &Pe,
-    sched: &CommSchedule,
-    buf: SymmRef<T>,
-    local_src: &[T],
-    local_dst: &mut [T],
-    fold: Option<&dyn Fn(T, T) -> T>,
-) {
-    execute_sync(
-        pe,
-        sched,
-        buf,
-        local_src,
-        local_dst,
-        fold,
-        SyncMode::Barrier,
-    );
-}
-
-/// [`execute`] under an explicit [`SyncMode`]. `SyncMode::Auto` resolves
-/// from the schedule's PE count and largest transfer, identically on
-/// every PE.
-pub fn execute_sync<T: XbrType>(
     pe: &Pe,
     sched: &CommSchedule,
     buf: SymmRef<T>,
@@ -911,7 +890,15 @@ mod tests {
             if pe.rank() == 0 {
                 pe.heap_write(buf.whole(), &src);
             }
-            execute(pe, &sched, buf.whole(), &src, &mut [], None);
+            execute(
+                pe,
+                &sched,
+                buf.whole(),
+                &src,
+                &mut [],
+                None,
+                SyncMode::Barrier,
+            );
             pe.barrier();
             pe.heap_read_vec::<u64>(buf.whole(), 2)
         });
@@ -930,7 +917,15 @@ mod tests {
         Fabric::run(FabricConfig::new(2), |pe| {
             let buf = pe.shared_malloc::<u64>(1);
             let sched = reduce_binomial(2, 0, 1, 1);
-            execute(pe, &sched, buf.whole(), &[], &mut [], None);
+            execute(
+                pe,
+                &sched,
+                buf.whole(),
+                &[],
+                &mut [],
+                None,
+                SyncMode::Barrier,
+            );
         });
     }
 
@@ -949,7 +944,7 @@ mod tests {
                 if pe.rank() == 5 {
                     pe.heap_write(buf.whole(), &src);
                 }
-                execute_sync(pe, &sched, buf.whole(), &[], &mut [], None, sync);
+                execute(pe, &sched, buf.whole(), &[], &mut [], None, sync);
                 pe.barrier();
                 pe.heap_read_vec::<u64>(buf.whole(), nelems)
             })
@@ -989,7 +984,7 @@ mod tests {
                 }
                 pe.barrier();
                 let sched = scatter_binomial(n_pes, 0, &adj);
-                execute_sync(pe, &sched, buf.whole(), &[], &mut [], None, sync);
+                execute(pe, &sched, buf.whole(), &[], &mut [], None, sync);
                 pe.barrier();
                 // Each PE's own segment is what scatter delivers.
                 pe.heap_read_vec::<u64>(buf.at(adj[pe.rank()]), per)
@@ -1012,7 +1007,7 @@ mod tests {
             if pe.rank() == 0 {
                 pe.heap_write(buf.whole(), &[9u64; 64]);
             }
-            execute_sync(
+            execute(
                 pe,
                 &sched,
                 buf.whole(),
@@ -1042,13 +1037,13 @@ mod tests {
             let report = Fabric::run(FabricConfig::new(4), move |pe| {
                 let buf = pe.shared_malloc::<u64>(1);
                 let sched = broadcast_binomial(4, 0, 0, 1);
-                execute_sync(pe, &sched, buf.whole(), &[], &mut [], None, sync);
+                execute(pe, &sched, buf.whole(), &[], &mut [], None, sync);
             });
             assert_eq!(report.stats.barriers, 0, "sync={sync:?}");
             let report = Fabric::run(FabricConfig::new(1), move |pe| {
                 let buf = pe.shared_malloc::<u64>(4);
                 let sched = broadcast_binomial(1, 0, 4, 1);
-                execute_sync(pe, &sched, buf.whole(), &[], &mut [], None, sync);
+                execute(pe, &sched, buf.whole(), &[], &mut [], None, sync);
             });
             assert_eq!(report.stats.barriers, 0, "sync={sync:?}");
         }
@@ -1089,7 +1084,7 @@ mod tests {
                         },
                     ])],
                 };
-                execute_sync(pe, &sched, buf.whole(), &[], &mut [], None, sync);
+                execute(pe, &sched, buf.whole(), &[], &mut [], None, sync);
                 pe.heap_read_vec(buf.whole(), 8)
             });
             assert_eq!(report.results[2], vec![1u64; 8], "sync={sync:?}");

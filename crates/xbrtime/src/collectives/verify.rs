@@ -39,7 +39,7 @@ use crate::collectives::vrank::logical_rank;
 // The provenance value domain.
 // ---------------------------------------------------------------------------
 
-/// Which buffer an atom (or a [`Loc`]) refers to.
+/// Which buffer an atom (or a `Loc`) refers to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Space {
     /// The symmetric working buffer (one copy per PE).

@@ -13,7 +13,7 @@
 //!   small worker pool. Each PE is still a (small-stack) thread, but at
 //!   most `workers` of them are *runnable* at any instant: every blocking
 //!   primitive in the fabric (barrier, `signal_wait`, executor drains, the
-//!   fault plane's wall-clock stalls) parks the PE in the [`CoopSched`]
+//!   fault plane's wall-clock stalls) parks the PE in the `CoopSched`
 //!   scheduler instead of spinning, and the freed worker slot is granted
 //!   to a ready PE picked by a seeded randomised-priority work-stealing
 //!   policy. 4096-PE collectives run comfortably on a laptop-class host.

@@ -108,8 +108,7 @@ pub fn broadcast64<T: XbrType>(
     pe_root: usize,
     active: &ActiveSet,
 ) {
-    assert_elem_size::<T>(64, "shmem_broadcast64");
-    shmem_broadcast(
+    broadcast64_sync(
         pe,
         dest,
         src,
@@ -117,6 +116,7 @@ pub fn broadcast64<T: XbrType>(
         pe_root,
         active,
         AlgorithmPolicy::Binomial,
+        SyncMode::Barrier,
     );
 }
 
@@ -129,8 +129,7 @@ pub fn broadcast32<T: XbrType>(
     pe_root: usize,
     active: &ActiveSet,
 ) {
-    assert_elem_size::<T>(32, "shmem_broadcast32");
-    shmem_broadcast(
+    broadcast32_sync(
         pe,
         dest,
         src,
@@ -138,44 +137,14 @@ pub fn broadcast32<T: XbrType>(
         pe_root,
         active,
         AlgorithmPolicy::Binomial,
+        SyncMode::Barrier,
     );
 }
 
-/// [`broadcast64`] under an explicit [`AlgorithmPolicy`]. World-spanning
-/// active sets dispatch through the policy; proper-subset teams always use
-/// the binomial tree.
-#[allow(clippy::too_many_arguments)]
-pub fn broadcast64_policy<T: XbrType>(
-    pe: &Pe,
-    dest: &SymmAlloc<T>,
-    src: &[T],
-    nelems: usize,
-    pe_root: usize,
-    active: &ActiveSet,
-    policy: AlgorithmPolicy,
-) {
-    assert_elem_size::<T>(64, "shmem_broadcast64");
-    shmem_broadcast(pe, dest, src, nelems, pe_root, active, policy);
-}
-
-/// [`broadcast32`] under an explicit [`AlgorithmPolicy`].
-#[allow(clippy::too_many_arguments)]
-pub fn broadcast32_policy<T: XbrType>(
-    pe: &Pe,
-    dest: &SymmAlloc<T>,
-    src: &[T],
-    nelems: usize,
-    pe_root: usize,
-    active: &ActiveSet,
-    policy: AlgorithmPolicy,
-) {
-    assert_elem_size::<T>(32, "shmem_broadcast32");
-    shmem_broadcast(pe, dest, src, nelems, pe_root, active, policy);
-}
-
-/// [`broadcast64_policy`] with an explicit executor [`SyncMode`] (the
-/// mode applies on world-spanning active sets; proper-subset teams keep
-/// the barrier discipline).
+/// [`broadcast64`] under an explicit [`AlgorithmPolicy`] and executor
+/// [`SyncMode`]. World-spanning active sets dispatch through both;
+/// proper-subset teams always use the binomial tree under the barrier
+/// discipline.
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast64_sync<T: XbrType>(
     pe: &Pe,
@@ -191,7 +160,7 @@ pub fn broadcast64_sync<T: XbrType>(
     shmem_broadcast_sync(pe, dest, src, nelems, pe_root, active, policy, sync);
 }
 
-/// [`broadcast32_policy`] with an explicit executor [`SyncMode`].
+/// 32-bit variant of [`broadcast64_sync`].
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast32_sync<T: XbrType>(
     pe: &Pe,
@@ -205,28 +174,6 @@ pub fn broadcast32_sync<T: XbrType>(
 ) {
     assert_elem_size::<T>(32, "shmem_broadcast32");
     shmem_broadcast_sync(pe, dest, src, nelems, pe_root, active, policy, sync);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn shmem_broadcast<T: XbrType>(
-    pe: &Pe,
-    dest: &SymmAlloc<T>,
-    src: &[T],
-    nelems: usize,
-    pe_root: usize,
-    active: &ActiveSet,
-    policy: AlgorithmPolicy,
-) {
-    shmem_broadcast_sync(
-        pe,
-        dest,
-        src,
-        nelems,
-        pe_root,
-        active,
-        policy,
-        SyncMode::Barrier,
-    );
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -256,7 +203,7 @@ fn shmem_broadcast_sync<T: XbrType>(
         // through the policy dispatcher; set-rank == global rank here.
         crate::collectives::broadcast_policy_sync(pe, dest, src, nelems, 1, pe_root, policy, sync);
     } else {
-        team.broadcast(pe, dest, src, nelems, pe_root);
+        team.broadcast(pe, dest, src, nelems, pe_root, SyncMode::Barrier);
     }
     pe.barrier();
     if root_is_me && nelems > 0 {
@@ -360,7 +307,7 @@ pub fn to_all_with<T: XbrType>(
 ) {
     let team = active.team();
     let mut result = vec![T::default(); nreduce.max(1)];
-    team.reduce_all(pe, &mut result, src, nreduce, f);
+    team.reduce_all(pe, &mut result, src, nreduce, f, SyncMode::Barrier);
     if active.set_rank(pe.rank()).is_some() && nreduce > 0 {
         pe.heap_write(dest.whole(), &result[..nreduce]);
     }
@@ -526,7 +473,8 @@ mod tests {
                 let dest = pe.shared_malloc::<u64>(2);
                 pe.heap_write(dest.whole(), &[111, 222]); // sentinel
                 pe.barrier();
-                broadcast64_policy(pe, &dest, &[5, 6], 2, 1, &ActiveSet::world(4), policy);
+                let (world, sync) = (ActiveSet::world(4), SyncMode::Barrier);
+                broadcast64_sync(pe, &dest, &[5, 6], 2, 1, &world, policy, sync);
                 pe.barrier();
                 pe.heap_read_vec::<u64>(dest.whole(), 2)
             });

@@ -1,7 +1,7 @@
 //! The tracing plane: cycle-timestamped event capture for the fabric.
 //!
 //! Always compiled, cheap when off. Each PE owns a lock-free ring buffer of
-//! fixed-width event records ([`TraceRing`]); the fabric and the schedule
+//! fixed-width event records (`TraceRing`); the fabric and the schedule
 //! executor emit an event per transfer, signal, barrier, local reduction and
 //! stage span when [`crate::FabricConfig::with_trace`] is set, and emit
 //! nothing (one branch per site) when it is not. On run completion the

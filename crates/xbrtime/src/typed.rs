@@ -17,7 +17,7 @@
 //! compile time.
 
 use crate::collectives;
-use crate::collectives::{AlgorithmPolicy, CollHandle, SyncMode};
+use crate::collectives::{AlgorithmPolicy, AllReduceAlgo, CollHandle, SyncMode};
 use crate::fabric::{NbHandle, Pe, SymmAlloc, SymmRef};
 use crate::types::ReduceOp;
 
@@ -120,7 +120,14 @@ macro_rules! typed_common {
             src: &SymmAlloc<$t>,
             nelems: usize,
         ) -> CollHandle<'a, $t> {
-            collectives::ixallreduce(pe, src, nelems, |a: $t, b: $t| a + b, SyncMode::Auto)
+            collectives::ixallreduce(
+                pe,
+                src,
+                nelems,
+                |a: $t, b: $t| a + b,
+                AllReduceAlgo::Auto,
+                SyncMode::Auto,
+            )
         }
 
         /// `xbrtime_TYPENAME_scatter(dest, src, pe_msgs, pe_disp, nelems, root)`.
@@ -229,65 +236,8 @@ macro_rules! typed_common {
             collectives::reduce(pe, dest, src, nelems, stride, root, ReduceOp::Max);
         }
 
-        /// [`broadcast`] under an explicit [`AlgorithmPolicy`].
-        pub fn broadcast_policy(
-            pe: &Pe,
-            dest: &SymmAlloc<$t>,
-            src: &[$t],
-            nelems: usize,
-            stride: usize,
-            root: usize,
-            policy: AlgorithmPolicy,
-        ) {
-            collectives::broadcast_policy(pe, dest, src, nelems, stride, root, policy);
-        }
-
-        /// Reduce with any named operator under an explicit [`AlgorithmPolicy`].
-        #[allow(clippy::too_many_arguments)]
-        pub fn reduce_policy(
-            pe: &Pe,
-            dest: &mut [$t],
-            src: &SymmAlloc<$t>,
-            nelems: usize,
-            stride: usize,
-            root: usize,
-            op: ReduceOp,
-            policy: AlgorithmPolicy,
-        ) {
-            collectives::reduce_policy(pe, dest, src, nelems, stride, root, op, policy);
-        }
-
-        /// [`scatter`] under an explicit [`AlgorithmPolicy`].
-        #[allow(clippy::too_many_arguments)]
-        pub fn scatter_policy(
-            pe: &Pe,
-            dest: &mut [$t],
-            src: &[$t],
-            pe_msgs: &[usize],
-            pe_disp: &[usize],
-            nelems: usize,
-            root: usize,
-            policy: AlgorithmPolicy,
-        ) {
-            collectives::scatter_policy(pe, dest, src, pe_msgs, pe_disp, nelems, root, policy);
-        }
-
-        /// [`gather`] under an explicit [`AlgorithmPolicy`].
-        #[allow(clippy::too_many_arguments)]
-        pub fn gather_policy(
-            pe: &Pe,
-            dest: &mut [$t],
-            src: &[$t],
-            pe_msgs: &[usize],
-            pe_disp: &[usize],
-            nelems: usize,
-            root: usize,
-            policy: AlgorithmPolicy,
-        ) {
-            collectives::gather_policy(pe, dest, src, pe_msgs, pe_disp, nelems, root, policy);
-        }
-
-        /// [`broadcast_policy`] with an explicit executor [`SyncMode`].
+        /// [`broadcast`] under an explicit [`AlgorithmPolicy`] and executor
+        /// [`SyncMode`].
         #[allow(clippy::too_many_arguments)]
         pub fn broadcast_policy_sync(
             pe: &Pe,
@@ -302,7 +252,8 @@ macro_rules! typed_common {
             collectives::broadcast_policy_sync(pe, dest, src, nelems, stride, root, policy, sync);
         }
 
-        /// [`reduce_policy`] with an explicit executor [`SyncMode`].
+        /// Reduce with any named operator under an explicit
+        /// [`AlgorithmPolicy`] and executor [`SyncMode`].
         #[allow(clippy::too_many_arguments)]
         pub fn reduce_policy_sync(
             pe: &Pe,
@@ -318,7 +269,8 @@ macro_rules! typed_common {
             collectives::reduce_policy_sync(pe, dest, src, nelems, stride, root, op, policy, sync);
         }
 
-        /// [`scatter_policy`] with an explicit executor [`SyncMode`].
+        /// [`scatter`] under an explicit [`AlgorithmPolicy`] and executor
+        /// [`SyncMode`].
         #[allow(clippy::too_many_arguments)]
         pub fn scatter_policy_sync(
             pe: &Pe,
@@ -336,7 +288,8 @@ macro_rules! typed_common {
             );
         }
 
-        /// [`gather_policy`] with an explicit executor [`SyncMode`].
+        /// [`gather`] under an explicit [`AlgorithmPolicy`] and executor
+        /// [`SyncMode`].
         #[allow(clippy::too_many_arguments)]
         pub fn gather_policy_sync(
             pe: &Pe,
@@ -594,65 +547,19 @@ mod tests {
     }
 
     #[test]
-    fn typed_policy_variants_match_defaults() {
-        use crate::collectives::AlgorithmPolicy;
-        let report = Fabric::run(FabricConfig::new(4), |pe| {
-            let mut out = Vec::new();
-            for policy in [
-                AlgorithmPolicy::Binomial,
-                AlgorithmPolicy::Linear,
-                AlgorithmPolicy::Auto,
-            ] {
-                let b = pe.shared_malloc::<u32>(2);
-                super::uint::broadcast_policy(pe, &b, &[4, 5], 2, 1, 1, policy);
-                pe.barrier();
-
-                let s = pe.shared_malloc::<i32>(1);
-                pe.heap_store(s.whole(), pe.rank() as i32 + 1);
-                pe.barrier();
-                let mut red = [0i32];
-                super::int::reduce_policy(
-                    pe,
-                    &mut red,
-                    &s,
-                    1,
-                    1,
-                    0,
-                    crate::types::ReduceOp::Sum,
-                    policy,
-                );
-                pe.barrier();
-                out.push((pe.heap_read_vec::<u32>(b.whole(), 2), red[0]));
-            }
-            out
-        });
-        for (rank, per_policy) in report.results.iter().enumerate() {
-            for (bcast, sum) in per_policy {
-                assert_eq!(bcast, &vec![4, 5]);
-                if rank == 0 {
-                    assert_eq!(*sum, 10);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn typed_sync_variants_match_defaults() {
+    fn typed_policy_sync_variants_match_defaults() {
         use crate::collectives::{AlgorithmPolicy, SyncMode};
         let report = Fabric::run(FabricConfig::new(4), |pe| {
             let mut out = Vec::new();
-            for sync in [SyncMode::Barrier, SyncMode::Signaled, SyncMode::Auto] {
+            for (policy, sync) in [
+                (AlgorithmPolicy::Binomial, SyncMode::Barrier),
+                (AlgorithmPolicy::Linear, SyncMode::Barrier),
+                (AlgorithmPolicy::Auto, SyncMode::Barrier),
+                (AlgorithmPolicy::Binomial, SyncMode::Signaled),
+                (AlgorithmPolicy::Binomial, SyncMode::Auto),
+            ] {
                 let b = pe.shared_malloc::<u32>(2);
-                super::uint::broadcast_policy_sync(
-                    pe,
-                    &b,
-                    &[4, 5],
-                    2,
-                    1,
-                    1,
-                    AlgorithmPolicy::Binomial,
-                    sync,
-                );
+                super::uint::broadcast_policy_sync(pe, &b, &[4, 5], 2, 1, 1, policy, sync);
                 pe.barrier();
 
                 let s = pe.shared_malloc::<i32>(1);
@@ -667,7 +574,7 @@ mod tests {
                     1,
                     0,
                     crate::types::ReduceOp::Sum,
-                    AlgorithmPolicy::Binomial,
+                    policy,
                     sync,
                 );
                 pe.barrier();
@@ -675,8 +582,8 @@ mod tests {
             }
             out
         });
-        for (rank, per_sync) in report.results.iter().enumerate() {
-            for (bcast, sum) in per_sync {
+        for (rank, per_call) in report.results.iter().enumerate() {
+            for (bcast, sum) in per_call {
                 assert_eq!(bcast, &vec![4, 5]);
                 if rank == 0 {
                     assert_eq!(*sum, 10);

@@ -170,7 +170,7 @@ fn run_allreduce(
         pe.heap_write(src.whole(), &vals);
         pe.barrier();
         let mut dest = vec![0u64; nelems];
-        collectives::reduce_all_with_sync(
+        collectives::reduce_all_with(
             pe,
             &mut dest,
             &src,

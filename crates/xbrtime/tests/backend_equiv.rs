@@ -166,7 +166,7 @@ fn run_one(
                 let per = msgs[0];
                 let src: Vec<u64> = (0..(per * n) as u64).map(|i| me * 1000 + i).collect();
                 let mut dest = vec![0u64; per * n];
-                collectives::all_to_all(pe, &mut dest, &src, per);
+                collectives::all_to_all_sync(pe, &mut dest, &src, per, SyncMode::Barrier);
                 pe.barrier();
                 dest
             }

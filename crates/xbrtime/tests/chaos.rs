@@ -49,7 +49,16 @@ fn run_case(
             "broadcast" => {
                 let dest = pe.shared_malloc::<u64>(33);
                 let src: Vec<u64> = (0..33).map(|i| i * 7 + 1).collect();
-                collectives::broadcast_sync(pe, &dest, &src, 33, 1, root, sync);
+                collectives::broadcast_policy_sync(
+                    pe,
+                    &dest,
+                    &src,
+                    33,
+                    1,
+                    root,
+                    AlgorithmPolicy::Binomial,
+                    sync,
+                );
                 pe.heap_read_vec(dest.whole(), 33)
             }
             "reduce" => {
@@ -57,7 +66,7 @@ fn run_case(
                 pe.heap_write(src.whole(), &[me + 1; 17]);
                 pe.barrier();
                 let mut dest = vec![0u64; 17];
-                collectives::reduce_with_sync(
+                collectives::reduce_with(
                     pe,
                     &mut dest,
                     &src,
@@ -65,6 +74,7 @@ fn run_case(
                     1,
                     root,
                     u64::wrapping_add,
+                    AlgorithmPolicy::Binomial,
                     sync,
                 );
                 dest
@@ -161,7 +171,16 @@ fn dropped_signals_trip_watchdog_naming_pe_and_stage() {
                 .with_faults(FaultConfig::drops_forever(seed, 1000));
             let result = Fabric::try_run(cfg, move |pe| {
                 let dest = pe.shared_malloc::<u64>(48);
-                collectives::broadcast_sync(pe, &dest, &[3u64; 48], 48, 1, 0, sync);
+                collectives::broadcast_policy_sync(
+                    pe,
+                    &dest,
+                    &[3u64; 48],
+                    48,
+                    1,
+                    0,
+                    AlgorithmPolicy::Binomial,
+                    sync,
+                );
             });
             match result {
                 Err(RunError::Deadlock(report)) => {
@@ -204,7 +223,7 @@ fn dropped_chunk_signal_report_names_pe_stage_and_chunk() {
     let result = Fabric::try_run(cfg, move |pe| {
         let buf = pe.shared_malloc::<u64>(nelems);
         let sched = broadcast_binomial(2, 0, nelems, 1);
-        schedule::execute_sync(
+        schedule::execute(
             pe,
             &sched,
             buf.whole(),

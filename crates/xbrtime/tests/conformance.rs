@@ -292,7 +292,7 @@ fn butterfly_mutants_die_under_the_oracle() {
 
 #[test]
 fn model_and_fabric_agree_on_hier_broadcast() {
-    use xbrtime::collectives::broadcast_hier_sync;
+    use xbrtime::collectives::broadcast_hier;
     use xbrtime::fabric::{Fabric, FabricConfig, Topology};
 
     // Same ragged schedule the oracle just cleared, now on real threads:
@@ -305,7 +305,7 @@ fn model_and_fabric_agree_on_hier_broadcast() {
             }),
             move |pe| {
                 let dest = pe.shared_malloc::<u64>(3);
-                broadcast_hier_sync(pe, &dest, &[7, 5, 3], 3, 4, sync);
+                broadcast_hier(pe, &dest, &[7, 5, 3], 3, 4, sync);
                 pe.barrier();
                 pe.heap_read_vec::<u64>(dest.whole(), 3)
             },

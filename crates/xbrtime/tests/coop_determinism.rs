@@ -15,7 +15,9 @@
 //! per-PE order, not where the allocator parked a source buffer.
 
 use xbrtime::collectives::{self, AllReduceAlgo};
-use xbrtime::{EngineConfig, Fabric, FabricConfig, ReduceOp, RunReport, SyncMode, TraceEvent};
+use xbrtime::{
+    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, ReduceOp, RunReport, SyncMode, TraceEvent,
+};
 
 /// A mixed workload exercising every park/unpark path: signaled and
 /// pipelined executors (signal waits), barriers, and an all-reduce.
@@ -29,13 +31,22 @@ fn run_workload(seed: u64) -> RunReport<Vec<u64>> {
 
         let bcast = pe.shared_malloc::<u64>(32);
         let src: Vec<u64> = (0..32).map(|i| i * 3 + 1).collect();
-        collectives::broadcast_sync(pe, &bcast, &src, 32, 1, 0, SyncMode::Signaled);
+        collectives::broadcast_policy_sync(
+            pe,
+            &bcast,
+            &src,
+            32,
+            1,
+            0,
+            AlgorithmPolicy::Binomial,
+            SyncMode::Signaled,
+        );
 
         let rsrc = pe.shared_malloc::<u64>(16);
         pe.heap_write(rsrc.whole(), &[me + 1; 16]);
         pe.barrier();
         let mut red = vec![0u64; 16];
-        collectives::reduce_with_sync(
+        collectives::reduce_with(
             pe,
             &mut red,
             &rsrc,
@@ -43,6 +54,7 @@ fn run_workload(seed: u64) -> RunReport<Vec<u64>> {
             1,
             0,
             u64::wrapping_add,
+            AlgorithmPolicy::Binomial,
             SyncMode::Pipelined,
         );
 

@@ -5,7 +5,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use xbrtime::{
-    CollectiveKind, Fabric, FabricConfig, FaultConfig, RunError, SyncMode, Topology, WaitSite,
+    AlgorithmPolicy, CollectiveKind, Fabric, FabricConfig, FaultConfig, RunError, SyncMode,
+    Topology, WaitSite,
 };
 
 #[test]
@@ -160,7 +161,16 @@ fn dropped_signal_names_collective_kind_and_stage() {
         .with_faults(FaultConfig::drops_forever(7, 1000));
     let result = Fabric::try_run(cfg, |pe| {
         let dest = pe.shared_malloc::<u64>(64);
-        xbrtime::collectives::broadcast_sync(pe, &dest, &[5u64; 64], 64, 1, 0, SyncMode::Signaled);
+        xbrtime::collectives::broadcast_policy_sync(
+            pe,
+            &dest,
+            &[5u64; 64],
+            64,
+            1,
+            0,
+            AlgorithmPolicy::Binomial,
+            SyncMode::Signaled,
+        );
     });
     match result {
         Err(RunError::Deadlock(report)) => {
@@ -188,7 +198,16 @@ fn traced_deadlock_report_embeds_recent_events() {
         .with_trace();
     let result = Fabric::try_run(cfg, |pe| {
         let dest = pe.shared_malloc::<u64>(64);
-        xbrtime::collectives::broadcast_sync(pe, &dest, &[5u64; 64], 64, 1, 0, SyncMode::Signaled);
+        xbrtime::collectives::broadcast_policy_sync(
+            pe,
+            &dest,
+            &[5u64; 64],
+            64,
+            1,
+            0,
+            AlgorithmPolicy::Binomial,
+            SyncMode::Signaled,
+        );
     });
     match result {
         Err(RunError::Deadlock(report)) => {
@@ -246,6 +265,7 @@ fn delays_only_faults_preserve_results_and_cycles() {
             8,
             |a, b| a + b,
             xbrtime::collectives::AllReduceAlgo::RecursiveDoubling,
+            SyncMode::Barrier,
         );
         sum
     };
@@ -282,7 +302,16 @@ fn dropped_then_redelivered_signals_converge() {
         .with_faults(FaultConfig::drops_with_redelivery(3, 400, 2_000));
     let report = Fabric::run(cfg, |pe| {
         let dest = pe.shared_malloc::<u64>(32);
-        xbrtime::collectives::broadcast_sync(pe, &dest, &[9u64; 32], 32, 1, 0, SyncMode::Signaled);
+        xbrtime::collectives::broadcast_policy_sync(
+            pe,
+            &dest,
+            &[9u64; 32],
+            32,
+            1,
+            0,
+            AlgorithmPolicy::Binomial,
+            SyncMode::Signaled,
+        );
         pe.heap_read_vec(dest.whole(), 32)
     });
     for (rank, got) in report.results.iter().enumerate() {

@@ -19,10 +19,10 @@
 #![allow(clippy::needless_update)]
 
 use proptest::prelude::*;
-use xbrtime::collectives;
-use xbrtime::collectives::plan::{PlanCache, PlanKey};
+use xbrtime::collectives::plan::{PlanCache, PlanCacheStats, PlanKey};
 use xbrtime::collectives::policy::Algorithm;
 use xbrtime::collectives::schedule::broadcast_binomial;
+use xbrtime::collectives::{self, AllReduceAlgo};
 use xbrtime::{CollectiveKind, EngineConfig, Fabric, FabricConfig, SyncMode, Topology};
 
 const SYNCS: [SyncMode; 4] = [
@@ -110,7 +110,14 @@ fn two_collectives_overlap_in_flight() {
             // Issue both before waiting on either: >= 2 in flight.
             let bcast_src: Vec<u64> = (0..16u64).map(|i| i * 2 + 1).collect();
             let h1 = collectives::ixbroadcast(pe, &d1, &bcast_src, 16, 3, sync);
-            let h2 = collectives::ixallreduce(pe, &src2, 8, |a, b| a.wrapping_add(b), sync);
+            let h2 = collectives::ixallreduce(
+                pe,
+                &src2,
+                8,
+                |a, b| a.wrapping_add(b),
+                AllReduceAlgo::Auto,
+                sync,
+            );
 
             let mut sum = vec![0u64; 8];
             h2.wait_into(pe, &mut sum);
@@ -152,7 +159,14 @@ fn dropped_handle_releases_slots_and_cursor() {
             let dest = pe.shared_malloc::<u64>(4);
             let h = collectives::ixbroadcast(pe, &dest, &[9u64, 9, 9, 9], 4, 0, sync);
             drop(h);
-            let h = collectives::ixallreduce(pe, &src, 8, |a, b| a.wrapping_add(b), sync);
+            let h = collectives::ixallreduce(
+                pe,
+                &src,
+                8,
+                |a, b| a.wrapping_add(b),
+                AllReduceAlgo::Auto,
+                sync,
+            );
             drop(h);
             pe.barrier();
 
@@ -201,7 +215,7 @@ fn hierarchical_runs_above_in_flight_handle() {
         pe.barrier();
         let h = collectives::ixbroadcast(pe, &flat, &[1, 2, 3, 4], 4, 0, SyncMode::Signaled);
         for (dest, sync) in hier.iter().zip([SyncMode::Signaled, SyncMode::Pipelined]) {
-            collectives::broadcast_hier_sync(pe, dest, &[5, 6, 7, 8], 4, 0, sync);
+            collectives::broadcast_hier(pe, dest, &[5, 6, 7, 8], 4, 0, sync);
         }
         h.wait(pe);
         pe.barrier();
@@ -241,11 +255,41 @@ fn persistent_reissue_hits_cache() {
             .collect();
         assert_eq!(got, &expect, "rank {rank}");
     }
-    let stats = report.plan_cache.expect("plan cache on");
     // plan_create compiles once per PE lookup; start() reuses the Arc and
     // never performs another lookup.
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits, 3, "3 other PEs' plan_create lookups hit");
+    let one_miss_then_hits = |stats: Option<PlanCacheStats>| {
+        let stats = stats.expect("plan cache on");
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, 3, "3 other PEs' plan_create lookups hit");
+    };
+    one_miss_then_hits(report.plan_cache);
+
+    // The allreduce case: each start folds the *current* contents of the
+    // bound `src` window.
+    let report = Fabric::run(FabricConfig::new(4), |pe| {
+        let me = pe.rank() as u64;
+        let src = pe.shared_malloc::<u64>(4);
+        let p = collectives::plan_create_allreduce(pe, &src, 4, SyncMode::Signaled);
+        let mut out = Vec::new();
+        for r in 0..3u64 {
+            let mine: Vec<u64> = (0..4u64).map(|j| r * 100 + me * 10 + j).collect();
+            pe.heap_write(src.whole(), &mine);
+            pe.barrier();
+            let mut sum = [0u64; 4];
+            p.start(pe, u64::wrapping_add).wait_into(pe, &mut sum);
+            out.extend(sum);
+        }
+        p.destroy(pe);
+        out
+    });
+    for (rank, got) in report.results.iter().enumerate() {
+        // Sum over me in 0..4 of r*100 + me*10 + j.
+        let expect: Vec<u64> = (0..3u64)
+            .flat_map(|r| (0..4u64).map(move |j| 4 * (r * 100 + j) + 60))
+            .collect();
+        assert_eq!(got, &expect, "allreduce rank {rank}");
+    }
+    one_miss_then_hits(report.plan_cache);
 }
 
 proptest! {

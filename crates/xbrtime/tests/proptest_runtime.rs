@@ -294,7 +294,7 @@ proptest! {
                 let b = pe.shared_malloc::<u64>(span);
                 pe.heap_write(b.whole(), &vec![u64::MAX; span]);
                 pe.barrier();
-                collectives::broadcast_sync(pe, &b, &payload, nelems, stride, root, sync);
+                collectives::broadcast_policy_sync(pe, &b, &payload, nelems, stride, root, AlgorithmPolicy::Binomial, sync);
                 pe.barrier();
                 let bcast = pe.heap_read_vec::<u64>(b.whole(), span);
 
@@ -306,9 +306,7 @@ proptest! {
                 pe.heap_write(src.whole(), &mine);
                 pe.barrier();
                 let mut red = vec![0u64; span];
-                collectives::reduce_with_sync(
-                    pe, &mut red, &src, nelems, stride, root, u64::wrapping_add, sync,
-                );
+                collectives::reduce_with(pe, &mut red, &src, nelems, stride, root, u64::wrapping_add, AlgorithmPolicy::Binomial, sync);
                 pe.barrier();
 
                 // Scatter + gather round-trip with irregular counts.
@@ -358,7 +356,7 @@ proptest! {
                 .map(|i| (pe.rank() * 10_000 + i) as u64)
                 .collect();
             let mut dest = vec![0u64; n_pes * per_pe];
-            collectives::all_to_all(pe, &mut dest, &src, per_pe);
+            collectives::all_to_all_sync(pe, &mut dest, &src, per_pe, SyncMode::Barrier);
             pe.barrier();
             dest
         });

@@ -4,7 +4,9 @@
 //! including the degenerate single-PE fabric.
 
 use xbrtime::collectives::{AllGatherAlgo, AllReduceAlgo};
-use xbrtime::{collectives, EngineConfig, Fabric, FabricConfig, RunReport, SyncMode};
+use xbrtime::{
+    collectives, AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, RunReport, SyncMode, Topology,
+};
 
 const PE_COUNTS: [usize; 3] = [1, 3, 8];
 const SYNC_MODES: [SyncMode; 4] = [
@@ -23,11 +25,13 @@ fn run_traced_on(
     engine: EngineConfig,
     body: impl Fn(&xbrtime::Pe) + Sync,
 ) -> RunReport<()> {
-    let fc = FabricConfig::paper(n_pes)
+    Fabric::run(traced_config(n_pes).with_engine(engine), body)
+}
+
+fn traced_config(n_pes: usize) -> FabricConfig {
+    FabricConfig::paper(n_pes)
         .with_shared_bytes(1 << 20)
-        .with_engine(engine)
-        .with_trace();
-    Fabric::run(fc, body)
+        .with_trace()
 }
 
 /// The shared assertions: nothing moved, nothing signaled, the trace is
@@ -79,7 +83,16 @@ fn zero_length_broadcast_all_modes() {
         for sync in SYNC_MODES {
             let report = run_traced(n, move |pe| {
                 let dest = pe.shared_malloc::<u64>(1);
-                collectives::broadcast_sync(pe, &dest, &[], 0, 1, 0, sync);
+                collectives::broadcast_policy_sync(
+                    pe,
+                    &dest,
+                    &[],
+                    0,
+                    1,
+                    0,
+                    AlgorithmPolicy::Binomial,
+                    sync,
+                );
             });
             assert_inert(&report, &format!("broadcast n={n} {sync:?}"));
         }
@@ -93,7 +106,7 @@ fn zero_length_reduce_all_modes() {
             let report = run_traced(n, move |pe| {
                 let src = pe.shared_malloc::<u64>(1);
                 let mut dest: Vec<u64> = vec![];
-                collectives::reduce_with_sync(
+                collectives::reduce_with(
                     pe,
                     &mut dest,
                     &src,
@@ -101,6 +114,7 @@ fn zero_length_reduce_all_modes() {
                     1,
                     0,
                     |a: u64, b: u64| a.wrapping_add(b),
+                    AlgorithmPolicy::Binomial,
                     sync,
                 );
             });
@@ -165,7 +179,7 @@ fn zero_length_allreduce_every_algorithm() {
                 let report = run_traced(n, move |pe| {
                     let src = pe.shared_malloc::<u64>(1);
                     let mut dest: Vec<u64> = vec![];
-                    collectives::reduce_all_with_sync(
+                    collectives::reduce_all_with(
                         pe,
                         &mut dest,
                         &src,
@@ -192,5 +206,27 @@ fn zero_length_scatter_and_gather() {
             collectives::gather(pe, &mut dest, &[], &msgs, &disp, 0, 0);
         });
         assert_inert(&report, &format!("scatter/gather n={n}"));
+    }
+}
+
+/// The hierarchical collectives on a fabric that has a topology: the
+/// two-tier schedules carry zero-length ops, which must lower to the
+/// same inert episode as the flat trees'.
+#[test]
+fn zero_length_hierarchical_all_modes() {
+    for n in PE_COUNTS {
+        for sync in SYNC_MODES {
+            let fc = traced_config(n).with_topology(Topology {
+                pes_per_node: 2,
+                intra_node_factor: 0.25,
+            });
+            let report = Fabric::run(fc, move |pe| {
+                let buf = pe.shared_malloc::<u64>(1);
+                let mut dest: Vec<u64> = vec![];
+                collectives::broadcast_hier(pe, &buf, &[], 0, 0, sync);
+                collectives::reduce_hier(pe, &mut dest, &buf, 0, 0, u64::wrapping_add, sync);
+            });
+            assert_inert(&report, &format!("hierarchical n={n} {sync:?}"));
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use xbgas::xbrtime::collectives;
-use xbgas::xbrtime::{Fabric, FabricConfig, Topology};
+use xbgas::xbrtime::{Fabric, FabricConfig, SyncMode, Topology};
 
 const MSG: usize = 8192;
 
@@ -25,7 +25,7 @@ fn measure(hier: bool, n_pes: usize, pes_per_node: usize) -> u64 {
         pe.barrier();
         let t0 = pe.cycles();
         if hier {
-            collectives::broadcast_hier(pe, &dest, &src, MSG, 0);
+            collectives::broadcast_hier(pe, &dest, &src, MSG, 0, SyncMode::Barrier);
         } else {
             collectives::broadcast(pe, &dest, &src, MSG, 1, 0);
         }

@@ -7,7 +7,7 @@
 //! cargo run --release --example nonblocking
 //! ```
 
-use xbgas::xbrtime::collectives::{self, SyncMode};
+use xbgas::xbrtime::collectives::{self, AllReduceAlgo, SyncMode};
 use xbgas::xbrtime::{Fabric, FabricConfig};
 
 fn main() {
@@ -21,7 +21,14 @@ fn main() {
         // now in flight. `test` polls without consuming; `wait` drains.
         let payload = [7u64; 16];
         let h1 = collectives::ixbroadcast(pe, &bc, &payload, 16, 0, SyncMode::Auto);
-        let h2 = collectives::ixallreduce(pe, &sum, 1, |a, b| a + b, SyncMode::Auto);
+        let h2 = collectives::ixallreduce(
+            pe,
+            &sum,
+            1,
+            |a, b| a + b,
+            AllReduceAlgo::Auto,
+            SyncMode::Auto,
+        );
 
         let mut total = [0u64];
         h2.wait_into(pe, &mut total); // 0 + 1 + ... + 7 = 28

@@ -159,6 +159,7 @@ fn is_histogram_matches_sequential_oracle() {
             max_key,
             |a: u64, b: u64| a + b,
             AllReduceAlgo::ReduceThenBroadcast,
+            SyncMode::Barrier,
         );
         pe.barrier();
         global

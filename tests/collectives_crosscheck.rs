@@ -5,7 +5,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xbgas::xbrtime::collectives;
-use xbgas::xbrtime::{Fabric, FabricConfig, ReduceOp};
+use xbgas::xbrtime::{AlgorithmPolicy, Fabric, FabricConfig, ReduceOp, SyncMode};
 
 /// Oracle for reduction: fold contributions sequentially.
 fn oracle_reduce(contribs: &[Vec<i64>], f: impl Fn(i64, i64) -> i64) -> Vec<i64> {
@@ -47,7 +47,7 @@ fn randomized_reduce_matches_oracle_and_baseline() {
             let mut tree = vec![0i64; span];
             collectives::reduce(pe, &mut tree, &src, nelems, stride, root, op);
             let mut lin = vec![0i64; span];
-            collectives::reduce_linear(
+            collectives::reduce_with(
                 pe,
                 &mut lin,
                 &src,
@@ -55,6 +55,8 @@ fn randomized_reduce_matches_oracle_and_baseline() {
                 stride,
                 root,
                 op.combiner::<i64>().unwrap(),
+                AlgorithmPolicy::Linear,
+                SyncMode::Barrier,
             );
             pe.barrier();
             (tree, lin)
@@ -96,28 +98,44 @@ fn randomized_scatter_gather_roundtrip() {
             .collect();
         let data: Vec<u64> = (0..nelems as u64).map(|i| i * 13 + trial).collect();
 
-        let (m2, d2, dat2) = (msgs.clone(), disp.clone(), data.clone());
-        let report = Fabric::run(FabricConfig::new(n_pes), move |pe| {
-            let src: Vec<u64> = if pe.rank() == root {
-                dat2.clone()
-            } else {
-                vec![]
-            };
-            let my_count = m2[pe.rank()];
-            let mut mine = vec![0u64; my_count.max(1)];
-            collectives::scatter(pe, &mut mine, &src, &m2, &d2, nelems, root);
-            pe.barrier();
-            let mut back = vec![0u64; nelems.max(1)];
-            collectives::gather(pe, &mut back, &mine[..my_count], &m2, &d2, nelems, root);
-            pe.barrier();
-            back
-        });
-        if nelems > 0 {
-            assert_eq!(
-                &report.results[root][..nelems],
-                &data[..],
-                "trial {trial}: scatter∘gather must be identity (n={n_pes} root={root} msgs={msgs:?})"
-            );
+        for policy in [AlgorithmPolicy::Binomial, AlgorithmPolicy::Linear] {
+            let (m2, d2, dat2) = (msgs.clone(), disp.clone(), data.clone());
+            let report = Fabric::run(FabricConfig::new(n_pes), move |pe| {
+                let src: Vec<u64> = if pe.rank() == root {
+                    dat2.clone()
+                } else {
+                    vec![]
+                };
+                let my_count = m2[pe.rank()];
+                let mut mine = vec![0u64; my_count.max(1)];
+                let sync = SyncMode::Barrier;
+                collectives::scatter_policy_sync(
+                    pe, &mut mine, &src, &m2, &d2, nelems, root, policy, sync,
+                );
+                pe.barrier();
+                let mut back = vec![0u64; nelems.max(1)];
+                collectives::gather_policy_sync(
+                    pe,
+                    &mut back,
+                    &mine[..my_count],
+                    &m2,
+                    &d2,
+                    nelems,
+                    root,
+                    policy,
+                    sync,
+                );
+                pe.barrier();
+                back
+            });
+            if nelems > 0 {
+                assert_eq!(
+                    &report.results[root][..nelems],
+                    &data[..],
+                    "trial {trial}: {policy:?} scatter∘gather must be identity \
+                     (n={n_pes} root={root} msgs={msgs:?})"
+                );
+            }
         }
     }
 }
@@ -138,8 +156,26 @@ fn broadcast_equivalence_across_all_algorithms() {
             let c = pe.shared_malloc::<u64>(nelems.max(1));
             pe.barrier();
             collectives::broadcast(pe, &a, &p2, nelems, 1, root);
-            collectives::broadcast_linear(pe, &b, &p2, nelems, 1, root);
-            collectives::broadcast_ring(pe, &c, &p2, nelems, 1, root);
+            collectives::broadcast_policy_sync(
+                pe,
+                &b,
+                &p2,
+                nelems,
+                1,
+                root,
+                AlgorithmPolicy::Linear,
+                SyncMode::Barrier,
+            );
+            collectives::broadcast_policy_sync(
+                pe,
+                &c,
+                &p2,
+                nelems,
+                1,
+                root,
+                AlgorithmPolicy::Ring,
+                SyncMode::Barrier,
+            );
             pe.barrier();
             (
                 pe.heap_read_vec::<u64>(a.whole(), nelems),
@@ -177,13 +213,14 @@ fn composed_semantics_allreduce_equals_reduce_plus_broadcast() {
 
             // Library reduce_all.
             let mut auto = vec![0u64; 8];
-            collectives::reduce_all(
+            collectives::reduce_all_sync(
                 pe,
                 &mut auto,
                 &src,
                 8,
                 ReduceOp::Sum,
                 collectives::AllReduceAlgo::ReduceThenBroadcast,
+                SyncMode::Barrier,
             );
             pe.barrier();
             (manual, auto)
