@@ -27,8 +27,7 @@ use std::process::exit;
 
 use xbrtime::collectives::explore::{explore_exhaustive, run_mutation_harness, ExploreConfig};
 use xbrtime::collectives::extended::{
-    all_gather_doubling_sched, all_gather_sched, all_to_all_sched, allreduce_rabenseifner,
-    allreduce_recursive_doubling, allreduce_ring,
+    all_to_all_sched, allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring,
 };
 use xbrtime::collectives::hierarchical::{broadcast_hier_sched, reduce_hier_sched};
 use xbrtime::collectives::scatter::adjusted_displacements;
@@ -66,6 +65,8 @@ fn cases(n: usize) -> Vec<Case> {
     let uni: Vec<usize> = adjusted_displacements(&vec![1; n], root, n);
     let msgs: Vec<usize> = (0..n).map(|i| (i % 2) + 1).collect();
     let ragged: Vec<usize> = adjusted_displacements(&msgs, root, n);
+    // The uniform all-gather is the v-generators on a constant table.
+    let unit = prefix_displacements(&vec![1; n]);
     let mut out = vec![
         case(
             format!("broadcast/binomial n={n}"),
@@ -146,7 +147,7 @@ fn cases(n: usize) -> Vec<Case> {
         ),
         case(
             format!("all_gather n={n}"),
-            all_gather_sched(n, 1),
+            allgatherv_fan_sched(n, &unit),
             CollectiveSpec::AllGather { per_pe: 1 },
         ),
         case(
@@ -156,7 +157,7 @@ fn cases(n: usize) -> Vec<Case> {
         ),
         case(
             format!("all_gather/rec-doubling n={n}"),
-            all_gather_doubling_sched(n, 1),
+            allgatherv_dissemination_sched(n, &unit),
             CollectiveSpec::AllGather { per_pe: 1 },
         ),
         // The allreduce generators fold their non-power-of-two tails

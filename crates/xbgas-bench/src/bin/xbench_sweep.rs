@@ -32,7 +32,7 @@ use xbgas_bench::{
     sweep_broadcast, sweep_gather, sweep_reduce, sweep_scatter, trace_arg, traced_broadcast,
     SweepPoint,
 };
-use xbrtime::collectives::{self, AllGatherAlgo, AllReduceAlgo};
+use xbrtime::collectives::{self, policy, AllGatherVAlgo, AllReduceAlgo};
 use xbrtime::traffic::{run_traffic, TrafficConfig};
 use xbrtime::{
     Algorithm, AlgorithmPolicy, CollectiveKind, EngineConfig, Fabric, FabricConfig, FaultConfig,
@@ -266,7 +266,7 @@ impl ToJson for AllReduceCell {
 }
 
 /// One allgather cell: the one-stage n² fan against the log-stage
-/// dissemination schedule, plus `AllGatherAlgo::Auto` — the evidence
+/// dissemination schedule, plus `AllGatherVAlgo::Auto` — the evidence
 /// behind `policy::auto_select_all_gather`'s PE-count crossover.
 struct AllGatherCell {
     n_pes: usize,
@@ -289,29 +289,30 @@ impl AllGatherCell {
         AllGatherCell {
             n_pes,
             per_pe,
-            fan_cycles: run(AllGatherAlgo::Fan),
-            doubling_cycles: run(AllGatherAlgo::RecursiveDoubling),
-            auto_cycles: run(AllGatherAlgo::Auto),
+            fan_cycles: run(AllGatherVAlgo::Fan),
+            doubling_cycles: run(AllGatherVAlgo::Dissemination),
+            auto_cycles: run(AllGatherVAlgo::Auto),
         }
     }
 
     fn winner(&self) -> &'static str {
         if self.doubling_cycles < self.fan_cycles {
-            "recursive-doubling"
+            "dissemination"
         } else {
             "fan"
         }
     }
 
-    /// What `AllGatherAlgo::Auto` resolves to on this cell (pure
-    /// function of the cell shape, as in [`AllReduceCell::auto_pick`]).
-    fn auto_pick(&self) -> AllGatherAlgo {
-        AllGatherAlgo::Auto.resolve(self.n_pes, self.per_pe * 8)
+    /// What the uniform `all_gather`'s `Auto` resolves to on this cell
+    /// (pure function of the cell shape, as in
+    /// [`AllReduceCell::auto_pick`]).
+    fn auto_pick(&self) -> AllGatherVAlgo {
+        policy::auto_select_all_gather(self.n_pes, self.per_pe * 8)
     }
 
     fn auto_tracks_winner(&self) -> bool {
         let picked = match self.auto_pick() {
-            AllGatherAlgo::Fan => self.fan_cycles,
+            AllGatherVAlgo::Fan => self.fan_cycles,
             _ => self.doubling_cycles,
         };
         let best = self.fan_cycles.min(self.doubling_cycles);

@@ -15,8 +15,9 @@
 //!   allgather, and a bandwidth-optimal ring — all exact for any `n`,
 //!   with the non-power-of-two tail folded inside the generators;
 //! * [`all_gather`] — OpenSHMEM `fcollect` (equal counts, every PE receives
-//!   the concatenation); single-stage fan or log-stage dissemination
-//!   ([`AllGatherAlgo`]);
+//!   the concatenation): the [`vcoll`](crate::collectives::vcoll)
+//!   all-gather body on a constant count table, so every
+//!   [`AllGatherVAlgo`] shape is available;
 //! * [`all_to_all_sync`] — personalized all-to-all via pairwise exchange;
 //! * [`Team`] — a subset of PEs with translated ranks; team-scoped
 //!   broadcast/reduce reuse the tree algorithms over team ranks.
@@ -26,10 +27,12 @@ use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{self, Algorithm, SyncMode};
 use crate::collectives::reduce::reduce_core;
 use crate::collectives::schedule::{
-    balanced_partition, binomial_halving_stages, CommSchedule, OpKind, Stage, TransferOp,
+    balanced_partition, binomial_doubling_stages, binomial_halving_stages, CommSchedule, OpKind,
+    Stage, TransferOp,
 };
+use crate::collectives::vcoll::{allgather_core, AllGatherVAlgo};
 use crate::collectives::vrank::logical_rank;
-use crate::fabric::{ceil_log2, CollectiveKind, CollectiveSample, Pe, SymmAlloc};
+use crate::fabric::{ceil_log2, CollectiveKind, Pe, SymmAlloc};
 use crate::types::{ReduceOp, XbrNumeric, XbrType};
 
 /// Largest power of two at or below `n` (`n ≥ 1`).
@@ -290,106 +293,6 @@ pub fn allreduce_ring(n_pes: usize, nelems: usize) -> CommSchedule {
     }
 }
 
-/// All-gather schedule: in one stage every PE publishes its block at its
-/// own slot on every PE (its own included) — `n` concurrent put fans.
-pub fn all_gather_sched(n_pes: usize, per_pe: usize) -> CommSchedule {
-    let mut ops = Vec::new();
-    if per_pe > 0 {
-        for me in 0..n_pes {
-            for peer in 0..n_pes {
-                ops.push(TransferOp {
-                    src_pe: me,
-                    dst_pe: peer,
-                    src_at: 0,
-                    dst_at: me * per_pe,
-                    nelems: per_pe,
-                    stride: 1,
-                    kind: OpKind::PutFrom,
-                });
-            }
-        }
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::AllGather,
-        stages: vec![Stage::new(ops)],
-    }
-}
-
-/// Recursive-doubling (dissemination) all-gather schedule, exact for any
-/// `n`: stage 0 publishes every PE's private block into its own slot of
-/// the board, then `⌈log2 n⌉` stages each pull an exponentially growing
-/// window of blocks from the PE `2^k` ranks upstream — `O(log n)` stages
-/// and `2n·per_pe` total elements versus the fan's single stage of `n²`
-/// ops. Every board slot is written exactly once (stage 0 locally, later
-/// stages by local gets), and a stage's READY post follows the poster's
-/// own gets in program order, so plain stages suffice.
-pub fn all_gather_doubling_sched(n_pes: usize, per_pe: usize) -> CommSchedule {
-    let mut stages = Vec::new();
-    if per_pe > 0 && n_pes > 1 {
-        stages.push(Stage::new(
-            (0..n_pes)
-                .map(|me| TransferOp {
-                    src_pe: me,
-                    dst_pe: me,
-                    src_at: 0,
-                    dst_at: me * per_pe,
-                    nelems: per_pe,
-                    stride: 1,
-                    kind: OpKind::PutFrom,
-                })
-                .collect(),
-        ));
-        // After k stages each PE holds the cyclic window of `have`
-        // blocks ending at its own rank; it extends the window by pulling
-        // the `cnt` blocks ending at rank `me − have` from that PE.
-        let mut have = 1usize;
-        while have < n_pes {
-            let cnt = have.min(n_pes - have);
-            let mut ops = Vec::new();
-            for me in 0..n_pes {
-                let src = (me + n_pes - have) % n_pes;
-                let first = (src + 1 + n_pes - cnt) % n_pes;
-                let mut pull = |b0: usize, nb: usize| {
-                    ops.push(TransferOp {
-                        src_pe: src,
-                        dst_pe: me,
-                        src_at: b0 * per_pe,
-                        dst_at: b0 * per_pe,
-                        nelems: nb * per_pe,
-                        stride: 1,
-                        kind: OpKind::Get,
-                    });
-                };
-                if first <= src {
-                    pull(first, cnt);
-                } else {
-                    // Window wraps rank 0: two contiguous gets.
-                    pull(first, n_pes - first);
-                    pull(0, src + 1);
-                }
-            }
-            stages.push(Stage::new(ops));
-            have += cnt;
-        }
-    } else if per_pe > 0 && n_pes == 1 {
-        stages.push(Stage::new(vec![TransferOp {
-            src_pe: 0,
-            dst_pe: 0,
-            src_at: 0,
-            dst_at: 0,
-            nelems: per_pe,
-            stride: 1,
-            kind: OpKind::PutFrom,
-        }]));
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::AllGather,
-        stages,
-    }
-}
-
 /// Personalized all-to-all schedule: one stage of pairwise-exchange puts,
 /// each PE targeting `(rank + s) mod n` at hop `s` to spread traffic.
 pub fn all_to_all_sched(n_pes: usize, per_pe: usize) -> CommSchedule {
@@ -485,41 +388,6 @@ pub fn allreduce_schedule(algo: AllReduceAlgo, n_pes: usize, nelems: usize) -> C
     }
 }
 
-/// Strategy for [`all_gather`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum AllGatherAlgo {
-    /// Single-stage put fan ([`all_gather_sched`]): every PE publishes its
-    /// block on every PE — `n²` ops but only one stage of latency; wins at
-    /// small `n`.
-    Fan,
-    /// Log-stage dissemination ([`all_gather_doubling_sched`]): `⌈log2 n⌉`
-    /// doubling stages of `O(n)` total ops; wins at large `n`.
-    RecursiveDoubling,
-    /// Pick per call from `(n_pes, block bytes)`
-    /// ([`policy::auto_select_all_gather`]).
-    #[default]
-    Auto,
-}
-
-impl AllGatherAlgo {
-    /// Stable lowercase label for reports and bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            AllGatherAlgo::Fan => "fan",
-            AllGatherAlgo::RecursiveDoubling => "recursive-doubling",
-            AllGatherAlgo::Auto => "auto",
-        }
-    }
-
-    /// Resolve `Auto` for one call; concrete strategies pass through.
-    pub fn resolve(self, n_pes: usize, nbytes: usize) -> AllGatherAlgo {
-        match self {
-            AllGatherAlgo::Auto => policy::auto_select_all_gather(n_pes, nbytes),
-            other => other,
-        }
-    }
-}
-
 /// All-reduce with a named operator: every PE receives the elementwise
 /// combination of all contributions. `src` must be symmetric; `dest`
 /// receives `nelems` elements (contiguous) on every PE.
@@ -557,13 +425,7 @@ pub fn reduce_all_with<T: XbrType>(
     let kind = CollectiveKind::AllReduce;
     if nelems == 0 {
         // Fully inert: no staging board, no barriers, telemetry only.
-        pe.note_collective(
-            kind,
-            CollectiveSample {
-                stages: 1,
-                ..Default::default()
-            },
-        );
+        plan::note_inert(pe, kind);
         return;
     }
     let algo = algo.resolve(n_pes, nelems * std::mem::size_of::<T>());
@@ -619,65 +481,32 @@ pub fn reduce_all_with<T: XbrType>(
 /// elements from `src`; every PE's `dest` receives the rank-ordered
 /// concatenation (`n_pes * per_pe` elements). Auto algorithm and sync.
 pub fn all_gather<T: XbrType>(pe: &Pe, dest: &mut [T], src: &[T], per_pe: usize) {
-    all_gather_algo_sync(pe, dest, src, per_pe, AllGatherAlgo::Auto, SyncMode::Auto);
+    all_gather_algo_sync(pe, dest, src, per_pe, AllGatherVAlgo::Auto, SyncMode::Auto);
 }
 
-/// [`all_gather`] with explicit strategy and sync mode. Zero-length
-/// gathers are fully inert: telemetry only — no staging board, no
-/// barriers, no trace events.
+/// [`all_gather`] with explicit strategy and sync mode: the
+/// [`allgatherv`](crate::collectives::allgatherv) body on a constant
+/// count table. `Auto` resolves through
+/// [`policy::auto_select_all_gather`] on `(n_pes, block bytes)`.
+/// Zero-length gathers are fully inert: telemetry only — no staging
+/// board, no barriers, no trace events.
 pub fn all_gather_algo_sync<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &[T],
     per_pe: usize,
-    algo: AllGatherAlgo,
+    algo: AllGatherVAlgo,
     sync: SyncMode,
 ) {
     let n_pes = pe.n_pes();
-    let total = per_pe * n_pes;
-    assert!(src.len() >= per_pe, "src shorter than per_pe");
-    assert!(dest.len() >= total, "dest shorter than n_pes * per_pe");
-    if total == 0 {
-        pe.note_collective(
-            CollectiveKind::AllGather,
-            CollectiveSample {
-                stages: 1,
-                ..Default::default()
-            },
-        );
-        return;
-    }
-    let algo = algo.resolve(n_pes, per_pe * std::mem::size_of::<T>());
-    let (tag, build): (u64, fn(usize, usize) -> CommSchedule) = match algo {
-        AllGatherAlgo::Fan => (plan::tag::ALL_GATHER, all_gather_sched),
-        AllGatherAlgo::RecursiveDoubling => (plan::tag::ALL_GATHER_RD, all_gather_doubling_sched),
-        AllGatherAlgo::Auto => unreachable!("resolved above"),
+    let algo = match algo {
+        AllGatherVAlgo::Auto => {
+            policy::auto_select_all_gather(n_pes, per_pe * std::mem::size_of::<T>())
+        }
+        concrete => concrete,
     };
-    let board = pe.shared_malloc::<T>(total);
-    let key = PlanKey::rooted(
-        CollectiveKind::AllGather,
-        Algorithm::Binomial,
-        sync,
-        n_pes,
-        0,
-        per_pe,
-        1,
-        std::mem::size_of::<T>(),
-        tag,
-    );
-    plan::run_schedule(
-        pe,
-        key,
-        || build(n_pes, per_pe),
-        board.whole(),
-        src,
-        &mut [],
-        None,
-        sync,
-    );
-    pe.heap_read_strided(board.whole(), &mut dest[..total], total, 1);
-    pe.barrier();
-    pe.shared_free(board);
+    allgather_core(pe, dest, src, &vec![per_pe; n_pes], algo, sync)
+        .expect("a constant table has one count per PE");
 }
 
 /// Personalized all-to-all: PE `s`'s block `src[d*per_pe..]` lands in PE
@@ -696,13 +525,7 @@ pub fn all_to_all_sync<T: XbrType>(
     assert!(src.len() >= total, "src shorter than n_pes * per_pe");
     assert!(dest.len() >= total, "dest shorter than n_pes * per_pe");
     if total == 0 {
-        pe.note_collective(
-            CollectiveKind::AllToAll,
-            CollectiveSample {
-                stages: 1,
-                ..Default::default()
-            },
-        );
+        plan::note_inert(pe, CollectiveKind::AllToAll);
         return;
     }
     let board = pe.shared_malloc::<T>(total);
@@ -810,33 +633,21 @@ impl Team {
     /// team-rank 0 (partners outside the team size are simply skipped, so
     /// non-power-of-two teams stay exact).
     pub fn reduce_schedule(&self, n_pes: usize, nelems: usize) -> CommSchedule {
-        let n = self.size();
-        let mut stages = Vec::new();
-        if n > 1 && nelems > 0 {
-            let nstages = ceil_log2(n);
-            let mut mask = (1usize << nstages) - 1;
-            for i in 0..nstages {
-                mask ^= 1 << i;
-                let mut ops = Vec::new();
-                for tr in 0..n {
-                    if tr | mask == mask && tr & (1 << i) == 0 {
-                        let part = tr ^ (1 << i);
-                        if tr < part && part < n {
-                            ops.push(TransferOp {
-                                src_pe: self.global(part),
-                                dst_pe: self.global(tr),
-                                src_at: 0,
-                                dst_at: 0,
-                                nelems,
-                                stride: 1,
-                                kind: OpKind::GetFold,
-                            });
-                        }
-                    }
-                }
-                stages.push(Stage::new(ops));
-            }
-        }
+        let stages = if nelems > 0 {
+            binomial_doubling_stages(self.size(), |ops, _i, tr, part| {
+                ops.push(TransferOp {
+                    src_pe: self.global(part),
+                    dst_pe: self.global(tr),
+                    src_at: 0,
+                    dst_at: 0,
+                    nelems,
+                    stride: 1,
+                    kind: OpKind::GetFold,
+                });
+            })
+        } else {
+            Vec::new()
+        };
         CommSchedule {
             n_pes,
             kind: CollectiveKind::AllReduce,
@@ -1258,7 +1069,7 @@ mod tests {
     #[test]
     fn all_gather_doubling_matches_fan() {
         for n in 1..=9 {
-            for algo in [AllGatherAlgo::Fan, AllGatherAlgo::RecursiveDoubling] {
+            for algo in AllGatherVAlgo::CONCRETE {
                 let report = Fabric::run(FabricConfig::new(n), move |pe| {
                     let src = [pe.rank() as u32 * 10, pe.rank() as u32 * 10 + 1];
                     let mut dest = vec![0u32; n * 2];

@@ -5,14 +5,31 @@
 //! the tree runs with recursive doubling and `get`s subtree aggregates
 //! toward the root, and the root finally reorders the staging buffer back
 //! into *logical*-rank order through `pe_disp`.
+//!
+//! As for scatter, one body (`gather_core`) serves the binomial, linear
+//! and chain (`AlgorithmPolicy::Ring`) shapes and the irregular
+//! [`gatherv`](crate::collectives::vcoll::gatherv).
 
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::scatter::adjusted_displacements;
-use crate::collectives::schedule::{gather_binomial, gather_linear_sched};
+use crate::collectives::schedule::{gather_binomial, gather_linear_sched, CommSchedule};
+use crate::collectives::vcoll::{gatherv_ring_sched, validate_v_shape, VCountError};
 use crate::collectives::vrank::virtual_rank;
 use crate::fabric::{CollectiveKind, Pe};
 use crate::types::XbrType;
+
+/// The gather family's one algorithm → (plan tag, generator) table;
+/// every generator takes `(n_pes, root, adj_disp)`. A new shape is one
+/// generator plus one row here.
+#[allow(clippy::type_complexity)]
+pub(crate) fn gather_shape(algo: Algorithm) -> (u64, fn(usize, usize, &[usize]) -> CommSchedule) {
+    match algo {
+        Algorithm::Binomial => (plan::tag::GATHER_BINOMIAL, gather_binomial),
+        Algorithm::Linear => (plan::tag::GATHER_LINEAR, gather_linear_sched),
+        Algorithm::Ring => (plan::tag::GATHERV_RING, gatherv_ring_sched),
+    }
+}
 
 /// Gather `pe_msgs[r]` elements from every PE `r`'s `src` to the root:
 /// PE `r`'s values land at `dest[pe_disp[r]]` on the root. `nelems` is the
@@ -55,8 +72,10 @@ pub fn gather<T: XbrType>(
 }
 
 /// [`gather`] under an explicit [`AlgorithmPolicy`] and executor
-/// [`SyncMode`], over the shared staging wrapper (`Ring` falls back to
-/// linear).
+/// [`SyncMode`]: the paper's signature over the one counts-table body
+/// ([`gatherv`](crate::collectives::vcoll::gatherv) is the same body with
+/// the total inferred from the counts). `Auto` resolves through
+/// [`AlgorithmPolicy::select`] on the total payload.
 #[allow(clippy::too_many_arguments)]
 pub fn gather_policy_sync<T: XbrType>(
     pe: &Pe,
@@ -69,49 +88,59 @@ pub fn gather_policy_sync<T: XbrType>(
     policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
-    let n_pes = pe.n_pes();
-    let algo = policy.select(
-        CollectiveKind::Gather,
-        n_pes,
-        nelems * std::mem::size_of::<T>(),
-    );
-    let log_rank = pe.rank();
-    assert!(root < n_pes, "root {root} out of range");
-    assert_eq!(pe_msgs.len(), n_pes, "pe_msgs must have one entry per PE");
-    assert_eq!(pe_disp.len(), n_pes, "pe_disp must have one entry per PE");
     let total: usize = pe_msgs.iter().sum();
     assert_eq!(
         total, nelems,
         "pe_msgs sums to {total} but nelems is {nelems}"
     );
+    let nbytes = nelems * std::mem::size_of::<T>();
+    let algo = policy.select(CollectiveKind::Gather, pe.n_pes(), nbytes);
+    gather_core(pe, dest, src, pe_msgs, pe_disp, root, algo, sync)
+        .unwrap_or_else(|e| panic!("gather: {e}"));
+}
+
+/// The one gather body, under an already-resolved algorithm. A malformed
+/// count vector is rejected before any allocation, barrier or signal-slot
+/// activity, and a zero-total gather is fully inert (telemetry only).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gather_core<T: XbrType>(
+    pe: &Pe,
+    dest: &mut [T],
+    src: &[T],
+    pe_msgs: &[usize],
+    pe_disp: &[usize],
+    root: usize,
+    algo: Algorithm,
+    sync: SyncMode,
+) -> Result<(), VCountError> {
+    let n_pes = pe.n_pes();
+    let log_rank = pe.rank();
+    validate_v_shape(n_pes, root, pe_msgs, Some(pe_disp))?;
+    let nelems: usize = pe_msgs.iter().sum();
     let my_count = pe_msgs[log_rank];
     assert!(
         src.len() >= my_count,
         "src holds {} elements but this PE contributes {my_count}",
         src.len()
     );
+    if nelems == 0 {
+        plan::note_inert(pe, CollectiveKind::Gather);
+        return Ok(());
+    }
 
-    let vir_rank = virtual_rank(log_rank, root, n_pes);
+    // Stage this PE's candidate gather data at its virtual offset.
     let adj_disp = adjusted_displacements(pe_msgs, root, n_pes);
-    let s_buff = pe.shared_malloc::<T>(nelems.max(1));
-
-    // Stage this PE's candidate gather data at its virtual offset. The
-    // staging barriers only order access to `s_buff`, which a zero-length
-    // gather never touches — skip them so an empty episode is fully inert.
+    let s_buff = pe.shared_malloc::<T>(nelems);
     if my_count > 0 {
+        let vir_rank = virtual_rank(log_rank, root, n_pes);
         pe.heap_write(s_buff.at(adj_disp[vir_rank]), &src[..my_count]);
     }
-    if nelems > 0 {
-        pe.barrier();
-    }
+    pe.barrier();
 
-    let (tag, key_algo) = match algo {
-        Algorithm::Binomial => (plan::tag::GATHER_BINOMIAL, Algorithm::Binomial),
-        Algorithm::Linear | Algorithm::Ring => (plan::tag::GATHER_LINEAR, Algorithm::Linear),
-    };
+    let (tag, generator) = gather_shape(algo);
     let mut key = PlanKey::rooted(
         CollectiveKind::Gather,
-        key_algo,
+        algo,
         sync,
         n_pes,
         root,
@@ -124,10 +153,7 @@ pub fn gather_policy_sync<T: XbrType>(
     plan::run_schedule(
         pe,
         key,
-        || match algo {
-            Algorithm::Binomial => gather_binomial(n_pes, root, &adj_disp),
-            Algorithm::Linear | Algorithm::Ring => gather_linear_sched(n_pes, root, &adj_disp),
-        },
+        || generator(n_pes, root, &adj_disp),
         s_buff.whole(),
         &[],
         &mut [],
@@ -136,13 +162,15 @@ pub fn gather_policy_sync<T: XbrType>(
     );
 
     // Root: reorder from virtual-rank staging order back to logical order.
-    if vir_rank == 0 && nelems > 0 {
+    if log_rank == root {
         for l in 0..n_pes {
             let count = pe_msgs[l];
             if count > 0 {
                 assert!(
                     dest.len() >= pe_disp[l] + count,
-                    "dest too small for PE {l}'s segment"
+                    "dest holds {} elements but PE {l}'s segment ends at {}",
+                    dest.len(),
+                    pe_disp[l] + count
                 );
                 let v = virtual_rank(l, root, n_pes);
                 pe.heap_read_strided(
@@ -154,10 +182,9 @@ pub fn gather_policy_sync<T: XbrType>(
             }
         }
     }
-    if nelems > 0 {
-        pe.barrier();
-    }
+    pe.barrier();
     pe.shared_free(s_buff);
+    Ok(())
 }
 
 #[cfg(test)]

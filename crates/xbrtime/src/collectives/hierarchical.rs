@@ -14,7 +14,12 @@
 //!   across leaders to the root.
 //!
 //! Both degrade gracefully to the flat algorithms when no topology is
-//! configured (one node, or `pes_per_node = 1`). Stage counts are fixed
+//! configured (one node, or `pes_per_node = 1`). A tier is the flat
+//! algorithms' own binomial tree
+//! ([`schedule`](crate::collectives::schedule)'s halving/doubling stage
+//! builders) run over a member map — the node leaders, or every node's
+//! members side by side — so the hierarchy is a two-level partner
+//! function, not a second tree. Stage counts are fixed
 //! from the *maximum* node size so every PE executes the same number of
 //! barriers regardless of ragged last nodes. The two tiers are emitted as
 //! a single [`CommSchedule`] (tier-1 stages then tier-2 stages for
@@ -24,73 +29,78 @@
 
 use crate::collectives::plan::{self, tag, PlanKey};
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::schedule::{CommSchedule, OpKind, Stage, TransferOp};
+use crate::collectives::schedule::{
+    binomial_doubling_stages, binomial_halving_stages, CommSchedule, OpKind, Stage, TransferOp,
+};
+use crate::collectives::vrank::logical_rank;
 use crate::fabric::{ceil_log2, CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
 
-/// The two-tier structure of a run: node leaders and per-node membership,
-/// derived purely from `(n_pes, pes_per_node, root)`.
+/// The two-tier structure of a run, derived purely from
+/// `(n_pes, pes_per_node, root)`: every group is a member list (global
+/// ranks) and the index of the member its tree is rooted at.
 struct Tiers {
-    /// Leader PE of every node, in node order. The root's node's leader is
-    /// the root itself, so tier 1 is rooted correctly.
-    leaders: Vec<usize>,
-    /// Members of every node (global ranks), in node order.
-    nodes: Vec<Vec<usize>>,
-    /// Largest node size (fixes tier-2 stage counts fleet-wide).
-    max_node_size: usize,
+    /// The node leaders, in node order, rooted at the root — the root's
+    /// node's leader is the root itself, so this tier is rooted correctly.
+    leaders: (Vec<usize>, usize),
+    /// Every node's members, in node order, rooted at the node's leader.
+    nodes: Vec<(Vec<usize>, usize)>,
 }
 
 fn tiers(n_pes: usize, pes_per_node: usize, root: usize) -> Tiers {
     let k = pes_per_node.max(1);
     let n_nodes = n_pes.div_ceil(k);
     let root_node = root / k;
-    let leaders: Vec<usize> = (0..n_nodes)
+    let leaders = (0..n_nodes)
         .map(|n| if root_node == n { root } else { n * k })
         .collect();
-    let nodes: Vec<Vec<usize>> = (0..n_nodes)
-        .map(|n| (n * k..(n * k + k).min(n_pes)).collect())
+    let nodes = (0..n_nodes)
+        .map(|n| {
+            let members: Vec<usize> = (n * k..(n * k + k).min(n_pes)).collect();
+            (members, if root_node == n { root - n * k } else { 0 })
+        })
         .collect();
     Tiers {
-        leaders,
+        leaders: (leaders, root_node),
         nodes,
-        max_node_size: k.min(n_pes),
     }
 }
 
-/// Top-down binomial edges `(from, to)` over an arbitrary member list at
-/// stage `i`, rooted at `members[root_idx]`: holders are the virtual ranks
-/// ≡ 0 (mod 2^(i+1)); each sends to `vir + 2^i`.
-fn push_edges(members: &[usize], root_idx: usize, i: u32) -> Vec<(usize, usize)> {
-    let size = members.len();
-    let mut edges = Vec::new();
-    for idx in 0..size {
-        let vir = (idx + size - root_idx) % size;
-        if vir & ((1usize << (i + 1)) - 1) == 0 {
-            let vpart = vir | (1 << i);
-            if vpart < size {
-                edges.push((members[idx], members[(vpart + root_idx) % size]));
-            }
+/// One tier: an independent binomial tree over every group, all trees
+/// sharing barrier-aligned stages. `down` selects recursive halving
+/// (holders push to partners, [`binomial_halving_stages`]) or recursive
+/// doubling (holders pull from partners, [`binomial_doubling_stages`]);
+/// `op(holder, partner)` builds one edge's transfer from global ranks.
+/// The stage count is fixed by the *largest* group so every PE executes
+/// the same number of barriers regardless of ragged last nodes: a smaller
+/// group's shallower tree aligns with the small-distance end of the tier
+/// (the last stages going down, the first going up).
+fn tier(
+    groups: &[(Vec<usize>, usize)],
+    down: bool,
+    op: impl Fn(usize, usize) -> TransferOp,
+) -> Vec<Stage> {
+    let largest = groups.iter().map(|(m, _)| m.len()).max().unwrap_or(1);
+    let mut stages = vec![Stage::default(); ceil_log2(largest) as usize];
+    for (members, root_idx) in groups {
+        let n = members.len();
+        let edge = |ops: &mut Vec<TransferOp>, _i: u32, vir: usize, vir_part: usize| {
+            ops.push(op(
+                members[logical_rank(vir, *root_idx, n)],
+                members[logical_rank(vir_part, *root_idx, n)],
+            ));
+        };
+        let tree = if down {
+            binomial_halving_stages(n, edge)
+        } else {
+            binomial_doubling_stages(n, edge)
+        };
+        let skip = if down { stages.len() - tree.len() } else { 0 };
+        for (stage, t) in stages[skip..].iter_mut().zip(tree) {
+            stage.ops.extend(t.ops);
         }
     }
-    edges
-}
-
-/// Mirror of [`push_edges`]: bottom-up aggregation edges `(at, from)` —
-/// PE `at` pulls and folds PE `from`'s partial at stage `i`.
-fn pull_edges(members: &[usize], root_idx: usize, i: u32) -> Vec<(usize, usize)> {
-    let size = members.len();
-    let mut edges = Vec::new();
-    for idx in 0..size {
-        let vir = (idx + size - root_idx) % size;
-        let low_clear = vir & ((1usize << i) - 1) == 0;
-        if low_clear && vir & (1 << i) == 0 {
-            let vpart = vir | (1 << i);
-            if vpart < size {
-                edges.push((members[idx], members[(vpart + root_idx) % size]));
-            }
-        }
-    }
-    edges
+    stages
 }
 
 /// Two-tier hierarchical broadcast schedule: binomial push across node
@@ -104,7 +114,7 @@ pub fn broadcast_hier_sched(
 ) -> CommSchedule {
     assert!(root < n_pes, "root {root} out of range");
     let t = tiers(n_pes, pes_per_node, root);
-    let put = |(from, to): (usize, usize)| TransferOp {
+    let put = |from, to| TransferOp {
         src_pe: from,
         dst_pe: to,
         src_at: 0,
@@ -113,37 +123,8 @@ pub fn broadcast_hier_sched(
         stride: 1,
         kind: OpKind::Put,
     };
-    let mut stages = Vec::new();
-
-    // Tier 1: across leaders (rooted at the root's node's leader = root).
-    let root_leader_idx = t
-        .leaders
-        .iter()
-        .position(|&l| l == root)
-        .expect("root's node has the root as leader");
-    let stages1 = ceil_log2(t.leaders.len().max(1));
-    for i in (0..stages1).rev() {
-        stages.push(Stage::new(
-            push_edges(&t.leaders, root_leader_idx, i)
-                .into_iter()
-                .map(put)
-                .collect(),
-        ));
-    }
-
-    // Tier 2: every leader fans out inside its node simultaneously.
-    let stages2 = ceil_log2(t.max_node_size.max(1));
-    for i in (0..stages2).rev() {
-        let mut ops = Vec::new();
-        for (node, members) in t.nodes.iter().enumerate() {
-            let leader_idx = members
-                .iter()
-                .position(|&m| m == t.leaders[node])
-                .expect("leader is a member of its own node");
-            ops.extend(push_edges(members, leader_idx, i).into_iter().map(put));
-        }
-        stages.push(Stage::new(ops));
-    }
+    let mut stages = tier(&[t.leaders], true, put);
+    stages.extend(tier(&t.nodes, true, put));
     CommSchedule {
         n_pes,
         kind: CollectiveKind::Broadcast,
@@ -161,7 +142,7 @@ pub fn reduce_hier_sched(
 ) -> CommSchedule {
     assert!(root < n_pes, "root {root} out of range");
     let t = tiers(n_pes, pes_per_node, root);
-    let fold = |(at, from): (usize, usize)| TransferOp {
+    let fold = |at, from| TransferOp {
         src_pe: from,
         dst_pe: at,
         src_at: 0,
@@ -170,37 +151,8 @@ pub fn reduce_hier_sched(
         stride: 1,
         kind: OpKind::GetFold,
     };
-    let mut stages = Vec::new();
-
-    // Tier 1: aggregate within each node toward its leader.
-    let stages1 = ceil_log2(t.max_node_size.max(1));
-    for i in 0..stages1 {
-        let mut ops = Vec::new();
-        for (node, members) in t.nodes.iter().enumerate() {
-            let leader_idx = members
-                .iter()
-                .position(|&m| m == t.leaders[node])
-                .expect("leader is a member of its own node");
-            ops.extend(pull_edges(members, leader_idx, i).into_iter().map(fold));
-        }
-        stages.push(Stage::new(ops));
-    }
-
-    // Tier 2: aggregate leaders toward the root.
-    let root_leader_idx = t
-        .leaders
-        .iter()
-        .position(|&l| l == root)
-        .expect("root's node has the root as leader");
-    let stages2 = ceil_log2(t.leaders.len().max(1));
-    for i in 0..stages2 {
-        stages.push(Stage::new(
-            pull_edges(&t.leaders, root_leader_idx, i)
-                .into_iter()
-                .map(fold)
-                .collect(),
-        ));
-    }
+    let mut stages = tier(&t.nodes, false, fold);
+    stages.extend(tier(&[t.leaders], false, fold));
     CommSchedule {
         n_pes,
         kind: CollectiveKind::Reduce,

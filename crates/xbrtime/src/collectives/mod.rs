@@ -6,7 +6,8 @@
 //! combinable "to accomplish the semantics of several more complex
 //! operations". [`extended`] adds the §7 future-work operations
 //! (reduce-to-all, all-gather, all-to-all, teams), [`vcoll`] the
-//! irregular v-variants and [`hierarchical`] the topology-aware tiers.
+//! counts-table view of scatter, gather and all-gather (the v-variants)
+//! and [`hierarchical`] the topology-aware tiers.
 //!
 //! Every collective has exactly two public forms: the paper's signature
 //! ([`broadcast()`], [`reduce()`], [`scatter()`], [`gather()`] — binomial
@@ -17,7 +18,16 @@
 //! [`reduce_with`], [`scatter_policy_sync`], [`gather_policy_sync`],
 //! [`reduce_all_sync`] / [`reduce_all_with`], [`all_gather_algo_sync`],
 //! [`all_to_all_sync`]. A new algorithm is a schedule generator plus a
-//! match arm in the collective's one body, not a new entry point.
+//! row in its family's algorithm → generator table, not a new entry
+//! point.
+//!
+//! Scatter, gather and all-gather are *counts-table* collectives — the
+//! paper's own `pe_msgs`/`pe_disp` signatures say so — and each family
+//! has one body: the uniform entry points above and the v-variants
+//! ([`scatterv`], [`gatherv`], [`allgatherv`] and their `try_*` forms)
+//! run it on the caller's table, [`all_gather`] on a constant one. They
+//! differ only in how `Auto` resolves and in how a malformed table is
+//! reported.
 //!
 //! Every collective here is built on the [`schedule`] layer: a generator
 //! materialises the communication pattern as a [`schedule::CommSchedule`]
@@ -52,9 +62,9 @@ pub use explore::{
     MutationReport, RandomPriority, RoundRobin, Scheduler,
 };
 pub use extended::{
-    all_gather, all_gather_algo_sync, all_gather_doubling_sched, all_to_all_sync,
-    allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring, allreduce_schedule,
-    reduce_all_sync, reduce_all_with, AllGatherAlgo, AllReduceAlgo, Team,
+    all_gather, all_gather_algo_sync, all_to_all_sync, allreduce_rabenseifner,
+    allreduce_recursive_doubling, allreduce_ring, allreduce_schedule, reduce_all_sync,
+    reduce_all_with, AllReduceAlgo, Team,
 };
 pub use gather::{gather, gather_policy_sync};
 pub use hierarchical::{broadcast_hier, reduce_hier};

@@ -1161,7 +1161,9 @@ pub fn execute_plan<T: XbrType>(
 
 /// Schedule-shape discriminator tags for [`PlanKey::shape`]: two
 /// different generators must never share a key even if every scalar
-/// field coincides.
+/// field coincides. One tag per generator: the uniform scatter, gather
+/// and all-gather entry points run the counts-table generators and share
+/// their tags. Values are only compared, never persisted.
 pub mod tag {
     /// `broadcast_binomial`.
     pub const BROADCAST_BINOMIAL: u64 = 0;
@@ -1183,8 +1185,6 @@ pub mod tag {
     pub const GATHER_LINEAR: u64 = 8;
     /// `allreduce_recursive_doubling`.
     pub const ALLREDUCE_RD: u64 = 9;
-    /// `all_gather_sched`.
-    pub const ALL_GATHER: u64 = 10;
     /// `all_to_all_sched`.
     pub const ALL_TO_ALL: u64 = 11;
     /// `Team::broadcast_schedule`.
@@ -1197,11 +1197,11 @@ pub mod tag {
     pub const ALLREDUCE_RABENSEIFNER: u64 = 15;
     /// `allreduce_ring`.
     pub const ALLREDUCE_RING: u64 = 16;
-    /// `all_gather_doubling_sched`.
-    pub const ALL_GATHER_RD: u64 = 17;
-    /// [`vcoll::scatterv_ring_sched`](crate::collectives::vcoll).
+    /// [`vcoll::scatterv_ring_sched`](crate::collectives::vcoll) — the
+    /// scatter family's chain, uniform or irregular.
     pub const SCATTERV_RING: u64 = 18;
-    /// [`vcoll::gatherv_ring_sched`](crate::collectives::vcoll).
+    /// [`vcoll::gatherv_ring_sched`](crate::collectives::vcoll) — the
+    /// gather family's chain, uniform or irregular.
     pub const GATHERV_RING: u64 = 19;
     /// [`vcoll::allgatherv_fan_sched`](crate::collectives::vcoll).
     pub const ALLGATHERV_FAN: u64 = 20;
@@ -1433,6 +1433,18 @@ fn sync_bit(s: SyncMode) -> u64 {
         SyncMode::Pipelined => 2,
         SyncMode::Auto => 3,
     }
+}
+
+/// Record a zero-length episode: one nominal stage of telemetry and
+/// nothing else — no staging board, no barrier, no trace event.
+pub(crate) fn note_inert(pe: &Pe, kind: CollectiveKind) {
+    pe.note_collective(
+        kind,
+        CollectiveSample {
+            stages: 1,
+            ..Default::default()
+        },
+    );
 }
 
 /// Issue one blocking collective episode through the fabric's plan

@@ -26,8 +26,9 @@ pub enum Algorithm {
     Binomial,
     /// Root-sequential: the root exchanges with every peer in one stage.
     Linear,
-    /// Neighbour-to-neighbour pipeline in `n − 1` stages (broadcast only;
-    /// collectives without a ring shape fall back to linear).
+    /// Neighbour-to-neighbour chain in `n − 1` stages: broadcast, scatter
+    /// and gather have one; reduce, which has no ring shape, falls back
+    /// to linear.
     Ring,
 }
 
@@ -359,20 +360,22 @@ pub(crate) const AUTO_ALLGATHER_DOUBLING_MIN_PES: usize = 8;
 /// 22043 vs 26302 cycles at 4 PEs × 8 KiB blocks).
 pub(crate) const AUTO_ALLGATHER_DOUBLING_MIN_BYTES: usize = 8 * 1024;
 
-/// Joint algorithm selection for all-gather under
-/// [`AllGatherAlgo::Auto`](crate::collectives::extended::AllGatherAlgo).
-/// PE count dominates the trade (op count scales n² vs n·log n); block
-/// size decides the low-PE-count cells, where only bandwidth-bound
-/// payloads make the extra dissemination stages pay.
+/// Joint algorithm selection for the uniform
+/// [`all_gather`](crate::collectives::all_gather) under
+/// [`AllGatherVAlgo::Auto`](crate::collectives::vcoll::AllGatherVAlgo),
+/// keyed on the per-PE block size. PE count dominates the trade (op count
+/// scales n² vs n·log n); block size decides the low-PE-count cells,
+/// where only bandwidth-bound payloads make the extra dissemination
+/// stages pay.
 pub fn auto_select_all_gather(
     n_pes: usize,
     nbytes: usize,
-) -> crate::collectives::extended::AllGatherAlgo {
-    use crate::collectives::extended::AllGatherAlgo;
+) -> crate::collectives::vcoll::AllGatherVAlgo {
+    use crate::collectives::vcoll::AllGatherVAlgo;
     if n_pes >= AUTO_ALLGATHER_DOUBLING_MIN_PES || nbytes >= AUTO_ALLGATHER_DOUBLING_MIN_BYTES {
-        AllGatherAlgo::RecursiveDoubling
+        AllGatherVAlgo::Dissemination
     } else {
-        AllGatherAlgo::Fan
+        AllGatherVAlgo::Fan
     }
 }
 
@@ -397,7 +400,8 @@ pub(crate) const AUTO_VCOLL_SKEW_PERMILLE: u64 = 2000;
 /// [`AUTO_PIPELINE_MIN_BYTES`].
 pub(crate) const AUTO_ALLGATHERV_RING_MIN_BYTES: usize = 64 * 1024;
 
-/// Joint algorithm selection for allgatherv under
+/// Joint algorithm selection for
+/// [`allgatherv`](crate::collectives::allgatherv) under
 /// [`AllGatherVAlgo::Auto`](crate::collectives::vcoll::AllGatherVAlgo),
 /// keyed on total bytes *and* count skew — the irregular axis the
 /// uniform [`auto_select_all_gather`] doesn't have. High skew always
@@ -493,14 +497,14 @@ mod tests {
     /// Same for the all-gather fan/dissemination crossover.
     #[test]
     fn auto_all_gather_tracks_measured_crossovers() {
-        use crate::collectives::extended::AllGatherAlgo as G;
+        use crate::collectives::vcoll::AllGatherVAlgo as G;
         for (n, nbytes, want) in [
             (2usize, 128usize, G::Fan),
             (4, 128, G::Fan),
-            (4, 8 * 1024, G::RecursiveDoubling),
-            (8, 128, G::RecursiveDoubling),
-            (16, 128, G::RecursiveDoubling),
-            (64, 8 * 1024, G::RecursiveDoubling),
+            (4, 8 * 1024, G::Dissemination),
+            (8, 128, G::Dissemination),
+            (16, 128, G::Dissemination),
+            (64, 8 * 1024, G::Dissemination),
         ] {
             assert_eq!(
                 auto_select_all_gather(n, nbytes),

@@ -138,8 +138,12 @@ pub(crate) fn reduce_core<T: XbrType>(
         // into a private accumulator (never writing back into `src`).
         Algorithm::Linear | Algorithm::Ring => {
             assert!(root < n_pes, "root {root} out of range");
-            // All PEs participate in the barriers; only the root moves data.
-            pe.barrier();
+            // All PEs participate in the barrier; only the root moves data.
+            // Like the tree's staging barriers it orders nothing in a
+            // zero-length reduction, which stays fully inert without it.
+            if nelems > 0 {
+                pe.barrier();
+            }
             let mut acc = vec![T::default(); span];
             if log_rank == root && nelems > 0 {
                 pe.heap_read_strided(src.whole(), &mut acc, nelems, stride);

@@ -12,10 +12,18 @@
 //! tree node and its children is contiguous and ensures that a single put
 //! is sufficient at each stage". An adjusted-displacement array keeps the
 //! indexing straight.
+//!
+//! The staging is independent of the communication shape, so the module
+//! has one body (`scatter_core`) under three shapes — the paper's
+//! binomial tree, the root-sequential baseline and a chain
+//! (`AlgorithmPolicy::Ring`) — and the irregular
+//! [`scatterv`](crate::collectives::vcoll::scatterv) is the same body with
+//! the total inferred from `pe_msgs`.
 
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::schedule::{scatter_binomial, scatter_linear_sched};
+use crate::collectives::schedule::{scatter_binomial, scatter_linear_sched, CommSchedule};
+use crate::collectives::vcoll::{scatterv_ring_sched, validate_v_shape, VCountError};
 use crate::collectives::vrank::{logical_rank, virtual_rank};
 use crate::fabric::{CollectiveKind, Pe};
 use crate::types::XbrType;
@@ -37,15 +45,16 @@ pub fn adjusted_displacements(pe_msgs: &[usize], root: usize, n_pes: usize) -> V
     adj
 }
 
-fn validate(pe_msgs: &[usize], pe_disp: &[usize], nelems: usize, n_pes: usize, root: usize) {
-    assert!(root < n_pes, "root {root} out of range");
-    assert_eq!(pe_msgs.len(), n_pes, "pe_msgs must have one entry per PE");
-    assert_eq!(pe_disp.len(), n_pes, "pe_disp must have one entry per PE");
-    let total: usize = pe_msgs.iter().sum();
-    assert_eq!(
-        total, nelems,
-        "pe_msgs sums to {total} but nelems is {nelems}"
-    );
+/// The scatter family's one algorithm → (plan tag, generator) table;
+/// every generator takes `(n_pes, root, adj_disp)`. A new shape is one
+/// generator plus one row here.
+#[allow(clippy::type_complexity)]
+pub(crate) fn scatter_shape(algo: Algorithm) -> (u64, fn(usize, usize, &[usize]) -> CommSchedule) {
+    match algo {
+        Algorithm::Binomial => (plan::tag::SCATTER_BINOMIAL, scatter_binomial),
+        Algorithm::Linear => (plan::tag::SCATTER_LINEAR, scatter_linear_sched),
+        Algorithm::Ring => (plan::tag::SCATTERV_RING, scatterv_ring_sched),
+    }
 }
 
 /// Scatter `nelems` total elements from `root`'s `src` so that each PE `r`
@@ -94,9 +103,11 @@ pub fn scatter<T: XbrType>(
 }
 
 /// [`scatter`] under an explicit [`AlgorithmPolicy`] and executor
-/// [`SyncMode`]: the staging/relocation wrapper is shared, only the
-/// communication schedule differs, so irregular `pe_msgs`/`pe_disp`
-/// semantics are identical across shapes (`Ring` falls back to linear).
+/// [`SyncMode`]: the paper's signature over the one counts-table body
+/// ([`scatterv`](crate::collectives::vcoll::scatterv) is the same body
+/// with the total inferred from the counts), so `pe_msgs`/`pe_disp`
+/// semantics are identical across shapes. `Auto` resolves through
+/// [`AlgorithmPolicy::select`] on the total payload.
 #[allow(clippy::too_many_arguments)]
 pub fn scatter_policy_sync<T: XbrType>(
     pe: &Pe,
@@ -109,51 +120,71 @@ pub fn scatter_policy_sync<T: XbrType>(
     policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
-    let n_pes = pe.n_pes();
-    let algo = policy.select(
-        CollectiveKind::Scatter,
-        n_pes,
-        nelems * std::mem::size_of::<T>(),
+    let total: usize = pe_msgs.iter().sum();
+    assert_eq!(
+        total, nelems,
+        "pe_msgs sums to {total} but nelems is {nelems}"
     );
+    let nbytes = nelems * std::mem::size_of::<T>();
+    let algo = policy.select(CollectiveKind::Scatter, pe.n_pes(), nbytes);
+    scatter_core(pe, dest, src, pe_msgs, pe_disp, root, algo, sync)
+        .unwrap_or_else(|e| panic!("scatter: {e}"));
+}
+
+/// The one scatter body, under an already-resolved algorithm. A malformed
+/// count vector is rejected before any allocation, barrier or signal-slot
+/// activity, and a zero-total scatter is fully inert (telemetry only).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn scatter_core<T: XbrType>(
+    pe: &Pe,
+    dest: &mut [T],
+    src: &[T],
+    pe_msgs: &[usize],
+    pe_disp: &[usize],
+    root: usize,
+    algo: Algorithm,
+    sync: SyncMode,
+) -> Result<(), VCountError> {
+    let n_pes = pe.n_pes();
     let log_rank = pe.rank();
-    validate(pe_msgs, pe_disp, nelems, n_pes, root);
-    let vir_rank = virtual_rank(log_rank, root, n_pes);
+    validate_v_shape(n_pes, root, pe_msgs, Some(pe_disp))?;
+    let nelems: usize = pe_msgs.iter().sum();
     let my_count = pe_msgs[log_rank];
     assert!(
         dest.len() >= my_count,
         "dest holds {} elements but this PE receives {my_count}",
         dest.len()
     );
+    if nelems == 0 {
+        plan::note_inert(pe, CollectiveKind::Scatter);
+        return Ok(());
+    }
 
     let adj_disp = adjusted_displacements(pe_msgs, root, n_pes);
-    let s_buff = pe.shared_malloc::<T>(nelems.max(1));
-
-    // Root: reorder src by virtual rank into the staging buffer.
-    if log_rank == root && nelems > 0 {
-        // adj_disp has a trailing total entry — only the first n_pes are
-        // per-PE displacements.
+    let s_buff = pe.shared_malloc::<T>(nelems);
+    // Root: reorder src by virtual rank into the staging buffer
+    // (adj_disp's trailing entry is the total, not a displacement).
+    if log_rank == root {
         for (v, &disp) in adj_disp.iter().take(n_pes).enumerate() {
             let l = logical_rank(v, root, n_pes);
             let count = pe_msgs[l];
             if count > 0 {
+                assert!(
+                    src.len() >= pe_disp[l] + count,
+                    "src holds {} elements but PE {l}'s segment ends at {}",
+                    src.len(),
+                    pe_disp[l] + count
+                );
                 pe.heap_write(s_buff.at(disp), &src[pe_disp[l]..pe_disp[l] + count]);
             }
         }
     }
-    // The staging barriers only order access to `s_buff`, which a
-    // zero-length scatter never touches — skip them so an empty episode
-    // is fully inert.
-    if nelems > 0 {
-        pe.barrier();
-    }
+    pe.barrier();
 
-    let (tag, key_algo) = match algo {
-        Algorithm::Binomial => (plan::tag::SCATTER_BINOMIAL, Algorithm::Binomial),
-        Algorithm::Linear | Algorithm::Ring => (plan::tag::SCATTER_LINEAR, Algorithm::Linear),
-    };
+    let (tag, generator) = scatter_shape(algo);
     let mut key = PlanKey::rooted(
         CollectiveKind::Scatter,
-        key_algo,
+        algo,
         sync,
         n_pes,
         root,
@@ -166,10 +197,7 @@ pub fn scatter_policy_sync<T: XbrType>(
     plan::run_schedule(
         pe,
         key,
-        || match algo {
-            Algorithm::Binomial => scatter_binomial(n_pes, root, &adj_disp),
-            Algorithm::Linear | Algorithm::Ring => scatter_linear_sched(n_pes, root, &adj_disp),
-        },
+        || generator(n_pes, root, &adj_disp),
         s_buff.whole(),
         &[],
         &mut [],
@@ -179,6 +207,7 @@ pub fn scatter_policy_sync<T: XbrType>(
 
     // Relocate this PE's assigned values from the staging buffer to dest.
     if my_count > 0 {
+        let vir_rank = virtual_rank(log_rank, root, n_pes);
         pe.heap_read_strided(
             s_buff.at(adj_disp[vir_rank]),
             &mut dest[..my_count],
@@ -186,10 +215,9 @@ pub fn scatter_policy_sync<T: XbrType>(
             1,
         );
     }
-    if nelems > 0 {
-        pe.barrier();
-    }
+    pe.barrier();
     pe.shared_free(s_buff);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,22 +1,24 @@
-//! Irregular (v-variant) collectives — `scatterv`, `gatherv`,
-//! `allgatherv` with per-PE counts and displacements.
+//! Counts-table collectives — `scatterv`, `gatherv`, `allgatherv` with
+//! per-PE counts and displacements.
 //!
-//! The paper's Table 1 promises scatterv/gatherv-style irregularity and
-//! the uniform generators already thread arbitrary adjusted-displacement
-//! tables through the binomial/linear shapes; this module completes the
-//! family with chain (ring) shapes for the rooted v-collectives and an
-//! allgatherv whose blocks differ per PE — including a non-uniform
-//! log-stage dissemination schedule in the spirit of Jocksch et al.'s
-//! optimised allgatherv algorithms.
+//! The paper's own `scatter`/`gather` signatures (`pe_msgs`, `pe_disp`)
+//! *are* counts-table collectives, so each family has exactly one body:
+//! `scatter_core` and `gather_core` live next to Algorithms 3 and 4,
+//! `allgather_core` here, and the uniform entry points are the same
+//! bodies on the caller's table (`all_gather`: a constant one, in the
+//! spirit of Jocksch et al., who treat the uniform allgather as the
+//! constant-count case of allgatherv). The `try_*` entry points differ
+//! from the uniform ones only in their `Auto` rule — which also keys on
+//! count skew — and in returning a structured error. This module adds the
+//! chain (ring) shapes for the rooted families and the three allgatherv
+//! shapes, including a non-uniform log-stage dissemination schedule.
 //!
 //! Everything here follows the repo's schedule/executor split: each
 //! generator is a pure function from a displacement table to a
 //! [`CommSchedule`], checkable by the conformance oracle and the
-//! interleaving explorer without a fabric. The entry points reuse the
-//! scatter/gather staging wrappers (virtual-rank reordering on the root,
-//! one shared staging board) and go through the plan cache with keys that
-//! carry a [`plan::counts_digest`] of the displacement table — `O(1)` key
-//! size for `O(n)` irregularity.
+//! interleaving explorer without a fabric. All-gather plan keys carry a
+//! [`plan::counts_digest`] of the count table — `O(1)` key size for
+//! `O(n)` irregularity.
 //!
 //! Count-vector *shape* mistakes (wrong length, root out of range) are
 //! rejected up front with a structured [`VCountError`] by the `try_*`
@@ -26,15 +28,13 @@
 
 use std::fmt;
 
+use crate::collectives::gather::gather_core;
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{self, Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::scatter::adjusted_displacements;
-use crate::collectives::schedule::{
-    gather_binomial, gather_linear_sched, scatter_binomial, scatter_linear_sched, CommSchedule,
-    OpKind, Stage, TransferOp,
-};
-use crate::collectives::vrank::{logical_rank, virtual_rank};
-use crate::fabric::{CollectiveKind, CollectiveSample, Pe};
+use crate::collectives::scatter::scatter_core;
+use crate::collectives::schedule::{CommSchedule, OpKind, Stage, TransferOp};
+use crate::collectives::vrank::logical_rank;
+use crate::fabric::{CollectiveKind, Pe};
 use crate::types::XbrType;
 
 // ---------------------------------------------------------------------------
@@ -132,7 +132,8 @@ pub fn validate_v_shape(
 /// Prefix displacements in *logical-rank* order: `disp[r]` is where PE
 /// `r`'s block begins in the concatenated result and `disp[n]` is the
 /// total element count. The rootless analogue of
-/// [`adjusted_displacements`], which orders by virtual rank.
+/// [`adjusted_displacements`](crate::collectives::scatter::adjusted_displacements),
+/// which orders by virtual rank.
 pub fn prefix_displacements(counts: &[usize]) -> Vec<usize> {
     let mut disp = Vec::with_capacity(counts.len() + 1);
     let mut acc = 0usize;
@@ -228,8 +229,8 @@ pub fn gatherv_ring_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> Comm
 }
 
 /// Single-stage allgatherv fan: every PE with a non-empty block puts it
-/// at its prefix displacement on every PE (its own included) — the
-/// irregular analogue of `all_gather_sched`, `O(n²)` ops in one stage.
+/// at its prefix displacement on every PE (its own included) — `n`
+/// concurrent put fans, `O(n²)` ops in one stage.
 /// `disp` is the `n + 1`-entry table from [`prefix_displacements`].
 pub fn allgatherv_fan_sched(n_pes: usize, disp: &[usize]) -> CommSchedule {
     debug_assert_eq!(disp.len(), n_pes + 1);
@@ -319,13 +320,16 @@ pub fn allgatherv_ring_sched(n_pes: usize, disp: &[usize]) -> CommSchedule {
     }
 }
 
-/// Non-uniform dissemination allgatherv (Jocksch-style): the recursive
-/// doubling of `all_gather_doubling_sched` generalised from `block ·
-/// per_pe` offsets to arbitrary prefix displacements. Stage 0 publishes
-/// each PE's block; then `⌈log2 n⌉` stages each pull the cyclic window
-/// of `cnt` blocks ending at rank `me − have` from that PE, with the
-/// window's element extent read off the `disp` table (a wrapped window
-/// needs two contiguous gets). Zero-extent windows drop their get, and
+/// Non-uniform dissemination allgatherv (Jocksch-style), exact for any
+/// `n`: recursive doubling over arbitrary prefix displacements. Stage 0
+/// publishes each PE's block; then `⌈log2 n⌉` stages each pull the cyclic
+/// window of `cnt` blocks ending at rank `me − have` from that PE, with
+/// the window's element extent read off the `disp` table (a wrapped
+/// window needs two contiguous gets) — `O(log n)` stages and `O(n)` gets
+/// per stage versus the fan's single stage of `n²` puts. Every board slot
+/// is written exactly once and a stage's READY post follows the poster's
+/// own gets in program order, so plain stages suffice. Zero-extent
+/// windows drop their get, and
 /// fully empty stages are elided — a table where one PE holds everything
 /// still completes in `O(log n)` stages with the giant block moved only
 /// `⌈log2 n⌉` times, the property that makes this the high-skew `Auto`
@@ -352,8 +356,8 @@ pub fn allgatherv_dissemination_sched(n_pes: usize, disp: &[usize]) -> CommSched
         }
         stages.push(Stage::new(publish));
         // After k stages each PE holds the cyclic window of `have`
-        // blocks ending at its own rank, exactly as in the uniform
-        // schedule — only the element extents differ per window.
+        // blocks ending at its own rank; it extends the window by
+        // pulling the `cnt` blocks ending at rank `me − have`.
         let mut have = 1usize;
         while have < n_pes {
             let cnt = have.min(n_pes - have);
@@ -410,10 +414,13 @@ pub fn allgatherv_dissemination_sched(n_pes: usize, disp: &[usize]) -> CommSched
 // Allgatherv strategy selection
 // ---------------------------------------------------------------------------
 
-/// Strategy selector for [`allgatherv`]: single-stage fan, `n − 1`-stage
-/// bandwidth-optimal ring, or log-stage non-uniform dissemination.
-/// `Auto` resolves from world size, total bytes, and count skew
-/// ([`policy::auto_select_allgatherv`]).
+/// Strategy selector for [`allgatherv`] and the uniform
+/// [`all_gather`](crate::collectives::all_gather): single-stage fan,
+/// `n − 1`-stage bandwidth-optimal ring, or log-stage non-uniform
+/// dissemination. `Auto` resolves at the entry point: `allgatherv` from
+/// world size, total bytes and count skew
+/// ([`policy::auto_select_allgatherv`]), `all_gather` from world size and
+/// block bytes ([`policy::auto_select_all_gather`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AllGatherVAlgo {
     /// One stage of `n²` puts ([`allgatherv_fan_sched`]).
@@ -424,7 +431,7 @@ pub enum AllGatherVAlgo {
     /// `⌈log2 n⌉` doubling-window stages
     /// ([`allgatherv_dissemination_sched`]).
     Dissemination,
-    /// Resolve from `(n_pes, total bytes, skew)` at the call site.
+    /// Resolve at the entry point (see the type docs).
     #[default]
     Auto,
 }
@@ -447,8 +454,8 @@ impl AllGatherVAlgo {
         }
     }
 
-    /// Resolve `Auto` against the calibrated crossovers; concrete
-    /// strategies pass through.
+    /// Resolve `Auto` against the calibrated [`allgatherv`] crossovers;
+    /// concrete strategies pass through.
     pub fn resolve(self, n_pes: usize, total_bytes: usize, skew_permille: u64) -> AllGatherVAlgo {
         match self {
             AllGatherVAlgo::Auto => {
@@ -500,12 +507,38 @@ pub fn scatterv<T: XbrType>(
     .expect("scatterv: malformed count vector");
 }
 
+/// The rooted v-variants' `Auto` rule, keyed on total bytes, count skew
+/// and the resolved sync mode ([`policy::auto_select_vrooted`]); fixed
+/// policies pass through.
+fn select_vrooted(
+    kind: CollectiveKind,
+    n_pes: usize,
+    counts: &[usize],
+    elem_bytes: usize,
+    policy: AlgorithmPolicy,
+    sync: SyncMode,
+) -> Algorithm {
+    let total_bytes = counts.iter().sum::<usize>() * elem_bytes;
+    match policy {
+        AlgorithmPolicy::Auto => policy::auto_select_vrooted(
+            kind,
+            n_pes,
+            total_bytes,
+            skew_permille(counts),
+            sync.resolve(n_pes, total_bytes),
+        ),
+        fixed => fixed.select(kind, n_pes, total_bytes),
+    }
+}
+
 /// [`scatterv`] with explicit algorithm policy and sync mode, returning
 /// a structured [`VCountError`] for malformed count vectors *before* any
 /// allocation, barrier, or signal-slot activity. Zero-total scatters are
 /// fully inert (telemetry only). Undersized `dest`/`src` buffers still
 /// panic: those are local programming errors, not collective-shape
-/// disagreements.
+/// disagreements. The body is the one
+/// [`scatter_policy_sync`](crate::collectives::scatter_policy_sync) runs;
+/// only the `Auto` rule differs.
 #[allow(clippy::too_many_arguments)]
 pub fn try_scatterv_policy_sync<T: XbrType>(
     pe: &Pe,
@@ -517,107 +550,16 @@ pub fn try_scatterv_policy_sync<T: XbrType>(
     policy: AlgorithmPolicy,
     sync: SyncMode,
 ) -> Result<(), VCountError> {
-    let n_pes = pe.n_pes();
-    let log_rank = pe.rank();
-    validate_v_shape(n_pes, root, counts, Some(displs))?;
-    let total: usize = counts.iter().sum();
-    let my_count = counts[log_rank];
-    assert!(
-        dest.len() >= my_count,
-        "dest holds {} elements but this PE receives {my_count}",
-        dest.len()
-    );
-    if total == 0 {
-        pe.note_collective(
-            CollectiveKind::Scatter,
-            CollectiveSample {
-                stages: 1,
-                ..Default::default()
-            },
-        );
-        return Ok(());
-    }
     let es = std::mem::size_of::<T>();
-    let total_bytes = total * es;
-    let skew = skew_permille(counts);
-    let algo = match policy {
-        AlgorithmPolicy::Binomial => Algorithm::Binomial,
-        AlgorithmPolicy::Linear => Algorithm::Linear,
-        AlgorithmPolicy::Ring => Algorithm::Ring,
-        AlgorithmPolicy::Auto => policy::auto_select_vrooted(
-            CollectiveKind::Scatter,
-            n_pes,
-            total_bytes,
-            skew,
-            sync.resolve(n_pes, total_bytes),
-        ),
-    };
-
-    let vir_rank = virtual_rank(log_rank, root, n_pes);
-    let adj_disp = adjusted_displacements(counts, root, n_pes);
-    let s_buff = pe.shared_malloc::<T>(total);
-    // Root: reorder src by virtual rank into the staging buffer, exactly
-    // as the uniform scatter does (paper §4.5).
-    if log_rank == root {
-        for (v, &disp) in adj_disp.iter().take(n_pes).enumerate() {
-            let l = logical_rank(v, root, n_pes);
-            let c = counts[l];
-            if c > 0 {
-                assert!(
-                    src.len() >= displs[l] + c,
-                    "src holds {} elements but PE {l}'s segment ends at {}",
-                    src.len(),
-                    displs[l] + c
-                );
-                pe.heap_write(s_buff.at(disp), &src[displs[l]..displs[l] + c]);
-            }
-        }
-    }
-    pe.barrier();
-
-    let (tag, key_algo) = match algo {
-        Algorithm::Binomial => (plan::tag::SCATTER_BINOMIAL, Algorithm::Binomial),
-        Algorithm::Linear => (plan::tag::SCATTER_LINEAR, Algorithm::Linear),
-        Algorithm::Ring => (plan::tag::SCATTERV_RING, Algorithm::Ring),
-    };
-    let mut key = PlanKey::rooted(
+    let algo = select_vrooted(
         CollectiveKind::Scatter,
-        key_algo,
-        sync,
-        n_pes,
-        root,
-        total,
-        1,
+        pe.n_pes(),
+        counts,
         es,
-        tag,
-    );
-    key.shape.push(plan::counts_digest(&adj_disp));
-    plan::run_schedule(
-        pe,
-        key,
-        || match algo {
-            Algorithm::Binomial => scatter_binomial(n_pes, root, &adj_disp),
-            Algorithm::Linear => scatter_linear_sched(n_pes, root, &adj_disp),
-            Algorithm::Ring => scatterv_ring_sched(n_pes, root, &adj_disp),
-        },
-        s_buff.whole(),
-        &[],
-        &mut [],
-        None,
+        policy,
         sync,
     );
-
-    if my_count > 0 {
-        pe.heap_read_strided(
-            s_buff.at(adj_disp[vir_rank]),
-            &mut dest[..my_count],
-            my_count,
-            1,
-        );
-    }
-    pe.barrier();
-    pe.shared_free(s_buff);
-    Ok(())
+    scatter_core(pe, dest, src, counts, displs, root, algo, sync)
 }
 
 /// Gather `counts[r]` elements from every PE `r`'s `src` to the root,
@@ -659,7 +601,9 @@ pub fn gatherv<T: XbrType>(
 
 /// [`gatherv`] with explicit algorithm policy and sync mode; structured
 /// [`VCountError`] for malformed count vectors before any collective
-/// activity, fully inert at zero total length.
+/// activity, fully inert at zero total length. The body is the one
+/// [`gather_policy_sync`](crate::collectives::gather_policy_sync) runs;
+/// only the `Auto` rule differs.
 #[allow(clippy::too_many_arguments)]
 pub fn try_gatherv_policy_sync<T: XbrType>(
     pe: &Pe,
@@ -671,102 +615,9 @@ pub fn try_gatherv_policy_sync<T: XbrType>(
     policy: AlgorithmPolicy,
     sync: SyncMode,
 ) -> Result<(), VCountError> {
-    let n_pes = pe.n_pes();
-    let log_rank = pe.rank();
-    validate_v_shape(n_pes, root, counts, Some(displs))?;
-    let total: usize = counts.iter().sum();
-    let my_count = counts[log_rank];
-    assert!(
-        src.len() >= my_count,
-        "src holds {} elements but this PE contributes {my_count}",
-        src.len()
-    );
-    if total == 0 {
-        pe.note_collective(
-            CollectiveKind::Gather,
-            CollectiveSample {
-                stages: 1,
-                ..Default::default()
-            },
-        );
-        return Ok(());
-    }
     let es = std::mem::size_of::<T>();
-    let total_bytes = total * es;
-    let skew = skew_permille(counts);
-    let algo = match policy {
-        AlgorithmPolicy::Binomial => Algorithm::Binomial,
-        AlgorithmPolicy::Linear => Algorithm::Linear,
-        AlgorithmPolicy::Ring => Algorithm::Ring,
-        AlgorithmPolicy::Auto => policy::auto_select_vrooted(
-            CollectiveKind::Gather,
-            n_pes,
-            total_bytes,
-            skew,
-            sync.resolve(n_pes, total_bytes),
-        ),
-    };
-
-    let vir_rank = virtual_rank(log_rank, root, n_pes);
-    let adj_disp = adjusted_displacements(counts, root, n_pes);
-    let s_buff = pe.shared_malloc::<T>(total);
-    if my_count > 0 {
-        pe.heap_write(s_buff.at(adj_disp[vir_rank]), &src[..my_count]);
-    }
-    pe.barrier();
-
-    let (tag, key_algo) = match algo {
-        Algorithm::Binomial => (plan::tag::GATHER_BINOMIAL, Algorithm::Binomial),
-        Algorithm::Linear => (plan::tag::GATHER_LINEAR, Algorithm::Linear),
-        Algorithm::Ring => (plan::tag::GATHERV_RING, Algorithm::Ring),
-    };
-    let mut key = PlanKey::rooted(
-        CollectiveKind::Gather,
-        key_algo,
-        sync,
-        n_pes,
-        root,
-        total,
-        1,
-        es,
-        tag,
-    );
-    key.shape.push(plan::counts_digest(&adj_disp));
-    plan::run_schedule(
-        pe,
-        key,
-        || match algo {
-            Algorithm::Binomial => gather_binomial(n_pes, root, &adj_disp),
-            Algorithm::Linear => gather_linear_sched(n_pes, root, &adj_disp),
-            Algorithm::Ring => gatherv_ring_sched(n_pes, root, &adj_disp),
-        },
-        s_buff.whole(),
-        &[],
-        &mut [],
-        None,
-        sync,
-    );
-
-    // Root: relocate each PE's segment from its virtual-rank staging slot
-    // back to the caller's logical-order displacements.
-    if log_rank == root {
-        for (v, &at) in adj_disp.iter().take(n_pes).enumerate() {
-            let l = logical_rank(v, root, n_pes);
-            let c = counts[l];
-            if c > 0 {
-                assert!(
-                    dest.len() >= displs[l] + c,
-                    "dest holds {} elements but PE {l}'s segment ends at {}",
-                    dest.len(),
-                    displs[l] + c
-                );
-                pe.heap_read_strided(s_buff.at(at), &mut dest[displs[l]..displs[l] + c], c, 1);
-            }
-        }
-    }
-    pe.barrier();
-    pe.shared_free(s_buff);
-    Ok(())
+    let algo = select_vrooted(CollectiveKind::Gather, pe.n_pes(), counts, es, policy, sync);
+    gather_core(pe, dest, src, counts, displs, root, algo, sync)
 }
 
 /// All-gather with per-PE counts (OpenSHMEM `collect` with explicit
@@ -803,6 +654,52 @@ pub fn try_allgatherv_algo_sync<T: XbrType>(
     algo: AllGatherVAlgo,
     sync: SyncMode,
 ) -> Result<(), VCountError> {
+    let total_bytes = counts.iter().sum::<usize>() * std::mem::size_of::<T>();
+    let algo = algo.resolve(pe.n_pes(), total_bytes, skew_permille(counts));
+    allgather_core(pe, dest, src, counts, algo, sync)
+}
+
+/// The all-gather family's one algorithm → (plan tag, key algorithm,
+/// generator) table; every generator takes `(n_pes, prefix displacements)`.
+/// A new shape is one generator plus one row here.
+///
+/// # Panics
+/// Panics on unresolved [`AllGatherVAlgo::Auto`].
+#[allow(clippy::type_complexity)]
+pub(crate) fn allgather_shape(
+    algo: AllGatherVAlgo,
+) -> (u64, Algorithm, fn(usize, &[usize]) -> CommSchedule) {
+    match algo {
+        AllGatherVAlgo::Fan => (
+            plan::tag::ALLGATHERV_FAN,
+            Algorithm::Linear,
+            allgatherv_fan_sched,
+        ),
+        AllGatherVAlgo::Ring => (
+            plan::tag::ALLGATHERV_RING,
+            Algorithm::Ring,
+            allgatherv_ring_sched,
+        ),
+        AllGatherVAlgo::Dissemination => (
+            plan::tag::ALLGATHERV_DISS,
+            Algorithm::Binomial,
+            allgatherv_dissemination_sched,
+        ),
+        AllGatherVAlgo::Auto => panic!("resolve AllGatherVAlgo::Auto before keying a plan"),
+    }
+}
+
+/// The one all-gather body, under an already-resolved strategy: the
+/// uniform [`all_gather`](crate::collectives::all_gather) calls it with a
+/// constant count table.
+pub(crate) fn allgather_core<T: XbrType>(
+    pe: &Pe,
+    dest: &mut [T],
+    src: &[T],
+    counts: &[usize],
+    algo: AllGatherVAlgo,
+    sync: SyncMode,
+) -> Result<(), VCountError> {
     let n_pes = pe.n_pes();
     validate_v_shape(n_pes, 0, counts, None)?;
     let total: usize = counts.iter().sum();
@@ -818,24 +715,11 @@ pub fn try_allgatherv_algo_sync<T: XbrType>(
         dest.len()
     );
     if total == 0 {
-        pe.note_collective(
-            CollectiveKind::AllGather,
-            CollectiveSample {
-                stages: 1,
-                ..Default::default()
-            },
-        );
+        plan::note_inert(pe, CollectiveKind::AllGather);
         return Ok(());
     }
     let es = std::mem::size_of::<T>();
-    let algo = algo.resolve(n_pes, total * es, skew_permille(counts));
-    let disp = prefix_displacements(counts);
-    let (tag, key_algo) = match algo {
-        AllGatherVAlgo::Fan => (plan::tag::ALLGATHERV_FAN, Algorithm::Linear),
-        AllGatherVAlgo::Ring => (plan::tag::ALLGATHERV_RING, Algorithm::Ring),
-        AllGatherVAlgo::Dissemination => (plan::tag::ALLGATHERV_DISS, Algorithm::Binomial),
-        AllGatherVAlgo::Auto => unreachable!("resolved above"),
-    };
+    let (tag, key_algo, generator) = allgather_shape(algo);
     let board = pe.shared_malloc::<T>(total);
     let mut key = PlanKey::rooted(
         CollectiveKind::AllGather,
@@ -852,12 +736,7 @@ pub fn try_allgatherv_algo_sync<T: XbrType>(
     plan::run_schedule(
         pe,
         key,
-        || match algo {
-            AllGatherVAlgo::Fan => allgatherv_fan_sched(n_pes, &disp),
-            AllGatherVAlgo::Ring => allgatherv_ring_sched(n_pes, &disp),
-            AllGatherVAlgo::Dissemination => allgatherv_dissemination_sched(n_pes, &disp),
-            AllGatherVAlgo::Auto => unreachable!("resolved above"),
-        },
+        || generator(n_pes, &prefix_displacements(counts)),
         board.whole(),
         src,
         &mut [],
@@ -873,6 +752,7 @@ pub fn try_allgatherv_algo_sync<T: XbrType>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::scatter::adjusted_displacements;
     use crate::fabric::{Fabric, FabricConfig};
 
     /// Abstract replay of an allgatherv schedule: walk the stages over a

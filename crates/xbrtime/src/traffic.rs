@@ -46,14 +46,12 @@
 
 use std::fmt;
 
+use crate::collectives::gather::gather_shape;
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{Algorithm, SyncMode, SLOTS_PER_OP};
-use crate::collectives::scatter::adjusted_displacements;
+use crate::collectives::scatter::{adjusted_displacements, scatter_shape};
 use crate::collectives::schedule::CommSchedule;
-use crate::collectives::vcoll::{
-    allgatherv_dissemination_sched, allgatherv_fan_sched, allgatherv_ring_sched,
-    gatherv_ring_sched, prefix_displacements, scatterv_ring_sched,
-};
+use crate::collectives::vcoll::{allgather_shape, prefix_displacements, AllGatherVAlgo};
 use crate::collectives::PlanCacheStats;
 use crate::fabric::{
     CollectiveKind, DeadlockReport, Fabric, FabricConfig, Pe, RunError, RunReport,
@@ -359,90 +357,40 @@ fn remap_to_world(mut sched: CommSchedule, members: &[usize], world: usize) -> C
     sched
 }
 
-fn build_rooted(
-    kind: TrafficKind,
-    algo: Algorithm,
-    team: usize,
-    root: usize,
-    adj_disp: &[usize],
-) -> CommSchedule {
-    use crate::collectives::schedule::{
-        gather_binomial, gather_linear_sched, scatter_binomial, scatter_linear_sched,
-    };
-    match (kind, algo) {
-        (TrafficKind::Scatterv, Algorithm::Binomial) => scatter_binomial(team, root, adj_disp),
-        (TrafficKind::Scatterv, Algorithm::Linear) => scatter_linear_sched(team, root, adj_disp),
-        (TrafficKind::Scatterv, Algorithm::Ring) => scatterv_ring_sched(team, root, adj_disp),
-        (TrafficKind::Gatherv, Algorithm::Binomial) => gather_binomial(team, root, adj_disp),
-        (TrafficKind::Gatherv, Algorithm::Linear) => gather_linear_sched(team, root, adj_disp),
-        (TrafficKind::Gatherv, Algorithm::Ring) => gatherv_ring_sched(team, root, adj_disp),
-        other => unreachable!("build_rooted on {other:?}"),
-    }
-}
-
-fn rooted_ids(kind: TrafficKind, algo: Algorithm) -> (CollectiveKind, u64) {
-    match (kind, algo) {
-        (TrafficKind::Scatterv, Algorithm::Binomial) => {
-            (CollectiveKind::Scatter, plan::tag::SCATTER_BINOMIAL)
-        }
-        (TrafficKind::Scatterv, Algorithm::Linear) => {
-            (CollectiveKind::Scatter, plan::tag::SCATTER_LINEAR)
-        }
-        (TrafficKind::Scatterv, Algorithm::Ring) => {
-            (CollectiveKind::Scatter, plan::tag::SCATTERV_RING)
-        }
-        (TrafficKind::Gatherv, Algorithm::Binomial) => {
-            (CollectiveKind::Gather, plan::tag::GATHER_BINOMIAL)
-        }
-        (TrafficKind::Gatherv, Algorithm::Linear) => {
-            (CollectiveKind::Gather, plan::tag::GATHER_LINEAR)
-        }
-        (TrafficKind::Gatherv, Algorithm::Ring) => {
-            (CollectiveKind::Gather, plan::tag::GATHERV_RING)
-        }
-        other => unreachable!("rooted_ids on {other:?}"),
-    }
+/// The rooted algorithm an op's draw maps onto.
+fn rooted_algo(op: &TrafficOp) -> Algorithm {
+    [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring][op.algo % 3]
 }
 
 /// Materialise the (team-local, then world-remapped) schedule an op will
-/// run — also used up front to size the signal table.
+/// run — also used up front to size the signal table. Generators and
+/// tags come from the same per-family tables the collective bodies use.
 fn op_schedule(op: &TrafficOp, members: &[usize], world: usize) -> CommSchedule {
     let team = members.len();
-    match op.kind {
-        TrafficKind::Scatterv | TrafficKind::Gatherv => {
-            let algo = [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring][op.algo % 3];
-            let adj = adjusted_displacements(&op.counts, op.root, team);
-            remap_to_world(
-                build_rooted(op.kind, algo, team, op.root, &adj),
-                members,
-                world,
-            )
-        }
+    let adj = || adjusted_displacements(&op.counts, op.root, team);
+    let sched = match op.kind {
+        TrafficKind::Scatterv => scatter_shape(rooted_algo(op)).1(team, op.root, &adj()),
+        TrafficKind::Gatherv => gather_shape(rooted_algo(op)).1(team, op.root, &adj()),
         TrafficKind::Broadcast | TrafficKind::Allgatherv => {
-            let disp = prefix_displacements(&op.counts);
-            let sched = match op.algo % 3 {
-                0 => allgatherv_fan_sched(team, &disp),
-                1 => allgatherv_ring_sched(team, &disp),
-                _ => allgatherv_dissemination_sched(team, &disp),
-            };
-            remap_to_world(sched, members, world)
+            let generator = allgather_shape(AllGatherVAlgo::CONCRETE[op.algo % 3]).2;
+            generator(team, &prefix_displacements(&op.counts))
         }
-    }
+    };
+    remap_to_world(sched, members, world)
 }
 
 fn op_tag(op: &TrafficOp) -> (CollectiveKind, Algorithm, u64) {
     match op.kind {
-        TrafficKind::Scatterv | TrafficKind::Gatherv => {
-            let algo = [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring][op.algo % 3];
-            let (kind, tag) = rooted_ids(op.kind, algo);
-            (kind, algo, tag)
+        TrafficKind::Scatterv => {
+            let algo = rooted_algo(op);
+            (CollectiveKind::Scatter, algo, scatter_shape(algo).0)
+        }
+        TrafficKind::Gatherv => {
+            let algo = rooted_algo(op);
+            (CollectiveKind::Gather, algo, gather_shape(algo).0)
         }
         TrafficKind::Broadcast | TrafficKind::Allgatherv => {
-            let (algo, tag) = match op.algo % 3 {
-                0 => (Algorithm::Linear, plan::tag::ALLGATHERV_FAN),
-                1 => (Algorithm::Ring, plan::tag::ALLGATHERV_RING),
-                _ => (Algorithm::Binomial, plan::tag::ALLGATHERV_DISS),
-            };
+            let (tag, algo, _) = allgather_shape(AllGatherVAlgo::CONCRETE[op.algo % 3]);
             (CollectiveKind::AllGather, algo, tag)
         }
     }

@@ -19,23 +19,26 @@
 
 use proptest::prelude::*;
 use xbrtime::collectives::extended::{
-    all_gather_doubling_sched, allreduce_rabenseifner, allreduce_recursive_doubling,
-    allreduce_ring, allreduce_schedule,
+    allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring, allreduce_schedule,
 };
+use xbrtime::collectives::schedule::CommSchedule;
 use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
-use xbrtime::collectives::{self, AllGatherAlgo, AllReduceAlgo};
+use xbrtime::collectives::{
+    self, allgatherv_dissemination_sched, prefix_displacements, AllGatherVAlgo, AllReduceAlgo,
+};
 use xbrtime::{EngineConfig, Fabric, FabricConfig, SyncMode};
 
 // ---------------------------------------------------------------------
 // Oracle: dense-reference equivalence of every generator.
 // ---------------------------------------------------------------------
 
-fn oracle_ok(
-    sched: &xbrtime::collectives::schedule::CommSchedule,
-    sync: SyncMode,
-    spec: &CollectiveSpec,
-    what: &str,
-) {
+/// The uniform dissemination all-gather: the v-generator on a constant
+/// count table.
+fn uniform_dissemination_sched(n: usize, per_pe: usize) -> CommSchedule {
+    allgatherv_dissemination_sched(n, &prefix_displacements(&vec![per_pe; n]))
+}
+
+fn oracle_ok(sched: &CommSchedule, sync: SyncMode, spec: &CollectiveSpec, what: &str) {
     let report = check_schedule(sched, sync, spec, &ModelConfig::default());
     assert!(
         report.ok(),
@@ -86,7 +89,7 @@ fn allgather_doubling_matches_reference() {
         for per_pe in [1usize, 2, 5] {
             for sync in SyncMode::CONCRETE {
                 oracle_ok(
-                    &all_gather_doubling_sched(n, per_pe),
+                    &uniform_dissemination_sched(n, per_pe),
                     sync,
                     &CollectiveSpec::AllGather { per_pe },
                     &format!("allgather-rd n={n} per_pe={per_pe}"),
@@ -133,7 +136,7 @@ proptest! {
         per_pe in 1usize..=24,
         sync_ix in 0usize..3,
     ) {
-        let sched = all_gather_doubling_sched(n, per_pe);
+        let sched = uniform_dissemination_sched(n, per_pe);
         let sync = SyncMode::CONCRETE[sync_ix];
         let report = check_schedule(
             &sched,
@@ -219,8 +222,8 @@ fn allreduce_family_exact_on_both_backends() {
     }
 }
 
-/// The two allgather algorithms agree with the rank-ordered
-/// concatenation on both backends.
+/// Every allgather algorithm agrees with the rank-ordered concatenation
+/// on both backends.
 #[test]
 fn allgather_algorithms_exact_on_both_backends() {
     for n in [2usize, 5, 9] {
@@ -229,7 +232,7 @@ fn allgather_algorithms_exact_on_both_backends() {
                 .flat_map(|me| (0..per_pe as u64).map(move |i| me * 100 + i))
                 .collect();
             for engine in [EngineConfig::threads(), EngineConfig::coop().with_seed(7)] {
-                for algo in [AllGatherAlgo::Fan, AllGatherAlgo::RecursiveDoubling] {
+                for algo in AllGatherVAlgo::CONCRETE {
                     let cfg = FabricConfig::paper(n)
                         .with_shared_bytes(1 << 20)
                         .with_engine(engine);

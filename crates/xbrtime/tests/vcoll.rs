@@ -1,6 +1,8 @@
-//! Property tests for the irregular (v-variant) collectives: scatterv,
-//! gatherv and allgatherv held to dense in-test references across every
-//! algorithm × sync mode × both engine backends. The count-table
+//! Property tests for the counts-table collectives: scatterv, gatherv
+//! and allgatherv — and the uniform scatter/gather/all_gather entry
+//! points, which are the same bodies on constant tables — held to dense
+//! in-test references across every algorithm × sync mode × both engine
+//! backends. The count-table
 //! strategy deliberately covers the degenerate shapes — all-zero
 //! (empty), single-giant-block, ragged-with-zeros and heavily-skewed —
 //! plus gapped displacement tables for the rooted variants. Zero-total
@@ -18,7 +20,9 @@ use xbrtime::collectives::vcoll::{
     try_allgatherv_algo_sync, try_gatherv_policy_sync, try_scatterv_policy_sync, AllGatherVAlgo,
     VCountError,
 };
-use xbrtime::{AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FabricStats, SyncMode};
+use xbrtime::{
+    collectives, AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FabricStats, SyncMode,
+};
 
 const BACKENDS: [EngineConfig; 2] = [EngineConfig::threads(), EngineConfig::coop()];
 const SYNCS: [SyncMode; 4] = [
@@ -81,13 +85,131 @@ fn gapped_displs(counts: &[usize], gap: usize) -> (Vec<usize>, usize) {
     (displs, at)
 }
 
+/// Scatter then gather one table against the dense reference — PE `r`
+/// must receive exactly `src[displs[r] .. displs[r] + counts[r]]`, and
+/// gathering those segments back must reassemble the root's buffer — for
+/// every algorithm × sync mode × backend combination. `uniform` routes
+/// the calls through the paper-signature entry points
+/// (`scatter_policy_sync` / `gather_policy_sync`) instead of the `try_*v`
+/// ones: same body, different `Auto` rule.
+fn check_rooted(uniform: bool, root: usize, counts: &[usize], displs: &[usize], src: &[u64]) {
+    let n_pes = counts.len();
+    let total: usize = counts.iter().sum();
+    for engine in BACKENDS {
+        for policy in POLICIES {
+            for sync in SYNCS {
+                let (c2, d2, s2) = (counts.to_vec(), displs.to_vec(), src.to_vec());
+                let report = Fabric::run(FabricConfig::new(n_pes).with_engine(engine), move |pe| {
+                    let r = pe.rank();
+                    let root_src = if r == root { s2.clone() } else { vec![] };
+                    let mut mine = vec![0u64; c2[r]];
+                    let mut back = vec![u64::MAX; if r == root { s2.len() } else { 0 }];
+                    if uniform {
+                        collectives::scatter_policy_sync(
+                            pe, &mut mine, &root_src, &c2, &d2, total, root, policy, sync,
+                        );
+                        pe.barrier();
+                        collectives::gather_policy_sync(
+                            pe, &mut back, &mine, &c2, &d2, total, root, policy, sync,
+                        );
+                    } else {
+                        try_scatterv_policy_sync(
+                            pe, &mut mine, &root_src, &c2, &d2, root, policy, sync,
+                        )
+                        .expect("well-formed scatterv");
+                        pe.barrier();
+                        try_gatherv_policy_sync(pe, &mut back, &mine, &c2, &d2, root, policy, sync)
+                            .expect("well-formed gatherv");
+                    }
+                    pe.barrier();
+                    (mine, back)
+                });
+                for (r, (mine, _)) in report.results.iter().enumerate() {
+                    assert_eq!(
+                        &mine[..],
+                        &src[displs[r]..displs[r] + counts[r]],
+                        "scatter uniform={} {}/{:?}/{:?}: PE {} segment",
+                        uniform,
+                        engine.name(),
+                        policy,
+                        sync,
+                        r
+                    );
+                }
+                let back = &report.results[root].1;
+                for r in 0..n_pes {
+                    assert_eq!(
+                        &back[displs[r]..displs[r] + counts[r]],
+                        &src[displs[r]..displs[r] + counts[r]],
+                        "gather uniform={} {}/{:?}/{:?}: PE {} segment at root",
+                        uniform,
+                        engine.name(),
+                        policy,
+                        sync,
+                        r
+                    );
+                }
+                // Every posted signal consumed: no slot leaks across
+                // the back-to-back collectives.
+                assert_eq!(report.stats.signals, report.stats.signal_waits);
+            }
+        }
+    }
+}
+
+/// All-gather one table against the dense reference: every PE's
+/// destination holds the rank-ordered concatenation of all contributions
+/// — for every strategy × sync mode × backend combination. `uniform`
+/// (constant tables only) routes the call through `all_gather_algo_sync`.
+fn check_allgather(uniform: bool, counts: &[usize], seed: u64) {
+    let n_pes = counts.len();
+    let total: usize = counts.iter().sum();
+    let contrib = |counts: &[usize], r: usize| -> Vec<u64> {
+        (0..counts[r] as u64)
+            .map(|j| (r as u64) << 32 | j ^ seed)
+            .collect()
+    };
+    let expect: Vec<u64> = (0..n_pes).flat_map(|r| contrib(counts, r)).collect();
+    for engine in BACKENDS {
+        for algo in VALGOS {
+            for sync in SYNCS {
+                let c2 = counts.to_vec();
+                let report = Fabric::run(FabricConfig::new(n_pes).with_engine(engine), move |pe| {
+                    let mine = contrib(&c2, pe.rank());
+                    let mut all = vec![u64::MAX; total];
+                    if uniform {
+                        collectives::all_gather_algo_sync(pe, &mut all, &mine, c2[0], algo, sync);
+                    } else {
+                        try_allgatherv_algo_sync(pe, &mut all, &mine, &c2, algo, sync)
+                            .expect("well-formed allgatherv");
+                    }
+                    pe.barrier();
+                    all
+                });
+                for (r, got) in report.results.iter().enumerate() {
+                    assert_eq!(
+                        &got[..],
+                        &expect[..],
+                        "allgather uniform={} {}/{:?}/{:?}: PE {}",
+                        uniform,
+                        engine.name(),
+                        algo,
+                        sync,
+                        r
+                    );
+                }
+                assert_eq!(report.stats.signals, report.stats.signal_waits);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    /// Scatterv then gatherv against the dense reference: PE `r` must
-    /// receive exactly `src[displs[r] .. displs[r] + counts[r]]`, and
-    /// gathering those segments back must reassemble the root's buffer —
-    /// for every algorithm × sync mode × backend combination.
+    /// Scatterv then gatherv on an irregular, possibly gapped table, and
+    /// the uniform entry points on a constant table with a dense
+    /// `pe_disp` (block size 0 — the inert case — included).
     #[test]
     fn scatterv_gatherv_match_dense_reference(
         n_pes in 1usize..7,
@@ -97,103 +219,28 @@ proptest! {
         gap in 0usize..2,
     ) {
         let root = root_seed % n_pes;
+        let fill = |len: usize| -> Vec<u64> {
+            (0..len as u64).map(|i| i.wrapping_mul(seed | 1) ^ 0xA5A5).collect()
+        };
         let counts = counts_for(shape, n_pes, seed);
         let (displs, src_len) = gapped_displs(&counts, gap);
-        let src: Vec<u64> = (0..src_len as u64).map(|i| i.wrapping_mul(seed | 1) ^ 0xA5A5).collect();
+        check_rooted(false, root, &counts, &displs, &fill(src_len));
 
-        for engine in BACKENDS {
-            for policy in POLICIES {
-                for sync in SYNCS {
-                    let (c2, d2, s2) = (counts.clone(), displs.clone(), src.clone());
-                    let report = Fabric::run(
-                        FabricConfig::new(n_pes).with_engine(engine),
-                        move |pe| {
-                            let r = pe.rank();
-                            let my = c2[r];
-                            let root_src = if r == root { s2.clone() } else { vec![] };
-                            let mut mine = vec![0u64; my];
-                            try_scatterv_policy_sync(
-                                pe, &mut mine, &root_src, &c2, &d2, root, policy, sync,
-                            )
-                            .expect("well-formed scatterv");
-                            pe.barrier();
-                            let mut back = vec![u64::MAX; if r == root { s2.len() } else { 0 }];
-                            try_gatherv_policy_sync(
-                                pe, &mut back, &mine, &c2, &d2, root, policy, sync,
-                            )
-                            .expect("well-formed gatherv");
-                            pe.barrier();
-                            (mine, back)
-                        },
-                    );
-                    for (r, (mine, _)) in report.results.iter().enumerate() {
-                        prop_assert_eq!(
-                            &mine[..],
-                            &src[displs[r]..displs[r] + counts[r]],
-                            "scatterv {}/{:?}/{:?}: PE {} segment",
-                            engine.name(), policy, sync, r
-                        );
-                    }
-                    let back = &report.results[root].1;
-                    for r in 0..n_pes {
-                        prop_assert_eq!(
-                            &back[displs[r]..displs[r] + counts[r]],
-                            &src[displs[r]..displs[r] + counts[r]],
-                            "gatherv {}/{:?}/{:?}: PE {} segment at root",
-                            engine.name(), policy, sync, r
-                        );
-                    }
-                    // Every posted signal consumed: no slot leaks across
-                    // the back-to-back v-collectives.
-                    prop_assert_eq!(report.stats.signals, report.stats.signal_waits);
-                }
-            }
-        }
+        let constant = vec![(seed % 5) as usize; n_pes];
+        let (dense, src_len) = gapped_displs(&constant, 0);
+        check_rooted(true, root, &constant, &dense, &fill(src_len));
     }
 
-    /// Allgatherv against the dense reference: every PE's destination
-    /// holds the rank-ordered concatenation of all contributions — for
-    /// every strategy × sync mode × backend combination.
+    /// Allgatherv on an irregular table, and the uniform `all_gather` on
+    /// a constant one.
     #[test]
     fn allgatherv_matches_dense_reference(
         n_pes in 1usize..7,
         shape in 0u8..4,
         seed in any::<u64>(),
     ) {
-        let counts = counts_for(shape, n_pes, seed);
-        let total: usize = counts.iter().sum();
-        let contrib = |r: usize| -> Vec<u64> {
-            (0..counts[r] as u64).map(|j| (r as u64) << 32 | j ^ seed).collect()
-        };
-        let expect: Vec<u64> = (0..n_pes).flat_map(contrib).collect();
-
-        for engine in BACKENDS {
-            for algo in VALGOS {
-                for sync in SYNCS {
-                    let c2 = counts.clone();
-                    let report = Fabric::run(
-                        FabricConfig::new(n_pes).with_engine(engine),
-                        move |pe| {
-                            let mine = contrib(pe.rank());
-                            let mut all = vec![u64::MAX; total];
-                            try_allgatherv_algo_sync(pe, &mut all, &mine, &c2, algo, sync)
-                                .expect("well-formed allgatherv");
-                            pe.barrier();
-                            all
-                        },
-                    );
-                    for (r, got) in report.results.iter().enumerate() {
-                        prop_assert_eq!(
-                            &got[..],
-                            &expect[..],
-                            "allgatherv {}/{:?}/{:?}: PE {}",
-                            engine.name(), algo, sync, r
-                        );
-                    }
-                    prop_assert_eq!(report.stats.signals, report.stats.signal_waits);
-                }
-            }
-        }
+        check_allgather(false, &counts_for(shape, n_pes, seed), seed);
+        check_allgather(true, &vec![(seed % 5) as usize; n_pes], seed);
     }
 }
 

@@ -3,7 +3,7 @@
 //! well-formed — across every collective shape, sync mode, and PE count,
 //! including the degenerate single-PE fabric.
 
-use xbrtime::collectives::{AllGatherAlgo, AllReduceAlgo};
+use xbrtime::collectives::{AllGatherVAlgo, AllReduceAlgo};
 use xbrtime::{
     collectives, AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, RunReport, SyncMode, Topology,
 };
@@ -103,22 +103,24 @@ fn zero_length_broadcast_all_modes() {
 fn zero_length_reduce_all_modes() {
     for n in PE_COUNTS {
         for sync in SYNC_MODES {
-            let report = run_traced(n, move |pe| {
-                let src = pe.shared_malloc::<u64>(1);
-                let mut dest: Vec<u64> = vec![];
-                collectives::reduce_with(
-                    pe,
-                    &mut dest,
-                    &src,
-                    0,
-                    1,
-                    0,
-                    |a: u64, b: u64| a.wrapping_add(b),
-                    AlgorithmPolicy::Binomial,
-                    sync,
-                );
-            });
-            assert_inert(&report, &format!("reduce n={n} {sync:?}"));
+            for policy in [AlgorithmPolicy::Binomial, AlgorithmPolicy::Linear] {
+                let report = run_traced(n, move |pe| {
+                    let src = pe.shared_malloc::<u64>(1);
+                    let mut dest: Vec<u64> = vec![];
+                    collectives::reduce_with(
+                        pe,
+                        &mut dest,
+                        &src,
+                        0,
+                        1,
+                        0,
+                        |a: u64, b: u64| a.wrapping_add(b),
+                        policy,
+                        sync,
+                    );
+                });
+                assert_inert(&report, &format!("reduce n={n} {policy:?} {sync:?}"));
+            }
         }
     }
 }
@@ -133,9 +135,10 @@ fn zero_length_all_gather_every_algorithm_both_backends() {
         for sync in SYNC_MODES {
             for engine in [EngineConfig::threads(), EngineConfig::coop()] {
                 for algo in [
-                    AllGatherAlgo::Fan,
-                    AllGatherAlgo::RecursiveDoubling,
-                    AllGatherAlgo::Auto,
+                    AllGatherVAlgo::Fan,
+                    AllGatherVAlgo::Ring,
+                    AllGatherVAlgo::Dissemination,
+                    AllGatherVAlgo::Auto,
                 ] {
                     let report = run_traced_on(n, engine, move |pe| {
                         let mut dest: Vec<u64> = vec![];

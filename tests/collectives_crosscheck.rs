@@ -5,7 +5,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xbgas::xbrtime::collectives;
-use xbgas::xbrtime::{AlgorithmPolicy, Fabric, FabricConfig, ReduceOp, SyncMode};
+use xbgas::xbrtime::{AlgorithmPolicy, CollectiveKind, Fabric, FabricConfig, ReduceOp, SyncMode};
 
 /// Oracle for reduction: fold contributions sequentially.
 fn oracle_reduce(contribs: &[Vec<i64>], f: impl Fn(i64, i64) -> i64) -> Vec<i64> {
@@ -97,8 +97,17 @@ fn randomized_scatter_gather_roundtrip() {
             })
             .collect();
         let data: Vec<u64> = (0..nelems as u64).map(|i| i * 13 + trial).collect();
+        // The chain hops once per virtual rank whose suffix still holds
+        // data: the stage count `Ring` must report for both directions.
+        let hops = (1..n_pes)
+            .filter(|&v| (v..n_pes).any(|u| msgs[(u + root) % n_pes] > 0))
+            .count() as u64;
 
-        for policy in [AlgorithmPolicy::Binomial, AlgorithmPolicy::Linear] {
+        for policy in [
+            AlgorithmPolicy::Binomial,
+            AlgorithmPolicy::Linear,
+            AlgorithmPolicy::Ring,
+        ] {
             let (m2, d2, dat2) = (msgs.clone(), disp.clone(), data.clone());
             let report = Fabric::run(FabricConfig::new(n_pes), move |pe| {
                 let src: Vec<u64> = if pe.rank() == root {
@@ -135,6 +144,18 @@ fn randomized_scatter_gather_roundtrip() {
                     "trial {trial}: {policy:?} scatter∘gather must be identity \
                      (n={n_pes} root={root} msgs={msgs:?})"
                 );
+                if policy == AlgorithmPolicy::Ring {
+                    for kind in [CollectiveKind::Scatter, CollectiveKind::Gather] {
+                        let rec = report.collective(kind).expect("episode recorded");
+                        assert_eq!(
+                            rec.stages,
+                            hops,
+                            "trial {trial}: ring {} must run the chain, not the \
+                             one-stage linear fallback (n={n_pes} root={root} msgs={msgs:?})",
+                            kind.name()
+                        );
+                    }
+                }
             }
         }
     }
