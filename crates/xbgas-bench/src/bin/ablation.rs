@@ -1,27 +1,111 @@
-//! Ablations for the design choices DESIGN.md calls out:
+//! Ablations for the design choices DESIGN.md calls out, and the §4.7
+//! algorithm × size × PE-count comparison grid the `policy.rs` crossover
+//! constants are calibrated from:
 //!
 //! 1. **Loop unrolling** (paper §3.3): per-element overhead of bulk
 //!    transfers with and without the unrolled fast path.
-//! 2. **All-reduce composition** (paper §4.7/§7): reduce-then-broadcast —
-//!    the paper's prescription — vs a direct recursive-doubling butterfly.
-//! 3. **Per-stage barriers**: the barrier cost share of a broadcast, by
-//!    comparing against the same tree's pure transfer cycles.
-//! 4. **Executor sync modes**: the per-stage barrier discipline vs the
+//! 2. **All-reduce family** (paper §4.7/§7): reduce-then-broadcast — the
+//!    paper's prescription — vs recursive doubling, Rabenseifner and
+//!    ring, plus what `AllReduceAlgo::Auto` picks.
+//! 3. **Topology awareness**: hierarchical vs flat broadcast.
+//! 4. **Remote atomics**: GUPs get/xor/put vs one fetch-xor.
+//! 5. **Rooted collectives** (§4.7): broadcast, reduce, scatter and
+//!    gather under binomial / linear / ring, one cold call under
+//!    per-stage barriers as an application would issue it.
+//! 6. **Executor sync modes**: the per-stage barrier discipline vs the
 //!    point-to-point signal plane (signaled / segmented-pipelined), with
-//!    the executor's signal/wait/overlap telemetry per mode.
+//!    the executor's signal/wait/overlap telemetry per mode, then the
+//!    barrier / signaled / pipelined / auto makespan grid.
+//! 7. **All-gather**: one-stage n² fan vs ring vs log-stage
+//!    dissemination.
 //!
+//! Every grid cell is one run; each grid ends with its crossover lines
+//! (the winning arm per PE count and the payload from which it changes).
+//! Output is plain text on stdout; nothing is written to disk unless
+//! `--trace <out.json>` asks for the telemetry run's Perfetto timeline.
 //! Pass `--backend {threads,coop}` to pick the execution engine.
 
 use xbgas_bench::{
-    ablation_allreduce, ablation_gups_amo, ablation_sync_modes, ablation_topology, ablation_unroll,
-    backend_arg, collective_run, export_trace, sweep_broadcast, trace_arg,
+    ablation_gups_amo, ablation_sync_modes, ablation_topology, ablation_unroll, backend_arg,
+    collective_run, export_trace, sweep_all_gather, sweep_allreduce, sweep_broadcast, sweep_gather,
+    sweep_reduce, sweep_scatter, trace_arg, GRID_PES as PES, GRID_SIZES as SIZES,
 };
-use xbrtime::collectives::AllReduceAlgo;
+use xbrtime::collectives::{AllGatherVAlgo, AllReduceAlgo};
 use xbrtime::{AlgorithmPolicy, SyncMode};
+
+const TREE_LINEAR: [(&str, AlgorithmPolicy); 2] = [
+    ("binomial", AlgorithmPolicy::Binomial),
+    ("linear", AlgorithmPolicy::Linear),
+];
+const TREE_LINEAR_RING: [(&str, AlgorithmPolicy); 3] = [
+    TREE_LINEAR[0],
+    TREE_LINEAR[1],
+    ("ring", AlgorithmPolicy::Ring),
+];
+
+/// Every `(PEs, size)` pair, PE-count-major — the row order [`grid`]'s
+/// crossover lines rely on.
+fn cells(pes: &[usize], sizes: &[usize]) -> Vec<(usize, usize)> {
+    pes.iter()
+        .flat_map(|&n| sizes.iter().map(move |&sz| (n, sz)))
+        .collect()
+}
+
+/// Print one grid table — a row per cell with one simulated-makespan
+/// column per arm and the fastest concrete arm (an arm named `auto` shows
+/// what the policy picks, it does not compete; `tie` when the concrete
+/// arms all measure the same) — followed by the crossover lines: per PE
+/// count, the winner at the smallest size and every payload (bytes of
+/// `size`) from which the winner changes.
+fn grid<A: Copy>(
+    title: &str,
+    size_hdr: &str,
+    arms: &[(&str, A)],
+    cells: &[(usize, usize)],
+    run: impl Fn(A, usize, usize) -> u64,
+) {
+    println!("\n# {title}");
+    print!("{:>5} {size_hdr:>9}", "PEs");
+    for (name, _) in arms {
+        print!(" {name:>18}");
+    }
+    println!("  winner");
+    let mut crossovers = String::new();
+    let mut last = None;
+    for &(n, sz) in cells {
+        print!("{n:>5} {sz:>9}");
+        let (mut best, mut worst) = (("", u64::MAX), 0);
+        for &(name, arm) in arms {
+            let cycles = run(arm, n, sz);
+            print!(" {cycles:>18}");
+            if name != "auto" {
+                worst = worst.max(cycles);
+                if cycles < best.1 {
+                    best = (name, cycles);
+                }
+            }
+        }
+        // At 2 PEs the rooted shapes all degenerate to one transfer.
+        if best.1 == worst {
+            best.0 = "tie";
+        }
+        println!("  {}", best.0);
+        match last {
+            Some((ln, lw)) if ln == n && lw == best.0 => {}
+            Some((ln, _)) if ln == n => {
+                crossovers += &format!(", {} from {} B", best.0, sz * 8);
+            }
+            _ => crossovers += &format!("\n#   {n} PEs: {}", best.0),
+        }
+        last = Some((n, best.0));
+    }
+    println!("# crossovers (winner by payload):{crossovers}");
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let engine = backend_arg(&args);
+    let trace_path = trace_arg(&args);
     println!("# Ablation 1 — transfer loop unrolling (remote put of N u64)");
     println!(
         "{:>9} {:>14} {:>14} {:>8}",
@@ -39,18 +123,21 @@ fn main() {
         );
     }
 
-    println!("\n# Ablation 2 — all-reduce strategy (sum of N u64, makespan cycles)");
-    println!(
-        "{:>5} {:>9} {:>18} {:>18}",
-        "PEs", "elems", "reduce+broadcast", "recursive-doubling"
+    let family = [
+        AllReduceAlgo::ReduceThenBroadcast,
+        AllReduceAlgo::RecursiveDoubling,
+        AllReduceAlgo::Rabenseifner,
+        AllReduceAlgo::Ring,
+        AllReduceAlgo::Auto,
+    ]
+    .map(|a| (a.name(), a));
+    grid(
+        "Ablation 2 — all-reduce family (sum of N u64, warmed call, SyncMode::Auto)",
+        "elems",
+        &family,
+        &cells(&PES, &[16, 256, 1024, 8192, 65536]),
+        |algo, n, sz| sweep_allreduce(engine, algo, SyncMode::Auto, n, sz),
     );
-    for n in [2usize, 4, 8] {
-        for nelems in [16usize, 1024, 16384] {
-            let a = ablation_allreduce(engine, AllReduceAlgo::ReduceThenBroadcast, n, nelems);
-            let b = ablation_allreduce(engine, AllReduceAlgo::RecursiveDoubling, n, nelems);
-            println!("{n:>5} {nelems:>9} {a:>18} {b:>18}");
-        }
-    }
 
     println!("\n# Ablation 3 — topology-aware hierarchical broadcast (8192 u64,");
     println!("#   intra-node links 4x cheaper; §7 'location aware' future work)");
@@ -80,14 +167,37 @@ fn main() {
         println!("{n:>5} {gp:>16} {amo:>12} {gp_err:>10} {amo_err:>10}");
     }
 
-    println!("\n# Ablation 5 — binomial broadcast scaling in PEs (4096 u64)");
-    println!("{:>5} {:>12} {:>12}", "PEs", "tree (cyc)", "linear (cyc)");
-    for n in [2usize, 4, 8, 12] {
-        let run = |policy| sweep_broadcast(engine, policy, SyncMode::Barrier, false, n, 4096);
-        let t = run(AlgorithmPolicy::Binomial);
-        let l = run(AlgorithmPolicy::Linear);
-        println!("{n:>5} {t:>12} {l:>12}");
-    }
+    let cold = SyncMode::Barrier;
+    grid(
+        "Ablation 5 — rooted collectives, §4.7 (cold call, per-stage barriers): broadcast",
+        "elems",
+        &TREE_LINEAR_RING,
+        &cells(&PES, &SIZES),
+        |policy, n, sz| sweep_broadcast(engine, policy, cold, false, n, sz),
+    );
+    // Reduce has no ring shape (`Ring` falls back to linear).
+    grid(
+        "Ablation 5 — reduce (sum)",
+        "elems",
+        &TREE_LINEAR,
+        &cells(&PES, &SIZES),
+        |policy, n, sz| sweep_reduce(engine, policy, cold, false, n, sz),
+    );
+    let per_pe = cells(&PES, &[16, 1024, 8192]);
+    grid(
+        "Ablation 5 — scatter (uniform counts)",
+        "elems/PE",
+        &TREE_LINEAR_RING,
+        &per_pe,
+        |policy, n, per| sweep_scatter(engine, policy, n, per),
+    );
+    grid(
+        "Ablation 5 — gather (uniform counts)",
+        "elems/PE",
+        &TREE_LINEAR_RING,
+        &per_pe,
+        |policy, n, per| sweep_gather(engine, policy, n, per),
+    );
 
     println!("\n# Ablation 6 — executor sync modes (binomial broadcast, warmed call;");
     println!("#   signals/waits/stall cycles aggregated across PEs; overlap =");
@@ -111,6 +221,42 @@ fn main() {
             );
         }
     }
+    let syncs = [
+        SyncMode::Barrier,
+        SyncMode::Signaled,
+        SyncMode::Pipelined,
+        SyncMode::Auto,
+    ]
+    .map(|s| (s.name(), s));
+    grid(
+        "Ablation 6 — sync-mode makespans (warmed call): broadcast, AlgorithmPolicy::Auto",
+        "elems",
+        &syncs,
+        &cells(&PES, &SIZES),
+        |sync, n, sz| sweep_broadcast(engine, AlgorithmPolicy::Auto, sync, true, n, sz),
+    );
+    grid(
+        "Ablation 6 — sync-mode makespans (warmed call): binomial reduce",
+        "elems",
+        &syncs,
+        &cells(&PES, &[256, 65536]),
+        |sync, n, sz| sweep_reduce(engine, AlgorithmPolicy::Binomial, sync, true, n, sz),
+    );
+
+    let gathers = [
+        AllGatherVAlgo::Fan,
+        AllGatherVAlgo::Ring,
+        AllGatherVAlgo::Dissemination,
+        AllGatherVAlgo::Auto,
+    ]
+    .map(|a| (a.name(), a));
+    grid(
+        "Ablation 7 — all-gather: n2 fan vs ring vs dissemination (warmed call, SyncMode::Auto)",
+        "elems/PE",
+        &gathers,
+        &cells(&[4, 8, 16, 64], &[16, 1024]),
+        |algo, n, per| sweep_all_gather(engine, algo, SyncMode::Auto, n, per),
+    );
 
     println!("\n# Per-collective executor telemetry (8 PEs, 1024 u64 each,");
     println!("#   one call per collective; counts aggregated across PEs)");
@@ -140,7 +286,7 @@ fn main() {
     println!("\n# Event timeline of the telemetry run (cycle-stamped trace,");
     println!("#   first events + per-collective critical paths)");
     print!("{}", trace.text_timeline(40));
-    if let Some(path) = trace_arg(&args) {
-        export_trace(&path, trace);
+    if let Some(path) = trace_path {
+        export_trace(path, trace);
     }
 }

@@ -24,7 +24,7 @@ fn main() {
         // point is the event timeline of the collective tail, not the
         // MOPS numbers (which the untraced sweep below reports).
         let report = run_fig4_traced(engine, 8, scale.max(2));
-        export_trace(&path, report.trace.as_ref().expect("traced run"));
+        export_trace(path, report.trace.as_ref().expect("traced run"));
     }
 
     let rows = run_fig4(engine, &[1, 2, 4, 8], scale);

@@ -8,7 +8,9 @@
 //! `--backend {threads,coop}` to pick the execution engine.
 
 use xbgas_apps::IsClass;
-use xbgas_bench::{backend_arg, export_trace, render_rows, run_fig5, run_fig5_traced, trace_arg};
+use xbgas_bench::{
+    backend_arg, export_trace, flag_or_exit, render_rows, run_fig5, run_fig5_traced, trace_arg,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -22,24 +24,20 @@ fn main() {
     // Optional NPB class override: --class s|w|a|b (default: the scaled
     // class-B substitute described in EXPERIMENTS.md). Full class B takes
     // tens of minutes of host time; S/W are quick.
-    let class = args
-        .iter()
-        .position(|a| a == "--class")
-        .and_then(|i| args.get(i + 1))
-        .map(|c| match c.to_ascii_lowercase().as_str() {
-            "s" => IsClass::S,
-            "w" => IsClass::W,
-            "a" => IsClass::A,
-            "b" => IsClass::B,
-            other => panic!("unknown class `{other}` (expected s|w|a|b)"),
-        });
+    let class = flag_or_exit(&args, "--class").map(|c| match c.to_ascii_lowercase().as_str() {
+        "s" => IsClass::S,
+        "w" => IsClass::W,
+        "a" => IsClass::A,
+        "b" => IsClass::B,
+        other => panic!("unknown class `{other}` (expected s|w|a|b)"),
+    });
 
     if let Some(path) = trace_arg(&args) {
         // Traced IS runs use class S and one iteration regardless of the
         // requested scale: full-class traces are enormous and the ring
         // would wrap long before the timed region of interest.
         let report = run_fig5_traced(engine, 8, 10, class.or(Some(IsClass::S)));
-        export_trace(&path, report.trace.as_ref().expect("traced run"));
+        export_trace(path, report.trace.as_ref().expect("traced run"));
     }
 
     let rows = run_fig5(engine, &[1, 2, 4, 8], scale, class);

@@ -3,20 +3,13 @@
 //! Prints the paper's example — 7 PEs with PE 4 as the collective root —
 //! and accepts `--pes N --root R` for other configurations.
 
+use xbgas_bench::usize_arg;
 use xbrtime::collectives::rank_table;
-
-fn arg(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let n_pes = arg(&args, "--pes", 7);
-    let root = arg(&args, "--root", 4);
+    let n_pes = usize_arg(&args, "--pes", 7);
+    let root = usize_arg(&args, "--root", 4);
     assert!(root < n_pes, "--root must be below --pes");
 
     println!("# Table 2 — Logical to Virtual Rank Mapping ({n_pes} PEs, root = {root})");

@@ -1,6 +1,6 @@
 //! Validate an exported Perfetto/Chrome trace-event file.
 //!
-//! CI runs `xbench_sweep --smoke --trace trace.json` and then this
+//! CI runs `ablation --trace trace.json` and then this
 //! checker, which enforces the invariants the exporter promises:
 //!
 //! 1. the file is well-formed JSON with a `traceEvents` array;

@@ -16,7 +16,7 @@
 //! p999 — exits nonzero on any violation.
 
 use std::time::{Duration, Instant};
-use xbgas_bench::backend_arg;
+use xbgas_bench::{backend_arg, usize_arg};
 use xbrtime::traffic::{run_traffic, TrafficConfig, TrafficError, TrafficReport};
 use xbrtime::{EngineConfig, FabricConfig, FaultConfig, SyncMode};
 
@@ -24,19 +24,6 @@ use xbrtime::{EngineConfig, FabricConfig, FaultConfig, SyncMode};
 const SMOKE_FAIRNESS_MAX: f64 = 4.0;
 /// Chaos p999 must stay within this factor of the fault-free p999.
 const SMOKE_CHAOS_P999_FACTOR: u64 = 16;
-
-fn usize_arg(args: &[String], flag: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} expects a number, got `{v}`");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(default)
-}
 
 fn fabric(n_pes: usize, engine: EngineConfig, chaos: Option<u64>) -> FabricConfig {
     let mut cfg = FabricConfig::paper(n_pes)

@@ -9,14 +9,16 @@
 //! | Figure 5 (NAS IS)      | `fig5_is`      | [`run_fig5`] |
 //! | Table 1 (type names)   | `table1_types` | [`xbrtime::TABLE1`] |
 //! | Table 2 (rank mapping) | `table2_ranks` | [`xbrtime::collectives::rank_table`] |
-//! | §4.7 comparison        | `xbench_sweep` | [`sweep_broadcast`] / [`sweep_reduce`] |
-//! | design ablations       | `ablation`     | [`ablation_unroll`], [`ablation_allreduce`] |
+//! | §4.7 comparison grid   | `ablation`     | [`sweep_broadcast`], [`sweep_reduce`], [`sweep_allreduce`], … |
+//! | design ablations       | `ablation`     | [`ablation_unroll`], [`ablation_topology`], … |
 //! | conformance plane      | `conformance`  | `xbrtime::collectives::{verify, explore}` |
 //! | traffic plane          | `xbench_traffic` | [`xbrtime::traffic::run_traffic`] |
 //!
-//! The Criterion benches under `benches/` measure host wall-clock of the
-//! same operations; the binaries report *simulated* cycles, which is what
-//! the paper's figures are drawn from.
+//! The binaries report *simulated* cycles, which is what the paper's
+//! figures are drawn from, print plain text (or `--json` rows) on stdout
+//! and write no file except where `--trace <path>` asks for one. Host
+//! time, per layer and end to end, is the repo benchmark's job (`bench/`,
+//! `BENCHMARK.json`), which links [`issue_rate`] and [`json`] from here.
 //!
 //! Every measurement is one function whose first argument is the
 //! [`EngineConfig`] the fabric runs on (see [`backend_arg`]).
@@ -29,22 +31,50 @@ use json::{Json, ToJson};
 use xbgas_apps::{run_gups, run_is, GupsConfig, GupsResult, IsConfig, IsResult};
 use xbrtime::collectives::{self, AllGatherVAlgo, AllReduceAlgo};
 use xbrtime::{
-    Algorithm, AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, Pe, ReduceOp, RunReport,
-    SyncMode,
+    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, Pe, ReduceOp, RunReport, SyncMode,
 };
+
+/// The value following the command-line flag `name`: `Ok(None)` when the
+/// flag is absent, an error message when it is the last argument — a
+/// flag without its value must not silently fall back to the default.
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) => Ok(Some(v)),
+        None => Err(format!("{name} expects a value")),
+    }
+}
+
+/// [`flag_value`] for a binary's `main`: prints the message and exits
+/// with status 2 when the flag is given without its value.
+pub fn flag_or_exit<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    flag_value(args, name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// Numeric `name <N>` flag with a default; exits with status 2 on a
+/// missing or non-numeric value.
+pub fn usize_arg(args: &[String], name: &str, default: usize) -> usize {
+    flag_or_exit(args, name).map_or(default, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("{name} expects a number, got `{v}`");
+            std::process::exit(2);
+        })
+    })
+}
 
 /// `--backend {threads,coop}` argument shared by the harness binaries:
 /// the execution engine every fabric in the run is built on. Defaults to
 /// the thread-per-PE engine; `coop` multiplexes the PEs over the
-/// work-stealing cooperative scheduler (the only way the large-`n`
-/// sweeps fit on a small host). Exits with an error on an unknown name
-/// rather than silently measuring the wrong engine.
+/// work-stealing cooperative scheduler (the only way large PE counts fit
+/// on a small host). Exits with an error on an unknown name or a missing
+/// value rather than silently measuring the wrong engine.
 pub fn backend_arg(args: &[String]) -> EngineConfig {
-    match args
-        .iter()
-        .position(|a| a == "--backend")
-        .and_then(|i| args.get(i + 1))
-    {
+    match flag_or_exit(args, "--backend") {
         None => EngineConfig::threads(),
         Some(name) => EngineConfig::parse(name).unwrap_or_else(|| {
             eprintln!("unknown --backend `{name}` (expected `threads` or `coop`)");
@@ -55,6 +85,11 @@ pub fn backend_arg(args: &[String]) -> EngineConfig {
 
 /// Core frequency used to convert simulated cycles into seconds.
 pub const CORE_HZ: u64 = 1_000_000_000;
+
+/// PE counts of the §4.7 grid — the paper's evaluation stops at 8.
+pub const GRID_PES: [usize; 3] = [2, 4, 8];
+/// Message sizes of the §4.7 grid in u64 elements: 8 B to 512 KiB.
+pub const GRID_SIZES: [usize; 5] = [1, 16, 256, 4096, 65536];
 
 /// One row of a Figure 4/5-style scaling table.
 #[derive(Clone, Copy, Debug)]
@@ -167,30 +202,6 @@ pub fn run_fig5(
         .collect()
 }
 
-/// One sweep measurement: a collective at a message size and PE count.
-#[derive(Clone, Copy, Debug)]
-pub struct SweepPoint {
-    /// Algorithm measured.
-    pub algo: Algorithm,
-    /// PEs participating.
-    pub n_pes: usize,
-    /// Message size in elements (u64).
-    pub nelems: usize,
-    /// Simulated makespan cycles for one collective call.
-    pub cycles: u64,
-}
-
-impl ToJson for SweepPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("algo", Json::Str(format!("{:?}", self.algo))),
-            ("n_pes", self.n_pes.to_json()),
-            ("nelems", self.nelems.to_json()),
-            ("cycles", self.cycles.to_json()),
-        ])
-    }
-}
-
 /// Measure one broadcast call's simulated makespan (cycles) under an
 /// explicit algorithm policy and executor sync mode.
 ///
@@ -198,9 +209,8 @@ impl ToJson for SweepPoint {
 /// so the one-time signal-table growth barrier, plan compilation and cold
 /// queue-occupancy ratios are paid identically in every comparison arm —
 /// the timed region then isolates the steady-state cost the sync-mode
-/// sweep and the large-`n` chain-cap cells are after. Cold
-/// (`warm = false`) is the §4.7 algorithm comparison: one call, as an
-/// application would issue it.
+/// table is after. Cold (`warm = false`) is the §4.7 algorithm
+/// comparison: one call, as an application would issue it.
 ///
 /// `AlgorithmPolicy::Auto` makes the comparison one between the *best
 /// known configuration* under each sync mode: the barrier arm reproduces
@@ -412,7 +422,7 @@ pub fn sweep_gather(
 /// for free. With `traced` the fabric's event-tracing plane is on
 /// ([`FabricConfig::with_trace`]) and `report.trace` holds the merged
 /// per-PE event log — this is the run `ablation` prints a timeline for and
-/// `xbench_sweep --trace` exports as Perfetto JSON.
+/// `ablation --trace` exports as Perfetto JSON.
 pub fn collective_run(
     engine: EngineConfig,
     n_pes: usize,
@@ -524,37 +534,10 @@ pub fn run_fig5_traced(
     Fabric::run(fc, move |pe| run_is(pe, &cfg))
 }
 
-/// One traced broadcast episode under an explicit [`SyncMode`] —
-/// the representative run `xbench_sweep --trace` exports. The warm-up call
-/// shares the trace, so the exported timeline shows both episodes.
-pub fn traced_broadcast(
-    engine: EngineConfig,
-    sync: SyncMode,
-    n_pes: usize,
-    nelems: usize,
-) -> RunReport<()> {
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
-        .with_trace()
-        .with_engine(engine);
-    Fabric::run(fc, move |pe| {
-        let dest = pe.shared_malloc::<u64>(nelems.max(1));
-        let src = vec![7u64; nelems];
-        let policy = AlgorithmPolicy::Auto;
-        collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
-        pe.barrier();
-        collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
-        pe.barrier();
-    })
-}
-
 /// `--trace <out.json>` argument shared by the harness binaries: returns
 /// the requested output path, if any.
-pub fn trace_arg(args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+pub fn trace_arg(args: &[String]) -> Option<&str> {
+    flag_or_exit(args, "--trace")
 }
 
 /// Write a run's merged trace to `path` as Perfetto/Chrome trace-event
@@ -597,27 +580,6 @@ pub struct IssueRateCell {
     /// Issue calls per second from the plan cache (after the one-miss
     /// warm-up).
     pub warm_per_sec: f64,
-}
-
-impl IssueRateCell {
-    /// Warm-over-cold throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        self.warm_per_sec / self.cold_per_sec.max(1e-12)
-    }
-}
-
-impl ToJson for IssueRateCell {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("n_pes", self.n_pes.to_json()),
-            ("nelems", self.nelems.to_json()),
-            ("bytes", (self.nelems * 8).to_json()),
-            ("iters", self.iters.to_json()),
-            ("cold_per_sec", self.cold_per_sec.to_json()),
-            ("warm_per_sec", self.warm_per_sec.to_json()),
-            ("warm_over_cold", self.speedup().to_json()),
-        ])
-    }
 }
 
 /// In-flight depth of the issue benchmark: handles issued back-to-back
@@ -799,37 +761,10 @@ pub fn ablation_gups_amo(engine: EngineConfig, n_pes: usize) -> (u64, u64, usize
     (gp, amo, gp_err, amo_err)
 }
 
-/// Ablation: simulated makespan of one cold all-reduce under `algo`
-/// (per-stage barriers) — doubling as the all-reduce probe of the
-/// large-`n` sweep cells.
-pub fn ablation_allreduce(
-    engine: EngineConfig,
-    algo: AllReduceAlgo,
-    n_pes: usize,
-    nelems: usize,
-) -> u64 {
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
-        .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let src = pe.shared_malloc::<u64>(nelems.max(1));
-        pe.heap_write(src.whole(), &vec![pe.rank() as u64; nelems]);
-        pe.barrier();
-        let mut dest = vec![0u64; nelems.max(1)];
-        let t0 = pe.cycles();
-        let sync = SyncMode::Barrier;
-        collectives::reduce_all_sync(pe, &mut dest, &src, nelems, ReduceOp::Sum, algo, sync);
-        pe.barrier();
-        pe.cycles() - t0
-    });
-    report.results.iter().copied().max().unwrap_or(0)
-}
-
 /// Measure one **warmed** all-reduce call's simulated makespan under an
-/// explicit family member and sync mode — the probe behind the
-/// algorithm-selection crossover cells in `xbench_sweep`. The untimed
-/// first call pays plan compilation and the one-time signal-table growth
-/// identically in every arm.
+/// explicit family member and sync mode — the probe behind `ablation`'s
+/// all-reduce family table. The untimed first call pays plan compilation
+/// and the one-time signal-table growth identically in every arm.
 pub fn sweep_allreduce(
     engine: EngineConfig,
     algo: AllReduceAlgo,
@@ -856,8 +791,8 @@ pub fn sweep_allreduce(
 }
 
 /// Measure one warmed all-gather call's simulated makespan under an
-/// explicit algorithm — the probe behind the fan-vs-dissemination
-/// crossover cells in `xbench_sweep`.
+/// explicit algorithm — the probe behind `ablation`'s fan / ring /
+/// dissemination all-gather table.
 pub fn sweep_all_gather(
     engine: EngineConfig,
     algo: AllGatherVAlgo,
@@ -894,6 +829,12 @@ mod tests {
     /// The headline reproduction check for Figure 4, at quarter scale so the
     /// debug-mode test suite stays fast: per-PE GUPs exceeds the 1-PE
     /// baseline at 2 and 4 PEs and falls below the 4-PE level at 8.
+    ///
+    /// Stays on the thread engine, unlike the other makespan tests: on
+    /// `STEADY` the quarter-scale per-PE series is 3.714 / 3.995 / 3.763 /
+    /// 2.067 MOPS on every run, so "4 PEs > 1.02 × baseline" reads 1.013.
+    /// Which engine interleaves the PEs decides the Figure-4 shape at this
+    /// scale (ROADMAP item 1); that is a finding, not a threshold to loosen.
     #[test]
     fn fig4_shape_holds() {
         let rows = run_fig4(EngineConfig::threads(), &[1, 2, 4, 8], 2);
@@ -919,7 +860,7 @@ mod tests {
     /// 1–4 PEs, with a pronounced (paper: ~25%) drop at 8.
     #[test]
     fn fig5_shape_holds() {
-        let rows = run_fig5(EngineConfig::threads(), &[1, 2, 4, 8], 1, None);
+        let rows = run_fig5(STEADY, &[1, 2, 4, 8], 1, None);
         let per_pe: Vec<f64> = rows.iter().map(|r| r.per_pe_mops).collect();
         assert!(
             per_pe[1] > per_pe[0] * 0.85,
@@ -973,6 +914,42 @@ mod tests {
         );
     }
 
+    /// `Auto` never loses to the paper's defaults beyond the 5 % the
+    /// queue-occupancy term can move a makespan: `SyncMode::Auto` against
+    /// always-barrier on the 21 cells of `ablation`'s sync-mode table, and
+    /// `AllReduceAlgo::Auto` against reduce-then-broadcast on four cells
+    /// either side of its payload crossovers.
+    #[test]
+    fn auto_never_loses_to_barrier_or_reduce_then_broadcast() {
+        let within = |auto: u64, base: u64, cell: &str| {
+            assert!(
+                auto as f64 <= base as f64 * 1.05,
+                "{cell}: auto {auto} vs {base}"
+            );
+        };
+        for n in GRID_PES {
+            for sz in GRID_SIZES {
+                let run = |sync| sweep_broadcast(STEADY, AlgorithmPolicy::Auto, sync, true, n, sz);
+                let cell = format!("broadcast {n} PEs x {sz}");
+                within(run(SyncMode::Auto), run(SyncMode::Barrier), &cell);
+            }
+            for sz in [256usize, 65536] {
+                let run = |sync| sweep_reduce(STEADY, AlgorithmPolicy::Binomial, sync, true, n, sz);
+                let cell = format!("reduce {n} PEs x {sz}");
+                within(run(SyncMode::Auto), run(SyncMode::Barrier), &cell);
+            }
+        }
+        for (n, sz) in [(4usize, 256usize), (8, 1024), (4, 8192), (8, 8192)] {
+            let run = |algo| sweep_allreduce(STEADY, algo, SyncMode::Auto, n, sz);
+            let cell = format!("all-reduce {n} PEs x {sz}");
+            within(
+                run(AllReduceAlgo::Auto),
+                run(AllReduceAlgo::ReduceThenBroadcast),
+                &cell,
+            );
+        }
+    }
+
     /// Paper §3.3: the unrolled fast path must make large puts cheaper.
     #[test]
     fn unroll_ablation_direction() {
@@ -986,7 +963,7 @@ mod tests {
 
     #[test]
     fn amo_gups_is_faster_and_exact() {
-        let (getput, amo, _gp_err, amo_err) = ablation_gups_amo(EngineConfig::threads(), 4);
+        let (getput, amo, _gp_err, amo_err) = ablation_gups_amo(STEADY, 4);
         assert_eq!(amo_err, 0, "AMO updates cannot race");
         assert!(amo < getput, "one crossing {amo} should beat two {getput}");
     }
@@ -999,10 +976,22 @@ mod tests {
 
     #[test]
     fn allreduce_strategies_both_complete() {
-        let engine = EngineConfig::threads();
-        let a = ablation_allreduce(engine, AllReduceAlgo::ReduceThenBroadcast, 8, 1024);
-        let b = ablation_allreduce(engine, AllReduceAlgo::RecursiveDoubling, 8, 1024);
-        assert!(a > 0 && b > 0);
+        let run = |algo| sweep_allreduce(EngineConfig::threads(), algo, SyncMode::Barrier, 8, 1024);
+        assert!(run(AllReduceAlgo::ReduceThenBroadcast) > 0);
+        assert!(run(AllReduceAlgo::RecursiveDoubling) > 0);
+    }
+
+    #[test]
+    fn flag_value_present_absent_and_dangling() {
+        let args: Vec<String> = ["bin", "--quick", "--backend", "coop", "--trace"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(flag_value(&args, "--backend"), Ok(Some("coop")));
+        assert_eq!(flag_value(&args, "--class"), Ok(None));
+        assert_eq!(
+            flag_value(&args, "--trace"),
+            Err("--trace expects a value".to_string())
+        );
     }
 
     #[test]

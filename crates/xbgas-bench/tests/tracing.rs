@@ -1,8 +1,11 @@
 //! Acceptance checks for the event-tracing plane, driven through the
 //! harness entry points the binaries use.
 
-use xbgas_bench::{collective_run, run_fig4_traced, traced_broadcast};
-use xbrtime::{CollectiveKind, EngineConfig, SyncMode, TraceKind};
+use xbgas_bench::{collective_run, run_fig4_traced};
+use xbrtime::collectives::broadcast_policy_sync;
+use xbrtime::{
+    AlgorithmPolicy, CollectiveKind, EngineConfig, Fabric, FabricConfig, SyncMode, TraceKind,
+};
 
 /// Percent tolerance for cycle-accounting comparisons.
 fn within(a: u64, b: u64, pct: f64) -> bool {
@@ -68,7 +71,14 @@ fn fig4_traced_critical_path_matches_report() {
 /// and a well-formed Perfetto document.
 #[test]
 fn traced_broadcast_exports_flows() {
-    let report = traced_broadcast(EngineConfig::threads(), SyncMode::Pipelined, 4, 4096);
+    let nelems = 4096;
+    let report = Fabric::run(FabricConfig::paper(4).with_trace(), move |pe| {
+        let dest = pe.shared_malloc::<u64>(nelems);
+        let src = vec![7u64; nelems];
+        let (policy, sync) = (AlgorithmPolicy::Auto, SyncMode::Pipelined);
+        broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
+        pe.barrier();
+    });
     let trace = report.trace.as_ref().expect("traced run");
     let posts = trace
         .events

@@ -338,7 +338,7 @@ pub enum AllReduceAlgo {
     /// `Pipelined` chunked path. Wins at large payloads, modest `n`.
     Ring,
     /// Pick per call from `(n_pes, payload bytes)` using crossovers
-    /// calibrated from `xbench_sweep`
+    /// calibrated from the `ablation` grid
     /// ([`policy::auto_select_allreduce`]).
     #[default]
     Auto,

@@ -7,8 +7,11 @@
 //! runtime. This module provides that switch for our library: an
 //! [`AlgorithmPolicy`] names either a fixed [`Algorithm`] or [`Auto`]
 //! selection from `(collective, n_pes, message bytes)`, with crossover
-//! constants calibrated against the `xbench_sweep` benchmark's cost-model
-//! measurements (see `BENCH_sweep.json`).
+//! constants calibrated against the grid tables the `ablation` harness
+//! prints (`cargo run --release -p xbgas-bench --bin ablation`; table
+//! numbers below). The cycle figures quoted at each constant are the
+//! thread-engine measurements it was set from; multi-PE makespans wobble
+//! by a percent or so between runs, the winners on these cells do not.
 //!
 //! The module is pure selection — enums, crossover constants and the
 //! `auto_select_*` functions. The entry points that take a policy
@@ -82,13 +85,13 @@ pub enum SyncMode {
     /// is still in flight to it.
     Pipelined,
     /// Pick per call from `(n_pes, payload bytes)` using the crossovers
-    /// calibrated from `xbench_sweep` (see `BENCH_sweep.json`).
+    /// calibrated from `ablation`'s sync-mode makespan grid (Ablation 6).
     Auto,
 }
 
 /// Below this PE count the schedules are one or two stages deep and a
 /// barrier costs no more than the signal exchange that would replace it
-/// (`xbench_sweep` at 2 PEs: barrier wins every swept cell by the signal
+/// (Ablation 6 at 2 PEs: barrier wins every swept cell by the signal
 /// bookkeeping, ~30 cycles): `Auto` stays with the paper's barrier
 /// discipline. Lowering additionally falls back to barriers for
 /// single-stage schedules at any scale (see
@@ -96,14 +99,14 @@ pub enum SyncMode {
 const AUTO_SYNC_MIN_PES: usize = 4;
 
 /// Payload size (bytes per transfer) from which `Auto` turns on
-/// segmented pipelining. Calibrated from `xbench_sweep` on the paper
-/// cost model: from 512 KiB broadcasts the pipelined chain overlaps hop
-/// `k`'s forwarding with hop `k + 1`'s arrival and beats the barrier
-/// executor's best algorithm by 12% at 8 PEs (720k vs 818k cycles) and
-/// 24% at 4 PEs (363k vs 478k); at 32 KiB and below the per-segment
-/// fabric overhead (OLB + flight latency + remote DRAM per chunk) eats
-/// the overlap win and plain signaling is the better point-to-point
-/// mode.
+/// segmented pipelining. Calibrated from Ablation 6's broadcast grid on
+/// the paper cost model: from 512 KiB broadcasts the pipelined chain
+/// overlaps hop `k`'s forwarding with hop `k + 1`'s arrival and beats the
+/// barrier executor's best algorithm by 12% at 8 PEs (720k vs 818k
+/// cycles) and 24% at 4 PEs (363k vs 478k); at 32 KiB and below the
+/// per-segment fabric overhead (OLB + flight latency + remote DRAM per
+/// chunk) eats the overlap win and plain signaling is the better
+/// point-to-point mode.
 const AUTO_PIPELINE_MIN_BYTES: usize = 64 * 1024;
 
 /// Segment size for [`SyncMode::Pipelined`]: large enough that the
@@ -220,17 +223,18 @@ const AUTO_LINEAR_MAX_PES: usize = 2;
 
 /// From this PE count up the root's serialised `n − 1` transfers dominate
 /// at *every* swept payload, so `Auto` always takes the tree. Calibrated
-/// from `xbench_sweep` on the paper cost model: at 8 PEs binomial beats
-/// linear already at 8-byte broadcasts (2176 vs 2392 cycles) and the gap
-/// widens with size (793k vs 1296k at 512 KiB).
+/// from Ablation 5's broadcast grid on the paper cost model: at 8 PEs
+/// binomial beats linear already at 8-byte broadcasts (2176 vs 2392
+/// cycles) and the gap widens with size (793k vs 1296k at 512 KiB).
 const AUTO_TREE_ALWAYS_PES: usize = 8;
 
 /// Calibrated payload crossover (bytes) for the intermediate PE counts:
 /// under it the tree's `⌈log2 n⌉` stage barriers dominate and linear
 /// wins; above it the root's serialised transfers dominate and the tree
-/// wins. From `xbench_sweep` at 4 PEs: linear wins up to 2 KiB payloads
-/// (2706 vs 2861 cycles at 2 KiB), the tree wins from 32 KiB (30.4k vs
-/// 39.1k cycles); the crossover sits between, at roughly 8 KiB.
+/// wins. From Ablation 5's broadcast grid at 4 PEs: linear wins up to
+/// 2 KiB payloads (2706 vs 2861 cycles at 2 KiB), the tree wins from
+/// 32 KiB (30.4k vs 39.1k cycles); the crossover sits between, at roughly
+/// 8 KiB.
 const AUTO_TREE_MIN_BYTES: usize = 8 * 1024;
 
 impl AlgorithmPolicy {
@@ -269,10 +273,11 @@ fn auto_select(kind: CollectiveKind, n_pes: usize, nbytes: usize) -> Algorithm {
 /// `k` while segment `k + 1` is still arriving, so the chain completes in
 /// roughly `T + (n − 2) · T_chunk`, beating the tree's `⌈log2 n⌉ · T`
 /// root bottleneck once the payload is deep enough to pipeline
-/// (`xbench_sweep`: 720k vs 818k cycles at 8 PEs / 512 KiB, 363k vs 478k
-/// at 4 PEs). This is the calibrated coupling: `Auto` switches broadcast
-/// to the chain exactly when the resolved mode pipelines and the payload
-/// clears the 64 KiB pipelining threshold (`AUTO_PIPELINE_MIN_BYTES`).
+/// (Ablation 6's broadcast grid: 720k vs 818k cycles at 8 PEs / 512 KiB,
+/// 363k vs 478k at 4 PEs). This is the calibrated coupling: `Auto`
+/// switches broadcast to the chain exactly when the resolved mode
+/// pipelines and the payload clears the 64 KiB pipelining threshold
+/// (`AUTO_PIPELINE_MIN_BYTES`).
 pub fn auto_select_broadcast_sync(n_pes: usize, nbytes: usize, resolved: SyncMode) -> Algorithm {
     if resolved == SyncMode::Pipelined
         && n_pes > 2
@@ -290,10 +295,11 @@ pub fn auto_select_broadcast_sync(n_pes: usize, nbytes: usize, resolved: SyncMod
 /// says the chain's linear term — `T + (n − 2) ·
 /// T/`[`MAX_PIPELINE_CHUNKS`] — passes the tree's `⌈log2 n⌉ · T`
 /// between 32 PEs (`4.75·T` vs `5·T`) and 64 (`8.75·T` vs `6·T`). The
-/// measured `xbench_sweep --large` chain-cap rows (`BENCH_sweep.json`,
-/// `large.chain_cap`) disagree: under the M/M/1 channel model the
-/// tree's doubling fan-out saturates the links and the chain stays
-/// ahead at 64 PEs (6.0M vs 9.2M cycles at 64 KiB) and 128 (3.9M vs
+/// chain-cap rows — pipelined ring vs pipelined binomial broadcast of
+/// 64 Ki u64 at 16–128 PEs on the cooperative engine, measured once and
+/// not regenerated by any harness — disagree: under the M/M/1 channel
+/// model the tree's doubling fan-out saturates the links and the chain
+/// stays ahead at 64 PEs (6.0M vs 9.2M cycles) and 128 (3.9M vs
 /// 18.6M), while at 16 the tree wins (1.55M vs 1.76M). The cap sits at
 /// the edge of model agreement: through 32 PEs both say the chain is
 /// at worst near-par (measured 3.20M vs 3.76M), beyond it `Auto`
@@ -304,7 +310,7 @@ const AUTO_CHAIN_MAX_PES: usize = 32;
 /// Payload (bytes) from which `Auto` all-reduce abandons the full-vector
 /// butterfly for a reduce-scatter-composed shape: below this the extra
 /// stages cost more than the saved fold traffic. Calibrated from the
-/// `xbench_sweep` allreduce grid: recursive doubling wins every 128-byte
+/// all-reduce family grid (Ablation 2): recursive doubling wins every 128-byte
 /// cell, Rabenseifner already leads at 2 KiB (2792 vs 2985 cycles at
 /// 4 PEs) — and at `n = 2`, where the two shapes coincide stage-for-stage
 /// at small payloads, the halved fold traffic still wins from 8 KiB
@@ -312,7 +318,7 @@ const AUTO_CHAIN_MAX_PES: usize = 32;
 pub(crate) const AUTO_ALLREDUCE_SEGMENT_MIN_BYTES: usize = 2 * 1024;
 
 /// Payload (bytes) from which the ring's bandwidth-optimal `nelems/n`
-/// segments beat Rabenseifner's halving splits (`xbench_sweep`: ring
+/// segments beat Rabenseifner's halving splits (Ablation 2: ring
 /// leads the 64 KiB cells — 133610 vs 147566 cycles at 8 PEs — while
 /// Rabenseifner still leads at 8 KiB).
 pub(crate) const AUTO_ALLREDUCE_RING_MIN_BYTES: usize = 64 * 1024;
@@ -329,8 +335,8 @@ pub(crate) const AUTO_ALLREDUCE_RING_MAX_PES: usize = 32;
 /// that still avoid the reduce-then-broadcast root bottleneck), ring at
 /// large payloads and modest PE counts (bandwidth-optimal segments,
 /// chunk-pipelinable puts), Rabenseifner everywhere else (log depth with
-/// `~2/n` fold traffic). Crossovers calibrated from the `xbench_sweep`
-/// allreduce grid (`allreduce_family_points` in `BENCH_sweep.json`).
+/// `~2/n` fold traffic). Crossovers calibrated from the all-reduce
+/// family grid `ablation` prints (Ablation 2).
 pub fn auto_select_allreduce(
     n_pes: usize,
     nbytes: usize,
@@ -348,7 +354,7 @@ pub fn auto_select_allreduce(
 /// Smallest PE count at which `Auto` all-gather switches from the
 /// single-stage n² put fan to log-stage dissemination: the fan's one
 /// stage is unbeatable on latency until its `n²` op count saturates the
-/// fabric (`xbench_sweep` allgather rows: dissemination leads from 8 PEs
+/// fabric (Ablation 7, the all-gather grid: dissemination leads from 8 PEs
 /// at every block size — 2120 vs 4093 cycles at 128-byte blocks —
 /// decisively at ≥64).
 pub(crate) const AUTO_ALLGATHER_DOUBLING_MIN_PES: usize = 8;
@@ -356,7 +362,7 @@ pub(crate) const AUTO_ALLGATHER_DOUBLING_MIN_PES: usize = 8;
 /// Per-PE block size (bytes) from which dissemination also wins *below*
 /// the PE-count crossover: big blocks make the exchange bandwidth-bound,
 /// and the fan pushes each contribution over `n − 1` separate wires
-/// while dissemination forwards doubling aggregates (`xbench_sweep`:
+/// while dissemination forwards doubling aggregates (Ablation 7:
 /// 22043 vs 26302 cycles at 4 PEs × 8 KiB blocks).
 pub(crate) const AUTO_ALLGATHER_DOUBLING_MIN_BYTES: usize = 8 * 1024;
 
@@ -467,7 +473,7 @@ mod tests {
     use crate::fabric::{Fabric, FabricConfig};
     use crate::types::ReduceOp;
 
-    /// The measured `xbench_sweep` crossover cells the allreduce
+    /// The measured crossover cells (`ablation`, Ablation 2) the allreduce
     /// selector is calibrated against — each row a (n_pes, nbytes) cell
     /// and its winning family member.
     #[test]

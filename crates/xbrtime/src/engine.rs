@@ -112,7 +112,7 @@ impl EngineConfig {
         self
     }
 
-    /// Stable lowercase backend name (CLI flags, `BENCH_sweep.json`).
+    /// Stable lowercase backend name (CLI flags, harness output).
     pub fn name(&self) -> &'static str {
         match self.kind {
             EngineKind::Threads => "threads",

@@ -226,6 +226,37 @@ fn every_collective_and_sync_mode_matches_across_backends() {
     }
 }
 
+/// 256 PEs on the cooperative engine (auto workers): broadcast, the
+/// binomial reduce fold and the recursive-doubling all-reduce under every
+/// concrete sync mode converge — `Fabric::run` panics on a
+/// `DeadlockReport` — to the closed-form buffers. Coop arm only: the
+/// thread oracle is not run at this scale.
+#[test]
+fn fold_paths_and_signal_disciplines_converge_at_256_pes_on_coop() {
+    const N: usize = 256;
+    const NELEMS: usize = 64;
+    let (n, rank_sum) = (N as u64, (N * (N - 1) / 2) as u64);
+    for kind in [Kind::Broadcast, Kind::Reduce, Kind::AllReduce] {
+        // What `run_one`'s inputs sum to, element by element.
+        let expect: Vec<u64> = (0..NELEMS as u64)
+            .map(|i| match kind {
+                Kind::Broadcast => i * 3 + 1,
+                Kind::Reduce => rank_sum * 31 + i * n,
+                _ => rank_sum + i * 11 * n,
+            })
+            .collect();
+        for sync in SyncMode::CONCRETE {
+            let algo = AlgorithmPolicy::Binomial;
+            let (results, _) = run_one(EngineConfig::coop(), kind, algo, sync, N, NELEMS, 0);
+            // Only the root's reduce buffer is defined.
+            let defined = if kind == Kind::Reduce { 1 } else { N };
+            for (rank, got) in results.iter().take(defined).enumerate() {
+                assert_eq!(got, &expect, "{kind:?} {sync:?} rank {rank}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
