@@ -26,7 +26,7 @@
 use std::collections::HashSet;
 
 use crate::collectives::policy::SyncMode;
-use crate::collectives::schedule::{CommSchedule, OpKind, TransferOp};
+use crate::collectives::schedule::{is_put_kind, CommSchedule, TransferOp};
 use crate::collectives::verify::{
     check_schedule, compare, CollectiveSpec, ConformanceReport, DeadlockInfo, Machine, Mismatch,
     ModelConfig, Program, Space,
@@ -459,40 +459,25 @@ impl Region {
 }
 
 /// Element regions one op touches, conservatively spanning strided
-/// windows and tagged read/write/accumulator.
-fn accesses(op: &TransferOp) -> Vec<Region> {
-    let span = op.span();
-    let me = op.issuer();
-    let reg = |space: Space, pe: usize, at: usize, write: bool, acc: bool| Region {
+/// windows and tagged read/write/accumulator: the symmetric window on
+/// the far PE, and the issuer's end in the op's local space (a fold's
+/// landing buffer is private scratch and orders nothing).
+fn accesses(op: &TransferOp) -> [Region; 2] {
+    let push = is_put_kind(op.kind);
+    let (local_at, remote_pe, remote_at) = op.ends();
+    let (local, me, acc) = (op.kind.local_space(), op.issuer(), op.is_fold());
+    let reg = |space, pe, start: usize, write, acc| Region {
         space,
         pe,
-        start: at,
-        end: at + span,
+        start,
+        end: start + op.span(),
         write,
         acc,
     };
-    match op.kind {
-        OpKind::Put | OpKind::Get => vec![
-            reg(Space::Sym, op.src_pe, op.src_at, false, false),
-            reg(Space::Sym, op.dst_pe, op.dst_at, true, false),
-        ],
-        OpKind::PutFrom | OpKind::PutNb => vec![
-            reg(Space::LocalSrc, me, op.src_at, false, false),
-            reg(Space::Sym, op.dst_pe, op.dst_at, true, false),
-        ],
-        OpKind::GetInto => vec![
-            reg(Space::Sym, op.src_pe, op.src_at, false, false),
-            reg(Space::LocalDst, me, op.dst_at, true, false),
-        ],
-        OpKind::GetFold => vec![
-            reg(Space::Sym, op.src_pe, op.src_at, false, false),
-            reg(Space::Sym, me, op.dst_at, true, true),
-        ],
-        OpKind::GetFoldInto => vec![
-            reg(Space::Sym, op.src_pe, op.src_at, false, false),
-            reg(Space::LocalDst, me, op.dst_at, true, true),
-        ],
-    }
+    [
+        reg(Space::Sym, remote_pe, remote_at, push, false),
+        reg(local, me, local_at, !push, acc),
+    ]
 }
 
 /// `true` when reordering `a` against `b` can change an outcome: some

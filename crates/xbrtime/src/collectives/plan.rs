@@ -2,12 +2,12 @@
 //!
 //! [`lower`] turns a `(CommSchedule, SyncMode, elem_bytes)` triple into a
 //! [`Plan`]: a flat, branch-free per-PE array of [`PlanStep`]s with
-//! `SyncMode::Auto` resolved and every signal-slot index, pipeline chunk
-//! window and fold span fixed. It is the **only** implementation of the
+//! `SyncMode::Auto` resolved and every signal-slot index and pipeline
+//! chunk window fixed. It is the **only** implementation of the
 //! slot/READY/ACK/chunk signalling protocol in the crate: the fabric
 //! executes the steps ([`execute_plan`]), and the conformance oracle
 //! ([`verify`](crate::collectives::verify)) and interleaving explorer
-//! translate the same steps into their abstract machine, so what is
+//! step the same steps on their abstract machine, so what is
 //! model-checked is the artefact that runs.
 //!
 //! Plans are memoized in a sharded [`PlanCache`] keyed by the full
@@ -29,7 +29,7 @@ use crate::collectives::policy::{
 use crate::collectives::schedule::{
     broadcast_binomial, is_put_kind, reduce_binomial, CommSchedule, OpKind, TransferOp,
 };
-use crate::fabric::{CollectiveKind, CollectiveSample, Pe, SymmAlloc, SymmRef};
+use crate::fabric::{span, CollectiveKind, CollectiveSample, Local, Pe, SymmAlloc, SymmRef};
 use crate::trace::TraceKind;
 use crate::types::XbrType;
 
@@ -45,12 +45,28 @@ use crate::types::XbrType;
 /// [`Pe::signal_table`](crate::fabric::Pe::signal_table).
 const OVERLAP_HEADROOM: usize = 16;
 
-/// One pre-lowered executor action. Offsets are element offsets into the
-/// schedule's symmetric working buffer (`*_at`) or the issuer's private
-/// `local_src`/`local_dst` slices (`lo..hi` ranges); signal slots are
-/// *plan-relative* indices into the fabric's symmetric signal table,
-/// rebased at issue time so overlapping nonblocking episodes never
-/// collide.
+/// Which buffer a step's issuer-side end — or an oracle provenance atom —
+/// lives in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Space {
+    /// The symmetric working buffer (one copy per PE).
+    Sym,
+    /// A PE's private `local_src` slice (read-only under every schedule).
+    LocalSrc,
+    /// A PE's private `local_dst` slice.
+    LocalDst,
+    /// A PE's reusable landing buffer: where a fold's operand is read to
+    /// before [`PlanStep::Fold`] combines it.
+    Landing,
+}
+
+/// One pre-lowered executor action. Offsets (`*_at`) are element offsets
+/// into the buffer the step names: the schedule's symmetric working
+/// buffer, the issuer's private `local_src`/`local_dst` slices, or its
+/// landing buffer; a step's window there is `at .. at + span(nelems,
+/// stride)`, derived, not stored. Signal slots are *plan-relative* indices
+/// into the fabric's symmetric signal table, rebased at issue time so
+/// overlapping nonblocking episodes never collide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanStep {
     /// Publish stage `si` to the progress plane and open its trace span.
@@ -78,121 +94,43 @@ pub enum PlanStep {
         /// Plan-relative slot.
         slot: u32,
     },
-    /// Heap-to-heap put (one chunk of an `OpKind::Put`).
-    PutSymm {
-        /// Destination element offset in the symmetric buffer.
-        dst_at: u32,
-        /// Source element offset in the symmetric buffer.
-        src_at: u32,
-        /// Elements in this chunk.
+    /// One one-sided transfer: `nelems` elements at `stride` between the
+    /// issuer's `local` buffer at `local_at` and the symmetric buffer at
+    /// `remote_at` on `pe` (one chunk of the op when pipelined).
+    Copy {
+        /// The issuer's end.
+        local: Space,
+        /// Element offset in `local`.
+        local_at: u32,
+        /// Element offset in the symmetric buffer on `pe`.
+        remote_at: u32,
+        /// Elements in this transfer.
         nelems: u32,
-        /// Element stride.
+        /// Element stride, on both ends.
         stride: u32,
         /// Target PE.
-        dst_pe: u32,
-        /// Completion signal slot (remote targets only).
+        pe: u32,
+        /// `true` for a put (local → remote), `false` for a get.
+        push: bool,
+        /// Non-blocking: the stage barrier (or the signal's arrival
+        /// stamp) absorbs the flight time instead of the issuer.
+        nb: bool,
+        /// Signal slot posted to `pe` after the transfer: a put's
+        /// completion, or the "your segment has been read" ack of a
+        /// deferred fold's landing read. Stamped with the completion time
+        /// when `nb`.
         sig: Option<u32>,
         /// Chunk index when the op was pipelined into >1 chunks (drives
         /// the per-chunk trace event); `None` for unchunked transfers.
         chunk: Option<u32>,
     },
-    /// Blocking put from `local_src[src_lo..src_hi]`.
-    PutFrom {
-        /// Destination element offset in the symmetric buffer.
-        dst_at: u32,
-        /// Start of the private source window.
-        src_lo: u32,
-        /// End of the private source window.
-        src_hi: u32,
-        /// Elements in this chunk.
-        nelems: u32,
-        /// Element stride.
-        stride: u32,
-        /// Target PE.
-        dst_pe: u32,
-        /// Completion signal slot (remote targets only).
-        sig: Option<u32>,
-        /// Chunk index when pipelined (see [`PlanStep::PutSymm::chunk`]).
-        chunk: Option<u32>,
-    },
-    /// Non-blocking put from `local_src[src_lo..src_hi]`; the signal (if
-    /// any) is stamped with the transfer's completion time.
-    PutNb {
-        /// Destination element offset in the symmetric buffer.
-        dst_at: u32,
-        /// Start of the private source window.
-        src_lo: u32,
-        /// End of the private source window.
-        src_hi: u32,
-        /// Elements in this chunk.
-        nelems: u32,
-        /// Element stride.
-        stride: u32,
-        /// Target PE.
-        dst_pe: u32,
-        /// Completion signal slot (remote targets only).
-        sig: Option<u32>,
-        /// Chunk index when pipelined.
-        chunk: Option<u32>,
-    },
-    /// Heap-to-heap get.
-    GetSymm {
-        /// Destination element offset in the symmetric buffer.
-        dst_at: u32,
-        /// Source element offset in the symmetric buffer.
-        src_at: u32,
-        /// Elements.
-        nelems: u32,
-        /// Element stride.
-        stride: u32,
-        /// Source PE.
-        src_pe: u32,
-    },
-    /// Get into `local_dst[dst_lo..dst_hi]`.
-    GetInto {
-        /// Start of the private destination window.
-        dst_lo: u32,
-        /// End of the private destination window.
-        dst_hi: u32,
-        /// Source element offset in the symmetric buffer.
-        src_at: u32,
-        /// Elements.
-        nelems: u32,
-        /// Element stride.
-        stride: u32,
-        /// Source PE.
-        src_pe: u32,
-    },
-    /// Get into the reusable landing buffer, optionally acknowledging the
-    /// read to the source PE (`get_signal`).
-    GetLanding {
-        /// Source element offset in the symmetric buffer.
-        src_at: u32,
-        /// Elements.
-        nelems: u32,
-        /// Element stride.
-        stride: u32,
-        /// Source PE.
-        src_pe: u32,
-        /// Acknowledgement slot posted to `src_pe` after the read.
-        ack: Option<u32>,
-    },
-    /// Fold the landing buffer into the symmetric buffer at `dst_at`
-    /// (`OpKind::GetFold`), over `span` elements read-modify-written.
-    FoldSymm {
-        /// Destination element offset in the symmetric buffer.
-        dst_at: u32,
-        /// Elements folded.
-        nelems: u32,
-        /// Element stride.
-        stride: u32,
-        /// Contiguous span read back and rewritten (`op.span().max(1)`).
-        span: u32,
-    },
-    /// Fold the landing buffer into `local_dst` at `dst_at`
-    /// (`OpKind::GetFoldInto`).
-    FoldInto {
-        /// Destination element offset in `local_dst`.
+    /// Fold the landing buffer into `dst` at `dst_at`, in place:
+    /// `dst[dst_at + j·stride] = f(dst[..], landing[j·stride])`.
+    Fold {
+        /// [`Space::Sym`] (`OpKind::GetFold`) or [`Space::LocalDst`]
+        /// (`OpKind::GetFoldInto`).
+        dst: Space,
+        /// Destination element offset in `dst`.
         dst_at: u32,
         /// Elements folded.
         nelems: u32,
@@ -200,6 +138,9 @@ pub enum PlanStep {
         stride: u32,
     },
 }
+
+// `plan.cache_bytes` is this size × resident steps.
+const _: () = assert!(std::mem::size_of::<PlanStep>() <= 44);
 
 /// The static (shape-determined) part of a [`CollectiveSample`]: every
 /// counter except the two that depend on runtime timing (`cycles`,
@@ -333,105 +274,44 @@ fn chunk_range(at: usize, stride: usize, c0: usize, c1: usize) -> (usize, usize)
     (at + c0 * stride, at + (c1 - 1) * stride + 1)
 }
 
-/// The put step for elements `[c0, c1)` of a put-kind op.
-fn put_step(
+/// The transfer step for elements `[c0, c1)` of `op`: a put pushes from
+/// the op's local space, a get pulls into it — or, for a fold op, into
+/// the landing buffer, which [`fold_step`] then combines.
+fn copy_step(
     op: &TransferOp,
     c0: usize,
     c1: usize,
     sig: Option<u32>,
     chunk: Option<u32>,
 ) -> PlanStep {
-    let dst_at = (op.dst_at + c0 * op.stride) as u32;
-    let (src_lo, src_hi) = chunk_range(op.src_at, op.stride, c0, c1);
-    let (src_lo, src_hi) = (src_lo as u32, src_hi as u32);
-    let nelems = (c1 - c0) as u32;
-    let stride = op.stride as u32;
-    let dst_pe = op.dst_pe as u32;
-    match op.kind {
-        OpKind::Put => PlanStep::PutSymm {
-            dst_at,
-            src_at: src_lo,
-            nelems,
-            stride,
-            dst_pe,
-            sig,
-            chunk,
-        },
-        OpKind::PutFrom => PlanStep::PutFrom {
-            dst_at,
-            src_lo,
-            src_hi,
-            nelems,
-            stride,
-            dst_pe,
-            sig,
-            chunk,
-        },
-        OpKind::PutNb => PlanStep::PutNb {
-            dst_at,
-            src_lo,
-            src_hi,
-            nelems,
-            stride,
-            dst_pe,
-            sig,
-            chunk,
-        },
-        _ => unreachable!("put_step on a non-put op"),
+    let (local_at, pe, remote_at) = op.ends();
+    let (local, local_at) = if op.is_fold() {
+        (Space::Landing, 0)
+    } else {
+        (op.kind.local_space(), local_at)
+    };
+    PlanStep::Copy {
+        local,
+        local_at: (local_at + c0 * op.stride) as u32,
+        remote_at: (remote_at + c0 * op.stride) as u32,
+        nelems: (c1 - c0) as u32,
+        stride: op.stride as u32,
+        pe: pe as u32,
+        push: is_put_kind(op.kind),
+        nb: op.kind == OpKind::PutNb,
+        sig,
+        chunk,
     }
 }
 
-/// The get step of a `Get`/`GetInto` op.
-fn get_step(op: &TransferOp) -> PlanStep {
-    let src_at = op.src_at as u32;
-    let nelems = op.nelems as u32;
-    let stride = op.stride as u32;
-    let src_pe = op.src_pe as u32;
-    match op.kind {
-        OpKind::Get => PlanStep::GetSymm {
-            dst_at: op.dst_at as u32,
-            src_at,
-            nelems,
-            stride,
-            src_pe,
-        },
-        OpKind::GetInto => PlanStep::GetInto {
-            dst_lo: op.dst_at as u32,
-            dst_hi: (op.dst_at + op.span()) as u32,
-            src_at,
-            nelems,
-            stride,
-            src_pe,
-        },
-        _ => unreachable!("get_step on a non-get op"),
-    }
-}
-
-/// The landing read of a fold op.
-fn landing_step(op: &TransferOp, ack: Option<u32>) -> PlanStep {
-    PlanStep::GetLanding {
-        src_at: op.src_at as u32,
+/// The combine half of a fold op.
+fn fold_step(op: &TransferOp) -> PlanStep {
+    debug_assert!(op.is_fold(), "fold_step on a non-fold op");
+    PlanStep::Fold {
+        dst: op.kind.local_space(),
+        dst_at: op.dst_at as u32,
         nelems: op.nelems as u32,
         stride: op.stride as u32,
-        src_pe: op.src_pe as u32,
-        ack,
-    }
-}
-
-fn fold_step(op: &TransferOp) -> PlanStep {
-    match op.kind {
-        OpKind::GetFold => PlanStep::FoldSymm {
-            dst_at: op.dst_at as u32,
-            nelems: op.nelems as u32,
-            stride: op.stride as u32,
-            span: op.span().max(1) as u32,
-        },
-        OpKind::GetFoldInto => PlanStep::FoldInto {
-            dst_at: op.dst_at as u32,
-            nelems: op.nelems as u32,
-            stride: op.stride as u32,
-        },
-        _ => unreachable!("fold_step on a non-fold op"),
     }
 }
 
@@ -452,21 +332,18 @@ impl<N: FnMut(usize, &PlanStep, Origin)> Lowering<'_, N> {
         let es = self.elem_bytes as u64;
         let s = &mut self.sample;
         match step {
-            PlanStep::PutSymm { nelems, sig, .. }
-            | PlanStep::PutFrom { nelems, sig, .. }
-            | PlanStep::PutNb { nelems, sig, .. } => {
-                s.puts += 1;
-                s.bytes_put += nelems as u64 * es;
+            PlanStep::Copy {
+                nelems, push, sig, ..
+            } => {
+                let bytes = nelems as u64 * es;
+                if push {
+                    s.puts += 1;
+                    s.bytes_put += bytes;
+                } else {
+                    s.gets += 1;
+                    s.bytes_get += bytes;
+                }
                 s.signals += u64::from(sig.is_some());
-            }
-            PlanStep::GetSymm { nelems, .. } | PlanStep::GetInto { nelems, .. } => {
-                s.gets += 1;
-                s.bytes_get += nelems as u64 * es;
-            }
-            PlanStep::GetLanding { nelems, ack, .. } => {
-                s.gets += 1;
-                s.bytes_get += nelems as u64 * es;
-                s.signals += u64::from(ack.is_some());
             }
             PlanStep::Post { .. } => s.signals += 1,
             PlanStep::Wait { .. } => s.waits += 1,
@@ -511,7 +388,7 @@ impl<N: FnMut(usize, &PlanStep, Origin)> Lowering<'_, N> {
                 // every read lands before a mid-stage barrier and the
                 // folds happen after it.
                 for (op, at) in mine() {
-                    self.push(landing_step(op, None), at);
+                    self.push(copy_step(op, 0, op.nelems, None, None), at);
                 }
                 self.push(PlanStep::Barrier, None);
                 for (op, at) in mine() {
@@ -519,15 +396,9 @@ impl<N: FnMut(usize, &PlanStep, Origin)> Lowering<'_, N> {
                 }
             } else {
                 for (op, at) in mine() {
-                    match op.kind {
-                        OpKind::Put | OpKind::PutFrom | OpKind::PutNb => {
-                            self.push(put_step(op, 0, op.nelems, None, None), at);
-                        }
-                        OpKind::Get | OpKind::GetInto => self.push(get_step(op), at),
-                        OpKind::GetFold | OpKind::GetFoldInto => {
-                            self.push(landing_step(op, None), at);
-                            self.push(fold_step(op), at);
-                        }
+                    self.push(copy_step(op, 0, op.nelems, None, None), at);
+                    if op.is_fold() {
+                        self.push(fold_step(op), at);
                     }
                 }
             }
@@ -588,7 +459,8 @@ impl<N: FnMut(usize, &PlanStep, Origin)> Lowering<'_, N> {
                             at,
                         );
                     }
-                    self.push(landing_step(op, remote.then(|| slot(oi, ACK_SLOT))), at);
+                    let ack = remote.then(|| slot(oi, ACK_SLOT));
+                    self.push(copy_step(op, 0, op.nelems, ack, None), at);
                 }
                 // …wait until my own segment has been read, then fold.
                 for (oi, _) in ops().filter(|(_, op)| pulled_from_me(op)) {
@@ -627,7 +499,7 @@ impl<N: FnMut(usize, &PlanStep, Origin)> Lowering<'_, N> {
                             self.consume_overlapping(s0, s1, at);
                         }
                         let sig = (op.dst_pe != me).then(|| slot(oi, c));
-                        self.push(put_step(op, c0, c1, sig, chunk.map(|c| c as u32)), at);
+                        self.push(copy_step(op, c0, c1, sig, chunk.map(|c| c as u32)), at);
                     }
                     continue;
                 }
@@ -644,15 +516,16 @@ impl<N: FnMut(usize, &PlanStep, Origin)> Lowering<'_, N> {
                 } else {
                     self.consume_overlapping(op.src_at, op.src_at + op.span(), at);
                 }
+                let pull = copy_step(op, 0, op.nelems, None, None);
                 let dst = (op.dst_at, op.dst_at + op.span());
                 match op.kind {
                     OpKind::Get => {
                         self.consume_overlapping(dst.0, dst.1, at);
-                        self.push(get_step(op), at);
+                        self.push(pull, at);
                     }
-                    OpKind::GetInto => self.push(get_step(op), at),
+                    OpKind::GetInto => self.push(pull, at),
                     _ => {
-                        self.push(landing_step(op, None), at);
+                        self.push(pull, at);
                         if op.kind == OpKind::GetFold {
                             self.consume_overlapping(dst.0, dst.1, at);
                         }
@@ -853,20 +726,6 @@ fn run_steps<T: XbrType>(
             .expect("plan has signal steps but no table")
             .offset(base + s as usize)
     };
-    // Pipelined chunks each get their own trace span.
-    let chunk_start = |chunk: Option<u32>| chunk.and_then(|_| pe.trace_start());
-    let chunk_end = |t_ck: Option<u64>, chunk: Option<u32>, dst_pe: u32, nelems: u32| {
-        if let Some(c) = chunk {
-            let bytes = (nelems as usize * es) as u64;
-            pe.trace_emit(
-                t_ck,
-                TraceKind::Chunk,
-                Some(dst_pe as usize),
-                bytes,
-                c as u64,
-            );
-        }
-    };
     let mut wait_cycles = 0u64;
     let mut t_st: Option<u64> = None;
     for step in steps {
@@ -885,191 +744,73 @@ fn run_steps<T: XbrType>(
             PlanStep::Wait { slot } => {
                 wait_cycles += pe.signal_wait(slot_ref(slot));
             }
-            PlanStep::PutSymm {
-                dst_at,
-                src_at,
+            PlanStep::Copy {
+                local,
+                local_at,
+                remote_at,
                 nelems,
                 stride,
-                dst_pe,
+                pe: target,
+                push,
+                nb,
                 sig,
                 chunk,
             } => {
-                let t_ck = chunk_start(chunk);
+                // Pipelined chunks each get their own trace span.
+                let t_ck = chunk.and_then(|_| pe.trace_start());
+                let (n, target) = (nelems as usize, target as usize);
+                let at = local_at as usize;
+                let win = at..at + span(n, stride as usize);
+                let end = match local {
+                    Space::Sym => Local::Heap(buf.offset(at)),
+                    Space::LocalSrc => Local::Src(&local_src[win]),
+                    Space::LocalDst => Local::Dst(&mut local_dst[win]),
+                    // Open-ended, not windowed: the cache model walks at
+                    // least one element of it even for an empty read.
+                    Space::Landing => Local::Dst(&mut landing[at..]),
+                };
+                let remote = buf.offset(remote_at as usize);
+                let done = pe.transfer(end, remote, n, stride as usize, target, push, nb);
+                if nb {
+                    pe.track(&pe.outstanding, done);
+                }
                 match sig {
-                    Some(s) => pe.put_symm_signal(
-                        buf.offset(dst_at as usize),
-                        buf.offset(src_at as usize),
-                        nelems as usize,
-                        stride as usize,
-                        dst_pe as usize,
-                        slot_ref(s),
-                    ),
-                    None => pe.put_symm(
-                        buf.offset(dst_at as usize),
-                        buf.offset(src_at as usize),
-                        nelems as usize,
-                        stride as usize,
-                        dst_pe as usize,
-                    ),
+                    // The signal rides the transfer: posted now (the
+                    // payload is already in flight — under the barrier
+                    // discipline the stage barrier quiesces it instead)
+                    // but stamped with the transfer's completion time.
+                    Some(s) if nb => pe.signal_post_at(slot_ref(s), target, done),
+                    Some(s) => pe.signal_post(slot_ref(s), target),
+                    None => {}
                 }
-                chunk_end(t_ck, chunk, dst_pe, nelems);
-            }
-            PlanStep::PutFrom {
-                dst_at,
-                src_lo,
-                src_hi,
-                nelems,
-                stride,
-                dst_pe,
-                sig,
-                chunk,
-            } => {
-                let t_ck = chunk_start(chunk);
-                let seg = &local_src[src_lo as usize..src_hi as usize];
-                match sig {
-                    Some(s) => pe.put_signal(
-                        buf.offset(dst_at as usize),
-                        seg,
-                        nelems as usize,
-                        stride as usize,
-                        dst_pe as usize,
-                        slot_ref(s),
-                    ),
-                    None => pe.put(
-                        buf.offset(dst_at as usize),
-                        seg,
-                        nelems as usize,
-                        stride as usize,
-                        dst_pe as usize,
-                    ),
+                if let Some(c) = chunk {
+                    let bytes = (n * es) as u64;
+                    pe.trace_emit(t_ck, TraceKind::Chunk, Some(target), bytes, c as u64);
                 }
-                chunk_end(t_ck, chunk, dst_pe, nelems);
             }
-            PlanStep::PutNb {
-                dst_at,
-                src_lo,
-                src_hi,
-                nelems,
-                stride,
-                dst_pe,
-                sig,
-                chunk,
-            } => {
-                let t_ck = chunk_start(chunk);
-                let seg = &local_src[src_lo as usize..src_hi as usize];
-                let h = pe.put_nb(
-                    buf.offset(dst_at as usize),
-                    seg,
-                    nelems as usize,
-                    stride as usize,
-                    dst_pe as usize,
-                );
-                // The signal rides the transfer: posted now (the payload
-                // is already in flight — under the barrier discipline the
-                // stage barrier quiesces it instead) but stamped with the
-                // transfer's completion time.
-                if let Some(s) = sig {
-                    pe.signal_post_at(slot_ref(s), dst_pe as usize, h.completion_cycles());
-                }
-                chunk_end(t_ck, chunk, dst_pe, nelems);
-            }
-            PlanStep::GetSymm {
-                dst_at,
-                src_at,
-                nelems,
-                stride,
-                src_pe,
-            } => {
-                pe.get_symm(
-                    buf.offset(dst_at as usize),
-                    buf.offset(src_at as usize),
-                    nelems as usize,
-                    stride as usize,
-                    src_pe as usize,
-                );
-            }
-            PlanStep::GetInto {
-                dst_lo,
-                dst_hi,
-                src_at,
-                nelems,
-                stride,
-                src_pe,
-            } => {
-                let seg = &mut local_dst[dst_lo as usize..dst_hi as usize];
-                pe.get(
-                    seg,
-                    buf.offset(src_at as usize),
-                    nelems as usize,
-                    stride as usize,
-                    src_pe as usize,
-                );
-            }
-            PlanStep::GetLanding {
-                src_at,
-                nelems,
-                stride,
-                src_pe,
-                ack,
-            } => match ack {
-                Some(s) => pe.get_signal(
-                    landing,
-                    buf.offset(src_at as usize),
-                    nelems as usize,
-                    stride as usize,
-                    src_pe as usize,
-                    slot_ref(s),
-                ),
-                None => pe.get(
-                    landing,
-                    buf.offset(src_at as usize),
-                    nelems as usize,
-                    stride as usize,
-                    src_pe as usize,
-                ),
-            },
-            PlanStep::FoldSymm {
-                dst_at,
-                nelems,
-                stride,
-                span,
-            } => {
-                let t_rd = pe.trace_start();
-                let f = fold.expect("plan contains fold steps but no fold function was given");
-                let mut mine = pe.heap_read_vec::<T>(buf.offset(dst_at as usize), span as usize);
-                for j in 0..nelems as usize {
-                    let at = j * stride as usize;
-                    mine[at] = f(mine[at], landing[at]);
-                }
-                pe.charge(pe.timing().cost.alu_cycles * nelems as u64);
-                pe.heap_write(buf.offset(dst_at as usize), &mine);
-                pe.trace_emit(
-                    t_rd,
-                    TraceKind::Reduce,
-                    None,
-                    (nelems as usize * es) as u64,
-                    0,
-                );
-            }
-            PlanStep::FoldInto {
+            PlanStep::Fold {
+                dst,
                 dst_at,
                 nelems,
                 stride,
             } => {
                 let t_rd = pe.trace_start();
                 let f = fold.expect("plan contains fold steps but no fold function was given");
-                for j in 0..nelems as usize {
-                    let at = dst_at as usize + j * stride as usize;
-                    local_dst[at] = f(local_dst[at], landing[j * stride as usize]);
+                let (at, n, st) = (dst_at as usize, nelems as usize, stride as usize);
+                match dst {
+                    Space::Sym => pe.heap_fold(buf.offset(at), landing, n, st, f),
+                    Space::LocalDst => {
+                        for j in 0..n {
+                            let d = &mut local_dst[at + j * st];
+                            *d = f(*d, landing[j * st]);
+                        }
+                        pe.charge(pe.timing().cost.alu_cycles * nelems as u64);
+                    }
+                    Space::LocalSrc | Space::Landing => {
+                        panic!("plan folds into {dst:?}, which is not a result buffer")
+                    }
                 }
-                pe.charge(pe.timing().cost.alu_cycles * nelems as u64);
-                pe.trace_emit(
-                    t_rd,
-                    TraceKind::Reduce,
-                    None,
-                    (nelems as usize * es) as u64,
-                    0,
-                );
+                pe.trace_emit(t_rd, TraceKind::Reduce, None, (n * es) as u64, 0);
             }
         }
     }
@@ -1080,9 +821,9 @@ fn run_steps<T: XbrType>(
 /// collectively with the same plan.
 ///
 /// `buf` is the base of the symmetric working buffer all symmetric step
-/// offsets index. `local_src`/`local_dst` back the private-memory steps
-/// (`PutFrom`/`PutNb`/`GetInto`/`FoldInto`) and may be empty when the
-/// plan has none. `fold` combines elements for the fold steps.
+/// offsets index. `local_src`/`local_dst` back the steps whose [`Space`]
+/// is `LocalSrc`/`LocalDst` and may be empty when the plan has none.
+/// `fold` combines elements for the fold steps.
 ///
 /// # Panics
 /// Panics if the plan was lowered for a different world size or element
@@ -1135,7 +876,7 @@ pub fn execute_plan<T: XbrType>(
     );
     let table = (plan.n_slots > 0).then(|| pe.signal_table(base + plan.n_slots));
 
-    let mut landing: Vec<T> = pe.scratch_take();
+    let mut landing = pe.scratch_take::<T>();
     landing.resize(prog.landing_len, T::default());
     let wait_cycles = run_steps(
         pe,
@@ -1605,7 +1346,7 @@ fn issue_plan<'a, T: XbrType>(
         // an in-flight reservation so `finish` bookkeeping is uniform.
         (pe.nb_slot_reserve(0), None)
     };
-    let mut landing: Vec<T> = pe.scratch_take();
+    let mut landing = pe.scratch_take::<T>();
     landing.resize(prog.landing_len, T::default());
     let mut local_dst: [T; 0] = [];
     let wait_cycles = run_steps(
@@ -2156,6 +1897,12 @@ mod tests {
             .per_pe
             .iter()
             .flat_map(|p| p.steps.iter())
-            .any(|s| matches!(s, PlanStep::FoldInto { .. })));
+            .any(|s| matches!(
+                s,
+                PlanStep::Fold {
+                    dst: Space::LocalDst,
+                    ..
+                }
+            )));
     }
 }

@@ -15,17 +15,18 @@
 //! place the synchronization protocol is written down — and executed by
 //! [`plan::execute_plan`], under one of three disciplines ([`SyncMode`]):
 //!
-//! * **Barrier** — each PE issues the ops it owns
-//!   (`put_symm`/`get_symm`/`put`/`get`/`put_nb`), applies any folds, and
-//!   closes every stage with a barrier — reproducing, op for op and
-//!   barrier for barrier, the paper's Algorithms 1–4.
+//! * **Barrier** — each PE issues the ops it owns (one fabric transfer
+//!   each; see the [`OpKind`] table for what each kind's two ends are),
+//!   applies any folds, and closes every stage with a barrier —
+//!   reproducing, op for op and barrier for barrier, the paper's
+//!   Algorithms 1–4.
 //! * **Signaled** — the per-stage barriers disappear. Every op depends
-//!   only on the point-to-point signals of the ops that feed it: puts
-//!   carry a completion flag into a per-op slot of the fabric's symmetric
-//!   signal table ([`Pe::put_symm_signal`]), gets wait for a readiness
-//!   flag from the producer, and a single barrier closes the collective.
-//!   Independent subtrees proceed without waiting for the slowest PE of
-//!   each stage.
+//!   only on the point-to-point signals of the ops that feed it: after a
+//!   put lands the executor posts its completion flag into a per-op slot
+//!   of the fabric's symmetric signal table ([`Pe::signal_post`]), gets
+//!   wait for a readiness flag from the producer, and a single barrier
+//!   closes the collective. Independent subtrees proceed without waiting
+//!   for the slowest PE of each stage.
 //! * **Pipelined** — signaled, plus large puts split into
 //!   [`pipeline_chunks`](crate::collectives::policy::pipeline_chunks)
 //!   segments, each signaled independently, so a child can forward
@@ -39,10 +40,10 @@
 //! cycles, signal posts/waits/stall cycles) via [`Pe::note_collective`],
 //! surfaced through [`RunReport::collectives`](crate::fabric::RunReport).
 
-use crate::collectives::plan;
+use crate::collectives::plan::{self, Space};
 use crate::collectives::policy::SyncMode;
 use crate::collectives::vrank::logical_rank;
-use crate::fabric::{ceil_log2, CollectiveKind, Pe, SymmRef};
+use crate::fabric::{ceil_log2, span, CollectiveKind, Pe, SymmRef};
 use crate::types::XbrType;
 
 /// `true` for the op kinds that push data (and therefore carry per-chunk
@@ -56,30 +57,60 @@ pub fn is_put_kind(k: OpKind) -> bool {
 /// Symmetric offsets (`src_at`/`dst_at`) index elements from the base of
 /// the schedule's symmetric working buffer; private offsets index the
 /// issuer's `local_src`/`local_dst` slices passed to [`execute`].
+///
+/// Every kind is one fabric transfer between the issuer's *local space*
+/// and a symmetric offset on the other PE; the kinds differ only in this
+/// table (encoded by [`TransferOp::issuer`], `OpKind::local_space`,
+/// [`TransferOp::is_fold`] and [`is_put_kind`]):
+///
+/// | kind          | issuer   | local space | fold | non-blocking |
+/// |---------------|----------|-------------|------|--------------|
+/// | `Put`         | `src_pe` | symmetric   | no   | no           |
+/// | `PutFrom`     | `src_pe` | `local_src` | no   | no           |
+/// | `PutNb`       | `src_pe` | `local_src` | no   | yes          |
+/// | `Get`         | `dst_pe` | symmetric   | no   | no           |
+/// | `GetInto`     | `dst_pe` | `local_dst` | no   | no           |
+/// | `GetFold`     | `dst_pe` | symmetric   | yes  | no           |
+/// | `GetFoldInto` | `dst_pe` | `local_dst` | yes  | no           |
+///
+/// A fold kind pulls into the issuer's landing buffer first and then
+/// combines that into its local space instead of overwriting it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpKind {
-    /// `src_pe` issues a heap-to-heap `put_symm`: its own segment at
-    /// `src_at` lands at `dst_at` on `dst_pe`.
+    /// `src_pe` pushes its own segment at `src_at` to `dst_at` on
+    /// `dst_pe`, heap to heap.
     Put,
-    /// `src_pe` issues a non-blocking `put` from its private `local_src`;
-    /// the stage-closing barrier completes it.
+    /// `src_pe` pushes from its private `local_src` without blocking; the
+    /// stage-closing barrier (or the completion signal's stamp) absorbs
+    /// the flight time.
     PutNb,
-    /// `dst_pe` issues a heap-to-heap `get_symm` from `src_pe`.
+    /// `dst_pe` pulls `src_pe`'s segment into its own, heap to heap.
     Get,
-    /// `dst_pe` gets `src_pe`'s segment at `src_at` into a private landing
-    /// buffer and folds it into its *own* segment at `dst_at` (the
-    /// reduction step of Algorithm 2).
+    /// `dst_pe` pulls `src_pe`'s segment at `src_at` and folds it into its
+    /// *own* segment at `dst_at` (the reduction step of Algorithm 2).
     GetFold,
-    /// `dst_pe` gets `src_pe`'s segment and folds it into its private
+    /// `dst_pe` pulls `src_pe`'s segment and folds it into its private
     /// `local_dst` at `dst_at` (linear reduction, which must not write
     /// back into the symmetric source).
     GetFoldInto,
-    /// `src_pe` issues a blocking `put` from its private `local_src` at
-    /// `src_at` to `dst_at` on `dst_pe`.
+    /// `src_pe` pushes from its private `local_src` at `src_at` to
+    /// `dst_at` on `dst_pe`, blocking.
     PutFrom,
-    /// `dst_pe` issues a blocking `get` from `src_pe`'s segment at
-    /// `src_at` into its private `local_dst` at `dst_at`.
+    /// `dst_pe` pulls `src_pe`'s segment at `src_at` into its private
+    /// `local_dst` at `dst_at`.
     GetInto,
+}
+
+impl OpKind {
+    /// The buffer on the issuer's side the op reads (puts) or leaves its
+    /// result in (gets and folds).
+    pub(crate) fn local_space(self) -> Space {
+        match self {
+            OpKind::Put | OpKind::Get | OpKind::GetFold => Space::Sym,
+            OpKind::PutNb | OpKind::PutFrom => Space::LocalSrc,
+            OpKind::GetInto | OpKind::GetFoldInto => Space::LocalDst,
+        }
+    }
 }
 
 /// One one-sided transfer in a schedule stage.
@@ -104,19 +135,26 @@ pub struct TransferOp {
 impl TransferOp {
     /// The PE that issues this op (puts are pushed, gets are pulled).
     pub fn issuer(&self) -> usize {
-        match self.kind {
-            OpKind::Put | OpKind::PutNb | OpKind::PutFrom => self.src_pe,
-            OpKind::Get | OpKind::GetFold | OpKind::GetFoldInto | OpKind::GetInto => self.dst_pe,
+        if is_put_kind(self.kind) {
+            self.src_pe
+        } else {
+            self.dst_pe
+        }
+    }
+
+    /// The op seen from its issuer: `(local offset, remote PE, remote
+    /// offset)` — a put's local end is its source, a get's its destination.
+    pub(crate) fn ends(&self) -> (usize, usize, usize) {
+        if is_put_kind(self.kind) {
+            (self.src_at, self.dst_pe, self.dst_at)
+        } else {
+            (self.dst_at, self.src_pe, self.src_at)
         }
     }
 
     /// Contiguous element span the strided transfer covers (0 when empty).
     pub fn span(&self) -> usize {
-        if self.nelems == 0 {
-            0
-        } else {
-            (self.nelems - 1) * self.stride + 1
-        }
+        span(self.nelems, self.stride)
     }
 
     /// `true` if this op folds data instead of overwriting it.

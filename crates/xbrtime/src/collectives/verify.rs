@@ -19,14 +19,13 @@
 //! * **write races** — the same plane flags unordered same-destination
 //!   writes and writes that overtake an unacknowledged read.
 //!
-//! There is no second copy of the signalling protocol here: a schedule
-//! is lowered by [`plan::lower`](crate::collectives::plan::lower)'s own
-//! loop and the resulting steps are translated one-to-one (puts and gets
-//! become copies, landing reads and folds keep their shape, posts, waits
-//! and barriers carry over, stage markers drop out), so a dependency the
-//! lowering forgot — or a plan broken by hand ([`check_plan`]) — shows up
-//! as a model violation in the artefact the fabric would execute. The
-//! deterministic interleaving explorer in
+//! There is no second copy of the signalling protocol here, and no second
+//! step vocabulary: a schedule is lowered by
+//! [`plan::lower`](crate::collectives::plan::lower)'s own loop and the
+//! machine steps the emitted [`PlanStep`]s themselves (stage markers drop
+//! out), so a dependency the lowering forgot — or a plan broken by hand
+//! ([`check_plan`]) — shows up as a model violation in the artefact the
+//! fabric would execute. The deterministic interleaving explorer in
 //! [`explore`](crate::collectives::explore) replays these programs under
 //! pluggable schedulers, up to exhaustive DFS over all interleavings.
 
@@ -34,21 +33,13 @@ use crate::collectives::plan::{lower_with, Origin, Plan, PlanStep};
 use crate::collectives::policy::{pipeline_chunks, SyncMode, SLOTS_PER_OP};
 use crate::collectives::schedule::CommSchedule;
 use crate::collectives::vrank::logical_rank;
+use crate::fabric::span;
 
 // ---------------------------------------------------------------------------
 // The provenance value domain.
 // ---------------------------------------------------------------------------
 
-/// Which buffer an atom (or a `Loc`) refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Space {
-    /// The symmetric working buffer (one copy per PE).
-    Sym,
-    /// A PE's private `local_src` slice (read-only under every schedule).
-    LocalSrc,
-    /// A PE's private `local_dst` slice.
-    LocalDst,
-}
+pub use crate::collectives::plan::Space;
 
 /// An element value: the sorted multiset of origin atoms that produced
 /// it. Copies replace, folds merge — multiset union keeps a duplicated
@@ -63,6 +54,7 @@ pub fn atom(space: Space, pe: usize, idx: usize) -> u32 {
         Space::Sym => 0u32,
         Space::LocalSrc => 1,
         Space::LocalDst => 2,
+        Space::Landing => 3,
     };
     (s << 30) | ((pe as u32) << 20) | idx as u32
 }
@@ -130,60 +122,20 @@ impl Loc {
             stride: stride as usize,
         }
     }
-
-    /// One past the last element the window touches (`at` when empty).
-    fn end(&self) -> usize {
-        match self.nelems {
-            0 => self.at,
-            n => self.at + (n - 1) * self.stride + 1,
-        }
-    }
 }
 
-/// One atomic step of a PE's program — the abstract image of one
-/// [`PlanStep`].
-///
-/// Copies carry their completion signal (`post`) in the same step,
-/// mirroring put-with-signal semantics: the flag can never be observed
-/// before the payload it covers.
-#[derive(Clone, Debug)]
-enum Step {
-    /// Global rendezvous (all PEs must be parked at their barrier).
-    Barrier,
-    /// Raise `slot`.
-    Post { slot: usize },
-    /// Block until `slot` is raised, then consume it.
-    Wait { slot: usize },
-    /// Copy `src` to `dst` element-wise, then optionally post.
-    Copy {
-        src: Loc,
-        dst: Loc,
-        post: Option<usize>,
-    },
-    /// Read `src` into the stepping PE's landing buffer (at positions
-    /// `j·stride`), then optionally post (the deferred-fold read ack).
-    Landing { src: Loc, post: Option<usize> },
-    /// Merge the landing buffer into `dst` element-wise.
-    Fold { dst: Loc },
-}
-
-#[derive(Clone, Debug)]
-struct PStep {
-    step: Step,
-    /// Op the step belongs to (`None` for barriers and drain waits, and
-    /// throughout when the plan came without origins).
-    op: Option<OpRef>,
-}
-
-/// A lowered [`Plan`] translated to per-PE abstract step programs, plus
-/// the buffer geometry the abstract machine needs.
+/// A lowered [`Plan`]'s per-PE steps (stage markers dropped) with the
+/// schedule op each one serves, plus the buffer geometry the abstract
+/// machine needs.
 pub struct Program {
     /// World size.
     pub n_pes: usize,
     /// The concrete discipline the plan was lowered under (after `Auto`
     /// resolution).
     pub sync: SyncMode,
-    steps: Vec<Vec<PStep>>,
+    /// Per PE: each step and its op (`None` for barriers and drain waits,
+    /// and throughout when the plan came without origins).
+    steps: Vec<Vec<(PlanStep, Option<OpRef>)>>,
     /// Signal slots one episode occupies. The lowering gives every
     /// (poster, waiter) pair a slot index of its own, so the machine keeps
     /// one flag per index rather than a table per PE.
@@ -210,111 +162,18 @@ impl Program {
         }
     }
 
-    /// Append the abstract image of plan step `ps` to PE `me`'s program
-    /// (stage markers have none). `at` names the schedule op behind it.
+    /// Append plan step `ps` to PE `me`'s program (stage markers are
+    /// dropped). `at` names the schedule op behind it.
     fn push(&mut self, me: usize, ps: &PlanStep, at: Origin) {
-        let sym =
-            |pe: u32, at, nelems, stride| Loc::new(Space::Sym, pe as usize, at, nelems, stride);
-        let mine = |space, at, nelems, stride| Loc::new(space, me, at, nelems, stride);
-        let step = match *ps {
-            PlanStep::StageStart { .. } | PlanStep::StageEnd { .. } => return,
-            PlanStep::Barrier => Step::Barrier,
-            PlanStep::Post { slot, .. } => Step::Post {
-                slot: slot as usize,
-            },
-            PlanStep::Wait { slot } => Step::Wait {
-                slot: slot as usize,
-            },
-            PlanStep::PutSymm {
-                dst_at,
-                src_at,
-                nelems,
-                stride,
-                dst_pe,
-                sig,
-                ..
-            } => Step::Copy {
-                src: mine(Space::Sym, src_at, nelems, stride),
-                dst: sym(dst_pe, dst_at, nelems, stride),
-                post: sig.map(|s| s as usize),
-            },
-            PlanStep::PutFrom {
-                dst_at,
-                src_lo,
-                nelems,
-                stride,
-                dst_pe,
-                sig,
-                ..
-            }
-            | PlanStep::PutNb {
-                dst_at,
-                src_lo,
-                nelems,
-                stride,
-                dst_pe,
-                sig,
-                ..
-            } => Step::Copy {
-                src: mine(Space::LocalSrc, src_lo, nelems, stride),
-                dst: sym(dst_pe, dst_at, nelems, stride),
-                post: sig.map(|s| s as usize),
-            },
-            PlanStep::GetSymm {
-                dst_at,
-                src_at,
-                nelems,
-                stride,
-                src_pe,
-            } => Step::Copy {
-                src: sym(src_pe, src_at, nelems, stride),
-                dst: mine(Space::Sym, dst_at, nelems, stride),
-                post: None,
-            },
-            PlanStep::GetInto {
-                dst_lo,
-                src_at,
-                nelems,
-                stride,
-                src_pe,
-                ..
-            } => Step::Copy {
-                src: sym(src_pe, src_at, nelems, stride),
-                dst: mine(Space::LocalDst, dst_lo, nelems, stride),
-                post: None,
-            },
-            PlanStep::GetLanding {
-                src_at,
-                nelems,
-                stride,
-                src_pe,
-                ack,
-            } => Step::Landing {
-                src: sym(src_pe, src_at, nelems, stride),
-                post: ack.map(|s| s as usize),
-            },
-            PlanStep::FoldSymm {
-                dst_at,
-                nelems,
-                stride,
-                ..
-            } => Step::Fold {
-                dst: mine(Space::Sym, dst_at, nelems, stride),
-            },
-            PlanStep::FoldInto {
-                dst_at,
-                nelems,
-                stride,
-            } => Step::Fold {
-                dst: mine(Space::LocalDst, dst_at, nelems, stride),
-            },
-        };
-        self.cover(&step);
+        if matches!(ps, PlanStep::StageStart { .. } | PlanStep::StageEnd { .. }) {
+            return;
+        }
+        self.cover(ps);
         let op = at.map(|(stage, op, chunk)| OpRef { stage, op, chunk });
-        self.steps[me].push(PStep { step, op });
+        self.steps[me].push((*ps, op));
     }
 
-    /// Translate `plan` step for step. A bare plan has no schedule
+    /// Take `plan`'s steps as they are. A bare plan has no schedule
     /// coordinates, so violations carry no op names.
     fn from_plan(plan: &Plan) -> Self {
         let mut prog = Program::new(plan.n_pes);
@@ -329,31 +188,46 @@ impl Program {
     }
 
     /// Grow the buffer geometry to hold everything `step` touches.
-    fn cover(&mut self, step: &Step) {
-        let mut grow = |loc: &Loc| {
-            let len = match loc.space {
+    fn cover(&mut self, step: &PlanStep) {
+        let mut grow = |space: Space, end: usize| {
+            let len = match space {
                 Space::Sym => &mut self.sym_len,
                 Space::LocalSrc => &mut self.lsrc_len,
                 Space::LocalDst => &mut self.ldst_len,
+                Space::Landing => &mut self.landing_len,
             };
-            *len = (*len).max(loc.end());
+            *len = (*len).max(end);
         };
-        match step {
-            Step::Copy { src, dst, .. } => {
-                grow(src);
-                grow(dst);
+        match *step {
+            PlanStep::Copy {
+                local,
+                local_at,
+                remote_at,
+                nelems,
+                stride,
+                ..
+            } => {
+                let len = span(nelems as usize, stride as usize);
+                grow(local, local_at as usize + len);
+                grow(Space::Sym, remote_at as usize + len);
             }
-            Step::Landing { src: loc, .. } | Step::Fold { dst: loc } => {
-                grow(loc);
-                self.landing_len = self.landing_len.max(loc.end() - loc.at);
+            PlanStep::Fold {
+                dst,
+                dst_at,
+                nelems,
+                stride,
+            } => {
+                let len = span(nelems as usize, stride as usize);
+                grow(dst, dst_at as usize + len);
+                grow(Space::Landing, len);
             }
-            Step::Barrier | Step::Post { .. } | Step::Wait { .. } => {}
+            _ => {}
         }
     }
 
     /// Lower `sched` under `sync` with [`lower_with`] — the runtime's own
-    /// lowering loop, with `cfg`'s chunk rule — translating each step as
-    /// it is emitted, together with its schedule coordinates.
+    /// lowering loop, with `cfg`'s chunk rule — recording each step as it
+    /// is emitted, together with its schedule coordinates.
     pub(crate) fn lower(sched: &CommSchedule, sync: SyncMode, cfg: &ModelConfig) -> Self {
         let mut prog = Program::new(sched.n_pes);
         let plan = lower_with(
@@ -638,8 +512,8 @@ impl Machine {
     pub fn enabled(&self, prog: &Program) -> Vec<usize> {
         let at_barrier = |pe: usize| {
             matches!(
-                prog.steps[pe].get(self.pc[pe]).map(|s| &s.step),
-                Some(Step::Barrier)
+                prog.steps[pe].get(self.pc[pe]),
+                Some((PlanStep::Barrier, _))
             )
         };
         let all_at_barrier = (0..prog.n_pes)
@@ -648,11 +522,11 @@ impl Machine {
         let mut out = Vec::new();
         let mut barrier_offered = false;
         for pe in 0..prog.n_pes {
-            let Some(ps) = prog.steps[pe].get(self.pc[pe]) else {
+            let Some((step, _)) = prog.steps[pe].get(self.pc[pe]) else {
                 continue;
             };
-            let on = match &ps.step {
-                Step::Barrier => {
+            let on = match *step {
+                PlanStep::Barrier => {
                     if all_at_barrier && !barrier_offered {
                         barrier_offered = true;
                         true
@@ -660,7 +534,7 @@ impl Machine {
                         false
                     }
                 }
-                Step::Wait { slot } => self.sig[*slot] != 0,
+                PlanStep::Wait { slot } => self.sig[slot as usize] != 0,
                 _ => true,
             };
             if on {
@@ -674,12 +548,10 @@ impl Machine {
     pub fn deadlock_info(&self, prog: &Program) -> DeadlockInfo {
         let mut blocked = Vec::new();
         for pe in 0..prog.n_pes {
-            if let Some(ps) = prog.steps[pe].get(self.pc[pe]) {
-                match &ps.step {
-                    Step::Wait { slot } => blocked.push((pe, Some(*slot))),
-                    Step::Barrier => blocked.push((pe, None)),
-                    _ => {}
-                }
+            match prog.steps[pe].get(self.pc[pe]) {
+                Some((PlanStep::Wait { slot }, _)) => blocked.push((pe, Some(*slot as usize))),
+                Some((PlanStep::Barrier, _)) => blocked.push((pe, None)),
+                _ => {}
             }
         }
         DeadlockInfo { blocked }
@@ -704,6 +576,7 @@ impl Machine {
                 }
                 Space::LocalSrc => self.lsrc[loc.pe][idx].clone(),
                 Space::LocalDst => self.ldst[loc.pe][idx].clone(),
+                Space::Landing => self.landing[loc.pe][idx].clone(),
             };
             out.push(v);
         }
@@ -729,18 +602,22 @@ impl Machine {
                 }
                 Space::LocalSrc => self.lsrc[loc.pe][idx] = v,
                 Space::LocalDst => self.ldst[loc.pe][idx] = v,
+                Space::Landing => self.landing[loc.pe][idx] = v,
             }
         }
     }
 
     /// Execute PE `pe`'s next step (caller guarantees it is enabled).
     pub fn step(&mut self, prog: &Program, pe: usize, mut vc: Option<&mut VcPlane>) {
-        let ps = prog.steps[pe][self.pc[pe]].clone();
+        let (step, op) = prog.steps[pe][self.pc[pe]];
         if let Some(vc) = vc.as_deref_mut() {
             vc.clocks[pe][pe] += 1;
         }
-        match ps.step {
-            Step::Barrier => {
+        match step {
+            PlanStep::StageStart { .. } | PlanStep::StageEnd { .. } => {
+                unreachable!("stage markers are dropped at Program::push")
+            }
+            PlanStep::Barrier => {
                 // Global rendezvous: advance every PE parked here.
                 if let Some(vc) = vc.as_deref_mut() {
                     let mut joined = vec![0u64; prog.n_pes];
@@ -755,16 +632,17 @@ impl Machine {
                 }
                 for q in 0..prog.n_pes {
                     if self.pc[q] < prog.steps[q].len() {
-                        debug_assert!(matches!(prog.steps[q][self.pc[q]].step, Step::Barrier));
+                        debug_assert!(matches!(prog.steps[q][self.pc[q]].0, PlanStep::Barrier));
                         self.pc[q] += 1;
                     }
                 }
                 return;
             }
-            Step::Post { slot } => {
-                self.post(slot, pe, ps.op, &mut vc);
+            PlanStep::Post { slot, .. } => {
+                self.post(slot as usize, pe, op, &mut vc);
             }
-            Step::Wait { slot } => {
+            PlanStep::Wait { slot } => {
+                let slot = slot as usize;
                 debug_assert_ne!(self.sig[slot], 0, "stepped a blocked wait");
                 self.sig[slot] = 0;
                 if let Some(vc) = vc.as_deref_mut() {
@@ -775,39 +653,54 @@ impl Machine {
                     }
                 }
             }
-            Step::Copy { src, dst, post } => {
-                let vals = self.read_loc(&src, &mut vc, pe, ps.op);
-                self.write_loc(&dst, vals, &mut vc, pe, ps.op);
-                if let Some(slot) = post {
-                    self.post(slot, pe, ps.op, &mut vc);
+            // The signal rides in the same step as the copy, mirroring
+            // put-with-signal semantics: the flag can never be observed
+            // before the payload it covers.
+            PlanStep::Copy {
+                local,
+                local_at,
+                remote_at,
+                nelems,
+                stride,
+                pe: peer,
+                push,
+                sig,
+                ..
+            } => {
+                let mine = Loc::new(local, pe, local_at, nelems, stride);
+                let theirs = Loc::new(Space::Sym, peer as usize, remote_at, nelems, stride);
+                let (src, dst) = if push { (mine, theirs) } else { (theirs, mine) };
+                let vals = self.read_loc(&src, &mut vc, pe, op);
+                self.write_loc(&dst, vals, &mut vc, pe, op);
+                if let Some(slot) = sig {
+                    self.post(slot as usize, pe, op, &mut vc);
                 }
             }
-            Step::Landing { src, post } => {
-                let vals = self.read_loc(&src, &mut vc, pe, ps.op);
-                for (j, v) in vals.into_iter().enumerate() {
-                    self.landing[pe][j * src.stride] = v;
-                }
-                if let Some(slot) = post {
-                    self.post(slot, pe, ps.op, &mut vc);
-                }
-            }
-            Step::Fold { dst } => {
+            PlanStep::Fold {
+                dst,
+                dst_at,
+                nelems,
+                stride,
+            } => {
+                let dst = Loc::new(dst, pe, dst_at, nelems, stride);
                 let mut merged = Vec::with_capacity(dst.nelems);
                 for j in 0..dst.nelems {
                     let idx = dst.at + j * dst.stride;
                     let cur = match dst.space {
                         Space::Sym => {
                             if let Some(vc) = vc.as_deref_mut() {
-                                vc.read(pe, dst.pe, idx, ps.op);
+                                vc.read(pe, dst.pe, idx, op);
                             }
                             &self.sym[dst.pe][idx]
                         }
                         Space::LocalDst => &self.ldst[dst.pe][idx],
-                        Space::LocalSrc => unreachable!("fold into local_src"),
+                        Space::LocalSrc | Space::Landing => {
+                            unreachable!("fold into {:?}", dst.space)
+                        }
                     };
                     merged.push(merge(cur, &self.landing[pe][j * dst.stride]));
                 }
-                self.write_loc(&dst, merged, &mut vc, pe, ps.op);
+                self.write_loc(&dst, merged, &mut vc, pe, op);
             }
         }
         self.pc[pe] += 1;

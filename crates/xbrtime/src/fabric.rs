@@ -369,8 +369,8 @@ pub struct FabricStats {
     pub remote_transfers: u64,
     /// Remote atomic operations issued.
     pub amos: u64,
-    /// Completion signals posted ([`Pe::signal_post`] and the
-    /// `put_signal`/`get_signal` composites).
+    /// Completion signals posted ([`Pe::signal_post`],
+    /// [`Pe::signal_post_at`]).
     pub signals: u64,
     /// Completion signals consumed by [`Pe::signal_wait`]. Equal to
     /// `signals` after a clean run (every posted slot is consumed).
@@ -1152,13 +1152,10 @@ impl<T: XbrType> SymmRef<T> {
 
     fn check_span(&self, nelems: usize, stride: usize) {
         assert!(stride >= 1, "stride must be at least 1");
-        if nelems == 0 {
-            return;
-        }
-        let span = (nelems - 1) * stride + 1;
+        let need = span(nelems, stride);
         assert!(
-            span <= self.limit,
-            "transfer of {nelems} elements at stride {stride} needs {span} \
+            need <= self.limit,
+            "transfer of {nelems} elements at stride {stride} needs {need} \
              elements but only {} remain in the allocation",
             self.limit
         );
@@ -1189,7 +1186,9 @@ pub struct Pe<'f> {
     topology: Option<Topology>,
     pub(crate) clock: PeClock,
     allocator: RefCell<FreeList>,
-    outstanding: RefCell<Vec<NbHandle>>,
+    /// The default stream: non-blocking transfers [`Pe::wait`],
+    /// [`Pe::quiet`] and [`Pe::barrier`] complete.
+    pub(crate) outstanding: RefCell<Vec<NbHandle>>,
     next_handle: std::cell::Cell<u64>,
     /// This PE's injection port: the simulated time until which its own
     /// previously-issued non-blocking transfers occupy the channel
@@ -1224,16 +1223,54 @@ pub struct Pe<'f> {
     nb_inflight: Cell<usize>,
 }
 
-fn check_src<T>(src: &[T], nelems: usize, stride: usize) {
-    assert!(stride >= 1, "stride must be at least 1");
-    if nelems == 0 {
-        return;
+/// The issuing PE's end of a one-sided transfer ([`Pe::transfer`]): where
+/// the data leaves from (a put) or lands (a get) on the issuer's side. The
+/// far end is always a symmetric offset on the target PE.
+pub(crate) enum Local<'a, T> {
+    /// A window of the issuer's own shared segment (heap-to-heap).
+    Heap(SymmRef<T>),
+    /// A private source slice; puts only.
+    Src(&'a [T]),
+    /// A private destination slice (or, for a put, a source the caller
+    /// happens to hold mutably).
+    Dst(&'a mut [T]),
+}
+
+/// Contiguous element span of `nelems` elements `stride` apart (0 when
+/// empty): a strided window at offset `at` is `at .. at + span(..)`.
+pub(crate) fn span(nelems: usize, stride: usize) -> usize {
+    match nelems {
+        0 => 0,
+        n => (n - 1) * stride + 1,
     }
-    let span = (nelems - 1) * stride + 1;
+}
+
+/// Elements the cache model walks for a strided window: its span, and one
+/// element even when the window is empty.
+fn walk_span(nelems: usize, stride: usize) -> usize {
+    span(nelems, stride).max(1)
+}
+
+/// Cover `nelems` `es`-byte elements `stride` apart with `copy(byte
+/// offset, byte length)` runs: one run when contiguous, one per element
+/// otherwise.
+#[inline]
+fn strided_runs(nelems: usize, stride: usize, es: usize, mut copy: impl FnMut(usize, usize)) {
+    if stride == 1 {
+        copy(0, nelems * es);
+    } else {
+        for i in 0..nelems {
+            copy(i * stride * es, es);
+        }
+    }
+}
+
+/// A private slice of `len` elements must cover the strided window.
+fn check_src(len: usize, nelems: usize, stride: usize) {
+    assert!(stride >= 1, "stride must be at least 1");
     assert!(
-        src.len() >= span,
-        "buffer of {} elements too small for {nelems} elements at stride {stride}",
-        src.len()
+        len >= span(nelems, stride),
+        "buffer of {len} elements too small for {nelems} elements at stride {stride}"
     );
 }
 
@@ -1276,24 +1313,26 @@ impl<'f> Pe<'f> {
 
     /// Take a recycled scratch vector of element type `T` (empty, but
     /// with whatever capacity earlier episodes grew it to), or a fresh
-    /// empty one. Return it with [`Pe::scratch_put`] when done.
-    pub(crate) fn scratch_take<T: 'static>(&self) -> Vec<T> {
+    /// empty one. Return it with [`Pe::scratch_put`] when done. The box is
+    /// the type-erased pool's own storage unit, handed back and forth so a
+    /// warm episode neither allocates nor frees.
+    #[allow(clippy::box_collection)]
+    pub(crate) fn scratch_take<T: 'static>(&self) -> Box<Vec<T>> {
         let mut pool = self.scratch.borrow_mut();
-        for i in 0..pool.len() {
-            if pool[i].is::<Vec<T>>() {
-                let boxed = pool.swap_remove(i);
-                let mut v = *boxed.downcast::<Vec<T>>().expect("checked via Any::is");
-                v.clear();
-                return v;
-            }
+        match pool.iter().position(|b| b.is::<Vec<T>>()) {
+            Some(i) => pool
+                .swap_remove(i)
+                .downcast::<Vec<T>>()
+                .expect("checked via Any::is"),
+            None => Box::default(),
         }
-        Vec::new()
     }
 
     /// Recycle a scratch vector for later [`Pe::scratch_take`] calls.
-    pub(crate) fn scratch_put<T: 'static>(&self, mut v: Vec<T>) {
+    #[allow(clippy::box_collection)]
+    pub(crate) fn scratch_put<T: 'static>(&self, mut v: Box<Vec<T>>) {
         v.clear();
-        self.scratch.borrow_mut().push(Box::new(v));
+        self.scratch.borrow_mut().push(v);
     }
 
     /// The fabric's compiled-plan cache.
@@ -1748,26 +1787,18 @@ impl<'f> Pe<'f> {
         stride: usize,
     ) {
         dest.check_span(nelems, stride);
-        check_src(vals, nelems, stride);
+        check_src(vals.len(), nelems, stride);
         let es = std::mem::size_of::<T>();
         let heap = self.my_heap();
         self.clock.charge_local_range(
             self.host_addr(self.rank, dest.off),
-            ((nelems.max(1) - 1) * stride + 1) * es,
+            walk_span(nelems, stride) * es,
         );
-        if stride == 1 {
-            unsafe { heap.write_from(dest.off, vals.as_ptr() as *const u8, nelems * es) };
-        } else {
-            for i in 0..nelems {
-                unsafe {
-                    heap.write_from(
-                        dest.off + i * stride * es,
-                        vals.as_ptr().add(i * stride) as *const u8,
-                        es,
-                    );
-                }
-            }
-        }
+        let src = vals.as_ptr() as *const u8;
+        // SAFETY: `check_src` bounds every run inside `vals`.
+        strided_runs(nelems, stride, es, |at, n| unsafe {
+            heap.write_from(dest.off + at, src.add(at), n)
+        });
     }
 
     /// Read `nelems` contiguous elements from this PE's own shared segment.
@@ -1786,26 +1817,54 @@ impl<'f> Pe<'f> {
         stride: usize,
     ) {
         src.check_span(nelems, stride);
-        check_src(out, nelems, stride);
+        check_src(out.len(), nelems, stride);
         let es = std::mem::size_of::<T>();
         let heap = self.my_heap();
         self.clock.charge_local_range(
             self.host_addr(self.rank, src.off),
-            ((nelems.max(1) - 1) * stride + 1) * es,
+            walk_span(nelems, stride) * es,
         );
-        if stride == 1 {
-            unsafe { heap.read_into(src.off, out.as_mut_ptr() as *mut u8, nelems * es) };
-        } else {
-            for i in 0..nelems {
-                unsafe {
-                    heap.read_into(
-                        src.off + i * stride * es,
-                        out.as_mut_ptr().add(i * stride) as *mut u8,
-                        es,
-                    );
-                }
+        let dst = out.as_mut_ptr() as *mut u8;
+        // SAFETY: `check_src` bounds every run inside `out`.
+        strided_runs(nelems, stride, es, |at, n| unsafe {
+            heap.read_into(src.off + at, dst.add(at), n)
+        });
+    }
+
+    /// Fold `with[j·stride]` into element `j·stride` of this PE's own
+    /// shared segment at `dst`, in place: `dst = f(dst, with)` for
+    /// `nelems` elements. Charged as the read-modify-write it models — a
+    /// walk of the (never empty) window, one ALU op per element, and the
+    /// walk back.
+    pub(crate) fn heap_fold<T: XbrType>(
+        &self,
+        dst: SymmRef<T>,
+        with: &[T],
+        nelems: usize,
+        stride: usize,
+        f: &dyn Fn(T, T) -> T,
+    ) {
+        let window = walk_span(nelems, stride);
+        dst.check_span(window, 1);
+        let es = std::mem::size_of::<T>();
+        let walk = || {
+            self.clock
+                .charge_local_range(self.host_addr(self.rank, dst.off), window * es)
+        };
+        walk();
+        let mine = self.my_heap().window("fold", dst.off, window * es) as *mut T;
+        for j in 0..nelems {
+            // SAFETY: `j·stride < window`, so the element lies inside the
+            // bounds-checked heap window; unaligned accesses assume
+            // nothing about `T`'s alignment.
+            unsafe {
+                let p = mine.add(j * stride);
+                p.write_unaligned(f(p.read_unaligned(), with[j * stride]));
             }
         }
+        self.clock
+            .charge(self.timing.cost.alu_cycles * nelems as u64);
+        walk();
     }
 
     // ------------------------------------------------------------------
@@ -1893,6 +1952,101 @@ impl<'f> Pe<'f> {
         self.progress_tick();
     }
 
+    /// The one transfer body behind every put and get: move `nelems`
+    /// elements at `stride` between `local` (this PE's end) and `remote` on
+    /// PE `pe` — outward when `push`, inward otherwise — and return the
+    /// simulated cycle at which the data has landed.
+    ///
+    /// Blocking (`!nb`) charges the local-end cache walk, the per-element
+    /// software overhead and then either the fabric crossing or, for
+    /// `pe == rank`, the remote-end walk; the clock has absorbed the whole
+    /// transfer on return. Non-blocking charges only the remote-end walk
+    /// of a self-transfer and the `alu + olb` issue cost — the private end
+    /// is *not* walked — and the returned stamp lies in the future: the
+    /// caller owes it a [`Pe::track`] on the stream that will complete it.
+    ///
+    /// Always inlined: under each public name `local`'s variant, `push` and
+    /// `nb` are constants, and the name compiles to its own straight-line
+    /// body.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn transfer<T: XbrType>(
+        &self,
+        local: Local<'_, T>,
+        remote: SymmRef<T>,
+        nelems: usize,
+        stride: usize,
+        pe: usize,
+        push: bool,
+        nb: bool,
+    ) -> u64 {
+        let t0 = self.trace_start();
+        self.fault_transfer();
+        remote.check_span(nelems, stride);
+        let es = std::mem::size_of::<T>();
+        let bytes = nelems * es;
+        let window = walk_span(nelems, stride) * es;
+        // The local end resolved to where it is copied and what is walked.
+        enum End {
+            Heap(usize),
+            Private(*mut u8),
+        }
+        let private = |p: *mut T, len: usize| {
+            check_src(len, nelems, stride);
+            (End::Private(p as *mut u8), p as u64, window.min(len * es))
+        };
+        let (end, walk_at, walk_len) = match local {
+            Local::Heap(r) => {
+                r.check_span(nelems, stride);
+                (End::Heap(r.off), self.host_addr(self.rank, r.off), window)
+            }
+            Local::Src(s) => {
+                assert!(push, "a get cannot land in a read-only slice");
+                private(s.as_ptr() as *mut T, s.len())
+            }
+            Local::Dst(d) => private(d.as_mut_ptr(), d.len()),
+        };
+        if !nb {
+            self.clock.charge_local_range(walk_at, walk_len);
+            self.clock.charge(self.timing.element_overhead(nelems));
+        }
+        // Once: it publishes this PE's channel occupancy and clock.
+        let fabric = self.fabric_cost(pe, bytes);
+        if pe == self.rank {
+            self.clock
+                .charge_local_range(self.host_addr(pe, remote.off), window);
+        }
+        let done = if nb {
+            let cost = &self.timing.cost;
+            self.clock.charge(cost.alu_cycles + cost.olb_lookup_cycles);
+            self.nb_completion(pe, bytes, self.timing.element_overhead(nelems) + fabric)
+        } else {
+            self.clock.charge(fabric);
+            self.clock.cycles()
+        };
+
+        let (mine, theirs) = (self.my_heap(), &self.shared.heaps[pe]);
+        // SAFETY: `check_src` bounds every run inside a private slice (and
+        // only `Dst`, a `&mut`, is ever written); the heaps check their own.
+        strided_runs(nelems, stride, es, |at, n| unsafe {
+            match (&end, push) {
+                (End::Heap(off), true) => mine.copy_to(off + at, theirs, remote.off + at, n),
+                (End::Heap(off), false) => theirs.copy_to(remote.off + at, mine, off + at, n),
+                (End::Private(p), true) => theirs.write_from(remote.off + at, p.add(at), n),
+                (End::Private(p), false) => theirs.read_into(remote.off + at, p.add(at), n),
+            }
+        });
+        self.note_transfer(pe, bytes, push, nb);
+        let kind = match (push, nb) {
+            (true, false) => TraceKind::Put,
+            (true, true) => TraceKind::PutNb,
+            (false, false) => TraceKind::Get,
+            (false, true) => TraceKind::GetNb,
+        };
+        self.trace_emit(t0, kind, Some(pe), bytes as u64, if nb { done } else { 0 });
+        done
+    }
+
     /// Copy `nelems` elements from a local slice into `dest` on PE `pe`
     /// (`xbrtime_TYPENAME_put`): elements are taken from `src[i*stride]` and
     /// land at `dest[i*stride]` on the target.
@@ -1904,43 +2058,7 @@ impl<'f> Pe<'f> {
         stride: usize,
         pe: usize,
     ) {
-        let t0 = self.trace_start();
-        self.fault_transfer();
-        dest.check_span(nelems, stride);
-        check_src(src, nelems, stride);
-        let es = std::mem::size_of::<T>();
-        let bytes = nelems * es;
-        // Reading the local source goes through this PE's cache model.
-        self.clock.charge_local_range(
-            src.as_ptr() as u64,
-            src.len().min((nelems.max(1) - 1) * stride + 1) * es,
-        );
-        self.clock.charge(self.timing.element_overhead(nelems));
-        let fabric = self.fabric_cost(pe, bytes);
-        if pe == self.rank {
-            self.clock.charge_local_range(
-                self.host_addr(pe, dest.off),
-                ((nelems.max(1) - 1) * stride + 1) * es,
-            );
-        } else {
-            self.clock.charge(fabric);
-        }
-        let heap = &self.shared.heaps[pe];
-        if stride == 1 {
-            unsafe { heap.write_from(dest.off, src.as_ptr() as *const u8, bytes) };
-        } else {
-            for i in 0..nelems {
-                unsafe {
-                    heap.write_from(
-                        dest.off + i * stride * es,
-                        src.as_ptr().add(i * stride) as *const u8,
-                        es,
-                    );
-                }
-            }
-        }
-        self.note_transfer(pe, bytes, true, false);
-        self.trace_emit(t0, TraceKind::Put, Some(pe), bytes as u64, 0);
+        self.transfer(Local::Src(src), dest, nelems, stride, pe, true, false);
     }
 
     /// Copy `nelems` elements from `src` on PE `pe` into a local slice
@@ -1953,42 +2071,7 @@ impl<'f> Pe<'f> {
         stride: usize,
         pe: usize,
     ) {
-        let t0 = self.trace_start();
-        self.fault_transfer();
-        src.check_span(nelems, stride);
-        check_src(dest, nelems, stride);
-        let es = std::mem::size_of::<T>();
-        let bytes = nelems * es;
-        self.clock.charge_local_range(
-            dest.as_ptr() as u64,
-            dest.len().min((nelems.max(1) - 1) * stride + 1) * es,
-        );
-        self.clock.charge(self.timing.element_overhead(nelems));
-        let fabric = self.fabric_cost(pe, bytes);
-        if pe == self.rank {
-            self.clock.charge_local_range(
-                self.host_addr(pe, src.off),
-                ((nelems.max(1) - 1) * stride + 1) * es,
-            );
-        } else {
-            self.clock.charge(fabric);
-        }
-        let heap = &self.shared.heaps[pe];
-        if stride == 1 {
-            unsafe { heap.read_into(src.off, dest.as_mut_ptr() as *mut u8, bytes) };
-        } else {
-            for i in 0..nelems {
-                unsafe {
-                    heap.read_into(
-                        src.off + i * stride * es,
-                        dest.as_mut_ptr().add(i * stride) as *mut u8,
-                        es,
-                    );
-                }
-            }
-        }
-        self.note_transfer(pe, bytes, false, false);
-        self.trace_emit(t0, TraceKind::Get, Some(pe), bytes as u64, 0);
+        self.transfer(Local::Dst(dest), src, nelems, stride, pe, false, false);
     }
 
     /// One-sided put whose source is this PE's *own shared segment* —
@@ -2001,46 +2084,7 @@ impl<'f> Pe<'f> {
         stride: usize,
         pe: usize,
     ) {
-        let t0 = self.trace_start();
-        self.fault_transfer();
-        dest.check_span(nelems, stride);
-        src.check_span(nelems, stride);
-        let es = std::mem::size_of::<T>();
-        let bytes = nelems * es;
-        self.clock.charge_local_range(
-            self.host_addr(self.rank, src.off),
-            ((nelems.max(1) - 1) * stride + 1) * es,
-        );
-        self.clock.charge(self.timing.element_overhead(nelems));
-        let fabric = self.fabric_cost(pe, bytes);
-        if pe == self.rank {
-            self.clock.charge_local_range(
-                self.host_addr(pe, dest.off),
-                ((nelems.max(1) - 1) * stride + 1) * es,
-            );
-        } else {
-            self.clock.charge(fabric);
-        }
-        let src_heap = self.my_heap();
-        let dst_heap = &self.shared.heaps[pe];
-        let step = |i: usize| unsafe {
-            let mut tmp = vec![0u8; es];
-            src_heap.read_into(src.off + i * stride * es, tmp.as_mut_ptr(), es);
-            dst_heap.write_from(dest.off + i * stride * es, tmp.as_ptr(), es);
-        };
-        if stride == 1 {
-            let mut tmp = vec![0u8; bytes];
-            unsafe {
-                src_heap.read_into(src.off, tmp.as_mut_ptr(), bytes);
-                dst_heap.write_from(dest.off, tmp.as_ptr(), bytes);
-            }
-        } else {
-            for i in 0..nelems {
-                step(i);
-            }
-        }
-        self.note_transfer(pe, bytes, true, false);
-        self.trace_emit(t0, TraceKind::Put, Some(pe), bytes as u64, 0);
+        self.transfer(Local::Heap(src), dest, nelems, stride, pe, true, false);
     }
 
     /// One-sided get whose destination is this PE's own shared segment.
@@ -2052,45 +2096,7 @@ impl<'f> Pe<'f> {
         stride: usize,
         pe: usize,
     ) {
-        let t0 = self.trace_start();
-        self.fault_transfer();
-        dest.check_span(nelems, stride);
-        src.check_span(nelems, stride);
-        let es = std::mem::size_of::<T>();
-        let bytes = nelems * es;
-        self.clock.charge_local_range(
-            self.host_addr(self.rank, dest.off),
-            ((nelems.max(1) - 1) * stride + 1) * es,
-        );
-        self.clock.charge(self.timing.element_overhead(nelems));
-        let fabric = self.fabric_cost(pe, bytes);
-        if pe == self.rank {
-            self.clock.charge_local_range(
-                self.host_addr(pe, src.off),
-                ((nelems.max(1) - 1) * stride + 1) * es,
-            );
-        } else {
-            self.clock.charge(fabric);
-        }
-        let src_heap = &self.shared.heaps[pe];
-        let dst_heap = self.my_heap();
-        if stride == 1 {
-            let mut tmp = vec![0u8; bytes];
-            unsafe {
-                src_heap.read_into(src.off, tmp.as_mut_ptr(), bytes);
-                dst_heap.write_from(dest.off, tmp.as_ptr(), bytes);
-            }
-        } else {
-            let mut tmp = vec![0u8; es];
-            for i in 0..nelems {
-                unsafe {
-                    src_heap.read_into(src.off + i * stride * es, tmp.as_mut_ptr(), es);
-                    dst_heap.write_from(dest.off + i * stride * es, tmp.as_ptr(), es);
-                }
-            }
-        }
-        self.note_transfer(pe, bytes, false, false);
-        self.trace_emit(t0, TraceKind::Get, Some(pe), bytes as u64, 0);
+        self.transfer(Local::Heap(dest), src, nelems, stride, pe, false, false);
     }
 
     /// Completion time for a non-blocking transfer: the transfer starts
@@ -2108,6 +2114,24 @@ impl<'f> Pe<'f> {
         start + full
     }
 
+    /// Hand out the handle of a non-blocking transfer landing at
+    /// `completion_cycles` and track it on `stream` (the PE's default
+    /// stream, [`Pe::outstanding`], or a [`Context`]'s own) until a
+    /// `wait`/`quiet` there absorbs it into the clock.
+    #[inline]
+    pub(crate) fn track(
+        &self,
+        stream: &RefCell<Vec<NbHandle>>,
+        completion_cycles: u64,
+    ) -> NbHandle {
+        let h = NbHandle {
+            id: self.next_handle.replace(self.next_handle.get() + 1),
+            completion_cycles,
+        };
+        stream.borrow_mut().push(h);
+        h
+    }
+
     /// Non-blocking put (`xbrtime_TYPENAME_put_nb`): the transfer is issued
     /// immediately; its latency is absorbed when [`Pe::wait`]ed on, modelling
     /// communication/computation overlap.
@@ -2121,46 +2145,8 @@ impl<'f> Pe<'f> {
         stride: usize,
         pe: usize,
     ) -> NbHandle {
-        let t0 = self.trace_start();
-        self.fault_transfer();
-        dest.check_span(nelems, stride);
-        check_src(src, nelems, stride);
-        let es = std::mem::size_of::<T>();
-        let bytes = nelems * es;
-        let issue = self.timing.cost.alu_cycles + self.timing.cost.olb_lookup_cycles;
-        if pe == self.rank {
-            // A local non-blocking put still walks the cache model.
-            self.clock.charge_local_range(
-                self.host_addr(pe, dest.off),
-                ((nelems.max(1) - 1) * stride + 1) * es,
-            );
-        }
-        let full = self.timing.element_overhead(nelems) + self.fabric_cost(pe, bytes);
-        self.clock.charge(issue);
-        let completion = self.nb_completion(pe, bytes, full);
-
-        let heap = &self.shared.heaps[pe];
-        if stride == 1 {
-            unsafe { heap.write_from(dest.off, src.as_ptr() as *const u8, bytes) };
-        } else {
-            for i in 0..nelems {
-                unsafe {
-                    heap.write_from(
-                        dest.off + i * stride * es,
-                        src.as_ptr().add(i * stride) as *const u8,
-                        es,
-                    );
-                }
-            }
-        }
-        self.note_transfer(pe, bytes, true, true);
-        self.trace_emit(t0, TraceKind::PutNb, Some(pe), bytes as u64, completion);
-        let h = NbHandle {
-            id: self.next_handle.replace(self.next_handle.get() + 1),
-            completion_cycles: completion,
-        };
-        self.outstanding.borrow_mut().push(h);
-        h
+        let done = self.transfer(Local::Src(src), dest, nelems, stride, pe, true, true);
+        self.track(&self.outstanding, done)
     }
 
     /// Non-blocking get; see [`Pe::put_nb`].
@@ -2177,54 +2163,8 @@ impl<'f> Pe<'f> {
         stride: usize,
         pe: usize,
     ) -> NbHandle {
-        let t0 = self.trace_start();
-        self.fault_transfer();
-        src.check_span(nelems, stride);
-        check_src(dest, nelems, stride);
-        let es = std::mem::size_of::<T>();
-        let bytes = nelems * es;
-        let issue = self.timing.cost.alu_cycles + self.timing.cost.olb_lookup_cycles;
-        if pe == self.rank {
-            self.clock.charge_local_range(
-                self.host_addr(pe, src.off),
-                ((nelems.max(1) - 1) * stride + 1) * es,
-            );
-        }
-        let full = self.timing.element_overhead(nelems) + self.fabric_cost(pe, bytes);
-        self.clock.charge(issue);
-        let completion = self.nb_completion(pe, bytes, full);
-
-        let heap = &self.shared.heaps[pe];
-        if stride == 1 {
-            unsafe { heap.read_into(src.off, dest.as_mut_ptr() as *mut u8, bytes) };
-        } else {
-            for i in 0..nelems {
-                unsafe {
-                    heap.read_into(
-                        src.off + i * stride * es,
-                        dest.as_mut_ptr().add(i * stride) as *mut u8,
-                        es,
-                    );
-                }
-            }
-        }
-        self.note_transfer(pe, bytes, false, true);
-        self.trace_emit(t0, TraceKind::GetNb, Some(pe), bytes as u64, completion);
-        let h = NbHandle {
-            id: self.next_handle.replace(self.next_handle.get() + 1),
-            completion_cycles: completion,
-        };
-        self.outstanding.borrow_mut().push(h);
-        h
-    }
-
-    /// Remove a handle from the default stream's tracking (used when a
-    /// [`Context`] takes ownership of it).
-    fn untrack(&self, h: NbHandle) {
-        let mut out = self.outstanding.borrow_mut();
-        if let Some(idx) = out.iter().position(|o| o.id == h.id) {
-            out.swap_remove(idx);
-        }
+        let done = self.transfer(Local::Dst(dest), src, nelems, stride, pe, false, true);
+        self.track(&self.outstanding, done)
     }
 
     /// Complete one non-blocking transfer: simulated time advances to at
@@ -2565,56 +2505,6 @@ impl<'f> Pe<'f> {
         self.amo_slot(sig, self.rank).load(Ordering::Acquire) != 0
     }
 
-    /// Heap-to-heap put followed by a completion signal into `sig` on the
-    /// target PE: payload and flag travel as one transaction, so the
-    /// target's [`Pe::signal_wait`] is the only synchronization the pair
-    /// needs.
-    pub fn put_symm_signal<T: XbrType>(
-        &self,
-        dest: SymmRef<T>,
-        src: SymmRef<T>,
-        nelems: usize,
-        stride: usize,
-        pe: usize,
-        sig: SymmRef<u64>,
-    ) {
-        self.put_symm(dest, src, nelems, stride, pe);
-        self.signal_post(sig, pe);
-    }
-
-    /// Blocking put from a private slice followed by a completion signal
-    /// into `sig` on the target PE.
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_signal<T: XbrType>(
-        &self,
-        dest: SymmRef<T>,
-        src: &[T],
-        nelems: usize,
-        stride: usize,
-        pe: usize,
-        sig: SymmRef<u64>,
-    ) {
-        self.put(dest, src, nelems, stride, pe);
-        self.signal_post(sig, pe);
-    }
-
-    /// Blocking get followed by a completion signal into `sig` on the
-    /// **source** PE — "your buffer has been read" — so the producer can
-    /// reuse or overwrite the buffer without a barrier.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_signal<T: XbrType>(
-        &self,
-        dest: &mut [T],
-        src: SymmRef<T>,
-        nelems: usize,
-        stride: usize,
-        pe: usize,
-        sig: SymmRef<u64>,
-    ) {
-        self.get(dest, src, nelems, stride, pe);
-        self.signal_post(sig, pe);
-    }
-
     // ------------------------------------------------------------------
     // Barrier
     // ------------------------------------------------------------------
@@ -2725,11 +2615,10 @@ impl Context<'_, '_> {
         stride: usize,
         pe: usize,
     ) -> NbHandle {
-        let h = self.pe.put_nb(dest, src, nelems, stride, pe);
-        // Move tracking from the PE's default stream to this context.
-        self.pe.untrack(h);
-        self.outstanding.borrow_mut().push(h);
-        h
+        let done = self
+            .pe
+            .transfer(Local::Src(src), dest, nelems, stride, pe, true, true);
+        self.pe.track(&self.outstanding, done)
     }
 
     /// Non-blocking get on this context.
@@ -2741,10 +2630,10 @@ impl Context<'_, '_> {
         stride: usize,
         pe: usize,
     ) -> NbHandle {
-        let h = self.pe.get_nb(dest, src, nelems, stride, pe);
-        self.pe.untrack(h);
-        self.outstanding.borrow_mut().push(h);
-        h
+        let done = self
+            .pe
+            .transfer(Local::Dst(dest), src, nelems, stride, pe, false, true);
+        self.pe.track(&self.outstanding, done)
     }
 
     /// Complete every transfer issued on this context.

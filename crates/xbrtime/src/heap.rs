@@ -14,6 +14,7 @@
 //! per-PE allocators assign identical offsets — symmetry by construction
 //! (verified by tests and a runtime signature check in the fabric).
 
+use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -42,10 +43,21 @@ unsafe impl Send for HeapData {}
 unsafe impl Sync for HeapData {}
 
 impl HeapData {
+    /// The arena's allocation layout: [`HEAP_ALIGN`]-aligned, so every
+    /// offset the [`FreeList`] hands out is aligned for any element type
+    /// (and for the fabric's `AtomicU64` views) by construction.
+    fn layout(len: usize) -> Layout {
+        Layout::from_size_align(len.max(1), HEAP_ALIGN).expect("arena size overflows isize")
+    }
+
     /// Allocate a zeroed arena of `len` bytes.
     pub fn new(len: usize) -> Self {
-        let boxed: Box<[u8]> = vec![0u8; len].into_boxed_slice();
-        let ptr = Box::into_raw(boxed) as *mut u8;
+        let layout = Self::layout(len);
+        // SAFETY: `layout` has a non-zero size (`len.max(1)`).
+        let ptr = unsafe { alloc_zeroed(layout) };
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
         HeapData { ptr, len }
     }
 
@@ -67,6 +79,22 @@ impl HeapData {
         self.ptr
     }
 
+    /// Pointer to the `n`-byte window of the arena at `off`; `access`
+    /// names the operation in the panic message.
+    ///
+    /// # Panics
+    /// Panics if `off + n` exceeds the arena.
+    #[inline]
+    pub(crate) fn window(&self, access: &str, off: usize, n: usize) -> *mut u8 {
+        assert!(
+            off.checked_add(n).is_some_and(|end| end <= self.len),
+            "heap {access} [{off}, {off}+{n}) out of bounds (len {})",
+            self.len
+        );
+        // SAFETY: the window lies inside the allocation (just checked).
+        unsafe { self.ptr.add(off) }
+    }
+
     /// Copy `n` bytes out of the arena at `off` into `dst`.
     ///
     /// # Safety
@@ -76,12 +104,7 @@ impl HeapData {
     /// # Panics
     /// Panics if `off + n` exceeds the arena.
     pub(crate) unsafe fn read_into(&self, off: usize, dst: *mut u8, n: usize) {
-        assert!(
-            off.checked_add(n).is_some_and(|end| end <= self.len),
-            "heap read [{off}, {off}+{n}) out of bounds (len {})",
-            self.len
-        );
-        std::ptr::copy_nonoverlapping(self.ptr.add(off), dst, n);
+        std::ptr::copy_nonoverlapping(self.window("read", off, n), dst, n);
     }
 
     /// Copy `n` bytes from `src` into the arena at `off`.
@@ -93,23 +116,32 @@ impl HeapData {
     /// # Panics
     /// Panics if `off + n` exceeds the arena.
     pub(crate) unsafe fn write_from(&self, off: usize, src: *const u8, n: usize) {
-        assert!(
-            off.checked_add(n).is_some_and(|end| end <= self.len),
-            "heap write [{off}, {off}+{n}) out of bounds (len {})",
-            self.len
+        std::ptr::copy_nonoverlapping(src, self.window("write", off, n), n);
+    }
+
+    /// Copy `n` bytes from this arena at `off` into `dst` at `dst_off` —
+    /// the heap-to-heap move, with no bounce buffer. `dst` may be this
+    /// same arena and the ranges may overlap (memmove semantics).
+    ///
+    /// # Safety
+    /// The caller must uphold the race-freedom discipline documented on
+    /// [`HeapData`].
+    ///
+    /// # Panics
+    /// Panics if either range exceeds its arena.
+    pub(crate) unsafe fn copy_to(&self, off: usize, dst: &HeapData, dst_off: usize, n: usize) {
+        std::ptr::copy(
+            self.window("read", off, n),
+            dst.window("write", dst_off, n),
+            n,
         );
-        std::ptr::copy_nonoverlapping(src, self.ptr.add(off), n);
     }
 }
 
 impl Drop for HeapData {
     fn drop(&mut self) {
-        // SAFETY: ptr/len came from Box::into_raw of a Box<[u8]> of `len`.
-        unsafe {
-            drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                self.ptr, self.len,
-            )));
-        }
+        // SAFETY: `ptr` came from `alloc_zeroed` with this same layout.
+        unsafe { dealloc(self.ptr, Self::layout(self.len)) };
     }
 }
 
@@ -295,6 +327,22 @@ mod tests {
             h.read_into(8, dst.as_mut_ptr(), 4);
         }
         assert_eq!(dst, src);
+    }
+
+    #[test]
+    fn heap_base_is_heap_aligned() {
+        for len in [0usize, 1, 24, 4096, 1 << 20] {
+            let h = HeapData::new(len);
+            assert_eq!(h.len(), len);
+            assert_eq!(h.base() as usize % HEAP_ALIGN, 0, "len {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "heap write [12, 12+8) out of bounds")]
+    fn heap_to_heap_copy_checks_the_destination() {
+        let (a, b) = (HeapData::new(32), HeapData::new(16));
+        unsafe { a.copy_to(0, &b, 12, 8) };
     }
 
     #[test]

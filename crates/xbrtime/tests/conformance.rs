@@ -253,7 +253,7 @@ fn oracle_flags_hand_broken_plans() {
         .iter_mut()
         .flat_map(|p| p.steps.iter_mut())
         .find_map(|s| match s {
-            PlanStep::PutSymm { sig, .. } if sig.is_some() => Some(sig),
+            PlanStep::Copy { sig, .. } if sig.is_some() => Some(sig),
             _ => None,
         })
         .expect("a signaled broadcast has a signaled put");

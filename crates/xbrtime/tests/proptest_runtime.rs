@@ -11,7 +11,10 @@
 use proptest::prelude::*;
 use xbrtime::collectives;
 use xbrtime::heap::{FreeList, HEAP_ALIGN};
-use xbrtime::{AlgorithmPolicy, Fabric, FabricConfig, ReduceOp, SyncMode};
+use xbrtime::{
+    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FabricStats, ReduceOp, SyncMode,
+    TimingConfig,
+};
 
 // ---------------------------------------------------------------------
 // Allocator: model-based testing against a set of live intervals.
@@ -174,6 +177,223 @@ proptest! {
                 prop_assert_eq!(v, u64::MAX, "gap slot {} must be preserved", i);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The six transfer names against a dense reference, and what they charge.
+// ---------------------------------------------------------------------
+
+const NAMES: [&str; 6] = ["put", "put_nb", "put_symm", "get", "get_nb", "get_symm"];
+
+/// Distinct initial contents per (PE, buffer): `a` is the symmetric
+/// buffer every name targets on the far PE, `b` the issuer's own
+/// symmetric window (the local end of the `_symm` names), `p` the
+/// issuer's private slice.
+fn pattern(pe: usize, buf: u64, span: usize, seed: u64) -> Vec<u64> {
+    (0..span as u64)
+        .map(|i| (seed | 1).wrapping_mul(i + 1) ^ (pe as u64 * 3 + buf) << 56)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Every public transfer name moves exactly `dst[j·stride] =
+    /// src[j·stride]` for `j < nelems` between the right pair of buffers
+    /// — gaps and every other buffer untouched — and counts itself once
+    /// in the right `FabricStats` cells, to a peer and to itself.
+    #[test]
+    fn six_transfer_names_match_dense_reference(
+        nelems in 0usize..40,
+        stride in 1usize..4,
+        to_self in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let span = if nelems == 0 { 1 } else { (nelems - 1) * stride + 1 };
+        let target = usize::from(!to_self);
+        for name in NAMES {
+            let report = Fabric::run(FabricConfig::new(2), move |pe| {
+                let me = pe.rank();
+                let a = pe.shared_malloc::<u64>(span);
+                let b = pe.shared_malloc::<u64>(span);
+                pe.heap_write(a.whole(), &pattern(me, 0, span, seed));
+                pe.heap_write(b.whole(), &pattern(me, 1, span, seed));
+                let mut p = pattern(me, 2, span, seed);
+                pe.barrier();
+                if me == 0 {
+                    match name {
+                        "put" => pe.put(a.whole(), &p, nelems, stride, target),
+                        "put_nb" => {
+                            let h = pe.put_nb(a.whole(), &p, nelems, stride, target);
+                            pe.wait(h);
+                        }
+                        "put_symm" => pe.put_symm(a.whole(), b.whole(), nelems, stride, target),
+                        "get" => pe.get(&mut p, a.whole(), nelems, stride, target),
+                        "get_nb" => {
+                            let h = pe.get_nb(&mut p, a.whole(), nelems, stride, target);
+                            pe.wait(h);
+                        }
+                        "get_symm" => pe.get_symm(b.whole(), a.whole(), nelems, stride, target),
+                        _ => unreachable!(),
+                    }
+                }
+                pe.barrier();
+                [
+                    pe.heap_read_vec::<u64>(a.whole(), span),
+                    pe.heap_read_vec::<u64>(b.whole(), span),
+                    p,
+                ]
+            });
+
+            // Dense reference: the same initial buffers, one strided loop.
+            let mut want: Vec<[Vec<u64>; 3]> = (0..2)
+                .map(|pe| [0, 1, 2].map(|buf| pattern(pe, buf, span, seed)))
+                .collect();
+            let (push, local) = match name {
+                "put" | "put_nb" => (true, 2),
+                "put_symm" => (true, 1),
+                "get" | "get_nb" => (false, 2),
+                _ => (false, 1),
+            };
+            for j in (0..nelems).map(|j| j * stride) {
+                if push {
+                    want[target][0][j] = want[0][local][j];
+                } else {
+                    want[0][local][j] = want[target][0][j];
+                }
+            }
+            prop_assert_eq!(&report.results, &want, "{} buffers", name);
+
+            let one = |on: bool| u64::from(on);
+            let nb = name.ends_with("_nb");
+            let bytes = (nelems * 8) as u64;
+            let closed_form = FabricStats {
+                puts: one(push && !nb),
+                nb_puts: one(push && nb),
+                gets: one(!push && !nb),
+                nb_gets: one(!push && nb),
+                bytes_put: if push { bytes } else { 0 },
+                bytes_get: if push { 0 } else { bytes },
+                local_transfers: one(to_self),
+                remote_transfers: one(!to_self),
+                barriers: report.stats.barriers,
+                ..FabricStats::default()
+            };
+            prop_assert_eq!(report.stats, closed_form, "{} stats", name);
+        }
+    }
+
+    /// A same-PE contiguous heap-to-heap copy between overlapping windows
+    /// has memmove semantics: the destination receives the source as it
+    /// was before the copy began, whichever way the windows overlap.
+    #[test]
+    fn overlapping_heap_to_heap_copy_is_a_memmove(
+        nelems in 1usize..40,
+        shift in 0usize..40,
+        forward in any::<bool>(),
+        as_put in any::<bool>(),
+    ) {
+        let len = nelems + shift;
+        let (src_at, dst_at) = if forward { (0, shift) } else { (shift, 0) };
+        let report = Fabric::run(FabricConfig::new(1), move |pe| {
+            let c = pe.shared_malloc::<u64>(len);
+            pe.heap_write(c.whole(), &pattern(0, 0, len, 5));
+            if as_put {
+                pe.put_symm(c.at(dst_at), c.at(src_at), nelems, 1, 0);
+            } else {
+                pe.get_symm(c.at(dst_at), c.at(src_at), nelems, 1, 0);
+            }
+            pe.heap_read_vec::<u64>(c.whole(), len)
+        });
+        let mut want = pattern(0, 0, len, 5);
+        want.copy_within(src_at..src_at + nelems, dst_at);
+        prop_assert_eq!(&report.results[0], &want);
+    }
+}
+
+/// What one transfer charges, pinned against `TimingConfig::paper().cost`
+/// so a change to the fabric's one transfer body is a deliberate one:
+/// single 8-byte transfers on a warmed, idle 2-PE fabric (the peer never
+/// transmits, so the channel-queue term is zero; 8-byte elements in
+/// 16-aligned allocations never straddle a cache line, so a warm walk is
+/// one TLB hit and one L1 hit whatever the host addresses are).
+#[test]
+fn transfer_cost_table() {
+    let timing = TimingConfig::paper();
+    let cost = timing.cost;
+    let walk = cost.l1.hit_cycles;
+    let overhead = timing.element_overhead(1);
+    let fabric = cost.olb_lookup_cycles
+        + cost.noc.occupancy(8).max(1)
+        + cost.noc.base_latency
+        + cost.mem_cycles;
+    let issue = cost.alu_cycles + cost.olb_lookup_cycles;
+
+    let config = FabricConfig::paper(2).with_engine(EngineConfig::coop().with_workers(1));
+    let report = Fabric::run(config, |pe| {
+        let a = pe.shared_malloc::<u64>(1);
+        let b = pe.shared_malloc::<u64>(1);
+        let mut p = [7u64];
+        let mut rows = Vec::new();
+        pe.barrier();
+        if pe.rank() == 0 {
+            for target in [1usize, 0] {
+                for name in NAMES {
+                    // Twice: the first issue warms both ends; the second
+                    // is measured at return and again after the wait.
+                    let mut measured = (0, 0);
+                    for _ in 0..2 {
+                        let t0 = pe.cycles();
+                        let h = match name {
+                            "put" => {
+                                pe.put(a.whole(), &p, 1, 1, target);
+                                None
+                            }
+                            "put_nb" => Some(pe.put_nb(a.whole(), &p, 1, 1, target)),
+                            "put_symm" => {
+                                pe.put_symm(a.whole(), b.whole(), 1, 1, target);
+                                None
+                            }
+                            "get" => {
+                                pe.get(&mut p, a.whole(), 1, 1, target);
+                                None
+                            }
+                            "get_nb" => Some(pe.get_nb(&mut p, a.whole(), 1, 1, target)),
+                            "get_symm" => {
+                                pe.get_symm(b.whole(), a.whole(), 1, 1, target);
+                                None
+                            }
+                            _ => unreachable!(),
+                        };
+                        let at_return = pe.cycles() - t0;
+                        if let Some(h) = h {
+                            pe.wait(h);
+                        }
+                        measured = (at_return, pe.cycles() - t0);
+                    }
+                    rows.push((name, target, measured));
+                }
+            }
+        }
+        pe.barrier();
+        rows
+    });
+
+    assert_eq!(report.results[0].len(), 12);
+    for &(name, target, measured) in &report.results[0] {
+        let expect = match (name.ends_with("_nb"), target) {
+            // Blocking: the local-end walk, the per-element overhead, then
+            // the fabric crossing …
+            (false, 1) => (walk + overhead + fabric, walk + overhead + fabric),
+            // … or, to itself, the remote-end walk instead.
+            (false, _) => (2 * walk + overhead, 2 * walk + overhead),
+            // Non-blocking: the issue cost now and the rest at `wait`. The
+            // private end is never walked; a self-target's heap end is.
+            (true, 1) => (issue, issue + overhead + fabric),
+            (true, _) => (walk + issue, walk + issue + overhead),
+        };
+        assert_eq!(measured, expect, "{name} to PE {target}");
     }
 }
 
