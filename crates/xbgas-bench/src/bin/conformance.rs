@@ -32,16 +32,15 @@ use xbrtime::collectives::extended::{
 use xbrtime::collectives::hierarchical::{broadcast_hier_sched, reduce_hier_sched};
 use xbrtime::collectives::scatter::adjusted_displacements;
 use xbrtime::collectives::schedule::{
-    broadcast_binomial, broadcast_linear_sched, broadcast_ring_sched, gather_binomial,
-    gather_linear_sched, reduce_binomial, reduce_linear_sched, scatter_binomial,
-    scatter_linear_sched, CommSchedule,
+    broadcast_binomial, reduce_binomial, rooted_schedule, CommSchedule, Payload,
 };
 use xbrtime::collectives::vcoll::{
     allgatherv_dissemination_sched, allgatherv_fan_sched, allgatherv_ring_sched,
-    gatherv_ring_sched, prefix_displacements, scatterv_ring_sched,
+    prefix_displacements,
 };
 use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
-use xbrtime::collectives::{SyncMode, Team};
+use xbrtime::collectives::{Algorithm, SyncMode, Team};
+use xbrtime::CollectiveKind;
 
 /// One named schedule with the spec it claims to implement.
 struct Case {
@@ -58,93 +57,76 @@ fn case(name: impl Into<String>, sched: CommSchedule, spec: CollectiveSpec) -> C
     }
 }
 
+/// Per-rank element counts of a scatter/gather row; `None` on the
+/// broadcast/reduce rows, whose every edge carries 2 elements.
+type Counts = Option<fn(usize) -> usize>;
+
+/// The rooted rows — `(name, family, algorithm, count table)` — all built
+/// through `rooted_schedule`, the table the collective bodies read. The
+/// ragged table exercises uneven subtree spans; `i % 3` has genuine
+/// zero-length blocks (every third rank, the root included at some sizes).
+const ROOTED: [(&str, CollectiveKind, Algorithm, Counts); 12] = {
+    use Algorithm::{Binomial, Linear, Ring};
+    use CollectiveKind::{Broadcast, Gather, Reduce, Scatter};
+    [
+        ("broadcast/binomial", Broadcast, Binomial, None),
+        ("broadcast/linear", Broadcast, Linear, None),
+        ("broadcast/ring", Broadcast, Ring, None),
+        ("reduce/binomial", Reduce, Binomial, None),
+        ("reduce/linear", Reduce, Linear, None),
+        ("reduce/ring", Reduce, Ring, None),
+        ("scatter/binomial", Scatter, Binomial, Some(|i| i % 2 + 1)),
+        ("scatter/linear", Scatter, Linear, Some(|_| 1)),
+        ("scatterv/ring", Scatter, Ring, Some(|i| i % 3)),
+        ("gather/binomial", Gather, Binomial, Some(|i| i % 2 + 1)),
+        ("gather/linear", Gather, Linear, Some(|_| 1)),
+        ("gatherv/ring", Gather, Ring, Some(|i| i % 3)),
+    ]
+};
+
+fn rooted_cases(n: usize, root: usize) -> impl Iterator<Item = Case> {
+    ROOTED.into_iter().map(move |(name, family, algo, counts)| {
+        let adj_disp = counts.map(|c| {
+            let msgs: Vec<usize> = (0..n).map(c).collect();
+            adjusted_displacements(&msgs, root, n)
+        });
+        let (nelems, stride) = (2, 1);
+        let payload = match &adj_disp {
+            Some(adj_disp) => Payload::Ranges(adj_disp),
+            None => Payload::Whole { nelems, stride },
+        };
+        let sched = rooted_schedule(family, algo, n, root, payload);
+        let adj_disp = adj_disp.unwrap_or_default();
+        let spec = match (family, algo) {
+            (CollectiveKind::Broadcast, _) => CollectiveSpec::Broadcast {
+                root,
+                nelems,
+                stride,
+            },
+            (CollectiveKind::Reduce, Algorithm::Linear) => CollectiveSpec::ReduceLinear {
+                root,
+                nelems,
+                stride,
+            },
+            (CollectiveKind::Reduce, _) => CollectiveSpec::ReduceTree {
+                root,
+                nelems,
+                stride,
+            },
+            (CollectiveKind::Scatter, _) => CollectiveSpec::Scatter { root, adj_disp },
+            _ => CollectiveSpec::Gather { root, adj_disp },
+        };
+        case(format!("{name} n={n}"), sched, spec)
+    })
+}
+
 /// Every (collective × algorithm) pair at world size `n`, covering flat,
 /// extended, irregular (v-variant), team and hierarchical generators.
 fn cases(n: usize) -> Vec<Case> {
-    let root = n / 2;
-    let uni: Vec<usize> = adjusted_displacements(&vec![1; n], root, n);
-    let msgs: Vec<usize> = (0..n).map(|i| (i % 2) + 1).collect();
-    let ragged: Vec<usize> = adjusted_displacements(&msgs, root, n);
     // The uniform all-gather is the v-generators on a constant table.
     let unit = prefix_displacements(&vec![1; n]);
-    let mut out = vec![
-        case(
-            format!("broadcast/binomial n={n}"),
-            broadcast_binomial(n, root, 2, 1),
-            CollectiveSpec::Broadcast {
-                root,
-                nelems: 2,
-                stride: 1,
-            },
-        ),
-        case(
-            format!("broadcast/linear n={n}"),
-            broadcast_linear_sched(n, root, 2, 1),
-            CollectiveSpec::Broadcast {
-                root,
-                nelems: 2,
-                stride: 1,
-            },
-        ),
-        case(
-            format!("broadcast/ring n={n}"),
-            broadcast_ring_sched(n, root, 2, 1),
-            CollectiveSpec::Broadcast {
-                root,
-                nelems: 2,
-                stride: 1,
-            },
-        ),
-        case(
-            format!("reduce/binomial n={n}"),
-            reduce_binomial(n, root, 2, 1),
-            CollectiveSpec::ReduceTree {
-                root,
-                nelems: 2,
-                stride: 1,
-            },
-        ),
-        case(
-            format!("reduce/linear n={n}"),
-            reduce_linear_sched(n, root, 2, 1),
-            CollectiveSpec::ReduceLinear {
-                root,
-                nelems: 2,
-                stride: 1,
-            },
-        ),
-        case(
-            format!("scatter/binomial n={n}"),
-            scatter_binomial(n, root, &ragged),
-            CollectiveSpec::Scatter {
-                root,
-                adj_disp: ragged.clone(),
-            },
-        ),
-        case(
-            format!("scatter/linear n={n}"),
-            scatter_linear_sched(n, root, &uni),
-            CollectiveSpec::Scatter {
-                root,
-                adj_disp: uni.clone(),
-            },
-        ),
-        case(
-            format!("gather/binomial n={n}"),
-            gather_binomial(n, root, &ragged),
-            CollectiveSpec::Gather {
-                root,
-                adj_disp: ragged.clone(),
-            },
-        ),
-        case(
-            format!("gather/linear n={n}"),
-            gather_linear_sched(n, root, &uni),
-            CollectiveSpec::Gather {
-                root,
-                adj_disp: uni,
-            },
-        ),
+    let mut out: Vec<Case> = rooted_cases(n, n / 2).collect();
+    out.extend([
         case(
             format!("all_gather n={n}"),
             allgatherv_fan_sched(n, &unit),
@@ -180,35 +162,17 @@ fn cases(n: usize) -> Vec<Case> {
             allreduce_ring(n, n + 1),
             CollectiveSpec::AllReduce { nelems: n + 1 },
         ),
-    ];
-    // Irregular v-variants: a ragged count table with genuine zero-length
-    // blocks (i % 3 zeroes every third rank, the root included at some
-    // sizes) plus a maximally skewed one-PE-holds-everything table for the
-    // dissemination schedule, whose O(log n) giant-block movement is the
-    // property worth model-checking.
+    ]);
+    // Irregular all-gathers: the `i % 3` table again, plus a maximally
+    // skewed one-PE-holds-everything table for the dissemination schedule,
+    // whose O(log n) giant-block movement is the property worth
+    // model-checking.
     let vcounts: Vec<usize> = (0..n).map(|i| i % 3).collect();
-    let vadj = adjusted_displacements(&vcounts, root, n);
     let vdisp = prefix_displacements(&vcounts);
     let mut giant = vec![0usize; n];
     giant[n - 1] = n + 1;
     let gdisp = prefix_displacements(&giant);
     out.extend([
-        case(
-            format!("scatterv/ring n={n}"),
-            scatterv_ring_sched(n, root, &vadj),
-            CollectiveSpec::Scatter {
-                root,
-                adj_disp: vadj.clone(),
-            },
-        ),
-        case(
-            format!("gatherv/ring n={n}"),
-            gatherv_ring_sched(n, root, &vadj),
-            CollectiveSpec::Gather {
-                root,
-                adj_disp: vadj,
-            },
-        ),
         case(
             format!("allgatherv/fan n={n}"),
             allgatherv_fan_sched(n, &vdisp),
@@ -284,6 +248,19 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut failures = 0usize;
     let cfg = ModelConfig::default();
+    // A shape cannot ship unchecked: every row of the rooted table is
+    // swept, explored and mutation-tested below.
+    for family in &CollectiveKind::ALL[..4] {
+        for algo in [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring] {
+            let listed = ROOTED.iter().any(|r| (r.1, r.2) == (*family, algo));
+            assert!(
+                listed,
+                "{}/{} has no conformance row",
+                family.name(),
+                algo.name()
+            );
+        }
+    }
 
     // --- Plane 1: canonical oracle sweep ------------------------------
     println!("plane 1: canonical oracle sweep (vector clocks + dense reference)");

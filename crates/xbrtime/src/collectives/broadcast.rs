@@ -18,9 +18,7 @@ use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{
     auto_select_broadcast_sync, Algorithm, AlgorithmPolicy, SyncMode,
 };
-use crate::collectives::schedule::{
-    broadcast_binomial, broadcast_linear_sched, broadcast_ring_sched,
-};
+use crate::collectives::schedule::{rooted_schedule, Payload};
 use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
 
@@ -112,7 +110,7 @@ pub fn broadcast_policy_sync<T: XbrType>(
 /// The one broadcast body: stage the root, key the plan, run `algo`'s
 /// schedule. `kind` is the telemetry kind the episode reports under — so
 /// composites like reduce-to-all attribute their internal broadcast to
-/// themselves.
+/// themselves. A zero-length broadcast is fully inert (telemetry only).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn broadcast_core<T: XbrType>(
     pe: &Pe,
@@ -125,17 +123,18 @@ pub(crate) fn broadcast_core<T: XbrType>(
     algo: Algorithm,
     sync: SyncMode,
 ) {
+    let n_pes = pe.n_pes();
+    assert!(root < n_pes, "root {root} out of range");
+    if nelems == 0 {
+        plan::note_inert(pe, kind);
+        return;
+    }
     // The root stages the payload into its symmetric dest so that interior
     // stages can forward heap-to-heap with a single put each.
     if pe.rank() == root {
         pe.heap_write_strided(dest.whole(), src, nelems, stride);
     }
-    let n_pes = pe.n_pes();
-    let tag = match algo {
-        Algorithm::Binomial => plan::tag::BROADCAST_BINOMIAL,
-        Algorithm::Linear => plan::tag::BROADCAST_LINEAR,
-        Algorithm::Ring => plan::tag::BROADCAST_RING,
-    };
+    let family = CollectiveKind::Broadcast;
     let key = PlanKey::rooted(
         kind,
         algo,
@@ -145,17 +144,14 @@ pub(crate) fn broadcast_core<T: XbrType>(
         nelems,
         stride,
         std::mem::size_of::<T>(),
-        tag,
+        plan::tag::rooted(family, algo),
     );
     plan::run_schedule(
         pe,
         key,
         || {
-            let mut sched = match algo {
-                Algorithm::Binomial => broadcast_binomial(n_pes, root, nelems, stride),
-                Algorithm::Linear => broadcast_linear_sched(n_pes, root, nelems, stride),
-                Algorithm::Ring => broadcast_ring_sched(n_pes, root, nelems, stride),
-            };
+            let whole = Payload::Whole { nelems, stride };
+            let mut sched = rooted_schedule(family, algo, n_pes, root, whole);
             sched.kind = kind;
             sched
         },

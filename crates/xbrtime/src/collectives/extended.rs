@@ -13,25 +13,28 @@
 //!   following the original call"), a direct recursive-doubling exchange,
 //!   Rabenseifner's recursive-halving reduce-scatter + recursive-doubling
 //!   allgather, and a bandwidth-optimal ring — all exact for any `n`,
-//!   with the non-power-of-two tail folded inside the generators;
+//!   with the non-power-of-two tail folded inside the generators
+//!   (Rabenseifner's allgather half and both fold-out tails are the
+//!   stages before them
+//!   [`transposed`](crate::collectives::schedule::CommSchedule::transposed)
+//!   into puts);
 //! * [`all_gather`] — OpenSHMEM `fcollect` (equal counts, every PE receives
 //!   the concatenation): the [`vcoll`](crate::collectives::vcoll)
 //!   all-gather body on a constant count table, so every
 //!   [`AllGatherVAlgo`] shape is available;
 //! * [`all_to_all_sync`] — personalized all-to-all via pairwise exchange;
 //! * [`Team`] — a subset of PEs with translated ranks; team-scoped
-//!   broadcast/reduce reuse the tree algorithms over team ranks.
+//!   broadcast/reduce are the flat tree
+//!   [`on`](crate::collectives::schedule::CommSchedule::on) the members.
 
 use crate::collectives::broadcast::broadcast_core;
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{self, Algorithm, SyncMode};
 use crate::collectives::reduce::reduce_core;
 use crate::collectives::schedule::{
-    balanced_partition, binomial_doubling_stages, binomial_halving_stages, CommSchedule, OpKind,
-    Stage, TransferOp,
+    balanced_partition, broadcast_binomial, CommSchedule, OpKind, Stage, TransferOp,
 };
 use crate::collectives::vcoll::{allgather_core, AllGatherVAlgo};
-use crate::collectives::vrank::logical_rank;
 use crate::fabric::{ceil_log2, CollectiveKind, Pe, SymmAlloc};
 use crate::types::{ReduceOp, XbrNumeric, XbrType};
 
@@ -41,66 +44,51 @@ fn floor_pof2(n: usize) -> usize {
     1usize << (usize::BITS - 1 - n.leading_zeros())
 }
 
-/// Fold-in stage for non-power-of-two all-reduce tails: each *extra* rank
-/// `pof2 + i`'s full vector is folded into core partner `i`'s buffer. The
-/// read is one-directional (extras are never read by anyone else in this
-/// stage), so an ordinary stage suffices — the reader's later READY posts
-/// follow its fold in program order.
-fn tail_fold_in(n_pes: usize, pof2: usize, nelems: usize) -> Stage {
-    Stage::new(
-        (0..n_pes - pof2)
-            .map(|i| TransferOp {
-                src_pe: pof2 + i,
-                dst_pe: i,
-                src_at: 0,
-                dst_at: 0,
-                nelems,
-                stride: 1,
-                kind: OpKind::GetFold,
-            })
-            .collect(),
-    )
-}
-
-/// Fold-out stage: core partners push the finished vector back to the
-/// extras. Issuer `i` is the same PE that read the extra's buffer in the
-/// fold-in stage, so program order alone keeps the two from racing.
-fn tail_fold_out(n_pes: usize, pof2: usize, nelems: usize) -> Stage {
-    Stage::new(
-        (0..n_pes - pof2)
-            .map(|i| TransferOp {
-                src_pe: i,
-                dst_pe: pof2 + i,
-                src_at: 0,
-                dst_at: 0,
-                nelems,
-                stride: 1,
-                kind: OpKind::Put,
-            })
-            .collect(),
-    )
+/// The non-power-of-two head of an all-reduce: each *extra* rank
+/// `pof2 + i`'s full vector is folded into core partner `i`'s buffer, in
+/// one stage (none when `n_pes` is a power of two). The read is
+/// one-directional (extras are never read by anyone else in this stage),
+/// so an ordinary stage suffices — the reader's later READY posts follow
+/// its fold in program order. Its transpose under `Put` is the fold-out:
+/// core partners push the finished vector back to the extras, and since
+/// issuer `i` is the PE that read the extra's buffer here, program order
+/// alone keeps the two from racing.
+fn tail_fold_in(n_pes: usize, pof2: usize, nelems: usize) -> CommSchedule {
+    let mut sched = CommSchedule::empty(n_pes, CollectiveKind::AllReduce);
+    if pof2 < n_pes {
+        let fold = |i| TransferOp {
+            src_pe: pof2 + i,
+            dst_pe: i,
+            src_at: 0,
+            dst_at: 0,
+            nelems,
+            stride: 1,
+            kind: OpKind::GetFold,
+        };
+        sched.stages = vec![Stage::new((0..n_pes - pof2).map(fold).collect())];
+    }
+    sched
 }
 
 /// Recursive-doubling all-reduce schedule, exact for **any** `n`: ranks at
 /// or above the largest power of two `pof2 ≤ n` first fold their vectors
 /// into partners `rank − pof2` (fold-in stage), the `pof2` core ranks run
 /// the classic `log2(pof2)` butterfly of symmetric pairwise folds, and a
-/// final fold-out stage puts the finished vector back on the extras.
-/// Power-of-two worlds get the pure butterfly with no tail stages. Because
-/// the tail lives inside the generator, invoking the schedule directly
-/// (plan cache, nonblocking path, conformance oracle) can never disagree
-/// with the [`reduce_all_with`] entry point. Butterfly stages defer their
-/// folds past the read acknowledgements because both partners read each
-/// other's buffer before either may overwrite its own.
+/// final fold-out stage — the fold-in transposed — puts the finished
+/// vector back on the extras. Power-of-two worlds get the pure butterfly
+/// with no tail stages. Because the tail lives inside the generator,
+/// invoking the schedule directly (plan cache, nonblocking path,
+/// conformance oracle) can never disagree with the [`reduce_all_with`]
+/// entry point. Butterfly stages defer their folds past the read
+/// acknowledgements because both partners read each other's buffer before
+/// either may overwrite its own.
 pub fn allreduce_recursive_doubling(n_pes: usize, nelems: usize) -> CommSchedule {
     if n_pes <= 1 || nelems == 0 {
         return CommSchedule::empty(n_pes, CollectiveKind::AllReduce);
     }
     let pof2 = floor_pof2(n_pes);
-    let mut stages = Vec::new();
-    if pof2 < n_pes {
-        stages.push(tail_fold_in(n_pes, pof2, nelems));
-    }
+    let mut sched = tail_fold_in(n_pes, pof2, nelems);
+    let fold_out = sched.clone().transposed(sched.kind, OpKind::Put);
     for i in 0..ceil_log2(pof2) {
         let mut ops = Vec::new();
         for me in 0..pof2 {
@@ -114,113 +102,66 @@ pub fn allreduce_recursive_doubling(n_pes: usize, nelems: usize) -> CommSchedule
                 kind: OpKind::GetFold,
             });
         }
-        stages.push(Stage {
+        sched.stages.push(Stage {
             ops,
             deferred_fold: true,
         });
     }
-    if pof2 < n_pes {
-        stages.push(tail_fold_out(n_pes, pof2, nelems));
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::AllReduce,
-        stages,
-    }
+    sched.stages.extend(fold_out.stages);
+    sched
 }
 
 /// Rabenseifner all-reduce schedule, exact for any `n`: after the
 /// non-power-of-two fold-in, the `pof2` core ranks run a recursive-halving
 /// reduce-scatter (each stage halves the element range a rank is
-/// responsible for and folds the partner's copy of the kept half), then a
-/// recursive-doubling allgather replays the splits in reverse, each rank
-/// putting its finished range into its stage partner. Per-PE fold traffic
-/// is `~2·nelems·(pof2−1)/pof2` elements instead of the butterfly's
-/// `nelems·log2(pof2)` — the win at large payloads. Reduce-scatter stages
-/// defer folds (mutual reads); allgather stages are plain puts into
-/// disjoint, write-once ranges.
+/// responsible for and folds the partner's copy of the kept half); the
+/// second half is the first [`transposed`](CommSchedule::transposed) into
+/// puts — a recursive-doubling allgather that replays the splits in
+/// reverse, each rank putting its finished range into its stage partner,
+/// then the fold-out. Per-PE fold traffic is `~2·nelems·(pof2−1)/pof2`
+/// elements instead of the butterfly's `nelems·log2(pof2)` — the win at
+/// large payloads. Reduce-scatter stages defer folds (mutual reads);
+/// allgather stages are plain puts into disjoint, write-once ranges, and
+/// the writer of a range is the same partner that read it at the matching
+/// split, so program order covers write-after-read.
 pub fn allreduce_rabenseifner(n_pes: usize, nelems: usize) -> CommSchedule {
     if n_pes <= 1 || nelems == 0 {
         return CommSchedule::empty(n_pes, CollectiveKind::AllReduce);
     }
     let pof2 = floor_pof2(n_pes);
-    let mut stages = Vec::new();
-    if pof2 < n_pes {
-        stages.push(tail_fold_in(n_pes, pof2, nelems));
-    }
+    let mut sched = tail_fold_in(n_pes, pof2, nelems);
     // Element range each core rank is still responsible for; refined by
-    // every halving step. Empty ranges park at the split boundary, so the
-    // reverse-merge below unions back to the parent range exactly.
+    // every halving step.
     let mut range: Vec<(usize, usize)> = vec![(0, nelems); pof2];
-    let split_masks: Vec<usize> =
-        std::iter::successors(Some(pof2 >> 1), |&m| (m > 1).then_some(m >> 1)).collect();
-    for &mask in &split_masks {
+    for mask in std::iter::successors(Some(pof2 >> 1), |&m| (m > 1).then_some(m >> 1)) {
         let mut ops = Vec::new();
-        for (me, &(lo, hi)) in range.iter().enumerate() {
+        for (me, r) in range.iter_mut().enumerate() {
+            let (lo, hi) = *r;
             let mid = lo + (hi - lo) / 2;
             // The half I keep is the half I pull from my partner and fold.
-            let (keep_lo, keep_hi) = if me & mask == 0 { (lo, mid) } else { (mid, hi) };
-            if keep_hi > keep_lo {
+            *r = if me & mask == 0 { (lo, mid) } else { (mid, hi) };
+            if r.1 > r.0 {
                 ops.push(TransferOp {
                     src_pe: me ^ mask,
                     dst_pe: me,
-                    src_at: keep_lo,
-                    dst_at: keep_lo,
-                    nelems: keep_hi - keep_lo,
+                    src_at: r.0,
+                    dst_at: r.0,
+                    nelems: r.1 - r.0,
                     stride: 1,
                     kind: OpKind::GetFold,
                 });
             }
         }
-        for (me, r) in range.iter_mut().enumerate() {
-            let (lo, hi) = *r;
-            let mid = lo + (hi - lo) / 2;
-            *r = if me & mask == 0 { (lo, mid) } else { (mid, hi) };
-        }
         if !ops.is_empty() {
-            stages.push(Stage {
+            sched.stages.push(Stage {
                 ops,
                 deferred_fold: true,
             });
         }
     }
-    // Allgather phase: replay the splits in reverse. At level `mask` the
-    // writer of a range is the same partner that read it at the matching
-    // split, so program order covers write-after-read, and every element
-    // of a rank's buffer is remotely written at most once across levels.
-    for &mask in split_masks.iter().rev() {
-        let mut ops = Vec::new();
-        for (me, &(lo, hi)) in range.iter().enumerate() {
-            if hi > lo {
-                ops.push(TransferOp {
-                    src_pe: me,
-                    dst_pe: me ^ mask,
-                    src_at: lo,
-                    dst_at: lo,
-                    nelems: hi - lo,
-                    stride: 1,
-                    kind: OpKind::Put,
-                });
-            }
-        }
-        for me in 0..pof2 {
-            let (lo, hi) = range[me];
-            let (plo, phi) = range[me ^ mask];
-            range[me] = (lo.min(plo), hi.max(phi));
-        }
-        if !ops.is_empty() {
-            stages.push(Stage::new(ops));
-        }
-    }
-    debug_assert!(range.iter().all(|&r| r == (0, nelems)));
-    if pof2 < n_pes {
-        stages.push(tail_fold_out(n_pes, pof2, nelems));
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::AllReduce,
-        stages,
-    }
+    let second_half = sched.clone().transposed(sched.kind, OpKind::Put);
+    sched.stages.extend(second_half.stages);
+    sched
 }
 
 /// Ring all-reduce schedule, exact for any `n`: the vector is cut into `n`
@@ -597,62 +538,25 @@ impl Team {
         self.members.iter().position(|&m| m == global)
     }
 
-    /// The team broadcast's schedule over *global* ranks: a binomial tree
-    /// across the members, rooted at team-rank `team_root`. Non-members
-    /// appear in no op and simply keep pace with the stage barriers.
+    /// The team broadcast's schedule over *global* ranks: the flat
+    /// binomial tree across the members, rooted at team-rank `team_root`,
+    /// mapped [`on`](CommSchedule::on) their PEs. Non-members appear in
+    /// no op and simply keep pace with the stage barriers.
     pub fn broadcast_schedule(
         &self,
         n_pes: usize,
         nelems: usize,
         team_root: usize,
     ) -> CommSchedule {
-        assert!(team_root < self.size(), "team root out of range");
-        let n = self.size();
-        if n <= 1 {
-            return CommSchedule::empty(n_pes, CollectiveKind::Broadcast);
-        }
-        let stages = binomial_halving_stages(n, |ops, _i, vir, vpart| {
-            ops.push(TransferOp {
-                src_pe: self.global(logical_rank(vir, team_root, n)),
-                dst_pe: self.global(logical_rank(vpart, team_root, n)),
-                src_at: 0,
-                dst_at: 0,
-                nelems,
-                stride: 1,
-                kind: OpKind::Put,
-            });
-        });
-        CommSchedule {
-            n_pes,
-            kind: CollectiveKind::Broadcast,
-            stages,
-        }
+        broadcast_binomial(self.size(), team_root, nelems, 1).on(&self.members, n_pes)
     }
 
-    /// The team reduction's schedule over global ranks: tree fold toward
-    /// team-rank 0 (partners outside the team size are simply skipped, so
-    /// non-power-of-two teams stay exact).
+    /// The team reduction's schedule over global ranks: the broadcast
+    /// tree from team-rank 0 transposed into folds (exact for any team
+    /// size, like the flat tree).
     pub fn reduce_schedule(&self, n_pes: usize, nelems: usize) -> CommSchedule {
-        let stages = if nelems > 0 {
-            binomial_doubling_stages(self.size(), |ops, _i, tr, part| {
-                ops.push(TransferOp {
-                    src_pe: self.global(part),
-                    dst_pe: self.global(tr),
-                    src_at: 0,
-                    dst_at: 0,
-                    nelems,
-                    stride: 1,
-                    kind: OpKind::GetFold,
-                });
-            })
-        } else {
-            Vec::new()
-        };
-        CommSchedule {
-            n_pes,
-            kind: CollectiveKind::AllReduce,
-            stages,
-        }
+        self.broadcast_schedule(n_pes, nelems, 0)
+            .transposed(CollectiveKind::AllReduce, OpKind::GetFold)
     }
 
     /// Team-scoped broadcast from team-rank `team_root`. Every PE (member

@@ -13,23 +13,11 @@
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::scatter::adjusted_displacements;
-use crate::collectives::schedule::{gather_binomial, gather_linear_sched, CommSchedule};
-use crate::collectives::vcoll::{gatherv_ring_sched, validate_v_shape, VCountError};
+use crate::collectives::schedule::{rooted_schedule, Payload};
+use crate::collectives::vcoll::{validate_v_shape, VCountError};
 use crate::collectives::vrank::virtual_rank;
 use crate::fabric::{CollectiveKind, Pe};
 use crate::types::XbrType;
-
-/// The gather family's one algorithm → (plan tag, generator) table;
-/// every generator takes `(n_pes, root, adj_disp)`. A new shape is one
-/// generator plus one row here.
-#[allow(clippy::type_complexity)]
-pub(crate) fn gather_shape(algo: Algorithm) -> (u64, fn(usize, usize, &[usize]) -> CommSchedule) {
-    match algo {
-        Algorithm::Binomial => (plan::tag::GATHER_BINOMIAL, gather_binomial),
-        Algorithm::Linear => (plan::tag::GATHER_LINEAR, gather_linear_sched),
-        Algorithm::Ring => (plan::tag::GATHERV_RING, gatherv_ring_sched),
-    }
-}
 
 /// Gather `pe_msgs[r]` elements from every PE `r`'s `src` to the root:
 /// PE `r`'s values land at `dest[pe_disp[r]]` on the root. `nelems` is the
@@ -137,9 +125,9 @@ pub(crate) fn gather_core<T: XbrType>(
     }
     pe.barrier();
 
-    let (tag, generator) = gather_shape(algo);
+    let family = CollectiveKind::Gather;
     let mut key = PlanKey::rooted(
-        CollectiveKind::Gather,
+        family,
         algo,
         sync,
         n_pes,
@@ -147,13 +135,13 @@ pub(crate) fn gather_core<T: XbrType>(
         nelems,
         1,
         std::mem::size_of::<T>(),
-        tag,
+        plan::tag::rooted(family, algo),
     );
     key.shape.extend(adj_disp.iter().map(|&v| v as u64));
     plan::run_schedule(
         pe,
         key,
-        || generator(n_pes, root, &adj_disp),
+        || rooted_schedule(family, algo, n_pes, root, Payload::Ranges(&adj_disp)),
         s_buff.whole(),
         &[],
         &mut [],

@@ -15,25 +15,21 @@
 //!
 //! Both degrade gracefully to the flat algorithms when no topology is
 //! configured (one node, or `pes_per_node = 1`). A tier is the flat
-//! algorithms' own binomial tree
-//! ([`schedule`](crate::collectives::schedule)'s halving/doubling stage
-//! builders) run over a member map — the node leaders, or every node's
-//! members side by side — so the hierarchy is a two-level partner
-//! function, not a second tree. Stage counts are fixed
-//! from the *maximum* node size so every PE executes the same number of
-//! barriers regardless of ragged last nodes. The two tiers are emitted as
-//! a single [`CommSchedule`] (tier-1 stages then tier-2 stages for
-//! broadcast, the reverse for reduce), so the generator's output is
-//! inspectable — the inter-node crossing count the hierarchy exists to
-//! minimise is just a filter over the ops.
+//! broadcast generator itself ([`broadcast_binomial`]) mapped
+//! [`on`](CommSchedule::on) a member list — the node leaders, or every
+//! node's members side by side — so the hierarchy is a two-level partner
+//! function, not a second tree. Stage counts are fixed from the *maximum*
+//! node size so every PE executes the same number of barriers regardless
+//! of ragged last nodes. The two tiers are emitted as a single
+//! [`CommSchedule`] (tier-1 stages then tier-2 stages), and the reduction
+//! is that schedule [`transposed`](CommSchedule::transposed), so the
+//! generator's output is inspectable — the inter-node crossing count the
+//! hierarchy exists to minimise is just a filter over the ops.
 
 use crate::collectives::plan::{self, tag, PlanKey};
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::schedule::{
-    binomial_doubling_stages, binomial_halving_stages, CommSchedule, OpKind, Stage, TransferOp,
-};
-use crate::collectives::vrank::logical_rank;
-use crate::fabric::{ceil_log2, CollectiveKind, Pe, SymmAlloc};
+use crate::collectives::schedule::{broadcast_binomial, CommSchedule, OpKind, Stage};
+use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
 
 /// The two-tier structure of a run, derived purely from
@@ -66,37 +62,24 @@ fn tiers(n_pes: usize, pes_per_node: usize, root: usize) -> Tiers {
     }
 }
 
-/// One tier: an independent binomial tree over every group, all trees
-/// sharing barrier-aligned stages. `down` selects recursive halving
-/// (holders push to partners, [`binomial_halving_stages`]) or recursive
-/// doubling (holders pull from partners, [`binomial_doubling_stages`]);
-/// `op(holder, partner)` builds one edge's transfer from global ranks.
-/// The stage count is fixed by the *largest* group so every PE executes
-/// the same number of barriers regardless of ragged last nodes: a smaller
-/// group's shallower tree aligns with the small-distance end of the tier
-/// (the last stages going down, the first going up).
-fn tier(
-    groups: &[(Vec<usize>, usize)],
-    down: bool,
-    op: impl Fn(usize, usize) -> TransferOp,
-) -> Vec<Stage> {
-    let largest = groups.iter().map(|(m, _)| m.len()).max().unwrap_or(1);
-    let mut stages = vec![Stage::default(); ceil_log2(largest) as usize];
-    for (members, root_idx) in groups {
-        let n = members.len();
-        let edge = |ops: &mut Vec<TransferOp>, _i: u32, vir: usize, vir_part: usize| {
-            ops.push(op(
-                members[logical_rank(vir, *root_idx, n)],
-                members[logical_rank(vir_part, *root_idx, n)],
-            ));
-        };
-        let tree = if down {
-            binomial_halving_stages(n, edge)
-        } else {
-            binomial_doubling_stages(n, edge)
-        };
-        let skip = if down { stages.len() - tree.len() } else { 0 };
-        for (stage, t) in stages[skip..].iter_mut().zip(tree) {
+/// One tier: the flat binomial broadcast tree over every group, mapped
+/// [`on`](CommSchedule::on) the group's members, all trees sharing
+/// barrier-aligned stages. The stage count is the deepest tree's, so every
+/// PE executes the same number of barriers regardless of ragged last
+/// nodes: a smaller group's shallower tree aligns with the small-distance
+/// end of the tier (its last stages).
+fn tier(groups: &[(Vec<usize>, usize)], n_pes: usize, nelems: usize) -> Vec<Stage> {
+    let trees: Vec<CommSchedule> = groups
+        .iter()
+        .map(|(members, root)| {
+            broadcast_binomial(members.len(), *root, nelems, 1).on(members, n_pes)
+        })
+        .collect();
+    let depth = trees.iter().map(|t| t.stages.len()).max().unwrap_or(0);
+    let mut stages = vec![Stage::default(); depth];
+    for tree in trees {
+        let skip = depth - tree.stages.len();
+        for (stage, t) in stages[skip..].iter_mut().zip(tree.stages) {
             stage.ops.extend(t.ops);
         }
     }
@@ -114,17 +97,8 @@ pub fn broadcast_hier_sched(
 ) -> CommSchedule {
     assert!(root < n_pes, "root {root} out of range");
     let t = tiers(n_pes, pes_per_node, root);
-    let put = |from, to| TransferOp {
-        src_pe: from,
-        dst_pe: to,
-        src_at: 0,
-        dst_at: 0,
-        nelems,
-        stride: 1,
-        kind: OpKind::Put,
-    };
-    let mut stages = tier(&[t.leaders], true, put);
-    stages.extend(tier(&t.nodes, true, put));
+    let mut stages = tier(&[t.leaders], n_pes, nelems);
+    stages.extend(tier(&t.nodes, n_pes, nelems));
     CommSchedule {
         n_pes,
         kind: CollectiveKind::Broadcast,
@@ -132,32 +106,17 @@ pub fn broadcast_hier_sched(
     }
 }
 
-/// Two-tier hierarchical reduction schedule: fold within each node toward
-/// its leader, then fold leaders toward the root.
+/// Two-tier hierarchical reduction schedule, [`broadcast_hier_sched`]
+/// transposed: fold within each node toward its leader, then fold leaders
+/// toward the root.
 pub fn reduce_hier_sched(
     n_pes: usize,
     pes_per_node: usize,
     root: usize,
     nelems: usize,
 ) -> CommSchedule {
-    assert!(root < n_pes, "root {root} out of range");
-    let t = tiers(n_pes, pes_per_node, root);
-    let fold = |at, from| TransferOp {
-        src_pe: from,
-        dst_pe: at,
-        src_at: 0,
-        dst_at: 0,
-        nelems,
-        stride: 1,
-        kind: OpKind::GetFold,
-    };
-    let mut stages = tier(&t.nodes, false, fold);
-    stages.extend(tier(&[t.leaders], false, fold));
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Reduce,
-        stages,
-    }
+    broadcast_hier_sched(n_pes, pes_per_node, root, nelems)
+        .transposed(CollectiveKind::Reduce, OpKind::GetFold)
 }
 
 /// Hierarchical broadcast: tier 1 across node leaders, tier 2 within

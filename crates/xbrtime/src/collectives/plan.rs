@@ -646,21 +646,18 @@ pub(crate) fn lower_with(
 
     let per_pe = (0..sched.n_pes)
         .map(|me| {
-            let sample = SampleTemplate {
-                stages: n_stages as u64,
-                ..SampleTemplate::default()
-            };
+            // An empty plan reports through `note_inert`, not its sample.
             if empty {
-                return PeProgram {
-                    sample,
-                    ..PeProgram::default()
-                };
+                return PeProgram::default();
             }
             let mut l = Lowering {
                 me,
                 elem_bytes,
                 steps: Vec::new(),
-                sample,
+                sample: SampleTemplate {
+                    stages: n_stages as u64,
+                    ..SampleTemplate::default()
+                },
                 pending: Vec::new(),
                 note: &mut note,
             };
@@ -853,7 +850,7 @@ pub fn execute_plan<T: XbrType>(
     let prog = &plan.per_pe[pe.rank()];
     let t0 = pe.cycles();
     if plan.empty {
-        pe.note_collective(plan.kind, prog.sample.sample(0, 0));
+        note_inert(pe, plan.kind);
         return;
     }
     pe.progress_collective(Some(plan.kind));
@@ -906,28 +903,23 @@ pub fn execute_plan<T: XbrType>(
 /// and all-gather entry points run the counts-table generators and share
 /// their tags. Values are only compared, never persisted.
 pub mod tag {
-    /// `broadcast_binomial`.
-    pub const BROADCAST_BINOMIAL: u64 = 0;
-    /// `broadcast_linear_sched`.
-    pub const BROADCAST_LINEAR: u64 = 1;
-    /// `broadcast_ring_sched`.
-    pub const BROADCAST_RING: u64 = 2;
-    /// `reduce_binomial`.
-    pub const REDUCE_BINOMIAL: u64 = 3;
-    /// `reduce_linear_sched`.
-    pub const REDUCE_LINEAR: u64 = 4;
-    /// `scatter_binomial`.
-    pub const SCATTER_BINOMIAL: u64 = 5;
-    /// `scatter_linear_sched`.
-    pub const SCATTER_LINEAR: u64 = 6;
-    /// `gather_binomial`.
-    pub const GATHER_BINOMIAL: u64 = 7;
-    /// `gather_linear_sched`.
-    pub const GATHER_LINEAR: u64 = 8;
+    use super::{Algorithm, CollectiveKind};
+
+    /// The row `(family, algo)` of
+    /// [`rooted_schedule`](crate::collectives::schedule::rooted_schedule),
+    /// values 0–11. The tag — not [`PlanKey::kind`](super::PlanKey), which
+    /// is the *telemetry* kind — is what names the family: the
+    /// reduce-then-broadcast all-reduce keys its reduce and its broadcast
+    /// under `AllReduce` with equal scalars.
+    pub fn rooted(family: CollectiveKind, algo: Algorithm) -> u64 {
+        debug_assert!(family.index() < 4, "{family:?} is not rooted");
+        (3 * family.index() + algo as usize) as u64
+    }
+
     /// `allreduce_recursive_doubling`.
-    pub const ALLREDUCE_RD: u64 = 9;
+    pub const ALLREDUCE_RD: u64 = 17;
     /// `all_to_all_sched`.
-    pub const ALL_TO_ALL: u64 = 11;
+    pub const ALL_TO_ALL: u64 = 18;
     /// `Team::broadcast_schedule`.
     pub const TEAM_BROADCAST: u64 = 12;
     /// `Team::reduce_schedule`.
@@ -938,12 +930,6 @@ pub mod tag {
     pub const ALLREDUCE_RABENSEIFNER: u64 = 15;
     /// `allreduce_ring`.
     pub const ALLREDUCE_RING: u64 = 16;
-    /// [`vcoll::scatterv_ring_sched`](crate::collectives::vcoll) — the
-    /// scatter family's chain, uniform or irregular.
-    pub const SCATTERV_RING: u64 = 18;
-    /// [`vcoll::gatherv_ring_sched`](crate::collectives::vcoll) — the
-    /// gather family's chain, uniform or irregular.
-    pub const GATHERV_RING: u64 = 19;
     /// [`vcoll::allgatherv_fan_sched`](crate::collectives::vcoll).
     pub const ALLGATHERV_FAN: u64 = 20;
     /// [`vcoll::allgatherv_ring_sched`](crate::collectives::vcoll).
@@ -1017,7 +1003,7 @@ pub struct PlanKey {
     /// Element size in bytes.
     pub elem_bytes: usize,
     /// Generator tag plus any extra shape data (displacement tables,
-    /// team members); first entry is always a [`tag`] constant.
+    /// team members); first entry is always a [`tag`] value.
     pub shape: Vec<u64>,
 }
 
@@ -1176,16 +1162,12 @@ fn sync_bit(s: SyncMode) -> u64 {
     }
 }
 
-/// Record a zero-length episode: one nominal stage of telemetry and
-/// nothing else — no staging board, no barrier, no trace event.
+/// Record an inert episode — a zero-length call that returns before
+/// keying a plan, or a plan that moves nothing (zero elements, one PE):
+/// the call is counted and nothing else — no stage, no staging board, no
+/// barrier, no trace event.
 pub(crate) fn note_inert(pe: &Pe, kind: CollectiveKind) {
-    pe.note_collective(
-        kind,
-        CollectiveSample {
-            stages: 1,
-            ..Default::default()
-        },
-    );
+    pe.note_collective(kind, CollectiveSample::default());
 }
 
 /// Issue one blocking collective episode through the fabric's plan
@@ -1300,7 +1282,7 @@ fn issue_plan<'a, T: XbrType>(
     let prog = &plan.per_pe[pe.rank()];
     let t0 = pe.cycles();
     if plan.empty {
-        pe.note_collective(plan.kind, prog.sample.sample(0, 0));
+        note_inert(pe, plan.kind);
         return CollHandle {
             pe,
             plan,
@@ -1519,7 +1501,7 @@ pub fn ixbroadcast<'a, T: XbrType>(
         nelems,
         1,
         std::mem::size_of::<T>(),
-        tag::BROADCAST_BINOMIAL,
+        tag::rooted(CollectiveKind::Broadcast, Algorithm::Binomial),
     );
     let plan = plan_for(pe, &key, sync, || {
         broadcast_binomial(n_pes, root, nelems, 1)
@@ -1554,7 +1536,7 @@ pub fn ixreduce<'a, T: XbrType>(
         nelems,
         1,
         std::mem::size_of::<T>(),
-        tag::REDUCE_BINOMIAL,
+        tag::rooted(CollectiveKind::Reduce, Algorithm::Binomial),
     );
     let plan = plan_for(pe, &key, sync, || reduce_binomial(n_pes, root, nelems, 1));
     let mut h = issue_plan(pe, plan, staging.whole(), &[], Some(&f));
@@ -1643,7 +1625,7 @@ pub fn plan_create_broadcast<T: XbrType>(
         nelems,
         1,
         std::mem::size_of::<T>(),
-        tag::BROADCAST_BINOMIAL,
+        tag::rooted(CollectiveKind::Broadcast, Algorithm::Binomial),
     );
     let plan = plan_for(pe, &key, sync, || {
         broadcast_binomial(n_pes, root, nelems, 1)
@@ -1819,7 +1801,7 @@ mod tests {
                 nelems,
                 1,
                 8,
-                tag::BROADCAST_BINOMIAL,
+                tag::rooted(CollectiveKind::Broadcast, Algorithm::Binomial),
             )
         };
         let k1 = key(4, 8);

@@ -29,9 +29,9 @@ pub enum Algorithm {
     Binomial,
     /// Root-sequential: the root exchanges with every peer in one stage.
     Linear,
-    /// Neighbour-to-neighbour chain in `n − 1` stages: broadcast, scatter
-    /// and gather have one; reduce, which has no ring shape, falls back
-    /// to linear.
+    /// Neighbour-to-neighbour chain in `n − 1` stages: the payload (or a
+    /// scatter's shrinking suffix) hops away from the root; reduce and
+    /// gather run the same chain toward it.
     Ring,
 }
 
@@ -54,7 +54,7 @@ pub enum AlgorithmPolicy {
     Binomial,
     /// Always root-sequential.
     Linear,
-    /// Always ring (where a ring shape exists).
+    /// Always the chain.
     Ring,
     /// Pick per call from `(collective, n_pes, nbytes)` using the
     /// calibrated crossovers in [`AlgorithmPolicy::select`].

@@ -6,13 +6,16 @@
 //! partner's partial result and folds it into its own shared buffer
 //! (recursive doubling). The paper notes the source must be symmetric —
 //! partners read it one-sidedly — while `dest` matters only on the root and
-//! may be private.
+//! may be private. Every reduce schedule is the matching broadcast
+//! schedule transposed into folds, so the chain (`AlgorithmPolicy::Ring`)
+//! folds partials hop by hop toward the root through the same staging
+//! buffer as the tree; only the star (`Linear`) folds into a private
+//! accumulator on the root.
 
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::schedule::{reduce_binomial, reduce_linear_sched};
-use crate::collectives::vrank::virtual_rank;
-use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
+use crate::collectives::schedule::{rooted_schedule, Payload};
+use crate::fabric::{span, CollectiveKind, Pe, SymmAlloc};
 use crate::types::{ReduceOp, XbrBitwise, XbrNumeric, XbrType};
 
 /// Reduce with an arbitrary combining function, under an explicit
@@ -22,7 +25,6 @@ use crate::types::{ReduceOp, XbrBitwise, XbrNumeric, XbrType};
 /// `dest` slice holds the elementwise combination across all PEs at
 /// positions `0, stride, 2·stride, …`. Other PEs' `dest` is untouched.
 /// `f` must be associative and commutative for a deterministic result.
-/// `Ring` falls back to linear (reductions have no ring shape here).
 ///
 /// # Panics
 /// Panics on span violations or `root ≥ n_pes`.
@@ -56,7 +58,8 @@ pub fn reduce_with<T: XbrType>(
 
 /// The one reduction body. `kind` is the telemetry kind the episode
 /// reports under — so composites like reduce-to-all attribute their
-/// internal reduction to themselves.
+/// internal reduction to themselves. A zero-length reduction is fully
+/// inert (telemetry only).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn reduce_core<T: XbrType>(
     pe: &Pe,
@@ -72,96 +75,61 @@ pub(crate) fn reduce_core<T: XbrType>(
 ) {
     let n_pes = pe.n_pes();
     let log_rank = pe.rank();
-    let span = if nelems == 0 {
-        0
-    } else {
-        (nelems - 1) * stride + 1
-    };
-    let (key_algo, tag) = match algo {
-        Algorithm::Binomial => (Algorithm::Binomial, plan::tag::REDUCE_BINOMIAL),
-        Algorithm::Linear | Algorithm::Ring => (Algorithm::Linear, plan::tag::REDUCE_LINEAR),
-    };
+    assert!(root < n_pes, "root {root} out of range");
+    if nelems == 0 {
+        plan::note_inert(pe, kind);
+        return;
+    }
+    let span = span(nelems, stride);
+    let family = CollectiveKind::Reduce;
     let key = PlanKey::rooted(
         kind,
-        key_algo,
+        algo,
         sync,
         n_pes,
         root,
         nelems,
         stride,
         std::mem::size_of::<T>(),
-        tag,
+        plan::tag::rooted(family, algo),
     );
+    let build = || {
+        let whole = Payload::Whole { nelems, stride };
+        let mut sched = rooted_schedule(family, algo, n_pes, root, whole);
+        sched.kind = kind;
+        sched
+    };
     match algo {
-        Algorithm::Binomial => {
-            let vir_rank = virtual_rank(log_rank, root, n_pes);
-
+        // Tree and chain fold partial results on the way to the root.
+        Algorithm::Binomial | Algorithm::Ring => {
             // A symmetric staging buffer (read one-sidedly by partners) is
             // "employed in order to prevent any unintended overwriting of
             // values on any PE" (paper §4.4); the executor provides the
             // private landing buffer that pairs with it.
-            let s_buff = pe.shared_malloc::<T>(span.max(1));
+            let s_buff = pe.shared_malloc::<T>(span);
 
             // Load this PE's contribution into its shared staging buffer.
-            // The ordering barriers only guard the staging buffer, which a
-            // zero-length reduction never touches — skip them so an empty
-            // episode is fully inert (no barrier events in a trace either).
-            if nelems > 0 {
-                pe.get_symm(s_buff.whole(), src.whole(), nelems, stride, log_rank);
-                pe.barrier();
-            }
+            pe.get_symm(s_buff.whole(), src.whole(), nelems, stride, log_rank);
+            pe.barrier();
 
-            plan::run_schedule(
-                pe,
-                key,
-                || {
-                    let mut sched = reduce_binomial(n_pes, root, nelems, stride);
-                    sched.kind = kind;
-                    sched
-                },
-                s_buff.whole(),
-                &[],
-                &mut [],
-                Some(&f),
-                sync,
-            );
+            plan::run_schedule(pe, key, build, s_buff.whole(), &[], &mut [], Some(&f), sync);
 
-            if vir_rank == 0 && nelems > 0 {
+            if log_rank == root {
                 pe.heap_read_strided(s_buff.whole(), dest, nelems, stride);
             }
-            if nelems > 0 {
-                pe.barrier();
-            }
+            pe.barrier();
             pe.shared_free(s_buff);
         }
         // Linear: the root gets every peer's contribution and folds it
         // into a private accumulator (never writing back into `src`).
-        Algorithm::Linear | Algorithm::Ring => {
-            assert!(root < n_pes, "root {root} out of range");
+        Algorithm::Linear => {
             // All PEs participate in the barrier; only the root moves data.
-            // Like the tree's staging barriers it orders nothing in a
-            // zero-length reduction, which stays fully inert without it.
-            if nelems > 0 {
-                pe.barrier();
-            }
+            pe.barrier();
             let mut acc = vec![T::default(); span];
-            if log_rank == root && nelems > 0 {
+            if log_rank == root {
                 pe.heap_read_strided(src.whole(), &mut acc, nelems, stride);
             }
-            plan::run_schedule(
-                pe,
-                key,
-                || {
-                    let mut sched = reduce_linear_sched(n_pes, root, nelems, stride);
-                    sched.kind = kind;
-                    sched
-                },
-                src.whole(),
-                &[],
-                &mut acc,
-                Some(&f),
-                sync,
-            );
+            plan::run_schedule(pe, key, build, src.whole(), &[], &mut acc, Some(&f), sync);
             if log_rank == root {
                 for j in 0..nelems {
                     dest[j * stride] = acc[j * stride];

@@ -22,8 +22,8 @@
 
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::schedule::{scatter_binomial, scatter_linear_sched, CommSchedule};
-use crate::collectives::vcoll::{scatterv_ring_sched, validate_v_shape, VCountError};
+use crate::collectives::schedule::{rooted_schedule, Payload};
+use crate::collectives::vcoll::{validate_v_shape, VCountError};
 use crate::collectives::vrank::{logical_rank, virtual_rank};
 use crate::fabric::{CollectiveKind, Pe};
 use crate::types::XbrType;
@@ -43,18 +43,6 @@ pub fn adjusted_displacements(pe_msgs: &[usize], root: usize, n_pes: usize) -> V
     }
     adj.push(acc);
     adj
-}
-
-/// The scatter family's one algorithm → (plan tag, generator) table;
-/// every generator takes `(n_pes, root, adj_disp)`. A new shape is one
-/// generator plus one row here.
-#[allow(clippy::type_complexity)]
-pub(crate) fn scatter_shape(algo: Algorithm) -> (u64, fn(usize, usize, &[usize]) -> CommSchedule) {
-    match algo {
-        Algorithm::Binomial => (plan::tag::SCATTER_BINOMIAL, scatter_binomial),
-        Algorithm::Linear => (plan::tag::SCATTER_LINEAR, scatter_linear_sched),
-        Algorithm::Ring => (plan::tag::SCATTERV_RING, scatterv_ring_sched),
-    }
 }
 
 /// Scatter `nelems` total elements from `root`'s `src` so that each PE `r`
@@ -181,9 +169,9 @@ pub(crate) fn scatter_core<T: XbrType>(
     }
     pe.barrier();
 
-    let (tag, generator) = scatter_shape(algo);
+    let family = CollectiveKind::Scatter;
     let mut key = PlanKey::rooted(
-        CollectiveKind::Scatter,
+        family,
         algo,
         sync,
         n_pes,
@@ -191,13 +179,13 @@ pub(crate) fn scatter_core<T: XbrType>(
         nelems,
         1,
         std::mem::size_of::<T>(),
-        tag,
+        plan::tag::rooted(family, algo),
     );
     key.shape.extend(adj_disp.iter().map(|&v| v as u64));
     plan::run_schedule(
         pe,
         key,
-        || generator(n_pes, root, &adj_disp),
+        || rooted_schedule(family, algo, n_pes, root, Payload::Ranges(&adj_disp)),
         s_buff.whole(),
         &[],
         &mut [],

@@ -10,6 +10,17 @@
 //! values — op counts, stage counts, PE coverage — without spawning a
 //! single PE thread.
 //!
+//! The four rooted collectives are one generator, [`rooted_schedule`]:
+//! one root→leaves walk per tree shape over the paper's virtual ranks
+//! (binomial, star, chain), one of two [`Payload`] rules for what an edge
+//! carries (the whole vector: broadcast; the subtree's slice of the
+//! displacement table: scatter), and [`CommSchedule::transposed`] for the
+//! leaves→root direction — reduce is broadcast transposed, gather is
+//! scatter transposed, recursive doubling is recursive halving run
+//! backwards. [`CommSchedule::on`] maps a schedule onto a member list,
+//! which is all a team or a hierarchy tier adds to the flat tree. The
+//! per-algorithm names below are rows of that table.
+//!
 //! A schedule runs by being lowered once into a flat per-PE
 //! [`Plan`](crate::collectives::plan::Plan) — [`plan::lower`] is the only
 //! place the synchronization protocol is written down — and executed by
@@ -41,9 +52,11 @@
 //! surfaced through [`RunReport::collectives`](crate::fabric::RunReport).
 
 use crate::collectives::plan::{self, Space};
+use crate::collectives::policy::Algorithm::{self, Binomial, Linear, Ring};
 use crate::collectives::policy::SyncMode;
 use crate::collectives::vrank::logical_rank;
-use crate::fabric::{ceil_log2, span, CollectiveKind, Pe, SymmRef};
+use crate::fabric::CollectiveKind::{self, Broadcast, Gather, Reduce, Scatter};
+use crate::fabric::{ceil_log2, span, Pe, SymmRef};
 use crate::types::XbrType;
 
 /// `true` for the op kinds that push data (and therefore carry per-chunk
@@ -272,6 +285,41 @@ impl CommSchedule {
         }
     }
 
+    /// The same tree run the other way: stage order reversed, each op's
+    /// two ends swapped and its kind set to `op_kind`, reporting as
+    /// `kind`; in place, nothing allocated. Recursive doubling is recursive
+    /// halving transposed into gets (reduce and gather from broadcast and
+    /// scatter), an all-gather phase its reduce-scatter transposed into
+    /// puts. `deferred_fold` is cleared: a fold stage read both ways, the
+    /// transposed stage moves data one way and closes on one barrier.
+    pub fn transposed(mut self, kind: CollectiveKind, op_kind: OpKind) -> Self {
+        self.kind = kind;
+        self.stages.reverse();
+        for stage in &mut self.stages {
+            stage.deferred_fold = false;
+            for op in &mut stage.ops {
+                std::mem::swap(&mut op.src_pe, &mut op.dst_pe);
+                std::mem::swap(&mut op.src_at, &mut op.dst_at);
+                op.kind = op_kind;
+            }
+        }
+        self
+    }
+
+    /// A schedule over ranks `0..members.len()` rewritten onto the PEs
+    /// `members[rank]` of a `world`-PE fabric (a team, a tenant, a node).
+    /// The stage structure — and therefore the signal-slot numbering — is
+    /// untouched; slots live on the waiting PE's own table, so schedules
+    /// mapped onto disjoint member sets can never collide on a slot.
+    pub fn on(mut self, members: &[usize], world: usize) -> Self {
+        for op in self.stages.iter_mut().flat_map(|s| &mut s.ops) {
+            op.src_pe = members[op.src_pe];
+            op.dst_pe = members[op.dst_pe];
+        }
+        self.n_pes = world;
+        self
+    }
+
     /// Check structural sanity: every PE index in range, no op sends a
     /// segment from a PE to itself via the fabric kinds that would make it
     /// a pointless self-copy (`Put`/`Get`/`GetFold`).
@@ -325,10 +373,6 @@ pub fn execute<T: XbrType>(
     plan::execute_plan(pe, &plan, buf, local_src, local_dst, fold);
 }
 
-// ---------------------------------------------------------------------------
-// Shared stage builders: the paper's binomial trees as pure functions.
-// ---------------------------------------------------------------------------
-
 /// Split `nelems` elements into `parts` balanced contiguous segments:
 /// segment `j` is `(offset, len)` with the `nelems % parts` leftover
 /// elements spread over the first segments. Every PE of a collective
@@ -344,88 +388,147 @@ pub fn balanced_partition(nelems: usize, parts: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Top-down binomial stages (recursive halving — Algorithms 1 and 3):
-/// stage `i` runs from `⌈log2 n⌉ − 1` down to 0 and each holder pushes to
-/// the partner `2^i` virtual ranks away. `edge(stage_ops, vir_holder,
-/// vir_partner)` appends the ops for one tree edge (virtual ranks; the
-/// caller translates to logical PEs and picks offsets).
-pub(crate) fn binomial_halving_stages<F: FnMut(&mut Vec<TransferOp>, u32, usize, usize)>(
-    n_pes: usize,
-    mut edge: F,
-) -> Vec<Stage> {
-    let stages = ceil_log2(n_pes);
-    let mut out = Vec::with_capacity(stages as usize);
-    let mut mask = (1usize << stages) - 1;
-    for i in (0..stages).rev() {
-        mask ^= 1 << i;
-        let mut ops = Vec::new();
-        for vir in 0..n_pes {
-            if vir & mask == 0 && vir & (1 << i) == 0 {
-                let vir_part = (vir ^ (1 << i)) % n_pes;
-                if vir < vir_part {
-                    edge(&mut ops, i, vir, vir_part);
-                }
-            }
-        }
-        out.push(Stage::new(ops));
-    }
-    out
-}
-
-/// Bottom-up binomial stages (recursive doubling — Algorithms 2 and 4):
-/// stage `i` ascends and each surviving holder pulls from the partner
-/// `2^i` virtual ranks away.
-pub(crate) fn binomial_doubling_stages<F: FnMut(&mut Vec<TransferOp>, u32, usize, usize)>(
-    n_pes: usize,
-    mut edge: F,
-) -> Vec<Stage> {
-    let stages = ceil_log2(n_pes);
-    let mut out = Vec::with_capacity(stages as usize);
-    let mut mask = (1usize << stages) - 1;
-    for i in 0..stages {
-        mask ^= 1 << i;
-        let mut ops = Vec::new();
-        for vir in 0..n_pes {
-            if vir | mask == mask && vir & (1 << i) == 0 {
-                let vir_part = (vir ^ (1 << i)) % n_pes;
-                if vir < vir_part {
-                    edge(&mut ops, i, vir, vir_part);
-                }
-            }
-        }
-        out.push(Stage::new(ops));
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
-// Schedule generators for the four paper collectives and the baselines.
-// The irregular (scatter/gather) generators take the *adjusted*
-// displacement table (virtual-rank prefix sums, see `scatter.rs`).
+// The rooted collectives: one virtual-rank tree walk root→leaves, two
+// payload rules, and `CommSchedule::transposed` for the leaves→root twins.
 // ---------------------------------------------------------------------------
 
-/// Algorithm 1: binomial-tree broadcast from `root`.
-pub fn broadcast_binomial(n_pes: usize, root: usize, nelems: usize, stride: usize) -> CommSchedule {
+/// What a tree edge carries toward the subtree below it.
+#[derive(Clone, Copy, Debug)]
+pub enum Payload<'a> {
+    /// The same `nelems` strided elements at offset 0 on every edge:
+    /// broadcast, and — transposed — reduce.
+    Whole {
+        /// Elements per transfer.
+        nelems: usize,
+        /// Element stride of both spans.
+        stride: usize,
+    },
+    /// The subtree's slice of the staging buffer: given the adjusted
+    /// (virtual-rank prefix-sum, see `scatter.rs`) displacement table of
+    /// length `n_pes + 1`, the edge into virtual ranks `child..end` moves
+    /// elements `adj_disp[child]..adj_disp[end]` in one transfer and an
+    /// empty slice drops its edge: scatter, and — transposed — gather.
+    Ranges(&'a [usize]),
+}
+
+/// The root→leaves edge walk of one rooted shape over virtual ranks
+/// `0..n` (the root is rank 0; Table 2's rotation maps them to PEs):
+/// `edge(parent, child, end)` builds the op for the tree edge whose
+/// subtree is `child..end`, or drops it with `None`. Each shape keeps its
+/// own stage rule. The binomial tree (recursive halving: stage `i`
+/// descends from `⌈log2 n⌉ − 1`, `child = parent | 2^i`) always has
+/// `⌈log2 n⌉` stages, empty ones included — tier alignment and signal-slot
+/// numbering depend on it; the star is one stage; the chain has one stage
+/// per surviving hop. A new tree is one more arm here.
+fn rooted_stages(
+    algo: Algorithm,
+    n: usize,
+    mut edge: impl FnMut(usize, usize, usize) -> Option<TransferOp>,
+) -> Vec<Stage> {
+    match algo {
+        Binomial => {
+            let mut stages = Vec::with_capacity(ceil_log2(n) as usize);
+            for i in (0..ceil_log2(n)).rev() {
+                let half = 1usize << i;
+                let mut ops = Vec::new();
+                for p in (0..n - half).step_by(2 * half) {
+                    ops.extend(edge(p, p + half, (p + 2 * half).min(n)));
+                }
+                stages.push(Stage::new(ops));
+            }
+            stages
+        }
+        Linear => {
+            let mut ops = Vec::new();
+            for c in 1..n {
+                ops.extend(edge(0, c, c + 1));
+            }
+            vec![Stage::new(ops)]
+        }
+        Ring => {
+            let mut stages = Vec::new();
+            for c in 1..n {
+                if let Some(op) = edge(c - 1, c, n) {
+                    stages.push(Stage::new(vec![op]));
+                }
+            }
+            stages
+        }
+    }
+}
+
+/// The one `(family, algorithm)` → schedule table of the four rooted
+/// collectives (`family` is `Broadcast`, `Reduce`, `Scatter` or
+/// `Gather`): the collective bodies, [`crate::traffic`] and the
+/// conformance harness all read it, under the plan tag
+/// [`plan::tag::rooted`]. Broadcast and scatter are the root→leaves walk
+/// of `algo`'s tree as puts; reduce and gather are the same schedule
+/// [`transposed`](CommSchedule::transposed) — recursive doubling is
+/// recursive halving run backwards (Algorithms 2 and 4 against 1 and 3).
+/// Asked to move nothing it returns [`CommSchedule::empty`].
+///
+/// # Panics
+/// Panics if `root ≥ n_pes`, if a [`Payload::Ranges`] table does not have
+/// `n_pes + 1` entries, or if `family` is not a rooted collective.
+pub fn rooted_schedule(
+    family: CollectiveKind,
+    algo: Algorithm,
+    n_pes: usize,
+    root: usize,
+    payload: Payload<'_>,
+) -> CommSchedule {
     assert!(root < n_pes, "root {root} out of range");
-    if n_pes == 1 {
-        return CommSchedule::empty(n_pes, CollectiveKind::Broadcast);
+    let total = match payload {
+        Payload::Whole { nelems, .. } => nelems,
+        Payload::Ranges(adj_disp) => {
+            assert_eq!(
+                adj_disp.len(),
+                n_pes + 1,
+                "adj_disp must have n_pes + 1 entries"
+            );
+            adj_disp[n_pes]
+        }
+    };
+    if total == 0 {
+        return CommSchedule::empty(n_pes, family);
     }
-    let stages = binomial_halving_stages(n_pes, |ops, _i, vir, vir_part| {
-        ops.push(TransferOp {
-            src_pe: logical_rank(vir, root, n_pes),
-            dst_pe: logical_rank(vir_part, root, n_pes),
-            src_at: 0,
-            dst_at: 0,
+    let stages = rooted_stages(algo, n_pes, |parent, child, end| {
+        let (at, nelems, stride) = match payload {
+            Payload::Whole { nelems, stride } => (0, nelems, stride),
+            Payload::Ranges(adj_disp) => (adj_disp[child], adj_disp[end] - adj_disp[child], 1),
+        };
+        (nelems > 0).then(|| TransferOp {
+            src_pe: logical_rank(parent, root, n_pes),
+            dst_pe: logical_rank(child, root, n_pes),
+            src_at: at,
+            dst_at: at,
             nelems,
             stride,
             kind: OpKind::Put,
-        });
+        })
     });
-    CommSchedule {
+    let down = CommSchedule {
         n_pes,
-        kind: CollectiveKind::Broadcast,
+        kind: family,
         stages,
+    };
+    match (family, algo) {
+        (Broadcast | Scatter, _) => down,
+        // The root folds into a private accumulator, never into `src`.
+        (Reduce, Linear) => down.transposed(family, OpKind::GetFoldInto),
+        (Reduce, _) => down.transposed(family, OpKind::GetFold),
+        // The chain's hops push, so they ride the pipelined chunk path.
+        (Gather, Ring) => down.transposed(family, OpKind::Put),
+        (Gather, _) => down.transposed(family, OpKind::Get),
+        _ => panic!("{} is not a rooted collective", family.name()),
     }
+}
+
+/// Algorithm 1: binomial-tree broadcast from `root`.
+pub fn broadcast_binomial(n_pes: usize, root: usize, nelems: usize, stride: usize) -> CommSchedule {
+    let whole = Payload::Whole { nelems, stride };
+    rooted_schedule(Broadcast, Binomial, n_pes, root, whole)
 }
 
 /// Linear broadcast: the root pushes to every peer in one stage.
@@ -435,86 +538,26 @@ pub fn broadcast_linear_sched(
     nelems: usize,
     stride: usize,
 ) -> CommSchedule {
-    assert!(root < n_pes, "root {root} out of range");
-    let mut ops = Vec::new();
-    if nelems > 0 {
-        for peer in 0..n_pes {
-            if peer != root {
-                ops.push(TransferOp {
-                    src_pe: root,
-                    dst_pe: peer,
-                    src_at: 0,
-                    dst_at: 0,
-                    nelems,
-                    stride,
-                    kind: OpKind::Put,
-                });
-            }
-        }
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Broadcast,
-        stages: vec![Stage::new(ops)],
-    }
+    let whole = Payload::Whole { nelems, stride };
+    rooted_schedule(Broadcast, Linear, n_pes, root, whole)
 }
 
 /// Ring broadcast: the payload hops `vir → vir+1` for `n − 1` stages.
-/// A single-PE world needs no stages (and, unlike the pre-schedule
-/// implementation, no stray barrier).
 pub fn broadcast_ring_sched(
     n_pes: usize,
     root: usize,
     nelems: usize,
     stride: usize,
 ) -> CommSchedule {
-    assert!(root < n_pes, "root {root} out of range");
-    let mut stages = Vec::new();
-    for vir in 0..n_pes.saturating_sub(1) {
-        let mut ops = Vec::new();
-        if nelems > 0 {
-            ops.push(TransferOp {
-                src_pe: logical_rank(vir, root, n_pes),
-                dst_pe: logical_rank((vir + 1) % n_pes, root, n_pes),
-                src_at: 0,
-                dst_at: 0,
-                nelems,
-                stride,
-                kind: OpKind::Put,
-            });
-        }
-        stages.push(Stage::new(ops));
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Broadcast,
-        stages,
-    }
+    let whole = Payload::Whole { nelems, stride };
+    rooted_schedule(Broadcast, Ring, n_pes, root, whole)
 }
 
 /// Algorithm 2: binomial-tree reduction toward `root` (fold ops pull
 /// partners' partial results into each survivor's staging segment).
 pub fn reduce_binomial(n_pes: usize, root: usize, nelems: usize, stride: usize) -> CommSchedule {
-    assert!(root < n_pes, "root {root} out of range");
-    if n_pes == 1 || nelems == 0 {
-        return CommSchedule::empty(n_pes, CollectiveKind::Reduce);
-    }
-    let stages = binomial_doubling_stages(n_pes, |ops, _i, vir, vir_part| {
-        ops.push(TransferOp {
-            src_pe: logical_rank(vir_part, root, n_pes),
-            dst_pe: logical_rank(vir, root, n_pes),
-            src_at: 0,
-            dst_at: 0,
-            nelems,
-            stride,
-            kind: OpKind::GetFold,
-        });
-    });
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Reduce,
-        stages,
-    }
+    let whole = Payload::Whole { nelems, stride };
+    rooted_schedule(Reduce, Binomial, n_pes, root, whole)
 }
 
 /// Linear reduction: the root pulls and folds every peer's contribution
@@ -525,163 +568,33 @@ pub fn reduce_linear_sched(
     nelems: usize,
     stride: usize,
 ) -> CommSchedule {
-    assert!(root < n_pes, "root {root} out of range");
-    let mut ops = Vec::new();
-    if nelems > 0 {
-        for peer in 0..n_pes {
-            if peer != root {
-                ops.push(TransferOp {
-                    src_pe: peer,
-                    dst_pe: root,
-                    src_at: 0,
-                    dst_at: 0,
-                    nelems,
-                    stride,
-                    kind: OpKind::GetFoldInto,
-                });
-            }
-        }
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Reduce,
-        stages: vec![Stage::new(ops)],
-    }
+    let whole = Payload::Whole { nelems, stride };
+    rooted_schedule(Reduce, Linear, n_pes, root, whole)
 }
 
 /// Algorithm 3: binomial-tree scatter. `adj_disp` is the adjusted
 /// (virtual-rank-ordered) displacement table of length `n_pes + 1`; each
 /// edge moves the partner's whole subtree span in one put.
 pub fn scatter_binomial(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
-    assert!(root < n_pes, "root {root} out of range");
-    assert_eq!(
-        adj_disp.len(),
-        n_pes + 1,
-        "adj_disp must have n_pes + 1 entries"
-    );
-    let nelems = adj_disp[n_pes];
-    if n_pes == 1 || nelems == 0 {
-        return CommSchedule::empty(n_pes, CollectiveKind::Scatter);
-    }
-    let stages = binomial_halving_stages(n_pes, |ops, i, vir, vir_part| {
-        // Elements for the partner and the subtree below it.
-        let subtree_end = (vir_part + (1 << i)).min(n_pes);
-        let msg_size = adj_disp[subtree_end] - adj_disp[vir_part];
-        if msg_size > 0 {
-            ops.push(TransferOp {
-                src_pe: logical_rank(vir, root, n_pes),
-                dst_pe: logical_rank(vir_part, root, n_pes),
-                src_at: adj_disp[vir_part],
-                dst_at: adj_disp[vir_part],
-                nelems: msg_size,
-                stride: 1,
-                kind: OpKind::Put,
-            });
-        }
-    });
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Scatter,
-        stages,
-    }
+    rooted_schedule(Scatter, Binomial, n_pes, root, Payload::Ranges(adj_disp))
 }
 
 /// Linear scatter over the same staged layout as the tree: the root pushes
 /// each virtual rank's segment directly in one stage.
 pub fn scatter_linear_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
-    assert!(root < n_pes, "root {root} out of range");
-    assert_eq!(
-        adj_disp.len(),
-        n_pes + 1,
-        "adj_disp must have n_pes + 1 entries"
-    );
-    let mut ops = Vec::new();
-    for vir in 1..n_pes {
-        let count = adj_disp[vir + 1] - adj_disp[vir];
-        if count > 0 {
-            ops.push(TransferOp {
-                src_pe: root,
-                dst_pe: logical_rank(vir, root, n_pes),
-                src_at: adj_disp[vir],
-                dst_at: adj_disp[vir],
-                nelems: count,
-                stride: 1,
-                kind: OpKind::Put,
-            });
-        }
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Scatter,
-        stages: vec![Stage::new(ops)],
-    }
+    rooted_schedule(Scatter, Linear, n_pes, root, Payload::Ranges(adj_disp))
 }
 
 /// Algorithm 4: binomial-tree gather. Each survivor pulls its partner's
 /// aggregated subtree span toward the root.
 pub fn gather_binomial(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
-    assert!(root < n_pes, "root {root} out of range");
-    assert_eq!(
-        adj_disp.len(),
-        n_pes + 1,
-        "adj_disp must have n_pes + 1 entries"
-    );
-    let nelems = adj_disp[n_pes];
-    if n_pes == 1 || nelems == 0 {
-        return CommSchedule::empty(n_pes, CollectiveKind::Gather);
-    }
-    let stages = binomial_doubling_stages(n_pes, |ops, i, vir, vir_part| {
-        // The partner has aggregated its subtree of 2^i ranks.
-        let subtree_end = (vir_part + (1 << i)).min(n_pes);
-        let msg_size = adj_disp[subtree_end] - adj_disp[vir_part];
-        if msg_size > 0 {
-            ops.push(TransferOp {
-                src_pe: logical_rank(vir_part, root, n_pes),
-                dst_pe: logical_rank(vir, root, n_pes),
-                src_at: adj_disp[vir_part],
-                dst_at: adj_disp[vir_part],
-                nelems: msg_size,
-                stride: 1,
-                kind: OpKind::Get,
-            });
-        }
-    });
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Gather,
-        stages,
-    }
+    rooted_schedule(Gather, Binomial, n_pes, root, Payload::Ranges(adj_disp))
 }
 
 /// Linear gather over the staged layout: the root pulls each virtual
 /// rank's segment directly in one stage.
 pub fn gather_linear_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
-    assert!(root < n_pes, "root {root} out of range");
-    assert_eq!(
-        adj_disp.len(),
-        n_pes + 1,
-        "adj_disp must have n_pes + 1 entries"
-    );
-    let mut ops = Vec::new();
-    for vir in 1..n_pes {
-        let count = adj_disp[vir + 1] - adj_disp[vir];
-        if count > 0 {
-            ops.push(TransferOp {
-                src_pe: logical_rank(vir, root, n_pes),
-                dst_pe: root,
-                src_at: adj_disp[vir],
-                dst_at: adj_disp[vir],
-                nelems: count,
-                stride: 1,
-                kind: OpKind::Get,
-            });
-        }
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Gather,
-        stages: vec![Stage::new(ops)],
-    }
+    rooted_schedule(Gather, Linear, n_pes, root, Payload::Ranges(adj_disp))
 }
 
 #[cfg(test)]
@@ -759,12 +672,114 @@ mod tests {
         assert_eq!(rc, vec![4, 2, 1]);
     }
 
+    /// The rooted table's twelve rows, by index.
+    fn row(i: usize) -> (CollectiveKind, Algorithm) {
+        (CollectiveKind::ALL[i / 3], [Binomial, Linear, Ring][i % 3])
+    }
+
+    /// The zero-length normal form: asked to move nothing, every row of
+    /// the rooted table returns `CommSchedule::empty`.
+    #[test]
+    fn zero_length_rooted_schedules_are_empty() {
+        let (nelems, stride, zeros) = (0, 2, [0; 9]);
+        for (family, algo) in (0..12).map(row) {
+            for n in 1..=8 {
+                let whole = Payload::Whole { nelems, stride };
+                for nothing in [whole, Payload::Ranges(&zeros[..=n])] {
+                    let s = rooted_schedule(family, algo, n, n - 1, nothing);
+                    assert_eq!(s, CommSchedule::empty(n, family), "{family:?} {algo:?}");
+                }
+            }
+        }
+    }
+
+    /// The paper's Table-2 example written out by hand, as a pin of the
+    /// walker that does not go through it: 7 PEs, root 4, so virtual rank
+    /// `v` is PE `(v + 4) % 7`. Stages are separated by `|`; `s>d` moves
+    /// data from PE `s` to PE `d` — the whole 2-element vector, or with
+    /// `@at+n` the `n` staged elements at offset `at`, where the counts
+    /// `pe_msgs = [1, 2, 3, 1, 2, 3, 1]` read in virtual-rank order (PEs
+    /// 4, 5, 6, 0, 1, 2, 3) give the displacement table below. Every row
+    /// but `reduce/ring` (new) was checked against the hand-written
+    /// generators this table replaced.
+    #[test]
+    fn table2_example_seven_pes_root_four() {
+        let adj = [0, 2, 5, 6, 7, 9, 12, 13];
+        let check = |family, algo, kind: OpKind, want: &str| {
+            let whole = matches!(family, Broadcast | Reduce);
+            let (nelems, stride) = (2, 1);
+            let payload = match whole {
+                true => Payload::Whole { nelems, stride },
+                false => Payload::Ranges(&adj),
+            };
+            let s = rooted_schedule(family, algo, 7, 4, payload);
+            s.validate();
+            assert_eq!(s.kind, family);
+            assert!(s.ops().all(|o| o.kind == kind && o.src_at == o.dst_at));
+            let op = |o: &TransferOp| match whole {
+                true => format!("{}>{}", o.src_pe, o.dst_pe),
+                false => format!("{}>{}@{}+{}", o.src_pe, o.dst_pe, o.src_at, o.nelems),
+            };
+            let stage = |st: &Stage| st.ops.iter().map(op).collect::<Vec<_>>().join(" ");
+            let got: Vec<String> = s.stages.iter().map(stage).collect();
+            assert_eq!(got.join(" | "), want, "{family:?}/{algo:?}");
+            let carried = |o: &TransferOp| (o.src_at, o.nelems, o.stride) == (0, nelems, stride);
+            assert!(!whole || s.ops().all(carried));
+        };
+        // Algorithms 1–4 on the binomial tree.
+        check(
+            Broadcast,
+            Binomial,
+            OpKind::Put,
+            "4>1 | 4>6 1>3 | 4>5 6>0 1>2",
+        );
+        check(
+            Reduce,
+            Binomial,
+            OpKind::GetFold,
+            "5>4 0>6 2>1 | 6>4 3>1 | 1>4",
+        );
+        let down = "4>1@7+6 | 4>6@5+2 1>3@12+1 | 4>5@2+3 6>0@6+1 1>2@9+3";
+        check(Scatter, Binomial, OpKind::Put, down);
+        let up = "5>4@2+3 0>6@6+1 2>1@9+3 | 6>4@5+2 3>1@12+1 | 1>4@7+6";
+        check(Gather, Binomial, OpKind::Get, up);
+        // The star: one stage, peers in virtual-rank order.
+        check(Broadcast, Linear, OpKind::Put, "4>5 4>6 4>0 4>1 4>2 4>3");
+        check(
+            Reduce,
+            Linear,
+            OpKind::GetFoldInto,
+            "5>4 6>4 0>4 1>4 2>4 3>4",
+        );
+        let down = "4>5@2+3 4>6@5+1 4>0@6+1 4>1@7+2 4>2@9+3 4>3@12+1";
+        check(Scatter, Linear, OpKind::Put, down);
+        let up = "5>4@2+3 6>4@5+1 0>4@6+1 1>4@7+2 2>4@9+3 3>4@12+1";
+        check(Gather, Linear, OpKind::Get, up);
+        // The chain: one hop per stage, the scatter's suffix shrinking.
+        check(
+            Broadcast,
+            Ring,
+            OpKind::Put,
+            "4>5 | 5>6 | 6>0 | 0>1 | 1>2 | 2>3",
+        );
+        check(
+            Reduce,
+            Ring,
+            OpKind::GetFold,
+            "3>2 | 2>1 | 1>0 | 0>6 | 6>5 | 5>4",
+        );
+        let down = "4>5@2+11 | 5>6@5+8 | 6>0@6+7 | 0>1@7+6 | 1>2@9+4 | 2>3@12+1";
+        check(Scatter, Ring, OpKind::Put, down);
+        let up = "3>2@12+1 | 2>1@9+4 | 1>0@7+6 | 0>6@6+7 | 6>5@5+8 | 5>4@2+11";
+        check(Gather, Ring, OpKind::Put, up);
+    }
+
     proptest! {
         #[test]
         fn broadcast_covers_all_pes_exactly_once(
             n_pes in 1usize..=16,
             root_seed in 0usize..16,
-            nelems in 0usize..40,
+            nelems in 1usize..40,
             stride in 1usize..4,
         ) {
             let root = root_seed % n_pes;
@@ -898,6 +913,38 @@ mod tests {
             gl.validate();
             prop_assert_eq!(sl.total_ops(), n_pes - 1);
             prop_assert_eq!(gl.total_ops(), n_pes - 1);
+        }
+
+        #[test]
+        fn transposed_twice_is_identity_and_on_keeps_the_shape(
+            n_pes in 1usize..=16,
+            root_seed in 0usize..16,
+            i in 0usize..12,
+            per in 0usize..4,
+        ) {
+            let root = root_seed % n_pes;
+            let (family, algo) = row(i);
+            let counts: Vec<usize> = (0..n_pes).map(|r| (r + per) % 3).collect();
+            let adj = adjusted_displacements(&counts, root, n_pes);
+            let whole = Payload::Whole { nelems: per + 1, stride: 2 };
+            let payload = if i < 6 { whole } else { Payload::Ranges(&adj) };
+            let s = rooted_schedule(family, algo, n_pes, root, payload);
+            // Any other direction and back, under the original kinds.
+            if let Some(op_kind) = s.ops().next().map(|o| o.kind) {
+                let there = s.clone().transposed(CollectiveKind::AllToAll, OpKind::PutNb);
+                prop_assert_eq!(there.total_ops(), s.total_ops());
+                prop_assert_eq!(&there.transposed(family, op_kind), &s);
+            }
+            // Onto the odd ranks of a world twice the size.
+            let members: Vec<usize> = (0..n_pes).map(|r| 2 * r + 1).collect();
+            let t = s.clone().on(&members, 2 * n_pes + 1);
+            t.validate();
+            prop_assert_eq!(t.n_pes, 2 * n_pes + 1);
+            let lens = |s: &CommSchedule| s.stages.iter().map(|st| st.ops.len()).collect::<Vec<_>>();
+            prop_assert_eq!(lens(&t), lens(&s));
+            for (a, b) in s.ops().zip(t.ops()) {
+                prop_assert_eq!((members[a.src_pe], members[a.dst_pe]), (b.src_pe, b.dst_pe));
+            }
         }
     }
 

@@ -9,9 +9,11 @@
 //! spirit of Jocksch et al., who treat the uniform allgather as the
 //! constant-count case of allgatherv). The `try_*` entry points differ
 //! from the uniform ones only in their `Auto` rule — which also keys on
-//! count skew — and in returning a structured error. This module adds the
-//! chain (ring) shapes for the rooted families and the three allgatherv
-//! shapes, including a non-uniform log-stage dissemination schedule.
+//! count skew — and in returning a structured error. This module names
+//! the chain (ring) rows of the rooted table
+//! ([`rooted_schedule`] on [`Algorithm::Ring`]) and adds the three
+//! allgatherv shapes, including a non-uniform log-stage dissemination
+//! schedule.
 //!
 //! Everything here follows the repo's schedule/executor split: each
 //! generator is a pure function from a displacement table to a
@@ -32,8 +34,9 @@ use crate::collectives::gather::gather_core;
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{self, Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::scatter::scatter_core;
-use crate::collectives::schedule::{CommSchedule, OpKind, Stage, TransferOp};
-use crate::collectives::vrank::logical_rank;
+use crate::collectives::schedule::{
+    rooted_schedule, CommSchedule, OpKind, Payload, Stage, TransferOp,
+};
 use crate::fabric::{CollectiveKind, Pe};
 use crate::types::XbrType;
 
@@ -164,68 +167,26 @@ pub fn skew_permille(counts: &[usize]) -> u64 {
 // Schedule generators
 // ---------------------------------------------------------------------------
 
-/// Chain-shaped scatterv: stage `v` forwards the still-undelivered
-/// suffix `[adj_disp[v+1], adj_disp[n])` from virtual rank `v` to
-/// `v + 1`, one hop per stage. The root injects the payload exactly once
-/// (minus its own segment), which is what lets the pipelined executor
-/// overlap hops — the same trade as the broadcast chain, made per-suffix
-/// so each hop shrinks by the segments already delivered. Zero-length
-/// suffixes end the chain early (`adj_disp` is monotone, so every later
-/// suffix is empty too).
+/// Chain-shaped scatterv: the hop from virtual rank `v` to `v + 1`
+/// forwards the still-undelivered suffix `[adj_disp[v+1], adj_disp[n])`,
+/// one hop per stage. The root injects the payload exactly once (minus
+/// its own segment), which is what lets the pipelined executor overlap
+/// hops — the same trade as the broadcast chain, made per-suffix so each
+/// hop shrinks by the segments already delivered. Zero-length suffixes
+/// end the chain early (`adj_disp` is monotone, so every later suffix is
+/// empty too).
 pub fn scatterv_ring_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
-    debug_assert_eq!(adj_disp.len(), n_pes + 1);
-    let mut stages = Vec::new();
-    for v in 0..n_pes.saturating_sub(1) {
-        let nelems = adj_disp[n_pes] - adj_disp[v + 1];
-        if nelems == 0 {
-            break;
-        }
-        stages.push(Stage::new(vec![TransferOp {
-            src_pe: logical_rank(v, root, n_pes),
-            dst_pe: logical_rank(v + 1, root, n_pes),
-            src_at: adj_disp[v + 1],
-            dst_at: adj_disp[v + 1],
-            nelems,
-            stride: 1,
-            kind: OpKind::Put,
-        }]));
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Scatter,
-        stages,
-    }
+    let (family, ranges) = (CollectiveKind::Scatter, Payload::Ranges(adj_disp));
+    rooted_schedule(family, Algorithm::Ring, n_pes, root, ranges)
 }
 
-/// Chain-shaped gatherv, the reverse of [`scatterv_ring_sched`]: stage
-/// `t` forwards the accumulated suffix `[adj_disp[v], adj_disp[n])` from
-/// virtual rank `v = n − 1 − t` down to `v − 1`, so contributions roll
-/// toward the root gathering mass as they go. Empty suffixes at the far
-/// end of the chain are skipped.
+/// Chain-shaped gatherv, [`scatterv_ring_sched`] transposed: contributions
+/// roll from the far end of the chain toward the root, each hop pushing
+/// the accumulated suffix `[adj_disp[v], adj_disp[n])` from virtual rank
+/// `v` down to `v − 1`.
 pub fn gatherv_ring_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
-    debug_assert_eq!(adj_disp.len(), n_pes + 1);
-    let mut stages = Vec::new();
-    for t in 0..n_pes.saturating_sub(1) {
-        let v = n_pes - 1 - t;
-        let nelems = adj_disp[n_pes] - adj_disp[v];
-        if nelems == 0 {
-            continue;
-        }
-        stages.push(Stage::new(vec![TransferOp {
-            src_pe: logical_rank(v, root, n_pes),
-            dst_pe: logical_rank(v - 1, root, n_pes),
-            src_at: adj_disp[v],
-            dst_at: adj_disp[v],
-            nelems,
-            stride: 1,
-            kind: OpKind::Put,
-        }]));
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::Gather,
-        stages,
-    }
+    let (family, ranges) = (CollectiveKind::Gather, Payload::Ranges(adj_disp));
+    rooted_schedule(family, Algorithm::Ring, n_pes, root, ranges)
 }
 
 /// Single-stage allgatherv fan: every PE with a non-empty block puts it
@@ -666,7 +627,7 @@ pub fn try_allgatherv_algo_sync<T: XbrType>(
 /// # Panics
 /// Panics on unresolved [`AllGatherVAlgo::Auto`].
 #[allow(clippy::type_complexity)]
-pub(crate) fn allgather_shape(
+pub(crate) fn allgatherv_shape(
     algo: AllGatherVAlgo,
 ) -> (u64, Algorithm, fn(usize, &[usize]) -> CommSchedule) {
     match algo {
@@ -719,7 +680,7 @@ pub(crate) fn allgather_core<T: XbrType>(
         return Ok(());
     }
     let es = std::mem::size_of::<T>();
-    let (tag, key_algo, generator) = allgather_shape(algo);
+    let (tag, key_algo, generator) = allgatherv_shape(algo);
     let board = pe.shared_malloc::<T>(total);
     let mut key = PlanKey::rooted(
         CollectiveKind::AllGather,

@@ -399,7 +399,7 @@ pub enum CollectiveKind {
     /// Algorithm 1 and its linear/ring/hierarchical/team variants.
     #[default]
     Broadcast,
-    /// Algorithm 2 and its linear/hierarchical variants.
+    /// Algorithm 2 and its linear/ring/hierarchical variants.
     Reduce,
     /// Algorithm 3 and its linear variant.
     Scatter,

@@ -46,12 +46,11 @@
 
 use std::fmt;
 
-use crate::collectives::gather::gather_shape;
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{Algorithm, SyncMode, SLOTS_PER_OP};
-use crate::collectives::scatter::{adjusted_displacements, scatter_shape};
-use crate::collectives::schedule::CommSchedule;
-use crate::collectives::vcoll::{allgather_shape, prefix_displacements, AllGatherVAlgo};
+use crate::collectives::scatter::adjusted_displacements;
+use crate::collectives::schedule::{rooted_schedule, CommSchedule, Payload};
+use crate::collectives::vcoll::{allgatherv_shape, prefix_displacements, AllGatherVAlgo};
 use crate::collectives::PlanCacheStats;
 use crate::fabric::{
     CollectiveKind, DeadlockReport, Fabric, FabricConfig, Pe, RunError, RunReport,
@@ -341,56 +340,42 @@ fn val(seed: u64, t: usize, i: usize, tr: usize, k: usize) -> u64 {
     seed ^ ((t as u64) << 48) ^ ((i as u64) << 32) ^ ((tr as u64) << 16) ^ k as u64
 }
 
-/// Rewrite a team-local schedule's ranks into global ranks. The stage
-/// structure — and therefore the signal-slot numbering — is untouched;
-/// slots live on the waiting PE's own table, and tenant teams are
-/// disjoint, so concurrent remapped schedules can never collide on a
-/// slot.
-fn remap_to_world(mut sched: CommSchedule, members: &[usize], world: usize) -> CommSchedule {
-    for stage in &mut sched.stages {
-        for op in &mut stage.ops {
-            op.src_pe = members[op.src_pe];
-            op.dst_pe = members[op.dst_pe];
-        }
-    }
-    sched.n_pes = world;
-    sched
+/// The row of the rooted table — (family, algorithm) — an op's kind and
+/// draw map onto; `None` for the allgatherv-shaped kinds.
+fn rooted_row(op: &TrafficOp) -> Option<(CollectiveKind, Algorithm)> {
+    let family = match op.kind {
+        TrafficKind::Scatterv => CollectiveKind::Scatter,
+        TrafficKind::Gatherv => CollectiveKind::Gather,
+        TrafficKind::Broadcast | TrafficKind::Allgatherv => return None,
+    };
+    let algo = [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring][op.algo % 3];
+    Some((family, algo))
 }
 
-/// The rooted algorithm an op's draw maps onto.
-fn rooted_algo(op: &TrafficOp) -> Algorithm {
-    [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring][op.algo % 3]
-}
-
-/// Materialise the (team-local, then world-remapped) schedule an op will
-/// run — also used up front to size the signal table. Generators and
-/// tags come from the same per-family tables the collective bodies use.
+/// Materialise the schedule an op will run — team-local, then mapped
+/// [`on`](CommSchedule::on) the tenant's PEs; also used up front to size
+/// the signal table. Generators and tags come from the same tables the
+/// collective bodies use.
 fn op_schedule(op: &TrafficOp, members: &[usize], world: usize) -> CommSchedule {
     let team = members.len();
-    let adj = || adjusted_displacements(&op.counts, op.root, team);
-    let sched = match op.kind {
-        TrafficKind::Scatterv => scatter_shape(rooted_algo(op)).1(team, op.root, &adj()),
-        TrafficKind::Gatherv => gather_shape(rooted_algo(op)).1(team, op.root, &adj()),
-        TrafficKind::Broadcast | TrafficKind::Allgatherv => {
-            let generator = allgather_shape(AllGatherVAlgo::CONCRETE[op.algo % 3]).2;
+    let sched = match rooted_row(op) {
+        Some((family, algo)) => {
+            let adj = adjusted_displacements(&op.counts, op.root, team);
+            rooted_schedule(family, algo, team, op.root, Payload::Ranges(&adj))
+        }
+        None => {
+            let generator = allgatherv_shape(AllGatherVAlgo::CONCRETE[op.algo % 3]).2;
             generator(team, &prefix_displacements(&op.counts))
         }
     };
-    remap_to_world(sched, members, world)
+    sched.on(members, world)
 }
 
 fn op_tag(op: &TrafficOp) -> (CollectiveKind, Algorithm, u64) {
-    match op.kind {
-        TrafficKind::Scatterv => {
-            let algo = rooted_algo(op);
-            (CollectiveKind::Scatter, algo, scatter_shape(algo).0)
-        }
-        TrafficKind::Gatherv => {
-            let algo = rooted_algo(op);
-            (CollectiveKind::Gather, algo, gather_shape(algo).0)
-        }
-        TrafficKind::Broadcast | TrafficKind::Allgatherv => {
-            let (tag, algo, _) = allgather_shape(AllGatherVAlgo::CONCRETE[op.algo % 3]);
+    match rooted_row(op) {
+        Some((family, algo)) => (family, algo, plan::tag::rooted(family, algo)),
+        None => {
+            let (tag, algo, _) = allgatherv_shape(AllGatherVAlgo::CONCRETE[op.algo % 3]);
             (CollectiveKind::AllGather, algo, tag)
         }
     }

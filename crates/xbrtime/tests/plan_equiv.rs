@@ -317,7 +317,7 @@ proptest! {
             nelems,
             1,
             8,
-            0, // tag::BROADCAST_BINOMIAL
+            0, // tag::rooted(Broadcast, Binomial)
         );
         let build = || {
             collectives::plan::lower(&broadcast_binomial(n, root, nelems, 1), sync, 8)

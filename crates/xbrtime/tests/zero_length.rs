@@ -9,6 +9,11 @@ use xbrtime::{
 };
 
 const PE_COUNTS: [usize; 3] = [1, 3, 8];
+const POLICIES: [AlgorithmPolicy; 3] = [
+    AlgorithmPolicy::Binomial,
+    AlgorithmPolicy::Linear,
+    AlgorithmPolicy::Ring,
+];
 const SYNC_MODES: [SyncMode; 4] = [
     SyncMode::Barrier,
     SyncMode::Signaled,
@@ -47,6 +52,9 @@ fn assert_inert(report: &RunReport<()>, what: &str) {
     assert_eq!(s.signal_waits, 0, "{what}: signals consumed");
     for rec in &report.collectives {
         assert!(rec.calls >= 1, "{what}: episode not recorded");
+        // One convention on every route — the early inert return and an
+        // empty plan alike: the call is counted, no stage is.
+        assert_eq!(rec.stages, 0, "{what}: {} ran stages", rec.kind.name());
         assert_eq!(
             rec.puts + rec.gets,
             0,
@@ -81,20 +89,13 @@ fn assert_inert(report: &RunReport<()>, what: &str) {
 fn zero_length_broadcast_all_modes() {
     for n in PE_COUNTS {
         for sync in SYNC_MODES {
-            let report = run_traced(n, move |pe| {
-                let dest = pe.shared_malloc::<u64>(1);
-                collectives::broadcast_policy_sync(
-                    pe,
-                    &dest,
-                    &[],
-                    0,
-                    1,
-                    0,
-                    AlgorithmPolicy::Binomial,
-                    sync,
-                );
-            });
-            assert_inert(&report, &format!("broadcast n={n} {sync:?}"));
+            for policy in POLICIES {
+                let report = run_traced(n, move |pe| {
+                    let dest = pe.shared_malloc::<u64>(1);
+                    collectives::broadcast_policy_sync(pe, &dest, &[], 0, 1, 0, policy, sync);
+                });
+                assert_inert(&report, &format!("broadcast n={n} {policy:?} {sync:?}"));
+            }
         }
     }
 }
@@ -103,7 +104,7 @@ fn zero_length_broadcast_all_modes() {
 fn zero_length_reduce_all_modes() {
     for n in PE_COUNTS {
         for sync in SYNC_MODES {
-            for policy in [AlgorithmPolicy::Binomial, AlgorithmPolicy::Linear] {
+            for policy in POLICIES {
                 let report = run_traced(n, move |pe| {
                     let src = pe.shared_malloc::<u64>(1);
                     let mut dest: Vec<u64> = vec![];

@@ -32,49 +32,46 @@ fn randomized_reduce_matches_oracle_and_baseline() {
             .collect();
 
         let span = (nelems - 1) * stride + 1;
-        let c2 = contribs.clone();
-        let report = Fabric::run(FabricConfig::new(n_pes), move |pe| {
-            let src = pe.shared_malloc::<i64>(span);
-            let mine = &c2[pe.rank()];
-            // Place contribution at strided positions.
-            let mut staged = vec![0i64; span];
-            for (j, &v) in mine.iter().enumerate() {
-                staged[j * stride] = v;
-            }
-            pe.heap_write(src.whole(), &staged);
-            pe.barrier();
-
-            let mut tree = vec![0i64; span];
-            collectives::reduce(pe, &mut tree, &src, nelems, stride, root, op);
-            let mut lin = vec![0i64; span];
-            collectives::reduce_with(
-                pe,
-                &mut lin,
-                &src,
-                nelems,
-                stride,
-                root,
-                op.combiner::<i64>().unwrap(),
-                AlgorithmPolicy::Linear,
-                SyncMode::Barrier,
-            );
-            pe.barrier();
-            (tree, lin)
-        });
-
         let expect = oracle_reduce(&contribs, op.combiner::<i64>().unwrap());
-        let (tree, lin) = &report.results[root];
-        for j in 0..nelems {
-            assert_eq!(
-                tree[j * stride],
-                expect[j],
-                "trial {trial}: tree vs oracle (n={n_pes} root={root} op={op:?})"
-            );
-            assert_eq!(
-                lin[j * stride],
-                expect[j],
-                "trial {trial}: linear vs oracle"
-            );
+        for policy in [
+            AlgorithmPolicy::Binomial,
+            AlgorithmPolicy::Linear,
+            AlgorithmPolicy::Ring,
+        ] {
+            let c2 = contribs.clone();
+            let report = Fabric::run(FabricConfig::new(n_pes), move |pe| {
+                let src = pe.shared_malloc::<i64>(span);
+                let mine = &c2[pe.rank()];
+                // Place contribution at strided positions.
+                let mut staged = vec![0i64; span];
+                for (j, &v) in mine.iter().enumerate() {
+                    staged[j * stride] = v;
+                }
+                pe.heap_write(src.whole(), &staged);
+                pe.barrier();
+
+                let mut out = vec![0i64; span];
+                let sync = SyncMode::Barrier;
+                collectives::reduce_policy_sync(
+                    pe, &mut out, &src, nelems, stride, root, op, policy, sync,
+                );
+                pe.barrier();
+                out
+            });
+            for (j, want) in expect.iter().enumerate() {
+                assert_eq!(
+                    report.results[root][j * stride],
+                    *want,
+                    "trial {trial}: {policy:?} vs oracle (n={n_pes} root={root} op={op:?})"
+                );
+            }
+            if policy == AlgorithmPolicy::Ring {
+                // `Ring` runs — and reports — the chain's n − 1 hops, not
+                // a one-stage fallback.
+                let rec = report.collective(CollectiveKind::Reduce).expect("recorded");
+                assert_eq!(rec.algorithms(), ["ring"], "trial {trial}: n={n_pes}");
+                assert_eq!(rec.stages, n_pes as u64 - 1, "trial {trial}: n={n_pes}");
+            }
         }
     }
 }
