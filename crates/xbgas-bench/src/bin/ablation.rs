@@ -123,14 +123,11 @@ fn main() {
         );
     }
 
-    let family = [
-        AllReduceAlgo::ReduceThenBroadcast,
-        AllReduceAlgo::RecursiveDoubling,
-        AllReduceAlgo::Rabenseifner,
-        AllReduceAlgo::Ring,
-        AllReduceAlgo::Auto,
-    ]
-    .map(|a| (a.name(), a));
+    let family: Vec<_> = AllReduceAlgo::CONCRETE
+        .into_iter()
+        .chain([AllReduceAlgo::Auto])
+        .map(|a| (a.name(), a))
+        .collect();
     grid(
         "Ablation 2 — all-reduce family (sum of N u64, warmed call, SyncMode::Auto)",
         "elems",
@@ -243,13 +240,11 @@ fn main() {
         |sync, n, sz| sweep_reduce(engine, AlgorithmPolicy::Binomial, sync, true, n, sz),
     );
 
-    let gathers = [
-        AllGatherVAlgo::Fan,
-        AllGatherVAlgo::Ring,
-        AllGatherVAlgo::Dissemination,
-        AllGatherVAlgo::Auto,
-    ]
-    .map(|a| (a.name(), a));
+    let gathers: Vec<_> = AllGatherVAlgo::CONCRETE
+        .into_iter()
+        .chain([AllGatherVAlgo::Auto])
+        .map(|a| (a.name(), a))
+        .collect();
     grid(
         "Ablation 7 — all-gather: n2 fan vs ring vs dissemination (warmed call, SyncMode::Auto)",
         "elems/PE",

@@ -26,20 +26,16 @@
 use std::process::exit;
 
 use xbrtime::collectives::explore::{explore_exhaustive, run_mutation_harness, ExploreConfig};
-use xbrtime::collectives::extended::{
-    all_to_all_sched, allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring,
-};
+use xbrtime::collectives::extended::all_to_all_sched;
 use xbrtime::collectives::hierarchical::{broadcast_hier_sched, reduce_hier_sched};
 use xbrtime::collectives::scatter::adjusted_displacements;
 use xbrtime::collectives::schedule::{
-    broadcast_binomial, reduce_binomial, rooted_schedule, CommSchedule, Payload,
+    allgather_row, allreduce_row, broadcast_binomial, reduce_binomial, rooted_schedule,
+    CommSchedule, Payload,
 };
-use xbrtime::collectives::vcoll::{
-    allgatherv_dissemination_sched, allgatherv_fan_sched, allgatherv_ring_sched,
-    prefix_displacements,
-};
+use xbrtime::collectives::vcoll::prefix_displacements;
 use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
-use xbrtime::collectives::{Algorithm, SyncMode, Team};
+use xbrtime::collectives::{Algorithm, AllGatherVAlgo, AllReduceAlgo, SyncMode, Team};
 use xbrtime::CollectiveKind;
 
 /// One named schedule with the spec it claims to implement.
@@ -120,84 +116,83 @@ fn rooted_cases(n: usize, root: usize) -> impl Iterator<Item = Case> {
     })
 }
 
+/// Per-rank counts `f(rank, n)` of an all-gather row; `None` on the
+/// uniform all-gather (one element each).
+type Blocks = Option<fn(usize, usize) -> usize>;
+const MOD3: Blocks = Some(|i, _| i % 3);
+const GIANT: Blocks = Some(|i, n| if i == n - 1 { n + 1 } else { 0 });
+
+/// Which half of the symmetric table a row reads, and on what: an
+/// all-gather's count table or an all-reduce's element count `f(n)`.
+#[derive(Clone, Copy)]
+enum Symmetric {
+    Gather(AllGatherVAlgo, Blocks),
+    Reduce(AllReduceAlgo, fn(usize) -> usize),
+}
+
+/// The symmetric rows, all built through `allgather_row` / `allreduce_row`,
+/// the table the collective bodies read. The allreduce rows fold their
+/// non-power-of-two tails internally, so every one is held to the dense
+/// reference at every n — no Unchecked escape hatch. The irregular
+/// all-gathers run the `i % 3` table again, plus a maximally skewed
+/// one-PE-holds-everything table for the dissemination schedule, whose
+/// O(log n) giant-block movement is the property worth model-checking.
+const SYMMETRIC: [(&str, Symmetric); 11] = {
+    use AllGatherVAlgo::{self as G, Dissemination, Fan};
+    use AllReduceAlgo::{self as R, Rabenseifner, RecursiveDoubling, ReduceThenBroadcast};
+    use Symmetric::{Gather, Reduce};
+    [
+        ("all_gather", Gather(Fan, None)),
+        ("all_gather/ring", Gather(G::Ring, None)),
+        ("all_gather/rec-doubling", Gather(Dissemination, None)),
+        ("allreduce/fused", Reduce(ReduceThenBroadcast, |_| 2)),
+        ("allreduce/rec-doubling", Reduce(RecursiveDoubling, |_| 2)),
+        // nelems below the power-of-two PE count leaves some ranks
+        // owning an empty reduce-scatter range — the hardest split.
+        ("allreduce/rabenseifner", Reduce(Rabenseifner, |_| 3)),
+        ("allreduce/ring", Reduce(R::Ring, |n| n + 1)),
+        ("allgatherv/fan", Gather(Fan, MOD3)),
+        ("allgatherv/ring", Gather(G::Ring, MOD3)),
+        ("allgatherv/dissemination", Gather(Dissemination, MOD3)),
+        (
+            "allgatherv/dissemination skewed",
+            Gather(Dissemination, GIANT),
+        ),
+    ]
+};
+
+fn symmetric_cases(n: usize) -> impl Iterator<Item = Case> {
+    SYMMETRIC.into_iter().map(move |(name, row)| {
+        let (sched, spec) = match row {
+            Symmetric::Gather(algo, counts) => {
+                let counts_of = |c: fn(usize, usize) -> usize| (0..n).map(|i| c(i, n)).collect();
+                let table: Vec<usize> = counts.map_or(vec![1; n], counts_of);
+                let sched = allgather_row(algo).2(n, &prefix_displacements(&table));
+                let spec = match counts {
+                    Some(_) => CollectiveSpec::AllGatherV { counts: table },
+                    None => CollectiveSpec::AllGather { per_pe: 1 },
+                };
+                (sched, spec)
+            }
+            Symmetric::Reduce(algo, nelems) => {
+                let nelems = nelems(n);
+                let spec = CollectiveSpec::AllReduce { nelems };
+                (allreduce_row(algo).2(n, nelems), spec)
+            }
+        };
+        case(format!("{name} n={n}"), sched, spec)
+    })
+}
+
 /// Every (collective × algorithm) pair at world size `n`, covering flat,
 /// extended, irregular (v-variant), team and hierarchical generators.
 fn cases(n: usize) -> Vec<Case> {
-    // The uniform all-gather is the v-generators on a constant table.
-    let unit = prefix_displacements(&vec![1; n]);
-    let mut out: Vec<Case> = rooted_cases(n, n / 2).collect();
-    out.extend([
-        case(
-            format!("all_gather n={n}"),
-            allgatherv_fan_sched(n, &unit),
-            CollectiveSpec::AllGather { per_pe: 1 },
-        ),
-        case(
-            format!("all_to_all n={n}"),
-            all_to_all_sched(n, 1),
-            CollectiveSpec::AllToAll { per_pe: 1 },
-        ),
-        case(
-            format!("all_gather/rec-doubling n={n}"),
-            allgatherv_dissemination_sched(n, &unit),
-            CollectiveSpec::AllGather { per_pe: 1 },
-        ),
-        // The allreduce generators fold their non-power-of-two tails
-        // internally, so every one is held to the dense reference at
-        // every n — no Unchecked escape hatch.
-        case(
-            format!("allreduce/rec-doubling n={n}"),
-            allreduce_recursive_doubling(n, 2),
-            CollectiveSpec::AllReduce { nelems: 2 },
-        ),
-        case(
-            format!("allreduce/rabenseifner n={n}"),
-            // nelems below the power-of-two PE count leaves some ranks
-            // owning an empty reduce-scatter range — the hardest split.
-            allreduce_rabenseifner(n, 3),
-            CollectiveSpec::AllReduce { nelems: 3 },
-        ),
-        case(
-            format!("allreduce/ring n={n}"),
-            allreduce_ring(n, n + 1),
-            CollectiveSpec::AllReduce { nelems: n + 1 },
-        ),
-    ]);
-    // Irregular all-gathers: the `i % 3` table again, plus a maximally
-    // skewed one-PE-holds-everything table for the dissemination schedule,
-    // whose O(log n) giant-block movement is the property worth
-    // model-checking.
-    let vcounts: Vec<usize> = (0..n).map(|i| i % 3).collect();
-    let vdisp = prefix_displacements(&vcounts);
-    let mut giant = vec![0usize; n];
-    giant[n - 1] = n + 1;
-    let gdisp = prefix_displacements(&giant);
-    out.extend([
-        case(
-            format!("allgatherv/fan n={n}"),
-            allgatherv_fan_sched(n, &vdisp),
-            CollectiveSpec::AllGatherV {
-                counts: vcounts.clone(),
-            },
-        ),
-        case(
-            format!("allgatherv/ring n={n}"),
-            allgatherv_ring_sched(n, &vdisp),
-            CollectiveSpec::AllGatherV {
-                counts: vcounts.clone(),
-            },
-        ),
-        case(
-            format!("allgatherv/dissemination n={n}"),
-            allgatherv_dissemination_sched(n, &vdisp),
-            CollectiveSpec::AllGatherV { counts: vcounts },
-        ),
-        case(
-            format!("allgatherv/dissemination skewed n={n}"),
-            allgatherv_dissemination_sched(n, &gdisp),
-            CollectiveSpec::AllGatherV { counts: giant },
-        ),
-    ]);
+    let mut out: Vec<Case> = rooted_cases(n, n / 2).chain(symmetric_cases(n)).collect();
+    out.push(case(
+        format!("all_to_all n={n}"),
+        all_to_all_sched(n, 1),
+        CollectiveSpec::AllToAll { per_pe: 1 },
+    ));
     if n >= 3 {
         // A strict-subset team: every other rank, rooted at the last
         // member, so member/non-member boundaries and rank translation
@@ -248,18 +243,24 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut failures = 0usize;
     let cfg = ModelConfig::default();
-    // A shape cannot ship unchecked: every row of the rooted table is
-    // swept, explored and mutation-tested below.
+    // A shape cannot ship unchecked: every row of the rooted and symmetric
+    // tables is swept, explored and mutation-tested below.
+    let require = |listed: bool, family: &str, algo: &str| {
+        assert!(listed, "{family}/{algo} has no conformance row");
+    };
     for family in &CollectiveKind::ALL[..4] {
         for algo in [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring] {
             let listed = ROOTED.iter().any(|r| (r.1, r.2) == (*family, algo));
-            assert!(
-                listed,
-                "{}/{} has no conformance row",
-                family.name(),
-                algo.name()
-            );
+            require(listed, family.name(), algo.name());
         }
+    }
+    for algo in AllGatherVAlgo::CONCRETE {
+        let row = |r: &(_, Symmetric)| matches!(r.1, Symmetric::Gather(a, _) if a == algo);
+        require(SYMMETRIC.iter().any(row), "all_gather", algo.name());
+    }
+    for algo in AllReduceAlgo::CONCRETE {
+        let row = |r: &(_, Symmetric)| matches!(r.1, Symmetric::Reduce(a, _) if a == algo);
+        require(SYMMETRIC.iter().any(row), "allreduce", algo.name());
     }
 
     // --- Plane 1: canonical oracle sweep ------------------------------

@@ -13,11 +13,16 @@
 //!   following the original call"), a direct recursive-doubling exchange,
 //!   Rabenseifner's recursive-halving reduce-scatter + recursive-doubling
 //!   allgather, and a bandwidth-optimal ring — all exact for any `n`,
-//!   with the non-power-of-two tail folded inside the generators
-//!   (Rabenseifner's allgather half and both fold-out tails are the
-//!   stages before them
+//!   with the non-power-of-two tail folded inside the generators. The
+//!   three direct ones are rows over the symmetric walker
+//!   (`exchange_stages`): a reduce-scatter is an arm pulled as deferred
+//!   folds, all-gather run backwards — the butterfly for recursive
+//!   doubling (whole vector) and Rabenseifner (bisection table), the ring
+//!   for the ring — and Rabenseifner's allgather half and both fold-out
+//!   tails are the stages before them
 //!   [`transposed`](crate::collectives::schedule::CommSchedule::transposed)
-//!   into puts);
+//!   into puts; [`allreduce_row`](crate::collectives::schedule::allreduce_row)
+//!   names the four for every body;
 //! * [`all_gather`] — OpenSHMEM `fcollect` (equal counts, every PE receives
 //!   the concatenation): the [`vcoll`](crate::collectives::vcoll)
 //!   all-gather body on a constant count table, so every
@@ -32,17 +37,12 @@ use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{self, Algorithm, SyncMode};
 use crate::collectives::reduce::reduce_core;
 use crate::collectives::schedule::{
-    balanced_partition, broadcast_binomial, CommSchedule, OpKind, Stage, TransferOp,
+    balanced_partition, broadcast_binomial, exchange_stages, floor_pof2, reduce_binomial,
+    CommSchedule, Exchange, OpKind, Payload, Stage, TransferOp,
 };
 use crate::collectives::vcoll::{allgather_core, AllGatherVAlgo};
-use crate::fabric::{ceil_log2, CollectiveKind, Pe, SymmAlloc};
+use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
 use crate::types::{ReduceOp, XbrNumeric, XbrType};
-
-/// Largest power of two at or below `n` (`n ≥ 1`).
-fn floor_pof2(n: usize) -> usize {
-    debug_assert!(n >= 1);
-    1usize << (usize::BITS - 1 - n.leading_zeros())
-}
 
 /// The non-power-of-two head of an all-reduce: each *extra* rank
 /// `pof2 + i`'s full vector is folded into core partner `i`'s buffer, in
@@ -53,180 +53,114 @@ fn floor_pof2(n: usize) -> usize {
 /// core partners push the finished vector back to the extras, and since
 /// issuer `i` is the PE that read the extra's buffer here, program order
 /// alone keeps the two from racing.
-fn tail_fold_in(n_pes: usize, pof2: usize, nelems: usize) -> CommSchedule {
+fn tail_fold_in(n_pes: usize, whole: Payload<'_>) -> CommSchedule {
+    let pof2 = floor_pof2(n_pes);
+    let fold = |extra| whole.op(OpKind::GetFold, extra, extra - pof2, 0, 0);
+    let ops: Vec<TransferOp> = (pof2..n_pes).filter_map(fold).collect();
     let mut sched = CommSchedule::empty(n_pes, CollectiveKind::AllReduce);
-    if pof2 < n_pes {
-        let fold = |i| TransferOp {
-            src_pe: pof2 + i,
-            dst_pe: i,
-            src_at: 0,
-            dst_at: 0,
-            nelems,
-            stride: 1,
-            kind: OpKind::GetFold,
-        };
-        sched.stages = vec![Stage::new((0..n_pes - pof2).map(fold).collect())];
+    if !ops.is_empty() {
+        sched.stages.push(Stage::new(ops));
     }
     sched
+}
+
+/// The reduce-scatter half of an all-reduce — all-gather run backwards:
+/// `shape`'s edges pulled as folds of `payload`'s blocks. Both ends of an
+/// exchange read each other's buffer before either may overwrite its own,
+/// so every stage defers its folds past the read acknowledgements.
+fn reduce_scatter(shape: Exchange, n_pes: usize, payload: Payload<'_>) -> Vec<Stage> {
+    let fold = |src, dst, b, nb| payload.op(OpKind::GetFold, src, dst, b, b + nb);
+    let mut stages = exchange_stages(shape, n_pes, true, fold);
+    for stage in &mut stages {
+        stage.deferred_fold = true;
+    }
+    stages
+}
+
+/// Recursive-bisection displacement table over `parts` (a power of two)
+/// blocks of `nelems` elements: every halving splits a range `lo..hi` at
+/// `lo + (hi − lo) / 2`, so block `j` is what rank `j` still owns after
+/// `log2 parts` of them — empty when `nelems < parts`, with both ends
+/// parked at the shared split boundary.
+fn bisection(parts: usize, nelems: usize) -> Vec<usize> {
+    let mut disp = vec![0; parts + 1];
+    disp[parts] = nelems;
+    let mut width = parts;
+    while width > 1 {
+        for lo in (0..parts).step_by(width) {
+            disp[lo + width / 2] = disp[lo] + (disp[lo + width] - disp[lo]) / 2;
+        }
+        width /= 2;
+    }
+    disp
 }
 
 /// Recursive-doubling all-reduce schedule, exact for **any** `n`: ranks at
 /// or above the largest power of two `pof2 ≤ n` first fold their vectors
 /// into partners `rank − pof2` (fold-in stage), the `pof2` core ranks run
-/// the classic `log2(pof2)` butterfly of symmetric pairwise folds, and a
+/// the classic `log2(pof2)` butterfly of symmetric pairwise folds — the
+/// butterfly arm over the whole vector, its halving order reversed — and a
 /// final fold-out stage — the fold-in transposed — puts the finished
 /// vector back on the extras. Power-of-two worlds get the pure butterfly
 /// with no tail stages. Because the tail lives inside the generator,
 /// invoking the schedule directly (plan cache, nonblocking path,
 /// conformance oracle) can never disagree with the [`reduce_all_with`]
-/// entry point. Butterfly stages defer their folds past the read
-/// acknowledgements because both partners read each other's buffer before
-/// either may overwrite its own.
+/// entry point.
 pub fn allreduce_recursive_doubling(n_pes: usize, nelems: usize) -> CommSchedule {
-    if n_pes <= 1 || nelems == 0 {
-        return CommSchedule::empty(n_pes, CollectiveKind::AllReduce);
-    }
-    let pof2 = floor_pof2(n_pes);
-    let mut sched = tail_fold_in(n_pes, pof2, nelems);
+    let whole = Payload::Whole { nelems, stride: 1 };
+    let mut sched = tail_fold_in(n_pes, whole);
     let fold_out = sched.clone().transposed(sched.kind, OpKind::Put);
-    for i in 0..ceil_log2(pof2) {
-        let mut ops = Vec::new();
-        for me in 0..pof2 {
-            ops.push(TransferOp {
-                src_pe: me ^ (1 << i),
-                dst_pe: me,
-                src_at: 0,
-                dst_at: 0,
-                nelems,
-                stride: 1,
-                kind: OpKind::GetFold,
-            });
-        }
-        sched.stages.push(Stage {
-            ops,
-            deferred_fold: true,
-        });
-    }
+    let halving = reduce_scatter(Exchange::Butterfly, n_pes, whole);
+    sched.stages.extend(halving.into_iter().rev());
     sched.stages.extend(fold_out.stages);
     sched
 }
 
 /// Rabenseifner all-reduce schedule, exact for any `n`: after the
 /// non-power-of-two fold-in, the `pof2` core ranks run a recursive-halving
-/// reduce-scatter (each stage halves the element range a rank is
-/// responsible for and folds the partner's copy of the kept half); the
-/// second half is the first [`transposed`](CommSchedule::transposed) into
-/// puts — a recursive-doubling allgather that replays the splits in
-/// reverse, each rank putting its finished range into its stage partner,
-/// then the fold-out. Per-PE fold traffic is `~2·nelems·(pof2−1)/pof2`
-/// elements instead of the butterfly's `nelems·log2(pof2)` — the win at
-/// large payloads. Reduce-scatter stages defer folds (mutual reads);
-/// allgather stages are plain puts into disjoint, write-once ranges, and
-/// the writer of a range is the same partner that read it at the matching
-/// split, so program order covers write-after-read.
+/// reduce-scatter (the butterfly arm over the `bisection` table: each
+/// stage halves the element range a rank is responsible for and folds the
+/// partner's copy of the kept half); the second half is the first
+/// [`transposed`](CommSchedule::transposed) into puts — a
+/// recursive-doubling allgather that replays the splits in reverse, each
+/// rank putting its finished range into its stage partner, then the
+/// fold-out. Per-PE fold traffic is `~2·nelems·(pof2−1)/pof2` elements
+/// instead of the butterfly's `nelems·log2(pof2)` — the win at large
+/// payloads. Allgather stages are plain puts into disjoint, write-once
+/// ranges, and the writer of a range is the same partner that read it at
+/// the matching split, so program order covers write-after-read.
 pub fn allreduce_rabenseifner(n_pes: usize, nelems: usize) -> CommSchedule {
-    if n_pes <= 1 || nelems == 0 {
-        return CommSchedule::empty(n_pes, CollectiveKind::AllReduce);
-    }
-    let pof2 = floor_pof2(n_pes);
-    let mut sched = tail_fold_in(n_pes, pof2, nelems);
-    // Element range each core rank is still responsible for; refined by
-    // every halving step.
-    let mut range: Vec<(usize, usize)> = vec![(0, nelems); pof2];
-    for mask in std::iter::successors(Some(pof2 >> 1), |&m| (m > 1).then_some(m >> 1)) {
-        let mut ops = Vec::new();
-        for (me, r) in range.iter_mut().enumerate() {
-            let (lo, hi) = *r;
-            let mid = lo + (hi - lo) / 2;
-            // The half I keep is the half I pull from my partner and fold.
-            *r = if me & mask == 0 { (lo, mid) } else { (mid, hi) };
-            if r.1 > r.0 {
-                ops.push(TransferOp {
-                    src_pe: me ^ mask,
-                    dst_pe: me,
-                    src_at: r.0,
-                    dst_at: r.0,
-                    nelems: r.1 - r.0,
-                    stride: 1,
-                    kind: OpKind::GetFold,
-                });
-            }
-        }
-        if !ops.is_empty() {
-            sched.stages.push(Stage {
-                ops,
-                deferred_fold: true,
-            });
-        }
-    }
-    let second_half = sched.clone().transposed(sched.kind, OpKind::Put);
-    sched.stages.extend(second_half.stages);
+    let mut sched = tail_fold_in(n_pes, Payload::Whole { nelems, stride: 1 });
+    let owned = bisection(floor_pof2(n_pes), nelems);
+    let halving = reduce_scatter(Exchange::Butterfly, n_pes, Payload::Ranges(&owned));
+    sched.stages.extend(halving);
+    let regather = sched.clone().transposed(sched.kind, OpKind::Put);
+    sched.stages.extend(regather.stages);
     sched
 }
 
 /// Ring all-reduce schedule, exact for any `n`: the vector is cut into `n`
 /// balanced segments ([`balanced_partition`]); `n−1` reduce-scatter stages
-/// each fold the predecessor's running segment into the local copy, then
-/// `n−1` allgather stages each put the freshest finished segment to the
-/// successor. Per-PE traffic is `~2·nelems·(n−1)/n` elements in
-/// `nelems/n`-sized messages — bandwidth-optimal, and the put-based
-/// allgather half rides the `Pipelined` chunked path. Reduce-scatter
-/// stages defer their folds: the read acknowledgements are what
-/// transitively order a later allgather put into a segment after the last
-/// reduce-scatter read of it (ring dependencies alone only flow one way).
+/// each fold the predecessor's running segment into the local copy (the
+/// ring arm pulled), then `n−1` allgather stages each put the freshest
+/// finished segment to the successor — the ring arm again, pushed, with
+/// its block labels rotated by one, because PE `p` ends the reduce-scatter
+/// owning segment `p + 1` (transposing the first phase instead would
+/// reverse the ring's direction). Per-PE traffic is `~2·nelems·(n−1)/n`
+/// elements in `nelems/n`-sized messages — bandwidth-optimal, and the
+/// put-based allgather half rides the `Pipelined` chunked path. The
+/// deferred folds' read acknowledgements are what transitively order a
+/// later allgather put into a segment after the last reduce-scatter read
+/// of it (ring dependencies alone only flow one way).
 pub fn allreduce_ring(n_pes: usize, nelems: usize) -> CommSchedule {
-    if n_pes <= 1 || nelems == 0 {
-        return CommSchedule::empty(n_pes, CollectiveKind::AllReduce);
-    }
     let seg = balanced_partition(nelems, n_pes);
-    let mut stages = Vec::new();
-    // Reduce-scatter: at step s, PE `me` pulls segment `me − 1 − s` (the
-    // one its predecessor just finished folding) and folds it locally.
-    for s in 0..n_pes - 1 {
-        let mut ops = Vec::new();
-        for me in 0..n_pes {
-            let (off, len) = seg[(me + 2 * n_pes - 1 - s) % n_pes];
-            if len > 0 {
-                ops.push(TransferOp {
-                    src_pe: (me + n_pes - 1) % n_pes,
-                    dst_pe: me,
-                    src_at: off,
-                    dst_at: off,
-                    nelems: len,
-                    stride: 1,
-                    kind: OpKind::GetFold,
-                });
-            }
-        }
-        if !ops.is_empty() {
-            stages.push(Stage {
-                ops,
-                deferred_fold: true,
-            });
-        }
-    }
-    // Allgather: after the scatter phase PE `me` owns the complete fold of
-    // segment `me + 1`; step s forwards segment `me + 1 − s` downstream.
-    for s in 0..n_pes - 1 {
-        let mut ops = Vec::new();
-        for me in 0..n_pes {
-            let (off, len) = seg[(me + 1 + n_pes - s) % n_pes];
-            if len > 0 {
-                ops.push(TransferOp {
-                    src_pe: me,
-                    dst_pe: (me + 1) % n_pes,
-                    src_at: off,
-                    dst_at: off,
-                    nelems: len,
-                    stride: 1,
-                    kind: OpKind::Put,
-                });
-            }
-        }
-        if !ops.is_empty() {
-            stages.push(Stage::new(ops));
-        }
-    }
+    let segments = Payload::Ranges(&seg);
+    let mut stages = reduce_scatter(Exchange::Ring, n_pes, segments);
+    let forward = |src, dst, b: usize, _| {
+        let owned = if b + 1 == n_pes { 0 } else { b + 1 };
+        segments.op(OpKind::Put, src, dst, owned, owned + 1)
+    };
+    stages.extend(exchange_stages(Exchange::Ring, n_pes, false, forward));
     CommSchedule {
         n_pes,
         kind: CollectiveKind::AllReduce,
@@ -234,11 +168,26 @@ pub fn allreduce_ring(n_pes: usize, nelems: usize) -> CommSchedule {
     }
 }
 
+/// Fused reduce-then-broadcast all-reduce schedule: binomial reduction to
+/// rank 0 followed by a binomial broadcast from rank 0, as **one**
+/// schedule — the composition the paper prescribes, without the
+/// intermediate barrier/read-out round trip of the blocking
+/// [`AllReduceAlgo::ReduceThenBroadcast`] route in [`reduce_all_with`].
+pub fn allreduce_fused(n_pes: usize, nelems: usize) -> CommSchedule {
+    let mut sched = reduce_binomial(n_pes, 0, nelems, 1);
+    let bcast = broadcast_binomial(n_pes, 0, nelems, 1);
+    sched.stages.extend(bcast.stages);
+    sched.kind = CollectiveKind::AllReduce;
+    sched
+}
+
 /// Personalized all-to-all schedule: one stage of pairwise-exchange puts,
-/// each PE targeting `(rank + s) mod n` at hop `s` to spread traffic.
+/// each PE targeting `(rank + s) mod n` at hop `s` to spread traffic;
+/// [`CommSchedule::empty`] when there is nothing to exchange.
 pub fn all_to_all_sched(n_pes: usize, per_pe: usize) -> CommSchedule {
-    let mut ops = Vec::new();
+    let mut sched = CommSchedule::empty(n_pes, CollectiveKind::AllToAll);
     if per_pe > 0 {
+        let mut ops = Vec::new();
         for s in 0..n_pes {
             for me in 0..n_pes {
                 let target = (me + s) % n_pes;
@@ -253,12 +202,9 @@ pub fn all_to_all_sched(n_pes: usize, per_pe: usize) -> CommSchedule {
                 });
             }
         }
+        sched.stages.push(Stage::new(ops));
     }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::AllToAll,
-        stages: vec![Stage::new(ops)],
-    }
+    sched
 }
 
 /// Strategy for [`reduce_all_sync`].
@@ -305,6 +251,15 @@ impl AllReduceAlgo {
         }
     }
 
+    /// The four concrete strategies (everything but `Auto`), for
+    /// exhaustive sweeps.
+    pub const CONCRETE: [AllReduceAlgo; 4] = [
+        AllReduceAlgo::ReduceThenBroadcast,
+        AllReduceAlgo::RecursiveDoubling,
+        AllReduceAlgo::Rabenseifner,
+        AllReduceAlgo::Ring,
+    ];
+
     /// The direct schedule strategies (everything but the two-collective
     /// `ReduceThenBroadcast` composition), for test/bench matrices.
     pub const DIRECT: [AllReduceAlgo; 3] = [
@@ -312,21 +267,6 @@ impl AllReduceAlgo {
         AllReduceAlgo::Rabenseifner,
         AllReduceAlgo::Ring,
     ];
-}
-
-/// The schedule generator behind a resolved *direct* [`AllReduceAlgo`].
-///
-/// # Panics
-/// Panics on [`AllReduceAlgo::ReduceThenBroadcast`] (a composition of two
-/// collectives, not one schedule — see [`plan::allreduce_fused`] for its
-/// fused form) and on unresolved [`AllReduceAlgo::Auto`].
-pub fn allreduce_schedule(algo: AllReduceAlgo, n_pes: usize, nelems: usize) -> CommSchedule {
-    match algo {
-        AllReduceAlgo::RecursiveDoubling => allreduce_recursive_doubling(n_pes, nelems),
-        AllReduceAlgo::Rabenseifner => allreduce_rabenseifner(n_pes, nelems),
-        AllReduceAlgo::Ring => allreduce_ring(n_pes, nelems),
-        other => panic!("no direct schedule generator for {other:?}"),
-    }
 }
 
 /// All-reduce with a named operator: every PE receives the elementwise
@@ -388,31 +328,11 @@ pub fn reduce_all_with<T: XbrType>(
         pe.shared_free(bcast);
         return;
     }
-    let (tag, shape) = plan::allreduce_plan_id(algo);
     let work = pe.shared_malloc::<T>(nelems);
     pe.get_symm(work.whole(), src.whole(), nelems, 1, pe.rank());
     pe.barrier();
-    let key = PlanKey::rooted(
-        kind,
-        shape,
-        sync,
-        n_pes,
-        0,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        tag,
-    );
-    plan::run_schedule(
-        pe,
-        key,
-        || allreduce_schedule(algo, n_pes, nelems),
-        work.whole(),
-        &[],
-        &mut [],
-        Some(&f),
-        sync,
-    );
+    let plan = plan::allreduce_plan::<T>(pe, algo, nelems, sync);
+    plan::execute_plan(pe, &plan, work.whole(), &[], &mut [], Some(&f));
     pe.heap_read_strided(work.whole(), &mut dest[..nelems], nelems, 1);
     pe.barrier();
     pe.shared_free(work);
@@ -638,9 +558,14 @@ impl Team {
         f: impl Fn(T, T) -> T + Copy,
         sync: SyncMode,
     ) {
+        if nelems == 0 {
+            // Fully inert, like every other body: telemetry only.
+            plan::note_inert(pe, CollectiveKind::AllReduce);
+            return;
+        }
         let my_team_rank = self.team_rank(pe.rank());
-        let work = pe.shared_malloc::<T>(nelems.max(1));
-        if my_team_rank.is_some() && nelems > 0 {
+        let work = pe.shared_malloc::<T>(nelems);
+        if my_team_rank.is_some() {
             pe.get_symm(work.whole(), src.whole(), nelems, 1, pe.rank());
         }
         pe.barrier();
@@ -684,7 +609,7 @@ impl Team {
             sync,
         );
         pe.barrier();
-        if my_team_rank.is_some() && nelems > 0 {
+        if my_team_rank.is_some() {
             pe.heap_read_strided(work.whole(), &mut dest[..nelems], nelems, 1);
         }
         pe.barrier();
@@ -700,13 +625,10 @@ mod tests {
     #[test]
     fn reduce_all_all_algorithms_agree() {
         for n in 1..=8 {
-            for algo in [
-                AllReduceAlgo::ReduceThenBroadcast,
-                AllReduceAlgo::RecursiveDoubling,
-                AllReduceAlgo::Rabenseifner,
-                AllReduceAlgo::Ring,
-                AllReduceAlgo::Auto,
-            ] {
+            for algo in AllReduceAlgo::CONCRETE
+                .into_iter()
+                .chain([AllReduceAlgo::Auto])
+            {
                 let report = Fabric::run(FabricConfig::new(n), |pe| {
                     let src = pe.shared_malloc::<u64>(3);
                     pe.heap_write(src.whole(), &[pe.rank() as u64, 1, pe.rank() as u64 * 2]);

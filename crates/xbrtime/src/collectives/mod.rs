@@ -62,16 +62,16 @@ pub use explore::{
     MutationReport, RandomPriority, RoundRobin, Scheduler,
 };
 pub use extended::{
-    all_gather, all_gather_algo_sync, all_to_all_sync, allreduce_rabenseifner,
-    allreduce_recursive_doubling, allreduce_ring, allreduce_schedule, reduce_all_sync,
-    reduce_all_with, AllReduceAlgo, Team,
+    all_gather, all_gather_algo_sync, all_to_all_sync, allreduce_fused, allreduce_rabenseifner,
+    allreduce_recursive_doubling, allreduce_ring, reduce_all_sync, reduce_all_with, AllReduceAlgo,
+    Team,
 };
 pub use gather::{gather, gather_policy_sync};
 pub use hierarchical::{broadcast_hier, reduce_hier};
 pub use plan::{
-    allreduce_fused, execute_plan, ixallreduce, ixbroadcast, ixreduce, lower,
-    plan_create_allreduce, plan_create_broadcast, CollHandle, PersistentAllReduce,
-    PersistentBroadcast, Plan, PlanCache, PlanCacheStats, PlanKey, PlanStep,
+    execute_plan, ixallreduce, ixbroadcast, ixreduce, lower, plan_create_allreduce,
+    plan_create_broadcast, CollHandle, PersistentAllReduce, PersistentBroadcast, Plan, PlanCache,
+    PlanCacheStats, PlanKey, PlanStep,
 };
 pub use policy::{
     pipeline_chunks, Algorithm, AlgorithmPolicy, SyncMode, MAX_PIPELINE_CHUNKS,

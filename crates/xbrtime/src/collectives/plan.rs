@@ -23,11 +23,13 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::collectives::extended::AllReduceAlgo;
 use crate::collectives::policy::{
     pipeline_chunks, Algorithm, SyncMode, ACK_SLOT, READY_SLOT, SLOTS_PER_OP,
 };
 use crate::collectives::schedule::{
-    broadcast_binomial, is_put_kind, reduce_binomial, CommSchedule, OpKind, TransferOp,
+    allreduce_row, broadcast_binomial, is_put_kind, reduce_binomial, CommSchedule, OpKind,
+    TransferOp,
 };
 use crate::fabric::{span, CollectiveKind, CollectiveSample, Local, Pe, SymmAlloc, SymmRef};
 use crate::trace::TraceKind;
@@ -203,6 +205,9 @@ pub struct PeProgram {
 pub struct Plan {
     /// Telemetry kind episodes report under.
     pub kind: CollectiveKind,
+    /// The key algorithm the plan was cached under, for the choice
+    /// telemetry; `None` for an ad-hoc schedule lowered outside the cache.
+    pub algo: Option<Algorithm>,
     /// The **resolved** sync discipline (`Auto` decided at build time —
     /// never re-checked at issue).
     pub sync: SyncMode,
@@ -688,6 +693,7 @@ pub(crate) fn lower_with(
 
     Plan {
         kind: sched.kind,
+        algo: None,
         sync: resolved,
         elem_bytes,
         n_pes: sched.n_pes,
@@ -848,13 +854,9 @@ pub fn execute_plan<T: XbrType>(
         std::mem::size_of::<T>()
     );
     let prog = &plan.per_pe[pe.rank()];
-    let t0 = pe.cycles();
-    if plan.empty {
-        note_inert(pe, plan.kind);
+    let Some((t0, t_ep)) = open_episode(pe, plan) else {
         return;
-    }
-    pe.progress_collective(Some(plan.kind));
-    let t_ep = pe.trace_start();
+    };
 
     // Blocking plans run at the PE's current slot floor: zero normally,
     // above any outstanding nonblocking episodes otherwise, so mixing
@@ -916,26 +918,22 @@ pub mod tag {
         (3 * family.index() + algo as usize) as u64
     }
 
-    /// `allreduce_recursive_doubling`.
-    pub const ALLREDUCE_RD: u64 = 17;
+    /// The row `(family, row)` of the symmetric table
+    /// ([`allgather_row`](crate::collectives::schedule::allgather_row) /
+    /// [`allreduce_row`](crate::collectives::schedule::allreduce_row)):
+    /// `row` is the algorithm's position in its family's enum, values
+    /// 32–35 (all-reduce) and 40–42 (all-gather).
+    pub fn symmetric(family: CollectiveKind, row: usize) -> u64 {
+        debug_assert!(family.index() >= 4 && row < 8, "{family:?} row {row}");
+        (8 * family.index() + row) as u64
+    }
+
     /// `all_to_all_sched`.
     pub const ALL_TO_ALL: u64 = 18;
     /// `Team::broadcast_schedule`.
     pub const TEAM_BROADCAST: u64 = 12;
     /// `Team::reduce_schedule`.
     pub const TEAM_REDUCE: u64 = 13;
-    /// Fused reduce-then-broadcast allreduce ([`super::allreduce_fused`]).
-    pub const ALLREDUCE_FUSED: u64 = 14;
-    /// `allreduce_rabenseifner`.
-    pub const ALLREDUCE_RABENSEIFNER: u64 = 15;
-    /// `allreduce_ring`.
-    pub const ALLREDUCE_RING: u64 = 16;
-    /// [`vcoll::allgatherv_fan_sched`](crate::collectives::vcoll).
-    pub const ALLGATHERV_FAN: u64 = 20;
-    /// [`vcoll::allgatherv_ring_sched`](crate::collectives::vcoll).
-    pub const ALLGATHERV_RING: u64 = 21;
-    /// [`vcoll::allgatherv_dissemination_sched`](crate::collectives::vcoll).
-    pub const ALLGATHERV_DISS: u64 = 22;
     /// [`hierarchical::broadcast_hier_sched`](crate::collectives::hierarchical)
     /// (`pes_per_node` follows in the shape).
     pub const BROADCAST_HIER: u64 = 23;
@@ -961,21 +959,6 @@ pub fn counts_digest(counts: &[usize]) -> u64 {
         }
     }
     h
-}
-
-/// `(shape tag, key algorithm)` pair identifying one member of the
-/// all-reduce family in a [`PlanKey`]. The tag is what disambiguates
-/// plans; the algorithm additionally feeds the per-collective
-/// algorithm-mask telemetry (ring shapes report as `Ring`).
-pub fn allreduce_plan_id(algo: crate::collectives::extended::AllReduceAlgo) -> (u64, Algorithm) {
-    use crate::collectives::extended::AllReduceAlgo;
-    match algo {
-        AllReduceAlgo::ReduceThenBroadcast => (tag::ALLREDUCE_FUSED, Algorithm::Binomial),
-        AllReduceAlgo::RecursiveDoubling => (tag::ALLREDUCE_RD, Algorithm::Binomial),
-        AllReduceAlgo::Rabenseifner => (tag::ALLREDUCE_RABENSEIFNER, Algorithm::Binomial),
-        AllReduceAlgo::Ring => (tag::ALLREDUCE_RING, Algorithm::Ring),
-        AllReduceAlgo::Auto => panic!("resolve AllReduceAlgo::Auto before keying a plan"),
-    }
 }
 
 /// Everything that determines a lowered plan byte-for-byte: collective,
@@ -1173,10 +1156,6 @@ pub(crate) fn note_inert(pe: &Pe, kind: CollectiveKind) {
 /// Issue one blocking collective episode through the fabric's plan
 /// cache. `build` is only invoked on a cache miss, so a warm issue never
 /// materialises the `CommSchedule` at all.
-///
-/// The resolved algorithm/sync choice is recorded in the collective's
-/// [`CollectiveRecord`](crate::fabric::CollectiveRecord), so telemetry
-/// shows what actually ran.
 #[allow(clippy::too_many_arguments)]
 pub fn run_schedule<T: XbrType>(
     pe: &Pe,
@@ -1194,26 +1173,31 @@ pub fn run_schedule<T: XbrType>(
         "key element size disagrees with T"
     );
     let plan = plan_for(pe, &key, sync, build);
-    pe.note_choice(plan.kind, algo_bit(key.algo), sync_bit(plan.sync));
     execute_plan(pe, &plan, buf, local_src, local_dst, fold);
+}
+
+/// Open an episode of `plan` on this PE — where the blocking, nonblocking
+/// and persistent routes meet, and so the one place the resolved
+/// algorithm/sync choice goes on the collective's
+/// [`CollectiveRecord`](crate::fabric::CollectiveRecord): telemetry shows
+/// what actually ran, however it was issued. `None` for an inert plan
+/// (counted, nothing else); otherwise the progress plane is told and the
+/// start cycle and trace stamp the close needs come back.
+fn open_episode(pe: &Pe, plan: &Plan) -> Option<(u64, Option<u64>)> {
+    let algo = plan.algo.map_or(0, algo_bit);
+    pe.note_choice(plan.kind, algo, sync_bit(plan.sync));
+    if plan.empty {
+        note_inert(pe, plan.kind);
+        return None;
+    }
+    let t0 = pe.cycles();
+    pe.progress_collective(Some(plan.kind));
+    Some((t0, pe.trace_start()))
 }
 
 // ---------------------------------------------------------------------------
 // Nonblocking / persistent collectives
 // ---------------------------------------------------------------------------
-
-/// Fused allreduce schedule: binomial reduction to rank 0 followed by a
-/// binomial broadcast from rank 0, as **one** schedule — the composition
-/// the paper prescribes, without the intermediate barrier/read-out round
-/// trip of [`crate::collectives::extended::reduce_all_sync`]. Tagged
-/// [`CollectiveKind::AllReduce`].
-pub fn allreduce_fused(n_pes: usize, nelems: usize) -> CommSchedule {
-    let mut sched = reduce_binomial(n_pes, 0, nelems, 1);
-    let bcast = broadcast_binomial(n_pes, 0, nelems, 1);
-    sched.stages.extend(bcast.stages);
-    sched.kind = CollectiveKind::AllReduce;
-    sched
-}
 
 /// What [`CollHandle::finish`] must do with the handle's staging buffer
 /// after the drain.
@@ -1267,8 +1251,34 @@ fn plan_for(
     sync: SyncMode,
     build: impl FnOnce() -> CommSchedule,
 ) -> Arc<Plan> {
-    pe.plan_cache()
-        .get_or_build(key, || lower(&build(), sync, key.elem_bytes))
+    pe.plan_cache().get_or_build(key, || Plan {
+        algo: Some(key.algo),
+        ..lower(&build(), sync, key.elem_bytes)
+    })
+}
+
+/// The cached plan of all-reduce row `algo` — one key for the blocking,
+/// nonblocking and persistent routes, so warm plans are shared among them.
+pub(crate) fn allreduce_plan<T: XbrType>(
+    pe: &Pe,
+    algo: AllReduceAlgo,
+    nelems: usize,
+    sync: SyncMode,
+) -> Arc<Plan> {
+    let (tag, key_algo, row) = allreduce_row(algo);
+    let n_pes = pe.n_pes();
+    let key = PlanKey::rooted(
+        CollectiveKind::AllReduce,
+        key_algo,
+        sync,
+        n_pes,
+        0,
+        nelems,
+        1,
+        std::mem::size_of::<T>(),
+        tag,
+    );
+    plan_for(pe, &key, sync, || row(n_pes, nelems))
 }
 
 /// Issue `plan`'s pre-drain steps and return the handle bookkeeping.
@@ -1280,15 +1290,13 @@ fn issue_plan<'a, T: XbrType>(
     fold: Option<&dyn Fn(T, T) -> T>,
 ) -> CollHandle<'a, T> {
     let prog = &plan.per_pe[pe.rank()];
-    let t0 = pe.cycles();
-    if plan.empty {
-        note_inert(pe, plan.kind);
+    let Some((t0, t_ep)) = open_episode(pe, &plan) else {
         return CollHandle {
             pe,
             plan,
             buf,
             base: 0,
-            t0,
+            t0: 0,
             t_ep: None,
             wait_cycles: 0,
             staging: None,
@@ -1296,9 +1304,7 @@ fn issue_plan<'a, T: XbrType>(
             readout: Readout::None,
             done: true,
         };
-    }
-    pe.progress_collective(Some(plan.kind));
-    let t_ep = pe.trace_start();
+    };
     let (base, table) = if plan.n_slots > 0 {
         let base = pe.nb_slot_reserve(plan.n_slots);
         let table = if base == 0 {
@@ -1548,8 +1554,8 @@ pub fn ixreduce<'a, T: XbrType>(
 
 /// Nonblocking allreduce. Complete with [`CollHandle::wait_into`]; every
 /// PE's `dest` receives the folded `nelems` elements. Every member of the
-/// [`AllReduceAlgo`](crate::collectives::extended::AllReduceAlgo) family —
-/// the fused reduce-then-broadcast schedule ([`allreduce_fused`]),
+/// [`AllReduceAlgo`] family — reduce-then-broadcast as the fused schedule
+/// ([`allreduce_fused`](crate::collectives::extended::allreduce_fused)),
 /// recursive doubling, Rabenseifner and ring — lowers through the plan
 /// cache and issues nonblocking; `Auto` picks per shape from the same
 /// calibrated crossovers as the blocking
@@ -1560,33 +1566,16 @@ pub fn ixallreduce<'a, T: XbrType>(
     src: &SymmAlloc<T>,
     nelems: usize,
     f: impl Fn(T, T) -> T + Copy,
-    algo: crate::collectives::extended::AllReduceAlgo,
+    algo: AllReduceAlgo,
     sync: SyncMode,
 ) -> CollHandle<'a, T> {
-    use crate::collectives::extended::{allreduce_schedule, AllReduceAlgo};
-    let n_pes = pe.n_pes();
-    let algo = algo.resolve(n_pes, nelems * std::mem::size_of::<T>());
-    let (tag, key_algo) = allreduce_plan_id(algo);
+    let algo = algo.resolve(pe.n_pes(), nelems * std::mem::size_of::<T>());
     let staging = pe.shared_malloc::<T>(nelems.max(1));
     if nelems > 0 {
         pe.get_symm(staging.whole(), src.whole(), nelems, 1, pe.rank());
         pe.barrier();
     }
-    let key = PlanKey::rooted(
-        CollectiveKind::AllReduce,
-        key_algo,
-        sync,
-        n_pes,
-        0,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        tag,
-    );
-    let plan = plan_for(pe, &key, sync, || match algo {
-        AllReduceAlgo::ReduceThenBroadcast => allreduce_fused(n_pes, nelems),
-        direct => allreduce_schedule(direct, n_pes, nelems),
-    });
+    let plan = allreduce_plan::<T>(pe, algo, nelems, sync);
     let mut h = issue_plan(pe, plan, staging.whole(), &[], Some(&f));
     h.staging = Some(staging);
     h.owns_staging = true;
@@ -1667,21 +1656,8 @@ pub fn plan_create_allreduce<T: XbrType>(
     nelems: usize,
     sync: SyncMode,
 ) -> PersistentAllReduce<T> {
-    let n_pes = pe.n_pes();
-    let key = PlanKey::rooted(
-        CollectiveKind::AllReduce,
-        Algorithm::Binomial,
-        sync,
-        n_pes,
-        0,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        tag::ALLREDUCE_FUSED,
-    );
-    let plan = plan_for(pe, &key, sync, || allreduce_fused(n_pes, nelems));
     PersistentAllReduce {
-        plan,
+        plan: allreduce_plan::<T>(pe, AllReduceAlgo::ReduceThenBroadcast, nelems, sync),
         src: *src,
         staging: pe.shared_malloc::<T>(nelems.max(1)),
         nelems,
@@ -1725,7 +1701,7 @@ impl<T: XbrType> PersistentAllReduce<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::extended::AllReduceAlgo;
+    use crate::collectives::extended::allreduce_fused;
     use crate::collectives::schedule::{broadcast_ring_sched, reduce_linear_sched};
     use crate::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
     use crate::fabric::{Fabric, FabricConfig};
@@ -1840,26 +1816,29 @@ mod tests {
         }
     }
 
-    /// Plan execution against the live fabric: fused allreduce folds and
-    /// redistributes under every concrete sync mode.
+    /// Plan execution against the live fabric: every member of the
+    /// family — the fused reduce-then-broadcast plan included — folds and
+    /// redistributes through `ixallreduce` under every concrete sync mode.
     #[test]
     fn fused_allreduce_executes() {
         for n in [1usize, 2, 5, 8] {
-            for sync in SyncMode::CONCRETE {
+            for (algo, sync) in AllReduceAlgo::CONCRETE
+                .into_iter()
+                .flat_map(|a| SyncMode::CONCRETE.map(|s| (a, s)))
+            {
                 let report = Fabric::run(FabricConfig::new(n), move |pe| {
                     let src = pe.shared_malloc::<u64>(2);
                     pe.heap_write(src.whole(), &[pe.rank() as u64 + 1, 10]);
                     pe.barrier();
                     let mut d = [0u64; 2];
-                    ixallreduce(pe, &src, 2, |a, b| a + b, AllReduceAlgo::Auto, sync)
-                        .wait_into(pe, &mut d);
+                    ixallreduce(pe, &src, 2, |a, b| a + b, algo, sync).wait_into(pe, &mut d);
                     pe.barrier();
                     d
                 });
                 let n64 = n as u64;
                 let expect = [n64 * (n64 + 1) / 2, 10 * n64];
                 for (rank, got) in report.results.iter().enumerate() {
-                    assert_eq!(got, &expect, "n={n} sync={sync:?} rank={rank}");
+                    assert_eq!(got, &expect, "n={n} {algo:?} sync={sync:?} rank={rank}");
                 }
                 assert_eq!(report.stats.signals, report.stats.signal_waits);
             }

@@ -21,6 +21,17 @@
 //! which is all a team or a hierarchy tier adds to the flat tree. The
 //! per-algorithm names below are rows of that table.
 //!
+//! The symmetric collectives have the same structure: one walker,
+//! `exchange_stages`, over three block-exchange shapes in the all-gather
+//! direction (ring, XOR butterfly, cyclic-doubling dissemination), one
+//! `publish` stage, and the same [`Payload`] rule over a displacement
+//! table. All-gather(v) is `publish` plus an arm; a reduce-scatter is an
+//! arm pulled as folds — all-gather run backwards — and an all-reduce
+//! closes it with the arm pushed or the stages transposed. The six
+//! generators in [`vcoll`] and [`extended`] are rows, and
+//! [`allgather_row`] / [`allreduce_row`] are the table that names them
+//! for the bodies, the traffic plane and the conformance harness.
+//!
 //! A schedule runs by being lowered once into a flat per-PE
 //! [`Plan`](crate::collectives::plan::Plan) — [`plan::lower`] is the only
 //! place the synchronization protocol is written down — and executed by
@@ -51,9 +62,11 @@
 //! cycles, signal posts/waits/stall cycles) via [`Pe::note_collective`],
 //! surfaced through [`RunReport::collectives`](crate::fabric::RunReport).
 
+use crate::collectives::extended::{self, AllReduceAlgo};
 use crate::collectives::plan::{self, Space};
 use crate::collectives::policy::Algorithm::{self, Binomial, Linear, Ring};
 use crate::collectives::policy::SyncMode;
+use crate::collectives::vcoll::{self, AllGatherVAlgo};
 use crate::collectives::vrank::logical_rank;
 use crate::fabric::CollectiveKind::{self, Broadcast, Gather, Reduce, Scatter};
 use crate::fabric::{ceil_log2, span, Pe, SymmRef};
@@ -373,19 +386,17 @@ pub fn execute<T: XbrType>(
     plan::execute_plan(pe, &plan, buf, local_src, local_dst, fold);
 }
 
-/// Split `nelems` elements into `parts` balanced contiguous segments:
-/// segment `j` is `(offset, len)` with the `nelems % parts` leftover
-/// elements spread over the first segments. Every PE of a collective
-/// computes this from the schedule shape alone, so reduce-scatter owners
-/// and allgather forwarders always agree on the segmentation. Segments
-/// may be empty when `nelems < parts`.
-pub fn balanced_partition(nelems: usize, parts: usize) -> Vec<(usize, usize)> {
+/// Split `nelems` elements into `parts` balanced contiguous segments, as
+/// a displacement table of `parts + 1` offsets: segment `j` is
+/// `table[j]..table[j + 1]`, with the `nelems % parts` leftover elements
+/// spread over the first segments. Every PE of a collective computes this
+/// from the schedule shape alone, so reduce-scatter owners and allgather
+/// forwarders always agree on the segmentation. Segments may be empty
+/// when `nelems < parts`.
+pub fn balanced_partition(nelems: usize, parts: usize) -> Vec<usize> {
     assert!(parts > 0, "cannot partition into zero segments");
-    let base = nelems / parts;
-    let rem = nelems % parts;
-    (0..parts)
-        .map(|j| (j * base + j.min(rem), base + usize::from(j < rem)))
-        .collect()
+    let (base, rem) = (nelems / parts, nelems % parts);
+    (0..=parts).map(|j| j * base + j.min(rem)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -410,6 +421,36 @@ pub enum Payload<'a> {
     /// elements `adj_disp[child]..adj_disp[end]` in one transfer and an
     /// empty slice drops its edge: scatter, and — transposed — gather.
     Ranges(&'a [usize]),
+}
+
+impl Payload<'_> {
+    /// The one rule from blocks to elements: the `kind` transfer carrying
+    /// blocks `first..end` of the displacement table from `src_pe` to
+    /// `dst_pe`, at the same offset on both sides — `None` when they hold
+    /// no elements. `Whole` is a single block that every edge carries.
+    #[inline(always)]
+    pub(crate) fn op(
+        self,
+        kind: OpKind,
+        src_pe: usize,
+        dst_pe: usize,
+        first: usize,
+        end: usize,
+    ) -> Option<TransferOp> {
+        let (at, nelems, stride) = match self {
+            Payload::Whole { nelems, stride } => (0, nelems, stride),
+            Payload::Ranges(disp) => (disp[first], disp[end] - disp[first], 1),
+        };
+        (nelems > 0).then_some(TransferOp {
+            src_pe,
+            dst_pe,
+            src_at: at,
+            dst_at: at,
+            nelems,
+            stride,
+            kind,
+        })
+    }
 }
 
 /// The root→leaves edge walk of one rooted shape over virtual ranks
@@ -494,18 +535,13 @@ pub fn rooted_schedule(
         return CommSchedule::empty(n_pes, family);
     }
     let stages = rooted_stages(algo, n_pes, |parent, child, end| {
-        let (at, nelems, stride) = match payload {
-            Payload::Whole { nelems, stride } => (0, nelems, stride),
-            Payload::Ranges(adj_disp) => (adj_disp[child], adj_disp[end] - adj_disp[child], 1),
-        };
-        (nelems > 0).then(|| TransferOp {
+        // The op in virtual ranks first: only an edge that carries something
+        // pays for Table 2's rotation (a division and two checks per end).
+        let op = payload.op(OpKind::Put, parent, child, child, end)?;
+        Some(TransferOp {
             src_pe: logical_rank(parent, root, n_pes),
             dst_pe: logical_rank(child, root, n_pes),
-            src_at: at,
-            dst_at: at,
-            nelems,
-            stride,
-            kind: OpKind::Put,
+            ..op
         })
     });
     let down = CommSchedule {
@@ -597,6 +633,193 @@ pub fn gather_linear_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> Com
     rooted_schedule(Gather, Linear, n_pes, root, Payload::Ranges(adj_disp))
 }
 
+// ---------------------------------------------------------------------------
+// The symmetric collectives: one block-exchange walk per shape, one publish
+// stage, the same payload rule over a displacement table — and one table
+// naming the rows.
+// ---------------------------------------------------------------------------
+
+/// Largest power of two at or below `n` (`n ≥ 1`).
+pub(crate) fn floor_pof2(n: usize) -> usize {
+    debug_assert!(n >= 1);
+    1usize << (usize::BITS - 1 - n.leading_zeros())
+}
+
+/// The exchange shapes of the symmetric (rootless) collectives, over ranks
+/// and blocks `0..n`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Exchange {
+    /// `n − 1` stages: in stage `s`, rank `p` hands block `p − s` to
+    /// rank `p + 1`.
+    Ring,
+    /// XOR partners over the `2^⌊log2 n⌋` core, recursive-halving order:
+    /// at each `mask` from half the core down to 1, rank `me` receives
+    /// from `me ^ mask` the `mask` blocks it keeps, the aligned group
+    /// `me & !(mask − 1) ..` its own block lies in.
+    Butterfly,
+    /// Cyclic doubling windows, exact for any `n`: a rank holding the
+    /// `have` blocks that end at its own hands the last
+    /// `min(have, n − have)` of them to the rank `have` above it.
+    Dissemination,
+}
+
+/// The stage walk of one symmetric shape, in the all-gather direction:
+/// `edge(src, dst, first_block, n_blocks)` builds the op that moves blocks
+/// `first_block .. first_block + n_blocks` from rank `src` to rank `dst`,
+/// or drops it with `None`; a window that wraps rank 0 is two edges. Ops
+/// are listed by issuer — by destination when they `pull` (gets), by
+/// source otherwise — and a stage whose every edge was dropped is elided
+/// (unlike the binomial arm of `rooted_stages`, nothing counts on the
+/// stage count). Plain loops over pre-sized vectors: the traffic plane and
+/// every cold issue generate on the spot. A new shape is one more arm.
+pub(crate) fn exchange_stages(
+    shape: Exchange,
+    n: usize,
+    pull: bool,
+    mut edge: impl FnMut(usize, usize, usize, usize) -> Option<TransferOp>,
+) -> Vec<Stage> {
+    let mut stages = Vec::with_capacity(match shape {
+        Exchange::Ring => n,
+        Exchange::Butterfly | Exchange::Dissemination => ceil_log2(n) as usize,
+    });
+    // `x mod n` for `x < 2n`, without the division: these loops run once
+    // per edge, dropped ones included.
+    let wrap = |x: usize| if x >= n { x - n } else { x };
+    // Issuer `i`'s edge across a cyclic distance of `by < n` ranks.
+    let ends = |i: usize, by: usize| match pull {
+        true => (wrap(i + n - by), i),
+        false => (i, wrap(i + by)),
+    };
+    let mut close = |ops: Vec<TransferOp>| {
+        if !ops.is_empty() {
+            stages.push(Stage::new(ops));
+        }
+    };
+    match shape {
+        Exchange::Ring => {
+            // Every stage carries each block once, so all of them keep as
+            // many ops as the first: a sparse table allocates sparsely.
+            let mut kept = n;
+            for s in 1..n {
+                let mut ops = Vec::with_capacity(kept);
+                for i in 0..n {
+                    let (src, dst) = ends(i, 1);
+                    if let Some(op) = edge(src, dst, wrap(src + n + 1 - s), 1) {
+                        ops.push(op);
+                    }
+                }
+                kept = ops.len();
+                close(ops);
+            }
+        }
+        Exchange::Butterfly => {
+            let core = floor_pof2(n);
+            let mut mask = core >> 1;
+            while mask > 0 {
+                let mut ops = Vec::with_capacity(core);
+                for i in 0..core {
+                    let (src, dst) = if pull { (i ^ mask, i) } else { (i, i ^ mask) };
+                    if let Some(op) = edge(src, dst, dst & !(mask - 1), mask) {
+                        ops.push(op);
+                    }
+                }
+                close(ops);
+                mask >>= 1;
+            }
+        }
+        Exchange::Dissemination => {
+            let mut have = 1;
+            while have < n {
+                let cnt = have.min(n - have);
+                let mut ops = Vec::with_capacity(n + cnt - 1);
+                for i in 0..n {
+                    let (src, dst) = ends(i, have);
+                    let first = wrap(src + 1 + n - cnt);
+                    if first <= src {
+                        if let Some(op) = edge(src, dst, first, cnt) {
+                            ops.push(op);
+                        }
+                    } else {
+                        if let Some(op) = edge(src, dst, first, n - first) {
+                            ops.push(op);
+                        }
+                        if let Some(op) = edge(src, dst, 0, src + 1) {
+                            ops.push(op);
+                        }
+                    }
+                }
+                close(ops);
+                have += cnt;
+            }
+        }
+    }
+    stages
+}
+
+/// The stage that opens an all-gather: every PE with a non-empty block
+/// puts it from its private `local_src` at its displacement `disp[me]` —
+/// on its own board, or, `to_all`, on every PE's: that *is* the fan.
+pub(crate) fn publish(n: usize, disp: &[usize], to_all: bool) -> Stage {
+    let mut ops = Vec::with_capacity(if to_all { n * n } else { n });
+    for me in 0..n {
+        let nelems = disp[me + 1] - disp[me];
+        if nelems == 0 {
+            continue;
+        }
+        for dst_pe in if to_all { 0..n } else { me..me + 1 } {
+            ops.push(TransferOp {
+                src_pe: me,
+                dst_pe,
+                src_at: 0,
+                dst_at: disp[me],
+                nelems,
+                stride: 1,
+                kind: OpKind::PutFrom,
+            });
+        }
+    }
+    Stage::new(ops)
+}
+
+/// The all-gather half of the symmetric table — the one place a resolved
+/// [`AllGatherVAlgo`] becomes `(plan tag, key algorithm, row)`, read by the
+/// all-gather body, [`crate::traffic`] and the conformance harness. Every
+/// row takes `(n_pes, prefix displacements)`.
+///
+/// # Panics
+/// Panics on unresolved [`AllGatherVAlgo::Auto`].
+#[allow(clippy::type_complexity)]
+pub fn allgather_row(
+    algo: AllGatherVAlgo,
+) -> (u64, Algorithm, fn(usize, &[usize]) -> CommSchedule) {
+    let tag = plan::tag::symmetric(CollectiveKind::AllGather, algo as usize);
+    match algo {
+        AllGatherVAlgo::Fan => (tag, Linear, vcoll::allgatherv_fan_sched),
+        AllGatherVAlgo::Ring => (tag, Ring, vcoll::allgatherv_ring_sched),
+        AllGatherVAlgo::Dissemination => (tag, Binomial, vcoll::allgatherv_dissemination_sched),
+        AllGatherVAlgo::Auto => panic!("resolve AllGatherVAlgo::Auto before keying a plan"),
+    }
+}
+
+/// The all-reduce half: a resolved [`AllReduceAlgo`] to `(plan tag, key
+/// algorithm, row)`, for the blocking, nonblocking and persistent bodies
+/// and the conformance harness. Every row takes `(n_pes, nelems)`. The key
+/// algorithm also feeds the algorithm-mask telemetry (the ring reports as
+/// `Ring`).
+///
+/// # Panics
+/// Panics on unresolved [`AllReduceAlgo::Auto`].
+pub fn allreduce_row(algo: AllReduceAlgo) -> (u64, Algorithm, fn(usize, usize) -> CommSchedule) {
+    let tag = plan::tag::symmetric(CollectiveKind::AllReduce, algo as usize);
+    match algo {
+        AllReduceAlgo::ReduceThenBroadcast => (tag, Binomial, extended::allreduce_fused),
+        AllReduceAlgo::RecursiveDoubling => (tag, Binomial, extended::allreduce_recursive_doubling),
+        AllReduceAlgo::Rabenseifner => (tag, Binomial, extended::allreduce_rabenseifner),
+        AllReduceAlgo::Ring => (tag, Ring, extended::allreduce_ring),
+        AllReduceAlgo::Auto => panic!("resolve AllReduceAlgo::Auto before keying a plan"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,18 +834,13 @@ mod tests {
     fn balanced_partition_tiles_exactly() {
         for nelems in 0..40usize {
             for parts in 1..9usize {
-                let segs = balanced_partition(nelems, parts);
-                assert_eq!(segs.len(), parts);
-                let mut at = 0usize;
-                for &(off, len) in &segs {
-                    assert_eq!(off, at, "nelems={nelems} parts={parts}");
-                    at += len;
-                }
-                assert_eq!(at, nelems, "nelems={nelems} parts={parts}");
+                let table = balanced_partition(nelems, parts);
+                assert_eq!(table.len(), parts + 1);
+                assert_eq!((table[0], table[parts]), (0, nelems), "parts={parts}");
                 // Balanced: lengths differ by at most one element.
-                let lens: Vec<usize> = segs.iter().map(|s| s.1).collect();
+                let lens: Vec<usize> = table.windows(2).map(|w| w[1] - w[0]).collect();
                 let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-                assert!(hi - lo <= 1);
+                assert!(hi - lo <= 1, "nelems={nelems} parts={parts}");
             }
         }
     }
@@ -772,6 +990,133 @@ mod tests {
         check(Scatter, Ring, OpKind::Put, down);
         let up = "3>2@12+1 | 2>1@9+4 | 1>0@7+6 | 0>6@6+7 | 6>5@5+8 | 5>4@2+11";
         check(Gather, Ring, OpKind::Put, up);
+    }
+
+    /// The same normal form on the symmetric side: every row of the
+    /// all-gather and all-reduce tables, and the all-to-all.
+    #[test]
+    fn zero_length_symmetric_schedules_are_empty() {
+        let zeros = [0; 9];
+        for n in 1..=8 {
+            for algo in AllGatherVAlgo::CONCRETE {
+                let s = allgather_row(algo).2(n, &zeros[..=n]);
+                assert_eq!(
+                    s,
+                    CommSchedule::empty(n, CollectiveKind::AllGather),
+                    "{algo:?}"
+                );
+            }
+            for algo in AllReduceAlgo::CONCRETE {
+                let s = allreduce_row(algo).2(n, 0);
+                assert_eq!(
+                    s,
+                    CommSchedule::empty(n, CollectiveKind::AllReduce),
+                    "{algo:?}"
+                );
+            }
+            let s = extended::all_to_all_sched(n, 0);
+            assert_eq!(s, CommSchedule::empty(n, CollectiveKind::AllToAll));
+        }
+    }
+
+    /// The six symmetric rows written out by hand, as a pin that does not
+    /// go through `exchange_stages`. A stage reads `<kind> s>d@at+n …`:
+    /// `n` elements at board offset `at` from PE `s` to PE `d`, where
+    /// `from` is a `PutFrom` out of the private source (offset 0 there),
+    /// `put` / `get` the heap-to-heap kinds, `fold` a plain `GetFold` and
+    /// `xfold` one whose stage defers its folds. The all-gathers run 5 PEs
+    /// on counts `[2, 0, 1, 3, 1]` (a zero block, and dissemination's
+    /// second window wraps rank 0 at PE 2); the all-reduces run 6 PEs (a
+    /// two-rank tail) on 7 elements (uneven ring segments) and 3 (rank 0's
+    /// last Rabenseifner range is empty). Every literal was first run
+    /// against the hand-written generators these rows replaced.
+    #[test]
+    fn symmetric_rows_five_and_six_pes() {
+        let spell = |s: &CommSchedule| {
+            s.validate();
+            let stage = |st: &Stage| {
+                let kind = match (st.ops[0].kind, st.deferred_fold) {
+                    (OpKind::PutFrom, false) => "from",
+                    (OpKind::Put, false) => "put",
+                    (OpKind::Get, false) => "get",
+                    (OpKind::GetFold, false) => "fold",
+                    (OpKind::GetFold, true) => "xfold",
+                    other => panic!("unexpected stage {other:?}"),
+                };
+                let mut out = String::from(kind);
+                for o in &st.ops {
+                    assert_eq!((o.kind, o.stride), (st.ops[0].kind, 1));
+                    assert_eq!(o.src_at, if kind == "from" { 0 } else { o.dst_at });
+                    out += &format!(" {}>{}@{}+{}", o.src_pe, o.dst_pe, o.dst_at, o.nelems);
+                }
+                out
+            };
+            s.stages.iter().map(stage).collect::<Vec<_>>().join(" | ")
+        };
+        let disp = vcoll::prefix_displacements(&[2, 0, 1, 3, 1]);
+        assert_eq!(
+            spell(&vcoll::allgatherv_fan_sched(5, &disp)),
+            "from 0>0@0+2 0>1@0+2 0>2@0+2 0>3@0+2 0>4@0+2 \
+             2>0@2+1 2>1@2+1 2>2@2+1 2>3@2+1 2>4@2+1 \
+             3>0@3+3 3>1@3+3 3>2@3+3 3>3@3+3 3>4@3+3 \
+             4>0@6+1 4>1@6+1 4>2@6+1 4>3@6+1 4>4@6+1"
+        );
+        let publish = "from 0>0@0+2 2>2@2+1 3>3@3+3 4>4@6+1";
+        assert_eq!(
+            spell(&vcoll::allgatherv_ring_sched(5, &disp)),
+            format!(
+                "{publish} | put 0>1@0+2 2>3@2+1 3>4@3+3 4>0@6+1 \
+                 | put 0>1@6+1 1>2@0+2 3>4@2+1 4>0@3+3 \
+                 | put 0>1@3+3 1>2@6+1 2>3@0+2 4>0@2+1 \
+                 | put 0>1@2+1 1>2@3+3 2>3@6+1 3>4@0+2"
+            )
+        );
+        assert_eq!(
+            spell(&vcoll::allgatherv_dissemination_sched(5, &disp)),
+            format!(
+                "{publish} | get 4>0@6+1 0>1@0+2 2>3@2+1 3>4@3+3 \
+                 | get 3>0@2+4 4>1@3+4 0>2@6+1 0>2@0+2 1>3@0+2 2>4@2+1 \
+                 | get 2>1@2+1 3>2@3+3 4>3@6+1 0>4@0+2"
+            )
+        );
+        assert_eq!(
+            spell(&extended::allreduce_recursive_doubling(6, 7)),
+            "fold 4>0@0+7 5>1@0+7 \
+             | xfold 1>0@0+7 0>1@0+7 3>2@0+7 2>3@0+7 \
+             | xfold 2>0@0+7 3>1@0+7 0>2@0+7 1>3@0+7 \
+             | put 0>4@0+7 1>5@0+7"
+        );
+        assert_eq!(
+            spell(&extended::allreduce_rabenseifner(6, 7)),
+            "fold 4>0@0+7 5>1@0+7 \
+             | xfold 2>0@0+3 3>1@0+3 0>2@3+4 1>3@3+4 \
+             | xfold 1>0@0+1 0>1@1+2 3>2@3+2 2>3@5+2 \
+             | put 0>1@0+1 1>0@1+2 2>3@3+2 3>2@5+2 \
+             | put 0>2@0+3 1>3@0+3 2>0@3+4 3>1@3+4 \
+             | put 0>4@0+7 1>5@0+7"
+        );
+        assert_eq!(
+            spell(&extended::allreduce_rabenseifner(6, 3)),
+            "fold 4>0@0+3 5>1@0+3 \
+             | xfold 2>0@0+1 3>1@0+1 0>2@1+2 1>3@1+2 \
+             | xfold 0>1@0+1 3>2@1+1 2>3@2+1 \
+             | put 1>0@0+1 2>3@1+1 3>2@2+1 \
+             | put 0>2@0+1 1>3@0+1 2>0@1+2 3>1@1+2 \
+             | put 0>4@0+3 1>5@0+3"
+        );
+        assert_eq!(
+            spell(&extended::allreduce_ring(6, 7)),
+            "xfold 5>0@6+1 0>1@0+2 1>2@2+1 2>3@3+1 3>4@4+1 4>5@5+1 \
+             | xfold 5>0@5+1 0>1@6+1 1>2@0+2 2>3@2+1 3>4@3+1 4>5@4+1 \
+             | xfold 5>0@4+1 0>1@5+1 1>2@6+1 2>3@0+2 3>4@2+1 4>5@3+1 \
+             | xfold 5>0@3+1 0>1@4+1 1>2@5+1 2>3@6+1 3>4@0+2 4>5@2+1 \
+             | xfold 5>0@2+1 0>1@3+1 1>2@4+1 2>3@5+1 3>4@6+1 4>5@0+2 \
+             | put 0>1@2+1 1>2@3+1 2>3@4+1 3>4@5+1 4>5@6+1 5>0@0+2 \
+             | put 0>1@0+2 1>2@2+1 2>3@3+1 3>4@4+1 4>5@5+1 5>0@6+1 \
+             | put 0>1@6+1 1>2@0+2 2>3@2+1 3>4@3+1 4>5@4+1 5>0@5+1 \
+             | put 0>1@5+1 1>2@6+1 2>3@0+2 3>4@2+1 4>5@3+1 5>0@4+1 \
+             | put 0>1@4+1 1>2@5+1 2>3@6+1 3>4@0+2 4>5@2+1 5>0@3+1"
+        );
     }
 
     proptest! {

@@ -11,9 +11,10 @@
 //! from the uniform ones only in their `Auto` rule — which also keys on
 //! count skew — and in returning a structured error. This module names
 //! the chain (ring) rows of the rooted table
-//! ([`rooted_schedule`] on [`Algorithm::Ring`]) and adds the three
-//! allgatherv shapes, including a non-uniform log-stage dissemination
-//! schedule.
+//! ([`rooted_schedule`] on [`Algorithm::Ring`]) and the three allgatherv
+//! rows of the symmetric one ([`allgather_row`]): the `publish` stage
+//! alone (the fan), or followed by the ring or the dissemination arm of
+//! `exchange_stages` over the prefix displacement table.
 //!
 //! Everything here follows the repo's schedule/executor split: each
 //! generator is a pure function from a displacement table to a
@@ -35,7 +36,8 @@ use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{self, Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::scatter::scatter_core;
 use crate::collectives::schedule::{
-    rooted_schedule, CommSchedule, OpKind, Payload, Stage, TransferOp,
+    allgather_row, exchange_stages, is_put_kind, publish, rooted_schedule, CommSchedule, Exchange,
+    OpKind, Payload,
 };
 use crate::fabric::{CollectiveKind, Pe};
 use crate::types::XbrType;
@@ -189,186 +191,61 @@ pub fn gatherv_ring_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> Comm
     rooted_schedule(family, Algorithm::Ring, n_pes, root, ranges)
 }
 
+/// The all-gather(v) rows: the `publish` stage, then — unless it already
+/// went to everyone — the `arm` carrying board blocks onward as its op
+/// kind, their elements read off the prefix displacement table `disp`
+/// (`n + 1` entries, [`prefix_displacements`]). Zero-length blocks drop
+/// their edges, fully empty stages are elided, and a zero total is
+/// [`CommSchedule::empty`].
+fn allgatherv_sched(n_pes: usize, disp: &[usize], arm: Option<(Exchange, OpKind)>) -> CommSchedule {
+    debug_assert_eq!(disp.len(), n_pes + 1);
+    let mut sched = CommSchedule::empty(n_pes, CollectiveKind::AllGather);
+    if disp[n_pes] > 0 {
+        sched.stages.push(publish(n_pes, disp, arm.is_none()));
+        if let Some((shape, kind)) = arm {
+            let edge = |src, dst, b, nb| Payload::Ranges(disp).op(kind, src, dst, b, b + nb);
+            let forward = exchange_stages(shape, n_pes, !is_put_kind(kind), edge);
+            sched.stages.extend(forward);
+        }
+    }
+    sched
+}
+
 /// Single-stage allgatherv fan: every PE with a non-empty block puts it
 /// at its prefix displacement on every PE (its own included) — `n`
-/// concurrent put fans, `O(n²)` ops in one stage.
-/// `disp` is the `n + 1`-entry table from [`prefix_displacements`].
+/// concurrent put fans, `O(n²)` ops in one stage: the publish stage sent
+/// to everyone, and nothing after it.
 pub fn allgatherv_fan_sched(n_pes: usize, disp: &[usize]) -> CommSchedule {
-    debug_assert_eq!(disp.len(), n_pes + 1);
-    let mut ops = Vec::new();
-    for me in 0..n_pes {
-        let nelems = disp[me + 1] - disp[me];
-        if nelems == 0 {
-            continue;
-        }
-        for peer in 0..n_pes {
-            ops.push(TransferOp {
-                src_pe: me,
-                dst_pe: peer,
-                src_at: 0,
-                dst_at: disp[me],
-                nelems,
-                stride: 1,
-                kind: OpKind::PutFrom,
-            });
-        }
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::AllGather,
-        stages: vec![Stage::new(ops)],
-    }
+    allgatherv_sched(n_pes, disp, None)
 }
 
 /// Ring allgatherv: stage 0 publishes each PE's own block into its board
 /// slot; stage `s ≥ 1` has every PE forward the block it received in the
-/// previous stage — block `(me − s + 1) mod n` — to its successor. After
-/// `n − 1` forwarding stages every board holds every block. Each PE
-/// injects exactly one block per stage regardless of who originated it,
-/// which makes the ring bandwidth-optimal for near-uniform tables; a
-/// heavily skewed table retransmits the giant block on `n − 1`
-/// consecutive critical-path hops, which is why the `Auto` crossover
-/// abandons the ring at high skew. Zero-length blocks simply drop their
-/// hop.
+/// previous stage — block `(me − s + 1) mod n` — to its successor (the
+/// ring arm as puts). After `n − 1` forwarding stages every board holds
+/// every block. Each PE injects exactly one block per stage regardless of
+/// who originated it, which makes the ring bandwidth-optimal for
+/// near-uniform tables; a heavily skewed table retransmits the giant
+/// block on `n − 1` consecutive critical-path hops, which is why the
+/// `Auto` crossover abandons the ring at high skew.
 pub fn allgatherv_ring_sched(n_pes: usize, disp: &[usize]) -> CommSchedule {
-    debug_assert_eq!(disp.len(), n_pes + 1);
-    let total = disp[n_pes];
-    let mut stages = Vec::new();
-    if total > 0 {
-        let mut publish = Vec::new();
-        for me in 0..n_pes {
-            let nelems = disp[me + 1] - disp[me];
-            if nelems > 0 {
-                publish.push(TransferOp {
-                    src_pe: me,
-                    dst_pe: me,
-                    src_at: 0,
-                    dst_at: disp[me],
-                    nelems,
-                    stride: 1,
-                    kind: OpKind::PutFrom,
-                });
-            }
-        }
-        stages.push(Stage::new(publish));
-        for s in 1..n_pes {
-            let mut ops = Vec::new();
-            for me in 0..n_pes {
-                let b = (me + n_pes + 1 - s) % n_pes;
-                let nelems = disp[b + 1] - disp[b];
-                if nelems == 0 {
-                    continue;
-                }
-                ops.push(TransferOp {
-                    src_pe: me,
-                    dst_pe: (me + 1) % n_pes,
-                    src_at: disp[b],
-                    dst_at: disp[b],
-                    nelems,
-                    stride: 1,
-                    kind: OpKind::Put,
-                });
-            }
-            if !ops.is_empty() {
-                stages.push(Stage::new(ops));
-            }
-        }
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::AllGather,
-        stages,
-    }
+    allgatherv_sched(n_pes, disp, Some((Exchange::Ring, OpKind::Put)))
 }
 
 /// Non-uniform dissemination allgatherv (Jocksch-style), exact for any
 /// `n`: recursive doubling over arbitrary prefix displacements. Stage 0
 /// publishes each PE's block; then `⌈log2 n⌉` stages each pull the cyclic
-/// window of `cnt` blocks ending at rank `me − have` from that PE, with
-/// the window's element extent read off the `disp` table (a wrapped
-/// window needs two contiguous gets) — `O(log n)` stages and `O(n)` gets
-/// per stage versus the fan's single stage of `n²` puts. Every board slot
-/// is written exactly once and a stage's READY post follows the poster's
-/// own gets in program order, so plain stages suffice. Zero-extent
-/// windows drop their get, and
-/// fully empty stages are elided — a table where one PE holds everything
-/// still completes in `O(log n)` stages with the giant block moved only
+/// window of `cnt` blocks ending at rank `me − have` from that PE (the
+/// dissemination arm as gets; a wrapped window needs two contiguous gets)
+/// — `O(log n)` stages and `O(n)` gets per stage versus the fan's single
+/// stage of `n²` puts. Every board slot is written exactly once and a
+/// stage's READY post follows the poster's own gets in program order, so
+/// plain stages suffice. A table where one PE holds everything still
+/// completes in `O(log n)` stages with the giant block moved only
 /// `⌈log2 n⌉` times, the property that makes this the high-skew `Auto`
 /// choice.
 pub fn allgatherv_dissemination_sched(n_pes: usize, disp: &[usize]) -> CommSchedule {
-    debug_assert_eq!(disp.len(), n_pes + 1);
-    let total = disp[n_pes];
-    let mut stages = Vec::new();
-    if total > 0 && n_pes > 1 {
-        let mut publish = Vec::new();
-        for me in 0..n_pes {
-            let nelems = disp[me + 1] - disp[me];
-            if nelems > 0 {
-                publish.push(TransferOp {
-                    src_pe: me,
-                    dst_pe: me,
-                    src_at: 0,
-                    dst_at: disp[me],
-                    nelems,
-                    stride: 1,
-                    kind: OpKind::PutFrom,
-                });
-            }
-        }
-        stages.push(Stage::new(publish));
-        // After k stages each PE holds the cyclic window of `have`
-        // blocks ending at its own rank; it extends the window by
-        // pulling the `cnt` blocks ending at rank `me − have`.
-        let mut have = 1usize;
-        while have < n_pes {
-            let cnt = have.min(n_pes - have);
-            let mut ops = Vec::new();
-            for me in 0..n_pes {
-                let src = (me + n_pes - have) % n_pes;
-                let first = (src + 1 + n_pes - cnt) % n_pes;
-                let mut pull = |b0: usize, nb: usize| {
-                    let nelems = disp[b0 + nb] - disp[b0];
-                    if nelems > 0 {
-                        ops.push(TransferOp {
-                            src_pe: src,
-                            dst_pe: me,
-                            src_at: disp[b0],
-                            dst_at: disp[b0],
-                            nelems,
-                            stride: 1,
-                            kind: OpKind::Get,
-                        });
-                    }
-                };
-                if first <= src {
-                    pull(first, cnt);
-                } else {
-                    // Window wraps rank 0: two contiguous gets.
-                    pull(first, n_pes - first);
-                    pull(0, src + 1);
-                }
-            }
-            if !ops.is_empty() {
-                stages.push(Stage::new(ops));
-            }
-            have += cnt;
-        }
-    } else if total > 0 {
-        stages.push(Stage::new(vec![TransferOp {
-            src_pe: 0,
-            dst_pe: 0,
-            src_at: 0,
-            dst_at: 0,
-            nelems: total,
-            stride: 1,
-            kind: OpKind::PutFrom,
-        }]));
-    }
-    CommSchedule {
-        n_pes,
-        kind: CollectiveKind::AllGather,
-        stages,
-    }
+    allgatherv_sched(n_pes, disp, Some((Exchange::Dissemination, OpKind::Get)))
 }
 
 // ---------------------------------------------------------------------------
@@ -620,36 +497,6 @@ pub fn try_allgatherv_algo_sync<T: XbrType>(
     allgather_core(pe, dest, src, counts, algo, sync)
 }
 
-/// The all-gather family's one algorithm → (plan tag, key algorithm,
-/// generator) table; every generator takes `(n_pes, prefix displacements)`.
-/// A new shape is one generator plus one row here.
-///
-/// # Panics
-/// Panics on unresolved [`AllGatherVAlgo::Auto`].
-#[allow(clippy::type_complexity)]
-pub(crate) fn allgatherv_shape(
-    algo: AllGatherVAlgo,
-) -> (u64, Algorithm, fn(usize, &[usize]) -> CommSchedule) {
-    match algo {
-        AllGatherVAlgo::Fan => (
-            plan::tag::ALLGATHERV_FAN,
-            Algorithm::Linear,
-            allgatherv_fan_sched,
-        ),
-        AllGatherVAlgo::Ring => (
-            plan::tag::ALLGATHERV_RING,
-            Algorithm::Ring,
-            allgatherv_ring_sched,
-        ),
-        AllGatherVAlgo::Dissemination => (
-            plan::tag::ALLGATHERV_DISS,
-            Algorithm::Binomial,
-            allgatherv_dissemination_sched,
-        ),
-        AllGatherVAlgo::Auto => panic!("resolve AllGatherVAlgo::Auto before keying a plan"),
-    }
-}
-
 /// The one all-gather body, under an already-resolved strategy: the
 /// uniform [`all_gather`](crate::collectives::all_gather) calls it with a
 /// constant count table.
@@ -680,7 +527,7 @@ pub(crate) fn allgather_core<T: XbrType>(
         return Ok(());
     }
     let es = std::mem::size_of::<T>();
-    let (tag, key_algo, generator) = allgatherv_shape(algo);
+    let (tag, key_algo, generator) = allgather_row(algo);
     let board = pe.shared_malloc::<T>(total);
     let mut key = PlanKey::rooted(
         CollectiveKind::AllGather,

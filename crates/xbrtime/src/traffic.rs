@@ -49,8 +49,8 @@ use std::fmt;
 use crate::collectives::plan::{self, PlanKey};
 use crate::collectives::policy::{Algorithm, SyncMode, SLOTS_PER_OP};
 use crate::collectives::scatter::adjusted_displacements;
-use crate::collectives::schedule::{rooted_schedule, CommSchedule, Payload};
-use crate::collectives::vcoll::{allgatherv_shape, prefix_displacements, AllGatherVAlgo};
+use crate::collectives::schedule::{allgather_row, rooted_schedule, CommSchedule, Payload};
+use crate::collectives::vcoll::{prefix_displacements, AllGatherVAlgo};
 use crate::collectives::PlanCacheStats;
 use crate::fabric::{
     CollectiveKind, DeadlockReport, Fabric, FabricConfig, Pe, RunError, RunReport,
@@ -364,7 +364,7 @@ fn op_schedule(op: &TrafficOp, members: &[usize], world: usize) -> CommSchedule 
             rooted_schedule(family, algo, team, op.root, Payload::Ranges(&adj))
         }
         None => {
-            let generator = allgatherv_shape(AllGatherVAlgo::CONCRETE[op.algo % 3]).2;
+            let generator = allgather_row(AllGatherVAlgo::CONCRETE[op.algo % 3]).2;
             generator(team, &prefix_displacements(&op.counts))
         }
     };
@@ -375,7 +375,7 @@ fn op_tag(op: &TrafficOp) -> (CollectiveKind, Algorithm, u64) {
     match rooted_row(op) {
         Some((family, algo)) => (family, algo, plan::tag::rooted(family, algo)),
         None => {
-            let (tag, algo, _) = allgatherv_shape(AllGatherVAlgo::CONCRETE[op.algo % 3]);
+            let (tag, algo, _) = allgather_row(AllGatherVAlgo::CONCRETE[op.algo % 3]);
             (CollectiveKind::AllGather, algo, tag)
         }
     }

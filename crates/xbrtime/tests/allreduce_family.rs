@@ -19,9 +19,9 @@
 
 use proptest::prelude::*;
 use xbrtime::collectives::extended::{
-    allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring, allreduce_schedule,
+    allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring,
 };
-use xbrtime::collectives::schedule::CommSchedule;
+use xbrtime::collectives::schedule::{allreduce_row, CommSchedule};
 use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
 use xbrtime::collectives::{
     self, allgatherv_dissemination_sched, prefix_displacements, AllGatherVAlgo, AllReduceAlgo,
@@ -110,11 +110,11 @@ proptest! {
     fn prop_allreduce_generator_matches_reference(
         n in 2usize..=9,
         nelems in 1usize..=96,
-        which in 0usize..3,
+        which in 0usize..4,
         sync_ix in 0usize..3,
     ) {
-        let algo = AllReduceAlgo::DIRECT[which];
-        let sched = allreduce_schedule(algo, n, nelems);
+        let algo = AllReduceAlgo::CONCRETE[which];
+        let sched = allreduce_row(algo).2(n, nelems);
         let sync = SyncMode::CONCRETE[sync_ix];
         let report = check_schedule(
             &sched,
@@ -193,20 +193,16 @@ fn run_allreduce(
 /// unevenly (nelems ∤ n and nelems < n among them).
 #[test]
 fn allreduce_family_exact_on_both_backends() {
-    let algos = [
-        AllReduceAlgo::ReduceThenBroadcast,
-        AllReduceAlgo::RecursiveDoubling,
-        AllReduceAlgo::Rabenseifner,
-        AllReduceAlgo::Ring,
-        AllReduceAlgo::Auto,
-    ];
+    let algos = AllReduceAlgo::CONCRETE
+        .into_iter()
+        .chain([AllReduceAlgo::Auto]);
     for n in [2usize, 3, 5, 8] {
         for nelems in [3usize, 17] {
             let expect: Vec<u64> = (0..nelems as u64)
                 .map(|i| (0..n as u64).map(|me| me * 37 + i * 5 + 1).sum())
                 .collect();
             for engine in [EngineConfig::threads(), EngineConfig::coop().with_seed(11)] {
-                for algo in algos {
+                for algo in algos.clone() {
                     let results = run_allreduce(engine, n, nelems, algo, SyncMode::Auto);
                     for (rank, got) in results.iter().enumerate() {
                         assert_eq!(

@@ -292,6 +292,64 @@ fn persistent_reissue_hits_cache() {
     one_miss_then_hits(report.plan_cache);
 }
 
+/// Regression: the resolved algorithm/sync choice is recorded where the
+/// blocking and nonblocking routes meet, so a run that only issues
+/// nonblocking or persistent collectives reports the same
+/// `CollectiveRecord::{algorithms, sync_modes}` as its blocking twin.
+/// Before, `Pe::note_choice` was only reached through
+/// `plan::run_schedule` and every route below reported `[]` / `[]`.
+#[test]
+fn nonblocking_routes_record_their_choice() {
+    type Choice = (Vec<&'static str>, Vec<&'static str>);
+    fn choice(kind: CollectiveKind, body: impl Fn(&xbrtime::Pe) + Send + Sync) -> Choice {
+        let report = Fabric::run(FabricConfig::new(4), body);
+        let rec = report.collective(kind).expect("the collective ran");
+        (rec.algorithms(), rec.sync_modes())
+    }
+    let sync = SyncMode::Signaled;
+    let add = |a: u64, b: u64| a.wrapping_add(b);
+
+    let blocking = choice(CollectiveKind::AllReduce, move |pe| {
+        let src = pe.shared_malloc::<u64>(8);
+        let mut d = [0u64; 8];
+        collectives::reduce_all_with(pe, &mut d, &src, 8, add, AllReduceAlgo::Ring, sync);
+    });
+    let nonblocking = choice(CollectiveKind::AllReduce, move |pe| {
+        let src = pe.shared_malloc::<u64>(8);
+        let mut d = [0u64; 8];
+        collectives::ixallreduce(pe, &src, 8, add, AllReduceAlgo::Ring, sync).wait_into(pe, &mut d);
+    });
+    assert_eq!(blocking, (vec!["ring"], vec!["signaled"]));
+    assert_eq!(nonblocking, blocking, "ixallreduce");
+
+    let binomial = (vec!["binomial"], vec!["signaled"]);
+    let got = choice(CollectiveKind::Broadcast, move |pe| {
+        let dest = pe.shared_malloc::<u64>(8);
+        collectives::ixbroadcast(pe, &dest, &[7; 8], 8, 1, sync).wait(pe);
+    });
+    assert_eq!(got, binomial, "ixbroadcast");
+    let got = choice(CollectiveKind::Reduce, move |pe| {
+        let src = pe.shared_malloc::<u64>(8);
+        let mut d = [0u64; 8];
+        collectives::ixreduce(pe, &src, 8, 1, add, sync).wait_into(pe, &mut d);
+    });
+    assert_eq!(got, binomial, "ixreduce");
+    let got = choice(CollectiveKind::Broadcast, move |pe| {
+        let dest = pe.shared_malloc::<u64>(8);
+        let p = collectives::plan_create_broadcast(pe, &dest, 8, 1, sync);
+        p.start(pe, &[7; 8]).wait(pe);
+    });
+    assert_eq!(got, binomial, "PersistentBroadcast::start");
+    let got = choice(CollectiveKind::AllReduce, move |pe| {
+        let src = pe.shared_malloc::<u64>(8);
+        let p = collectives::plan_create_allreduce(pe, &src, 8, sync);
+        let mut d = [0u64; 8];
+        p.start(pe, add).wait_into(pe, &mut d);
+        p.destroy(pe);
+    });
+    assert_eq!(got, binomial, "PersistentAllReduce::start");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 

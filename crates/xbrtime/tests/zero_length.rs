@@ -135,12 +135,10 @@ fn zero_length_all_gather_every_algorithm_both_backends() {
     for n in PE_COUNTS {
         for sync in SYNC_MODES {
             for engine in [EngineConfig::threads(), EngineConfig::coop()] {
-                for algo in [
-                    AllGatherVAlgo::Fan,
-                    AllGatherVAlgo::Ring,
-                    AllGatherVAlgo::Dissemination,
-                    AllGatherVAlgo::Auto,
-                ] {
+                for algo in AllGatherVAlgo::CONCRETE
+                    .into_iter()
+                    .chain([AllGatherVAlgo::Auto])
+                {
                     let report = run_traced_on(n, engine, move |pe| {
                         let mut dest: Vec<u64> = vec![];
                         collectives::all_gather_algo_sync(pe, &mut dest, &[], 0, algo, sync);
@@ -173,13 +171,10 @@ fn zero_length_all_to_all_all_modes_both_backends() {
 fn zero_length_allreduce_every_algorithm() {
     for n in PE_COUNTS {
         for sync in SYNC_MODES {
-            for algo in [
-                AllReduceAlgo::ReduceThenBroadcast,
-                AllReduceAlgo::RecursiveDoubling,
-                AllReduceAlgo::Rabenseifner,
-                AllReduceAlgo::Ring,
-                AllReduceAlgo::Auto,
-            ] {
+            for algo in AllReduceAlgo::CONCRETE
+                .into_iter()
+                .chain([AllReduceAlgo::Auto])
+            {
                 let report = run_traced(n, move |pe| {
                     let src = pe.shared_malloc::<u64>(1);
                     let mut dest: Vec<u64> = vec![];
@@ -231,6 +226,28 @@ fn zero_length_hierarchical_all_modes() {
                 collectives::reduce_hier(pe, &mut dest, &buf, 0, 0, u64::wrapping_add, sync);
             });
             assert_inert(&report, &format!("hierarchical n={n} {sync:?}"));
+        }
+    }
+}
+
+/// The team collectives over a strict subset of the fabric (the whole
+/// of it at one PE): `Team::broadcast` runs an empty plan and
+/// `Team::reduce_all` returns before allocating its board — regression
+/// for the last body that staged a 1-element board and ran three world
+/// barriers around two empty plans.
+#[test]
+fn zero_length_team_all_modes() {
+    for n in PE_COUNTS {
+        for sync in SYNC_MODES {
+            let report = run_traced(n, move |pe| {
+                let members = (0..pe.n_pes()).filter(|r| r % 3 != 1).collect();
+                let team = collectives::Team::new(members);
+                let buf = pe.shared_malloc::<u64>(1);
+                let mut dest: Vec<u64> = vec![];
+                team.broadcast(pe, &buf, &[], 0, 0, sync);
+                team.reduce_all(pe, &mut dest, &buf, 0, u64::wrapping_add, sync);
+            });
+            assert_inert(&report, &format!("team n={n} {sync:?}"));
         }
     }
 }
