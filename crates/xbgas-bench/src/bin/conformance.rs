@@ -26,16 +26,10 @@
 use std::process::exit;
 
 use xbrtime::collectives::explore::{explore_exhaustive, run_mutation_harness, ExploreConfig};
-use xbrtime::collectives::extended::all_to_all_sched;
-use xbrtime::collectives::hierarchical::{broadcast_hier_sched, reduce_hier_sched};
 use xbrtime::collectives::scatter::adjusted_displacements;
-use xbrtime::collectives::schedule::{
-    allgather_row, allreduce_row, broadcast_binomial, reduce_binomial, rooted_schedule,
-    CommSchedule, Payload,
-};
-use xbrtime::collectives::vcoll::prefix_displacements;
+use xbrtime::collectives::schedule::{broadcast_binomial, CommSchedule, Payload, Row, Shape};
 use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
-use xbrtime::collectives::{Algorithm, AllGatherVAlgo, AllReduceAlgo, SyncMode, Team};
+use xbrtime::collectives::{Algorithm, AllGatherVAlgo, AllReduceAlgo, SyncMode};
 use xbrtime::CollectiveKind;
 
 /// One named schedule with the spec it claims to implement.
@@ -45,103 +39,64 @@ struct Case {
     spec: CollectiveSpec,
 }
 
-fn case(name: impl Into<String>, sched: CommSchedule, spec: CollectiveSpec) -> Case {
-    Case {
-        name: name.into(),
-        sched,
-        spec,
-    }
-}
+/// Per-rank element counts `f(rank, n)` of a row that reads a table. The
+/// ragged `i % 3` table has genuine zero-length blocks (every third rank,
+/// the root included at some sizes); the giant one leaves everything with
+/// the last rank.
+type Counts = fn(usize, usize) -> usize;
+const MOD2: Counts = |i, _| i % 2 + 1;
+const MOD3: Counts = |i, _| i % 3;
+const GIANT: Counts = |i, n| if i == n - 1 { n + 1 } else { 0 };
 
-/// Per-rank element counts of a scatter/gather row; `None` on the
-/// broadcast/reduce rows, whose every edge carries 2 elements.
-type Counts = Option<fn(usize) -> usize>;
-
-/// The rooted rows — `(name, family, algorithm, count table)` — all built
-/// through `rooted_schedule`, the table the collective bodies read. The
-/// ragged table exercises uneven subtree spans; `i % 3` has genuine
-/// zero-length blocks (every third rank, the root included at some sizes).
-const ROOTED: [(&str, CollectiveKind, Algorithm, Counts); 12] = {
-    use Algorithm::{Binomial, Linear, Ring};
-    use CollectiveKind::{Broadcast, Gather, Reduce, Scatter};
-    [
-        ("broadcast/binomial", Broadcast, Binomial, None),
-        ("broadcast/linear", Broadcast, Linear, None),
-        ("broadcast/ring", Broadcast, Ring, None),
-        ("reduce/binomial", Reduce, Binomial, None),
-        ("reduce/linear", Reduce, Linear, None),
-        ("reduce/ring", Reduce, Ring, None),
-        ("scatter/binomial", Scatter, Binomial, Some(|i| i % 2 + 1)),
-        ("scatter/linear", Scatter, Linear, Some(|_| 1)),
-        ("scatterv/ring", Scatter, Ring, Some(|i| i % 3)),
-        ("gather/binomial", Gather, Binomial, Some(|i| i % 2 + 1)),
-        ("gather/linear", Gather, Linear, Some(|_| 1)),
-        ("gatherv/ring", Gather, Ring, Some(|i| i % 3)),
-    ]
-};
-
-fn rooted_cases(n: usize, root: usize) -> impl Iterator<Item = Case> {
-    ROOTED.into_iter().map(move |(name, family, algo, counts)| {
-        let adj_disp = counts.map(|c| {
-            let msgs: Vec<usize> = (0..n).map(c).collect();
-            adjusted_displacements(&msgs, root, n)
-        });
-        let (nelems, stride) = (2, 1);
-        let payload = match &adj_disp {
-            Some(adj_disp) => Payload::Ranges(adj_disp),
-            None => Payload::Whole { nelems, stride },
-        };
-        let sched = rooted_schedule(family, algo, n, root, payload);
-        let adj_disp = adj_disp.unwrap_or_default();
-        let spec = match (family, algo) {
-            (CollectiveKind::Broadcast, _) => CollectiveSpec::Broadcast {
-                root,
-                nelems,
-                stride,
-            },
-            (CollectiveKind::Reduce, Algorithm::Linear) => CollectiveSpec::ReduceLinear {
-                root,
-                nelems,
-                stride,
-            },
-            (CollectiveKind::Reduce, _) => CollectiveSpec::ReduceTree {
-                root,
-                nelems,
-                stride,
-            },
-            (CollectiveKind::Scatter, _) => CollectiveSpec::Scatter { root, adj_disp },
-            _ => CollectiveSpec::Gather { root, adj_disp },
-        };
-        case(format!("{name} n={n}"), sched, spec)
-    })
-}
-
-/// Per-rank counts `f(rank, n)` of an all-gather row; `None` on the
-/// uniform all-gather (one element each).
-type Blocks = Option<fn(usize, usize) -> usize>;
-const MOD3: Blocks = Some(|i, _| i % 3);
-const GIANT: Blocks = Some(|i, n| if i == n - 1 { n + 1 } else { 0 });
-
-/// Which half of the symmetric table a row reads, and on what: an
-/// all-gather's count table or an all-reduce's element count `f(n)`.
+/// What an entry of [`CASES`] builds at world size `n`: a `Shape`, whom it
+/// runs on, and on what.
 #[derive(Clone, Copy)]
-enum Symmetric {
-    Gather(AllGatherVAlgo, Blocks),
+enum Entry {
+    /// A rooted row from rank `n / 2`: scatter and gather on a count
+    /// table, broadcast and reduce (`None`) on two elements per edge.
+    Rooted(CollectiveKind, Algorithm, Option<Counts>),
+    /// An all-gather of one element each (`None`) or of a count table.
+    Gather(AllGatherVAlgo, Option<Counts>),
+    /// An all-reduce of `f(n)` elements.
     Reduce(AllReduceAlgo, fn(usize) -> usize),
+    /// One element to every rank from every rank.
+    AllToAll,
+    /// From `n = 3`: the binomial row on a strict-subset team — every other
+    /// rank, the broadcast rooted at the last member — so member/non-member
+    /// boundaries and rank translation are both exercised.
+    Team(CollectiveKind),
+    /// From `n = 3`: the two-tier tree from rank 1, two PEs to a node — a
+    /// ragged last node for odd `n`.
+    Hier(CollectiveKind),
 }
 
-/// The symmetric rows, all built through `allgather_row` / `allreduce_row`,
-/// the table the collective bodies read. The allreduce rows fold their
-/// non-power-of-two tails internally, so every one is held to the dense
-/// reference at every n — no Unchecked escape hatch. The irregular
-/// all-gathers run the `i % 3` table again, plus a maximally skewed
-/// one-PE-holds-everything table for the dissemination schedule, whose
-/// O(log n) giant-block movement is the property worth model-checking.
-const SYMMETRIC: [(&str, Symmetric); 11] = {
+/// Every row the library can name, paired below with the `CollectiveSpec`
+/// it must satisfy; all built through `Row::schedule`, which the
+/// collective bodies read. The allreduce rows fold their non-power-of-two
+/// tails internally, so every one is held to the dense reference at every
+/// n — no Unchecked escape hatch. The irregular all-gathers run the
+/// `i % 3` table, plus the maximally skewed one for the dissemination
+/// schedule, whose O(log n) giant-block movement is the property worth
+/// model-checking.
+const CASES: [(&str, Entry); 28] = {
+    use Algorithm::{Binomial, Linear, Ring};
     use AllGatherVAlgo::{self as G, Dissemination, Fan};
     use AllReduceAlgo::{self as R, Rabenseifner, RecursiveDoubling, ReduceThenBroadcast};
-    use Symmetric::{Gather, Reduce};
+    use CollectiveKind::{Broadcast, Gather as Gath, Reduce as Red, Scatter};
+    use Entry::{AllToAll, Gather, Hier, Reduce, Rooted, Team};
     [
+        ("broadcast/binomial", Rooted(Broadcast, Binomial, None)),
+        ("broadcast/linear", Rooted(Broadcast, Linear, None)),
+        ("broadcast/ring", Rooted(Broadcast, Ring, None)),
+        ("reduce/binomial", Rooted(Red, Binomial, None)),
+        ("reduce/linear", Rooted(Red, Linear, None)),
+        ("reduce/ring", Rooted(Red, Ring, None)),
+        ("scatter/binomial", Rooted(Scatter, Binomial, Some(MOD2))),
+        ("scatter/linear", Rooted(Scatter, Linear, Some(|_, _| 1))),
+        ("scatterv/ring", Rooted(Scatter, Ring, Some(MOD3))),
+        ("gather/binomial", Rooted(Gath, Binomial, Some(MOD2))),
+        ("gather/linear", Rooted(Gath, Linear, Some(|_, _| 1))),
+        ("gatherv/ring", Rooted(Gath, Ring, Some(MOD3))),
         ("all_gather", Gather(Fan, None)),
         ("all_gather/ring", Gather(G::Ring, None)),
         ("all_gather/rec-doubling", Gather(Dissemination, None)),
@@ -151,90 +106,143 @@ const SYMMETRIC: [(&str, Symmetric); 11] = {
         // owning an empty reduce-scatter range — the hardest split.
         ("allreduce/rabenseifner", Reduce(Rabenseifner, |_| 3)),
         ("allreduce/ring", Reduce(R::Ring, |n| n + 1)),
-        ("allgatherv/fan", Gather(Fan, MOD3)),
-        ("allgatherv/ring", Gather(G::Ring, MOD3)),
-        ("allgatherv/dissemination", Gather(Dissemination, MOD3)),
+        ("allgatherv/fan", Gather(Fan, Some(MOD3))),
+        ("allgatherv/ring", Gather(G::Ring, Some(MOD3))),
+        (
+            "allgatherv/dissemination",
+            Gather(Dissemination, Some(MOD3)),
+        ),
         (
             "allgatherv/dissemination skewed",
-            Gather(Dissemination, GIANT),
+            Gather(Dissemination, Some(GIANT)),
         ),
+        ("all_to_all", AllToAll),
+        ("team/broadcast", Team(Broadcast)),
+        ("team/reduce", Team(Red)),
+        ("hier/broadcast", Hier(Broadcast)),
+        ("hier/reduce", Hier(Red)),
     ]
 };
 
-fn symmetric_cases(n: usize) -> impl Iterator<Item = Case> {
-    SYMMETRIC.into_iter().map(move |(name, row)| {
-        let (sched, spec) = match row {
-            Symmetric::Gather(algo, counts) => {
-                let counts_of = |c: fn(usize, usize) -> usize| (0..n).map(|i| c(i, n)).collect();
-                let table: Vec<usize> = counts.map_or(vec![1; n], counts_of);
-                let sched = allgather_row(algo).2(n, &prefix_displacements(&table));
-                let spec = match counts {
-                    Some(_) => CollectiveSpec::AllGatherV { counts: table },
+/// Every entry of [`CASES`] at world size `n`: flat, extended, irregular
+/// (v-variant), team and hierarchical rows.
+fn cases(n: usize) -> Vec<Case> {
+    let every_other: Vec<usize> = (0..n).step_by(2).collect();
+    let table = |c: Counts| (0..n).map(|i| c(i, n)).collect::<Vec<usize>>();
+    let (nelems, stride, binomial) = (2, 1, Algorithm::Binomial);
+    let payload = Payload::Whole { nelems, stride };
+    // The spec of a whole-vector rooted row from `root`.
+    let whole = |family, algo, root| match (family, algo) {
+        (CollectiveKind::Broadcast, _) => CollectiveSpec::Broadcast {
+            root,
+            nelems,
+            stride,
+        },
+        (_, Algorithm::Linear) => CollectiveSpec::ReduceLinear {
+            root,
+            nelems,
+            stride,
+        },
+        _ => CollectiveSpec::ReduceTree {
+            root,
+            nelems,
+            stride,
+        },
+    };
+    let mut out = Vec::new();
+    for (name, entry) in CASES {
+        let (mut name, mut members) = (format!("{name} n={n}"), None);
+        let (counts, adj_disp);
+        let (shape, spec) = match entry {
+            Entry::Team(_) | Entry::Hier(_) if n < 3 => continue,
+            Entry::Rooted(family, algo, c) => {
+                let root = n / 2;
+                let (payload, spec) = match c {
+                    Some(c) => {
+                        adj_disp = adjusted_displacements(&table(c), root, n);
+                        let spec = match (family, adj_disp.clone()) {
+                            (CollectiveKind::Scatter, adj_disp) => {
+                                CollectiveSpec::Scatter { root, adj_disp }
+                            }
+                            (_, adj_disp) => CollectiveSpec::Gather { root, adj_disp },
+                        };
+                        (Payload::Ranges(&adj_disp), spec)
+                    }
+                    None => (payload, whole(family, algo, root)),
+                };
+                let shape = Shape::Rooted {
+                    family,
+                    algo,
+                    root,
+                    payload,
+                };
+                (shape, spec)
+            }
+            Entry::Gather(algo, c) => {
+                counts = c.map_or(vec![1; n], table);
+                let spec = match c {
+                    Some(_) => CollectiveSpec::AllGatherV {
+                        counts: counts.clone(),
+                    },
                     None => CollectiveSpec::AllGather { per_pe: 1 },
                 };
-                (sched, spec)
+                let counts = &counts[..];
+                (Shape::AllGather { algo, counts }, spec)
             }
-            Symmetric::Reduce(algo, nelems) => {
+            Entry::Reduce(algo, nelems) => {
                 let nelems = nelems(n);
                 let spec = CollectiveSpec::AllReduce { nelems };
-                (allreduce_row(algo).2(n, nelems), spec)
+                (Shape::AllReduce { algo, nelems }, spec)
+            }
+            Entry::AllToAll => {
+                let spec = CollectiveSpec::AllToAll { per_pe: 1 };
+                (Shape::AllToAll { per_pe: 1 }, spec)
+            }
+            Entry::Team(family) => {
+                name += &format!(" m={}", every_other.len());
+                members = Some(&every_other[..]);
+                let team = every_other.clone();
+                let (root, spec) = match family {
+                    CollectiveKind::Broadcast => {
+                        let root = team.len() - 1;
+                        let spec = CollectiveSpec::TeamBroadcast {
+                            root_global: team[root],
+                            members: team,
+                            nelems,
+                        };
+                        (root, spec)
+                    }
+                    _ => {
+                        let members = team;
+                        (0, CollectiveSpec::TeamReduce { members, nelems })
+                    }
+                };
+                let shape = Shape::Rooted {
+                    family,
+                    algo: binomial,
+                    root,
+                    payload,
+                };
+                (shape, spec)
+            }
+            Entry::Hier(family) => {
+                name += " k=2";
+                let shape = Shape::Hier {
+                    family,
+                    pes_per_node: 2,
+                    root: 1,
+                    nelems,
+                };
+                (shape, whole(family, binomial, 1))
             }
         };
-        case(format!("{name} n={n}"), sched, spec)
-    })
-}
-
-/// Every (collective × algorithm) pair at world size `n`, covering flat,
-/// extended, irregular (v-variant), team and hierarchical generators.
-fn cases(n: usize) -> Vec<Case> {
-    let mut out: Vec<Case> = rooted_cases(n, n / 2).chain(symmetric_cases(n)).collect();
-    out.push(case(
-        format!("all_to_all n={n}"),
-        all_to_all_sched(n, 1),
-        CollectiveSpec::AllToAll { per_pe: 1 },
-    ));
-    if n >= 3 {
-        // A strict-subset team: every other rank, rooted at the last
-        // member, so member/non-member boundaries and rank translation
-        // are both exercised.
-        let members: Vec<usize> = (0..n).step_by(2).collect();
-        let team = Team::new(members.clone());
-        let team_root = members.len() - 1;
-        out.push(case(
-            format!("team/broadcast n={n} m={}", members.len()),
-            team.broadcast_schedule(n, 2, team_root),
-            CollectiveSpec::TeamBroadcast {
-                members: members.clone(),
-                root_global: members[team_root],
-                nelems: 2,
-            },
-        ));
-        out.push(case(
-            format!("team/reduce n={n} m={}", members.len()),
-            team.reduce_schedule(n, 2),
-            CollectiveSpec::TeamReduce { members, nelems: 2 },
-        ));
-    }
-    if n >= 3 {
-        // pes_per_node = 2 leaves a ragged last node for odd n.
-        out.push(case(
-            format!("hier/broadcast n={n} k=2"),
-            broadcast_hier_sched(n, 2, 1, 2),
-            CollectiveSpec::Broadcast {
-                root: 1,
-                nelems: 2,
-                stride: 1,
-            },
-        ));
-        out.push(case(
-            format!("hier/reduce n={n} k=2"),
-            reduce_hier_sched(n, 2, 1, 2),
-            CollectiveSpec::ReduceTree {
-                root: 1,
-                nelems: 2,
-                stride: 1,
-            },
-        ));
+        let row = Row {
+            shape,
+            members,
+            world: n,
+        };
+        let sched = row.schedule();
+        out.push(Case { name, sched, spec });
     }
     out
 }
@@ -243,24 +251,25 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut failures = 0usize;
     let cfg = ModelConfig::default();
-    // A shape cannot ship unchecked: every row of the rooted and symmetric
-    // tables is swept, explored and mutation-tested below.
-    let require = |listed: bool, family: &str, algo: &str| {
-        assert!(listed, "{family}/{algo} has no conformance row");
+    // A shape cannot ship unchecked: every algorithm of every family has
+    // an entry that is swept, explored and mutation-tested below.
+    let require = |listed: &dyn Fn(Entry) -> bool, family: &str, algo: &str| {
+        let listed = CASES.iter().any(|c| listed(c.1));
+        assert!(listed, "{family}/{algo} has no conformance entry");
     };
-    for family in &CollectiveKind::ALL[..4] {
+    for family in CollectiveKind::ALL[..4].iter().copied() {
         for algo in [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring] {
-            let listed = ROOTED.iter().any(|r| (r.1, r.2) == (*family, algo));
-            require(listed, family.name(), algo.name());
+            let entry = |e| matches!(e, Entry::Rooted(f, a, _) if (f, a) == (family, algo));
+            require(&entry, family.name(), algo.name());
         }
     }
     for algo in AllGatherVAlgo::CONCRETE {
-        let row = |r: &(_, Symmetric)| matches!(r.1, Symmetric::Gather(a, _) if a == algo);
-        require(SYMMETRIC.iter().any(row), "all_gather", algo.name());
+        let entry = |e| matches!(e, Entry::Gather(a, _) if a == algo);
+        require(&entry, "all_gather", algo.name());
     }
     for algo in AllReduceAlgo::CONCRETE {
-        let row = |r: &(_, Symmetric)| matches!(r.1, Symmetric::Reduce(a, _) if a == algo);
-        require(SYMMETRIC.iter().any(row), "allreduce", algo.name());
+        let entry = |e| matches!(e, Entry::Reduce(a, _) if a == algo);
+        require(&entry, "allreduce", algo.name());
     }
 
     // --- Plane 1: canonical oracle sweep ------------------------------
@@ -348,32 +357,13 @@ fn main() {
 
     // --- Plane 3: mutation harness -------------------------------------
     println!("plane 3: mutation harness (dependency-dropping mutants must be killed)");
-    let targets: Vec<Case> = if smoke {
-        vec![
-            case(
-                "broadcast/binomial n=4",
-                broadcast_binomial(4, 0, 2, 1),
-                CollectiveSpec::Broadcast {
-                    root: 0,
-                    nelems: 2,
-                    stride: 1,
-                },
-            ),
-            case(
-                "reduce/binomial n=4",
-                reduce_binomial(4, 0, 2, 1),
-                CollectiveSpec::ReduceTree {
-                    root: 0,
-                    nelems: 2,
-                    stride: 1,
-                },
-            ),
-        ]
+    let mut targets = cases(4);
+    if smoke {
+        let trees = ["broadcast/binomial n=4", "reduce/binomial n=4"];
+        targets.retain(|c| trees.contains(&c.name.as_str()));
     } else {
-        let mut t = cases(4);
-        t.extend(cases(5));
-        t
-    };
+        targets.extend(cases(5));
+    }
     let mut total_pairs = 0usize;
     let mut killed_pairs = 0usize;
     let mut survivors = Vec::new();

@@ -14,11 +14,9 @@
 //! `N − 1` stages). Both are the same body under a different schedule
 //! generator, selected through [`broadcast_policy_sync`].
 
-use crate::collectives::plan::{self, PlanKey};
-use crate::collectives::policy::{
-    auto_select_broadcast_sync, Algorithm, AlgorithmPolicy, SyncMode,
-};
-use crate::collectives::schedule::{rooted_schedule, Payload};
+use crate::collectives::plan;
+use crate::collectives::policy::{auto_select_broadcast_sync, AlgorithmPolicy, SyncMode};
+use crate::collectives::schedule::{Payload, Row, Shape};
 use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
 
@@ -53,17 +51,8 @@ pub fn broadcast<T: XbrType>(
     stride: usize,
     root: usize,
 ) {
-    broadcast_core(
-        pe,
-        dest,
-        src,
-        nelems,
-        stride,
-        root,
-        CollectiveKind::Broadcast,
-        Algorithm::Binomial,
-        SyncMode::Barrier,
-    );
+    let (tree, barriers) = (AlgorithmPolicy::Binomial, SyncMode::Barrier);
+    broadcast_policy_sync(pe, dest, src, nelems, stride, root, tree, barriers);
 }
 
 /// [`broadcast`] under an explicit [`AlgorithmPolicy`] and executor
@@ -82,85 +71,75 @@ pub fn broadcast_policy_sync<T: XbrType>(
     policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
-    let nbytes = nelems * std::mem::size_of::<T>();
-    // For broadcast every schedule op carries the full payload, so
-    // resolving from `nbytes` here matches the executor's own
-    // max-op-bytes resolution exactly.
-    let resolved = sync.resolve(pe.n_pes(), nbytes);
-    let algo = match policy {
-        AlgorithmPolicy::Auto => auto_select_broadcast_sync(pe.n_pes(), nbytes, resolved),
-        _ => policy.select(CollectiveKind::Broadcast, pe.n_pes(), nbytes),
-    };
-    // The *original* mode goes to the executor: it re-resolves `Auto`
-    // with the schedule in hand (falling back to plain barriers for
-    // single-stage shapes), which `resolved` above cannot know about.
-    broadcast_core(
-        pe,
-        dest,
-        src,
-        nelems,
-        stride,
-        root,
-        CollectiveKind::Broadcast,
-        algo,
-        sync,
-    );
+    broadcast_on(pe, dest, src, nelems, stride, root, None, policy, sync);
 }
 
-/// The one broadcast body: stage the root, key the plan, run `algo`'s
-/// schedule. `kind` is the telemetry kind the episode reports under — so
-/// composites like reduce-to-all attribute their internal broadcast to
-/// themselves. A zero-length broadcast is fully inert (telemetry only).
+/// [`broadcast_policy_sync`] over `members` (`root` is a position in the
+/// list; everyone else appears in no op) or, without a list, the world.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn broadcast_core<T: XbrType>(
+pub(crate) fn broadcast_on<T: XbrType>(
     pe: &Pe,
     dest: &SymmAlloc<T>,
     src: &[T],
     nelems: usize,
     stride: usize,
     root: usize,
-    kind: CollectiveKind,
-    algo: Algorithm,
+    members: Option<&[usize]>,
+    policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
-    let n_pes = pe.n_pes();
-    assert!(root < n_pes, "root {root} out of range");
+    let family = CollectiveKind::Broadcast;
+    let n = members.map_or(pe.n_pes(), <[usize]>::len);
+    let nbytes = nelems * std::mem::size_of::<T>();
+    // For broadcast every schedule op carries the full payload, so
+    // resolving from `nbytes` here matches the executor's own
+    // max-op-bytes resolution exactly.
+    let resolved = sync.resolve(n, nbytes);
+    let algo = match policy {
+        AlgorithmPolicy::Auto => auto_select_broadcast_sync(n, nbytes, resolved),
+        _ => policy.select(family, n, nbytes),
+    };
+    let row = Row {
+        shape: Shape::Rooted {
+            family,
+            algo,
+            root,
+            payload: Payload::Whole { nelems, stride },
+        },
+        members,
+        world: pe.n_pes(),
+    };
+    // The *original* mode goes to the executor: it re-resolves `Auto`
+    // with the schedule in hand (falling back to plain barriers for
+    // single-stage shapes), which `resolved` above cannot know about.
+    broadcast_core(pe, dest, src, &row, family, sync);
+}
+
+/// The one broadcast body: stage the root, run `row` — the flat trees, a
+/// team's, the two-tier hierarchy. `kind` is the telemetry kind the
+/// episode reports under — so composites like reduce-to-all attribute
+/// their internal broadcast to themselves. A zero-length broadcast is
+/// fully inert (telemetry only).
+pub(crate) fn broadcast_core<T: XbrType>(
+    pe: &Pe,
+    dest: &SymmAlloc<T>,
+    src: &[T],
+    row: &Row<'_>,
+    kind: CollectiveKind,
+    sync: SyncMode,
+) {
+    row.check();
+    let (root_pe, nelems, stride) = row.rooted_whole();
     if nelems == 0 {
         plan::note_inert(pe, kind);
         return;
     }
     // The root stages the payload into its symmetric dest so that interior
     // stages can forward heap-to-heap with a single put each.
-    if pe.rank() == root {
+    if pe.rank() == root_pe {
         pe.heap_write_strided(dest.whole(), src, nelems, stride);
     }
-    let family = CollectiveKind::Broadcast;
-    let key = PlanKey::rooted(
-        kind,
-        algo,
-        sync,
-        n_pes,
-        root,
-        nelems,
-        stride,
-        std::mem::size_of::<T>(),
-        plan::tag::rooted(family, algo),
-    );
-    plan::run_schedule(
-        pe,
-        key,
-        || {
-            let whole = Payload::Whole { nelems, stride };
-            let mut sched = rooted_schedule(family, algo, n_pes, root, whole);
-            sched.kind = kind;
-            sched
-        },
-        dest.whole(),
-        &[],
-        &mut [],
-        None,
-        sync,
-    );
+    plan::run_schedule(pe, row, kind, dest.whole(), &[], &mut [], None, sync);
 }
 
 #[cfg(test)]

@@ -21,24 +21,23 @@
 //!   for the ring — and Rabenseifner's allgather half and both fold-out
 //!   tails are the stages before them
 //!   [`transposed`](crate::collectives::schedule::CommSchedule::transposed)
-//!   into puts; [`allreduce_row`](crate::collectives::schedule::allreduce_row)
-//!   names the four for every body;
+//!   into puts; [`Shape::AllReduce`] names the four for every body;
 //! * [`all_gather`] — OpenSHMEM `fcollect` (equal counts, every PE receives
 //!   the concatenation): the [`vcoll`](crate::collectives::vcoll)
 //!   all-gather body on a constant count table, so every
 //!   [`AllGatherVAlgo`] shape is available;
 //! * [`all_to_all_sync`] — personalized all-to-all via pairwise exchange;
 //! * [`Team`] — a subset of PEs with translated ranks; team-scoped
-//!   broadcast/reduce are the flat tree
-//!   [`on`](crate::collectives::schedule::CommSchedule::on) the members.
+//!   broadcast/reduce are the broadcast and reduction bodies on a
+//!   [`Row`] that carries the member list.
 
-use crate::collectives::broadcast::broadcast_core;
-use crate::collectives::plan::{self, PlanKey};
-use crate::collectives::policy::{self, Algorithm, SyncMode};
+use crate::collectives::broadcast::{broadcast_core, broadcast_on};
+use crate::collectives::plan;
+use crate::collectives::policy::{self, Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::reduce::reduce_core;
 use crate::collectives::schedule::{
     balanced_partition, broadcast_binomial, exchange_stages, floor_pof2, reduce_binomial,
-    CommSchedule, Exchange, OpKind, Payload, Stage, TransferOp,
+    CommSchedule, Exchange, OpKind, Payload, Row, Shape, Stage, TransferOp,
 };
 use crate::collectives::vcoll::{allgather_core, AllGatherVAlgo};
 use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
@@ -311,21 +310,7 @@ pub fn reduce_all_with<T: XbrType>(
     }
     let algo = algo.resolve(n_pes, nelems * std::mem::size_of::<T>());
     if algo == AllReduceAlgo::ReduceThenBroadcast {
-        // The paper's composition: both halves are the binomial tree.
-        let tree = Algorithm::Binomial;
-        reduce_core(pe, dest, src, nelems, 1, 0, kind, f, tree, sync);
-        let bcast = pe.shared_malloc::<T>(nelems);
-        // Rank 0 holds the result; broadcast it to everyone.
-        let payload: Vec<T> = if pe.rank() == 0 {
-            dest[..nelems].to_vec()
-        } else {
-            vec![T::default(); nelems]
-        };
-        broadcast_core(pe, &bcast, &payload, nelems, 1, 0, kind, tree, sync);
-        pe.barrier();
-        pe.heap_read_strided(bcast.whole(), &mut dest[..nelems], nelems, 1);
-        pe.barrier();
-        pe.shared_free(bcast);
+        reduce_then_broadcast(pe, dest, src, nelems, f, None, sync);
         return;
     }
     let work = pe.shared_malloc::<T>(nelems);
@@ -336,6 +321,48 @@ pub fn reduce_all_with<T: XbrType>(
     pe.heap_read_strided(work.whole(), &mut dest[..nelems], nelems, 1);
     pe.barrier();
     pe.shared_free(work);
+}
+
+/// The paper's composition, reporting as one all-reduce: the binomial
+/// reduction to the first rank of `members` (or of the world), then the
+/// binomial broadcast back from it. Everyone calls; only participants
+/// contribute and read the result out.
+fn reduce_then_broadcast<T: XbrType>(
+    pe: &Pe,
+    dest: &mut [T],
+    src: &SymmAlloc<T>,
+    nelems: usize,
+    f: impl Fn(T, T) -> T,
+    members: Option<&[usize]>,
+    sync: SyncMode,
+) {
+    let kind = CollectiveKind::AllReduce;
+    let tree = |family| Row {
+        shape: Shape::Rooted {
+            family,
+            algo: Algorithm::Binomial,
+            root: 0,
+            payload: Payload::Whole { nelems, stride: 1 },
+        },
+        members,
+        world: pe.n_pes(),
+    };
+    let down = tree(CollectiveKind::Broadcast);
+    reduce_core(pe, dest, src, &tree(CollectiveKind::Reduce), kind, f, sync);
+    let bcast = pe.shared_malloc::<T>(nelems);
+    // The first rank holds the result; broadcast it to everyone.
+    let payload: Vec<T> = if pe.rank() == down.rooted_whole().0 {
+        dest[..nelems].to_vec()
+    } else {
+        vec![T::default(); nelems]
+    };
+    broadcast_core(pe, &bcast, &payload, &down, kind, sync);
+    pe.barrier();
+    if down.has(pe.rank()) {
+        pe.heap_read_strided(bcast.whole(), &mut dest[..nelems], nelems, 1);
+    }
+    pe.barrier();
+    pe.shared_free(bcast);
 }
 
 /// All-gather (OpenSHMEM `fcollect`): every PE contributes `per_pe`
@@ -390,27 +417,13 @@ pub fn all_to_all_sync<T: XbrType>(
         return;
     }
     let board = pe.shared_malloc::<T>(total);
-    let key = PlanKey::rooted(
-        CollectiveKind::AllToAll,
-        Algorithm::Binomial,
-        sync,
-        n_pes,
-        0,
-        per_pe,
-        1,
-        std::mem::size_of::<T>(),
-        plan::tag::ALL_TO_ALL,
-    );
-    plan::run_schedule(
-        pe,
-        key,
-        || all_to_all_sched(n_pes, per_pe),
-        board.whole(),
-        src,
-        &mut [],
-        None,
-        sync,
-    );
+    let row = Row {
+        shape: Shape::AllToAll { per_pe },
+        members: None,
+        world: n_pes,
+    };
+    let kind = CollectiveKind::AllToAll;
+    plan::run_schedule(pe, &row, kind, board.whole(), src, &mut [], None, sync);
     pe.heap_read_strided(board.whole(), &mut dest[..total], total, 1);
     pe.barrier();
     pe.shared_free(board);
@@ -458,32 +471,12 @@ impl Team {
         self.members.iter().position(|&m| m == global)
     }
 
-    /// The team broadcast's schedule over *global* ranks: the flat
-    /// binomial tree across the members, rooted at team-rank `team_root`,
-    /// mapped [`on`](CommSchedule::on) their PEs. Non-members appear in
-    /// no op and simply keep pace with the stage barriers.
-    pub fn broadcast_schedule(
-        &self,
-        n_pes: usize,
-        nelems: usize,
-        team_root: usize,
-    ) -> CommSchedule {
-        broadcast_binomial(self.size(), team_root, nelems, 1).on(&self.members, n_pes)
-    }
-
-    /// The team reduction's schedule over global ranks: the broadcast
-    /// tree from team-rank 0 transposed into folds (exact for any team
-    /// size, like the flat tree).
-    pub fn reduce_schedule(&self, n_pes: usize, nelems: usize) -> CommSchedule {
-        self.broadcast_schedule(n_pes, nelems, 0)
-            .transposed(CollectiveKind::AllReduce, OpKind::GetFold)
-    }
-
-    /// Team-scoped broadcast from team-rank `team_root`. Every PE (member
-    /// or not) must call this; only members move data. Non-members
-    /// appear in no op, so under signaled/pipelined sync they post and
-    /// wait on no slots; like members, they join the collective's single
-    /// closing barrier.
+    /// Team-scoped broadcast from team-rank `team_root`: the binomial row
+    /// of the broadcast body over the members. Every PE (member or not)
+    /// must call this; only members move data. Non-members appear in no
+    /// op, so under signaled/pipelined sync they post and wait on no
+    /// slots; like members, they join the collective's single closing
+    /// barrier.
     pub fn broadcast<T: XbrType>(
         &self,
         pe: &Pe,
@@ -493,58 +486,8 @@ impl Team {
         team_root: usize,
         sync: SyncMode,
     ) {
-        self.broadcast_with_kind(
-            pe,
-            dest,
-            src,
-            nelems,
-            team_root,
-            CollectiveKind::Broadcast,
-            sync,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn broadcast_with_kind<T: XbrType>(
-        &self,
-        pe: &Pe,
-        dest: &SymmAlloc<T>,
-        src: &[T],
-        nelems: usize,
-        team_root: usize,
-        kind: CollectiveKind,
-        sync: SyncMode,
-    ) {
-        if self.team_rank(pe.rank()) == Some(team_root) {
-            pe.heap_write_strided(dest.whole(), src, nelems, 1);
-        }
-        let n_pes = pe.n_pes();
-        let mut key = PlanKey::rooted(
-            kind,
-            Algorithm::Binomial,
-            sync,
-            n_pes,
-            team_root,
-            nelems,
-            1,
-            std::mem::size_of::<T>(),
-            plan::tag::TEAM_BROADCAST,
-        );
-        key.shape.extend(self.members.iter().map(|&m| m as u64));
-        plan::run_schedule(
-            pe,
-            key,
-            || {
-                let mut sched = self.broadcast_schedule(n_pes, nelems, team_root);
-                sched.kind = kind;
-                sched
-            },
-            dest.whole(),
-            &[],
-            &mut [],
-            None,
-            sync,
-        );
+        let (tree, members) = (AlgorithmPolicy::Binomial, Some(&self.members[..]));
+        broadcast_on(pe, dest, src, nelems, 1, team_root, members, tree, sync);
     }
 
     /// Team-scoped all-reduce (reduce-to-team-root-then-broadcast). Every
@@ -563,57 +506,7 @@ impl Team {
             plan::note_inert(pe, CollectiveKind::AllReduce);
             return;
         }
-        let my_team_rank = self.team_rank(pe.rank());
-        let work = pe.shared_malloc::<T>(nelems);
-        if my_team_rank.is_some() {
-            pe.get_symm(work.whole(), src.whole(), nelems, 1, pe.rank());
-        }
-        pe.barrier();
-        // Tree-reduce over team ranks toward team rank 0.
-        let n_pes = pe.n_pes();
-        let mut key = PlanKey::rooted(
-            CollectiveKind::AllReduce,
-            Algorithm::Binomial,
-            sync,
-            n_pes,
-            0,
-            nelems,
-            1,
-            std::mem::size_of::<T>(),
-            plan::tag::TEAM_REDUCE,
-        );
-        key.shape.extend(self.members.iter().map(|&m| m as u64));
-        plan::run_schedule(
-            pe,
-            key,
-            || self.reduce_schedule(n_pes, nelems),
-            work.whole(),
-            &[],
-            &mut [],
-            Some(&f),
-            sync,
-        );
-        // Team-rank 0 broadcasts the result back through the team.
-        let payload: Vec<T> = if my_team_rank == Some(0) {
-            pe.heap_read_vec(work.whole(), nelems)
-        } else {
-            vec![T::default(); nelems]
-        };
-        self.broadcast_with_kind(
-            pe,
-            &work,
-            &payload,
-            nelems,
-            0,
-            CollectiveKind::AllReduce,
-            sync,
-        );
-        pe.barrier();
-        if my_team_rank.is_some() {
-            pe.heap_read_strided(work.whole(), &mut dest[..nelems], nelems, 1);
-        }
-        pe.barrier();
-        pe.shared_free(work);
+        reduce_then_broadcast(pe, dest, src, nelems, f, Some(&self.members), sync);
     }
 }
 

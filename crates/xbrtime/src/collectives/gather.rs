@@ -10,10 +10,10 @@
 //! and chain (`AlgorithmPolicy::Ring`) shapes and the irregular
 //! [`gatherv`](crate::collectives::vcoll::gatherv).
 
-use crate::collectives::plan::{self, PlanKey};
+use crate::collectives::plan;
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::scatter::adjusted_displacements;
-use crate::collectives::schedule::{rooted_schedule, Payload};
+use crate::collectives::schedule::{Payload, Row, Shape};
 use crate::collectives::vcoll::{validate_v_shape, VCountError};
 use crate::collectives::vrank::virtual_rank;
 use crate::fabric::{CollectiveKind, Pe};
@@ -126,28 +126,18 @@ pub(crate) fn gather_core<T: XbrType>(
     pe.barrier();
 
     let family = CollectiveKind::Gather;
-    let mut key = PlanKey::rooted(
-        family,
-        algo,
-        sync,
-        n_pes,
-        root,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        plan::tag::rooted(family, algo),
-    );
-    key.shape.extend(adj_disp.iter().map(|&v| v as u64));
-    plan::run_schedule(
-        pe,
-        key,
-        || rooted_schedule(family, algo, n_pes, root, Payload::Ranges(&adj_disp)),
-        s_buff.whole(),
-        &[],
-        &mut [],
-        None,
-        sync,
-    );
+    let row = Row {
+        shape: Shape::Rooted {
+            family,
+            algo,
+            root,
+            payload: Payload::Ranges(&adj_disp),
+        },
+        members: None,
+        world: n_pes,
+    };
+    let staged = s_buff.whole();
+    plan::run_schedule(pe, &row, family, staged, &[], &mut [], None, sync);
 
     // Root: reorder from virtual-rank staging order back to logical order.
     if log_rank == root {

@@ -25,10 +25,18 @@
 //! is that schedule [`transposed`](CommSchedule::transposed), so the
 //! generator's output is inspectable — the inter-node crossing count the
 //! hierarchy exists to minimise is just a filter over the ops.
+//!
+//! There is no hierarchical body: [`broadcast_hier`] and [`reduce_hier`]
+//! name their schedule as a [`Shape::Hier`] row (the flat binomial row
+//! without a topology) and hand it to the broadcast and reduction bodies,
+//! which stage, check, key and run it like any other row.
 
-use crate::collectives::plan::{self, tag, PlanKey};
-use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::schedule::{broadcast_binomial, CommSchedule, OpKind, Stage};
+use crate::collectives::broadcast::broadcast_core;
+use crate::collectives::policy::{Algorithm, SyncMode};
+use crate::collectives::reduce::reduce_core;
+use crate::collectives::schedule::{
+    broadcast_binomial, CommSchedule, OpKind, Payload, Row, Shape, Stage,
+};
 use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
 
@@ -119,10 +127,35 @@ pub fn reduce_hier_sched(
         .transposed(CollectiveKind::Reduce, OpKind::GetFold)
 }
 
+/// The row a hierarchical call runs: two tiers under the fabric's
+/// topology, the flat binomial tree without one.
+fn hier_row(pe: &Pe, family: CollectiveKind, root: usize, nelems: usize) -> Row<'static> {
+    let shape = match pe.topology() {
+        Some(topo) => Shape::Hier {
+            family,
+            pes_per_node: topo.pes_per_node,
+            root,
+            nelems,
+        },
+        None => Shape::Rooted {
+            family,
+            algo: Algorithm::Binomial,
+            root,
+            payload: Payload::Whole { nelems, stride: 1 },
+        },
+    };
+    Row {
+        shape,
+        members: None,
+        world: pe.n_pes(),
+    }
+}
+
 /// Hierarchical broadcast: tier 1 across node leaders, tier 2 within
-/// nodes, under an explicit synchronization discipline — the hierarchical
-/// schedule lowers unchanged under the signaled and pipelined disciplines.
-/// Falls back to the flat binomial tree when the fabric has no topology.
+/// nodes, under an explicit synchronization discipline — the broadcast
+/// body on the two-tier row, which lowers unchanged under the signaled and
+/// pipelined disciplines. Falls back to the flat binomial tree when the
+/// fabric has no topology.
 pub fn broadcast_hier<T: XbrType>(
     pe: &Pe,
     dest: &SymmAlloc<T>,
@@ -131,45 +164,15 @@ pub fn broadcast_hier<T: XbrType>(
     root: usize,
     sync: SyncMode,
 ) {
-    let Some(topo) = pe.topology() else {
-        let flat = AlgorithmPolicy::Binomial;
-        crate::collectives::broadcast_policy_sync(pe, dest, src, nelems, 1, root, flat, sync);
-        return;
-    };
-
-    if pe.rank() == root {
-        pe.heap_write_strided(dest.whole(), src, nelems, 1);
-    }
-
-    let (n_pes, k) = (pe.n_pes(), topo.pes_per_node);
-    let mut key = PlanKey::rooted(
-        CollectiveKind::Broadcast,
-        Algorithm::Binomial,
-        sync,
-        n_pes,
-        root,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        tag::BROADCAST_HIER,
-    );
-    key.shape.push(k as u64);
-    plan::run_schedule(
-        pe,
-        key,
-        || broadcast_hier_sched(n_pes, k, root, nelems),
-        dest.whole(),
-        &[],
-        &mut [],
-        None,
-        sync,
-    );
+    let family = CollectiveKind::Broadcast;
+    let row = hier_row(pe, family, root, nelems);
+    broadcast_core(pe, dest, src, &row, family, sync);
 }
 
 /// Hierarchical reduction with an arbitrary combiner under an explicit
 /// synchronization discipline: tier 1 within nodes (cheap links), tier 2
-/// across leaders to the root. `src` must be symmetric; `dest` receives
-/// the result on the root only.
+/// across leaders to the root — the reduction body on the two-tier row.
+/// `src` must be symmetric; `dest` receives the result on the root only.
 pub fn reduce_hier<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
@@ -179,57 +182,15 @@ pub fn reduce_hier<T: XbrType>(
     f: impl Fn(T, T) -> T + Copy,
     sync: SyncMode,
 ) {
-    let Some(topo) = pe.topology() else {
-        let flat = AlgorithmPolicy::Binomial;
-        crate::collectives::reduce_with(pe, dest, src, nelems, 1, root, f, flat, sync);
-        return;
-    };
-
-    // The staging barriers only order access to `work`, which a
-    // zero-length reduction never touches — skip them so an empty episode
-    // is fully inert.
-    let work = pe.shared_malloc::<T>(nelems.max(1));
-    if nelems > 0 {
-        pe.get_symm(work.whole(), src.whole(), nelems, 1, pe.rank());
-        pe.barrier();
-    }
-
-    let (n_pes, k) = (pe.n_pes(), topo.pes_per_node);
-    let mut key = PlanKey::rooted(
-        CollectiveKind::Reduce,
-        Algorithm::Binomial,
-        sync,
-        n_pes,
-        root,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        tag::REDUCE_HIER,
-    );
-    key.shape.push(k as u64);
-    plan::run_schedule(
-        pe,
-        key,
-        || reduce_hier_sched(n_pes, k, root, nelems),
-        work.whole(),
-        &[],
-        &mut [],
-        Some(&f),
-        sync,
-    );
-
-    if nelems > 0 {
-        if pe.rank() == root {
-            pe.heap_read_strided(work.whole(), &mut dest[..nelems], nelems, 1);
-        }
-        pe.barrier();
-    }
-    pe.shared_free(work);
+    let family = CollectiveKind::Reduce;
+    let row = hier_row(pe, family, root, nelems);
+    reduce_core(pe, dest, src, &row, family, f, sync);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::policy::AlgorithmPolicy;
     use crate::fabric::{Fabric, FabricConfig, Topology};
 
     fn topo_cfg(n_pes: usize, pes_per_node: usize) -> FabricConfig {

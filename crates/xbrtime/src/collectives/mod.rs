@@ -17,9 +17,8 @@
 //! [`SyncMode`]: [`broadcast_policy_sync`], [`reduce_policy_sync`] /
 //! [`reduce_with`], [`scatter_policy_sync`], [`gather_policy_sync`],
 //! [`reduce_all_sync`] / [`reduce_all_with`], [`all_gather_algo_sync`],
-//! [`all_to_all_sync`]. A new algorithm is a schedule generator plus a
-//! row in its family's algorithm → generator table, not a new entry
-//! point.
+//! [`all_to_all_sync`]. A new algorithm is an arm of its walker plus an
+//! arm of [`schedule::Row::schedule`], not a new entry point.
 //!
 //! Scatter, gather and all-gather are *counts-table* collectives — the
 //! paper's own `pe_msgs`/`pe_disp` signatures say so — and each family
@@ -81,9 +80,8 @@ pub use reduce::{reduce, reduce_bitwise, reduce_policy_sync, reduce_with};
 pub use scatter::{scatter, scatter_policy_sync};
 pub use vcoll::{
     allgatherv, allgatherv_dissemination_sched, allgatherv_fan_sched, allgatherv_ring_sched,
-    gatherv, gatherv_ring_sched, prefix_displacements, scatterv, scatterv_ring_sched,
-    skew_permille, try_allgatherv_algo_sync, try_gatherv_policy_sync, try_scatterv_policy_sync,
-    AllGatherVAlgo, VCountError,
+    gatherv, prefix_displacements, scatterv, skew_permille, try_allgatherv_algo_sync,
+    try_gatherv_policy_sync, try_scatterv_policy_sync, AllGatherVAlgo, VCountError,
 };
 pub use verify::{check_schedule, CollectiveSpec, ConformanceReport, ModelConfig};
 pub use vrank::{logical_rank, rank_table, virtual_rank};

@@ -11,9 +11,12 @@
 //! model-checked is the artefact that runs.
 //!
 //! Plans are memoized in a sharded [`PlanCache`] keyed by the full
-//! collective shape ([`PlanKey`]); repeat issues of the same collective
-//! skip schedule generation, validation, Auto resolution and lowering
-//! entirely. On top of cached plans sit the nonblocking collectives
+//! collective shape: a call names its schedule as a
+//! [`Row`], which checks its own
+//! arguments, writes its own [`PlanKey`] and — on a miss only — runs its
+//! own generator, so repeat issues of the same collective skip schedule
+//! generation, validation, Auto resolution and lowering entirely. On top
+//! of cached plans sit the nonblocking collectives
 //! ([`ixbroadcast`]/[`ixreduce`]/[`ixallreduce`] returning a
 //! [`CollHandle`]) and their persistent `plan_create`/`plan_start`
 //! variants.
@@ -28,8 +31,7 @@ use crate::collectives::policy::{
     pipeline_chunks, Algorithm, SyncMode, ACK_SLOT, READY_SLOT, SLOTS_PER_OP,
 };
 use crate::collectives::schedule::{
-    allreduce_row, broadcast_binomial, is_put_kind, reduce_binomial, CommSchedule, OpKind,
-    TransferOp,
+    is_put_kind, CommSchedule, OpKind, Payload, Row, Shape, TransferOp,
 };
 use crate::fabric::{span, CollectiveKind, CollectiveSample, Local, Pe, SymmAlloc, SymmRef};
 use crate::trace::TraceKind;
@@ -899,49 +901,6 @@ pub fn execute_plan<T: XbrType>(
 // Plan cache
 // ---------------------------------------------------------------------------
 
-/// Schedule-shape discriminator tags for [`PlanKey::shape`]: two
-/// different generators must never share a key even if every scalar
-/// field coincides. One tag per generator: the uniform scatter, gather
-/// and all-gather entry points run the counts-table generators and share
-/// their tags. Values are only compared, never persisted.
-pub mod tag {
-    use super::{Algorithm, CollectiveKind};
-
-    /// The row `(family, algo)` of
-    /// [`rooted_schedule`](crate::collectives::schedule::rooted_schedule),
-    /// values 0–11. The tag — not [`PlanKey::kind`](super::PlanKey), which
-    /// is the *telemetry* kind — is what names the family: the
-    /// reduce-then-broadcast all-reduce keys its reduce and its broadcast
-    /// under `AllReduce` with equal scalars.
-    pub fn rooted(family: CollectiveKind, algo: Algorithm) -> u64 {
-        debug_assert!(family.index() < 4, "{family:?} is not rooted");
-        (3 * family.index() + algo as usize) as u64
-    }
-
-    /// The row `(family, row)` of the symmetric table
-    /// ([`allgather_row`](crate::collectives::schedule::allgather_row) /
-    /// [`allreduce_row`](crate::collectives::schedule::allreduce_row)):
-    /// `row` is the algorithm's position in its family's enum, values
-    /// 32–35 (all-reduce) and 40–42 (all-gather).
-    pub fn symmetric(family: CollectiveKind, row: usize) -> u64 {
-        debug_assert!(family.index() >= 4 && row < 8, "{family:?} row {row}");
-        (8 * family.index() + row) as u64
-    }
-
-    /// `all_to_all_sched`.
-    pub const ALL_TO_ALL: u64 = 18;
-    /// `Team::broadcast_schedule`.
-    pub const TEAM_BROADCAST: u64 = 12;
-    /// `Team::reduce_schedule`.
-    pub const TEAM_REDUCE: u64 = 13;
-    /// [`hierarchical::broadcast_hier_sched`](crate::collectives::hierarchical)
-    /// (`pes_per_node` follows in the shape).
-    pub const BROADCAST_HIER: u64 = 23;
-    /// [`hierarchical::reduce_hier_sched`](crate::collectives::hierarchical)
-    /// (`pes_per_node` follows in the shape).
-    pub const REDUCE_HIER: u64 = 24;
-}
-
 /// FNV-1a digest of a counts/displacement table, for keying irregular
 /// collectives without carrying the whole table in the [`PlanKey`]: a
 /// v-collective's schedule is determined by its per-PE counts, but an
@@ -965,7 +924,8 @@ pub fn counts_digest(counts: &[usize]) -> u64 {
 /// algorithm, the *requested* sync mode (Auto resolves deterministically
 /// from the rest of the key), world size, root, payload geometry, element
 /// size, and a shape vector carrying whatever else the generator consumed
-/// (adjusted displacement tables, team members, generator tag).
+/// (adjusted displacement tables, team members, generator tag). Written
+/// in exactly one place, [`Row::key`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Telemetry kind of the schedule.
@@ -985,38 +945,9 @@ pub struct PlanKey {
     pub stride: usize,
     /// Element size in bytes.
     pub elem_bytes: usize,
-    /// Generator tag plus any extra shape data (displacement tables,
-    /// team members); first entry is always a [`tag`] value.
+    /// Generator tag, then any extra shape data (displacement tables,
+    /// team members); the layout is [`Row::key`]'s.
     pub shape: Vec<u64>,
-}
-
-impl PlanKey {
-    /// Key for the common root-collective shape: tag + scalars, no extra
-    /// shape data.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rooted(
-        kind: CollectiveKind,
-        algo: Algorithm,
-        sync: SyncMode,
-        n_pes: usize,
-        root: usize,
-        nelems: usize,
-        stride: usize,
-        elem_bytes: usize,
-        tag: u64,
-    ) -> Self {
-        PlanKey {
-            kind,
-            algo,
-            sync,
-            n_pes,
-            root,
-            nelems,
-            stride,
-            elem_bytes,
-            shape: vec![tag],
-        }
-    }
 }
 
 /// Cache telemetry surfaced through
@@ -1153,26 +1084,21 @@ pub(crate) fn note_inert(pe: &Pe, kind: CollectiveKind) {
     pe.note_collective(kind, CollectiveSample::default());
 }
 
-/// Issue one blocking collective episode through the fabric's plan
-/// cache. `build` is only invoked on a cache miss, so a warm issue never
-/// materialises the `CommSchedule` at all.
+/// Issue one blocking episode of `row`, reporting as `kind`, through the
+/// fabric's plan cache: a warm issue never materialises the
+/// `CommSchedule` at all.
 #[allow(clippy::too_many_arguments)]
 pub fn run_schedule<T: XbrType>(
     pe: &Pe,
-    key: PlanKey,
-    build: impl FnOnce() -> CommSchedule,
+    row: &Row<'_>,
+    kind: CollectiveKind,
     buf: SymmRef<T>,
     local_src: &[T],
     local_dst: &mut [T],
     fold: Option<&dyn Fn(T, T) -> T>,
     sync: SyncMode,
 ) {
-    debug_assert_eq!(
-        std::mem::size_of::<T>(),
-        key.elem_bytes,
-        "key element size disagrees with T"
-    );
-    let plan = plan_for(pe, &key, sync, build);
+    let plan = plan_for(pe, row, kind, sync, std::mem::size_of::<T>());
     execute_plan(pe, &plan, buf, local_src, local_dst, fold);
 }
 
@@ -1245,19 +1171,27 @@ pub struct CollHandle<'a, T: XbrType> {
     done: bool,
 }
 
-fn plan_for(
+/// The cached plan of `row` — where every route to a plan meets: the row
+/// is checked before the cache is touched (a panic inside the build would
+/// poison the shard for every PE), keyed, and generated and lowered only
+/// on a miss.
+pub(crate) fn plan_for(
     pe: &Pe,
-    key: &PlanKey,
+    row: &Row<'_>,
+    kind: CollectiveKind,
     sync: SyncMode,
-    build: impl FnOnce() -> CommSchedule,
+    elem_bytes: usize,
 ) -> Arc<Plan> {
-    pe.plan_cache().get_or_build(key, || Plan {
+    row.check();
+    let key = row.key(kind, sync, elem_bytes);
+    pe.plan_cache().get_or_build(&key, || Plan {
+        kind,
         algo: Some(key.algo),
-        ..lower(&build(), sync, key.elem_bytes)
+        ..lower(&row.schedule(), sync, elem_bytes)
     })
 }
 
-/// The cached plan of all-reduce row `algo` — one key for the blocking,
+/// The cached plan of all-reduce row `algo` — one row for the blocking,
 /// nonblocking and persistent routes, so warm plans are shared among them.
 pub(crate) fn allreduce_plan<T: XbrType>(
     pe: &Pe,
@@ -1265,20 +1199,13 @@ pub(crate) fn allreduce_plan<T: XbrType>(
     nelems: usize,
     sync: SyncMode,
 ) -> Arc<Plan> {
-    let (tag, key_algo, row) = allreduce_row(algo);
-    let n_pes = pe.n_pes();
-    let key = PlanKey::rooted(
-        CollectiveKind::AllReduce,
-        key_algo,
-        sync,
-        n_pes,
-        0,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        tag,
-    );
-    plan_for(pe, &key, sync, || row(n_pes, nelems))
+    let row = Row {
+        shape: Shape::AllReduce { algo, nelems },
+        members: None,
+        world: pe.n_pes(),
+    };
+    let kind = CollectiveKind::AllReduce;
+    plan_for(pe, &row, kind, sync, std::mem::size_of::<T>())
 }
 
 /// Issue `plan`'s pre-drain steps and return the handle bookkeeping.
@@ -1481,7 +1408,8 @@ impl<T: XbrType> Drop for CollHandle<'_, T> {
 }
 
 /// Nonblocking broadcast of `nelems` elements from `root`'s `src` into
-/// the symmetric `dest` on every PE. Collective call; complete with
+/// the symmetric `dest` on every PE — one episode of a
+/// [`PersistentBroadcast`]. Collective call; complete with
 /// [`CollHandle::wait`]. Under the signaled/pipelined disciplines,
 /// non-root PEs return immediately after issuing their forwarding work
 /// and absorb the incoming transfer at `wait` — the overlap window.
@@ -1493,26 +1421,55 @@ pub fn ixbroadcast<'a, T: XbrType>(
     root: usize,
     sync: SyncMode,
 ) -> CollHandle<'a, T> {
-    let n_pes = pe.n_pes();
-    assert!(root < n_pes, "root {root} out of range");
-    if pe.rank() == root {
-        pe.heap_write_strided(dest.whole(), src, nelems, 1);
+    plan_create_broadcast(pe, dest, nelems, root, sync).start(pe, src)
+}
+
+/// The binomial row of `family` — what the nonblocking and persistent
+/// rooted routes run, sharing warm plans with the blocking bodies.
+fn binomial_plan<T: XbrType>(
+    pe: &Pe,
+    family: CollectiveKind,
+    nelems: usize,
+    root: usize,
+    sync: SyncMode,
+) -> Arc<Plan> {
+    let row = Row {
+        shape: Shape::Rooted {
+            family,
+            algo: Algorithm::Binomial,
+            root,
+            payload: Payload::Whole { nelems, stride: 1 },
+        },
+        members: None,
+        world: pe.n_pes(),
+    };
+    plan_for(pe, &row, family, sync, std::mem::size_of::<T>())
+}
+
+/// Copy this PE's `src` window into `staging`, issue `plan` over it and
+/// hang `readout` on the handle — the nonblocking form of the reduction
+/// bodies' stage-in.
+fn issue_staged<'a, T: XbrType>(
+    pe: &'a Pe,
+    plan: Arc<Plan>,
+    src: &SymmAlloc<T>,
+    staging: SymmAlloc<T>,
+    owns_staging: bool,
+    f: impl Fn(T, T) -> T,
+    readout: Readout,
+) -> CollHandle<'a, T> {
+    let (Readout::Root { nelems, .. } | Readout::All { nelems }) = readout else {
+        unreachable!("a staged episode reads its result out");
+    };
+    if nelems > 0 {
+        pe.get_symm(staging.whole(), src.whole(), nelems, 1, pe.rank());
+        pe.barrier();
     }
-    let key = PlanKey::rooted(
-        CollectiveKind::Broadcast,
-        Algorithm::Binomial,
-        sync,
-        n_pes,
-        root,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        tag::rooted(CollectiveKind::Broadcast, Algorithm::Binomial),
-    );
-    let plan = plan_for(pe, &key, sync, || {
-        broadcast_binomial(n_pes, root, nelems, 1)
-    });
-    issue_plan(pe, plan, dest.whole(), &[], None)
+    let mut h = issue_plan(pe, plan, staging.whole(), &[], Some(&f));
+    h.staging = Some(staging);
+    h.owns_staging = owns_staging;
+    h.readout = readout;
+    h
 }
 
 /// Nonblocking reduction of every PE's symmetric `src` window toward
@@ -1526,30 +1483,10 @@ pub fn ixreduce<'a, T: XbrType>(
     f: impl Fn(T, T) -> T + Copy,
     sync: SyncMode,
 ) -> CollHandle<'a, T> {
-    let n_pes = pe.n_pes();
-    assert!(root < n_pes, "root {root} out of range");
+    let plan = binomial_plan::<T>(pe, CollectiveKind::Reduce, nelems, root, sync);
     let staging = pe.shared_malloc::<T>(nelems.max(1));
-    if nelems > 0 {
-        pe.get_symm(staging.whole(), src.whole(), nelems, 1, pe.rank());
-        pe.barrier();
-    }
-    let key = PlanKey::rooted(
-        CollectiveKind::Reduce,
-        Algorithm::Binomial,
-        sync,
-        n_pes,
-        root,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        tag::rooted(CollectiveKind::Reduce, Algorithm::Binomial),
-    );
-    let plan = plan_for(pe, &key, sync, || reduce_binomial(n_pes, root, nelems, 1));
-    let mut h = issue_plan(pe, plan, staging.whole(), &[], Some(&f));
-    h.staging = Some(staging);
-    h.owns_staging = true;
-    h.readout = Readout::Root { root, nelems };
-    h
+    let readout = Readout::Root { root, nelems };
+    issue_staged(pe, plan, src, staging, true, f, readout)
 }
 
 /// Nonblocking allreduce. Complete with [`CollHandle::wait_into`]; every
@@ -1571,16 +1508,8 @@ pub fn ixallreduce<'a, T: XbrType>(
 ) -> CollHandle<'a, T> {
     let algo = algo.resolve(pe.n_pes(), nelems * std::mem::size_of::<T>());
     let staging = pe.shared_malloc::<T>(nelems.max(1));
-    if nelems > 0 {
-        pe.get_symm(staging.whole(), src.whole(), nelems, 1, pe.rank());
-        pe.barrier();
-    }
     let plan = allreduce_plan::<T>(pe, algo, nelems, sync);
-    let mut h = issue_plan(pe, plan, staging.whole(), &[], Some(&f));
-    h.staging = Some(staging);
-    h.owns_staging = true;
-    h.readout = Readout::All { nelems };
-    h
+    issue_staged(pe, plan, src, staging, true, f, Readout::All { nelems })
 }
 
 /// A persistent broadcast: plan compiled (and destination bound) once,
@@ -1603,24 +1532,8 @@ pub fn plan_create_broadcast<T: XbrType>(
     root: usize,
     sync: SyncMode,
 ) -> PersistentBroadcast<T> {
-    let n_pes = pe.n_pes();
-    assert!(root < n_pes, "root {root} out of range");
-    let key = PlanKey::rooted(
-        CollectiveKind::Broadcast,
-        Algorithm::Binomial,
-        sync,
-        n_pes,
-        root,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        tag::rooted(CollectiveKind::Broadcast, Algorithm::Binomial),
-    );
-    let plan = plan_for(pe, &key, sync, || {
-        broadcast_binomial(n_pes, root, nelems, 1)
-    });
     PersistentBroadcast {
-        plan,
+        plan: binomial_plan::<T>(pe, CollectiveKind::Broadcast, nelems, root, sync),
         dest: *dest,
         nelems,
         root,
@@ -1667,29 +1580,9 @@ pub fn plan_create_allreduce<T: XbrType>(
 impl<T: XbrType> PersistentAllReduce<T> {
     /// Issue one episode over the bound `src` window (collective call).
     pub fn start<'a>(&self, pe: &'a Pe, f: impl Fn(T, T) -> T + Copy) -> CollHandle<'a, T> {
-        if self.nelems > 0 {
-            pe.get_symm(
-                self.staging.whole(),
-                self.src.whole(),
-                self.nelems,
-                1,
-                pe.rank(),
-            );
-            pe.barrier();
-        }
-        let mut h = issue_plan(
-            pe,
-            Arc::clone(&self.plan),
-            self.staging.whole(),
-            &[],
-            Some(&f),
-        );
-        h.staging = Some(self.staging);
-        h.owns_staging = false;
-        h.readout = Readout::All {
-            nelems: self.nelems,
-        };
-        h
+        let (plan, nelems) = (Arc::clone(&self.plan), self.nelems);
+        let readout = Readout::All { nelems };
+        issue_staged(pe, plan, &self.src, self.staging, false, f, readout)
     }
 
     /// Release the staging buffer (collective call).
@@ -1702,7 +1595,7 @@ impl<T: XbrType> PersistentAllReduce<T> {
 mod tests {
     use super::*;
     use crate::collectives::extended::allreduce_fused;
-    use crate::collectives::schedule::{broadcast_ring_sched, reduce_linear_sched};
+    use crate::collectives::schedule::{broadcast_binomial, rooted_schedule};
     use crate::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
     use crate::fabric::{Fabric, FabricConfig};
 
@@ -1768,17 +1661,18 @@ mod tests {
     fn cache_hits_and_misses() {
         let cache = PlanCache::new();
         let key = |n: usize, nelems: usize| {
-            PlanKey::rooted(
-                CollectiveKind::Broadcast,
-                Algorithm::Binomial,
-                SyncMode::Auto,
-                n,
-                0,
-                nelems,
-                1,
-                8,
-                tag::rooted(CollectiveKind::Broadcast, Algorithm::Binomial),
-            )
+            let shape = Shape::Rooted {
+                family: CollectiveKind::Broadcast,
+                algo: Algorithm::Binomial,
+                root: 0,
+                payload: Payload::Whole { nelems, stride: 1 },
+            };
+            let row = Row {
+                shape,
+                members: None,
+                world: n,
+            };
+            row.key(CollectiveKind::Broadcast, SyncMode::Auto, 8)
         };
         let k1 = key(4, 8);
         let p1 = cache.get_or_build(&k1, || {
@@ -1849,10 +1743,11 @@ mod tests {
     /// zero-op stages, GetFoldInto).
     #[test]
     fn other_generators_lower() {
-        let ring = broadcast_ring_sched(5, 1, 6, 1);
+        let whole = |nelems| Payload::Whole { nelems, stride: 1 };
+        let ring = rooted_schedule(CollectiveKind::Broadcast, Algorithm::Ring, 5, 1, whole(6));
         let plan = lower(&ring, SyncMode::Signaled, 8);
         assert_eq!(plan.n_stages, 4);
-        let lin = reduce_linear_sched(4, 2, 3, 1);
+        let lin = rooted_schedule(CollectiveKind::Reduce, Algorithm::Linear, 4, 2, whole(3));
         let plan = lower(&lin, SyncMode::Barrier, 8);
         assert!(plan
             .per_pe

@@ -12,9 +12,9 @@
 //! buffer as the tree; only the star (`Linear`) folds into a private
 //! accumulator on the root.
 
-use crate::collectives::plan::{self, PlanKey};
+use crate::collectives::plan;
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::schedule::{rooted_schedule, Payload};
+use crate::collectives::schedule::{Payload, Row, Shape};
 use crate::fabric::{span, CollectiveKind, Pe, SymmAlloc};
 use crate::types::{ReduceOp, XbrBitwise, XbrNumeric, XbrType};
 
@@ -40,103 +40,82 @@ pub fn reduce_with<T: XbrType>(
     policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
+    let family = CollectiveKind::Reduce;
     let nbytes = nelems * std::mem::size_of::<T>();
-    let algo = policy.select(CollectiveKind::Reduce, pe.n_pes(), nbytes);
-    reduce_core(
-        pe,
-        dest,
-        src,
-        nelems,
-        stride,
-        root,
-        CollectiveKind::Reduce,
-        f,
-        algo,
-        sync,
-    );
+    let row = Row {
+        shape: Shape::Rooted {
+            family,
+            algo: policy.select(family, pe.n_pes(), nbytes),
+            root,
+            payload: Payload::Whole { nelems, stride },
+        },
+        members: None,
+        world: pe.n_pes(),
+    };
+    reduce_core(pe, dest, src, &row, family, f, sync);
 }
 
-/// The one reduction body. `kind` is the telemetry kind the episode
-/// reports under — so composites like reduce-to-all attribute their
-/// internal reduction to themselves. A zero-length reduction is fully
-/// inert (telemetry only).
-#[allow(clippy::too_many_arguments)]
+/// The one reduction body, over `row` — the flat trees, a team's, the
+/// two-tier hierarchy. `kind` is the telemetry kind the episode reports
+/// under — so composites like reduce-to-all attribute their internal
+/// reduction to themselves. A zero-length reduction is fully inert
+/// (telemetry only).
 pub(crate) fn reduce_core<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &SymmAlloc<T>,
-    nelems: usize,
-    stride: usize,
-    root: usize,
+    row: &Row<'_>,
     kind: CollectiveKind,
     f: impl Fn(T, T) -> T,
-    algo: Algorithm,
     sync: SyncMode,
 ) {
-    let n_pes = pe.n_pes();
+    row.check();
+    let (root_pe, nelems, stride) = row.rooted_whole();
     let log_rank = pe.rank();
-    assert!(root < n_pes, "root {root} out of range");
     if nelems == 0 {
         plan::note_inert(pe, kind);
         return;
     }
     let span = span(nelems, stride);
-    let family = CollectiveKind::Reduce;
-    let key = PlanKey::rooted(
-        kind,
-        algo,
-        sync,
-        n_pes,
-        root,
-        nelems,
-        stride,
-        std::mem::size_of::<T>(),
-        plan::tag::rooted(family, algo),
-    );
-    let build = || {
-        let whole = Payload::Whole { nelems, stride };
-        let mut sched = rooted_schedule(family, algo, n_pes, root, whole);
-        sched.kind = kind;
-        sched
-    };
-    match algo {
-        // Tree and chain fold partial results on the way to the root.
-        Algorithm::Binomial | Algorithm::Ring => {
-            // A symmetric staging buffer (read one-sidedly by partners) is
-            // "employed in order to prevent any unintended overwriting of
-            // values on any PE" (paper §4.4); the executor provides the
-            // private landing buffer that pairs with it.
-            let s_buff = pe.shared_malloc::<T>(span);
-
-            // Load this PE's contribution into its shared staging buffer.
-            pe.get_symm(s_buff.whole(), src.whole(), nelems, stride, log_rank);
-            pe.barrier();
-
-            plan::run_schedule(pe, key, build, s_buff.whole(), &[], &mut [], Some(&f), sync);
-
-            if log_rank == root {
-                pe.heap_read_strided(s_buff.whole(), dest, nelems, stride);
-            }
-            pe.barrier();
-            pe.shared_free(s_buff);
-        }
+    let star = Algorithm::Linear;
+    if matches!(row.shape, Shape::Rooted { algo, .. } if algo == star) {
         // Linear: the root gets every peer's contribution and folds it
         // into a private accumulator (never writing back into `src`).
-        Algorithm::Linear => {
-            // All PEs participate in the barrier; only the root moves data.
-            pe.barrier();
-            let mut acc = vec![T::default(); span];
-            if log_rank == root {
-                pe.heap_read_strided(src.whole(), &mut acc, nelems, stride);
-            }
-            plan::run_schedule(pe, key, build, src.whole(), &[], &mut acc, Some(&f), sync);
-            if log_rank == root {
-                for j in 0..nelems {
-                    dest[j * stride] = acc[j * stride];
-                }
+        // All PEs participate in the barrier; only the root moves data.
+        pe.barrier();
+        let mut acc = vec![T::default(); span];
+        if log_rank == root_pe {
+            pe.heap_read_strided(src.whole(), &mut acc, nelems, stride);
+        }
+        plan::run_schedule(pe, row, kind, src.whole(), &[], &mut acc, Some(&f), sync);
+        if log_rank == root_pe {
+            for j in 0..nelems {
+                dest[j * stride] = acc[j * stride];
             }
         }
+        return;
     }
+    // Trees, chain and tiers fold partial results on the way to the root.
+    // A symmetric staging buffer (read one-sidedly by partners) is
+    // "employed in order to prevent any unintended overwriting of
+    // values on any PE" (paper §4.4); the executor provides the
+    // private landing buffer that pairs with it.
+    let s_buff = pe.shared_malloc::<T>(span);
+
+    // Load this PE's contribution into its shared staging buffer.
+    if row.has(log_rank) {
+        pe.get_symm(s_buff.whole(), src.whole(), nelems, stride, log_rank);
+    }
+    pe.barrier();
+
+    let staged = s_buff.whole();
+    plan::run_schedule(pe, row, kind, staged, &[], &mut [], Some(&f), sync);
+
+    if log_rank == root_pe {
+        pe.heap_read_strided(staged, dest, nelems, stride);
+    }
+    pe.barrier();
+    pe.shared_free(s_buff);
 }
 
 /// Reduce with a named arithmetic operator (`sum`, `prod`, `min`, `max`) —

@@ -20,9 +20,9 @@
 //! [`scatterv`](crate::collectives::vcoll::scatterv) is the same body with
 //! the total inferred from `pe_msgs`.
 
-use crate::collectives::plan::{self, PlanKey};
+use crate::collectives::plan;
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::schedule::{rooted_schedule, Payload};
+use crate::collectives::schedule::{Payload, Row, Shape};
 use crate::collectives::vcoll::{validate_v_shape, VCountError};
 use crate::collectives::vrank::{logical_rank, virtual_rank};
 use crate::fabric::{CollectiveKind, Pe};
@@ -170,28 +170,18 @@ pub(crate) fn scatter_core<T: XbrType>(
     pe.barrier();
 
     let family = CollectiveKind::Scatter;
-    let mut key = PlanKey::rooted(
-        family,
-        algo,
-        sync,
-        n_pes,
-        root,
-        nelems,
-        1,
-        std::mem::size_of::<T>(),
-        plan::tag::rooted(family, algo),
-    );
-    key.shape.extend(adj_disp.iter().map(|&v| v as u64));
-    plan::run_schedule(
-        pe,
-        key,
-        || rooted_schedule(family, algo, n_pes, root, Payload::Ranges(&adj_disp)),
-        s_buff.whole(),
-        &[],
-        &mut [],
-        None,
-        sync,
-    );
+    let row = Row {
+        shape: Shape::Rooted {
+            family,
+            algo,
+            root,
+            payload: Payload::Ranges(&adj_disp),
+        },
+        members: None,
+        world: n_pes,
+    };
+    let staged = s_buff.whole();
+    plan::run_schedule(pe, &row, family, staged, &[], &mut [], None, sync);
 
     // Relocate this PE's assigned values from the staging buffer to dest.
     if my_count > 0 {

@@ -19,7 +19,8 @@
 //! scatter transposed, recursive doubling is recursive halving run
 //! backwards. [`CommSchedule::on`] maps a schedule onto a member list,
 //! which is all a team or a hierarchy tier adds to the flat tree. The
-//! per-algorithm names below are rows of that table.
+//! paper's Algorithms 1–4 keep their names ([`broadcast_binomial`],
+//! [`reduce_binomial`], [`scatter_binomial`], [`gather_binomial`]).
 //!
 //! The symmetric collectives have the same structure: one walker,
 //! `exchange_stages`, over three block-exchange shapes in the all-gather
@@ -27,10 +28,17 @@
 //! `publish` stage, and the same [`Payload`] rule over a displacement
 //! table. All-gather(v) is `publish` plus an arm; a reduce-scatter is an
 //! arm pulled as folds — all-gather run backwards — and an all-reduce
-//! closes it with the arm pushed or the stages transposed. The six
-//! generators in [`vcoll`] and [`extended`] are rows, and
-//! [`allgather_row`] / [`allreduce_row`] are the table that names them
-//! for the bodies, the traffic plane and the conformance harness.
+//! closes it with the arm pushed or the stages transposed.
+//!
+//! Which of these a call runs is one value, a [`Row`]: a [`Shape`] (the
+//! generator and everything it reads), an optional member list and the
+//! world size. [`Row::schedule`] is the only `match` from a resolved
+//! algorithm to a generator, [`Row::key`] the only place a plan-cache key
+//! is written, and [`Row::check`] rejects a malformed call before either
+//! runs — so the collective bodies, the nonblocking and persistent
+//! routes, the traffic plane and the conformance harness all name a
+//! schedule the same way, and a key can never be paired with the wrong
+//! generator.
 //!
 //! A schedule runs by being lowered once into a flat per-PE
 //! [`Plan`](crate::collectives::plan::Plan) — [`plan::lower`] is the only
@@ -63,7 +71,8 @@
 //! surfaced through [`RunReport::collectives`](crate::fabric::RunReport).
 
 use crate::collectives::extended::{self, AllReduceAlgo};
-use crate::collectives::plan::{self, Space};
+use crate::collectives::hierarchical;
+use crate::collectives::plan::{self, PlanKey, Space};
 use crate::collectives::policy::Algorithm::{self, Binomial, Linear, Ring};
 use crate::collectives::policy::SyncMode;
 use crate::collectives::vcoll::{self, AllGatherVAlgo};
@@ -499,12 +508,23 @@ fn rooted_stages(
     }
 }
 
-/// The one `(family, algorithm)` → schedule table of the four rooted
+/// The argument checks of a rooted row over `n_pes` ranks.
+fn check_rooted(n_pes: usize, root: usize, payload: Payload<'_>) {
+    assert!(root < n_pes, "root {root} out of range");
+    if let Payload::Ranges(adj_disp) = payload {
+        assert_eq!(
+            adj_disp.len(),
+            n_pes + 1,
+            "adj_disp must have n_pes + 1 entries"
+        );
+    }
+}
+
+/// The one `(family, algorithm)` → schedule generator of the four rooted
 /// collectives (`family` is `Broadcast`, `Reduce`, `Scatter` or
-/// `Gather`): the collective bodies, [`crate::traffic`] and the
-/// conformance harness all read it, under the plan tag
-/// [`plan::tag::rooted`]. Broadcast and scatter are the root→leaves walk
-/// of `algo`'s tree as puts; reduce and gather are the same schedule
+/// `Gather`), the [`Shape::Rooted`] arm of [`Row::schedule`]. Broadcast
+/// and scatter are the root→leaves walk of `algo`'s tree as puts; reduce
+/// and gather are the same schedule
 /// [`transposed`](CommSchedule::transposed) — recursive doubling is
 /// recursive halving run backwards (Algorithms 2 and 4 against 1 and 3).
 /// Asked to move nothing it returns [`CommSchedule::empty`].
@@ -519,17 +539,10 @@ pub fn rooted_schedule(
     root: usize,
     payload: Payload<'_>,
 ) -> CommSchedule {
-    assert!(root < n_pes, "root {root} out of range");
+    check_rooted(n_pes, root, payload);
     let total = match payload {
         Payload::Whole { nelems, .. } => nelems,
-        Payload::Ranges(adj_disp) => {
-            assert_eq!(
-                adj_disp.len(),
-                n_pes + 1,
-                "adj_disp must have n_pes + 1 entries"
-            );
-            adj_disp[n_pes]
-        }
+        Payload::Ranges(adj_disp) => adj_disp[n_pes],
     };
     if total == 0 {
         return CommSchedule::empty(n_pes, family);
@@ -567,45 +580,11 @@ pub fn broadcast_binomial(n_pes: usize, root: usize, nelems: usize, stride: usiz
     rooted_schedule(Broadcast, Binomial, n_pes, root, whole)
 }
 
-/// Linear broadcast: the root pushes to every peer in one stage.
-pub fn broadcast_linear_sched(
-    n_pes: usize,
-    root: usize,
-    nelems: usize,
-    stride: usize,
-) -> CommSchedule {
-    let whole = Payload::Whole { nelems, stride };
-    rooted_schedule(Broadcast, Linear, n_pes, root, whole)
-}
-
-/// Ring broadcast: the payload hops `vir → vir+1` for `n − 1` stages.
-pub fn broadcast_ring_sched(
-    n_pes: usize,
-    root: usize,
-    nelems: usize,
-    stride: usize,
-) -> CommSchedule {
-    let whole = Payload::Whole { nelems, stride };
-    rooted_schedule(Broadcast, Ring, n_pes, root, whole)
-}
-
 /// Algorithm 2: binomial-tree reduction toward `root` (fold ops pull
 /// partners' partial results into each survivor's staging segment).
 pub fn reduce_binomial(n_pes: usize, root: usize, nelems: usize, stride: usize) -> CommSchedule {
     let whole = Payload::Whole { nelems, stride };
     rooted_schedule(Reduce, Binomial, n_pes, root, whole)
-}
-
-/// Linear reduction: the root pulls and folds every peer's contribution
-/// into its private accumulator in one stage.
-pub fn reduce_linear_sched(
-    n_pes: usize,
-    root: usize,
-    nelems: usize,
-    stride: usize,
-) -> CommSchedule {
-    let whole = Payload::Whole { nelems, stride };
-    rooted_schedule(Reduce, Linear, n_pes, root, whole)
 }
 
 /// Algorithm 3: binomial-tree scatter. `adj_disp` is the adjusted
@@ -615,22 +594,10 @@ pub fn scatter_binomial(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSc
     rooted_schedule(Scatter, Binomial, n_pes, root, Payload::Ranges(adj_disp))
 }
 
-/// Linear scatter over the same staged layout as the tree: the root pushes
-/// each virtual rank's segment directly in one stage.
-pub fn scatter_linear_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
-    rooted_schedule(Scatter, Linear, n_pes, root, Payload::Ranges(adj_disp))
-}
-
 /// Algorithm 4: binomial-tree gather. Each survivor pulls its partner's
 /// aggregated subtree span toward the root.
 pub fn gather_binomial(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
     rooted_schedule(Gather, Binomial, n_pes, root, Payload::Ranges(adj_disp))
-}
-
-/// Linear gather over the staged layout: the root pulls each virtual
-/// rank's segment directly in one stage.
-pub fn gather_linear_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
-    rooted_schedule(Gather, Linear, n_pes, root, Payload::Ranges(adj_disp))
 }
 
 // ---------------------------------------------------------------------------
@@ -781,42 +748,278 @@ pub(crate) fn publish(n: usize, disp: &[usize], to_all: bool) -> Stage {
     Stage::new(ops)
 }
 
-/// The all-gather half of the symmetric table — the one place a resolved
-/// [`AllGatherVAlgo`] becomes `(plan tag, key algorithm, row)`, read by the
-/// all-gather body, [`crate::traffic`] and the conformance harness. Every
-/// row takes `(n_pes, prefix displacements)`.
-///
-/// # Panics
-/// Panics on unresolved [`AllGatherVAlgo::Auto`].
-#[allow(clippy::type_complexity)]
-pub fn allgather_row(
-    algo: AllGatherVAlgo,
-) -> (u64, Algorithm, fn(usize, &[usize]) -> CommSchedule) {
-    let tag = plan::tag::symmetric(CollectiveKind::AllGather, algo as usize);
-    match algo {
-        AllGatherVAlgo::Fan => (tag, Linear, vcoll::allgatherv_fan_sched),
-        AllGatherVAlgo::Ring => (tag, Ring, vcoll::allgatherv_ring_sched),
-        AllGatherVAlgo::Dissemination => (tag, Binomial, vcoll::allgatherv_dissemination_sched),
-        AllGatherVAlgo::Auto => panic!("resolve AllGatherVAlgo::Auto before keying a plan"),
-    }
+// ---------------------------------------------------------------------------
+// The row: one value names, checks, keys and builds every schedule.
+// ---------------------------------------------------------------------------
+
+/// The generator a [`Row`] runs, with everything that generator reads.
+/// Algorithms are already resolved: no `Auto` member names a schedule.
+#[derive(Clone, Copy, Debug)]
+pub enum Shape<'a> {
+    /// [`rooted_schedule`] — `family` (broadcast, reduce, scatter, gather)
+    /// on `algo`'s tree from rank `root`.
+    Rooted {
+        /// Which of the four rooted collectives.
+        family: CollectiveKind,
+        /// Tree shape.
+        algo: Algorithm,
+        /// Root rank (a position in the member list, if there is one).
+        root: usize,
+        /// What an edge carries.
+        payload: Payload<'a>,
+    },
+    /// All-gather(v): rank `r` contributes `counts[r]` elements.
+    AllGather {
+        /// Exchange shape.
+        algo: AllGatherVAlgo,
+        /// One count per rank.
+        counts: &'a [usize],
+    },
+    /// All-reduce of `nelems` elements.
+    AllReduce {
+        /// Strategy.
+        algo: AllReduceAlgo,
+        /// Vector length.
+        nelems: usize,
+    },
+    /// Personalized all-to-all of `per_pe`-element blocks.
+    AllToAll {
+        /// Block size.
+        per_pe: usize,
+    },
+    /// The two-tier binomial tree of
+    /// [`hierarchical`]: `family` is
+    /// `Broadcast` or `Reduce`.
+    Hier {
+        /// Broadcast, or its transpose.
+        family: CollectiveKind,
+        /// Ranks per node.
+        pes_per_node: usize,
+        /// Root rank.
+        root: usize,
+        /// Vector length.
+        nelems: usize,
+    },
 }
 
-/// The all-reduce half: a resolved [`AllReduceAlgo`] to `(plan tag, key
-/// algorithm, row)`, for the blocking, nonblocking and persistent bodies
-/// and the conformance harness. Every row takes `(n_pes, nelems)`. The key
-/// algorithm also feeds the algorithm-mask telemetry (the ring reports as
-/// `Ring`).
-///
-/// # Panics
-/// Panics on unresolved [`AllReduceAlgo::Auto`].
-pub fn allreduce_row(algo: AllReduceAlgo) -> (u64, Algorithm, fn(usize, usize) -> CommSchedule) {
-    let tag = plan::tag::symmetric(CollectiveKind::AllReduce, algo as usize);
-    match algo {
-        AllReduceAlgo::ReduceThenBroadcast => (tag, Binomial, extended::allreduce_fused),
-        AllReduceAlgo::RecursiveDoubling => (tag, Binomial, extended::allreduce_recursive_doubling),
-        AllReduceAlgo::Rabenseifner => (tag, Binomial, extended::allreduce_rabenseifner),
-        AllReduceAlgo::Ring => (tag, Ring, extended::allreduce_ring),
-        AllReduceAlgo::Auto => panic!("resolve AllReduceAlgo::Auto before keying a plan"),
+/// One schedule, named: a [`Shape`] over ranks `0..n` — `n` is
+/// `members.len()`, or `world` without a member list — mapped
+/// [`on`](CommSchedule::on) the members' PEs. Built on the stack from
+/// borrowed tables; everything that runs, caches or model-checks a
+/// schedule takes one of these.
+#[derive(Clone, Copy, Debug)]
+pub struct Row<'a> {
+    /// The generator and its arguments.
+    pub shape: Shape<'a>,
+    /// The PEs taking part, in rank order (a team, a tenant, an active
+    /// set); `None` for the whole world. Everyone else appears in no op.
+    pub members: Option<&'a [usize]>,
+    /// World size of the fabric the schedule runs on.
+    pub world: usize,
+}
+
+impl Row<'_> {
+    /// Ranks the shape runs over.
+    fn n_ranks(&self) -> usize {
+        self.members.map_or(self.world, <[usize]>::len)
+    }
+
+    /// `true` if `pe` takes part.
+    pub(crate) fn has(&self, pe: usize) -> bool {
+        self.members.is_none_or(|members| members.contains(&pe))
+    }
+
+    /// `(root's PE, nelems, stride)` of a row that moves one whole vector
+    /// from or to a root — what the broadcast and reduce bodies stage by.
+    /// Call after [`Row::check`].
+    pub(crate) fn rooted_whole(&self) -> (usize, usize, usize) {
+        let (root, nelems, stride) = match self.shape {
+            Shape::Rooted {
+                root,
+                payload: Payload::Whole { nelems, stride },
+                ..
+            } => (root, nelems, stride),
+            Shape::Hier { root, nelems, .. } => (root, nelems, 1),
+            other => panic!("{other:?} does not move a whole vector from or to a root"),
+        };
+        (self.members.map_or(root, |m| m[root]), nelems, stride)
+    }
+
+    /// Reject a malformed call on the calling PE, with a message naming
+    /// the argument — before a key is built or the plan cache is touched
+    /// (a panic inside a cache build would poison its shard for every PE).
+    ///
+    /// # Panics
+    /// Panics on a member outside the world, a root outside the ranks, a
+    /// table of the wrong length, a family the shape does not have, or an
+    /// unresolved `Auto` algorithm.
+    pub fn check(&self) {
+        let (n, world) = (self.n_ranks(), self.world);
+        assert!(n > 0, "a collective needs at least one rank");
+        for &m in self.members.unwrap_or_default() {
+            assert!(m < world, "team member {m} outside the {world}-PE world");
+        }
+        match self.shape {
+            Shape::Rooted {
+                family,
+                root,
+                payload,
+                ..
+            } => {
+                check_rooted(n, root, payload);
+                assert!(family.index() < 4, "{} is not rooted", family.name());
+            }
+            Shape::AllGather { algo, counts } => {
+                assert_eq!(counts.len(), n, "counts must have one entry per rank");
+                assert!(algo != AllGatherVAlgo::Auto, "resolve {algo:?} first");
+            }
+            Shape::AllReduce { algo, .. } => {
+                assert!(algo != AllReduceAlgo::Auto, "resolve {algo:?} first");
+            }
+            Shape::AllToAll { .. } => {}
+            Shape::Hier { family, root, .. } => {
+                assert!(root < n, "root {root} out of range");
+                assert!(family.index() < 2, "no two-tier {}", family.name());
+            }
+        }
+    }
+
+    /// Build the schedule: the only `match` from a resolved algorithm to a
+    /// generator. A new algorithm is an arm in its walker and an arm here.
+    ///
+    /// # Panics
+    /// Panics where [`Row::check`] would.
+    pub fn schedule(&self) -> CommSchedule {
+        let n = self.n_ranks();
+        let sched = match self.shape {
+            Shape::Rooted {
+                family,
+                algo,
+                root,
+                payload,
+            } => rooted_schedule(family, algo, n, root, payload),
+            Shape::AllGather { algo, counts } => {
+                let disp = vcoll::prefix_displacements(counts);
+                match algo {
+                    AllGatherVAlgo::Fan => vcoll::allgatherv_fan_sched(n, &disp),
+                    AllGatherVAlgo::Ring => vcoll::allgatherv_ring_sched(n, &disp),
+                    AllGatherVAlgo::Dissemination => {
+                        vcoll::allgatherv_dissemination_sched(n, &disp)
+                    }
+                    AllGatherVAlgo::Auto => panic!("resolve {algo:?} first"),
+                }
+            }
+            Shape::AllReduce { algo, nelems } => match algo {
+                AllReduceAlgo::ReduceThenBroadcast => extended::allreduce_fused(n, nelems),
+                AllReduceAlgo::RecursiveDoubling => {
+                    extended::allreduce_recursive_doubling(n, nelems)
+                }
+                AllReduceAlgo::Rabenseifner => extended::allreduce_rabenseifner(n, nelems),
+                AllReduceAlgo::Ring => extended::allreduce_ring(n, nelems),
+                AllReduceAlgo::Auto => panic!("resolve {algo:?} first"),
+            },
+            Shape::AllToAll { per_pe } => extended::all_to_all_sched(n, per_pe),
+            Shape::Hier {
+                family,
+                pes_per_node,
+                root,
+                nelems,
+            } => match family {
+                Reduce => hierarchical::reduce_hier_sched(n, pes_per_node, root, nelems),
+                _ => hierarchical::broadcast_hier_sched(n, pes_per_node, root, nelems),
+            },
+        };
+        match self.members {
+            Some(members) => sched.on(members, self.world),
+            None => sched,
+        }
+    }
+
+    /// The plan-cache key of this row lowered under `sync` for
+    /// `elem_bytes`-sized elements, reporting as `kind` — the only place a
+    /// [`PlanKey`] is written, so a key and the generator
+    /// [`Row::schedule`] runs for it cannot be mispaired. Two rows with
+    /// equal keys build equal schedules: `shape[0]` is a tag naming the
+    /// `Shape` variant, its family, whether a member list follows and —
+    /// where [`PlanKey::algo`] does not already — the algorithm, and that
+    /// fixes the words after it: a rooted displacement table, an
+    /// all-gather's [`plan::counts_digest`], a hierarchy's node size, then
+    /// the members. Tags are only compared, never persisted:
+    ///
+    /// | shape       | tag               | key algorithm                        |
+    /// |-------------|-------------------|--------------------------------------|
+    /// | `Rooted`    | `3·family + algo` | `algo`                               |
+    /// | `AllToAll`  | 18                | `Binomial`                           |
+    /// | `Hier`      | `23 + family`     | `Binomial`                           |
+    /// | `AllReduce` | `32 + algo`       | `Ring` for the ring, else `Binomial` |
+    /// | `AllGather` | `40 + algo`       | fan `Linear`, ring `Ring`, dissemination `Binomial` |
+    ///
+    /// A member list adds 64 — except on a whole-vector rooted row, a
+    /// team's broadcast or reduction, which is `12 + family`. The key
+    /// algorithm also feeds the algorithm-mask telemetry.
+    pub fn key(&self, kind: CollectiveKind, sync: SyncMode, elem_bytes: usize) -> PlanKey {
+        let members = self.members.unwrap_or_default();
+        let on = self.members.map_or(0, |_| 64);
+        let mut shape = Vec::with_capacity(2 + members.len());
+        shape.push(0);
+        let (tag, algo, root, nelems, stride) = match self.shape {
+            Shape::Rooted {
+                family,
+                algo,
+                root,
+                payload,
+            } => {
+                let flat = 3 * family.index() + algo as usize;
+                let (tag, nelems, stride) = match payload {
+                    Payload::Whole { nelems, stride } if on > 0 => {
+                        (12 + family.index(), nelems, stride)
+                    }
+                    Payload::Whole { nelems, stride } => (flat, nelems, stride),
+                    Payload::Ranges(adj_disp) => {
+                        shape.extend(adj_disp.iter().map(|&at| at as u64));
+                        (flat + on, adj_disp.last().copied().unwrap_or(0), 1)
+                    }
+                };
+                (tag, algo, root, nelems, stride)
+            }
+            Shape::AllToAll { per_pe } => (18 + on, Binomial, 0, per_pe, 1),
+            Shape::Hier {
+                family,
+                pes_per_node,
+                root,
+                nelems,
+            } => {
+                shape.push(pes_per_node as u64);
+                (23 + family.index() + on, Binomial, root, nelems, 1)
+            }
+            Shape::AllReduce { algo, nelems } => {
+                let ring = algo == AllReduceAlgo::Ring;
+                let key_algo = if ring { Ring } else { Binomial };
+                (32 + algo as usize + on, key_algo, 0, nelems, 1)
+            }
+            Shape::AllGather { algo, counts } => {
+                shape.push(plan::counts_digest(counts));
+                let key_algo = match algo {
+                    AllGatherVAlgo::Fan => Linear,
+                    AllGatherVAlgo::Ring => Ring,
+                    AllGatherVAlgo::Dissemination | AllGatherVAlgo::Auto => Binomial,
+                };
+                (40 + algo as usize + on, key_algo, 0, counts.iter().sum(), 1)
+            }
+        };
+        shape[0] = tag as u64;
+        shape.extend(members.iter().map(|&m| m as u64));
+        PlanKey {
+            kind,
+            algo,
+            sync,
+            n_pes: self.world,
+            root,
+            nelems,
+            stride,
+            elem_bytes,
+            shape,
+        }
     }
 }
 
@@ -828,6 +1031,18 @@ mod tests {
 
     fn uniform_disp(n_pes: usize, per: usize, root: usize) -> Vec<usize> {
         adjusted_displacements(&vec![per; n_pes], root, n_pes)
+    }
+
+    /// `nelems` contiguous elements on every edge of a rooted row.
+    fn whole(
+        family: CollectiveKind,
+        algo: Algorithm,
+        n: usize,
+        root: usize,
+        nelems: usize,
+    ) -> CommSchedule {
+        let payload = Payload::Whole { nelems, stride: 1 };
+        rooted_schedule(family, algo, n, root, payload)
     }
 
     #[test]
@@ -859,7 +1074,7 @@ mod tests {
     #[test]
     fn single_pe_schedules_are_empty() {
         assert_eq!(broadcast_binomial(1, 0, 5, 1).stages.len(), 0);
-        assert_eq!(broadcast_ring_sched(1, 0, 5, 1).stages.len(), 0);
+        assert_eq!(whole(Broadcast, Ring, 1, 0, 5).stages.len(), 0);
         assert_eq!(reduce_binomial(1, 0, 5, 1).stages.len(), 0);
         assert_eq!(scatter_binomial(1, 0, &[0, 3]).stages.len(), 0);
         assert_eq!(gather_binomial(1, 0, &[0, 3]).stages.len(), 0);
@@ -867,7 +1082,7 @@ mod tests {
 
     #[test]
     fn ring_has_one_hop_per_stage() {
-        let s = broadcast_ring_sched(5, 2, 3, 1);
+        let s = whole(Broadcast, Ring, 5, 2, 3);
         assert_eq!(s.stages.len(), 4);
         for st in &s.stages {
             assert_eq!(st.ops.len(), 1);
@@ -998,8 +1213,14 @@ mod tests {
     fn zero_length_symmetric_schedules_are_empty() {
         let zeros = [0; 9];
         for n in 1..=8 {
+            let row = |shape| Row {
+                shape,
+                members: None,
+                world: n,
+            };
             for algo in AllGatherVAlgo::CONCRETE {
-                let s = allgather_row(algo).2(n, &zeros[..=n]);
+                let counts = &zeros[..n];
+                let s = row(Shape::AllGather { algo, counts }).schedule();
                 assert_eq!(
                     s,
                     CommSchedule::empty(n, CollectiveKind::AllGather),
@@ -1007,7 +1228,7 @@ mod tests {
                 );
             }
             for algo in AllReduceAlgo::CONCRETE {
-                let s = allreduce_row(algo).2(n, 0);
+                let s = row(Shape::AllReduce { algo, nelems: 0 }).schedule();
                 assert_eq!(
                     s,
                     CommSchedule::empty(n, CollectiveKind::AllReduce),
@@ -1235,25 +1456,25 @@ mod tests {
             root_seed in 0usize..16,
         ) {
             let root = root_seed % n_pes;
-            let lin = broadcast_linear_sched(n_pes, root, 4, 1);
+            let lin = whole(Broadcast, Linear, n_pes, root, 4);
             lin.validate();
             prop_assert_eq!(lin.stages.len(), 1);
             prop_assert_eq!(lin.total_ops(), n_pes - 1);
             prop_assert!(lin.ops().all(|o| o.src_pe == root));
 
-            let ring = broadcast_ring_sched(n_pes, root, 4, 1);
+            let ring = whole(Broadcast, Ring, n_pes, root, 4);
             ring.validate();
             prop_assert_eq!(ring.stages.len(), n_pes.saturating_sub(1));
             prop_assert_eq!(ring.total_ops(), n_pes.saturating_sub(1));
 
-            let rl = reduce_linear_sched(n_pes, root, 4, 1);
+            let rl = whole(Reduce, Linear, n_pes, root, 4);
             rl.validate();
             prop_assert_eq!(rl.total_ops(), n_pes - 1);
             prop_assert!(rl.ops().all(|o| o.dst_pe == root && o.kind == OpKind::GetFoldInto));
 
             let adj = uniform_disp(n_pes, 2, root);
-            let sl = scatter_linear_sched(n_pes, root, &adj);
-            let gl = gather_linear_sched(n_pes, root, &adj);
+            let sl = rooted_schedule(Scatter, Linear, n_pes, root, Payload::Ranges(&adj));
+            let gl = rooted_schedule(Gather, Linear, n_pes, root, Payload::Ranges(&adj));
             sl.validate();
             gl.validate();
             prop_assert_eq!(sl.total_ops(), n_pes - 1);

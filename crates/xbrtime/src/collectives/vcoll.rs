@@ -10,10 +10,8 @@
 //! constant-count case of allgatherv). The `try_*` entry points differ
 //! from the uniform ones only in their `Auto` rule — which also keys on
 //! count skew — and in returning a structured error. This module names
-//! the chain (ring) rows of the rooted table
-//! ([`rooted_schedule`] on [`Algorithm::Ring`]) and the three allgatherv
-//! rows of the symmetric one ([`allgather_row`]): the `publish` stage
-//! alone (the fan), or followed by the ring or the dissemination arm of
+//! the three [`Shape::AllGather`] rows: the `publish` stage alone (the
+//! fan), or followed by the ring or the dissemination arm of
 //! `exchange_stages` over the prefix displacement table.
 //!
 //! Everything here follows the repo's schedule/executor split: each
@@ -32,12 +30,11 @@
 use std::fmt;
 
 use crate::collectives::gather::gather_core;
-use crate::collectives::plan::{self, PlanKey};
+use crate::collectives::plan;
 use crate::collectives::policy::{self, Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::scatter::scatter_core;
 use crate::collectives::schedule::{
-    allgather_row, exchange_stages, is_put_kind, publish, rooted_schedule, CommSchedule, Exchange,
-    OpKind, Payload,
+    exchange_stages, is_put_kind, publish, CommSchedule, Exchange, OpKind, Payload, Row, Shape,
 };
 use crate::fabric::{CollectiveKind, Pe};
 use crate::types::XbrType;
@@ -168,28 +165,6 @@ pub fn skew_permille(counts: &[usize]) -> u64 {
 // ---------------------------------------------------------------------------
 // Schedule generators
 // ---------------------------------------------------------------------------
-
-/// Chain-shaped scatterv: the hop from virtual rank `v` to `v + 1`
-/// forwards the still-undelivered suffix `[adj_disp[v+1], adj_disp[n])`,
-/// one hop per stage. The root injects the payload exactly once (minus
-/// its own segment), which is what lets the pipelined executor overlap
-/// hops — the same trade as the broadcast chain, made per-suffix so each
-/// hop shrinks by the segments already delivered. Zero-length suffixes
-/// end the chain early (`adj_disp` is monotone, so every later suffix is
-/// empty too).
-pub fn scatterv_ring_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
-    let (family, ranges) = (CollectiveKind::Scatter, Payload::Ranges(adj_disp));
-    rooted_schedule(family, Algorithm::Ring, n_pes, root, ranges)
-}
-
-/// Chain-shaped gatherv, [`scatterv_ring_sched`] transposed: contributions
-/// roll from the far end of the chain toward the root, each hop pushing
-/// the accumulated suffix `[adj_disp[v], adj_disp[n])` from virtual rank
-/// `v` down to `v − 1`.
-pub fn gatherv_ring_sched(n_pes: usize, root: usize, adj_disp: &[usize]) -> CommSchedule {
-    let (family, ranges) = (CollectiveKind::Gather, Payload::Ranges(adj_disp));
-    rooted_schedule(family, Algorithm::Ring, n_pes, root, ranges)
-}
 
 /// The all-gather(v) rows: the `publish` stage, then — unless it already
 /// went to everyone — the `arm` carrying board blocks onward as its op
@@ -526,31 +501,14 @@ pub(crate) fn allgather_core<T: XbrType>(
         plan::note_inert(pe, CollectiveKind::AllGather);
         return Ok(());
     }
-    let es = std::mem::size_of::<T>();
-    let (tag, key_algo, generator) = allgather_row(algo);
     let board = pe.shared_malloc::<T>(total);
-    let mut key = PlanKey::rooted(
-        CollectiveKind::AllGather,
-        key_algo,
-        sync,
-        n_pes,
-        0,
-        total,
-        1,
-        es,
-        tag,
-    );
-    key.shape.push(plan::counts_digest(counts));
-    plan::run_schedule(
-        pe,
-        key,
-        || generator(n_pes, &prefix_displacements(counts)),
-        board.whole(),
-        src,
-        &mut [],
-        None,
-        sync,
-    );
+    let row = Row {
+        shape: Shape::AllGather { algo, counts },
+        members: None,
+        world: n_pes,
+    };
+    let kind = CollectiveKind::AllGather;
+    plan::run_schedule(pe, &row, kind, board.whole(), src, &mut [], None, sync);
     pe.heap_read_strided(board.whole(), &mut dest[..total], total, 1);
     pe.barrier();
     pe.shared_free(board);
@@ -561,6 +519,7 @@ pub(crate) fn allgather_core<T: XbrType>(
 mod tests {
     use super::*;
     use crate::collectives::scatter::adjusted_displacements;
+    use crate::collectives::schedule::rooted_schedule;
     use crate::fabric::{Fabric, FabricConfig};
 
     /// Abstract replay of an allgatherv schedule: walk the stages over a
@@ -637,10 +596,11 @@ mod tests {
     #[test]
     fn ring_chain_is_one_op_per_stage() {
         let adj = adjusted_displacements(&[2, 1, 3, 2], 1, 4);
-        let sched = scatterv_ring_sched(4, 1, &adj);
+        let (chain, ranges) = (Algorithm::Ring, Payload::Ranges(&adj));
+        let sched = rooted_schedule(CollectiveKind::Scatter, chain, 4, 1, ranges);
         assert_eq!(sched.stages.len(), 3);
         assert!(sched.stages.iter().all(|s| s.ops.len() == 1));
-        let back = gatherv_ring_sched(4, 1, &adj);
+        let back = rooted_schedule(CollectiveKind::Gather, chain, 4, 1, ranges);
         assert_eq!(back.stages.len(), 3);
     }
 

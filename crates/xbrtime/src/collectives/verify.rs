@@ -1234,12 +1234,25 @@ pub fn check_plan(plan: &Plan, spec: &CollectiveSpec) -> ConformanceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::policy::Algorithm::{Linear, Ring};
     use crate::collectives::scatter::adjusted_displacements;
     use crate::collectives::schedule::{
-        broadcast_binomial, broadcast_linear_sched, broadcast_ring_sched, gather_binomial,
-        reduce_binomial, reduce_linear_sched, scatter_binomial, Stage,
+        broadcast_binomial, gather_binomial, reduce_binomial, rooted_schedule, scatter_binomial,
+        Payload, Stage,
     };
-    use crate::fabric::CollectiveKind;
+    use crate::fabric::CollectiveKind::{self, Broadcast, Reduce};
+
+    /// A whole-vector row of the rooted generator.
+    fn whole(
+        family: CollectiveKind,
+        algo: crate::collectives::policy::Algorithm,
+        n: usize,
+        root: usize,
+        nelems: usize,
+        stride: usize,
+    ) -> CommSchedule {
+        rooted_schedule(family, algo, n, root, Payload::Whole { nelems, stride })
+    }
 
     fn uniform_disp(n: usize, per: usize, root: usize) -> Vec<usize> {
         adjusted_displacements(&vec![per; n], root, n)
@@ -1261,7 +1274,7 @@ mod tests {
                             },
                         ),
                         (
-                            broadcast_linear_sched(n, root, 3, 2),
+                            whole(Broadcast, Linear, n, root, 3, 2),
                             CollectiveSpec::Broadcast {
                                 root,
                                 nelems: 3,
@@ -1269,7 +1282,7 @@ mod tests {
                             },
                         ),
                         (
-                            broadcast_ring_sched(n, root, 4, 1),
+                            whole(Broadcast, Ring, n, root, 4, 1),
                             CollectiveSpec::Broadcast {
                                 root,
                                 nelems: 4,
@@ -1285,7 +1298,7 @@ mod tests {
                             },
                         ),
                         (
-                            reduce_linear_sched(n, root, 3, 1),
+                            whole(Reduce, Linear, n, root, 3, 1),
                             CollectiveSpec::ReduceLinear {
                                 root,
                                 nelems: 3,
@@ -1437,7 +1450,7 @@ mod tests {
             Program::lower(&sched, SyncMode::Auto, &cfg).sync,
             SyncMode::Signaled
         );
-        let single = broadcast_linear_sched(8, 0, 4, 1);
+        let single = whole(Broadcast, Linear, 8, 0, 4, 1);
         assert_eq!(
             Program::lower(&single, SyncMode::Auto, &cfg).sync,
             SyncMode::Barrier

@@ -10,7 +10,10 @@
 //!   xBGAS library names every type explicitly ([`crate::typed`]).
 //! * **Active sets** — OpenSHMEM collectives operate over
 //!   `(PE_start, logPE_stride, PE_size)` triples; xBGAS's initial library
-//!   is world-only (teams are its future work).
+//!   is world-only (teams are its future work). A set is a member list:
+//!   the broadcasts here are the one broadcast body on a row that carries
+//!   `active.members()`, so a strided subset honours the caller's
+//!   algorithm policy and sync mode exactly as the world does.
 //! * **Root exclusion** — OpenSHMEM's broadcast does *not* copy the data
 //!   into the root's own `dest`; the xBGAS broadcast does. Faithfully
 //!   reproduced (and tested) here because it is exactly the kind of
@@ -23,6 +26,7 @@
 //!   element stride, matching the paper's observation that "the
 //!   OpenSHMEM model does not support a non-default stride size".
 
+use crate::collectives::broadcast::broadcast_on;
 use crate::collectives::extended::Team;
 use crate::collectives::{AlgorithmPolicy, CollHandle, SyncMode};
 use crate::fabric::{Pe, SymmAlloc, SymmRef};
@@ -65,8 +69,8 @@ impl ActiveSet {
     }
 
     /// Whether this set covers exactly the whole `n_pes`-PE world (the
-    /// common case, where collectives can skip the team machinery and go
-    /// through the policy-dispatched world entry points).
+    /// common case, where `collect` can go through the v-collective
+    /// engine and a broadcast can be issued nonblocking).
     pub fn is_world(&self, n_pes: usize) -> bool {
         self.pe_start == 0 && self.log_pe_stride == 0 && self.pe_size == n_pes
     }
@@ -142,9 +146,8 @@ pub fn broadcast32<T: XbrType>(
 }
 
 /// [`broadcast64`] under an explicit [`AlgorithmPolicy`] and executor
-/// [`SyncMode`]. World-spanning active sets dispatch through both;
-/// proper-subset teams always use the binomial tree under the barrier
-/// discipline.
+/// [`SyncMode`]: the one broadcast body over the active set's members,
+/// whether they are the world or a proper subset of it.
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast64_sync<T: XbrType>(
     pe: &Pe,
@@ -187,24 +190,19 @@ fn shmem_broadcast_sync<T: XbrType>(
     policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
-    let team = active.team();
-    assert!(pe_root < team.size(), "pe_root outside the active set");
-    // Preserve the root's dest across the team broadcast (which writes it),
+    let members = active.members();
+    assert!(pe_root < members.len(), "pe_root outside the active set");
+    // Preserve the root's dest across the broadcast (which writes it),
     // restoring it afterwards to honour the OpenSHMEM root-exclusion rule.
-    let root_is_me = active.set_rank(pe.rank()) == Some(pe_root);
+    let root_is_me = pe.rank() == members[pe_root];
     let span = nelems.max(1).min(dest.len());
     let saved: Vec<T> = if root_is_me && nelems > 0 {
         pe.heap_read_vec(dest.whole(), span)
     } else {
         Vec::new()
     };
-    if active.is_world(pe.n_pes()) {
-        // World sets (the overwhelmingly common OpenSHMEM case) route
-        // through the policy dispatcher; set-rank == global rank here.
-        crate::collectives::broadcast_policy_sync(pe, dest, src, nelems, 1, pe_root, policy, sync);
-    } else {
-        team.broadcast(pe, dest, src, nelems, pe_root, SyncMode::Barrier);
-    }
+    let set = Some(&members[..]);
+    broadcast_on(pe, dest, src, nelems, 1, pe_root, set, policy, sync);
     pe.barrier();
     if root_is_me && nelems > 0 {
         pe.heap_write(dest.whole(), &saved);
@@ -405,7 +403,7 @@ fn collect_impl<T: XbrType>(
 mod tests {
     use super::*;
     use crate::collectives::broadcast;
-    use crate::fabric::{Fabric, FabricConfig};
+    use crate::fabric::{CollectiveKind, Fabric, FabricConfig};
     use crate::types::ReduceOp;
 
     #[test]
@@ -481,6 +479,44 @@ mod tests {
             assert_eq!(report.results[1], vec![111, 222], "{policy:?}");
             for rank in [0usize, 2, 3] {
                 assert_eq!(report.results[rank], vec![5, 6], "{policy:?} rank {rank}");
+            }
+        }
+    }
+
+    /// A proper-subset active set gets the algorithm and the executor
+    /// discipline it asks for — it used to run the binomial tree under
+    /// per-stage barriers whatever the caller said.
+    #[test]
+    fn strided_set_broadcast_honours_policy_and_sync() {
+        // PEs 1, 3, 5 of 8; the root is set-rank 1, PE 3.
+        let set = ActiveSet {
+            pe_start: 1,
+            log_pe_stride: 1,
+            pe_size: 3,
+        };
+        for policy in [
+            AlgorithmPolicy::Binomial,
+            AlgorithmPolicy::Linear,
+            AlgorithmPolicy::Ring,
+        ] {
+            for sync in SyncMode::CONCRETE {
+                let report = Fabric::run(FabricConfig::new(8), move |pe| {
+                    let dest = pe.shared_malloc::<u64>(2);
+                    pe.heap_write(dest.whole(), &[111, 222]); // sentinel
+                    pe.barrier();
+                    broadcast64_sync(pe, &dest, &[5, 6], 2, 1, &set, policy, sync);
+                    pe.barrier();
+                    pe.heap_read_vec::<u64>(dest.whole(), 2)
+                });
+                for (rank, got) in report.results.iter().enumerate() {
+                    let delivered = rank == 1 || rank == 5;
+                    let expect = if delivered { [5, 6] } else { [111, 222] };
+                    assert_eq!(got, &expect, "{policy:?} {sync:?} rank {rank}");
+                }
+                let rec = report.collective(CollectiveKind::Broadcast).unwrap();
+                let asked = format!("{policy:?}").to_lowercase();
+                assert_eq!(rec.algorithms(), [asked], "{policy:?} {sync:?}");
+                assert_eq!(rec.sync_modes(), [sync.name()], "{policy:?} {sync:?}");
             }
         }
     }

@@ -46,11 +46,11 @@
 
 use std::fmt;
 
-use crate::collectives::plan::{self, PlanKey};
+use crate::collectives::plan;
 use crate::collectives::policy::{Algorithm, SyncMode, SLOTS_PER_OP};
 use crate::collectives::scatter::adjusted_displacements;
-use crate::collectives::schedule::{allgather_row, rooted_schedule, CommSchedule, Payload};
-use crate::collectives::vcoll::{prefix_displacements, AllGatherVAlgo};
+use crate::collectives::schedule::{CommSchedule, Payload, Row, Shape};
+use crate::collectives::vcoll::AllGatherVAlgo;
 use crate::collectives::PlanCacheStats;
 use crate::fabric::{
     CollectiveKind, DeadlockReport, Fabric, FabricConfig, Pe, RunError, RunReport,
@@ -340,45 +340,52 @@ fn val(seed: u64, t: usize, i: usize, tr: usize, k: usize) -> u64 {
     seed ^ ((t as u64) << 48) ^ ((i as u64) << 32) ^ ((tr as u64) << 16) ^ k as u64
 }
 
-/// The row of the rooted table — (family, algorithm) — an op's kind and
-/// draw map onto; `None` for the allgatherv-shaped kinds.
-fn rooted_row(op: &TrafficOp) -> Option<(CollectiveKind, Algorithm)> {
+/// The adjusted displacement table a rooted op stages and runs by; `None`
+/// for the allgatherv-shaped kinds.
+fn op_adj(op: &TrafficOp) -> Option<Vec<usize>> {
+    matches!(op.kind, TrafficKind::Scatterv | TrafficKind::Gatherv)
+        .then(|| adjusted_displacements(&op.counts, op.root, op.counts.len()))
+}
+
+/// The row an op runs — the one the collective bodies would name for it,
+/// team-local and mapped on the tenant's PEs — and the kind it reports
+/// as. `adj` is the op's [`op_adj`]; the algorithm draw maps onto
+/// binomial/linear/ring or fan/ring/dissemination.
+fn op_row<'a>(
+    op: &'a TrafficOp,
+    adj: &'a Option<Vec<usize>>,
+    members: &'a [usize],
+    world: usize,
+) -> (CollectiveKind, Row<'a>) {
     let family = match op.kind {
         TrafficKind::Scatterv => CollectiveKind::Scatter,
         TrafficKind::Gatherv => CollectiveKind::Gather,
-        TrafficKind::Broadcast | TrafficKind::Allgatherv => return None,
+        TrafficKind::Broadcast | TrafficKind::Allgatherv => CollectiveKind::AllGather,
     };
-    let algo = [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring][op.algo % 3];
-    Some((family, algo))
+    let shape = match adj {
+        Some(adj) => Shape::Rooted {
+            family,
+            algo: [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring][op.algo % 3],
+            root: op.root,
+            payload: Payload::Ranges(adj),
+        },
+        None => Shape::AllGather {
+            algo: AllGatherVAlgo::CONCRETE[op.algo % 3],
+            counts: &op.counts,
+        },
+    };
+    let row = Row {
+        shape,
+        members: Some(members),
+        world,
+    };
+    (family, row)
 }
 
-/// Materialise the schedule an op will run — team-local, then mapped
-/// [`on`](CommSchedule::on) the tenant's PEs; also used up front to size
-/// the signal table. Generators and tags come from the same tables the
-/// collective bodies use.
+/// Materialise the schedule an op will run; also used up front to size
+/// the signal table.
 fn op_schedule(op: &TrafficOp, members: &[usize], world: usize) -> CommSchedule {
-    let team = members.len();
-    let sched = match rooted_row(op) {
-        Some((family, algo)) => {
-            let adj = adjusted_displacements(&op.counts, op.root, team);
-            rooted_schedule(family, algo, team, op.root, Payload::Ranges(&adj))
-        }
-        None => {
-            let generator = allgather_row(AllGatherVAlgo::CONCRETE[op.algo % 3]).2;
-            generator(team, &prefix_displacements(&op.counts))
-        }
-    };
-    sched.on(members, world)
-}
-
-fn op_tag(op: &TrafficOp) -> (CollectiveKind, Algorithm, u64) {
-    match rooted_row(op) {
-        Some((family, algo)) => (family, algo, plan::tag::rooted(family, algo)),
-        None => {
-            let (tag, algo, _) = allgather_row(AllGatherVAlgo::CONCRETE[op.algo % 3]);
-            (CollectiveKind::AllGather, algo, tag)
-        }
-    }
+    op_row(op, &op_adj(op), members, world).1.schedule()
 }
 
 /// Issue one traffic op on this PE. Exactly three world barriers per
@@ -400,7 +407,6 @@ fn run_op(
     let world = pe.n_pes();
     let team = members.len();
     let total = op.total();
-    let (kind, key_algo, tag) = op_tag(op);
     let es = std::mem::size_of::<u64>();
     let board = pe.shared_malloc::<u64>(total);
     let my_count = op.counts[tr];
@@ -409,56 +415,27 @@ fn run_op(
     // Stage. Rooted ops reorder through the root's staging board exactly
     // like the vcoll wrappers; allgatherv-shaped ops publish from
     // local_src inside the schedule and need no staging writes.
-    let adj = match op.kind {
-        TrafficKind::Scatterv => {
-            let adj = adjusted_displacements(&op.counts, op.root, team);
-            if tr == op.root {
-                for (v, &at) in adj.iter().take(team).enumerate() {
-                    let l = crate::collectives::logical_rank(v, op.root, team);
-                    if op.counts[l] > 0 {
-                        let seg: Vec<u64> =
-                            (0..op.counts[l]).map(|k| val(seed, t, i, l, k)).collect();
-                        pe.heap_write(board.at(at), &seg);
-                    }
+    let adj = op_adj(op);
+    match (op.kind, &adj) {
+        (TrafficKind::Scatterv, Some(adj)) if tr == op.root => {
+            for (v, &at) in adj.iter().take(team).enumerate() {
+                let l = crate::collectives::logical_rank(v, op.root, team);
+                if op.counts[l] > 0 {
+                    let seg: Vec<u64> = (0..op.counts[l]).map(|k| val(seed, t, i, l, k)).collect();
+                    pe.heap_write(board.at(at), &seg);
                 }
             }
-            Some(adj)
         }
-        TrafficKind::Gatherv => {
-            let adj = adjusted_displacements(&op.counts, op.root, team);
-            if my_count > 0 {
-                let v = crate::collectives::virtual_rank(tr, op.root, team);
-                pe.heap_write(board.at(adj[v]), &myvals);
-            }
-            Some(adj)
+        (TrafficKind::Gatherv, Some(adj)) if my_count > 0 => {
+            let v = crate::collectives::virtual_rank(tr, op.root, team);
+            pe.heap_write(board.at(adj[v]), &myvals);
         }
-        TrafficKind::Broadcast | TrafficKind::Allgatherv => None,
-    };
+        _ => {}
+    }
     pe.barrier();
 
-    let mut key = PlanKey::rooted(
-        kind,
-        key_algo,
-        sync,
-        world,
-        members[op.root],
-        total,
-        1,
-        es,
-        tag,
-    );
-    key.shape.push(plan::counts_digest(&op.counts));
-    key.shape.extend(members.iter().map(|&m| m as u64));
-    plan::run_schedule(
-        pe,
-        key,
-        || op_schedule(op, members, world),
-        board.whole(),
-        &myvals,
-        &mut [],
-        None,
-        sync,
-    );
+    let (kind, row) = op_row(op, &adj, members, world);
+    plan::run_schedule(pe, &row, kind, board.whole(), &myvals, &mut [], None, sync);
 
     // Read back what this PE is entitled to see and fold it into the
     // tenant digest.

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use xbrtime::collectives::extended::{
     allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_ring,
 };
-use xbrtime::collectives::schedule::{allreduce_row, CommSchedule};
+use xbrtime::collectives::schedule::{CommSchedule, Row, Shape};
 use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
 use xbrtime::collectives::{
     self, allgatherv_dissemination_sched, prefix_displacements, AllGatherVAlgo, AllReduceAlgo,
@@ -114,7 +114,8 @@ proptest! {
         sync_ix in 0usize..3,
     ) {
         let algo = AllReduceAlgo::CONCRETE[which];
-        let sched = allreduce_row(algo).2(n, nelems);
+        let shape = Shape::AllReduce { algo, nelems };
+        let sched = Row { shape, members: None, world: n }.schedule();
         let sync = SyncMode::CONCRETE[sync_ix];
         let report = check_schedule(
             &sched,

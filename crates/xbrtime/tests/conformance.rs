@@ -13,10 +13,35 @@ use xbrtime::collectives::explore::{
 };
 use xbrtime::collectives::extended::allreduce_recursive_doubling;
 use xbrtime::collectives::hierarchical::{broadcast_hier_sched, reduce_hier_sched};
+use xbrtime::collectives::schedule::{CommSchedule, Payload, Row, Shape};
 use xbrtime::collectives::verify::{check_plan, check_schedule, CollectiveSpec, ModelConfig};
-use xbrtime::collectives::{SyncMode, Team};
+use xbrtime::collectives::{Algorithm, SyncMode};
 use xbrtime::fabric::FaultConfig;
 use xbrtime::timing::SplitMix64;
+use xbrtime::CollectiveKind;
+
+/// The binomial `family` row over `members` of an `n`-PE world, rooted
+/// at their position `root` — what a `Team` runs.
+fn team_sched(
+    family: CollectiveKind,
+    members: &[usize],
+    n: usize,
+    root: usize,
+    nelems: usize,
+) -> CommSchedule {
+    let shape = Shape::Rooted {
+        family,
+        algo: Algorithm::Binomial,
+        root,
+        payload: Payload::Whole { nelems, stride: 1 },
+    };
+    let row = Row {
+        shape,
+        members: Some(members),
+        world: n,
+    };
+    row.schedule()
+}
 
 // ---------------------------------------------------------------------------
 // Golden-seed streams (platform-identical by construction: u64-only).
@@ -86,10 +111,9 @@ fn oracle_passes_team_schedules_all_modes() {
     let cfg = ModelConfig::default();
     // Ragged, gappy teams inside worlds of 5 and 6.
     for (n, members) in [(5usize, vec![0, 2, 4]), (6, vec![1, 2, 5]), (6, vec![3])] {
-        let team = Team::new(members.clone());
         for sync in SyncMode::CONCRETE {
             let root = members.len() - 1;
-            let sched = team.broadcast_schedule(n, 3, root);
+            let sched = team_sched(CollectiveKind::Broadcast, &members, n, root, 3);
             let report = check_schedule(
                 &sched,
                 sync,
@@ -107,7 +131,7 @@ fn oracle_passes_team_schedules_all_modes() {
                 report.summary()
             );
 
-            let sched = team.reduce_schedule(n, 3);
+            let sched = team_sched(CollectiveKind::Reduce, &members, n, 0, 3);
             let report = check_schedule(
                 &sched,
                 sync,
@@ -195,9 +219,8 @@ fn exhaustive_exploration_covers_ragged_hier_and_team() {
             out.summary()
         );
 
-        let team = Team::new(vec![0, 2]);
         let out = explore_exhaustive(
-            &team.broadcast_schedule(4, 2, 1),
+            &team_sched(CollectiveKind::Broadcast, &[0, 2], 4, 1, 2),
             sync,
             &CollectiveSpec::TeamBroadcast {
                 members: vec![0, 2],

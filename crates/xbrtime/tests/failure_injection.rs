@@ -97,6 +97,50 @@ fn collective_argument_validation_is_collective_safe() {
     assert!(result.is_err());
 }
 
+/// A malformed collective call panics on the calling PE with a message
+/// that names the argument. The row's own check runs before the plan
+/// cache is touched; these three used to get as far as the generator,
+/// inside the cache's build closure, and came back as one PE's
+/// `PoisonError` from the shard lock the panic had poisoned.
+#[test]
+fn malformed_calls_name_their_argument_and_poison_no_shard() {
+    type Body = fn(&xbrtime::Pe);
+    let calls: [(&str, &str, Body); 3] = [
+        ("team root", "root 2 out of range", |pe| {
+            let team = xbrtime::collectives::Team::new(vec![0, 2]);
+            let dest = pe.shared_malloc::<u64>(1);
+            team.broadcast(pe, &dest, &[7], 1, 2, SyncMode::Barrier);
+        }),
+        (
+            "team member",
+            "team member 9 outside the 4-PE world",
+            |pe| {
+                let team = xbrtime::collectives::Team::new(vec![1, 9]);
+                let dest = pe.shared_malloc::<u64>(1);
+                team.broadcast(pe, &dest, &[7], 1, 0, SyncMode::Barrier);
+            },
+        ),
+        ("hierarchical root", "root 4 out of range", |pe| {
+            let dest = pe.shared_malloc::<u64>(1);
+            xbrtime::collectives::broadcast_hier(pe, &dest, &[7], 1, 4, SyncMode::Barrier);
+        }),
+    ];
+    for (what, names, body) in calls {
+        let cfg = FabricConfig::new(4)
+            .with_watchdog(Duration::from_secs(5))
+            .with_topology(Topology {
+                pes_per_node: 2,
+                intra_node_factor: 0.25,
+            });
+        let err = match Fabric::try_run(cfg, body) {
+            Err(RunError::Panic(msg)) => msg,
+            other => panic!("{what}: expected a PE panic, got {:?}", other.map(|_| ())),
+        };
+        assert!(err.contains(names), "{what}: unhelpful message {err:?}");
+        assert!(!err.contains("PoisonError"), "{what}: {err:?}");
+    }
+}
+
 #[test]
 fn exhausted_heap_names_the_pe_and_sizes() {
     let result = catch_unwind(AssertUnwindSafe(|| {

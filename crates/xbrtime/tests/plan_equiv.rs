@@ -1,6 +1,8 @@
 //! The plan cache and the nonblocking collectives built on it:
-//! cache-key determinism (same key ⇒ one shared plan, shape change ⇒
-//! distinct entries), exact hit/miss telemetry — including concurrent
+//! cache-key determinism (same key ⇒ one shared plan, and over arbitrary
+//! [`Row`]s same key ⇒ same schedule, any one field changed ⇒ distinct
+//! key), a pinned digest of every row's lowered plan, exact hit/miss
+//! telemetry — including concurrent
 //! issue at 256 PEs under the work-stealing engine — nonblocking overlap
 //! of ≥2 in-flight collectives, blocking collectives issued above an
 //! in-flight slot window, and slot-window recycling when a handle is
@@ -18,11 +20,14 @@
 // fields, which trips needless_update.
 #![allow(clippy::needless_update)]
 
+use std::fmt::Write;
+
 use proptest::prelude::*;
-use xbrtime::collectives::plan::{PlanCache, PlanCacheStats, PlanKey};
+use xbrtime::collectives::plan::{lower, Plan, PlanCache, PlanCacheStats};
 use xbrtime::collectives::policy::Algorithm;
-use xbrtime::collectives::schedule::broadcast_binomial;
-use xbrtime::collectives::{self, AllReduceAlgo};
+use xbrtime::collectives::scatter::adjusted_displacements;
+use xbrtime::collectives::schedule::{Payload, Row, Shape};
+use xbrtime::collectives::{self, AllGatherVAlgo, AllReduceAlgo};
 use xbrtime::{CollectiveKind, EngineConfig, Fabric, FabricConfig, SyncMode, Topology};
 
 const SYNCS: [SyncMode; 4] = [
@@ -350,72 +355,341 @@ fn nonblocking_routes_record_their_choice() {
     assert_eq!(got, binomial, "PersistentAllReduce::start");
 }
 
+const TREES: [Algorithm; 3] = [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring];
+
+/// A [`Row`] with its tables owned, so a test can draw one from integers
+/// and change one field at a time. `family` picks between a shape's two
+/// families, `algo` indexes its algorithm enum, `table` is a count per
+/// rank (made a displacement table where the shape wants one).
+#[derive(Clone, Debug)]
+struct RowSpec {
+    /// 0 rooted/whole, 1 rooted/ranges, 2 all-gather, 3 all-reduce,
+    /// 4 all-to-all, 5 two-tier.
+    shape: usize,
+    family: usize,
+    algo: usize,
+    root: usize,
+    nelems: usize,
+    stride: usize,
+    pes_per_node: usize,
+    table: Vec<usize>,
+    members: Option<Vec<usize>>,
+    world: usize,
+}
+
+impl RowSpec {
+    fn n(&self) -> usize {
+        self.members.as_ref().map_or(self.world, Vec::len)
+    }
+
+    /// The row, and the kind its family reports as. `adj` is scratch for
+    /// the displacement table a ranges row borrows.
+    fn row<'a>(&'a self, adj: &'a mut Vec<usize>) -> (CollectiveKind, Row<'a>) {
+        let (root, nelems, stride) = (self.root, self.nelems, self.stride);
+        let algo = TREES[self.algo % 3];
+        let (kind, shape) = match self.shape {
+            0 => {
+                let family = CollectiveKind::ALL[self.family];
+                let payload = Payload::Whole { nelems, stride };
+                let shape = Shape::Rooted {
+                    family,
+                    algo,
+                    root,
+                    payload,
+                };
+                (family, shape)
+            }
+            1 => {
+                let family = CollectiveKind::ALL[2 + self.family];
+                *adj = adjusted_displacements(&self.table, root, self.n());
+                let payload = Payload::Ranges(adj);
+                let shape = Shape::Rooted {
+                    family,
+                    algo,
+                    root,
+                    payload,
+                };
+                (family, shape)
+            }
+            2 => {
+                let algo = AllGatherVAlgo::CONCRETE[self.algo % 3];
+                let counts = &self.table[..];
+                (CollectiveKind::AllGather, Shape::AllGather { algo, counts })
+            }
+            3 => {
+                let algo = AllReduceAlgo::CONCRETE[self.algo];
+                (CollectiveKind::AllReduce, Shape::AllReduce { algo, nelems })
+            }
+            4 => (CollectiveKind::AllToAll, Shape::AllToAll { per_pe: nelems }),
+            _ => {
+                let family = CollectiveKind::ALL[self.family];
+                let pes_per_node = self.pes_per_node;
+                let shape = Shape::Hier {
+                    family,
+                    pes_per_node,
+                    root,
+                    nelems,
+                };
+                (family, shape)
+            }
+        };
+        let row = Row {
+            shape,
+            members: self.members.as_deref(),
+            world: self.world,
+        };
+        (kind, row)
+    }
+
+    /// Everything a key is made from, and the schedule it stands for.
+    fn key_and_schedule(&self, sync: SyncMode, elem_bytes: usize) -> (String, String) {
+        let mut adj = Vec::new();
+        let (kind, row) = self.row(&mut adj);
+        row.check();
+        let key = row.key(kind, sync, elem_bytes);
+        (format!("{key:?}"), format!("{:?}", row.schedule()))
+    }
+
+    /// This row with field `which` changed (and nothing else), or `None`
+    /// where the shape has no such field.
+    fn with_one_change(&self, which: usize) -> Option<RowSpec> {
+        let mut s = self.clone();
+        let reads_table = matches!(self.shape, 1 | 2);
+        match which {
+            0 if self.shape < 4 => s.algo = (s.algo + 1) % if self.shape == 3 { 4 } else { 3 },
+            1 if matches!(self.shape, 0 | 1 | 5) && self.n() > 1 => {
+                s.root = (s.root + 1) % self.n();
+            }
+            2 if reads_table => s.table[self.root] += 1,
+            3 if !reads_table => s.nelems += 1,
+            4 if self.shape == 0 => s.stride += 1,
+            5 if self.shape == 5 => s.pes_per_node += 1,
+            6 if matches!(self.shape, 0 | 1 | 5) => s.family = 1 - s.family,
+            // One member swapped for a PE outside the list.
+            7 if self.members.is_some() => {
+                let members = s.members.as_mut().unwrap();
+                let spare = (0..self.world).find(|pe| !members.contains(pe))?;
+                members[0] = spare;
+            }
+            // The same ranks, one more PE in the world around them.
+            8 if self.members.is_some() || !reads_table => s.world += 1,
+            _ => return None,
+        }
+        // A growing world changes the rank count under a table.
+        (s.table.len() == s.n() || !reads_table).then_some(s)
+    }
+}
+
+/// Rows small enough that two independent draws are often the same row,
+/// and often differ in exactly one place.
+fn row_spec() -> impl Strategy<Value = RowSpec> {
+    // 48 is a multiple of every field's range, so each stays uniform.
+    proptest::collection::vec(0usize..48, 13..14).prop_map(|draw| {
+        let (shape, world, team) = (draw[0] % 6, 1 + draw[1] % 4, draw[2] % 16);
+        // Bit `pe` of `team` picks PE `pe`; an empty pick is the world.
+        let picked: Vec<usize> = (0..world).filter(|pe| team >> pe & 1 == 1).collect();
+        let members = (!picked.is_empty() && draw[3] % 3 != 0).then_some(picked);
+        let n = members.as_ref().map_or(world, Vec::len);
+        RowSpec {
+            shape,
+            family: draw[4] % 2,
+            algo: draw[5] % if shape == 3 { 4 } else { 3 },
+            root: draw[6] % n,
+            nelems: draw[7] % 3,
+            stride: 1 + draw[8] % 2,
+            pes_per_node: 1 + draw[8] / 2 % 2,
+            table: draw[9..9 + n].iter().map(|d| d % 3).collect(),
+            members,
+            world,
+        }
+    })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// Cache-key determinism: looking up the same key twice returns the
-    /// same shared plan (no rebuild); varying any shape axis produces a
-    /// distinct entry.
+    /// same shared plan (no rebuild), and keys are injective by
+    /// construction — over arbitrary rows of all five shapes, with and
+    /// without a member list, equal keys mean equal schedules, and a row
+    /// differing in any single field (algorithm, root, one table entry,
+    /// element count, stride, node size, family, one member, world size,
+    /// element size, sync mode) has a different key and its own entry.
     #[test]
     fn cache_keys_are_deterministic(
-        n in 2usize..=16,
-        nelems in 1usize..=64,
-        root_i in 0usize..16,
+        a in row_spec(),
+        b in row_spec(),
         sync_i in 0usize..SYNCS.len(),
+        wide in 0usize..2,
     ) {
-        let root = root_i % n;
-        let sync = SYNCS[sync_i];
+        let (sync, elem_bytes) = (SYNCS[sync_i], 4 << wide);
+        let (key_a, sched_a) = a.key_and_schedule(sync, elem_bytes);
+        let (key_b, sched_b) = b.key_and_schedule(sync, elem_bytes);
+        prop_assert!(key_a != key_b || sched_a == sched_b, "{a:?} and {b:?} share {key_a}");
+
         let cache = PlanCache::new();
-        let key = PlanKey::rooted(
-            CollectiveKind::Broadcast,
-            Algorithm::Binomial,
-            sync,
-            n,
-            root,
-            nelems,
-            1,
-            8,
-            0, // tag::rooted(Broadcast, Binomial)
-        );
-        let build = || {
-            collectives::plan::lower(&broadcast_binomial(n, root, nelems, 1), sync, 8)
+        let lookup = |spec: &RowSpec, sync, elem_bytes| {
+            let mut adj = Vec::new();
+            let (kind, row) = spec.row(&mut adj);
+            let key = row.key(kind, sync, elem_bytes);
+            cache.get_or_build(&key, || lower(&row.schedule(), sync, elem_bytes))
         };
-        let a = cache.get_or_build(&key, build);
-        let b = cache.get_or_build(&key, build);
-        prop_assert!(std::sync::Arc::ptr_eq(&a, &b), "same key must share one plan");
-        let s = cache.stats();
-        prop_assert_eq!(s.misses, 1);
-        prop_assert_eq!(s.hits, 1);
+        let first = lookup(&a, sync, elem_bytes);
+        let again = lookup(&a, sync, elem_bytes);
+        prop_assert!(std::sync::Arc::ptr_eq(&first, &again), "same key must share one plan");
 
         // Perturb one axis at a time: each variant is a distinct entry.
-        let mut variants = Vec::new();
-        if n > 2 {
-            variants.push(PlanKey::rooted(
-                CollectiveKind::Broadcast, Algorithm::Binomial, sync,
-                n - 1, root.min(n - 2), nelems, 1, 8, 0,
-            ));
+        let mut distinct = 1;
+        let mut differs = |key: String, what: &str| {
+            distinct += 1;
+            assert!(key != key_a, "{what} changed, key did not: {a:?}");
+        };
+        for which in 0..9 {
+            if let Some(changed) = a.with_one_change(which) {
+                differs(changed.key_and_schedule(sync, elem_bytes).0, "one field");
+                lookup(&changed, sync, elem_bytes);
+            }
         }
-        variants.push(PlanKey::rooted(
-            CollectiveKind::Broadcast, Algorithm::Binomial, sync,
-            n, root, nelems + 1, 1, 8, 0,
-        ));
-        variants.push(PlanKey::rooted(
-            CollectiveKind::Broadcast, Algorithm::Binomial, sync,
-            n, root, nelems, 1, 4, 0,
-        ));
-        for v in &variants {
-            prop_assert!(v != &key, "perturbed key must differ");
-            let p = cache.get_or_build(v, || {
-                collectives::plan::lower(
-                    &broadcast_binomial(v.n_pes, v.root, v.nelems, 1),
-                    sync,
-                    v.elem_bytes,
-                )
-            });
-            prop_assert!(!std::sync::Arc::ptr_eq(&a, &p));
-        }
+        differs(a.key_and_schedule(sync, 12 - elem_bytes).0, "element size");
+        lookup(&a, sync, 12 - elem_bytes);
+        differs(a.key_and_schedule(SYNCS[(sync_i + 1) % 4], elem_bytes).0, "sync mode");
+        lookup(&a, SYNCS[(sync_i + 1) % 4], elem_bytes);
         let s = cache.stats();
-        prop_assert_eq!(s.entries, 1 + variants.len() as u64);
-        prop_assert_eq!(s.misses, 1 + variants.len() as u64);
+        prop_assert_eq!((s.entries, s.misses, s.hits), (distinct, distinct, 1));
     }
+}
+
+/// FNV-1a over everything written to it.
+struct Fnv(u64);
+
+impl Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// "Same plans", committed: one digest over `{plan:?}` of every row shape
+/// lowered over a grid of world sizes, roots, sync modes, element sizes
+/// and payloads — uniform, empty, the ragged `i % 3` tables, a 3-of-8
+/// team, three PEs to a node. The constant was computed at commit
+/// b1bdfa3 (PR 21), before `Row` existed, from that commit's own entry
+/// points (`rooted_schedule`, its two symmetric algorithm → generator
+/// tables, `all_to_all_sched`, `Team::{broadcast,reduce}_schedule`,
+/// `{broadcast,reduce}_hier_sched`) over this same grid in this same
+/// order: a refactor of the generators, the row table or the lowering
+/// that keeps it has changed no plan, and one that means to change plans
+/// says so by changing it.
+#[test]
+fn lowered_plan_digests_are_pinned() {
+    const AT_B1BDFA3: u64 = 0x5d82_5d92_909b_095f;
+    let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut plans = 0;
+    for n in [1usize, 2, 3, 5, 8, 16] {
+        for root in [0, n - 1] {
+            for sync in SyncMode::CONCRETE {
+                for elem_bytes in [4usize, 8] {
+                    let mut emit = |shape: Shape<'_>, members: Option<&[usize]>, kind| {
+                        let row = Row {
+                            shape,
+                            members,
+                            world: n,
+                        };
+                        let plan = Plan {
+                            kind,
+                            algo: Some(row.key(kind, sync, elem_bytes).algo),
+                            ..lower(&row.schedule(), sync, elem_bytes)
+                        };
+                        write!(digest, "{plan:?}").unwrap();
+                        plans += 1;
+                    };
+                    // Size 2 stands for the ragged `i % 3` tables.
+                    for size in [0usize, 1, 3, 1024, 65_536, 2] {
+                        let ragged = size == 2;
+                        let counts: Vec<usize> = match ragged {
+                            true => (0..n).map(|i| i % 3).collect(),
+                            false => vec![size; n],
+                        };
+                        let adj = adjusted_displacements(&counts, root, n);
+                        let whole = Payload::Whole {
+                            nelems: size,
+                            stride: 1 + size % 2,
+                        };
+                        let tree = |family, algo, payload| Shape::Rooted {
+                            family,
+                            algo,
+                            root,
+                            payload,
+                        };
+                        for algo in TREES {
+                            for family in &CollectiveKind::ALL[..2] {
+                                if !ragged {
+                                    emit(tree(*family, algo, whole), None, *family);
+                                }
+                            }
+                            for family in &CollectiveKind::ALL[2..4] {
+                                let ranges = Payload::Ranges(&adj);
+                                emit(tree(*family, algo, ranges), None, *family);
+                            }
+                        }
+                        if root == 0 {
+                            for algo in AllGatherVAlgo::CONCRETE {
+                                let counts = &counts[..];
+                                let shape = Shape::AllGather { algo, counts };
+                                emit(shape, None, CollectiveKind::AllGather);
+                            }
+                        }
+                        if ragged {
+                            continue;
+                        }
+                        if root == 0 {
+                            for algo in AllReduceAlgo::CONCRETE {
+                                let shape = Shape::AllReduce { algo, nelems: size };
+                                emit(shape, None, CollectiveKind::AllReduce);
+                            }
+                            let shape = Shape::AllToAll { per_pe: size };
+                            emit(shape, None, CollectiveKind::AllToAll);
+                        }
+                        for family in &CollectiveKind::ALL[..2] {
+                            let shape = Shape::Hier {
+                                family: *family,
+                                pes_per_node: 3,
+                                root,
+                                nelems: size,
+                            };
+                            emit(shape, None, *family);
+                        }
+                        if n == 8 {
+                            let (team, flat) = (Some(&[1, 4, 6][..]), Algorithm::Binomial);
+                            let whole = Payload::Whole {
+                                nelems: size,
+                                stride: 1,
+                            };
+                            let on_team = |family, root| Shape::Rooted {
+                                family,
+                                algo: flat,
+                                root,
+                                payload: whole,
+                            };
+                            let family = CollectiveKind::Broadcast;
+                            emit(on_team(family, root.min(2)), team, family);
+                            if root == 0 {
+                                // A team reduction is half an all-reduce.
+                                let shape = on_team(CollectiveKind::Reduce, 0);
+                                emit(shape, team, CollectiveKind::AllReduce);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(plans, 7368, "the grid itself moved");
+    assert_eq!(
+        digest.0, AT_B1BDFA3,
+        "a lowered plan differs from the one commit b1bdfa3 built: got {:#018x}",
+        digest.0
+    );
 }
