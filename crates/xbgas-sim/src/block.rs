@@ -37,7 +37,10 @@
 //!    individually and re-checks the scheduling horizon first, so a block
 //!    can yield (or fault) mid-fusion exactly where the stepper would have
 //!    interleaved another hart. Resuming mid-span simply translates a fresh
-//!    (overlapping) block keyed at the resume `pc`.
+//!    (overlapping) block keyed at the resume `pc`. There is one pass
+//!    (`exec_ops`) and it always checks: an earlier pre-paid pass without
+//!    horizon checks could not be entered by any block containing a memory
+//!    access under a charging memory model, i.e. by no timed kernel.
 //! 2. *Scheduling horizon.* The discrete-event scheduler runs the hart with
 //!    the smallest cycle count, ties to the smallest index. While a block
 //!    executes, every other hart is frozen, so hart `pe` stays the
@@ -54,7 +57,9 @@
 //!
 //! Instructions without a specialised op (CSR, fences, environment calls,
 //! most xBGAS ops) fall back to [`Machine::exec_inst`] — the same code the
-//! stepper runs — so only the fused fast paths need differential scrutiny.
+//! stepper runs — so only the specialised component bodies of the one pass
+//! need differential scrutiny: `tests/sim_differential.rs` stops it at
+//! every component boundary and aliases every operand of every fused idiom.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,27 +73,20 @@ use xbgas_isa::{decode_all, AluImmOp, AluOp, BranchCond, EReg, Inst, LoadWidth, 
 /// translation cost bounded when straight-line code runs into data.
 const MAX_BLOCK_INSTS: usize = 64;
 
-/// One op of the flat block IR. Specialised variants carry their
-/// translation-time-precomputed cost (`fetch + execute` cycles) and
-/// operands; variants whose cost depends on the memory model carry only the
-/// static `fetch` part and add [`Machine::local_access_cost`] at run time,
-/// exactly as the stepper does.
+/// One op of the flat block IR. Operands are resolved at translation time;
+/// the cycle cost of a component is `fetch` plus its class's execute cost,
+/// which the pass reads from the machine's [`CostConfig`] once per dispatch
+/// — only register-register ops, whose class varies (ALU / mul / div),
+/// carry theirs. Memory components add [`Machine::local_access_cost`] at
+/// run time, exactly as the stepper does.
 #[derive(Debug)]
 pub(crate) enum BlockOp {
-    /// `lui` with the shifted immediate precomputed.
-    Lui { rd: XReg, value: u64, cost: u64 },
-    /// `auipc`; the pc is a static property of the block, so the result is
-    /// fully precomputed.
-    Auipc { rd: XReg, value: u64, cost: u64 },
+    /// `lui`, or `auipc` with the pc (a static property of the block)
+    /// folded in: the result is fully precomputed either way.
+    Const { rd: XReg, value: u64 },
     /// Register-immediate ALU op.
-    OpImm {
-        op: AluImmOp,
-        rd: XReg,
-        rs1: XReg,
-        imm: i32,
-        cost: u64,
-    },
-    /// Register-register ALU op (cost already reflects mul/div class).
+    OpImm(ImmOp),
+    /// Register-register ALU op; `cost` reflects the mul/div class.
     Op {
         op: AluOp,
         rd: XReg,
@@ -96,52 +94,33 @@ pub(crate) enum BlockOp {
         rs2: XReg,
         cost: u64,
     },
-    /// Local load; `base` is the fetch cost, memory-model latency is added
-    /// at run time.
+    /// Local load.
     Load {
         width: LoadWidth,
         rd: XReg,
         rs1: XReg,
         imm: i64,
-        base: u64,
     },
     /// Local store.
-    Store {
-        width: StoreWidth,
-        rs1: XReg,
-        rs2: XReg,
-        imm: i64,
-        base: u64,
-    },
+    Store(MemStore),
     /// `jal` with the target precomputed.
-    Jal { rd: XReg, target: u64, cost: u64 },
+    Jal { rd: XReg, target: u64 },
     /// `jalr` (target is register-dependent).
-    Jalr {
-        rd: XReg,
-        rs1: XReg,
-        imm: i64,
-        cost: u64,
-    },
+    Jalr { rd: XReg, rs1: XReg, imm: i64 },
     /// Conditional branch with the taken target precomputed.
     Branch {
         cond: BranchCond,
         rs1: XReg,
         rs2: XReg,
         taken: u64,
-        cost: u64,
     },
     /// Fused `lui rd, hi` + `addi rd, rd, lo`: both the intermediate and the
-    /// final constant are precomputed. `cost` is per component.
-    Li {
-        rd: XReg,
-        hi: u64,
-        value: u64,
-        cost: u64,
-    },
+    /// final constant are precomputed.
+    Li { rd: XReg, hi: u64, value: u64 },
     /// Fused `slli`/`srli` + `xor` consuming the shifted value — the
     /// xorshift RNG idiom at the heart of GUPS. The shift direction and
     /// masked amount are resolved at translation time so execution is a
-    /// raw shift, not an ALU-op dispatch. `cost` is per component.
+    /// raw shift, not an ALU-op dispatch.
     ShiftXor {
         left: bool,
         shamt: u32,
@@ -150,108 +129,48 @@ pub(crate) enum BlockOp {
         xrd: XReg,
         xrs1: XReg,
         xrs2: XReg,
-        cost: u64,
     },
     /// Fused load / ALU op / store to the same address (read-modify-write).
     /// Fusion guards guarantee neither the load nor the op clobbers the base
     /// register, so the effective address is computed once.
-    LoadOpStore {
-        lw: LoadWidth,
-        lrd: XReg,
-        base_reg: XReg,
-        imm: i64,
-        rmw: RmwOp,
-        ord: XReg,
-        ors1: XReg,
-        op_cost: u64,
-        sw: StoreWidth,
-        srs2: XReg,
-        mem_base: u64,
-    },
+    LoadOpStore { base_reg: XReg, triad: Triad },
     /// Fused three chained `slli`/`srli`+`xor` pairs over one state
     /// register — the complete xorshift RNG round shared by GUPS and the
     /// IS key generator. The state value is forwarded in a host register
     /// across all six components (each intermediate is still written to
     /// the architectural file), so the round costs pure ALU work instead
-    /// of six store-to-load round-trips. `cost` is per component.
+    /// of six store-to-load round-trips.
     XorShift3 {
         s: XReg,
         t: [XReg; 3],
         left: [bool; 3],
         shamt: [u32; 3],
-        cost: u64,
     },
     /// Fused six-instruction indexed read-modify-write — the table-update
     /// idiom at the heart of both GUPS and IS rank: an index-producing ALU
-    /// op, a scale (`slli`), the base add, then a load/op/store triad on
-    /// the computed address. One dispatch covers six guest instructions.
+    /// op, a scale (`slli`, reading `idx.rd` by the feeds guard), the base
+    /// add, then a [`Triad`] on the computed address `add_rd`. One dispatch
+    /// covers six guest instructions.
     IdxRmw {
-        idx: RmwOp,
-        idx_rd: XReg,
-        idx_rs1: XReg,
-        idx_cost: u64,
+        idx: Rmw,
         shamt: u32,
         sh_rd: XReg,
-        sh_rs1: XReg,
         add_rd: XReg,
         add_rs1: XReg,
         add_rs2: XReg,
-        lw: LoadWidth,
-        lrd: XReg,
-        imm: i64,
-        rmw: RmwOp,
-        ord: XReg,
-        ors1: XReg,
-        op_cost: u64,
-        sw: StoreWidth,
-        srs2: XReg,
-        alu: u64,
-        mem_base: u64,
+        triad: Triad,
     },
     /// Fused store + the register-immediate op that follows it — the
     /// streaming post-increment idiom (`sw`/`addi`) of the IS key
     /// generation loop.
-    StoreInc {
-        width: StoreWidth,
-        rs1: XReg,
-        rs2: XReg,
-        imm: i64,
-        base: u64,
-        p_op: AluImmOp,
-        p_rd: XReg,
-        p_rs1: XReg,
-        p_imm: i32,
-        p_cost: u64,
-    },
+    StoreInc { store: MemStore, inc: ImmOp },
     /// Fused `addi` + conditional branch reading its result — the canonical
-    /// counted-loop back-edge. `cost` is per component.
-    AddiBranch {
-        ard: XReg,
-        ars1: XReg,
-        aimm: i32,
-        cond: BranchCond,
-        brs1: XReg,
-        brs2: XReg,
-        taken: u64,
-        cost: u64,
-    },
+    /// counted-loop back-edge.
+    AddiBranch(BackEdge),
     /// Fused register-immediate op + `addi` + conditional branch reading
     /// the `addi`'s result — the "bump pointer, decrement counter, loop"
-    /// tail shared by streaming kernels. `cost` is per component.
-    Addi2Branch {
-        p_op: AluImmOp,
-        p_rd: XReg,
-        p_rs1: XReg,
-        p_imm: i32,
-        ard: XReg,
-        ars1: XReg,
-        aimm: i32,
-        cond: BranchCond,
-        brs1: XReg,
-        brs2: XReg,
-        taken: u64,
-        cost: u64,
-    },
+    /// tail shared by streaming kernels.
+    Addi2Branch { bump: ImmOp, edge: BackEdge },
     /// Fused `eaddie` + the remote load it feeds the object ID to. The
     /// first component is specialised; the load half runs through
     /// [`Machine::exec_inst`] (remote resolution involves the OLB, the
@@ -260,7 +179,6 @@ pub(crate) enum BlockOp {
         ext: EReg,
         rs1: XReg,
         imm: i32,
-        cost: u64,
         inst: Inst,
         word: u32,
     },
@@ -269,14 +187,68 @@ pub(crate) enum BlockOp {
     Generic { inst: Inst, word: u32 },
 }
 
-/// The ALU component of a fused read-modify-write triad: register-register
-/// (`ld/xor/sd`, GUPS) or register-immediate (`ld/addi/sd`, IS ranking).
+/// `op rd, rs1, imm`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ImmOp {
+    op: AluImmOp,
+    rd: XReg,
+    rs1: XReg,
+    imm: i32,
+}
+
+/// `s<width> rs2, imm(rs1)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemStore {
+    width: StoreWidth,
+    rs1: XReg,
+    rs2: XReg,
+    imm: i64,
+}
+
+/// A plain ALU instruction as a component of a fused read-modify-write:
+/// register-register (`and`, `xor`: GUPS) or register-immediate (`andi`,
+/// `addi`: IS ranking), with its cycle cost.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rmw {
+    op: RmwOp,
+    rd: XReg,
+    rs1: XReg,
+    cost: u64,
+}
+
+/// The operation and second operand of an [`Rmw`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RmwOp {
-    /// `op ord, ors1, rs2`.
+    /// `op rd, rs1, rs2`.
     Reg { op: AluOp, rs2: XReg },
-    /// `op ord, ors1, imm`.
+    /// `op rd, rs1, imm`.
     Imm { op: AluImmOp, imm: i32 },
+}
+
+/// Load / ALU op / store on one address: `l<lw> lrd, imm(base)`, an
+/// [`Rmw`] reading `lrd`, `s<sw> rmw.rd, imm(base)`. The store's base,
+/// offset and source register are the load's and the op's by the
+/// `same_slot` guard, so they are not recorded twice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Triad {
+    lw: LoadWidth,
+    lrd: XReg,
+    imm: i64,
+    rmw: Rmw,
+    sw: StoreWidth,
+}
+
+/// `addi ard, ars1, aimm` + a conditional branch reading `ard`, with the
+/// taken target precomputed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BackEdge {
+    ard: XReg,
+    ars1: XReg,
+    aimm: i32,
+    cond: BranchCond,
+    brs1: XReg,
+    brs2: XReg,
+    taken: u64,
 }
 
 /// A translated basic block: the guest address range it was decoded from
@@ -288,39 +260,6 @@ pub(crate) struct Block {
     /// One past the last instruction byte (for invalidation overlap tests).
     pub(crate) end: u64,
     ops: Vec<BlockOp>,
-    /// Total cycle cost of one full pass when every op's cost is statically
-    /// known (no `Generic`/`EaddiePair`, and loads/stores only under the
-    /// free memory model). Lets the engine pre-check the scheduling budget
-    /// once and run the whole pass with no per-component horizon checks.
-    static_cost: Option<u64>,
-    /// Counter totals before each op (final entry: the whole pass), built
-    /// only for statically-costed blocks. The fast pass keeps no per-op
-    /// counters at all and reconstructs exact `pc`/`cycles`/`instret` from
-    /// this table at the points where they become observable.
-    prefix: Vec<PassCount>,
-}
-
-/// Architectural-counter totals accumulated over a prefix of a block's ops:
-/// `pc` offset from the block start, cycle cost, and instructions retired.
-#[derive(Debug, Default, Clone, Copy)]
-struct PassCount {
-    pc_off: u64,
-    cycles: u64,
-    instret: u64,
-}
-
-/// Number of guest instructions an op retires (fused ops retire several).
-fn op_inst_count(op: &BlockOp) -> u64 {
-    match op {
-        BlockOp::Li { .. }
-        | BlockOp::ShiftXor { .. }
-        | BlockOp::AddiBranch { .. }
-        | BlockOp::StoreInc { .. }
-        | BlockOp::EaddiePair { .. } => 2,
-        BlockOp::LoadOpStore { .. } | BlockOp::Addi2Branch { .. } => 3,
-        BlockOp::XorShift3 { .. } | BlockOp::IdxRmw { .. } => 6,
-        _ => 1,
-    }
 }
 
 /// Per-PE cache of translated blocks, keyed by start pc, plus the covering
@@ -383,18 +322,6 @@ impl BlockCache {
     }
 }
 
-/// Cost of a register-register op including fetch, by operation class —
-/// mirrors the stepper's dispatch.
-fn op_exec_cost(cost: &CostConfig, op: AluOp) -> u64 {
-    use AluOp::*;
-    cost.fetch_cycles
-        + match op {
-            Mul | Mulh | Mulhsu | Mulhu | Mulw => cost.mul_cycles,
-            Div | Divu | Rem | Remu | Divw | Divuw | Remw | Remuw => cost.div_cycles,
-            _ => cost.alu_cycles,
-        }
-}
-
 /// Discover and translate the basic block starting at `start` on PE `pe`.
 /// Returns `None` when even the first word cannot be fetched or decoded —
 /// the caller then takes one interpretive step to reproduce the exact fault.
@@ -424,99 +351,121 @@ fn translate(m: &Machine, pe: usize, start: u64) -> Option<Block> {
     if insts.is_empty() {
         return None;
     }
-    let ops = fuse(&m.config.cost, start, &insts);
-    let static_cost: Option<u64> = ops
-        .iter()
-        .map(|op| static_op_cost(op, m.mem_model_free))
-        .sum();
-    let prefix = if static_cost.is_some() {
-        let mut v = Vec::with_capacity(ops.len() + 1);
-        let mut acc = PassCount::default();
-        for op in &ops {
-            v.push(acc);
-            let n = op_inst_count(op);
-            acc.pc_off += 4 * n;
-            acc.instret += n;
-            acc.cycles += static_op_cost(op, m.mem_model_free)
-                .expect("every op of a statically-costed block has a static cost");
-        }
-        v.push(acc);
-        v
-    } else {
-        Vec::new()
-    };
     Some(Block {
         start,
         end: start + 4 * insts.len() as u64,
-        ops,
-        static_cost,
-        prefix,
+        ops: fuse(&m.config.cost, start, &insts),
     })
 }
 
-/// The cycle cost of `op` when it is statically known, `None` when it
-/// depends on run-time state (the memory model, or arbitrary `exec_inst`
-/// instructions).
-fn static_op_cost(op: &BlockOp, free: bool) -> Option<u64> {
-    Some(match op {
-        BlockOp::Lui { cost, .. }
-        | BlockOp::Auipc { cost, .. }
-        | BlockOp::OpImm { cost, .. }
-        | BlockOp::Op { cost, .. }
-        | BlockOp::Jal { cost, .. }
-        | BlockOp::Jalr { cost, .. }
-        | BlockOp::Branch { cost, .. } => *cost,
-        BlockOp::Li { cost, .. }
-        | BlockOp::ShiftXor { cost, .. }
-        | BlockOp::AddiBranch { cost, .. } => 2 * cost,
-        BlockOp::Addi2Branch { cost, .. } => 3 * cost,
-        BlockOp::XorShift3 { cost, .. } => 6 * cost,
-        BlockOp::Load { base, .. } | BlockOp::Store { base, .. } if free => *base,
-        BlockOp::LoadOpStore {
-            mem_base, op_cost, ..
-        } if free => 2 * mem_base + op_cost,
-        BlockOp::IdxRmw {
-            idx_cost,
-            op_cost,
-            alu,
-            mem_base,
-            ..
-        } if free => idx_cost + 2 * alu + 2 * mem_base + op_cost,
-        BlockOp::StoreInc { base, p_cost, .. } if free => base + p_cost,
-        _ => return None,
+/// Classify a component of a read-modify-write fusion candidate: `Some`
+/// when `inst` is a plain ALU op, paired with whether it reads `lrd` (for
+/// the op in the middle of a triad: the freshly loaded value).
+fn rmw_parts(cost: &CostConfig, inst: Inst, lrd: XReg) -> Option<(Rmw, bool)> {
+    let fetch = cost.fetch_cycles;
+    match inst {
+        Inst::Op { op, rd, rs1, rs2 } => Some((
+            Rmw {
+                op: RmwOp::Reg { op, rs2 },
+                rd,
+                rs1,
+                cost: fetch + cost.op_cycles(op),
+            },
+            rs1 == lrd || rs2 == lrd,
+        )),
+        Inst::OpImm { op, rd, rs1, imm } => Some((
+            Rmw {
+                op: RmwOp::Imm { op, imm },
+                rd,
+                rs1,
+                cost: fetch + cost.alu_cycles,
+            },
+            rs1 == lrd,
+        )),
+        _ => None,
+    }
+}
+
+/// Match a load / ALU op / store triad on one slot at the head of `insts`;
+/// the middle op may be register-register (GUPS `xor`) or
+/// register-immediate (IS `addi`). Returns the base register and the
+/// operand record.
+fn triad_at(cost: &CostConfig, insts: &[(Inst, u32)]) -> Option<(XReg, Triad)> {
+    let &[(
+        Inst::Load {
+            width: lw,
+            rd: lrd,
+            rs1: base,
+            imm,
+        },
+        _,
+    ), (mid, _), (
+        Inst::Store {
+            width: sw,
+            rs1: srs1,
+            rs2: srs2,
+            imm: simm,
+        },
+        _,
+    )] = insts.get(..3)?
+    else {
+        return None;
+    };
+    let (rmw, consumes_load) = rmw_parts(cost, mid, lrd)?;
+    // The base register must survive all three components so the
+    // effective address can be computed once.
+    let base_preserved = lrd != base && rmw.rd != base;
+    let same_slot = srs1 == base && simm == imm && srs2 == rmw.rd;
+    (consumes_load && base_preserved && same_slot).then_some((
+        base,
+        Triad {
+            lw,
+            lrd,
+            imm: imm as i64,
+            rmw,
+            sw,
+        },
+    ))
+}
+
+/// Match `addi` + a conditional branch reading its result at the head of
+/// `insts`, the `addi` sitting at `pc`.
+fn back_edge_at(pc: u64, insts: &[(Inst, u32)]) -> Option<BackEdge> {
+    let &[(
+        Inst::OpImm {
+            op: AluImmOp::Addi,
+            rd: ard,
+            rs1: ars1,
+            imm: aimm,
+        },
+        _,
+    ), (
+        Inst::Branch {
+            cond,
+            rs1: brs1,
+            rs2: brs2,
+            offset,
+        },
+        _,
+    )] = insts.get(..2)?
+    else {
+        return None;
+    };
+    (brs1 == ard || brs2 == ard).then_some(BackEdge {
+        ard,
+        ars1,
+        aimm,
+        cond,
+        brs1,
+        brs2,
+        taken: (pc + 4).wrapping_add(offset as i64 as u64),
     })
 }
 
 /// Lower decoded instructions to the fused IR. Patterns are tried longest
 /// first; anything unmatched becomes a specialised single or a
 /// [`BlockOp::Generic`].
-/// Classify the middle op of a read-modify-write fusion candidate.
-/// Returns `(rmw, rd, rs1, consumes_load, cost)` when `mid` is a plain ALU
-/// op, where `consumes_load` says whether it reads the freshly loaded value.
-fn rmw_parts(
-    cost: &CostConfig,
-    alu: u64,
-    mid: Inst,
-    lrd: XReg,
-) -> Option<(RmwOp, XReg, XReg, bool, u64)> {
-    match mid {
-        Inst::Op { op, rd, rs1, rs2 } => Some((
-            RmwOp::Reg { op, rs2 },
-            rd,
-            rs1,
-            rs1 == lrd || rs2 == lrd,
-            op_exec_cost(cost, op),
-        )),
-        Inst::OpImm { op, rd, rs1, imm } => {
-            Some((RmwOp::Imm { op, imm }, rd, rs1, rs1 == lrd, alu))
-        }
-        _ => None,
-    }
-}
-
 fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
-    let alu = cost.fetch_cycles + cost.alu_cycles;
-    let mem_base = cost.fetch_cycles;
     let mut ops = Vec::with_capacity(insts.len());
     let mut i = 0;
     while i < insts.len() {
@@ -564,7 +513,6 @@ fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
                         t: [p0.1, p1.1, p2.1],
                         left: [p0.2, p1.2, p2.2],
                         shamt: [p0.3, p1.3, p2.3],
-                        cost: alu,
                     });
                     i += 6;
                     continue;
@@ -573,13 +521,11 @@ fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
         }
 
         // Six-instruction indexed read-modify-write: index ALU op, scale
-        // (`slli`), base add, then a load/op/store triad on the computed
-        // address — the table-update idiom of both GUPS and IS rank.
+        // (`slli`), base add, then a triad on the computed address — the
+        // table-update idiom of both GUPS and IS rank.
         if i + 5 < insts.len() {
-            let head = rmw_parts(cost, alu, insts[i].0, XReg::ZERO)
-                .map(|(idx, rd, rs1, _, c)| (idx, rd, rs1, c));
             if let (
-                Some((idx, idx_rd, idx_rs1, idx_cost)),
+                Some((idx, _)),
                 Inst::OpImm {
                     op: AluImmOp::Slli,
                     rd: sh_rd,
@@ -592,168 +538,63 @@ fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
                     rs1: add_rs1,
                     rs2: add_rs2,
                 },
-                Inst::Load {
-                    width: lw,
-                    rd: lrd,
-                    rs1: lrs1,
-                    imm: limm,
-                },
-                mid,
-                Inst::Store {
-                    width: sw,
-                    rs1: srs1,
-                    rs2: srs2,
-                    imm: simm,
-                },
+                Some((base, triad)),
             ) = (
-                head,
+                rmw_parts(cost, insts[i].0, XReg::ZERO),
                 insts[i + 1].0,
                 insts[i + 2].0,
-                insts[i + 3].0,
-                insts[i + 4].0,
-                insts[i + 5].0,
+                triad_at(cost, &insts[i + 3..]),
             ) {
-                if let Some((rmw, ord, ors1, consumes_load, op_cost)) =
-                    rmw_parts(cost, alu, mid, lrd)
-                {
-                    // Every forwarded intermediate must live in a real
-                    // register — x0 would silently zero it.
-                    let no_zero = idx_rd != XReg::ZERO
-                        && sh_rd != XReg::ZERO
-                        && add_rd != XReg::ZERO
-                        && lrd != XReg::ZERO
-                        && ord != XReg::ZERO;
-                    let feeds = no_zero
-                        && sh_rs1 == idx_rd
-                        && (add_rs1 == sh_rd || add_rs2 == sh_rd)
-                        && lrs1 == add_rd;
-                    // Same exactness guards as the bare triad: the computed
-                    // address register must survive load and op.
-                    let base_preserved = lrd != lrs1 && ord != lrs1;
-                    let same_slot = srs1 == lrs1 && simm == limm && srs2 == ord;
-                    if feeds && consumes_load && base_preserved && same_slot {
-                        ops.push(BlockOp::IdxRmw {
-                            idx,
-                            idx_rd,
-                            idx_rs1,
-                            idx_cost,
-                            shamt: (sh_imm as u32) & 0x3F,
-                            sh_rd,
-                            sh_rs1,
-                            add_rd,
-                            add_rs1,
-                            add_rs2,
-                            lw,
-                            lrd,
-                            imm: limm as i64,
-                            rmw,
-                            ord,
-                            ors1,
-                            op_cost,
-                            sw,
-                            srs2,
-                            alu,
-                            mem_base,
-                        });
-                        i += 6;
-                        continue;
-                    }
+                // Every forwarded intermediate must live in a real
+                // register — x0 would silently zero it.
+                let no_zero = idx.rd != XReg::ZERO
+                    && sh_rd != XReg::ZERO
+                    && add_rd != XReg::ZERO
+                    && triad.lrd != XReg::ZERO
+                    && triad.rmw.rd != XReg::ZERO;
+                let feeds = no_zero
+                    && sh_rs1 == idx.rd
+                    && (add_rs1 == sh_rd || add_rs2 == sh_rd)
+                    && base == add_rd;
+                if feeds {
+                    ops.push(BlockOp::IdxRmw {
+                        idx,
+                        shamt: (sh_imm as u32) & 0x3F,
+                        sh_rd,
+                        add_rd,
+                        add_rs1,
+                        add_rs2,
+                        triad,
+                    });
+                    i += 6;
+                    continue;
                 }
             }
         }
 
-        // load / op / store read-modify-write triad; the middle op may be
-        // register-register (GUPS `xor`) or register-immediate (IS `addi`).
-        if i + 2 < insts.len() {
-            if let (
-                Inst::Load {
-                    width: lw,
-                    rd: lrd,
-                    rs1: lrs1,
-                    imm: limm,
-                },
-                mid,
-                Inst::Store {
-                    width: sw,
-                    rs1: srs1,
-                    rs2: srs2,
-                    imm: simm,
-                },
-            ) = (insts[i].0, insts[i + 1].0, insts[i + 2].0)
-            {
-                if let Some((rmw, ord, ors1, consumes_load, op_cost)) =
-                    rmw_parts(cost, alu, mid, lrd)
-                {
-                    // The base register must survive all three components so
-                    // the effective address can be computed once.
-                    let base_preserved = lrd != lrs1 && ord != lrs1;
-                    let same_slot = srs1 == lrs1 && simm == limm && srs2 == ord;
-                    if consumes_load && base_preserved && same_slot {
-                        ops.push(BlockOp::LoadOpStore {
-                            lw,
-                            lrd,
-                            base_reg: lrs1,
-                            imm: limm as i64,
-                            rmw,
-                            ord,
-                            ors1,
-                            op_cost,
-                            sw,
-                            srs2,
-                            mem_base,
-                        });
-                        i += 3;
-                        continue;
-                    }
-                }
-            }
+        if let Some((base_reg, triad)) = triad_at(cost, &insts[i..]) {
+            ops.push(BlockOp::LoadOpStore { base_reg, triad });
+            i += 3;
+            continue;
         }
 
         // Register-immediate op ; addi ; branch reading the addi's result —
         // the "bump pointer, decrement counter, loop" tail of streaming
         // kernels (IS ranking and key generation both end this way).
-        if i + 2 < insts.len() {
-            if let (
-                Inst::OpImm {
-                    op: p_op,
-                    rd: p_rd,
-                    rs1: p_rs1,
-                    imm: p_imm,
-                },
-                Inst::OpImm {
-                    op: AluImmOp::Addi,
-                    rd: ard,
-                    rs1: ars1,
-                    imm: aimm,
-                },
-                Inst::Branch {
-                    cond,
-                    rs1: brs1,
-                    rs2: brs2,
-                    offset,
-                },
-            ) = (insts[i].0, insts[i + 1].0, insts[i + 2].0)
-            {
-                if brs1 == ard || brs2 == ard {
-                    let branch_pc = pc + 8;
-                    ops.push(BlockOp::Addi2Branch {
-                        p_op,
-                        p_rd,
-                        p_rs1,
-                        p_imm,
-                        ard,
-                        ars1,
-                        aimm,
-                        cond,
-                        brs1,
-                        brs2,
-                        taken: branch_pc.wrapping_add(offset as i64 as u64),
-                        cost: alu,
-                    });
-                    i += 3;
-                    continue;
-                }
-            }
+        if let (Inst::OpImm { op, rd, rs1, imm }, Some(edge)) =
+            (insts[i].0, back_edge_at(pc + 4, &insts[i + 1..]))
+        {
+            let bump = ImmOp { op, rd, rs1, imm };
+            ops.push(BlockOp::Addi2Branch { bump, edge });
+            i += 3;
+            continue;
+        }
+
+        // addi ; branch reading its result — counted-loop back-edge.
+        if let Some(edge) = back_edge_at(pc, &insts[i..]) {
+            ops.push(BlockOp::AddiBranch(edge));
+            i += 2;
+            continue;
         }
 
         if i + 1 < insts.len() {
@@ -776,7 +617,6 @@ fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
                         rd,
                         hi,
                         value: eval_op_imm(AluImmOp::Addi, hi, imm),
-                        cost: alu,
                     });
                     i += 2;
                     continue;
@@ -809,40 +649,6 @@ fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
                         xrd,
                         xrs1,
                         xrs2,
-                        cost: alu,
-                    });
-                    i += 2;
-                    continue;
-                }
-            }
-
-            // addi ; branch reading its result — counted-loop back-edge.
-            if let (
-                Inst::OpImm {
-                    op: AluImmOp::Addi,
-                    rd: ard,
-                    rs1: ars1,
-                    imm: aimm,
-                },
-                Inst::Branch {
-                    cond,
-                    rs1: brs1,
-                    rs2: brs2,
-                    offset,
-                },
-            ) = (a, b)
-            {
-                if brs1 == ard || brs2 == ard {
-                    let branch_pc = pc + 4;
-                    ops.push(BlockOp::AddiBranch {
-                        ard,
-                        ars1,
-                        aimm,
-                        cond,
-                        brs1,
-                        brs2,
-                        taken: branch_pc.wrapping_add(offset as i64 as u64),
-                        cost: alu,
                     });
                     i += 2;
                     continue;
@@ -870,16 +676,18 @@ fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
                 let next_is_branch = matches!(insts.get(i + 2), Some((Inst::Branch { .. }, _)));
                 if !next_is_branch {
                     ops.push(BlockOp::StoreInc {
-                        width,
-                        rs1,
-                        rs2,
-                        imm: imm as i64,
-                        base: mem_base,
-                        p_op,
-                        p_rd,
-                        p_rs1,
-                        p_imm,
-                        p_cost: alu,
+                        store: MemStore {
+                            width,
+                            rs1,
+                            rs2,
+                            imm: imm as i64,
+                        },
+                        inc: ImmOp {
+                            op: p_op,
+                            rd: p_rd,
+                            rs1: p_rs1,
+                            imm: p_imm,
+                        },
                     });
                     i += 2;
                     continue;
@@ -898,7 +706,6 @@ fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
                         ext,
                         rs1,
                         imm,
-                        cost: alu,
                         inst: second,
                         word: insts[i + 1].1,
                     });
@@ -911,29 +718,21 @@ fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
         // Specialised singles; the rest run through the stepper's executor.
         let (inst, word) = insts[i];
         ops.push(match inst {
-            Inst::Lui { rd, imm20 } => BlockOp::Lui {
+            Inst::Lui { rd, imm20 } => BlockOp::Const {
                 rd,
                 value: ((imm20 as i64) << 12) as u64,
-                cost: alu,
             },
-            Inst::Auipc { rd, imm20 } => BlockOp::Auipc {
+            Inst::Auipc { rd, imm20 } => BlockOp::Const {
                 rd,
                 value: pc.wrapping_add(((imm20 as i64) << 12) as u64),
-                cost: alu,
             },
-            Inst::OpImm { op, rd, rs1, imm } => BlockOp::OpImm {
-                op,
-                rd,
-                rs1,
-                imm,
-                cost: alu,
-            },
+            Inst::OpImm { op, rd, rs1, imm } => BlockOp::OpImm(ImmOp { op, rd, rs1, imm }),
             Inst::Op { op, rd, rs1, rs2 } => BlockOp::Op {
                 op,
                 rd,
                 rs1,
                 rs2,
-                cost: op_exec_cost(cost, op),
+                cost: cost.fetch_cycles + cost.op_cycles(op),
             },
             Inst::Load {
                 width,
@@ -945,30 +744,26 @@ fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
                 rd,
                 rs1,
                 imm: imm as i64,
-                base: mem_base,
             },
             Inst::Store {
                 width,
                 rs1,
                 rs2,
                 imm,
-            } => BlockOp::Store {
+            } => BlockOp::Store(MemStore {
                 width,
                 rs1,
                 rs2,
                 imm: imm as i64,
-                base: mem_base,
-            },
+            }),
             Inst::Jal { rd, offset } => BlockOp::Jal {
                 rd,
                 target: pc.wrapping_add(offset as i64 as u64),
-                cost: alu,
             },
             Inst::Jalr { rd, rs1, imm } => BlockOp::Jalr {
                 rd,
                 rs1,
                 imm: imm as i64,
-                cost: alu,
             },
             Inst::Branch {
                 cond,
@@ -980,13 +775,35 @@ fn fuse(cost: &CostConfig, start: u64, insts: &[(Inst, u32)]) -> Vec<BlockOp> {
                 rs1,
                 rs2,
                 taken: pc.wrapping_add(offset as i64 as u64),
-                cost: alu,
             },
             other => BlockOp::Generic { inst: other, word },
         });
         i += 1;
     }
     ops
+}
+
+/// Read `r`, taking `v` host-side instead of round-tripping through the
+/// register file when `r` is `from`, the register the previous component
+/// just wrote `v` to. `x0` never forwards: that write was discarded.
+#[inline(always)]
+fn fwd(h: &Hart, r: XReg, from: XReg, v: u64) -> u64 {
+    if from != XReg::ZERO && r == from {
+        v
+    } else {
+        h.read_x(r)
+    }
+}
+
+/// The xorshift step's shift: direction and masked amount are translation-
+/// time constants, so this is a raw shift rather than an ALU-op dispatch.
+#[inline(always)]
+fn shift(v: u64, left: bool, shamt: u32) -> u64 {
+    if left {
+        v.wrapping_shl(shamt)
+    } else {
+        v.wrapping_shr(shamt)
+    }
 }
 
 /// Execute `block` on hart `pe` until it exits (control transfer, fall
@@ -1002,36 +819,19 @@ fn exec_block(m: &mut Machine, pe: usize, block: &Block, limit: u64) -> Result<(
     // meanwhile; nothing on the block path reads `harts` except
     // `exec_inst`, around which the real hart is swapped back in.
     let mut h = std::mem::replace(&mut m.harts[pe], Hart::new(0));
-    let r = loop {
-        // When one full pass has a statically known total cost and the
-        // scheduling budget strictly covers it, no per-component horizon
-        // check can fire — take the fast pass, which also keeps no per-op
-        // counters (they are reconstructed from the block's prefix table).
-        let fast = match block.static_cost {
-            Some(sc) => limit.saturating_sub(h.cycles) > sc,
-            None => false,
-        };
-        if !fast {
-            break exec_ops(m, pe, block, limit, &mut h);
-        }
-        match exec_ops_fast(m, pe, block, limit, &mut h) {
-            // The fast pass looped back to the block start but can no
-            // longer pre-pay a whole pass: re-enter with checks on.
-            Ok(true) => continue,
-            Ok(false) => break Ok(()),
-            Err(f) => break Err(f),
-        }
-    };
+    let r = exec_ops(m, pe, block, limit, &mut h);
     m.harts[pe] = h;
     r
 }
 
-/// The checked pass over a block's ops: per-component architectural
-/// counters and a scheduling-horizon test before every component, so a
-/// hart never runs past `limit`. Handles every op kind, including
-/// `Generic`/`EaddiePair` (which re-enter the stepper). Returns on any
-/// block exit: horizon reached, control left the block, fault, or
-/// self-modifying code.
+/// The one pass over a block's ops. A fused op is a sequence of
+/// *components*, one per guest instruction; every component retires its own
+/// `pc`/`cycles`/`instret` and is preceded by a scheduling-horizon test, so
+/// a hart never runs past `limit` and can stop between any two guest
+/// instructions. Each kind of component — local load, local store, ALU
+/// step, conditional branch, jump — has one body below, shared by every op
+/// that contains it. Returns on any block exit: horizon reached, control
+/// left the block, fault, or self-modifying code.
 fn exec_ops(
     m: &mut Machine,
     pe: usize,
@@ -1042,6 +842,8 @@ fn exec_ops(
     // The functional cost preset can never charge for an access, so the
     // model call is skipped wholesale on the hottest paths.
     let free = m.mem_model_free;
+    let fetch = m.config.cost.fetch_cycles;
+    let alu = fetch + m.config.cost.alu_cycles;
     let ops = block.ops.as_slice();
     // Architectural counters live in plain locals so the hot loop keeps
     // them in host registers; `commit!` flushes them to the hart at every
@@ -1054,13 +856,6 @@ fn exec_ops(
             h.pc = pc;
             h.cycles = cycles;
             h.instret = instret;
-        };
-    }
-    macro_rules! reload {
-        () => {
-            pc = h.pc;
-            cycles = h.cycles;
-            instret = h.instret;
         };
     }
     let mut i = 0;
@@ -1077,42 +872,182 @@ fn exec_ops(
             return Ok(());
         };
     }
-    loop {
-        if cycles >= limit {
+    // Retire a fall-through component.
+    macro_rules! retire {
+        ($cost:expr) => {
+            pc += 4;
+            cycles += $cost;
+            instret += 1;
+        };
+    }
+    // Yield at the scheduling horizon: before every op, and between the
+    // components of a fused one.
+    macro_rules! horizon {
+        () => {
+            if cycles >= limit {
+                commit!();
+                return Ok(());
+            }
+        };
+    }
+    macro_rules! mem_cost {
+        ($addr:expr) => {
+            fetch
+                + if free {
+                    0
+                } else {
+                    m.local_access_cost(pe, $addr)
+                }
+        };
+    }
+    // Local load component; evaluates to the loaded value.
+    macro_rules! load {
+        ($width:expr, $rd:expr, $addr:expr) => {{
+            let addr: u64 = $addr;
+            let cost = mem_cost!(addr);
+            match Machine::load_value(&m.mems[pe], $width, addr) {
+                Ok(v) => {
+                    h.write_x($rd, v);
+                    retire!(cost);
+                    v
+                }
+                Err(e) => {
+                    commit!();
+                    return Err(SimFault::Memory(e));
+                }
+            }
+        }};
+    }
+    // Local store component, with the self-modifying-code exit.
+    macro_rules! store {
+        ($width:expr, $addr:expr, $value:expr) => {{
+            let addr: u64 = $addr;
+            let cost = mem_cost!(addr);
+            if let Err(e) = Machine::store_value(&mut m.mems[pe], $width, addr, $value) {
+                commit!();
+                return Err(SimFault::Memory(e));
+            }
+            retire!(cost);
+            m.note_store(pe, addr, $width.bytes());
+            if m.code_dirty {
+                m.code_dirty = false;
+                commit!();
+                return Ok(());
+            }
+        }};
+    }
+    // Register-immediate ALU component; evaluates to the result.
+    macro_rules! imm_op {
+        ($o:expr) => {{
+            let v = eval_op_imm($o.op, h.read_x($o.rs1), $o.imm);
+            h.write_x($o.rd, v);
+            retire!(alu);
+            v
+        }};
+    }
+    // ALU component of a fused read-modify-write, forwarding `$v` from
+    // `$from` (see `fwd`); evaluates to the result.
+    macro_rules! rmw {
+        ($r:expr, $from:expr, $v:expr) => {{
+            let a = fwd(h, $r.rs1, $from, $v);
+            let out = match $r.op {
+                RmwOp::Reg { op, rs2 } => eval_op(op, a, fwd(h, rs2, $from, $v)),
+                RmwOp::Imm { op, imm } => eval_op_imm(op, a, imm),
+            };
+            h.write_x($r.rd, out);
+            retire!($r.cost);
+            out
+        }};
+    }
+    // Load / op / store on `$addr`. The fusion guards keep the address
+    // register intact across load and op, so it is computed once.
+    macro_rules! triad {
+        ($t:expr, $addr:expr) => {{
+            let addr: u64 = $addr;
+            let lv = load!($t.lw, $t.lrd, addr);
+            horizon!();
+            let rv = rmw!($t.rmw, $t.lrd, lv);
+            horizon!();
+            // The store's source is the op's destination (`same_slot`);
+            // as `x0` it stores zero, not the discarded result.
+            store!($t.sw, addr, fwd(h, $t.rmw.rd, $t.rmw.rd, rv));
+        }};
+    }
+    // Conditional branch component on operand values `$a`, `$b`.
+    macro_rules! branch {
+        ($cond:expr, $a:expr, $b:expr, $taken:expr) => {{
+            if branch_taken($cond, $a, $b) {
+                if $taken & 3 != 0 {
+                    commit!();
+                    return Err(SimFault::InstructionMisaligned { pc, target: $taken });
+                }
+                pc = $taken;
+            } else {
+                pc += 4;
+            }
+            cycles += alu;
+            instret += 1;
+            restart_or_exit!();
+        }};
+    }
+    // `addi` + branch on its result, forwarding `$v` from `$from` (the
+    // bump of an `Addi2Branch`; `x0` when there is none).
+    macro_rules! back_edge {
+        ($e:expr, $from:expr, $v:expr) => {{
+            let av = fwd(h, $e.ars1, $from, $v).wrapping_add($e.aimm as i64 as u64);
+            h.write_x($e.ard, av);
+            retire!(alu);
+            horizon!();
+            // An operand other than `ard` reads the file, which already
+            // holds `$from`'s write.
+            let a = fwd(h, $e.brs1, $e.ard, av);
+            let b = fwd(h, $e.brs2, $e.ard, av);
+            branch!($e.cond, a, b, $e.taken);
+        }};
+    }
+    // Unconditional jump component, linking through `$rd`.
+    macro_rules! jump {
+        ($rd:expr, $target:expr) => {{
+            let target: u64 = $target;
+            if target & 3 != 0 {
+                commit!();
+                return Err(SimFault::InstructionMisaligned { pc, target });
+            }
+            h.write_x($rd, pc.wrapping_add(4));
+            pc = target;
+            cycles += alu;
+            instret += 1;
+            restart_or_exit!();
+        }};
+    }
+    // A component the stepper executes: it works on the hart in the vec.
+    macro_rules! interp {
+        ($inst:expr, $word:expr) => {{
             commit!();
-            return Ok(());
-        }
+            std::mem::swap(&mut m.harts[pe], h);
+            let r = m.exec_inst(pe, pc, $word, $inst);
+            std::mem::swap(&mut m.harts[pe], h);
+            pc = h.pc;
+            cycles = h.cycles;
+            instret = h.instret;
+            r?;
+        }};
+    }
+    loop {
+        horizon!();
         let Some(op) = ops.get(i) else {
             // Fell off the end of a block capped by MAX_BLOCK_INSTS or an
             // undecodable word; pc already points at the next instruction.
             commit!();
             return Ok(());
         };
-        match op {
-            BlockOp::Lui { rd, value, cost } => {
-                h.write_x(*rd, *value);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
+        match *op {
+            BlockOp::Const { rd, value } => {
+                h.write_x(rd, value);
+                retire!(alu);
             }
-            BlockOp::Auipc { rd, value, cost } => {
-                h.write_x(*rd, *value);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-            }
-            BlockOp::OpImm {
-                op,
-                rd,
-                rs1,
-                imm,
-                cost,
-            } => {
-                let v = eval_op_imm(*op, h.read_x(*rs1), *imm);
-                h.write_x(*rd, v);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
+            BlockOp::OpImm(o) => {
+                imm_op!(o);
             }
             BlockOp::Op {
                 op,
@@ -1121,134 +1056,41 @@ fn exec_ops(
                 rs2,
                 cost,
             } => {
-                let v = eval_op(*op, h.read_x(*rs1), h.read_x(*rs2));
-                h.write_x(*rd, v);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
+                let v = eval_op(op, h.read_x(rs1), h.read_x(rs2));
+                h.write_x(rd, v);
+                retire!(cost);
             }
             BlockOp::Load {
                 width,
                 rd,
                 rs1,
                 imm,
-                base,
             } => {
-                let addr = h.read_x(*rs1).wrapping_add(*imm as u64);
-                let cost = base
-                    + if free {
-                        0
-                    } else {
-                        m.local_access_cost(pe, addr)
-                    };
-                let v = match Machine::load_value(&m.mems[pe], *width, addr) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        commit!();
-                        return Err(SimFault::Memory(e));
-                    }
-                };
-                h.write_x(*rd, v);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
+                load!(width, rd, h.read_x(rs1).wrapping_add(imm as u64));
             }
-            BlockOp::Store {
-                width,
-                rs1,
-                rs2,
-                imm,
-                base,
-            } => {
-                let addr = h.read_x(*rs1).wrapping_add(*imm as u64);
-                let cost = base
-                    + if free {
-                        0
-                    } else {
-                        m.local_access_cost(pe, addr)
-                    };
-                let v = h.read_x(*rs2);
-                let bytes = width.bytes();
-                if let Err(e) = Machine::store_value(&mut m.mems[pe], *width, addr, v) {
-                    commit!();
-                    return Err(SimFault::Memory(e));
-                }
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                m.note_store(pe, addr, bytes);
-                if m.code_dirty {
-                    m.code_dirty = false;
-                    commit!();
-                    return Ok(());
-                }
+            BlockOp::Store(s) => {
+                store!(
+                    s.width,
+                    h.read_x(s.rs1).wrapping_add(s.imm as u64),
+                    h.read_x(s.rs2)
+                );
             }
-            BlockOp::Jal { rd, target, cost } => {
-                if *target & 3 != 0 {
-                    commit!();
-                    return Err(SimFault::InstructionMisaligned {
-                        pc,
-                        target: *target,
-                    });
-                }
-                let link = pc.wrapping_add(4);
-                h.write_x(*rd, link);
-                pc = *target;
-                cycles += cost;
-                instret += 1;
-                restart_or_exit!();
-            }
-            BlockOp::Jalr { rd, rs1, imm, cost } => {
-                let target = h.read_x(*rs1).wrapping_add(*imm as u64) & !1;
-                if target & 3 != 0 {
-                    commit!();
-                    return Err(SimFault::InstructionMisaligned { pc, target });
-                }
-                let link = pc.wrapping_add(4);
-                h.write_x(*rd, link);
-                pc = target;
-                cycles += cost;
-                instret += 1;
-                restart_or_exit!();
+            BlockOp::Jal { rd, target } => jump!(rd, target),
+            BlockOp::Jalr { rd, rs1, imm } => {
+                jump!(rd, h.read_x(rs1).wrapping_add(imm as u64) & !1)
             }
             BlockOp::Branch {
                 cond,
                 rs1,
                 rs2,
                 taken,
-                cost,
-            } => {
-                if branch_taken(*cond, h.read_x(*rs1), h.read_x(*rs2)) {
-                    if *taken & 3 != 0 {
-                        commit!();
-                        return Err(SimFault::InstructionMisaligned { pc, target: *taken });
-                    }
-                    pc = *taken;
-                } else {
-                    pc += 4;
-                }
-                cycles += cost;
-                instret += 1;
-                restart_or_exit!();
-            }
-            BlockOp::Li {
-                rd,
-                hi,
-                value,
-                cost,
-            } => {
-                h.write_x(*rd, *hi);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                h.write_x(*rd, *value);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
+            } => branch!(cond, h.read_x(rs1), h.read_x(rs2), taken),
+            BlockOp::Li { rd, hi, value } => {
+                h.write_x(rd, hi);
+                retire!(alu);
+                horizon!();
+                h.write_x(rd, value);
+                retire!(alu);
             }
             BlockOp::ShiftXor {
                 left,
@@ -1258,500 +1100,87 @@ fn exec_ops(
                 xrd,
                 xrs1,
                 xrs2,
-                cost,
             } => {
-                let s = h.read_x(*srs1);
-                let sh = if *left {
-                    s.wrapping_shl(*shamt)
-                } else {
-                    s.wrapping_shr(*shamt)
-                };
-                h.write_x(*srd, sh);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                // Forward the shifted value in a host register instead of
-                // re-reading it through the architectural file.
-                let fwd = *srd != XReg::ZERO;
-                let a = if fwd && *xrs1 == *srd {
-                    sh
-                } else {
-                    h.read_x(*xrs1)
-                };
-                let b = if fwd && *xrs2 == *srd {
-                    sh
-                } else {
-                    h.read_x(*xrs2)
-                };
-                let v = a ^ b;
-                h.write_x(*xrd, v);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
+                let sh = shift(h.read_x(srs1), left, shamt);
+                h.write_x(srd, sh);
+                retire!(alu);
+                horizon!();
+                let v = fwd(h, xrs1, srd, sh) ^ fwd(h, xrs2, srd, sh);
+                h.write_x(xrd, v);
+                retire!(alu);
             }
             BlockOp::LoadOpStore {
-                lw,
-                lrd,
                 base_reg,
-                imm,
-                rmw,
-                ord,
-                ors1,
-                op_cost,
-                sw,
-                srs2,
-                mem_base,
-            } => {
-                // Load component.
-                let addr = h.read_x(*base_reg).wrapping_add(*imm as u64);
-                let cost = mem_base
-                    + if free {
-                        0
-                    } else {
-                        m.local_access_cost(pe, addr)
-                    };
-                let v = match Machine::load_value(&m.mems[pe], *lw, addr) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        commit!();
-                        return Err(SimFault::Memory(e));
-                    }
-                };
-                h.write_x(*lrd, v);
-                let lv = v;
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                // ALU component — the loaded value is forwarded host-side;
-                // the architectural write above already happened, so a
-                // non-forwarded operand reads the correct file state.
-                let fwd = *lrd != XReg::ZERO;
-                let v = match rmw {
-                    RmwOp::Reg { op, rs2 } => {
-                        let a = if fwd && *ors1 == *lrd {
-                            lv
-                        } else {
-                            h.read_x(*ors1)
-                        };
-                        let b = if fwd && *rs2 == *lrd {
-                            lv
-                        } else {
-                            h.read_x(*rs2)
-                        };
-                        eval_op(*op, a, b)
-                    }
-                    RmwOp::Imm { op, imm } => {
-                        let a = if fwd && *ors1 == *lrd {
-                            lv
-                        } else {
-                            h.read_x(*ors1)
-                        };
-                        eval_op_imm(*op, a, *imm)
-                    }
-                };
-                h.write_x(*ord, v);
-                let rv = v;
-                pc += 4;
-                cycles += op_cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                // Store component — fusion guards keep `base_reg` intact, so
-                // the effective address is the one computed above.
-                let cost = mem_base
-                    + if free {
-                        0
-                    } else {
-                        m.local_access_cost(pe, addr)
-                    };
-                let sv = if *ord != XReg::ZERO && *srs2 == *ord {
-                    rv
-                } else {
-                    h.read_x(*srs2)
-                };
-                let bytes = sw.bytes();
-                if let Err(e) = Machine::store_value(&mut m.mems[pe], *sw, addr, sv) {
-                    commit!();
-                    return Err(SimFault::Memory(e));
-                }
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                m.note_store(pe, addr, bytes);
-                if m.code_dirty {
-                    m.code_dirty = false;
-                    commit!();
-                    return Ok(());
-                }
-            }
-            BlockOp::XorShift3 {
-                s,
-                t,
-                left,
-                shamt,
-                cost,
-            } => {
-                let mut sv = h.read_x(*s);
+                ref triad,
+            } => triad!(triad, h.read_x(base_reg).wrapping_add(triad.imm as u64)),
+            BlockOp::XorShift3 { s, t, left, shamt } => {
+                let mut sv = h.read_x(s);
                 for k in 0..3 {
-                    let tv = if left[k] {
-                        sv.wrapping_shl(shamt[k])
-                    } else {
-                        sv.wrapping_shr(shamt[k])
-                    };
+                    let tv = shift(sv, left[k], shamt[k]);
                     h.write_x(t[k], tv);
-                    pc += 4;
-                    cycles += cost;
-                    instret += 1;
-                    if cycles >= limit {
-                        commit!();
-                        return Ok(());
-                    }
+                    retire!(alu);
+                    horizon!();
                     sv ^= tv;
-                    h.write_x(*s, sv);
-                    pc += 4;
-                    cycles += cost;
-                    instret += 1;
-                    if k < 2 && cycles >= limit {
-                        commit!();
-                        return Ok(());
-                    }
+                    h.write_x(s, sv);
+                    retire!(alu);
+                    horizon!();
                 }
             }
             BlockOp::IdxRmw {
-                idx,
-                idx_rd,
-                idx_rs1,
-                idx_cost,
+                ref idx,
                 shamt,
                 sh_rd,
-                sh_rs1,
                 add_rd,
                 add_rs1,
                 add_rs2,
-                lw,
-                lrd,
-                imm,
-                rmw,
-                ord,
-                ors1,
-                op_cost,
-                sw,
-                srs2,
-                alu,
-                mem_base,
+                ref triad,
             } => {
-                // Index component. Fusion guards (`no_zero` and the feeds
-                // chain) let every intermediate forward host-side while the
-                // architectural writes still all happen.
-                let vi = match idx {
-                    RmwOp::Reg { op, rs2 } => eval_op(*op, h.read_x(*idx_rs1), h.read_x(*rs2)),
-                    RmwOp::Imm { op, imm } => eval_op_imm(*op, h.read_x(*idx_rs1), *imm),
-                };
-                h.write_x(*idx_rd, vi);
-                pc += 4;
-                cycles += idx_cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                // Scale component — `sh_rs1 == idx_rd` by the feeds guard.
-                debug_assert_eq!(*sh_rs1, *idx_rd);
-                let vs = vi.wrapping_shl(*shamt);
-                h.write_x(*sh_rd, vs);
-                pc += 4;
-                cycles += alu;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                // Base-add component.
-                let a = if *add_rs1 == *sh_rd {
-                    vs
-                } else {
-                    h.read_x(*add_rs1)
-                };
-                let b = if *add_rs2 == *sh_rd {
-                    vs
-                } else {
-                    h.read_x(*add_rs2)
-                };
-                let va = a.wrapping_add(b);
-                h.write_x(*add_rd, va);
-                pc += 4;
-                cycles += alu;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                // Load component — the base is `add_rd` by the feeds guard.
-                let addr = va.wrapping_add(*imm as u64);
-                let cost = mem_base
-                    + if free {
-                        0
-                    } else {
-                        m.local_access_cost(pe, addr)
-                    };
-                let v = match Machine::load_value(&m.mems[pe], *lw, addr) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        commit!();
-                        return Err(SimFault::Memory(e));
-                    }
-                };
-                h.write_x(*lrd, v);
-                let lv = v;
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                // ALU component — `lrd` is non-zero by the fusion guard.
-                let v = match rmw {
-                    RmwOp::Reg { op, rs2 } => {
-                        let a = if *ors1 == *lrd { lv } else { h.read_x(*ors1) };
-                        let b = if *rs2 == *lrd { lv } else { h.read_x(*rs2) };
-                        eval_op(*op, a, b)
-                    }
-                    RmwOp::Imm { op, imm } => {
-                        let a = if *ors1 == *lrd { lv } else { h.read_x(*ors1) };
-                        eval_op_imm(*op, a, *imm)
-                    }
-                };
-                h.write_x(*ord, v);
-                let rv = v;
-                pc += 4;
-                cycles += op_cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                // Store component — the guards keep the address register
-                // intact across load and op.
-                let cost = mem_base
-                    + if free {
-                        0
-                    } else {
-                        m.local_access_cost(pe, addr)
-                    };
-                let sv = if *srs2 == *ord { rv } else { h.read_x(*srs2) };
-                let bytes = sw.bytes();
-                if let Err(e) = Machine::store_value(&mut m.mems[pe], *sw, addr, sv) {
-                    commit!();
-                    return Err(SimFault::Memory(e));
-                }
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                m.note_store(pe, addr, bytes);
-                if m.code_dirty {
-                    m.code_dirty = false;
-                    commit!();
-                    return Ok(());
-                }
+                // The feeds guards chain index → scale → add → load base
+                // through real (non-`x0`) registers, so every intermediate
+                // forwards host-side while the architectural writes still
+                // all happen.
+                let vi = rmw!(idx, XReg::ZERO, 0);
+                horizon!();
+                let vs = vi.wrapping_shl(shamt);
+                h.write_x(sh_rd, vs);
+                retire!(alu);
+                horizon!();
+                let va = fwd(h, add_rs1, sh_rd, vs).wrapping_add(fwd(h, add_rs2, sh_rd, vs));
+                h.write_x(add_rd, va);
+                retire!(alu);
+                horizon!();
+                triad!(triad, va.wrapping_add(triad.imm as u64));
             }
-            BlockOp::StoreInc {
-                width,
-                rs1,
-                rs2,
-                imm,
-                base,
-                p_op,
-                p_rd,
-                p_rs1,
-                p_imm,
-                p_cost,
-            } => {
-                let addr = h.read_x(*rs1).wrapping_add(*imm as u64);
-                let cost = base
-                    + if free {
-                        0
-                    } else {
-                        m.local_access_cost(pe, addr)
-                    };
-                let v = h.read_x(*rs2);
-                let bytes = width.bytes();
-                if let Err(e) = Machine::store_value(&mut m.mems[pe], *width, addr, v) {
-                    commit!();
-                    return Err(SimFault::Memory(e));
-                }
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                m.note_store(pe, addr, bytes);
-                if m.code_dirty {
-                    m.code_dirty = false;
-                    commit!();
-                    return Ok(());
-                }
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                // Post-increment component.
-                let v = eval_op_imm(*p_op, h.read_x(*p_rs1), *p_imm);
-                h.write_x(*p_rd, v);
-                pc += 4;
-                cycles += p_cost;
-                instret += 1;
+            BlockOp::StoreInc { ref store, ref inc } => {
+                store!(
+                    store.width,
+                    h.read_x(store.rs1).wrapping_add(store.imm as u64),
+                    h.read_x(store.rs2)
+                );
+                horizon!();
+                imm_op!(inc);
             }
-            BlockOp::Addi2Branch {
-                p_op,
-                p_rd,
-                p_rs1,
-                p_imm,
-                ard,
-                ars1,
-                aimm,
-                cond,
-                brs1,
-                brs2,
-                taken,
-                cost,
-            } => {
-                let pv = eval_op_imm(*p_op, h.read_x(*p_rs1), *p_imm);
-                h.write_x(*p_rd, pv);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                let pf = *p_rd != XReg::ZERO;
-                let base = if pf && *ars1 == *p_rd {
-                    pv
-                } else {
-                    h.read_x(*ars1)
-                };
-                let av = base.wrapping_add(*aimm as i64 as u64);
-                h.write_x(*ard, av);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                // Branch operands: the later architectural write wins, so
-                // test `ard` before `p_rd`.
-                let af = *ard != XReg::ZERO;
-                let a = if af && *brs1 == *ard {
-                    av
-                } else if pf && *brs1 == *p_rd {
-                    pv
-                } else {
-                    h.read_x(*brs1)
-                };
-                let b = if af && *brs2 == *ard {
-                    av
-                } else if pf && *brs2 == *p_rd {
-                    pv
-                } else {
-                    h.read_x(*brs2)
-                };
-                if branch_taken(*cond, a, b) {
-                    if *taken & 3 != 0 {
-                        commit!();
-                        return Err(SimFault::InstructionMisaligned { pc, target: *taken });
-                    }
-                    pc = *taken;
-                } else {
-                    pc += 4;
-                }
-                cycles += cost;
-                instret += 1;
-                restart_or_exit!();
+            BlockOp::Addi2Branch { ref bump, ref edge } => {
+                let pv = imm_op!(bump);
+                horizon!();
+                back_edge!(edge, bump.rd, pv);
             }
-            BlockOp::AddiBranch {
-                ard,
-                ars1,
-                aimm,
-                cond,
-                brs1,
-                brs2,
-                taken,
-                cost,
-            } => {
-                let v = h.read_x(*ars1).wrapping_add(*aimm as i64 as u64);
-                h.write_x(*ard, v);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                let fwd = *ard != XReg::ZERO;
-                let a = if fwd && *brs1 == *ard {
-                    v
-                } else {
-                    h.read_x(*brs1)
-                };
-                let b = if fwd && *brs2 == *ard {
-                    v
-                } else {
-                    h.read_x(*brs2)
-                };
-                if branch_taken(*cond, a, b) {
-                    if *taken & 3 != 0 {
-                        commit!();
-                        return Err(SimFault::InstructionMisaligned { pc, target: *taken });
-                    }
-                    pc = *taken;
-                } else {
-                    pc += 4;
-                }
-                cycles += cost;
-                instret += 1;
-                restart_or_exit!();
-            }
+            BlockOp::AddiBranch(ref edge) => back_edge!(edge, XReg::ZERO, 0),
             BlockOp::EaddiePair {
                 ext,
                 rs1,
                 imm,
-                cost,
                 inst,
                 word,
             } => {
-                let v = h.read_x(*rs1).wrapping_add(*imm as i64 as u64);
-                h.write_e(*ext, v);
-                pc += 4;
-                cycles += cost;
-                instret += 1;
-                if cycles >= limit {
-                    commit!();
-                    return Ok(());
-                }
-                commit!();
-                std::mem::swap(&mut m.harts[pe], h);
-                let r = m.exec_inst(pe, pc, *word, *inst);
-                std::mem::swap(&mut m.harts[pe], h);
-                reload!();
-                r?;
+                let v = h.read_x(rs1).wrapping_add(imm as i64 as u64);
+                h.write_e(ext, v);
+                retire!(alu);
+                horizon!();
+                interp!(inst, word);
             }
             BlockOp::Generic { inst, word } => {
-                commit!();
-                std::mem::swap(&mut m.harts[pe], h);
-                let r = m.exec_inst(pe, pc, *word, *inst);
-                std::mem::swap(&mut m.harts[pe], h);
-                reload!();
-                r?;
+                interp!(inst, word);
                 if m.code_dirty {
                     m.code_dirty = false;
                     return Ok(());
@@ -1768,496 +1197,6 @@ fn exec_ops(
             }
         }
         i += 1;
-    }
-}
-
-/// The fast pass: zero per-op counter bookkeeping. Runs only when the
-/// block's full-pass cost is statically known ([`Block::static_cost`]) and
-/// the caller has pre-paid it against the scheduling budget, so no horizon
-/// check can fire mid-pass. The hot loop touches nothing but architectural
-/// register and memory state; exact `pc`/`cycles`/`instret` are
-/// reconstructed from the translation-time [`Block::prefix`] table at the
-/// points where they become observable — control transfers, faults and
-/// self-modifying-code exits. Returns `Ok(true)` when control looped back
-/// to the block start but the remaining budget no longer covers a whole
-/// pass (the caller re-enters via the checked pass).
-fn exec_ops_fast(
-    m: &mut Machine,
-    pe: usize,
-    block: &Block,
-    limit: u64,
-    h: &mut Hart,
-) -> Result<bool, SimFault> {
-    let ops = block.ops.as_slice();
-    let prefix = block.prefix.as_slice();
-    let sc = block
-        .static_cost
-        .expect("fast pass requires a statically-costed block");
-    let start = block.start;
-    // The code-range probe is hoisted for the whole call: only this PE's
-    // own stores can invalidate its translations while it runs (other
-    // harts are frozen and statically-costed blocks contain no ecalls),
-    // and the first hit exits immediately.
-    let (code_lo, code_hi) = (m.blocks[pe].lo, m.blocks[pe].hi);
-    // Pass-base counters: advanced once per control transfer, not per op.
-    let mut cycles = h.cycles;
-    let mut instret = h.instret;
-    // Commit counters as of component boundaries inside op `$i` (cold
-    // paths only: faults and self-modifying-code exits).
-    macro_rules! commit_at {
-        ($i:expr, $pc_extra:expr, $cyc_extra:expr, $ret_extra:expr) => {
-            h.pc = start + prefix[$i].pc_off + $pc_extra;
-            h.cycles = cycles + prefix[$i].cycles + $cyc_extra;
-            h.instret = instret + prefix[$i].instret + $ret_extra;
-        };
-    }
-    // A control transfer at op `$i`: charge the op's own cost on top of
-    // the prefix totals, then either loop straight back to the block start
-    // (when another whole pass is still pre-paid) or commit and leave.
-    macro_rules! take {
-        ($lbl:lifetime, $i:expr, $cyc:expr, $ret:expr, $target:expr) => {
-            cycles += prefix[$i].cycles + $cyc;
-            instret += prefix[$i].instret + $ret;
-            if $target == start {
-                if limit.saturating_sub(cycles) > sc {
-                    continue $lbl;
-                }
-                h.pc = start;
-                h.cycles = cycles;
-                h.instret = instret;
-                return Ok(true);
-            }
-            h.pc = $target;
-            h.cycles = cycles;
-            h.instret = instret;
-            return Ok(false);
-        };
-    }
-    'pass: loop {
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                BlockOp::Lui { rd, value, .. } | BlockOp::Auipc { rd, value, .. } => {
-                    h.write_x(*rd, *value);
-                }
-                BlockOp::OpImm {
-                    op, rd, rs1, imm, ..
-                } => {
-                    let v = eval_op_imm(*op, h.read_x(*rs1), *imm);
-                    h.write_x(*rd, v);
-                }
-                BlockOp::Op {
-                    op, rd, rs1, rs2, ..
-                } => {
-                    let v = eval_op(*op, h.read_x(*rs1), h.read_x(*rs2));
-                    h.write_x(*rd, v);
-                }
-                BlockOp::Load {
-                    width,
-                    rd,
-                    rs1,
-                    imm,
-                    ..
-                } => {
-                    let addr = h.read_x(*rs1).wrapping_add(*imm as u64);
-                    match Machine::load_value(&m.mems[pe], *width, addr) {
-                        Ok(v) => h.write_x(*rd, v),
-                        Err(e) => {
-                            commit_at!(i, 0, 0, 0);
-                            return Err(SimFault::Memory(e));
-                        }
-                    }
-                }
-                BlockOp::Store {
-                    width,
-                    rs1,
-                    rs2,
-                    imm,
-                    ..
-                } => {
-                    let addr = h.read_x(*rs1).wrapping_add(*imm as u64);
-                    let v = h.read_x(*rs2);
-                    let bytes = width.bytes();
-                    if let Err(e) = Machine::store_value(&mut m.mems[pe], *width, addr, v) {
-                        commit_at!(i, 0, 0, 0);
-                        return Err(SimFault::Memory(e));
-                    }
-                    if addr < code_hi && addr + bytes as u64 > code_lo {
-                        m.note_store(pe, addr, bytes);
-                        m.code_dirty = false;
-                        commit_at!(i + 1, 0, 0, 0);
-                        return Ok(false);
-                    }
-                }
-                BlockOp::Jal { rd, target, cost } => {
-                    if *target & 3 != 0 {
-                        commit_at!(i, 0, 0, 0);
-                        return Err(SimFault::InstructionMisaligned {
-                            pc: start + prefix[i].pc_off,
-                            target: *target,
-                        });
-                    }
-                    let link = start + prefix[i].pc_off + 4;
-                    h.write_x(*rd, link);
-                    take!('pass, i, *cost, 1, *target);
-                }
-                BlockOp::Jalr { rd, rs1, imm, cost } => {
-                    let target = h.read_x(*rs1).wrapping_add(*imm as u64) & !1;
-                    if target & 3 != 0 {
-                        commit_at!(i, 0, 0, 0);
-                        return Err(SimFault::InstructionMisaligned {
-                            pc: start + prefix[i].pc_off,
-                            target,
-                        });
-                    }
-                    let link = start + prefix[i].pc_off + 4;
-                    h.write_x(*rd, link);
-                    take!('pass, i, *cost, 1, target);
-                }
-                BlockOp::Branch {
-                    cond,
-                    rs1,
-                    rs2,
-                    taken,
-                    cost,
-                } => {
-                    let target = if branch_taken(*cond, h.read_x(*rs1), h.read_x(*rs2)) {
-                        if *taken & 3 != 0 {
-                            commit_at!(i, 0, 0, 0);
-                            return Err(SimFault::InstructionMisaligned {
-                                pc: start + prefix[i].pc_off,
-                                target: *taken,
-                            });
-                        }
-                        *taken
-                    } else {
-                        start + prefix[i].pc_off + 4
-                    };
-                    take!('pass, i, *cost, 1, target);
-                }
-                // No fault is possible between the two halves, so only the
-                // final constant is observable.
-                BlockOp::Li { rd, value, .. } => {
-                    h.write_x(*rd, *value);
-                }
-                BlockOp::ShiftXor {
-                    left,
-                    shamt,
-                    srd,
-                    srs1,
-                    xrd,
-                    xrs1,
-                    xrs2,
-                    ..
-                } => {
-                    let s = h.read_x(*srs1);
-                    let sh = if *left {
-                        s.wrapping_shl(*shamt)
-                    } else {
-                        s.wrapping_shr(*shamt)
-                    };
-                    h.write_x(*srd, sh);
-                    let fwd = *srd != XReg::ZERO;
-                    let a = if fwd && *xrs1 == *srd {
-                        sh
-                    } else {
-                        h.read_x(*xrs1)
-                    };
-                    let b = if fwd && *xrs2 == *srd {
-                        sh
-                    } else {
-                        h.read_x(*xrs2)
-                    };
-                    let v = a ^ b;
-                    h.write_x(*xrd, v);
-                }
-                BlockOp::LoadOpStore {
-                    lw,
-                    lrd,
-                    base_reg,
-                    imm,
-                    rmw,
-                    ord,
-                    ors1,
-                    op_cost,
-                    sw,
-                    srs2,
-                    mem_base,
-                } => {
-                    let addr = h.read_x(*base_reg).wrapping_add(*imm as u64);
-                    let v = match Machine::load_value(&m.mems[pe], *lw, addr) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            commit_at!(i, 0, 0, 0);
-                            return Err(SimFault::Memory(e));
-                        }
-                    };
-                    h.write_x(*lrd, v);
-                    let lv = v;
-                    let fwd = *lrd != XReg::ZERO;
-                    let v = match rmw {
-                        RmwOp::Reg { op, rs2 } => {
-                            let a = if fwd && *ors1 == *lrd {
-                                lv
-                            } else {
-                                h.read_x(*ors1)
-                            };
-                            let b = if fwd && *rs2 == *lrd {
-                                lv
-                            } else {
-                                h.read_x(*rs2)
-                            };
-                            eval_op(*op, a, b)
-                        }
-                        RmwOp::Imm { op, imm } => {
-                            let a = if fwd && *ors1 == *lrd {
-                                lv
-                            } else {
-                                h.read_x(*ors1)
-                            };
-                            eval_op_imm(*op, a, *imm)
-                        }
-                    };
-                    h.write_x(*ord, v);
-                    let sv = if *ord != XReg::ZERO && *srs2 == *ord {
-                        v
-                    } else {
-                        h.read_x(*srs2)
-                    };
-                    let bytes = sw.bytes();
-                    if let Err(e) = Machine::store_value(&mut m.mems[pe], *sw, addr, sv) {
-                        commit_at!(i, 8, mem_base + op_cost, 2);
-                        return Err(SimFault::Memory(e));
-                    }
-                    if addr < code_hi && addr + bytes as u64 > code_lo {
-                        m.note_store(pe, addr, bytes);
-                        m.code_dirty = false;
-                        commit_at!(i + 1, 0, 0, 0);
-                        return Ok(false);
-                    }
-                }
-                BlockOp::XorShift3 {
-                    s, t, left, shamt, ..
-                } => {
-                    // No fault is possible mid-round, so only the final
-                    // state write (and each scratch write) is observable.
-                    let mut sv = h.read_x(*s);
-                    for k in 0..3 {
-                        let tv = if left[k] {
-                            sv.wrapping_shl(shamt[k])
-                        } else {
-                            sv.wrapping_shr(shamt[k])
-                        };
-                        h.write_x(t[k], tv);
-                        sv ^= tv;
-                    }
-                    h.write_x(*s, sv);
-                }
-                BlockOp::IdxRmw {
-                    idx,
-                    idx_rd,
-                    idx_rs1,
-                    idx_cost,
-                    shamt,
-                    sh_rd,
-                    sh_rs1,
-                    add_rd,
-                    add_rs1,
-                    add_rs2,
-                    lw,
-                    lrd,
-                    imm,
-                    rmw,
-                    ord,
-                    ors1,
-                    op_cost,
-                    sw,
-                    srs2,
-                    alu,
-                    mem_base,
-                } => {
-                    let vi = match idx {
-                        RmwOp::Reg { op, rs2 } => eval_op(*op, h.read_x(*idx_rs1), h.read_x(*rs2)),
-                        RmwOp::Imm { op, imm } => eval_op_imm(*op, h.read_x(*idx_rs1), *imm),
-                    };
-                    h.write_x(*idx_rd, vi);
-                    debug_assert_eq!(*sh_rs1, *idx_rd);
-                    let vs = vi.wrapping_shl(*shamt);
-                    h.write_x(*sh_rd, vs);
-                    let a = if *add_rs1 == *sh_rd {
-                        vs
-                    } else {
-                        h.read_x(*add_rs1)
-                    };
-                    let b = if *add_rs2 == *sh_rd {
-                        vs
-                    } else {
-                        h.read_x(*add_rs2)
-                    };
-                    let va = a.wrapping_add(b);
-                    h.write_x(*add_rd, va);
-                    let addr = va.wrapping_add(*imm as u64);
-                    let v = match Machine::load_value(&m.mems[pe], *lw, addr) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            commit_at!(i, 12, idx_cost + 2 * alu, 3);
-                            return Err(SimFault::Memory(e));
-                        }
-                    };
-                    h.write_x(*lrd, v);
-                    let lv = v;
-                    let v = match rmw {
-                        RmwOp::Reg { op, rs2 } => {
-                            let a = if *ors1 == *lrd { lv } else { h.read_x(*ors1) };
-                            let b = if *rs2 == *lrd { lv } else { h.read_x(*rs2) };
-                            eval_op(*op, a, b)
-                        }
-                        RmwOp::Imm { op, imm } => {
-                            let a = if *ors1 == *lrd { lv } else { h.read_x(*ors1) };
-                            eval_op_imm(*op, a, *imm)
-                        }
-                    };
-                    h.write_x(*ord, v);
-                    let sv = if *srs2 == *ord { v } else { h.read_x(*srs2) };
-                    let bytes = sw.bytes();
-                    if let Err(e) = Machine::store_value(&mut m.mems[pe], *sw, addr, sv) {
-                        commit_at!(i, 20, idx_cost + 2 * alu + mem_base + op_cost, 5);
-                        return Err(SimFault::Memory(e));
-                    }
-                    if addr < code_hi && addr + bytes as u64 > code_lo {
-                        m.note_store(pe, addr, bytes);
-                        m.code_dirty = false;
-                        commit_at!(i + 1, 0, 0, 0);
-                        return Ok(false);
-                    }
-                }
-                BlockOp::StoreInc {
-                    width,
-                    rs1,
-                    rs2,
-                    imm,
-                    base,
-                    p_op,
-                    p_rd,
-                    p_rs1,
-                    p_imm,
-                    ..
-                } => {
-                    let addr = h.read_x(*rs1).wrapping_add(*imm as u64);
-                    let v = h.read_x(*rs2);
-                    let bytes = width.bytes();
-                    if let Err(e) = Machine::store_value(&mut m.mems[pe], *width, addr, v) {
-                        commit_at!(i, 0, 0, 0);
-                        return Err(SimFault::Memory(e));
-                    }
-                    if addr < code_hi && addr + bytes as u64 > code_lo {
-                        m.note_store(pe, addr, bytes);
-                        m.code_dirty = false;
-                        commit_at!(i, 4, *base, 1);
-                        return Ok(false);
-                    }
-                    let v = eval_op_imm(*p_op, h.read_x(*p_rs1), *p_imm);
-                    h.write_x(*p_rd, v);
-                }
-                BlockOp::Addi2Branch {
-                    p_op,
-                    p_rd,
-                    p_rs1,
-                    p_imm,
-                    ard,
-                    ars1,
-                    aimm,
-                    cond,
-                    brs1,
-                    brs2,
-                    taken,
-                    cost,
-                } => {
-                    let pv = eval_op_imm(*p_op, h.read_x(*p_rs1), *p_imm);
-                    h.write_x(*p_rd, pv);
-                    let pf = *p_rd != XReg::ZERO;
-                    let base = if pf && *ars1 == *p_rd {
-                        pv
-                    } else {
-                        h.read_x(*ars1)
-                    };
-                    let av = base.wrapping_add(*aimm as i64 as u64);
-                    h.write_x(*ard, av);
-                    // Later architectural write wins: test `ard` first.
-                    let af = *ard != XReg::ZERO;
-                    let a = if af && *brs1 == *ard {
-                        av
-                    } else if pf && *brs1 == *p_rd {
-                        pv
-                    } else {
-                        h.read_x(*brs1)
-                    };
-                    let b = if af && *brs2 == *ard {
-                        av
-                    } else if pf && *brs2 == *p_rd {
-                        pv
-                    } else {
-                        h.read_x(*brs2)
-                    };
-                    let target = if branch_taken(*cond, a, b) {
-                        if *taken & 3 != 0 {
-                            commit_at!(i, 8, 2 * *cost, 2);
-                            return Err(SimFault::InstructionMisaligned {
-                                pc: start + prefix[i].pc_off + 8,
-                                target: *taken,
-                            });
-                        }
-                        *taken
-                    } else {
-                        start + prefix[i].pc_off + 12
-                    };
-                    take!('pass, i, 3 * *cost, 3, target);
-                }
-                BlockOp::AddiBranch {
-                    ard,
-                    ars1,
-                    aimm,
-                    cond,
-                    brs1,
-                    brs2,
-                    taken,
-                    cost,
-                } => {
-                    let v = h.read_x(*ars1).wrapping_add(*aimm as i64 as u64);
-                    h.write_x(*ard, v);
-                    let fwd = *ard != XReg::ZERO;
-                    let a = if fwd && *brs1 == *ard {
-                        v
-                    } else {
-                        h.read_x(*brs1)
-                    };
-                    let b = if fwd && *brs2 == *ard {
-                        v
-                    } else {
-                        h.read_x(*brs2)
-                    };
-                    let target = if branch_taken(*cond, a, b) {
-                        if *taken & 3 != 0 {
-                            commit_at!(i, 4, *cost, 1);
-                            return Err(SimFault::InstructionMisaligned {
-                                pc: start + prefix[i].pc_off + 4,
-                                target: *taken,
-                            });
-                        }
-                        *taken
-                    } else {
-                        start + prefix[i].pc_off + 8
-                    };
-                    take!('pass, i, 2 * *cost, 2, target);
-                }
-                BlockOp::EaddiePair { .. } | BlockOp::Generic { .. } => {
-                    unreachable!("ops with dynamic cost never appear in statically-costed blocks")
-                }
-            }
-        }
-        // Fell off the end of a block capped by MAX_BLOCK_INSTS or an
-        // undecodable word: commit full-pass totals and re-dispatch.
-        commit_at!(ops.len(), 0, 0, 0);
-        return Ok(false);
     }
 }
 
@@ -2358,7 +1297,7 @@ mod tests {
         assert!(matches!(b.ops[1], BlockOp::IdxRmw { shamt: 3, .. }));
         assert!(matches!(
             b.ops[2],
-            BlockOp::AddiBranch { taken: 0x1000, .. }
+            BlockOp::AddiBranch(BackEdge { taken: 0x1000, .. })
         ));
     }
 
@@ -2375,7 +1314,7 @@ mod tests {
         assert!(matches!(b.ops[1], BlockOp::StoreInc { .. }));
         assert!(matches!(
             b.ops[2],
-            BlockOp::AddiBranch { taken: 0x1000, .. }
+            BlockOp::AddiBranch(BackEdge { taken: 0x1000, .. })
         ));
 
         // IS ranking: andi/slli/add/ld/addi/sd is the same indexed
@@ -2391,14 +1330,26 @@ mod tests {
         assert!(matches!(
             b.ops[1],
             BlockOp::IdxRmw {
-                idx: RmwOp::Imm { .. },
-                rmw: RmwOp::Imm { .. },
+                idx: Rmw {
+                    op: RmwOp::Imm { .. },
+                    ..
+                },
+                triad: Triad {
+                    rmw: Rmw {
+                        op: RmwOp::Imm { .. },
+                        ..
+                    },
+                    ..
+                },
                 ..
             }
         ));
         assert!(matches!(
             b.ops[2],
-            BlockOp::Addi2Branch { taken: 0x1000, .. }
+            BlockOp::Addi2Branch {
+                edge: BackEdge { taken: 0x1000, .. },
+                ..
+            }
         ));
     }
 
@@ -2451,15 +1402,11 @@ mod tests {
             start: 0x1000,
             end: 0x1040,
             ops: Vec::new(),
-            static_cost: None,
-            prefix: Vec::new(),
         }));
         c.insert(Arc::new(Block {
             start: 0x2000,
             end: 0x2010,
             ops: Vec::new(),
-            static_cost: None,
-            prefix: Vec::new(),
         }));
         assert_eq!(c.len(), 2);
         assert!(c.overlaps(0x103c, 8));

@@ -7,6 +7,7 @@
 use crate::cache::CacheConfig;
 use crate::noc::NocConfig;
 use crate::tlb::TlbConfig;
+use xbgas_isa::AluOp;
 
 /// Per-instruction-class and memory-system latencies.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -44,6 +45,18 @@ pub struct CostConfig {
 }
 
 impl CostConfig {
+    /// Execute cycles of a register-register op by class (multiply, divide,
+    /// simple ALU) — the one table both the stepper and the block
+    /// translator charge from.
+    pub(crate) const fn op_cycles(&self, op: AluOp) -> u64 {
+        use AluOp::*;
+        match op {
+            Mul | Mulh | Mulhsu | Mulhu | Mulw => self.mul_cycles,
+            Div | Divu | Rem | Remu | Divw | Divuw | Remw | Remuw => self.div_cycles,
+            _ => self.alu_cycles,
+        }
+    }
+
     /// The calibration used to reproduce the paper's figures: the §5.1 cache
     /// and TLB geometry with latencies typical of a simple in-order RV64
     /// core, and a lightweight xBGAS fabric.
@@ -105,8 +118,10 @@ impl CostConfig {
 ///
 /// Both engines produce bit-identical architectural results — registers,
 /// memory, `instret`, *and* cycle totals — which the differential suite
-/// (`tests/sim_differential.rs`) enforces on every end-to-end kernel. The
-/// interpretive stepper is the oracle; the block engine is the fast path.
+/// (`tests/sim_differential.rs`) enforces on every end-to-end kernel, at
+/// every cycle budget and under adversarial register aliasing. The
+/// interpretive stepper is the oracle; the block engine is the fast one,
+/// and it too has a single pass over its ops (no unchecked variant).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Decode-dispatch interpreter: fetch + decode on every step.

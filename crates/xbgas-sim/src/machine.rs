@@ -20,7 +20,7 @@ use crate::mem::Memory;
 use crate::noc::{Noc, NocStats, SharedChannel};
 use crate::olb::{Olb, OlbTarget};
 use crate::tlb::Tlb;
-use xbgas_isa::{decode, Inst, LoadWidth, StoreWidth, XReg};
+use xbgas_isa::{decode, EReg, Inst, LoadWidth, StoreWidth, XReg};
 
 /// Environment-call numbers recognised by the machine (placed in `a7`).
 pub mod syscall {
@@ -289,6 +289,43 @@ impl Machine {
         }
     }
 
+    /// The load half of every xBGAS access: the object ID in `ext` and the
+    /// address `rs1 + imm` go through [`Machine::resolve_remote`], and
+    /// `width` is read where they land. Returns `(value, latency)`.
+    fn remote_load(
+        &mut self,
+        pe: usize,
+        ext: EReg,
+        rs1: XReg,
+        imm: i32,
+        width: LoadWidth,
+    ) -> Result<(u64, u64), SimFault> {
+        let object_id = self.harts[pe].read_e(ext);
+        let addr = self.harts[pe].read_x(rs1).wrapping_add(imm as i64 as u64);
+        let (tpe, taddr, c) = self.resolve_remote(pe, object_id, addr, width.bytes())?;
+        let v = Self::load_value(&self.mems[tpe], width, taddr).map_err(SimFault::Memory)?;
+        Ok((v, c))
+    }
+
+    /// The store half: as [`Machine::remote_load`], then the target PE's
+    /// translations are checked for the stored bytes. Returns the latency.
+    fn remote_store(
+        &mut self,
+        pe: usize,
+        ext: EReg,
+        rs1: XReg,
+        imm: i32,
+        width: StoreWidth,
+        value: u64,
+    ) -> Result<u64, SimFault> {
+        let object_id = self.harts[pe].read_e(ext);
+        let addr = self.harts[pe].read_x(rs1).wrapping_add(imm as i64 as u64);
+        let (tpe, taddr, c) = self.resolve_remote(pe, object_id, addr, width.bytes())?;
+        Self::store_value(&mut self.mems[tpe], width, taddr, value).map_err(SimFault::Memory)?;
+        self.note_store(tpe, taddr, width.bytes());
+        Ok(c)
+    }
+
     #[inline]
     pub(crate) fn load_value(mem: &Memory, width: LoadWidth, addr: u64) -> Result<u64, String> {
         let raw = match width.bytes() {
@@ -513,12 +550,7 @@ impl Machine {
                 self.harts[pe].write_x(rd, eval_op_imm(op, a, imm));
             }
             Inst::Op { op, rd, rs1, rs2 } => {
-                use xbgas_isa::AluOp::*;
-                cost += match op {
-                    Mul | Mulh | Mulhsu | Mulhu | Mulw => cost_cfg.mul_cycles,
-                    Div | Divu | Rem | Remu | Divw | Divuw | Remw | Remuw => cost_cfg.div_cycles,
-                    _ => cost_cfg.alu_cycles,
-                };
+                cost += cost_cfg.op_cycles(op);
                 let a = self.harts[pe].read_x(rs1);
                 let b = self.harts[pe].read_x(rs2);
                 self.harts[pe].write_x(rd, eval_op(op, a, b));
@@ -569,12 +601,8 @@ impl Machine {
                 rs1,
                 imm,
             } => {
-                let object_id = self.harts[pe].read_e(xbgas_isa::EReg::paired_with(rs1));
-                let addr = self.harts[pe].read_x(rs1).wrapping_add(imm as i64 as u64);
-                let (tpe, taddr, c) = self.resolve_remote(pe, object_id, addr, width.bytes())?;
+                let (v, c) = self.remote_load(pe, EReg::paired_with(rs1), rs1, imm, width)?;
                 cost += c;
-                let v =
-                    Self::load_value(&self.mems[tpe], width, taddr).map_err(SimFault::Memory)?;
                 self.harts[pe].write_x(rd, v);
             }
             Inst::EStore {
@@ -583,14 +611,8 @@ impl Machine {
                 rs2,
                 imm,
             } => {
-                let object_id = self.harts[pe].read_e(xbgas_isa::EReg::paired_with(rs1));
-                let addr = self.harts[pe].read_x(rs1).wrapping_add(imm as i64 as u64);
-                let (tpe, taddr, c) = self.resolve_remote(pe, object_id, addr, width.bytes())?;
-                cost += c;
                 let v = self.harts[pe].read_x(rs2);
-                Self::store_value(&mut self.mems[tpe], width, taddr, v)
-                    .map_err(SimFault::Memory)?;
-                self.note_store(tpe, taddr, width.bytes());
+                cost += self.remote_store(pe, EReg::paired_with(rs1), rs1, imm, width, v)?;
             }
 
             // --- xBGAS raw integer load/store (explicit e-register) ---
@@ -600,12 +622,8 @@ impl Machine {
                 rs1,
                 ext2,
             } => {
-                let object_id = self.harts[pe].read_e(ext2);
-                let addr = self.harts[pe].read_x(rs1);
-                let (tpe, taddr, c) = self.resolve_remote(pe, object_id, addr, width.bytes())?;
+                let (v, c) = self.remote_load(pe, ext2, rs1, 0, width)?;
                 cost += c;
-                let v =
-                    Self::load_value(&self.mems[tpe], width, taddr).map_err(SimFault::Memory)?;
                 self.harts[pe].write_x(rd, v);
             }
             Inst::ERStore {
@@ -614,32 +632,16 @@ impl Machine {
                 rs2,
                 ext3,
             } => {
-                let object_id = self.harts[pe].read_e(ext3);
-                let addr = self.harts[pe].read_x(rs1);
-                let (tpe, taddr, c) = self.resolve_remote(pe, object_id, addr, width.bytes())?;
-                cost += c;
                 let v = self.harts[pe].read_x(rs2);
-                Self::store_value(&mut self.mems[tpe], width, taddr, v)
-                    .map_err(SimFault::Memory)?;
-                self.note_store(tpe, taddr, width.bytes());
+                cost += self.remote_store(pe, ext3, rs1, 0, width, v)?;
             }
             Inst::ERse { ext1, rs1, ext2 } => {
-                let object_id = self.harts[pe].read_e(ext2);
-                let addr = self.harts[pe].read_x(rs1);
-                let (tpe, taddr, c) = self.resolve_remote(pe, object_id, addr, 8)?;
-                cost += c;
                 let v = self.harts[pe].read_e(ext1);
-                Self::store_value(&mut self.mems[tpe], StoreWidth::D, taddr, v)
-                    .map_err(SimFault::Memory)?;
-                self.note_store(tpe, taddr, 8);
+                cost += self.remote_store(pe, ext2, rs1, 0, StoreWidth::D, v)?;
             }
             Inst::ERle { ext1, rs1, ext2 } => {
-                let object_id = self.harts[pe].read_e(ext2);
-                let addr = self.harts[pe].read_x(rs1);
-                let (tpe, taddr, c) = self.resolve_remote(pe, object_id, addr, 8)?;
+                let (v, c) = self.remote_load(pe, ext2, rs1, 0, LoadWidth::D)?;
                 cost += c;
-                let v = Self::load_value(&self.mems[tpe], LoadWidth::D, taddr)
-                    .map_err(SimFault::Memory)?;
                 self.harts[pe].write_e(ext1, v);
             }
 

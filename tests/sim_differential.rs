@@ -9,6 +9,13 @@
 //! block engine replace the stepper for benchmarking without changing any
 //! simulated result.
 
+// The `..ProptestConfig::default()` spread is upstream proptest's
+// canonical config idiom; the local shim happens to have no other
+// fields, which trips needless_update.
+#![allow(clippy::needless_update)]
+
+use proptest::prelude::*;
+use xbgas_isa::{encode, AluImmOp, AluOp, BranchCond, Inst, LoadWidth, StoreWidth, XReg};
 use xbgas_sim::asm::assemble;
 use xbgas_sim::cost::{CostConfig, ExecMode, MachineConfig};
 use xbgas_sim::hart::SimFault;
@@ -508,4 +515,339 @@ fn barrier_after_peer_halt() {
         m.hart_mut(1).pc = 0x1000;
     });
     assert_eq!(exit, RunExit::AllHalted);
+}
+
+/// A bare load / op / store triad under a bump / decrement / branch tail:
+/// `LoadOpStore` and `Addi2Branch` next to each other. GUPS and IS ranking
+/// swallow their triads into `IdxRmw`, so neither reaches the bare one.
+const STREAM_RMW: &str = r#"
+    li   s2, 0x8000
+    li   s0, 3
+loop:
+    ld   t3, 0(s2)
+    addi t3, t3, 1
+    sd   t3, 0(s2)
+    addi s2, s2, 8
+    addi s0, s0, -1
+    bnez s0, loop
+    li   a7, 0
+    ecall
+"#;
+
+/// Run `src` once per cycle budget in `budgets`. With one hart the budget
+/// *is* the scheduling horizon, so consecutive budgets land the block
+/// engine's yield after every guest instruction in turn — between every
+/// pair of components of every fused op the kernel translates to — and
+/// each stop must match the interpreter's bit for bit.
+fn sweep_budgets(
+    what: &str,
+    base: MachineConfig,
+    words: &[u32],
+    budgets: std::ops::RangeInclusive<u64>,
+) {
+    for max_cycles in budgets {
+        let cfg = MachineConfig { max_cycles, ..base };
+        differential(&format!("{what}/max_cycles={max_cycles}"), cfg, |m| {
+            m.load_program(0x1000, words)
+        });
+    }
+}
+
+/// Three iterations of every loop of GUPS, IS (key generation and ranking)
+/// and the bare triad, cut off at every cycle from 1 to past the exit
+/// syscall: a horizon exit between every pair of components of `Li`,
+/// `XorShift3`, `IdxRmw` (register and immediate forms), `LoadOpStore`,
+/// `StoreInc`, `AddiBranch` and `Addi2Branch`, under both cost models.
+#[test]
+fn every_cycle_budget_stops_identically() {
+    let gups = GUPS.replace("li   s0, 2000", "li   s0, 3");
+    let is_rank = IS_RANK.replace("li   s0, 1024", "li   s0, 3");
+    assert!(gups != GUPS && is_rank != IS_RANK, "iteration counts moved");
+    for (kernel, src) in [
+        ("gups", gups.as_str()),
+        ("is", is_rank.as_str()),
+        ("triad", STREAM_RMW),
+    ] {
+        let words = assemble(0x1000, src).unwrap().words;
+        for (model, base) in [
+            ("functional", MachineConfig::test(1)),
+            ("paper", paper_cost(1)),
+        ] {
+            let mut whole = Machine::new(base);
+            whole.load_program(0x1000, &words);
+            let total = whole.run();
+            assert_eq!(total.exit, RunExit::AllHalted);
+            let budgets = 1..=total.makespan() + 1;
+            sweep_budgets(&format!("{kernel}/{model}"), base, &words, budgets);
+        }
+    }
+}
+
+/// The same sweep over the full-length kernels: 1..=400 cycles functional
+/// (14 GUPS iterations), 1..=6000 paper — 12 800 cut-offs. Too slow for a
+/// debug build; CI's release step runs it with `-- --ignored`.
+#[test]
+#[ignore = "12 800 machine pairs; run in release with -- --ignored"]
+fn every_cycle_budget_stops_identically_full_range() {
+    for (kernel, src) in [("gups", GUPS), ("is", IS_RANK)] {
+        let words = assemble(0x1000, src).unwrap().words;
+        let functional = MachineConfig::test(1);
+        sweep_budgets(&format!("{kernel}/functional"), functional, &words, 1..=400);
+        sweep_budgets(&format!("{kernel}/paper"), paper_cost(1), &words, 1..=6000);
+    }
+}
+
+const T0: u8 = 5;
+const T1: u8 = 6;
+const T2: u8 = 7;
+const S0: u8 = 8;
+const S1: u8 = 9;
+const S2: u8 = 18;
+const S3: u8 = 19;
+/// Operand pool of the aliasing property below: `zero`, the scratch
+/// registers, the loop counter `s0` with its neighbour `s1`, and the two
+/// address bases `s2` / `s3`.
+const POOL: [u8; 8] = [0, T0, T1, T2, S0, S1, S2, S3];
+
+/// The random draws behind one idiom instance.
+struct Operands {
+    picks: [usize; 8],
+    bits: u64,
+    drawn: usize,
+}
+
+impl Operands {
+    /// The idiom's canonical register three draws in four — so most
+    /// instances still fuse — and any pool register otherwise, which is
+    /// where `rd == base`, `x0` destinations and clobbered feeds come from.
+    fn reg(&mut self, role: u8) -> XReg {
+        let wild = (self.bits >> (2 * self.drawn)) & 3 == 3;
+        let any = POOL[(self.picks[self.drawn % 8] + self.drawn / 8) % POOL.len()];
+        self.drawn += 1;
+        XReg::new(if wild { any } else { role })
+    }
+
+    fn flag(&mut self) -> bool {
+        let bit = (self.bits >> (2 * self.drawn)) & 1 == 1;
+        self.drawn += 1;
+        bit
+    }
+
+    /// A backward (or self) branch offset of up to 15 instructions from
+    /// instruction index `at`, one time in eight misaligned by two bytes.
+    fn back_edge(&self, at: usize) -> i32 {
+        let back = ((self.bits >> 56) & 15) as usize;
+        let misalign = if (self.bits >> 60) & 7 == 7 { 2 } else { 0 };
+        -4 * back.min(at) as i32 + misalign
+    }
+}
+
+/// Append one instance of fusible template `kind` to `prog`.
+fn push_idiom(prog: &mut Vec<Inst>, kind: u8, mut o: Operands) {
+    let rmw_op = |o: &mut Operands| {
+        if o.flag() {
+            Inst::Op {
+                op: AluOp::Xor,
+                rd: o.reg(T2),
+                rs1: o.reg(T2),
+                rs2: o.reg(S1),
+            }
+        } else {
+            Inst::OpImm {
+                op: AluImmOp::Addi,
+                rd: o.reg(T2),
+                rs1: o.reg(T2),
+                imm: 1,
+            }
+        }
+    };
+    let branch = |o: &mut Operands, at: usize| Inst::Branch {
+        cond: if o.flag() {
+            BranchCond::Ne
+        } else {
+            BranchCond::Lt
+        },
+        rs1: o.reg(S0),
+        rs2: o.reg(0),
+        offset: o.back_edge(at),
+    };
+    match kind {
+        // One or three shift + xor pairs over the state register.
+        0 => {
+            let pairs = if o.flag() { 3 } else { 1 };
+            for shamt in [13, 7, 17].into_iter().take(pairs) {
+                prog.push(Inst::OpImm {
+                    op: if o.flag() {
+                        AluImmOp::Slli
+                    } else {
+                        AluImmOp::Srli
+                    },
+                    rd: o.reg(T0),
+                    rs1: o.reg(S1),
+                    imm: shamt,
+                });
+                prog.push(Inst::Op {
+                    op: AluOp::Xor,
+                    rd: o.reg(S1),
+                    rs1: o.reg(S1),
+                    rs2: o.reg(T0),
+                });
+            }
+        }
+        // Load / op / store, the store sometimes through the second base
+        // or a different slot.
+        1 => {
+            let imm = if o.flag() { 8 } else { 0 };
+            prog.push(Inst::Load {
+                width: if o.flag() { LoadWidth::D } else { LoadWidth::W },
+                rd: o.reg(T2),
+                rs1: o.reg(S2),
+                imm,
+            });
+            prog.push(rmw_op(&mut o));
+            let store_base = if o.flag() && o.flag() { S3 } else { S2 };
+            prog.push(Inst::Store {
+                width: StoreWidth::D,
+                rs1: o.reg(store_base),
+                rs2: o.reg(T2),
+                imm: if o.flag() && o.flag() { 8 - imm } else { imm },
+            });
+        }
+        // Index / scale / base add, then the triad on the computed address.
+        2 => {
+            prog.push(if o.flag() {
+                Inst::Op {
+                    op: AluOp::And,
+                    rd: o.reg(T1),
+                    rs1: o.reg(S1),
+                    rs2: o.reg(T0),
+                }
+            } else {
+                Inst::OpImm {
+                    op: AluImmOp::Andi,
+                    rd: o.reg(T1),
+                    rs1: o.reg(S1),
+                    imm: 255,
+                }
+            });
+            prog.push(Inst::OpImm {
+                op: AluImmOp::Slli,
+                rd: o.reg(T1),
+                rs1: o.reg(T1),
+                imm: 3,
+            });
+            prog.push(Inst::Op {
+                op: AluOp::Add,
+                rd: o.reg(T1),
+                rs1: o.reg(S2),
+                rs2: o.reg(T1),
+            });
+            prog.push(Inst::Load {
+                width: LoadWidth::D,
+                rd: o.reg(T2),
+                rs1: o.reg(T1),
+                imm: 0,
+            });
+            prog.push(rmw_op(&mut o));
+            prog.push(Inst::Store {
+                width: StoreWidth::D,
+                rs1: o.reg(T1),
+                rs2: o.reg(T2),
+                imm: 0,
+            });
+        }
+        // Streaming store + pointer bump.
+        3 => {
+            prog.push(Inst::Store {
+                width: StoreWidth::W,
+                rs1: o.reg(S3),
+                rs2: o.reg(S1),
+                imm: 0,
+            });
+            prog.push(Inst::OpImm {
+                op: AluImmOp::Addi,
+                rd: o.reg(S3),
+                rs1: o.reg(S3),
+                imm: 4,
+            });
+        }
+        // Pointer bump + counter decrement + back-edge, or the two-
+        // instruction back-edge alone.
+        4 | 5 => {
+            if kind == 4 {
+                prog.push(Inst::OpImm {
+                    op: AluImmOp::Addi,
+                    rd: o.reg(S3),
+                    rs1: o.reg(S3),
+                    imm: 4,
+                });
+            }
+            prog.push(Inst::OpImm {
+                op: AluImmOp::Addi,
+                rd: o.reg(S0),
+                rs1: o.reg(S0),
+                imm: -1,
+            });
+            let at = prog.len();
+            prog.push(branch(&mut o, at));
+        }
+        // Constant materialisation; 0x1000 + lo points into the program.
+        _ => {
+            prog.push(Inst::Lui {
+                rd: o.reg(T0),
+                imm20: if o.flag() { 1 } else { 8 },
+            });
+            prog.push(Inst::OpImm {
+                op: AluImmOp::Addi,
+                rd: o.reg(T0),
+                rs1: o.reg(T0),
+                imm: 4 * (o.bits >> 58) as i32,
+            });
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+    /// Programs assembled from the fusible idioms with their operands
+    /// drawn adversarially (see [`Operands::reg`]): whatever the translator
+    /// decides to fuse, forward or refuse, and wherever a wild store lands
+    /// — data, its own code, past the end of memory — both engines agree.
+    /// Harts start with different counter values, so on two and three
+    /// harts the scheduling horizon also cuts the fused ops mid-span.
+    #[test]
+    fn fused_idioms_survive_aliased_operands(
+        idioms in prop::collection::vec(
+            (0u8..7, prop::array::uniform8(0usize..POOL.len()), any::<u64>()),
+            1..8,
+        ),
+    ) {
+        let mut prog = Vec::new();
+        for (kind, picks, bits) in idioms {
+            push_idiom(&mut prog, kind, Operands { picks, bits, drawn: 0 });
+        }
+        prog.push(Inst::OpImm { op: AluImmOp::Addi, rd: XReg::new(17), rs1: XReg::ZERO, imm: 0 });
+        prog.push(Inst::Ecall);
+        let words: Vec<u32> = prog.iter().map(|i| encode(i).unwrap()).collect();
+        let listing: Vec<String> = words.iter().map(|&w| xbgas_isa::disasm_word(w)).collect();
+        for (model, cost) in [("functional", CostConfig::functional()), ("paper", CostConfig::paper())] {
+            for n_harts in 1..=3 {
+                let cfg = MachineConfig { cost, max_cycles: 4_000, ..MachineConfig::test(n_harts) };
+                differential(&format!("{model}/{n_harts} harts/{listing:?}"), cfg, |m| {
+                    m.load_program(0x1000, &words);
+                    for pe in 0..n_harts {
+                        let x = &mut m.hart_mut(pe).x;
+                        x[T0 as usize] = 0x1004; // inside the program
+                        x[T1 as usize] = 0xFFF8; // last doubleword of memory
+                        x[T2 as usize] = 0x3FF;
+                        x[S0 as usize] = 3 + pe as u64;
+                        x[S1 as usize] = 0x2545_F491_4F6C_DD1D; // far out of range as a base
+                        x[S2 as usize] = 0x8000;
+                        x[S3 as usize] = 0x9000;
+                    }
+                });
+            }
+        }
+    }
 }
