@@ -1,9 +1,40 @@
-//! Set-associative cache model with LRU replacement.
+//! Set-associative cache model with LRU replacement, and the per-PE
+//! memory model built from it.
 //!
 //! The paper's simulation environment configures each core with an 8-way
 //! set-associative 16 KB L1 and 8 MB L2 (§5.1). This model tracks tags only
 //! (data lives in [`crate::mem::Memory`]); it exists to produce hit/miss
 //! statistics and latency, which drive the timing model.
+//!
+//! # Structure
+//!
+//! A [`Cache`] is two parallel arrays, set-major: `tags` (a line's tag
+//! plus one, so 0 marks an invalid way) and `lru` (the tick of the line's
+//! last touch). The search for a hit reads only `tags` — the eight ways of
+//! a paper-geometry set are 64 contiguous bytes — and a line of model
+//! state costs 16 bytes. Replacement is true LRU: ticks are unique and
+//! increasing, a miss fills the way with the smallest one, and an invalid
+//! way's tick is 0, below every valid one, so the first invalid way is
+//! taken before any valid line is evicted.
+//!
+//! # The most-recent-line memo
+//!
+//! The cache remembers the line address of its last access. A repeat of
+//! that line — the store of a load / op / store triad, the interior words
+//! of a streamed line — is a hit by construction (nothing ran in between
+//! that could have evicted it) and already carries the largest tick
+//! anywhere in the cache, so restamping it would not change the relative
+//! order within any set. The memo therefore skips the tag scan *and* the
+//! tick, and only counts the hit. It may skip nothing else: any other
+//! address takes the full path, and [`Cache::flush`] drops the memo with
+//! the lines.
+//!
+//! [`MemModel`] is the one walk every local access takes — TLB, then L1,
+//! L2 and DRAM — shared by the simulator ([`crate::machine::Machine`]) and
+//! the runtime's per-PE clock.
+
+use crate::cost::CostConfig;
+use crate::tlb::{Tlb, TlbStats};
 
 /// Geometry of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,21 +102,20 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    /// Monotonic timestamp of last touch, for LRU.
-    lru: u64,
-}
-
 /// A single tag-only set-associative cache with true-LRU replacement.
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// Per way, set-major: the resident line's tag plus one; 0 = invalid.
+    tags: Vec<u64>,
+    /// Per way, set-major: tick of the line's last touch; 0 = invalid.
+    lru: Vec<u64>,
     set_mask: u64,
+    /// `log2(sets)`: the line-address bits below the tag.
+    set_shift: u32,
     line_shift: u32,
     tick: u64,
+    /// Line address of the most recent access (see the module docs).
+    last_line: Option<u64>,
     stats: CacheStats,
 }
 
@@ -93,29 +123,35 @@ impl Cache {
     /// Build an empty (all-invalid) cache.
     ///
     /// # Panics
-    /// Panics if the geometry is inconsistent (non-power-of-two sets or
-    /// line size, or zero ways).
+    /// Panics if the geometry is inconsistent (zero ways, capacity below
+    /// one set, non-power-of-two sets or line size).
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
         assert!(config.ways > 0, "cache must have at least one way");
+        let sets = config.sets();
+        assert!(
+            sets > 0,
+            "cache capacity must hold at least one set (ways x line size)"
+        );
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(
             config.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
+        // A stored tag is the real one plus one, so the real one must
+        // leave the top value free: it may not span all 64 address bits.
+        assert!(
+            sets * config.line_bytes > 1,
+            "a one-set cache of one-byte lines leaves no spare tag value"
+        );
         Cache {
             config,
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    lru: 0
-                };
-                sets * config.ways
-            ],
+            tags: vec![0; sets * config.ways],
+            lru: vec![0; sets * config.ways],
             set_mask: (sets - 1) as u64,
+            set_shift: sets.trailing_zeros(),
             line_shift: config.line_bytes.trailing_zeros(),
             tick: 0,
+            last_line: None,
             stats: CacheStats::default(),
         }
     }
@@ -139,52 +175,40 @@ impl Cache {
     ///
     /// On a miss the line is filled (allocate-on-miss for both reads and
     /// writes, as in a write-allocate cache), evicting the LRU way.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
         let line_addr = addr >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
-        let ways = self.config.ways;
-        let base = set * ways;
-
-        // Search for a hit.
-        for i in 0..ways {
-            let line = &mut self.lines[base + i];
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                self.stats.hits += 1;
-                return true;
-            }
+        if self.last_line == Some(line_addr) {
+            self.stats.hits += 1;
+            return true;
         }
-
-        // Miss: fill the invalid or least-recently-used way.
+        self.last_line = Some(line_addr);
+        self.tick += 1;
+        let base = (line_addr & self.set_mask) as usize * self.config.ways;
+        let set = base..base + self.config.ways;
+        let key = (line_addr >> self.set_shift) + 1;
+        if let Some(way) = self.tags[set.clone()].iter().position(|&t| t == key) {
+            self.lru[base + way] = self.tick;
+            self.stats.hits += 1;
+            return true;
+        }
+        // Miss: fill the first way with the smallest tick (`min_by_key`
+        // keeps the first of equal minima, i.e. the first invalid way).
         self.stats.misses += 1;
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for i in 0..ways {
-            let line = &self.lines[base + i];
-            if !line.valid {
-                victim = i;
-                break;
-            }
-            if line.lru < oldest {
-                oldest = line.lru;
-                victim = i;
-            }
-        }
-        self.lines[base + victim] = Line {
-            tag,
-            valid: true,
-            lru: self.tick,
-        };
+        let lru = &self.lru[set];
+        let way = (0..lru.len())
+            .min_by_key(|&way| lru[way])
+            .expect("a set has at least one way");
+        self.tags[base + way] = key;
+        self.lru[base + way] = self.tick;
         false
     }
 
     /// Invalidate every line (e.g. across a simulated context switch).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        self.tags.fill(0);
+        self.lru.fill(0);
+        self.last_line = None;
     }
 }
 
@@ -209,20 +233,16 @@ impl MemHierarchy {
     }
 
     /// Simulate a data access and return its latency in cycles.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> u64 {
-        if self.l1.access(addr) {
-            self.l1.config().hit_cycles
-        } else if self.l2.access(addr) {
-            self.l1.config().hit_cycles + self.l2.config().hit_cycles
-        } else {
-            self.l1.config().hit_cycles + self.l2.config().hit_cycles + self.mem_cycles
-        }
+        self.access_streaming(addr, self.l2.config().hit_cycles + self.mem_cycles)
     }
 
     /// Simulate a *streaming* access: the line is filled as usual, but an
-    /// L2 miss costs `stream_cycles` instead of the full DRAM latency —
-    /// the prefetcher has the line in flight. Used for the interior lines
-    /// of contiguous bulk transfers.
+    /// L2 miss costs `stream_cycles` instead of the L2 lookup plus the
+    /// full DRAM latency — the prefetcher has the line in flight. Used for
+    /// the interior lines of contiguous bulk transfers.
+    #[inline]
     pub fn access_streaming(&mut self, addr: u64, stream_cycles: u64) -> u64 {
         if self.l1.access(addr) {
             self.l1.config().hit_cycles
@@ -231,6 +251,77 @@ impl MemHierarchy {
         } else {
             self.l1.config().hit_cycles + stream_cycles
         }
+    }
+}
+
+/// One PE's local-access timing model: a TLB in front of the cache
+/// hierarchy. Every local access of the simulator and of the runtime's
+/// per-PE clock is one [`MemModel::access`] (or one line of a
+/// [`MemModel::access_range`]).
+pub struct MemModel {
+    /// The TLB.
+    pub tlb: Tlb,
+    /// L1, L2 and DRAM.
+    pub hier: MemHierarchy,
+    /// Cost of an L2 miss on an interior line of a contiguous range.
+    stream_miss_cycles: u64,
+}
+
+impl MemModel {
+    /// Build empty models with the geometries and latencies of `cost`.
+    pub fn new(cost: &CostConfig) -> Self {
+        MemModel {
+            tlb: Tlb::new(cost.tlb),
+            hier: MemHierarchy {
+                l1: Cache::new(cost.l1),
+                l2: Cache::new(cost.l2),
+                mem_cycles: cost.mem_cycles,
+            },
+            stream_miss_cycles: cost.stream_miss_cycles,
+        }
+    }
+
+    /// Latency in cycles of one data access at `addr`: the page walk, if
+    /// the TLB misses, plus the cache-hierarchy latency.
+    #[inline]
+    pub fn access(&mut self, addr: u64) -> u64 {
+        self.tlb.access(addr) + self.hier.access(addr)
+    }
+
+    /// Latency in cycles of touching the byte range `[addr, addr + len)`,
+    /// one access per L1 line: the first line pays the demand-miss
+    /// latency, the rest are charged as prefetched streaming misses. The
+    /// TLB is consulted once per page; the range's other lines on that
+    /// page are the hits [`Tlb::access_run`] counts without a lookup.
+    pub fn access_range(&mut self, addr: u64, len: usize) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let line_shift = self.hier.l1.line_shift;
+        let page_mask = self.tlb.config().page_bytes - 1;
+        let first = addr >> line_shift;
+        let last = (addr + len as u64 - 1) >> line_shift;
+        let mut total = 0;
+        for line in first..=last {
+            let a = line << line_shift;
+            // At the range's first line and at every line that opens a
+            // page: one lookup for the run of lines that start on it.
+            if line == first || a & page_mask == 0 {
+                let run_last = last.min((a | page_mask) >> line_shift);
+                total += self.tlb.access_run(a, run_last - line + 1);
+            }
+            total += if line == first {
+                self.hier.access(a)
+            } else {
+                self.hier.access_streaming(a, self.stream_miss_cycles)
+            };
+        }
+        total
+    }
+
+    /// Snapshot of the (L1, L2, TLB) counters.
+    pub fn stats(&self) -> (CacheStats, CacheStats, TlbStats) {
+        (self.hier.l1.stats(), self.hier.l2.stats(), self.tlb.stats())
     }
 }
 
@@ -336,6 +427,41 @@ mod tests {
         let s = CacheStats { hits: 3, misses: 1 };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one set")]
+    fn capacity_below_one_set_panics() {
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 64,
+            ways: 8,
+            line_bytes: 16,
+            hit_cycles: 1,
+        });
+    }
+
+    #[test]
+    fn range_walks_each_line_and_each_page_once() {
+        let cost = CostConfig::paper();
+        let mut m = MemModel::new(&cost);
+        // Two pages, 128 lines, from cold: one demand miss, 127 streamed
+        // lines, two page walks.
+        let demand = cost.l1.hit_cycles + cost.l2.hit_cycles + cost.mem_cycles;
+        let stream = cost.l1.hit_cycles + cost.stream_miss_cycles;
+        assert_eq!(
+            m.access_range(0x4000, 8192),
+            2 * cost.tlb.miss_cycles + demand + 127 * stream
+        );
+        let (l1, l2, tlb) = m.stats();
+        assert_eq!((l1.misses, l2.misses), (128, 128));
+        assert_eq!(
+            tlb,
+            TlbStats {
+                hits: 126,
+                misses: 2
+            }
+        );
+        assert_eq!(m.access_range(0x4000, 0), 0);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! that environment as a self-contained library:
 //!
 //! * [`mem::Memory`] — per-PE flat physical memory,
-//! * [`cache`] — set-associative L1/L2 models with LRU and statistics,
+//! * [`cache`] — set-associative L1/L2 models with LRU and statistics, and
+//!   [`cache::MemModel`], the TLB + L1 + L2 walk every local access takes,
 //! * [`tlb::Tlb`] — the 256-entry TLB model,
 //! * [`olb::Olb`] — the Object Look-Aside Buffer of paper §3.2,
 //! * [`noc`] — the interconnect timing model (latency, bandwidth, congestion),

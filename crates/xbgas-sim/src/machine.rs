@@ -13,13 +13,13 @@
 //! plus remote-DRAM latency.
 
 use crate::block::BlockCache;
-use crate::cache::MemHierarchy;
+use crate::cache::{CacheStats, MemModel};
 use crate::cost::{ExecMode, MachineConfig};
 use crate::hart::{branch_taken, eval_op, eval_op_imm, Hart, HartState, SimFault};
 use crate::mem::Memory;
 use crate::noc::{Noc, NocStats, SharedChannel};
 use crate::olb::{Olb, OlbTarget};
-use crate::tlb::Tlb;
+use crate::tlb::TlbStats;
 use xbgas_isa::{decode, EReg, Inst, LoadWidth, StoreWidth, XReg};
 
 /// Environment-call numbers recognised by the machine (placed in `a7`).
@@ -80,8 +80,8 @@ pub struct Machine {
     pub(crate) config: MachineConfig,
     pub(crate) harts: Vec<Hart>,
     pub(crate) mems: Vec<Memory>,
-    pub(crate) hiers: Vec<MemHierarchy>,
-    pub(crate) tlbs: Vec<Tlb>,
+    /// Per-PE TLB + cache-hierarchy timing models.
+    mem_models: Vec<MemModel>,
     pub(crate) olbs: Vec<Olb>,
     pub(crate) noc: Noc,
     pub(crate) channel: SharedChannel,
@@ -99,8 +99,8 @@ pub struct Machine {
     /// True when the memory model can never charge a cycle (the
     /// `functional()` cost preset): TLB walks, cache hits and DRAM are all
     /// zero-latency, so [`Machine::local_access_cost`] may skip the model
-    /// state updates entirely. The machine exposes no per-level TLB/cache
-    /// statistics, so the skip is unobservable.
+    /// state updates entirely; the [`Machine::mem_stats`] counters then
+    /// read zero.
     pub(crate) mem_model_free: bool,
 }
 
@@ -119,14 +119,7 @@ impl Machine {
             config,
             harts: (0..n).map(|_| Hart::new(0x1000)).collect(),
             mems: (0..n).map(|_| Memory::new(config.mem_bytes)).collect(),
-            hiers: (0..n)
-                .map(|_| MemHierarchy {
-                    l1: crate::cache::Cache::new(cost.l1),
-                    l2: crate::cache::Cache::new(cost.l2),
-                    mem_cycles: cost.mem_cycles,
-                })
-                .collect(),
-            tlbs: (0..n).map(|_| Tlb::new(cost.tlb)).collect(),
+            mem_models: (0..n).map(|_| MemModel::new(&cost)).collect(),
             olbs: (0..n)
                 .map(|_| Olb::identity_for_pes(n, cost.olb_lookup_cycles))
                 .collect(),
@@ -207,6 +200,14 @@ impl Machine {
         self.noc.stats()
     }
 
+    /// Snapshot of a PE's (L1, L2, TLB) model counters. All zero under a
+    /// cost preset that can never charge a local access
+    /// ([`CostConfig::functional`](crate::cost::CostConfig::functional)),
+    /// which skips the models.
+    pub fn mem_stats(&self, pe: usize) -> (CacheStats, CacheStats, TlbStats) {
+        self.mem_models[pe].stats()
+    }
+
     /// Load encoded instruction words at `addr` in one PE's memory.
     pub fn load_words(&mut self, pe: usize, addr: u64, words: &[u32]) {
         self.blocks[pe].clear();
@@ -231,7 +232,7 @@ impl Machine {
         if self.mem_model_free {
             return 0;
         }
-        self.tlbs[pe].access(addr) + self.hiers[pe].access(addr)
+        self.mem_models[pe].access(addr)
     }
 
     /// Record that `bytes` bytes were stored at `addr` in PE `pe`'s memory.

@@ -11,9 +11,9 @@
 
 use std::cell::{Cell, RefCell};
 use std::time::{Duration, Instant};
-use xbgas_sim::cache::{Cache, CacheStats, MemHierarchy};
+use xbgas_sim::cache::{CacheStats, MemModel};
 use xbgas_sim::cost::CostConfig;
-use xbgas_sim::tlb::{Tlb, TlbStats};
+use xbgas_sim::tlb::TlbStats;
 
 /// The splitmix64 generator — the single PRNG behind every deterministic
 /// stream in the runtime (the fault plane's per-PE rolls, the conformance
@@ -119,10 +119,7 @@ impl TimingConfig {
 pub struct PeClock {
     enabled: bool,
     cycles: Cell<u64>,
-    tlb: RefCell<Tlb>,
-    hier: RefCell<MemHierarchy>,
-    line_bytes: u64,
-    stream_miss_cycles: u64,
+    mem: RefCell<MemModel>,
 }
 
 impl PeClock {
@@ -131,14 +128,7 @@ impl PeClock {
         PeClock {
             enabled: cfg.enabled,
             cycles: Cell::new(0),
-            tlb: RefCell::new(Tlb::new(cfg.cost.tlb)),
-            hier: RefCell::new(MemHierarchy {
-                l1: Cache::new(cfg.cost.l1),
-                l2: Cache::new(cfg.cost.l2),
-                mem_cycles: cfg.cost.mem_cycles,
-            }),
-            line_bytes: cfg.cost.l1.line_bytes as u64,
-            stream_miss_cycles: cfg.cost.stream_miss_cycles,
+            mem: RefCell::new(MemModel::new(&cfg.cost)),
         }
     }
 
@@ -169,38 +159,22 @@ impl PeClock {
     }
 
     /// Charge a local memory access to the byte range `[addr, addr+len)`,
-    /// walking the TLB and cache models once per touched cache line. The
-    /// first line pays full demand-miss latency; subsequent lines of the
-    /// contiguous range are charged as prefetched streaming misses.
+    /// walking the cache model once per touched cache line and the TLB
+    /// once per touched page ([`MemModel::access_range`]). The first line
+    /// pays full demand-miss latency; subsequent lines of the contiguous
+    /// range are charged as prefetched streaming misses.
     pub fn charge_local_range(&self, addr: u64, len: usize) {
-        if !self.enabled || len == 0 {
-            return;
+        if self.enabled {
+            self.charge(self.mem.borrow_mut().access_range(addr, len));
         }
-        let mut total = 0u64;
-        let first = addr / self.line_bytes;
-        let last = (addr + len as u64 - 1) / self.line_bytes;
-        let mut tlb = self.tlb.borrow_mut();
-        let mut hier = self.hier.borrow_mut();
-        for line in first..=last {
-            let a = line * self.line_bytes;
-            total += tlb.access(a);
-            total += if line == first {
-                hier.access(a)
-            } else {
-                hier.access_streaming(a, self.stream_miss_cycles)
-            };
-        }
-        self.cycles.set(self.cycles.get() + total);
     }
 
     /// Charge a single access at `addr` (for apps' word-granular kernels).
     #[inline]
     pub fn charge_local_access(&self, addr: u64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.charge(self.mem.borrow_mut().access(addr));
         }
-        let c = self.tlb.borrow_mut().access(addr) + self.hier.borrow_mut().access(addr);
-        self.cycles.set(self.cycles.get() + c);
     }
 
     /// Convert the current cycle count to seconds at `hz`.
@@ -210,8 +184,7 @@ impl PeClock {
 
     /// Snapshot of the (L1, L2, TLB) model statistics.
     pub fn mem_stats(&self) -> (CacheStats, CacheStats, TlbStats) {
-        let hier = self.hier.borrow();
-        (hier.l1.stats(), hier.l2.stats(), self.tlb.borrow().stats())
+        self.mem.borrow().stats()
     }
 }
 
