@@ -23,15 +23,14 @@
 //! (the winning arm per PE count and the payload from which it changes).
 //! Output is plain text on stdout; nothing is written to disk unless
 //! `--trace <out.json>` asks for the telemetry run's Perfetto timeline.
-//! Pass `--backend {threads,coop}` to pick the execution engine.
 
 use xbgas_bench::{
-    ablation_gups_amo, ablation_sync_modes, ablation_topology, ablation_unroll, backend_arg,
-    collective_run, export_trace, sweep_all_gather, sweep_allreduce, sweep_broadcast, sweep_gather,
-    sweep_reduce, sweep_scatter, trace_arg, GRID_PES as PES, GRID_SIZES as SIZES,
+    ablation_gups_amo, ablation_sync_modes, ablation_topology, ablation_unroll, collective_run,
+    export_trace, sweep_all_gather, sweep_allreduce, sweep_broadcast, sweep_gather, sweep_reduce,
+    sweep_scatter, trace_arg, GRID_PES as PES, GRID_SIZES as SIZES,
 };
 use xbrtime::collectives::{AllGatherVAlgo, AllReduceAlgo};
-use xbrtime::{AlgorithmPolicy, SyncMode};
+use xbrtime::{AlgorithmPolicy, EngineConfig, SyncMode};
 
 const TREE_LINEAR: [(&str, AlgorithmPolicy); 2] = [
     ("binomial", AlgorithmPolicy::Binomial),
@@ -104,7 +103,7 @@ fn grid<A: Copy>(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let engine = backend_arg(&args);
+    let engine = EngineConfig::default();
     let trace_path = trace_arg(&args);
     println!("# Ablation 1 — transfer loop unrolling (remote put of N u64)");
     println!(

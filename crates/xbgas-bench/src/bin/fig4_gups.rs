@@ -4,15 +4,15 @@
 //! from simulated cycles under the paper-calibrated cost model. Pass
 //! `--json` for machine-readable output, `--quick` for a quarter-scale run,
 //! `--trace <out.json>` to additionally run the 8-PE configuration with
-//! event tracing on and export a Perfetto timeline of it, and
-//! `--backend {threads,coop}` to pick the execution engine.
+//! event tracing on and export a Perfetto timeline of it.
 
-use xbgas_bench::{backend_arg, export_trace, render_rows, run_fig4, run_fig4_traced, trace_arg};
+use xbgas_bench::{export_trace, render_rows, run_fig4, run_fig4_traced, trace_arg};
+use xbrtime::EngineConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
-    let engine = backend_arg(&args);
+    let engine = EngineConfig::default();
     let scale = if args.iter().any(|a| a == "--quick") {
         2
     } else {

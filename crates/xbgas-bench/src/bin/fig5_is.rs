@@ -4,18 +4,16 @@
 //! verification enabled, as the paper does, and prints total and per-PE
 //! MOPS. Pass `--json` for machine-readable output, `--quick` to halve the
 //! iteration count, `--trace <out.json>` to additionally run the 8-PE
-//! configuration traced and export a Perfetto timeline, and
-//! `--backend {threads,coop}` to pick the execution engine.
+//! configuration traced and export a Perfetto timeline.
 
 use xbgas_apps::IsClass;
-use xbgas_bench::{
-    backend_arg, export_trace, flag_or_exit, render_rows, run_fig5, run_fig5_traced, trace_arg,
-};
+use xbgas_bench::{export_trace, flag_or_exit, render_rows, run_fig5, run_fig5_traced, trace_arg};
+use xbrtime::EngineConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
-    let engine = backend_arg(&args);
+    let engine = EngineConfig::default();
     let scale = if args.iter().any(|a| a == "--quick") {
         1
     } else {

@@ -13,30 +13,25 @@
 //!    culpable PE, collective and stage, within the configured timeout.
 //!
 //! Exits nonzero on the first violated property, so the CI chaos job
-//! fails loudly instead of timing out. Pass `--backend {threads,coop}`
-//! to run the whole sweep on either execution engine.
+//! fails loudly instead of timing out.
 
 use std::time::{Duration, Instant};
-use xbgas_bench::backend_arg;
 use xbrtime::collectives::{self, AllReduceAlgo};
 use xbrtime::{
-    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FabricStats, FaultConfig, ReduceOp,
-    RunError, SyncMode, WaitSite,
+    AlgorithmPolicy, Fabric, FabricConfig, FabricStats, FaultConfig, ReduceOp, RunError, SyncMode,
+    WaitSite,
 };
 
 const KINDS: [&str; 5] = ["broadcast", "reduce", "scatter", "gather", "reduce_all"];
 
 /// One collective on `n` PEs; returns per-PE buffers plus fabric stats.
 fn run_case(
-    engine: EngineConfig,
     kind: &'static str,
     sync: SyncMode,
     n: usize,
     faults: Option<FaultConfig>,
 ) -> (Vec<Vec<u64>>, FabricStats) {
-    let mut cfg = FabricConfig::new(n)
-        .with_watchdog(Duration::from_secs(30))
-        .with_engine(engine);
+    let mut cfg = FabricConfig::new(n).with_watchdog(Duration::from_secs(30));
     if let Some(f) = faults {
         cfg = cfg.with_faults(f);
     }
@@ -140,11 +135,8 @@ fn run_case(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let engine = backend_arg(&args);
     let started = Instant::now();
     let mut failures = 0usize;
-    println!("# backend: {}", engine.name());
 
     // -- Plane 1: delay chaos must be semantically invisible ------------
     println!("# delay chaos: faulted buffers vs fault-free golden run");
@@ -155,9 +147,8 @@ fn main() {
     for kind in KINDS {
         for sync in SyncMode::CONCRETE {
             for (n, seed) in [(5usize, 17u64), (6, 23), (7, 29)] {
-                let (golden, _) = run_case(engine, kind, sync, n, None);
-                let (faulted, stats) =
-                    run_case(engine, kind, sync, n, Some(FaultConfig::delays(seed)));
+                let (golden, _) = run_case(kind, sync, n, None);
+                let (faulted, stats) = run_case(kind, sync, n, Some(FaultConfig::delays(seed)));
                 let ok = golden == faulted;
                 if !ok {
                     failures += 1;
@@ -181,9 +172,9 @@ fn main() {
     println!("\n# lossy-but-recovering: drops with 1.5 ms redelivery");
     for sync in [SyncMode::Signaled, SyncMode::Pipelined] {
         for kind in ["broadcast", "reduce_all"] {
-            let (golden, _) = run_case(engine, kind, sync, 6, None);
+            let (golden, _) = run_case(kind, sync, 6, None);
             let faults = FaultConfig::drops_with_redelivery(41, 350, 1_500);
-            let (faulted, stats) = run_case(engine, kind, sync, 6, Some(faults));
+            let (faulted, stats) = run_case(kind, sync, 6, Some(faults));
             let converged = golden == faulted;
             let balanced = stats.signals_dropped == stats.signals_redelivered;
             if !converged || !balanced {
@@ -201,15 +192,14 @@ fn main() {
 
     // -- Plane 3: permanent loss must produce a structured report -------
     println!("\n# permanent loss: watchdog must name the culprit");
-    // The watchdog fires by panicking inside the PE threads; the report
+    // The watchdog fires by panicking inside the PEs; the report
     // below is the interesting output, not the per-thread backtraces.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     for sync in [SyncMode::Signaled, SyncMode::Pipelined] {
         let cfg = FabricConfig::new(6)
             .with_watchdog(Duration::from_millis(500))
-            .with_faults(FaultConfig::drops_forever(13, 1000))
-            .with_engine(engine);
+            .with_faults(FaultConfig::drops_forever(13, 1000));
         let t0 = Instant::now();
         let result = Fabric::try_run(cfg, move |pe| {
             let dest = pe.shared_malloc::<u64>(64);

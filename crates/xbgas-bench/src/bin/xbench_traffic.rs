@@ -5,30 +5,28 @@
 //! fairness ratio (max/min tenant efficiency), and plan-cache hit rates.
 //!
 //! ```text
-//! xbench_traffic [--backend {threads,coop}] [--pes N] [--tenants T]
-//!                [--ops K] [--seed S] [--chaos] [--smoke]
+//! xbench_traffic [--pes N] [--tenants T] [--ops K] [--seed S]
+//!                [--chaos] [--smoke]
 //! ```
 //!
 //! `--chaos` reruns the same workload under the seeded delay fault plane
 //! and reports both tables. `--smoke` is the CI gate: 8 tenants over 256
-//! cooperative PEs, asserting fairness ≤ 4, zero deadlocks, and that the
-//! chaos-delay p999 stays within a constant factor of the fault-free
-//! p999 — exits nonzero on any violation.
+//! PEs, asserting fairness ≤ 4, zero deadlocks, and that the chaos-delay
+//! p999 stays within a constant factor of the fault-free p999 — exits
+//! nonzero on any violation.
 
 use std::time::{Duration, Instant};
-use xbgas_bench::{backend_arg, usize_arg};
+use xbgas_bench::usize_arg;
 use xbrtime::traffic::{run_traffic, TrafficConfig, TrafficError, TrafficReport};
-use xbrtime::{EngineConfig, FabricConfig, FaultConfig, SyncMode};
+use xbrtime::{FabricConfig, FaultConfig, SyncMode};
 
 /// Fairness ceiling the smoke gate enforces (max/min tenant efficiency).
 const SMOKE_FAIRNESS_MAX: f64 = 4.0;
 /// Chaos p999 must stay within this factor of the fault-free p999.
 const SMOKE_CHAOS_P999_FACTOR: u64 = 16;
 
-fn fabric(n_pes: usize, engine: EngineConfig, chaos: Option<u64>) -> FabricConfig {
-    let mut cfg = FabricConfig::paper(n_pes)
-        .with_engine(engine)
-        .with_watchdog(Duration::from_secs(60));
+fn fabric(n_pes: usize, chaos: Option<u64>) -> FabricConfig {
+    let mut cfg = FabricConfig::paper(n_pes).with_watchdog(Duration::from_secs(60));
     if let Some(seed) = chaos {
         cfg = cfg.with_faults(FaultConfig::delays(seed));
     }
@@ -92,15 +90,8 @@ fn run_or_die(fab: FabricConfig, cfg: &TrafficConfig) -> TrafficReport {
     }
 }
 
-fn smoke(engine_flagged: bool, engine: EngineConfig, seed: u64) -> ! {
-    // The CI shape: 8 tenants multiplexed over 256 cooperative PEs —
-    // the coop engine is the point (256 threads would not be), so
-    // `--backend threads` is only honoured when explicitly passed.
-    let engine = if engine_flagged {
-        engine
-    } else {
-        EngineConfig::coop()
-    };
+fn smoke(seed: u64) -> ! {
+    // The CI shape: 8 tenants multiplexed over 256 PEs.
     let cfg = TrafficConfig {
         tenants: 8,
         ops_per_tenant: 12,
@@ -111,9 +102,9 @@ fn smoke(engine_flagged: bool, engine: EngineConfig, seed: u64) -> ! {
     };
     let started = Instant::now();
     let mut failures = 0usize;
-    println!("# traffic smoke: 8 tenants x 256 PEs on {}", engine.name());
+    println!("# traffic smoke: 8 tenants x 256 PEs");
 
-    let clean = run_or_die(fabric(256, engine, None), &cfg);
+    let clean = run_or_die(fabric(256, None), &cfg);
     print_report("fault-free", &clean);
     if clean.fairness > SMOKE_FAIRNESS_MAX {
         failures += 1;
@@ -123,7 +114,7 @@ fn smoke(engine_flagged: bool, engine: EngineConfig, seed: u64) -> ! {
         );
     }
 
-    let chaos = run_or_die(fabric(256, engine, Some(seed ^ 0xC0FFEE)), &cfg);
+    let chaos = run_or_die(fabric(256, Some(seed ^ 0xC0FFEE)), &cfg);
     print_report("chaos (seeded delays)", &chaos);
     let worst_clean = clean.tenants.iter().map(|t| t.p999).max().unwrap_or(0);
     let worst_chaos = chaos.tenants.iter().map(|t| t.p999).max().unwrap_or(0);
@@ -149,10 +140,9 @@ fn smoke(engine_flagged: bool, engine: EngineConfig, seed: u64) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let engine = backend_arg(&args);
     let seed = usize_arg(&args, "--seed", 0x7EA) as u64;
     if args.iter().any(|a| a == "--smoke") {
-        smoke(args.iter().any(|a| a == "--backend"), engine, seed);
+        smoke(seed);
     }
 
     let pes = usize_arg(&args, "--pes", 32);
@@ -163,16 +153,13 @@ fn main() {
         ..Default::default()
     };
     println!(
-        "# traffic: {} tenants x {} ops on {} PEs ({})",
-        cfg.tenants,
-        cfg.ops_per_tenant,
-        pes,
-        engine.name()
+        "# traffic: {} tenants x {} ops on {} PEs",
+        cfg.tenants, cfg.ops_per_tenant, pes
     );
-    let report = run_or_die(fabric(pes, engine, None), &cfg);
+    let report = run_or_die(fabric(pes, None), &cfg);
     print_report("fault-free", &report);
     if args.iter().any(|a| a == "--chaos") {
-        let chaos = run_or_die(fabric(pes, engine, Some(seed ^ 0xC0FFEE)), &cfg);
+        let chaos = run_or_die(fabric(pes, Some(seed ^ 0xC0FFEE)), &cfg);
         print_report("chaos (seeded delays)", &chaos);
     }
 }

@@ -7,6 +7,13 @@ use xbrtime::{
     AlgorithmPolicy, CollectiveKind, EngineConfig, Fabric, FabricConfig, SyncMode, TraceKind,
 };
 
+/// The two interleavings the 4-PE telemetry tests cross-check: every PE
+/// runnable, and one seeded worker.
+const ENGINES: [EngineConfig; 2] = [
+    EngineConfig::coop().with_workers(4),
+    EngineConfig::coop().with_workers(1),
+];
+
 /// Percent tolerance for cycle-accounting comparisons.
 fn within(a: u64, b: u64, pct: f64) -> bool {
     let (a, b) = (a as f64, b as f64);
@@ -25,7 +32,7 @@ fn within(a: u64, b: u64, pct: f64) -> bool {
 ///   dropping an edge (or double-counting a wait) would open a gap.
 #[test]
 fn fig4_traced_critical_path_matches_report() {
-    let report = run_fig4_traced(EngineConfig::threads(), 8, 2);
+    let report = run_fig4_traced(EngineConfig::coop().with_workers(8), 8, 2);
     let trace = report.trace.as_ref().expect("traced run");
     assert!(!trace.is_empty());
 
@@ -96,11 +103,11 @@ fn traced_broadcast_exports_flows() {
 }
 
 /// Satellite: `RunReport::collectives` is deterministically ordered by
-/// kind, and identical runs produce structurally identical telemetry.
+/// kind, and identical runs produce structurally identical telemetry
+/// however the engine interleaves the PEs.
 #[test]
 fn collective_telemetry_is_deterministic() {
-    let a = collective_run(EngineConfig::threads(), 4, 256, false).collectives;
-    let b = collective_run(EngineConfig::threads(), 4, 256, false).collectives;
+    let [a, b] = ENGINES.map(|engine| collective_run(engine, 4, 256, false).collectives);
 
     let kind_index = |k: CollectiveKind| {
         CollectiveKind::ALL
@@ -134,16 +141,18 @@ fn collective_telemetry_is_deterministic() {
 /// equality is the deterministic comparison).
 #[test]
 fn tracing_does_not_change_telemetry_structure() {
-    let plain = collective_run(EngineConfig::threads(), 4, 256, false).collectives;
-    let traced = collective_run(EngineConfig::threads(), 4, 256, true).collectives;
-    assert_eq!(plain.len(), traced.len());
-    for (p, t) in plain.iter().zip(&traced) {
-        assert_eq!(p.kind, t.kind);
-        assert_eq!(p.puts, t.puts);
-        assert_eq!(p.gets, t.gets);
-        assert_eq!(p.bytes_put, t.bytes_put);
-        assert_eq!(p.bytes_get, t.bytes_get);
-        assert_eq!(p.signals, t.signals);
-        assert_eq!(p.waits, t.waits);
+    for engine in ENGINES {
+        let plain = collective_run(engine, 4, 256, false).collectives;
+        let traced = collective_run(engine, 4, 256, true).collectives;
+        assert_eq!(plain.len(), traced.len());
+        for (p, t) in plain.iter().zip(&traced) {
+            assert_eq!(p.kind, t.kind);
+            assert_eq!(p.puts, t.puts);
+            assert_eq!(p.gets, t.gets);
+            assert_eq!(p.bytes_put, t.bytes_put);
+            assert_eq!(p.bytes_get, t.bytes_get);
+            assert_eq!(p.signals, t.signals);
+            assert_eq!(p.waits, t.waits);
+        }
     }
 }

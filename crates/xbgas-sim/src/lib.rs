@@ -20,8 +20,8 @@
 //!
 //! The instruction-level machine verifies ISA semantics and produces the
 //! micro-level timing parameters; the `xbrtime` crate implements the paper's
-//! runtime and collectives on a thread-per-PE fabric that reuses this
-//! crate's cost model for its simulated clock.
+//! runtime and collectives on a fabric of natively executing PEs that
+//! reuses this crate's cost model for its simulated clock.
 //!
 //! ## Example: a remote store between two PEs
 //!

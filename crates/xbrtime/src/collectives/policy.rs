@@ -9,9 +9,14 @@
 //! selection from `(collective, n_pes, message bytes)`, with crossover
 //! constants calibrated against the grid tables the `ablation` harness
 //! prints (`cargo run --release -p xbgas-bench --bin ablation`; table
-//! numbers below). The cycle figures quoted at each constant are the
-//! thread-engine measurements it was set from; multi-PE makespans wobble
-//! by a percent or so between runs, the winners on these cells do not.
+//! numbers below). The cycle figures quoted at each constant were read
+//! from `ablation` on the engine it ran before PR 25, the retired
+//! thread-per-PE backend (every PE runnable at once) — except the chain
+//! cap's rows, read once on the cooperative scheduler (see
+//! `AUTO_CHAIN_MAX_PES`). `ablation` now runs on
+//! `EngineConfig::default()`; multi-PE makespans wobble by a percent or
+//! so between runs on any worker count above one, the winners on these
+//! cells do not.
 //!
 //! The module is pure selection — enums, crossover constants and the
 //! `auto_select_*` functions. The entry points that take a policy

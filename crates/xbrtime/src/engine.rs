@@ -1,33 +1,30 @@
-//! Execution engines: how the fabric maps PEs onto OS resources.
+//! The execution engine: how the fabric maps PEs onto OS resources.
 //!
-//! The fabric has two backends, selected by [`FabricConfig::with_engine`]:
+//! Every PE is a (small-stack) OS thread, but at most `workers` of them
+//! are *runnable* at any instant: every blocking primitive in the fabric
+//! (barrier, `signal_wait`, executor drains, the fault plane's wall-clock
+//! stalls) parks the PE in the `CoopSched` scheduler instead of spinning,
+//! and the freed worker slot is granted to a ready PE picked by a seeded
+//! randomised-priority work-stealing policy. 4096-PE collectives run
+//! comfortably on a laptop-class host. [`EngineConfig::workers`] picks
+//! how the PEs interleave:
 //!
-//! * **Threads** ([`EngineKind::Threads`]) — the original model: one OS
-//!   thread per PE, every blocking primitive a spin/backoff loop. Faithful
-//!   to the paper's evaluation scale (≤ 8 PEs) and the cross-check oracle
-//!   for the cooperative backend, but past ~16 PEs the spin waits thrash
-//!   the host scheduler.
+//! * `0` (the default) — the host's available parallelism, capped at the
+//!   PE count.
+//! * `1` — one PE runs at a time and every grant is drawn from the seeded
+//!   RNG: a deterministic schedule for a fixed seed. The grant sequence is
+//!   exposed as [`RunReport::sched_log`] so tests can assert schedule
+//!   equality (see `tests/coop_determinism.rs`).
+//! * `≥ n_pes` — one slot per PE: every PE is runnable and the host
+//!   interleaves them, which is what a thread-per-PE backend measures
+//!   (that backend was deleted once this setting matched its Figure-4
+//!   shape and cycle spread — it spun where this parks; DESIGN.md §7).
 //!
-//! * **Coop** ([`EngineKind::Coop`]) — a cooperative backend that
-//!   multiplexes hundreds to thousands of lightweight PE contexts over a
-//!   small worker pool. Each PE is still a (small-stack) thread, but at
-//!   most `workers` of them are *runnable* at any instant: every blocking
-//!   primitive in the fabric (barrier, `signal_wait`, executor drains, the
-//!   fault plane's wall-clock stalls) parks the PE in the `CoopSched`
-//!   scheduler instead of spinning, and the freed worker slot is granted
-//!   to a ready PE picked by a seeded randomised-priority work-stealing
-//!   policy. 4096-PE collectives run comfortably on a laptop-class host.
-//!
-//! The scheduler is deterministic for a fixed seed when `workers == 1`:
-//! exactly one PE runs at a time, every grant is drawn from the seeded
-//! RNG, and the grant sequence is exposed as [`RunReport::sched_log`] so
-//! tests can assert schedule equality (see `tests/coop_determinism.rs`).
 //! The watchdog plane reads scheduler state directly — a parked PE is
 //! *waiting on the scheduler*, not burning a core — and structural
 //! deadlocks (every PE parked, nothing runnable, nothing sleeping) are
 //! detected immediately instead of after a wall-clock timeout.
 //!
-//! [`FabricConfig::with_engine`]: crate::FabricConfig::with_engine
 //! [`RunReport::sched_log`]: crate::RunReport::sched_log
 
 use crate::timing::SplitMix64;
@@ -35,59 +32,34 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// Which execution backend runs the PEs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineKind {
-    /// One OS thread per PE; blocking primitives spin with backoff.
-    Threads,
-    /// Cooperative scheduler: PEs multiplexed over a small worker pool;
-    /// blocking primitives park and yield the worker slot.
-    Coop,
-}
-
 /// Default seed for the cooperative scheduler's grant RNG.
 pub const DEFAULT_COOP_SEED: u64 = 0x5eed_c011_ec71_4e5a;
 
-/// Default stack size for cooperative PE threads. PE bodies are shallow
-/// (the executor is iterative, collectives allocate on the heap), so a
-/// small stack keeps 4096 PEs to a few hundred MiB of address space —
-/// and Linux commits stack pages lazily, so resident use is far smaller.
+/// Default stack size of a PE's thread. PE bodies are shallow (the executor
+/// is iterative, collectives allocate on the heap), so a small stack
+/// keeps 4096 PEs to a few hundred MiB of address space — and Linux
+/// commits stack pages lazily, so resident use is far smaller.
 pub const DEFAULT_COOP_STACK_BYTES: usize = 512 * 1024;
 
-/// Engine selection and tuning, carried by
-/// [`FabricConfig`](crate::FabricConfig).
+/// Engine tuning, carried by [`FabricConfig`](crate::FabricConfig).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Backend kind.
-    pub kind: EngineKind,
-    /// Worker-slot count for the cooperative backend (ignored by the
-    /// thread backend). `0` resolves to the host's available parallelism,
-    /// capped at `n_pes`. Use `1` for a fully deterministic schedule.
+    /// Worker-slot count: at most this many PEs run at once. `0` resolves
+    /// to the host's available parallelism; any value is capped at
+    /// `n_pes`. Use `1` for a fully deterministic schedule.
     pub workers: usize,
-    /// Seed for the cooperative scheduler's grant RNG. Two runs with the
-    /// same seed and `workers == 1` make identical scheduling decisions.
+    /// Seed for the scheduler's grant RNG. Two runs with the same seed
+    /// and `workers == 1` make identical scheduling decisions.
     pub seed: u64,
-    /// Stack size per cooperative PE thread; `0` keeps the OS default
-    /// (only meaningful for [`EngineKind::Coop`]).
+    /// Stack size per PE thread; `0` keeps the OS default.
     pub stack_bytes: usize,
 }
 
 impl EngineConfig {
-    /// The thread-per-PE backend (the default).
-    pub const fn threads() -> Self {
-        EngineConfig {
-            kind: EngineKind::Threads,
-            workers: 0,
-            seed: DEFAULT_COOP_SEED,
-            stack_bytes: 0,
-        }
-    }
-
-    /// The cooperative backend with auto-sized workers, the default seed
-    /// and small per-PE stacks.
+    /// Auto-sized workers, the default seed and small per-PE stacks (the
+    /// default).
     pub const fn coop() -> Self {
         EngineConfig {
-            kind: EngineKind::Coop,
             workers: 0,
             seed: DEFAULT_COOP_SEED,
             stack_bytes: DEFAULT_COOP_STACK_BYTES,
@@ -112,23 +84,6 @@ impl EngineConfig {
         self
     }
 
-    /// Stable lowercase backend name (CLI flags, harness output).
-    pub fn name(&self) -> &'static str {
-        match self.kind {
-            EngineKind::Threads => "threads",
-            EngineKind::Coop => "coop",
-        }
-    }
-
-    /// Parse a backend name as accepted by the benches' `--backend` flag.
-    pub fn parse(name: &str) -> Option<EngineConfig> {
-        match name {
-            "threads" => Some(EngineConfig::threads()),
-            "coop" => Some(EngineConfig::coop()),
-            _ => None,
-        }
-    }
-
     /// The worker-slot count this config resolves to for an `n_pes`-PE
     /// run: explicit value, else available parallelism, always in
     /// `1..=n_pes`.
@@ -145,7 +100,7 @@ impl EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig::threads()
+        EngineConfig::coop()
     }
 }
 
@@ -561,18 +516,6 @@ mod tests {
         assert_eq!(e.resolved_workers(4), 4);
         assert_eq!(e.resolved_workers(100), 8);
         assert!(EngineConfig::coop().resolved_workers(16) >= 1);
-    }
-
-    #[test]
-    fn parse_and_name_roundtrip() {
-        assert_eq!(EngineConfig::parse("coop").unwrap().kind, EngineKind::Coop);
-        assert_eq!(
-            EngineConfig::parse("threads").unwrap().kind,
-            EngineKind::Threads
-        );
-        assert!(EngineConfig::parse("fibers").is_none());
-        assert_eq!(EngineConfig::coop().name(), "coop");
-        assert_eq!(EngineConfig::threads().name(), "threads");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! (the collectives in this crate do so after every tree stage, as the
 //! paper prescribes). See [`crate::heap::HeapData`] for the full contract.
 
-use crate::engine::{CoopSched, EngineConfig, EngineKind, Park, PeSchedState};
+use crate::engine::{CoopSched, EngineConfig, Park, PeSchedState};
 use crate::heap::{FreeList, HeapData};
-use crate::timing::{Backoff, PeClock, TimingConfig};
+use crate::timing::{PeClock, TimingConfig};
 use crate::trace::{self, Trace, TraceConfig, TraceEvent, TraceKind, TracePlane};
 use crate::types::XbrType;
 use std::cell::{Cell, RefCell};
@@ -187,11 +187,11 @@ pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(60);
 /// hang.
 const DEADLOCK_RECENT_EVENTS: usize = 8;
 
-/// Cooperative waits take this many yield-only backoff steps before
-/// parking: with several workers a peer may be one store away, and the
-/// brief spin dodges a park/unpark round-trip. With one worker no peer
-/// can progress concurrently, so the window always falls through to the
-/// park — deterministically.
+/// Blocking waits spin this many steps before parking: with several
+/// workers a peer may be one store away, and the brief spin dodges a
+/// park/unpark round-trip. With one worker no peer can progress
+/// concurrently, so the window always falls through to the park —
+/// deterministically.
 const COOP_PARK_AFTER: u32 = 4;
 
 /// Configuration for a fabric run.
@@ -219,9 +219,8 @@ pub struct FabricConfig {
     /// one untaken branch per instrumented site — zero simulated-clock
     /// perturbation.
     pub trace: Option<TraceConfig>,
-    /// Execution engine: thread-per-PE (the default) or the cooperative
-    /// scheduler that multiplexes PEs over a small worker pool
-    /// ([`EngineConfig::coop`]).
+    /// Execution engine: how many PEs run at once, the scheduler's grant
+    /// seed and the per-PE stack size ([`EngineConfig`]).
     pub engine: EngineConfig,
 }
 
@@ -236,21 +235,15 @@ impl FabricConfig {
             faults: None,
             watchdog: Some(DEFAULT_WATCHDOG),
             trace: None,
-            engine: EngineConfig::threads(),
+            engine: EngineConfig::coop(),
         }
     }
 
     /// `n` PEs with the paper's timing calibration enabled.
     pub const fn paper(n_pes: usize) -> Self {
         FabricConfig {
-            n_pes,
-            shared_bytes: 16 * 1024 * 1024,
             timing: TimingConfig::paper(),
-            topology: None,
-            faults: None,
-            watchdog: Some(DEFAULT_WATCHDOG),
-            trace: None,
-            engine: EngineConfig::threads(),
+            ..Self::new(n_pes)
         }
     }
 
@@ -634,10 +627,8 @@ pub struct PeProbe {
     /// (empty when the run was not traced) — what the PE was doing just
     /// before the hang.
     pub recent_events: Vec<TraceEvent>,
-    /// The cooperative scheduler's view of the PE (runnable vs parked vs
-    /// sleeping); `None` on the thread backend, where every PE owns an
-    /// OS thread and "blocked" is only visible through [`PeProbe::site`].
-    pub sched: Option<PeSchedState>,
+    /// The scheduler's view of the PE (runnable vs parked vs sleeping).
+    pub sched: PeSchedState,
 }
 
 /// Structured report produced when the progress watchdog fires: a
@@ -740,16 +731,12 @@ impl std::fmt::Display for DeadlockReport {
                     .collect();
                 format!(" pending[{}]", list.join(", "))
             };
-            let sched = match p.sched {
-                Some(s) => format!(" [sched {}]", s.name()),
-                None => String::new(),
-            };
             writeln!(
                 f,
-                "  PE {}: {}{} | collective {} stage {} | progress {} {}{}",
+                "  PE {}: {} [sched {}] | collective {} stage {} | progress {} {}{}",
                 p.rank,
                 site,
-                sched,
+                p.sched.name(),
                 coll,
                 stage,
                 p.progress_ops,
@@ -843,8 +830,8 @@ struct Shared {
     watchdog: Option<Duration>,
     /// Per-PE trace rings; `None` when tracing is off.
     trace: Option<TracePlane>,
-    /// The cooperative scheduler; `None` on the thread backend.
-    coop: Option<CoopSched>,
+    /// The scheduler that grants PEs their worker slots.
+    coop: CoopSched,
     /// Compiled-plan memo shared by every PE.
     plan_cache: crate::collectives::PlanCache,
 }
@@ -878,10 +865,7 @@ impl Shared {
             trace: cfg
                 .trace
                 .map(|t| TracePlane::new(cfg.n_pes, t.scaled_for(cfg.n_pes))),
-            coop: match cfg.engine.kind {
-                EngineKind::Coop => Some(CoopSched::new(cfg.n_pes, cfg.engine)),
-                EngineKind::Threads => None,
-            },
+            coop: CoopSched::new(cfg.n_pes, cfg.engine),
             plan_cache: crate::collectives::PlanCache::new(),
         }
     }
@@ -917,10 +901,8 @@ impl Shared {
                 .signals_redelivered
                 .fetch_add(1, Ordering::Relaxed);
             // A redelivered signal is an external wake source: the waiter
-            // may be parked in the cooperative scheduler.
-            if let Some(c) = &self.coop {
-                c.unpark(d.pe);
-            }
+            // may be parked in the scheduler.
+            self.coop.unpark(d.pe);
         }
     }
 
@@ -971,7 +953,7 @@ impl Shared {
                         .as_ref()
                         .map(|t| t.recent(rank, DEADLOCK_RECENT_EVENTS))
                         .unwrap_or_default(),
-                    sched: self.coop.as_ref().map(|c| c.state_of(rank)),
+                    sched: self.coop.state_of(rank),
                 }
             })
             .collect();
@@ -1411,19 +1393,14 @@ impl<'f> Pe<'f> {
         Some(Duration::from_micros(us))
     }
 
-    /// Wall-clock sleep for the fault plane. On the cooperative backend
-    /// the PE deschedules first — a sleeping PE must not hold a worker
-    /// slot hostage — and rejoins the ready set afterwards; the
-    /// scheduler counts it as *sleeping* (self-waking), never as parked.
+    /// Wall-clock sleep for the fault plane. The PE deschedules first — a
+    /// sleeping PE must not hold a worker slot hostage — and rejoins the
+    /// ready set afterwards; the scheduler counts it as *sleeping*
+    /// (self-waking), never as parked.
     fn fault_sleep(&self, d: Duration) {
-        match &self.shared.coop {
-            Some(c) => {
-                c.deschedule(self.rank);
-                std::thread::sleep(d);
-                c.reschedule(self.rank);
-            }
-            None => std::thread::sleep(d),
-        }
+        self.shared.coop.deschedule(self.rank);
+        std::thread::sleep(d);
+        self.shared.coop.reschedule(self.rank);
     }
 
     /// Fault hook at the head of every put/get (blocking or not).
@@ -1560,44 +1537,25 @@ impl<'f> Pe<'f> {
         self.shared.poisoned.store(true, Ordering::Release);
         // Parked peers cannot observe the poison flag until they run
         // again; hand every one of them a slot so they unwind promptly.
-        if let Some(c) = &self.shared.coop {
-            c.unpark_all(self.rank);
-        }
+        self.shared.coop.unpark_all(self.rank);
         panic!("{msg}");
     }
 
     /// One step of a blocked fabric wait (barrier, signal, executor
-    /// drain), after the caller has re-checked its condition.
-    ///
-    /// Thread backend: one [`Backoff`] ladder step, tripping the
-    /// watchdog on deadline expiry. Cooperative backend: a brief
-    /// yield-only backoff window (a peer on another worker may be one
-    /// store away), then park — the worker slot goes to a runnable PE
-    /// and this PE wakes when a peer unparks it. Parking may return
-    /// spuriously (consumed unpark token, poison wake); the caller's
-    /// loop re-checks its condition either way.
-    /// The backoff flavour for this backend's wait loops: cooperative
-    /// contexts must never kernel-sleep (see [`Backoff::cooperative`]).
-    fn wait_backoff(&self) -> Backoff {
-        if self.shared.coop.is_some() {
-            Backoff::cooperative()
-        } else {
-            Backoff::new()
-        }
-    }
-
-    fn wait_step(&self, backoff: &mut Backoff, site: WaitSite) {
-        let Some(coop) = self.shared.coop.as_ref() else {
-            if !backoff.wait(self.shared.watchdog) {
-                self.watchdog_trip(site, self.shared.watchdog.unwrap());
-            }
-            return;
-        };
-        if backoff.steps() < COOP_PARK_AFTER {
-            backoff.wait(None);
+    /// drain), after the caller has re-checked its condition. `spins`
+    /// counts the wait's steps so far: the first [`COOP_PARK_AFTER`] spin
+    /// (a peer on another worker may be one store away), every later one
+    /// parks — the worker slot goes to a runnable PE and this PE wakes
+    /// when a peer unparks it. Parking may return spuriously (consumed
+    /// unpark token, poison wake); the caller's loop re-checks its
+    /// condition either way.
+    fn wait_step(&self, spins: &mut u32, site: WaitSite) {
+        if *spins < COOP_PARK_AFTER {
+            *spins += 1;
+            std::hint::spin_loop();
             return;
         }
-        match coop.park(self.rank, self.shared.watchdog) {
+        match self.shared.coop.park(self.rank, self.shared.watchdog) {
             Park::Granted => {}
             Park::TimedOut => {
                 self.watchdog_trip(site, self.shared.watchdog.unwrap_or(DEFAULT_WATCHDOG))
@@ -1606,10 +1564,10 @@ impl<'f> Pe<'f> {
         }
     }
 
-    /// The cooperative scheduler refused to park this PE: every other PE
-    /// is parked or finished, nothing is runnable, nothing is sleeping.
-    /// Only a pending wall-clock signal redelivery can revive the run —
-    /// wait for the earliest one and pump it; with none pending this is
+    /// The scheduler refused to park this PE: every other PE is parked
+    /// or finished, nothing is runnable, nothing is sleeping. Only a
+    /// pending wall-clock signal redelivery can revive the run — wait
+    /// for the earliest one and pump it; with none pending this is
     /// a structural deadlock, reported immediately rather than after the
     /// full watchdog window.
     fn wedged_step(&self, site: WaitSite) {
@@ -1881,7 +1839,7 @@ impl<'f> Pe<'f> {
     /// of the per-PE ratios estimates offered load ρ, and the delay is the
     /// M/M/1-style `occupancy · ρ/(1−ρ)`, bounded by an `n_pes`-deep queue.
     /// Using per-PE ratios (instead of a shared busy-until timeline) makes
-    /// the estimate immune to wall-clock skew between PE threads, so
+    /// the estimate immune to wall-clock skew between PEs, so
     /// saturated makespans are stable run-to-run.
     fn fabric_cost(&self, target: usize, bytes: usize) -> u64 {
         if !self.clock.enabled() {
@@ -2132,6 +2090,17 @@ impl<'f> Pe<'f> {
         h
     }
 
+    /// Complete every transfer tracked on `stream`: advance the clock to
+    /// the latest completion, then clear the stream.
+    fn quiesce(&self, stream: &RefCell<Vec<NbHandle>>) {
+        let mut out = stream.borrow_mut();
+        if self.clock.enabled() {
+            let latest = out.iter().map(|h| h.completion_cycles).max().unwrap_or(0);
+            self.clock.set_cycles(self.clock.cycles().max(latest));
+        }
+        out.clear();
+    }
+
     /// Non-blocking put (`xbrtime_TYPENAME_put_nb`): the transfer is issued
     /// immediately; its latency is absorbed when [`Pe::wait`]ed on, modelling
     /// communication/computation overlap.
@@ -2182,12 +2151,7 @@ impl<'f> Pe<'f> {
 
     /// Complete all outstanding non-blocking transfers (`quiet`).
     pub fn quiet(&self) {
-        let mut out = self.outstanding.borrow_mut();
-        if self.clock.enabled() {
-            let latest = out.iter().map(|h| h.completion_cycles).max().unwrap_or(0);
-            self.clock.set_cycles(self.clock.cycles().max(latest));
-        }
-        out.clear();
+        self.quiesce(&self.outstanding);
     }
 
     // ------------------------------------------------------------------
@@ -2430,11 +2394,9 @@ impl<'f> Pe<'f> {
         // simulated time 0 must still read as present.
         self.amo_slot(sig, pe)
             .fetch_max(arrival.max(1), Ordering::AcqRel);
-        // The waiter may be parked in the cooperative scheduler; make it
-        // runnable (or latch its token — see `CoopSched::unpark`).
-        if let Some(c) = &self.shared.coop {
-            c.unpark(pe);
-        }
+        // The waiter may be parked in the scheduler; make it runnable
+        // (or latch its token — see `CoopSched::unpark`).
+        self.shared.coop.unpark(pe);
         self.trace_emit(t0, TraceKind::SignalPost, Some(pe), 8, sig.off as u64);
     }
 
@@ -2453,7 +2415,7 @@ impl<'f> Pe<'f> {
         let slot = self.amo_slot(sig, self.rank);
         let site = WaitSite::Signal { off: sig.off };
         let mut waited = false;
-        let mut backoff = self.wait_backoff();
+        let mut spins = 0;
         loop {
             let stamp = slot.swap(0, Ordering::AcqRel);
             if stamp != 0 {
@@ -2472,13 +2434,6 @@ impl<'f> Pe<'f> {
                 } else {
                     0
                 };
-                if backoff.sleeps() > 0 {
-                    // Zero-cycle marker: the spin fell through to wall
-                    // sleeping (`aux` = sleep steps), which never advances
-                    // simulated time — width would double-count the wait.
-                    let now_c = t0.map(|_| self.clock.cycles());
-                    self.trace_emit(now_c, TraceKind::BackoffSleep, None, 0, backoff.sleeps());
-                }
                 self.trace_emit(t0, TraceKind::SignalWait, None, 8, sig.off as u64);
                 return stalled;
             }
@@ -2493,7 +2448,7 @@ impl<'f> Pe<'f> {
                 self.progress_site(site);
             }
             self.shared.redeliver_due();
-            self.wait_step(&mut backoff, site);
+            self.wait_step(&mut spins, site);
         }
     }
 
@@ -2524,22 +2479,19 @@ impl<'f> Pe<'f> {
         self.quiet();
         b.max_cycles[slot].fetch_max(self.clock.cycles(), Ordering::AcqRel);
 
-        let mut sleeps = 0;
         if b.count.fetch_add(1, Ordering::AcqRel) + 1 == self.shared.n_pes {
             self.shared.stats.barriers.fetch_add(1, Ordering::Relaxed);
             b.count.store(0, Ordering::Release);
             b.max_cycles[(gen + 1) & 1].store(0, Ordering::Release);
             b.generation.store(gen.wrapping_add(1), Ordering::Release);
-            // Release wave: every waiter parked in the cooperative
-            // scheduler becomes runnable (PEs that checked the
-            // generation but have not parked yet get their token
-            // latched instead — no release is ever lost).
-            if let Some(c) = &self.shared.coop {
-                c.unpark_all(self.rank);
-            }
+            // Release wave: every waiter parked in the scheduler becomes
+            // runnable (PEs that checked the generation but have not
+            // parked yet get their token latched instead — no release is
+            // ever lost).
+            self.shared.coop.unpark_all(self.rank);
         } else {
             self.progress_site(WaitSite::Barrier);
-            let mut backoff = self.wait_backoff();
+            let mut spins = 0;
             while b.generation.load(Ordering::Acquire) == gen {
                 if self.shared.poisoned.load(Ordering::Relaxed) {
                     panic!(
@@ -2548,10 +2500,9 @@ impl<'f> Pe<'f> {
                     );
                 }
                 self.shared.redeliver_due();
-                self.wait_step(&mut backoff, WaitSite::Barrier);
+                self.wait_step(&mut spins, WaitSite::Barrier);
             }
             self.progress_site(WaitSite::Running);
-            sleeps = backoff.sleeps();
         }
         self.progress_tick();
 
@@ -2562,10 +2513,6 @@ impl<'f> Pe<'f> {
                 rounds * (self.timing.cost.noc.base_latency + 2 * self.timing.cost.alu_cycles);
             self.clock
                 .set_cycles(arrived.max(self.clock.cycles()) + cost);
-        }
-        if sleeps > 0 {
-            let now_c = t0.map(|_| self.clock.cycles());
-            self.trace_emit(now_c, TraceKind::BackoffSleep, None, 0, sleeps);
         }
         // `aux` = generation: the critical-path analyzer groups the PEs of
         // one barrier episode by it to model the release wave.
@@ -2638,12 +2585,7 @@ impl Context<'_, '_> {
 
     /// Complete every transfer issued on this context.
     pub fn quiet(&self) {
-        let mut out = self.outstanding.borrow_mut();
-        let latest = out.iter().map(|h| h.completion_cycles).max().unwrap_or(0);
-        if self.pe.clock.enabled() {
-            self.pe.clock.set_cycles(self.pe.clock.cycles().max(latest));
-        }
-        out.clear();
+        self.pe.quiesce(&self.outstanding);
     }
 
     /// Number of transfers still outstanding on this context.
@@ -2670,11 +2612,10 @@ pub struct RunReport<R> {
     /// The merged event log when the run was traced
     /// ([`FabricConfig::with_trace`]); `None` otherwise.
     pub trace: Option<Trace>,
-    /// The cooperative scheduler's grant sequence (PE ranks in the order
-    /// they were granted worker slots), capped at 1 Mi entries; empty on
-    /// the thread backend. With one worker and a fixed seed this is the
-    /// complete, deterministic schedule of the run — the golden-seed
-    /// determinism test pins it down.
+    /// The scheduler's grant sequence (PE ranks in the order they were
+    /// granted worker slots), capped at 1 Mi entries. With one worker and
+    /// a fixed seed this is the complete, deterministic schedule of the
+    /// run — the golden-seed determinism test pins it down.
     pub sched_log: Vec<u32>,
     /// Compiled-plan cache telemetry (hits, misses, resident plans and
     /// bytes). Always `Some`: every fabric has a plan cache.
@@ -2697,7 +2638,7 @@ impl<R> RunReport<R> {
     }
 }
 
-/// Entry point: runs `body` SPMD on `config.n_pes` threads.
+/// Entry point: runs `body` SPMD on `config.n_pes` PEs, one OS thread each.
 pub struct Fabric;
 
 struct PoisonGuard<'a>(&'a Shared);
@@ -2710,9 +2651,7 @@ impl Drop for PoisonGuard<'_> {
             // grant everyone a slot. Runs after the CoopFinishGuard has
             // already freed this PE's own slot (guard declaration order),
             // so at least one peer is granted immediately.
-            if let Some(c) = &self.0.coop {
-                c.unpark_all(usize::MAX);
-            }
+            self.0.coop.unpark_all(usize::MAX);
         }
     }
 }
@@ -2731,7 +2670,7 @@ impl Drop for CoopFinishGuard<'_> {
 }
 
 impl Fabric {
-    /// Launch `config.n_pes` PE threads, run `body` on each, and collect
+    /// Launch `config.n_pes` PEs, run `body` on each, and collect
     /// per-PE results, simulated cycles and fabric statistics.
     ///
     /// # Panics
@@ -2801,46 +2740,39 @@ impl Fabric {
                 let body = &body;
                 let run_pe = move || {
                     let _guard = PoisonGuard(shared);
-                    // Cooperative PEs hold their first slot before any
-                    // fabric work, and free it on return or unwind (the
-                    // finish guard drops before the poison guard).
-                    let _finish = shared.coop.as_ref().map(|c| {
-                        c.register(rank);
-                        CoopFinishGuard { sched: c, rank }
-                    });
+                    // A PE holds its first slot before any fabric work,
+                    // and frees it on return or unwind (the finish guard
+                    // drops before the poison guard).
+                    shared.coop.register(rank);
+                    let _finish = CoopFinishGuard {
+                        sched: &shared.coop,
+                        rank,
+                    };
                     let pe = Pe::new(rank, shared, config.timing, config.topology, config.faults);
                     let r = body(&pe);
                     pe.progress_site(WaitSite::Finished);
                     (r, pe.clock.cycles())
                 };
-                match &shared.coop {
-                    None => handles.push(s.spawn(run_pe)),
-                    Some(coop) => {
-                        // Thousands of cooperative PEs: small stacks keep
-                        // the address-space footprint modest, and a spawn
-                        // failure aborts the gated startup instead of
-                        // wedging already-spawned PEs.
-                        let mut builder = std::thread::Builder::new().name(format!("pe-{rank}"));
-                        if config.engine.stack_bytes > 0 {
-                            builder = builder.stack_size(config.engine.stack_bytes);
+                // Thousands of PEs: small stacks keep the address-space
+                // footprint modest, and a spawn failure aborts the gated
+                // startup instead of wedging already-spawned PEs.
+                let mut builder = std::thread::Builder::new().name(format!("pe-{rank}"));
+                if config.engine.stack_bytes > 0 {
+                    builder = builder.stack_size(config.engine.stack_bytes);
+                }
+                match builder.spawn_scoped(s, run_pe) {
+                    Ok(h) => handles.push(h),
+                    Err(e) => {
+                        shared.coop.abort();
+                        shared.poisoned.store(true, Ordering::Release);
+                        for h in handles {
+                            let _ = h.join();
                         }
-                        match builder.spawn_scoped(s, run_pe) {
-                            Ok(h) => handles.push(h),
-                            Err(e) => {
-                                coop.abort();
-                                shared.poisoned.store(true, Ordering::Release);
-                                for h in handles {
-                                    let _ = h.join();
-                                }
-                                return Err(vec![(
-                                    rank,
-                                    Box::new(format!(
-                                        "failed to spawn cooperative PE thread {rank}: {e}"
-                                    ))
-                                        as Box<dyn std::any::Any + Send>,
-                                )]);
-                            }
-                        }
+                        return Err(vec![(
+                            rank,
+                            Box::new(format!("failed to spawn PE thread {rank}: {e}"))
+                                as Box<dyn std::any::Any + Send>,
+                        )]);
                     }
                 }
             }
@@ -2894,11 +2826,7 @@ impl Fabric {
             // Merged after every PE thread has joined, so no ring is
             // concurrently written.
             trace: shared.trace.as_ref().map(|t| t.merge()),
-            sched_log: shared
-                .coop
-                .as_ref()
-                .map(|c| c.take_log())
-                .unwrap_or_default(),
+            sched_log: shared.coop.take_log(),
             plan_cache: Some(shared.plan_cache.stats()),
         })
     }

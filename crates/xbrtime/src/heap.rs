@@ -8,7 +8,7 @@
 //! processing element is kept fully symmetric with that of its peers."*
 //!
 //! [`HeapData`] is the raw storage for one PE's shared segment; it is
-//! accessed from other PEs' threads by one-sided transfers, exactly like the
+//! accessed from other PEs by one-sided transfers, exactly like the
 //! memory behind a PGAS NIC. [`FreeList`] is the allocator: every PE calls
 //! the allocation routines collectively and in the same order, so the
 //! per-PE allocators assign identical offsets — symmetry by construction

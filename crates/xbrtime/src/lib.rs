@@ -8,7 +8,8 @@
 //! tree with recursive halving/doubling and virtual-rank rotation
 //! (Algorithms 1–4).
 //!
-//! Processing elements are threads ([`Fabric::run`] launches one per PE);
+//! Each processing element runs on its own OS thread ([`Fabric::run`]
+//! launches one per PE and a scheduler decides how many run at once);
 //! remote accesses are raw one-sided copies, timed by the deterministic
 //! simulated clock from `xbgas-sim`'s cost model (the substitution for the
 //! paper's Spike environment — see DESIGN.md).
@@ -54,7 +55,7 @@ pub mod types;
 
 pub use collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
 pub use collectives::schedule::{CommSchedule, OpKind, Stage, TransferOp};
-pub use engine::{EngineConfig, EngineKind, PeSchedState};
+pub use engine::{EngineConfig, PeSchedState};
 pub use fabric::{
     ceil_log2, CollectiveKind, CollectiveRecord, CollectiveSample, Context, DeadlockReport, Fabric,
     FabricConfig, FabricStats, FaultConfig, NbHandle, Pe, PeProbe, RunError, RunReport, SymmAlloc,

@@ -1,7 +1,7 @@
 //! The simulated clock.
 //!
 //! The paper reports *simulated* performance (Spike + timing configuration,
-//! §5.1). Our thread-per-PE fabric executes at native speed but carries a
+//! §5.1). Our fabric executes the PE bodies at native speed but carries a
 //! deterministic per-PE cycle counter fed by the `xbgas-sim` cost model:
 //! local accesses run through per-PE TLB + L1/L2 cache models (keyed by
 //! host addresses, so real data layout drives hit rates), remote transfers
@@ -10,7 +10,6 @@
 //! operations/second with [`TimingConfig::core_hz`].
 
 use std::cell::{Cell, RefCell};
-use std::time::{Duration, Instant};
 use xbgas_sim::cache::{CacheStats, MemModel};
 use xbgas_sim::cost::CostConfig;
 use xbgas_sim::tlb::TlbStats;
@@ -115,7 +114,7 @@ impl TimingConfig {
 /// Per-PE simulated clock with private TLB and cache models.
 ///
 /// Single-threaded by construction (owned by one PE's thread); the fabric
-/// publishes cycle values across threads only at barriers.
+/// publishes cycle values across PEs only at barriers.
 pub struct PeClock {
     enabled: bool,
     cycles: Cell<u64>,
@@ -188,117 +187,6 @@ impl PeClock {
     }
 }
 
-/// Bounded exponential backoff for the fabric's spin loops, wall-clock
-/// only (never the simulated clock).
-///
-/// The ladder: busy-spin for the first few dozen iterations (the common
-/// case — a peer is at most one cache miss behind), then yield to the
-/// scheduler, then sleep with exponentially growing intervals capped at
-/// 1 ms so oversubscribed runs (more PEs than cores) stop burning cores.
-/// Each call to [`Backoff::wait`] takes one step and reports whether the
-/// caller's watchdog deadline has passed.
-pub(crate) struct Backoff {
-    spins: u32,
-    /// Number of sleeping steps taken (for trace/telemetry consumers).
-    sleeps: u64,
-    /// Watchdog deadline, computed lazily on the first sleeping step so
-    /// loops that never block pay nothing for the clock read.
-    deadline: Option<Instant>,
-    /// Cooperative mode: the exponential-sleep phase yields instead of
-    /// calling `thread::sleep`. A cooperative backend multiplexes many
-    /// PEs over few workers, and a worker stuck in a kernel sleep stalls
-    /// every PE mapped to it — so a cooperative context may spin and
-    /// yield, but must never block the worker in the kernel.
-    coop: bool,
-}
-
-const BACKOFF_SPIN_STEPS: u32 = 64;
-const BACKOFF_YIELD_STEPS: u32 = 192;
-const BACKOFF_SLEEP_MIN: Duration = Duration::from_micros(10);
-const BACKOFF_SLEEP_MAX: Duration = Duration::from_millis(1);
-
-/// Sleep duration for the `step`-th sleeping step of the exponential
-/// phase: `BACKOFF_SLEEP_MIN * 2^step`, capped at [`BACKOFF_SLEEP_MAX`].
-///
-/// The exponent is clamped *before* shifting: long watchdog budgets can
-/// push a wait loop to billions of steps, and an unclamped `1 << step`
-/// wraps (wrapping the sleep to 0 in release, panicking in debug). The
-/// clamp of 10 is already past the cap (10 µs · 2⁷ > 1 ms), so the result
-/// saturates at `BACKOFF_SLEEP_MAX` — bounded and nonzero — for every
-/// `step` up to `u32::MAX`.
-pub(crate) fn backoff_sleep(step: u32) -> Duration {
-    let exp = step.min(10);
-    (BACKOFF_SLEEP_MIN * (1u32 << exp)).min(BACKOFF_SLEEP_MAX)
-}
-
-impl Backoff {
-    pub(crate) fn new() -> Self {
-        Backoff {
-            spins: 0,
-            sleeps: 0,
-            deadline: None,
-            coop: false,
-        }
-    }
-
-    /// A backoff for cooperative scheduler contexts: identical ladder,
-    /// but the sleep phase yields (see the `coop` field). Used by the
-    /// fabric's wait loops on the coop backend for the brief pre-park
-    /// spin window.
-    pub(crate) fn cooperative() -> Self {
-        Backoff {
-            spins: 0,
-            sleeps: 0,
-            deadline: None,
-            coop: true,
-        }
-    }
-
-    /// Number of sleeping steps taken so far.
-    pub(crate) fn sleeps(&self) -> u64 {
-        self.sleeps
-    }
-
-    /// Number of steps taken so far (all phases).
-    pub(crate) fn steps(&self) -> u32 {
-        self.spins
-    }
-
-    /// Take one backoff step. Returns `false` when `timeout` (counted
-    /// from the first sleeping step) has expired — the caller must then
-    /// fail fast instead of spinning forever. With `timeout == None`, the
-    /// wait is unbounded and this always returns `true`.
-    pub(crate) fn wait(&mut self, timeout: Option<Duration>) -> bool {
-        // Saturating: a wait that outlives 2^32 steps must keep sleeping at
-        // the cap, not wrap the counter back into the busy-spin phase (or
-        // panic on overflow in debug builds).
-        self.spins = self.spins.saturating_add(1);
-        if self.spins < BACKOFF_SPIN_STEPS {
-            std::hint::spin_loop();
-            return true;
-        }
-        if self.spins < BACKOFF_YIELD_STEPS {
-            std::thread::yield_now();
-            return true;
-        }
-        if let Some(t) = timeout {
-            let deadline = *self.deadline.get_or_insert_with(|| Instant::now() + t);
-            if Instant::now() >= deadline {
-                return false;
-            }
-        }
-        if self.coop {
-            // Never kernel-sleep on a multiplexed worker: yield so a
-            // sibling PE (or the peer being waited on) can run instead.
-            std::thread::yield_now();
-            return true;
-        }
-        std::thread::sleep(backoff_sleep(self.spins - BACKOFF_YIELD_STEPS));
-        self.sleeps = self.sleeps.saturating_add(1);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,64 +238,6 @@ mod tests {
         let at = cfg.element_overhead(cfg.unroll_threshold);
         // 7 elements cost 7 cycles; 8 elements unrolled cost 8/4 = 2.
         assert!(at < below, "unrolled {at} should undercut rolled {below}");
-    }
-
-    #[test]
-    fn backoff_sleep_saturates_bounded_nonzero() {
-        // The first sleeping step starts at the minimum.
-        assert_eq!(backoff_sleep(0), BACKOFF_SLEEP_MIN);
-        // Doubling until the cap, never past it, never wrapping to zero —
-        // including at exponents that would overflow an unclamped shift.
-        let mut prev = Duration::ZERO;
-        for step in [0u32, 1, 3, 7, 10, 31, 32, 64, 1_000_000, u32::MAX] {
-            let d = backoff_sleep(step);
-            assert!(d > Duration::ZERO, "step {step} slept zero");
-            assert!(d <= BACKOFF_SLEEP_MAX, "step {step} slept {d:?}");
-            assert!(d >= prev, "sleep must be monotone in step");
-            prev = d;
-        }
-        assert_eq!(backoff_sleep(u32::MAX), BACKOFF_SLEEP_MAX);
-    }
-
-    #[test]
-    fn backoff_counter_saturates_instead_of_wrapping() {
-        let mut b = Backoff {
-            spins: u32::MAX - 2,
-            sleeps: 0,
-            deadline: None,
-            coop: false,
-        };
-        // A handful of steps at the saturation point: each must stay in the
-        // sleeping phase (bounded by the cap) rather than wrap back into
-        // busy-spinning or panic on `spins + 1` overflow in debug builds.
-        for _ in 0..4 {
-            assert!(b.wait(None));
-        }
-        assert_eq!(b.spins, u32::MAX);
-        assert_eq!(b.sleeps(), 4);
-    }
-
-    #[test]
-    fn cooperative_backoff_never_sleeps() {
-        // Drive a cooperative backoff deep into what would be the
-        // exponential-sleep phase: it must yield instead, leaving the
-        // sleep counter at zero and finishing far faster than even one
-        // ladder of real sleeps would take.
-        let mut b = Backoff::cooperative();
-        for _ in 0..(BACKOFF_YIELD_STEPS + 500) {
-            assert!(b.wait(None));
-        }
-        assert_eq!(b.sleeps(), 0, "cooperative backoff must never sleep");
-        assert!(b.steps() > BACKOFF_YIELD_STEPS);
-
-        // The watchdog deadline still applies in cooperative mode.
-        let mut b = Backoff {
-            spins: BACKOFF_YIELD_STEPS,
-            sleeps: 0,
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            coop: true,
-        };
-        assert!(!b.wait(Some(Duration::from_millis(1))));
     }
 
     #[test]

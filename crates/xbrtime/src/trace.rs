@@ -90,10 +90,6 @@ pub enum TraceKind {
     /// Barrier episode on this PE (`aux` = barrier generation; the span
     /// runs from arrival to release).
     Barrier,
-    /// A wait loop fell through to wall-clock sleeping (`aux` = number of
-    /// sleep steps). Zero simulated-cycle width: sleeps burn host time,
-    /// never simulated time.
-    BackoffSleep,
     /// Local reduction fold applied by the executor (`bytes` covers the
     /// folded elements).
     Reduce,
@@ -107,7 +103,7 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    const ALL: [TraceKind; 12] = [
+    const ALL: [TraceKind; 11] = [
         TraceKind::Put,
         TraceKind::Get,
         TraceKind::PutNb,
@@ -115,7 +111,6 @@ impl TraceKind {
         TraceKind::SignalPost,
         TraceKind::SignalWait,
         TraceKind::Barrier,
-        TraceKind::BackoffSleep,
         TraceKind::Reduce,
         TraceKind::Chunk,
         TraceKind::Stage,
@@ -132,7 +127,6 @@ impl TraceKind {
             TraceKind::SignalPost => "signal_post",
             TraceKind::SignalWait => "signal_wait",
             TraceKind::Barrier => "barrier",
-            TraceKind::BackoffSleep => "backoff_sleep",
             TraceKind::Reduce => "reduce",
             TraceKind::Chunk => "chunk",
             TraceKind::Stage => "stage",
@@ -153,9 +147,7 @@ impl TraceKind {
     /// Critical-path attribution bucket for leaf events.
     pub fn category(self) -> TraceCategory {
         match self {
-            TraceKind::SignalWait | TraceKind::Barrier | TraceKind::BackoffSleep => {
-                TraceCategory::Wait
-            }
+            TraceKind::SignalWait | TraceKind::Barrier => TraceCategory::Wait,
             TraceKind::Reduce => TraceCategory::Compute,
             _ => TraceCategory::Transfer,
         }
@@ -169,8 +161,7 @@ impl TraceKind {
 /// Where a leaf event's cycles are attributed in the critical-path split.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceCategory {
-    /// Stalled on a peer: signal waits, barrier arrival-to-release spans,
-    /// backoff sleeps.
+    /// Stalled on a peer: signal waits, barrier arrival-to-release spans.
     Wait,
     /// Moving bytes: puts, gets, signal posts.
     Transfer,
@@ -211,8 +202,8 @@ pub struct TraceEvent {
     pub peer: Option<usize>,
     /// Payload bytes moved (or folded, for reductions).
     pub bytes: u64,
-    /// Kind-specific extra word: signal slot offset, chunk index, barrier
-    /// generation, or backoff sleep count.
+    /// Kind-specific extra word: signal slot offset, chunk index or barrier
+    /// generation.
     pub aux: u64,
 }
 
@@ -397,7 +388,7 @@ impl TracePlane {
         self.rings[pe].recent(pe, n)
     }
 
-    /// Merge all rings into a [`Trace`]. Called after the PE threads have
+    /// Merge all rings into a [`Trace`]. Called after every PE's thread has
     /// joined, so it races with nothing.
     pub(crate) fn merge(&self) -> Trace {
         let mut events = Vec::new();

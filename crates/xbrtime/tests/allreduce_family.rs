@@ -9,7 +9,8 @@
 //! * proptests sweep arbitrary (generator, n_pes, nelems) cells through
 //!   the same oracle;
 //! * end-to-end execution equivalence: every family member produces the
-//!   identical fold on both engine backends, and `Auto` always agrees
+//!   identical fold whether every PE runs at once or one seeded worker
+//!   interleaves them, and `Auto` always agrees
 //!   with whatever it resolved to.
 
 // The `..ProptestConfig::default()` spread is upstream proptest's
@@ -154,7 +155,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Execution: both backends, every family member, exact fold values.
+// Execution: both interleavings, every family member, exact fold values.
 // ---------------------------------------------------------------------
 
 fn run_allreduce(
@@ -189,8 +190,8 @@ fn run_allreduce(
     .results
 }
 
-/// Every algorithm × both backends lands the exact dense sum on every
-/// rank, at power-of-two and ragged PE counts with payloads that split
+/// Every algorithm × both interleavings (every PE runnable, one seeded
+/// worker) lands the exact dense sum on every rank, at power-of-two and ragged PE counts with payloads that split
 /// unevenly (nelems ∤ n and nelems < n among them).
 #[test]
 fn allreduce_family_exact_on_both_backends() {
@@ -202,7 +203,8 @@ fn allreduce_family_exact_on_both_backends() {
             let expect: Vec<u64> = (0..nelems as u64)
                 .map(|i| (0..n as u64).map(|me| me * 37 + i * 5 + 1).sum())
                 .collect();
-            for engine in [EngineConfig::threads(), EngineConfig::coop().with_seed(11)] {
+            let one_worker = EngineConfig::coop().with_workers(1).with_seed(11);
+            for engine in [EngineConfig::coop().with_workers(n), one_worker] {
                 for algo in algos.clone() {
                     let results = run_allreduce(engine, n, nelems, algo, SyncMode::Auto);
                     for (rank, got) in results.iter().enumerate() {
@@ -220,7 +222,7 @@ fn allreduce_family_exact_on_both_backends() {
 }
 
 /// Every allgather algorithm agrees with the rank-ordered concatenation
-/// on both backends.
+/// on both interleavings.
 #[test]
 fn allgather_algorithms_exact_on_both_backends() {
     for n in [2usize, 5, 9] {
@@ -228,7 +230,8 @@ fn allgather_algorithms_exact_on_both_backends() {
             let expect: Vec<u64> = (0..n as u64)
                 .flat_map(|me| (0..per_pe as u64).map(move |i| me * 100 + i))
                 .collect();
-            for engine in [EngineConfig::threads(), EngineConfig::coop().with_seed(7)] {
+            let one_worker = EngineConfig::coop().with_workers(1).with_seed(7);
+            for engine in [EngineConfig::coop().with_workers(n), one_worker] {
                 for algo in AllGatherVAlgo::CONCRETE {
                     let cfg = FabricConfig::paper(n)
                         .with_shared_bytes(1 << 20)

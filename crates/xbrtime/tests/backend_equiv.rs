@@ -1,12 +1,15 @@
-//! Cross-backend equivalence: the cooperative engine must be
-//! observationally identical to the thread-per-PE oracle.
+//! Cross-interleaving equivalence: how the engine interleaves the PEs
+//! must be unobservable in everything but simulated time.
 //!
-//! For every collective × algorithm × sync mode at paper-scale PE counts
-//! (n ∈ 2..=8), both backends must produce byte-identical result buffers
-//! and structurally identical `RunReport::collectives` telemetry (same
+//! The two interleavings are two settings of the one engine: every PE
+//! runnable at once (one worker slot per PE, the host scheduler decides
+//! the order — what the retired thread-per-PE backend measured) and one
+//! worker granting slots from a seeded RNG (a deterministic schedule per
+//! seed). For every collective × algorithm × sync mode at paper-scale PE
+//! counts (n ∈ 2..=8) both must produce byte-identical result buffers and
+//! structurally identical `RunReport::collectives` telemetry (same
 //! op/byte/stage/signal counts; simulated *cycle* fields are masked —
-//! channel-occupancy sampling is interleaving-sensitive by design, on
-//! both backends).
+//! channel-occupancy sampling is interleaving-sensitive by design).
 
 // The `..ProptestConfig::default()` spread is upstream proptest's
 // canonical config idiom; the local shim happens to have no other
@@ -193,22 +196,16 @@ fn assert_backends_agree(
     root: usize,
     seed: u64,
 ) {
-    let (res_t, coll_t) = run_one(EngineConfig::threads(), kind, algo, sync, n, nelems, root);
-    let (res_c, coll_c) = run_one(
-        EngineConfig::coop().with_seed(seed),
-        kind,
-        algo,
-        sync,
-        n,
-        nelems,
-        root,
-    );
+    let every_pe = EngineConfig::coop().with_workers(n);
+    let (res_all, coll_all) = run_one(every_pe, kind, algo, sync, n, nelems, root);
+    let one_worker = EngineConfig::coop().with_workers(1).with_seed(seed);
+    let (res_one, coll_one) = run_one(one_worker, kind, algo, sync, n, nelems, root);
     assert_eq!(
-        res_t, res_c,
+        res_all, res_one,
         "results diverged: {kind:?} {algo:?} {sync:?} n={n} nelems={nelems} root={root} seed={seed}"
     );
     assert_eq!(
-        coll_t, coll_c,
+        coll_all, coll_one,
         "telemetry diverged: {kind:?} {algo:?} {sync:?} n={n} nelems={nelems} root={root} seed={seed}"
     );
 }
@@ -229,8 +226,8 @@ fn every_collective_and_sync_mode_matches_across_backends() {
 /// 256 PEs on the cooperative engine (auto workers): broadcast, the
 /// binomial reduce fold and the recursive-doubling all-reduce under every
 /// concrete sync mode converge — `Fabric::run` panics on a
-/// `DeadlockReport` — to the closed-form buffers. Coop arm only: the
-/// thread oracle is not run at this scale.
+/// `DeadlockReport` — to the closed-form buffers. Auto workers only: 256
+/// runnable PEs would thrash a small host.
 #[test]
 fn fold_paths_and_signal_disciplines_converge_at_256_pes_on_coop() {
     const N: usize = 256;
@@ -261,7 +258,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Randomised cross-product: arbitrary kind/algorithm/sync/shape and
-    /// scheduler seed still agree byte-for-byte with the thread oracle.
+    /// scheduler seed still agree byte-for-byte across the two
+    /// interleavings.
     #[test]
     fn backends_agree_on_random_configs(
         kind_i in 0usize..KINDS.len(),

@@ -318,7 +318,7 @@ fn model_and_fabric_agree_on_hier_broadcast() {
     use xbrtime::collectives::broadcast_hier;
     use xbrtime::fabric::{Fabric, FabricConfig, Topology};
 
-    // Same ragged schedule the oracle just cleared, now on real threads:
+    // Same ragged schedule the oracle just cleared, now on the real fabric:
     // both layers must accept it.
     for sync in SyncMode::CONCRETE {
         let report = Fabric::run(

@@ -5,8 +5,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use xbrtime::{
-    AlgorithmPolicy, CollectiveKind, Fabric, FabricConfig, FaultConfig, RunError, SyncMode,
-    Topology, WaitSite,
+    AlgorithmPolicy, CollectiveKind, EngineConfig, Fabric, FabricConfig, FaultConfig, PeSchedState,
+    RunError, SyncMode, Topology, WaitSite,
 };
 
 #[test]
@@ -193,6 +193,52 @@ fn stranded_signal_wait_trips_watchdog_with_report() {
             assert!(text.contains("PE 1"), "report should name PE 1: {text}");
         }
         other => panic!("expected Err(Deadlock), got {other:?}"),
+    }
+}
+
+/// The wall-clock watchdog path (`Park::TimedOut`): PE 0 sleeps in its
+/// own body while holding a worker slot, so the fabric is not wedged —
+/// PE 0 still counts as running — yet no slot is granted anywhere for a
+/// whole watchdog window. PE 1, parked at the barrier, times out, is
+/// handed a slot back and reports PE 0, still running, as the culprit.
+#[test]
+fn stalled_running_pe_trips_wall_clock_watchdog() {
+    let cfg = FabricConfig::new(2)
+        .with_engine(EngineConfig::coop().with_workers(2))
+        .with_watchdog(Duration::from_millis(300));
+    let started = std::time::Instant::now();
+    let result = Fabric::try_run(cfg, |pe| {
+        if pe.rank() == 0 {
+            std::thread::sleep(Duration::from_secs(1));
+        }
+        pe.barrier();
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "watchdog must fire well before a human notices the hang"
+    );
+    let report = match result {
+        Err(RunError::Deadlock(report)) => report,
+        other => panic!("expected Err(Deadlock), got {:?}", other.map(|_| ())),
+    };
+    let stuck = report.stuck();
+    assert_eq!(stuck.rank, 0, "{report}");
+    assert_eq!(stuck.site, WaitSite::Running, "{report}");
+    assert_eq!(stuck.sched, PeSchedState::Running, "{report}");
+    let waiter = &report.pes[1];
+    assert_eq!(waiter.site, WaitSite::Barrier, "{report}");
+    // The timed-out PE is re-granted a slot before it probes the fabric.
+    assert_eq!(waiter.sched, PeSchedState::Running, "{report}");
+    let text = report.to_string();
+    for rank in 0..2 {
+        let line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("PE {rank}:")))
+            .unwrap_or_else(|| panic!("no line for PE {rank}: {text}"));
+        assert!(
+            line.contains("[sched "),
+            "PE {rank} line lacks a sched tag: {line}"
+        );
     }
 }
 

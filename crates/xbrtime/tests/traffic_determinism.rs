@@ -109,7 +109,7 @@ fn permanent_signal_loss_names_the_deadlocked_tenant() {
     // Every signal dropped forever wedges the signaled collectives; the
     // watchdog must convert the hang into a structured report routed to
     // the tenant that owns the stuck PE — not a silent hang, not a bare
-    // panic. (The watchdog fires by panicking inside PE threads, so the
+    // panic. (The watchdog fires by panicking inside the PEs, so the
     // per-thread backtraces on stderr are expected noise.)
     let cfg = small_cfg(0xBAD);
     let result = run_traffic(

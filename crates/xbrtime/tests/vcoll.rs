@@ -2,7 +2,7 @@
 //! and allgatherv — and the uniform scatter/gather/all_gather entry
 //! points, which are the same bodies on constant tables — held to dense
 //! in-test references across every algorithm × sync mode × both engine
-//! backends. The count-table
+//! interleavings (every PE runnable, one seeded worker). The count-table
 //! strategy deliberately covers the degenerate shapes — all-zero
 //! (empty), single-giant-block, ragged-with-zeros and heavily-skewed —
 //! plus gapped displacement tables for the rooted variants. Zero-total
@@ -24,7 +24,14 @@ use xbrtime::{
     collectives, AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FabricStats, SyncMode,
 };
 
-const BACKENDS: [EngineConfig; 2] = [EngineConfig::threads(), EngineConfig::coop()];
+/// The two interleavings of an `n_pes` fabric: every PE runnable, and one
+/// seeded worker.
+fn engines(n_pes: usize) -> [EngineConfig; 2] {
+    [
+        EngineConfig::coop().with_workers(n_pes),
+        EngineConfig::coop().with_workers(1),
+    ]
+}
 const SYNCS: [SyncMode; 4] = [
     SyncMode::Barrier,
     SyncMode::Signaled,
@@ -88,14 +95,14 @@ fn gapped_displs(counts: &[usize], gap: usize) -> (Vec<usize>, usize) {
 /// Scatter then gather one table against the dense reference — PE `r`
 /// must receive exactly `src[displs[r] .. displs[r] + counts[r]]`, and
 /// gathering those segments back must reassemble the root's buffer — for
-/// every algorithm × sync mode × backend combination. `uniform` routes
+/// every algorithm × sync mode × interleaving combination. `uniform` routes
 /// the calls through the paper-signature entry points
 /// (`scatter_policy_sync` / `gather_policy_sync`) instead of the `try_*v`
 /// ones: same body, different `Auto` rule.
 fn check_rooted(uniform: bool, root: usize, counts: &[usize], displs: &[usize], src: &[u64]) {
     let n_pes = counts.len();
     let total: usize = counts.iter().sum();
-    for engine in BACKENDS {
+    for engine in engines(n_pes) {
         for policy in POLICIES {
             for sync in SYNCS {
                 let (c2, d2, s2) = (counts.to_vec(), displs.to_vec(), src.to_vec());
@@ -128,9 +135,9 @@ fn check_rooted(uniform: bool, root: usize, counts: &[usize], displs: &[usize], 
                     assert_eq!(
                         &mine[..],
                         &src[displs[r]..displs[r] + counts[r]],
-                        "scatter uniform={} {}/{:?}/{:?}: PE {} segment",
+                        "scatter uniform={} workers={}/{:?}/{:?}: PE {} segment",
                         uniform,
-                        engine.name(),
+                        engine.workers,
                         policy,
                         sync,
                         r
@@ -141,9 +148,9 @@ fn check_rooted(uniform: bool, root: usize, counts: &[usize], displs: &[usize], 
                     assert_eq!(
                         &back[displs[r]..displs[r] + counts[r]],
                         &src[displs[r]..displs[r] + counts[r]],
-                        "gather uniform={} {}/{:?}/{:?}: PE {} segment at root",
+                        "gather uniform={} workers={}/{:?}/{:?}: PE {} segment at root",
                         uniform,
-                        engine.name(),
+                        engine.workers,
                         policy,
                         sync,
                         r
@@ -159,7 +166,7 @@ fn check_rooted(uniform: bool, root: usize, counts: &[usize], displs: &[usize], 
 
 /// All-gather one table against the dense reference: every PE's
 /// destination holds the rank-ordered concatenation of all contributions
-/// — for every strategy × sync mode × backend combination. `uniform`
+/// — for every strategy × sync mode × interleaving combination. `uniform`
 /// (constant tables only) routes the call through `all_gather_algo_sync`.
 fn check_allgather(uniform: bool, counts: &[usize], seed: u64) {
     let n_pes = counts.len();
@@ -170,7 +177,7 @@ fn check_allgather(uniform: bool, counts: &[usize], seed: u64) {
             .collect()
     };
     let expect: Vec<u64> = (0..n_pes).flat_map(|r| contrib(counts, r)).collect();
-    for engine in BACKENDS {
+    for engine in engines(n_pes) {
         for algo in VALGOS {
             for sync in SYNCS {
                 let c2 = counts.to_vec();
@@ -190,9 +197,9 @@ fn check_allgather(uniform: bool, counts: &[usize], seed: u64) {
                     assert_eq!(
                         &got[..],
                         &expect[..],
-                        "allgather uniform={} {}/{:?}/{:?}: PE {}",
+                        "allgather uniform={} workers={}/{:?}/{:?}: PE {}",
                         uniform,
-                        engine.name(),
+                        engine.workers,
                         algo,
                         sync,
                         r
@@ -260,10 +267,10 @@ fn traffic_counters(s: &FabricStats) -> (u64, u64, u64, u64, u64, u64, u64) {
 
 /// An all-zero count table must be fully inert: no transfers, no
 /// barriers, no signal-slot activity, destination untouched — on both
-/// backends, for all three v-collectives at once.
+/// interleavings, for all three v-collectives at once.
 #[test]
 fn zero_total_v_collectives_are_inert() {
-    for engine in BACKENDS {
+    for engine in engines(4) {
         let baseline = Fabric::run(FabricConfig::new(4).with_engine(engine), |_pe| ()).stats;
         let report = Fabric::run(FabricConfig::new(4).with_engine(engine), |pe| {
             let zeros = [0usize; 4];
@@ -305,8 +312,8 @@ fn zero_total_v_collectives_are_inert() {
         assert_eq!(
             traffic_counters(&report.stats),
             traffic_counters(&baseline),
-            "{}: zero-total v-collectives moved traffic",
-            engine.name()
+            "workers={}: zero-total v-collectives moved traffic",
+            engine.workers
         );
         for got in &report.results {
             assert_eq!(got, &vec![0xDEADu64; 3], "destination must be untouched");

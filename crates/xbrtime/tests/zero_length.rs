@@ -21,8 +21,16 @@ const SYNC_MODES: [SyncMode; 4] = [
     SyncMode::Auto,
 ];
 
+/// The two interleavings: every PE runnable, and one seeded worker.
+fn engines(n_pes: usize) -> [EngineConfig; 2] {
+    [
+        EngineConfig::coop().with_workers(n_pes),
+        EngineConfig::coop().with_workers(1),
+    ]
+}
+
 fn run_traced(n_pes: usize, body: impl Fn(&xbrtime::Pe) + Sync) -> RunReport<()> {
-    run_traced_on(n_pes, EngineConfig::threads(), body)
+    run_traced_on(n_pes, engines(n_pes)[0], body)
 }
 
 fn run_traced_on(
@@ -127,14 +135,14 @@ fn zero_length_reduce_all_modes() {
 }
 
 /// `per_pe == 0` all-gather is fully inert under every algorithm, sync
-/// mode, and backend: no symmetric board, no staging barriers, only the
+/// mode, and interleaving: no symmetric board, no staging barriers, only the
 /// telemetry episode. Regression for the path that used to allocate a
 /// 1-element board and run the staging barriers anyway.
 #[test]
 fn zero_length_all_gather_every_algorithm_both_backends() {
     for n in PE_COUNTS {
         for sync in SYNC_MODES {
-            for engine in [EngineConfig::threads(), EngineConfig::coop()] {
+            for engine in engines(n) {
                 for algo in AllGatherVAlgo::CONCRETE
                     .into_iter()
                     .chain([AllGatherVAlgo::Auto])
@@ -155,7 +163,7 @@ fn zero_length_all_gather_every_algorithm_both_backends() {
 fn zero_length_all_to_all_all_modes_both_backends() {
     for n in PE_COUNTS {
         for sync in SYNC_MODES {
-            for engine in [EngineConfig::threads(), EngineConfig::coop()] {
+            for engine in engines(n) {
                 let report = run_traced_on(n, engine, move |pe| {
                     let mut dest: Vec<u64> = vec![];
                     collectives::all_to_all_sync(pe, &mut dest, &[], 0, sync);

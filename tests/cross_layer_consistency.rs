@@ -1,5 +1,5 @@
 //! Consistency between the two execution layers: the instruction-level
-//! machine and the thread-per-PE runtime share one cost model
+//! machine and the `xbrtime` fabric share one cost model
 //! (`CostConfig::paper()`), so the same logical operation must cost the
 //! same order of cycles in both — the property that lets the runtime's
 //! figures stand in for instruction-level simulation.
