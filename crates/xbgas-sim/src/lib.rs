@@ -11,7 +11,8 @@
 //!   [`cache::MemModel`], the TLB + L1 + L2 walk every local access takes,
 //! * [`tlb::Tlb`] — the 256-entry TLB model,
 //! * [`olb::Olb`] — the Object Look-Aside Buffer of paper §3.2,
-//! * [`noc`] — the interconnect timing model (latency, bandwidth, congestion),
+//! * [`noc`] — the interconnect calibration, the shared-channel reservation
+//!   that prices the machine's remote accesses, and traffic counters,
 //! * [`hart::Hart`] — one RV64IM+xBGAS core (x0–x31 **and** e0–e31),
 //! * [`machine::Machine`] — the N-core discrete-event machine with
 //!   exit/putchar/my_pe/num_pes/barrier environment calls,

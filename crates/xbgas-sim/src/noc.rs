@@ -2,18 +2,25 @@
 //!
 //! The paper's environment bridges PEs with MPICH purely as a simulation
 //! transport; architecturally, xBGAS remote loads/stores travel over
-//! whatever fabric connects the nodes. This model charges each remote
-//! transaction
+//! whatever fabric connects the nodes. [`NocConfig`] holds the fabric's
+//! calibration, and each consumer prices a remote transaction its own way:
+//!
+//! * the instruction-level [`Machine`](crate::machine::Machine) reserves a
+//!   [`SharedChannel`] for the transaction's [`NocConfig::occupancy`] at
+//!   the hart's own clock (exact, because the hart with the smallest cycle
+//!   count always steps next) and only records the total in a [`Noc`];
+//! * `xbrtime`'s fabric prices its crossings in `xbrtime::timing`: the
+//!   same occupancy and base latency, queued behind the other PEs'
+//!   offered load ρ as `occupancy · ρ/(1−ρ)`;
+//! * [`NocConfig::transfer_cost`]'s congestion term,
 //!
 //! ```text
-//! cost = base_latency + ceil(bytes / bytes_per_cycle) * (1 + congestion)
+//! cost = base_latency + ceil(bytes / bytes_per_cycle) * (1 + congestion_factor * in_flight)
 //! ```
 //!
-//! where `congestion` grows linearly with the number of *other* in-flight
-//! transactions, scaled by `congestion_factor`. The binomial-tree
-//! collectives exist precisely to keep the number of simultaneous
-//! transactions per stage low (paper §4.2 "minimize network congestion"),
-//! so congestion sensitivity is what lets benches show the tree winning.
+//! prices nothing in either: only the benchmark calls it, through
+//! [`Noc::transact`] and as an uncontended baseline, always with no other
+//! transaction in flight.
 
 /// Parameters of the interconnect model.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -23,15 +30,14 @@ pub struct NocConfig {
     /// Payload bandwidth in bytes per cycle.
     pub bytes_per_cycle: u64,
     /// Additional fractional serialization cost per concurrent transaction
-    /// (used by the instruction-level machine's in-flight tracker).
-    ///
-    /// With `k` other transactions in flight, the serialization term is
-    /// multiplied by `1 + congestion_factor * k`.
+    /// in [`NocConfig::transfer_cost`]: with `k` other transactions in
+    /// flight, the serialization term is multiplied by
+    /// `1 + congestion_factor * k`.
     pub congestion_factor: f64,
     /// Channel occupancy charged per transaction regardless of size
     /// (header/routing/turnaround). Together with the serialization term
-    /// this is how long a transaction holds the shared channel in the
-    /// fabric's reservation model — the source of queueing delay under
+    /// this is how long a transaction holds the shared channel
+    /// ([`NocConfig::occupancy`]) — the source of queueing delay under
     /// saturation.
     pub packet_occupancy: u64,
 }
@@ -62,23 +68,23 @@ impl NocConfig {
         }
     }
 
-    /// How long one transaction of `bytes` holds the shared channel.
-    pub fn occupancy(&self, bytes: usize) -> u64 {
-        let serial = if self.bytes_per_cycle == u64::MAX {
+    /// Cycles `bytes` of payload take to serialize onto the channel.
+    fn serial(&self, bytes: usize) -> u64 {
+        if self.bytes_per_cycle == u64::MAX {
             0
         } else {
             (bytes as u64).div_ceil(self.bytes_per_cycle)
-        };
-        self.packet_occupancy + serial
+        }
+    }
+
+    /// How long one transaction of `bytes` holds the shared channel.
+    pub fn occupancy(&self, bytes: usize) -> u64 {
+        self.packet_occupancy + self.serial(bytes)
     }
 
     /// Cycles to move `bytes` with `in_flight` *other* active transactions.
     pub fn transfer_cost(&self, bytes: usize, in_flight: usize) -> u64 {
-        let serial = if self.bytes_per_cycle == u64::MAX {
-            0
-        } else {
-            (bytes as u64).div_ceil(self.bytes_per_cycle)
-        };
+        let serial = self.serial(bytes);
         let scale = 1.0 + self.congestion_factor * in_flight as f64;
         self.base_latency + (serial as f64 * scale).round() as u64
     }
@@ -133,18 +139,15 @@ pub struct NocStats {
     pub bytes: u64,
     /// Total cycles charged across all transactions.
     pub cycles: u64,
-    /// Maximum concurrency observed.
-    pub peak_in_flight: usize,
 }
 
-/// Single-threaded fabric tracker used by the instruction-level simulator.
+/// Traffic counters of the instruction-level simulator's fabric.
 ///
-/// The multithreaded runtime (`xbrtime`) keeps its own atomic tracker; this
-/// one serves the discrete-event machine where steps are serialized.
+/// The machine prices its transactions through a [`SharedChannel`] and
+/// [`Noc::record`]s them here; `xbrtime` keeps no `Noc`.
 #[derive(Debug)]
 pub struct Noc {
     config: NocConfig,
-    in_flight: usize,
     stats: NocStats,
 }
 
@@ -153,7 +156,6 @@ impl Noc {
     pub fn new(config: NocConfig) -> Self {
         Noc {
             config,
-            in_flight: 0,
             stats: NocStats::default(),
         }
     }
@@ -168,36 +170,16 @@ impl Noc {
         self.stats
     }
 
-    /// Begin a transaction: returns its cost in cycles given current load.
-    pub fn begin(&mut self, bytes: usize) -> u64 {
-        let cost = self.config.transfer_cost(bytes, self.in_flight);
-        self.in_flight += 1;
-        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight);
-        self.stats.transactions += 1;
-        self.stats.bytes += bytes as u64;
-        self.stats.cycles += cost;
-        cost
-    }
-
-    /// Complete a transaction started with [`Noc::begin`].
-    ///
-    /// # Panics
-    /// Panics if no transaction is in flight (begin/end imbalance).
-    pub fn end(&mut self) {
-        assert!(self.in_flight > 0, "NoC end() without matching begin()");
-        self.in_flight -= 1;
-    }
-
-    /// Charge a whole transaction at once (begin + immediate end).
+    /// Charge a whole transaction at [`NocConfig::transfer_cost`] with no
+    /// other transaction in flight, and record it.
     pub fn transact(&mut self, bytes: usize) -> u64 {
-        let cost = self.begin(bytes);
-        self.end();
+        let cost = self.config.transfer_cost(bytes, 0);
+        self.record(bytes, cost);
         cost
     }
 
-    /// Record a transaction in the statistics without computing a cost —
-    /// for callers that price the transfer through [`SharedChannel`]
-    /// reservations instead of the in-flight congestion model.
+    /// Record a transaction priced elsewhere (the machine's
+    /// [`SharedChannel`] reservation).
     pub fn record(&mut self, bytes: usize, cycles: u64) {
         self.stats.transactions += 1;
         self.stats.bytes += bytes as u64;
@@ -244,28 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn tracker_counts_concurrency() {
-        let mut n = Noc::new(NocConfig {
-            base_latency: 10,
-            bytes_per_cycle: 1,
-            congestion_factor: 1.0,
-            packet_occupancy: 40,
-        });
-        let c1 = n.begin(4); // 0 others in flight
-        let c2 = n.begin(4); // 1 other in flight
-        assert_eq!(c1, 10 + 4);
-        assert_eq!(c2, 10 + 8);
-        n.end();
-        n.end();
-        assert_eq!(n.stats().transactions, 2);
-        assert_eq!(n.stats().bytes, 8);
-        assert_eq!(n.stats().peak_in_flight, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "without matching begin")]
-    fn unbalanced_end_panics() {
+    fn transact_records_an_uncontended_transfer() {
         let mut n = Noc::new(NocConfig::paper());
-        n.end();
+        let c = n.transact(64);
+        assert_eq!(c, NocConfig::paper().transfer_cost(64, 0));
+        n.transact(64);
+        let s = n.stats();
+        assert_eq!((s.transactions, s.bytes, s.cycles), (2, 128, 2 * c));
     }
 }

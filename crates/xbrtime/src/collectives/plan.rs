@@ -809,7 +809,7 @@ fn run_steps<T: XbrType>(
                             let d = &mut local_dst[at + j * st];
                             *d = f(*d, landing[j * st]);
                         }
-                        pe.charge(pe.timing().cost.alu_cycles * nelems as u64);
+                        pe.clock.fold(n);
                     }
                     Space::LocalSrc | Space::Landing => {
                         panic!("plan folds into {dst:?}, which is not a result buffer")

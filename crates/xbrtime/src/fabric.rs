@@ -18,7 +18,8 @@
 
 use crate::engine::{CoopSched, EngineConfig, Park, PeSchedState};
 use crate::heap::{FreeList, HeapData};
-use crate::timing::{PeClock, TimingConfig};
+pub use crate::timing::Topology;
+use crate::timing::{OfferedLoad, PeClock, TimingConfig};
 use crate::trace::{self, Trace, TraceConfig, TraceEvent, TraceKind, TracePlane};
 use crate::types::XbrType;
 use std::cell::{Cell, RefCell};
@@ -26,42 +27,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Physical grouping of PEs into nodes, for location-aware costing.
-///
-/// Paper §7 lists "location aware communication optimization using the
-/// xBGAS OLB" as future work: the OLB's object-ID mapping tells the
-/// runtime *where* a peer lives, so intra-node transfers can be priced
-/// (and scheduled) differently from inter-node ones. PEs are grouped
-/// contiguously: node `k` owns PEs `k·pes_per_node ..`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Topology {
-    /// PEs per node (the last node may be smaller).
-    pub pes_per_node: usize,
-    /// Scale applied to flight latency and channel occupancy for
-    /// intra-node transfers (e.g. `0.25` = 4× cheaper on-node).
-    pub intra_node_factor: f64,
-}
-
-impl Topology {
-    /// Node index owning a PE.
-    ///
-    /// `pes_per_node` must be at least 1; [`FabricConfig::with_topology`]
-    /// and [`Fabric::run`] validate this up front so a zero never reaches
-    /// the division here.
-    pub fn node_of(&self, pe: usize) -> usize {
-        assert!(
-            self.pes_per_node > 0,
-            "topology with pes_per_node == 0 (every node must own at least one PE)"
-        );
-        pe / self.pes_per_node
-    }
-
-    /// Whether two PEs share a node.
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
-}
+use xbgas_sim::{cache::CacheStats, tlb::TlbStats};
 
 /// Seeded, deterministic fault injection for a fabric run.
 ///
@@ -805,10 +771,8 @@ struct Shared {
     n_pes: usize,
     heaps: Vec<HeapData>,
     barrier: BarrierState,
-    /// Per-PE cumulative channel occupancy issued (simulated cycles).
-    chan_occ: Vec<AtomicU64>,
-    /// Per-PE latest published simulated time.
-    sim_now: Vec<AtomicU64>,
+    /// Every PE's offered load on the channel, which prices queueing.
+    load: OfferedLoad,
     poisoned: AtomicBool,
     stats: StatsAtomic,
     coll: [CollAtomic; CollectiveKind::ALL.len()],
@@ -848,8 +812,7 @@ impl Shared {
                 generation: AtomicUsize::new(0),
                 max_cycles: [AtomicU64::new(0), AtomicU64::new(0)],
             },
-            chan_occ: (0..cfg.n_pes).map(|_| AtomicU64::new(0)).collect(),
-            sim_now: (0..cfg.n_pes).map(|_| AtomicU64::new(0)).collect(),
+            load: OfferedLoad::new(cfg.n_pes),
             poisoned: AtomicBool::new(false),
             stats: StatsAtomic::default(),
             coll: Default::default(),
@@ -1164,18 +1127,13 @@ impl NbHandle {
 pub struct Pe<'f> {
     rank: usize,
     shared: &'f Shared,
-    timing: TimingConfig,
-    topology: Option<Topology>,
-    pub(crate) clock: PeClock,
+    /// Every cycle this PE is charged is priced here.
+    pub(crate) clock: PeClock<'f>,
     allocator: RefCell<FreeList>,
     /// The default stream: non-blocking transfers [`Pe::wait`],
     /// [`Pe::quiet`] and [`Pe::barrier`] complete.
     pub(crate) outstanding: RefCell<Vec<NbHandle>>,
     next_handle: std::cell::Cell<u64>,
-    /// This PE's injection port: the simulated time until which its own
-    /// previously-issued non-blocking transfers occupy the channel
-    /// interface. Purely local (own clock), so it is exact and skew-free.
-    port_busy: std::cell::Cell<u64>,
     /// Cached symmetric signal table for signaled collectives. Grown on
     /// demand by [`Pe::signal_table`] and kept alive for the rest of the
     /// run; the executor's drain invariant keeps it all-zero between
@@ -1257,28 +1215,20 @@ fn check_src(len: usize, nelems: usize, stride: usize) {
 }
 
 impl<'f> Pe<'f> {
-    fn new(
-        rank: usize,
-        shared: &'f Shared,
-        timing: TimingConfig,
-        topology: Option<Topology>,
-        faults: Option<FaultConfig>,
-    ) -> Self {
+    fn new(rank: usize, shared: &'f Shared, cfg: &FabricConfig) -> Self {
         // Seed each PE's fault stream independently so PE count and rank
         // order do not perturb each other's rolls.
-        let seed = FaultConfig::pe_stream_seed(faults.map_or(0, |f| f.seed), rank);
+        let seed = FaultConfig::pe_stream_seed(cfg.faults.map_or(0, |f| f.seed), rank);
+        let heap = &shared.heaps[rank];
         Pe {
             rank,
             shared,
-            timing,
-            topology,
-            clock: PeClock::new(&timing),
-            allocator: RefCell::new(FreeList::new(shared.heaps[rank].len())),
+            clock: PeClock::new(rank, cfg.timing, cfg.topology, heap.base(), &shared.load),
+            allocator: RefCell::new(FreeList::new(heap.len())),
             outstanding: RefCell::new(Vec::new()),
             next_handle: std::cell::Cell::new(0),
-            port_busy: std::cell::Cell::new(0),
             signal_table: RefCell::new(None),
-            faults,
+            faults: cfg.faults,
             fault_rng: std::cell::Cell::new(seed),
             tctx: Cell::new((0, 0)),
             trace_episode: Cell::new(0),
@@ -1599,12 +1549,12 @@ impl<'f> Pe<'f> {
 
     /// The active timing configuration.
     pub fn timing(&self) -> &TimingConfig {
-        &self.timing
+        self.clock.config()
     }
 
     /// The physical topology, if one was configured.
     pub fn topology(&self) -> Option<Topology> {
-        self.topology
+        self.clock.topology()
     }
 
     /// Current simulated cycle count of this PE.
@@ -1617,22 +1567,10 @@ impl<'f> Pe<'f> {
         self.clock.charge(c);
     }
 
-    /// Charge a local memory access at a host address (for app kernels whose
-    /// working-set behaviour should drive the cache models).
-    pub fn charge_local_access(&self, addr: u64) {
-        self.clock.charge_local_access(addr);
-    }
-
     /// Snapshot of this PE's (L1, L2, TLB) simulation statistics —
     /// useful when analysing why a workload's simulated time behaves as
     /// it does (e.g. the Figure 4 cache-locality mechanism).
-    pub fn mem_stats(
-        &self,
-    ) -> (
-        xbgas_sim::cache::CacheStats,
-        xbgas_sim::cache::CacheStats,
-        xbgas_sim::tlb::TlbStats,
-    ) {
+    pub fn mem_stats(&self) -> (CacheStats, CacheStats, TlbStats) {
         self.clock.mem_stats()
     }
 
@@ -1660,7 +1598,7 @@ impl<'f> Pe<'f> {
     ) -> Result<SymmAlloc<T>, crate::heap::AllocError> {
         let bytes = nelems * std::mem::size_of::<T>();
         let off = self.allocator.borrow_mut().alloc(bytes)?;
-        self.clock.charge(self.timing.cost.alu_cycles * 8);
+        self.clock.alloc();
         Ok(SymmAlloc {
             off,
             nelems,
@@ -1683,7 +1621,7 @@ impl<'f> Pe<'f> {
     pub fn shared_free<T: XbrType>(&self, alloc: SymmAlloc<T>) {
         let bytes = alloc.nelems * std::mem::size_of::<T>();
         self.allocator.borrow_mut().free(alloc.off, bytes);
-        self.clock.charge(self.timing.cost.alu_cycles * 4);
+        self.clock.free();
     }
 
     // ------------------------------------------------------------------
@@ -1694,17 +1632,10 @@ impl<'f> Pe<'f> {
         &self.shared.heaps[self.rank]
     }
 
-    fn host_addr(&self, pe: usize, off: usize) -> u64 {
-        self.shared.heaps[pe].base() as u64 + off as u64
-    }
-
     /// Store one element into this PE's own shared segment.
     pub fn heap_store<T: XbrType>(&self, dest: SymmRef<T>, v: T) {
         dest.check_span(1, 1);
-        self.clock.charge_local_range(
-            self.host_addr(self.rank, dest.off),
-            std::mem::size_of::<T>(),
-        );
+        self.clock.heap(dest.off, std::mem::size_of::<T>());
         unsafe {
             self.my_heap().write_from(
                 dest.off,
@@ -1717,8 +1648,7 @@ impl<'f> Pe<'f> {
     /// Load one element from this PE's own shared segment.
     pub fn heap_load<T: XbrType>(&self, src: SymmRef<T>) -> T {
         src.check_span(1, 1);
-        self.clock
-            .charge_local_range(self.host_addr(self.rank, src.off), std::mem::size_of::<T>());
+        self.clock.heap(src.off, std::mem::size_of::<T>());
         let mut v = T::default();
         unsafe {
             self.my_heap().read_into(
@@ -1748,10 +1678,7 @@ impl<'f> Pe<'f> {
         check_src(vals.len(), nelems, stride);
         let es = std::mem::size_of::<T>();
         let heap = self.my_heap();
-        self.clock.charge_local_range(
-            self.host_addr(self.rank, dest.off),
-            walk_span(nelems, stride) * es,
-        );
+        self.clock.heap(dest.off, walk_span(nelems, stride) * es);
         let src = vals.as_ptr() as *const u8;
         // SAFETY: `check_src` bounds every run inside `vals`.
         strided_runs(nelems, stride, es, |at, n| unsafe {
@@ -1778,10 +1705,7 @@ impl<'f> Pe<'f> {
         check_src(out.len(), nelems, stride);
         let es = std::mem::size_of::<T>();
         let heap = self.my_heap();
-        self.clock.charge_local_range(
-            self.host_addr(self.rank, src.off),
-            walk_span(nelems, stride) * es,
-        );
+        self.clock.heap(src.off, walk_span(nelems, stride) * es);
         let dst = out.as_mut_ptr() as *mut u8;
         // SAFETY: `check_src` bounds every run inside `out`.
         strided_runs(nelems, stride, es, |at, n| unsafe {
@@ -1805,11 +1729,7 @@ impl<'f> Pe<'f> {
         let window = walk_span(nelems, stride);
         dst.check_span(window, 1);
         let es = std::mem::size_of::<T>();
-        let walk = || {
-            self.clock
-                .charge_local_range(self.host_addr(self.rank, dst.off), window * es)
-        };
-        walk();
+        self.clock.heap(dst.off, window * es);
         let mine = self.my_heap().window("fold", dst.off, window * es) as *mut T;
         for j in 0..nelems {
             // SAFETY: `j·stride < window`, so the element lies inside the
@@ -1820,74 +1740,13 @@ impl<'f> Pe<'f> {
                 p.write_unaligned(f(p.read_unaligned(), with[j * stride]));
             }
         }
-        self.clock
-            .charge(self.timing.cost.alu_cycles * nelems as u64);
-        walk();
+        self.clock.fold(nelems);
+        self.clock.heap(dst.off, window * es);
     }
 
     // ------------------------------------------------------------------
     // One-sided transfers
     // ------------------------------------------------------------------
-
-    /// Simulated cost of moving `bytes` to/from `target` (excluding the
-    /// per-element software overhead, which the caller adds): OLB lookup,
-    /// queueing delay on the shared channel, channel occupancy, flight
-    /// latency, and the remote side's DRAM access.
-    ///
-    /// Queueing is modelled from channel *utilization*: every PE publishes
-    /// its cumulative issued occupancy and its own simulated time; the sum
-    /// of the per-PE ratios estimates offered load ρ, and the delay is the
-    /// M/M/1-style `occupancy · ρ/(1−ρ)`, bounded by an `n_pes`-deep queue.
-    /// Using per-PE ratios (instead of a shared busy-until timeline) makes
-    /// the estimate immune to wall-clock skew between PEs, so
-    /// saturated makespans are stable run-to-run.
-    fn fabric_cost(&self, target: usize, bytes: usize) -> u64 {
-        if !self.clock.enabled() {
-            return 0;
-        }
-        if target == self.rank {
-            return 0; // local copies charge through the cache model instead
-        }
-        /// Ignore PEs that have simulated less than this (cold ratios).
-        const WARMUP_CYCLES: u64 = 2_000;
-        let cost = &self.timing.cost;
-        let now = self.clock.cycles();
-        // Location-aware pricing: an intra-node transfer flies a shorter,
-        // wider path (the OLB tells the runtime where the object lives).
-        let scale = match self.topology {
-            Some(t) if t.same_node(self.rank, target) => t.intra_node_factor,
-            _ => 1.0,
-        };
-        let occupancy = ((cost.noc.occupancy(bytes) as f64) * scale)
-            .round()
-            .max(1.0) as u64;
-        let base_latency = ((cost.noc.base_latency as f64) * scale).round() as u64;
-
-        self.shared.chan_occ[self.rank].fetch_add(occupancy, Ordering::Relaxed);
-        self.shared.sim_now[self.rank].store(now.max(1), Ordering::Relaxed);
-
-        // Offered load from the *other* PEs: a sequential issuer never
-        // queues behind itself, and excluding the self-ratio keeps one-shot
-        // measurements (a single collective from a cold start) unbiased.
-        let mut rho = 0.0f64;
-        for j in 0..self.shared.n_pes {
-            if j == self.rank {
-                continue;
-            }
-            let t = self.shared.sim_now[j].load(Ordering::Relaxed);
-            if t >= WARMUP_CYCLES {
-                rho += self.shared.chan_occ[j].load(Ordering::Relaxed) as f64 / t as f64;
-            }
-        }
-        let queue_depth = if rho < 1.0 {
-            (rho / (1.0 - rho)).min(self.shared.n_pes as f64)
-        } else {
-            self.shared.n_pes as f64
-        };
-        let queue_wait = (occupancy as f64 * queue_depth) as u64;
-
-        cost.olb_lookup_cycles + queue_wait + occupancy + base_latency + cost.mem_cycles
-    }
 
     fn note_transfer(&self, target: usize, bytes: usize, is_put: bool, nonblocking: bool) {
         let s = &self.shared.stats;
@@ -1915,13 +1774,12 @@ impl<'f> Pe<'f> {
     /// PE `pe` — outward when `push`, inward otherwise — and return the
     /// simulated cycle at which the data has landed.
     ///
-    /// Blocking (`!nb`) charges the local-end cache walk, the per-element
-    /// software overhead and then either the fabric crossing or, for
-    /// `pe == rank`, the remote-end walk; the clock has absorbed the whole
-    /// transfer on return. Non-blocking charges only the remote-end walk
-    /// of a self-transfer and the `alu + olb` issue cost — the private end
-    /// is *not* walked — and the returned stamp lies in the future: the
-    /// caller owes it a [`Pe::track`] on the stream that will complete it.
+    /// Blocking (`!nb`) walks the local end, and for `pe == rank` the
+    /// remote end, then the clock prices the rest; it has absorbed the
+    /// whole transfer on return. Non-blocking walks only a self-transfer's
+    /// remote end — the private end is *not* walked — and the returned
+    /// stamp lies in the future: the caller owes it a [`Pe::track`] on the
+    /// stream that will complete it.
     ///
     /// Always inlined: under each public name `local`'s variant, `push` and
     /// `nb` are constants, and the name compiles to its own straight-line
@@ -1951,12 +1809,12 @@ impl<'f> Pe<'f> {
         }
         let private = |p: *mut T, len: usize| {
             check_src(len, nelems, stride);
-            (End::Private(p as *mut u8), p as u64, window.min(len * es))
+            (End::Private(p as *mut u8), window.min(len * es))
         };
-        let (end, walk_at, walk_len) = match local {
+        let (end, walk_len) = match local {
             Local::Heap(r) => {
                 r.check_span(nelems, stride);
-                (End::Heap(r.off), self.host_addr(self.rank, r.off), window)
+                (End::Heap(r.off), window)
             }
             Local::Src(s) => {
                 assert!(push, "a get cannot land in a read-only slice");
@@ -1965,23 +1823,15 @@ impl<'f> Pe<'f> {
             Local::Dst(d) => private(d.as_mut_ptr(), d.len()),
         };
         if !nb {
-            self.clock.charge_local_range(walk_at, walk_len);
-            self.clock.charge(self.timing.element_overhead(nelems));
+            match end {
+                End::Heap(off) => self.clock.heap(off, walk_len),
+                End::Private(p) => self.clock.local(p, walk_len),
+            }
         }
-        // Once: it publishes this PE's channel occupancy and clock.
-        let fabric = self.fabric_cost(pe, bytes);
         if pe == self.rank {
-            self.clock
-                .charge_local_range(self.host_addr(pe, remote.off), window);
+            self.clock.heap(remote.off, window);
         }
-        let done = if nb {
-            let cost = &self.timing.cost;
-            self.clock.charge(cost.alu_cycles + cost.olb_lookup_cycles);
-            self.nb_completion(pe, bytes, self.timing.element_overhead(nelems) + fabric)
-        } else {
-            self.clock.charge(fabric);
-            self.clock.cycles()
-        };
+        let done = self.clock.transfer(pe, bytes, nelems, nb);
 
         let (mine, theirs) = (self.my_heap(), &self.shared.heaps[pe]);
         // SAFETY: `check_src` bounds every run inside a private slice (and
@@ -2057,21 +1907,6 @@ impl<'f> Pe<'f> {
         self.transfer(Local::Heap(dest), src, nelems, stride, pe, false, false);
     }
 
-    /// Completion time for a non-blocking transfer: the transfer starts
-    /// once this PE's injection port is free (back-to-back bursts
-    /// serialize at channel occupancy, capping message rate at channel
-    /// bandwidth) and finishes `full` cycles later.
-    fn nb_completion(&self, target: usize, bytes: usize, full: u64) -> u64 {
-        let now = self.clock.cycles();
-        if !self.clock.enabled() || target == self.rank {
-            return now + full;
-        }
-        let occupancy = self.timing.cost.noc.occupancy(bytes);
-        let start = now.max(self.port_busy.get());
-        self.port_busy.set(start + occupancy);
-        start + full
-    }
-
     /// Hand out the handle of a non-blocking transfer landing at
     /// `completion_cycles` and track it on `stream` (the PE's default
     /// stream, [`Pe::outstanding`], or a [`Context`]'s own) until a
@@ -2094,10 +1929,8 @@ impl<'f> Pe<'f> {
     /// the latest completion, then clear the stream.
     fn quiesce(&self, stream: &RefCell<Vec<NbHandle>>) {
         let mut out = stream.borrow_mut();
-        if self.clock.enabled() {
-            let latest = out.iter().map(|h| h.completion_cycles).max().unwrap_or(0);
-            self.clock.set_cycles(self.clock.cycles().max(latest));
-        }
+        let latest = out.iter().map(|h| h.completion_cycles).max();
+        self.clock.advance_to(latest.unwrap_or(0));
         out.clear();
     }
 
@@ -2143,10 +1976,7 @@ impl<'f> Pe<'f> {
         if let Some(idx) = out.iter().position(|o| o.id == h.id) {
             out.swap_remove(idx);
         }
-        if self.clock.enabled() {
-            self.clock
-                .set_cycles(self.clock.cycles().max(h.completion_cycles));
-        }
+        self.clock.advance_to(h.completion_cycles);
     }
 
     /// Complete all outstanding non-blocking transfers (`quiet`).
@@ -2191,27 +2021,13 @@ impl<'f> Pe<'f> {
     }
 
     fn amo_charge_at(&self, dest_off: usize, pe: usize) {
-        // One fabric crossing — the whole advantage over get+modify+put.
+        self.clock.amo(pe, dest_off);
+        let s = &self.shared.stats;
+        s.amos.fetch_add(1, Ordering::Relaxed);
         if pe == self.rank {
-            // A local atomic RMW runs through the cache hierarchy like any
-            // other access, plus the ALU for the combine.
-            self.clock.charge(self.timing.cost.alu_cycles);
-            self.clock.charge_local_access(self.host_addr(pe, dest_off));
+            s.local_transfers.fetch_add(1, Ordering::Relaxed);
         } else {
-            let c = self.fabric_cost(pe, 8);
-            self.clock.charge(c);
-        }
-        self.shared.stats.amos.fetch_add(1, Ordering::Relaxed);
-        if pe == self.rank {
-            self.shared
-                .stats
-                .local_transfers
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.shared
-                .stats
-                .remote_transfers
-                .fetch_add(1, Ordering::Relaxed);
+            s.remote_transfers.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -2326,17 +2142,7 @@ impl<'f> Pe<'f> {
     /// stamp never overwrites a newer one and a post never erases a
     /// concurrent post.
     pub fn signal_post(&self, sig: SymmRef<u64>, pe: usize) {
-        let stamp = if pe == self.rank || !self.clock.enabled() {
-            self.clock.cycles()
-        } else {
-            let scale = match self.topology {
-                Some(t) if t.same_node(self.rank, pe) => t.intra_node_factor,
-                _ => 1.0,
-            };
-            self.clock.cycles()
-                + ((self.timing.cost.noc.base_latency as f64) * scale).round() as u64
-        };
-        self.signal_post_at(sig, pe, stamp);
+        self.signal_post_at(sig, pe, self.clock.cycles() + self.clock.hop(pe));
     }
 
     /// [`Pe::signal_post`] with an explicit arrival stamp — used to tie a
@@ -2344,7 +2150,7 @@ impl<'f> Pe<'f> {
     /// ([`NbHandle::completion_cycles`]).
     pub fn signal_post_at(&self, sig: SymmRef<u64>, pe: usize, arrival: u64) {
         let t0 = self.trace_start();
-        self.clock.charge(self.timing.cost.alu_cycles);
+        self.clock.post();
         // Charge and count the post before any fault branch: a dropped
         // signal was still *issued* by this PE, so telemetry invariants
         // (`signals == signal_waits` once redelivered) stay intact.
@@ -2427,13 +2233,7 @@ impl<'f> Pe<'f> {
                     .signal_waits
                     .fetch_add(1, Ordering::Relaxed);
                 self.progress_tick();
-                let now = self.clock.cycles();
-                let stalled = if self.clock.enabled() && stamp > now {
-                    self.clock.set_cycles(stamp);
-                    stamp - now
-                } else {
-                    0
-                };
+                let stalled = self.clock.advance_to(stamp);
                 self.trace_emit(t0, TraceKind::SignalWait, None, 8, sig.off as u64);
                 return stalled;
             }
@@ -2505,15 +2305,8 @@ impl<'f> Pe<'f> {
             self.progress_site(WaitSite::Running);
         }
         self.progress_tick();
-
-        if self.clock.enabled() {
-            let arrived = b.max_cycles[slot].load(Ordering::Acquire);
-            let rounds = ceil_log2(self.shared.n_pes.max(2)) as u64;
-            let cost =
-                rounds * (self.timing.cost.noc.base_latency + 2 * self.timing.cost.alu_cycles);
-            self.clock
-                .set_cycles(arrived.max(self.clock.cycles()) + cost);
-        }
+        self.clock
+            .barrier(b.max_cycles[slot].load(Ordering::Acquire));
         // `aux` = generation: the critical-path analyzer groups the PEs of
         // one barrier episode by it to model the release wave.
         self.trace_emit(t0, TraceKind::Barrier, None, 0, gen as u64);
@@ -2631,11 +2424,6 @@ impl<R> RunReport<R> {
     pub fn makespan_cycles(&self) -> u64 {
         self.cycles.iter().copied().max().unwrap_or(0)
     }
-
-    /// The simulated makespan in seconds at `core_hz`.
-    pub fn makespan_seconds(&self, core_hz: u64) -> f64 {
-        self.makespan_cycles() as f64 / core_hz as f64
-    }
 }
 
 /// Entry point: runs `body` SPMD on `config.n_pes` PEs, one OS thread each.
@@ -2748,7 +2536,7 @@ impl Fabric {
                         sched: &shared.coop,
                         rank,
                     };
-                    let pe = Pe::new(rank, shared, config.timing, config.topology, config.faults);
+                    let pe = Pe::new(rank, shared, &config);
                     let r = body(&pe);
                     pe.progress_site(WaitSite::Finished);
                     (r, pe.clock.cycles())

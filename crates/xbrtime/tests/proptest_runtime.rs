@@ -13,7 +13,7 @@ use xbrtime::collectives;
 use xbrtime::heap::{FreeList, HEAP_ALIGN};
 use xbrtime::{
     AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FabricStats, ReduceOp, SyncMode,
-    TimingConfig,
+    TimingConfig, Topology,
 };
 
 // ---------------------------------------------------------------------
@@ -395,6 +395,124 @@ fn transfer_cost_table() {
         };
         assert_eq!(measured, expect, "{name} to PE {target}");
     }
+}
+
+/// Two nodes of two PEs, on-node flights four times cheaper.
+const TWO_NODES: Topology = Topology {
+    pes_per_node: 2,
+    intra_node_factor: 0.25,
+};
+
+/// `x` cycles scaled by `factor`, rounded as the fabric rounds.
+fn scaled(x: u64, factor: f64) -> u64 {
+    (x as f64 * factor).round() as u64
+}
+
+/// What topology pricing charges, on the same warm, idle fabric as
+/// [`transfer_cost_table`] with four PEs in two nodes: a blocking 8-byte
+/// put or get to the node-mate (PE 1) pays the on-node occupancy and
+/// flight, one to the other node (PE 2) the full ones; and a signal posted
+/// to either arrives one scaled flight after the post.
+#[test]
+fn topology_transfer_cost_table() {
+    let timing = TimingConfig::paper();
+    let cost = timing.cost;
+    let walk = cost.l1.hit_cycles;
+    let overhead = timing.element_overhead(1);
+    let fabric = |factor: f64| {
+        cost.olb_lookup_cycles
+            + scaled(cost.noc.occupancy(8), factor).max(1)
+            + scaled(cost.noc.base_latency, factor)
+            + cost.mem_cycles
+    };
+
+    let config = FabricConfig::paper(4)
+        .with_topology(TWO_NODES)
+        .with_engine(EngineConfig::coop().with_workers(1));
+    let report = Fabric::run(config, |pe| {
+        let a = pe.shared_malloc::<u64>(1);
+        let sig = pe.shared_malloc::<u64>(1);
+        pe.heap_store(sig.whole(), 0);
+        let mut p = [7u64];
+        let mut rows = Vec::new();
+        pe.barrier();
+        if pe.rank() == 0 {
+            for target in [1usize, 2] {
+                for name in ["put", "get"] {
+                    let mut measured = 0;
+                    for _ in 0..2 {
+                        let t0 = pe.cycles();
+                        match name {
+                            "put" => pe.put(a.whole(), &p, 1, 1, target),
+                            _ => pe.get(&mut p, a.whole(), 1, 1, target),
+                        }
+                        measured = pe.cycles() - t0;
+                    }
+                    rows.push((name, target, measured));
+                }
+            }
+        }
+        // Every clock leaves the barrier at the same cycle, so a waiter's
+        // stall is the stamp minus the post's issue time.
+        pe.barrier();
+        let mut stall = 0;
+        match pe.rank() {
+            0 => {
+                pe.signal_post(sig.whole(), 1);
+                pe.signal_post(sig.whole(), 2);
+            }
+            1 | 2 => stall = pe.signal_wait(sig.whole()),
+            _ => {}
+        }
+        pe.barrier();
+        (rows, stall)
+    });
+
+    let rows = &report.results[0].0;
+    assert_eq!(rows.len(), 4);
+    for &(name, target, measured) in rows {
+        let factor = if target == 1 { 0.25 } else { 1.0 };
+        assert_eq!(
+            measured,
+            walk + overhead + fabric(factor),
+            "{name} to PE {target}"
+        );
+    }
+    // The second post issues one ALU op after the first.
+    assert_eq!(report.results[1].1, scaled(cost.noc.base_latency, 0.25));
+    assert_eq!(report.results[2].1, cost.alu_cycles + cost.noc.base_latency);
+}
+
+/// A non-blocking transfer holds its injection port for the same
+/// topology-scaled occupancy its crossing is charged: two back-to-back
+/// 64 KiB `put_nb`s to a node-mate complete one *on-node* occupancy apart,
+/// not one inter-node occupancy.
+#[test]
+fn intra_node_nb_burst_drains_at_node_bandwidth() {
+    const N: usize = 8 * 1024; // 64 KiB of u64
+    let cost = TimingConfig::paper().cost;
+    let config = FabricConfig::paper(4)
+        .with_topology(TWO_NODES)
+        .with_engine(EngineConfig::coop().with_workers(1));
+    let report = Fabric::run(config, |pe| {
+        let buf = pe.shared_malloc::<u64>(2 * N);
+        let data = vec![3u64; N];
+        pe.barrier();
+        let mut apart = 0;
+        if pe.rank() == 0 {
+            let first = pe.put_nb(buf.whole(), &data, N, 1, 1);
+            let second = pe.put_nb(buf.at(N), &data, N, 1, 1);
+            apart = second.completion_cycles() - first.completion_cycles();
+            pe.quiet();
+        }
+        pe.barrier();
+        apart
+    });
+    assert_eq!(
+        report.results[0],
+        scaled(cost.noc.occupancy(N * 8), 0.25),
+        "an on-node burst drains at on-node bandwidth"
+    );
 }
 
 // ---------------------------------------------------------------------
