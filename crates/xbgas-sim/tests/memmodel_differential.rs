@@ -8,7 +8,9 @@
 //! returned latency, every hit flag and the final counters must agree, on
 //! the access patterns that stress the differences: capacity-sized
 //! round-robins, same-line and same-page repeats, flushes mid-stream,
-//! non-power-of-two capacities.
+//! non-power-of-two capacities, and ranges around the lengths where
+//! `MemModel::access_range` skips L1 probes or prices a back-to-back
+//! repeat in closed form.
 
 // The `..ProptestConfig::default()` spread is upstream proptest's
 // canonical config idiom; the local shim happens to have no other
@@ -209,6 +211,12 @@ impl RefModel {
         total
     }
 
+    fn flush(&mut self) {
+        self.tlb.flush();
+        self.l1.flush();
+        self.l2.flush();
+    }
+
     fn stats(&self) -> (CacheStats, CacheStats, TlbStats) {
         (self.l1.stats, self.l2.stats, self.tlb.stats)
     }
@@ -223,6 +231,8 @@ enum Op {
     Access(u64),
     /// A contiguous byte range (whole-model runs only).
     Range(u64, usize),
+    /// The stream's previous `Range` again, if there was one.
+    Again,
     /// Flush the TLB and both caches.
     Flush,
 }
@@ -305,7 +315,66 @@ fn streams(n: u64) -> Vec<(&'static str, Vec<Op>)> {
         ranges.push(Op::Access(rng.addr(1 << 20)));
     }
     out.push(("ranges", ranges));
+    // Every range walked twice back to back: the second walk is the one
+    // the closed form prices.
+    let mut twice = Vec::new();
+    for _ in 0..n / 40 {
+        let len = match rng.next() % 3 {
+            0 => 1 + rng.next() % 4096,
+            1 => 1 + rng.next() % 40_000,
+            _ => 64 * (256 + rng.next() % 3) - rng.next() % 2,
+        };
+        twice.extend([Op::Range(rng.addr(1 << 20), len as usize), Op::Again]);
+        twice.push(Op::Access(rng.addr(1 << 20)));
+    }
+    out.push(("back-to-back ranges", twice));
     out
+}
+
+/// Ranges of the lengths where a walk changes regime on `cost`'s
+/// machine — L1 capacity −1 / +0 / +1 lines, twice that ±1, 512 and 4 096
+/// lines, one line more than the L2 has sets, one page more than the TLB
+/// holds — each walked twice back to back, then again across a word
+/// access to the same L1 set, across a flush, and across a range that
+/// starts on the line the previous walk ended on.
+fn regime_ranges(cost: &CostConfig) -> Vec<Op> {
+    let line = cost.l1.line_bytes as u64;
+    let capacity = (cost.l1.sets() * cost.l1.ways) as u64;
+    let tlb_lines = cost.tlb.entries as u64 * cost.tlb.page_bytes / line;
+    let l2_stride = (cost.l2.sets() * cost.l2.line_bytes) as u64;
+    let lengths = [
+        capacity - 1,
+        capacity,
+        capacity + 1,
+        2 * capacity - 1,
+        2 * capacity,
+        2 * capacity + 1,
+        512,
+        4096,
+        cost.l2.sets() as u64 + 1,
+        tlb_lines + 1,
+    ];
+    let mut ops = Vec::new();
+    for (k, lines) in lengths.into_iter().enumerate() {
+        // Each length from its own L1 set; line-aligned, then one byte
+        // in (the same lines plus one).
+        for skew in [0, 1] {
+            let a = BASE + k as u64 * 3 * line + skew;
+            let range = Op::Range(a, (lines * line) as usize);
+            let end = a + lines * line - 1;
+            // Leave the first line in the L1 but not in the L2: re-touch
+            // it (an L1 hit, which the L2 never sees) after each of
+            // `l2.ways` lines that share both its sets.
+            ops.push(Op::Access(a));
+            for j in 1..=cost.l2.ways as u64 {
+                ops.extend([Op::Access(a + j * l2_stride), Op::Access(a)]);
+            }
+            ops.extend([range, Op::Again, Op::Access(a + cost.l1.size_bytes as u64)]);
+            ops.extend([range, range, Op::Flush, range, range]);
+            ops.extend([Op::Range(end & !(line - 1), 8), range, range]);
+        }
+    }
+    ops
 }
 
 // ---------------------------------------------------------------------------
@@ -322,7 +391,7 @@ fn check_tlb(what: &str, config: TlbConfig, ops: &[Op]) {
                 "{what}, {} entries: access {i} at {a:#x}",
                 config.entries
             ),
-            Op::Range(..) => {}
+            Op::Range(..) | Op::Again => {}
             Op::Flush => {
                 new.flush();
                 old.flush();
@@ -341,7 +410,7 @@ fn check_cache(what: &str, config: CacheConfig, ops: &[Op]) {
                 old.access(a),
                 "{what}, {config:?}: access {i} at {a:#x}"
             ),
-            Op::Range(..) => {}
+            Op::Range(..) | Op::Again => {}
             Op::Flush => {
                 new.flush();
                 old.flush();
@@ -353,7 +422,19 @@ fn check_cache(what: &str, config: CacheConfig, ops: &[Op]) {
 
 fn check_model(what: &str, cost: CostConfig, ops: &[Op]) {
     let (mut new, mut old) = (MemModel::new(&cost), RefModel::new(cost));
+    let mut previous = None;
     for (i, &op) in ops.iter().enumerate() {
+        let op = match op {
+            Op::Range(a, len) => {
+                previous = Some((a, len));
+                op
+            }
+            Op::Again => match previous {
+                Some((a, len)) => Op::Range(a, len),
+                None => continue,
+            },
+            _ => op,
+        };
         match op {
             Op::Access(a) => {
                 assert_eq!(new.access(a), old.access(a), "{what}: access {i} at {a:#x}")
@@ -363,13 +444,10 @@ fn check_model(what: &str, cost: CostConfig, ops: &[Op]) {
                 old.access_range(a, len),
                 "{what}: range {i} at {a:#x} + {len}"
             ),
+            Op::Again => unreachable!("resolved above"),
             Op::Flush => {
-                new.tlb.flush();
-                new.hier.l1.flush();
-                new.hier.l2.flush();
-                old.tlb.flush();
-                old.l1.flush();
-                old.l2.flush();
+                new.flush();
+                old.flush();
             }
         }
     }
@@ -445,6 +523,39 @@ fn models_match_their_references() {
     sweep(20_000);
 }
 
+/// The paper's machine, the tiny one, and two where the repeat rule's
+/// bounds decide outcomes: a direct-mapped L2 (two lines of a range in one
+/// L2 set evict each other) and a three-entry TLB.
+#[test]
+fn ranges_at_regime_boundaries_match() {
+    let direct_l2 = CostConfig {
+        l2: CacheConfig {
+            ways: 1,
+            ..tiny_cost().l2
+        },
+        tlb: TlbConfig {
+            entries: 64,
+            ..tiny_cost().tlb
+        },
+        ..tiny_cost()
+    };
+    let small_tlb = CostConfig {
+        tlb: TlbConfig {
+            entries: 3,
+            ..TlbConfig::paper()
+        },
+        ..CostConfig::paper()
+    };
+    for (what, cost) in [
+        ("paper", CostConfig::paper()),
+        ("tiny", tiny_cost()),
+        ("direct-mapped L2", direct_l2),
+        ("three-entry TLB", small_tlb),
+    ] {
+        check_model(what, cost, &regime_ranges(&cost));
+    }
+}
+
 #[test]
 #[ignore = "over 10 M compared accesses; run in release with -- --ignored"]
 fn models_match_their_references_full_sweep() {
@@ -452,12 +563,14 @@ fn models_match_their_references_full_sweep() {
     assert!(compared >= 10_000_000, "only {compared} accesses compared");
 }
 
-/// Mostly word accesses, some ranges, an occasional flush, over six of
-/// the tiny machine's 256-byte pages: twice its TLB, three times its L2.
+/// Mostly word accesses, some ranges and repeats of the previous range,
+/// an occasional flush, over six of the tiny machine's 256-byte pages:
+/// twice its TLB, three times its L2.
 fn arb_op() -> impl Strategy<Value = Op> {
     (0u8..16, 0u64..6 * 256, 0usize..600).prop_map(|(kind, a, len)| match kind {
         0 => Op::Flush,
         1..=3 => Op::Range(a, len),
+        4..=5 => Op::Again,
         _ => Op::Access(a),
     })
 }
