@@ -25,7 +25,7 @@
 
 use std::process::exit;
 
-use xbrtime::collectives::explore::{explore_exhaustive, run_mutation_harness, ExploreConfig};
+use xbrtime::collectives::explore::{explore_exhaustive, run_mutation_harness};
 use xbrtime::collectives::scatter::adjusted_displacements;
 use xbrtime::collectives::schedule::{broadcast_binomial, CommSchedule, Payload, Row, Shape};
 use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
@@ -316,7 +316,6 @@ fn main() {
 
     // --- Plane 2: exhaustive interleaving exploration ------------------
     println!("plane 2: exhaustive interleaving exploration (n ∈ {{2, 3, 4}})");
-    let ecfg = ExploreConfig::default();
     let explore_sizes: &[usize] = if smoke { &[2, 3] } else { &[2, 3, 4] };
     let mut explored = 0usize;
     let mut states_total = 0usize;
@@ -324,7 +323,7 @@ fn main() {
     for &n in explore_sizes {
         for c in cases(n) {
             for sync in SyncMode::CONCRETE {
-                let out = explore_exhaustive(&c.sched, sync, &c.spec, &cfg, &ecfg);
+                let out = explore_exhaustive(&c.sched, sync, &c.spec, &cfg);
                 explored += 1;
                 states_total += out.states;
                 if !out.ok() {
@@ -340,7 +339,7 @@ fn main() {
                 force_chunks: Some(2),
                 ..cfg
             };
-            let out = explore_exhaustive(&c.sched, SyncMode::Pipelined, &c.spec, &forced, &ecfg);
+            let out = explore_exhaustive(&c.sched, SyncMode::Pipelined, &c.spec, &forced);
             explored += 1;
             states_total += out.states;
             if !out.ok() {
@@ -368,7 +367,7 @@ fn main() {
     let mut killed_pairs = 0usize;
     let mut survivors = Vec::new();
     for c in &targets {
-        let report = run_mutation_harness(&c.sched, &c.spec, &cfg, &SyncMode::CONCRETE, &ecfg);
+        let report = run_mutation_harness(&c.sched, &c.spec, &cfg, &SyncMode::CONCRETE);
         if report.outcomes.is_empty() {
             continue;
         }

@@ -115,11 +115,11 @@ pub(crate) fn broadcast_on<T: XbrType>(
     broadcast_core(pe, dest, src, &row, family, sync);
 }
 
-/// The one broadcast body: stage the root, run `row` — the flat trees, a
-/// team's, the two-tier hierarchy. `kind` is the telemetry kind the
-/// episode reports under — so composites like reduce-to-all attribute
-/// their internal broadcast to themselves. A zero-length broadcast is
-/// fully inert (telemetry only).
+/// The one blocking broadcast body: the one stage-in, then `row` — the
+/// flat trees, a team's, the two-tier hierarchy. `kind` is the telemetry
+/// kind the episode reports under — so composites like reduce-to-all
+/// attribute their internal broadcast to themselves. A zero-length
+/// broadcast is fully inert (telemetry only).
 pub(crate) fn broadcast_core<T: XbrType>(
     pe: &Pe,
     dest: &SymmAlloc<T>,
@@ -129,17 +129,8 @@ pub(crate) fn broadcast_core<T: XbrType>(
     sync: SyncMode,
 ) {
     row.check();
-    let (root_pe, nelems, stride) = row.rooted_whole();
-    if nelems == 0 {
-        plan::note_inert(pe, kind);
-        return;
-    }
-    // The root stages the payload into its symmetric dest so that interior
-    // stages can forward heap-to-heap with a single put each.
-    if pe.rank() == root_pe {
-        pe.heap_write_strided(dest.whole(), src, nelems, stride);
-    }
-    plan::run_schedule(pe, row, kind, dest.whole(), &[], &mut [], None, sync);
+    let plan = || plan::plan_for(pe, row, kind, sync, std::mem::size_of::<T>());
+    plan::issue_broadcast(pe, kind, dest, src, row.rooted_whole(), plan, false).wait(pe);
 }
 
 #[cfg(test)]

@@ -120,21 +120,9 @@ pub fn check_with_scheduler(
 // Exhaustive exploration.
 // ---------------------------------------------------------------------------
 
-/// Bounds for the exhaustive explorer.
-#[derive(Clone, Copy, Debug)]
-pub struct ExploreConfig {
-    /// Visited-state budget; exceeding it sets
-    /// [`ExploreOutcome::truncated`] instead of silently passing.
-    pub max_states: usize,
-}
-
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        ExploreConfig {
-            max_states: 500_000,
-        }
-    }
-}
+/// The exhaustive explorer's visited-state budget: exceeding it sets
+/// [`ExploreOutcome::truncated`] instead of silently passing.
+const MAX_STATES: usize = 500_000;
 
 /// How one explored interleaving failed.
 #[derive(Clone, Debug)]
@@ -221,7 +209,6 @@ pub fn explore_exhaustive(
     sync: SyncMode,
     spec: &CollectiveSpec,
     cfg: &ModelConfig,
-    ecfg: &ExploreConfig,
 ) -> ExploreOutcome {
     let prog = Program::lower(sched, sync, cfg);
     let exp = prog.expectation(spec);
@@ -303,7 +290,7 @@ pub fn explore_exhaustive(
         if !visited.insert(m.state_hash()) {
             continue;
         }
-        if visited.len() > ecfg.max_states {
+        if visited.len() > MAX_STATES {
             truncated = true;
             break;
         }
@@ -599,7 +586,6 @@ pub fn run_mutation_harness(
     spec: &CollectiveSpec,
     cfg: &ModelConfig,
     modes: &[SyncMode],
-    ecfg: &ExploreConfig,
 ) -> MutationReport {
     let mut outcomes = Vec::new();
     for mutation in generate_mutations(sched) {
@@ -615,7 +601,7 @@ pub fn run_mutation_harness(
                 });
                 continue;
             }
-            let explored = explore_exhaustive(&mutant, sync, spec, cfg, ecfg);
+            let explored = explore_exhaustive(&mutant, sync, spec, cfg);
             let (killed, how) = match (&explored.failure, explored.truncated) {
                 (Some(_), _) => (true, format!("explored: {}", explored.summary())),
                 (None, true) => (false, format!("survived: {}", explored.summary())),
@@ -641,7 +627,6 @@ mod tests {
     #[test]
     fn exhaustive_passes_correct_generators() {
         let cfg = ModelConfig::default();
-        let ecfg = ExploreConfig::default();
         for n in 2..=4usize {
             for sync in SyncMode::CONCRETE {
                 let sched = broadcast_binomial(n, 0, 2, 1);
@@ -650,7 +635,7 @@ mod tests {
                     nelems: 2,
                     stride: 1,
                 };
-                let out = explore_exhaustive(&sched, sync, &spec, &cfg, &ecfg);
+                let out = explore_exhaustive(&sched, sync, &spec, &cfg);
                 assert!(out.ok(), "bcast n={n} {}: {}", sync.name(), out.summary());
 
                 let red = reduce_binomial(n, 0, 2, 1);
@@ -659,7 +644,7 @@ mod tests {
                     nelems: 2,
                     stride: 1,
                 };
-                let out = explore_exhaustive(&red, sync, &rspec, &cfg, &ecfg);
+                let out = explore_exhaustive(&red, sync, &rspec, &cfg);
                 assert!(out.ok(), "reduce n={n} {}: {}", sync.name(), out.summary());
             }
         }
@@ -685,24 +670,12 @@ mod tests {
             stride: 1,
         };
         let cfg = ModelConfig::default();
-        let out = explore_exhaustive(
-            &bad,
-            SyncMode::Barrier,
-            &spec,
-            &cfg,
-            &ExploreConfig::default(),
-        );
+        let out = explore_exhaustive(&bad, SyncMode::Barrier, &spec, &cfg);
         let failure = out
             .failure
             .expect("merged stages must fail some interleaving");
         // Determinism: a second exploration finds the identical trace.
-        let again = explore_exhaustive(
-            &bad,
-            SyncMode::Barrier,
-            &spec,
-            &cfg,
-            &ExploreConfig::default(),
-        );
+        let again = explore_exhaustive(&bad, SyncMode::Barrier, &spec, &cfg);
         assert_eq!(failure.trace, again.failure.expect("still fails").trace);
         // Reproducibility: replaying the trace exhibits the failure too.
         let replay = replay_trace(&bad, SyncMode::Barrier, &spec, &cfg, &failure.trace);
@@ -735,13 +708,8 @@ mod tests {
             nelems: 2,
             stride: 1,
         };
-        let report = run_mutation_harness(
-            &sched,
-            &spec,
-            &ModelConfig::default(),
-            &SyncMode::CONCRETE,
-            &ExploreConfig::default(),
-        );
+        let report =
+            run_mutation_harness(&sched, &spec, &ModelConfig::default(), &SyncMode::CONCRETE);
         assert!(!report.outcomes.is_empty(), "no mutants generated");
         if let Some(o) = report.survivors().next() {
             panic!(

@@ -32,7 +32,7 @@
 //!   [`Row`] that carries the member list.
 
 use crate::collectives::broadcast::{broadcast_core, broadcast_on};
-use crate::collectives::plan;
+use crate::collectives::plan::{self, Readout};
 use crate::collectives::policy::{self, Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::reduce::reduce_core;
 use crate::collectives::schedule::{
@@ -301,32 +301,21 @@ pub fn reduce_all_with<T: XbrType>(
     sync: SyncMode,
 ) {
     assert!(dest.len() >= nelems, "dest too small for all-reduce result");
-    let n_pes = pe.n_pes();
-    let kind = CollectiveKind::AllReduce;
-    if nelems == 0 {
-        // Fully inert: no staging board, no barriers, telemetry only.
-        plan::note_inert(pe, kind);
-        return;
-    }
-    let algo = algo.resolve(n_pes, nelems * std::mem::size_of::<T>());
+    let algo = algo.resolve(pe.n_pes(), nelems * std::mem::size_of::<T>());
     if algo == AllReduceAlgo::ReduceThenBroadcast {
         reduce_then_broadcast(pe, dest, src, nelems, f, None, sync);
         return;
     }
-    let work = pe.shared_malloc::<T>(nelems);
-    pe.get_symm(work.whole(), src.whole(), nelems, 1, pe.rank());
-    pe.barrier();
-    let plan = plan::allreduce_plan::<T>(pe, algo, nelems, sync);
-    plan::execute_plan(pe, &plan, work.whole(), &[], &mut [], Some(&f));
-    pe.heap_read_strided(work.whole(), &mut dest[..nelems], nelems, 1);
-    pe.barrier();
-    pe.shared_free(work);
+    let plan = || plan::allreduce_plan::<T>(pe, algo, nelems, sync);
+    let (kind, readout) = (CollectiveKind::AllReduce, Readout::All { nelems });
+    plan::issue_reduce(pe, kind, Some(src), readout, None, plan, f, false).wait_into(pe, dest);
 }
 
 /// The paper's composition, reporting as one all-reduce: the binomial
 /// reduction to the first rank of `members` (or of the world), then the
 /// binomial broadcast back from it. Everyone calls; only participants
-/// contribute and read the result out.
+/// contribute and read the result out. A zero-length one is fully inert,
+/// like every other body: telemetry only.
 fn reduce_then_broadcast<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
@@ -337,6 +326,10 @@ fn reduce_then_broadcast<T: XbrType>(
     sync: SyncMode,
 ) {
     let kind = CollectiveKind::AllReduce;
+    if nelems == 0 {
+        plan::note_inert(pe, kind);
+        return;
+    }
     let tree = |family| Row {
         shape: Shape::Rooted {
             family,
@@ -501,11 +494,6 @@ impl Team {
         f: impl Fn(T, T) -> T + Copy,
         sync: SyncMode,
     ) {
-        if nelems == 0 {
-            // Fully inert, like every other body: telemetry only.
-            plan::note_inert(pe, CollectiveKind::AllReduce);
-            return;
-        }
         reduce_then_broadcast(pe, dest, src, nelems, f, Some(&self.members), sync);
     }
 }

@@ -57,8 +57,8 @@ pub mod vrank;
 
 pub use broadcast::{broadcast, broadcast_policy_sync};
 pub use explore::{
-    explore_exhaustive, run_mutation_harness, ExploreConfig, ExploreOutcome, Mutation,
-    MutationReport, RandomPriority, RoundRobin, Scheduler,
+    explore_exhaustive, run_mutation_harness, ExploreOutcome, Mutation, MutationReport,
+    RandomPriority, RoundRobin, Scheduler,
 };
 pub use extended::{
     all_gather, all_gather_algo_sync, all_to_all_sync, allreduce_fused, allreduce_rabenseifner,

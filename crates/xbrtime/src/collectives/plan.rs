@@ -15,11 +15,23 @@
 //! [`Row`], which checks its own
 //! arguments, writes its own [`PlanKey`] and — on a miss only — runs its
 //! own generator, so repeat issues of the same collective skip schedule
-//! generation, validation, Auto resolution and lowering entirely. On top
-//! of cached plans sit the nonblocking collectives
-//! ([`ixbroadcast`]/[`ixreduce`]/[`ixallreduce`] returning a
-//! [`CollHandle`]) and their persistent `plan_create`/`plan_start`
-//! variants.
+//! generation, validation, Auto resolution and lowering entirely.
+//!
+//! Every episode, however it is issued, runs through one pair: an
+//! `open` that notes the resolved choice, takes the slot window and the
+//! signal table and runs the steps before the drain, and a `close` that
+//! runs the drain, reports the episode and releases the window.
+//! [`execute_plan`] is the two back to back. The nonblocking collectives
+//! ([`ixbroadcast`]/[`ixreduce`]/[`ixallreduce`]) and their persistent
+//! `plan_create`/`start` variants return the open episode as a
+//! [`CollHandle`]; a blocking broadcast or staged reduction is the same
+//! handle waited on at once. Each of the two has one stage-in
+//! (`issue_broadcast`, `issue_reduce`), which owns its zero-length guard,
+//! so a zero-length call is inert on every route. The only difference
+//! between the routes is whether the episode outlives its call: a
+//! nonblocking one reserves its slot window and sizes the first table of
+//! an overlap window with headroom; a blocking one runs at the current
+//! floor with a table of exactly its size.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -44,8 +56,9 @@ use crate::types::XbrType;
 /// Signal-table slots reserved on the *first* nonblocking issue, in
 /// units of that plan's slot window: room for this many same-shaped
 /// episodes in flight before a later issue would need to grow the table
-/// mid-overlap (which `issue_plan` refuses — growth frees the live
-/// table). Deeper windows are possible by pre-sizing with
+/// mid-overlap (which `open` refuses — growth frees the live table).
+/// Only episodes that outlive their call take it. Deeper windows are
+/// possible by pre-sizing with
 /// [`Pe::signal_table`](crate::fabric::Pe::signal_table).
 const OVERLAP_HEADROOM: usize = 16;
 
@@ -822,8 +835,151 @@ fn run_steps<T: XbrType>(
     wait_cycles
 }
 
-/// Run a compiled plan to completion on this PE. Every PE must call this
-/// collectively with the same plan.
+/// One PE's open episode of a plan: what [`close`] needs to finish it.
+struct Episode<T: XbrType> {
+    /// The symmetric working buffer the plan's offsets index.
+    buf: SymmRef<T>,
+    /// Base of the episode's signal-slot window.
+    base: usize,
+    /// The signal table, when the plan signals.
+    table: Option<SymmRef<u64>>,
+    /// The window is reserved: the episode outlives its call.
+    reserved: bool,
+    /// Cycle count at the open.
+    t0: u64,
+    /// The collective's trace span.
+    t_ep: Option<u64>,
+    /// Signal-wait stall cycles so far.
+    wait_cycles: u64,
+}
+
+/// Open an episode of `plan` on this PE and run every step before its
+/// drain — where the blocking, nonblocking and persistent routes meet, and
+/// so the one place the resolved algorithm/sync choice goes on the
+/// collective's [`CollectiveRecord`](crate::fabric::CollectiveRecord):
+/// telemetry shows what actually ran, however it was issued. `None` for
+/// an inert plan (counted, nothing else).
+///
+/// `outlives` says whether the episode outlives its call (a nonblocking or
+/// persistent issue). Such an episode reserves its slot window above the
+/// ones in flight, and the first of an overlap window sizes the signal
+/// table for [`OVERLAP_HEADROOM`] same-shaped episodes. A blocking episode
+/// runs at the current floor — zero normally, above any episodes in
+/// flight otherwise — with a table of exactly its size.
+fn open<T: XbrType>(
+    pe: &Pe,
+    plan: &Plan,
+    buf: SymmRef<T>,
+    local_src: &[T],
+    local_dst: &mut [T],
+    fold: Option<&dyn Fn(T, T) -> T>,
+    outlives: bool,
+) -> Option<Episode<T>> {
+    assert_eq!(
+        plan.n_pes,
+        pe.n_pes(),
+        "plan built for {} PEs but the fabric has {}",
+        plan.n_pes,
+        pe.n_pes()
+    );
+    assert_eq!(
+        plan.elem_bytes,
+        std::mem::size_of::<T>(),
+        "plan lowered for {}-byte elements but T is {} bytes",
+        plan.elem_bytes,
+        std::mem::size_of::<T>()
+    );
+    let algo = plan.algo.map_or(0, algo_bit);
+    pe.note_choice(plan.kind, algo, sync_bit(plan.sync));
+    if plan.empty {
+        note_inert(pe, plan.kind);
+        return None;
+    }
+    let t0 = pe.cycles();
+    pe.progress_collective(Some(plan.kind));
+    let t_ep = pe.trace_start();
+    let base = if outlives {
+        pe.nb_slot_reserve(plan.n_slots)
+    } else {
+        pe.nb_slot_floor()
+    };
+    let table = (plan.n_slots > 0).then(|| {
+        let need = base + plan.n_slots;
+        // Growing the table under episodes in flight would free-and-rezero
+        // it (and barrier mid-issue), stranding their completion signals
+        // in a silent deadlock; refuse loudly.
+        assert!(
+            base == 0 || need <= pe.signal_table_cap(),
+            "PE {}: a collective above an overlap window needs {need} signal \
+             slots but the table holds {}; wait on an outstanding handle, or \
+             pre-size with Pe::signal_table before the first issue",
+            pe.rank(),
+            pe.signal_table_cap(),
+        );
+        let headroom = if base == 0 && outlives {
+            OVERLAP_HEADROOM
+        } else {
+            1
+        };
+        pe.signal_table(need * headroom)
+    });
+    let prog = &plan.per_pe[pe.rank()];
+    let mut landing = pe.scratch_take::<T>();
+    landing.resize(prog.landing_len, T::default());
+    let wait_cycles = run_steps(
+        pe,
+        &prog.steps[..prog.drain_from],
+        base,
+        table,
+        buf,
+        local_src,
+        local_dst,
+        fold,
+        &mut landing,
+    );
+    pe.scratch_put(landing);
+    Some(Episode {
+        buf,
+        base,
+        table,
+        reserved: outlives,
+        t0,
+        t_ep,
+        wait_cycles,
+    })
+}
+
+/// Close an episode [`open`] started: run its drain (signal waits and the
+/// closing barrier — no transfer, no fold), close its trace and progress
+/// span, report it and release its slot window.
+fn close<T: XbrType>(pe: &Pe, plan: &Plan, ep: Episode<T>) {
+    let prog = &plan.per_pe[pe.rank()];
+    let drain = &prog.steps[prog.drain_from..];
+    let stalled = run_steps(
+        pe,
+        drain,
+        ep.base,
+        ep.table,
+        ep.buf,
+        &[],
+        &mut [],
+        None,
+        &mut [],
+    );
+    pe.trace_emit(ep.t_ep, TraceKind::Collective, None, 0, 0);
+    pe.progress_collective(None);
+    let sample = prog
+        .sample
+        .sample(pe.cycles() - ep.t0, ep.wait_cycles + stalled);
+    pe.note_collective(plan.kind, sample);
+    if ep.reserved {
+        pe.nb_slot_release();
+    }
+}
+
+/// Run a compiled plan to completion on this PE: the episode's `open`,
+/// then its `close`, back to back. Every PE must call this collectively
+/// with the same plan.
 ///
 /// `buf` is the base of the symmetric working buffer all symmetric step
 /// offsets index. `local_src`/`local_dst` back the steps whose [`Space`]
@@ -841,60 +997,9 @@ pub fn execute_plan<T: XbrType>(
     local_dst: &mut [T],
     fold: Option<&dyn Fn(T, T) -> T>,
 ) {
-    assert_eq!(
-        plan.n_pes,
-        pe.n_pes(),
-        "plan built for {} PEs but the fabric has {}",
-        plan.n_pes,
-        pe.n_pes()
-    );
-    assert_eq!(
-        plan.elem_bytes,
-        std::mem::size_of::<T>(),
-        "plan lowered for {}-byte elements but T is {} bytes",
-        plan.elem_bytes,
-        std::mem::size_of::<T>()
-    );
-    let prog = &plan.per_pe[pe.rank()];
-    let Some((t0, t_ep)) = open_episode(pe, plan) else {
-        return;
-    };
-
-    // Blocking plans run at the PE's current slot floor: zero normally,
-    // above any outstanding nonblocking episodes otherwise, so mixing
-    // blocking and in-flight collectives never collides slots.
-    let base = pe.nb_slot_floor();
-    // Same growth hazard as `issue_plan`: with episodes in flight the
-    // table must already be big enough (growth frees it under them).
-    assert!(
-        base == 0 || plan.n_slots == 0 || base + plan.n_slots <= pe.signal_table_cap(),
-        "PE {}: blocking collective above an overlap window needs {} \
-         signal slots but the table holds {}; wait on an outstanding \
-         handle, or pre-size with Pe::signal_table before issuing",
-        pe.rank(),
-        base + plan.n_slots,
-        pe.signal_table_cap(),
-    );
-    let table = (plan.n_slots > 0).then(|| pe.signal_table(base + plan.n_slots));
-
-    let mut landing = pe.scratch_take::<T>();
-    landing.resize(prog.landing_len, T::default());
-    let wait_cycles = run_steps(
-        pe,
-        &prog.steps,
-        base,
-        table,
-        buf,
-        local_src,
-        local_dst,
-        fold,
-        &mut landing,
-    );
-    pe.scratch_put(landing);
-
-    pe.trace_emit(t_ep, TraceKind::Collective, None, 0, 0);
-    pe.progress_collective(None);
-    pe.note_collective(plan.kind, prog.sample.sample(pe.cycles() - t0, wait_cycles));
+    if let Some(ep) = open(pe, plan, buf, local_src, local_dst, fold, false) {
+        close(pe, plan, ep);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -987,10 +1092,10 @@ struct PlanShard {
 }
 
 /// Sharded, thread-safe plan memo. Shard selection hashes the key, so
-/// concurrent lookups from many PEs (or the coop engine's work-stealing
-/// workers) contend only when they race on the *same* collective shape —
-/// and then the first arrival builds while the rest block and hit,
-/// keeping the hit/miss counters exact (`misses == distinct keys`).
+/// concurrent lookups from many PEs contend only when they race on the
+/// *same* collective shape — and then the first arrival builds while the
+/// rest block and hit, keeping the hit/miss counters exact
+/// (`misses == distinct keys`).
 pub struct PlanCache {
     shards: Vec<PlanShard>,
 }
@@ -1102,75 +1207,6 @@ pub fn run_schedule<T: XbrType>(
     execute_plan(pe, &plan, buf, local_src, local_dst, fold);
 }
 
-/// Open an episode of `plan` on this PE — where the blocking, nonblocking
-/// and persistent routes meet, and so the one place the resolved
-/// algorithm/sync choice goes on the collective's
-/// [`CollectiveRecord`](crate::fabric::CollectiveRecord): telemetry shows
-/// what actually ran, however it was issued. `None` for an inert plan
-/// (counted, nothing else); otherwise the progress plane is told and the
-/// start cycle and trace stamp the close needs come back.
-fn open_episode(pe: &Pe, plan: &Plan) -> Option<(u64, Option<u64>)> {
-    let algo = plan.algo.map_or(0, algo_bit);
-    pe.note_choice(plan.kind, algo, sync_bit(plan.sync));
-    if plan.empty {
-        note_inert(pe, plan.kind);
-        return None;
-    }
-    let t0 = pe.cycles();
-    pe.progress_collective(Some(plan.kind));
-    Some((t0, pe.trace_start()))
-}
-
-// ---------------------------------------------------------------------------
-// Nonblocking / persistent collectives
-// ---------------------------------------------------------------------------
-
-/// What [`CollHandle::finish`] must do with the handle's staging buffer
-/// after the drain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Readout {
-    /// Nothing to copy out (broadcast into a caller-owned buffer).
-    None,
-    /// The root copies `nelems` elements out (reduce).
-    Root { root: usize, nelems: usize },
-    /// Every PE copies `nelems` elements out (allreduce).
-    All { nelems: usize },
-}
-
-/// An in-flight nonblocking collective, produced by [`ixbroadcast`],
-/// [`ixreduce`], [`ixallreduce`] or a persistent plan's `start`.
-///
-/// SPMD discipline: every PE must issue the same handles in the same
-/// order and wait on them in issue order. Overlapping episodes must
-/// touch disjoint symmetric buffers. While handles are in flight,
-/// blocking collectives remain safe (they run above the outstanding slot
-/// window); see
-/// [`Pe::signal_table`](crate::fabric::Pe) for pre-sizing when many
-/// episodes overlap.
-///
-/// Dropping a live handle completes the episode exactly as
-/// [`CollHandle::wait`] would — drain, closing barriers, slot-window
-/// release — minus the local read-out. An abandoned episode must not
-/// strand its in-flight signal slots or the episode cursor: those are
-/// what every *later* issue's slot window is rebased on, so a leak here
-/// poisons the fabric for all subsequent nonblocking collectives. Like
-/// `wait`, the drop is collective: every PE must retire the episode at
-/// the same point in issue order.
-#[must_use = "an issued collective must be waited on"]
-pub struct CollHandle<'a, T: XbrType> {
-    pe: &'a Pe<'a>,
-    plan: Arc<Plan>,
-    buf: SymmRef<T>,
-    base: usize,
-    t0: u64,
-    t_ep: Option<u64>,
-    wait_cycles: u64,
-    staging: Option<SymmAlloc<T>>,
-    owns_staging: bool,
-    readout: Readout,
-    done: bool,
-}
-
 /// The cached plan of `row` — where every route to a plan meets: the row
 /// is checked before the cache is touched (a panic inside the build would
 /// poison the shard for every PE), keyed, and generated and lowered only
@@ -1208,87 +1244,160 @@ pub(crate) fn allreduce_plan<T: XbrType>(
     plan_for(pe, &row, kind, sync, std::mem::size_of::<T>())
 }
 
-/// Issue `plan`'s pre-drain steps and return the handle bookkeeping.
-fn issue_plan<'a, T: XbrType>(
+// ---------------------------------------------------------------------------
+// Handles: every route's episode, open until waited on
+// ---------------------------------------------------------------------------
+
+/// What the close of a staged reduction reads out of its board.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Readout {
+    /// The root reads `nelems` elements at `stride` out (reduce).
+    Root {
+        root: usize,
+        nelems: usize,
+        stride: usize,
+    },
+    /// Every PE reads `nelems` contiguous elements out (all-reduce).
+    All { nelems: usize },
+}
+
+impl Readout {
+    /// The board window, `(nelems, stride)`.
+    fn window(self) -> (usize, usize) {
+        match self {
+            Readout::Root { nelems, stride, .. } => (nelems, stride),
+            Readout::All { nelems } => (nelems, 1),
+        }
+    }
+}
+
+/// A staged reduction's symmetric board, read out after the drain.
+struct Board<T: XbrType> {
+    alloc: SymmAlloc<T>,
+    /// Freed after the read-out; a persistent plan keeps its own.
+    owned: bool,
+    readout: Readout,
+}
+
+/// A collective episode, open until waited on — what [`ixbroadcast`],
+/// [`ixreduce`], [`ixallreduce`] and a persistent plan's `start` return,
+/// and what every blocking broadcast and staged reduction waits on at
+/// once.
+///
+/// SPMD discipline: every PE must issue the same handles in the same
+/// order and wait on them in issue order. Overlapping episodes must
+/// touch disjoint symmetric buffers. While handles are in flight,
+/// blocking collectives remain safe (they run above the outstanding slot
+/// window); see
+/// [`Pe::signal_table`](crate::fabric::Pe) for pre-sizing when many
+/// episodes overlap.
+///
+/// Dropping a live handle completes the episode exactly as
+/// [`CollHandle::wait`] would — drain, closing barriers, slot-window
+/// release — minus the local read-out. An abandoned episode must not
+/// strand its in-flight signal slots or the episode cursor: those are
+/// what every *later* issue's slot window is rebased on, so a leak here
+/// poisons the fabric for all subsequent nonblocking collectives. Like
+/// `wait`, the drop is collective: every PE must retire the episode at
+/// the same point in issue order.
+#[must_use = "an issued collective must be waited on"]
+pub struct CollHandle<'a, T: XbrType> {
+    pe: &'a Pe<'a>,
+    /// The open episode and its plan; `None` once closed, or for an
+    /// inert call.
+    open: Option<(Arc<Plan>, Episode<T>)>,
+    /// A staged reduction's board, until it is read out.
+    board: Option<Board<T>>,
+}
+
+/// A zero-length call: counted ([`note_inert`]) and nothing else.
+fn inert<'a, T: XbrType>(pe: &'a Pe, kind: CollectiveKind) -> CollHandle<'a, T> {
+    note_inert(pe, kind);
+    CollHandle {
+        pe,
+        open: None,
+        board: None,
+    }
+}
+
+/// [`open`] an episode of `plan` over `buf` on a handle. No private end:
+/// whatever a route reads privately it stages before the open.
+fn issue<'a, T: XbrType>(
     pe: &'a Pe,
     plan: Arc<Plan>,
     buf: SymmRef<T>,
-    local_src: &[T],
     fold: Option<&dyn Fn(T, T) -> T>,
+    outlives: bool,
 ) -> CollHandle<'a, T> {
-    let prog = &plan.per_pe[pe.rank()];
-    let Some((t0, t_ep)) = open_episode(pe, &plan) else {
-        return CollHandle {
-            pe,
-            plan,
-            buf,
-            base: 0,
-            t0: 0,
-            t_ep: None,
-            wait_cycles: 0,
-            staging: None,
-            owns_staging: false,
-            readout: Readout::None,
-            done: true,
-        };
-    };
-    let (base, table) = if plan.n_slots > 0 {
-        let base = pe.nb_slot_reserve(plan.n_slots);
-        let table = if base == 0 {
-            // Headroom on the first issue of an overlap window: size the
-            // table for a deep burst of same-shaped episodes so later
-            // issues never need to grow it while signals are live.
-            pe.signal_table(plan.n_slots * OVERLAP_HEADROOM)
-        } else {
-            // Growing the table now would free-and-rezero it under the
-            // episodes already in flight (and barrier mid-issue),
-            // stranding their completion signals in a silent deadlock;
-            // refuse loudly instead.
-            assert!(
-                base + plan.n_slots <= pe.signal_table_cap(),
-                "PE {}: nonblocking overlap window needs {} signal slots \
-                 but the table holds {}; wait on an outstanding handle, \
-                 or pre-size with Pe::signal_table before the first issue",
-                pe.rank(),
-                base + plan.n_slots,
-                pe.signal_table_cap(),
-            );
-            pe.signal_table(base + plan.n_slots)
-        };
-        (base, Some(table))
-    } else {
-        // Barrier-discipline plans: no slots, but the episode still owns
-        // an in-flight reservation so `finish` bookkeeping is uniform.
-        (pe.nb_slot_reserve(0), None)
-    };
-    let mut landing = pe.scratch_take::<T>();
-    landing.resize(prog.landing_len, T::default());
-    let mut local_dst: [T; 0] = [];
-    let wait_cycles = run_steps(
-        pe,
-        &prog.steps[..prog.drain_from],
-        base,
-        table,
-        buf,
-        local_src,
-        &mut local_dst,
-        fold,
-        &mut landing,
-    );
-    pe.scratch_put(landing);
+    let open = open(pe, &plan, buf, &[], &mut [], fold, outlives);
     CollHandle {
         pe,
-        plan,
-        buf,
-        base,
-        t0,
-        t_ep,
-        wait_cycles,
-        staging: None,
-        owns_staging: false,
-        readout: Readout::None,
-        done: false,
+        open: open.map(|ep| (plan, ep)),
+        board: None,
     }
+}
+
+/// The one broadcast stage-in: the root writes `nelems` elements at
+/// `stride` of its private `src` into its symmetric `dest`, so interior
+/// stages forward heap to heap with one put each; then an episode of
+/// `plan` opens over `dest`. Blocking (then [`CollHandle::wait`]),
+/// nonblocking and persistent broadcasts alike. A zero-length call is
+/// inert: no write, no plan.
+pub(crate) fn issue_broadcast<'a, T: XbrType>(
+    pe: &'a Pe,
+    kind: CollectiveKind,
+    dest: &SymmAlloc<T>,
+    src: &[T],
+    (root, nelems, stride): (usize, usize, usize),
+    plan: impl FnOnce() -> Arc<Plan>,
+    outlives: bool,
+) -> CollHandle<'a, T> {
+    if nelems == 0 {
+        return inert(pe, kind);
+    }
+    if pe.rank() == root {
+        pe.heap_write_strided(dest.whole(), src, nelems, stride);
+    }
+    issue(pe, plan(), dest.whole(), None, outlives)
+}
+
+/// The one staged reduction: every contributor copies its symmetric `src`
+/// window into a symmetric board — "employed in order to prevent any
+/// unintended overwriting of values on any PE" (paper §4.4) — an episode
+/// of `plan` folds over the board, and the handle reads the result out
+/// after the drain. Blocking (then [`CollHandle::wait_into`]),
+/// nonblocking and persistent reductions alike. `src` is `None` on a PE
+/// that contributes nothing (a team's non-member); `board` is a persistent
+/// plan's own, else one is allocated for the episode and freed after the
+/// read-out. A zero-length call is inert: no board, no barrier, no plan.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn issue_reduce<'a, T: XbrType>(
+    pe: &'a Pe,
+    kind: CollectiveKind,
+    src: Option<&SymmAlloc<T>>,
+    readout: Readout,
+    board: Option<SymmAlloc<T>>,
+    plan: impl FnOnce() -> Arc<Plan>,
+    f: impl Fn(T, T) -> T,
+    outlives: bool,
+) -> CollHandle<'a, T> {
+    let (nelems, stride) = readout.window();
+    if nelems == 0 {
+        return inert(pe, kind);
+    }
+    let owned = board.is_none();
+    let alloc = board.unwrap_or_else(|| pe.shared_malloc::<T>(span(nelems, stride)));
+    if let Some(src) = src {
+        pe.get_symm(alloc.whole(), src.whole(), nelems, stride, pe.rank());
+    }
+    pe.barrier();
+    let mut h = issue(pe, plan(), alloc.whole(), Some(&f), outlives);
+    h.board = Some(Board {
+        alloc,
+        owned,
+        readout,
+    });
+    h
 }
 
 impl<T: XbrType> CollHandle<'_, T> {
@@ -1297,83 +1406,42 @@ impl<T: XbrType> CollHandle<'_, T> {
     /// still synchronise at the collective's closing barrier). Does not
     /// consume anything; safe to poll.
     pub fn test(&self, pe: &Pe) -> bool {
-        if self.done {
+        let Some((plan, ep)) = &self.open else {
             return true;
-        }
-        let prog = &self.plan.per_pe[pe.rank()];
-        if self.plan.n_slots == 0 {
+        };
+        let Some(table) = ep.table else {
             return true;
-        }
-        let table = pe.signal_table(self.base + self.plan.n_slots);
+        };
+        let prog = &plan.per_pe[pe.rank()];
         prog.steps[prog.drain_from..].iter().all(|s| match s {
-            PlanStep::Wait { slot } => pe.signal_peek(table.offset(self.base + *slot as usize)),
+            PlanStep::Wait { slot } => pe.signal_peek(table.offset(ep.base + *slot as usize)),
             _ => true,
         })
     }
 
-    /// Drain the episode (collective: every PE must call in issue order)
-    /// and release its slot window. Epilogue copies (reduce/allreduce
-    /// read-out) land in `dest` when present; `None` runs the same
-    /// barriers but skips the local copy, so a dropping PE stays in step
-    /// with peers that `wait_into`. Idempotent: the post-drop no-op run
-    /// sees `done`, an empty readout and no staging.
-    fn finish(&mut self, pe: &Pe, mut dest: Option<&mut [T]>) {
-        if !self.done {
-            let prog = &self.plan.per_pe[pe.rank()];
-            let table =
-                (self.plan.n_slots > 0).then(|| pe.signal_table(self.base + self.plan.n_slots));
-            let mut landing: [T; 0] = [];
-            let mut local_dst: [T; 0] = [];
-            self.wait_cycles += run_steps(
-                pe,
-                &prog.steps[prog.drain_from..],
-                self.base,
-                table,
-                self.buf,
-                &[],
-                &mut local_dst,
-                None,
-                &mut landing,
-            );
-            pe.trace_emit(self.t_ep, TraceKind::Collective, None, 0, 0);
-            pe.progress_collective(None);
-            pe.note_collective(
-                self.plan.kind,
-                prog.sample.sample(pe.cycles() - self.t0, self.wait_cycles),
-            );
-            pe.nb_slot_release();
-            self.done = true;
+    /// [`close`] the episode (collective: every PE must call in issue
+    /// order), then read a staged reduction's result out of its board into
+    /// `dest` and release the board. `None` runs the same barrier but
+    /// skips the local copy, so a dropping PE stays in step with peers
+    /// that `wait_into`. Idempotent: each part runs once.
+    fn finish(&mut self, pe: &Pe, dest: Option<&mut [T]>) {
+        if let Some((plan, ep)) = self.open.take() {
+            close(pe, &plan, ep);
         }
-        let staging = self.staging.take();
-        match self.readout {
-            Readout::None => {}
-            Readout::Root { root, nelems } => {
-                let staging = staging.as_ref().expect("rooted readout requires staging");
-                if pe.rank() == root && nelems > 0 {
-                    if let Some(dest) = dest.as_deref_mut() {
-                        pe.heap_read_strided(staging.whole(), &mut dest[..nelems], nelems, 1);
-                    }
-                }
-                if nelems > 0 {
-                    pe.barrier();
-                }
-            }
-            Readout::All { nelems } => {
-                let staging = staging.as_ref().expect("all readout requires staging");
-                if nelems > 0 {
-                    if let Some(dest) = dest {
-                        pe.heap_read_strided(staging.whole(), &mut dest[..nelems], nelems, 1);
-                    }
-                    pe.barrier();
-                }
-            }
+        let Some(board) = self.board.take() else {
+            return;
+        };
+        let reads = match board.readout {
+            Readout::Root { root, .. } => pe.rank() == root,
+            Readout::All { .. } => true,
+        };
+        if let (true, Some(dest)) = (reads, dest) {
+            let (nelems, stride) = board.readout.window();
+            pe.heap_read_strided(board.alloc.whole(), dest, nelems, stride);
         }
-        self.readout = Readout::None;
-        if self.owns_staging {
-            if let Some(s) = staging {
-                pe.shared_free(s);
-            }
-            self.owns_staging = false;
+        pe.barrier();
+        if board.owned {
+            pe.shared_free(board.alloc);
         }
     }
 
@@ -1382,7 +1450,7 @@ impl<T: XbrType> CollHandle<'_, T> {
     /// destination).
     pub fn wait(mut self, pe: &Pe) {
         debug_assert!(
-            matches!(self.readout, Readout::None),
+            self.board.is_none(),
             "this handle produces output; use wait_into"
         );
         self.finish(pe, None);
@@ -1446,32 +1514,6 @@ fn binomial_plan<T: XbrType>(
     plan_for(pe, &row, family, sync, std::mem::size_of::<T>())
 }
 
-/// Copy this PE's `src` window into `staging`, issue `plan` over it and
-/// hang `readout` on the handle — the nonblocking form of the reduction
-/// bodies' stage-in.
-fn issue_staged<'a, T: XbrType>(
-    pe: &'a Pe,
-    plan: Arc<Plan>,
-    src: &SymmAlloc<T>,
-    staging: SymmAlloc<T>,
-    owns_staging: bool,
-    f: impl Fn(T, T) -> T,
-    readout: Readout,
-) -> CollHandle<'a, T> {
-    let (Readout::Root { nelems, .. } | Readout::All { nelems }) = readout else {
-        unreachable!("a staged episode reads its result out");
-    };
-    if nelems > 0 {
-        pe.get_symm(staging.whole(), src.whole(), nelems, 1, pe.rank());
-        pe.barrier();
-    }
-    let mut h = issue_plan(pe, plan, staging.whole(), &[], Some(&f));
-    h.staging = Some(staging);
-    h.owns_staging = owns_staging;
-    h.readout = readout;
-    h
-}
-
 /// Nonblocking reduction of every PE's symmetric `src` window toward
 /// `root`. Complete with [`CollHandle::wait_into`]; the root's `dest`
 /// receives the folded `nelems` elements.
@@ -1483,10 +1525,14 @@ pub fn ixreduce<'a, T: XbrType>(
     f: impl Fn(T, T) -> T + Copy,
     sync: SyncMode,
 ) -> CollHandle<'a, T> {
-    let plan = binomial_plan::<T>(pe, CollectiveKind::Reduce, nelems, root, sync);
-    let staging = pe.shared_malloc::<T>(nelems.max(1));
-    let readout = Readout::Root { root, nelems };
-    issue_staged(pe, plan, src, staging, true, f, readout)
+    let (kind, stride) = (CollectiveKind::Reduce, 1);
+    let readout = Readout::Root {
+        root,
+        nelems,
+        stride,
+    };
+    let plan = || binomial_plan::<T>(pe, kind, nelems, root, sync);
+    issue_reduce(pe, kind, Some(src), readout, None, plan, f, true)
 }
 
 /// Nonblocking allreduce. Complete with [`CollHandle::wait_into`]; every
@@ -1507,9 +1553,9 @@ pub fn ixallreduce<'a, T: XbrType>(
     sync: SyncMode,
 ) -> CollHandle<'a, T> {
     let algo = algo.resolve(pe.n_pes(), nelems * std::mem::size_of::<T>());
-    let staging = pe.shared_malloc::<T>(nelems.max(1));
-    let plan = allreduce_plan::<T>(pe, algo, nelems, sync);
-    issue_staged(pe, plan, src, staging, true, f, Readout::All { nelems })
+    let plan = || allreduce_plan::<T>(pe, algo, nelems, sync);
+    let (kind, readout) = (CollectiveKind::AllReduce, Readout::All { nelems });
+    issue_reduce(pe, kind, Some(src), readout, None, plan, f, true)
 }
 
 /// A persistent broadcast: plan compiled (and destination bound) once,
@@ -1543,10 +1589,9 @@ pub fn plan_create_broadcast<T: XbrType>(
 impl<T: XbrType> PersistentBroadcast<T> {
     /// Issue one episode (collective call; `src` is read on the root).
     pub fn start<'a>(&self, pe: &'a Pe, src: &[T]) -> CollHandle<'a, T> {
-        if pe.rank() == self.root {
-            pe.heap_write_strided(self.dest.whole(), src, self.nelems, 1);
-        }
-        issue_plan(pe, Arc::clone(&self.plan), self.dest.whole(), &[], None)
+        let (kind, whole) = (CollectiveKind::Broadcast, (self.root, self.nelems, 1));
+        let plan = || Arc::clone(&self.plan);
+        issue_broadcast(pe, kind, &self.dest, src, whole, plan, true)
     }
 }
 
@@ -1580,9 +1625,23 @@ pub fn plan_create_allreduce<T: XbrType>(
 impl<T: XbrType> PersistentAllReduce<T> {
     /// Issue one episode over the bound `src` window (collective call).
     pub fn start<'a>(&self, pe: &'a Pe, f: impl Fn(T, T) -> T + Copy) -> CollHandle<'a, T> {
-        let (plan, nelems) = (Arc::clone(&self.plan), self.nelems);
-        let readout = Readout::All { nelems };
-        issue_staged(pe, plan, &self.src, self.staging, false, f, readout)
+        let (kind, readout) = (
+            CollectiveKind::AllReduce,
+            Readout::All {
+                nelems: self.nelems,
+            },
+        );
+        let plan = || Arc::clone(&self.plan);
+        issue_reduce(
+            pe,
+            kind,
+            Some(&self.src),
+            readout,
+            Some(self.staging),
+            plan,
+            f,
+            true,
+        )
     }
 
     /// Release the staging buffer (collective call).

@@ -12,7 +12,7 @@
 //! buffer as the tree; only the star (`Linear`) folds into a private
 //! accumulator on the root.
 
-use crate::collectives::plan;
+use crate::collectives::plan::{self, Readout};
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::schedule::{Payload, Row, Shape};
 use crate::fabric::{span, CollectiveKind, Pe, SymmAlloc};
@@ -70,52 +70,35 @@ pub(crate) fn reduce_core<T: XbrType>(
     sync: SyncMode,
 ) {
     row.check();
-    let (root_pe, nelems, stride) = row.rooted_whole();
-    let log_rank = pe.rank();
-    if nelems == 0 {
-        plan::note_inert(pe, kind);
-        return;
-    }
-    let span = span(nelems, stride);
+    let (root, nelems, stride) = row.rooted_whole();
     let star = Algorithm::Linear;
-    if matches!(row.shape, Shape::Rooted { algo, .. } if algo == star) {
+    if nelems > 0 && matches!(row.shape, Shape::Rooted { algo, .. } if algo == star) {
         // Linear: the root gets every peer's contribution and folds it
         // into a private accumulator (never writing back into `src`).
         // All PEs participate in the barrier; only the root moves data.
         pe.barrier();
-        let mut acc = vec![T::default(); span];
-        if log_rank == root_pe {
+        let mut acc = vec![T::default(); span(nelems, stride)];
+        if pe.rank() == root {
             pe.heap_read_strided(src.whole(), &mut acc, nelems, stride);
         }
         plan::run_schedule(pe, row, kind, src.whole(), &[], &mut acc, Some(&f), sync);
-        if log_rank == root_pe {
+        if pe.rank() == root {
             for j in 0..nelems {
                 dest[j * stride] = acc[j * stride];
             }
         }
         return;
     }
-    // Trees, chain and tiers fold partial results on the way to the root.
-    // A symmetric staging buffer (read one-sidedly by partners) is
-    // "employed in order to prevent any unintended overwriting of
-    // values on any PE" (paper §4.4); the executor provides the
-    // private landing buffer that pairs with it.
-    let s_buff = pe.shared_malloc::<T>(span);
-
-    // Load this PE's contribution into its shared staging buffer.
-    if row.has(log_rank) {
-        pe.get_symm(s_buff.whole(), src.whole(), nelems, stride, log_rank);
-    }
-    pe.barrier();
-
-    let staged = s_buff.whole();
-    plan::run_schedule(pe, row, kind, staged, &[], &mut [], Some(&f), sync);
-
-    if log_rank == root_pe {
-        pe.heap_read_strided(staged, dest, nelems, stride);
-    }
-    pe.barrier();
-    pe.shared_free(s_buff);
+    // Trees, chain and tiers fold partial results on the way to the root
+    // through the staged board.
+    let readout = Readout::Root {
+        root,
+        nelems,
+        stride,
+    };
+    let src = row.has(pe.rank()).then_some(src);
+    let plan = || plan::plan_for(pe, row, kind, sync, std::mem::size_of::<T>());
+    plan::issue_reduce(pe, kind, src, readout, None, plan, f, false).wait_into(pe, dest);
 }
 
 /// Reduce with a named arithmetic operator (`sum`, `prod`, `min`, `max`) —

@@ -4,10 +4,10 @@
 //! are *runnable* at any instant: every blocking primitive in the fabric
 //! (barrier, `signal_wait`, executor drains, the fault plane's wall-clock
 //! stalls) parks the PE in the `CoopSched` scheduler instead of spinning,
-//! and the freed worker slot is granted to a ready PE picked by a seeded
-//! randomised-priority work-stealing policy. 4096-PE collectives run
-//! comfortably on a laptop-class host. [`EngineConfig::workers`] picks
-//! how the PEs interleave:
+//! and the freed worker slot is granted to a PE drawn at seeded random
+//! from the one ready set. 4096-PE collectives run comfortably on a
+//! laptop-class host. [`EngineConfig::workers`] picks how the PEs
+//! interleave:
 //!
 //! * `0` (the default) — the host's available parallelism, capped at the
 //!   PE count.
@@ -28,17 +28,16 @@
 //! [`RunReport::sched_log`]: crate::RunReport::sched_log
 
 use crate::timing::SplitMix64;
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Default seed for the cooperative scheduler's grant RNG.
 pub const DEFAULT_COOP_SEED: u64 = 0x5eed_c011_ec71_4e5a;
 
-/// Default stack size of a PE's thread. PE bodies are shallow (the executor
-/// is iterative, collectives allocate on the heap), so a small stack
-/// keeps 4096 PEs to a few hundred MiB of address space — and Linux
-/// commits stack pages lazily, so resident use is far smaller.
+/// Stack size of a PE's thread. PE bodies are shallow (the executor is
+/// iterative, collectives allocate on the heap), so a small stack keeps
+/// 4096 PEs to a few hundred MiB of address space — and Linux commits
+/// stack pages lazily, so resident use is far smaller.
 pub const DEFAULT_COOP_STACK_BYTES: usize = 512 * 1024;
 
 /// Engine tuning, carried by [`FabricConfig`](crate::FabricConfig).
@@ -51,18 +50,14 @@ pub struct EngineConfig {
     /// Seed for the scheduler's grant RNG. Two runs with the same seed
     /// and `workers == 1` make identical scheduling decisions.
     pub seed: u64,
-    /// Stack size per PE thread; `0` keeps the OS default.
-    pub stack_bytes: usize,
 }
 
 impl EngineConfig {
-    /// Auto-sized workers, the default seed and small per-PE stacks (the
-    /// default).
+    /// Auto-sized workers and the default seed (the default).
     pub const fn coop() -> Self {
         EngineConfig {
             workers: 0,
             seed: DEFAULT_COOP_SEED,
-            stack_bytes: DEFAULT_COOP_STACK_BYTES,
         }
     }
 
@@ -75,12 +70,6 @@ impl EngineConfig {
     /// Builder-style scheduler-seed override.
     pub const fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style per-PE stack-size override (`0` = OS default).
-    pub const fn with_stack_bytes(mut self, bytes: usize) -> Self {
-        self.stack_bytes = bytes;
         self
     }
 
@@ -154,32 +143,20 @@ pub(crate) enum Park {
     TimedOut,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PeStatus {
-    NotStarted,
-    Ready,
-    /// Holds worker slot `.0`.
-    Running(usize),
-    Parked,
-    Sleeping,
-    Finished,
-}
-
 /// Cap on the recorded grant log: enough for the determinism tests'
 /// workloads while bounding memory on long runs (4 bytes per grant).
 const SCHED_LOG_CAP: usize = 1 << 20;
 
 struct CoopState {
-    status: Vec<PeStatus>,
+    status: Vec<PeSchedState>,
     /// Per-PE unpark token: set when an unpark targets a PE that is not
     /// parked, consumed by that PE's next `park` as an immediate
     /// (possibly spurious) grant. Closes the check-then-park race.
     token: Vec<bool>,
-    /// Per-worker ready deques; a ready PE is enqueued on its home
-    /// worker (`rank % workers`) and may be stolen by any other.
-    queues: Vec<VecDeque<usize>>,
-    /// Worker slots currently free.
-    free_slots: Vec<usize>,
+    /// The ready PEs, in the order they became ready.
+    ready: Vec<usize>,
+    /// PEs holding a worker slot. A watchdog re-grant may take one past
+    /// `workers`; the PE is about to panic.
     running: usize,
     sleeping: usize,
     started: usize,
@@ -214,10 +191,9 @@ impl CoopSched {
             n_pes,
             workers,
             state: Mutex::new(CoopState {
-                status: vec![PeStatus::NotStarted; n_pes],
+                status: vec![PeSchedState::NotStarted; n_pes],
                 token: vec![false; n_pes],
-                queues: (0..workers).map(|_| VecDeque::new()).collect(),
-                free_slots: (0..workers).rev().collect(),
+                ready: Vec::with_capacity(n_pes),
                 running: 0,
                 sleeping: 0,
                 started: 0,
@@ -232,25 +208,26 @@ impl CoopSched {
         }
     }
 
-    /// Grant free worker slots to ready PEs until one of them runs dry.
+    /// Grant free worker slots to ready PEs until either runs out.
     ///
-    /// Slot assignment is randomised-priority work-stealing: a slot
-    /// first draws a seeded-random entry from its own deque (PCT-style
+    /// Each grant is a seeded-random draw from the ready set (PCT-style
     /// priority randomisation — the same discipline the interleaving
-    /// explorer's `RandomPriority` scheduler uses), and steals from a
-    /// seeded-random victim when its own deque is empty. The seeded draw
-    /// keeps the schedule seed-sensitive even at `workers == 1`, where a
-    /// plain FIFO would make every seed identical.
+    /// explorer's `RandomPriority` scheduler uses); the draw keeps the
+    /// schedule seed-sensitive even at `workers == 1`, where a plain FIFO
+    /// would make every seed identical. A free slot that finds the set
+    /// empty still draws once, so the RNG stream — and with it every
+    /// one-worker grant sequence — is a function of the wake-up order.
     fn dispatch(&self, st: &mut CoopState) {
         if !st.gate_open {
             return;
         }
-        while let Some(&slot) = st.free_slots.last() {
-            let Some(pe) = self.pick_for(st, slot) else {
+        while st.running < self.workers {
+            let k = st.rng.pick(st.ready.len().max(1) as u64) as usize;
+            if st.ready.is_empty() {
                 break;
-            };
-            st.free_slots.pop();
-            st.status[pe] = PeStatus::Running(slot);
+            }
+            let pe = st.ready.remove(k);
+            st.status[pe] = PeSchedState::Running;
             st.running += 1;
             st.grants += 1;
             if st.log.len() < SCHED_LOG_CAP {
@@ -260,34 +237,16 @@ impl CoopSched {
         }
     }
 
-    fn pick_for(&self, st: &mut CoopState, slot: usize) -> Option<usize> {
-        let own = st.queues[slot].len();
-        if own > 0 {
-            let k = st.rng.pick(own as u64) as usize;
-            return st.queues[slot].remove(k);
-        }
-        // Steal: scan for a victim with work, starting at a seeded-random
-        // queue, taking from the back (the classic cold end).
-        let start = st.rng.pick(self.workers as u64) as usize;
-        for i in 0..self.workers {
-            let q = (start + i) % self.workers;
-            if let Some(pe) = st.queues[q].pop_back() {
-                return Some(pe);
-            }
-        }
-        None
-    }
-
-    fn enqueue(st: &mut CoopState, workers: usize, pe: usize) {
-        st.status[pe] = PeStatus::Ready;
-        st.queues[pe % workers].push_back(pe);
+    fn make_ready(st: &mut CoopState, pe: usize) {
+        st.status[pe] = PeSchedState::Runnable;
+        st.ready.push(pe);
     }
 
     /// First call from a PE thread: announce readiness and block until
     /// the scheduler grants the first slot. Dispatch is gated until all
-    /// PEs have registered, and the initial ready deques are filled in
-    /// rank order at gate-open — so neither the first grants nor any
-    /// later ones depend on OS thread startup order.
+    /// PEs have registered, and the ready set is filled in rank order at
+    /// gate-open — so neither the first grants nor any later ones depend
+    /// on OS thread startup order.
     ///
     /// # Panics
     /// Panics if the fabric aborted startup (a sibling PE thread failed
@@ -295,13 +254,11 @@ impl CoopSched {
     /// poisoned unwind.
     pub(crate) fn register(&self, rank: usize) {
         let mut st = self.state.lock().unwrap();
-        st.status[rank] = PeStatus::Ready;
+        st.status[rank] = PeSchedState::Runnable;
         st.started += 1;
         if st.started == self.n_pes {
             st.gate_open = true;
-            for r in 0..self.n_pes {
-                st.queues[r % self.workers].push_back(r);
-            }
+            st.ready.extend(0..self.n_pes);
             self.dispatch(&mut st);
         }
         loop {
@@ -309,7 +266,7 @@ impl CoopSched {
                 drop(st);
                 panic!("PE {rank}: fabric startup aborted (a PE thread failed to spawn)");
             }
-            if matches!(st.status[rank], PeStatus::Running(_)) {
+            if st.status[rank] == PeSchedState::Running {
                 return;
             }
             st = self.cvs[rank].wait(st).unwrap();
@@ -336,17 +293,18 @@ impl CoopSched {
     /// `watchdog` bounds how long the PE will sit parked *while the rest
     /// of the fabric makes no grants at all*; any grant anywhere resets
     /// the window, so a busy 4096-PE fabric never trips a parked victim.
-    pub(crate) fn park(&self, rank: usize, watchdog: Option<Duration>) -> Park {
+    pub(crate) fn park(&self, rank: usize, watchdog: Duration) -> Park {
         let mut st = self.state.lock().unwrap();
         if st.token[rank] {
             st.token[rank] = false;
             return Park::Granted;
         }
-        let PeStatus::Running(slot) = st.status[rank] else {
-            unreachable!("PE {rank} parked without holding a worker slot");
-        };
-        let queued: usize = st.queues.iter().map(VecDeque::len).sum();
-        if st.running == 1 && queued == 0 && st.sleeping == 0 && st.finished < self.n_pes {
+        assert_eq!(
+            st.status[rank],
+            PeSchedState::Running,
+            "PE {rank} parked without holding a worker slot"
+        );
+        if st.running == 1 && st.ready.is_empty() && st.sleeping == 0 && st.finished < self.n_pes {
             // Parking would wedge the fabric: nothing left to grant and
             // nobody due to wake up. Keep the slot and let the caller
             // decide (pump a pending redelivery, or trip the watchdog
@@ -354,69 +312,44 @@ impl CoopSched {
             // full wall-clock timeout first).
             return Park::Wedged;
         }
-        st.status[rank] = PeStatus::Parked;
+        st.status[rank] = PeSchedState::Parked;
         st.running -= 1;
-        st.free_slots.push(slot);
         self.dispatch(&mut st);
         let mut grants_seen = st.grants;
         loop {
-            if matches!(st.status[rank], PeStatus::Running(_)) {
+            if st.status[rank] == PeSchedState::Running {
                 return Park::Granted;
             }
-            match watchdog {
-                None => st = self.cvs[rank].wait(st).unwrap(),
-                Some(limit) => {
-                    let (guard, timeout) = self.cvs[rank].wait_timeout(st, limit).unwrap();
-                    st = guard;
-                    if timeout.timed_out() {
-                        if matches!(st.status[rank], PeStatus::Running(_)) {
-                            return Park::Granted;
-                        }
-                        if st.grants == grants_seen {
-                            // No PE anywhere was granted a slot for a
-                            // whole watchdog window: global progress is
-                            // lost. Reclaim a slot so the caller can run
-                            // its probe-and-panic path.
-                            self.regrant(&mut st, rank);
-                            return Park::TimedOut;
-                        }
-                        grants_seen = st.grants;
-                    }
+            let (guard, timeout) = self.cvs[rank].wait_timeout(st, watchdog).unwrap();
+            st = guard;
+            if timeout.timed_out() && st.status[rank] != PeSchedState::Running {
+                if st.grants == grants_seen {
+                    // No PE anywhere was granted a slot for a whole
+                    // watchdog window: global progress is lost. Take a
+                    // slot back so the caller can run its probe-and-panic
+                    // path (the PE is about to panic, so `running` may
+                    // briefly exceed `workers`).
+                    st.ready.retain(|&p| p != rank);
+                    st.status[rank] = PeSchedState::Running;
+                    st.running += 1;
+                    return Park::TimedOut;
                 }
+                grants_seen = st.grants;
             }
         }
     }
 
-    /// Forcibly re-grant a slot to `rank` (watchdog trip path). Steals a
-    /// free slot if one exists, else borrows an out-of-range slot id —
-    /// the PE is about to panic, and `finish` tolerates it.
-    fn regrant(&self, st: &mut CoopState, rank: usize) {
-        Self::dequeue(st, rank);
-        let slot = st.free_slots.pop().unwrap_or(usize::MAX);
-        st.status[rank] = PeStatus::Running(slot);
-        st.running += 1;
-    }
-
-    /// Remove `rank` from any ready deque (it is being force-granted).
-    fn dequeue(st: &mut CoopState, rank: usize) {
-        for q in &mut st.queues {
-            if let Some(i) = q.iter().position(|&p| p == rank) {
-                q.remove(i);
-            }
-        }
-    }
-
-    /// Make `rank` runnable: a parked PE re-enters its home deque; any
-    /// other state latches the unpark token instead (consumed by the
-    /// PE's next `park` — see there).
+    /// Make `rank` runnable: a parked PE joins the ready set; any other
+    /// state latches the unpark token instead (consumed by the PE's next
+    /// `park` — see there).
     pub(crate) fn unpark(&self, rank: usize) {
         let mut st = self.state.lock().unwrap();
         match st.status[rank] {
-            PeStatus::Parked => {
-                Self::enqueue(&mut st, self.workers, rank);
+            PeSchedState::Parked => {
+                Self::make_ready(&mut st, rank);
                 self.dispatch(&mut st);
             }
-            PeStatus::Finished => {}
+            PeSchedState::Finished => {}
             _ => st.token[rank] = true,
         }
     }
@@ -429,8 +362,8 @@ impl CoopSched {
                 continue;
             }
             match st.status[rank] {
-                PeStatus::Parked => Self::enqueue(&mut st, self.workers, rank),
-                PeStatus::Finished => {}
+                PeSchedState::Parked => Self::make_ready(&mut st, rank),
+                PeSchedState::Finished => {}
                 _ => st.token[rank] = true,
             }
         }
@@ -443,15 +376,14 @@ impl CoopSched {
     /// progress. Pair with [`CoopSched::reschedule`].
     pub(crate) fn deschedule(&self, rank: usize) {
         let mut st = self.state.lock().unwrap();
-        let PeStatus::Running(slot) = st.status[rank] else {
-            unreachable!("PE {rank} descheduled without holding a worker slot");
-        };
-        st.status[rank] = PeStatus::Sleeping;
+        assert_eq!(
+            st.status[rank],
+            PeSchedState::Running,
+            "PE {rank} descheduled without holding a worker slot"
+        );
+        st.status[rank] = PeSchedState::Sleeping;
         st.running -= 1;
         st.sleeping += 1;
-        if slot != usize::MAX {
-            st.free_slots.push(slot);
-        }
         self.dispatch(&mut st);
     }
 
@@ -460,9 +392,9 @@ impl CoopSched {
     pub(crate) fn reschedule(&self, rank: usize) {
         let mut st = self.state.lock().unwrap();
         st.sleeping -= 1;
-        Self::enqueue(&mut st, self.workers, rank);
+        Self::make_ready(&mut st, rank);
         self.dispatch(&mut st);
-        while !matches!(st.status[rank], PeStatus::Running(_)) {
+        while st.status[rank] != PeSchedState::Running {
             st = self.cvs[rank].wait(st).unwrap();
         }
     }
@@ -472,32 +404,19 @@ impl CoopSched {
     pub(crate) fn finish(&self, rank: usize) {
         let mut st = self.state.lock().unwrap();
         match st.status[rank] {
-            PeStatus::Running(slot) => {
-                st.running -= 1;
-                if slot != usize::MAX {
-                    st.free_slots.push(slot);
-                }
-            }
-            PeStatus::Sleeping => st.sleeping -= 1,
-            PeStatus::Ready => Self::dequeue(&mut st, rank),
+            PeSchedState::Running => st.running -= 1,
+            PeSchedState::Sleeping => st.sleeping -= 1,
+            PeSchedState::Runnable => st.ready.retain(|&p| p != rank),
             _ => {}
         }
-        st.status[rank] = PeStatus::Finished;
+        st.status[rank] = PeSchedState::Finished;
         st.finished += 1;
         self.dispatch(&mut st);
     }
 
     /// Scheduling state of one PE, for the watchdog probe.
     pub(crate) fn state_of(&self, rank: usize) -> PeSchedState {
-        let st = self.state.lock().unwrap();
-        match st.status[rank] {
-            PeStatus::NotStarted => PeSchedState::NotStarted,
-            PeStatus::Ready => PeSchedState::Runnable,
-            PeStatus::Running(_) => PeSchedState::Running,
-            PeStatus::Parked => PeSchedState::Parked,
-            PeStatus::Sleeping => PeSchedState::Sleeping,
-            PeStatus::Finished => PeSchedState::Finished,
-        }
+        self.state.lock().unwrap().status[rank]
     }
 
     /// Take the recorded grant log (granted PE ranks, in grant order).
@@ -509,6 +428,9 @@ impl CoopSched {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A watchdog window no test here comes near.
+    const PATIENT: Duration = Duration::from_secs(60);
 
     #[test]
     fn resolved_workers_clamps() {
@@ -530,7 +452,7 @@ mod tests {
                         // Token latched while running: next park returns
                         // immediately without releasing the slot.
                         sched.unpark(0);
-                        assert_eq!(sched.park(0, None), Park::Granted);
+                        assert_eq!(sched.park(0, PATIENT), Park::Granted);
                     }
                     sched.finish(rank);
                 });
@@ -549,7 +471,7 @@ mod tests {
                     if rank == 0 {
                         // With one worker slot, parking hands the slot to
                         // PE 1, which unparks us before finishing.
-                        assert_eq!(sched.park(0, None), Park::Granted);
+                        assert_eq!(sched.park(0, PATIENT), Park::Granted);
                     } else {
                         sched.unpark(0);
                     }
@@ -579,11 +501,11 @@ mod tests {
                         while sched.state_of(1) != PeSchedState::Parked {
                             std::thread::yield_now();
                         }
-                        assert_eq!(sched.park(0, Some(Duration::from_millis(50))), Park::Wedged);
+                        assert_eq!(sched.park(0, Duration::from_millis(50)), Park::Wedged);
                         // Unwedge the fabric so PE 1's park completes.
                         sched.unpark(1);
                     } else {
-                        assert_eq!(sched.park(1, None), Park::Granted);
+                        assert_eq!(sched.park(1, PATIENT), Park::Granted);
                     }
                     sched.finish(rank);
                 });

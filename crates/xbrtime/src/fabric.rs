@@ -16,11 +16,11 @@
 //! (the collectives in this crate do so after every tree stage, as the
 //! paper prescribes). See [`crate::heap::HeapData`] for the full contract.
 
-use crate::engine::{CoopSched, EngineConfig, Park, PeSchedState};
+use crate::engine::{CoopSched, EngineConfig, Park, PeSchedState, DEFAULT_COOP_STACK_BYTES};
 use crate::heap::{FreeList, HeapData};
 pub use crate::timing::Topology;
 use crate::timing::{OfferedLoad, PeClock, TimingConfig};
-use crate::trace::{self, Trace, TraceConfig, TraceEvent, TraceKind, TracePlane};
+use crate::trace::{self, Trace, TraceEvent, TraceKind, TracePlane};
 use crate::types::XbrType;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
@@ -176,17 +176,17 @@ pub struct FabricConfig {
     pub faults: Option<FaultConfig>,
     /// Progress watchdog: the longest any spin wait (barrier, signal
     /// wait, executor drain) may starve before the run fails fast with a
-    /// [`DeadlockReport`]. `None` disables the watchdog (spin forever,
-    /// the pre-watchdog behaviour).
-    pub watchdog: Option<Duration>,
-    /// Tracing plane: when set, every transfer, signal, barrier, stage and
-    /// local reduction is recorded into per-PE ring buffers and merged into
-    /// [`RunReport::trace`]. `None` (the default) records nothing and adds
-    /// one untaken branch per instrumented site — zero simulated-clock
-    /// perturbation.
-    pub trace: Option<TraceConfig>,
-    /// Execution engine: how many PEs run at once, the scheduler's grant
-    /// seed and the per-PE stack size ([`EngineConfig`]).
+    /// [`DeadlockReport`].
+    pub watchdog: Duration,
+    /// Tracing plane: when on, every transfer, signal, barrier, stage and
+    /// local reduction is recorded into per-PE ring buffers (64 Ki events
+    /// each up to 16 PEs, 1 Mi events over the run past that) and merged
+    /// into [`RunReport::trace`]. Off (the default) records nothing and
+    /// adds one untaken branch per instrumented site — zero
+    /// simulated-clock perturbation.
+    pub trace: bool,
+    /// Execution engine: how many PEs run at once and the scheduler's
+    /// grant seed ([`EngineConfig`]).
     pub engine: EngineConfig,
 }
 
@@ -199,8 +199,8 @@ impl FabricConfig {
             timing: TimingConfig::disabled(),
             topology: None,
             faults: None,
-            watchdog: Some(DEFAULT_WATCHDOG),
-            trace: None,
+            watchdog: DEFAULT_WATCHDOG,
+            trace: false,
             engine: EngineConfig::coop(),
         }
     }
@@ -243,31 +243,14 @@ impl FabricConfig {
 
     /// Builder-style watchdog timeout override.
     pub const fn with_watchdog(mut self, timeout: Duration) -> Self {
-        self.watchdog = Some(timeout);
+        self.watchdog = timeout;
         self
     }
 
-    /// Disable the progress watchdog (spin forever on lost progress).
-    pub const fn without_watchdog(mut self) -> Self {
-        self.watchdog = None;
-        self
-    }
-
-    /// Enable the tracing plane with the default ring capacity (64 Ki
-    /// events per PE). The merged event log lands in [`RunReport::trace`].
+    /// Enable the tracing plane. The merged event log lands in
+    /// [`RunReport::trace`].
     pub const fn with_trace(mut self) -> Self {
-        self.trace = Some(TraceConfig {
-            events_per_pe: 65_536,
-        });
-        self
-    }
-
-    /// Enable the tracing plane with an explicit per-PE ring capacity.
-    ///
-    /// Large fabrics clamp the capacity at run start so total ring memory
-    /// stays bounded — see [`TraceConfig::scaled_for`].
-    pub const fn with_trace_capacity(mut self, events_per_pe: usize) -> Self {
-        self.trace = Some(TraceConfig { events_per_pe });
+        self.trace = true;
         self
     }
 
@@ -790,8 +773,8 @@ struct Shared {
     /// True iff the fault plane may queue redeliveries (so spin loops
     /// know whether pumping `redeliver_due` can ever help).
     redelivery_armed: bool,
-    /// Watchdog timeout every spin loop must respect; `None` disables.
-    watchdog: Option<Duration>,
+    /// Watchdog timeout every spin loop must respect.
+    watchdog: Duration,
     /// Per-PE trace rings; `None` when tracing is off.
     trace: Option<TracePlane>,
     /// The scheduler that grants PEs their worker slots.
@@ -823,11 +806,7 @@ impl Shared {
             dropped: Mutex::new(Vec::new()),
             redelivery_armed: cfg.faults.is_some_and(|f| f.redelivers()),
             watchdog: cfg.watchdog,
-            // Ring capacity auto-scales with PE count so a 4096-PE traced
-            // run allocates tens of MiB, not gigabytes.
-            trace: cfg
-                .trace
-                .map(|t| TracePlane::new(cfg.n_pes, t.scaled_for(cfg.n_pes))),
+            trace: cfg.trace.then(|| TracePlane::new(cfg.n_pes)),
             coop: CoopSched::new(cfg.n_pes, cfg.engine),
             plan_cache: crate::collectives::PlanCache::new(),
         }
@@ -1507,9 +1486,7 @@ impl<'f> Pe<'f> {
         }
         match self.shared.coop.park(self.rank, self.shared.watchdog) {
             Park::Granted => {}
-            Park::TimedOut => {
-                self.watchdog_trip(site, self.shared.watchdog.unwrap_or(DEFAULT_WATCHDOG))
-            }
+            Park::TimedOut => self.watchdog_trip(site, self.shared.watchdog),
             Park::Wedged => self.wedged_step(site),
         }
     }
@@ -1527,11 +1504,8 @@ impl<'f> Pe<'f> {
                 std::thread::sleep(due - now);
             }
             self.shared.redeliver_due();
-        } else if let Some(t) = self.shared.watchdog {
-            self.watchdog_trip(site, t);
         } else {
-            // Watchdog disabled: preserve the spin-forever contract.
-            std::thread::sleep(Duration::from_micros(100));
+            self.watchdog_trip(site, self.shared.watchdog);
         }
     }
 
@@ -2544,11 +2518,11 @@ impl Fabric {
                 // Thousands of PEs: small stacks keep the address-space
                 // footprint modest, and a spawn failure aborts the gated
                 // startup instead of wedging already-spawned PEs.
-                let mut builder = std::thread::Builder::new().name(format!("pe-{rank}"));
-                if config.engine.stack_bytes > 0 {
-                    builder = builder.stack_size(config.engine.stack_bytes);
-                }
-                match builder.spawn_scoped(s, run_pe) {
+                let spawned = std::thread::Builder::new()
+                    .name(format!("pe-{rank}"))
+                    .stack_size(DEFAULT_COOP_STACK_BYTES)
+                    .spawn_scoped(s, run_pe);
+                match spawned {
                     Ok(h) => handles.push(h),
                     Err(e) => {
                         shared.coop.abort();

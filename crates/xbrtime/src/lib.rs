@@ -62,7 +62,7 @@ pub use fabric::{
     SymmRef, Topology, WaitSite, DEFAULT_WATCHDOG,
 };
 pub use timing::TimingConfig;
-pub use trace::{CriticalPath, Trace, TraceCategory, TraceConfig, TraceEvent, TraceKind};
+pub use trace::{CriticalPath, Trace, TraceCategory, TraceEvent, TraceKind};
 pub use traffic::{
     run_traffic, tenant_members, tenant_of, tenant_plan, PeTraffic, TenantStats, TrafficConfig,
     TrafficConfigError, TrafficError, TrafficKind, TrafficOp, TrafficReport,

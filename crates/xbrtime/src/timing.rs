@@ -122,9 +122,10 @@ pub struct TimingConfig {
     /// (paper §3.3: *"further optimized … by utilizing loop unrolling when
     /// nelems exceeds a given threshold"*).
     pub unroll_threshold: usize,
-    /// Per-element overhead divisor on the unrolled path.
-    pub unroll_factor: u64,
 }
+
+/// Per-element overhead divisor on the unrolled transfer path.
+const UNROLL_FACTOR: u64 = 4;
 
 impl TimingConfig {
     /// The calibration used by the figure harnesses.
@@ -133,7 +134,6 @@ impl TimingConfig {
             enabled: true,
             cost: CostConfig::paper(),
             unroll_threshold: 8,
-            unroll_factor: 4,
         }
     }
 
@@ -151,7 +151,7 @@ impl TimingConfig {
     pub fn element_overhead(&self, nelems: usize) -> u64 {
         let total = self.cost.alu_cycles * nelems as u64;
         if nelems >= self.unroll_threshold {
-            total / self.unroll_factor
+            total / UNROLL_FACTOR
         } else {
             total
         }

@@ -13,9 +13,10 @@
 //!
 //! ## Ring-buffer overflow policy
 //!
-//! A ring holds [`TraceConfig::events_per_pe`] slots and wraps: the newest
-//! events win, the oldest are overwritten, and the merged [`Trace`] reports
-//! how many were lost in [`Trace::dropped`]. The writer is always the owning
+//! A ring holds 64 Ki events per PE up to 16 PEs, fewer past that so a
+//! whole run stays within 1 Mi events, and wraps: the newest events win,
+//! the oldest are overwritten, and the merged [`Trace`] reports how many
+//! were lost in [`Trace::dropped`]. The writer is always the owning
 //! PE's thread; the only concurrent readers are the watchdog's deadlock
 //! probe (which tolerates torn records by validating the kind tag) and the
 //! post-join merge (which races with nothing).
@@ -29,45 +30,26 @@ use crate::fabric::CollectiveKind;
 /// Words per encoded event record in a [`TraceRing`].
 const WORDS: usize = 5;
 
-/// Configuration for the tracing plane.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceConfig {
-    /// Ring capacity per PE, in events. The ring wraps (newest events win);
-    /// the merged trace counts what was lost.
-    pub events_per_pe: usize,
-}
+/// Ring capacity per PE at paper scale, in events.
+const EVENTS_PER_PE: usize = 65_536;
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            events_per_pe: 65_536,
-        }
-    }
-}
+/// Whole-fabric event budget the per-PE ring capacity scales against:
+/// 1 Mi events ≈ 40 MiB of rings regardless of PE count.
+const TOTAL_EVENT_BUDGET: usize = 1 << 20;
 
-impl TraceConfig {
-    /// Whole-fabric event budget the per-PE ring capacity auto-scales
-    /// against: 1 Mi events ≈ 40 MiB of rings regardless of PE count.
-    pub const TOTAL_EVENT_BUDGET: usize = 1 << 20;
+/// Scaling floor: even a 4096-PE run keeps at least this many events per
+/// PE, enough for a watchdog probe's recent-event tail and a few
+/// collective episodes.
+const MIN_EVENTS_PER_PE: usize = 256;
 
-    /// Auto-scaling floor: even a 4096-PE run keeps at least this many
-    /// events per PE, enough for a watchdog probe's recent-event tail
-    /// and a few collective episodes.
-    pub const MIN_EVENTS_PER_PE: usize = 256;
-
-    /// Clamp the per-PE ring capacity so an `n_pes`-PE run stays inside
-    /// [`TraceConfig::TOTAL_EVENT_BUDGET`] (but never below
-    /// [`TraceConfig::MIN_EVENTS_PER_PE`]). The default 64 Ki-event ring
-    /// is untouched up to 16 PEs — paper-scale runs keep full fidelity —
-    /// while a 4096-PE cooperative run drops to 256 events/PE (~40 MiB
-    /// of rings total) instead of allocating gigabytes. Applied by the
-    /// fabric at run start; an explicit smaller capacity is kept as-is.
-    pub fn scaled_for(self, n_pes: usize) -> TraceConfig {
-        let cap = (Self::TOTAL_EVENT_BUDGET / n_pes.max(1)).max(Self::MIN_EVENTS_PER_PE);
-        TraceConfig {
-            events_per_pe: self.events_per_pe.min(cap),
-        }
-    }
+/// The per-PE ring capacity of an `n_pes`-PE traced run: 64 Ki events up
+/// to 16 PEs — paper-scale runs keep full fidelity — then whatever keeps
+/// the run inside [`TOTAL_EVENT_BUDGET`], never below
+/// [`MIN_EVENTS_PER_PE`], so a 4096-PE run takes ~40 MiB of rings
+/// instead of gigabytes.
+pub(crate) fn ring_capacity(n_pes: usize) -> usize {
+    let cap = (TOTAL_EVENT_BUDGET / n_pes.max(1)).max(MIN_EVENTS_PER_PE);
+    EVENTS_PER_PE.min(cap)
 }
 
 /// What a [`TraceEvent`] records.
@@ -370,11 +352,10 @@ pub(crate) struct TracePlane {
 }
 
 impl TracePlane {
-    pub(crate) fn new(n_pes: usize, cfg: TraceConfig) -> Self {
+    pub(crate) fn new(n_pes: usize) -> Self {
+        let cap = ring_capacity(n_pes);
         TracePlane {
-            rings: (0..n_pes)
-                .map(|_| TraceRing::new(cfg.events_per_pe))
-                .collect(),
+            rings: (0..n_pes).map(|_| TraceRing::new(cap)).collect(),
         }
     }
 
@@ -887,19 +868,17 @@ mod tests {
 
     #[test]
     fn ring_capacity_auto_scales_with_pe_count() {
-        let dflt = TraceConfig::default();
-        // Paper-scale runs keep the full default ring.
-        assert_eq!(dflt.scaled_for(1).events_per_pe, 65_536);
-        assert_eq!(dflt.scaled_for(16).events_per_pe, 65_536);
+        // Paper-scale runs keep the full ring.
+        assert_eq!(ring_capacity(1), 65_536);
+        assert_eq!(ring_capacity(16), 65_536);
         // Past the budget the per-PE capacity shrinks proportionally…
-        assert_eq!(dflt.scaled_for(64).events_per_pe, 16_384);
-        assert_eq!(dflt.scaled_for(1024).events_per_pe, 1024);
+        assert_eq!(ring_capacity(64), 16_384);
+        assert_eq!(ring_capacity(1024), 1024);
         // …down to the floor, never below it.
-        assert_eq!(dflt.scaled_for(4096).events_per_pe, 256);
-        assert_eq!(dflt.scaled_for(1 << 20).events_per_pe, 256);
-        // An explicit smaller capacity is respected as-is.
-        let small = TraceConfig { events_per_pe: 64 };
-        assert_eq!(small.scaled_for(4096).events_per_pe, 64);
+        assert_eq!(ring_capacity(4096), 256);
+        assert_eq!(ring_capacity(1 << 20), 256);
+        // A (degenerate) zero-PE count is the one-PE ring.
+        assert_eq!(ring_capacity(0), 65_536);
     }
 
     #[test]

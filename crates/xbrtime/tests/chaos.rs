@@ -10,24 +10,26 @@
 #![allow(clippy::needless_update)]
 
 use proptest::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xbrtime::collectives::{self, AllReduceAlgo};
 use xbrtime::{
-    AlgorithmPolicy, Fabric, FabricConfig, FaultConfig, ReduceOp, RunError, SyncMode, WaitSite,
+    AlgorithmPolicy, Fabric, FabricConfig, FabricStats, FaultConfig, ReduceOp, RunError, SyncMode,
+    WaitSite,
 };
 
 /// The collective shapes the chaos plane exercises.
 const KINDS: [&str; 5] = ["broadcast", "reduce", "scatter", "gather", "reduce_all"];
 
 /// Run one collective on `n` PEs and return every PE's local result
-/// buffer. `faults: None` is the golden fault-free run.
+/// buffer, with the fabric's counters. `faults: None` is the golden
+/// fault-free run.
 fn run_case(
     kind: &'static str,
     sync: SyncMode,
     n: usize,
     root: usize,
     faults: Option<FaultConfig>,
-) -> Vec<Vec<u64>> {
+) -> (Vec<Vec<u64>>, FabricStats) {
     let mut cfg = FabricConfig::new(n).with_watchdog(Duration::from_secs(30));
     if let Some(f) = faults {
         cfg = cfg.with_faults(f);
@@ -129,7 +131,7 @@ fn run_case(
             }
         }
     });
-    report.results
+    (report.results, report.stats)
 }
 
 proptest! {
@@ -149,8 +151,8 @@ proptest! {
         let kind = KINDS[kind_ix];
         let sync = SyncMode::CONCRETE[sync_ix];
         let root = root_sel % n;
-        let golden = run_case(kind, sync, n, root, None);
-        let faulted = run_case(kind, sync, n, root, Some(FaultConfig::delays(seed)));
+        let (golden, _) = run_case(kind, sync, n, root, None);
+        let (faulted, _) = run_case(kind, sync, n, root, Some(FaultConfig::delays(seed)));
         prop_assert_eq!(
             golden, faulted,
             "{} n={} root={} {:?} seed={}: delays changed the data",
@@ -263,15 +265,90 @@ fn dropped_chunk_signal_report_names_pe_stage_and_chunk() {
     );
 }
 
+/// The deterministic half of the delay plane: every collective × every
+/// concrete sync mode × three awkward (PE count, fault seed) pairs,
+/// faulted buffers byte-identical to the fault-free run. The proptest
+/// above samples this space; the grid covers each cell every run.
+#[test]
+fn delay_grid_preserves_every_collective() {
+    for kind in KINDS {
+        for sync in SyncMode::CONCRETE {
+            for (n, seed) in [(5usize, 17u64), (6, 23), (7, 29)] {
+                let (golden, _) = run_case(kind, sync, n, 0, None);
+                let faults = Some(FaultConfig::delays(seed));
+                let (faulted, stats) = run_case(kind, sync, n, 0, faults);
+                assert_eq!(
+                    golden, faulted,
+                    "{kind} n={n} {sync:?} seed={seed}: delays changed the data \
+                     ({} transfer delays, {} signal delays, {} stalls)",
+                    stats.transfer_delays, stats.signal_delays, stats.stalls
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn redelivered_drops_converge_across_sync_modes() {
     // Lossy-but-recovering chaos: signals are dropped and redelivered
     // 1.5 ms later. Every signal-plane collective still converges and
-    // consumes exactly what was posted.
+    // consumes exactly what was posted, and every dropped signal is
+    // redelivered.
     for sync in [SyncMode::Signaled, SyncMode::Pipelined] {
-        let golden = run_case("reduce_all", sync, 6, 0, None);
-        let cfg_faults = FaultConfig::drops_with_redelivery(11, 350, 1_500);
-        let faulted = run_case("reduce_all", sync, 6, 0, Some(cfg_faults));
-        assert_eq!(golden, faulted, "{sync:?}: redelivered run diverged");
+        for kind in ["broadcast", "reduce_all"] {
+            for seed in [11, 41] {
+                let (golden, _) = run_case(kind, sync, 6, 0, None);
+                let cfg_faults = FaultConfig::drops_with_redelivery(seed, 350, 1_500);
+                let (faulted, stats) = run_case(kind, sync, 6, 0, Some(cfg_faults));
+                let what = format!("{kind} {sync:?} seed={seed}");
+                assert_eq!(golden, faulted, "{what}: redelivered run diverged");
+                assert_eq!(
+                    stats.signals_dropped, stats.signals_redelivered,
+                    "{what}: a dropped signal was never redelivered"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn permanent_loss_is_reported_promptly() {
+    // With a 500 ms watchdog, permanent signal loss must turn into a
+    // structured report well inside 20 s: the scheduler sees the fabric
+    // wedge instead of waiting out whole timeout windows.
+    for sync in [SyncMode::Signaled, SyncMode::Pipelined] {
+        let cfg = FabricConfig::new(6)
+            .with_watchdog(Duration::from_millis(500))
+            .with_faults(FaultConfig::drops_forever(13, 1000));
+        let t0 = Instant::now();
+        let result = Fabric::try_run(cfg, move |pe| {
+            let dest = pe.shared_malloc::<u64>(64);
+            collectives::broadcast_policy_sync(
+                pe,
+                &dest,
+                &[9u64; 64],
+                64,
+                1,
+                0,
+                AlgorithmPolicy::Binomial,
+                sync,
+            );
+        });
+        let elapsed = t0.elapsed();
+        let report = match result {
+            Err(RunError::Deadlock(report)) => report,
+            other => panic!("{sync:?}: expected Err(Deadlock), got {other:?}"),
+        };
+        let stuck = report.stuck();
+        assert!(
+            matches!(stuck.site, WaitSite::Signal { .. })
+                && stuck.collective.is_some()
+                && stuck.stage.is_some(),
+            "{sync:?}: the report must name a signal wait, collective and stage: {report}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(20),
+            "{sync:?}: deadlock reported after {elapsed:?}"
+        );
     }
 }

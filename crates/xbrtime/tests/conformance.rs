@@ -9,7 +9,7 @@
 //! changing which interleavings and faults a seed reproduces.
 
 use xbrtime::collectives::explore::{
-    explore_exhaustive, run_mutation_harness, ExploreConfig, RandomPriority, Scheduler,
+    explore_exhaustive, run_mutation_harness, RandomPriority, Scheduler,
 };
 use xbrtime::collectives::extended::allreduce_recursive_doubling;
 use xbrtime::collectives::hierarchical::{broadcast_hier_sched, reduce_hier_sched};
@@ -198,7 +198,6 @@ fn oracle_passes_ragged_hierarchical_schedules() {
 #[test]
 fn exhaustive_exploration_covers_ragged_hier_and_team() {
     let cfg = ModelConfig::default();
-    let ecfg = ExploreConfig::default();
     for sync in SyncMode::CONCRETE {
         let sched = broadcast_hier_sched(3, 2, 0, 2);
         let out = explore_exhaustive(
@@ -210,7 +209,6 @@ fn exhaustive_exploration_covers_ragged_hier_and_team() {
                 stride: 1,
             },
             &cfg,
-            &ecfg,
         );
         assert!(
             out.ok(),
@@ -228,7 +226,6 @@ fn exhaustive_exploration_covers_ragged_hier_and_team() {
                 nelems: 2,
             },
             &cfg,
-            &ecfg,
         );
         assert!(out.ok(), "team bcast {}: {}", sync.name(), out.summary());
     }
@@ -295,7 +292,6 @@ fn butterfly_mutants_die_under_the_oracle() {
         &CollectiveSpec::AllReduce { nelems: 2 },
         &ModelConfig::default(),
         &SyncMode::CONCRETE,
-        &ExploreConfig::default(),
     );
     assert!(!report.outcomes.is_empty());
     assert_eq!(

@@ -120,6 +120,32 @@ fn same_seed_replays_identical_schedule_and_trace() {
     assert_eq!(a.stats, b.stats);
 }
 
+/// FNV-1a over the grant log, four little-endian bytes per grant.
+fn log_digest(log: &[u32]) -> u64 {
+    log.iter()
+        .flat_map(|g| g.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The grant log of one fixed workload and seed, pinned. At one worker
+/// slot the log is a function of the seed and the order in which PEs
+/// become ready, so a change to the pick rule, or to the order in which a
+/// collective parks its PEs, moves it.
+#[test]
+fn grant_log_is_pinned() {
+    const PINNED: (usize, u64) = (83, 0x531c_4934_815f_2a21);
+    let log = run_workload(7).sched_log;
+    assert_eq!(
+        (log.len(), log_digest(&log)),
+        PINNED,
+        "the one-worker grant log moved: got ({}, {:#018x})",
+        log.len(),
+        log_digest(&log)
+    );
+}
+
 #[test]
 fn different_seed_changes_the_schedule() {
     let base = run_workload(1);

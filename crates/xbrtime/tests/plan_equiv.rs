@@ -3,7 +3,7 @@
 //! [`Row`]s same key ⇒ same schedule, any one field changed ⇒ distinct
 //! key), a pinned digest of every row's lowered plan, exact hit/miss
 //! telemetry — including concurrent
-//! issue at 256 PEs under the work-stealing engine — nonblocking overlap
+//! issue at 256 PEs under the cooperative engine — nonblocking overlap
 //! of ≥2 in-flight collectives, blocking collectives issued above an
 //! in-flight slot window, and slot-window recycling when a handle is
 //! dropped.
@@ -58,7 +58,7 @@ fn cache_telemetry_is_exact() {
 }
 
 /// 256 PEs concurrently issuing the same collective over the
-/// work-stealing pool: the sharded counters must stay exact — no lost
+/// cooperative engine: the sharded counters must stay exact — no lost
 /// updates, one miss per distinct key, every other lookup a hit.
 #[test]
 fn concurrent_issue_counters_exact_at_256_pes() {

@@ -33,11 +33,11 @@ fn run_traced(n_pes: usize, body: impl Fn(&xbrtime::Pe) + Sync) -> RunReport<()>
     run_traced_on(n_pes, engines(n_pes)[0], body)
 }
 
-fn run_traced_on(
+fn run_traced_on<R: Send>(
     n_pes: usize,
     engine: EngineConfig,
-    body: impl Fn(&xbrtime::Pe) + Sync,
-) -> RunReport<()> {
+    body: impl Fn(&xbrtime::Pe) -> R + Sync,
+) -> RunReport<R> {
     Fabric::run(traced_config(n_pes).with_engine(engine), body)
 }
 
@@ -50,7 +50,7 @@ fn traced_config(n_pes: usize) -> FabricConfig {
 /// The shared assertions: nothing moved, nothing signaled, the trace is
 /// empty (zero-length episodes return before emitting a single event)
 /// yet still exports a loadable Perfetto document.
-fn assert_inert(report: &RunReport<()>, what: &str) {
+fn assert_inert<R>(report: &RunReport<R>, what: &str) {
     let s = &report.stats;
     assert_eq!(s.puts, 0, "{what}: puts issued");
     assert_eq!(s.gets, 0, "{what}: gets issued");
@@ -169,6 +169,71 @@ fn zero_length_all_to_all_all_modes_both_backends() {
                     collectives::all_to_all_sync(pe, &mut dest, &[], 0, sync);
                 });
                 assert_inert(&report, &format!("all_to_all n={n} {sync:?}"));
+            }
+        }
+    }
+}
+
+/// The nonblocking and persistent routes are as inert as the blocking
+/// bodies: a zero-length issue + wait charges no cycle and leaves the
+/// symmetric heap as it found it, on every PE. Regression for the routes
+/// that staged around the episode themselves — the broadcast root wrote
+/// its (empty) payload, a cold cache walk, and the reductions allocated
+/// and freed a one-element board. Creating and destroying a persistent
+/// plan is outside the measured region.
+#[test]
+fn zero_length_nonblocking_routes_charge_nothing() {
+    let add = |a: u64, b: u64| a.wrapping_add(b);
+    for n in PE_COUNTS {
+        for sync in SYNC_MODES {
+            for engine in engines(n) {
+                let report = run_traced_on(n, engine, move |pe| {
+                    let buf = pe.shared_malloc::<u64>(1);
+                    let bcast = collectives::plan_create_broadcast(pe, &buf, 0, 0, sync);
+                    let all = collectives::plan_create_allreduce(pe, &buf, 0, sync);
+                    let mut moved = Vec::new();
+                    let mut measure = |route: String, issue_and_wait: &dyn Fn()| {
+                        let (cycles, heap) = (pe.cycles(), pe.heap_in_use() as i64);
+                        issue_and_wait();
+                        let heap = pe.heap_in_use() as i64 - heap;
+                        moved.push((route, pe.cycles() - cycles, heap));
+                    };
+                    measure("ixbroadcast".into(), &|| {
+                        collectives::ixbroadcast(pe, &buf, &[], 0, 0, sync).wait(pe)
+                    });
+                    measure("ixreduce".into(), &|| {
+                        collectives::ixreduce(pe, &buf, 0, 0, add, sync).wait_into(pe, &mut [])
+                    });
+                    for algo in AllReduceAlgo::CONCRETE
+                        .into_iter()
+                        .chain([AllReduceAlgo::Auto])
+                    {
+                        measure(format!("ixallreduce {algo:?}"), &|| {
+                            collectives::ixallreduce(pe, &buf, 0, add, algo, sync)
+                                .wait_into(pe, &mut [])
+                        });
+                    }
+                    measure("PersistentBroadcast::start".into(), &|| {
+                        bcast.start(pe, &[]).wait(pe)
+                    });
+                    measure("PersistentAllReduce::start".into(), &|| {
+                        all.start(pe, add).wait_into(pe, &mut [])
+                    });
+                    all.destroy(pe);
+                    moved
+                });
+                let what = format!("nonblocking n={n} {sync:?} workers={}", engine.workers);
+                for (rank, moved) in report.results.iter().enumerate() {
+                    for (route, cycles, heap) in moved {
+                        assert_eq!(
+                            (*cycles, *heap),
+                            (0, 0),
+                            "{what} rank {rank}: {route} charged {cycles} cycles and \
+                             moved the heap by {heap} bytes"
+                        );
+                    }
+                }
+                assert_inert(&report, &what);
             }
         }
     }

@@ -1,0 +1,22 @@
+#!/usr/bin/env bash
+# One price list: every simulated cycle is computed in
+# crates/xbrtime/src/timing.rs. The fabric and the plan executor only call
+# `pe.clock.*`, so no cost arithmetic, clock-enable test or host address
+# may appear in their non-test code (everything above `#[cfg(test)]`).
+#
+# Run from the repository root: `bash scripts/check_pricing.sh`. Prints
+# each offending line and exits 1; prints nothing and exits 0 when clean.
+set -eu
+
+pattern='timing\.cost|timing\(\)\.cost|clock\.enabled\(\)|host_addr|intra_node_factor|chan_occ|sim_now|WARMUP_CYCLES|port_busy|element_overhead|set_cycles'
+status=0
+for f in crates/xbrtime/src/fabric.rs crates/xbrtime/src/collectives/plan.rs; do
+    if [ ! -f "$f" ]; then
+        echo "check_pricing: $f not found (run from the repository root)" >&2
+        exit 2
+    fi
+    if awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" | grep -E "$pattern"; then
+        status=1
+    fi
+done
+exit "$status"
