@@ -7,8 +7,8 @@
 //! generator functions in this module (and the per-collective modules) run
 //! without a fabric, so the communication structure of Algorithms 1–4 and
 //! their linear/ring/hierarchical/team variants is unit-testable as plain
-//! values — op counts, stage counts, PE coverage — without spawning a
-//! single PE thread.
+//! values — op counts, stage counts, PE coverage — without launching a
+//! fabric.
 //!
 //! The four rooted collectives are one generator, [`rooted_schedule`]:
 //! one root→leaves walk per tree shape over the paper's virtual ranks

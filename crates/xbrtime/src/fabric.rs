@@ -1,12 +1,12 @@
 //! The PGAS fabric: SPMD execution, symmetric allocation, one-sided
 //! communication.
 //!
-//! [`Fabric::run`] launches one thread per processing element and hands each
-//! a [`Pe`] context — the Rust analogue of the xbrtime runtime environment
-//! (paper §3.3): `my_pe`/`num_pes` queries, a barrier, symmetric shared
-//! allocation, blocking and non-blocking `put`/`get` with element strides,
-//! and the simulated clock that stands in for the paper's Spike timing
-//! environment.
+//! [`Fabric::run`] runs every processing element as a coroutine on a
+//! worker thread and hands each a [`Pe`] context — the Rust analogue of
+//! the xbrtime runtime environment (paper §3.3): `my_pe`/`num_pes`
+//! queries, a barrier, symmetric shared allocation, blocking and
+//! non-blocking `put`/`get` with element strides, and the simulated clock
+//! that stands in for the paper's Spike timing environment.
 //!
 //! ## Race discipline
 //!
@@ -16,7 +16,7 @@
 //! (the collectives in this crate do so after every tree stage, as the
 //! paper prescribes). See [`crate::heap::HeapData`] for the full contract.
 
-use crate::engine::{CoopSched, EngineConfig, Park, PeSchedState, DEFAULT_COOP_STACK_BYTES};
+use crate::engine::{CoopSched, EngineConfig, Park, PeSchedState};
 use crate::heap::{FreeList, HeapData};
 pub use crate::timing::Topology;
 use crate::timing::{OfferedLoad, PeClock, TimingConfig};
@@ -40,7 +40,7 @@ use xbgas_sim::{cache::CacheStats, tlb::TlbStats};
 /// from a per-PE splitmix64 stream seeded from `seed ^ rank`, so a run is
 /// exactly reproducible from `(FaultConfig, n_pes)`.
 ///
-/// All delays are **wall-clock** sleeps: they perturb thread interleaving
+/// All delays are **wall-clock** sleeps: they perturb PE interleaving
 /// without touching the simulated clock, so a delays-only faulted run
 /// must produce buffers (and simulated cycle counts) identical to the
 /// fault-free run — the invariant the chaos harness asserts.
@@ -807,7 +807,7 @@ impl Shared {
             redelivery_armed: cfg.faults.is_some_and(|f| f.redelivers()),
             watchdog: cfg.watchdog,
             trace: cfg.trace.then(|| TracePlane::new(cfg.n_pes)),
-            coop: CoopSched::new(cfg.n_pes, cfg.engine),
+            coop: CoopSched::new(cfg.n_pes, cfg.engine, cfg.watchdog),
             plan_cache: crate::collectives::PlanCache::new(),
         }
     }
@@ -1322,14 +1322,12 @@ impl<'f> Pe<'f> {
         Some(Duration::from_micros(us))
     }
 
-    /// Wall-clock sleep for the fault plane. The PE deschedules first — a
-    /// sleeping PE must not hold a worker slot hostage — and rejoins the
-    /// ready set afterwards; the scheduler counts it as *sleeping*
-    /// (self-waking), never as parked.
+    /// Wall-clock sleep for the fault plane: a wake-at deadline in the
+    /// scheduler, so the PE's worker runs other PEs meanwhile instead of
+    /// sleeping. The scheduler counts it as *sleeping* (self-waking),
+    /// never as parked.
     fn fault_sleep(&self, d: Duration) {
-        self.shared.coop.deschedule(self.rank);
-        std::thread::sleep(d);
-        self.shared.coop.reschedule(self.rank);
+        self.shared.coop.sleep(self.rank, d);
     }
 
     /// Fault hook at the head of every put/get (blocking or not).
@@ -1484,7 +1482,7 @@ impl<'f> Pe<'f> {
             std::hint::spin_loop();
             return;
         }
-        match self.shared.coop.park(self.rank, self.shared.watchdog) {
+        match self.shared.coop.park(self.rank) {
             Park::Granted => {}
             Park::TimedOut => self.watchdog_trip(site, self.shared.watchdog),
             Park::Wedged => self.wedged_step(site),
@@ -2400,7 +2398,8 @@ impl<R> RunReport<R> {
     }
 }
 
-/// Entry point: runs `body` SPMD on `config.n_pes` PEs, one OS thread each.
+/// Entry point: runs `body` SPMD on `config.n_pes` PEs, each a coroutine
+/// on one of the engine's worker threads (see [`crate::engine`]).
 pub struct Fabric;
 
 struct PoisonGuard<'a>(&'a Shared);
@@ -2494,70 +2493,18 @@ impl Fabric {
         }
         let shared = Shared::new(&config);
         let start = Instant::now();
-        type Panics = Vec<(usize, Box<dyn std::any::Any + Send>)>;
-        let per_pe: Result<Vec<(R, u64)>, Panics> = std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(config.n_pes);
-            for rank in 0..config.n_pes {
-                let shared = &shared;
-                let body = &body;
-                let run_pe = move || {
-                    let _guard = PoisonGuard(shared);
-                    // A PE holds its first slot before any fabric work,
-                    // and frees it on return or unwind (the finish guard
-                    // drops before the poison guard).
-                    shared.coop.register(rank);
-                    let _finish = CoopFinishGuard {
-                        sched: &shared.coop,
-                        rank,
-                    };
-                    let pe = Pe::new(rank, shared, &config);
-                    let r = body(&pe);
-                    pe.progress_site(WaitSite::Finished);
-                    (r, pe.clock.cycles())
-                };
-                // Thousands of PEs: small stacks keep the address-space
-                // footprint modest, and a spawn failure aborts the gated
-                // startup instead of wedging already-spawned PEs.
-                let spawned = std::thread::Builder::new()
-                    .name(format!("pe-{rank}"))
-                    .stack_size(DEFAULT_COOP_STACK_BYTES)
-                    .spawn_scoped(s, run_pe);
-                match spawned {
-                    Ok(h) => handles.push(h),
-                    Err(e) => {
-                        shared.coop.abort();
-                        shared.poisoned.store(true, Ordering::Release);
-                        for h in handles {
-                            let _ = h.join();
-                        }
-                        return Err(vec![(
-                            rank,
-                            Box::new(format!("failed to spawn PE thread {rank}: {e}"))
-                                as Box<dyn std::any::Any + Send>,
-                        )]);
-                    }
-                }
-            }
-            // Join every PE before deciding the outcome, so a deadlock
-            // report filed by a later rank is not missed and no thread
-            // outlives the scope borrowing `shared`.
-            let mut out = Vec::with_capacity(config.n_pes);
-            let mut panics: Vec<(usize, Box<dyn std::any::Any + Send>)> = Vec::new();
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(v) => out.push(Some(v)),
-                    Err(e) => {
-                        panics.push((rank, e));
-                        out.push(None);
-                    }
-                }
-            }
-            if panics.is_empty() {
-                // All Some: panics are the only way a slot stays None.
-                Ok(out.into_iter().map(|v| v.unwrap()).collect())
-            } else {
-                Err(panics)
-            }
+        let per_pe = shared.coop.run(|rank| {
+            let _guard = PoisonGuard(&shared);
+            // A PE is first resumed holding a slot, and frees it on return
+            // or unwind (the finish guard drops before the poison guard).
+            let _finish = CoopFinishGuard {
+                sched: &shared.coop,
+                rank,
+            };
+            let pe = Pe::new(rank, &shared, &config);
+            let r = body(&pe);
+            pe.progress_site(WaitSite::Finished);
+            (r, pe.clock.cycles())
         });
         let per_pe = match per_pe {
             Ok(v) => v,
@@ -2585,7 +2532,7 @@ impl Fabric {
             stats: shared.snapshot(),
             collectives: shared.collective_records(),
             wall,
-            // Merged after every PE thread has joined, so no ring is
+            // Merged after every worker thread has joined, so no ring is
             // concurrently written.
             trace: shared.trace.as_ref().map(|t| t.merge()),
             sched_log: shared.coop.take_log(),

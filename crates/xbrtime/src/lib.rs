@@ -8,8 +8,9 @@
 //! tree with recursive halving/doubling and virtual-rank rotation
 //! (Algorithms 1–4).
 //!
-//! Each processing element runs on its own OS thread ([`Fabric::run`]
-//! launches one per PE and a scheduler decides how many run at once);
+//! Each processing element runs as a coroutine on one of a few worker
+//! threads ([`Fabric::run`] launches them and a scheduler decides which
+//! PEs run);
 //! remote accesses are raw one-sided copies, timed by the deterministic
 //! simulated clock from `xbgas-sim`'s cost model (the substitution for the
 //! paper's Spike environment — see DESIGN.md).
@@ -43,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod collectives;
+mod coro;
 pub mod engine;
 pub mod fabric;
 pub mod heap;

@@ -17,7 +17,7 @@
 //! whole run stays within 1 Mi events, and wraps: the newest events win,
 //! the oldest are overwritten, and the merged [`Trace`] reports how many
 //! were lost in [`Trace::dropped`]. The writer is always the owning
-//! PE's thread; the only concurrent readers are the watchdog's deadlock
+//! PE; the only concurrent readers are the watchdog's deadlock
 //! probe (which tolerates torn records by validating the kind tag) and the
 //! post-join merge (which races with nothing).
 
@@ -278,7 +278,7 @@ fn decode(raw: [u64; WORDS], pe: usize) -> Option<TraceEvent> {
 
 /// Single-writer lock-free ring of encoded events for one PE.
 ///
-/// The owning PE thread is the only writer; `head` counts events ever
+/// The owning PE is the only writer; `head` counts events ever
 /// recorded and is published with release ordering after the slot words are
 /// stored, so a concurrent reader (the watchdog probe) sees either a fully
 /// written record or a record whose kind tag it can reject.
@@ -369,8 +369,8 @@ impl TracePlane {
         self.rings[pe].recent(pe, n)
     }
 
-    /// Merge all rings into a [`Trace`]. Called after every PE's thread has
-    /// joined, so it races with nothing.
+    /// Merge all rings into a [`Trace`]. Called after every worker thread
+    /// has joined, so it races with nothing.
     pub(crate) fn merge(&self) -> Trace {
         let mut events = Vec::new();
         let mut dropped = 0;

@@ -392,7 +392,9 @@ fn op_schedule(op: &TrafficOp, members: &[usize], world: usize) -> CommSchedule 
 /// call on every PE of every tenant: the staging barrier, the schedule's
 /// single closing barrier (signaled/pipelined, non-empty by
 /// construction), and the readback barrier. Returns the op's digest
-/// contribution and bytes moved.
+/// contribution and bytes moved. `myvals` and `got` are the PE's scratch
+/// buffers for its own contribution and what it reads back, reused from
+/// op to op.
 #[allow(clippy::too_many_arguments)]
 fn run_op(
     pe: &Pe,
@@ -403,6 +405,8 @@ fn run_op(
     op: &TrafficOp,
     sync: SyncMode,
     seed: u64,
+    myvals: &mut Vec<u64>,
+    got: &mut Vec<u64>,
 ) -> (u64, u64) {
     let world = pe.n_pes();
     let team = members.len();
@@ -410,7 +414,8 @@ fn run_op(
     let es = std::mem::size_of::<u64>();
     let board = pe.shared_malloc::<u64>(total);
     let my_count = op.counts[tr];
-    let myvals: Vec<u64> = (0..my_count).map(|k| val(seed, t, i, tr, k)).collect();
+    myvals.clear();
+    myvals.extend((0..my_count).map(|k| val(seed, t, i, tr, k)));
 
     // Stage. Rooted ops reorder through the root's staging board exactly
     // like the vcoll wrappers; allgatherv-shaped ops publish from
@@ -428,49 +433,40 @@ fn run_op(
         }
         (TrafficKind::Gatherv, Some(adj)) if my_count > 0 => {
             let v = crate::collectives::virtual_rank(tr, op.root, team);
-            pe.heap_write(board.at(adj[v]), &myvals);
+            pe.heap_write(board.at(adj[v]), myvals);
         }
         _ => {}
     }
     pe.barrier();
 
     let (kind, row) = op_row(op, &adj, members, world);
-    plan::run_schedule(pe, &row, kind, board.whole(), &myvals, &mut [], None, sync);
+    plan::run_schedule(pe, &row, kind, board.whole(), myvals, &mut [], None, sync);
 
     // Read back what this PE is entitled to see and fold it into the
     // tenant digest.
-    let mut got: Vec<u64> = Vec::new();
-    match op.kind {
+    got.clear();
+    let seen: &[u64] = match op.kind {
         TrafficKind::Scatterv => {
             if my_count > 0 {
                 let v = crate::collectives::virtual_rank(tr, op.root, team);
-                got = vec![0; my_count];
-                pe.heap_read_strided(
-                    board.at(adj.as_ref().expect("rooted")[v]),
-                    &mut got,
-                    my_count,
-                    1,
-                );
+                got.resize(my_count, 0);
+                pe.heap_read_strided(board.at(adj.as_ref().expect("rooted")[v]), got, my_count, 1);
             }
+            got
         }
-        TrafficKind::Gatherv => {
-            if tr == op.root && total > 0 {
-                got = vec![0; total];
-                pe.heap_read_strided(board.whole(), &mut got, total, 1);
-            } else {
-                got = myvals.clone();
-            }
-        }
-        TrafficKind::Broadcast | TrafficKind::Allgatherv => {
+        TrafficKind::Gatherv if !(tr == op.root && total > 0) => myvals,
+        TrafficKind::Gatherv | TrafficKind::Broadcast | TrafficKind::Allgatherv => {
             if total > 0 {
-                got = vec![0; total];
-                pe.heap_read_strided(board.whole(), &mut got, total, 1);
+                got.resize(total, 0);
+                pe.heap_read_strided(board.whole(), got, total, 1);
             }
+            got
         }
-    }
+    };
+    let digest = fnv_mix(FNV_OFFSET ^ (i as u64), seen);
     pe.barrier();
     pe.shared_free(board);
-    (fnv_mix(FNV_OFFSET ^ (i as u64), &got), (total * es) as u64)
+    (digest, (total * es) as u64)
 }
 
 /// What one PE brings back from a traffic run.
@@ -503,9 +499,10 @@ fn play_plan(
     let mut op_cycles = Vec::with_capacity(plan.len());
     let mut digest = FNV_OFFSET ^ t as u64;
     let mut bytes = 0u64;
+    let (mut myvals, mut got) = (Vec::new(), Vec::new());
     for (i, op) in plan.iter().enumerate() {
         let t0 = pe.cycles();
-        let (d, b) = run_op(pe, members, tr, t, i, op, sync, seed);
+        let (d, b) = run_op(pe, members, tr, t, i, op, sync, seed, &mut myvals, &mut got);
         digest = fnv_mix(digest, &[d]);
         bytes += b;
         op_cycles.push(pe.cycles().saturating_sub(t0));

@@ -3,6 +3,7 @@
 //! misuse class must surface as a panic with a diagnosable message.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 use xbrtime::{
     AlgorithmPolicy, CollectiveKind, EngineConfig, Fabric, FabricConfig, FaultConfig, PeSchedState,
@@ -240,6 +241,91 @@ fn stalled_running_pe_trips_wall_clock_watchdog() {
             "PE {rank} line lacks a sched tag: {line}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// One worker: PEs that share an OS thread, each on its own stack
+// ---------------------------------------------------------------------------
+
+fn one_worker(n_pes: usize) -> FabricConfig {
+    FabricConfig::new(n_pes).with_engine(EngineConfig::coop().with_workers(1))
+}
+
+/// Both PEs panic, one after the other, on the one worker thread. The
+/// panic count belongs to that thread, so the first PE's unwinding must
+/// be over before the second runs; the run then reports the first PE's
+/// message instead of aborting the process.
+#[test]
+fn pes_sharing_a_worker_panic_in_turn() {
+    let result = Fabric::try_run(one_worker(2), |pe| {
+        if pe.rank() == 0 {
+            panic!("PE 0 fails first");
+        }
+        // Poisoned by PE 0, whichever of the two ran first.
+        pe.barrier();
+    });
+    match result {
+        Err(RunError::Panic(msg)) => assert!(msg.contains("PE 0 fails first"), "{msg:?}"),
+        other => panic!("expected Err(Panic), got {:?}", other.map(|_| ())),
+    }
+}
+
+/// Every PE waits on a signal nobody posts: the last one to park finds
+/// nothing runnable and nothing sleeping and reports the wedge at once,
+/// long before the watchdog window.
+#[test]
+fn structural_wedge_on_one_worker_is_reported_at_once() {
+    let cfg = one_worker(3).with_watchdog(Duration::from_secs(60));
+    let started = std::time::Instant::now();
+    let result = Fabric::try_run(cfg, |pe| {
+        let table = pe.signal_table(4);
+        pe.signal_wait(table.offset(pe.rank()));
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "a wedge must not wait out the watchdog window"
+    );
+    match result {
+        Err(RunError::Deadlock(report)) => {
+            for p in &report.pes {
+                assert!(matches!(p.site, WaitSite::Signal { .. }), "{report}");
+            }
+        }
+        other => panic!("expected Err(Deadlock), got {:?}", other.map(|_| ())),
+    }
+}
+
+/// Every transfer sleeps. The first PE granted sleeps in its put and
+/// gives up the worker: the other PE is granted and reaches its own put
+/// before the sleeper wakes — both read the wake count as zero.
+#[test]
+fn fault_sleeper_gives_up_its_worker() {
+    let faults = FaultConfig {
+        transfer_delay_permille: 1000,
+        max_transfer_delay_us: 20_000,
+        ..FaultConfig::none(5)
+    };
+    let woke = AtomicUsize::new(0);
+    let report = Fabric::try_run(one_worker(2).with_faults(faults), |pe| {
+        let buf = pe.shared_malloc::<u64>(1);
+        let before = woke.load(Ordering::SeqCst);
+        pe.put(buf.whole(), &[7], 1, 1, 1 - pe.rank());
+        woke.fetch_add(1, Ordering::SeqCst);
+        pe.barrier();
+        before
+    })
+    .expect("a delays-only run completes");
+    assert_eq!(report.stats.transfer_delays, 2);
+    assert_eq!(
+        report.results,
+        vec![0, 0],
+        "a PE ran only after the sleeper woke"
+    );
+    let log = &report.sched_log;
+    assert_ne!(
+        log[0], log[1],
+        "the peer is granted while the first PE sleeps: {log:?}"
+    );
 }
 
 #[test]
