@@ -8,19 +8,46 @@
 //!
 //! # Structure
 //!
-//! A [`Cache`] is an array of sets, each one fixed block of eight ways:
-//! their tags (a line's tag plus one, so 0 marks an invalid way), then
-//! their ticks (of each line's last touch), 16 bytes per way. Every
-//! geometry uses that block — a set of fewer ways leaves the rest
-//! *spare*: tag 0, which no key matches, and a tick the victim search
-//! reads OR-ed with `u64::MAX`, so it never picks one. All zeros is an
-//! empty cache of any geometry, so its state is allocated zeroed and only
-//! the sets a run touches are ever paged in. A lookup is one unrolled,
-//! branch-free pass over the block's tags, whatever the associativity;
-//! a miss adds one over its ticks to pick the victim. Replacement is true
-//! LRU: ticks are unique and increasing, a miss fills the way with the
-//! smallest one, and an invalid way's tick is 0, below every valid one,
-//! so the first invalid way is taken before any valid line is evicted.
+//! A [`Cache`] that has overflowed a set (see "Footprint") is an array of
+//! sets, each one fixed block of eight ways: their tags (a line's tag plus
+//! one, so 0 marks an invalid way), then their ticks (of each line's last
+//! touch), 16 bytes per way. Every geometry uses that block — a set of
+//! fewer ways leaves the rest *spare*: tag 0, which no key matches, and a
+//! tick the victim search reads OR-ed with `u64::MAX`, so it never picks
+//! one. All zeros is an empty cache of any geometry, so the arrays are
+//! allocated zeroed and only the sets a run touches are paged in. A
+//! lookup is one unrolled, branch-free pass over the block's tags,
+//! whatever the associativity; a miss adds one over its ticks to pick the
+//! victim. Replacement is true LRU: a set's ticks are unique and
+//! increasing, a miss fills the way with the smallest one, and an invalid
+//! way's tick is 0, below every valid one, so the first invalid way is
+//! taken before any valid line is evicted.
+//!
+//! # Footprint
+//!
+//! LRU has the stack property (Mattson et al., 1970): a set holds the
+//! `ways` most recently touched distinct lines that map to it. So until
+//! some set has seen more than `ways` distinct lines since the last flush,
+//! nothing has been evicted: a line hits exactly when it was touched
+//! before, and the order of the touches is not yet observable. A cache
+//! starts (and restarts at every flush) in *footprint mode*, recording
+//! only which lines it holds:
+//!
+//! * per group of 64 consecutive lines, a presence mask and a 32-bit
+//!   stamp of each line's last touch;
+//! * per set, how many lines it holds.
+//!
+//! A run of lines then costs one mask operation per group, plus one count
+//! per compulsory miss, whatever its length. The access that would give
+//! a set `ways + 1` lines first *materialises* the footprint: every line
+//! is written into its set, ordered by (stamp, tag) — the lines of one run
+//! share a stamp and were touched in address order — and the cache goes
+//! on with its set arrays until the next flush. Stamps number touches
+//! (a run is one), not lines; should they run out, the footprint is
+//! materialised early, which is always exact (the set arrays are the
+//! reference form). The set arrays do not exist in footprint mode:
+//! materialising allocates them and a flush frees them, so a cache that
+//! never overflows a set never holds them.
 //!
 //! # The most-recent-line memo
 //!
@@ -40,31 +67,29 @@
 //!
 //! # Range walks
 //!
-//! [`MemModel::access_range`] touches a range's lines in order, and a bulk
-//! transfer's range is often many times the L1. With `C = sets × ways`
-//! the L1's capacity in lines, two arguments let the walk skip L1 work
-//! without changing any outcome:
+//! [`MemModel::access_range`] prices a range as the walk line by line
+//! that it replaces — the first line pays the demand miss, the rest are
+//! streamed — without visiting every line:
 //!
-//! * **Past capacity, a line misses.** Line `i ≥ C` of a range (0-based)
-//!   shares its set with lines `i − sets, …, i − C` of the same range:
-//!   `ways` distinct lines touched since, so they are that set's `ways`
-//!   most recent and line `i` is not resident. It skips the tag probe and
-//!   only fills. If it also lies `C` or more lines before the range's
-//!   end, lines `i + sets, …, i + C` fill its set `ways` more times and
-//!   evict it, so the fill cannot be observed either: the line only
-//!   counts a miss. The set's final content — the range's last `ways`
-//!   lines in it, in order — is the same either way. The L2 and the TLB
-//!   still see every line.
-//! * **A back-to-back repeat is priced in closed form.** If a range covers
-//!   the same lines as the model's previous access, and that access was a
-//!   range spanning at most `l2.sets` L2 lines and `tlb.entries` pages
-//!   whose walk had no L1 hit or fit in the L1, then in the repeat an L1
-//!   set holding `k ≤ ways` of the range's lines hits all `k` and a set
-//!   holding more misses all of them (LRU cycling); every L1 miss hits
-//!   the L2, which saw every line of the first walk (no L1 hit) and holds
-//!   at most one of them per set; every line hits the TLB. Each structure
-//!   is re-touched in its previous order, so no recency order changes and
-//!   no state is written: only the counters move.
+//! * The TLB takes one lookup per page; the page's other lines are the
+//!   hits [`Tlb::access_run`] counts.
+//! * The L1 takes the range as one run, and the L2 takes the L1's misses
+//!   as runs, in line order. An L2 line wider than the L1's is touched
+//!   once per run: its other L1 lines in the run are the memo hits they
+//!   would have been.
+//! * In footprint mode a run costs O(groups) (above).
+//! * In set mode, a run of `n ≥ C = sets × ways` lines is priced per set.
+//!   By the stack property each set ends holding its last `ways` lines of
+//!   the run, in order, and that state is written directly. Only the
+//!   first `C` lines (the *probe segment*) can hit: line `i ≥ C` follows
+//!   `ways` distinct lines of the run in its set. If no set holds a tag
+//!   from its share of the probe segment — `ways` consecutive tags — all
+//!   `n` lines miss; otherwise the probe segment is walked line by line
+//!   and the rest miss. A shorter run is walked line by line.
+//!
+//! Every outcome — each latency, each counter, the later LRU order — is
+//! that of the line-by-line walk; `tests/memmodel_differential.rs` holds
+//! it to one.
 
 use crate::cost::CostConfig;
 use crate::tlb::{Tlb, TlbStats};
@@ -166,9 +191,145 @@ fn victim(lru: &[u64; WAYS], spare: &[u64; WAYS]) -> usize {
     victim
 }
 
+/// Bits `lo..=hi` of a `u64` (`lo ≤ hi < 64`).
+#[inline(always)]
+fn bits(lo: u32, hi: u32) -> u64 {
+    (u64::MAX >> (63 - hi)) & (u64::MAX << lo)
+}
+
+/// `log2` of the lines in a footprint group: one bit of a `u64` each.
+const GROUP_SHIFT: u32 = 6;
+
+/// The footprint's record of 64 consecutive lines.
+struct Group {
+    /// The lines' address `>> GROUP_SHIFT`.
+    key: u64,
+    /// Bit `b` set: line `key << GROUP_SHIFT | b` is resident.
+    mask: u64,
+    /// Each resident line's last-touch stamp.
+    stamps: [u32; 1 << GROUP_SHIFT],
+}
+
+/// A cache's content while no set has overflowed (module docs,
+/// "Footprint"); holds no memory until its first line.
+#[derive(Default)]
+struct Footprint {
+    groups: Vec<Group>,
+    /// Open-addressed hash of `groups` by key (index plus one; 0 = empty
+    /// slot), a power of two at least twice as long.
+    index: Vec<u32>,
+    /// Resident lines per set (empty before the first line).
+    occupancy: Vec<u8>,
+    /// The latest touch's stamp.
+    stamp: u32,
+    /// The group touched last.
+    last: usize,
+}
+
+impl Footprint {
+    /// Index in `groups` of group `key`, added empty if new.
+    #[inline]
+    fn group(&mut self, key: u64) -> usize {
+        if self.groups.get(self.last).is_some_and(|g| g.key == key) {
+            return self.last;
+        }
+        if 2 * (self.groups.len() + 1) > self.index.len() {
+            self.grow();
+        }
+        let mask = self.index.len() - 1;
+        let mut slot = Self::hash(key, mask);
+        loop {
+            match self.index[slot] {
+                0 => {
+                    self.groups.push(Group {
+                        key,
+                        mask: 0,
+                        stamps: [0; 1 << GROUP_SHIFT],
+                    });
+                    self.index[slot] = self.groups.len() as u32;
+                    break;
+                }
+                i if self.groups[i as usize - 1].key == key => break,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        self.last = self.index[slot] as usize - 1;
+        self.last
+    }
+
+    /// Fibonacci hashing: group keys arrive consecutively and scattered
+    /// alike, and the product's upper half spreads both.
+    #[inline(always)]
+    fn hash(key: u64, mask: usize) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+    }
+
+    /// Double the index (at least 64 slots) and rehash every group.
+    fn grow(&mut self) {
+        let len = (2 * self.index.len()).max(64);
+        self.index = vec![0; len];
+        for (i, g) in self.groups.iter().enumerate() {
+            let mut slot = Self::hash(g.key, len - 1);
+            while self.index[slot] != 0 {
+                slot = (slot + 1) & (len - 1);
+            }
+            self.index[slot] = i as u32 + 1;
+        }
+    }
+
+    /// Count a new line in set `set` of `sets`, of `ways` each; false,
+    /// counting nothing, if the set is full — the line would overflow it.
+    #[inline(always)]
+    fn admit(&mut self, set: u64, sets: u64, ways: u8) -> bool {
+        if self.occupancy.is_empty() {
+            self.occupancy = vec![0; sets as usize];
+        }
+        let n = &mut self.occupancy[set as usize];
+        let room = *n < ways;
+        *n += room as u8;
+        room
+    }
+
+    /// The stamp of a new touch; `None` once the stamps have run out.
+    #[inline]
+    fn next_stamp(&mut self) -> Option<u32> {
+        self.stamp = self.stamp.checked_add(1)?;
+        Some(self.stamp)
+    }
+}
+
+/// The pending maximal run of missed lines of a [`Cache::touch`].
+#[derive(Default)]
+struct Misses(Option<(u64, u64)>);
+
+impl Misses {
+    /// Lines `a..=b` missed, after every line pushed so far.
+    #[inline]
+    fn push(&mut self, a: u64, b: u64, miss: &mut impl FnMut(u64, u64)) {
+        match self.0 {
+            Some((x, y)) if y + 1 == a => self.0 = Some((x, b)),
+            Some((x, y)) => {
+                miss(x, y);
+                self.0 = Some((a, b));
+            }
+            None => self.0 = Some((a, b)),
+        }
+    }
+
+    /// Hand over the pending run, if any.
+    #[inline]
+    fn finish(self, miss: &mut impl FnMut(u64, u64)) {
+        if let Some((x, y)) = self.0 {
+            miss(x, y);
+        }
+    }
+}
+
 /// A single tag-only set-associative cache with true-LRU replacement.
 pub struct Cache {
     config: CacheConfig,
+    /// The set arrays: empty in footprint mode, allocated (zeroed) when
+    /// the footprint is materialised.
     sets: Vec<Set>,
     /// Per way: `u64::MAX` for a spare way, else 0 (see the module docs).
     spare: [u64; WAYS],
@@ -179,6 +340,10 @@ pub struct Cache {
     tick: u64,
     /// Line address of the most recent access (see the module docs).
     last_line: Option<u64>,
+    /// Whether a set has overflowed since the last flush: the set arrays,
+    /// not the footprint, hold the lines (see the module docs).
+    overflowed: bool,
+    footprint: Footprint,
     stats: CacheStats,
 }
 
@@ -209,13 +374,15 @@ impl Cache {
         );
         Cache {
             config,
-            sets: vec![[[0; WAYS]; 2]; sets],
+            sets: Vec::new(),
             spare: std::array::from_fn(|w| if w < config.ways { 0 } else { u64::MAX }),
             set_mask: (sets - 1) as u64,
             set_shift: sets.trailing_zeros(),
             line_shift: config.line_bytes.trailing_zeros(),
             tick: 0,
             last_line: None,
+            overflowed: false,
+            footprint: Footprint::default(),
             stats: CacheStats::default(),
         }
     }
@@ -241,37 +408,265 @@ impl Cache {
     /// writes, as in a write-allocate cache), evicting the LRU way.
     #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line_addr = addr >> self.line_shift;
-        if self.last_line == Some(line_addr) {
+        let line = addr >> self.line_shift;
+        if self.last_line == Some(line) {
             self.stats.hits += 1;
             return true;
         }
-        let [tags, lru] = &mut self.sets[(line_addr & self.set_mask) as usize];
-        let hit = find(tags, (line_addr >> self.set_shift) + 1);
-        if hit == WAYS {
-            self.fill(addr);
-            return false;
+        self.last_line = Some(line);
+        let hit = if self.overflowed {
+            self.probe(line)
+        } else {
+            self.touch_line(line)
+        };
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
-        self.last_line = Some(line_addr);
-        self.tick += 1;
-        lru[hit] = self.tick;
-        self.stats.hits += 1;
-        true
+        hit
     }
 
-    /// [`Cache::access`] to a line the caller knows is absent: no memo
-    /// check, no tag probe, a counted miss and a fill.
-    #[inline]
-    fn fill(&mut self, addr: u64) {
-        let line_addr = addr >> self.line_shift;
-        self.last_line = Some(line_addr);
+    /// Set mode: touch `line` (no memo, no counters), filling it on a
+    /// miss; `true` on a hit.
+    #[inline(always)]
+    fn probe(&mut self, line: u64) -> bool {
+        let key = (line >> self.set_shift) + 1;
+        let [tags, lru] = &mut self.sets[(line & self.set_mask) as usize];
         self.tick += 1;
-        let key = (line_addr >> self.set_shift) + 1;
-        let [tags, lru] = &mut self.sets[(line_addr & self.set_mask) as usize];
-        let way = victim(lru, &self.spare);
-        tags[way] = key;
+        let mut way = find(tags, key);
+        let hit = way < WAYS;
+        if !hit {
+            way = victim(lru, &self.spare);
+            tags[way] = key;
+        }
         lru[way] = self.tick;
-        self.stats.misses += 1;
+        hit
+    }
+
+    /// Footprint mode: [`Cache::probe`] of one line.
+    #[inline(never)]
+    fn touch_line(&mut self, line: u64) -> bool {
+        let (sets, ways) = (self.set_mask + 1, self.config.ways as u8);
+        let fp = &mut self.footprint;
+        let Some(stamp) = fp.next_stamp() else {
+            self.materialise();
+            return self.probe(line);
+        };
+        let g = fp.group(line >> GROUP_SHIFT);
+        let b = (line & ((1 << GROUP_SHIFT) - 1)) as usize;
+        let hit = fp.groups[g].mask >> b & 1 == 1;
+        if !hit && !fp.admit(line & self.set_mask, sets, ways) {
+            self.materialise();
+            return self.probe(line);
+        }
+        let g = &mut fp.groups[g];
+        g.mask |= 1 << b;
+        g.stamps[b] = stamp;
+        hit
+    }
+
+    /// Touch lines `p..=q` in order, as [`Cache::access`] would one by
+    /// one, and hand each maximal run of missed lines to `miss`, in order
+    /// (module docs, "Range walks").
+    fn touch(&mut self, p: u64, q: u64, miss: &mut impl FnMut(u64, u64)) {
+        let mut misses = Misses::default();
+        let line_by_line = if q - p >= self.lines() - 1 {
+            if !self.overflowed {
+                self.materialise();
+            }
+            self.sweep(p, q, &mut misses, miss);
+            None
+        } else if self.overflowed {
+            Some(p)
+        } else {
+            self.touch_footprint(p, q, &mut misses, miss)
+        };
+        if let Some(from) = line_by_line {
+            self.probe_run(from, q, &mut misses, miss);
+        }
+        misses.finish(miss);
+        self.last_line = Some(q);
+    }
+
+    /// Set mode: [`Cache::probe`] and count lines `from..=to` one by one,
+    /// passing the misses on.
+    fn probe_run(
+        &mut self,
+        from: u64,
+        to: u64,
+        misses: &mut Misses,
+        miss: &mut impl FnMut(u64, u64),
+    ) {
+        let mut hits = 0;
+        for line in from..=to {
+            if self.probe(line) {
+                hits += 1;
+            } else {
+                misses.push(line, line, miss);
+            }
+        }
+        self.stats.hits += hits;
+        self.stats.misses += to - from + 1 - hits;
+    }
+
+    /// Footprint mode: touch lines `p..=q` (fewer than the capacity).
+    /// Returns the first line that would overflow a set, with the lines
+    /// before it touched and the footprint materialised, or `None` once
+    /// every line is touched.
+    fn touch_footprint(
+        &mut self,
+        p: u64,
+        q: u64,
+        misses: &mut Misses,
+        miss: &mut impl FnMut(u64, u64),
+    ) -> Option<u64> {
+        let (set_mask, ways) = (self.set_mask, self.config.ways as u8);
+        let fp = &mut self.footprint;
+        let Some(stamp) = fp.next_stamp() else {
+            self.materialise();
+            return Some(p);
+        };
+        for key in p >> GROUP_SHIFT..=q >> GROUP_SHIFT {
+            let base = key << GROUP_SHIFT;
+            let last = base | ((1 << GROUP_SHIFT) - 1);
+            let mut range = bits((p.max(base) - base) as u32, (q.min(last) - base) as u32);
+            let g = fp.group(key);
+            let mut fresh = range & !fp.groups[g].mask;
+            let mut overflow = None;
+            let mut todo = fresh;
+            while todo != 0 {
+                let b = todo.trailing_zeros();
+                if !fp.admit((base | b as u64) & set_mask, set_mask + 1, ways) {
+                    overflow = Some(base | b as u64);
+                    range &= (1 << b) - 1;
+                    fresh &= range;
+                    break;
+                }
+                todo &= todo - 1;
+            }
+            let g = &mut fp.groups[g];
+            if range != 0 {
+                g.mask |= range;
+                let (lo, hi) = (range.trailing_zeros(), 63 - range.leading_zeros());
+                g.stamps[lo as usize..=hi as usize].fill(stamp);
+            }
+            self.stats.hits += (range & !fresh).count_ones() as u64;
+            self.stats.misses += fresh.count_ones() as u64;
+            while fresh != 0 {
+                let a = fresh.trailing_zeros();
+                let b = a + (!(fresh >> a)).trailing_zeros() - 1;
+                misses.push(base | a as u64, base | b as u64, miss);
+                fresh &= !bits(a, b);
+            }
+            if overflow.is_some() {
+                self.materialise();
+                return overflow;
+            }
+        }
+        None
+    }
+
+    /// Set mode: touch lines `p..=q`, at least the capacity, set by set
+    /// (module docs, "Range walks").
+    fn sweep(&mut self, p: u64, q: u64, misses: &mut Misses, miss: &mut impl FnMut(u64, u64)) {
+        let (capacity, ways) = (self.lines(), self.config.ways as u64);
+        // Set `s` takes `ways` lines of the probe segment, with `ways`
+        // consecutive tags from that of its first.
+        let resident = self.sets.iter().enumerate().any(|(s, [tags, _])| {
+            let first = p + ((s as u64).wrapping_sub(p) & self.set_mask);
+            let lo = (first >> self.set_shift) + 1;
+            tags.iter().any(|&tag| tag.wrapping_sub(lo) < ways)
+        });
+        if resident {
+            let probed = p + capacity - 1;
+            self.probe_run(p, probed, misses, miss);
+            if probed < q {
+                misses.push(probed + 1, q, miss);
+                self.stats.misses += q - probed;
+            }
+        } else {
+            misses.push(p, q, miss);
+            self.stats.misses += q - p + 1;
+        }
+        // Each set ends holding its last `ways` lines of the range, oldest
+        // in way 0.
+        let start = q - (capacity - 1);
+        for i in 0..capacity {
+            let line = start + i;
+            let [tags, lru] = &mut self.sets[(line & self.set_mask) as usize];
+            let way = (i >> self.set_shift) as usize;
+            tags[way] = (line >> self.set_shift) + 1;
+            lru[way] = self.tick + i + 1;
+        }
+        self.tick += capacity;
+    }
+
+    /// Leave footprint mode: allocate the set arrays, write every
+    /// resident line into its set, numbered in (stamp, tag) order, and
+    /// drop the footprint.
+    #[cold]
+    fn materialise(&mut self) {
+        self.sets = vec![[[0; WAYS]; 2]; (self.set_mask + 1) as usize];
+        let fp = &mut self.footprint;
+        for g in &fp.groups {
+            let mut m = g.mask;
+            while m != 0 {
+                let b = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let line = g.key << GROUP_SHIFT | b as u64;
+                let [tags, lru] = &mut self.sets[(line & self.set_mask) as usize];
+                // The set holds at most `ways` lines: a real way is free.
+                let way = find(tags, 0);
+                tags[way] = (line >> self.set_shift) + 1;
+                lru[way] = g.stamps[b] as u64;
+            }
+        }
+        for (set, &n) in fp.occupancy.iter().enumerate() {
+            let [tags, lru] = &mut self.sets[set];
+            let n = n as usize;
+            for i in 1..n {
+                let mut j = i;
+                while j > 0 && (lru[j - 1], tags[j - 1]) > (lru[j], tags[j]) {
+                    lru.swap(j - 1, j);
+                    tags.swap(j - 1, j);
+                    j -= 1;
+                }
+            }
+            for (w, tick) in lru[..n].iter_mut().enumerate() {
+                *tick = w as u64 + 1;
+            }
+        }
+        self.tick = self.tick.max(WAYS as u64);
+        self.footprint = Footprint::default();
+        self.overflowed = true;
+    }
+
+    /// Touch the lines holding L1 lines `a..=b` (of `1 << l1_shift`
+    /// bytes), which missed the L1 in a row, as [`Cache::access`] would
+    /// at each one's first byte. Returns the misses, and whether line
+    /// `a`'s access was one.
+    fn touch_below(&mut self, l1_shift: u32, a: u64, b: u64) -> (u64, bool) {
+        let (mut misses, mut first_missed) = (0, false);
+        if self.line_shift >= l1_shift {
+            let d = self.line_shift - l1_shift;
+            let (p, q) = (a >> d, b >> d);
+            // A line's L1 lines after its first are memo hits.
+            self.stats.hits += (b - a) - (q - p);
+            self.touch(p, q, &mut |x, y| {
+                misses += y - x + 1;
+                first_missed |= x == p;
+            });
+        } else {
+            let d = l1_shift - self.line_shift;
+            for line in a..=b {
+                self.touch(line << d, line << d, &mut |_, _| {
+                    misses += 1;
+                    first_missed |= line == a;
+                });
+            }
+        }
+        (misses, first_missed)
     }
 
     /// Capacity in lines.
@@ -281,7 +676,9 @@ impl Cache {
 
     /// Invalidate every line (e.g. across a simulated context switch).
     pub fn flush(&mut self) {
-        self.sets.fill([[0; WAYS]; 2]);
+        self.sets = Vec::new();
+        self.overflowed = false;
+        self.footprint = Footprint::default();
         self.last_line = None;
     }
 }
@@ -321,34 +718,22 @@ impl MemHierarchy {
         let l1 = self.l1.config().hit_cycles;
         if self.l1.access(addr) {
             l1
+        } else if self.l2.access(addr) {
+            l1 + self.l2.config().hit_cycles
         } else {
-            l1 + self.below_l1(addr, stream_cycles)
-        }
-    }
-
-    /// The L2 part of an L1 miss: the L2's hit latency, else `miss_cycles`.
-    #[inline]
-    fn below_l1(&mut self, addr: u64, miss_cycles: u64) -> u64 {
-        if self.l2.access(addr) {
-            self.l2.config().hit_cycles
-        } else {
-            miss_cycles
+            l1 + stream_cycles
         }
     }
 }
 
 /// One PE's local-access timing model: a TLB in front of the cache
 /// hierarchy. Every local access of the simulator and of the runtime's
-/// per-PE clock is one [`MemModel::access`] (or one line of a
-/// [`MemModel::access_range`]).
+/// per-PE clock is one [`MemModel::access`] or [`MemModel::access_range`].
 pub struct MemModel {
     tlb: Tlb,
     hier: MemHierarchy,
     /// Cost of an L2 miss on an interior line of a contiguous range.
     stream_miss_cycles: u64,
-    /// First and last L1 line of the previous access, if it was a range
-    /// the repeat rule may price (see the module docs).
-    repeat: Option<(u64, u64)>,
 }
 
 impl MemModel {
@@ -362,7 +747,6 @@ impl MemModel {
                 mem_cycles: cost.mem_cycles,
             },
             stream_miss_cycles: cost.stream_miss_cycles,
-            repeat: None,
         }
     }
 
@@ -370,101 +754,61 @@ impl MemModel {
     /// the TLB misses, plus the cache-hierarchy latency.
     #[inline]
     pub fn access(&mut self, addr: u64) -> u64 {
-        self.repeat = None;
         self.tlb.access(addr) + self.hier.access(addr)
     }
 
     /// Latency in cycles of touching the byte range `[addr, addr + len)`,
-    /// one access per L1 line: the first line pays the demand-miss
-    /// latency, the rest are charged as prefetched streaming misses. The
-    /// TLB is consulted once per page; the range's other lines on that
-    /// page are the hits [`Tlb::access_run`] counts without a lookup. L1
-    /// work is skipped where its outcome is certain (the module docs'
-    /// "Range walks"); every outcome is that of a walk line by line.
+    /// priced as one access per L1 line: the first line pays the
+    /// demand-miss latency, the rest are charged as prefetched streaming
+    /// misses. The work is per page and per set, not per line (the module
+    /// docs' "Range walks"); every outcome is that of a walk line by line.
+    ///
+    /// # Panics
+    /// Panics if the range wraps the address space (its last byte would
+    /// lie past `u64::MAX`).
     pub fn access_range(&mut self, addr: u64, len: usize) -> u64 {
         if len == 0 {
             return 0;
         }
+        let Some(end) = addr.checked_add(len as u64 - 1) else {
+            panic!("range {addr:#x} + {len} wraps the address space");
+        };
         let line_shift = self.hier.l1.line_shift;
-        let first = addr >> line_shift;
-        let last = (addr + len as u64 - 1) >> line_shift;
-        if self.repeat == Some((first, last)) {
-            return self.repeat_walk(last - first + 1);
+        let (first, last) = (addr >> line_shift, end >> line_shift);
+        if first == last {
+            return self.access(first << line_shift);
         }
-        let l1_hits = self.hier.l1.stats.hits;
-        let total = self.walk(first, last);
-        let repeatable = self.hier.l1.stats.hits == l1_hits || last - first < self.hier.l1.lines();
-        self.repeat = (repeatable && self.spans_fit(first, last)).then_some((first, last));
-        total
+        self.walk(first, last)
     }
 
-    /// Walk lines `first..=last`, probing the L1 only where it may hit.
+    /// Lines `first..=last`: one TLB lookup per page, the L1 as one run,
+    /// the L2 per run of L1 misses.
     fn walk(&mut self, first: u64, last: u64) -> u64 {
         let line_shift = self.hier.l1.line_shift;
         let page_mask = self.tlb.config().page_bytes - 1;
-        let capacity = self.hier.l1.lines();
-        let l1_hit = self.hier.l1.config.hit_cycles;
-        let demand_miss = self.hier.l2.config.hit_cycles + self.hier.mem_cycles;
         let mut total = 0;
-        for line in first..=last {
+        let mut line = first;
+        loop {
             let a = line << line_shift;
-            // At the range's first line and at every line that opens a
-            // page: one lookup for the run of lines that start on it.
-            if line == first || a & page_mask == 0 {
-                let run_last = last.min((a | page_mask) >> line_shift);
-                total += self.tlb.access_run(a, run_last - line + 1);
+            let run_last = last.min((a | page_mask) >> line_shift);
+            total += self.tlb.access_run(a, run_last - line + 1);
+            if run_last == last {
+                break;
             }
-            total += l1_hit;
-            // Past the L1's capacity a line misses for certain, and one
-            // that a later line of the range evicts again is not filled.
-            if line - first < capacity {
-                if self.hier.l1.access(a) {
-                    continue;
-                }
-            } else if last - line < capacity {
-                self.hier.l1.fill(a);
-            } else {
-                self.hier.l1.stats.misses += 1;
-            }
-            let miss = if line == first {
-                demand_miss
-            } else {
-                self.stream_miss_cycles
-            };
-            total += self.hier.below_l1(a, miss);
+            line = run_last + 1;
         }
+        let MemHierarchy { l1, l2, mem_cycles } = &mut self.hier;
+        let (l1_hit, l2_hit) = (l1.config.hit_cycles, l2.config.hit_cycles);
+        let (demand, stream) = (l2_hit + *mem_cycles, self.stream_miss_cycles);
+        total += (last - first + 1) * l1_hit;
+        l1.touch(first, last, &mut |a, b| {
+            let (misses, first_missed) = l2.touch_below(line_shift, a, b);
+            let demand_missed = (a == first && first_missed) as u64;
+            total += (b - a + 1 - misses) * l2_hit
+                + (misses - demand_missed) * stream
+                + demand_missed * demand;
+        });
         total
-    }
-
-    /// Whether lines `first..=last` span at most one line per L2 set and
-    /// no more pages than the TLB holds.
-    fn spans_fit(&self, first: u64, last: u64) -> bool {
-        let line_shift = self.hier.l1.line_shift;
-        let span = |shift: u32| ((last << line_shift) >> shift) - ((first << line_shift) >> shift);
-        let l2 = &self.hier.l2;
-        let tlb = self.tlb.config();
-        span(l2.line_shift) <= l2.set_mask
-            && span(tlb.page_bytes.trailing_zeros()) < tlb.entries as u64
-    }
-
-    /// The closed-form repeat of the previous range, of `n` lines.
-    fn repeat_walk(&mut self, n: u64) -> u64 {
-        let (l1, l2) = (&mut self.hier.l1, &mut self.hier.l2);
-        let (sets, ways) = (l1.set_mask + 1, l1.config.ways as u64);
-        // `r` sets hold `q + 1` of the range's lines, the rest `q`.
-        let (q, r) = (n / sets, n % sets);
-        let mut misses = 0;
-        if q + 1 > ways {
-            misses += r * (q + 1);
-        }
-        if q > ways {
-            misses += (sets - r) * q;
-        }
-        l1.stats.hits += n - misses;
-        l1.stats.misses += misses;
-        l2.stats.hits += misses;
-        self.tlb.count_hits(n);
-        n * l1.config.hit_cycles + misses * l2.config.hit_cycles
     }
 
     /// Invalidate the TLB and both caches.
@@ -472,7 +816,6 @@ impl MemModel {
         self.tlb.flush();
         self.hier.l1.flush();
         self.hier.l2.flush();
-        self.repeat = None;
     }
 
     /// Snapshot of the (L1, L2, TLB) counters.
@@ -676,29 +1019,121 @@ mod tests {
     }
 
     #[test]
-    fn the_repeat_rule_declines_what_the_l2_or_tlb_cannot_hold() {
-        let mut m = MemModel::new(&CostConfig::paper());
-        // 16 384 lines, 256 pages: both at their bounds.
-        m.access_range(0x10_0000, 16_384 * 64);
-        assert!(m.repeat.is_some());
-        // One line more than the L2 has sets, one page more than the TLB.
-        m.access_range(0x10_0000, 16_385 * 64);
-        assert!(m.repeat.is_none());
-        // Too few lines for the L2 to matter, too many pages for the TLB.
-        let mut small_tlb = CostConfig::paper();
-        small_tlb.tlb.entries = 3;
-        let mut m = MemModel::new(&small_tlb);
-        m.access_range(0x10_0000, 3 * 4096);
-        assert!(m.repeat.is_some());
-        m.access_range(0x10_0000, 3 * 4096 + 1);
-        assert!(m.repeat.is_none());
-        // An access or a flush in between ends the repeat.
-        m.access_range(0x10_0000, 64);
-        m.access(0x10_0000);
-        assert!(m.repeat.is_none());
-        m.access_range(0x10_0000, 64);
-        m.flush();
-        assert!(m.repeat.is_none());
+    #[should_panic(expected = "wraps the address space")]
+    fn a_range_that_wraps_the_address_space_panics() {
+        MemModel::new(&CostConfig::paper()).access_range(u64::MAX - 31, 64);
+    }
+
+    #[test]
+    fn a_range_may_end_on_the_last_byte() {
+        let cost = CostConfig::paper();
+        let mut m = MemModel::new(&cost);
+        let demand = cost.l1.hit_cycles + cost.l2.hit_cycles + cost.mem_cycles;
+        let stream = cost.l1.hit_cycles + cost.stream_miss_cycles;
+        assert_eq!(
+            m.access_range(u64::MAX - 127, 128),
+            cost.tlb.miss_cycles + demand + stream
+        );
+    }
+
+    /// A cache on its set arrays from the start: the reference for
+    /// footprint mode, since materialising is exact at any time.
+    fn on_sets(config: CacheConfig) -> Cache {
+        let mut c = Cache::new(config);
+        c.materialise();
+        c
+    }
+
+    /// Touch each line of `lines` on `c` and on `reference`, asserting
+    /// the same outcome.
+    fn same_outcomes(c: &mut Cache, reference: &mut Cache, lines: impl IntoIterator<Item = u64>) {
+        let shift = c.line_shift;
+        for (i, line) in lines.into_iter().enumerate() {
+            let addr = line << shift;
+            assert_eq!(
+                c.access(addr),
+                reference.access(addr),
+                "touch {i}, line {line}"
+            );
+        }
+        assert_eq!(c.stats(), reference.stats());
+    }
+
+    #[test]
+    fn an_overflow_materialises_the_footprint_in_lru_order() {
+        let mut c = tiny();
+        let mut reference = on_sets(*c.config());
+        // Set 0 of 4 (2 ways): tag 1, then tag 0 — touch order is not
+        // tag order — then a third line, which must evict tag 1.
+        same_outcomes(&mut c, &mut reference, [4, 0]);
+        assert!(!c.overflowed && c.sets.is_empty());
+        same_outcomes(&mut c, &mut reference, [8]);
+        assert!(c.overflowed);
+        same_outcomes(&mut c, &mut reference, [0, 4, 8, 0, 12, 4]);
+        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 8 });
+    }
+
+    #[test]
+    fn a_flush_empties_the_footprint_and_the_sets() {
+        let mut c = tiny();
+        c.access(0x40);
+        c.flush();
+        assert!(!c.access(0x40));
+        for line in [8, 12, 16] {
+            c.access(line << 4);
+        }
+        assert!(c.overflowed);
+        c.flush();
+        assert!(!c.overflowed && c.sets.is_empty());
+        assert!(!c.access(16 << 4));
+    }
+
+    /// 64 sets of 4 ways: room for 256 lines.
+    fn small() -> CacheConfig {
+        CacheConfig {
+            size_bytes: 4096,
+            ways: 4,
+            line_bytes: 16,
+            hit_cycles: 1,
+        }
+    }
+
+    /// A scrambled order over `0..n`, `len` long.
+    fn scrambled(n: u64, len: usize) -> impl Iterator<Item = u64> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        (0..len).map(move |_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        })
+    }
+
+    #[test]
+    fn a_footprint_holds_until_a_set_overflows() {
+        let (mut c, mut reference) = (Cache::new(small()), on_sets(small()));
+        // 200 lines, at most four per set: no overflow, however often.
+        same_outcomes(&mut c, &mut reference, scrambled(200, 20_000));
+        assert!(!c.overflowed);
+        // Overflow every set, then read the order back.
+        same_outcomes(&mut c, &mut reference, 200..400);
+        assert!(c.overflowed);
+        same_outcomes(&mut c, &mut reference, scrambled(400, 2_000));
+    }
+
+    #[test]
+    fn stamps_running_out_materialise_the_footprint() {
+        let (mut c, mut reference) = (Cache::new(small()), on_sets(small()));
+        same_outcomes(&mut c, &mut reference, scrambled(200, 2_000));
+        c.footprint.stamp = u32::MAX - 1;
+        // The last stamp goes to a word; a run then finds none left.
+        same_outcomes(&mut c, &mut reference, [250]);
+        assert!(!c.overflowed);
+        c.touch(150, 210, &mut |_, _| {});
+        reference.touch(150, 210, &mut |_, _| {});
+        assert!(c.overflowed, "no set is full, but the stamps ran out");
+        assert_eq!(c.stats(), reference.stats());
+        same_outcomes(&mut c, &mut reference, scrambled(400, 4_000));
     }
 
     #[test]

@@ -188,14 +188,6 @@ impl Tlb {
         self.access(addr)
     }
 
-    /// Count `n` hits without a lookup: accesses the caller knows hit
-    /// pages already in recency order, so touching them would reorder
-    /// nothing (a repeated range, `cache::MemModel`).
-    #[inline]
-    pub(crate) fn count_hits(&mut self, n: u64) {
-        self.stats.hits += n;
-    }
-
     /// Drop all translations.
     pub fn flush(&mut self) {
         self.slots.clear();

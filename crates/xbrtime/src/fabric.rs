@@ -1749,9 +1749,12 @@ impl<'f> Pe<'f> {
     /// Blocking (`!nb`) walks the local end, and for `pe == rank` the
     /// remote end, then the clock prices the rest; it has absorbed the
     /// whole transfer on return. Non-blocking walks only a self-transfer's
-    /// remote end — the private end is *not* walked — and the returned
-    /// stamp lies in the future: the caller owes it a [`Pe::track`] on the
-    /// stream that will complete it.
+    /// remote end, and the returned stamp lies in the future: the caller
+    /// owes it a [`Pe::track`] on the stream that will complete it. Its
+    /// private end is *not* walked, by design: the element loop runs off
+    /// this PE's critical path (its overhead is in the stamp, not on the
+    /// clock), so the core's TLB and caches never see those bytes, and the
+    /// data's memory side is the crossing's `mem_cycles` (DESIGN.md §6).
     ///
     /// Always inlined: under each public name `local`'s variant, `push` and
     /// `nb` are constants, and the name compiles to its own straight-line

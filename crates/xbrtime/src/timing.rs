@@ -271,10 +271,10 @@ impl<'f> PeClock<'f> {
     }
 
     /// Charge a local memory access to the byte range `[at, at+len)`,
-    /// walking the cache model once per touched cache line and the TLB
-    /// once per touched page ([`MemModel::access_range`]). The first line
-    /// pays full demand-miss latency; subsequent lines of the contiguous
-    /// range are charged as prefetched streaming misses.
+    /// priced by [`MemModel::access_range`] as one access per touched
+    /// cache line: the first line pays full demand-miss latency, the rest
+    /// of the contiguous range are prefetched streaming misses. The model
+    /// does that work per page and per cache set, not per line.
     pub(crate) fn local(&self, at: *const u8, len: usize) {
         if self.cfg.enabled {
             self.charge(self.mem.borrow_mut().access_range(at as u64, len));
