@@ -1202,7 +1202,7 @@ impl<'f> Pe<'f> {
         Pe {
             rank,
             shared,
-            clock: PeClock::new(rank, cfg.timing, cfg.topology, heap.base(), &shared.load),
+            clock: PeClock::new(rank, cfg.timing, cfg.topology, heap.len(), &shared.load),
             allocator: RefCell::new(FreeList::new(heap.len())),
             outstanding: RefCell::new(Vec::new()),
             next_handle: std::cell::Cell::new(0),

@@ -330,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_base_is_heap_aligned() {
+    fn arena_base_is_heap_aligned() {
         for len in [0usize, 1, 24, 4096, 1 << 20] {
             let h = HeapData::new(len);
             assert_eq!(h.len(), len);

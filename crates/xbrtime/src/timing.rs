@@ -7,9 +7,12 @@
 //! moves bytes and synchronises, and makes one call on the PE's clock per
 //! charge. The price list:
 //!
-//! - `local(at, len)` / `heap(off, len)`: a TLB + L1/L2 walk of a private
-//!   range, or of a window of the PE's own symmetric heap (the models are
-//!   keyed by host addresses, so real data layout drives hit rates);
+//! - `heap(off, len)` / `local(at, len)`: a TLB + L1/L2 walk of a window of
+//!   the PE's own symmetric heap, or of a private range. The models are
+//!   keyed on a per-PE logical address laid out like one `xbgas-sim`
+//!   hart's flat memory: the heap at `HEAP_BASE`, private pages above
+//!   it, numbered in the PE's first-touch order with their in-page offsets
+//!   kept. No host page number reaches a model;
 //! - `hop(target)`: one flight of base latency, scaled on-node by the
 //!   [`Topology`]; a signal arrives one hop after it is posted;
 //! - `remote(target, bytes)`: one fabric crossing — OLB lookup, queueing
@@ -26,6 +29,7 @@
 //! - `fold(nelems)`, `alloc()`, `free()`, `post()`: ALU charges.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xbgas_sim::cache::{CacheStats, MemModel};
 use xbgas_sim::cost::CostConfig;
@@ -204,6 +208,48 @@ impl OfferedLoad {
     }
 }
 
+/// Where every PE's symmetric heap starts in its logical address space
+/// (page-aligned).
+const HEAP_BASE: u64 = 0;
+
+/// A PE's first-touch page table: each host page its private walks reach
+/// gets the next free logical page above the heap, so the cache and TLB
+/// models see the PE's touch order, never the host's page numbers.
+struct PageTable {
+    shift: u32,
+    /// The logical page the next first touch gets.
+    next: u64,
+    /// The last lookup, `(host page, logical page)`: a one-page walk (a
+    /// GUPS update's stack word) is a compare.
+    last: (u64, u64),
+    pages: HashMap<u64, u64>,
+}
+
+impl PageTable {
+    /// No page touched yet; the first gets the page above a heap of
+    /// `heap_len` bytes.
+    fn new(page_bytes: u64, heap_len: usize) -> Self {
+        PageTable {
+            shift: page_bytes.trailing_zeros(),
+            next: (HEAP_BASE + heap_len as u64).div_ceil(page_bytes),
+            last: (u64::MAX, 0),
+            pages: HashMap::new(),
+        }
+    }
+
+    /// The logical address of host address `at`.
+    fn logical(&mut self, at: u64) -> u64 {
+        let page = at >> self.shift;
+        if page != self.last.0 {
+            let fresh = self.next;
+            let logical = *self.pages.entry(page).or_insert(fresh);
+            self.next += (logical == fresh) as u64;
+            self.last = (page, logical);
+        }
+        self.last.1 << self.shift | at & ((1 << self.shift) - 1)
+    }
+}
+
 /// One PE's simulated clock, its private TLB and cache models, and
 /// everything its prices read.
 ///
@@ -214,8 +260,6 @@ pub(crate) struct PeClock<'f> {
     rank: usize,
     cfg: TimingConfig,
     topology: Option<Topology>,
-    /// This PE's symmetric heap, whose host addresses key heap walks.
-    heap_base: *const u8,
     load: &'f OfferedLoad,
     cycles: Cell<u64>,
     /// This PE's injection port: the simulated time until which its own
@@ -223,26 +267,28 @@ pub(crate) struct PeClock<'f> {
     /// interface. Purely local (own clock), so it is exact and skew-free.
     port_busy: Cell<u64>,
     mem: RefCell<MemModel>,
+    pages: RefCell<PageTable>,
 }
 
 impl<'f> PeClock<'f> {
-    /// PE `rank`'s clock at cycle 0, with cold cache/TLB models.
+    /// PE `rank`'s clock at cycle 0, with cold cache/TLB models and a
+    /// symmetric heap of `heap_len` bytes.
     pub(crate) fn new(
         rank: usize,
         cfg: TimingConfig,
         topology: Option<Topology>,
-        heap_base: *const u8,
+        heap_len: usize,
         load: &'f OfferedLoad,
     ) -> Self {
         PeClock {
             rank,
             cfg,
             topology,
-            heap_base,
             load,
             cycles: Cell::new(0),
             port_busy: Cell::new(0),
             mem: RefCell::new(MemModel::new(&cfg.cost)),
+            pages: RefCell::new(PageTable::new(cfg.cost.tlb.page_bytes, heap_len)),
         }
     }
 
@@ -270,21 +316,42 @@ impl<'f> PeClock<'f> {
         }
     }
 
-    /// Charge a local memory access to the byte range `[at, at+len)`,
-    /// priced by [`MemModel::access_range`] as one access per touched
-    /// cache line: the first line pays full demand-miss latency, the rest
-    /// of the contiguous range are prefetched streaming misses. The model
-    /// does that work per page and per cache set, not per line.
-    pub(crate) fn local(&self, at: *const u8, len: usize) {
+    /// Charge a local memory access to `len` bytes at offset `off` of this
+    /// PE's symmetric heap, logical address `HEAP_BASE + off`, priced by
+    /// [`MemModel::access_range`] as one access per touched cache line:
+    /// the first line pays full demand-miss latency, the rest of the
+    /// contiguous range are prefetched streaming misses. The model does
+    /// that work per page and per cache set, not per line.
+    pub(crate) fn heap(&self, off: usize, len: usize) {
         if self.cfg.enabled {
-            self.charge(self.mem.borrow_mut().access_range(at as u64, len));
+            let at = HEAP_BASE + off as u64;
+            self.charge(self.mem.borrow_mut().access_range(at, len));
         }
     }
 
-    /// [`PeClock::local`] over `len` bytes at offset `off` of this PE's
-    /// symmetric heap.
-    pub(crate) fn heap(&self, off: usize, len: usize) {
-        self.local(self.heap_base.wrapping_add(off), len);
+    /// [`PeClock::heap`]'s walk over the private byte range `[at, at+len)`
+    /// at its logical pages (the [`PageTable`]). Each maximal run of
+    /// consecutive logical pages is its own demand stream, as a hardware
+    /// prefetcher stops at a physical page boundary.
+    pub(crate) fn local(&self, at: *const u8, len: usize) {
+        if !self.cfg.enabled || len == 0 {
+            return;
+        }
+        let (mut pages, mut mem) = (self.pages.borrow_mut(), self.mem.borrow_mut());
+        let (at, shift) = (at as u64, pages.shift);
+        let end = at + len as u64;
+        // The current run starts at host address `host`, logical `logical`.
+        let (mut host, mut logical) = (at, pages.logical(at));
+        let mut cycles = 0;
+        for page in (at >> shift) + 1..=(end - 1) >> shift {
+            let (h, l) = (page << shift, pages.logical(page << shift));
+            if l != logical + (h - host) {
+                cycles += mem.access_range(logical, (h - host) as usize);
+                (host, logical) = (h, l);
+            }
+        }
+        cycles += mem.access_range(logical, (end - host) as usize);
+        self.charge(cycles);
     }
 
     /// Location-aware scale for a flight to `target`: an intra-node
@@ -363,7 +430,7 @@ impl<'f> PeClock<'f> {
         if target != self.rank {
             self.charge(self.remote(target, 8));
         } else if self.cfg.enabled {
-            let at = self.heap_base.wrapping_add(off) as u64;
+            let at = HEAP_BASE + off as u64;
             self.charge(self.cfg.cost.alu_cycles + self.mem.borrow_mut().access(at));
         }
     }
@@ -419,9 +486,12 @@ impl<'f> PeClock<'f> {
 mod tests {
     use super::*;
 
-    /// PE 0's clock on `load`, its heap based at address 0.
+    /// The test clocks' heap length; private pages start right above it.
+    const HEAP_LEN: usize = 1 << 20;
+
+    /// PE 0's clock on `load`, with a [`HEAP_LEN`]-byte heap.
     fn clock(cfg: TimingConfig, topology: Option<Topology>, load: &OfferedLoad) -> PeClock<'_> {
-        PeClock::new(0, cfg, topology, std::ptr::null(), load)
+        PeClock::new(0, cfg, topology, HEAP_LEN, load)
     }
 
     const NODES_OF_TWO: Topology = Topology {
@@ -567,5 +637,65 @@ mod tests {
         let late = c.cycles();
         c.barrier(10);
         assert_eq!(c.cycles(), late + rounds);
+    }
+
+    #[test]
+    fn page_numbers_no_longer_price() {
+        const PAGE: u64 = 4096;
+        let load = OfferedLoad::new(1);
+        // 16 pages, one line each at the same in-page offset, walked three
+        // times. 1 MiB apart, the host pages would share one 8-way L2 set.
+        let walk = |stride: u64, base: u64| {
+            let c = clock(TimingConfig::paper(), None, &load);
+            for _ in 0..3 {
+                for i in 0..16 {
+                    c.local((base + i * stride + 0x40) as *const u8, 8);
+                }
+            }
+            (c.cycles(), c.mem_stats())
+        };
+        let (spread, dense) = (
+            walk(1 << 20, 0x7f3a_0000_0000),
+            walk(PAGE, 0x5581_2345_6000),
+        );
+        assert_eq!(spread.0, dense.0);
+        assert_eq!(spread.1, dense.1);
+    }
+
+    #[test]
+    fn private_runs_are_demand_streams() {
+        let cfg = TimingConfig::paper();
+        let page = cfg.cost.tlb.page_bytes;
+        let first = (HEAP_BASE + HEAP_LEN as u64).div_ceil(page) * page;
+        let load = OfferedLoad::new(1);
+        let charged = |c: &PeClock, at: u64, len: usize| {
+            let before = c.cycles();
+            c.local(at as *const u8, len);
+            c.cycles() - before
+        };
+        // Pages first touched in order: one stream at the first private page.
+        let host = 0x7f3a_1234_5880;
+        let c = clock(cfg, None, &load);
+        let mut m = MemModel::new(&cfg.cost);
+        let len = 2 * page as usize + 100;
+        assert_eq!(
+            charged(&c, host, len),
+            m.access_range(first + (host & (page - 1)), len)
+        );
+        assert_eq!(c.mem_stats(), m.stats());
+        // Page p + 1 first touched before page p: a walk over both is two
+        // demand streams, at logical `first + page`, then at `first`.
+        let (c, mut m) = (clock(cfg, None, &load), MemModel::new(&cfg.cost));
+        let p = 0x7f3a_1234_5000;
+        charged(&c, p + page, 8);
+        m.access_range(first, 8);
+        let two =
+            m.access_range(first + page, page as usize) + m.access_range(first, page as usize);
+        assert_eq!(charged(&c, p, 2 * page as usize), two);
+        // The heap walks its own window at HEAP_BASE.
+        let before = c.cycles();
+        c.heap(3000, 5000);
+        assert_eq!(c.cycles() - before, m.access_range(HEAP_BASE + 3000, 5000));
+        assert_eq!(c.mem_stats(), m.stats());
     }
 }

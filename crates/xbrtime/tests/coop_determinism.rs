@@ -7,12 +7,14 @@
 //! counter must all replay identically — and a different seed must
 //! produce a visibly different schedule.
 //!
-//! Absolute cycle *stamps* are deliberately excluded: the TLB/cache
-//! models are keyed by host virtual addresses (real data layout drives
-//! hit rates — see `timing.rs`), so allocator placement adds a few
-//! hundred cycles of run-to-run noise that no scheduler can remove.
-//! The schedule-visible signal is which events happen and in what
-//! per-PE order, not where the allocator parked a source buffer.
+//! Absolute cycle *stamps* are deliberately excluded. The TLB/cache
+//! models number a PE's private pages by first touch (see `timing.rs`),
+//! but a private buffer keeps the in-page offset the allocator gave it,
+//! and two runs place their small buffers at different offsets, which
+//! adds a few hundred cycles of run-to-run noise that no scheduler can
+//! remove. The schedule-visible signal is which events happen and in
+//! what per-PE order, not where in a page the allocator parked a source
+//! buffer.
 
 use xbrtime::collectives::{self, AllReduceAlgo};
 use xbrtime::{
