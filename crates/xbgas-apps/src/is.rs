@@ -199,8 +199,8 @@ pub struct IsConfig {
     /// Run partial + full verification (paper: detailed timing + verified).
     pub verify: bool,
     /// Algorithm policy for the verification tail's reduce + broadcast.
-    /// The per-iteration histogram combine keeps the reduce-then-broadcast
-    /// composite (the paper's pattern) regardless of policy.
+    /// The per-iteration histogram combine keeps the paper's
+    /// reduce-then-broadcast all-reduce regardless of policy.
     pub policy: AlgorithmPolicy,
     /// Executor synchronization mode for the verification tail's
     /// collectives.
@@ -307,8 +307,9 @@ pub fn run_is(pe: &Pe, cfg: &IsConfig) -> IsResult {
         pe.heap_write(hist_sym.whole(), &local);
         pe.barrier();
 
-        // Global histogram via reduce-to-root + broadcast (Figure 4/5's
-        // collective load lives here).
+        // Global histogram via the paper's reduce-to-root + broadcast, run
+        // as one fused all-reduce episode (Figure 5's collective load
+        // lives here).
         collectives::reduce_all_with(
             pe,
             &mut global_hist,

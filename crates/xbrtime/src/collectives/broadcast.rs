@@ -112,23 +112,21 @@ pub(crate) fn broadcast_on<T: XbrType>(
     // The *original* mode goes to the executor: it re-resolves `Auto`
     // with the schedule in hand (falling back to plain barriers for
     // single-stage shapes), which `resolved` above cannot know about.
-    broadcast_core(pe, dest, src, &row, family, sync);
+    broadcast_core(pe, dest, src, &row, sync);
 }
 
 /// The one blocking broadcast body: the one stage-in, then `row` — the
-/// flat trees, a team's, the two-tier hierarchy. `kind` is the telemetry
-/// kind the episode reports under — so composites like reduce-to-all
-/// attribute their internal broadcast to themselves. A zero-length
-/// broadcast is fully inert (telemetry only).
+/// flat trees, a team's, the two-tier hierarchy. A zero-length broadcast
+/// is fully inert (telemetry only).
 pub(crate) fn broadcast_core<T: XbrType>(
     pe: &Pe,
     dest: &SymmAlloc<T>,
     src: &[T],
     row: &Row<'_>,
-    kind: CollectiveKind,
     sync: SyncMode,
 ) {
     row.check();
+    let kind = CollectiveKind::Broadcast;
     let plan = || plan::plan_for(pe, row, kind, sync, std::mem::size_of::<T>());
     plan::issue_broadcast(pe, kind, dest, src, row.rooted_whole(), plan, false).wait(pe);
 }

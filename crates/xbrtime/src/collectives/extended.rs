@@ -10,16 +10,18 @@
 //! * [`reduce_all_sync`] — reduction whose result lands on every PE. Four
 //!   strategies ([`AllReduceAlgo`]): the paper's own composition ("must
 //!   instead be accomplished through the use of a broadcast operation
-//!   following the original call"), a direct recursive-doubling exchange,
+//!   following the original call"), run as one fused schedule
+//!   ([`allreduce_fused`]), a direct recursive-doubling exchange,
 //!   Rabenseifner's recursive-halving reduce-scatter + recursive-doubling
 //!   allgather, and a bandwidth-optimal ring — all exact for any `n`,
-//!   with the non-power-of-two tail folded inside the generators. The
-//!   three direct ones are rows over the symmetric walker
-//!   (`exchange_stages`): a reduce-scatter is an arm pulled as deferred
-//!   folds, all-gather run backwards — the butterfly for recursive
-//!   doubling (whole vector) and Rabenseifner (bisection table), the ring
-//!   for the ring — and Rabenseifner's allgather half and both fold-out
-//!   tails are the stages before them
+//!   with the non-power-of-two tail folded inside the generators. Every
+//!   route — blocking, team, nonblocking, persistent — issues one staged
+//!   episode of the strategy's row. The other three are rows over the
+//!   symmetric walker (`exchange_stages`): a reduce-scatter is an arm
+//!   pulled as deferred folds, all-gather run backwards — the butterfly
+//!   for recursive doubling (whole vector) and Rabenseifner (bisection
+//!   table), the ring for the ring — and Rabenseifner's allgather half
+//!   and both fold-out tails are the stages before them
 //!   [`transposed`](crate::collectives::schedule::CommSchedule::transposed)
 //!   into puts; [`Shape::AllReduce`] names the four for every body;
 //! * [`all_gather`] — OpenSHMEM `fcollect` (equal counts, every PE receives
@@ -28,13 +30,12 @@
 //!   [`AllGatherVAlgo`] shape is available;
 //! * [`all_to_all_sync`] — personalized all-to-all via pairwise exchange;
 //! * [`Team`] — a subset of PEs with translated ranks; team-scoped
-//!   broadcast/reduce are the broadcast and reduction bodies on a
-//!   [`Row`] that carries the member list.
+//!   broadcast and all-reduce are the broadcast body and the fused
+//!   all-reduce row on a [`Row`] that carries the member list.
 
-use crate::collectives::broadcast::{broadcast_core, broadcast_on};
+use crate::collectives::broadcast::broadcast_on;
 use crate::collectives::plan::{self, Readout};
-use crate::collectives::policy::{self, Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::reduce::reduce_core;
+use crate::collectives::policy::{self, AlgorithmPolicy, SyncMode};
 use crate::collectives::schedule::{
     balanced_partition, broadcast_binomial, exchange_stages, floor_pof2, reduce_binomial,
     CommSchedule, Exchange, OpKind, Payload, Row, Shape, Stage, TransferOp,
@@ -169,9 +170,10 @@ pub fn allreduce_ring(n_pes: usize, nelems: usize) -> CommSchedule {
 
 /// Fused reduce-then-broadcast all-reduce schedule: binomial reduction to
 /// rank 0 followed by a binomial broadcast from rank 0, as **one**
-/// schedule — the composition the paper prescribes, without the
-/// intermediate barrier/read-out round trip of the blocking
-/// [`AllReduceAlgo::ReduceThenBroadcast`] route in [`reduce_all_with`].
+/// schedule — the composition the paper prescribes, with no read-out,
+/// staging board or barrier between the two trees. It is what
+/// [`AllReduceAlgo::ReduceThenBroadcast`] runs on every route, and what
+/// [`Team::reduce_all`] runs over the members.
 pub fn allreduce_fused(n_pes: usize, nelems: usize) -> CommSchedule {
     let mut sched = reduce_binomial(n_pes, 0, nelems, 1);
     let bcast = broadcast_binomial(n_pes, 0, nelems, 1);
@@ -258,14 +260,6 @@ impl AllReduceAlgo {
         AllReduceAlgo::Rabenseifner,
         AllReduceAlgo::Ring,
     ];
-
-    /// The direct schedule strategies (everything but the two-collective
-    /// `ReduceThenBroadcast` composition), for test/bench matrices.
-    pub const DIRECT: [AllReduceAlgo; 3] = [
-        AllReduceAlgo::RecursiveDoubling,
-        AllReduceAlgo::Rabenseifner,
-        AllReduceAlgo::Ring,
-    ];
 }
 
 /// All-reduce with a named operator: every PE receives the elementwise
@@ -287,10 +281,13 @@ pub fn reduce_all_sync<T: XbrNumeric>(
 }
 
 /// All-reduce with an arbitrary associative, commutative combiner. `Auto`
-/// algorithm selection resolves here from `(n_pes, payload bytes)`. The
-/// direct strategies run as one compiled schedule — the non-power-of-two
-/// tail is folded inside the generators, so there is no caller-side
-/// pre/post reduce-through-rank-0 step.
+/// algorithm selection resolves here from `(n_pes, payload bytes)`. Every
+/// strategy runs as one episode of its [`Shape::AllReduce`] row — the
+/// staged reduction that [`ixallreduce`](crate::collectives::ixallreduce)
+/// and a persistent all-reduce issue too, so the three share warm plans.
+/// Reduce-then-broadcast is both binomial trees as one schedule
+/// ([`allreduce_fused`]), and the non-power-of-two tail is folded inside
+/// the generators: there is no caller-side reduce-through-rank-0 step.
 pub fn reduce_all_with<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
@@ -302,60 +299,9 @@ pub fn reduce_all_with<T: XbrType>(
 ) {
     assert!(dest.len() >= nelems, "dest too small for all-reduce result");
     let algo = algo.resolve(pe.n_pes(), nelems * std::mem::size_of::<T>());
-    if algo == AllReduceAlgo::ReduceThenBroadcast {
-        reduce_then_broadcast(pe, dest, src, nelems, f, None, sync);
-        return;
-    }
     let plan = || plan::allreduce_plan::<T>(pe, algo, nelems, sync);
     let (kind, readout) = (CollectiveKind::AllReduce, Readout::All { nelems });
     plan::issue_reduce(pe, kind, Some(src), readout, None, plan, f, false).wait_into(pe, dest);
-}
-
-/// The paper's composition, reporting as one all-reduce: the binomial
-/// reduction to the first rank of `members` (or of the world), then the
-/// binomial broadcast back from it. Everyone calls; only participants
-/// contribute and read the result out. A zero-length one is fully inert,
-/// like every other body: telemetry only.
-fn reduce_then_broadcast<T: XbrType>(
-    pe: &Pe,
-    dest: &mut [T],
-    src: &SymmAlloc<T>,
-    nelems: usize,
-    f: impl Fn(T, T) -> T,
-    members: Option<&[usize]>,
-    sync: SyncMode,
-) {
-    let kind = CollectiveKind::AllReduce;
-    if nelems == 0 {
-        plan::note_inert(pe, kind);
-        return;
-    }
-    let tree = |family| Row {
-        shape: Shape::Rooted {
-            family,
-            algo: Algorithm::Binomial,
-            root: 0,
-            payload: Payload::Whole { nelems, stride: 1 },
-        },
-        members,
-        world: pe.n_pes(),
-    };
-    let down = tree(CollectiveKind::Broadcast);
-    reduce_core(pe, dest, src, &tree(CollectiveKind::Reduce), kind, f, sync);
-    let bcast = pe.shared_malloc::<T>(nelems);
-    // The first rank holds the result; broadcast it to everyone.
-    let payload: Vec<T> = if pe.rank() == down.rooted_whole().0 {
-        dest[..nelems].to_vec()
-    } else {
-        vec![T::default(); nelems]
-    };
-    broadcast_core(pe, &bcast, &payload, &down, kind, sync);
-    pe.barrier();
-    if down.has(pe.rank()) {
-        pe.heap_read_strided(bcast.whole(), &mut dest[..nelems], nelems, 1);
-    }
-    pe.barrier();
-    pe.shared_free(bcast);
 }
 
 /// All-gather (OpenSHMEM `fcollect`): every PE contributes `per_pe`
@@ -483,8 +429,13 @@ impl Team {
         broadcast_on(pe, dest, src, nelems, 1, team_root, members, tree, sync);
     }
 
-    /// Team-scoped all-reduce (reduce-to-team-root-then-broadcast). Every
-    /// PE must call; only members contribute and receive.
+    /// Team-scoped all-reduce: one episode of the reduce-then-broadcast
+    /// row ([`allreduce_fused`]) over the members — the binomial reduction
+    /// to the first member and the binomial broadcast back, as one plan.
+    /// Every PE must call; only members contribute and receive. A
+    /// non-member stages nothing and drops its handle, which closes the
+    /// episode in step with the members but skips the read-out, so its
+    /// `dest` is untouched.
     pub fn reduce_all<T: XbrType>(
         &self,
         pe: &Pe,
@@ -494,7 +445,21 @@ impl Team {
         f: impl Fn(T, T) -> T + Copy,
         sync: SyncMode,
     ) {
-        reduce_then_broadcast(pe, dest, src, nelems, f, Some(&self.members), sync);
+        let row = Row {
+            shape: Shape::AllReduce {
+                algo: AllReduceAlgo::ReduceThenBroadcast,
+                nelems,
+            },
+            members: Some(&self.members),
+            world: pe.n_pes(),
+        };
+        let (kind, readout) = (CollectiveKind::AllReduce, Readout::All { nelems });
+        let plan = || plan::plan_for(pe, &row, kind, sync, std::mem::size_of::<T>());
+        let src = row.has(pe.rank()).then_some(src);
+        let h = plan::issue_reduce(pe, kind, src, readout, None, plan, f, false);
+        if src.is_some() {
+            h.wait_into(pe, dest);
+        }
     }
 }
 
@@ -631,18 +596,30 @@ mod tests {
         assert_eq!(report.results[3], 0);
     }
 
+    /// A one-member team: the broadcast reaches only the member, and the
+    /// all-reduce — an empty fused plan over a staged board — hands the
+    /// member its own contribution and leaves non-members untouched.
     #[test]
     fn team_of_one() {
         let report = Fabric::run(FabricConfig::new(3), |pe| {
             let team = Team::new(vec![2]);
             let dest = pe.shared_malloc::<u32>(1);
             pe.heap_store(dest.whole(), 0);
+            let src = pe.shared_malloc::<u32>(2);
+            pe.heap_write(src.whole(), &[pe.rank() as u32 + 7, 5]);
             pe.barrier();
             team.broadcast(pe, &dest, &[99], 1, 0, SyncMode::Barrier);
+            let mut sum = [0u32; 2];
+            team.reduce_all(pe, &mut sum, &src, 2, |a, b| a + b, SyncMode::Barrier);
             pe.barrier();
-            pe.heap_load(dest.whole())
+            (pe.heap_load(dest.whole()), sum)
         });
-        assert_eq!(report.results, vec![0, 0, 99]);
+        let expect = vec![(0, [0, 0]), (0, [0, 0]), (99, [9, 5])];
+        assert_eq!(report.results, expect);
+        let calls = report
+            .collective(CollectiveKind::AllReduce)
+            .map(|r| r.calls);
+        assert_eq!(calls, Some(1));
     }
 
     #[test]
@@ -689,17 +666,24 @@ mod tests {
                 report.stats.signals, report.stats.signal_waits,
                 "sync={sync:?}: stranded signal slots"
             );
+            // The team all-reduce is one episode, not a reduction plus a
+            // broadcast.
+            let calls = report
+                .collective(CollectiveKind::AllReduce)
+                .map(|r| r.calls);
+            assert_eq!(calls, Some(1), "sync={sync:?}");
         }
     }
 
-    /// Non-power-of-two worlds across every direct strategy and sync
-    /// mode: the fold-in/fold-out tail stages live *inside* the
-    /// generators, so the schedules themselves must be exact.
+    /// Non-power-of-two worlds across every strategy and sync mode: the
+    /// fold-in/fold-out tail stages live *inside* the generators, and the
+    /// fused trees are binomial over an uneven world, so the schedules
+    /// themselves must be exact.
     #[test]
     fn reduce_all_non_power_of_two_tail_all_sync_modes() {
         use std::time::Duration;
         for n in [3usize, 5, 6, 7] {
-            for algo in AllReduceAlgo::DIRECT {
+            for algo in AllReduceAlgo::CONCRETE {
                 for sync in SyncMode::CONCRETE {
                     let cfg = FabricConfig::new(n).with_watchdog(Duration::from_secs(5));
                     let report = Fabric::run(cfg, move |pe| {

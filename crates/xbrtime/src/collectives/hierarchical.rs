@@ -164,9 +164,8 @@ pub fn broadcast_hier<T: XbrType>(
     root: usize,
     sync: SyncMode,
 ) {
-    let family = CollectiveKind::Broadcast;
-    let row = hier_row(pe, family, root, nelems);
-    broadcast_core(pe, dest, src, &row, family, sync);
+    let row = hier_row(pe, CollectiveKind::Broadcast, root, nelems);
+    broadcast_core(pe, dest, src, &row, sync);
 }
 
 /// Hierarchical reduction with an arbitrary combiner under an explicit
@@ -182,9 +181,8 @@ pub fn reduce_hier<T: XbrType>(
     f: impl Fn(T, T) -> T + Copy,
     sync: SyncMode,
 ) {
-    let family = CollectiveKind::Reduce;
-    let row = hier_row(pe, family, root, nelems);
-    reduce_core(pe, dest, src, &row, family, f, sync);
+    let row = hier_row(pe, CollectiveKind::Reduce, root, nelems);
+    reduce_core(pe, dest, src, &row, f, sync);
 }
 
 #[cfg(test)]

@@ -543,7 +543,6 @@ impl<N: FnMut(usize, &PlanStep, Origin)> Lowering<'_, N> {
                         self.consume_overlapping(dst.0, dst.1, at);
                         self.push(pull, at);
                     }
-                    OpKind::GetInto => self.push(pull, at),
                     _ => {
                         self.push(pull, at);
                         if op.kind == OpKind::GetFold {
@@ -1536,14 +1535,15 @@ pub fn ixreduce<'a, T: XbrType>(
 }
 
 /// Nonblocking allreduce. Complete with [`CollHandle::wait_into`]; every
-/// PE's `dest` receives the folded `nelems` elements. Every member of the
-/// [`AllReduceAlgo`] family — reduce-then-broadcast as the fused schedule
+/// PE's `dest` receives the folded `nelems` elements. The same staged
+/// episode as the blocking
+/// [`reduce_all_sync`](crate::collectives::extended::reduce_all_sync),
+/// left open: every member of the [`AllReduceAlgo`] family —
+/// reduce-then-broadcast as the fused schedule
 /// ([`allreduce_fused`](crate::collectives::extended::allreduce_fused)),
 /// recursive doubling, Rabenseifner and ring — lowers through the plan
-/// cache and issues nonblocking; `Auto` picks per shape from the same
-/// calibrated crossovers as the blocking
-/// [`reduce_all_sync`](crate::collectives::extended::reduce_all_sync)
-/// path, so warm plans are shared between the two.
+/// cache under one key per row, and `Auto` resolves by the same
+/// calibrated crossovers, so warm plans are shared between the two.
 pub fn ixallreduce<'a, T: XbrType>(
     pe: &'a Pe,
     src: &SymmAlloc<T>,

@@ -52,24 +52,22 @@ pub fn reduce_with<T: XbrType>(
         members: None,
         world: pe.n_pes(),
     };
-    reduce_core(pe, dest, src, &row, family, f, sync);
+    reduce_core(pe, dest, src, &row, f, sync);
 }
 
-/// The one reduction body, over `row` — the flat trees, a team's, the
-/// two-tier hierarchy. `kind` is the telemetry kind the episode reports
-/// under — so composites like reduce-to-all attribute their internal
-/// reduction to themselves. A zero-length reduction is fully inert
-/// (telemetry only).
+/// The one reduction body, over `row` — the flat trees and the two-tier
+/// hierarchy, every PE contributing. A zero-length reduction is fully
+/// inert (telemetry only).
 pub(crate) fn reduce_core<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &SymmAlloc<T>,
     row: &Row<'_>,
-    kind: CollectiveKind,
     f: impl Fn(T, T) -> T,
     sync: SyncMode,
 ) {
     row.check();
+    let kind = CollectiveKind::Reduce;
     let (root, nelems, stride) = row.rooted_whole();
     let star = Algorithm::Linear;
     if nelems > 0 && matches!(row.shape, Shape::Rooted { algo, .. } if algo == star) {
@@ -96,9 +94,8 @@ pub(crate) fn reduce_core<T: XbrType>(
         nelems,
         stride,
     };
-    let src = row.has(pe.rank()).then_some(src);
     let plan = || plan::plan_for(pe, row, kind, sync, std::mem::size_of::<T>());
-    plan::issue_reduce(pe, kind, src, readout, None, plan, f, false).wait_into(pe, dest);
+    plan::issue_reduce(pe, kind, Some(src), readout, None, plan, f, false).wait_into(pe, dest);
 }
 
 /// Reduce with a named arithmetic operator (`sum`, `prod`, `min`, `max`) —

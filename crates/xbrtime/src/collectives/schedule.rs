@@ -104,7 +104,6 @@ pub fn is_put_kind(k: OpKind) -> bool {
 /// | `PutFrom`     | `src_pe` | `local_src` | no   | no           |
 /// | `PutNb`       | `src_pe` | `local_src` | no   | yes          |
 /// | `Get`         | `dst_pe` | symmetric   | no   | no           |
-/// | `GetInto`     | `dst_pe` | `local_dst` | no   | no           |
 /// | `GetFold`     | `dst_pe` | symmetric   | yes  | no           |
 /// | `GetFoldInto` | `dst_pe` | `local_dst` | yes  | no           |
 ///
@@ -131,9 +130,6 @@ pub enum OpKind {
     /// `src_pe` pushes from its private `local_src` at `src_at` to
     /// `dst_at` on `dst_pe`, blocking.
     PutFrom,
-    /// `dst_pe` pulls `src_pe`'s segment at `src_at` into its private
-    /// `local_dst` at `dst_at`.
-    GetInto,
 }
 
 impl OpKind {
@@ -143,7 +139,7 @@ impl OpKind {
         match self {
             OpKind::Put | OpKind::Get | OpKind::GetFold => Space::Sym,
             OpKind::PutNb | OpKind::PutFrom => Space::LocalSrc,
-            OpKind::GetInto | OpKind::GetFoldInto => Space::LocalDst,
+            OpKind::GetFoldInto => Space::LocalDst,
         }
     }
 }
@@ -375,7 +371,7 @@ impl CommSchedule {
 ///
 /// `buf` is the base of the symmetric working buffer all symmetric op
 /// offsets index. `local_src`/`local_dst` back the private-memory op kinds
-/// (`PutFrom`/`PutNb`/`GetInto`/`GetFoldInto`) and may be empty when the
+/// (`PutFrom`/`PutNb`/`GetFoldInto`) and may be empty when the
 /// schedule uses none. `fold` combines elements for `GetFold`/
 /// `GetFoldInto` ops.
 ///

@@ -27,7 +27,7 @@ use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
 use xbrtime::collectives::{
     self, allgatherv_dissemination_sched, prefix_displacements, AllGatherVAlgo, AllReduceAlgo,
 };
-use xbrtime::{EngineConfig, Fabric, FabricConfig, SyncMode};
+use xbrtime::{CollectiveKind, EngineConfig, Fabric, FabricConfig, SyncMode};
 
 // ---------------------------------------------------------------------
 // Oracle: dense-reference equivalence of every generator.
@@ -158,17 +158,19 @@ proptest! {
 // Execution: both interleavings, every family member, exact fold values.
 // ---------------------------------------------------------------------
 
+/// One blocking all-reduce per PE: every rank's result, and the
+/// all-reduce episodes the run reported.
 fn run_allreduce(
     engine: EngineConfig,
     n: usize,
     nelems: usize,
     algo: AllReduceAlgo,
     sync: SyncMode,
-) -> Vec<Vec<u64>> {
+) -> (Vec<Vec<u64>>, u64) {
     let cfg = FabricConfig::paper(n)
         .with_shared_bytes(1 << 20)
         .with_engine(engine);
-    Fabric::run(cfg, move |pe| {
+    let report = Fabric::run(cfg, move |pe| {
         let me = pe.rank() as u64;
         let src = pe.shared_malloc::<u64>(nelems);
         let vals: Vec<u64> = (0..nelems as u64).map(|i| me * 37 + i * 5 + 1).collect();
@@ -186,13 +188,18 @@ fn run_allreduce(
         );
         pe.barrier();
         dest
-    })
-    .results
+    });
+    let calls = report
+        .collective(CollectiveKind::AllReduce)
+        .map_or(0, |r| r.calls);
+    (report.results, calls)
 }
 
 /// Every algorithm × both interleavings (every PE runnable, one seeded
-/// worker) lands the exact dense sum on every rank, at power-of-two and ragged PE counts with payloads that split
-/// unevenly (nelems ∤ n and nelems < n among them).
+/// worker) lands the exact dense sum on every rank, at power-of-two and
+/// ragged PE counts with payloads that split unevenly (nelems ∤ n and
+/// nelems < n among them) — and every call, reduce-then-broadcast
+/// included, reports as exactly one all-reduce episode.
 #[test]
 fn allreduce_family_exact_on_both_backends() {
     let algos = AllReduceAlgo::CONCRETE
@@ -206,7 +213,7 @@ fn allreduce_family_exact_on_both_backends() {
             let one_worker = EngineConfig::coop().with_workers(1).with_seed(11);
             for engine in [EngineConfig::coop().with_workers(n), one_worker] {
                 for algo in algos.clone() {
-                    let results = run_allreduce(engine, n, nelems, algo, SyncMode::Auto);
+                    let (results, calls) = run_allreduce(engine, n, nelems, algo, SyncMode::Auto);
                     for (rank, got) in results.iter().enumerate() {
                         assert_eq!(
                             got,
@@ -215,6 +222,7 @@ fn allreduce_family_exact_on_both_backends() {
                             algo.name()
                         );
                     }
+                    assert_eq!(calls, 1, "{} n={n} nelems={nelems}", algo.name());
                 }
             }
         }
