@@ -42,7 +42,7 @@ use crate::collectives::schedule::{
 };
 use crate::collectives::vcoll::{allgather_core, AllGatherVAlgo};
 use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
-use crate::types::{ReduceOp, XbrNumeric, XbrType};
+use crate::types::{with_combiner, ReduceOp, XbrNumeric, XbrType};
 
 /// The non-power-of-two head of an all-reduce: each *extra* rank
 /// `pof2 + i`'s full vector is folded into core partner `i`'s buffer, in
@@ -274,10 +274,9 @@ pub fn reduce_all_sync<T: XbrNumeric>(
     algo: AllReduceAlgo,
     sync: SyncMode,
 ) {
-    let f = op
-        .combiner::<T>()
-        .unwrap_or_else(|| panic!("reduction operator {op:?} requires a non-floating-point type"));
-    reduce_all_with(pe, dest, src, nelems, f, algo, sync);
+    with_combiner!(op, |f: T| reduce_all_with(
+        pe, dest, src, nelems, f, algo, sync
+    ));
 }
 
 /// All-reduce with an arbitrary associative, commutative combiner. `Auto`

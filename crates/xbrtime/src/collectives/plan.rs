@@ -45,7 +45,9 @@ use crate::collectives::policy::{
 use crate::collectives::schedule::{
     is_put_kind, CommSchedule, OpKind, Payload, Row, Shape, TransferOp,
 };
-use crate::fabric::{span, CollectiveKind, CollectiveSample, Local, Pe, SymmAlloc, SymmRef};
+use crate::fabric::{
+    span, CollectiveKind, CollectiveSample, FoldKernel, Local, Pe, SymmAlloc, SymmRef,
+};
 use crate::trace::TraceKind;
 use crate::types::XbrType;
 
@@ -142,7 +144,8 @@ pub enum PlanStep {
         chunk: Option<u32>,
     },
     /// Fold the landing buffer into `dst` at `dst_at`, in place:
-    /// `dst[dst_at + j·stride] = f(dst[..], landing[j·stride])`.
+    /// `dst[dst_at + j·stride] = f(dst[..], landing[j·stride])`, as one
+    /// call of the episode's fold kernel.
     Fold {
         /// [`Space::Sym`] (`OpKind::GetFold`) or [`Space::LocalDst`]
         /// (`OpKind::GetFoldInto`).
@@ -724,7 +727,9 @@ pub(crate) fn lower_with(
 
 /// Run a step window. `base` rebases every plan-relative signal slot
 /// (nonblocking overlap support); blocking execution passes the PE's
-/// current slot floor. Returns accumulated signal-wait stall cycles.
+/// current slot floor. `fold` is the fold steps' kernel: each
+/// [`PlanStep::Fold`] is one call of its loop. Returns accumulated
+/// signal-wait stall cycles.
 #[allow(clippy::too_many_arguments)]
 fn run_steps<T: XbrType>(
     pe: &Pe,
@@ -734,7 +739,7 @@ fn run_steps<T: XbrType>(
     buf: SymmRef<T>,
     local_src: &[T],
     local_dst: &mut [T],
-    fold: Option<&dyn Fn(T, T) -> T>,
+    fold: Option<&dyn FoldKernel<T>>,
     landing: &mut [T],
 ) -> u64 {
     let es = std::mem::size_of::<T>();
@@ -817,10 +822,10 @@ fn run_steps<T: XbrType>(
                 match dst {
                     Space::Sym => pe.heap_fold(buf.offset(at), landing, n, st, f),
                     Space::LocalDst => {
-                        for j in 0..n {
-                            let d = &mut local_dst[at + j * st];
-                            *d = f(*d, landing[j * st]);
-                        }
+                        let dst = &mut local_dst[at..at + span(n, st)];
+                        // SAFETY: `dst` is the `span(n, st)` elements the
+                        // loop touches.
+                        unsafe { f.fold_loop(dst.as_mut_ptr(), landing, n, st) };
                         pe.clock.fold(n);
                     }
                     Space::LocalSrc | Space::Landing => {
@@ -871,7 +876,7 @@ fn open<T: XbrType>(
     buf: SymmRef<T>,
     local_src: &[T],
     local_dst: &mut [T],
-    fold: Option<&dyn Fn(T, T) -> T>,
+    fold: Option<&dyn FoldKernel<T>>,
     outlives: bool,
 ) -> Option<Episode<T>> {
     assert_eq!(
@@ -983,7 +988,10 @@ fn close<T: XbrType>(pe: &Pe, plan: &Plan, ep: Episode<T>) {
 /// `buf` is the base of the symmetric working buffer all symmetric step
 /// offsets index. `local_src`/`local_dst` back the steps whose [`Space`]
 /// is `LocalSrc`/`LocalDst` and may be empty when the plan has none.
-/// `fold` combines elements for the fold steps.
+/// `fold` combines elements for the fold steps: each step runs one loop
+/// over its elements, calling `fold` once per element through this `dyn`
+/// reference. The collectives erase a concrete combiner into the loop
+/// instead, so theirs inlines.
 ///
 /// # Panics
 /// Panics if the plan was lowered for a different world size or element
@@ -996,6 +1004,7 @@ pub fn execute_plan<T: XbrType>(
     local_dst: &mut [T],
     fold: Option<&dyn Fn(T, T) -> T>,
 ) {
+    let fold = fold.as_ref().map(|f| f as &dyn FoldKernel<T>);
     if let Some(ep) = open(pe, plan, buf, local_src, local_dst, fold, false) {
         close(pe, plan, ep);
     }
@@ -1192,18 +1201,20 @@ pub(crate) fn note_inert(pe: &Pe, kind: CollectiveKind) {
 /// fabric's plan cache: a warm issue never materialises the
 /// `CommSchedule` at all.
 #[allow(clippy::too_many_arguments)]
-pub fn run_schedule<T: XbrType>(
+pub(crate) fn run_schedule<T: XbrType>(
     pe: &Pe,
     row: &Row<'_>,
     kind: CollectiveKind,
     buf: SymmRef<T>,
     local_src: &[T],
     local_dst: &mut [T],
-    fold: Option<&dyn Fn(T, T) -> T>,
+    fold: Option<&dyn FoldKernel<T>>,
     sync: SyncMode,
 ) {
     let plan = plan_for(pe, row, kind, sync, std::mem::size_of::<T>());
-    execute_plan(pe, &plan, buf, local_src, local_dst, fold);
+    if let Some(ep) = open(pe, &plan, buf, local_src, local_dst, fold, false) {
+        close(pe, &plan, ep);
+    }
 }
 
 /// The cached plan of `row` — where every route to a plan meets: the row
@@ -1325,7 +1336,7 @@ fn issue<'a, T: XbrType>(
     pe: &'a Pe,
     plan: Arc<Plan>,
     buf: SymmRef<T>,
-    fold: Option<&dyn Fn(T, T) -> T>,
+    fold: Option<&dyn FoldKernel<T>>,
     outlives: bool,
 ) -> CollHandle<'a, T> {
     let open = open(pe, &plan, buf, &[], &mut [], fold, outlives);
@@ -1368,7 +1379,9 @@ pub(crate) fn issue_broadcast<'a, T: XbrType>(
 /// nonblocking and persistent reductions alike. `src` is `None` on a PE
 /// that contributes nothing (a team's non-member); `board` is a persistent
 /// plan's own, else one is allocated for the episode and freed after the
-/// read-out. A zero-length call is inert: no board, no barrier, no plan.
+/// read-out. `f` is erased here, while still concrete, into the kernel of
+/// the plan's fold steps. A zero-length call is inert: no board, no
+/// barrier, no plan.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn issue_reduce<'a, T: XbrType>(
     pe: &'a Pe,

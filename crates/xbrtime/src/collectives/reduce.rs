@@ -16,7 +16,7 @@ use crate::collectives::plan::{self, Readout};
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
 use crate::collectives::schedule::{Payload, Row, Shape};
 use crate::fabric::{span, CollectiveKind, Pe, SymmAlloc};
-use crate::types::{ReduceOp, XbrBitwise, XbrNumeric, XbrType};
+use crate::types::{with_combiner, ReduceOp, XbrBitwise, XbrNumeric, XbrType};
 
 /// Reduce with an arbitrary combining function, under an explicit
 /// [`AlgorithmPolicy`] and executor [`SyncMode`].
@@ -73,10 +73,12 @@ pub(crate) fn reduce_core<T: XbrType>(
     if nelems > 0 && matches!(row.shape, Shape::Rooted { algo, .. } if algo == star) {
         // Linear: the root gets every peer's contribution and folds it
         // into a private accumulator (never writing back into `src`).
-        // All PEs participate in the barrier; only the root moves data.
+        // All PEs participate in the barrier; only the root moves data,
+        // so only the root's plan has `LocalDst` steps and an accumulator.
         pe.barrier();
-        let mut acc = vec![T::default(); span(nelems, stride)];
+        let mut acc = Vec::new();
         if pe.rank() == root {
+            acc.resize(span(nelems, stride), T::default());
             pe.heap_read_strided(src.whole(), &mut acc, nelems, stride);
         }
         plan::run_schedule(pe, row, kind, src.whole(), &[], &mut acc, Some(&f), sync);
@@ -155,10 +157,9 @@ pub fn reduce_policy_sync<T: XbrNumeric>(
     policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
-    let f = op
-        .combiner::<T>()
-        .unwrap_or_else(|| panic!("reduction operator {op:?} requires a non-floating-point type"));
-    reduce_with(pe, dest, src, nelems, stride, root, f, policy, sync);
+    with_combiner!(op, |f: T| reduce_with(
+        pe, dest, src, nelems, stride, root, f, policy, sync
+    ));
 }
 
 /// Reduce with any operator, including bitwise, for non-floating-point
@@ -172,17 +173,10 @@ pub fn reduce_bitwise<T: XbrBitwise>(
     root: usize,
     op: ReduceOp,
 ) {
-    reduce_with(
-        pe,
-        dest,
-        src,
-        nelems,
-        stride,
-        root,
-        op.combiner_bitwise::<T>(),
-        AlgorithmPolicy::Binomial,
-        SyncMode::Barrier,
-    );
+    let (tree, sync) = (AlgorithmPolicy::Binomial, SyncMode::Barrier);
+    with_combiner!(bitwise op, |f: T| reduce_with(
+        pe, dest, src, nelems, stride, root, f, tree, sync
+    ));
 }
 
 #[cfg(test)]
@@ -305,6 +299,51 @@ mod tests {
             let mut d = [0.0f32];
             reduce(pe, &mut d, &src, 1, 1, 0, ReduceOp::Xor);
         });
+    }
+
+    /// The linear reduce's private accumulator exists only at the root:
+    /// under every sync mode, no other PE's lowered steps touch
+    /// `local_dst`.
+    #[test]
+    fn linear_reduce_touches_local_dst_only_at_the_root() {
+        use crate::collectives::plan::{lower, PlanStep, Space};
+        // Pipelined chunks the larger payload.
+        for (n, nelems) in (2..=8).flat_map(|n| [(n, 3), (n, 40_000)]) {
+            for root in 0..n {
+                let row = Row {
+                    shape: Shape::Rooted {
+                        family: CollectiveKind::Reduce,
+                        algo: Algorithm::Linear,
+                        root,
+                        payload: Payload::Whole { nelems, stride: 2 },
+                    },
+                    members: None,
+                    world: n,
+                };
+                for sync in SyncMode::CONCRETE {
+                    let plan = lower(&row.schedule(), sync, 8);
+                    for (rank, prog) in plan.per_pe.iter().enumerate() {
+                        let private = prog.steps.iter().any(|s| {
+                            matches!(
+                                s,
+                                PlanStep::Copy {
+                                    local: Space::LocalDst,
+                                    ..
+                                } | PlanStep::Fold {
+                                    dst: Space::LocalDst,
+                                    ..
+                                }
+                            )
+                        });
+                        assert_eq!(
+                            private,
+                            rank == root,
+                            "n={n} root={root} {sync:?} rank={rank}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@
 //!   (Träff-style doubly-pipelined stages).
 //!
 //! The collective wrappers reach plans through the fabric's plan cache
-//! ([`plan::run_schedule`]); [`execute`] here is the uncached one-shot
+//! (`plan::run_schedule`); [`execute`] here is the uncached one-shot
 //! route for ad-hoc schedules. Either way the episode
 //! reports per-collective telemetry (ops, bytes, stages, simulated
 //! cycles, signal posts/waits/stall cycles) via [`Pe::note_collective`],

@@ -1164,6 +1164,48 @@ pub(crate) fn span(nelems: usize, stride: usize) -> usize {
     }
 }
 
+/// The combine loop of one [`PlanStep::Fold`](crate::collectives::plan::PlanStep::Fold),
+/// type-erased once per step: every combiner `f: Fn(T, T) -> T` is its
+/// own kernel, so the executor makes one indirect call per step and `f`
+/// inlines into the loop.
+pub(crate) trait FoldKernel<T> {
+    /// `dst[j·stride] = f(dst[j·stride], with[j·stride])` for every
+    /// `j < nelems`.
+    ///
+    /// # Safety
+    /// `dst` must be valid for reads and writes of `span(nelems, stride)`
+    /// elements; it need not be aligned.
+    ///
+    /// # Panics
+    /// Panics if `with` holds fewer than `span(nelems, stride)` elements.
+    unsafe fn fold_loop(&self, dst: *mut T, with: &[T], nelems: usize, stride: usize);
+}
+
+impl<T: Copy, F: Fn(T, T) -> T> FoldKernel<T> for F {
+    unsafe fn fold_loop(&self, dst: *mut T, with: &[T], nelems: usize, stride: usize) {
+        let with = &with[..span(nelems, stride)];
+        if stride == 1 {
+            // Contiguous on its own, so the loop vectorises.
+            for (j, &w) in with.iter().enumerate() {
+                // SAFETY: `j < span`, inside the caller's window; unaligned
+                // accesses assume nothing about `T`'s alignment.
+                unsafe {
+                    let p = dst.add(j);
+                    p.write_unaligned(self(p.read_unaligned(), w));
+                }
+            }
+        } else {
+            for (j, &w) in with.iter().step_by(stride).enumerate() {
+                // SAFETY: `j·stride < span`, as above.
+                unsafe {
+                    let p = dst.add(j * stride);
+                    p.write_unaligned(self(p.read_unaligned(), w));
+                }
+            }
+        }
+    }
+}
+
 /// Elements the cache model walks for a strided window: its span, and one
 /// element even when the window is empty.
 fn walk_span(nelems: usize, stride: usize) -> usize {
@@ -1687,31 +1729,25 @@ impl<'f> Pe<'f> {
 
     /// Fold `with[j·stride]` into element `j·stride` of this PE's own
     /// shared segment at `dst`, in place: `dst = f(dst, with)` for
-    /// `nelems` elements. Charged as the read-modify-write it models — a
-    /// walk of the (never empty) window, one ALU op per element, and the
-    /// walk back.
+    /// `nelems` elements, as one call of `fold`'s loop. Charged as the
+    /// read-modify-write it models — a walk of the (never empty) window,
+    /// one ALU op per element, and the walk back.
     pub(crate) fn heap_fold<T: XbrType>(
         &self,
         dst: SymmRef<T>,
         with: &[T],
         nelems: usize,
         stride: usize,
-        f: &dyn Fn(T, T) -> T,
+        fold: &dyn FoldKernel<T>,
     ) {
         let window = walk_span(nelems, stride);
         dst.check_span(window, 1);
         let es = std::mem::size_of::<T>();
         self.clock.heap(dst.off, window * es);
         let mine = self.my_heap().window("fold", dst.off, window * es) as *mut T;
-        for j in 0..nelems {
-            // SAFETY: `j·stride < window`, so the element lies inside the
-            // bounds-checked heap window; unaligned accesses assume
-            // nothing about `T`'s alignment.
-            unsafe {
-                let p = mine.add(j * stride);
-                p.write_unaligned(f(p.read_unaligned(), with[j * stride]));
-            }
-        }
+        // SAFETY: `span(nelems, stride) <= window` elements at `mine` lie
+        // inside the bounds-checked heap window.
+        unsafe { fold.fold_loop(mine, with, nelems, stride) };
         self.clock.fold(nelems);
         self.clock.heap(dst.off, window * es);
     }

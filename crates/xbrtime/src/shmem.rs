@@ -30,7 +30,7 @@ use crate::collectives::broadcast::broadcast_on;
 use crate::collectives::extended::Team;
 use crate::collectives::{AlgorithmPolicy, CollHandle, SyncMode};
 use crate::fabric::{Pe, SymmAlloc, SymmRef};
-use crate::types::{XbrNumeric, XbrType};
+use crate::types::{with_combiner, XbrNumeric, XbrType};
 
 /// An OpenSHMEM active set: `PE_start`, `logPE_stride`, `PE_size`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -288,10 +288,7 @@ pub fn to_all<T: XbrNumeric>(
     op: crate::types::ReduceOp,
     active: &ActiveSet,
 ) {
-    let f = op
-        .combiner::<T>()
-        .unwrap_or_else(|| panic!("reduction operator {op:?} requires a non-floating-point type"));
-    to_all_with(pe, dest, src, nreduce, f, active);
+    with_combiner!(op, |f: T| to_all_with(pe, dest, src, nreduce, f, active));
 }
 
 /// [`to_all`] with an arbitrary combiner.

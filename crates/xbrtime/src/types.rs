@@ -125,20 +125,60 @@ impl ReduceOp {
             _ => None,
         }
     }
-
-    /// The combining function including bitwise ops, for bitwise-capable types.
-    pub fn combiner_bitwise<T: XbrBitwise>(self) -> fn(T, T) -> T {
-        match self {
-            ReduceOp::Sum => T::red_sum,
-            ReduceOp::Prod => T::red_prod,
-            ReduceOp::Min => T::red_min,
-            ReduceOp::Max => T::red_max,
-            ReduceOp::And => T::red_and,
-            ReduceOp::Or => T::red_or,
-            ReduceOp::Xor => T::red_xor,
-        }
-    }
 }
+
+/// Evaluate `$body` with `$f` bound to named operator `$op`'s combiner
+/// for `$t`: the one [`ReduceOp`] dispatch behind every named reduction.
+/// Each arm binds a fn item (`T::red_sum`, …), not the `fn` pointer
+/// [`ReduceOp::combiner`] returns, so the fold loop its body reaches
+/// inlines the combiner. A bitwise `$op` panics unless the `bitwise` form,
+/// for [`XbrBitwise`] types, is used.
+macro_rules! with_combiner {
+    (bitwise $op:expr, |$f:ident: $t:ty| $body:expr) => {{
+        use $crate::types::{ReduceOp::*, XbrBitwise};
+        match $op {
+            And => {
+                let $f = <$t as XbrBitwise>::red_and;
+                $body
+            }
+            Or => {
+                let $f = <$t as XbrBitwise>::red_or;
+                $body
+            }
+            Xor => {
+                let $f = <$t as XbrBitwise>::red_xor;
+                $body
+            }
+            op => $crate::types::with_combiner!(op, |$f: $t| $body),
+        }
+    }};
+    ($op:expr, |$f:ident: $t:ty| $body:expr) => {{
+        use $crate::types::{ReduceOp::*, XbrNumeric};
+        match $op {
+            Sum => {
+                let $f = <$t as XbrNumeric>::red_sum;
+                $body
+            }
+            Prod => {
+                let $f = <$t as XbrNumeric>::red_prod;
+                $body
+            }
+            Min => {
+                let $f = <$t as XbrNumeric>::red_min;
+                $body
+            }
+            Max => {
+                let $f = <$t as XbrNumeric>::red_max;
+                $body
+            }
+            op => panic!(
+                "reduction operator {op:?} is bitwise: use reduce_bitwise \
+                 (non-floating-point types), or a *_with form with a combiner"
+            ),
+        }
+    }};
+}
+pub(crate) use with_combiner;
 
 /// One row of paper Table 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -382,9 +422,10 @@ mod tests {
 
     #[test]
     fn combiner_dispatch() {
-        let f = ReduceOp::Xor.combiner_bitwise::<u32>();
-        assert_eq!(f(0b1010, 0b0110), 0b1100);
+        let x = with_combiner!(bitwise ReduceOp::Xor, |f: u32| f(0b1010, 0b0110));
+        assert_eq!(x, 0b1100);
         let g = ReduceOp::Max.combiner::<f32>().unwrap();
         assert_eq!(g(1.0, 7.0), 7.0);
+        assert_eq!(with_combiner!(ReduceOp::Max, |f: f32| f(1.0, 7.0)), 7.0);
     }
 }

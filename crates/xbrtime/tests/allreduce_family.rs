@@ -11,12 +11,17 @@
 //! * end-to-end execution equivalence: every family member produces the
 //!   identical fold whether every PE runs at once or one seeded worker
 //!   interleaves them, and `Auto` always agrees
-//!   with whatever it resolved to.
+//!   with whatever it resolved to;
+//! * fold kernels: every named operator on `u8`, `i32`, `u64` and `f64`,
+//!   through every reduction entry point, against a sequential oracle,
+//!   and the operand order of a fold step pinned.
 
 // The `..ProptestConfig::default()` spread is upstream proptest's
 // canonical config idiom; the local shim happens to have no other
 // fields, which trips needless_update.
 #![allow(clippy::needless_update)]
+
+use std::ops::{BitAnd, BitOr, BitXor};
 
 use proptest::prelude::*;
 use xbrtime::collectives::extended::{
@@ -27,7 +32,11 @@ use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
 use xbrtime::collectives::{
     self, allgatherv_dissemination_sched, prefix_displacements, AllGatherVAlgo, AllReduceAlgo,
 };
-use xbrtime::{CollectiveKind, EngineConfig, Fabric, FabricConfig, SyncMode};
+use xbrtime::shmem::{to_all, ActiveSet};
+use xbrtime::{
+    AlgorithmPolicy, CollectiveKind, EngineConfig, Fabric, FabricConfig, ReduceOp, SyncMode,
+    XbrBitwise, XbrNumeric,
+};
 
 // ---------------------------------------------------------------------
 // Oracle: dense-reference equivalence of every generator.
@@ -267,4 +276,272 @@ fn allgather_algorithms_exact_on_both_backends() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Fold kernels: every named operator against a sequential oracle.
+// ---------------------------------------------------------------------
+
+/// PEs of the fold-kernel runs: not a power of two, so the trees fold
+/// their tails too.
+const FOLD_PES: usize = 5;
+/// Long enough to cross every vector width and leave a remainder.
+const FOLD_NELEMS: [usize; 4] = [1, 7, 33, 4_099];
+
+/// An element type of the fold-kernel runs, built from small integers so
+/// that every tree order folds `f64` exactly.
+trait FoldElem: XbrNumeric {
+    fn of(x: u64) -> Self;
+}
+
+impl FoldElem for u8 {
+    fn of(x: u64) -> Self {
+        x as u8
+    }
+}
+impl FoldElem for i32 {
+    fn of(x: u64) -> Self {
+        x as i32 - 2
+    }
+}
+impl FoldElem for u64 {
+    fn of(x: u64) -> Self {
+        x
+    }
+}
+impl FoldElem for f64 {
+    fn of(x: u64) -> Self {
+        x as f64 - 2.0
+    }
+}
+
+/// PE `me`'s contribution at element index `i`.
+fn contribution<T: FoldElem>(me: usize, i: usize) -> T {
+    T::of(((me * 7 + i * 3) % 5 + 1) as u64)
+}
+
+/// The sequential fold over ranks `0..FOLD_PES` of element `i`.
+fn fold_oracle<T: FoldElem>(f: fn(T, T) -> T, i: usize) -> T {
+    (1..FOLD_PES).fold(contribution(0, i), |acc, me| f(acc, contribution(me, i)))
+}
+
+/// The bitwise combiners, spelled out here rather than taken from the
+/// dispatch under test.
+fn bitwise_oracle<T>(op: ReduceOp) -> fn(T, T) -> T
+where
+    T: FoldElem + BitAnd<Output = T> + BitOr<Output = T> + BitXor<Output = T>,
+{
+    match op {
+        ReduceOp::And => |a, b| a & b,
+        ReduceOp::Or => |a, b| a | b,
+        ReduceOp::Xor => |a, b| a ^ b,
+        _ => op.combiner::<T>().expect("arithmetic operator"),
+    }
+}
+
+/// The root's strided result against the oracle; every gap element of
+/// `dest` keeps the sentinel `T::default()`.
+fn check_rooted<T: FoldElem>(
+    dest: &[T],
+    f: fn(T, T) -> T,
+    nelems: usize,
+    stride: usize,
+    what: &str,
+) {
+    for (k, &got) in dest.iter().enumerate() {
+        let expect = if k % stride == 0 && k / stride < nelems {
+            fold_oracle(f, k / stride)
+        } else {
+            T::default()
+        };
+        assert_eq!(got, expect, "{what} elem {k}");
+    }
+}
+
+/// A symmetric source window of `span` elements holding this PE's
+/// contribution.
+fn fold_src<T: FoldElem>(pe: &xbrtime::Pe, span: usize) -> xbrtime::SymmAlloc<T> {
+    let src = pe.shared_malloc::<T>(span);
+    let vals: Vec<T> = (0..span).map(|i| contribution(pe.rank(), i)).collect();
+    pe.heap_write(src.whole(), &vals);
+    pe.barrier();
+    src
+}
+
+/// Every arithmetic operator on `T` through the rooted reduction (the
+/// binomial tree's heap folds and the linear star's private folds, strides
+/// 1 and 3), every concrete all-reduce and `shmem::to_all`.
+fn arithmetic_folds_match_oracle<T: FoldElem>(name: &'static str) {
+    let cfg = FabricConfig::paper(FOLD_PES).with_shared_bytes(1 << 20);
+    Fabric::run(cfg, move |pe| {
+        let root = 1;
+        for op in ReduceOp::ARITHMETIC {
+            let f = op.combiner::<T>().expect("arithmetic operator");
+            for nelems in FOLD_NELEMS {
+                for stride in [1, 3] {
+                    let span = (nelems - 1) * stride + 1;
+                    let src = fold_src::<T>(pe, span);
+                    for policy in [AlgorithmPolicy::Binomial, AlgorithmPolicy::Linear] {
+                        let mut dest = vec![T::default(); span];
+                        collectives::reduce_policy_sync(
+                            pe,
+                            &mut dest,
+                            &src,
+                            nelems,
+                            stride,
+                            root,
+                            op,
+                            policy,
+                            SyncMode::Barrier,
+                        );
+                        if pe.rank() == root {
+                            let what = format!("{name} {op:?} {policy:?} n={nelems} s={stride}");
+                            check_rooted(&dest, f, nelems, stride, &what);
+                        }
+                    }
+                    pe.shared_free(src);
+                }
+                let src = fold_src::<T>(pe, nelems);
+                let expect: Vec<T> = (0..nelems).map(|i| fold_oracle(f, i)).collect();
+                for algo in AllReduceAlgo::CONCRETE {
+                    let mut dest = vec![T::default(); nelems];
+                    collectives::reduce_all_sync(
+                        pe,
+                        &mut dest,
+                        &src,
+                        nelems,
+                        op,
+                        algo,
+                        SyncMode::Auto,
+                    );
+                    assert_eq!(dest, expect, "{name} {op:?} {} n={nelems}", algo.name());
+                }
+                let dest = pe.shared_malloc::<T>(nelems);
+                to_all(pe, &dest, &src, nelems, op, &ActiveSet::world(FOLD_PES));
+                let got = pe.heap_read_vec(dest.whole(), nelems);
+                assert_eq!(got, expect, "{name} {op:?} to_all n={nelems}");
+                pe.barrier();
+                pe.shared_free(dest);
+                pe.shared_free(src);
+            }
+        }
+    });
+}
+
+/// Every operator, bitwise ones included, through `reduce_bitwise`.
+fn bitwise_folds_match_oracle<T>(name: &'static str)
+where
+    T: FoldElem + XbrBitwise + BitAnd<Output = T> + BitOr<Output = T> + BitXor<Output = T>,
+{
+    let cfg = FabricConfig::paper(FOLD_PES).with_shared_bytes(1 << 20);
+    Fabric::run(cfg, move |pe| {
+        let root = 3;
+        for op in ReduceOp::ARITHMETIC.into_iter().chain(ReduceOp::BITWISE) {
+            for nelems in FOLD_NELEMS {
+                for stride in [1, 3] {
+                    let span = (nelems - 1) * stride + 1;
+                    let src = fold_src::<T>(pe, span);
+                    let mut dest = vec![T::default(); span];
+                    collectives::reduce_bitwise(pe, &mut dest, &src, nelems, stride, root, op);
+                    if pe.rank() == root {
+                        let what = format!("{name} {op:?} bitwise n={nelems} s={stride}");
+                        check_rooted(&dest, bitwise_oracle::<T>(op), nelems, stride, &what);
+                    }
+                    pe.barrier();
+                    pe.shared_free(src);
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn fold_kernels_match_oracle_u8() {
+    arithmetic_folds_match_oracle::<u8>("u8");
+    bitwise_folds_match_oracle::<u8>("u8");
+}
+
+#[test]
+fn fold_kernels_match_oracle_i32() {
+    arithmetic_folds_match_oracle::<i32>("i32");
+    bitwise_folds_match_oracle::<i32>("i32");
+}
+
+#[test]
+fn fold_kernels_match_oracle_u64() {
+    arithmetic_folds_match_oracle::<u64>("u64");
+    bitwise_folds_match_oracle::<u64>("u64");
+}
+
+#[test]
+fn fold_kernels_match_oracle_f64() {
+    arithmetic_folds_match_oracle::<f64>("f64");
+}
+
+/// A fold step computes `f(mine, incoming)`, never the reverse: with the
+/// non-commutative `3·d + w` on two PEs the root must read `3·a + b`,
+/// where `a` is its own element and `b` its peer's — on the heap folds of
+/// the tree and the private folds of the star, contiguous and strided,
+/// under every sync mode.
+#[test]
+fn fold_operand_order_is_pinned() {
+    Fabric::run(FabricConfig::paper(2), |pe| {
+        let (nelems, me) = (33, pe.rank() as u64);
+        for stride in [1, 3] {
+            let span = (nelems - 1) * stride + 1;
+            let src = pe.shared_malloc::<u64>(span);
+            let vals: Vec<u64> = (0..span as u64).map(|i| 10 * i + me + 1).collect();
+            pe.heap_write(src.whole(), &vals);
+            pe.barrier();
+            for policy in [AlgorithmPolicy::Binomial, AlgorithmPolicy::Linear] {
+                for sync in SyncMode::CONCRETE {
+                    let mut dest = vec![0u64; span];
+                    collectives::reduce_with(
+                        pe,
+                        &mut dest,
+                        &src,
+                        nelems,
+                        stride,
+                        0,
+                        |d, w| d.wrapping_mul(3).wrapping_add(w),
+                        policy,
+                        sync,
+                    );
+                    if pe.rank() == 0 {
+                        for j in 0..nelems {
+                            let i = (j * stride) as u64;
+                            let (a, b) = (10 * i + 1, 10 * i + 2);
+                            assert_eq!(
+                                dest[j * stride],
+                                3 * a + b,
+                                "{policy:?} {sync:?} s={stride} j={j}"
+                            );
+                        }
+                    }
+                }
+            }
+            pe.barrier();
+            pe.shared_free(src);
+        }
+    });
+}
+
+/// A bitwise operator through an arithmetic entry point names the entry
+/// point that takes it, even for an integer type.
+#[test]
+#[should_panic(expected = "use reduce_bitwise")]
+fn bitwise_op_on_arithmetic_entry_names_reduce_bitwise() {
+    Fabric::run(FabricConfig::new(2), |pe| {
+        let src = pe.shared_malloc::<u64>(1);
+        let mut dest = [0u64];
+        collectives::reduce_all_sync(
+            pe,
+            &mut dest,
+            &src,
+            1,
+            ReduceOp::Xor,
+            AllReduceAlgo::Auto,
+            SyncMode::Auto,
+        );
+    });
 }
