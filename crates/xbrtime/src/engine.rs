@@ -3,11 +3,12 @@
 //! Every PE is a stackful coroutine (`crate::coro`) on one of `workers`
 //! OS threads: PE `r` lives on worker `r mod workers` for its whole life,
 //! and at most `workers` PEs hold a *slot* at any instant. Every blocking
-//! primitive in the fabric (barrier, `signal_wait`, executor drains, the
-//! fault plane's wall-clock stalls) parks the PE in the `CoopSched`
-//! scheduler instead of spinning, and the freed slot is granted to a PE
-//! drawn at seeded random from the one ready set. A hand-off between two
-//! PEs of one worker is a user-space stack switch, not a kernel round
+//! primitive in the fabric (barrier, `signal_wait`, executor drains)
+//! parks the PE in the `CoopSched` scheduler instead of spinning, and the
+//! freed slot is granted to a PE drawn at seeded random from the one
+//! ready set. A fault-plane delay is a yield: the PE rejoins that ready
+//! set and the same seeded draw decides who runs next. A hand-off between
+//! two PEs of one worker is a user-space stack switch, not a kernel round
 //! trip; a grant to a PE of an idle worker wakes that worker's condvar.
 //! 4096-PE collectives run comfortably on a laptop-class host.
 //! [`EngineConfig::workers`] picks how the PEs interleave:
@@ -15,9 +16,10 @@
 //! * `0` (the default) — the host's available parallelism, capped at the
 //!   PE count.
 //! * `1` — one PE runs at a time and every grant is drawn from the seeded
-//!   RNG: a deterministic schedule for a fixed seed. The grant sequence is
-//!   exposed as [`RunReport::sched_log`] so tests can assert schedule
-//!   equality (see `tests/coop_determinism.rs`).
+//!   RNG: a deterministic schedule for a fixed seed, with or without a
+//!   fault plane. The grant sequence is exposed as
+//!   [`RunReport::sched_log`] so tests can assert schedule equality (see
+//!   `tests/coop_determinism.rs`).
 //! * `≥ n_pes` — one worker per PE: every PE is runnable and the host
 //!   interleaves them, which is what a thread-per-PE backend measures
 //!   (that backend was deleted once this setting matched its Figure-4
@@ -28,8 +30,8 @@
 //!
 //! The watchdog plane reads scheduler state directly — a parked PE is
 //! *waiting on the scheduler*, not burning a core — and structural
-//! deadlocks (every PE parked, nothing runnable, nothing sleeping) are
-//! detected immediately instead of after a wall-clock timeout.
+//! deadlocks (every PE parked or finished, nothing runnable) are detected
+//! immediately instead of after a wall-clock timeout.
 //!
 //! [`RunReport::sched_log`]: crate::RunReport::sched_log
 
@@ -58,7 +60,8 @@ pub struct EngineConfig {
     /// at `n_pes`. Use `1` for a fully deterministic schedule.
     pub workers: usize,
     /// Seed for the scheduler's grant RNG. Two runs with the same seed
-    /// and `workers == 1` make identical scheduling decisions.
+    /// and `workers == 1` make identical scheduling decisions, under a
+    /// fault plane too (its yields draw from the same RNG).
     pub seed: u64,
 }
 
@@ -115,9 +118,6 @@ pub enum PeSchedState {
     /// Parked on a fabric wait (barrier, signal, executor drain); the
     /// progress plane's [`WaitSite`](crate::WaitSite) names what on.
     Parked,
-    /// Descheduled until a wall-clock deadline (fault-plane delay/stall);
-    /// wakes by itself, so it never counts toward a structural deadlock.
-    Sleeping,
     /// The PE body returned (or unwound).
     Finished,
 }
@@ -130,7 +130,6 @@ impl PeSchedState {
             PeSchedState::Runnable => "runnable",
             PeSchedState::Running => "running",
             PeSchedState::Parked => "parked",
-            PeSchedState::Sleeping => "sleeping",
             PeSchedState::Finished => "finished",
         }
     }
@@ -143,10 +142,10 @@ pub(crate) enum Park {
     /// token without ever releasing it). May be spurious — callers
     /// re-check their wait condition in a loop.
     Granted,
-    /// Parking would leave the fabric with nothing runnable, nothing
-    /// sleeping and unfinished PEs: a structural deadlock unless a
-    /// wall-clock signal redelivery is still pending. The PE keeps its
-    /// slot; the caller decides (pump redeliveries or trip the watchdog).
+    /// Parking would leave the fabric with nothing runnable and
+    /// unfinished PEs: a structural deadlock unless a wall-clock signal
+    /// redelivery is still pending. The PE keeps its slot; the caller
+    /// decides (pump redeliveries or trip the watchdog).
     Wedged,
     /// The watchdog window elapsed with no grant anywhere in the fabric.
     TimedOut,
@@ -175,7 +174,6 @@ struct CoopState {
     /// in `granted`. A watchdog re-grant may take one past `workers`; the
     /// PE is about to panic.
     running: usize,
-    sleeping: usize,
     started: usize,
     finished: usize,
     /// Dispatch is held until every PE has registered, so the first
@@ -195,8 +193,6 @@ struct CoopState {
     granted: Vec<VecDeque<usize>>,
     /// Per worker: waiting on its condvar with nothing to run.
     idle: Vec<bool>,
-    /// Per PE: when a `Sleeping` PE becomes runnable again.
-    wake_at: Vec<Instant>,
 }
 
 /// The cooperative scheduler: a mutex-guarded state machine, one condvar
@@ -219,7 +215,6 @@ pub(crate) struct CoopSched {
 impl CoopSched {
     pub(crate) fn new(n_pes: usize, engine: EngineConfig, watchdog: Duration) -> Self {
         let workers = engine.resolved_workers(n_pes);
-        let now = Instant::now();
         CoopSched {
             n_pes,
             workers,
@@ -229,7 +224,6 @@ impl CoopSched {
                 token: vec![false; n_pes],
                 ready: Vec::with_capacity(n_pes),
                 running: 0,
-                sleeping: 0,
                 started: 0,
                 finished: 0,
                 gate_open: false,
@@ -239,7 +233,6 @@ impl CoopSched {
                 log: Vec::new(),
                 granted: (0..workers).map(|_| VecDeque::new()).collect(),
                 idle: vec![false; workers],
-                wake_at: vec![now; n_pes],
             }),
             cvs: (0..workers).map(|_| Condvar::new()).collect(),
             timed_out: (0..n_pes).map(|_| AtomicBool::new(false)).collect(),
@@ -252,8 +245,7 @@ impl CoopSched {
             .expect("scheduler state poisoned: a scheduler invariant failed")
     }
 
-    /// Grant free worker slots to ready PEs until either runs out, first
-    /// waking every sleeper whose deadline has passed.
+    /// Grant free worker slots to ready PEs until either runs out.
     ///
     /// Each grant is a seeded-random draw from the ready set (PCT-style
     /// priority randomisation — the same discipline the interleaving
@@ -266,15 +258,6 @@ impl CoopSched {
     fn dispatch(&self, st: &mut CoopState) {
         if !st.gate_open {
             return;
-        }
-        if st.sleeping > 0 {
-            let now = Instant::now();
-            for pe in 0..self.n_pes {
-                if st.status[pe] == PeSchedState::Sleeping && st.wake_at[pe] <= now {
-                    st.sleeping -= 1;
-                    Self::make_ready(st, pe);
-                }
-            }
         }
         while st.running < self.workers {
             let k = st.rng.pick(st.ready.len().max(1) as u64) as usize;
@@ -347,16 +330,12 @@ impl CoopSched {
                 PeSchedState::Running,
                 "PE {rank} parked without holding a worker slot"
             );
-            if st.running == 1
-                && st.ready.is_empty()
-                && st.sleeping == 0
-                && st.finished < self.n_pes
-            {
-                // Parking would wedge the fabric: nothing left to grant and
-                // nobody due to wake up. Keep the slot and let the caller
-                // decide (pump a pending redelivery, or trip the watchdog
-                // with a structural deadlock report — no need to burn the
-                // full wall-clock timeout first).
+            if st.running == 1 && st.ready.is_empty() && st.finished < self.n_pes {
+                // Parking would wedge the fabric: nothing left to grant.
+                // Keep the slot and let the caller decide (pump a pending
+                // redelivery, or trip the watchdog with a structural
+                // deadlock report — no need to burn the full wall-clock
+                // timeout first).
                 return Park::Wedged;
             }
             st.status[rank] = PeSchedState::Parked;
@@ -402,24 +381,18 @@ impl CoopSched {
         self.dispatch(&mut st);
     }
 
-    /// Give up the worker slot for `d` of wall-clock time (fault-plane
-    /// delay or stall) and return once granted one again after that. The
-    /// PE wakes by itself, so it counts as `sleeping`, not parked —
-    /// structural-deadlock detection treats it as pending progress — and
-    /// its worker runs other PEs meanwhile.
-    pub(crate) fn sleep(&self, rank: usize, d: Duration) {
-        let due = Instant::now() + d;
+    /// Give up the worker slot and rejoin the ready set (a fault-plane
+    /// delay): the seeded draw picks who runs next, possibly this PE.
+    pub(crate) fn yield_now(&self, rank: usize) {
         {
             let mut st = self.lock();
             assert_eq!(
                 st.status[rank],
                 PeSchedState::Running,
-                "PE {rank} slept without holding a worker slot"
+                "PE {rank} yielded without holding a worker slot"
             );
-            st.status[rank] = PeSchedState::Sleeping;
             st.running -= 1;
-            st.sleeping += 1;
-            st.wake_at[rank] = due;
+            Self::make_ready(&mut st, rank);
             self.dispatch(&mut st);
         }
         coro::suspend();
@@ -431,7 +404,6 @@ impl CoopSched {
         let mut st = self.lock();
         match st.status[rank] {
             PeSchedState::Running => st.running -= 1,
-            PeSchedState::Sleeping => st.sleeping -= 1,
             PeSchedState::Runnable => st.ready.retain(|&p| p != rank),
             _ => {}
         }
@@ -541,8 +513,7 @@ impl CoopSched {
     /// Block worker `me` until one of its PEs is to run and return it:
     /// the next grant queued for it, or — after a whole watchdog window
     /// idle with no grant anywhere — one of its parked PEs, flagged to
-    /// return [`Park::TimedOut`]. Sleepers are woken when due. `None` once
-    /// startup was aborted.
+    /// return [`Park::TimedOut`]. `None` once startup was aborted.
     fn next(&self, me: usize) -> Option<usize> {
         let mut st = self.lock();
         let mut window: Option<(Instant, u64)> = None;
@@ -575,25 +546,15 @@ impl CoopSched {
                 since = now;
             }
             window = Some((since, st.grants));
-            let mut timeout = since
+            let timeout = since
                 .checked_add(self.watchdog)
                 .map_or(Duration::MAX, |d| d.saturating_duration_since(now));
-            if st.sleeping > 0 {
-                for pe in 0..self.n_pes {
-                    if st.status[pe] == PeSchedState::Sleeping {
-                        timeout = timeout.min(st.wake_at[pe].saturating_duration_since(now));
-                    }
-                }
-            }
             st.idle[me] = true;
             st = self.cvs[me]
                 .wait_timeout(st, timeout)
                 .expect("scheduler state poisoned: a scheduler invariant failed")
                 .0;
             st.idle[me] = false;
-            if st.sleeping > 0 {
-                self.dispatch(&mut st);
-            }
         }
     }
 }
@@ -662,7 +623,7 @@ mod tests {
             .run(|rank| {
                 if rank == 0 {
                     // Wait until PE 1 is parked, then park the last
-                    // runner: that must report Wedged rather than sleep
+                    // runner: that must report Wedged rather than block
                     // forever.
                     while sched.state_of(1) != PeSchedState::Parked {
                         std::thread::yield_now();

@@ -37,28 +37,27 @@ use xbgas_sim::{cache::CacheStats, tlb::TlbStats};
 /// collective, a control word can be dropped and retransmitted. This
 /// config injects those behaviours *on purpose* so the watchdog and the
 /// signal plane's recovery paths are testable: every decision is drawn
-/// from a per-PE splitmix64 stream seeded from `seed ^ rank`, so a run is
-/// exactly reproducible from `(FaultConfig, n_pes)`.
+/// from a per-PE splitmix64 stream seeded from `seed ^ rank`, so every
+/// fault decision is reproducible from `(FaultConfig, n_pes)`.
 ///
-/// All delays are **wall-clock** sleeps: they perturb PE interleaving
-/// without touching the simulated clock, so a delays-only faulted run
-/// must produce buffers (and simulated cycle counts) identical to the
-/// fault-free run — the invariant the chaos harness asserts.
+/// A delay is a **yield**: the PE gives up its worker slot and rejoins
+/// the scheduler's ready set, and the engine's seeded pick decides who
+/// runs next. No wall-clock time passes and no cycle is charged, so a
+/// delays-only run must produce buffers identical to the fault-free run
+/// — the invariant the chaos harness asserts — and at one worker the
+/// whole schedule replays from `(FaultConfig, EngineConfig::seed)`.
 ///
 /// Probabilities are in permille (0–1000: 25 ⇒ 2.5% of events faulted).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Base seed for the per-PE deterministic fault streams.
     pub seed: u64,
-    /// Permille of transfers (`put`/`get`/`put_symm`/`get_symm`/
-    /// `put_nb`/`get_nb`) delayed before the copy executes.
-    pub transfer_delay_permille: u16,
-    /// Upper bound (µs) on an injected transfer delay.
-    pub max_transfer_delay_us: u64,
-    /// Permille of signal posts delayed before the slot is raised.
-    pub signal_delay_permille: u16,
-    /// Upper bound (µs) on an injected signal delay.
-    pub max_signal_delay_us: u64,
+    /// Permille of fabric operations at which the PE yields its worker
+    /// slot: rolled at the head of every transfer (`put`/`get`/
+    /// `put_symm`/`get_symm`/`put_nb`/`get_nb`), at every signal post
+    /// before its slot is raised, and at barrier entry. 1000 makes every
+    /// such operation a preemption point.
+    pub yield_permille: u16,
     /// Permille of signal posts *dropped*: the slot is not raised at post
     /// time. With `signal_redeliver_after_us > 0` the fabric redelivers
     /// the signal that much later (a retransmitted control word); with 0
@@ -66,11 +65,6 @@ pub struct FaultConfig {
     pub signal_drop_permille: u16,
     /// Redelivery delay (µs) for dropped signals; 0 means never.
     pub signal_redeliver_after_us: u64,
-    /// Permille of barrier entries at which the PE stalls (a preempted or
-    /// descheduled core).
-    pub stall_permille: u16,
-    /// Upper bound (µs) on an injected per-PE stall.
-    pub max_stall_us: u64,
 }
 
 impl FaultConfig {
@@ -78,32 +72,19 @@ impl FaultConfig {
     pub const fn none(seed: u64) -> Self {
         FaultConfig {
             seed,
-            transfer_delay_permille: 0,
-            max_transfer_delay_us: 0,
-            signal_delay_permille: 0,
-            max_signal_delay_us: 0,
+            yield_permille: 0,
             signal_drop_permille: 0,
             signal_redeliver_after_us: 0,
-            stall_permille: 0,
-            max_stall_us: 0,
         }
     }
 
-    /// Benign chaos: delayed transfers and signals plus per-PE stalls,
-    /// but nothing is ever lost. A run under this config must produce
-    /// buffers identical to the fault-free run.
+    /// Benign chaos: 6 % of transfers, signal posts and barrier entries
+    /// yield, but nothing is ever lost. A run under this config must
+    /// produce buffers identical to the fault-free run.
     pub const fn delays(seed: u64) -> Self {
-        FaultConfig {
-            seed,
-            transfer_delay_permille: 60,
-            max_transfer_delay_us: 120,
-            signal_delay_permille: 60,
-            max_signal_delay_us: 120,
-            signal_drop_permille: 0,
-            signal_redeliver_after_us: 0,
-            stall_permille: 30,
-            max_stall_us: 200,
-        }
+        let mut f = FaultConfig::none(seed);
+        f.yield_permille = 60;
+        f
     }
 
     /// Lossy-but-recovering: some signals are dropped at post time and
@@ -281,11 +262,9 @@ struct StatsAtomic {
     amos: AtomicU64,
     signals: AtomicU64,
     signal_waits: AtomicU64,
-    transfer_delays: AtomicU64,
-    signal_delays: AtomicU64,
+    yields: AtomicU64,
     signals_dropped: AtomicU64,
     signals_redelivered: AtomicU64,
-    stalls: AtomicU64,
 }
 
 /// Aggregate communication counters for a fabric run.
@@ -317,16 +296,12 @@ pub struct FabricStats {
     /// Completion signals consumed by [`Pe::signal_wait`]. Equal to
     /// `signals` after a clean run (every posted slot is consumed).
     pub signal_waits: u64,
-    /// Injected transfer delays ([`FaultConfig`]).
-    pub transfer_delays: u64,
-    /// Injected signal-post delays.
-    pub signal_delays: u64,
+    /// Injected yields ([`FaultConfig::yield_permille`]).
+    pub yields: u64,
     /// Signals dropped at post time by the fault plane.
     pub signals_dropped: u64,
     /// Dropped signals later redelivered by the fault plane.
     pub signals_redelivered: u64,
-    /// Injected per-PE stalls at barrier entry.
-    pub stalls: u64,
 }
 
 /// Telemetry key: which collective an executor episode belongs to.
@@ -576,7 +551,7 @@ pub struct PeProbe {
     /// (empty when the run was not traced) — what the PE was doing just
     /// before the hang.
     pub recent_events: Vec<TraceEvent>,
-    /// The scheduler's view of the PE (runnable vs parked vs sleeping).
+    /// The scheduler's view of the PE (running, runnable, parked, …).
     pub sched: PeSchedState,
 }
 
@@ -950,11 +925,9 @@ impl Shared {
             amos: s.amos.load(Ordering::Relaxed),
             signals: s.signals.load(Ordering::Relaxed),
             signal_waits: s.signal_waits.load(Ordering::Relaxed),
-            transfer_delays: s.transfer_delays.load(Ordering::Relaxed),
-            signal_delays: s.signal_delays.load(Ordering::Relaxed),
+            yields: s.yields.load(Ordering::Relaxed),
             signals_dropped: s.signals_dropped.load(Ordering::Relaxed),
             signals_redelivered: s.signals_redelivered.load(Ordering::Relaxed),
-            stalls: s.stalls.load(Ordering::Relaxed),
         }
     }
 }
@@ -1330,11 +1303,11 @@ impl<'f> Pe<'f> {
     }
 
     // ------------------------------------------------------------------
-    // Fault plane: seeded, deterministic chaos. All injected delays are
-    // wall-clock sleeps — they never touch the simulated clock, so a
+    // Fault plane: seeded, deterministic chaos. An injected delay is a
+    // yield to the scheduler — it never touches the simulated clock, so a
     // delays-only run produces byte-identical buffers (and, whenever the
     // timing model itself is interleaving-deterministic, identical
-    // cycles) — only slower in real time.
+    // cycles).
     // ------------------------------------------------------------------
 
     /// One step of this PE's private fault stream
@@ -1346,53 +1319,22 @@ impl<'f> Pe<'f> {
         v
     }
 
-    /// Roll against a permille probability; on success return a wall-clock
-    /// sleep duration uniform in `[1, max_us]` microseconds.
-    fn fault_roll(&self, permille: u16, max_us: u64) -> Option<Duration> {
-        if permille == 0 {
-            return None;
-        }
-        let r = self.fault_next();
-        if r % 1000 >= u64::from(permille) {
-            return None;
-        }
-        let us = if max_us == 0 {
-            0
-        } else {
-            1 + (r >> 10) % max_us
-        };
-        Some(Duration::from_micros(us))
+    /// Roll against a permille probability. A zero probability draws
+    /// nothing, so a drops-only config's stream is all drop rolls.
+    fn fault_roll(&self, permille: u16) -> bool {
+        permille > 0 && self.fault_next() % 1000 < u64::from(permille)
     }
 
-    /// Wall-clock sleep for the fault plane: a wake-at deadline in the
-    /// scheduler, so the PE's worker runs other PEs meanwhile instead of
-    /// sleeping. The scheduler counts it as *sleeping* (self-waking),
-    /// never as parked.
-    fn fault_sleep(&self, d: Duration) {
-        self.shared.coop.sleep(self.rank, d);
-    }
-
-    /// Fault hook at the head of every put/get (blocking or not).
+    /// Fault hook at the head of every transfer, at a signal post before
+    /// its slot is raised, and at barrier entry: on a
+    /// [`FaultConfig::yield_permille`] roll the PE gives up its worker
+    /// slot and the scheduler's seeded pick decides who runs next.
     #[inline]
-    fn fault_transfer(&self) {
+    fn fault_yield(&self) {
         let Some(f) = self.faults else { return };
-        if let Some(d) = self.fault_roll(f.transfer_delay_permille, f.max_transfer_delay_us) {
-            self.shared
-                .stats
-                .transfer_delays
-                .fetch_add(1, Ordering::Relaxed);
-            self.fault_sleep(d);
-        }
-    }
-
-    /// Fault hook modelling a whole-PE stall (OS jitter, page fault, …),
-    /// rolled at barrier entry.
-    #[inline]
-    fn fault_stall(&self) {
-        let Some(f) = self.faults else { return };
-        if let Some(d) = self.fault_roll(f.stall_permille, f.max_stall_us) {
-            self.shared.stats.stalls.fetch_add(1, Ordering::Relaxed);
-            self.fault_sleep(d);
+        if self.fault_roll(f.yield_permille) {
+            self.shared.stats.yields.fetch_add(1, Ordering::Relaxed);
+            self.shared.coop.yield_now(self.rank);
         }
     }
 
@@ -1532,11 +1474,10 @@ impl<'f> Pe<'f> {
     }
 
     /// The scheduler refused to park this PE: every other PE is parked
-    /// or finished, nothing is runnable, nothing is sleeping. Only a
-    /// pending wall-clock signal redelivery can revive the run — wait
-    /// for the earliest one and pump it; with none pending this is
-    /// a structural deadlock, reported immediately rather than after the
-    /// full watchdog window.
+    /// or finished and nothing is runnable. Only a pending wall-clock
+    /// signal redelivery can revive the run — wait for the earliest one
+    /// and pump it; with none pending this is a structural deadlock,
+    /// reported immediately rather than after the full watchdog window.
     fn wedged_step(&self, site: WaitSite) {
         if let Some(due) = self.shared.earliest_redelivery() {
             let now = Instant::now();
@@ -1808,7 +1749,7 @@ impl<'f> Pe<'f> {
         nb: bool,
     ) -> u64 {
         let t0 = self.trace_start();
-        self.fault_transfer();
+        self.fault_yield();
         remote.check_span(nelems, stride);
         let es = std::mem::size_of::<T>();
         let bytes = nelems * es;
@@ -2172,41 +2113,31 @@ impl<'f> Pe<'f> {
             // redelivery configured it reappears after a wall-clock
             // deadline (pumped by spinning peers); without, it is gone
             // and only the watchdog can name the resulting hang.
-            if f.signal_drop_permille > 0 {
-                let r = self.fault_next();
-                if r % 1000 < u64::from(f.signal_drop_permille) {
-                    // Validate the slot exactly as a real post would.
-                    let _ = self.amo_slot(sig, pe);
-                    self.shared
-                        .stats
-                        .signals_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                    if f.redelivers() {
-                        self.shared.dropped.lock().unwrap().push(DroppedSignal {
-                            pe,
-                            off: sig.off,
-                            stamp: arrival,
-                            due: Instant::now()
-                                + Duration::from_micros(f.signal_redeliver_after_us),
-                        });
-                    }
-                    // The post was issued even though the fabric lost it;
-                    // the trace shows what this PE *did*, and the matching
-                    // wait (if redelivery saves the run) pairs with it.
-                    self.trace_emit(t0, TraceKind::SignalPost, Some(pe), 8, sig.off as u64);
-                    return;
-                }
-            }
-            // Delay: the flag arrives late in wall-clock terms (the
-            // arrival *stamp* is unchanged, so simulated time is not).
-            if let Some(d) = self.fault_roll(f.signal_delay_permille, f.max_signal_delay_us) {
+            if self.fault_roll(f.signal_drop_permille) {
+                // Validate the slot exactly as a real post would.
+                let _ = self.amo_slot(sig, pe);
                 self.shared
                     .stats
-                    .signal_delays
+                    .signals_dropped
                     .fetch_add(1, Ordering::Relaxed);
-                self.fault_sleep(d);
+                if f.redelivers() {
+                    self.shared.dropped.lock().unwrap().push(DroppedSignal {
+                        pe,
+                        off: sig.off,
+                        stamp: arrival,
+                        due: Instant::now() + Duration::from_micros(f.signal_redeliver_after_us),
+                    });
+                }
+                // The post was issued even though the fabric lost it;
+                // the trace shows what this PE *did*, and the matching
+                // wait (if redelivery saves the run) pairs with it.
+                self.trace_emit(t0, TraceKind::SignalPost, Some(pe), 8, sig.off as u64);
+                return;
             }
         }
+        // Delay: other PEs may run before the flag is raised (the
+        // arrival *stamp* is unchanged, so simulated time is not).
+        self.fault_yield();
         // `.max(1)`: zero means "not yet posted", so a signal posted at
         // simulated time 0 must still read as present.
         self.amo_slot(sig, pe)
@@ -2281,7 +2212,7 @@ impl<'f> Pe<'f> {
     /// time plus a dissemination-barrier cost of `⌈log2 n⌉` fabric rounds.
     pub fn barrier(&self) {
         let t0 = self.trace_start();
-        self.fault_stall();
+        self.fault_yield();
         let b = &self.shared.barrier;
         let gen = b.generation.load(Ordering::Acquire);
         let slot = gen & 1;

@@ -1,8 +1,9 @@
 //! Chaos harness: every collective × sync mode × awkward PE count under
-//! seeded fault injection. Benign faults (delays, stalls) must leave the
-//! results byte-identical to a fault-free run; lossy faults must either
-//! converge (redelivery) or die loudly with a [`DeadlockReport`] naming
-//! the culpable PE and stage — never hang silently.
+//! seeded fault injection. Benign faults (yields to the seeded scheduler)
+//! must leave the results byte-identical to a fault-free run, on every
+//! engine seed; lossy faults must either converge (redelivery) or die
+//! loudly with a [`DeadlockReport`] naming the culpable PE and stage —
+//! never hang silently.
 
 // The `..ProptestConfig::default()` spread is upstream proptest's
 // canonical config idiom; the local shim happens to have no other
@@ -13,12 +14,30 @@ use proptest::prelude::*;
 use std::time::{Duration, Instant};
 use xbrtime::collectives::{self, AllReduceAlgo};
 use xbrtime::{
-    AlgorithmPolicy, Fabric, FabricConfig, FabricStats, FaultConfig, ReduceOp, RunError, SyncMode,
-    WaitSite,
+    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FabricStats, FaultConfig, ReduceOp,
+    RunError, SyncMode, WaitSite,
 };
 
 /// The collective shapes the chaos plane exercises.
 const KINDS: [&str; 5] = ["broadcast", "reduce", "scatter", "gather", "reduce_all"];
+
+/// One worker slot: every grant, and so every interleaving a fault-plane
+/// yield produces, is drawn from `seed`.
+fn one_worker(seed: u64) -> EngineConfig {
+    EngineConfig::coop().with_workers(1).with_seed(seed)
+}
+
+/// The delay plane's two arms for fault seed `seed`: the benign preset,
+/// and every fabric op a preemption point.
+fn delay_arms(seed: u64) -> [FaultConfig; 2] {
+    [
+        FaultConfig::delays(seed),
+        FaultConfig {
+            yield_permille: 1000,
+            ..FaultConfig::none(seed)
+        },
+    ]
+}
 
 /// Run one collective on `n` PEs and return every PE's local result
 /// buffer, with the fabric's counters. `faults: None` is the golden
@@ -28,9 +47,12 @@ fn run_case(
     sync: SyncMode,
     n: usize,
     root: usize,
+    engine: EngineConfig,
     faults: Option<FaultConfig>,
 ) -> (Vec<Vec<u64>>, FabricStats) {
-    let mut cfg = FabricConfig::new(n).with_watchdog(Duration::from_secs(30));
+    let mut cfg = FabricConfig::new(n)
+        .with_engine(engine)
+        .with_watchdog(Duration::from_secs(30));
     if let Some(f) = faults {
         cfg = cfg.with_faults(f);
     }
@@ -138,25 +160,29 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Delay-only chaos is semantically invisible: for any collective,
-    /// sync mode, (non-power-of-two-friendly) PE count, root and fault
-    /// seed, the faulted run yields exactly the fault-free buffers.
+    /// sync mode, (non-power-of-two-friendly) PE count, root, engine seed,
+    /// fault seed and delay arm, the faulted one-worker run yields exactly
+    /// the fault-free buffers.
     #[test]
     fn delay_chaos_preserves_every_collective(
         kind_ix in 0usize..KINDS.len(),
         sync_ix in 0usize..SyncMode::CONCRETE.len(),
         n in 3usize..8,
         root_sel in 0usize..8,
+        engine_seed in any::<u64>(),
         seed in any::<u64>(),
+        arm in 0usize..2,
     ) {
         let kind = KINDS[kind_ix];
         let sync = SyncMode::CONCRETE[sync_ix];
         let root = root_sel % n;
-        let (golden, _) = run_case(kind, sync, n, root, None);
-        let (faulted, _) = run_case(kind, sync, n, root, Some(FaultConfig::delays(seed)));
+        let faults = delay_arms(seed)[arm];
+        let (golden, _) = run_case(kind, sync, n, root, one_worker(0), None);
+        let (faulted, _) = run_case(kind, sync, n, root, one_worker(engine_seed), Some(faults));
         prop_assert_eq!(
             golden, faulted,
-            "{} n={} root={} {:?} seed={}: delays changed the data",
-            kind, n, root, sync, seed
+            "{} n={} root={} {:?} engine seed={} {:?}: delays changed the data",
+            kind, n, root, sync, engine_seed, faults
         );
     }
 }
@@ -266,23 +292,28 @@ fn dropped_chunk_signal_report_names_pe_stage_and_chunk() {
 }
 
 /// The deterministic half of the delay plane: every collective × every
-/// concrete sync mode × three awkward (PE count, fault seed) pairs,
-/// faulted buffers byte-identical to the fault-free run. The proptest
-/// above samples this space; the grid covers each cell every run.
+/// concrete sync mode × three awkward (PE count, fault seed) pairs × four
+/// engine seeds × both delay arms, at one worker slot, faulted buffers
+/// byte-identical to the fault-free run. The proptest above samples this
+/// space; the grid covers each cell every run, and every cell replays.
 #[test]
 fn delay_grid_preserves_every_collective() {
     for kind in KINDS {
         for sync in SyncMode::CONCRETE {
             for (n, seed) in [(5usize, 17u64), (6, 23), (7, 29)] {
-                let (golden, _) = run_case(kind, sync, n, 0, None);
-                let faults = Some(FaultConfig::delays(seed));
-                let (faulted, stats) = run_case(kind, sync, n, 0, faults);
-                assert_eq!(
-                    golden, faulted,
-                    "{kind} n={n} {sync:?} seed={seed}: delays changed the data \
-                     ({} transfer delays, {} signal delays, {} stalls)",
-                    stats.transfer_delays, stats.signal_delays, stats.stalls
-                );
+                let (golden, _) = run_case(kind, sync, n, 0, one_worker(0), None);
+                for engine_seed in 0..4 {
+                    for faults in delay_arms(seed) {
+                        let engine = one_worker(engine_seed);
+                        let (faulted, stats) = run_case(kind, sync, n, 0, engine, Some(faults));
+                        assert_eq!(
+                            golden, faulted,
+                            "{kind} n={n} {sync:?} engine seed={engine_seed} {faults:?}: \
+                             delays changed the data ({} yields)",
+                            stats.yields
+                        );
+                    }
+                }
             }
         }
     }
@@ -297,9 +328,10 @@ fn redelivered_drops_converge_across_sync_modes() {
     for sync in [SyncMode::Signaled, SyncMode::Pipelined] {
         for kind in ["broadcast", "reduce_all"] {
             for seed in [11, 41] {
-                let (golden, _) = run_case(kind, sync, 6, 0, None);
+                let engine = EngineConfig::default();
+                let (golden, _) = run_case(kind, sync, 6, 0, engine, None);
                 let cfg_faults = FaultConfig::drops_with_redelivery(seed, 350, 1_500);
-                let (faulted, stats) = run_case(kind, sync, 6, 0, Some(cfg_faults));
+                let (faulted, stats) = run_case(kind, sync, 6, 0, engine, Some(cfg_faults));
                 let what = format!("{kind} {sync:?} seed={seed}");
                 assert_eq!(golden, faulted, "{what}: redelivered run diverged");
                 assert_eq!(

@@ -1,11 +1,12 @@
 //! Golden-seed determinism of the cooperative scheduler.
 //!
 //! With one worker slot exactly one PE runs at a time and every grant is
-//! drawn from the seeded scheduler RNG, so a (seed, workload) pair fully
-//! determines the run: the grant sequence (`RunReport::sched_log`), the
-//! per-PE trace event order, the result buffers and every structural
-//! counter must all replay identically — and a different seed must
-//! produce a visibly different schedule.
+//! drawn from the seeded scheduler RNG — a fault-plane yield included —
+//! so a (seed, workload, fault config) triple fully determines the run:
+//! the grant sequence (`RunReport::sched_log`), the per-PE trace event
+//! order, the result buffers and every structural counter must all
+//! replay identically — and a different seed must produce a visibly
+//! different schedule.
 //!
 //! Absolute cycle *stamps* are deliberately excluded. The TLB/cache
 //! models number a PE's private pages by first touch (see `timing.rs`),
@@ -18,16 +19,21 @@
 
 use xbrtime::collectives::{self, AllReduceAlgo};
 use xbrtime::{
-    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, ReduceOp, RunReport, SyncMode, TraceEvent,
+    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FaultConfig, ReduceOp, RunReport,
+    SyncMode, TraceEvent,
 };
 
 /// A mixed workload exercising every park/unpark path: signaled and
-/// pipelined executors (signal waits), barriers, and an all-reduce.
-fn run_workload(seed: u64) -> RunReport<Vec<u64>> {
-    let cfg = FabricConfig::paper(6)
+/// pipelined executors (signal waits), barriers, and an all-reduce,
+/// optionally under a fault plane.
+fn run_workload(seed: u64, faults: Option<FaultConfig>) -> RunReport<Vec<u64>> {
+    let mut cfg = FabricConfig::paper(6)
         .with_shared_bytes(1 << 20)
         .with_trace()
         .with_engine(EngineConfig::coop().with_workers(1).with_seed(seed));
+    if let Some(f) = faults {
+        cfg = cfg.with_faults(f);
+    }
     Fabric::run(cfg, |pe| {
         let me = pe.rank() as u64;
 
@@ -102,8 +108,8 @@ fn masked_events(r: &RunReport<Vec<u64>>) -> Vec<TraceEvent> {
 
 #[test]
 fn same_seed_replays_identical_schedule_and_trace() {
-    let a = run_workload(0xDEC0DE);
-    let b = run_workload(0xDEC0DE);
+    let a = run_workload(0xDEC0DE, None);
+    let b = run_workload(0xDEC0DE, None);
 
     assert!(
         !a.sched_log.is_empty(),
@@ -138,7 +144,7 @@ fn log_digest(log: &[u32]) -> u64 {
 #[test]
 fn grant_log_is_pinned() {
     const PINNED: (usize, u64) = (83, 0x531c_4934_815f_2a21);
-    let log = run_workload(7).sched_log;
+    let log = run_workload(7, None).sched_log;
     assert_eq!(
         (log.len(), log_digest(&log)),
         PINNED,
@@ -148,17 +154,47 @@ fn grant_log_is_pinned() {
     );
 }
 
+/// The same workload under `FaultConfig::delays(29)`, pinned. A fault
+/// delay is a yield to the seeded scheduler, so at one worker slot the
+/// faulted run is as reproducible as the fault-free one: the grant log,
+/// the yield count and the buffers replay, in process and across builds.
+#[test]
+fn faulted_grant_log_is_pinned() {
+    const PINNED: (usize, u64, u64) = (96, 0x9fee_4b49_6746_2fa5, 10);
+    let a = run_workload(7, Some(FaultConfig::delays(29)));
+    let b = run_workload(7, Some(FaultConfig::delays(29)));
+    assert_eq!(
+        a.sched_log, b.sched_log,
+        "a faulted run must replay its grants"
+    );
+    assert_eq!(a.results, b.results);
+    assert_eq!(
+        a.results,
+        run_workload(7, None).results,
+        "yields changed the data"
+    );
+    let log = &a.sched_log;
+    assert_eq!(
+        (log.len(), log_digest(log), a.stats.yields),
+        PINNED,
+        "the faulted one-worker grant log moved: got ({}, {:#018x}, {})",
+        log.len(),
+        log_digest(log),
+        a.stats.yields
+    );
+}
+
 #[test]
 fn different_seed_changes_the_schedule() {
-    let base = run_workload(1);
+    let base = run_workload(1, None);
     // A single alternate seed could in principle collide on a short
     // schedule; across several the grant order must move at least once.
-    let moved = (2u64..8).any(|s| run_workload(s).sched_log != base.sched_log);
+    let moved = (2u64..8).any(|s| run_workload(s, None).sched_log != base.sched_log);
     assert!(
         moved,
         "the grant sequence never varied across seeds 2..8 — the seed is dead"
     );
     // Whatever the schedule, the data plane is schedule-invariant.
-    let other = run_workload(2);
+    let other = run_workload(2, None);
     assert_eq!(base.results, other.results);
 }

@@ -1,8 +1,8 @@
 //! Determinism and fault-plane tests for the multi-tenant traffic
 //! harness: the same seed must reproduce the same per-tenant op
 //! sequences and byte-identical result digests (single-worker coop is
-//! the strictest schedule), seeded chaos delays must change timing but
-//! never data, and permanent signal loss must surface as a structured
+//! the strictest schedule), seeded chaos yields must change the schedule
+//! but never data, and permanent signal loss must surface as a structured
 //! [`TrafficError::Deadlock`] naming a valid tenant instead of a hang.
 
 use std::time::Duration;
@@ -77,29 +77,34 @@ fn same_seed_coop_runs_are_byte_identical() {
 
 #[test]
 fn chaos_delays_change_timing_but_never_data() {
-    // Seeded wall-clock delays reorder real execution without touching
-    // the simulated clock's inputs or any payload byte: the run must
-    // complete with digests identical to the fault-free run.
+    // Seeded fault-plane yields reorder the PEs without touching any
+    // payload byte: on one worker slot, over engine seeds × fault seeds
+    // and with every fabric op a preemption point, the run must complete
+    // with digests identical to the fault-free run.
     let cfg = small_cfg(0xCAFE);
-    let clean = run_traffic(
-        FabricConfig::paper(9).with_watchdog(Duration::from_secs(30)),
-        &cfg,
-    )
-    .expect("fault-free run");
-    for seed in [1u64, 7] {
-        let chaotic = run_traffic(
-            FabricConfig::paper(9)
-                .with_watchdog(Duration::from_secs(30))
-                .with_faults(FaultConfig::delays(seed)),
-            &cfg,
-        )
-        .expect("delays must never deadlock or corrupt");
-        for (tc, tx) in clean.tenants.iter().zip(&chaotic.tenants) {
-            assert_eq!(
-                tc.digest, tx.digest,
-                "delay seed {seed}: tenant {} data diverged",
-                tc.tenant
-            );
+    let fab = |engine_seed: u64| {
+        FabricConfig::paper(9)
+            .with_engine(EngineConfig::coop().with_workers(1).with_seed(engine_seed))
+            .with_watchdog(Duration::from_secs(30))
+    };
+    let clean = run_traffic(fab(0), &cfg).expect("fault-free run");
+    for engine_seed in [0u64, 3] {
+        for seed in [1u64, 7] {
+            let every_op = FaultConfig {
+                yield_permille: 1000,
+                ..FaultConfig::none(seed)
+            };
+            for faults in [FaultConfig::delays(seed), every_op] {
+                let chaotic = run_traffic(fab(engine_seed).with_faults(faults), &cfg)
+                    .expect("delays must never deadlock or corrupt");
+                for (tc, tx) in clean.tenants.iter().zip(&chaotic.tenants) {
+                    assert_eq!(
+                        tc.digest, tx.digest,
+                        "engine seed {engine_seed} {faults:?}: tenant {} data diverged",
+                        tc.tenant
+                    );
+                }
+            }
         }
     }
 }
