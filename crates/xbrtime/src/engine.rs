@@ -4,12 +4,14 @@
 //! OS threads: PE `r` lives on worker `r mod workers` for its whole life,
 //! and at most `workers` PEs hold a *slot* at any instant. Every blocking
 //! primitive in the fabric (barrier, `signal_wait`, executor drains)
-//! parks the PE in the `CoopSched` scheduler instead of spinning, and the
-//! freed slot is granted to a PE drawn at seeded random from the one
-//! ready set. A fault-plane delay is a yield: the PE rejoins that ready
-//! set and the same seeded draw decides who runs next. A hand-off between
-//! two PEs of one worker is a user-space stack switch, not a kernel round
-//! trip; a grant to a PE of an idle worker wakes that worker's condvar.
+//! parks the PE in the `CoopSched` scheduler at its first failed check
+//! instead of spinning, and the freed slot is granted to a PE drawn at
+//! seeded random from the one ready set. A fault-plane delay is a yield:
+//! the PE rejoins that ready set and the same seeded draw decides who
+//! runs next. A redelivered signal is only a later arrival stamp, so only
+//! a PE ever makes another runnable. A hand-off between two PEs of one
+//! worker is a user-space stack switch, not a kernel round trip; a grant
+//! to a PE of an idle worker wakes that worker's condvar.
 //! 4096-PE collectives run comfortably on a laptop-class host.
 //! [`EngineConfig::workers`] picks how the PEs interleave:
 //!
@@ -30,8 +32,8 @@
 //!
 //! The watchdog plane reads scheduler state directly — a parked PE is
 //! *waiting on the scheduler*, not burning a core — and structural
-//! deadlocks (every PE parked or finished, nothing runnable) are detected
-//! immediately instead of after a wall-clock timeout.
+//! deadlocks (every PE parked or finished, nothing runnable: `Park::Wedged`)
+//! are reported immediately instead of after a wall-clock timeout.
 //!
 //! [`RunReport::sched_log`]: crate::RunReport::sched_log
 
@@ -143,9 +145,9 @@ pub(crate) enum Park {
     /// re-check their wait condition in a loop.
     Granted,
     /// Parking would leave the fabric with nothing runnable and
-    /// unfinished PEs: a structural deadlock unless a wall-clock signal
-    /// redelivery is still pending. The PE keeps its slot; the caller
-    /// decides (pump redeliveries or trip the watchdog).
+    /// unfinished PEs: a structural deadlock, since only a PE can raise a
+    /// slot or cross a barrier. The PE keeps its slot and the caller
+    /// trips the watchdog at once.
     Wedged,
     /// The watchdog window elapsed with no grant anywhere in the fabric.
     TimedOut,
@@ -332,10 +334,9 @@ impl CoopSched {
             );
             if st.running == 1 && st.ready.is_empty() && st.finished < self.n_pes {
                 // Parking would wedge the fabric: nothing left to grant.
-                // Keep the slot and let the caller decide (pump a pending
-                // redelivery, or trip the watchdog with a structural
-                // deadlock report — no need to burn the full wall-clock
-                // timeout first).
+                // Keep the slot so the caller can trip the watchdog with
+                // a structural deadlock report — no need to burn the full
+                // wall-clock timeout first.
                 return Park::Wedged;
             }
             st.status[rank] = PeSchedState::Parked;

@@ -58,13 +58,15 @@ pub struct FaultConfig {
     /// before its slot is raised, and at barrier entry. 1000 makes every
     /// such operation a preemption point.
     pub yield_permille: u16,
-    /// Permille of signal posts *dropped*: the slot is not raised at post
-    /// time. With `signal_redeliver_after_us > 0` the fabric redelivers
-    /// the signal that much later (a retransmitted control word); with 0
-    /// the signal is lost forever and only the watchdog can save the run.
+    /// Permille of signal posts *dropped*. With
+    /// `signal_redeliver_after_cycles > 0` the control word is
+    /// retransmitted: the slot is raised at post time but stamped that
+    /// many simulated cycles after the original arrival. With 0 the
+    /// signal is lost forever and only the watchdog can save the run.
     pub signal_drop_permille: u16,
-    /// Redelivery delay (µs) for dropped signals; 0 means never.
-    pub signal_redeliver_after_us: u64,
+    /// Redelivery delay (simulated cycles) for dropped signals; 0 means
+    /// never.
+    pub signal_redeliver_after_cycles: u64,
 }
 
 impl FaultConfig {
@@ -74,7 +76,7 @@ impl FaultConfig {
             seed,
             yield_permille: 0,
             signal_drop_permille: 0,
-            signal_redeliver_after_us: 0,
+            signal_redeliver_after_cycles: 0,
         }
     }
 
@@ -88,13 +90,13 @@ impl FaultConfig {
     }
 
     /// Lossy-but-recovering: some signals are dropped at post time and
-    /// redelivered `redeliver_us` later. Collectives still converge; the
-    /// watchdog must stay quiet (given a timeout above the redelivery
-    /// horizon).
-    pub const fn drops_with_redelivery(seed: u64, permille: u16, redeliver_us: u64) -> Self {
+    /// arrive `redeliver_cycles` simulated cycles late. Collectives still
+    /// converge with the fault-free buffers; only the waiters' clocks see
+    /// the loss.
+    pub const fn drops_with_redelivery(seed: u64, permille: u16, redeliver_cycles: u64) -> Self {
         let mut f = FaultConfig::none(seed);
         f.signal_drop_permille = permille;
-        f.signal_redeliver_after_us = redeliver_us;
+        f.signal_redeliver_after_cycles = redeliver_cycles;
         f
     }
 
@@ -103,12 +105,6 @@ impl FaultConfig {
     /// into a [`DeadlockReport`].
     pub const fn drops_forever(seed: u64, permille: u16) -> Self {
         Self::drops_with_redelivery(seed, permille, 0)
-    }
-
-    /// `true` when dropped signals are eventually redelivered (so spin
-    /// loops must pump the redelivery queue).
-    pub(crate) const fn redelivers(&self) -> bool {
-        self.signal_drop_permille > 0 && self.signal_redeliver_after_us > 0
     }
 
     /// Seed of PE `rank`'s private fault stream under base seed `seed`.
@@ -133,13 +129,6 @@ pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(60);
 /// traced: the tail of each PE's ring, i.e. what it did just before the
 /// hang.
 const DEADLOCK_RECENT_EVENTS: usize = 8;
-
-/// Blocking waits spin this many steps before parking: with several
-/// workers a peer may be one store away, and the brief spin dodges a
-/// park/unpark round-trip. With one worker no peer can progress
-/// concurrently, so the window always falls through to the park —
-/// deterministically.
-const COOP_PARK_AFTER: u32 = 4;
 
 /// Configuration for a fabric run.
 #[derive(Clone, Copy, Debug)]
@@ -264,7 +253,6 @@ struct StatsAtomic {
     signal_waits: AtomicU64,
     yields: AtomicU64,
     signals_dropped: AtomicU64,
-    signals_redelivered: AtomicU64,
 }
 
 /// Aggregate communication counters for a fabric run.
@@ -298,10 +286,9 @@ pub struct FabricStats {
     pub signal_waits: u64,
     /// Injected yields ([`FaultConfig::yield_permille`]).
     pub yields: u64,
-    /// Signals dropped at post time by the fault plane.
+    /// Signals dropped at post time by the fault plane (redelivered late
+    /// when [`FaultConfig::signal_redeliver_after_cycles`] is set).
     pub signals_dropped: u64,
-    /// Dropped signals later redelivered by the fault plane.
-    pub signals_redelivered: u64,
 }
 
 /// Telemetry key: which collective an executor episode belongs to.
@@ -711,14 +698,6 @@ struct ProgressCell {
     site: AtomicUsize,
 }
 
-/// A signal the fault plane dropped at post time, queued for redelivery.
-struct DroppedSignal {
-    pe: usize,
-    off: usize,
-    stamp: u64,
-    due: Instant,
-}
-
 struct BarrierState {
     count: AtomicUsize,
     generation: AtomicUsize,
@@ -743,11 +722,6 @@ struct Shared {
     sig_len: AtomicUsize,
     /// First deadlock report wins; peers that trip later keep it.
     deadlock: Mutex<Option<DeadlockReport>>,
-    /// Signals dropped by the fault plane, awaiting redelivery.
-    dropped: Mutex<Vec<DroppedSignal>>,
-    /// True iff the fault plane may queue redeliveries (so spin loops
-    /// know whether pumping `redeliver_due` can ever help).
-    redelivery_armed: bool,
     /// Watchdog timeout every spin loop must respect.
     watchdog: Duration,
     /// Per-PE trace rings; `None` when tracing is off.
@@ -778,59 +752,11 @@ impl Shared {
             sig_off: AtomicUsize::new(0),
             sig_len: AtomicUsize::new(0),
             deadlock: Mutex::new(None),
-            dropped: Mutex::new(Vec::new()),
-            redelivery_armed: cfg.faults.is_some_and(|f| f.redelivers()),
             watchdog: cfg.watchdog,
             trace: cfg.trace.then(|| TracePlane::new(cfg.n_pes)),
             coop: CoopSched::new(cfg.n_pes, cfg.engine, cfg.watchdog),
             plan_cache: crate::collectives::PlanCache::new(),
         }
-    }
-
-    /// Deliver every dropped signal whose redelivery deadline has passed.
-    /// Pumped from spin loops so a dropped-then-redelivered signal can
-    /// arrive even while its poster has moved on.
-    fn redeliver_due(&self) {
-        if !self.redelivery_armed {
-            return;
-        }
-        let now = Instant::now();
-        let mut due = Vec::new();
-        {
-            let mut q = self.dropped.lock().unwrap();
-            if q.is_empty() {
-                return;
-            }
-            let mut i = 0;
-            while i < q.len() {
-                if q[i].due <= now {
-                    due.push(q.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        for d in due {
-            let slot =
-                unsafe { AtomicU64::from_ptr(self.heaps[d.pe].base().add(d.off) as *mut u64) };
-            slot.fetch_max(d.stamp.max(1), Ordering::AcqRel);
-            self.stats
-                .signals_redelivered
-                .fetch_add(1, Ordering::Relaxed);
-            // A redelivered signal is an external wake source: the waiter
-            // may be parked in the scheduler.
-            self.coop.unpark(d.pe);
-        }
-    }
-
-    /// Earliest pending redelivery deadline, if any — what a wedged
-    /// cooperative fabric (everything parked, nothing runnable) must
-    /// wait for before declaring a structural deadlock.
-    fn earliest_redelivery(&self) -> Option<Instant> {
-        if !self.redelivery_armed {
-            return None;
-        }
-        self.dropped.lock().unwrap().iter().map(|d| d.due).min()
     }
 
     /// Build a whole-fabric probe: one row per PE from the progress plane
@@ -927,7 +853,6 @@ impl Shared {
             signal_waits: s.signal_waits.load(Ordering::Relaxed),
             yields: s.yields.load(Ordering::Relaxed),
             signals_dropped: s.signals_dropped.load(Ordering::Relaxed),
-            signals_redelivered: s.signals_redelivered.load(Ordering::Relaxed),
         }
     }
 }
@@ -1453,40 +1378,18 @@ impl<'f> Pe<'f> {
     }
 
     /// One step of a blocked fabric wait (barrier, signal, executor
-    /// drain), after the caller has re-checked its condition. `spins`
-    /// counts the wait's steps so far: the first [`COOP_PARK_AFTER`] spin
-    /// (a peer on another worker may be one store away), every later one
-    /// parks — the worker slot goes to a runnable PE and this PE wakes
-    /// when a peer unparks it. Parking may return spuriously (consumed
-    /// unpark token, poison wake); the caller's loop re-checks its
-    /// condition either way.
-    fn wait_step(&self, spins: &mut u32, site: WaitSite) {
-        if *spins < COOP_PARK_AFTER {
-            *spins += 1;
-            std::hint::spin_loop();
-            return;
-        }
+    /// drain), after the caller has re-checked its condition: park, so
+    /// the worker slot goes to a runnable PE and this PE wakes when a peer
+    /// unparks it. Parking may return spuriously (consumed unpark token,
+    /// poison wake); the caller's loop re-checks its condition either way.
+    /// A wait the scheduler cannot park (every other PE parked or
+    /// finished, nothing runnable) is a structural deadlock — nothing
+    /// outside the PEs can raise a slot — and trips the watchdog at once
+    /// rather than after the full window.
+    fn wait_step(&self, site: WaitSite) {
         match self.shared.coop.park(self.rank) {
             Park::Granted => {}
-            Park::TimedOut => self.watchdog_trip(site, self.shared.watchdog),
-            Park::Wedged => self.wedged_step(site),
-        }
-    }
-
-    /// The scheduler refused to park this PE: every other PE is parked
-    /// or finished and nothing is runnable. Only a pending wall-clock
-    /// signal redelivery can revive the run — wait for the earliest one
-    /// and pump it; with none pending this is a structural deadlock,
-    /// reported immediately rather than after the full watchdog window.
-    fn wedged_step(&self, site: WaitSite) {
-        if let Some(due) = self.shared.earliest_redelivery() {
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
-            self.shared.redeliver_due();
-        } else {
-            self.watchdog_trip(site, self.shared.watchdog);
+            Park::TimedOut | Park::Wedged => self.watchdog_trip(site, self.shared.watchdog),
         }
     }
 
@@ -2108,40 +2011,35 @@ impl<'f> Pe<'f> {
         // (`signals == signal_waits` once redelivered) stay intact.
         self.shared.stats.signals.fetch_add(1, Ordering::Relaxed);
         self.progress_tick();
+        let slot = self.amo_slot(sig, pe);
+        let mut arrival = arrival;
         if let Some(f) = self.faults {
             // Drop: the flag transaction is lost in the fabric. With
-            // redelivery configured it reappears after a wall-clock
-            // deadline (pumped by spinning peers); without, it is gone
-            // and only the watchdog can name the resulting hang.
+            // redelivery configured the retransmitted word arrives
+            // `signal_redeliver_after_cycles` late: a later arrival stamp
+            // on a slot raised now, so redelivery never waits for any PE
+            // to run again. Without, the post is gone (the trace still
+            // shows what this PE *did*) and only the watchdog can name the
+            // resulting hang.
             if self.fault_roll(f.signal_drop_permille) {
-                // Validate the slot exactly as a real post would.
-                let _ = self.amo_slot(sig, pe);
                 self.shared
                     .stats
                     .signals_dropped
                     .fetch_add(1, Ordering::Relaxed);
-                if f.redelivers() {
-                    self.shared.dropped.lock().unwrap().push(DroppedSignal {
-                        pe,
-                        off: sig.off,
-                        stamp: arrival,
-                        due: Instant::now() + Duration::from_micros(f.signal_redeliver_after_us),
-                    });
+                if f.signal_redeliver_after_cycles == 0 {
+                    self.trace_emit(t0, TraceKind::SignalPost, Some(pe), 8, sig.off as u64);
+                    return;
                 }
-                // The post was issued even though the fabric lost it;
-                // the trace shows what this PE *did*, and the matching
-                // wait (if redelivery saves the run) pairs with it.
-                self.trace_emit(t0, TraceKind::SignalPost, Some(pe), 8, sig.off as u64);
-                return;
+                arrival = arrival.saturating_add(f.signal_redeliver_after_cycles);
+            } else {
+                // Delay: other PEs may run before the flag is raised (the
+                // arrival *stamp* is unchanged, so simulated time is not).
+                self.fault_yield();
             }
         }
-        // Delay: other PEs may run before the flag is raised (the
-        // arrival *stamp* is unchanged, so simulated time is not).
-        self.fault_yield();
         // `.max(1)`: zero means "not yet posted", so a signal posted at
         // simulated time 0 must still read as present.
-        self.amo_slot(sig, pe)
-            .fetch_max(arrival.max(1), Ordering::AcqRel);
+        slot.fetch_max(arrival.max(1), Ordering::AcqRel);
         // The waiter may be parked in the scheduler; make it runnable
         // (or latch its token — see `CoopSched::unpark`).
         self.shared.coop.unpark(pe);
@@ -2163,7 +2061,6 @@ impl<'f> Pe<'f> {
         let slot = self.amo_slot(sig, self.rank);
         let site = WaitSite::Signal { off: sig.off };
         let mut waited = false;
-        let mut spins = 0;
         loop {
             let stamp = slot.swap(0, Ordering::AcqRel);
             if stamp != 0 {
@@ -2189,8 +2086,7 @@ impl<'f> Pe<'f> {
                 waited = true;
                 self.progress_site(site);
             }
-            self.shared.redeliver_due();
-            self.wait_step(&mut spins, site);
+            self.wait_step(site);
         }
     }
 
@@ -2233,7 +2129,6 @@ impl<'f> Pe<'f> {
             self.shared.coop.unpark_all(self.rank);
         } else {
             self.progress_site(WaitSite::Barrier);
-            let mut spins = 0;
             while b.generation.load(Ordering::Acquire) == gen {
                 if self.shared.poisoned.load(Ordering::Relaxed) {
                     panic!(
@@ -2241,8 +2136,7 @@ impl<'f> Pe<'f> {
                         self.rank
                     );
                 }
-                self.shared.redeliver_due();
-                self.wait_step(&mut spins, WaitSite::Barrier);
+                self.wait_step(WaitSite::Barrier);
             }
             self.progress_site(WaitSite::Running);
         }

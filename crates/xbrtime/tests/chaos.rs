@@ -18,8 +18,18 @@ use xbrtime::{
     RunError, SyncMode, WaitSite,
 };
 
-/// The collective shapes the chaos plane exercises.
-const KINDS: [&str; 5] = ["broadcast", "reduce", "scatter", "gather", "reduce_all"];
+/// The collective shapes the chaos plane exercises. `broadcast_pair` is
+/// two nonblocking broadcasts from one root issued back to back with no
+/// barrier between them: two slot windows of one shape in flight at once,
+/// so any overlap between them puts two episodes' posts on one slot.
+const KINDS: [&str; 6] = [
+    "broadcast",
+    "reduce",
+    "scatter",
+    "gather",
+    "reduce_all",
+    "broadcast_pair",
+];
 
 /// One worker slot: every grant, and so every interleaving a fault-plane
 /// yield produces, is drawn from `seed`.
@@ -84,6 +94,18 @@ fn run_case(
                     sync,
                 );
                 pe.heap_read_vec(dest.whole(), 33)
+            }
+            "broadcast_pair" => {
+                let (a, b) = (pe.shared_malloc::<u64>(33), pe.shared_malloc::<u64>(33));
+                let src_a: Vec<u64> = (0..33).map(|i| i * 7 + 1).collect();
+                let src_b: Vec<u64> = (0..33).map(|i| i * 5 + 2).collect();
+                let ha = collectives::ixbroadcast(pe, &a, &src_a, 33, root, sync);
+                let hb = collectives::ixbroadcast(pe, &b, &src_b, 33, root, sync);
+                ha.wait(pe);
+                hb.wait(pe);
+                let mut out = pe.heap_read_vec(a.whole(), 33);
+                out.extend(pe.heap_read_vec(b.whole(), 33));
+                out
             }
             "reduce" => {
                 let src = pe.shared_malloc::<u64>(17);
@@ -321,23 +343,26 @@ fn delay_grid_preserves_every_collective() {
 
 #[test]
 fn redelivered_drops_converge_across_sync_modes() {
-    // Lossy-but-recovering chaos: signals are dropped and redelivered
-    // 1.5 ms later. Every signal-plane collective still converges and
-    // consumes exactly what was posted, and every dropped signal is
-    // redelivered.
+    // Lossy-but-recovering chaos: signals are dropped and arrive 1 500
+    // cycles late. Every signal-plane collective still converges and
+    // consumes exactly what was posted, on every engine seed, and each
+    // cell replays like a delay cell.
     for sync in [SyncMode::Signaled, SyncMode::Pipelined] {
         for kind in ["broadcast", "reduce_all"] {
+            let (golden, _) = run_case(kind, sync, 6, 0, one_worker(0), None);
             for seed in [11, 41] {
-                let engine = EngineConfig::default();
-                let (golden, _) = run_case(kind, sync, 6, 0, engine, None);
-                let cfg_faults = FaultConfig::drops_with_redelivery(seed, 350, 1_500);
-                let (faulted, stats) = run_case(kind, sync, 6, 0, engine, Some(cfg_faults));
-                let what = format!("{kind} {sync:?} seed={seed}");
-                assert_eq!(golden, faulted, "{what}: redelivered run diverged");
-                assert_eq!(
-                    stats.signals_dropped, stats.signals_redelivered,
-                    "{what}: a dropped signal was never redelivered"
-                );
+                let faults = FaultConfig::drops_with_redelivery(seed, 350, 1_500);
+                for engine_seed in 0..4 {
+                    let engine = one_worker(engine_seed);
+                    let (faulted, stats) = run_case(kind, sync, 6, 0, engine, Some(faults));
+                    let what = format!("{kind} {sync:?} seed={seed} engine seed={engine_seed}");
+                    assert_eq!(golden, faulted, "{what}: redelivered run diverged");
+                    assert!(stats.signals_dropped > 0, "{what}: nothing was dropped");
+                    assert_eq!(
+                        stats.signals, stats.signal_waits,
+                        "{what}: a dropped signal was never redelivered"
+                    );
+                }
             }
         }
     }

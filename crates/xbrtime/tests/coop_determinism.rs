@@ -184,6 +184,43 @@ fn faulted_grant_log_is_pinned() {
     );
 }
 
+/// The same workload under `drops_with_redelivery(29, 350, 1_500)`,
+/// pinned. A redelivered signal is a later arrival stamp on a slot raised
+/// at post time, so a lossy one-worker run replays like a delays-only
+/// one: grants, per-PE trace order, counters and buffers agree between
+/// two runs, and the buffers are the fault-free run's. (Clocks are left
+/// out for the reason the module doc gives.) A redelivered drop neither
+/// yields nor leaves a waiter parked, so the log is
+/// `grant_log_is_pinned`'s.
+#[test]
+fn lossy_grant_log_is_pinned() {
+    const PINNED: (usize, u64, u64) = (83, 0x531c_4934_815f_2a21, 11);
+    let lossy = FaultConfig::drops_with_redelivery(29, 350, 1_500);
+    let a = run_workload(7, Some(lossy));
+    let b = run_workload(7, Some(lossy));
+    assert_eq!(
+        a.sched_log, b.sched_log,
+        "a lossy run must replay its grants"
+    );
+    assert_eq!(masked_events(&a), masked_events(&b));
+    assert_eq!(a.results, b.results);
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(
+        a.results,
+        run_workload(7, None).results,
+        "redelivered drops changed the data"
+    );
+    let log = &a.sched_log;
+    assert_eq!(
+        (log.len(), log_digest(log), a.stats.signals_dropped),
+        PINNED,
+        "the lossy one-worker grant log moved: got ({}, {:#018x}, {})",
+        log.len(),
+        log_digest(log),
+        a.stats.signals_dropped
+    );
+}
+
 #[test]
 fn different_seed_changes_the_schedule() {
     let base = run_workload(1, None);

@@ -470,8 +470,8 @@ fn delays_only_faults_preserve_results_and_cycles() {
 
 #[test]
 fn dropped_then_redelivered_signals_converge() {
-    // Aggressive drops with redelivery: the run completes (slowly) and
-    // every signal is eventually consumed.
+    // Aggressive drops with redelivery: the run completes and every
+    // signal is consumed.
     let cfg = FabricConfig::new(4)
         .with_watchdog(Duration::from_secs(20))
         .with_faults(FaultConfig::drops_with_redelivery(3, 400, 2_000));
@@ -492,11 +492,56 @@ fn dropped_then_redelivered_signals_converge() {
     for (rank, got) in report.results.iter().enumerate() {
         assert_eq!(got, &vec![9u64; 32], "rank {rank}");
     }
-    assert_eq!(
-        report.stats.signals_dropped, report.stats.signals_redelivered,
-        "every dropped signal must be redelivered"
+    assert!(
+        report.stats.signals_dropped > 0,
+        "the fault plane dropped nothing"
     );
-    assert_eq!(report.stats.signals, report.stats.signal_waits);
+    assert_eq!(
+        report.stats.signals, report.stats.signal_waits,
+        "every dropped signal must be redelivered and consumed"
+    );
+}
+
+/// A redelivered signal must arrive even when its poster has returned
+/// while the waiter was parked: redelivery is a later arrival stamp, not
+/// an event some PE has to run again to deliver. Every dropped post is
+/// redelivered 500 cycles late, so the waiter's clock reads exactly the
+/// fault-free run's plus 500, whichever PE the scheduler runs first.
+#[test]
+fn redelivery_outlives_its_poster() {
+    const LATE: u64 = 500;
+    let run = |engine_seed: u64, faults: Option<FaultConfig>| {
+        let mut cfg = FabricConfig::paper(2)
+            .with_engine(EngineConfig::coop().with_workers(1).with_seed(engine_seed))
+            .with_watchdog(Duration::from_secs(3));
+        if let Some(f) = faults {
+            cfg = cfg.with_faults(f);
+        }
+        Fabric::try_run(cfg, |pe| {
+            let sig = pe.shared_malloc::<u64>(1);
+            if pe.rank() == 0 {
+                pe.signal_post(sig.whole(), 1);
+            } else {
+                pe.signal_wait(sig.whole());
+            }
+        })
+    };
+    for engine_seed in 0..8 {
+        let clean = run(engine_seed, None).expect("the fault-free run completes");
+        let lossy = match run(
+            engine_seed,
+            Some(FaultConfig::drops_with_redelivery(1, 1000, LATE)),
+        ) {
+            Ok(report) => report,
+            Err(e) => panic!("engine seed {engine_seed}: the redelivered signal never came: {e}"),
+        };
+        assert_eq!(lossy.stats.signals_dropped, 1, "engine seed {engine_seed}");
+        assert_eq!(
+            lossy.cycles[1],
+            clean.cycles[1] + LATE,
+            "engine seed {engine_seed}: the waiter must see the signal exactly {LATE} cycles late"
+        );
+    }
 }
 
 #[test]
