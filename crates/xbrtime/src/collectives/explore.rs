@@ -42,8 +42,6 @@ use crate::timing::SplitMix64;
 pub trait Scheduler {
     /// Choose one rank from `enabled` (never empty).
     fn pick(&mut self, enabled: &[usize]) -> usize;
-    /// Human-readable identity for reports.
-    fn describe(&self) -> String;
 }
 
 /// Fair rotation through the enabled set.
@@ -58,10 +56,6 @@ impl Scheduler for RoundRobin {
         self.cursor = self.cursor.wrapping_add(1);
         pe
     }
-
-    fn describe(&self) -> String {
-        "round-robin".into()
-    }
 }
 
 /// PCT-style randomised priorities: each PE carries a random priority,
@@ -71,7 +65,6 @@ impl Scheduler for RoundRobin {
 /// produces the identical interleaving on every platform (golden-seed
 /// pinned in `tests/conformance.rs`).
 pub struct RandomPriority {
-    seed: u64,
     rng: SplitMix64,
     prio: Vec<u64>,
 }
@@ -81,7 +74,7 @@ impl RandomPriority {
     pub fn new(seed: u64, n_pes: usize) -> Self {
         let mut rng = SplitMix64::new(seed);
         let prio = (0..n_pes).map(|_| rng.next_u64()).collect();
-        RandomPriority { seed, rng, prio }
+        RandomPriority { rng, prio }
     }
 }
 
@@ -96,10 +89,6 @@ impl Scheduler for RandomPriority {
             .iter()
             .max_by_key(|&&pe| (self.prio[pe], pe))
             .expect("pick from an empty enabled set")
-    }
-
-    fn describe(&self) -> String {
-        format!("random-priority(seed={:#x})", self.seed)
     }
 }
 

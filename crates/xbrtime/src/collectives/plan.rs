@@ -45,9 +45,7 @@ use crate::collectives::policy::{
 use crate::collectives::schedule::{
     is_put_kind, CommSchedule, OpKind, Payload, Row, Shape, TransferOp,
 };
-use crate::fabric::{
-    span, CollectiveKind, CollectiveSample, FoldKernel, Local, Pe, SymmAlloc, SymmRef,
-};
+use crate::fabric::{span, CollectiveKind, FoldKernel, Local, Pe, SymmAlloc, SymmRef};
 use crate::trace::TraceKind;
 use crate::types::XbrType;
 
@@ -162,10 +160,12 @@ pub enum PlanStep {
 // `plan.cache_bytes` is this size × resident steps.
 const _: () = assert!(std::mem::size_of::<PlanStep>() <= 44);
 
-/// The static (shape-determined) part of a [`CollectiveSample`]: every
-/// counter except the two that depend on runtime timing (`cycles`,
+/// The static (shape-determined) part of one PE's share of an episode's
+/// [`CollectiveRecord`](crate::fabric::CollectiveRecord): every counter
+/// except the two that depend on runtime timing (`cycles`,
 /// `wait_cycles`). Pre-computed at lowering time so the plan executor
-/// does no per-op counter arithmetic.
+/// does no per-op counter arithmetic; the episode's close adds it to the
+/// PE's tally.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SampleTemplate {
     /// Puts this PE issues per episode.
@@ -182,23 +182,6 @@ pub struct SampleTemplate {
     pub signals: u64,
     /// Signal waits this PE performs per episode.
     pub waits: u64,
-}
-
-impl SampleTemplate {
-    /// Materialise a [`CollectiveSample`] with the given dynamic counters.
-    pub fn sample(&self, cycles: u64, wait_cycles: u64) -> CollectiveSample {
-        CollectiveSample {
-            puts: self.puts,
-            gets: self.gets,
-            bytes_put: self.bytes_put,
-            bytes_get: self.bytes_get,
-            stages: self.stages,
-            cycles,
-            signals: self.signals,
-            waits: self.waits,
-            wait_cycles,
-        }
-    }
 }
 
 /// One PE's compiled program.
@@ -972,10 +955,12 @@ fn close<T: XbrType>(pe: &Pe, plan: &Plan, ep: Episode<T>) {
     );
     pe.trace_emit(ep.t_ep, TraceKind::Collective, None, 0, 0);
     pe.progress_collective(None);
-    let sample = prog
-        .sample
-        .sample(pe.cycles() - ep.t0, ep.wait_cycles + stalled);
-    pe.note_collective(plan.kind, sample);
+    pe.note_collective(
+        plan.kind,
+        &prog.sample,
+        pe.cycles() - ep.t0,
+        ep.wait_cycles + stalled,
+    );
     if ep.reserved {
         pe.nb_slot_release();
     }
@@ -1194,7 +1179,7 @@ fn sync_bit(s: SyncMode) -> u64 {
 /// the call is counted and nothing else — no stage, no staging board, no
 /// barrier, no trace event.
 pub(crate) fn note_inert(pe: &Pe, kind: CollectiveKind) {
-    pe.note_collective(kind, CollectiveSample::default());
+    pe.note_collective(kind, &SampleTemplate::default(), 0, 0);
 }
 
 /// Issue one blocking episode of `row`, reporting as `kind`, through the

@@ -66,9 +66,9 @@
 //! The collective wrappers reach plans through the fabric's plan cache
 //! (`plan::run_schedule`); [`execute`] here is the uncached one-shot
 //! route for ad-hoc schedules. Either way the episode
-//! reports per-collective telemetry (ops, bytes, stages, simulated
-//! cycles, signal posts/waits/stall cycles) via [`Pe::note_collective`],
-//! surfaced through [`RunReport::collectives`](crate::fabric::RunReport).
+//! adds per-collective telemetry (ops, bytes, stages, simulated cycles,
+//! signal posts/waits/stall cycles) to the PE's own tally, summed into
+//! [`RunReport::collectives`](crate::fabric::RunReport) when the run ends.
 
 use crate::collectives::extended::{self, AllReduceAlgo};
 use crate::collectives::hierarchical;
@@ -266,19 +266,6 @@ impl CommSchedule {
             acc += stage.ops.len();
         }
         bases
-    }
-
-    /// The `(stage, op-within-stage)` coordinates of global op index `g`,
-    /// or `None` when `g` is past the last op.
-    pub fn op_coords(&self, g: usize) -> Option<(usize, usize)> {
-        let mut acc = 0usize;
-        for (si, stage) in self.stages.iter().enumerate() {
-            if g < acc + stage.ops.len() {
-                return Some((si, g - acc));
-            }
-            acc += stage.ops.len();
-        }
-        None
     }
 
     /// Largest single-op payload in bytes at element size `elem_bytes` —

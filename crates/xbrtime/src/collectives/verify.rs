@@ -245,11 +245,6 @@ impl Program {
         prog
     }
 
-    /// Total steps across all PEs.
-    pub fn total_steps(&self) -> usize {
-        self.steps.iter().map(Vec::len).sum()
-    }
-
     /// The dense reference sized to this program's buffer geometry.
     pub fn expectation(&self, spec: &CollectiveSpec) -> Expectation {
         spec.expected(self.n_pes, self.sym_len, self.ldst_len)
@@ -506,9 +501,11 @@ impl Machine {
     }
 
     /// Ranks whose next step can execute now. Barrier steps are enabled
-    /// only when *every* unfinished PE is parked at its barrier, and then
-    /// only on the lowest such rank (the rendezvous is one transition, so
-    /// offering it once avoids spurious DFS branching).
+    /// only when *every* PE is parked at its barrier, and then only on
+    /// rank 0 (the rendezvous is one transition, so offering it once
+    /// avoids spurious DFS branching). A finished PE never arrives, as on
+    /// the fabric: a PE with one barrier fewer than its peers deadlocks
+    /// them rather than joining their next rendezvous.
     pub fn enabled(&self, prog: &Program) -> Vec<usize> {
         let at_barrier = |pe: usize| {
             matches!(
@@ -516,24 +513,14 @@ impl Machine {
                 Some((PlanStep::Barrier, _))
             )
         };
-        let all_at_barrier = (0..prog.n_pes)
-            .filter(|&pe| self.pc[pe] < prog.steps[pe].len())
-            .all(at_barrier);
+        let all_at_barrier = (0..prog.n_pes).all(at_barrier);
         let mut out = Vec::new();
-        let mut barrier_offered = false;
         for pe in 0..prog.n_pes {
             let Some((step, _)) = prog.steps[pe].get(self.pc[pe]) else {
                 continue;
             };
             let on = match *step {
-                PlanStep::Barrier => {
-                    if all_at_barrier && !barrier_offered {
-                        barrier_offered = true;
-                        true
-                    } else {
-                        false
-                    }
-                }
+                PlanStep::Barrier => all_at_barrier && pe == 0,
                 PlanStep::Wait { slot } => self.sig[slot as usize] != 0,
                 _ => true,
             };
@@ -630,11 +617,9 @@ impl Machine {
                         clk.clone_from(&joined);
                     }
                 }
-                for q in 0..prog.n_pes {
-                    if self.pc[q] < prog.steps[q].len() {
-                        debug_assert!(matches!(prog.steps[q][self.pc[q]].0, PlanStep::Barrier));
-                        self.pc[q] += 1;
-                    }
+                for (q, pc) in self.pc.iter_mut().enumerate() {
+                    debug_assert!(matches!(prog.steps[q][*pc].0, PlanStep::Barrier));
+                    *pc += 1;
                 }
                 return;
             }

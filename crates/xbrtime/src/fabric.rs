@@ -16,6 +16,7 @@
 //! (the collectives in this crate do so after every tree stage, as the
 //! paper prescribes). See [`crate::heap::HeapData`] for the full contract.
 
+use crate::collectives::plan::SampleTemplate;
 use crate::engine::{CoopSched, EngineConfig, Park, PeSchedState};
 use crate::heap::{FreeList, HeapData};
 pub use crate::timing::Topology;
@@ -25,7 +26,7 @@ use crate::types::XbrType;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use xbgas_sim::{cache::CacheStats, tlb::TlbStats};
 
@@ -237,24 +238,6 @@ pub fn ceil_log2(n: usize) -> u32 {
     (usize::BITS - (n - 1).leading_zeros()).min(usize::BITS - 1)
 }
 
-#[derive(Default)]
-struct StatsAtomic {
-    puts: AtomicU64,
-    gets: AtomicU64,
-    nb_puts: AtomicU64,
-    nb_gets: AtomicU64,
-    bytes_put: AtomicU64,
-    bytes_get: AtomicU64,
-    barriers: AtomicU64,
-    local_transfers: AtomicU64,
-    remote_transfers: AtomicU64,
-    amos: AtomicU64,
-    signals: AtomicU64,
-    signal_waits: AtomicU64,
-    yields: AtomicU64,
-    signals_dropped: AtomicU64,
-}
-
 /// Aggregate communication counters for a fabric run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricStats {
@@ -289,6 +272,26 @@ pub struct FabricStats {
     /// Signals dropped at post time by the fault plane (redelivered late
     /// when [`FaultConfig::signal_redeliver_after_cycles`] is set).
     pub signals_dropped: u64,
+}
+
+impl FabricStats {
+    /// Add another PE's counts to these.
+    fn add(&mut self, o: &FabricStats) {
+        self.puts += o.puts;
+        self.gets += o.gets;
+        self.nb_puts += o.nb_puts;
+        self.nb_gets += o.nb_gets;
+        self.bytes_put += o.bytes_put;
+        self.bytes_get += o.bytes_get;
+        self.barriers += o.barriers;
+        self.local_transfers += o.local_transfers;
+        self.remote_transfers += o.remote_transfers;
+        self.amos += o.amos;
+        self.signals += o.signals;
+        self.signal_waits += o.signal_waits;
+        self.yields += o.yields;
+        self.signals_dropped += o.signals_dropped;
+    }
 }
 
 /// Telemetry key: which collective an executor episode belongs to.
@@ -359,51 +362,15 @@ impl CollectiveKind {
     }
 }
 
-/// One PE's contribution to a collective episode, reported to the fabric
-/// by the schedule executor via [`Pe::note_collective`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CollectiveSample {
-    /// Blocking + non-blocking puts this PE issued inside the episode.
-    pub puts: u64,
-    /// Blocking gets this PE issued inside the episode.
-    pub gets: u64,
-    /// Payload bytes this PE pushed.
-    pub bytes_put: u64,
-    /// Payload bytes this PE pulled.
-    pub bytes_get: u64,
-    /// Stages in the schedule (counted once per episode, from PE 0).
-    pub stages: u64,
-    /// Simulated cycles this PE spent inside the executor.
-    pub cycles: u64,
-    /// Completion signals this PE posted inside the episode.
-    pub signals: u64,
-    /// Signal waits this PE performed inside the episode.
-    pub waits: u64,
-    /// Simulated cycles this PE stalled inside signal waits.
-    pub wait_cycles: u64,
-}
-
-#[derive(Default)]
-struct CollAtomic {
-    calls: AtomicU64,
-    puts: AtomicU64,
-    gets: AtomicU64,
-    bytes_put: AtomicU64,
-    bytes_get: AtomicU64,
-    stages: AtomicU64,
-    cycles: AtomicU64,
-    signals: AtomicU64,
-    waits: AtomicU64,
-    wait_cycles: AtomicU64,
-    algo_mask: AtomicU64,
-    sync_mask: AtomicU64,
-}
-
 /// Aggregated telemetry for one collective kind over a whole fabric run.
 ///
-/// `calls` and `stages` are counted once per episode (by PE 0, which
-/// participates in every schedule); `puts`/`gets`/`bytes_*`/`cycles` are
-/// summed over all PEs.
+/// `calls` and `stages` are counted once per episode, by rank 0;
+/// `puts`/`gets`/`bytes_*`/`cycles`/`signals`/`waits`/`wait_cycles` are
+/// summed over all PEs. The rank-0 rule counts every world-scoped
+/// episode, but a team episode only when rank 0 is a member: under the
+/// traffic plane ([`crate::traffic`]) rank 0 sees only tenant 0's
+/// episodes, so a 4-tenant run on 16 PEs with 8 ops per tenant reports
+/// `calls` = 8 of its 32 episodes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CollectiveRecord {
     /// Which collective this row describes.
@@ -470,6 +437,33 @@ impl CollectiveRecord {
             .map(|(_, s)| *s)
             .collect()
     }
+
+    /// Add another PE's share of this kind's episodes to this row.
+    fn add(&mut self, o: &CollectiveRecord) {
+        self.calls += o.calls;
+        self.puts += o.puts;
+        self.gets += o.gets;
+        self.bytes_put += o.bytes_put;
+        self.bytes_get += o.bytes_get;
+        self.stages += o.stages;
+        self.cycles += o.cycles;
+        self.signals += o.signals;
+        self.waits += o.waits;
+        self.wait_cycles += o.wait_cycles;
+        self.algo_mask |= o.algo_mask;
+        self.sync_mask |= o.sync_mask;
+    }
+}
+
+/// One PE's counters. Only that PE writes them, with plain `+=`
+/// (through [`Pe`]'s guard on its slot of `Shared::tallies`), and
+/// [`Fabric::run`] sums every PE's tally once the workers have joined.
+#[derive(Default)]
+struct Tally {
+    stats: FabricStats,
+    /// One row per [`CollectiveKind`], in [`CollectiveKind::ALL`] order
+    /// (each row's `kind` is set when the tallies are summed).
+    coll: [CollectiveRecord; CollectiveKind::ALL.len()],
 }
 
 // ---------------------------------------------------------------------------
@@ -682,9 +676,11 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Per-PE progress publication, read by any PE's watchdog at timeout.
-/// All stores are `Relaxed`: the fields are diagnostics, not
-/// synchronisation, and a slightly stale probe row is acceptable.
+/// Per-PE progress publication, read by any PE's watchdog at timeout and
+/// by the owning PE's trace events (which only it writes, so it always
+/// reads its own latest values). All stores are `Relaxed`: the fields are
+/// diagnostics, not synchronisation, and a slightly stale probe row is
+/// acceptable.
 #[derive(Default)]
 struct ProgressCell {
     /// Monotonic progress events (transfers, signal posts/consumes,
@@ -696,6 +692,18 @@ struct ProgressCell {
     stage: AtomicUsize,
     /// Encoded [`WaitSite`].
     site: AtomicUsize,
+}
+
+impl ProgressCell {
+    /// The active collective and stage, each `None` outside one.
+    fn position(&self) -> (Option<CollectiveKind>, Option<usize>) {
+        let coll = self.coll.load(Ordering::Relaxed);
+        let stage = self.stage.load(Ordering::Relaxed);
+        (
+            (coll != 0).then(|| CollectiveKind::from_index(coll - 1)),
+            (stage != usize::MAX).then_some(stage),
+        )
+    }
 }
 
 struct BarrierState {
@@ -711,8 +719,6 @@ struct Shared {
     /// Every PE's offered load on the channel, which prices queueing.
     load: OfferedLoad,
     poisoned: AtomicBool,
-    stats: StatsAtomic,
-    coll: [CollAtomic; CollectiveKind::ALL.len()],
     /// Per-PE progress publication for the watchdog (indexed by rank).
     progress: Vec<ProgressCell>,
     /// Published byte offset of the symmetric signal table, plus one
@@ -730,6 +736,14 @@ struct Shared {
     coop: CoopSched,
     /// Compiled-plan memo shared by every PE.
     plan_cache: crate::collectives::PlanCache,
+    /// One tally per PE, each locked by its own PE for the whole run (so
+    /// never contended) and summed by `run_impl` after the join. The slots
+    /// are allocated here, up front, rather than owned by the `Pe`:
+    /// on a 2-core x86-64 host, returning a ~0.9 KB tally through each
+    /// PE's coroutine return path made a 64-PE launch ~35 % slower, and
+    /// boxing it on the worker thread gave `coll_small` and `is_8pe` a
+    /// second glibc arena (+9 % peak RSS).
+    tallies: Vec<Mutex<RefCell<Tally>>>,
 }
 
 impl Shared {
@@ -746,8 +760,6 @@ impl Shared {
             },
             load: OfferedLoad::new(cfg.n_pes),
             poisoned: AtomicBool::new(false),
-            stats: StatsAtomic::default(),
-            coll: Default::default(),
             progress: (0..cfg.n_pes).map(|_| ProgressCell::default()).collect(),
             sig_off: AtomicUsize::new(0),
             sig_len: AtomicUsize::new(0),
@@ -756,6 +768,7 @@ impl Shared {
             trace: cfg.trace.then(|| TracePlane::new(cfg.n_pes)),
             coop: CoopSched::new(cfg.n_pes, cfg.engine, cfg.watchdog),
             plan_cache: crate::collectives::PlanCache::new(),
+            tallies: (0..cfg.n_pes).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -768,8 +781,7 @@ impl Shared {
         let pes = (0..self.n_pes)
             .map(|rank| {
                 let cell = &self.progress[rank];
-                let coll = cell.coll.load(Ordering::Relaxed);
-                let stage = cell.stage.load(Ordering::Relaxed);
+                let (collective, stage) = cell.position();
                 let pending_signals = match signal_table {
                     Some((base, len)) => (0..len)
                         .filter_map(|s| {
@@ -786,8 +798,8 @@ impl Shared {
                 };
                 PeProbe {
                     rank,
-                    collective: (coll != 0).then(|| CollectiveKind::from_index(coll - 1)),
-                    stage: (stage != usize::MAX).then_some(stage),
+                    collective,
+                    stage,
                     site: WaitSite::decode(cell.site.load(Ordering::Relaxed)),
                     progress_ops: cell.ops.load(Ordering::Relaxed),
                     pending_signals,
@@ -805,54 +817,6 @@ impl Shared {
             timeout,
             signal_table,
             pes,
-        }
-    }
-
-    fn collective_records(&self) -> Vec<CollectiveRecord> {
-        CollectiveKind::ALL
-            .iter()
-            .filter_map(|&kind| {
-                let a = &self.coll[kind.index()];
-                let calls = a.calls.load(Ordering::Relaxed);
-                if calls == 0 {
-                    return None;
-                }
-                Some(CollectiveRecord {
-                    kind,
-                    calls,
-                    puts: a.puts.load(Ordering::Relaxed),
-                    gets: a.gets.load(Ordering::Relaxed),
-                    bytes_put: a.bytes_put.load(Ordering::Relaxed),
-                    bytes_get: a.bytes_get.load(Ordering::Relaxed),
-                    stages: a.stages.load(Ordering::Relaxed),
-                    cycles: a.cycles.load(Ordering::Relaxed),
-                    signals: a.signals.load(Ordering::Relaxed),
-                    waits: a.waits.load(Ordering::Relaxed),
-                    wait_cycles: a.wait_cycles.load(Ordering::Relaxed),
-                    algo_mask: a.algo_mask.load(Ordering::Relaxed),
-                    sync_mask: a.sync_mask.load(Ordering::Relaxed),
-                })
-            })
-            .collect()
-    }
-
-    fn snapshot(&self) -> FabricStats {
-        let s = &self.stats;
-        FabricStats {
-            puts: s.puts.load(Ordering::Relaxed),
-            gets: s.gets.load(Ordering::Relaxed),
-            nb_puts: s.nb_puts.load(Ordering::Relaxed),
-            nb_gets: s.nb_gets.load(Ordering::Relaxed),
-            bytes_put: s.bytes_put.load(Ordering::Relaxed),
-            bytes_get: s.bytes_get.load(Ordering::Relaxed),
-            barriers: s.barriers.load(Ordering::Relaxed),
-            local_transfers: s.local_transfers.load(Ordering::Relaxed),
-            remote_transfers: s.remote_transfers.load(Ordering::Relaxed),
-            amos: s.amos.load(Ordering::Relaxed),
-            signals: s.signals.load(Ordering::Relaxed),
-            signal_waits: s.signal_waits.load(Ordering::Relaxed),
-            yields: s.yields.load(Ordering::Relaxed),
-            signals_dropped: s.signals_dropped.load(Ordering::Relaxed),
         }
     }
 }
@@ -1020,10 +984,9 @@ pub struct Pe<'f> {
     faults: Option<FaultConfig>,
     /// splitmix64 state for this PE's deterministic fault rolls.
     fault_rng: std::cell::Cell<u64>,
-    /// Tracing context: `(collective kind index + 1, stage + 1)`, both 0
-    /// when not inside one. Maintained by the progress plane only when the
-    /// run is traced.
-    tctx: Cell<(u8, u16)>,
+    /// This PE's counters: its own slot of `Shared::tallies`, held for
+    /// the whole run.
+    tally: MutexGuard<'f, RefCell<Tally>>,
     /// Per-PE collective episode counter (saturating). Episodes are
     /// collective calls, which every PE makes in the same order, so the
     /// counter agrees across PEs and groups one episode's events.
@@ -1149,7 +1112,9 @@ impl<'f> Pe<'f> {
             signal_table: RefCell::new(None),
             faults: cfg.faults,
             fault_rng: std::cell::Cell::new(seed),
-            tctx: Cell::new((0, 0)),
+            tally: shared.tallies[rank]
+                .lock()
+                .expect("a PE's tally is its own"),
             trace_episode: Cell::new(0),
             scratch: RefCell::new(Vec::new()),
             nb_slot_base: Cell::new(0),
@@ -1194,9 +1159,9 @@ impl<'f> Pe<'f> {
     /// Record the resolved algorithm/sync choice for a collective kind
     /// (bits defined on [`CollectiveRecord::algo_mask`]).
     pub(crate) fn note_choice(&self, kind: CollectiveKind, algo_bit: u64, sync_bit: u64) {
-        let a = &self.shared.coll[kind.index()];
-        a.algo_mask.fetch_or(algo_bit, Ordering::Relaxed);
-        a.sync_mask.fetch_or(sync_bit, Ordering::Relaxed);
+        let r = &mut self.tally.borrow_mut().coll[kind.index()];
+        r.algo_mask |= algo_bit;
+        r.sync_mask |= sync_bit;
     }
 
     /// Current floor of the nonblocking slot window: blocking plan
@@ -1258,7 +1223,7 @@ impl<'f> Pe<'f> {
     fn fault_yield(&self) {
         let Some(f) = self.faults else { return };
         if self.fault_roll(f.yield_permille) {
-            self.shared.stats.yields.fetch_add(1, Ordering::Relaxed);
+            self.tally.borrow_mut().stats.yields += 1;
             self.shared.coop.yield_now(self.rank);
         }
     }
@@ -1287,15 +1252,9 @@ impl<'f> Pe<'f> {
         cell.coll
             .store(kind.map_or(0, |k| k.index() + 1), Ordering::Relaxed);
         cell.stage.store(usize::MAX, Ordering::Relaxed);
-        if self.shared.trace.is_some() {
-            match kind {
-                Some(k) => {
-                    self.trace_episode
-                        .set(self.trace_episode.get().saturating_add(1));
-                    self.tctx.set((k.index() as u8 + 1, 0));
-                }
-                None => self.tctx.set((0, 0)),
-            }
+        if kind.is_some() && self.shared.trace.is_some() {
+            self.trace_episode
+                .set(self.trace_episode.get().saturating_add(1));
         }
     }
 
@@ -1307,10 +1266,6 @@ impl<'f> Pe<'f> {
             .stage
             .store(stage, Ordering::Relaxed);
         self.progress_tick();
-        if self.shared.trace.is_some() {
-            let (coll, _) = self.tctx.get();
-            self.tctx.set((coll, stage.min(0xfffe) as u16 + 1));
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1341,15 +1296,15 @@ impl<'f> Pe<'f> {
         let (Some(cycle_start), Some(plane)) = (start, self.shared.trace.as_ref()) else {
             return;
         };
-        let (coll, stage) = self.tctx.get();
+        let (collective, stage) = self.shared.progress[self.rank].position();
         let ev = TraceEvent {
             cycle_start,
             cycle_end: self.clock.cycles().max(cycle_start),
             pe: self.rank,
             kind,
-            collective: (coll != 0).then(|| CollectiveKind::from_index(coll as usize - 1)),
+            collective,
             episode: self.trace_episode.get() as u32,
-            stage: (stage != 0).then(|| stage as u32 - 1),
+            stage: stage.map(|s| s as u32),
             peer,
             bytes,
             aux,
@@ -1601,22 +1556,22 @@ impl<'f> Pe<'f> {
     // ------------------------------------------------------------------
 
     fn note_transfer(&self, target: usize, bytes: usize, is_put: bool, nonblocking: bool) {
-        let s = &self.shared.stats;
+        let s = &mut self.tally.borrow_mut().stats;
         match (is_put, nonblocking) {
-            (true, false) => s.puts.fetch_add(1, Ordering::Relaxed),
-            (true, true) => s.nb_puts.fetch_add(1, Ordering::Relaxed),
-            (false, false) => s.gets.fetch_add(1, Ordering::Relaxed),
-            (false, true) => s.nb_gets.fetch_add(1, Ordering::Relaxed),
-        };
+            (true, false) => s.puts += 1,
+            (true, true) => s.nb_puts += 1,
+            (false, false) => s.gets += 1,
+            (false, true) => s.nb_gets += 1,
+        }
         if is_put {
-            s.bytes_put.fetch_add(bytes as u64, Ordering::Relaxed);
+            s.bytes_put += bytes as u64;
         } else {
-            s.bytes_get.fetch_add(bytes as u64, Ordering::Relaxed);
+            s.bytes_get += bytes as u64;
         }
         if target == self.rank {
-            s.local_transfers.fetch_add(1, Ordering::Relaxed);
+            s.local_transfers += 1;
         } else {
-            s.remote_transfers.fetch_add(1, Ordering::Relaxed);
+            s.remote_transfers += 1;
         }
         self.progress_tick();
     }
@@ -1877,12 +1832,12 @@ impl<'f> Pe<'f> {
 
     fn amo_charge_at(&self, dest_off: usize, pe: usize) {
         self.clock.amo(pe, dest_off);
-        let s = &self.shared.stats;
-        s.amos.fetch_add(1, Ordering::Relaxed);
+        let s = &mut self.tally.borrow_mut().stats;
+        s.amos += 1;
         if pe == self.rank {
-            s.local_transfers.fetch_add(1, Ordering::Relaxed);
+            s.local_transfers += 1;
         } else {
-            s.remote_transfers.fetch_add(1, Ordering::Relaxed);
+            s.remote_transfers += 1;
         }
     }
 
@@ -2009,7 +1964,7 @@ impl<'f> Pe<'f> {
         // Charge and count the post before any fault branch: a dropped
         // signal was still *issued* by this PE, so telemetry invariants
         // (`signals == signal_waits` once redelivered) stay intact.
-        self.shared.stats.signals.fetch_add(1, Ordering::Relaxed);
+        self.tally.borrow_mut().stats.signals += 1;
         self.progress_tick();
         let slot = self.amo_slot(sig, pe);
         let mut arrival = arrival;
@@ -2022,10 +1977,7 @@ impl<'f> Pe<'f> {
             // shows what this PE *did*) and only the watchdog can name the
             // resulting hang.
             if self.fault_roll(f.signal_drop_permille) {
-                self.shared
-                    .stats
-                    .signals_dropped
-                    .fetch_add(1, Ordering::Relaxed);
+                self.tally.borrow_mut().stats.signals_dropped += 1;
                 if f.signal_redeliver_after_cycles == 0 {
                     self.trace_emit(t0, TraceKind::SignalPost, Some(pe), 8, sig.off as u64);
                     return;
@@ -2067,10 +2019,7 @@ impl<'f> Pe<'f> {
                 if waited {
                     self.progress_site(WaitSite::Running);
                 }
-                self.shared
-                    .stats
-                    .signal_waits
-                    .fetch_add(1, Ordering::Relaxed);
+                self.tally.borrow_mut().stats.signal_waits += 1;
                 self.progress_tick();
                 let stalled = self.clock.advance_to(stamp);
                 self.trace_emit(t0, TraceKind::SignalWait, None, 8, sig.off as u64);
@@ -2118,7 +2067,6 @@ impl<'f> Pe<'f> {
         b.max_cycles[slot].fetch_max(self.clock.cycles(), Ordering::AcqRel);
 
         if b.count.fetch_add(1, Ordering::AcqRel) + 1 == self.shared.n_pes {
-            self.shared.stats.barriers.fetch_add(1, Ordering::Relaxed);
             b.count.store(0, Ordering::Release);
             b.max_cycles[(gen + 1) & 1].store(0, Ordering::Release);
             b.generation.store(gen.wrapping_add(1), Ordering::Release);
@@ -2140,6 +2088,10 @@ impl<'f> Pe<'f> {
             }
             self.progress_site(WaitSite::Running);
         }
+        // Every PE crosses every barrier; rank 0 counts it.
+        if self.rank == 0 {
+            self.tally.borrow_mut().stats.barriers += 1;
+        }
         self.progress_tick();
         self.clock
             .barrier(b.max_cycles[slot].load(Ordering::Acquire));
@@ -2148,25 +2100,30 @@ impl<'f> Pe<'f> {
         self.trace_emit(t0, TraceKind::Barrier, None, 0, gen as u64);
     }
 
-    /// Record one PE's share of a collective episode (called by the
-    /// schedule executor). `calls` and `stages` are attributed once per
-    /// episode, by PE 0 (which participates in every schedule); per-PE
-    /// op/byte/cycle counts are summed across PEs.
-    pub fn note_collective(&self, kind: CollectiveKind, sample: CollectiveSample) {
-        let a = &self.shared.coll[kind.index()];
+    /// Record this PE's share of one `kind` episode: the plan's static
+    /// counts `t` plus the `cycles` it spent in the executor, `wait_cycles`
+    /// of them stalled on signals. `calls` and `stages` are counted by
+    /// rank 0 only (see [`CollectiveRecord`]).
+    pub(crate) fn note_collective(
+        &self,
+        kind: CollectiveKind,
+        t: &SampleTemplate,
+        cycles: u64,
+        wait_cycles: u64,
+    ) {
+        let r = &mut self.tally.borrow_mut().coll[kind.index()];
         if self.rank == 0 {
-            a.calls.fetch_add(1, Ordering::Relaxed);
-            a.stages.fetch_add(sample.stages, Ordering::Relaxed);
+            r.calls += 1;
+            r.stages += t.stages;
         }
-        a.puts.fetch_add(sample.puts, Ordering::Relaxed);
-        a.gets.fetch_add(sample.gets, Ordering::Relaxed);
-        a.bytes_put.fetch_add(sample.bytes_put, Ordering::Relaxed);
-        a.bytes_get.fetch_add(sample.bytes_get, Ordering::Relaxed);
-        a.cycles.fetch_add(sample.cycles, Ordering::Relaxed);
-        a.signals.fetch_add(sample.signals, Ordering::Relaxed);
-        a.waits.fetch_add(sample.waits, Ordering::Relaxed);
-        a.wait_cycles
-            .fetch_add(sample.wait_cycles, Ordering::Relaxed);
+        r.puts += t.puts;
+        r.gets += t.gets;
+        r.bytes_put += t.bytes_put;
+        r.bytes_get += t.bytes_get;
+        r.cycles += cycles;
+        r.signals += t.signals;
+        r.waits += t.waits;
+        r.wait_cycles += wait_cycles;
     }
 }
 
@@ -2386,15 +2343,24 @@ impl Fabric {
         let wall = start.elapsed();
         let mut results = Vec::with_capacity(config.n_pes);
         let mut cycles = Vec::with_capacity(config.n_pes);
-        for (r, c) in per_pe {
+        let mut tally = Tally::default();
+        for ((r, c), t) in per_pe.into_iter().zip(shared.tallies) {
+            let t = t.into_inner().expect("no PE panicked").into_inner();
             results.push(r);
             cycles.push(c);
+            tally.stats.add(&t.stats);
+            for (row, o) in tally.coll.iter_mut().zip(&t.coll) {
+                row.add(o);
+            }
         }
         Ok(RunReport {
             results,
             cycles,
-            stats: shared.snapshot(),
-            collectives: shared.collective_records(),
+            stats: tally.stats,
+            collectives: (tally.coll.into_iter().zip(CollectiveKind::ALL))
+                .filter(|(r, _)| r.calls > 0)
+                .map(|(r, kind)| CollectiveRecord { kind, ..r })
+                .collect(),
             wall,
             // Merged after every worker thread has joined, so no ring is
             // concurrently written.

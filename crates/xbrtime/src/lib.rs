@@ -59,9 +59,9 @@ pub use collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
 pub use collectives::schedule::{CommSchedule, OpKind, Stage, TransferOp};
 pub use engine::{EngineConfig, PeSchedState};
 pub use fabric::{
-    ceil_log2, CollectiveKind, CollectiveRecord, CollectiveSample, Context, DeadlockReport, Fabric,
-    FabricConfig, FabricStats, FaultConfig, NbHandle, Pe, PeProbe, RunError, RunReport, SymmAlloc,
-    SymmRef, Topology, WaitSite, DEFAULT_WATCHDOG,
+    ceil_log2, CollectiveKind, CollectiveRecord, Context, DeadlockReport, Fabric, FabricConfig,
+    FabricStats, FaultConfig, NbHandle, Pe, PeProbe, RunError, RunReport, SymmAlloc, SymmRef,
+    Topology, WaitSite, DEFAULT_WATCHDOG,
 };
 pub use timing::TimingConfig;
 pub use trace::{CriticalPath, Trace, TraceCategory, TraceEvent, TraceKind};

@@ -6,10 +6,12 @@
 //! the order — what the retired thread-per-PE backend measured) and one
 //! worker granting slots from a seeded RNG (a deterministic schedule per
 //! seed). For every collective × algorithm × sync mode at paper-scale PE
-//! counts (n ∈ 2..=8) both must produce byte-identical result buffers and
-//! structurally identical `RunReport::collectives` telemetry (same
-//! op/byte/stage/signal counts; simulated *cycle* fields are masked —
-//! channel-occupancy sampling is interleaving-sensitive by design).
+//! counts (n ∈ 2..=8) both must produce byte-identical result buffers,
+//! equal `RunReport::stats` (every PE's tally, written on one thread or
+//! on several, sums to the same counts) and structurally identical
+//! `RunReport::collectives` telemetry (same op/byte/stage/signal counts;
+//! simulated *cycle* fields are masked — channel-occupancy sampling is
+//! interleaving-sensitive by design).
 
 // The `..ProptestConfig::default()` spread is upstream proptest's
 // canonical config idiom; the local shim happens to have no other
@@ -19,7 +21,8 @@
 use proptest::prelude::*;
 use xbrtime::collectives::{self, AllReduceAlgo};
 use xbrtime::{
-    AlgorithmPolicy, CollectiveRecord, EngineConfig, Fabric, FabricConfig, ReduceOp, SyncMode,
+    AlgorithmPolicy, CollectiveRecord, EngineConfig, Fabric, FabricConfig, FabricStats, ReduceOp,
+    SyncMode,
 };
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,8 +61,9 @@ const SYNCS: [SyncMode; 4] = [
 ];
 
 /// Run one collective workload on the given engine and return what the
-/// equivalence check compares: per-PE result buffers plus the telemetry
-/// rows with interleaving-sensitive cycle fields masked.
+/// equivalence check compares: per-PE result buffers, the fabric
+/// counters, and the telemetry rows with interleaving-sensitive cycle
+/// fields masked.
 fn run_one(
     engine: EngineConfig,
     kind: Kind,
@@ -68,7 +72,7 @@ fn run_one(
     n: usize,
     nelems: usize,
     root: usize,
-) -> (Vec<Vec<u64>>, Vec<CollectiveRecord>) {
+) -> (Vec<Vec<u64>>, FabricStats, Vec<CollectiveRecord>) {
     let cfg = FabricConfig::paper(n)
         .with_shared_bytes(1 << 20)
         .with_engine(engine);
@@ -184,7 +188,7 @@ fn run_one(
             r
         })
         .collect();
-    (report.results, masked)
+    (report.results, report.stats, masked)
 }
 
 fn assert_backends_agree(
@@ -197,12 +201,16 @@ fn assert_backends_agree(
     seed: u64,
 ) {
     let every_pe = EngineConfig::coop().with_workers(n);
-    let (res_all, coll_all) = run_one(every_pe, kind, algo, sync, n, nelems, root);
+    let (res_all, stats_all, coll_all) = run_one(every_pe, kind, algo, sync, n, nelems, root);
     let one_worker = EngineConfig::coop().with_workers(1).with_seed(seed);
-    let (res_one, coll_one) = run_one(one_worker, kind, algo, sync, n, nelems, root);
+    let (res_one, stats_one, coll_one) = run_one(one_worker, kind, algo, sync, n, nelems, root);
     assert_eq!(
         res_all, res_one,
         "results diverged: {kind:?} {algo:?} {sync:?} n={n} nelems={nelems} root={root} seed={seed}"
+    );
+    assert_eq!(
+        stats_all, stats_one,
+        "fabric counters diverged: {kind:?} {algo:?} {sync:?} n={n} nelems={nelems} root={root} seed={seed}"
     );
     assert_eq!(
         coll_all, coll_one,
@@ -244,7 +252,7 @@ fn fold_paths_and_signal_disciplines_converge_at_256_pes_on_coop() {
             .collect();
         for sync in SyncMode::CONCRETE {
             let algo = AlgorithmPolicy::Binomial;
-            let (results, _) = run_one(EngineConfig::coop(), kind, algo, sync, N, NELEMS, 0);
+            let (results, _, _) = run_one(EngineConfig::coop(), kind, algo, sync, N, NELEMS, 0);
             // Only the root's reduce buffer is defined.
             let defined = if kind == Kind::Reduce { 1 } else { N };
             for (rank, got) in results.iter().take(defined).enumerate() {

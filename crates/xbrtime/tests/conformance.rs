@@ -236,7 +236,7 @@ fn exhaustive_exploration_covers_ragged_hier_and_team() {
 /// because the schedule stays correct — is flagged.
 #[test]
 fn oracle_flags_hand_broken_plans() {
-    use xbrtime::collectives::schedule::broadcast_binomial;
+    use xbrtime::collectives::schedule::{broadcast_binomial, reduce_binomial};
     use xbrtime::collectives::{lower, PlanStep};
 
     let spec = CollectiveSpec::Broadcast {
@@ -280,6 +280,43 @@ fn oracle_flags_hand_broken_plans() {
     *sig = None;
     let report = check_plan(&no_sig, &spec);
     assert!(report.deadlock.is_some(), "{}", report.summary());
+
+    // Barrier parity: one PE skips one of its barriers. On the fabric its
+    // peers wait for it forever (or, were another barrier to follow, the
+    // generations shift under the next episode); the oracle must not let
+    // the finished PE count as present at the rendezvous.
+    let rows = [
+        (broadcast_binomial(4, 0, 4, 1), spec.clone()),
+        (
+            reduce_binomial(4, 0, 4, 1),
+            CollectiveSpec::ReduceTree {
+                root: 0,
+                nelems: 4,
+                stride: 1,
+            },
+        ),
+    ];
+    let mut mutants = 0;
+    for (sched, spec) in &rows {
+        for sync in SyncMode::CONCRETE {
+            let intact = lower(sched, sync, 8);
+            for (pe, prog) in intact.per_pe.iter().enumerate() {
+                let barriers = prog.steps.iter().enumerate();
+                for (at, _) in barriers.filter(|(_, s)| matches!(s, PlanStep::Barrier)) {
+                    let mut skip = intact.clone();
+                    skip.per_pe[pe].steps.remove(at);
+                    let report = check_plan(&skip, spec);
+                    assert!(
+                        !report.ok(),
+                        "PE {pe} skips barrier step {at} under {sync:?} unflagged: {}",
+                        report.summary()
+                    );
+                    mutants += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(mutants, 32, "every PE × every barrier × three sync modes");
 }
 
 #[test]
