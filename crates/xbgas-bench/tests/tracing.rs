@@ -156,3 +156,31 @@ fn tracing_does_not_change_telemetry_structure() {
         }
     }
 }
+
+/// A traced run past 65 535 collectives keeps numbering its episodes: no
+/// two `Collective` spans of one PE share an episode, so
+/// `Trace::critical_paths` never merges two calls into one. The rings
+/// wrap long before the end, so the retained episodes are the newest.
+#[test]
+fn episode_numbers_never_repeat() {
+    let cfg = FabricConfig::new(2)
+        .with_engine(EngineConfig::coop().with_workers(1))
+        .with_trace();
+    let report = Fabric::run(cfg, |pe| {
+        let dest = pe.shared_malloc::<u64>(1);
+        for _ in 0..66_000 {
+            let (policy, sync) = (AlgorithmPolicy::Binomial, SyncMode::Barrier);
+            broadcast_policy_sync(pe, &dest, &[7u64], 1, 1, 0, policy, sync);
+        }
+    });
+    let trace = report.trace.as_ref().expect("traced run");
+    assert!(trace.dropped > 0, "the rings must wrap");
+    let episodes: Vec<(usize, u32)> = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == TraceKind::Collective)
+        .map(|e| (e.pe, e.episode))
+        .collect();
+    let distinct: std::collections::HashSet<_> = episodes.iter().collect();
+    assert_eq!(distinct.len(), episodes.len(), "an episode number repeats");
+}

@@ -21,12 +21,12 @@ use crate::engine::{CoopSched, EngineConfig, Park, PeSchedState};
 use crate::heap::{FreeList, HeapData};
 pub use crate::timing::Topology;
 use crate::timing::{OfferedLoad, PeClock, TimingConfig};
-use crate::trace::{self, Trace, TraceEvent, TraceKind, TracePlane};
+use crate::trace::{self, Trace, TraceEvent, TraceKind, TraceRing};
 use crate::types::XbrType;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use xbgas_sim::{cache::CacheStats, tlb::TlbStats};
 
@@ -127,8 +127,8 @@ impl FaultConfig {
 pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(60);
 
 /// Trace events per PE embedded in a [`DeadlockReport`] when the run was
-/// traced: the tail of each PE's ring, i.e. what it did just before the
-/// hang.
+/// traced: the tail of each PE's ring, i.e. what it did before the
+/// watchdog fired.
 const DEADLOCK_RECENT_EVENTS: usize = 8;
 
 /// Configuration for a fabric run.
@@ -150,7 +150,7 @@ pub struct FabricConfig {
     /// [`DeadlockReport`].
     pub watchdog: Duration,
     /// Tracing plane: when on, every transfer, signal, barrier, stage and
-    /// local reduction is recorded into per-PE ring buffers (64 Ki events
+    /// local reduction is recorded into a ring buffer per PE (64 Ki events
     /// each up to 16 PEs, 1 Mi events over the run past that) and merged
     /// into [`RunReport::trace`]. Off (the default) records nothing and
     /// adds one untaken branch per instrumented site — zero
@@ -455,15 +455,20 @@ impl CollectiveRecord {
     }
 }
 
-/// One PE's counters. Only that PE writes them, with plain `+=`
-/// (through [`Pe`]'s guard on its slot of `Shared::tallies`), and
-/// [`Fabric::run`] sums every PE's tally once the workers have joined.
+/// One PE's counters and trace. Only that PE writes them, with plain
+/// `+=` and pushes (through [`Pe`]'s guard on its slot of
+/// `Shared::tallies`), and [`Fabric::run`] sums the counters and merges
+/// the traces once the workers have joined.
 #[derive(Default)]
 struct Tally {
     stats: FabricStats,
     /// One row per [`CollectiveKind`], in [`CollectiveKind::ALL`] order
     /// (each row's `kind` is set when the tallies are summed).
     coll: [CollectiveRecord; CollectiveKind::ALL.len()],
+    /// The PE's trace events when the run is traced. Boxed so an untraced
+    /// tally stays its old size: 48 bytes more inline put `coll_small`'s
+    /// peak RSS into its second glibc-arena mode (+9 %).
+    trace: Option<Box<TraceRing>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -530,7 +535,8 @@ pub struct PeProbe {
     pub pending_signals: Vec<(usize, u64)>,
     /// The newest trace events this PE emitted before the watchdog fired
     /// (empty when the run was not traced) — what the PE was doing just
-    /// before the hang.
+    /// before the hang. Filled from the PE's ring once every PE has
+    /// stopped; a PE records nothing after the fabric is poisoned.
     pub recent_events: Vec<TraceEvent>,
     /// The scheduler's view of the PE (running, runnable, parked, …).
     pub sched: PeSchedState,
@@ -730,14 +736,14 @@ struct Shared {
     deadlock: Mutex<Option<DeadlockReport>>,
     /// Watchdog timeout every spin loop must respect.
     watchdog: Duration,
-    /// Per-PE trace rings; `None` when tracing is off.
-    trace: Option<TracePlane>,
+    /// Whether the run is traced (each tally then holds a ring).
+    trace: bool,
     /// The scheduler that grants PEs their worker slots.
     coop: CoopSched,
     /// Compiled-plan memo shared by every PE.
     plan_cache: crate::collectives::PlanCache,
     /// One tally per PE, each locked by its own PE for the whole run (so
-    /// never contended) and summed by `run_impl` after the join. The slots
+    /// never contended) and read by `run_impl` after the join. The slots
     /// are allocated here, up front, rather than owned by the `Pe`:
     /// on a 2-core x86-64 host, returning a ~0.9 KB tally through each
     /// PE's coroutine return path made a 64-PE launch ~35 % slower, and
@@ -765,15 +771,26 @@ impl Shared {
             sig_len: AtomicUsize::new(0),
             deadlock: Mutex::new(None),
             watchdog: cfg.watchdog,
-            trace: cfg.trace.then(|| TracePlane::new(cfg.n_pes)),
+            trace: cfg.trace,
             coop: CoopSched::new(cfg.n_pes, cfg.engine, cfg.watchdog),
             plan_cache: crate::collectives::PlanCache::new(),
-            tallies: (0..cfg.n_pes).map(|_| Mutex::default()).collect(),
+            tallies: (0..cfg.n_pes)
+                .map(|_| {
+                    let trace = cfg
+                        .trace
+                        .then(|| Box::new(TraceRing::new(trace::ring_capacity(cfg.n_pes))));
+                    Mutex::new(RefCell::new(Tally {
+                        trace,
+                        ..Tally::default()
+                    }))
+                })
+                .collect(),
         }
     }
 
     /// Build a whole-fabric probe: one row per PE from the progress plane
-    /// plus the nonzero slots of each PE's signal table.
+    /// plus the nonzero slots of each PE's signal table. The rows' recent
+    /// events are filled after the join, from the PEs' own rings.
     fn probe(&self, detector: usize, timeout: Duration) -> DeadlockReport {
         let sig_off = self.sig_off.load(Ordering::Acquire);
         let sig_len = self.sig_len.load(Ordering::Acquire);
@@ -803,11 +820,7 @@ impl Shared {
                     site: WaitSite::decode(cell.site.load(Ordering::Relaxed)),
                     progress_ops: cell.ops.load(Ordering::Relaxed),
                     pending_signals,
-                    recent_events: self
-                        .trace
-                        .as_ref()
-                        .map(|t| t.recent(rank, DEADLOCK_RECENT_EVENTS))
-                        .unwrap_or_default(),
+                    recent_events: Vec::new(),
                     sched: self.coop.state_of(rank),
                 }
             })
@@ -951,8 +964,17 @@ impl<T: XbrType> SymmRef<T> {
 /// Handle for a non-blocking transfer, completed by [`Pe::wait`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NbHandle {
-    id: u64,
     completion_cycles: u64,
+}
+
+/// A stream of non-blocking transfers (a PE's default one or a
+/// [`Context`]'s): how many were issued since its last `quiet`, and the
+/// latest completion stamp among them, which that `quiet` advances the
+/// clock to.
+#[derive(Default)]
+pub(crate) struct Stream {
+    pending: Cell<usize>,
+    latest: Cell<u64>,
 }
 
 impl NbHandle {
@@ -973,8 +995,7 @@ pub struct Pe<'f> {
     allocator: RefCell<FreeList>,
     /// The default stream: non-blocking transfers [`Pe::wait`],
     /// [`Pe::quiet`] and [`Pe::barrier`] complete.
-    pub(crate) outstanding: RefCell<Vec<NbHandle>>,
-    next_handle: std::cell::Cell<u64>,
+    pub(crate) outstanding: Stream,
     /// Cached symmetric signal table for signaled collectives. Grown on
     /// demand by [`Pe::signal_table`] and kept alive for the rest of the
     /// run; the executor's drain invariant keeps it all-zero between
@@ -987,10 +1008,10 @@ pub struct Pe<'f> {
     /// This PE's counters: its own slot of `Shared::tallies`, held for
     /// the whole run.
     tally: MutexGuard<'f, RefCell<Tally>>,
-    /// Per-PE collective episode counter (saturating). Episodes are
-    /// collective calls, which every PE makes in the same order, so the
-    /// counter agrees across PEs and groups one episode's events.
-    trace_episode: Cell<u16>,
+    /// Per-PE collective episode counter. Episodes are collective calls,
+    /// which every PE makes in the same order, so the counter agrees
+    /// across PEs and groups one episode's events.
+    trace_episode: Cell<u32>,
     /// Reusable scratch buffers (landing vectors of any element type),
     /// recycled across collective episodes so the executor hot path
     /// allocates only on first use per type.
@@ -1107,8 +1128,7 @@ impl<'f> Pe<'f> {
             shared,
             clock: PeClock::new(rank, cfg.timing, cfg.topology, heap.len(), &shared.load),
             allocator: RefCell::new(FreeList::new(heap.len())),
-            outstanding: RefCell::new(Vec::new()),
-            next_handle: std::cell::Cell::new(0),
+            outstanding: Stream::default(),
             signal_table: RefCell::new(None),
             faults: cfg.faults,
             fault_rng: std::cell::Cell::new(seed),
@@ -1252,9 +1272,8 @@ impl<'f> Pe<'f> {
         cell.coll
             .store(kind.map_or(0, |k| k.index() + 1), Ordering::Relaxed);
         cell.stage.store(usize::MAX, Ordering::Relaxed);
-        if kind.is_some() && self.shared.trace.is_some() {
-            self.trace_episode
-                .set(self.trace_episode.get().saturating_add(1));
+        if kind.is_some() && self.shared.trace {
+            self.trace_episode.set(self.trace_episode.get() + 1);
         }
     }
 
@@ -1269,7 +1288,8 @@ impl<'f> Pe<'f> {
     }
 
     // ------------------------------------------------------------------
-    // Tracing plane: record cycle-timestamped events into this PE's ring.
+    // Tracing plane: record cycle-timestamped events into this PE's ring,
+    // which lives in its tally.
     // Every instrumented site pays one untaken branch when tracing is off
     // and never touches the simulated clock either way.
     // ------------------------------------------------------------------
@@ -1279,11 +1299,12 @@ impl<'f> Pe<'f> {
     /// no-op) when off.
     #[inline]
     pub(crate) fn trace_start(&self) -> Option<u64> {
-        self.shared.trace.as_ref().map(|_| self.clock.cycles())
+        self.shared.trace.then(|| self.clock.cycles())
     }
 
     /// Record an event spanning `start`..now. No-op when `start` is `None`
-    /// (tracing off).
+    /// (tracing off) or once the fabric is poisoned, so a watchdog
+    /// report's recent events end where it fired.
     #[inline]
     pub(crate) fn trace_emit(
         &self,
@@ -1293,9 +1314,10 @@ impl<'f> Pe<'f> {
         bytes: u64,
         aux: u64,
     ) {
-        let (Some(cycle_start), Some(plane)) = (start, self.shared.trace.as_ref()) else {
+        let Some(cycle_start) = start else { return };
+        if self.shared.poisoned.load(Ordering::Relaxed) {
             return;
-        };
+        }
         let (collective, stage) = self.shared.progress[self.rank].position();
         let ev = TraceEvent {
             cycle_start,
@@ -1303,13 +1325,15 @@ impl<'f> Pe<'f> {
             pe: self.rank,
             kind,
             collective,
-            episode: self.trace_episode.get() as u32,
+            episode: self.trace_episode.get(),
             stage: stage.map(|s| s as u32),
             peer,
             bytes,
             aux,
         };
-        plane.ring(self.rank).record(trace::encode(&ev));
+        if let Some(ring) = &mut self.tally.borrow_mut().trace {
+            ring.record(ev);
+        }
     }
 
     /// Trip the watchdog: record a whole-fabric DeadlockReport (first
@@ -1722,26 +1746,20 @@ impl<'f> Pe<'f> {
     /// stream, [`Pe::outstanding`], or a [`Context`]'s own) until a
     /// `wait`/`quiet` there absorbs it into the clock.
     #[inline]
-    pub(crate) fn track(
-        &self,
-        stream: &RefCell<Vec<NbHandle>>,
-        completion_cycles: u64,
-    ) -> NbHandle {
-        let h = NbHandle {
-            id: self.next_handle.replace(self.next_handle.get() + 1),
-            completion_cycles,
-        };
-        stream.borrow_mut().push(h);
-        h
+    pub(crate) fn track(&self, stream: &Stream, completion_cycles: u64) -> NbHandle {
+        stream.pending.set(stream.pending.get() + 1);
+        stream
+            .latest
+            .set(stream.latest.get().max(completion_cycles));
+        NbHandle { completion_cycles }
     }
 
     /// Complete every transfer tracked on `stream`: advance the clock to
-    /// the latest completion, then clear the stream.
-    fn quiesce(&self, stream: &RefCell<Vec<NbHandle>>) {
-        let mut out = stream.borrow_mut();
-        let latest = out.iter().map(|h| h.completion_cycles).max();
-        self.clock.advance_to(latest.unwrap_or(0));
-        out.clear();
+    /// the latest completion, then clear the stream. A transfer already
+    /// [`Pe::wait`]ed on stays in `latest`, which the clock has reached.
+    fn quiesce(&self, stream: &Stream) {
+        self.clock.advance_to(stream.latest.take());
+        stream.pending.set(0);
     }
 
     /// Non-blocking put (`xbrtime_TYPENAME_put_nb`): the transfer is issued
@@ -1782,10 +1800,6 @@ impl<'f> Pe<'f> {
     /// Complete one non-blocking transfer: simulated time advances to at
     /// least the transfer's completion time.
     pub fn wait(&self, h: NbHandle) {
-        let mut out = self.outstanding.borrow_mut();
-        if let Some(idx) = out.iter().position(|o| o.id == h.id) {
-            out.swap_remove(idx);
-        }
         self.clock.advance_to(h.completion_cycles);
     }
 
@@ -1807,7 +1821,7 @@ impl<'f> Pe<'f> {
     pub fn context(&self) -> Context<'_, 'f> {
         Context {
             pe: self,
-            outstanding: RefCell::new(Vec::new()),
+            outstanding: Stream::default(),
         }
     }
 
@@ -2135,7 +2149,7 @@ impl<'f> Pe<'f> {
 /// must be quiesced explicitly, as in OpenSHMEM 1.4.
 pub struct Context<'p, 'f> {
     pe: &'p Pe<'f>,
-    outstanding: RefCell<Vec<NbHandle>>,
+    outstanding: Stream,
 }
 
 impl Context<'_, '_> {
@@ -2176,7 +2190,7 @@ impl Context<'_, '_> {
 
     /// Number of transfers still outstanding on this context.
     pub fn pending(&self) -> usize {
-        self.outstanding.borrow().len()
+        self.outstanding.pending.get()
     }
 }
 
@@ -2267,7 +2281,8 @@ impl Fabric {
     {
         match Self::run_impl(config, body) {
             Ok(report) => report,
-            Err((_, payload)) => std::panic::resume_unwind(payload),
+            Err((Some(report), _)) => panic!("PE {}: watchdog: {report}", report.detector),
+            Err((None, payload)) => std::panic::resume_unwind(payload),
         }
     }
 
@@ -2327,31 +2342,41 @@ impl Fabric {
             pe.progress_site(WaitSite::Finished);
             (r, pe.clock.cycles())
         });
+        let wall = start.elapsed();
+        // Every PE has stopped, so no tally is written any more. A PE that
+        // panicked poisoned its slot's lock; what it recorded still stands,
+        // since each update is one `+=` or one ring push.
+        let tallies = shared.tallies.into_iter().map(|t| {
+            t.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .into_inner()
+        });
         let per_pe = match per_pe {
             Ok(v) => v,
             Err(mut panics) => {
-                let report = shared.deadlock.lock().unwrap().take();
-                // Re-raise the detector's own panic when a watchdog fired
-                // (it carries the rendered report); otherwise the first.
-                let pick = report
-                    .as_ref()
-                    .and_then(|r| panics.iter().position(|(rank, _)| *rank == r.detector))
-                    .unwrap_or(0);
-                return Err((report, panics.swap_remove(pick).1));
+                let mut report = shared.deadlock.lock().unwrap().take();
+                if let Some(report) = &mut report {
+                    for (probe, t) in report.pes.iter_mut().zip(tallies) {
+                        if let Some(ring) = &t.trace {
+                            probe.recent_events = ring.recent(DEADLOCK_RECENT_EVENTS);
+                        }
+                    }
+                }
+                return Err((report, panics.swap_remove(0).1));
             }
         };
-        let wall = start.elapsed();
         let mut results = Vec::with_capacity(config.n_pes);
         let mut cycles = Vec::with_capacity(config.n_pes);
         let mut tally = Tally::default();
-        for ((r, c), t) in per_pe.into_iter().zip(shared.tallies) {
-            let t = t.into_inner().expect("no PE panicked").into_inner();
+        let mut rings = Vec::new();
+        for ((r, c), t) in per_pe.into_iter().zip(tallies) {
             results.push(r);
             cycles.push(c);
             tally.stats.add(&t.stats);
             for (row, o) in tally.coll.iter_mut().zip(&t.coll) {
                 row.add(o);
             }
+            rings.extend(t.trace.map(|r| *r));
         }
         Ok(RunReport {
             results,
@@ -2362,9 +2387,7 @@ impl Fabric {
                 .map(|(r, kind)| CollectiveRecord { kind, ..r })
                 .collect(),
             wall,
-            // Merged after every worker thread has joined, so no ring is
-            // concurrently written.
-            trace: shared.trace.as_ref().map(|t| t.merge()),
+            trace: shared.trace.then(|| Trace::merge(rings)),
             sched_log: shared.coop.take_log(),
             plan_cache: Some(shared.plan_cache.stats()),
         })

@@ -1,40 +1,37 @@
 //! The tracing plane: cycle-timestamped event capture for the fabric.
 //!
-//! Always compiled, cheap when off. Each PE owns a lock-free ring buffer of
-//! fixed-width event records (`TraceRing`); the fabric and the schedule
-//! executor emit an event per transfer, signal, barrier, local reduction and
-//! stage span when [`crate::FabricConfig::with_trace`] is set, and emit
-//! nothing (one branch per site) when it is not. On run completion the
-//! per-PE rings are merged into a [`Trace`] attached to the
-//! [`crate::RunReport`], which can be exported as Perfetto/Chrome trace JSON
+//! Always compiled, cheap when off. Each PE records plain [`TraceEvent`]s
+//! into its own bounded ring (`TraceRing`), kept in the PE's tally beside its
+//! counters; the fabric and the schedule executor emit an event per
+//! transfer, signal, barrier, local reduction and stage span when
+//! [`crate::FabricConfig::with_trace`] is set, and emit nothing (one branch
+//! per site) when it is not. After the workers have joined, the per-PE
+//! rings are merged into a [`Trace`] attached to the [`crate::RunReport`],
+//! which can be exported as Perfetto/Chrome trace JSON
 //! ([`Trace::to_perfetto_json`]), analysed for the per-collective critical
 //! path ([`Trace::critical_paths`]), or printed as a compact text timeline
 //! ([`Trace::text_timeline`]).
 //!
-//! ## Ring-buffer overflow policy
+//! ## Ring overflow policy
 //!
 //! A ring holds 64 Ki events per PE up to 16 PEs, fewer past that so a
 //! whole run stays within 1 Mi events, and wraps: the newest events win,
-//! the oldest are overwritten, and the merged [`Trace`] reports how many
-//! were lost in [`Trace::dropped`]. The writer is always the owning
-//! PE; the only concurrent readers are the watchdog's deadlock
-//! probe (which tolerates torn records by validating the kind tag) and the
-//! post-join merge (which races with nothing).
+//! the oldest are dropped, and the merged [`Trace`] reports how many were
+//! lost in [`Trace::dropped`]. Only the owning PE touches its ring while
+//! the run lasts; the merge, and a watchdog report's recent events, read
+//! the rings after the join. A PE stops recording once the fabric is
+//! poisoned, so a report's recent events end where the watchdog fired.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::fabric::CollectiveKind;
-
-/// Words per encoded event record in a [`TraceRing`].
-const WORDS: usize = 5;
 
 /// Ring capacity per PE at paper scale, in events.
 const EVENTS_PER_PE: usize = 65_536;
 
 /// Whole-fabric event budget the per-PE ring capacity scales against:
-/// 1 Mi events ≈ 40 MiB of rings regardless of PE count.
+/// 1 Mi events ≈ 72 MiB of rings regardless of PE count.
 const TOTAL_EVENT_BUDGET: usize = 1 << 20;
 
 /// Scaling floor: even a 4096-PE run keeps at least this many events per
@@ -45,7 +42,7 @@ const MIN_EVENTS_PER_PE: usize = 256;
 /// The per-PE ring capacity of an `n_pes`-PE traced run: 64 Ki events up
 /// to 16 PEs — paper-scale runs keep full fidelity — then whatever keeps
 /// the run inside [`TOTAL_EVENT_BUDGET`], never below
-/// [`MIN_EVENTS_PER_PE`], so a 4096-PE run takes ~40 MiB of rings
+/// [`MIN_EVENTS_PER_PE`], so a 4096-PE run takes ~72 MiB of rings
 /// instead of gigabytes.
 pub(crate) fn ring_capacity(n_pes: usize) -> usize {
     let cap = (TOTAL_EVENT_BUDGET / n_pes.max(1)).max(MIN_EVENTS_PER_PE);
@@ -54,7 +51,6 @@ pub(crate) fn ring_capacity(n_pes: usize) -> usize {
 
 /// What a [`TraceEvent`] records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
 pub enum TraceKind {
     /// Blocking put (local source → remote heap).
     Put,
@@ -85,20 +81,6 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    const ALL: [TraceKind; 11] = [
-        TraceKind::Put,
-        TraceKind::Get,
-        TraceKind::PutNb,
-        TraceKind::GetNb,
-        TraceKind::SignalPost,
-        TraceKind::SignalWait,
-        TraceKind::Barrier,
-        TraceKind::Reduce,
-        TraceKind::Chunk,
-        TraceKind::Stage,
-        TraceKind::Collective,
-    ];
-
     /// Stable lowercase name (Perfetto slice name, timeline rows).
     pub fn name(self) -> &'static str {
         match self {
@@ -133,10 +115,6 @@ impl TraceKind {
             TraceKind::Reduce => TraceCategory::Compute,
             _ => TraceCategory::Transfer,
         }
-    }
-
-    fn from_u8(v: u8) -> Option<TraceKind> {
-        Self::ALL.get(v as usize).copied()
     }
 }
 
@@ -175,8 +153,8 @@ pub struct TraceEvent {
     pub kind: TraceKind,
     /// Collective episode the event belongs to, if any.
     pub collective: Option<CollectiveKind>,
-    /// Per-PE collective episode sequence number (saturating; episodes are
-    /// collective calls, so the counter agrees across PEs).
+    /// Per-PE collective episode sequence number (episodes are collective
+    /// calls, so the counter agrees across PEs).
     pub episode: u32,
     /// Schedule stage index within the episode, if inside a stage.
     pub stage: Option<u32>,
@@ -222,168 +200,38 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-// Record layout: [cycle_start, cycle_end, meta, bytes, aux] where meta packs
-//   bits 0..8   kind + 1        (0 = slot never written / torn read)
-//   bits 8..16  collective index + 1 (0 = none)
-//   bits 16..32 stage + 1       (0 = none)
-//   bits 32..48 peer + 1        (0 = none)
-//   bits 48..64 episode         (saturating)
-fn encode_meta(ev: &TraceEvent) -> u64 {
-    let kind = ev.kind as u64 + 1;
-    let coll = ev.collective.map_or(0, |k| k.index() as u64 + 1);
-    let stage = ev.stage.map_or(0, |s| (s as u64).min(0xfffe) + 1);
-    let peer = ev.peer.map_or(0, |p| (p as u64).min(0xfffe) + 1);
-    let episode = (ev.episode as u64).min(0xffff);
-    kind | (coll << 8) | (stage << 16) | (peer << 32) | (episode << 48)
-}
-
-pub(crate) fn encode(ev: &TraceEvent) -> [u64; WORDS] {
-    [
-        ev.cycle_start,
-        ev.cycle_end,
-        encode_meta(ev),
-        ev.bytes,
-        ev.aux,
-    ]
-}
-
-fn decode(raw: [u64; WORDS], pe: usize) -> Option<TraceEvent> {
-    let meta = raw[2];
-    let kind_tag = (meta & 0xff) as u8;
-    if kind_tag == 0 {
-        return None; // never written, or a torn concurrent read
-    }
-    let kind = TraceKind::from_u8(kind_tag - 1)?;
-    let coll = ((meta >> 8) & 0xff) as usize;
-    let collective = if coll == 0 || coll > CollectiveKind::ALL.len() {
-        None
-    } else {
-        Some(CollectiveKind::from_index(coll - 1))
-    };
-    let stage = ((meta >> 16) & 0xffff) as u32;
-    let peer = ((meta >> 32) & 0xffff) as usize;
-    Some(TraceEvent {
-        cycle_start: raw[0],
-        cycle_end: raw[1].max(raw[0]),
-        pe,
-        kind,
-        collective,
-        episode: ((meta >> 48) & 0xffff) as u32,
-        stage: (stage > 0).then(|| stage - 1),
-        peer: (peer > 0).then(|| peer - 1),
-        bytes: raw[3],
-        aux: raw[4],
-    })
-}
-
-/// Single-writer lock-free ring of encoded events for one PE.
-///
-/// The owning PE is the only writer; `head` counts events ever
-/// recorded and is published with release ordering after the slot words are
-/// stored, so a concurrent reader (the watchdog probe) sees either a fully
-/// written record or a record whose kind tag it can reject.
+/// One PE's bounded event log: the newest `cap` events, oldest first,
+/// and how many older ones were dropped to make room.
 pub(crate) struct TraceRing {
-    head: AtomicU64,
-    slots: Box<[AtomicU64]>,
+    events: VecDeque<TraceEvent>,
     cap: usize,
+    dropped: u64,
 }
 
 impl TraceRing {
-    fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        let slots = (0..cap * WORDS).map(|_| AtomicU64::new(0)).collect();
+    /// An empty ring of `cap` events, allocated up front.
+    pub(crate) fn new(cap: usize) -> Self {
         TraceRing {
-            head: AtomicU64::new(0),
-            slots,
+            events: VecDeque::with_capacity(cap),
             cap,
+            dropped: 0,
         }
     }
 
+    /// Append `ev`, dropping the oldest event when the ring is full.
     #[inline]
-    pub(crate) fn record(&self, raw: [u64; WORDS]) {
-        let idx = self.head.load(Ordering::Relaxed);
-        let base = (idx as usize % self.cap) * WORDS;
-        for (i, w) in raw.iter().enumerate() {
-            self.slots[base + i].store(*w, Ordering::Relaxed);
+    pub(crate) fn record(&mut self, ev: TraceEvent) {
+        if self.events.len() == self.cap {
+            self.events.pop_front();
+            self.dropped += 1;
         }
-        self.head.store(idx + 1, Ordering::Release);
+        self.events.push_back(ev);
     }
 
-    fn read_slot(&self, idx: u64) -> [u64; WORDS] {
-        let base = (idx as usize % self.cap) * WORDS;
-        let mut raw = [0u64; WORDS];
-        for (i, w) in raw.iter_mut().enumerate() {
-            *w = self.slots[base + i].load(Ordering::Relaxed);
-        }
-        raw
-    }
-
-    /// Decoded events currently held, oldest first, plus the dropped count.
-    fn drain(&self, pe: usize) -> (Vec<TraceEvent>, u64) {
-        let head = self.head.load(Ordering::Acquire);
-        let kept = head.min(self.cap as u64);
-        let mut out = Vec::with_capacity(kept as usize);
-        for idx in (head - kept)..head {
-            if let Some(ev) = decode(self.read_slot(idx), pe) {
-                out.push(ev);
-            }
-        }
-        (out, head - kept)
-    }
-
-    /// Torn-read-tolerant snapshot of the newest `n` events (for the
-    /// watchdog probe, which runs while the writer may still be writing).
-    fn recent(&self, pe: usize, n: usize) -> Vec<TraceEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let take = head.min(n as u64).min(self.cap as u64);
-        let mut out = Vec::with_capacity(take as usize);
-        for idx in (head - take)..head {
-            if let Some(ev) = decode(self.read_slot(idx), pe) {
-                out.push(ev);
-            }
-        }
-        out
-    }
-}
-
-/// The per-run set of per-PE rings, owned by the fabric's shared state.
-pub(crate) struct TracePlane {
-    rings: Vec<TraceRing>,
-}
-
-impl TracePlane {
-    pub(crate) fn new(n_pes: usize) -> Self {
-        let cap = ring_capacity(n_pes);
-        TracePlane {
-            rings: (0..n_pes).map(|_| TraceRing::new(cap)).collect(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn ring(&self, pe: usize) -> &TraceRing {
-        &self.rings[pe]
-    }
-
-    /// Newest `n` events of one PE (watchdog probe; tolerates torn reads).
-    pub(crate) fn recent(&self, pe: usize, n: usize) -> Vec<TraceEvent> {
-        self.rings[pe].recent(pe, n)
-    }
-
-    /// Merge all rings into a [`Trace`]. Called after every worker thread
-    /// has joined, so it races with nothing.
-    pub(crate) fn merge(&self) -> Trace {
-        let mut events = Vec::new();
-        let mut dropped = 0;
-        for (pe, ring) in self.rings.iter().enumerate() {
-            let (evs, lost) = ring.drain(pe);
-            events.extend(evs);
-            dropped += lost;
-        }
-        Trace {
-            n_pes: self.rings.len(),
-            events,
-            dropped,
-        }
+    /// The newest `n` events, oldest first.
+    pub(crate) fn recent(&self, n: usize) -> Vec<TraceEvent> {
+        let skip = self.events.len().saturating_sub(n);
+        self.events.iter().skip(skip).copied().collect()
     }
 }
 
@@ -445,32 +293,45 @@ impl Trace {
         self.events.is_empty()
     }
 
+    /// Merge the per-PE rings, indexed by rank, into one trace. Called
+    /// after every PE has finished, so nothing writes a ring any more.
+    pub(crate) fn merge(rings: Vec<TraceRing>) -> Trace {
+        let n_pes = rings.len();
+        let mut events = Vec::with_capacity(rings.iter().map(|r| r.events.len()).sum());
+        let mut dropped = 0;
+        for ring in rings {
+            events.extend(ring.events);
+            dropped += ring.dropped;
+        }
+        Trace {
+            n_pes,
+            events,
+            dropped,
+        }
+    }
+
     /// Match signal posts to the waits that consumed them, FIFO per
-    /// (waiting PE, slot offset). Returns index pairs into `events`.
-    fn match_flows(&self) -> Vec<(usize, usize)> {
+    /// (waiting PE, slot offset) in end-cycle order across PEs. `at`
+    /// indexes `events`; returns `(post, wait)` positions in `at`, in the
+    /// order the waits were matched.
+    fn match_flows(&self, at: &[usize]) -> Vec<(usize, usize)> {
+        let ev = |i: usize| &self.events[at[i]];
+        let mut order: Vec<usize> = (0..at.len())
+            .filter(|&i| matches!(ev(i).kind, TraceKind::SignalPost | TraceKind::SignalWait))
+            .collect();
+        order.sort_by_key(|&i| (ev(i).cycle_end, ev(i).cycle_start, i));
         let mut posts: HashMap<(usize, u64), VecDeque<usize>> = HashMap::new();
         let mut pairs = Vec::new();
-        // `events` is per-PE emission order; sort candidate indices by end
-        // cycle so FIFO matching is chronological across PEs.
-        let mut order: Vec<usize> = (0..self.events.len())
-            .filter(|&i| {
-                matches!(
-                    self.events[i].kind,
-                    TraceKind::SignalPost | TraceKind::SignalWait
-                )
-            })
-            .collect();
-        order.sort_by_key(|&i| (self.events[i].cycle_end, self.events[i].cycle_start, i));
         for i in order {
-            let ev = &self.events[i];
-            match ev.kind {
+            let e = ev(i);
+            match e.kind {
                 TraceKind::SignalPost => {
-                    if let Some(peer) = ev.peer {
-                        posts.entry((peer, ev.aux)).or_default().push_back(i);
+                    if let Some(peer) = e.peer {
+                        posts.entry((peer, e.aux)).or_default().push_back(i);
                     }
                 }
                 TraceKind::SignalWait => {
-                    if let Some(p) = posts.get_mut(&(ev.pe, ev.aux)).and_then(|q| q.pop_front()) {
+                    if let Some(p) = posts.get_mut(&(e.pe, e.aux)).and_then(|q| q.pop_front()) {
                         pairs.push((p, i));
                     }
                 }
@@ -560,7 +421,8 @@ impl Trace {
                 &mut first,
             );
         }
-        for (flow_id, (p, w)) in self.match_flows().into_iter().enumerate() {
+        let every: Vec<usize> = (0..self.events.len()).collect();
+        for (flow_id, (p, w)) in self.match_flows(&every).into_iter().enumerate() {
             let post = &self.events[p];
             let wait = &self.events[w];
             push(
@@ -663,27 +525,9 @@ impl Trace {
             last_of_pe.insert(ev(i).pe, i);
         }
 
-        // Signal edges: FIFO per (waiting PE, slot offset), chronological.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (ev(i).cycle_end, ev(i).cycle_start, i));
-        let mut posts: HashMap<(usize, u64), VecDeque<usize>> = HashMap::new();
-        for &i in &order {
-            match ev(i).kind {
-                TraceKind::SignalPost => {
-                    if let Some(peer) = ev(i).peer {
-                        posts.entry((peer, ev(i).aux)).or_default().push_back(i);
-                    }
-                }
-                TraceKind::SignalWait => {
-                    if let Some(p) = posts
-                        .get_mut(&(ev(i).pe, ev(i).aux))
-                        .and_then(|q| q.pop_front())
-                    {
-                        preds[i].push(p);
-                    }
-                }
-                _ => {}
-            }
+        // Signal edges: each post into the wait that consumed it.
+        for (p, w) in self.match_flows(members) {
+            preds[w].push(p);
         }
 
         // Barrier generations → virtual release nodes appended after the
@@ -882,49 +726,20 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let e = TraceEvent {
-            cycle_start: 123,
-            cycle_end: 456,
-            pe: 3,
-            kind: TraceKind::SignalWait,
-            collective: Some(CollectiveKind::AllToAll),
-            episode: 7,
-            stage: Some(2),
-            peer: Some(5),
-            bytes: 4096,
-            aux: 99,
-        };
-        let d = decode(encode(&e), 3).unwrap();
-        assert_eq!(d, e);
-        // None fields survive too.
-        let e2 = TraceEvent {
-            collective: None,
-            stage: None,
-            peer: None,
-            ..e
-        };
-        assert_eq!(decode(encode(&e2), 3).unwrap(), e2);
-    }
-
-    #[test]
-    fn unwritten_slot_decodes_to_none() {
-        assert!(decode([0; WORDS], 0).is_none());
-    }
-
-    #[test]
     fn ring_wraps_and_counts_drops() {
-        let r = TraceRing::new(4);
+        let mut r = TraceRing::new(4);
         for i in 0..10u64 {
-            let mut e = ev(0, TraceKind::Put, i, i + 1, Some(1), 0);
-            e.aux = i;
-            r.record(encode(&e));
+            r.record(ev(0, TraceKind::Put, i, i + 1, Some(1), i));
         }
-        let (evs, dropped) = r.drain(0);
-        assert_eq!(dropped, 6);
-        assert_eq!(evs.len(), 4);
-        assert_eq!(evs[0].aux, 6, "oldest surviving event");
-        assert_eq!(evs[3].aux, 9, "newest event");
+        assert_eq!(
+            r.recent(2).iter().map(|e| e.aux).collect::<Vec<_>>(),
+            [8, 9]
+        );
+        let t = Trace::merge(vec![r]);
+        assert_eq!(t.dropped, 6);
+        assert_eq!(t.events.len(), 4);
+        assert_eq!(t.events[0].aux, 6, "oldest surviving event");
+        assert_eq!(t.events[3].aux, 9, "newest event");
     }
 
     #[test]

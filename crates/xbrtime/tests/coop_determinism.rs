@@ -88,7 +88,7 @@ fn run_workload(seed: u64, faults: Option<FaultConfig>) -> RunReport<Vec<u64>> {
     })
 }
 
-/// The merged trace with cycle stamps masked: `TracePlane::merge`
+/// The merged trace with cycle stamps masked: `Trace::merge`
 /// concatenates the per-PE rings in rank order, so comparing the masked
 /// vector asserts each PE emitted the same events in the same order.
 fn masked_events(r: &RunReport<Vec<u64>>) -> Vec<TraceEvent> {

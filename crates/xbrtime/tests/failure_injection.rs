@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 use xbrtime::{
     AlgorithmPolicy, CollectiveKind, EngineConfig, Fabric, FabricConfig, FaultConfig, PeSchedState,
-    RunError, SyncMode, Topology, WaitSite,
+    RunError, SyncMode, Topology, TraceKind, WaitSite,
 };
 
 #[test]
@@ -202,44 +202,59 @@ fn stranded_signal_wait_trips_watchdog_with_report() {
 /// PE 0 still counts as running — yet no slot is granted anywhere for a
 /// whole watchdog window. PE 1, parked at the barrier, times out, is
 /// handed a slot back and reports PE 0, still running, as the culprit.
+/// Traced, PE 0's recent events stop at the trip: the barrier it crosses
+/// after waking is not among them.
 #[test]
 fn stalled_running_pe_trips_wall_clock_watchdog() {
-    let cfg = FabricConfig::new(2)
-        .with_engine(EngineConfig::coop().with_workers(2))
-        .with_watchdog(Duration::from_millis(300));
-    let started = std::time::Instant::now();
-    let result = Fabric::try_run(cfg, |pe| {
-        if pe.rank() == 0 {
-            std::thread::sleep(Duration::from_secs(1));
+    for traced in [false, true] {
+        let mut cfg = FabricConfig::new(2)
+            .with_engine(EngineConfig::coop().with_workers(2))
+            .with_watchdog(Duration::from_millis(300));
+        if traced {
+            cfg = cfg.with_trace();
         }
-        pe.barrier();
-    });
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "watchdog must fire well before a human notices the hang"
-    );
-    let report = match result {
-        Err(RunError::Deadlock(report)) => report,
-        other => panic!("expected Err(Deadlock), got {:?}", other.map(|_| ())),
-    };
-    let stuck = report.stuck();
-    assert_eq!(stuck.rank, 0, "{report}");
-    assert_eq!(stuck.site, WaitSite::Running, "{report}");
-    assert_eq!(stuck.sched, PeSchedState::Running, "{report}");
-    let waiter = &report.pes[1];
-    assert_eq!(waiter.site, WaitSite::Barrier, "{report}");
-    // The timed-out PE is re-granted a slot before it probes the fabric.
-    assert_eq!(waiter.sched, PeSchedState::Running, "{report}");
-    let text = report.to_string();
-    for rank in 0..2 {
-        let line = text
-            .lines()
-            .find(|l| l.trim_start().starts_with(&format!("PE {rank}:")))
-            .unwrap_or_else(|| panic!("no line for PE {rank}: {text}"));
+        let started = std::time::Instant::now();
+        let result = Fabric::try_run(cfg, |pe| {
+            if pe.rank() == 0 {
+                std::thread::sleep(Duration::from_secs(1));
+            }
+            pe.barrier();
+        });
         assert!(
-            line.contains("[sched "),
-            "PE {rank} line lacks a sched tag: {line}"
+            started.elapsed() < Duration::from_secs(30),
+            "watchdog must fire well before a human notices the hang"
         );
+        let report = match result {
+            Err(RunError::Deadlock(report)) => report,
+            other => panic!("expected Err(Deadlock), got {:?}", other.map(|_| ())),
+        };
+        let stuck = report.stuck();
+        assert_eq!(stuck.rank, 0, "{report}");
+        assert_eq!(stuck.site, WaitSite::Running, "{report}");
+        assert_eq!(stuck.sched, PeSchedState::Running, "{report}");
+        let waiter = &report.pes[1];
+        assert_eq!(waiter.site, WaitSite::Barrier, "{report}");
+        // The timed-out PE is re-granted a slot before it probes the fabric.
+        assert_eq!(waiter.sched, PeSchedState::Running, "{report}");
+        let text = report.to_string();
+        for rank in 0..2 {
+            let line = text
+                .lines()
+                .find(|l| l.trim_start().starts_with(&format!("PE {rank}:")))
+                .unwrap_or_else(|| panic!("no line for PE {rank}: {text}"));
+            assert!(
+                line.contains("[sched "),
+                "PE {rank} line lacks a sched tag: {line}"
+            );
+        }
+        if traced {
+            let late: Vec<_> = report.pes[0]
+                .recent_events
+                .iter()
+                .filter(|e| e.kind == TraceKind::Barrier)
+                .collect();
+            assert!(late.is_empty(), "PE 0 recorded past the trip: {late:?}");
+        }
     }
 }
 
