@@ -91,11 +91,9 @@ impl EngineConfig {
     /// The worker count this config resolves to for an `n_pes`-PE run:
     /// explicit value, else available parallelism, always in `1..=n_pes`.
     pub fn resolved_workers(&self, n_pes: usize) -> usize {
-        let auto = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let w = if self.workers == 0 {
-            auto
-        } else {
-            self.workers
+        let w = match self.workers {
+            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+            w => w,
         };
         w.clamp(1, n_pes.max(1))
     }

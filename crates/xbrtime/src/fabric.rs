@@ -800,17 +800,19 @@ impl Shared {
                 let cell = &self.progress[rank];
                 let (collective, stage) = cell.position();
                 let pending_signals = match signal_table {
-                    Some((base, len)) => (0..len)
-                        .filter_map(|s| {
-                            let slot = unsafe {
-                                AtomicU64::from_ptr(
-                                    self.heaps[rank].base().add(base + s * 8) as *mut u64
-                                )
-                            };
-                            let v = slot.load(Ordering::Acquire);
-                            (v != 0).then_some((s, v))
-                        })
-                        .collect(),
+                    Some((base, len)) => {
+                        let table = self.heaps[rank].window("probe", base, len * 8) as *mut u64;
+                        (0..len)
+                            .filter_map(|s| {
+                                // SAFETY: slot `s < len` lies in the window,
+                                // 8-byte aligned (HEAP_ALIGN), and signal
+                                // slots are only ever accessed atomically.
+                                let slot = unsafe { AtomicU64::from_ptr(table.add(s)) };
+                                let v = slot.load(Ordering::Acquire);
+                                (v != 0).then_some((s, v))
+                            })
+                            .collect()
+                    }
                     None => Vec::new(),
                 };
                 PeProbe {
@@ -1838,8 +1840,8 @@ impl<'f> Pe<'f> {
     fn amo_slot(&self, dest: SymmRef<u64>, pe: usize) -> &AtomicU64 {
         dest.check_span(1, 1);
         assert_eq!(dest.off % 8, 0, "AMO target must be 8-byte aligned");
-        let ptr = unsafe { self.shared.heaps[pe].base().add(dest.off) } as *mut u64;
-        // SAFETY: in-bounds (check_span), aligned (assert), and the heap
+        let ptr = self.shared.heaps[pe].window("amo", dest.off, 8) as *mut u64;
+        // SAFETY: in-bounds (window), aligned (assert), and the heap
         // outlives the fabric run. AtomicU64 shares u64's layout.
         unsafe { std::sync::atomic::AtomicU64::from_ptr(ptr) }
     }
@@ -2573,6 +2575,40 @@ mod tests {
         );
         assert_eq!(report.results[1], 128);
         assert_eq!(report.stats.nb_puts, 4);
+    }
+
+    #[test]
+    fn untouched_heap_reads_zero_whoever_touches_it_first() {
+        let fab = FabricConfig::paper(2).with_engine(EngineConfig::coop().with_workers(1));
+        let report = Fabric::run(fab, |pe| {
+            let peer = 1 - pe.rank();
+            if pe.rank() == 1 {
+                pe.barrier();
+            }
+            let first = pe.shared_malloc::<u64>(32);
+            let second = pe.shared_malloc::<u64>(32);
+            if pe.rank() == 0 {
+                // PE 1 has allocated neither block yet.
+                pe.put(second.whole(), &[9u64; 32], 32, 1, peer);
+                pe.barrier();
+            }
+            let fresh = pe.shared_malloc::<u64>(4);
+            let amo_old = pe.amo_fetch_add(fresh.at(0), 5, peer);
+            pe.heap_fold(fresh.at(2), &[4u64, 4], 2, 1, &|a: u64, b: u64| a + b);
+            pe.barrier();
+            (
+                pe.heap_read_vec(first.whole(), 32),
+                pe.heap_read_vec(second.whole(), 32),
+                amo_old,
+                pe.heap_read_vec(fresh.whole(), 4),
+            )
+        });
+        let (first, second, ..) = &report.results[1];
+        assert_eq!(first, &vec![0u64; 32]);
+        assert_eq!(second, &vec![9u64; 32]);
+        for (_, _, amo_old, fresh) in &report.results {
+            assert_eq!((*amo_old, fresh), (0, &vec![5, 0, 4, 4]));
+        }
     }
 
     #[test]

@@ -13,10 +13,17 @@
 //! the allocation routines collectively and in the same order, so the
 //! per-PE allocators assign identical offsets — symmetry by construction
 //! (verified by tests and a runtime signature check in the fabric).
+//!
+//! A segment is demand-zero, as the OS hands over a real one: the arena
+//! is allocated uninitialised and zeroed only up to the highest byte
+//! anything has touched, so a launch costs what its PEs use rather than
+//! `shared_bytes × n_pes` of memset.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Raw storage for one PE's shared segment.
 ///
@@ -32,13 +39,28 @@ use std::fmt;
 /// can produce stale or mixed *values*, never memory unsafety beyond the
 /// data race itself — which the API documents as the caller's obligation,
 /// the same obligation every PGAS runtime imposes.
+///
+/// The arena's own zeroing is not the caller's business. Bytes below the
+/// high-water mark `initialised` are zero or written; bytes above it are
+/// never read. Whoever first touches a byte above the mark zeroes up to
+/// it while holding `lock` — a read, fold, AMO or probe through `window`
+/// zeroes `[mark, off + n)`, a pure overwrite through `fill` zeroes only
+/// the gap `[mark, off)` and writes the rest — and publishes the new mark
+/// with `Release` after those bytes are written. Accesses read the mark
+/// with `Acquire`, and one that lies wholly below it takes no lock.
+/// Zeroing only ever happens above the mark, which only grows, so it
+/// never lands on a byte another PE has written.
 pub struct HeapData {
     ptr: *mut u8,
     len: usize,
+    initialised: AtomicUsize,
+    lock: Mutex<()>,
 }
 
 // SAFETY: the heap is a raw byte arena. Concurrent access discipline is the
 // documented contract above; the type itself carries no thread affinity.
+// The mark is an atomic and only grows under `lock`, so sharing them is
+// sound on its own.
 unsafe impl Send for HeapData {}
 unsafe impl Sync for HeapData {}
 
@@ -50,15 +72,20 @@ impl HeapData {
         Layout::from_size_align(len.max(1), HEAP_ALIGN).expect("arena size overflows isize")
     }
 
-    /// Allocate a zeroed arena of `len` bytes.
+    /// Allocate an arena of `len` bytes that reads zero until written.
     pub fn new(len: usize) -> Self {
         let layout = Self::layout(len);
         // SAFETY: `layout` has a non-zero size (`len.max(1)`).
-        let ptr = unsafe { alloc_zeroed(layout) };
+        let ptr = unsafe { alloc(layout) };
         if ptr.is_null() {
             handle_alloc_error(layout);
         }
-        HeapData { ptr, len }
+        HeapData {
+            ptr,
+            len,
+            initialised: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+        }
     }
 
     /// Size of the arena in bytes.
@@ -73,26 +100,73 @@ impl HeapData {
         self.len == 0
     }
 
-    /// Raw base pointer (for the fabric's transfer engine).
+    /// The end of the `n`-byte window at `off`.
+    ///
+    /// # Panics
+    /// Panics if the window exceeds the arena.
     #[inline]
-    pub(crate) fn base(&self) -> *mut u8 {
-        self.ptr
+    fn end(&self, access: &str, off: usize, n: usize) -> usize {
+        match off.checked_add(n) {
+            Some(end) if end <= self.len => end,
+            _ => panic!(
+                "heap {access} [{off}, {off}+{n}) out of bounds (len {})",
+                self.len
+            ),
+        }
     }
 
-    /// Pointer to the `n`-byte window of the arena at `off`; `access`
-    /// names the operation in the panic message.
+    /// Raise the mark to at least `end` under the lock: zero
+    /// `[mark, from)`, run `write` (which initialises `[from, end)`), then
+    /// publish.
+    #[cold]
+    fn grow(&self, from: usize, end: usize, write: impl FnOnce()) {
+        // A panic under the lock publishes no mark, so the arena stays
+        // valid and the guard can be taken back.
+        let _held = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let mark = self.initialised.load(Ordering::Relaxed);
+        if mark < from {
+            // SAFETY: `[mark, from)` lies inside the allocation (`from <=
+            // end <= len`) and above the mark, so no one else touches it
+            // while the lock is held.
+            unsafe { self.ptr.add(mark).write_bytes(0, from - mark) };
+        }
+        write();
+        if mark < end {
+            self.initialised.store(end, Ordering::Release);
+        }
+    }
+
+    /// Pointer to the `n`-byte window of the arena at `off`, every byte of
+    /// it initialised; `access` names the operation in the panic message.
     ///
     /// # Panics
     /// Panics if `off + n` exceeds the arena.
     #[inline]
     pub(crate) fn window(&self, access: &str, off: usize, n: usize) -> *mut u8 {
-        assert!(
-            off.checked_add(n).is_some_and(|end| end <= self.len),
-            "heap {access} [{off}, {off}+{n}) out of bounds (len {})",
-            self.len
-        );
+        let end = self.end(access, off, n);
+        if end > self.initialised.load(Ordering::Acquire) {
+            self.grow(end, end, || {});
+        }
         // SAFETY: the window lies inside the allocation (just checked).
         unsafe { self.ptr.add(off) }
+    }
+
+    /// Overwrite the `n`-byte window at `off`: `write` gets its pointer
+    /// and must write all `n` bytes. Unlike [`HeapData::window`], the
+    /// window is not zeroed first; only the gap below it is.
+    ///
+    /// # Panics
+    /// Panics if `off + n` exceeds the arena.
+    #[inline]
+    fn fill(&self, off: usize, n: usize, write: impl FnOnce(*mut u8)) {
+        let end = self.end("write", off, n);
+        // SAFETY: the window lies inside the allocation (just checked).
+        let dst = unsafe { self.ptr.add(off) };
+        if end <= self.initialised.load(Ordering::Acquire) {
+            write(dst);
+        } else {
+            self.grow(off, end, || write(dst));
+        }
     }
 
     /// Copy `n` bytes out of the arena at `off` into `dst`.
@@ -116,7 +190,7 @@ impl HeapData {
     /// # Panics
     /// Panics if `off + n` exceeds the arena.
     pub(crate) unsafe fn write_from(&self, off: usize, src: *const u8, n: usize) {
-        std::ptr::copy_nonoverlapping(src, self.window("write", off, n), n);
+        self.fill(off, n, |d| std::ptr::copy_nonoverlapping(src, d, n));
     }
 
     /// Copy `n` bytes from this arena at `off` into `dst` at `dst_off` —
@@ -130,17 +204,14 @@ impl HeapData {
     /// # Panics
     /// Panics if either range exceeds its arena.
     pub(crate) unsafe fn copy_to(&self, off: usize, dst: &HeapData, dst_off: usize, n: usize) {
-        std::ptr::copy(
-            self.window("read", off, n),
-            dst.window("write", dst_off, n),
-            n,
-        );
+        let src = self.window("read", off, n);
+        dst.fill(dst_off, n, |d| std::ptr::copy(src, d, n));
     }
 }
 
 impl Drop for HeapData {
     fn drop(&mut self) {
-        // SAFETY: `ptr` came from `alloc_zeroed` with this same layout.
+        // SAFETY: `ptr` came from `alloc` with this same layout.
         unsafe { dealloc(self.ptr, Self::layout(self.len)) };
     }
 }
@@ -334,7 +405,7 @@ mod tests {
         for len in [0usize, 1, 24, 4096, 1 << 20] {
             let h = HeapData::new(len);
             assert_eq!(h.len(), len);
-            assert_eq!(h.base() as usize % HEAP_ALIGN, 0, "len {len}");
+            assert_eq!(h.window("base", 0, 0) as usize % HEAP_ALIGN, 0, "len {len}");
         }
     }
 
@@ -351,6 +422,91 @@ mod tests {
         let h = HeapData::new(16);
         let src = [0u8; 8];
         unsafe { h.write_from(12, src.as_ptr(), 8) };
+    }
+
+    /// Every byte of `h` in `[off, off + n)`, read through `window`.
+    fn bytes(h: &HeapData, off: usize, n: usize) -> Vec<u8> {
+        let mut out = vec![0xAA; n];
+        unsafe { h.read_into(off, out.as_mut_ptr(), n) };
+        out
+    }
+
+    #[test]
+    fn fresh_arena_reads_zero_everywhere() {
+        let h = HeapData::new(4096);
+        assert!(bytes(&h, 100, 28).iter().all(|&b| b == 0));
+        assert!(bytes(&h, 0, 4096).iter().all(|&b| b == 0));
+        assert_eq!(h.initialised.load(Ordering::Relaxed), 4096);
+    }
+
+    #[test]
+    fn write_past_the_mark_leaves_the_gap_zero() {
+        let h = HeapData::new(256);
+        unsafe { h.write_from(96, [7u8; 32].as_ptr(), 32) };
+        assert_eq!(h.initialised.load(Ordering::Relaxed), 128);
+        let all = bytes(&h, 0, 256);
+        assert!(all[..96].iter().all(|&b| b == 0));
+        assert!(all[96..128].iter().all(|&b| b == 7));
+        assert!(all[128..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn copy_into_a_fresh_arena_zeroes_the_gap() {
+        let (a, b) = (HeapData::new(64), HeapData::new(64));
+        unsafe {
+            a.write_from(0, [3u8; 16].as_ptr(), 16);
+            a.copy_to(0, &b, 40, 16);
+        }
+        let got = bytes(&b, 0, 64);
+        assert!(got[..40].iter().all(|&x| x == 0));
+        assert!(got[40..56].iter().all(|&x| x == 3));
+        assert!(got[56..].iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn a_small_write_initialises_only_itself() {
+        let h = HeapData::new(2 << 20);
+        unsafe { h.write_from(0, [1u8; 512].as_ptr(), 512) };
+        assert_eq!(h.initialised.load(Ordering::Relaxed), 512);
+        assert_eq!(bytes(&h, 0, 512), vec![1u8; 512]);
+        assert_eq!(h.initialised.load(Ordering::Relaxed), 512);
+    }
+
+    #[test]
+    fn concurrent_extension_never_zeroes_a_written_byte() {
+        // Chunk i belongs to thread i % 2. Each round both threads start
+        // together at the mark: thread 0 fills its chunk while thread 1
+        // reads the chunk above it as zero — a read that zero-extends the
+        // mark over the chunk thread 0 is writing.
+        const C: usize = 8 << 10;
+        const ROUNDS: usize = 1_000;
+        let h = HeapData::new(2 * C * ROUNDS);
+        let start = std::sync::Barrier::new(2);
+        let bad: Vec<usize> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|k| {
+                    let (h, start) = (&h, &start);
+                    s.spawn(move || {
+                        let want = [(k == 0) as u8; C];
+                        (0..ROUNDS)
+                            .filter(|r| {
+                                let mine = (2 * r + k) * C;
+                                start.wait();
+                                if k == 0 {
+                                    unsafe { h.write_from(mine, want.as_ptr(), C) };
+                                }
+                                bytes(h, mine, C) != want
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(bad, [0, 0], "rounds whose chunk read wrong, per thread");
+        for (i, &b) in bytes(&h, 0, h.len()).iter().enumerate() {
+            assert_eq!(b, (i / C).is_multiple_of(2) as u8, "byte {i}");
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! * the per-PE signal table is pre-sized **collectively** to the
 //!   largest schedule any tenant will run, before the tenants diverge —
 //!   growth inside [`Pe::signal_table`] is itself collective and would
-//!   deadlock mid-round.
+//!   deadlock mid-round. [`run_traffic`] computes that bound once per
+//!   launch, on the host, and hands it to every PE.
 //!
 //! Each tenant's op stream is a pure function of `(seed, tenant)`
 //! ([`tenant_plan`]), drawn from a small palette of repeated shapes the
@@ -323,14 +324,11 @@ pub fn tenant_plan(cfg: &TrafficConfig, t: usize, team: usize) -> Vec<TrafficOp>
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv_mix(mut h: u64, vals: &[u64]) -> u64 {
-    for &v in vals {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+/// FNV-style digest over whole words, one multiply per value. Each step
+/// is a bijection of the running state and of the value (the prime is
+/// odd), so a single changed element always changes the digest.
+fn fnv_mix(h: u64, vals: &[u64]) -> u64 {
+    vals.iter().fold(h, |h, &v| (h ^ v).wrapping_mul(FNV_PRIME))
 }
 
 /// Deterministic element value for tenant `t`, op `i`, member `tr`,
@@ -382,10 +380,18 @@ fn op_row<'a>(
     (family, row)
 }
 
-/// Materialise the schedule an op will run; also used up front to size
-/// the signal table.
+/// Materialise the schedule an op will run, to size the signal table.
 fn op_schedule(op: &TrafficOp, members: &[usize], world: usize) -> CommSchedule {
     op_row(op, &op_adj(op), members, world).1.schedule()
+}
+
+/// Signal-table slots enough for every op tenant `t` plays as the team
+/// `members` of a `world`-PE fabric (at least 64).
+fn plan_slots(cfg: &TrafficConfig, t: usize, members: &[usize], world: usize) -> usize {
+    tenant_plan(cfg, t, members.len())
+        .iter()
+        .map(|op| op_schedule(op, members, world).total_ops() * SLOTS_PER_OP)
+        .fold(64, usize::max)
 }
 
 /// Issue one traffic op on this PE. Exactly three world barriers per
@@ -517,29 +523,18 @@ fn play_plan(
     }
 }
 
-/// The per-PE body of a traffic run: pre-sizes the signal table
-/// collectively, then plays this PE's tenant op stream in lockstep
-/// rounds. Exposed so tests can run it under custom fabrics.
-pub fn traffic_body(pe: &Pe, cfg: &TrafficConfig) -> PeTraffic {
+/// The per-PE body of a traffic run: sizes the signal table to `slots`,
+/// then plays this PE's tenant op stream in lockstep rounds. `slots`
+/// bounds *every* tenant's ops, so the first (allocating, barriered)
+/// call to `signal_table` happens before any tenant diverges, and the
+/// executor's own per-episode calls never grow the table.
+fn traffic_body(pe: &Pe, cfg: &TrafficConfig, slots: usize) -> PeTraffic {
     let world = pe.n_pes();
     let me = pe.rank();
     let t = tenant_of(me, world, cfg.tenants);
     let members = tenant_members(t, world, cfg.tenants);
     let tr = me - members[0];
-
-    // Collective pre-sizing: every PE computes the same bound over *all*
-    // tenants' palettes, so the first (allocating, barriered) call to
-    // signal_table happens before any tenant diverges. The executor's
-    // own per-episode signal_table calls then never grow the table.
-    let mut max_slots = 64;
-    for tt in 0..cfg.tenants {
-        let m = tenant_members(tt, world, cfg.tenants);
-        for op in tenant_plan(cfg, tt, m.len()) {
-            max_slots = max_slots.max(op_schedule(&op, &m, world).total_ops() * SLOTS_PER_OP);
-        }
-    }
-    pe.signal_table(max_slots);
-
+    pe.signal_table(slots);
     let plan = tenant_plan(cfg, t, members.len());
     play_plan(pe, &members, tr, t, &plan, cfg.sync, cfg.seed)
 }
@@ -550,15 +545,11 @@ pub fn traffic_body(pe: &Pe, cfg: &TrafficConfig) -> PeTraffic {
 /// isolation invariant [`run_traffic`] checks — with a makespan free of
 /// cross-tenant contention, which is what grounds the efficiency and
 /// fairness numbers.
-pub fn solo_body(pe: &Pe, cfg: &TrafficConfig, t: usize) -> PeTraffic {
+fn solo_body(pe: &Pe, cfg: &TrafficConfig, t: usize, slots: usize) -> PeTraffic {
     let team = pe.n_pes();
     let members: Vec<usize> = (0..team).collect();
+    pe.signal_table(slots);
     let plan = tenant_plan(cfg, t, team);
-    let mut max_slots = 64;
-    for op in &plan {
-        max_slots = max_slots.max(op_schedule(op, &members, team).total_ops() * SLOTS_PER_OP);
-    }
-    pe.signal_table(max_slots);
     play_plan(pe, &members, pe.rank(), t, &plan, cfg.sync, cfg.seed)
 }
 
@@ -760,8 +751,11 @@ pub fn run_traffic(fab: FabricConfig, cfg: &TrafficConfig) -> Result<TrafficRepo
     cfg.validate(fab.n_pes).map_err(TrafficError::Config)?;
     let n_pes = fab.n_pes;
     let tenants = cfg.tenants;
+    let slots = (0..tenants)
+        .map(|t| plan_slots(cfg, t, &tenant_members(t, n_pes, tenants), n_pes))
+        .fold(64, usize::max);
     let body_cfg = cfg.clone();
-    let shared = match Fabric::try_run(fab, move |pe| traffic_body(pe, &body_cfg)) {
+    let shared = match Fabric::try_run(fab, move |pe| traffic_body(pe, &body_cfg, slots)) {
         Ok(report) => report,
         Err(RunError::Deadlock(report)) => {
             return Err(TrafficError::Deadlock {
@@ -776,8 +770,9 @@ pub fn run_traffic(fab: FabricConfig, cfg: &TrafficConfig) -> Result<TrafficRepo
         let team = tenant_members(t, n_pes, tenants).len();
         let mut solo_fab = fab;
         solo_fab.n_pes = team;
+        let slots = plan_slots(cfg, t, &(0..team).collect::<Vec<_>>(), team);
         let solo_cfg = cfg.clone();
-        let solo = match Fabric::try_run(solo_fab, move |pe| solo_body(pe, &solo_cfg, t)) {
+        let solo = match Fabric::try_run(solo_fab, move |pe| solo_body(pe, &solo_cfg, t, slots)) {
             Ok(r) => r,
             Err(RunError::Deadlock(r)) => {
                 return Err(TrafficError::Deadlock {
