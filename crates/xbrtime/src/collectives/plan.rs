@@ -86,7 +86,7 @@ pub enum Space {
 /// overlapping nonblocking episodes never collide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanStep {
-    /// Publish stage `si` to the progress plane and open its trace span.
+    /// Enter stage `si` (the PE's position) and open its trace span.
     /// `si == n_stages` is the signaled drain.
     StageStart {
         /// Stage index.
@@ -216,6 +216,10 @@ pub struct Plan {
     pub elem_bytes: usize,
     /// World size.
     pub n_pes: usize,
+    /// The PE that counts each episode's `calls` and `stages`
+    /// ([`CollectiveRecord`](crate::CollectiveRecord)): a team row's
+    /// first member, else 0.
+    pub lead: usize,
     /// Stage count of the source schedule.
     pub n_stages: usize,
     /// `true` when no op moves data: the episode is only a telemetry
@@ -697,6 +701,7 @@ pub(crate) fn lower_with(
         sync: resolved,
         elem_bytes,
         n_pes: sched.n_pes,
+        lead: 0,
         n_stages,
         empty,
         n_slots,
@@ -879,7 +884,7 @@ fn open<T: XbrType>(
     let algo = plan.algo.map_or(0, algo_bit);
     pe.note_choice(plan.kind, algo, sync_bit(plan.sync));
     if plan.empty {
-        note_inert(pe, plan.kind);
+        pe.note_collective(plan.kind, plan.lead, &SampleTemplate::default(), 0, 0);
         return None;
     }
     let t0 = pe.cycles();
@@ -937,8 +942,8 @@ fn open<T: XbrType>(
 }
 
 /// Close an episode [`open`] started: run its drain (signal waits and the
-/// closing barrier — no transfer, no fold), close its trace and progress
-/// span, report it and release its slot window.
+/// closing barrier — no transfer, no fold), close its trace span, leave
+/// the collective, report it and release its slot window.
 fn close<T: XbrType>(pe: &Pe, plan: &Plan, ep: Episode<T>) {
     let prog = &plan.per_pe[pe.rank()];
     let drain = &prog.steps[prog.drain_from..];
@@ -957,6 +962,7 @@ fn close<T: XbrType>(pe: &Pe, plan: &Plan, ep: Episode<T>) {
     pe.progress_collective(None);
     pe.note_collective(
         plan.kind,
+        plan.lead,
         &prog.sample,
         pe.cycles() - ep.t0,
         ep.wait_cycles + stalled,
@@ -1175,11 +1181,12 @@ fn sync_bit(s: SyncMode) -> u64 {
 }
 
 /// Record an inert episode — a zero-length call that returns before
-/// keying a plan, or a plan that moves nothing (zero elements, one PE):
-/// the call is counted and nothing else — no stage, no staging board, no
-/// barrier, no trace event.
+/// keying a plan: the call is counted (by rank 0, as every PE makes it)
+/// and nothing else — no stage, no staging board, no barrier, no trace
+/// event. [`open`] counts a plan that moves nothing (zero elements, one
+/// PE) the same way, by the plan's lead.
 pub(crate) fn note_inert(pe: &Pe, kind: CollectiveKind) {
-    pe.note_collective(kind, &SampleTemplate::default(), 0, 0);
+    pe.note_collective(kind, 0, &SampleTemplate::default(), 0, 0);
 }
 
 /// Issue one blocking episode of `row`, reporting as `kind`, through the
@@ -1218,6 +1225,7 @@ pub(crate) fn plan_for(
     pe.plan_cache().get_or_build(&key, || Plan {
         kind,
         algo: Some(key.algo),
+        lead: row.members.map_or(0, |m| m[0]),
         ..lower(&row.schedule(), sync, elem_bytes)
     })
 }

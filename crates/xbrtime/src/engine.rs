@@ -30,14 +30,18 @@
 //! PE bodies share their worker's thread-locals and
 //! `std::thread::current()`; a panic message names the worker thread.
 //!
-//! The watchdog plane reads scheduler state directly — a parked PE is
-//! *waiting on the scheduler*, not burning a core — and structural
-//! deadlocks (every PE parked or finished, nothing runnable: `Park::Wedged`)
-//! are reported immediately instead of after a wall-clock timeout.
+//! The scheduler is where a PE's wait site lives: `park` records the
+//! [`WaitSite`] it parks at, a grant resets it to `Running` and `finish`
+//! to `Finished`, and the watchdog probe reads every PE's state and site
+//! in one locked `CoopSched::snapshot`. A parked PE is *waiting on the
+//! scheduler*, not burning a core, and structural deadlocks (every PE
+//! parked or finished, nothing runnable: `Park::Wedged`) are reported
+//! immediately instead of after a wall-clock timeout.
 //!
 //! [`RunReport::sched_log`]: crate::RunReport::sched_log
 
 use crate::coro::{self, Coroutine};
+use crate::fabric::WaitSite;
 use crate::timing::SplitMix64;
 use std::any::Any;
 use std::collections::VecDeque;
@@ -116,7 +120,7 @@ pub enum PeSchedState {
     /// Currently holds a worker slot.
     Running,
     /// Parked on a fabric wait (barrier, signal, executor drain); the
-    /// progress plane's [`WaitSite`](crate::WaitSite) names what on.
+    /// [`WaitSite`] the scheduler recorded at the park names what on.
     Parked,
     /// The PE body returned (or unwound).
     Finished,
@@ -164,6 +168,9 @@ type Finished<T> = Vec<(usize, std::thread::Result<T>)>;
 
 struct CoopState {
     status: Vec<PeSchedState>,
+    /// Per PE: where it last parked, until a grant (`Running`) or its
+    /// finish (`Finished`). A watchdog re-grant keeps it.
+    site: Vec<WaitSite>,
     /// Per-PE unpark token: set when an unpark targets a PE that is not
     /// parked, consumed by that PE's next `park` as an immediate
     /// (possibly spurious) grant. Closes the check-then-park race.
@@ -221,6 +228,7 @@ impl CoopSched {
             watchdog,
             state: Mutex::new(CoopState {
                 status: vec![PeSchedState::NotStarted; n_pes],
+                site: vec![WaitSite::Running; n_pes],
                 token: vec![false; n_pes],
                 ready: Vec::with_capacity(n_pes),
                 running: 0,
@@ -266,6 +274,7 @@ impl CoopSched {
             }
             let pe = st.ready.remove(k);
             st.status[pe] = PeSchedState::Running;
+            st.site[pe] = WaitSite::Running;
             st.running += 1;
             st.grants += 1;
             if st.log.len() < SCHED_LOG_CAP {
@@ -308,17 +317,19 @@ impl CoopSched {
     }
 
     /// Release this PE's worker slot and switch back to its worker until
-    /// the PE is granted a slot again.
+    /// the PE is granted a slot again; `site` is recorded as what it
+    /// waits on, also when the park is refused as [`Park::Wedged`].
     ///
     /// A pending unpark token is consumed as an immediate grant without
-    /// releasing the slot — a possibly spurious wakeup, which is fine
-    /// because every fabric wait re-checks its condition in a loop.
+    /// releasing the slot or recording the site — a possibly spurious
+    /// wakeup, which is fine because every fabric wait re-checks its
+    /// condition in a loop.
     ///
     /// The worker resumes the PE with [`Park::TimedOut`] instead when it
     /// sat idle for a whole watchdog window with no grant anywhere in the
     /// fabric; any grant anywhere resets the window, so a busy 4096-PE
     /// fabric never trips a parked victim.
-    pub(crate) fn park(&self, rank: usize) -> Park {
+    pub(crate) fn park(&self, rank: usize, site: WaitSite) -> Park {
         {
             let mut st = self.lock();
             if st.token[rank] {
@@ -330,6 +341,7 @@ impl CoopSched {
                 PeSchedState::Running,
                 "PE {rank} parked without holding a worker slot"
             );
+            st.site[rank] = site;
             if st.running == 1 && st.ready.is_empty() && st.finished < self.n_pes {
                 // Parking would wedge the fabric: nothing left to grant.
                 // Keep the slot so the caller can trip the watchdog with
@@ -407,13 +419,18 @@ impl CoopSched {
             _ => {}
         }
         st.status[rank] = PeSchedState::Finished;
+        st.site[rank] = WaitSite::Finished;
         st.finished += 1;
         self.dispatch(&mut st);
     }
 
-    /// Scheduling state of one PE, for the watchdog probe.
-    pub(crate) fn state_of(&self, rank: usize) -> PeSchedState {
-        self.lock().status[rank]
+    /// Every PE's scheduling state and wait site, by rank, under one
+    /// lock: the watchdog probe's view of the fabric.
+    pub(crate) fn snapshot(&self) -> Vec<(PeSchedState, WaitSite)> {
+        let st = self.lock();
+        std::iter::zip(&st.status, &st.site)
+            .map(|(&state, &site)| (state, site))
+            .collect()
     }
 
     /// Take the recorded grant log (granted PE ranks, in grant order).
@@ -537,6 +554,7 @@ impl CoopSched {
                     // global progress is lost. Hand the PE a slot back so
                     // it can run its probe-and-panic path (it is about to
                     // panic, so `running` may briefly exceed `workers`).
+                    // Its site stays where it parked.
                     st.status[pe] = PeSchedState::Running;
                     st.running += 1;
                     self.timed_out[pe].store(true, Ordering::Relaxed);
@@ -586,7 +604,7 @@ mod tests {
                     // Token latched while running: next park returns
                     // immediately without releasing the slot.
                     sched.unpark(0);
-                    assert_eq!(sched.park(0), Park::Granted);
+                    assert_eq!(sched.park(0, WaitSite::Barrier), Park::Granted);
                 }
                 sched.finish(rank);
             })
@@ -601,7 +619,7 @@ mod tests {
                 if rank == 0 {
                     // With one worker slot, parking hands the slot to
                     // PE 1, which unparks us before finishing.
-                    assert_eq!(sched.park(0), Park::Granted);
+                    assert_eq!(sched.park(0, WaitSite::Barrier), Park::Granted);
                 } else {
                     sched.unpark(0);
                 }
@@ -615,27 +633,37 @@ mod tests {
         );
     }
 
+    /// Also the scheduler's record of where each PE waits: a parked PE
+    /// shows its site, a refused (wedged) park too, a grant resets the
+    /// site to `Running` and `finish` sets `Finished`.
     #[test]
     fn wedge_detected_when_last_runner_parks() {
+        use PeSchedState::{Finished, Parked, Running};
         let sched = sched(2, EngineConfig::coop().with_workers(2));
+        let of = |rank: usize| sched.snapshot()[rank];
+        let slot = WaitSite::Signal { off: 24 };
         sched
             .run(|rank| {
                 if rank == 0 {
                     // Wait until PE 1 is parked, then park the last
                     // runner: that must report Wedged rather than block
                     // forever.
-                    while sched.state_of(1) != PeSchedState::Parked {
+                    while of(1).0 != Parked {
                         std::thread::yield_now();
                     }
-                    assert_eq!(sched.park(0), Park::Wedged);
+                    assert_eq!(of(1), (Parked, slot));
+                    assert_eq!(sched.park(0, WaitSite::Barrier), Park::Wedged);
+                    assert_eq!(of(0), (Running, WaitSite::Barrier));
                     // Unwedge the fabric so PE 1's park completes.
                     sched.unpark(1);
                 } else {
-                    assert_eq!(sched.park(1), Park::Granted);
+                    assert_eq!(sched.park(1, slot), Park::Granted);
+                    assert_eq!(of(1), (Running, WaitSite::Running));
                 }
                 sched.finish(rank);
             })
             .unwrap();
+        assert_eq!(sched.snapshot(), [(Finished, WaitSite::Finished); 2]);
     }
 
     #[test]

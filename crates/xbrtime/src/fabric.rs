@@ -364,13 +364,12 @@ impl CollectiveKind {
 
 /// Aggregated telemetry for one collective kind over a whole fabric run.
 ///
-/// `calls` and `stages` are counted once per episode, by rank 0;
+/// `calls` and `stages` are counted once per episode, by the plan's lead
+/// rank ([`Plan::lead`](crate::collectives::plan::Plan::lead): a team's
+/// first member, rank 0 for a world-scoped episode), so every tenant's
+/// episodes under the traffic plane ([`crate::traffic`]) are counted;
 /// `puts`/`gets`/`bytes_*`/`cycles`/`signals`/`waits`/`wait_cycles` are
-/// summed over all PEs. The rank-0 rule counts every world-scoped
-/// episode, but a team episode only when rank 0 is a member: under the
-/// traffic plane ([`crate::traffic`]) rank 0 sees only tenant 0's
-/// episodes, so a 4-tenant run on 16 PEs with 8 ops per tenant reports
-/// `calls` = 8 of its 32 episodes.
+/// summed over all PEs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CollectiveRecord {
     /// Which collective this row describes.
@@ -469,6 +468,22 @@ struct Tally {
     /// tally stays its old size: 48 bytes more inline put `coll_small`'s
     /// peak RSS into its second glibc-arena mode (+9 %).
     trace: Option<Box<TraceRing>>,
+    /// Where the PE stood when it stopped, written as its [`Pe`] drops.
+    position: Position,
+}
+
+/// Where a PE is in its program: the collective episode and stage it is
+/// in and its count of progress events (transfers, signal posts and
+/// consumes, barrier crossings, stage starts). Only the PE writes it, and
+/// not once the fabric is poisoned, so after the join it still reads as
+/// it did when the watchdog fired.
+#[derive(Clone, Copy, Default)]
+struct Position {
+    collective: Option<CollectiveKind>,
+    /// A value equal to the schedule's stage count denotes the executor's
+    /// final drain.
+    stage: Option<usize>,
+    ops: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -492,43 +507,27 @@ pub enum WaitSite {
     Finished,
 }
 
-impl WaitSite {
-    fn encode(self) -> usize {
-        match self {
-            WaitSite::Running => 0,
-            WaitSite::Barrier => 1,
-            WaitSite::Finished => 2,
-            WaitSite::Signal { off } => 3 + off,
-        }
-    }
-
-    fn decode(v: usize) -> Self {
-        match v {
-            0 => WaitSite::Running,
-            1 => WaitSite::Barrier,
-            2 => WaitSite::Finished,
-            n => WaitSite::Signal { off: n - 3 },
-        }
-    }
-}
-
-/// One PE's row in a [`DeadlockReport`]: everything the progress plane
-/// knew about the PE when the watchdog fired.
+/// One PE's row in a [`DeadlockReport`]: where the PE stood when the
+/// watchdog fired. `site` and `sched` come from the scheduler's snapshot
+/// and `pending_signals` from the PE's heap, both taken at the trip; the
+/// rest is filled from the PE's own tally once every PE has stopped, and
+/// a PE updates none of it after the fabric is poisoned.
 #[derive(Clone, Debug)]
 pub struct PeProbe {
     /// The PE's rank.
     pub rank: usize,
     /// Collective episode the PE was inside, if any (set by the schedule
-    /// executor).
+    /// executor as the episode opens and closes).
     pub collective: Option<CollectiveKind>,
     /// Stage index within that collective. A value equal to the
     /// schedule's stage count denotes the executor's final drain.
     pub stage: Option<usize>,
-    /// Where the PE was blocked (or not).
+    /// Where the PE was blocked (or not): the site it last parked at, as
+    /// the scheduler recorded it, until a grant or its finish.
     pub site: WaitSite,
     /// Monotonic count of progress events (transfers, signals, barrier
-    /// crossings) the PE had completed — two probes with the same value
-    /// mean the PE made no progress in between.
+    /// crossings, stage starts) the PE had completed — two probes with
+    /// the same value mean the PE made no progress in between.
     pub progress_ops: u64,
     /// Nonzero slots of this PE's signal table: `(slot index, stamp)` for
     /// every signal posted to this PE but not yet consumed.
@@ -682,36 +681,6 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Per-PE progress publication, read by any PE's watchdog at timeout and
-/// by the owning PE's trace events (which only it writes, so it always
-/// reads its own latest values). All stores are `Relaxed`: the fields are
-/// diagnostics, not synchronisation, and a slightly stale probe row is
-/// acceptable.
-#[derive(Default)]
-struct ProgressCell {
-    /// Monotonic progress events (transfers, signal posts/consumes,
-    /// barrier crossings).
-    ops: AtomicU64,
-    /// `CollectiveKind::index() + 1` of the active collective, 0 if none.
-    coll: AtomicUsize,
-    /// Stage index within the active collective; `usize::MAX` if none.
-    stage: AtomicUsize,
-    /// Encoded [`WaitSite`].
-    site: AtomicUsize,
-}
-
-impl ProgressCell {
-    /// The active collective and stage, each `None` outside one.
-    fn position(&self) -> (Option<CollectiveKind>, Option<usize>) {
-        let coll = self.coll.load(Ordering::Relaxed);
-        let stage = self.stage.load(Ordering::Relaxed);
-        (
-            (coll != 0).then(|| CollectiveKind::from_index(coll - 1)),
-            (stage != usize::MAX).then_some(stage),
-        )
-    }
-}
-
 struct BarrierState {
     count: AtomicUsize,
     generation: AtomicUsize,
@@ -725,8 +694,6 @@ struct Shared {
     /// Every PE's offered load on the channel, which prices queueing.
     load: OfferedLoad,
     poisoned: AtomicBool,
-    /// Per-PE progress publication for the watchdog (indexed by rank).
-    progress: Vec<ProgressCell>,
     /// Published byte offset of the symmetric signal table, plus one
     /// (0 = table not yet allocated). Lets the watchdog name slots.
     sig_off: AtomicUsize,
@@ -766,7 +733,6 @@ impl Shared {
             },
             load: OfferedLoad::new(cfg.n_pes),
             poisoned: AtomicBool::new(false),
-            progress: (0..cfg.n_pes).map(|_| ProgressCell::default()).collect(),
             sig_off: AtomicUsize::new(0),
             sig_len: AtomicUsize::new(0),
             deadlock: Mutex::new(None),
@@ -788,17 +754,16 @@ impl Shared {
         }
     }
 
-    /// Build a whole-fabric probe: one row per PE from the progress plane
-    /// plus the nonzero slots of each PE's signal table. The rows' recent
-    /// events are filled after the join, from the PEs' own rings.
-    fn probe(&self, detector: usize, timeout: Duration) -> DeadlockReport {
+    /// Build a whole-fabric probe: one row per PE from the scheduler's
+    /// snapshot plus the nonzero slots of each PE's signal table. The
+    /// rows' positions and recent events are filled after the join, from
+    /// the PEs' own tallies.
+    fn probe(&self, detector: usize) -> DeadlockReport {
         let sig_off = self.sig_off.load(Ordering::Acquire);
         let sig_len = self.sig_len.load(Ordering::Acquire);
         let signal_table = (sig_off != 0).then(|| (sig_off - 1, sig_len));
-        let pes = (0..self.n_pes)
-            .map(|rank| {
-                let cell = &self.progress[rank];
-                let (collective, stage) = cell.position();
+        let pes = (self.coop.snapshot().into_iter().enumerate())
+            .map(|(rank, (sched, site))| {
                 let pending_signals = match signal_table {
                     Some((base, len)) => {
                         let table = self.heaps[rank].window("probe", base, len * 8) as *mut u64;
@@ -817,19 +782,19 @@ impl Shared {
                 };
                 PeProbe {
                     rank,
-                    collective,
-                    stage,
-                    site: WaitSite::decode(cell.site.load(Ordering::Relaxed)),
-                    progress_ops: cell.ops.load(Ordering::Relaxed),
+                    collective: None,
+                    stage: None,
+                    site,
+                    progress_ops: 0,
                     pending_signals,
                     recent_events: Vec::new(),
-                    sched: self.coop.state_of(rank),
+                    sched,
                 }
             })
             .collect();
         DeadlockReport {
             detector,
-            timeout,
+            timeout: self.watchdog,
             signal_table,
             pes,
         }
@@ -1010,6 +975,8 @@ pub struct Pe<'f> {
     /// This PE's counters: its own slot of `Shared::tallies`, held for
     /// the whole run.
     tally: MutexGuard<'f, RefCell<Tally>>,
+    /// Where this PE is; written into its tally when it drops.
+    position: Cell<Position>,
     /// Per-PE collective episode counter. Episodes are collective calls,
     /// which every PE makes in the same order, so the counter agrees
     /// across PEs and groups one episode's events.
@@ -1119,6 +1086,14 @@ fn check_src(len: usize, nelems: usize, stride: usize) {
     );
 }
 
+/// On return or unwind, a PE leaves its position in its tally for a
+/// watchdog report's row.
+impl Drop for Pe<'_> {
+    fn drop(&mut self) {
+        self.tally.get_mut().position = self.position.get();
+    }
+}
+
 impl<'f> Pe<'f> {
     fn new(rank: usize, shared: &'f Shared, cfg: &FabricConfig) -> Self {
         // Seed each PE's fault stream independently so PE count and rank
@@ -1137,6 +1112,7 @@ impl<'f> Pe<'f> {
             tally: shared.tallies[rank]
                 .lock()
                 .expect("a PE's tally is its own"),
+            position: Cell::default(),
             trace_episode: Cell::new(0),
             scratch: RefCell::new(Vec::new()),
             nb_slot_base: Cell::new(0),
@@ -1251,42 +1227,40 @@ impl<'f> Pe<'f> {
     }
 
     // ------------------------------------------------------------------
-    // Progress plane: publish where this PE is so any peer's watchdog can
-    // assemble a DeadlockReport. Relaxed stores — diagnostics only.
+    // Position: where this PE is, for a watchdog report's row. Plain
+    // cells, frozen once the fabric is poisoned.
     // ------------------------------------------------------------------
 
+    /// Apply `step` to this PE's position, unless the fabric is poisoned.
+    #[inline]
+    fn move_to(&self, step: impl FnOnce(&mut Position)) {
+        if !self.shared.poisoned.load(Ordering::Relaxed) {
+            let mut at = self.position.get();
+            step(&mut at);
+            self.position.set(at);
+        }
+    }
+
+    /// Count one progress event.
+    #[inline]
     fn progress_tick(&self) {
-        self.shared.progress[self.rank]
-            .ops
-            .fetch_add(1, Ordering::Relaxed);
+        self.move_to(|at| at.ops += 1);
     }
 
-    fn progress_site(&self, site: WaitSite) {
-        self.shared.progress[self.rank]
-            .site
-            .store(site.encode(), Ordering::Relaxed);
-    }
-
-    /// Publish the collective episode this PE is entering (`None` clears).
-    /// Called by the schedule executor.
+    /// Enter the collective episode `kind` (`None` leaves it). Called by
+    /// the schedule executor.
     pub(crate) fn progress_collective(&self, kind: Option<CollectiveKind>) {
-        let cell = &self.shared.progress[self.rank];
-        cell.coll
-            .store(kind.map_or(0, |k| k.index() + 1), Ordering::Relaxed);
-        cell.stage.store(usize::MAX, Ordering::Relaxed);
+        self.move_to(|at| (at.collective, at.stage) = (kind, None));
         if kind.is_some() && self.shared.trace {
             self.trace_episode.set(self.trace_episode.get() + 1);
         }
     }
 
-    /// Publish the stage index this PE is executing. A value equal to the
-    /// schedule's stage count denotes the executor's final drain. Called
-    /// by the schedule executor.
+    /// Enter stage `stage` of the current episode, a progress event. A
+    /// value equal to the schedule's stage count denotes the executor's
+    /// final drain. Called by the schedule executor.
     pub(crate) fn progress_stage(&self, stage: usize) {
-        self.shared.progress[self.rank]
-            .stage
-            .store(stage, Ordering::Relaxed);
-        self.progress_tick();
+        self.move_to(|at| (at.stage, at.ops) = (Some(stage), at.ops + 1));
     }
 
     // ------------------------------------------------------------------
@@ -1320,15 +1294,15 @@ impl<'f> Pe<'f> {
         if self.shared.poisoned.load(Ordering::Relaxed) {
             return;
         }
-        let (collective, stage) = self.shared.progress[self.rank].position();
+        let at = self.position.get();
         let ev = TraceEvent {
             cycle_start,
             cycle_end: self.clock.cycles().max(cycle_start),
             pe: self.rank,
             kind,
-            collective,
+            collective: at.collective,
             episode: self.trace_episode.get(),
-            stage: stage.map(|s| s as u32),
+            stage: at.stage.map(|s| s as u32),
             peer,
             bytes,
             aux,
@@ -1339,12 +1313,10 @@ impl<'f> Pe<'f> {
     }
 
     /// Trip the watchdog: record a whole-fabric DeadlockReport (first
-    /// detector wins), poison the fabric so peers unwind, and panic with
-    /// the rendered report.
-    fn watchdog_trip(&self, site: WaitSite, timeout: Duration) -> ! {
-        self.progress_site(site);
-        let report = self.shared.probe(self.rank, timeout);
-        let msg = format!("PE {}: watchdog: {report}", self.rank);
+    /// detector wins), poison the fabric so peers unwind, and panic. The
+    /// report is completed and rendered after the join ([`Fabric::run`]).
+    fn watchdog_trip(&self) -> ! {
+        let report = self.shared.probe(self.rank);
         {
             let mut slot = self.shared.deadlock.lock().unwrap();
             if slot.is_none() {
@@ -1355,7 +1327,7 @@ impl<'f> Pe<'f> {
         // Parked peers cannot observe the poison flag until they run
         // again; hand every one of them a slot so they unwind promptly.
         self.shared.coop.unpark_all(self.rank);
-        panic!("{msg}");
+        panic!("PE {}: watchdog tripped", self.rank);
     }
 
     /// One step of a blocked fabric wait (barrier, signal, executor
@@ -1368,9 +1340,9 @@ impl<'f> Pe<'f> {
     /// outside the PEs can raise a slot — and trips the watchdog at once
     /// rather than after the full window.
     fn wait_step(&self, site: WaitSite) {
-        match self.shared.coop.park(self.rank) {
+        match self.shared.coop.park(self.rank, site) {
             Park::Granted => {}
-            Park::TimedOut | Park::Wedged => self.watchdog_trip(site, self.shared.watchdog),
+            Park::TimedOut | Park::Wedged => self.watchdog_trip(),
         }
     }
 
@@ -2027,14 +1999,9 @@ impl<'f> Pe<'f> {
     pub fn signal_wait(&self, sig: SymmRef<u64>) -> u64 {
         let t0 = self.trace_start();
         let slot = self.amo_slot(sig, self.rank);
-        let site = WaitSite::Signal { off: sig.off };
-        let mut waited = false;
         loop {
             let stamp = slot.swap(0, Ordering::AcqRel);
             if stamp != 0 {
-                if waited {
-                    self.progress_site(WaitSite::Running);
-                }
                 self.tally.borrow_mut().stats.signal_waits += 1;
                 self.progress_tick();
                 let stalled = self.clock.advance_to(stamp);
@@ -2047,11 +2014,7 @@ impl<'f> Pe<'f> {
                     self.rank
                 );
             }
-            if !waited {
-                waited = true;
-                self.progress_site(site);
-            }
-            self.wait_step(site);
+            self.wait_step(WaitSite::Signal { off: sig.off });
         }
     }
 
@@ -2092,7 +2055,6 @@ impl<'f> Pe<'f> {
             // ever lost).
             self.shared.coop.unpark_all(self.rank);
         } else {
-            self.progress_site(WaitSite::Barrier);
             while b.generation.load(Ordering::Acquire) == gen {
                 if self.shared.poisoned.load(Ordering::Relaxed) {
                     panic!(
@@ -2102,7 +2064,6 @@ impl<'f> Pe<'f> {
                 }
                 self.wait_step(WaitSite::Barrier);
             }
-            self.progress_site(WaitSite::Running);
         }
         // Every PE crosses every barrier; rank 0 counts it.
         if self.rank == 0 {
@@ -2119,16 +2080,17 @@ impl<'f> Pe<'f> {
     /// Record this PE's share of one `kind` episode: the plan's static
     /// counts `t` plus the `cycles` it spent in the executor, `wait_cycles`
     /// of them stalled on signals. `calls` and `stages` are counted by
-    /// rank 0 only (see [`CollectiveRecord`]).
+    /// the episode's `lead` rank only (see [`CollectiveRecord`]).
     pub(crate) fn note_collective(
         &self,
         kind: CollectiveKind,
+        lead: usize,
         t: &SampleTemplate,
         cycles: u64,
         wait_cycles: u64,
     ) {
         let r = &mut self.tally.borrow_mut().coll[kind.index()];
-        if self.rank == 0 {
+        if self.rank == lead {
             r.calls += 1;
             r.stages += t.stages;
         }
@@ -2341,7 +2303,6 @@ impl Fabric {
             };
             let pe = Pe::new(rank, &shared, &config);
             let r = body(&pe);
-            pe.progress_site(WaitSite::Finished);
             (r, pe.clock.cycles())
         });
         let wall = start.elapsed();
@@ -2359,6 +2320,9 @@ impl Fabric {
                 let mut report = shared.deadlock.lock().unwrap().take();
                 if let Some(report) = &mut report {
                     for (probe, t) in report.pes.iter_mut().zip(tallies) {
+                        probe.collective = t.position.collective;
+                        probe.stage = t.position.stage;
+                        probe.progress_ops = t.position.ops;
                         if let Some(ring) = &t.trace {
                             probe.recent_events = ring.recent(DEADLOCK_RECENT_EVENTS);
                         }
@@ -2410,6 +2374,31 @@ mod tests {
         assert_eq!(ceil_log2(7), 3);
         assert_eq!(ceil_log2(8), 3);
         assert_eq!(ceil_log2(9), 4);
+    }
+
+    /// Outside any collective a PE has no stage: neither its report row
+    /// nor its trace events carry one.
+    #[test]
+    fn no_stage_outside_a_collective() {
+        let cfg = FabricConfig::new(2)
+            .with_engine(EngineConfig::coop().with_workers(1))
+            .with_trace();
+        let result = Fabric::try_run(cfg, |pe| {
+            pe.barrier();
+            let table = pe.signal_table(2);
+            pe.signal_wait(table.offset(pe.rank()));
+        });
+        let Err(RunError::Deadlock(report)) = result else {
+            panic!("expected a deadlock");
+        };
+        for p in &report.pes {
+            assert_eq!((p.collective, p.stage), (None, None), "{report}");
+            assert!(!p.recent_events.is_empty(), "{report}");
+            assert!(
+                p.recent_events.iter().all(|e| e.stage.is_none()),
+                "{report}"
+            );
+        }
     }
 
     #[test]

@@ -807,6 +807,7 @@ pub fn run_traffic(fab: FabricConfig, cfg: &TrafficConfig) -> Result<TrafficRepo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
 
     #[test]
     fn partition_is_contiguous_and_total() {
@@ -822,6 +823,25 @@ mod tests {
             }
             assert_eq!(seen, (0..n).collect::<Vec<_>>());
         }
+    }
+
+    /// Every tenant's episodes are counted once, by the tenant's first
+    /// member, not only those of the tenant that holds rank 0.
+    #[test]
+    fn every_tenant_episode_is_counted() {
+        let cfg = TrafficConfig {
+            tenants: 2,
+            ops_per_tenant: 6,
+            ..Default::default()
+        };
+        let (n_pes, tenants) = (4, cfg.tenants);
+        let slots = (0..tenants)
+            .map(|t| plan_slots(&cfg, t, &tenant_members(t, n_pes, tenants), n_pes))
+            .fold(64, usize::max);
+        let fab = FabricConfig::new(n_pes).with_engine(EngineConfig::coop().with_workers(1));
+        let report = Fabric::run(fab, |pe| traffic_body(pe, &cfg, slots));
+        let calls: u64 = report.collectives.iter().map(|r| r.calls).sum();
+        assert_eq!(calls, (tenants * cfg.ops_per_tenant) as u64);
     }
 
     #[test]

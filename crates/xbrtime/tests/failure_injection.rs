@@ -203,7 +203,9 @@ fn stranded_signal_wait_trips_watchdog_with_report() {
 /// whole watchdog window. PE 1, parked at the barrier, times out, is
 /// handed a slot back and reports PE 0, still running, as the culprit.
 /// Traced, PE 0's recent events stop at the trip: the barrier it crosses
-/// after waking is not among them.
+/// after waking is not among them. Its position stops there too: the put
+/// and the broadcast it issues after waking leave its row as it was at
+/// the trip, running, outside any collective, with no progress counted.
 #[test]
 fn stalled_running_pe_trips_wall_clock_watchdog() {
     for traced in [false, true] {
@@ -215,8 +217,11 @@ fn stalled_running_pe_trips_wall_clock_watchdog() {
         }
         let started = std::time::Instant::now();
         let result = Fabric::try_run(cfg, |pe| {
+            let dest = pe.shared_malloc::<u64>(4);
             if pe.rank() == 0 {
                 std::thread::sleep(Duration::from_secs(1));
+                pe.put(dest.whole(), &[1, 2, 3, 4], 4, 1, 1);
+                xbrtime::collectives::broadcast(pe, &dest, &[5; 4], 4, 1, 0);
             }
             pe.barrier();
         });
@@ -232,6 +237,8 @@ fn stalled_running_pe_trips_wall_clock_watchdog() {
         assert_eq!(stuck.rank, 0, "{report}");
         assert_eq!(stuck.site, WaitSite::Running, "{report}");
         assert_eq!(stuck.sched, PeSchedState::Running, "{report}");
+        assert_eq!(stuck.collective, None, "{report}");
+        assert_eq!(stuck.progress_ops, 0, "{report}");
         let waiter = &report.pes[1];
         assert_eq!(waiter.site, WaitSite::Barrier, "{report}");
         // The timed-out PE is re-granted a slot before it probes the fabric.
