@@ -152,6 +152,9 @@ fn split_operands(rest: &str) -> Vec<String> {
 /// First pass: parse every line into a sized statement and collect labels.
 fn parse(base: u64, source: &str) -> Result<(Vec<Line>, HashMap<String, u64>), AsmError> {
     let mut lines = Vec::new();
+    // `Image::labels` is public API typed on std's hasher; nothing
+    // iterates it or keeps it past the assembly.
+    #[allow(clippy::disallowed_methods)]
     let mut labels = HashMap::new();
     let mut offset_words = 0usize;
 

@@ -60,12 +60,19 @@
 //! stepper runs — so only the specialised component bodies of the one pass
 //! need differential scrutiny: `tests/sim_differential.rs` stops it at
 //! every component boundary and aliases every operand of every fused idiom.
+//!
+//! **Hart hand-over.** Harts are boxed in [`Machine`]. For the length of a
+//! block the running hart's box trades places with the run loop's one
+//! spare box, and around each `exec_inst` fallback (every remote access
+//! among them) it trades back and forth again: each hand-over moves a
+//! pointer, never the ~560-byte hart. The translated-block cache is a
+//! [`WordMap`] keyed by start pc.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::cost::CostConfig;
 use crate::hart::{branch_taken, eval_op, eval_op_imm, Hart, HartState, SimFault};
+use crate::hash::WordMap;
 use crate::machine::{Machine, RunExit, RunSummary};
 use xbgas_isa::{decode_all, AluImmOp, AluOp, BranchCond, EReg, Inst, LoadWidth, StoreWidth, XReg};
 
@@ -265,7 +272,7 @@ pub(crate) struct Block {
 /// Per-PE cache of translated blocks, keyed by start pc, plus the covering
 /// address range so the store-side invalidation probe is two compares.
 pub(crate) struct BlockCache {
-    map: HashMap<u64, Arc<Block>>,
+    map: WordMap<u64, Arc<Block>>,
     lo: u64,
     hi: u64,
 }
@@ -273,7 +280,7 @@ pub(crate) struct BlockCache {
 impl BlockCache {
     pub(crate) fn new() -> Self {
         BlockCache {
-            map: HashMap::new(),
+            map: WordMap::default(),
             lo: u64::MAX,
             hi: 0,
         }
@@ -811,16 +818,23 @@ fn shift(v: u64, left: bool, shamt: u32) -> u64 {
 /// store invalidates translated code, or a fault occurs. A control transfer
 /// back to the block's own start restarts it in place — the hot-loop fast
 /// path that skips the cache lookup entirely.
-fn exec_block(m: &mut Machine, pe: usize, block: &Block, limit: u64) -> Result<(), SimFault> {
-    // Hoist the hart into a stack local for the whole block: pc, cycles,
-    // instret and both register files then live outside the `harts` vec,
-    // so the per-component commits compile to plain register/stack traffic
-    // with no bounds checks. A zeroed placeholder sits in the vec
-    // meanwhile; nothing on the block path reads `harts` except
-    // `exec_inst`, around which the real hart is swapped back in.
-    let mut h = std::mem::replace(&mut m.harts[pe], Hart::new(0));
-    let r = exec_ops(m, pe, block, limit, &mut h);
-    m.harts[pe] = h;
+///
+/// `parked` is the run loop's spare hart box. It trades places with hart
+/// `pe`'s box for the whole block, so the pass reaches the hart through a
+/// box of its own, with no bounds check, rather than by indexing the
+/// `harts` vec; only pointers move. The spare that stands in the vec
+/// meanwhile is never read: nothing on the block path reads `harts` except
+/// `exec_inst`, around which the two boxes trade back.
+fn exec_block(
+    m: &mut Machine,
+    pe: usize,
+    block: &Block,
+    limit: u64,
+    parked: &mut Box<Hart>,
+) -> Result<(), SimFault> {
+    std::mem::swap(&mut m.harts[pe], parked);
+    let r = exec_ops(m, pe, block, limit, parked);
+    std::mem::swap(&mut m.harts[pe], parked);
     r
 }
 
@@ -837,7 +851,7 @@ fn exec_ops(
     pe: usize,
     block: &Block,
     limit: u64,
-    h: &mut Hart,
+    h: &mut Box<Hart>,
 ) -> Result<(), SimFault> {
     // The functional cost preset can never charge for an access, so the
     // model call is skipped wholesale on the hottest paths.
@@ -1020,7 +1034,8 @@ fn exec_ops(
             restart_or_exit!();
         }};
     }
-    // A component the stepper executes: it works on the hart in the vec.
+    // A component the stepper executes: it works on the hart in the vec,
+    // so the hart's box trades places with the spare for the call.
     macro_rules! interp {
         ($inst:expr, $word:expr) => {{
             commit!();
@@ -1205,6 +1220,8 @@ fn exec_ops(
 /// per-hart execution between scheduling points differs.
 pub(crate) fn run_block(m: &mut Machine) -> RunSummary {
     debug_assert_eq!(m.trace_depth, 0, "block engine never runs while tracing");
+    // The spare box each dispatch trades with the running hart's.
+    let mut parked = Box::new(Hart::new(0));
     let exit = loop {
         let pe = match m.next_runnable() {
             Ok(pe) => pe,
@@ -1250,7 +1267,7 @@ pub(crate) fn run_block(m: &mut Machine) -> RunSummary {
                 }
             },
         };
-        if let Err(fault) = exec_block(m, pe, &block, limit) {
+        if let Err(fault) = exec_block(m, pe, &block, limit, &mut parked) {
             m.harts[pe].state = HartState::Faulted(fault.clone());
             break RunExit::Fault { pe, fault };
         }

@@ -17,7 +17,8 @@
 //! * [`machine::Machine`] — the N-core discrete-event machine with
 //!   exit/putchar/my_pe/num_pes/barrier environment calls,
 //! * [`asm`] — a two-pass assembler for authoring xBGAS kernels,
-//! * [`cost`] — the timing calibration (`paper()` presets).
+//! * [`cost`] — the timing calibration (`paper()` presets),
+//! * [`hash`] — the seedless word hasher behind every internal map.
 //!
 //! The instruction-level machine verifies ISA semantics and produces the
 //! micro-level timing parameters; the `xbrtime` crate implements the paper's
@@ -61,6 +62,7 @@ mod block;
 pub mod cache;
 pub mod cost;
 pub mod hart;
+pub mod hash;
 pub mod machine;
 pub mod mem;
 pub mod noc;

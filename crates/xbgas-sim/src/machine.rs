@@ -78,7 +78,10 @@ impl RunSummary {
 /// The simulated multi-core machine.
 pub struct Machine {
     pub(crate) config: MachineConfig,
-    pub(crate) harts: Vec<Hart>,
+    /// Boxed, so the block engine takes a hart out and hands it back to
+    /// [`Machine::exec_inst`] by swapping pointers, not 560-byte harts.
+    #[allow(clippy::vec_box)] // boxed on purpose, see above
+    pub(crate) harts: Vec<Box<Hart>>,
     pub(crate) mems: Vec<Memory>,
     /// Per-PE TLB + cache-hierarchy timing models.
     mem_models: Vec<MemModel>,
@@ -117,7 +120,7 @@ impl Machine {
             && cost.mem_cycles == 0;
         Machine {
             config,
-            harts: (0..n).map(|_| Hart::new(0x1000)).collect(),
+            harts: (0..n).map(|_| Box::new(Hart::new(0x1000))).collect(),
             mems: (0..n).map(|_| Memory::new(config.mem_bytes)).collect(),
             mem_models: (0..n).map(|_| MemModel::new(&cost)).collect(),
             olbs: (0..n)

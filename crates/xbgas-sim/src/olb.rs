@@ -14,8 +14,9 @@
 //! memory-mapped-I/O-style use (paper §3.1 mentions this domain) and used
 //! by tests.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::hash::WordMap;
 
 /// Where an object ID points: a processing element and a base offset within
 /// its physical memory.
@@ -65,7 +66,7 @@ pub struct OlbStats {
 /// The Object Look-Aside Buffer: object ID → (PE, base) mapping.
 #[derive(Debug)]
 pub struct Olb {
-    map: HashMap<u64, OlbEntry>,
+    map: WordMap<u64, OlbEntry>,
     /// Cycles charged for a translation (object ID ≠ 0).
     pub lookup_cycles: u64,
     stats: OlbStats,
@@ -75,7 +76,7 @@ impl Olb {
     /// An empty OLB with the given translation latency.
     pub fn new(lookup_cycles: u64) -> Self {
         Olb {
-            map: HashMap::new(),
+            map: WordMap::default(),
             lookup_cycles,
             stats: OlbStats::default(),
         }

@@ -23,7 +23,7 @@
 //! asserts the oracle flags every one — a surviving mutant means a
 //! dependency class the checks cannot see.
 
-use std::collections::HashSet;
+use xbgas_sim::hash::WordSet;
 
 use crate::collectives::policy::SyncMode;
 use crate::collectives::schedule::{is_put_kind, CommSchedule, TransferOp};
@@ -201,7 +201,7 @@ pub fn explore_exhaustive(
 ) -> ExploreOutcome {
     let prog = Program::lower(sched, sync, cfg);
     let exp = prog.expectation(spec);
-    let mut visited: HashSet<u64> = HashSet::new();
+    let mut visited: WordSet<u64> = WordSet::default();
     let mut complete_runs = 0usize;
     let mut truncated = false;
 

@@ -33,10 +33,10 @@
 //! an overlap window with headroom; a blocking one runs at the current
 //! floor with a table of exactly its size.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use xbgas_sim::hash::{WordBuildHasher, WordMap};
 
 use crate::collectives::extended::AllReduceAlgo;
 use crate::collectives::policy::{
@@ -1083,8 +1083,15 @@ impl PlanCacheStats {
 
 const PLAN_CACHE_SHARDS: usize = 16;
 
+/// The shard of a key whose word hash is `h`: four of its middle bits, so
+/// the keys of one shard still differ in the low bits a shard map indexes
+/// its buckets by and in the top seven it tags them with.
+fn shard_index(h: u64) -> usize {
+    (h >> 32) as usize % PLAN_CACHE_SHARDS
+}
+
 struct PlanShard {
-    map: Mutex<HashMap<PlanKey, Arc<Plan>>>,
+    map: Mutex<WordMap<PlanKey, Arc<Plan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     bytes: AtomicU64,
@@ -1094,7 +1101,11 @@ struct PlanShard {
 /// concurrent lookups from many PEs contend only when they race on the
 /// *same* collective shape — and then the first arrival builds while the
 /// rest block and hit, keeping the hit/miss counters exact
-/// (`misses == distinct keys`).
+/// (`misses == distinct keys`). The shard pick and the shard maps hash
+/// with the seedless [`WordBuildHasher`], so a key lands in the same shard
+/// and bucket in every process, and a dropped cache frees its plans in one
+/// order: the allocator state the next launch starts from, and with it the
+/// cycles its private buffers are priced at, does not vary by process.
 pub struct PlanCache {
     shards: Vec<PlanShard>,
 }
@@ -1111,7 +1122,7 @@ impl PlanCache {
         PlanCache {
             shards: (0..PLAN_CACHE_SHARDS)
                 .map(|_| PlanShard {
-                    map: Mutex::new(HashMap::new()),
+                    map: Mutex::new(WordMap::default()),
                     hits: AtomicU64::new(0),
                     misses: AtomicU64::new(0),
                     bytes: AtomicU64::new(0),
@@ -1121,9 +1132,7 @@ impl PlanCache {
     }
 
     fn shard_of(&self, key: &PlanKey) -> &PlanShard {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        &self.shards[shard_index(WordBuildHasher::default().hash_one(key))]
     }
 
     /// Fetch the plan for `key`, lowering it with `build` on first use.
@@ -1663,6 +1672,72 @@ mod tests {
     use crate::collectives::schedule::{broadcast_binomial, rooted_schedule};
     use crate::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
     use crate::fabric::{Fabric, FabricConfig};
+    use xbgas_sim::hash::WordSet;
+
+    /// Shard loads, the number of distinct low-7 and top-7 bit values of
+    /// the word hashes of `keys`, and the fewest distinct low-4 bit values
+    /// among the keys of one shard.
+    fn spread<K: std::hash::Hash>(keys: &[K]) -> ([usize; PLAN_CACHE_SHARDS], usize, usize, usize) {
+        let mut shards = [0; PLAN_CACHE_SHARDS];
+        let mut in_shard: [WordSet<u64>; PLAN_CACHE_SHARDS] = Default::default();
+        let (mut low, mut top) = (WordSet::default(), WordSet::default());
+        for k in keys {
+            let h = WordBuildHasher::default().hash_one(k);
+            shards[shard_index(h)] += 1;
+            in_shard[shard_index(h)].insert(h & 15);
+            low.insert(h & 127);
+            top.insert(h >> 57);
+        }
+        let per_shard = in_shard.iter().map(WordSet::len).min().unwrap();
+        (shards, low.len(), top.len(), per_shard)
+    }
+
+    /// The plan cache's word hash spreads keys over every shard, and over
+    /// the low bits a shard map indexes its buckets by (within each shard
+    /// too) and the top seven it tags them with: sequential words, and
+    /// `coll_cold`-shaped plan keys (every kind at nine sizes, the rooted
+    /// ones from each of 8 roots: 504 keys).
+    #[test]
+    fn word_hash_spreads_keys_over_shards_and_bucket_bits() {
+        let words: Vec<u64> = (0..1024).collect();
+        let (shards, low, top, per_shard) = spread(&words);
+        assert!(
+            shards.iter().all(|&s| (32..=128).contains(&s)),
+            "{shards:?}"
+        );
+        assert_eq!((low, top), (128, 128));
+        assert!(per_shard >= 12, "{per_shard} of 16 low nibbles in a shard");
+
+        let mut keys = Vec::new();
+        for (tag, kind) in CollectiveKind::ALL.into_iter().enumerate() {
+            let rooted = tag < 4;
+            for j in 0..9 {
+                for r in 0..8 {
+                    let (root, nelems) = if rooted {
+                        (r, 1 + 60 * j)
+                    } else {
+                        (0, 1 + 511 * (8 * j + r) / 71)
+                    };
+                    keys.push(PlanKey {
+                        kind,
+                        algo: Algorithm::Binomial,
+                        sync: SyncMode::Auto,
+                        n_pes: 8,
+                        root,
+                        nelems,
+                        stride: 1,
+                        elem_bytes: 8,
+                        shape: vec![tag as u64],
+                    });
+                }
+            }
+        }
+        assert_eq!(keys.iter().collect::<WordSet<_>>().len(), 504);
+        let (shards, low, top, per_shard) = spread(&keys);
+        assert!(shards.iter().all(|&s| (16..=63).contains(&s)), "{shards:?}");
+        assert!(low >= 112 && top >= 112, "low {low}, top {top} of 128");
+        assert!(per_shard >= 8, "{per_shard} of 16 low nibbles in a shard");
+    }
 
     /// Lowering resolves Auto through `CommSchedule::resolve_sync`.
     #[test]

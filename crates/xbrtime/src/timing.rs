@@ -29,10 +29,10 @@
 //! - `fold(nelems)`, `alloc()`, `free()`, `post()`: ALU charges.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xbgas_sim::cache::{CacheStats, MemModel};
 use xbgas_sim::cost::CostConfig;
+use xbgas_sim::hash::WordMap;
 use xbgas_sim::tlb::TlbStats;
 
 /// The splitmix64 generator — the single PRNG behind every deterministic
@@ -208,6 +208,14 @@ impl OfferedLoad {
     }
 }
 
+/// `cycles × scale`, rounded to the nearest cycle. Out of line: `round`
+/// is a library call on the baseline x86-64 target, and only on-node
+/// flights pay it. Below 2^53 cycles a scale of 1.0 returns `cycles`.
+#[inline(never)]
+fn scaled(cycles: u64, scale: f64) -> u64 {
+    (cycles as f64 * scale).round() as u64
+}
+
 /// Where every PE's symmetric heap starts in its logical address space
 /// (page-aligned).
 const HEAP_BASE: u64 = 0;
@@ -222,7 +230,7 @@ struct PageTable {
     /// The last lookup, `(host page, logical page)`: a one-page walk (a
     /// GUPS update's stack word) is a compare.
     last: (u64, u64),
-    pages: HashMap<u64, u64>,
+    pages: WordMap<u64, u64>,
 }
 
 impl PageTable {
@@ -233,7 +241,7 @@ impl PageTable {
             shift: page_bytes.trailing_zeros(),
             next: (HEAP_BASE + heap_len as u64).div_ceil(page_bytes),
             last: (u64::MAX, 0),
-            pages: HashMap::new(),
+            pages: WordMap::default(),
         }
     }
 
@@ -356,19 +364,22 @@ impl<'f> PeClock<'f> {
 
     /// Location-aware scale for a flight to `target`: an intra-node
     /// transfer flies a shorter, wider path (the OLB tells the runtime
-    /// where the object lives).
-    fn scale(&self, target: usize) -> f64 {
+    /// where the object lives). `None` is a full-length flight, priced in
+    /// integers: only an on-node flight needs the `f64` product.
+    fn on_node_scale(&self, target: usize) -> Option<f64> {
         match self.topology {
-            Some(t) if t.same_node(self.rank, target) => t.intra_node_factor,
-            _ => 1.0,
+            Some(t) if t.same_node(self.rank, target) => Some(t.intra_node_factor),
+            _ => None,
         }
     }
 
     /// How long `bytes` to `target` hold the channel (never 0 cycles).
     fn occupancy(&self, target: usize, bytes: usize) -> u64 {
-        ((self.cfg.cost.noc.occupancy(bytes) as f64) * self.scale(target))
-            .round()
-            .max(1.0) as u64
+        let occ = self.cfg.cost.noc.occupancy(bytes);
+        match self.on_node_scale(target) {
+            None => occ.max(1),
+            Some(s) => scaled(occ, s).max(1),
+        }
     }
 
     /// One flight's base latency to `target`: 0 to itself or with
@@ -377,7 +388,8 @@ impl<'f> PeClock<'f> {
         if !self.cfg.enabled || target == self.rank {
             return 0;
         }
-        ((self.cfg.cost.noc.base_latency as f64) * self.scale(target)).round() as u64
+        let base = self.cfg.cost.noc.base_latency;
+        self.on_node_scale(target).map_or(base, |s| scaled(base, s))
     }
 
     /// Simulated cost of moving `bytes` to/from `target` (excluding the

@@ -22,8 +22,9 @@
 //! the rings after the join. A PE stops recording once the fabric is
 //! poisoned, so a report's recent events end where the watchdog fired.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use xbgas_sim::hash::WordMap;
 
 use crate::fabric::CollectiveKind;
 
@@ -320,7 +321,7 @@ impl Trace {
             .filter(|&i| matches!(ev(i).kind, TraceKind::SignalPost | TraceKind::SignalWait))
             .collect();
         order.sort_by_key(|&i| (ev(i).cycle_end, ev(i).cycle_start, i));
-        let mut posts: HashMap<(usize, u64), VecDeque<usize>> = HashMap::new();
+        let mut posts: WordMap<(usize, u64), VecDeque<usize>> = WordMap::default();
         let mut pairs = Vec::new();
         for i in order {
             let e = ev(i);
@@ -515,7 +516,7 @@ impl Trace {
         // Program-order successor per local index (members are per-PE
         // emission order within each PE's contiguous run).
         let mut succ: Vec<Option<usize>> = vec![None; n];
-        let mut last_of_pe: HashMap<usize, usize> = HashMap::new();
+        let mut last_of_pe: WordMap<usize, usize> = WordMap::default();
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, pred) in preds.iter_mut().enumerate() {
             if let Some(&prev) = last_of_pe.get(&ev(i).pe) {
