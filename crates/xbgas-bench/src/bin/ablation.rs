@@ -25,12 +25,14 @@
 //! `--trace <out.json>` asks for the telemetry run's Perfetto timeline.
 
 use xbgas_bench::{
-    ablation_gups_amo, ablation_sync_modes, ablation_topology, ablation_unroll, collective_run,
-    export_trace, sweep_all_gather, sweep_allreduce, sweep_broadcast, sweep_gather, sweep_reduce,
-    sweep_scatter, trace_arg, GRID_PES as PES, GRID_SIZES as SIZES,
+    ablation_gups_amo, ablation_topology, ablation_unroll, collective_run, export_trace, measure,
+    trace_arg, Cell, Coll, GRID_PES as PES, GRID_SIZES as SIZES,
 };
 use xbrtime::collectives::{AllGatherVAlgo, AllReduceAlgo};
 use xbrtime::{AlgorithmPolicy, EngineConfig, SyncMode};
+
+/// Every run's engine: auto-sized worker slots.
+const ENGINE: EngineConfig = EngineConfig::coop();
 
 const TREE_LINEAR: [(&str, AlgorithmPolicy); 2] = [
     ("binomial", AlgorithmPolicy::Binomial),
@@ -50,18 +52,30 @@ fn cells(pes: &[usize], sizes: &[usize]) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// The cell of `coll` under `sync` at `n_pes` × `nelems`, warm or cold.
+fn cell(coll: Coll, sync: SyncMode, n_pes: usize, nelems: usize, warm: bool) -> Cell {
+    Cell {
+        coll,
+        sync,
+        n_pes,
+        nelems,
+        warm,
+    }
+}
+
 /// Print one grid table — a row per cell with one simulated-makespan
 /// column per arm and the fastest concrete arm (an arm named `auto` shows
 /// what the policy picks, it does not compete; `tie` when the concrete
 /// arms all measure the same) — followed by the crossover lines: per PE
 /// count, the winner at the smallest size and every payload (bytes of
-/// `size`) from which the winner changes.
+/// `size`) from which the winner changes. `at(arm, n, size)` is the cell
+/// an arm measures in a row.
 fn grid<A: Copy>(
     title: &str,
     size_hdr: &str,
     arms: &[(&str, A)],
     cells: &[(usize, usize)],
-    run: impl Fn(A, usize, usize) -> u64,
+    at: impl Fn(A, usize, usize) -> Cell,
 ) {
     println!("\n# {title}");
     print!("{:>5} {size_hdr:>9}", "PEs");
@@ -74,8 +88,8 @@ fn grid<A: Copy>(
     for &(n, sz) in cells {
         print!("{n:>5} {sz:>9}");
         let (mut best, mut worst) = (("", u64::MAX), 0);
-        for &(name, arm) in arms {
-            let cycles = run(arm, n, sz);
+        for &(name, a) in arms {
+            let cycles = measure(ENGINE, &at(a, n, sz)).0;
             print!(" {cycles:>18}");
             if name != "auto" {
                 worst = worst.max(cycles);
@@ -103,7 +117,6 @@ fn grid<A: Copy>(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let engine = EngineConfig::default();
     let trace_path = trace_arg(&args);
     println!("# Ablation 1 — transfer loop unrolling (remote put of N u64)");
     println!(
@@ -111,8 +124,8 @@ fn main() {
         "elems", "rolled (cyc)", "unrolled (cyc)", "speedup"
     );
     for nelems in [8usize, 64, 512, 4096, 32768] {
-        let rolled = ablation_unroll(engine, usize::MAX, nelems);
-        let unrolled = ablation_unroll(engine, 8, nelems);
+        let rolled = ablation_unroll(ENGINE, usize::MAX, nelems);
+        let unrolled = ablation_unroll(ENGINE, 8, nelems);
         println!(
             "{:>9} {:>14} {:>14} {:>8.2}",
             nelems,
@@ -132,7 +145,7 @@ fn main() {
         "elems",
         &family,
         &cells(&PES, &[16, 256, 1024, 8192, 65536]),
-        |algo, n, sz| sweep_allreduce(engine, algo, SyncMode::Auto, n, sz),
+        |algo, n, sz| cell(Coll::AllReduce(algo), SyncMode::Auto, n, sz, true),
     );
 
     println!("\n# Ablation 3 — topology-aware hierarchical broadcast (8192 u64,");
@@ -142,7 +155,7 @@ fn main() {
         "PEs", "node size", "hierarchical", "flat tree", "speedup"
     );
     for (n, k) in [(8usize, 4usize), (8, 2), (12, 3), (12, 4), (12, 6)] {
-        let (hier, flat) = ablation_topology(engine, n, k, 8192);
+        let (hier, flat) = ablation_topology(ENGINE, n, k, 8192);
         println!(
             "{:>6} {:>10} {:>14} {:>12} {:>8.2}",
             n,
@@ -159,17 +172,17 @@ fn main() {
         "PEs", "get+put (cyc)", "amo (cyc)", "g/p errs", "amo errs"
     );
     for n in [2usize, 4, 8] {
-        let (gp, amo, gp_err, amo_err) = ablation_gups_amo(engine, n);
+        let (gp, amo, gp_err, amo_err) = ablation_gups_amo(ENGINE, n);
         println!("{n:>5} {gp:>16} {amo:>12} {gp_err:>10} {amo_err:>10}");
     }
 
-    let cold = SyncMode::Barrier;
+    let barrier = SyncMode::Barrier;
     grid(
         "Ablation 5 — rooted collectives, §4.7 (cold call, per-stage barriers): broadcast",
         "elems",
         &TREE_LINEAR_RING,
         &cells(&PES, &SIZES),
-        |policy, n, sz| sweep_broadcast(engine, policy, cold, false, n, sz),
+        |policy, n, sz| cell(Coll::Broadcast(policy), barrier, n, sz, false),
     );
     // Reduce has no ring shape (`Ring` falls back to linear).
     grid(
@@ -177,7 +190,7 @@ fn main() {
         "elems",
         &TREE_LINEAR,
         &cells(&PES, &SIZES),
-        |policy, n, sz| sweep_reduce(engine, policy, cold, false, n, sz),
+        |policy, n, sz| cell(Coll::Reduce(policy), barrier, n, sz, false),
     );
     let per_pe = cells(&PES, &[16, 1024, 8192]);
     grid(
@@ -185,58 +198,61 @@ fn main() {
         "elems/PE",
         &TREE_LINEAR_RING,
         &per_pe,
-        |policy, n, per| sweep_scatter(engine, policy, n, per),
+        |policy, n, sz| cell(Coll::Scatter(policy), barrier, n, sz, false),
     );
     grid(
         "Ablation 5 — gather (uniform counts)",
         "elems/PE",
         &TREE_LINEAR_RING,
         &per_pe,
-        |policy, n, per| sweep_gather(engine, policy, n, per),
+        |policy, n, sz| cell(Coll::Gather(policy), barrier, n, sz, false),
     );
 
     println!("\n# Ablation 6 — executor sync modes (binomial broadcast, warmed call;");
     println!("#   signals/waits/stall cycles aggregated across PEs; overlap =");
     println!("#   1 - wait_cycles/executor_cycles)");
-    for (n, nelems) in [(8usize, 256usize), (8, 65536)] {
-        println!(
-            "{:>5} {:>9} {:>10} {:>12} {:>8} {:>7} {:>12} {:>8}",
-            "PEs", "elems", "mode", "makespan", "signals", "waits", "wait cycles", "overlap"
-        );
-        for row in ablation_sync_modes(engine, n, nelems) {
-            println!(
-                "{:>5} {:>9} {:>10} {:>12} {:>8} {:>7} {:>12} {:>8.3}",
-                n,
-                nelems,
-                row.sync.name(),
-                row.makespan,
-                row.signals,
-                row.waits,
-                row.wait_cycles,
-                row.overlap_ratio
-            );
-        }
-    }
     let syncs = [
         SyncMode::Barrier,
         SyncMode::Signaled,
         SyncMode::Pipelined,
         SyncMode::Auto,
-    ]
-    .map(|s| (s.name(), s));
+    ];
+    for (n, nelems) in [(8usize, 256usize), (8, 65536)] {
+        println!(
+            "{:>5} {:>9} {:>10} {:>12} {:>8} {:>7} {:>12} {:>8}",
+            "PEs", "elems", "mode", "makespan", "signals", "waits", "wait cycles", "overlap"
+        );
+        for sync in syncs {
+            let tree = Coll::Broadcast(AlgorithmPolicy::Binomial);
+            let (makespan, rec) = measure(ENGINE, &cell(tree, sync, n, nelems, true));
+            let rec = rec.unwrap_or_default();
+            println!(
+                "{:>5} {:>9} {:>10} {:>12} {:>8} {:>7} {:>12} {:>8.3}",
+                n,
+                nelems,
+                sync.name(),
+                makespan,
+                rec.signals,
+                rec.waits,
+                rec.wait_cycles,
+                rec.overlap_ratio()
+            );
+        }
+    }
+    let syncs = syncs.map(|s| (s.name(), s));
     grid(
         "Ablation 6 — sync-mode makespans (warmed call): broadcast, AlgorithmPolicy::Auto",
         "elems",
         &syncs,
         &cells(&PES, &SIZES),
-        |sync, n, sz| sweep_broadcast(engine, AlgorithmPolicy::Auto, sync, true, n, sz),
+        |sync, n, sz| cell(Coll::Broadcast(AlgorithmPolicy::Auto), sync, n, sz, true),
     );
     grid(
         "Ablation 6 — sync-mode makespans (warmed call): binomial reduce",
         "elems",
         &syncs,
         &cells(&PES, &[256, 65536]),
-        |sync, n, sz| sweep_reduce(engine, AlgorithmPolicy::Binomial, sync, true, n, sz),
+        |sync, n, sz| cell(Coll::Reduce(AlgorithmPolicy::Binomial), sync, n, sz, true),
     );
 
     let gathers: Vec<_> = AllGatherVAlgo::CONCRETE
@@ -249,7 +265,7 @@ fn main() {
         "elems/PE",
         &gathers,
         &cells(&[4, 8, 16, 64], &[16, 1024]),
-        |algo, n, per| sweep_all_gather(engine, algo, SyncMode::Auto, n, per),
+        |algo, n, sz| cell(Coll::AllGather(algo), SyncMode::Auto, n, sz, true),
     );
 
     println!("\n# Per-collective executor telemetry (8 PEs, 1024 u64 each,");
@@ -261,7 +277,7 @@ fn main() {
     // The telemetry workload runs with the tracing plane on: the same run
     // feeds the table above, the event timeline below, and (with
     // `--trace <out.json>`) the exported Perfetto file.
-    let report = collective_run(engine, 8, 1024, true);
+    let report = collective_run(ENGINE, 8, 1024, true);
     for rec in &report.collectives {
         println!(
             "{:>11} {:>6} {:>7} {:>7} {:>11} {:>11} {:>7} {:>12}",

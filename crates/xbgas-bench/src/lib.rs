@@ -9,7 +9,7 @@
 //! | Figure 5 (NAS IS)      | `fig5_is`      | [`run_fig5`] |
 //! | Table 1 (type names)   | `table1_types` | [`xbrtime::TABLE1`] |
 //! | Table 2 (rank mapping) | `table2_ranks` | [`xbrtime::collectives::rank_table`] |
-//! | §4.7 comparison grid   | `ablation`     | [`sweep_broadcast`], [`sweep_reduce`], [`sweep_allreduce`], … |
+//! | §4.7 comparison grid   | `ablation`     | [`measure`] of a [`Cell`] |
 //! | design ablations       | `ablation`     | [`ablation_unroll`], [`ablation_topology`], … |
 //! | conformance plane      | `conformance`  | `xbrtime::collectives::{verify, explore}` |
 //! | traffic plane          | `xbench_traffic` | [`xbrtime::traffic::run_traffic`] |
@@ -32,7 +32,8 @@ use json::{Json, ToJson};
 use xbgas_apps::{run_gups, run_is, GupsConfig, GupsResult, IsConfig, IsResult};
 use xbrtime::collectives::{self, AllGatherVAlgo, AllReduceAlgo};
 use xbrtime::{
-    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, Pe, ReduceOp, RunReport, SyncMode,
+    AlgorithmPolicy, CollectiveKind, CollectiveRecord, EngineConfig, Fabric, FabricConfig, Pe,
+    ReduceOp, RunReport, SyncMode,
 };
 
 /// The value following the command-line flag `name`: `Ok(None)` when the
@@ -126,24 +127,37 @@ pub fn run_fig4(engine: EngineConfig, pe_counts: &[usize], scale_shift: u32) -> 
     pe_counts
         .iter()
         .map(|&n| {
-            let mut cfg = GupsConfig::fig4(n);
-            cfg.updates_per_pe >>= scale_shift;
+            let (cfg, fc) = fig4_setup(engine, n, scale_shift);
             let total_updates = cfg.updates_per_pe * n;
-            let fc = FabricConfig::paper(n)
-                .with_shared_bytes(cfg.table_bytes() + (1 << 20))
-                .with_engine(engine);
             let report = Fabric::run(fc, move |pe| run_gups(pe, &cfg));
             let makespan = report.results.iter().map(|r| r.cycles).max().unwrap_or(0);
-            let secs = makespan as f64 / CORE_HZ as f64;
-            let total_mops = total_updates as f64 / secs / 1.0e6;
-            FigureRow {
-                n_pes: n,
-                total_mops,
-                per_pe_mops: total_mops / n as f64,
-                makespan_cycles: makespan,
-            }
+            figure_row(n, total_updates, makespan)
         })
         .collect()
+}
+
+/// The figure row of `ops` operations done on `n_pes` PEs in `makespan`
+/// simulated cycles.
+fn figure_row(n_pes: usize, ops: usize, makespan: u64) -> FigureRow {
+    let secs = makespan as f64 / CORE_HZ as f64;
+    let total_mops = ops as f64 / secs / 1.0e6;
+    FigureRow {
+        n_pes,
+        total_mops,
+        per_pe_mops: total_mops / n_pes as f64,
+        makespan_cycles: makespan,
+    }
+}
+
+/// Figure 4's GUPs config on `n_pes` PEs, its update count shifted down
+/// by `scale_shift`, and the fabric it runs on.
+fn fig4_setup(engine: EngineConfig, n_pes: usize, scale_shift: u32) -> (GupsConfig, FabricConfig) {
+    let mut cfg = GupsConfig::fig4(n_pes);
+    cfg.updates_per_pe >>= scale_shift;
+    let fc = FabricConfig::paper(n_pes)
+        .with_shared_bytes(cfg.table_bytes() + (1 << 20))
+        .with_engine(engine);
+    (cfg, fc)
 }
 
 /// Run the Figure 5 NAS IS sweep over `pe_counts`. `scale_shift` divides
@@ -158,247 +172,204 @@ pub fn run_fig5(
     pe_counts
         .iter()
         .map(|&n| {
-            let mut cfg = IsConfig::fig5();
-            if let Some(c) = class {
-                cfg.class = c;
-            }
-            cfg.iterations = (cfg.iterations >> scale_shift).max(1);
-            let (total_keys, max_key) = cfg.class.sizes();
-            // Heap: histogram + mailbox (total keys) + slack.
-            let heap = (max_key * 8 + total_keys * 4 + (1 << 22)).max(16 << 20);
-            let fc = FabricConfig::paper(n)
-                .with_shared_bytes(heap)
-                .with_engine(engine);
+            let (cfg, fc) = fig5_setup(engine, n, scale_shift, class);
+            let total_keys = cfg.class.sizes().0;
             let report = Fabric::run(fc, move |pe| run_is(pe, &cfg));
             assert!(
                 report.results.iter().all(|r| r.verified),
                 "IS verification failed at {n} PEs"
             );
             let makespan = report.results.iter().map(|r| r.cycles).max().unwrap_or(0);
-            let secs = makespan as f64 / CORE_HZ as f64;
-            let total_mops = (total_keys * cfg.iterations) as f64 / secs / 1.0e6;
-            FigureRow {
-                n_pes: n,
-                total_mops,
-                per_pe_mops: total_mops / n as f64,
-                makespan_cycles: makespan,
-            }
+            figure_row(n, total_keys * cfg.iterations, makespan)
         })
         .collect()
 }
 
-/// Measure one broadcast call's simulated makespan (cycles) under an
-/// explicit algorithm policy and executor sync mode.
-///
-/// With `warm` the collective runs once untimed before the measured call,
-/// so the one-time signal-table growth barrier, plan compilation and cold
-/// queue-occupancy ratios are paid identically in every comparison arm —
-/// the timed region then isolates the steady-state cost the sync-mode
-/// table is after. Cold (`warm = false`) is the §4.7 algorithm
-/// comparison: one call, as an application would issue it.
-///
-/// `AlgorithmPolicy::Auto` makes the comparison one between the *best
-/// known configuration* under each sync mode: the barrier arm reproduces
-/// the pre-signal-plane library exactly, while the pipelined arm is free
-/// to take the chain shape that segmented signaling unlocks for large
-/// payloads.
-pub fn sweep_broadcast(
+/// Figure 5's IS config on `n_pes` PEs (`class` overrides the default,
+/// the iteration count is shifted down by `scale_shift`) and the fabric
+/// it runs on.
+fn fig5_setup(
     engine: EngineConfig,
-    policy: AlgorithmPolicy,
-    sync: SyncMode,
-    warm: bool,
     n_pes: usize,
-    nelems: usize,
-) -> u64 {
+    scale_shift: u32,
+    class: Option<xbgas_apps::IsClass>,
+) -> (IsConfig, FabricConfig) {
+    let mut cfg = IsConfig::fig5();
+    if let Some(c) = class {
+        cfg.class = c;
+    }
+    cfg.iterations = (cfg.iterations >> scale_shift).max(1);
+    let (total_keys, max_key) = cfg.class.sizes();
+    // Heap: histogram + mailbox (total keys) + slack.
+    let heap = (max_key * 8 + total_keys * 4 + (1 << 22)).max(16 << 20);
     let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
+        .with_shared_bytes(heap)
         .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let dest = pe.shared_malloc::<u64>(nelems.max(1));
-        let src = vec![7u64; nelems];
-        if warm {
-            collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
-        }
-        pe.barrier();
-        let t0 = pe.cycles();
-        collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, policy, sync);
-        pe.barrier();
-        pe.cycles() - t0
-    });
-    report.results.iter().copied().max().unwrap_or(0)
+    (cfg, fc)
 }
 
-/// Sync-mode ablation row: one broadcast episode's executor telemetry
-/// under a given [`SyncMode`].
-#[derive(Clone, Copy, Debug)]
-pub struct SyncAblationRow {
-    /// Mode the episode ran under.
+/// The collective a [`Cell`] measures, with the algorithm arm it runs:
+/// an [`AlgorithmPolicy`] for the four rooted kinds (root 0), a family
+/// member for all-reduce and all-gather.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Coll {
+    /// `broadcast_policy_sync` of `nelems` u64 from PE 0.
+    Broadcast(AlgorithmPolicy),
+    /// `reduce_policy_sync` (sum) of `nelems` u64 to PE 0.
+    Reduce(AlgorithmPolicy),
+    /// `scatter_policy_sync` of `nelems` u64 to every PE.
+    Scatter(AlgorithmPolicy),
+    /// `gather_policy_sync` of `nelems` u64 from every PE.
+    Gather(AlgorithmPolicy),
+    /// `reduce_all_sync` (sum) of `nelems` u64.
+    AllReduce(AllReduceAlgo),
+    /// `all_gather_algo_sync` of `nelems` u64 from every PE.
+    AllGather(AllGatherVAlgo),
+}
+
+impl Coll {
+    /// The [`CollectiveKind`] the telemetry records this collective under.
+    pub fn kind(self) -> CollectiveKind {
+        match self {
+            Coll::Broadcast(_) => CollectiveKind::Broadcast,
+            Coll::Reduce(_) => CollectiveKind::Reduce,
+            Coll::Scatter(_) => CollectiveKind::Scatter,
+            Coll::Gather(_) => CollectiveKind::Gather,
+            Coll::AllReduce(_) => CollectiveKind::AllReduce,
+            Coll::AllGather(_) => CollectiveKind::AllGather,
+        }
+    }
+}
+
+/// One cell of the §4.7 grid: a collective call, its executor sync mode,
+/// the PE count and the payload — `nelems` u64 per PE, what each PE
+/// sends or receives (a scatter moves `nelems × n_pes` from the root).
+///
+/// With `warm` the collective runs once untimed before the measured
+/// call, so plan compilation, the one-time signal-table growth barrier
+/// and cold queue-occupancy ratios are paid identically in every arm and
+/// the timed call is the steady state. Cold is one call as an
+/// application would issue it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cell {
+    /// The collective and its algorithm arm.
+    pub coll: Coll,
+    /// Executor sync discipline.
     pub sync: SyncMode,
-    /// Simulated makespan of the timed call (max over PEs).
-    pub makespan: u64,
-    /// Completion signals posted across PEs.
-    pub signals: u64,
-    /// Signal waits performed across PEs.
-    pub waits: u64,
-    /// Cycles stalled inside signal waits, summed over PEs.
-    pub wait_cycles: u64,
-    /// `1 − wait_cycles/cycles` over the executor episodes.
-    pub overlap_ratio: f64,
+    /// PEs in the fabric.
+    pub n_pes: usize,
+    /// u64 elements per PE.
+    pub nelems: usize,
+    /// Run one untimed call before the measured one.
+    pub warm: bool,
 }
 
-/// Run one warmed binomial broadcast per [`SyncMode`] and report the
-/// executor's point-to-point telemetry next to the makespan, for the
-/// `ablation` binary's sync-mode section.
-pub fn ablation_sync_modes(
-    engine: EngineConfig,
-    n_pes: usize,
-    nelems: usize,
-) -> Vec<SyncAblationRow> {
-    [
-        SyncMode::Barrier,
-        SyncMode::Signaled,
-        SyncMode::Pipelined,
-        SyncMode::Auto,
-    ]
-    .into_iter()
-    .map(|sync| {
-        let fc = FabricConfig::paper(n_pes)
-            .with_shared_bytes((nelems * 8 + (1 << 16)).max(1 << 20))
-            .with_engine(engine);
-        let report = Fabric::run(fc, move |pe| {
-            let dest = pe.shared_malloc::<u64>(nelems.max(1));
-            let src = vec![7u64; nelems];
-            let tree = AlgorithmPolicy::Binomial;
-            collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, tree, sync);
-            pe.barrier();
-            let t0 = pe.cycles();
-            collectives::broadcast_policy_sync(pe, &dest, &src, nelems, 1, 0, tree, sync);
-            pe.barrier();
-            pe.cycles() - t0
-        });
-        let rec = report
-            .collectives
-            .iter()
-            .find(|r| r.kind == xbrtime::CollectiveKind::Broadcast);
-        SyncAblationRow {
-            sync,
-            makespan: report.results.iter().copied().max().unwrap_or(0),
-            signals: rec.map_or(0, |r| r.signals),
-            waits: rec.map_or(0, |r| r.waits),
-            wait_cycles: rec.map_or(0, |r| r.wait_cycles),
-            overlap_ratio: rec.map_or(1.0, |r| r.overlap_ratio()),
+/// Measure one cell: the timed call's simulated makespan (cycles, max
+/// over PEs) and the executor record of the cell's kind, summed over the
+/// warm and the timed call. Every cell runs the same steps: buffers,
+/// the optional warm call, a barrier, `t0`, the call, a barrier.
+///
+/// `AlgorithmPolicy::Auto` with a concrete sync mode compares the *best
+/// known configuration* under each mode: the barrier arm reproduces the
+/// pre-signal-plane library exactly, while the pipelined arm is free to
+/// take the chain shape that segmented signaling unlocks for large
+/// payloads.
+pub fn measure(engine: EngineConfig, cell: &Cell) -> (u64, Option<CollectiveRecord>) {
+    let cell = *cell;
+    let fc = FabricConfig::paper(cell.n_pes)
+        .with_shared_bytes(heap_bytes(cell.n_pes, cell.nelems))
+        .with_engine(engine);
+    let report = Fabric::run(fc, move |pe| run_cell(pe, cell));
+    let makespan = report.results.iter().copied().max().unwrap_or(0);
+    let rec = report
+        .collectives
+        .iter()
+        .find(|r| r.kind == cell.coll.kind());
+    (makespan, rec.copied())
+}
+
+/// Symmetric heap for a run moving `per_pe` u64 per PE on `n_pes` PEs:
+/// room for four world-sized buffers (the caller's and the collectives'
+/// staging) plus slack for the signal table.
+fn heap_bytes(n_pes: usize, per_pe: usize) -> usize {
+    (per_pe * n_pes * 8 * 4 + (1 << 16)).max(1 << 20)
+}
+
+/// One PE's part of a cell: its buffers (`n` u64 per PE), then
+/// [`timed`] calls. A shared source is written before a barrier, so no
+/// peer reads it early.
+fn run_cell(pe: &Pe, cell: Cell) -> u64 {
+    use collectives::{all_gather_algo_sync, broadcast_policy_sync, gather_policy_sync};
+    use collectives::{reduce_all_sync, reduce_policy_sync, scatter_policy_sync};
+    let (n, sync, warm) = (cell.nelems, cell.sync, cell.warm);
+    let total = n * cell.n_pes;
+    let me = pe.rank() as u64;
+    match cell.coll {
+        Coll::Broadcast(policy) => {
+            let dest = pe.shared_malloc::<u64>(n.max(1));
+            let src = vec![7u64; n];
+            timed(pe, warm, || {
+                broadcast_policy_sync(pe, &dest, &src, n, 1, 0, policy, sync)
+            })
         }
-    })
-    .collect()
-}
-
-/// Measure one sum-reduction call's simulated makespan under an explicit
-/// algorithm policy and executor sync mode; `warm` as in
-/// [`sweep_broadcast`].
-pub fn sweep_reduce(
-    engine: EngineConfig,
-    policy: AlgorithmPolicy,
-    sync: SyncMode,
-    warm: bool,
-    n_pes: usize,
-    nelems: usize,
-) -> u64 {
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 * 4 + (1 << 16)).max(1 << 20))
-        .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let src = pe.shared_malloc::<u64>(nelems.max(1));
-        let data: Vec<u64> = (0..nelems as u64).collect();
-        pe.heap_write(src.whole(), &data);
-        pe.barrier();
-        let mut dest = vec![0u64; nelems.max(1)];
-        let op = ReduceOp::Sum;
-        if warm {
-            collectives::reduce_policy_sync(pe, &mut dest, &src, nelems, 1, 0, op, policy, sync);
+        Coll::Reduce(policy) => {
+            let src = pe.shared_malloc::<u64>(n.max(1));
+            let data: Vec<u64> = (0..n as u64).collect();
+            pe.heap_write(src.whole(), &data);
             pe.barrier();
+            let mut dest = vec![0u64; n.max(1)];
+            timed(pe, warm, || {
+                reduce_policy_sync(pe, &mut dest, &src, n, 1, 0, ReduceOp::Sum, policy, sync)
+            })
         }
-        let t0 = pe.cycles();
-        collectives::reduce_policy_sync(pe, &mut dest, &src, nelems, 1, 0, op, policy, sync);
-        pe.barrier();
-        pe.cycles() - t0
-    });
-    report.results.iter().copied().max().unwrap_or(0)
+        Coll::Scatter(policy) | Coll::Gather(policy) => {
+            let msgs = vec![n; cell.n_pes];
+            let disp: Vec<usize> = (0..cell.n_pes).map(|r| r * n).collect();
+            if let Coll::Scatter(_) = cell.coll {
+                let root_only = if me == 0 { total } else { 0 };
+                let src: Vec<u64> = (0..root_only as u64).collect();
+                let mut dest = vec![0u64; n.max(1)];
+                timed(pe, warm, || {
+                    scatter_policy_sync(pe, &mut dest, &src, &msgs, &disp, total, 0, policy, sync)
+                })
+            } else {
+                let mine = vec![me; n];
+                let mut dest = vec![0u64; total.max(1)];
+                timed(pe, warm, || {
+                    gather_policy_sync(pe, &mut dest, &mine, &msgs, &disp, total, 0, policy, sync)
+                })
+            }
+        }
+        Coll::AllReduce(algo) => {
+            let src = pe.shared_malloc::<u64>(n.max(1));
+            pe.heap_write(src.whole(), &vec![me + 1; n]);
+            pe.barrier();
+            let mut dest = vec![0u64; n.max(1)];
+            timed(pe, warm, || {
+                reduce_all_sync(pe, &mut dest, &src, n, ReduceOp::Sum, algo, sync)
+            })
+        }
+        Coll::AllGather(algo) => {
+            let src: Vec<u64> = (0..n as u64).map(|i| me * 100 + i).collect();
+            let mut dest = vec![0u64; total];
+            timed(pe, warm, || {
+                all_gather_algo_sync(pe, &mut dest, &src, n, algo, sync)
+            })
+        }
+    }
 }
 
-/// Measure one scatter call's simulated makespan under `policy` with
-/// uniform per-PE counts (per-stage barriers).
-pub fn sweep_scatter(
-    engine: EngineConfig,
-    policy: AlgorithmPolicy,
-    n_pes: usize,
-    per_pe: usize,
-) -> u64 {
-    let nelems = per_pe * n_pes;
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
-        .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let msgs = vec![per_pe; n_pes];
-        let disp: Vec<usize> = (0..n_pes).map(|r| r * per_pe).collect();
-        let src: Vec<u64> = if pe.rank() == 0 {
-            (0..nelems as u64).collect()
-        } else {
-            vec![]
-        };
-        let mut dest = vec![0u64; per_pe.max(1)];
-        pe.barrier();
-        let t0 = pe.cycles();
-        collectives::scatter_policy_sync(
-            pe,
-            &mut dest,
-            &src,
-            &msgs,
-            &disp,
-            nelems,
-            0,
-            policy,
-            SyncMode::Barrier,
-        );
-        pe.barrier();
-        pe.cycles() - t0
-    });
-    report.results.iter().copied().max().unwrap_or(0)
-}
-
-/// Measure one gather call's simulated makespan under `policy`
-/// (per-stage barriers).
-pub fn sweep_gather(
-    engine: EngineConfig,
-    policy: AlgorithmPolicy,
-    n_pes: usize,
-    per_pe: usize,
-) -> u64 {
-    let nelems = per_pe * n_pes;
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
-        .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let msgs = vec![per_pe; n_pes];
-        let disp: Vec<usize> = (0..n_pes).map(|r| r * per_pe).collect();
-        let mine: Vec<u64> = vec![pe.rank() as u64; per_pe.max(1)];
-        let mut dest = vec![0u64; nelems.max(1)];
-        pe.barrier();
-        let t0 = pe.cycles();
-        collectives::gather_policy_sync(
-            pe,
-            &mut dest,
-            &mine[..per_pe],
-            &msgs,
-            &disp,
-            nelems,
-            0,
-            policy,
-            SyncMode::Barrier,
-        );
-        pe.barrier();
-        pe.cycles() - t0
-    });
-    report.results.iter().copied().max().unwrap_or(0)
+/// The one warm rule: the optional warm call, a barrier, `t0`, the
+/// call, a barrier; the PE's cycles between `t0` and the end.
+fn timed(pe: &Pe, warm: bool, mut call: impl FnMut()) -> u64 {
+    if warm {
+        call();
+    }
+    pe.barrier();
+    let t0 = pe.cycles();
+    call();
+    pe.barrier();
+    pe.cycles() - t0
 }
 
 /// Run a workload exercising every collective once and return the full
@@ -415,9 +386,8 @@ pub fn collective_run(
     traced: bool,
 ) -> RunReport<()> {
     let per_pe = nelems.max(1);
-    let total = per_pe * n_pes;
     let mut fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((total * 8 * 4 + (1 << 16)).max(1 << 20))
+        .with_shared_bytes(heap_bytes(n_pes, per_pe))
         .with_engine(engine);
     if traced {
         fc = fc.with_trace();
@@ -486,16 +456,11 @@ pub fn run_fig4_traced(
     n_pes: usize,
     scale_shift: u32,
 ) -> RunReport<GupsResult> {
-    let mut cfg = GupsConfig::fig4(n_pes);
-    cfg.updates_per_pe >>= scale_shift;
+    let (mut cfg, fc) = fig4_setup(engine, n_pes, scale_shift);
     // The collective episodes live in the verification tail (reduce +
     // broadcast of the error count) — the traced run keeps it on.
     cfg.verify = true;
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes(cfg.table_bytes() + (1 << 20))
-        .with_trace()
-        .with_engine(engine);
-    Fabric::run(fc, move |pe| run_gups(pe, &cfg))
+    Fabric::run(fc.with_trace(), move |pe| run_gups(pe, &cfg))
 }
 
 /// [`run_fig4_traced`] for the Figure-5 IS harness.
@@ -505,18 +470,8 @@ pub fn run_fig5_traced(
     scale_shift: u32,
     class: Option<xbgas_apps::IsClass>,
 ) -> RunReport<IsResult> {
-    let mut cfg = IsConfig::fig5();
-    if let Some(c) = class {
-        cfg.class = c;
-    }
-    cfg.iterations = (cfg.iterations >> scale_shift).max(1);
-    let (total_keys, max_key) = cfg.class.sizes();
-    let heap = (max_key * 8 + total_keys * 4 + (1 << 22)).max(16 << 20);
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes(heap)
-        .with_trace()
-        .with_engine(engine);
-    Fabric::run(fc, move |pe| run_is(pe, &cfg))
+    let (cfg, fc) = fig5_setup(engine, n_pes, scale_shift, class);
+    Fabric::run(fc.with_trace(), move |pe| run_is(pe, &cfg))
 }
 
 /// `--trace <out.json>` argument shared by the harness binaries: returns
@@ -746,62 +701,6 @@ pub fn ablation_gups_amo(engine: EngineConfig, n_pes: usize) -> (u64, u64, usize
     (gp, amo, gp_err, amo_err)
 }
 
-/// Measure one **warmed** all-reduce call's simulated makespan under an
-/// explicit family member and sync mode — the probe behind `ablation`'s
-/// all-reduce family table. The untimed first call pays plan compilation
-/// and the one-time signal-table growth identically in every arm.
-pub fn sweep_allreduce(
-    engine: EngineConfig,
-    algo: AllReduceAlgo,
-    sync: SyncMode,
-    n_pes: usize,
-    nelems: usize,
-) -> u64 {
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((nelems * 8 * 2 + (1 << 16)).max(1 << 20))
-        .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let src = pe.shared_malloc::<u64>(nelems.max(1));
-        pe.heap_write(src.whole(), &vec![pe.rank() as u64 + 1; nelems]);
-        pe.barrier();
-        let mut dest = vec![0u64; nelems.max(1)];
-        collectives::reduce_all_sync(pe, &mut dest, &src, nelems, ReduceOp::Sum, algo, sync);
-        pe.barrier();
-        let t0 = pe.cycles();
-        collectives::reduce_all_sync(pe, &mut dest, &src, nelems, ReduceOp::Sum, algo, sync);
-        pe.barrier();
-        pe.cycles() - t0
-    });
-    report.results.iter().copied().max().unwrap_or(0)
-}
-
-/// Measure one warmed all-gather call's simulated makespan under an
-/// explicit algorithm — the probe behind `ablation`'s fan / ring /
-/// dissemination all-gather table.
-pub fn sweep_all_gather(
-    engine: EngineConfig,
-    algo: AllGatherVAlgo,
-    sync: SyncMode,
-    n_pes: usize,
-    per_pe: usize,
-) -> u64 {
-    let fc = FabricConfig::paper(n_pes)
-        .with_shared_bytes((per_pe * n_pes * 8 * 2 + (1 << 16)).max(1 << 20))
-        .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| {
-        let me = pe.rank() as u64;
-        let src: Vec<u64> = (0..per_pe as u64).map(|i| me * 100 + i).collect();
-        let mut dest = vec![0u64; per_pe * n_pes];
-        collectives::all_gather_algo_sync(pe, &mut dest, &src, per_pe, algo, sync);
-        pe.barrier();
-        let t0 = pe.cycles();
-        collectives::all_gather_algo_sync(pe, &mut dest, &src, per_pe, algo, sync);
-        pe.barrier();
-        pe.cycles() - t0
-    });
-    report.results.iter().copied().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -810,6 +709,18 @@ mod tests {
     /// worker serialises the PEs, so simulated cycles do not depend on
     /// how the host happens to schedule PEs.
     const STEADY: EngineConfig = EngineConfig::coop().with_workers(1);
+
+    /// The makespan of one cell on `STEADY`.
+    fn cycles(coll: Coll, sync: SyncMode, n_pes: usize, nelems: usize, warm: bool) -> u64 {
+        let cell = Cell {
+            coll,
+            sync,
+            n_pes,
+            nelems,
+            warm,
+        };
+        measure(STEADY, &cell).0
+    }
 
     /// The headline reproduction check for Figure 4, at quarter scale so the
     /// debug-mode test suite stays fast: per-PE GUPs exceeds the 1-PE
@@ -870,7 +781,7 @@ mod tests {
     /// §4.7: for 8 PEs the binomial tree beats the linear baseline.
     #[test]
     fn tree_beats_linear_at_scale() {
-        let run = |policy| sweep_broadcast(STEADY, policy, SyncMode::Barrier, false, 8, 4096);
+        let run = |policy| cycles(Coll::Broadcast(policy), SyncMode::Barrier, 8, 4096, false);
         let tree = run(AlgorithmPolicy::Binomial);
         let linear = run(AlgorithmPolicy::Linear);
         let ring = run(AlgorithmPolicy::Ring);
@@ -884,7 +795,15 @@ mod tests {
     #[test]
     fn pipelined_beats_barrier_at_scale() {
         let (n_pes, nelems) = (8, 65_536); // 512 KiB — deep pipelining territory.
-        let run = |sync| sweep_broadcast(STEADY, AlgorithmPolicy::Auto, sync, true, n_pes, nelems);
+        let run = |sync| {
+            cycles(
+                Coll::Broadcast(AlgorithmPolicy::Auto),
+                sync,
+                n_pes,
+                nelems,
+                true,
+            )
+        };
         let cycles = SyncMode::CONCRETE.map(run);
         let [barrier, _signaled, pipelined] = cycles;
         assert!(
@@ -918,18 +837,18 @@ mod tests {
         };
         for n in GRID_PES {
             for sz in GRID_SIZES {
-                let run = |sync| sweep_broadcast(STEADY, AlgorithmPolicy::Auto, sync, true, n, sz);
+                let run = |sync| cycles(Coll::Broadcast(AlgorithmPolicy::Auto), sync, n, sz, true);
                 let cell = format!("broadcast {n} PEs x {sz}");
                 within(run(SyncMode::Auto), run(SyncMode::Barrier), &cell);
             }
             for sz in [256usize, 65536] {
-                let run = |sync| sweep_reduce(STEADY, AlgorithmPolicy::Binomial, sync, true, n, sz);
+                let run = |sync| cycles(Coll::Reduce(AlgorithmPolicy::Binomial), sync, n, sz, true);
                 let cell = format!("reduce {n} PEs x {sz}");
                 within(run(SyncMode::Auto), run(SyncMode::Barrier), &cell);
             }
         }
         for (n, sz) in [(4usize, 256usize), (8, 1024), (4, 8192), (8, 8192)] {
-            let run = |algo| sweep_allreduce(STEADY, algo, SyncMode::Auto, n, sz);
+            let run = |algo| cycles(Coll::AllReduce(algo), SyncMode::Auto, n, sz, true);
             let cell = format!("all-reduce {n} PEs x {sz}");
             within(
                 run(AllReduceAlgo::Auto),
@@ -965,9 +884,49 @@ mod tests {
 
     #[test]
     fn allreduce_strategies_both_complete() {
-        let run = |algo| sweep_allreduce(EngineConfig::default(), algo, SyncMode::Barrier, 8, 1024);
+        let run = |algo| {
+            let cell = Cell {
+                coll: Coll::AllReduce(algo),
+                sync: SyncMode::Barrier,
+                n_pes: 8,
+                nelems: 1024,
+                warm: true,
+            };
+            measure(EngineConfig::default(), &cell).0
+        };
         assert!(run(AllReduceAlgo::ReduceThenBroadcast) > 0);
         assert!(run(AllReduceAlgo::RecursiveDoubling) > 0);
+    }
+
+    /// Every collective a cell can name, warm and cold at 4 PEs: the
+    /// record is the cell's kind and counts the warm call too.
+    #[test]
+    fn measure_records_the_cells_kind_and_calls() {
+        let binomial = AlgorithmPolicy::Binomial;
+        let colls = [
+            Coll::Broadcast(binomial),
+            Coll::Reduce(binomial),
+            Coll::Scatter(binomial),
+            Coll::Gather(binomial),
+            Coll::AllReduce(AllReduceAlgo::Auto),
+            Coll::AllGather(AllGatherVAlgo::Auto),
+        ];
+        for coll in colls {
+            for warm in [false, true] {
+                let cell = Cell {
+                    coll,
+                    sync: SyncMode::Auto,
+                    n_pes: 4,
+                    nelems: 64,
+                    warm,
+                };
+                let (makespan, rec) = measure(STEADY, &cell);
+                let rec = rec.unwrap_or_else(|| panic!("{cell:?}: no record"));
+                assert_eq!(rec.kind, coll.kind(), "{cell:?}");
+                assert_eq!(rec.calls, 1 + warm as u64, "{cell:?}");
+                assert!(makespan > 0, "{cell:?}");
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //! to `Finished`, and the watchdog probe reads every PE's state and site
 //! in one locked `CoopSched::snapshot`. A parked PE is *waiting on the
 //! scheduler*, not burning a core, and structural deadlocks (every PE
-//! parked or finished, nothing runnable: `Park::Wedged`) are reported
+//! parked or finished, nothing runnable: `Park::Wedged` when the last
+//! runner parks, a timed-out grant when it returns) are reported
 //! immediately instead of after a wall-clock timeout.
 //!
 //! [`RunReport::sched_log`]: crate::RunReport::sched_log
@@ -151,7 +152,9 @@ pub(crate) enum Park {
     /// slot or cross a barrier. The PE keeps its slot and the caller
     /// trips the watchdog at once.
     Wedged,
-    /// The watchdog window elapsed with no grant anywhere in the fabric.
+    /// The watchdog window elapsed with no grant anywhere in the fabric,
+    /// or the last runner returned and left this PE parked with nothing
+    /// runnable (a wedge reached by a finish, tripped at once).
     TimedOut,
 }
 
@@ -213,9 +216,9 @@ pub(crate) struct CoopSched {
     watchdog: Duration,
     state: Mutex<CoopState>,
     cvs: Vec<Condvar>,
-    /// Per PE: set by its worker when it resumes the PE under the
-    /// watchdog rule rather than for a grant; read and cleared by that
-    /// PE's `park`, on the same thread.
+    /// Per PE: set when the PE is resumed under the watchdog rule rather
+    /// than for a grant (by its worker, or by the `finish` that wedged
+    /// the fabric); read and cleared by that PE's `park`.
     timed_out: Vec<AtomicBool>,
 }
 
@@ -411,6 +414,14 @@ impl CoopSched {
 
     /// Final call from a PE (normal return or unwind): free the slot and
     /// dispatch a successor.
+    ///
+    /// A normal return that leaves nothing running, nothing ready and a
+    /// PE parked is the wedge `park` refuses, reached by a finish: the
+    /// lowest-rank parked PE is handed a slot flagged as timed out, as
+    /// the watchdog rule in `next` does, so it trips at once instead of
+    /// after the wall-clock window. An unwind does not: the panicking PE
+    /// poisons the fabric and releases its peers itself, and its panic is
+    /// what the run reports.
     pub(crate) fn finish(&self, rank: usize) {
         let mut st = self.lock();
         match st.status[rank] {
@@ -422,6 +433,21 @@ impl CoopSched {
         st.site[rank] = WaitSite::Finished;
         st.finished += 1;
         self.dispatch(&mut st);
+        if st.running == 0 && st.finished < self.n_pes && !std::thread::panicking() {
+            let parked = (0..self.n_pes).find(|&pe| st.status[pe] == PeSchedState::Parked);
+            if let Some(pe) = parked {
+                st.status[pe] = PeSchedState::Running;
+                st.running += 1;
+                // The state lock orders the flag: released here, taken by
+                // the worker that pops the grant before it resumes `pe`.
+                self.timed_out[pe].store(true, Ordering::Relaxed);
+                let w = pe % self.workers;
+                st.granted[w].push_back(pe);
+                if std::mem::take(&mut st.idle[w]) {
+                    self.cvs[w].notify_one();
+                }
+            }
+        }
     }
 
     /// Every PE's scheduling state and wait site, by rank, under one
@@ -664,6 +690,28 @@ mod tests {
             })
             .unwrap();
         assert_eq!(sched.snapshot(), [(Finished, WaitSite::Finished); 2]);
+    }
+
+    /// The last runner returns while PE 1 is parked: nothing can wake PE
+    /// 1 any more, so the finish hands it a slot flagged as timed out at
+    /// once rather than leaving it to the wall-clock window.
+    #[test]
+    fn finish_that_wedges_times_out_the_parked_pe() {
+        let sched = sched(2, EngineConfig::coop().with_workers(2));
+        let started = Instant::now();
+        sched
+            .run(|rank| {
+                if rank == 0 {
+                    while sched.snapshot()[1].0 != PeSchedState::Parked {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    assert_eq!(sched.park(1, WaitSite::Barrier), Park::TimedOut);
+                }
+                sched.finish(rank);
+            })
+            .unwrap();
+        assert!(started.elapsed() < PATIENT / 2, "{:?}", started.elapsed());
     }
 
     #[test]

@@ -213,6 +213,11 @@ impl FabricConfig {
     }
 
     /// Builder-style watchdog timeout override.
+    ///
+    /// A structural wedge — every PE parked or finished, nothing
+    /// runnable — trips at once, whichever PE's park or return left it,
+    /// so the window's one remaining job is a PE that holds its slot and
+    /// never parks (a host-side stall inside a PE body).
     pub const fn with_watchdog(mut self, timeout: Duration) -> Self {
         self.watchdog = timeout;
         self
@@ -566,15 +571,16 @@ pub struct DeadlockReport {
 
 impl DeadlockReport {
     /// The most likely culprit PE. A PE parked at the barrier is a
-    /// *victim* — it waits on everyone else — so a PE blocked on a
-    /// signal (or still running) is preferred over it, and the detector
-    /// breaks ties.
+    /// *victim* — it waits on every PE that has not arrived — so a PE
+    /// blocked on a signal, still running or already returned (one that
+    /// left while its peers wait) is preferred over it, in that order,
+    /// and the detector breaks ties.
     pub fn stuck(&self) -> &PeProbe {
         let score = |p: &PeProbe| match p.site {
             WaitSite::Signal { .. } => 0,
             WaitSite::Running => 1,
-            WaitSite::Barrier => 2,
-            WaitSite::Finished => 3,
+            WaitSite::Finished => 2,
+            WaitSite::Barrier => 3,
         };
         self.pes
             .iter()

@@ -317,6 +317,44 @@ fn structural_wedge_on_one_worker_is_reported_at_once() {
     }
 }
 
+/// PE 2 returns while its peers wait at a barrier. Its return is the last
+/// event (one worker per PE, PE 2 leaves only after the others arrive),
+/// so no park sees the wedge: the finish must report it, at once under
+/// the default 60 s window, and the report must blame PE 2, the PE that
+/// left, not a barrier waiter.
+#[test]
+fn early_return_is_reported_at_once_and_blames_the_pe_that_left() {
+    let arrived = AtomicUsize::new(0);
+    let cfg = FabricConfig::new(4).with_engine(EngineConfig::coop().with_workers(4));
+    assert_eq!(cfg.watchdog, xbrtime::DEFAULT_WATCHDOG);
+    let started = std::time::Instant::now();
+    let result = Fabric::try_run(cfg, |pe| {
+        if pe.rank() == 2 {
+            while arrived.load(Ordering::Acquire) < 3 {
+                std::thread::yield_now();
+            }
+            // Let the others park before leaving.
+            std::thread::sleep(Duration::from_millis(50));
+            return;
+        }
+        arrived.fetch_add(1, Ordering::AcqRel);
+        pe.barrier();
+    });
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "an early return must not wait out the watchdog window: {elapsed:?}"
+    );
+    match result {
+        Err(RunError::Deadlock(report)) => {
+            let stuck = report.stuck();
+            assert_eq!(stuck.rank, 2, "{report}");
+            assert_eq!(stuck.site, WaitSite::Finished, "{report}");
+        }
+        other => panic!("expected Err(Deadlock), got {:?}", other.map(|_| ())),
+    }
+}
+
 /// Every fabric op yields. The PE granted first gives up its worker at
 /// its put; for some engine seed the scheduler grants the peer, which
 /// reaches its own put before the yielder resumes — both read the wake
