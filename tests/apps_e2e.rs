@@ -218,3 +218,85 @@ fn fig4_mechanism_cache_hit_rate_rises_as_table_shrinks() {
         "L2 hit rate must not collapse: 1 PE {l2_1:.3} vs 4 PEs {l2_4:.3}"
     );
 }
+
+/// FNV-1a over a grant log, four little-endian bytes per grant.
+fn log_digest(log: &[u32]) -> u64 {
+    log.iter()
+        .flat_map(|g| g.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// GUPS at one worker slot and a fixed seed, in get/put and in AMO form,
+/// pinned: per-PE cycles, remote updates and residual errors, the fabric
+/// counters and the grant log. At one worker the schedule is a function
+/// of the seed, so a change to how the kernel walks its stream that
+/// alters any charge, counter or park moves one of these.
+#[test]
+fn gups_one_worker_outcome_is_pinned() {
+    use xbgas::xbrtime::{EngineConfig, FabricStats};
+    const UPDATES: usize = 4096;
+    /// Remote updates per PE; the same stream in both forms.
+    const REMOTE: [usize; 8] = [2662, 3636, 3642, 3607, 3611, 3627, 3608, 3617];
+    /// Grant count and FNV-1a of the grant log; the same in both forms.
+    const LOG: (usize, u64) = (100, 0xe63b_6ff4_2e1f_a367);
+    let run = |use_amo: bool| {
+        let cfg = GupsConfig {
+            log2_table_size: 16,
+            updates_per_pe: UPDATES,
+            verify: true,
+            use_amo,
+            ..GupsConfig::test()
+        };
+        let fc = FabricConfig::paper(8)
+            .with_shared_bytes(cfg.table_bytes() / 8 + (1 << 20))
+            .with_engine(EngineConfig::coop().with_workers(1).with_seed(7));
+        Fabric::run(fc, move |pe| run_gups(pe, &cfg))
+    };
+    let pinned = |cycles: u64| {
+        (REMOTE.iter())
+            .map(|&n| (cycles, n as f64 / UPDATES as f64, 0))
+            .collect::<Vec<_>>()
+    };
+    let getput = FabricStats {
+        puts: 7,
+        gets: 56_035,
+        nb_puts: 56_020,
+        bytes_put: 448_216,
+        bytes_get: 448_280,
+        barriers: 12,
+        local_transfers: 8,
+        remote_transfers: 112_054,
+        signals: 14,
+        signal_waits: 14,
+        ..FabricStats::default()
+    };
+    let amo = FabricStats {
+        puts: 7,
+        gets: 15,
+        bytes_put: 56,
+        bytes_get: 120,
+        barriers: 12,
+        local_transfers: 9_524,
+        remote_transfers: 56_034,
+        amos: 65_536,
+        signals: 14,
+        signal_waits: 14,
+        ..FabricStats::default()
+    };
+    for (use_amo, cycles, stats) in [(false, 1_957_672, getput), (true, 1_395_281, amo)] {
+        let report = run(use_amo);
+        let per_pe: Vec<_> = (report.results.iter())
+            .map(|r| (r.cycles, r.remote_fraction, r.errors))
+            .collect();
+        assert_eq!(per_pe, pinned(cycles), "use_amo {use_amo}");
+        assert_eq!(report.stats, stats, "use_amo {use_amo}");
+        let log = &report.sched_log;
+        assert_eq!(
+            (log.len(), log_digest(log)),
+            LOG,
+            "use_amo {use_amo}: the grant log moved"
+        );
+    }
+}
