@@ -192,9 +192,10 @@ impl IsConfig {
 
     /// The Figure 5 harness configuration: class B scaled down by 2^5 in
     /// key count and 2^9 in key range (2^20 keys in [0, 2^12), 10
-    /// iterations) so the simulated-cycle run completes in seconds while
-    /// keeping the benchmark's compute/collective balance. See
-    /// EXPERIMENTS.md for the substitution note.
+    /// iterations) so the simulated-cycle run completes in seconds. The
+    /// scaling does not keep class B's compute/collective balance: it has
+    /// 256 keys per histogram entry to class B's 16, and the paper's shape
+    /// holds only here (ROADMAP item 19; EXPERIMENTS.md, Figure 5).
     pub const fn fig5() -> Self {
         IsConfig {
             class: IsClass::Custom {

@@ -21,7 +21,7 @@ fn main() {
     };
     // Optional NPB class override: --class s|w|a|b (default: the scaled
     // class-B substitute described in EXPERIMENTS.md). Full class B takes
-    // tens of minutes of host time; S/W are quick.
+    // ~15 s of host time for all four PE counts; S/W are quick.
     let class = flag_or_exit(&args, "--class").map(|c| match c.to_ascii_lowercase().as_str() {
         "s" => IsClass::S,
         "w" => IsClass::W,

@@ -36,8 +36,8 @@
 //! in one locked `CoopSched::snapshot`. A parked PE is *waiting on the
 //! scheduler*, not burning a core, and structural deadlocks (every PE
 //! parked or finished, nothing runnable: `Park::Wedged` when the last
-//! runner parks, a timed-out grant when it returns) are reported
-//! immediately instead of after a wall-clock timeout.
+//! runner parks or returns) are reported immediately instead of after a
+//! wall-clock timeout.
 //!
 //! [`RunReport::sched_log`]: crate::RunReport::sched_log
 
@@ -46,7 +46,7 @@ use crate::fabric::WaitSite;
 use crate::timing::SplitMix64;
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -142,6 +142,7 @@ impl PeSchedState {
 
 /// Outcome of [`CoopSched::park`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub(crate) enum Park {
     /// The PE holds a worker slot again (or consumed a pending unpark
     /// token without ever releasing it). May be spurious — callers
@@ -150,11 +151,11 @@ pub(crate) enum Park {
     /// Parking would leave the fabric with nothing runnable and
     /// unfinished PEs: a structural deadlock, since only a PE can raise a
     /// slot or cross a barrier. The PE keeps its slot and the caller
-    /// trips the watchdog at once.
+    /// trips the watchdog at once. The same holds for a parked PE when
+    /// the last runner returns (a wedge reached by a finish), which hands
+    /// it a slot back at once.
     Wedged,
-    /// The watchdog window elapsed with no grant anywhere in the fabric,
-    /// or the last runner returned and left this PE parked with nothing
-    /// runnable (a wedge reached by a finish, tripped at once).
+    /// The watchdog window elapsed with no grant anywhere in the fabric.
     TimedOut,
 }
 
@@ -216,10 +217,11 @@ pub(crate) struct CoopSched {
     watchdog: Duration,
     state: Mutex<CoopState>,
     cvs: Vec<Condvar>,
-    /// Per PE: set when the PE is resumed under the watchdog rule rather
-    /// than for a grant (by its worker, or by the `finish` that wedged
-    /// the fabric); read and cleared by that PE's `park`.
-    timed_out: Vec<AtomicBool>,
+    /// Per PE: what its `park` returns when the PE is resumed other than
+    /// for a grant — `TimedOut` under the watchdog rule (by its worker),
+    /// `Wedged` by the `finish` that wedged the fabric; read and reset to
+    /// `Granted` by that `park`.
+    resumed_as: Vec<AtomicU8>,
 }
 
 impl CoopSched {
@@ -246,7 +248,9 @@ impl CoopSched {
                 idle: vec![false; workers],
             }),
             cvs: (0..workers).map(|_| Condvar::new()).collect(),
-            timed_out: (0..n_pes).map(|_| AtomicBool::new(false)).collect(),
+            resumed_as: (0..n_pes)
+                .map(|_| AtomicU8::new(Park::Granted as u8))
+                .collect(),
         }
     }
 
@@ -357,10 +361,10 @@ impl CoopSched {
             self.dispatch(&mut st);
         }
         coro::suspend();
-        if self.timed_out[rank].swap(false, Ordering::Relaxed) {
-            Park::TimedOut
-        } else {
-            Park::Granted
+        match self.resumed_as[rank].swap(Park::Granted as u8, Ordering::Relaxed) {
+            r if r == Park::Wedged as u8 => Park::Wedged,
+            r if r == Park::TimedOut as u8 => Park::TimedOut,
+            _ => Park::Granted,
         }
     }
 
@@ -417,11 +421,11 @@ impl CoopSched {
     ///
     /// A normal return that leaves nothing running, nothing ready and a
     /// PE parked is the wedge `park` refuses, reached by a finish: the
-    /// lowest-rank parked PE is handed a slot flagged as timed out, as
-    /// the watchdog rule in `next` does, so it trips at once instead of
-    /// after the wall-clock window. An unwind does not: the panicking PE
-    /// poisons the fabric and releases its peers itself, and its panic is
-    /// what the run reports.
+    /// lowest-rank parked PE is handed a slot, as the watchdog rule in
+    /// `next` does, and its `park` returns [`Park::Wedged`], so it trips
+    /// at once instead of after the wall-clock window. An unwind does
+    /// not: the panicking PE poisons the fabric and releases its peers
+    /// itself, and its panic is what the run reports.
     pub(crate) fn finish(&self, rank: usize) {
         let mut st = self.lock();
         match st.status[rank] {
@@ -440,7 +444,7 @@ impl CoopSched {
                 st.running += 1;
                 // The state lock orders the flag: released here, taken by
                 // the worker that pops the grant before it resumes `pe`.
-                self.timed_out[pe].store(true, Ordering::Relaxed);
+                self.resumed_as[pe].store(Park::Wedged as u8, Ordering::Relaxed);
                 let w = pe % self.workers;
                 st.granted[w].push_back(pe);
                 if std::mem::take(&mut st.idle[w]) {
@@ -583,7 +587,7 @@ impl CoopSched {
                     // Its site stays where it parked.
                     st.status[pe] = PeSchedState::Running;
                     st.running += 1;
-                    self.timed_out[pe].store(true, Ordering::Relaxed);
+                    self.resumed_as[pe].store(Park::TimedOut as u8, Ordering::Relaxed);
                     return Some(pe);
                 }
                 since = now;
@@ -693,10 +697,10 @@ mod tests {
     }
 
     /// The last runner returns while PE 1 is parked: nothing can wake PE
-    /// 1 any more, so the finish hands it a slot flagged as timed out at
-    /// once rather than leaving it to the wall-clock window.
+    /// 1 any more, so the finish hands it a slot at once, flagged as a
+    /// wedge, rather than leaving it to the wall-clock window.
     #[test]
-    fn finish_that_wedges_times_out_the_parked_pe() {
+    fn finish_that_wedges_resumes_the_parked_pe_as_wedged() {
         let sched = sched(2, EngineConfig::coop().with_workers(2));
         let started = Instant::now();
         sched
@@ -706,7 +710,7 @@ mod tests {
                         std::thread::yield_now();
                     }
                 } else {
-                    assert_eq!(sched.park(1, WaitSite::Barrier), Park::TimedOut);
+                    assert_eq!(sched.park(1, WaitSite::Barrier), Park::Wedged);
                 }
                 sched.finish(rank);
             })

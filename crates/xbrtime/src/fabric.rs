@@ -560,7 +560,11 @@ pub struct PeProbe {
 pub struct DeadlockReport {
     /// Rank of the PE whose watchdog fired first.
     pub detector: usize,
-    /// The configured timeout that was exceeded.
+    /// Why it fired: `true` for a structural wedge (every PE parked or
+    /// finished, nothing runnable), seen the moment it forms; `false`
+    /// when `timeout` elapsed with no grant anywhere in the fabric.
+    pub wedged: bool,
+    /// The configured watchdog timeout (exceeded unless `wedged`).
     pub timeout: Duration,
     /// Byte offset and slot count of the symmetric signal table, if the
     /// signal plane was in use (lets slot offsets be named as indices).
@@ -614,11 +618,12 @@ impl DeadlockReport {
 
 impl std::fmt::Display for DeadlockReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "no progress for {:?}: PE {} tripped the watchdog",
-            self.timeout, self.detector
-        )?;
+        if self.wedged {
+            write!(f, "structural deadlock: nothing can run")?;
+        } else {
+            write!(f, "no progress for {:?}", self.timeout)?;
+        }
+        writeln!(f, ": PE {} tripped the watchdog", self.detector)?;
         let culprit = self.stuck().rank;
         for p in &self.pes {
             let coll = match p.collective {
@@ -764,7 +769,7 @@ impl Shared {
     /// snapshot plus the nonzero slots of each PE's signal table. The
     /// rows' positions and recent events are filled after the join, from
     /// the PEs' own tallies.
-    fn probe(&self, detector: usize) -> DeadlockReport {
+    fn probe(&self, detector: usize, wedged: bool) -> DeadlockReport {
         let sig_off = self.sig_off.load(Ordering::Acquire);
         let sig_len = self.sig_len.load(Ordering::Acquire);
         let signal_table = (sig_off != 0).then(|| (sig_off - 1, sig_len));
@@ -800,6 +805,7 @@ impl Shared {
             .collect();
         DeadlockReport {
             detector,
+            wedged,
             timeout: self.watchdog,
             signal_table,
             pes,
@@ -1318,11 +1324,12 @@ impl<'f> Pe<'f> {
         }
     }
 
-    /// Trip the watchdog: record a whole-fabric DeadlockReport (first
-    /// detector wins), poison the fabric so peers unwind, and panic. The
-    /// report is completed and rendered after the join ([`Fabric::run`]).
-    fn watchdog_trip(&self) -> ! {
-        let report = self.shared.probe(self.rank);
+    /// Trip the watchdog on a wedge or an elapsed window: record a
+    /// whole-fabric DeadlockReport (first detector wins), poison the
+    /// fabric so peers unwind, and panic. The report is completed and
+    /// rendered after the join ([`Fabric::run`]).
+    fn watchdog_trip(&self, wedged: bool) -> ! {
+        let report = self.shared.probe(self.rank, wedged);
         {
             let mut slot = self.shared.deadlock.lock().unwrap();
             if slot.is_none() {
@@ -1348,7 +1355,8 @@ impl<'f> Pe<'f> {
     fn wait_step(&self, site: WaitSite) {
         match self.shared.coop.park(self.rank, site) {
             Park::Granted => {}
-            Park::TimedOut | Park::Wedged => self.watchdog_trip(),
+            Park::Wedged => self.watchdog_trip(true),
+            Park::TimedOut => self.watchdog_trip(false),
         }
     }
 
@@ -1694,6 +1702,17 @@ impl<'f> Pe<'f> {
         pe: usize,
     ) {
         self.transfer(Local::Dst(dest), src, nelems, stride, pe, false, false);
+    }
+
+    /// Hint the host CPU to start loading `at`'s element on PE `pe`
+    /// ahead of the `get`, load or AMO that will touch it. Bounds-checked
+    /// like [`Pe::get`], and nothing else: no cycle is charged, no counter
+    /// or trace event recorded, no fault rolled and no demand-zero byte
+    /// touched, so no simulated outcome can observe the hint.
+    #[inline]
+    pub fn host_prefetch<T: XbrType>(&self, at: SymmRef<T>, pe: usize) {
+        at.check_span(1, 1);
+        self.shared.heaps[pe].prefetch(at.off, std::mem::size_of::<T>());
     }
 
     /// One-sided put whose source is this PE's *own shared segment* —

@@ -19,8 +19,8 @@
 
 use xbrtime::collectives::{self, AllReduceAlgo};
 use xbrtime::{
-    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FaultConfig, ReduceOp, RunReport,
-    SyncMode, TraceEvent,
+    AlgorithmPolicy, EngineConfig, Fabric, FabricConfig, FaultConfig, ReduceOp, RunError,
+    RunReport, SyncMode, TraceEvent,
 };
 
 /// A mixed workload exercising every park/unpark path: signaled and
@@ -234,4 +234,93 @@ fn different_seed_changes_the_schedule() {
     // Whatever the schedule, the data plane is schedule-invariant.
     let other = run_workload(2, None);
     assert_eq!(base.results, other.results);
+}
+
+/// Random get / put / AMO / load traffic over a 256-word table on four
+/// PEs, at one worker slot and seed 7, with or without a host prefetch of
+/// every table word on every PE before each step. Only heap words and one
+/// stack word are priced, so two runs in one process charge the same.
+fn hinted_run(hint: bool, trace: bool) -> RunReport<u64> {
+    const N: usize = 256;
+    let mut cfg = FabricConfig::paper(4)
+        .with_shared_bytes(1 << 16)
+        .with_engine(EngineConfig::coop().with_workers(1).with_seed(7));
+    if trace {
+        cfg = cfg.with_trace();
+    }
+    Fabric::run(cfg, move |pe| {
+        let n = pe.n_pes();
+        let table = pe.shared_malloc::<u64>(N);
+        for i in 0..N {
+            pe.heap_store(table.at(i), i as u64);
+        }
+        pe.barrier();
+        let mut x = pe.rank() as u64 + 1;
+        let mut v = [0u64];
+        for _ in 0..64 {
+            if hint {
+                for p in 0..n {
+                    for i in 0..N {
+                        pe.host_prefetch(table.at(i), p);
+                    }
+                }
+            }
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (p, i) = ((x >> 33) as usize % n, (x >> 41) as usize % N);
+            pe.get(&mut v, table.at(i), 1, 1, p);
+            let w = [v[0] ^ x];
+            let _ = pe.put_nb(table.at(i), &w, 1, 1, p);
+            pe.quiet();
+            pe.amo_fetch_xor(table.at(N - 1 - i), x, p);
+            pe.heap_load(table.at(i));
+        }
+        pe.barrier();
+        (0..N).fold(0, |h, i| {
+            h ^ pe.heap_load(table.at(i)).rotate_left(i as u32)
+        })
+    })
+}
+
+/// `Pe::host_prefetch` is a host hint and nothing else: a run that hints
+/// every table word before every step charges, counts, schedules and
+/// traces exactly what the same run without the hints does.
+#[test]
+fn a_host_prefetch_is_invisible_to_the_simulation() {
+    let (bare, hinted) = (hinted_run(false, false), hinted_run(true, false));
+    assert_eq!(bare.results, hinted.results);
+    assert_eq!(bare.cycles, hinted.cycles);
+    assert_eq!(bare.stats, hinted.stats);
+    assert_eq!(bare.sched_log, hinted.sched_log);
+    assert!(bare.stats.amos > 0 && bare.stats.remote_transfers > 0);
+
+    let (bare, hinted) = (hinted_run(false, true), hinted_run(true, true));
+    let events = |r: &RunReport<u64>| r.trace.as_ref().expect("traced").events.clone();
+    assert_eq!(events(&bare).len(), events(&hinted).len());
+    assert_eq!(events(&bare), events(&hinted));
+}
+
+/// A hint past the end of its allocation panics as the `get` of the same
+/// word does.
+#[test]
+fn an_out_of_bounds_host_prefetch_panics_like_get() {
+    let message = |hint: bool| {
+        let cfg = FabricConfig::new(2).with_engine(EngineConfig::coop().with_workers(1));
+        let result = Fabric::try_run(cfg, move |pe| {
+            let table = pe.shared_malloc::<u64>(8);
+            if hint {
+                pe.host_prefetch(table.at(8), 1);
+            } else {
+                pe.get(&mut [0u64], table.at(8), 1, 1, 1);
+            }
+        });
+        match result {
+            Err(RunError::Panic(msg)) => msg,
+            other => panic!("expected Err(Panic), got {:?}", other.map(|_| ())),
+        }
+    };
+    let hinted = message(true);
+    assert!(hinted.contains("only 0 remain"), "{hinted}");
+    assert_eq!(hinted, message(false));
 }

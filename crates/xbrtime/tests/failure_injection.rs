@@ -243,7 +243,12 @@ fn stalled_running_pe_trips_wall_clock_watchdog() {
         assert_eq!(waiter.site, WaitSite::Barrier, "{report}");
         // The timed-out PE is re-granted a slot before it probes the fabric.
         assert_eq!(waiter.sched, PeSchedState::Running, "{report}");
+        assert!(!report.wedged, "{report}");
         let text = report.to_string();
+        assert!(
+            text.starts_with("no progress for 300ms: PE 1 tripped the watchdog\n"),
+            "{text}"
+        );
         for rank in 0..2 {
             let line = text
                 .lines()
@@ -309,6 +314,7 @@ fn structural_wedge_on_one_worker_is_reported_at_once() {
     );
     match result {
         Err(RunError::Deadlock(report)) => {
+            assert!(report.wedged, "{report}");
             for p in &report.pes {
                 assert!(matches!(p.site, WaitSite::Signal { .. }), "{report}");
             }
@@ -350,6 +356,15 @@ fn early_return_is_reported_at_once_and_blames_the_pe_that_left() {
             let stuck = report.stuck();
             assert_eq!(stuck.rank, 2, "{report}");
             assert_eq!(stuck.site, WaitSite::Finished, "{report}");
+            // A wedge is seen the moment it forms: the report names no
+            // window the fabric did not wait out.
+            assert!(report.wedged, "{report}");
+            let text = report.to_string();
+            let first = text.lines().next().unwrap_or_default();
+            assert_eq!(
+                first, "structural deadlock: nothing can run: PE 0 tripped the watchdog",
+                "{text}"
+            );
         }
         other => panic!("expected Err(Deadlock), got {:?}", other.map(|_| ())),
     }
@@ -480,7 +495,7 @@ fn run_panics_with_rendered_report_on_deadlock() {
     let err = result.unwrap_err();
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(
-        msg.contains("watchdog") && msg.contains("no progress"),
+        msg.contains("watchdog") && msg.contains("structural deadlock"),
         "panic payload should be the rendered report: {msg:?}"
     );
 }
