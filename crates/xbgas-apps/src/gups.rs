@@ -162,14 +162,14 @@ impl GupsResult {
 /// spread on a 2-core x86-64 host; 8 leaves slack for a longer miss.
 const LOOKAHEAD: usize = 8;
 
-/// Where a remote update's `get` lands: `word`, at word [`LANDING_WORD`]
-/// of a page of its own. The cache model prices a private buffer at its
-/// host in-page offset, so a stack slot made the kernel's cycles a
-/// function of the frame layout: of the build profile, of edits to this
-/// file and even of the closure that calls [`run_gups`]. A fixed word
-/// prices the same in every binary. Line 29 is where the stack slot sat
-/// in the benchmark's timed `gups_8pe` reps (line 31 in the verified run
-/// before them).
+/// Where a remote update's `get` (and the verification's error sum)
+/// lands: `word`, at word [`LANDING_WORD`] of a page of its own. The
+/// cache model prices a private buffer at its host in-page offset, so a
+/// stack slot made the kernel's cycles a function of the frame layout:
+/// of the build profile, of edits to this file and even of the closure
+/// that calls [`run_gups`]. A fixed word prices the same in every
+/// binary. Line 29 is where the stack slot sat in the benchmark's timed
+/// `gups_8pe` reps (line 31 in the verified run before them).
 #[repr(C, align(4096))]
 struct Landing {
     _below: [u64; LANDING_WORD],
@@ -178,6 +178,15 @@ struct Landing {
 
 /// The landing word's index in its page: the first of line 29.
 const LANDING_WORD: usize = 29 * 8;
+
+impl Default for Landing {
+    fn default() -> Self {
+        Landing {
+            _below: [0; LANDING_WORD],
+            word: [0],
+        }
+    }
+}
 
 /// The block-distributed table as one PE sees it.
 struct Table {
@@ -239,10 +248,7 @@ impl Table {
             ahead = hpcc_step(ahead);
             self.prefetch(pe, ahead);
         }
-        let mut landing = Landing {
-            _below: [0; LANDING_WORD],
-            word: [0],
-        };
+        let mut landing = Landing::default();
         let mut remote = 0;
         for i in 0..n {
             if i + LOOKAHEAD < n {
@@ -278,11 +284,9 @@ pub fn run_gups(pe: &Pe, cfg: &GupsConfig) -> GupsResult {
         per_pe,
         mask: (table_size - 1) as u64,
     };
-    // HPCC initialisation: T[i] = i (global index).
-    let init: Vec<u64> = (0..per_pe as u64)
-        .map(|i| pe.rank() as u64 * per_pe as u64 + i)
-        .collect();
-    pe.heap_write(table.sym.whole(), &init);
+    // HPCC initialisation: T[i] = i (global index), written in place.
+    let first = pe.rank() * per_pe;
+    pe.heap_fill(table.sym.whole(), per_pe, |i| (first + i) as u64);
     pe.barrier();
 
     // Each PE starts its stream at its slice of the global sequence. The
@@ -303,18 +307,21 @@ pub fn run_gups(pe: &Pe, cfg: &GupsConfig) -> GupsResult {
     if cfg.verify {
         table.walk(pe, start, cfg.updates_per_pe, cfg.use_amo, false);
         pe.barrier();
-        let now = pe.heap_read_vec::<u64>(table.sym.whole(), per_pe);
-        errors = now.iter().zip(&init).filter(|(a, b)| a != b).count();
+        errors = (pe.heap_read_vec::<u64>(table.sym.whole(), per_pe).iter())
+            .enumerate()
+            .filter(|&(i, &v)| v != (first + i) as u64)
+            .count();
 
         // Aggregate the global error count: sum-reduce then broadcast —
         // the collective pattern the paper's §5.2 benchmarks exercise.
         let err_sym = pe.shared_malloc::<u64>(1);
         pe.heap_store(err_sym.whole(), errors as u64);
         pe.barrier();
-        let mut total = [0u64];
+        // The sum lands in a fixed word, priced alike in every binary.
+        let mut total = Landing::default();
         collectives::reduce_policy_sync(
             pe,
-            &mut total,
+            &mut total.word,
             &err_sym,
             1,
             1,
@@ -324,7 +331,7 @@ pub fn run_gups(pe: &Pe, cfg: &GupsConfig) -> GupsResult {
             cfg.sync,
         );
         let bcast = pe.shared_malloc::<u64>(1);
-        collectives::broadcast_policy_sync(pe, &bcast, &total, 1, 1, 0, cfg.policy, cfg.sync);
+        collectives::broadcast_policy_sync(pe, &bcast, &total.word, 1, 1, 0, cfg.policy, cfg.sync);
         pe.barrier();
         let global_errors = pe.heap_load(bcast.whole());
         let total_updates = (cfg.updates_per_pe * n_pes) as u64;

@@ -1459,15 +1459,7 @@ impl<'f> Pe<'f> {
 
     /// Store one element into this PE's own shared segment.
     pub fn heap_store<T: XbrType>(&self, dest: SymmRef<T>, v: T) {
-        dest.check_span(1, 1);
-        self.clock.heap(dest.off, std::mem::size_of::<T>());
-        unsafe {
-            self.my_heap().write_from(
-                dest.off,
-                &v as *const T as *const u8,
-                std::mem::size_of::<T>(),
-            );
-        }
+        self.heap_fill(dest, 1, |_| v);
     }
 
     /// Load one element from this PE's own shared segment.
@@ -1475,6 +1467,7 @@ impl<'f> Pe<'f> {
         src.check_span(1, 1);
         self.clock.heap(src.off, std::mem::size_of::<T>());
         let mut v = T::default();
+        // SAFETY: `v` is valid for its size; the span was checked above.
         unsafe {
             self.my_heap().read_into(
                 src.off,
@@ -1488,6 +1481,21 @@ impl<'f> Pe<'f> {
     /// Write a contiguous slice into this PE's own shared segment.
     pub fn heap_write<T: XbrType>(&self, dest: SymmRef<T>, vals: &[T]) {
         self.heap_write_strided(dest, vals, vals.len(), 1);
+    }
+
+    /// Write `f(i)` into element `i` of `dest` for `i < n`, straight
+    /// into this PE's own shared segment: [`Pe::heap_write`] of the same
+    /// values, checked and priced alike, without building them first.
+    /// `f` may run while the segment is locked, so it must not touch the
+    /// fabric.
+    pub fn heap_fill<T: XbrType>(&self, dest: SymmRef<T>, n: usize, mut f: impl FnMut(usize) -> T) {
+        dest.check_span(n, 1);
+        self.clock.heap(dest.off, walk_span(n, 1) * size_of::<T>());
+        self.my_heap().fill(dest.off, n * size_of::<T>(), |d| {
+            // SAFETY: the heap checked that the `n` elements at `d` lie
+            // inside it, and `HEAP_ALIGN` aligns them for `T`.
+            (0..n).for_each(|i| unsafe { d.cast::<T>().add(i).write(f(i)) })
+        });
     }
 
     /// Write `nelems` elements at `stride` (in both the source slice and the

@@ -15,14 +15,17 @@
 //! (verified by tests and a runtime signature check in the fabric).
 //!
 //! A segment is demand-zero, as the OS hands over a real one: the arena
-//! is allocated uninitialised and zeroed only up to the highest byte
-//! anything has touched, so a launch costs what its PEs use rather than
-//! `shared_bytes × n_pes` of memset.
+//! is allocated uninitialised and zeroed only where something reads
+//! before it writes — above a high-water mark that dense use moves up,
+//! and a 4 KiB page at a time where use is sparse — so a launch costs
+//! what its PEs use rather than `shared_bytes × n_pes` of memset, and
+//! pages nobody touches are never zeroed or faulted in.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Raw storage for one PE's shared segment.
@@ -40,50 +43,73 @@ use std::sync::{Mutex, PoisonError};
 /// data race itself — which the API documents as the caller's obligation,
 /// the same obligation every PGAS runtime imposes.
 ///
-/// The arena's own zeroing is not the caller's business. Bytes below the
-/// high-water mark `initialised` are zero or written; bytes above it are
-/// never read. Whoever first touches a byte above the mark zeroes up to
-/// it while holding `lock` — a read, fold, AMO or probe through `window`
-/// zeroes `[mark, off + n)`, a pure overwrite through `fill` zeroes only
-/// the gap `[mark, off)` and writes the rest — and publishes the new mark
-/// with `Release` after those bytes are written. Accesses read the mark
-/// with `Acquire`, and one that lies wholly below it takes no lock.
-/// Zeroing only ever happens above the mark, which only grows, so it
-/// never lands on a byte another PE has written.
+/// The arena's own zeroing is not the caller's business. A byte is
+/// *ready* — zero or written — when it lies below the high-water mark
+/// `ready_to`, or on a 4 KiB page (`PAGE`) whose readiness bit is set; the
+/// bitmap sits in the arena's own allocation, just past its last byte.
+/// No unready byte is ever read. Whoever first touches an unready byte
+/// readies it while holding `lock`: an access that starts by the end of
+/// the mark's page moves the mark up to its end, zeroing the unready
+/// bytes it does not write (a read, fold, AMO or probe through `window`
+/// writes none; a pure overwrite through `fill` writes its window); an
+/// access above that readies its own pages, zeroing the unready parts of
+/// each that it does not write, and sets their bits. Bits and mark are
+/// published with `Release` after those bytes are written, and the mark
+/// then moves past every ready page above it. Accesses read the mark,
+/// then the bits, with `Acquire`; one that finds all its bytes ready takes
+/// no lock. Only unready bytes are ever zeroed, and neither the mark nor
+/// a bit ever goes back, so zeroing never lands on a byte another PE has
+/// written.
 pub struct HeapData {
     ptr: *mut u8,
     len: usize,
-    initialised: AtomicUsize,
+    ready_to: AtomicUsize,
     lock: Mutex<()>,
 }
 
+/// Bytes per readiness page of a [`HeapData`] arena, as a host page.
+const PAGE: usize = 4096;
+
 // SAFETY: the heap is a raw byte arena. Concurrent access discipline is the
 // documented contract above; the type itself carries no thread affinity.
-// The mark is an atomic and only grows under `lock`, so sharing them is
-// sound on its own.
 unsafe impl Send for HeapData {}
+// SAFETY: as for `Send`; the mark and the bits are atomics that only
+// grow under `lock`, so sharing them is sound on its own.
 unsafe impl Sync for HeapData {}
 
 impl HeapData {
-    /// The arena's allocation layout: [`HEAP_ALIGN`]-aligned, so every
-    /// offset the [`FreeList`] hands out is aligned for any element type
-    /// (and for the fabric's `AtomicU64` views) by construction.
+    /// Where the readiness bitmap of an arena of `len` bytes lies in its
+    /// allocation: 8-byte aligned, one bit per page.
+    fn bitmap(len: usize) -> Range<usize> {
+        let at = len.next_multiple_of(8);
+        at..at + len.div_ceil(64 * PAGE) * 8
+    }
+
+    /// The allocation's layout: the arena, then its bitmap. [`HEAP_ALIGN`]
+    /// alignment makes every offset the [`FreeList`] hands out aligned for
+    /// any element type (and for the fabric's `AtomicU64` views). `len`
+    /// is checked on its own first, so that `bitmap` cannot wrap.
     fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len.max(1), HEAP_ALIGN).expect("arena size overflows isize")
+        Layout::from_size_align(len, HEAP_ALIGN)
+            .and_then(|_| Layout::from_size_align(Self::bitmap(len).end.max(1), HEAP_ALIGN))
+            .expect("arena size overflows isize")
     }
 
     /// Allocate an arena of `len` bytes that reads zero until written.
     pub fn new(len: usize) -> Self {
         let layout = Self::layout(len);
-        // SAFETY: `layout` has a non-zero size (`len.max(1)`).
+        // SAFETY: `layout` has a non-zero size (`max(1)`).
         let ptr = unsafe { alloc(layout) };
         if ptr.is_null() {
             handle_alloc_error(layout);
         }
+        let bits = Self::bitmap(len);
+        // SAFETY: the bitmap lies inside the fresh allocation.
+        unsafe { ptr.add(bits.start).write_bytes(0, bits.len()) };
         HeapData {
             ptr,
             len,
-            initialised: AtomicUsize::new(0),
+            ready_to: AtomicUsize::new(0),
             lock: Mutex::new(()),
         }
     }
@@ -115,25 +141,66 @@ impl HeapData {
         }
     }
 
-    /// Raise the mark to at least `end` under the lock: zero
-    /// `[mark, from)`, run `write` (which initialises `[from, end)`), then
-    /// publish.
+    /// Page `p`'s word in the readiness bitmap, and its bit there.
+    #[inline]
+    fn bit(&self, p: usize) -> (&AtomicU64, u64) {
+        let at = Self::bitmap(self.len).start + p / 64 * 8;
+        let word = self.ptr.wrapping_add(at);
+        // SAFETY: the word lies in the bitmap, which is 8-byte aligned and
+        // only ever accessed atomically.
+        (unsafe { AtomicU64::from_ptr(word.cast()) }, 1 << (p % 64))
+    }
+
+    /// Whether page `p` is ready.
+    #[inline]
+    fn is_ready(&self, p: usize) -> bool {
+        let (word, bit) = self.bit(p);
+        word.load(Ordering::Acquire) & bit != 0
+    }
+
+    /// Whether every byte of the window `[off, end)` is ready.
+    #[inline]
+    fn ready(&self, off: usize, end: usize) -> bool {
+        end <= self.ready_to.load(Ordering::Acquire)
+            || off == end
+            || (off / PAGE..end.div_ceil(PAGE)).all(|p| self.is_ready(p))
+    }
+
+    /// Ready `[off, end)` under the lock; `write` initialises `[from,
+    /// end)`. An access that starts by the end of the mark's page moves
+    /// the mark up to `end` (if a racing access has not already) and
+    /// zeroes the unready bytes of `[mark, from)`;
+    /// one above it readies its own pages, zeroing each unready one
+    /// outside `[from, end)`. Then the bits and the mark are published.
     #[cold]
-    fn grow(&self, from: usize, end: usize, write: impl FnOnce()) {
-        // A panic under the lock publishes no mark, so the arena stays
+    fn ready_up(&self, off: usize, from: usize, end: usize, write: impl FnOnce()) {
+        // A panic under the lock publishes nothing, so the arena stays
         // valid and the guard can be taken back.
         let _held = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let mark = self.initialised.load(Ordering::Relaxed);
-        if mark < from {
-            // SAFETY: `[mark, from)` lies inside the allocation (`from <=
-            // end <= len`) and above the mark, so no one else touches it
-            // while the lock is held.
-            unsafe { self.ptr.add(mark).write_bytes(0, from - mark) };
+        let mark = self.ready_to.load(Ordering::Relaxed);
+        let grow = off <= mark.next_multiple_of(PAGE);
+        let span = match grow {
+            true => mark..end.max(mark),
+            false => off / PAGE * PAGE..(end.div_ceil(PAGE) * PAGE).min(self.len),
+        };
+        let pages = span.start / PAGE..span.end.div_ceil(PAGE);
+        for p in pages.clone().filter(|&p| !self.is_ready(p)) {
+            let (lo, hi) = ((p * PAGE).max(span.start), (p * PAGE + PAGE).min(span.end));
+            let (a, b) = (from.clamp(lo, hi), end.clamp(lo, hi));
+            // SAFETY: `[lo, a)` lies inside the arena, above the mark on an
+            // unready page, which no one else touches while the lock is held.
+            unsafe { self.ptr.add(lo).write_bytes(0, a - lo) };
+            // SAFETY: so does `[b, hi)`.
+            unsafe { self.ptr.add(b).write_bytes(0, hi - b) };
         }
         write();
-        if mark < end {
-            self.initialised.store(end, Ordering::Release);
+        for (word, bit) in pages.filter(|_| !grow).map(|p| self.bit(p)) {
+            word.fetch_or(bit, Ordering::Release);
         }
+        let (mark, n) = (if grow { span.end } else { mark }, self.len.div_ceil(PAGE));
+        let p = (mark / PAGE..n).find(|&p| !self.is_ready(p)).unwrap_or(n);
+        let mark = mark.max(p * PAGE).min(self.len);
+        self.ready_to.store(mark, Ordering::Release);
     }
 
     /// Pointer to the `n`-byte window of the arena at `off`, every byte of
@@ -144,8 +211,8 @@ impl HeapData {
     #[inline]
     pub(crate) fn window(&self, access: &str, off: usize, n: usize) -> *mut u8 {
         let end = self.end(access, off, n);
-        if end > self.initialised.load(Ordering::Acquire) {
-            self.grow(end, end, || {});
+        if !self.ready(off, end) {
+            self.ready_up(off, end, end, || {});
         }
         // SAFETY: the window lies inside the allocation (just checked).
         unsafe { self.ptr.add(off) }
@@ -153,25 +220,26 @@ impl HeapData {
 
     /// Overwrite the `n`-byte window at `off`: `write` gets its pointer
     /// and must write all `n` bytes. Unlike [`HeapData::window`], the
-    /// window is not zeroed first; only the gap below it is.
+    /// window is not zeroed first; only the unready bytes around it that
+    /// it readies are.
     ///
     /// # Panics
     /// Panics if `off + n` exceeds the arena.
     #[inline]
-    fn fill(&self, off: usize, n: usize, write: impl FnOnce(*mut u8)) {
+    pub(crate) fn fill(&self, off: usize, n: usize, write: impl FnOnce(*mut u8)) {
         let end = self.end("write", off, n);
         // SAFETY: the window lies inside the allocation (just checked).
         let dst = unsafe { self.ptr.add(off) };
-        if end <= self.initialised.load(Ordering::Acquire) {
+        if self.ready(off, end) {
             write(dst);
         } else {
-            self.grow(off, end, || write(dst));
+            self.ready_up(off, off, end, || write(dst));
         }
     }
 
     /// Hint the host CPU to pull the `n`-byte window at `off` into its
-    /// cache. Nothing is read or written and the mark is neither read nor
-    /// raised, so a hint above the mark leaves the arena as it was.
+    /// cache. Nothing is read or written and no page is readied, so a
+    /// hint on an unready page leaves the arena as it was.
     ///
     /// # Panics
     /// Panics if `off + n` exceeds the arena.
@@ -406,16 +474,43 @@ impl FreeList {
 mod tests {
     use super::*;
 
+    impl HeapData {
+        /// The pages that are wholly ready, below the mark or by their bit.
+        fn ready_pages(&self) -> Vec<usize> {
+            let mark = self.ready_to.load(Ordering::Relaxed);
+            (0..self.len.div_ceil(PAGE))
+                .filter(|&p| (p * PAGE + PAGE).min(self.len) <= mark || self.is_ready(p))
+                .collect()
+        }
+    }
+
+    /// Write `src` into `h` at `off`.
+    fn put(h: &HeapData, off: usize, src: &[u8]) {
+        // SAFETY: `src` is valid for its length; the tests' threads write
+        // disjoint bytes.
+        unsafe { h.write_from(off, src.as_ptr(), src.len()) };
+    }
+
+    /// Every byte of `h` in `[off, off + n)`, read through `window`.
+    fn bytes(h: &HeapData, off: usize, n: usize) -> Vec<u8> {
+        let mut out = vec![0xAA; n];
+        // SAFETY: `out` is valid for `n` bytes; no test reads a byte while
+        // another thread writes it.
+        unsafe { h.read_into(off, out.as_mut_ptr(), n) };
+        out
+    }
+
     #[test]
     fn heap_data_copy_roundtrip() {
         let h = HeapData::new(64);
-        let src = [1u8, 2, 3, 4];
-        let mut dst = [0u8; 4];
-        unsafe {
-            h.write_from(8, src.as_ptr(), 4);
-            h.read_into(8, dst.as_mut_ptr(), 4);
-        }
-        assert_eq!(dst, src);
+        put(&h, 8, &[1, 2, 3, 4]);
+        assert_eq!(bytes(&h, 8, 4), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arena size overflows isize")]
+    fn an_arena_past_isize_panics() {
+        HeapData::new(usize::MAX - 4);
     }
 
     #[test]
@@ -431,50 +526,42 @@ mod tests {
     #[should_panic(expected = "heap write [12, 12+8) out of bounds")]
     fn heap_to_heap_copy_checks_the_destination() {
         let (a, b) = (HeapData::new(32), HeapData::new(16));
+        // SAFETY: single-threaded.
         unsafe { a.copy_to(0, &b, 12, 8) };
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn heap_data_bounds_checked() {
-        let h = HeapData::new(16);
-        let src = [0u8; 8];
-        unsafe { h.write_from(12, src.as_ptr(), 8) };
-    }
-
-    /// Every byte of `h` in `[off, off + n)`, read through `window`.
-    fn bytes(h: &HeapData, off: usize, n: usize) -> Vec<u8> {
-        let mut out = vec![0xAA; n];
-        unsafe { h.read_into(off, out.as_mut_ptr(), n) };
-        out
+        put(&HeapData::new(16), 12, &[0; 8]);
     }
 
     #[test]
     fn fresh_arena_reads_zero_everywhere() {
-        let h = HeapData::new(4096);
-        assert!(bytes(&h, 100, 28).iter().all(|&b| b == 0));
-        assert!(bytes(&h, 0, 4096).iter().all(|&b| b == 0));
-        assert_eq!(h.initialised.load(Ordering::Relaxed), 4096);
+        let h = HeapData::new(3 * PAGE);
+        assert!(bytes(&h, PAGE + 100, 28).iter().all(|&b| b == 0));
+        assert_eq!(h.ready_pages(), [1]);
+        assert!(bytes(&h, 0, 3 * PAGE).iter().all(|&b| b == 0));
+        assert_eq!(h.ready_pages(), [0, 1, 2]);
     }
 
     #[test]
     fn write_past_the_mark_leaves_the_gap_zero() {
-        let h = HeapData::new(256);
-        unsafe { h.write_from(96, [7u8; 32].as_ptr(), 32) };
-        assert_eq!(h.initialised.load(Ordering::Relaxed), 128);
-        let all = bytes(&h, 0, 256);
-        assert!(all[..96].iter().all(|&b| b == 0));
-        assert!(all[96..128].iter().all(|&b| b == 7));
-        assert!(all[128..].iter().all(|&b| b == 0));
+        let h = HeapData::new(3 * PAGE);
+        put(&h, PAGE + 96, &[7; 32]);
+        assert_eq!(h.ready_pages(), [1]);
+        let all = bytes(&h, 0, 3 * PAGE);
+        assert!(all[..PAGE + 96].iter().all(|&b| b == 0));
+        assert!(all[PAGE + 96..PAGE + 128].iter().all(|&b| b == 7));
+        assert!(all[PAGE + 128..].iter().all(|&b| b == 0));
     }
 
     #[test]
     fn copy_into_a_fresh_arena_zeroes_the_gap() {
         let (a, b) = (HeapData::new(64), HeapData::new(64));
-        unsafe {
-            a.write_from(0, [3u8; 16].as_ptr(), 16);
-            a.copy_to(0, &b, 40, 16);
-        }
+        put(&a, 0, &[3; 16]);
+        // SAFETY: single-threaded.
+        unsafe { a.copy_to(0, &b, 40, 16) };
         let got = bytes(&b, 0, 64);
         assert!(got[..40].iter().all(|&x| x == 0));
         assert!(got[40..56].iter().all(|&x| x == 3));
@@ -483,19 +570,68 @@ mod tests {
 
     #[test]
     fn a_small_write_initialises_only_itself() {
+        // At the mark, a write moves the mark and zeroes nothing.
         let h = HeapData::new(2 << 20);
-        unsafe { h.write_from(0, [1u8; 512].as_ptr(), 512) };
-        assert_eq!(h.initialised.load(Ordering::Relaxed), 512);
+        put(&h, 0, &[1; 512]);
+        assert_eq!(h.ready_to.load(Ordering::Relaxed), 512);
         assert_eq!(bytes(&h, 0, 512), vec![1u8; 512]);
-        assert_eq!(h.initialised.load(Ordering::Relaxed), 512);
+        assert_eq!(h.ready_pages(), []);
+        assert_eq!(h.ready_to.load(Ordering::Relaxed), 512);
+    }
+
+    #[test]
+    fn a_write_above_the_mark_on_its_page_keeps_the_bytes_below() {
+        let h = HeapData::new(2 * PAGE);
+        put(&h, 0, &[1; 64]);
+        put(&h, 100, &[2; 64]);
+        let got = bytes(&h, 0, 2 * PAGE);
+        let want = |i: usize| match i {
+            0..64 => 1,
+            100..164 => 2,
+            _ => 0,
+        };
+        assert!(got.iter().enumerate().all(|(i, &b)| b == want(i)));
+    }
+
+    #[test]
+    fn a_sparse_write_readies_only_its_pages() {
+        let h = HeapData::new(4 << 20);
+        let top = h.len() - PAGE - 32;
+        put(&h, top, &[9; 64]);
+        assert!(h.ready_pages().len() <= 2, "{:?}", h.ready_pages());
+        assert!(bytes(&h, 0, top).iter().all(|&b| b == 0));
+        assert_eq!(bytes(&h, top, 64), [9; 64]);
+        assert!(bytes(&h, top + 64, PAGE - 32).iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn the_mark_climbs_over_ready_pages() {
+        // 200 pages written whole in a scattered order that crosses bitmap
+        // words and ends on a partial page: a page at the mark moves the
+        // mark past it and past every ready page above; one above the mark
+        // readies itself by its bit.
+        let h = HeapData::new(200 * PAGE - 8);
+        let mut written = [false; 200];
+        for k in 0..200 {
+            let p = (k * 67 + 130) % 200;
+            let n = PAGE.min(h.len() - p * PAGE);
+            put(&h, p * PAGE, &vec![p as u8; n]);
+            written[p] = true;
+            let run = written.iter().take_while(|&&w| w).count();
+            let want = (run * PAGE).min(h.len());
+            assert_eq!(h.ready_to.load(Ordering::Relaxed), want, "after page {p}");
+        }
+        for (i, b) in bytes(&h, 0, h.len()).into_iter().enumerate() {
+            assert_eq!(b, (i / PAGE) as u8, "byte {i}");
+        }
     }
 
     #[test]
     fn concurrent_extension_never_zeroes_a_written_byte() {
         // Chunk i belongs to thread i % 2. Each round both threads start
-        // together at the mark: thread 0 fills its chunk while thread 1
-        // reads the chunk above it as zero — a read that zero-extends the
-        // mark over the chunk thread 0 is writing.
+        // together on fresh pages: thread 0 fills its chunk while thread 1
+        // reads the chunk above it as zero — a read that readies pages
+        // next to the ones thread 0 is writing.
         const C: usize = 8 << 10;
         const ROUNDS: usize = 1_000;
         let h = HeapData::new(2 * C * ROUNDS);
@@ -511,7 +647,7 @@ mod tests {
                                 let mine = (2 * r + k) * C;
                                 start.wait();
                                 if k == 0 {
-                                    unsafe { h.write_from(mine, want.as_ptr(), C) };
+                                    put(h, mine, &want);
                                 }
                                 bytes(h, mine, C) != want
                             })
@@ -528,12 +664,52 @@ mod tests {
     }
 
     #[test]
+    fn writers_sharing_a_fresh_page_never_zero_each_other() {
+        // Each round three threads start together on one fresh page: two
+        // write disjoint quarters, one in each half, and each zeroes the
+        // rest of the page if it gets there first; the third reads the
+        // middle quarter as zero, which zeroes the whole page if it does.
+        const ROUNDS: usize = 1_000;
+        const Q: usize = PAGE / 4;
+        let part = |k: usize| [Q / 2, 2 * Q + Q / 2, Q + Q / 2][k];
+        let h = HeapData::new(ROUNDS * PAGE);
+        let start = std::sync::Barrier::new(3);
+        let bad: Vec<usize> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..3)
+                .map(|k| {
+                    let (h, start) = (&h, &start);
+                    s.spawn(move || {
+                        let want = [[1, 2, 0][k]; Q];
+                        (0..ROUNDS)
+                            .filter(|r| {
+                                let mine = r * PAGE + part(k);
+                                start.wait();
+                                if k < 2 {
+                                    put(h, mine, &want);
+                                }
+                                bytes(h, mine, Q) != want
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(bad, [0, 0, 0], "rounds whose part read wrong, per thread");
+        for (i, &b) in bytes(&h, 0, h.len()).iter().enumerate() {
+            let want = (0..2).find(|&k| (part(k)..part(k) + Q).contains(&(i % PAGE)));
+            assert_eq!(b, want.map_or(0, |k| k as u8 + 1), "byte {i}");
+        }
+    }
+
+    #[test]
     fn a_prefetch_leaves_the_mark_where_it_was() {
         let h = HeapData::new(1 << 20);
-        unsafe { h.write_from(0, [1u8; 64].as_ptr(), 64) };
+        put(&h, 0, &[1; 64]);
         h.prefetch(4096, 8);
         h.prefetch(h.len() - 8, 8);
-        assert_eq!(h.initialised.load(Ordering::Relaxed), 64);
+        assert_eq!(h.ready_to.load(Ordering::Relaxed), 64);
+        assert_eq!(h.ready_pages(), []);
     }
 
     #[test]

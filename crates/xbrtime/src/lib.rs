@@ -42,6 +42,7 @@
 //! lives in [`typed`] as `typed::int::put`, `typed::double::broadcast`, etc.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod collectives;
 mod coro;

@@ -324,3 +324,77 @@ fn an_out_of_bounds_host_prefetch_panics_like_get() {
     assert!(hinted.contains("only 0 remain"), "{hinted}");
     assert_eq!(hinted, message(false));
 }
+
+/// One 8-PE run at one worker slot and seed 7 that writes each PE's table
+/// with `Pe::heap_fill` or with `Pe::heap_write` of the same values: the
+/// whole table, a window at an odd offset that crosses pages, and nothing.
+/// Each PE then gets its neighbour's table heap to heap (a private buffer
+/// would be priced at its host in-page offset, which the `heap_write`
+/// arm's source vectors move) and returns those words and its
+/// memory-model counters.
+fn fill_run(fill: bool) -> RunReport<(Vec<u64>, String)> {
+    const N: usize = 3_000;
+    let cfg = FabricConfig::paper(8)
+        .with_shared_bytes(1 << 16)
+        .with_engine(EngineConfig::coop().with_workers(1).with_seed(7));
+    Fabric::run(cfg, move |pe| {
+        let me = pe.rank();
+        let (table, copy) = (pe.shared_malloc::<u64>(N), pe.shared_malloc::<u64>(N));
+        let val = |base: usize| move |i: usize| (base + 7 * i) as u64 ^ 0x5a5a;
+        for (at, n, base) in [(0, N, me * N), (5, N - 9, 11 * me), (N, 0, 0)] {
+            if fill {
+                pe.heap_fill(table.at(at), n, val(base));
+            } else {
+                pe.heap_write(table.at(at), &(0..n).map(val(base)).collect::<Vec<_>>());
+            }
+        }
+        pe.barrier();
+        pe.get_symm(copy.whole(), table.whole(), N, 1, (me + 1) % pe.n_pes());
+        pe.barrier();
+        let words = pe.heap_read_vec(copy.whole(), N);
+        (words, format!("{:?}", pe.mem_stats()))
+    })
+}
+
+/// `Pe::heap_fill` is `Pe::heap_write` without the source buffer: the
+/// same bytes, per-PE cycles, memory-model counters, fabric counters and
+/// grant log.
+#[test]
+fn heap_fill_matches_heap_write() {
+    let (filled, written) = (fill_run(true), fill_run(false));
+    assert_eq!(filled.results, written.results);
+    assert_eq!(filled.cycles, written.cycles);
+    assert_eq!(filled.stats, written.stats);
+    assert_eq!(filled.sched_log, written.sched_log);
+    // PE 7 holds PE 0's table; PE 0 holds PE 1's.
+    assert_eq!(
+        filled.results[7].0[..6],
+        [0, 7, 14, 21, 28, 0].map(|v| v ^ 0x5a5a)
+    );
+    assert_eq!(filled.results[0].0[4], (3_000 + 7 * 4) ^ 0x5a5a);
+    assert_eq!(filled.results[0].0[5], 11 ^ 0x5a5a);
+}
+
+/// A fill past the end of its allocation panics as the `heap_write` of
+/// the same span does.
+#[test]
+fn an_out_of_bounds_heap_fill_panics_like_heap_write() {
+    let message = |fill: bool| {
+        let cfg = FabricConfig::new(2).with_engine(EngineConfig::coop().with_workers(1));
+        let result = Fabric::try_run(cfg, move |pe| {
+            let table = pe.shared_malloc::<u64>(8);
+            if fill {
+                pe.heap_fill(table.at(4), 5, |i| i as u64);
+            } else {
+                pe.heap_write(table.at(4), &[0u64; 5]);
+            }
+        });
+        match result {
+            Err(RunError::Panic(msg)) => msg,
+            other => panic!("expected Err(Panic), got {:?}", other.map(|_| ())),
+        }
+    };
+    let filled = message(true);
+    assert!(filled.contains("only 4 remain"), "{filled}");
+    assert_eq!(filled, message(false));
+}

@@ -229,10 +229,11 @@ fn log_digest(log: &[u32]) -> u64 {
 }
 
 /// GUPS at one worker slot and a fixed seed, in get/put and in AMO form,
-/// pinned: per-PE cycles, remote updates and residual errors, the fabric
-/// counters and the grant log. At one worker the schedule is a function
-/// of the seed, so a change to how the kernel walks its stream that
-/// alters any charge, counter or park moves one of these.
+/// pinned: per-PE cycles, remote updates and residual errors, the final
+/// clocks, the fabric counters and the grant log. At one worker the
+/// schedule is a function of the seed, so a change to how the kernel
+/// walks its stream that alters any charge, counter or park moves one of
+/// these.
 #[test]
 fn gups_one_worker_outcome_is_pinned() {
     use xbgas::xbrtime::{EngineConfig, FabricStats};
@@ -285,13 +286,19 @@ fn gups_one_worker_outcome_is_pinned() {
         signal_waits: 14,
         ..FabricStats::default()
     };
-    for (use_amo, cycles, stats) in [(false, 1_957_672, getput), (true, 1_395_281, amo)] {
+    // Update-loop cycles and final clocks (after the verification tail).
+    let pins = [
+        (false, 1_957_672, 3_933_055, getput),
+        (true, 1_395_281, 2_807_971, amo),
+    ];
+    for (use_amo, cycles, last, stats) in pins {
         let report = run(use_amo);
         let per_pe: Vec<_> = (report.results.iter())
             .map(|r| (r.cycles, r.remote_fraction, r.errors))
             .collect();
         assert_eq!(per_pe, pinned(cycles), "use_amo {use_amo}");
         assert_eq!(report.stats, stats, "use_amo {use_amo}");
+        assert_eq!(report.cycles, [last; 8], "use_amo {use_amo}: final clocks");
         let log = &report.sched_log;
         assert_eq!(
             (log.len(), log_digest(log)),
