@@ -398,3 +398,325 @@ fn an_out_of_bounds_heap_fill_panics_like_heap_write() {
     assert!(filled.contains("only 4 remain"), "{filled}");
     assert_eq!(filled, message(false));
 }
+
+/// FNV-1a over whole words.
+fn words_digest(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .fold(h, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// One call of every public entry point on 8 PEs (two nodes of four):
+/// the four rooted `*_policy_sync` at Binomial and at Auto, the three
+/// `try_*` v-entry points on a ragged table with a zero block,
+/// `all_gather_algo_sync`, `reduce_all_sync` for every strategy and for
+/// Auto, `all_to_all_sync`, the team and hierarchical forms — every Auto
+/// call at 64 B and at 128 KiB per PE — plus the uniform 8 KiB-per-PE
+/// pairs whose `Auto` picks depend on the entry point. Each PE returns a
+/// digest of every result buffer it holds.
+fn entry_point_run() -> RunReport<u64> {
+    use collectives::{vcoll, AllGatherVAlgo, Team};
+    let cfg = FabricConfig::paper(8)
+        .with_shared_bytes(16 << 20)
+        .with_topology(xbrtime::Topology {
+            pes_per_node: 4,
+            intra_node_factor: 0.25,
+        })
+        .with_engine(EngineConfig::coop().with_workers(1).with_seed(7));
+    Fabric::run(cfg, |pe| {
+        let (me, n) = (pe.rank(), pe.n_pes());
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let (bin, auto) = (AlgorithmPolicy::Binomial, AlgorithmPolicy::Auto);
+        let rooted = |per: usize, policy: AlgorithmPolicy, sync: SyncMode, h: &mut u64| {
+            let vals: Vec<u64> = (0..per * n).map(|i| (i * 31 + me) as u64).collect();
+            let bdest = pe.shared_malloc::<u64>(per);
+            collectives::broadcast_policy_sync(pe, &bdest, &vals, per, 1, 3, policy, sync);
+            *h = words_digest(*h, pe.heap_read_vec::<u64>(bdest.whole(), per));
+            let rsrc = pe.shared_malloc::<u64>(per);
+            pe.heap_write(rsrc.whole(), &vals[..per]);
+            pe.barrier();
+            let mut out = vec![0u64; per];
+            collectives::reduce_policy_sync(
+                pe,
+                &mut out,
+                &rsrc,
+                per,
+                1,
+                5,
+                ReduceOp::Sum,
+                policy,
+                sync,
+            );
+            *h = words_digest(*h, out);
+            let (msgs, disp) = (vec![per; n], (0..n).map(|r| r * per).collect::<Vec<_>>());
+            let mut mine = vec![0u64; per];
+            collectives::scatter_policy_sync(
+                pe,
+                &mut mine,
+                &vals,
+                &msgs,
+                &disp,
+                per * n,
+                2,
+                policy,
+                sync,
+            );
+            *h = words_digest(*h, mine.iter().copied());
+            let mut all = vec![0u64; per * n];
+            collectives::gather_policy_sync(
+                pe,
+                &mut all,
+                &mine,
+                &msgs,
+                &disp,
+                per * n,
+                6,
+                policy,
+                sync,
+            );
+            *h = words_digest(*h, all);
+            pe.shared_free(rsrc);
+            pe.shared_free(bdest);
+        };
+        rooted(8, bin, SyncMode::Signaled, &mut h);
+        for per in [8, 16 << 10] {
+            rooted(per, auto, SyncMode::Auto, &mut h);
+        }
+
+        for per in [8usize, 16 << 10] {
+            // Ragged, zero blocks included (rank 0 among them).
+            let counts: Vec<usize> = (0..n).map(|r| r % 3 * per / 2).collect();
+            let disp = vcoll::prefix_displacements(&counts);
+            let total = disp[n];
+            let vals: Vec<u64> = (0..total).map(|i| (i * 7 + me) as u64).collect();
+            let mut mine = vec![0u64; counts[me]];
+            vcoll::try_scatterv_policy_sync(
+                pe,
+                &mut mine,
+                &vals,
+                &counts,
+                &disp[..n],
+                1,
+                auto,
+                SyncMode::Auto,
+            )
+            .expect("well-formed table");
+            h = words_digest(h, mine.iter().copied());
+            let mut all = vec![0u64; total];
+            vcoll::try_gatherv_policy_sync(
+                pe,
+                &mut all,
+                &mine,
+                &counts,
+                &disp[..n],
+                4,
+                auto,
+                SyncMode::Auto,
+            )
+            .expect("well-formed table");
+            h = words_digest(h, all);
+            let mut every = vec![0u64; total];
+            let algo = AllGatherVAlgo::Auto;
+            vcoll::try_allgatherv_algo_sync(pe, &mut every, &mine, &counts, algo, SyncMode::Auto)
+                .expect("well-formed table");
+            h = words_digest(h, every);
+
+            let src: Vec<u64> = (0..per).map(|i| (i * 5 + me) as u64).collect();
+            let mut every = vec![0u64; per * n];
+            collectives::all_gather_algo_sync(pe, &mut every, &src, per, algo, SyncMode::Auto);
+            h = words_digest(h, every);
+        }
+
+        let asrc = pe.shared_malloc::<u64>(16 << 10);
+        for (per, algo) in AllReduceAlgo::CONCRETE
+            .into_iter()
+            .map(|a| (8, a))
+            .chain([(8, AllReduceAlgo::Auto), (16 << 10, AllReduceAlgo::Auto)])
+        {
+            let vals: Vec<u64> = (0..per).map(|i| (i + me) as u64).collect();
+            pe.heap_write(asrc.whole(), &vals);
+            pe.barrier();
+            let mut out = vec![0u64; per];
+            collectives::reduce_all_sync(
+                pe,
+                &mut out,
+                &asrc,
+                per,
+                ReduceOp::Sum,
+                algo,
+                SyncMode::Auto,
+            );
+            h = words_digest(h, out);
+        }
+
+        let src: Vec<u64> = (0..8 * n).map(|i| (i * 3 + me) as u64).collect();
+        let mut out = vec![0u64; 8 * n];
+        collectives::all_to_all_sync(pe, &mut out, &src, 8, SyncMode::Auto);
+        h = words_digest(h, out);
+
+        let team = Team::new((0..n).step_by(2).collect());
+        let tdest = pe.shared_malloc::<u64>(8);
+        team.broadcast(pe, &tdest, &src[..8], 8, 1, SyncMode::Signaled);
+        h = words_digest(h, pe.heap_read_vec::<u64>(tdest.whole(), 8));
+        pe.heap_write(asrc.whole(), &src[..8]);
+        pe.barrier();
+        let mut out = vec![0u64; 8];
+        team.reduce_all(
+            pe,
+            &mut out,
+            &asrc,
+            8,
+            u64::wrapping_add,
+            SyncMode::Signaled,
+        );
+        h = words_digest(h, out);
+
+        collectives::broadcast_hier(pe, &tdest, &src[..8], 8, 5, SyncMode::Signaled);
+        h = words_digest(h, pe.heap_read_vec::<u64>(tdest.whole(), 8));
+        let mut out = vec![0u64; 8];
+        collectives::reduce_hier(
+            pe,
+            &mut out,
+            &asrc,
+            8,
+            6,
+            u64::wrapping_add,
+            SyncMode::Signaled,
+        );
+        h = words_digest(h, out);
+
+        // The uniform pairs, 8 KiB per PE under the pipelined executor.
+        let per = 1 << 10;
+        let pipe = SyncMode::Pipelined;
+        let vals: Vec<u64> = (0..per * n).map(|i| (i ^ me) as u64).collect();
+        let (msgs, disp) = (vec![per; n], (0..n).map(|r| r * per).collect::<Vec<_>>());
+        let mut mine = vec![0u64; per];
+        collectives::scatter_policy_sync(
+            pe,
+            &mut mine,
+            &vals,
+            &msgs,
+            &disp,
+            per * n,
+            0,
+            auto,
+            pipe,
+        );
+        h = words_digest(h, mine.iter().copied());
+        vcoll::try_scatterv_policy_sync(pe, &mut mine, &vals, &msgs, &disp, 0, auto, pipe)
+            .expect("well-formed table");
+        h = words_digest(h, mine.iter().copied());
+        let mut every = vec![0u64; per * n];
+        let algo = AllGatherVAlgo::Auto;
+        collectives::all_gather_algo_sync(pe, &mut every, &mine, per, algo, pipe);
+        h = words_digest(h, every.iter().copied());
+        vcoll::try_allgatherv_algo_sync(pe, &mut every, &mine, &msgs, algo, pipe)
+            .expect("well-formed table");
+        words_digest(h, every)
+    })
+}
+
+/// Every public entry point's outcome on one worker at seed 7, pinned:
+/// the result buffers, `FabricStats`, each `CollectiveRecord`'s counts
+/// and algorithm / sync masks, and the grant log. Per-PE cycles are left
+/// out: private buffers are priced at their host in-page offsets, which
+/// follow the test process's allocation history.
+#[test]
+fn every_entry_point_outcome_is_pinned() {
+    let r = entry_point_run();
+    let results = words_digest(0xcbf2_9ce4_8422_2325, r.results.iter().copied());
+    let s = &r.stats;
+    let stats = [
+        s.puts,
+        s.gets,
+        s.nb_puts,
+        s.nb_gets,
+        s.bytes_put,
+        s.bytes_get,
+        s.barriers,
+        s.local_transfers,
+        s.remote_transfers,
+        s.amos,
+        s.signals,
+        s.signal_waits,
+        s.yields,
+    ];
+    let records: Vec<[u64; 11]> = r
+        .collectives
+        .iter()
+        .map(|c| {
+            [
+                c.kind as u64,
+                c.calls,
+                c.puts,
+                c.gets,
+                c.bytes_put,
+                c.bytes_get,
+                c.stages,
+                c.signals,
+                c.waits,
+                c.algo_mask,
+                c.sync_mask,
+            ]
+        })
+        .collect();
+    let got = (
+        results,
+        words_digest(0xcbf2_9ce4_8422_2325, stats),
+        words_digest(0xcbf2_9ce4_8422_2325, records.iter().flatten().copied()),
+        r.sched_log.len(),
+        log_digest(&r.sched_log),
+    );
+    const PINNED: (u64, u64, u64, usize, u64) = (
+        0x3aef_a984_defc_411d,
+        0xc03d_6596_27c7_e8a8,
+        0xda95_4b79_13b8_14b7,
+        1194,
+        0xd798_4167_afe7_78e1,
+    );
+    assert_eq!(got, PINNED, "an entry point's outcome moved: got {got:#x?}");
+}
+
+/// The same uniform call resolves by two `Auto` rules depending on its
+/// entry point (8 PEs × 8 KiB per PE, pipelined): the paper-signature
+/// rules pick the binomial scatter and the dissemination all-gather, the
+/// skew-aware v-rules the ring for both. The algorithm mask of each
+/// call's record shows the pick.
+#[test]
+fn uniform_auto_picks_follow_the_entry_point() {
+    use collectives::{vcoll, AllGatherVAlgo};
+    const AUTO: AlgorithmPolicy = AlgorithmPolicy::Auto;
+    const AGV: AllGatherVAlgo = AllGatherVAlgo::Auto;
+    const PIPE: SyncMode = SyncMode::Pipelined;
+    /// One entry point's call on the uniform table, its source and its
+    /// result buffer.
+    type Issue = fn(&xbrtime::Pe, &[usize], &[usize], &[u64], &mut [u64]);
+    let mask = |call: Issue| {
+        let cfg = FabricConfig::paper(8)
+            .with_shared_bytes(4 << 20)
+            .with_engine(EngineConfig::coop().with_workers(1).with_seed(7));
+        let r = Fabric::run(cfg, move |pe| {
+            let per = 1 << 10;
+            let (msgs, disp) = (vec![per; 8], (0..8).map(|r| r * per).collect::<Vec<_>>());
+            let vals = vec![1u64; per * 8];
+            call(pe, &msgs, &disp, &vals, &mut vec![0u64; per * 8]);
+        });
+        r.collectives.iter().map(|c| c.algo_mask).sum::<u64>()
+    };
+    let (binomial, ring) = (1, 4);
+    let scatter = mask(|pe, msgs, disp, vals, out| {
+        collectives::scatter_policy_sync(pe, out, vals, msgs, disp, vals.len(), 0, AUTO, PIPE)
+    });
+    let scatterv = mask(|pe, msgs, disp, vals, out| {
+        vcoll::try_scatterv_policy_sync(pe, out, vals, msgs, disp, 0, AUTO, PIPE).unwrap()
+    });
+    assert_eq!((scatter, scatterv), (binomial, ring));
+    let all_gather = mask(|pe, msgs, _, vals, out| {
+        collectives::all_gather_algo_sync(pe, out, &vals[..msgs[0]], msgs[0], AGV, PIPE)
+    });
+    let allgatherv = mask(|pe, msgs, _, vals, out| {
+        vcoll::try_allgatherv_algo_sync(pe, out, &vals[..msgs[0]], msgs, AGV, PIPE).unwrap()
+    });
+    // An all-gather's key algorithm: dissemination is `Binomial`.
+    assert_eq!((all_gather, allgatherv), (binomial, ring));
+}
