@@ -170,20 +170,23 @@ const LOOKAHEAD: usize = 8;
 /// that calls [`run_gups`]. A fixed word prices the same in every
 /// binary. Line 29 is where the stack slot sat in the benchmark's timed
 /// `gups_8pe` reps (line 31 in the verified run before them).
+///
+/// `N` words wide, for a kernel that lands more than one (`run_is`'s
+/// verification tail).
 #[repr(C, align(4096))]
-struct Landing {
+pub(crate) struct Landing<const N: usize> {
     _below: [u64; LANDING_WORD],
-    word: [u64; 1],
+    pub(crate) word: [u64; N],
 }
 
 /// The landing word's index in its page: the first of line 29.
 const LANDING_WORD: usize = 29 * 8;
 
-impl Default for Landing {
+impl<const N: usize> Default for Landing<N> {
     fn default() -> Self {
         Landing {
             _below: [0; LANDING_WORD],
-            word: [0],
+            word: [0; N],
         }
     }
 }
@@ -248,7 +251,7 @@ impl Table {
             ahead = hpcc_step(ahead);
             self.prefetch(pe, ahead);
         }
-        let mut landing = Landing::default();
+        let mut landing = Landing::<1>::default();
         let mut remote = 0;
         for i in 0..n {
             if i + LOOKAHEAD < n {
@@ -318,7 +321,7 @@ pub fn run_gups(pe: &Pe, cfg: &GupsConfig) -> GupsResult {
         pe.heap_store(err_sym.whole(), errors as u64);
         pe.barrier();
         // The sum lands in a fixed word, priced alike in every binary.
-        let mut total = Landing::default();
+        let mut total = Landing::<1>::default();
         collectives::reduce_policy_sync(
             pe,
             &mut total.word,

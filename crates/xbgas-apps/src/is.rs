@@ -17,6 +17,7 @@
 //! verification checks the histogram totals each iteration; full
 //! verification checks the global sorted order at the end.
 
+use crate::gups::Landing;
 use xbrtime::collectives::{self, AllReduceAlgo};
 use xbrtime::{AlgorithmPolicy, Pe, ReduceOp, SyncMode};
 
@@ -358,9 +359,13 @@ pub fn run_is(pe: &Pe, cfg: &IsConfig) -> IsResult {
         let hi = mine.last().map_or(0, |&k| k as u64);
         pe.heap_write(bounds.whole(), &[lo, hi]);
         pe.barrier();
+        // The neighbour's bounds, then the key count, land in fixed words
+        // (see `Landing`), not in stack slots priced at frame-dependent
+        // in-page offsets.
+        let mut landing = Landing::<2>::default();
         if pe.rank() + 1 < n_pes {
-            let mut next = [0u64; 2];
-            pe.get(&mut next, bounds.whole(), 2, 1, pe.rank() + 1);
+            let next = &mut landing.word;
+            pe.get(next, bounds.whole(), 2, 1, pe.rank() + 1);
             let next_lo = next[0];
             if next_lo != u64::MAX && hi != 0 && hi > next_lo {
                 verified = false;
@@ -370,10 +375,10 @@ pub fn run_is(pe: &Pe, cfg: &IsConfig) -> IsResult {
         let count_sym = pe.shared_malloc::<u64>(1);
         pe.heap_store(count_sym.whole(), mine.len() as u64);
         pe.barrier();
-        let mut total = [0u64];
+        let total = &mut landing.word[..1];
         collectives::reduce_policy_sync(
             pe,
-            &mut total,
+            total,
             &count_sym,
             1,
             1,
@@ -383,7 +388,7 @@ pub fn run_is(pe: &Pe, cfg: &IsConfig) -> IsResult {
             cfg.sync,
         );
         let bcast = pe.shared_malloc::<u64>(1);
-        collectives::broadcast_policy_sync(pe, &bcast, &total, 1, 1, 0, cfg.policy, cfg.sync);
+        collectives::broadcast_policy_sync(pe, &bcast, total, 1, 1, 0, cfg.policy, cfg.sync);
         pe.barrier();
         if pe.heap_load(bcast.whole()) != total_keys as u64 {
             verified = false;

@@ -26,10 +26,12 @@
 
 use xbgas_bench::{
     ablation_gups_amo, ablation_topology, ablation_unroll, collective_run, export_trace, measure,
-    trace_arg, Cell, Coll, GRID_PES as PES, GRID_SIZES as SIZES,
+    trace_arg, Cell, GRID_PES as PES, GRID_SIZES as SIZES,
 };
+use xbrtime::collectives::CallKind::{AllGather, AllReduce, Broadcast, Gather, Reduce, Scatter};
 use xbrtime::collectives::{AllGatherVAlgo, AllReduceAlgo};
-use xbrtime::{AlgorithmPolicy, EngineConfig, SyncMode};
+use xbrtime::AlgorithmPolicy::{self, Auto, Binomial};
+use xbrtime::{EngineConfig, SyncMode};
 
 /// Every run's engine: auto-sized worker slots.
 const ENGINE: EngineConfig = EngineConfig::coop();
@@ -50,17 +52,6 @@ fn cells(pes: &[usize], sizes: &[usize]) -> Vec<(usize, usize)> {
     pes.iter()
         .flat_map(|&n| sizes.iter().map(move |&sz| (n, sz)))
         .collect()
-}
-
-/// The cell of `coll` under `sync` at `n_pes` × `nelems`, warm or cold.
-fn cell(coll: Coll, sync: SyncMode, n_pes: usize, nelems: usize, warm: bool) -> Cell {
-    Cell {
-        coll,
-        sync,
-        n_pes,
-        nelems,
-        warm,
-    }
 }
 
 /// Print one grid table — a row per cell with one simulated-makespan
@@ -145,7 +136,7 @@ fn main() {
         "elems",
         &family,
         &cells(&PES, &[16, 256, 1024, 8192, 65536]),
-        |algo, n, sz| cell(Coll::AllReduce(algo), SyncMode::Auto, n, sz, true),
+        |algo, n, sz| Cell::new(AllReduce(algo), SyncMode::Auto, n, sz, true),
     );
 
     println!("\n# Ablation 3 — topology-aware hierarchical broadcast (8192 u64,");
@@ -182,7 +173,7 @@ fn main() {
         "elems",
         &TREE_LINEAR_RING,
         &cells(&PES, &SIZES),
-        |policy, n, sz| cell(Coll::Broadcast(policy), barrier, n, sz, false),
+        |policy, n, sz| Cell::new(Broadcast(policy), barrier, n, sz, false),
     );
     // Reduce has no ring shape (`Ring` falls back to linear).
     grid(
@@ -190,7 +181,7 @@ fn main() {
         "elems",
         &TREE_LINEAR,
         &cells(&PES, &SIZES),
-        |policy, n, sz| cell(Coll::Reduce(policy), barrier, n, sz, false),
+        |policy, n, sz| Cell::new(Reduce(policy), barrier, n, sz, false),
     );
     let per_pe = cells(&PES, &[16, 1024, 8192]);
     grid(
@@ -198,14 +189,14 @@ fn main() {
         "elems/PE",
         &TREE_LINEAR_RING,
         &per_pe,
-        |policy, n, sz| cell(Coll::Scatter(policy), barrier, n, sz, false),
+        |policy, n, sz| Cell::new(Scatter(policy), barrier, n, sz, false),
     );
     grid(
         "Ablation 5 — gather (uniform counts)",
         "elems/PE",
         &TREE_LINEAR_RING,
         &per_pe,
-        |policy, n, sz| cell(Coll::Gather(policy), barrier, n, sz, false),
+        |policy, n, sz| Cell::new(Gather(policy), barrier, n, sz, false),
     );
 
     println!("\n# Ablation 6 — executor sync modes (binomial broadcast, warmed call;");
@@ -223,8 +214,8 @@ fn main() {
             "PEs", "elems", "mode", "makespan", "signals", "waits", "wait cycles", "overlap"
         );
         for sync in syncs {
-            let tree = Coll::Broadcast(AlgorithmPolicy::Binomial);
-            let (makespan, rec) = measure(ENGINE, &cell(tree, sync, n, nelems, true));
+            let tree = Broadcast(Binomial);
+            let (makespan, rec) = measure(ENGINE, &Cell::new(tree, sync, n, nelems, true));
             let rec = rec.unwrap_or_default();
             println!(
                 "{:>5} {:>9} {:>10} {:>12} {:>8} {:>7} {:>12} {:>8.3}",
@@ -245,14 +236,14 @@ fn main() {
         "elems",
         &syncs,
         &cells(&PES, &SIZES),
-        |sync, n, sz| cell(Coll::Broadcast(AlgorithmPolicy::Auto), sync, n, sz, true),
+        |sync, n, sz| Cell::new(Broadcast(Auto), sync, n, sz, true),
     );
     grid(
         "Ablation 6 — sync-mode makespans (warmed call): binomial reduce",
         "elems",
         &syncs,
         &cells(&PES, &[256, 65536]),
-        |sync, n, sz| cell(Coll::Reduce(AlgorithmPolicy::Binomial), sync, n, sz, true),
+        |sync, n, sz| Cell::new(Reduce(Binomial), sync, n, sz, true),
     );
 
     let gathers: Vec<_> = AllGatherVAlgo::CONCRETE
@@ -265,7 +256,7 @@ fn main() {
         "elems/PE",
         &gathers,
         &cells(&[4, 8, 16, 64], &[16, 1024]),
-        |algo, n, sz| cell(Coll::AllGather(algo), SyncMode::Auto, n, sz, true),
+        |algo, n, sz| Cell::new(AllGather(algo), SyncMode::Auto, n, sz, true),
     );
 
     println!("\n# Per-collective executor telemetry (8 PEs, 1024 u64 each,");

@@ -26,10 +26,11 @@
 use std::process::exit;
 
 use xbrtime::collectives::explore::{explore_exhaustive, run_mutation_harness};
-use xbrtime::collectives::scatter::adjusted_displacements;
-use xbrtime::collectives::schedule::{broadcast_binomial, CommSchedule, Payload, Row, Shape};
+use xbrtime::collectives::schedule::{broadcast_binomial, CommSchedule};
 use xbrtime::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
-use xbrtime::collectives::{Algorithm, AllGatherVAlgo, AllReduceAlgo, SyncMode};
+use xbrtime::collectives::{
+    AlgorithmPolicy, AllGatherVAlgo, AllReduceAlgo, Call, CallKind, Extent, SyncMode,
+};
 use xbrtime::CollectiveKind;
 
 /// One named schedule with the spec it claims to implement.
@@ -39,209 +40,164 @@ struct Case {
     spec: CollectiveSpec,
 }
 
-/// Per-rank element counts `f(rank, n)` of a row that reads a table. The
-/// ragged `i % 3` table has genuine zero-length blocks (every third rank,
-/// the root included at some sizes); the giant one leaves everything with
-/// the last rank.
+/// Per-rank element counts `f(rank, n)` of a call that reads a table.
+/// The ragged `i % 3` table has genuine zero-length blocks (every third
+/// rank, the root included at some sizes); the giant one leaves
+/// everything with the last rank.
 type Counts = fn(usize, usize) -> usize;
 const MOD2: Counts = |i, _| i % 2 + 1;
 const MOD3: Counts = |i, _| i % 3;
 const GIANT: Counts = |i, n| if i == n - 1 { n + 1 } else { 0 };
 
-/// What an entry of [`CASES`] builds at world size `n`: a `Shape`, whom it
-/// runs on, and on what.
-#[derive(Clone, Copy)]
-enum Entry {
-    /// A rooted row from rank `n / 2`: scatter and gather on a count
-    /// table, broadcast and reduce (`None`) on two elements per edge.
-    Rooted(CollectiveKind, Algorithm, Option<Counts>),
-    /// An all-gather of one element each (`None`) or of a count table.
-    Gather(AllGatherVAlgo, Option<Counts>),
-    /// An all-reduce of `f(n)` elements.
-    Reduce(AllReduceAlgo, fn(usize) -> usize),
-    /// One element to every rank from every rank.
-    AllToAll,
-    /// From `n = 3`: the binomial row on a strict-subset team — every other
-    /// rank, the broadcast rooted at the last member — so member/non-member
-    /// boundaries and rank translation are both exercised.
-    Team(CollectiveKind),
-    /// From `n = 3`: the two-tier tree from rank 1, two PEs to a node — a
-    /// ragged last node for odd `n`.
-    Hier(CollectiveKind),
+/// A rooted call from rank `n / 2`: scatter and gather on a count table,
+/// broadcast and reduce (`None`) on two elements per edge.
+fn rooted(kind: CallKind, n: usize, counts: Option<Counts>) -> Call<'static> {
+    let mut call = Call::whole(kind, n / 2, 2, 1, SyncMode::Barrier);
+    if let Some(c) = counts {
+        call.extent = table(c, n);
+    }
+    call
 }
 
-/// Every row the library can name, paired below with the `CollectiveSpec`
-/// it must satisfy; all built through `Row::schedule`, which the
-/// collective bodies read. The allreduce rows fold their non-power-of-two
-/// tails internally, so every one is held to the dense reference at every
-/// n — no Unchecked escape hatch. The irregular all-gathers run the
-/// `i % 3` table, plus the maximally skewed one for the dissemination
-/// schedule, whose O(log n) giant-block movement is the property worth
-/// model-checking.
-const CASES: [(&str, Entry); 28] = {
-    use Algorithm::{Binomial, Linear, Ring};
+/// The count table `c` at `n` ranks.
+fn table(c: Counts, n: usize) -> Extent<'static> {
+    let counts: Vec<usize> = (0..n).map(|i| c(i, n)).collect();
+    let displs = None;
+    Extent::Table {
+        counts: counts.into(),
+        displs,
+    }
+}
+
+/// An all-gather of one element each (`None`) or of a count table.
+fn all_gather(algo: AllGatherVAlgo, n: usize, counts: Option<Counts>) -> Call<'static> {
+    let mut call = Call::whole(CallKind::AllGather(algo), 0, 1, 1, SyncMode::Barrier);
+    if let Some(c) = counts {
+        call.extent = table(c, n);
+    }
+    call
+}
+
+/// An all-reduce of `nelems` elements.
+fn all_reduce(algo: AllReduceAlgo, nelems: usize) -> Call<'static> {
+    Call::whole(CallKind::AllReduce(algo), 0, nelems, 1, SyncMode::Barrier)
+}
+
+/// From `n = 3`: the binomial call on a strict-subset team — every other
+/// rank, the broadcast rooted at the last member — so member/non-member
+/// boundaries and rank translation are both exercised.
+fn team(kind: CallKind, n: usize) -> Call<'static> {
+    let members: Vec<usize> = (0..n).step_by(2).collect();
+    let root = match kind {
+        CallKind::Broadcast(_) => members.len() - 1,
+        _ => 0,
+    };
+    Call {
+        members: Some(members.into()),
+        ..Call::whole(kind, root, 2, 1, SyncMode::Barrier)
+    }
+}
+
+/// From `n = 3`: the two-tier tree from rank 1, two PEs to a node — a
+/// ragged last node for odd `n`.
+fn hier(family: CollectiveKind) -> Call<'static> {
+    let pes_per_node = 2;
+    let kind = CallKind::Hier {
+        family,
+        pes_per_node,
+    };
+    Call::whole(kind, 1, 2, 1, SyncMode::Barrier)
+}
+
+/// What a [`CASES`] entry builds at world size `n`.
+type Builds = fn(usize) -> Call<'static>;
+
+/// Every call the library can make at world size `n`, each checked below
+/// against its own `Call::spec` on the schedule its `Call::row` names —
+/// the row the collective bodies run. The allreduce rows fold their
+/// non-power-of-two tails internally, so every one is held to the dense
+/// reference at every n — no Unchecked escape hatch. The irregular
+/// all-gathers run the `i % 3` table, plus the maximally skewed one for
+/// the dissemination schedule, whose O(log n) giant-block movement is the
+/// property worth model-checking.
+const CASES: [(&str, Builds); 28] = {
+    use AlgorithmPolicy::{Binomial, Linear, Ring};
     use AllGatherVAlgo::{self as G, Dissemination, Fan};
     use AllReduceAlgo::{self as R, Rabenseifner, RecursiveDoubling, ReduceThenBroadcast};
-    use CollectiveKind::{Broadcast, Gather as Gath, Reduce as Red, Scatter};
-    use Entry::{AllToAll, Gather, Hier, Reduce, Rooted, Team};
+    use CallKind::{Broadcast, Gather, Reduce, Scatter};
     [
-        ("broadcast/binomial", Rooted(Broadcast, Binomial, None)),
-        ("broadcast/linear", Rooted(Broadcast, Linear, None)),
-        ("broadcast/ring", Rooted(Broadcast, Ring, None)),
-        ("reduce/binomial", Rooted(Red, Binomial, None)),
-        ("reduce/linear", Rooted(Red, Linear, None)),
-        ("reduce/ring", Rooted(Red, Ring, None)),
-        ("scatter/binomial", Rooted(Scatter, Binomial, Some(MOD2))),
-        ("scatter/linear", Rooted(Scatter, Linear, Some(|_, _| 1))),
-        ("scatterv/ring", Rooted(Scatter, Ring, Some(MOD3))),
-        ("gather/binomial", Rooted(Gath, Binomial, Some(MOD2))),
-        ("gather/linear", Rooted(Gath, Linear, Some(|_, _| 1))),
-        ("gatherv/ring", Rooted(Gath, Ring, Some(MOD3))),
-        ("all_gather", Gather(Fan, None)),
-        ("all_gather/ring", Gather(G::Ring, None)),
-        ("all_gather/rec-doubling", Gather(Dissemination, None)),
-        ("allreduce/fused", Reduce(ReduceThenBroadcast, |_| 2)),
-        ("allreduce/rec-doubling", Reduce(RecursiveDoubling, |_| 2)),
+        ("broadcast/binomial", |n| {
+            rooted(Broadcast(Binomial), n, None)
+        }),
+        ("broadcast/linear", |n| rooted(Broadcast(Linear), n, None)),
+        ("broadcast/ring", |n| rooted(Broadcast(Ring), n, None)),
+        ("reduce/binomial", |n| rooted(Reduce(Binomial), n, None)),
+        ("reduce/linear", |n| rooted(Reduce(Linear), n, None)),
+        ("reduce/ring", |n| rooted(Reduce(Ring), n, None)),
+        ("scatter/binomial", |n| {
+            rooted(Scatter(Binomial), n, Some(MOD2))
+        }),
+        ("scatter/linear", |n| {
+            rooted(Scatter(Linear), n, Some(|_, _| 1))
+        }),
+        ("scatterv/ring", |n| rooted(Scatter(Ring), n, Some(MOD3))),
+        ("gather/binomial", |n| {
+            rooted(Gather(Binomial), n, Some(MOD2))
+        }),
+        ("gather/linear", |n| {
+            rooted(Gather(Linear), n, Some(|_, _| 1))
+        }),
+        ("gatherv/ring", |n| rooted(Gather(Ring), n, Some(MOD3))),
+        ("all_gather", |n| all_gather(Fan, n, None)),
+        ("all_gather/ring", |n| all_gather(G::Ring, n, None)),
+        ("all_gather/rec-doubling", |n| {
+            all_gather(Dissemination, n, None)
+        }),
+        ("allreduce/fused", |_| all_reduce(ReduceThenBroadcast, 2)),
+        ("allreduce/rec-doubling", |_| {
+            all_reduce(RecursiveDoubling, 2)
+        }),
         // nelems below the power-of-two PE count leaves some ranks
         // owning an empty reduce-scatter range — the hardest split.
-        ("allreduce/rabenseifner", Reduce(Rabenseifner, |_| 3)),
-        ("allreduce/ring", Reduce(R::Ring, |n| n + 1)),
-        ("allgatherv/fan", Gather(Fan, Some(MOD3))),
-        ("allgatherv/ring", Gather(G::Ring, Some(MOD3))),
-        (
-            "allgatherv/dissemination",
-            Gather(Dissemination, Some(MOD3)),
-        ),
-        (
-            "allgatherv/dissemination skewed",
-            Gather(Dissemination, Some(GIANT)),
-        ),
-        ("all_to_all", AllToAll),
-        ("team/broadcast", Team(Broadcast)),
-        ("team/reduce", Team(Red)),
-        ("hier/broadcast", Hier(Broadcast)),
-        ("hier/reduce", Hier(Red)),
+        ("allreduce/rabenseifner", |_| all_reduce(Rabenseifner, 3)),
+        ("allreduce/ring", |n| all_reduce(R::Ring, n + 1)),
+        ("allgatherv/fan", |n| all_gather(Fan, n, Some(MOD3))),
+        ("allgatherv/ring", |n| all_gather(G::Ring, n, Some(MOD3))),
+        ("allgatherv/dissemination", |n| {
+            all_gather(Dissemination, n, Some(MOD3))
+        }),
+        ("allgatherv/dissemination skewed", |n| {
+            all_gather(Dissemination, n, Some(GIANT))
+        }),
+        ("all_to_all", |_| {
+            Call::whole(CallKind::AllToAll, 0, 1, 1, SyncMode::Barrier)
+        }),
+        ("team/broadcast", |n| team(Broadcast(Binomial), n)),
+        ("team/reduce", |n| team(Reduce(Binomial), n)),
+        ("hier/broadcast", |_| hier(CollectiveKind::Broadcast)),
+        ("hier/reduce", |_| hier(CollectiveKind::Reduce)),
     ]
 };
 
-/// Every entry of [`CASES`] at world size `n`: flat, extended, irregular
-/// (v-variant), team and hierarchical rows.
+/// Every entry of [`CASES`] at world size `n` — the team and
+/// hierarchical calls from `n = 3` — as the schedule of its row, paired
+/// with its spec.
 fn cases(n: usize) -> Vec<Case> {
-    let every_other: Vec<usize> = (0..n).step_by(2).collect();
-    let table = |c: Counts| (0..n).map(|i| c(i, n)).collect::<Vec<usize>>();
-    let (nelems, stride, binomial) = (2, 1, Algorithm::Binomial);
-    let payload = Payload::Whole { nelems, stride };
-    // The spec of a whole-vector rooted row from `root`.
-    let whole = |family, algo, root| match (family, algo) {
-        (CollectiveKind::Broadcast, _) => CollectiveSpec::Broadcast {
-            root,
-            nelems,
-            stride,
-        },
-        (_, Algorithm::Linear) => CollectiveSpec::ReduceLinear {
-            root,
-            nelems,
-            stride,
-        },
-        _ => CollectiveSpec::ReduceTree {
-            root,
-            nelems,
-            stride,
-        },
-    };
     let mut out = Vec::new();
-    for (name, entry) in CASES {
-        let (mut name, mut members) = (format!("{name} n={n}"), None);
-        let (counts, adj_disp);
-        let (shape, spec) = match entry {
-            Entry::Team(_) | Entry::Hier(_) if n < 3 => continue,
-            Entry::Rooted(family, algo, c) => {
-                let root = n / 2;
-                let (payload, spec) = match c {
-                    Some(c) => {
-                        adj_disp = adjusted_displacements(&table(c), root, n);
-                        let spec = match (family, adj_disp.clone()) {
-                            (CollectiveKind::Scatter, adj_disp) => {
-                                CollectiveSpec::Scatter { root, adj_disp }
-                            }
-                            (_, adj_disp) => CollectiveSpec::Gather { root, adj_disp },
-                        };
-                        (Payload::Ranges(&adj_disp), spec)
-                    }
-                    None => (payload, whole(family, algo, root)),
-                };
-                let shape = Shape::Rooted {
-                    family,
-                    algo,
-                    root,
-                    payload,
-                };
-                (shape, spec)
-            }
-            Entry::Gather(algo, c) => {
-                counts = c.map_or(vec![1; n], table);
-                let spec = match c {
-                    Some(_) => CollectiveSpec::AllGatherV {
-                        counts: counts.clone(),
-                    },
-                    None => CollectiveSpec::AllGather { per_pe: 1 },
-                };
-                let counts = &counts[..];
-                (Shape::AllGather { algo, counts }, spec)
-            }
-            Entry::Reduce(algo, nelems) => {
-                let nelems = nelems(n);
-                let spec = CollectiveSpec::AllReduce { nelems };
-                (Shape::AllReduce { algo, nelems }, spec)
-            }
-            Entry::AllToAll => {
-                let spec = CollectiveSpec::AllToAll { per_pe: 1 };
-                (Shape::AllToAll { per_pe: 1 }, spec)
-            }
-            Entry::Team(family) => {
-                name += &format!(" m={}", every_other.len());
-                members = Some(&every_other[..]);
-                let team = every_other.clone();
-                let (root, spec) = match family {
-                    CollectiveKind::Broadcast => {
-                        let root = team.len() - 1;
-                        let spec = CollectiveSpec::TeamBroadcast {
-                            root_global: team[root],
-                            members: team,
-                            nelems,
-                        };
-                        (root, spec)
-                    }
-                    _ => {
-                        let members = team;
-                        (0, CollectiveSpec::TeamReduce { members, nelems })
-                    }
-                };
-                let shape = Shape::Rooted {
-                    family,
-                    algo: binomial,
-                    root,
-                    payload,
-                };
-                (shape, spec)
-            }
-            Entry::Hier(family) => {
-                name += " k=2";
-                let shape = Shape::Hier {
-                    family,
-                    pes_per_node: 2,
-                    root: 1,
-                    nelems,
-                };
-                (shape, whole(family, binomial, 1))
-            }
+    for (name, call) in CASES {
+        let call = call(n);
+        let mut name = format!("{name} n={n}");
+        let tiered = match (&call.members, call.kind) {
+            (Some(members), _) => format!(" m={}", members.len()),
+            (_, CallKind::Hier { pes_per_node, .. }) => format!(" k={pes_per_node}"),
+            _ => String::new(),
         };
-        let row = Row {
-            shape,
-            members,
-            world: n,
-        };
-        let sched = row.schedule();
+        if n < 3 && !tiered.is_empty() {
+            continue;
+        }
+        name += &tiered;
+        let sched = call.row(n, 8, |row| row.schedule());
+        let spec = call.spec();
         out.push(Case { name, sched, spec });
     }
     out
@@ -253,23 +209,30 @@ fn main() {
     let cfg = ModelConfig::default();
     // A shape cannot ship unchecked: every algorithm of every family has
     // an entry that is swept, explored and mutation-tested below.
-    let require = |listed: &dyn Fn(Entry) -> bool, family: &str, algo: &str| {
-        let listed = CASES.iter().any(|c| listed(c.1));
-        assert!(listed, "{family}/{algo} has no conformance entry");
+    let require = |kind: CallKind| {
+        let listed = CASES.iter().any(|(_, call)| call(4).kind == kind);
+        assert!(listed, "{kind:?} has no conformance entry");
     };
-    for family in CollectiveKind::ALL[..4].iter().copied() {
-        for algo in [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring] {
-            let entry = |e| matches!(e, Entry::Rooted(f, a, _) if (f, a) == (family, algo));
-            require(&entry, family.name(), algo.name());
+    let rooted: [fn(AlgorithmPolicy) -> CallKind; 4] = [
+        CallKind::Broadcast,
+        CallKind::Reduce,
+        CallKind::Scatter,
+        CallKind::Gather,
+    ];
+    for kind in rooted {
+        for policy in [
+            AlgorithmPolicy::Binomial,
+            AlgorithmPolicy::Linear,
+            AlgorithmPolicy::Ring,
+        ] {
+            require(kind(policy));
         }
     }
     for algo in AllGatherVAlgo::CONCRETE {
-        let entry = |e| matches!(e, Entry::Gather(a, _) if a == algo);
-        require(&entry, "all_gather", algo.name());
+        require(CallKind::AllGather(algo));
     }
     for algo in AllReduceAlgo::CONCRETE {
-        let entry = |e| matches!(e, Entry::Reduce(a, _) if a == algo);
-        require(&entry, "allreduce", algo.name());
+        require(CallKind::AllReduce(algo));
     }
 
     // --- Plane 1: canonical oracle sweep ------------------------------

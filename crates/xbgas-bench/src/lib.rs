@@ -30,10 +30,10 @@ pub mod json;
 
 use json::{Json, ToJson};
 use xbgas_apps::{run_gups, run_is, GupsConfig, GupsResult, IsConfig, IsResult};
-use xbrtime::collectives::{self, AllGatherVAlgo, AllReduceAlgo};
+use xbrtime::collectives::{self, AllReduceAlgo, Buf, Bufs, Call, CallKind, Extent};
 use xbrtime::{
     AlgorithmPolicy, CollectiveKind, CollectiveRecord, EngineConfig, Fabric, FabricConfig, Pe,
-    ReduceOp, RunReport, SyncMode,
+    ReduceOp, RunReport, SymmAlloc, SyncMode,
 };
 
 /// The value following the command-line flag `name`: `Ok(None)` when the
@@ -208,60 +208,46 @@ fn fig5_setup(
     (cfg, fc)
 }
 
-/// The collective a [`Cell`] measures, with the algorithm arm it runs:
-/// an [`AlgorithmPolicy`] for the four rooted kinds (root 0), a family
-/// member for all-reduce and all-gather.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Coll {
-    /// `broadcast_policy_sync` of `nelems` u64 from PE 0.
-    Broadcast(AlgorithmPolicy),
-    /// `reduce_policy_sync` (sum) of `nelems` u64 to PE 0.
-    Reduce(AlgorithmPolicy),
-    /// `scatter_policy_sync` of `nelems` u64 to every PE.
-    Scatter(AlgorithmPolicy),
-    /// `gather_policy_sync` of `nelems` u64 from every PE.
-    Gather(AlgorithmPolicy),
-    /// `reduce_all_sync` (sum) of `nelems` u64.
-    AllReduce(AllReduceAlgo),
-    /// `all_gather_algo_sync` of `nelems` u64 from every PE.
-    AllGather(AllGatherVAlgo),
-}
-
-impl Coll {
-    /// The [`CollectiveKind`] the telemetry records this collective under.
-    pub fn kind(self) -> CollectiveKind {
-        match self {
-            Coll::Broadcast(_) => CollectiveKind::Broadcast,
-            Coll::Reduce(_) => CollectiveKind::Reduce,
-            Coll::Scatter(_) => CollectiveKind::Scatter,
-            Coll::Gather(_) => CollectiveKind::Gather,
-            Coll::AllReduce(_) => CollectiveKind::AllReduce,
-            Coll::AllGather(_) => CollectiveKind::AllGather,
-        }
-    }
-}
-
-/// One cell of the §4.7 grid: a collective call, its executor sync mode,
-/// the PE count and the payload — `nelems` u64 per PE, what each PE
-/// sends or receives (a scatter moves `nelems × n_pes` from the root).
+/// One cell of the §4.7 grid: a collective call, the PE count and the
+/// payload — `nelems` u64 per PE, what each PE sends or receives (a
+/// scatter moves `nelems × n_pes` from the root).
 ///
 /// With `warm` the collective runs once untimed before the measured
 /// call, so plan compilation, the one-time signal-table growth barrier
 /// and cold queue-occupancy ratios are paid identically in every arm and
 /// the timed call is the steady state. Cold is one call as an
 /// application would issue it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cell {
-    /// The collective and its algorithm arm.
-    pub coll: Coll,
-    /// Executor sync discipline.
-    pub sync: SyncMode,
+    /// The call: rooted at PE 0, a uniform table for scatter and gather.
+    pub call: Call<'static>,
     /// PEs in the fabric.
     pub n_pes: usize,
     /// u64 elements per PE.
     pub nelems: usize,
     /// Run one untimed call before the measured one.
     pub warm: bool,
+}
+
+impl Cell {
+    /// The cell of `kind` under `sync` at `n_pes` × `nelems`, warm or
+    /// cold.
+    pub fn new(kind: CallKind, sync: SyncMode, n_pes: usize, nelems: usize, warm: bool) -> Cell {
+        let mut call = Call::whole(kind, 0, nelems, 1, sync);
+        if let CallKind::Scatter(_) | CallKind::Gather(_) = kind {
+            let displs: Vec<usize> = (0..n_pes).map(|r| r * nelems).collect();
+            call.extent = Extent::Table {
+                counts: vec![nelems; n_pes].into(),
+                displs: Some(displs.into()),
+            };
+        }
+        Cell {
+            call,
+            n_pes,
+            nelems,
+            warm,
+        }
+    }
 }
 
 /// Measure one cell: the timed call's simulated makespan (cycles, max
@@ -275,16 +261,13 @@ pub struct Cell {
 /// take the chain shape that segmented signaling unlocks for large
 /// payloads.
 pub fn measure(engine: EngineConfig, cell: &Cell) -> (u64, Option<CollectiveRecord>) {
-    let cell = *cell;
     let fc = FabricConfig::paper(cell.n_pes)
         .with_shared_bytes(heap_bytes(cell.n_pes, cell.nelems))
         .with_engine(engine);
-    let report = Fabric::run(fc, move |pe| run_cell(pe, cell));
+    let report = Fabric::run(fc, |pe| run_cell(pe, cell));
     let makespan = report.results.iter().copied().max().unwrap_or(0);
-    let rec = report
-        .collectives
-        .iter()
-        .find(|r| r.kind == cell.coll.kind());
+    let kind = cell.call.family();
+    let rec = report.collectives.iter().find(|r| r.kind == kind);
     (makespan, rec.copied())
 }
 
@@ -295,68 +278,66 @@ fn heap_bytes(n_pes: usize, per_pe: usize) -> usize {
     (per_pe * n_pes * 8 * 4 + (1 << 16)).max(1 << 20)
 }
 
+/// A cell's buffer on one PE.
+enum Store {
+    Heap(SymmAlloc<u64>),
+    Local(Vec<u64>),
+}
+
 /// One PE's part of a cell: its buffers (`n` u64 per PE), then
-/// [`timed`] calls. A shared source is written before a barrier, so no
-/// peer reads it early.
-fn run_cell(pe: &Pe, cell: Cell) -> u64 {
-    use collectives::{all_gather_algo_sync, broadcast_policy_sync, gather_policy_sync};
-    use collectives::{reduce_all_sync, reduce_policy_sync, scatter_policy_sync};
-    let (n, sync, warm) = (cell.nelems, cell.sync, cell.warm);
-    let total = n * cell.n_pes;
-    let me = pe.rank() as u64;
-    match cell.coll {
-        Coll::Broadcast(policy) => {
-            let dest = pe.shared_malloc::<u64>(n.max(1));
-            let src = vec![7u64; n];
-            timed(pe, warm, || {
-                broadcast_policy_sync(pe, &dest, &src, n, 1, 0, policy, sync)
-            })
+/// [`timed`] calls of the cell's call, summing. A shared source is
+/// written before a barrier, so no peer reads it early.
+fn run_cell(pe: &Pe, cell: &Cell) -> u64 {
+    // Each PE takes its own copy of the call's tables first, as it built
+    // them before the cell held a call, so the buffers below keep their
+    // place in the PE's allocation sequence.
+    let call = cell.call.clone();
+    let (n, total, me) = (cell.nelems, cell.nelems * cell.n_pes, pe.rank() as u64);
+    let (_held, src, mut dest) = match call.family() {
+        CollectiveKind::Broadcast => {
+            let dest = Store::Heap(pe.shared_malloc::<u64>(n.max(1)));
+            (vec![], Store::Local(vec![7u64; n]), dest)
         }
-        Coll::Reduce(policy) => {
-            let src = pe.shared_malloc::<u64>(n.max(1));
+        CollectiveKind::Reduce => {
+            let buf = pe.shared_malloc::<u64>(n.max(1));
             let data: Vec<u64> = (0..n as u64).collect();
-            pe.heap_write(src.whole(), &data);
+            pe.heap_write(buf.whole(), &data);
             pe.barrier();
-            let mut dest = vec![0u64; n.max(1)];
-            timed(pe, warm, || {
-                reduce_policy_sync(pe, &mut dest, &src, n, 1, 0, ReduceOp::Sum, policy, sync)
-            })
+            (data, Store::Heap(buf), Store::Local(vec![0u64; n.max(1)]))
         }
-        Coll::Scatter(policy) | Coll::Gather(policy) => {
-            let msgs = vec![n; cell.n_pes];
-            let disp: Vec<usize> = (0..cell.n_pes).map(|r| r * n).collect();
-            if let Coll::Scatter(_) = cell.coll {
-                let root_only = if me == 0 { total } else { 0 };
-                let src: Vec<u64> = (0..root_only as u64).collect();
-                let mut dest = vec![0u64; n.max(1)];
-                timed(pe, warm, || {
-                    scatter_policy_sync(pe, &mut dest, &src, &msgs, &disp, total, 0, policy, sync)
-                })
-            } else {
-                let mine = vec![me; n];
-                let mut dest = vec![0u64; total.max(1)];
-                timed(pe, warm, || {
-                    gather_policy_sync(pe, &mut dest, &mine, &msgs, &disp, total, 0, policy, sync)
-                })
-            }
+        CollectiveKind::Scatter => {
+            let root_only = if me == 0 { total } else { 0 };
+            let src = Store::Local((0..root_only as u64).collect());
+            (vec![], src, Store::Local(vec![0u64; n.max(1)]))
         }
-        Coll::AllReduce(algo) => {
-            let src = pe.shared_malloc::<u64>(n.max(1));
-            pe.heap_write(src.whole(), &vec![me + 1; n]);
+        CollectiveKind::Gather => {
+            let mine = Store::Local(vec![me; n]);
+            (vec![], mine, Store::Local(vec![0u64; total.max(1)]))
+        }
+        CollectiveKind::AllReduce => {
+            let buf = pe.shared_malloc::<u64>(n.max(1));
+            pe.heap_write(buf.whole(), &vec![me + 1; n]);
             pe.barrier();
-            let mut dest = vec![0u64; n.max(1)];
-            timed(pe, warm, || {
-                reduce_all_sync(pe, &mut dest, &src, n, ReduceOp::Sum, algo, sync)
-            })
+            (vec![], Store::Heap(buf), Store::Local(vec![0u64; n.max(1)]))
         }
-        Coll::AllGather(algo) => {
-            let src: Vec<u64> = (0..n as u64).map(|i| me * 100 + i).collect();
-            let mut dest = vec![0u64; total];
-            timed(pe, warm, || {
-                all_gather_algo_sync(pe, &mut dest, &src, n, algo, sync)
-            })
+        _ => {
+            let src = Store::Local((0..n as u64).map(|i| me * 100 + i).collect());
+            (vec![], src, Store::Local(vec![0u64; total]))
         }
-    }
+    };
+    timed(pe, cell.warm, || {
+        let dest = match &mut dest {
+            Store::Heap(buf) => Buf::Heap(&*buf),
+            Store::Local(v) => Buf::Local(&mut v[..]),
+        };
+        let src = match &src {
+            Store::Heap(buf) => Buf::Heap(buf),
+            Store::Local(v) => Buf::Local(&v[..]),
+        };
+        let bufs = Bufs { dest, src };
+        call.issue(pe, bufs, u64::wrapping_add)
+            .expect("a cell's table has one count per PE");
+    })
 }
 
 /// The one warm rule: the optional warm call, a barrier, `t0`, the
@@ -704,6 +685,7 @@ pub fn ablation_gups_amo(engine: EngineConfig, n_pes: usize) -> (u64, u64, usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbrtime::collectives::AllGatherVAlgo;
 
     /// The engine the makespan-comparing tests run on: one cooperative
     /// worker serialises the PEs, so simulated cycles do not depend on
@@ -711,15 +693,8 @@ mod tests {
     const STEADY: EngineConfig = EngineConfig::coop().with_workers(1);
 
     /// The makespan of one cell on `STEADY`.
-    fn cycles(coll: Coll, sync: SyncMode, n_pes: usize, nelems: usize, warm: bool) -> u64 {
-        let cell = Cell {
-            coll,
-            sync,
-            n_pes,
-            nelems,
-            warm,
-        };
-        measure(STEADY, &cell).0
+    fn cycles(kind: CallKind, sync: SyncMode, n_pes: usize, nelems: usize, warm: bool) -> u64 {
+        measure(STEADY, &Cell::new(kind, sync, n_pes, nelems, warm)).0
     }
 
     /// The headline reproduction check for Figure 4, at quarter scale so the
@@ -781,7 +756,15 @@ mod tests {
     /// §4.7: for 8 PEs the binomial tree beats the linear baseline.
     #[test]
     fn tree_beats_linear_at_scale() {
-        let run = |policy| cycles(Coll::Broadcast(policy), SyncMode::Barrier, 8, 4096, false);
+        let run = |policy| {
+            cycles(
+                CallKind::Broadcast(policy),
+                SyncMode::Barrier,
+                8,
+                4096,
+                false,
+            )
+        };
         let tree = run(AlgorithmPolicy::Binomial);
         let linear = run(AlgorithmPolicy::Linear);
         let ring = run(AlgorithmPolicy::Ring);
@@ -797,7 +780,7 @@ mod tests {
         let (n_pes, nelems) = (8, 65_536); // 512 KiB — deep pipelining territory.
         let run = |sync| {
             cycles(
-                Coll::Broadcast(AlgorithmPolicy::Auto),
+                CallKind::Broadcast(AlgorithmPolicy::Auto),
                 sync,
                 n_pes,
                 nelems,
@@ -837,18 +820,34 @@ mod tests {
         };
         for n in GRID_PES {
             for sz in GRID_SIZES {
-                let run = |sync| cycles(Coll::Broadcast(AlgorithmPolicy::Auto), sync, n, sz, true);
+                let run = |sync| {
+                    cycles(
+                        CallKind::Broadcast(AlgorithmPolicy::Auto),
+                        sync,
+                        n,
+                        sz,
+                        true,
+                    )
+                };
                 let cell = format!("broadcast {n} PEs x {sz}");
                 within(run(SyncMode::Auto), run(SyncMode::Barrier), &cell);
             }
             for sz in [256usize, 65536] {
-                let run = |sync| cycles(Coll::Reduce(AlgorithmPolicy::Binomial), sync, n, sz, true);
+                let run = |sync| {
+                    cycles(
+                        CallKind::Reduce(AlgorithmPolicy::Binomial),
+                        sync,
+                        n,
+                        sz,
+                        true,
+                    )
+                };
                 let cell = format!("reduce {n} PEs x {sz}");
                 within(run(SyncMode::Auto), run(SyncMode::Barrier), &cell);
             }
         }
         for (n, sz) in [(4usize, 256usize), (8, 1024), (4, 8192), (8, 8192)] {
-            let run = |algo| cycles(Coll::AllReduce(algo), SyncMode::Auto, n, sz, true);
+            let run = |algo| cycles(CallKind::AllReduce(algo), SyncMode::Auto, n, sz, true);
             let cell = format!("all-reduce {n} PEs x {sz}");
             within(
                 run(AllReduceAlgo::Auto),
@@ -885,13 +884,7 @@ mod tests {
     #[test]
     fn allreduce_strategies_both_complete() {
         let run = |algo| {
-            let cell = Cell {
-                coll: Coll::AllReduce(algo),
-                sync: SyncMode::Barrier,
-                n_pes: 8,
-                nelems: 1024,
-                warm: true,
-            };
+            let cell = Cell::new(CallKind::AllReduce(algo), SyncMode::Barrier, 8, 1024, true);
             measure(EngineConfig::default(), &cell).0
         };
         assert!(run(AllReduceAlgo::ReduceThenBroadcast) > 0);
@@ -903,26 +896,20 @@ mod tests {
     #[test]
     fn measure_records_the_cells_kind_and_calls() {
         let binomial = AlgorithmPolicy::Binomial;
-        let colls = [
-            Coll::Broadcast(binomial),
-            Coll::Reduce(binomial),
-            Coll::Scatter(binomial),
-            Coll::Gather(binomial),
-            Coll::AllReduce(AllReduceAlgo::Auto),
-            Coll::AllGather(AllGatherVAlgo::Auto),
+        let kinds = [
+            CallKind::Broadcast(binomial),
+            CallKind::Reduce(binomial),
+            CallKind::Scatter(binomial),
+            CallKind::Gather(binomial),
+            CallKind::AllReduce(AllReduceAlgo::Auto),
+            CallKind::AllGather(AllGatherVAlgo::Auto),
         ];
-        for coll in colls {
+        for kind in kinds {
             for warm in [false, true] {
-                let cell = Cell {
-                    coll,
-                    sync: SyncMode::Auto,
-                    n_pes: 4,
-                    nelems: 64,
-                    warm,
-                };
+                let cell = Cell::new(kind, SyncMode::Auto, 4, 64, warm);
                 let (makespan, rec) = measure(STEADY, &cell);
                 let rec = rec.unwrap_or_else(|| panic!("{cell:?}: no record"));
-                assert_eq!(rec.kind, coll.kind(), "{cell:?}");
+                assert_eq!(rec.kind, cell.call.family(), "{cell:?}");
                 assert_eq!(rec.calls, 1 + warm as u64, "{cell:?}");
                 assert!(makespan > 0, "{cell:?}");
             }

@@ -14,9 +14,10 @@
 //! `N − 1` stages). Both are the same body under a different schedule
 //! generator, selected through [`broadcast_policy_sync`].
 
+use crate::collectives::call::{no_fold, Buf, Bufs, Call, CallKind};
 use crate::collectives::plan;
-use crate::collectives::policy::{auto_select_broadcast_sync, AlgorithmPolicy, SyncMode};
-use crate::collectives::schedule::{Payload, Row, Shape};
+use crate::collectives::policy::{AlgorithmPolicy, SyncMode};
+use crate::collectives::schedule::Row;
 use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
 
@@ -59,7 +60,7 @@ pub fn broadcast<T: XbrType>(
 /// [`SyncMode`]. `Auto` selects the algorithm *jointly* with the resolved
 /// sync mode: a pipelined executor makes the chain (ring) shape the
 /// bandwidth winner for large payloads (see
-/// [`auto_select_broadcast_sync`]).
+/// [`auto_select_broadcast_sync`](crate::collectives::policy::auto_select_broadcast_sync)).
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast_policy_sync<T: XbrType>(
     pe: &Pe,
@@ -71,48 +72,9 @@ pub fn broadcast_policy_sync<T: XbrType>(
     policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
-    broadcast_on(pe, dest, src, nelems, stride, root, None, policy, sync);
-}
-
-/// [`broadcast_policy_sync`] over `members` (`root` is a position in the
-/// list; everyone else appears in no op) or, without a list, the world.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn broadcast_on<T: XbrType>(
-    pe: &Pe,
-    dest: &SymmAlloc<T>,
-    src: &[T],
-    nelems: usize,
-    stride: usize,
-    root: usize,
-    members: Option<&[usize]>,
-    policy: AlgorithmPolicy,
-    sync: SyncMode,
-) {
-    let family = CollectiveKind::Broadcast;
-    let n = members.map_or(pe.n_pes(), <[usize]>::len);
-    let nbytes = nelems * std::mem::size_of::<T>();
-    // For broadcast every schedule op carries the full payload, so
-    // resolving from `nbytes` here matches the executor's own
-    // max-op-bytes resolution exactly.
-    let resolved = sync.resolve(n, nbytes);
-    let algo = match policy {
-        AlgorithmPolicy::Auto => auto_select_broadcast_sync(n, nbytes, resolved),
-        _ => policy.select(family, n, nbytes),
-    };
-    let row = Row {
-        shape: Shape::Rooted {
-            family,
-            algo,
-            root,
-            payload: Payload::Whole { nelems, stride },
-        },
-        members,
-        world: pe.n_pes(),
-    };
-    // The *original* mode goes to the executor: it re-resolves `Auto`
-    // with the schedule in hand (falling back to plain barriers for
-    // single-stage shapes), which `resolved` above cannot know about.
-    broadcast_core(pe, dest, src, &row, sync);
+    let call = Call::whole(CallKind::Broadcast(policy), root, nelems, stride, sync);
+    call.issue(pe, Bufs::new(Buf::Heap(dest), Buf::Local(src)), no_fold)
+        .expect("a broadcast has no count table");
 }
 
 /// The one blocking broadcast body: the one stage-in, then `row` — the

@@ -30,17 +30,17 @@
 //!   [`AllGatherVAlgo`] shape is available;
 //! * [`all_to_all_sync`] — personalized all-to-all via pairwise exchange;
 //! * [`Team`] — a subset of PEs with translated ranks; team-scoped
-//!   broadcast and all-reduce are the broadcast body and the fused
-//!   all-reduce row on a [`Row`] that carries the member list.
+//!   broadcast and all-reduce are the binomial broadcast and the fused
+//!   all-reduce [`Call`] on the member list.
 
-use crate::collectives::broadcast::broadcast_on;
+use crate::collectives::call::{no_fold, Buf, Bufs, Call, CallKind};
 use crate::collectives::plan::{self, Readout};
 use crate::collectives::policy::{self, AlgorithmPolicy, SyncMode};
 use crate::collectives::schedule::{
     balanced_partition, broadcast_binomial, exchange_stages, floor_pof2, reduce_binomial,
     CommSchedule, Exchange, OpKind, Payload, Row, Shape, Stage, TransferOp,
 };
-use crate::collectives::vcoll::{allgather_core, AllGatherVAlgo};
+use crate::collectives::vcoll::AllGatherVAlgo;
 use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
 use crate::types::{with_combiner, ReduceOp, XbrNumeric, XbrType};
 
@@ -280,7 +280,8 @@ pub fn reduce_all_sync<T: XbrNumeric>(
 }
 
 /// All-reduce with an arbitrary associative, commutative combiner. `Auto`
-/// algorithm selection resolves here from `(n_pes, payload bytes)`. Every
+/// algorithm selection resolves from `(n_pes, payload bytes)` in
+/// [`Call::row`](crate::collectives::Call::row). Every
 /// strategy runs as one episode of its [`Shape::AllReduce`] row — the
 /// staged reduction that [`ixallreduce`](crate::collectives::ixallreduce)
 /// and a persistent all-reduce issue too, so the three share warm plans.
@@ -296,11 +297,38 @@ pub fn reduce_all_with<T: XbrType>(
     algo: AllReduceAlgo,
     sync: SyncMode,
 ) {
-    assert!(dest.len() >= nelems, "dest too small for all-reduce result");
-    let algo = algo.resolve(pe.n_pes(), nelems * std::mem::size_of::<T>());
-    let plan = || plan::allreduce_plan::<T>(pe, algo, nelems, sync);
+    let call = Call::whole(CallKind::AllReduce(algo), 0, nelems, 1, sync);
+    call.issue(pe, Bufs::new(Buf::Local(dest), Buf::Heap(src)), f)
+        .expect("an all-reduce has no count table");
+}
+
+/// The one all-reduce body: one staged episode of `row` — a world's or a
+/// team's. A non-member stages nothing and drops its handle, which closes
+/// the episode in step with the members but skips the read-out, so its
+/// `dest` is untouched.
+pub(crate) fn allreduce_core<T: XbrType>(
+    pe: &Pe,
+    dest: &mut [T],
+    src: &SymmAlloc<T>,
+    row: &Row<'_>,
+    f: impl Fn(T, T) -> T,
+    sync: SyncMode,
+) {
+    let Shape::AllReduce { nelems, .. } = row.shape else {
+        panic!("all-reduce runs an all-reduce row");
+    };
+    let member = row.has(pe.rank());
+    assert!(
+        !member || dest.len() >= nelems,
+        "dest too small for all-reduce result"
+    );
     let (kind, readout) = (CollectiveKind::AllReduce, Readout::All { nelems });
-    plan::issue_reduce(pe, kind, Some(src), readout, None, plan, f, false).wait_into(pe, dest);
+    let plan = || plan::plan_for(pe, row, kind, sync, std::mem::size_of::<T>());
+    let src = member.then_some(src);
+    let h = plan::issue_reduce(pe, kind, src, readout, None, plan, f, false);
+    if member {
+        h.wait_into(pe, dest);
+    }
 }
 
 /// All-gather (OpenSHMEM `fcollect`): every PE contributes `per_pe`
@@ -324,15 +352,9 @@ pub fn all_gather_algo_sync<T: XbrType>(
     algo: AllGatherVAlgo,
     sync: SyncMode,
 ) {
-    let n_pes = pe.n_pes();
-    let algo = match algo {
-        AllGatherVAlgo::Auto => {
-            policy::auto_select_all_gather(n_pes, per_pe * std::mem::size_of::<T>())
-        }
-        concrete => concrete,
-    };
-    allgather_core(pe, dest, src, &vec![per_pe; n_pes], algo, sync)
-        .expect("a constant table has one count per PE");
+    let call = Call::whole(CallKind::AllGather(algo), 0, per_pe, 1, sync);
+    call.issue(pe, Bufs::local(dest, src), no_fold)
+        .expect("an all-gather has no count table");
 }
 
 /// Personalized all-to-all: PE `s`'s block `src[d*per_pe..]` lands in PE
@@ -346,22 +368,33 @@ pub fn all_to_all_sync<T: XbrType>(
     per_pe: usize,
     sync: SyncMode,
 ) {
-    let n_pes = pe.n_pes();
-    let total = per_pe * n_pes;
+    let call = Call::whole(CallKind::AllToAll, 0, per_pe, 1, sync);
+    call.issue(pe, Bufs::local(dest, src), no_fold)
+        .expect("an all-to-all has no count table");
+}
+
+/// The all-to-all body: the blocks land on a symmetric board, then in
+/// `dest`.
+pub(crate) fn all_to_all_core<T: XbrType>(
+    pe: &Pe,
+    dest: &mut [T],
+    src: &[T],
+    row: &Row<'_>,
+    sync: SyncMode,
+) {
+    let Shape::AllToAll { per_pe } = row.shape else {
+        panic!("all-to-all runs an all-to-all row");
+    };
+    let total = per_pe * pe.n_pes();
     assert!(src.len() >= total, "src shorter than n_pes * per_pe");
     assert!(dest.len() >= total, "dest shorter than n_pes * per_pe");
+    let kind = CollectiveKind::AllToAll;
     if total == 0 {
-        plan::note_inert(pe, CollectiveKind::AllToAll);
+        plan::note_inert(pe, kind);
         return;
     }
     let board = pe.shared_malloc::<T>(total);
-    let row = Row {
-        shape: Shape::AllToAll { per_pe },
-        members: None,
-        world: n_pes,
-    };
-    let kind = CollectiveKind::AllToAll;
-    plan::run_schedule(pe, &row, kind, board.whole(), src, &mut [], None, sync);
+    plan::run_schedule(pe, row, kind, board.whole(), src, &mut [], None, sync);
     pe.heap_read_strided(board.whole(), &mut dest[..total], total, 1);
     pe.barrier();
     pe.shared_free(board);
@@ -424,8 +457,12 @@ impl Team {
         team_root: usize,
         sync: SyncMode,
     ) {
-        let (tree, members) = (AlgorithmPolicy::Binomial, Some(&self.members[..]));
-        broadcast_on(pe, dest, src, nelems, 1, team_root, members, tree, sync);
+        let tree = CallKind::Broadcast(AlgorithmPolicy::Binomial);
+        let bufs = Bufs::new(Buf::Heap(dest), Buf::Local(src));
+        Call::whole(tree, team_root, nelems, 1, sync)
+            .on(&self.members)
+            .issue(pe, bufs, no_fold)
+            .expect("a broadcast has no count table");
     }
 
     /// Team-scoped all-reduce: one episode of the reduce-then-broadcast
@@ -444,21 +481,12 @@ impl Team {
         f: impl Fn(T, T) -> T + Copy,
         sync: SyncMode,
     ) {
-        let row = Row {
-            shape: Shape::AllReduce {
-                algo: AllReduceAlgo::ReduceThenBroadcast,
-                nelems,
-            },
-            members: Some(&self.members),
-            world: pe.n_pes(),
-        };
-        let (kind, readout) = (CollectiveKind::AllReduce, Readout::All { nelems });
-        let plan = || plan::plan_for(pe, &row, kind, sync, std::mem::size_of::<T>());
-        let src = row.has(pe.rank()).then_some(src);
-        let h = plan::issue_reduce(pe, kind, src, readout, None, plan, f, false);
-        if src.is_some() {
-            h.wait_into(pe, dest);
-        }
+        let fused = CallKind::AllReduce(AllReduceAlgo::ReduceThenBroadcast);
+        let bufs = Bufs::new(Buf::Local(dest), Buf::Heap(src));
+        Call::whole(fused, 0, nelems, 1, sync)
+            .on(&self.members)
+            .issue(pe, bufs, f)
+            .expect("an all-reduce has no count table");
     }
 }
 

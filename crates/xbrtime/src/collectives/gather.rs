@@ -10,11 +10,10 @@
 //! and chain (`AlgorithmPolicy::Ring`) shapes and the irregular
 //! [`gatherv`](crate::collectives::vcoll::gatherv).
 
+use crate::collectives::call::{no_fold, Bufs, Call, CallKind};
 use crate::collectives::plan;
-use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::scatter::adjusted_displacements;
+use crate::collectives::policy::{AlgorithmPolicy, SyncMode};
 use crate::collectives::schedule::{Payload, Row, Shape};
-use crate::collectives::vcoll::{validate_v_shape, VCountError};
 use crate::collectives::vrank::virtual_rank;
 use crate::fabric::{CollectiveKind, Pe};
 use crate::types::XbrType;
@@ -81,43 +80,41 @@ pub fn gather_policy_sync<T: XbrType>(
         total, nelems,
         "pe_msgs sums to {total} but nelems is {nelems}"
     );
-    let nbytes = nelems * std::mem::size_of::<T>();
-    let algo = policy.select(CollectiveKind::Gather, pe.n_pes(), nbytes);
-    gather_core(pe, dest, src, pe_msgs, pe_disp, root, algo, sync)
+    let call = Call::table(CallKind::Gather(policy), root, pe_msgs, Some(pe_disp), sync);
+    call.issue(pe, Bufs::local(dest, src), no_fold)
         .unwrap_or_else(|e| panic!("gather: {e}"));
 }
 
-/// The one gather body, under an already-resolved algorithm. A malformed
-/// count vector is rejected before any allocation, barrier or signal-slot
-/// activity, and a zero-total gather is fully inert (telemetry only).
-#[allow(clippy::too_many_arguments)]
+/// The one gather body, over a validated, non-empty call's `row` — a
+/// rooted row on the adjusted displacements of `pe_msgs`: every PE stages
+/// its contribution at its virtual offset, the row runs, and the root
+/// reorders the staging buffer back into logical order through `pe_disp`.
 pub(crate) fn gather_core<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &[T],
     pe_msgs: &[usize],
     pe_disp: &[usize],
-    root: usize,
-    algo: Algorithm,
+    row: &Row<'_>,
     sync: SyncMode,
-) -> Result<(), VCountError> {
-    let n_pes = pe.n_pes();
-    let log_rank = pe.rank();
-    validate_v_shape(n_pes, root, pe_msgs, Some(pe_disp))?;
-    let nelems: usize = pe_msgs.iter().sum();
-    let my_count = pe_msgs[log_rank];
+) {
+    let Shape::Rooted {
+        root,
+        payload: Payload::Ranges(adj_disp),
+        ..
+    } = row.shape
+    else {
+        panic!("gather runs a rooted count-table row");
+    };
+    let (n_pes, log_rank) = (pe.n_pes(), pe.rank());
+    let (nelems, my_count) = (adj_disp[n_pes], pe_msgs[log_rank]);
     assert!(
         src.len() >= my_count,
         "src holds {} elements but this PE contributes {my_count}",
         src.len()
     );
-    if nelems == 0 {
-        plan::note_inert(pe, CollectiveKind::Gather);
-        return Ok(());
-    }
 
     // Stage this PE's candidate gather data at its virtual offset.
-    let adj_disp = adjusted_displacements(pe_msgs, root, n_pes);
     let s_buff = pe.shared_malloc::<T>(nelems);
     if my_count > 0 {
         let vir_rank = virtual_rank(log_rank, root, n_pes);
@@ -126,18 +123,8 @@ pub(crate) fn gather_core<T: XbrType>(
     pe.barrier();
 
     let family = CollectiveKind::Gather;
-    let row = Row {
-        shape: Shape::Rooted {
-            family,
-            algo,
-            root,
-            payload: Payload::Ranges(&adj_disp),
-        },
-        members: None,
-        world: n_pes,
-    };
     let staged = s_buff.whole();
-    plan::run_schedule(pe, &row, family, staged, &[], &mut [], None, sync);
+    plan::run_schedule(pe, row, family, staged, &[], &mut [], None, sync);
 
     // Root: reorder from virtual-rank staging order back to logical order.
     if log_rank == root {
@@ -162,7 +149,6 @@ pub(crate) fn gather_core<T: XbrType>(
     }
     pe.barrier();
     pe.shared_free(s_buff);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -27,16 +27,13 @@
 //! hierarchy exists to minimise is just a filter over the ops.
 //!
 //! There is no hierarchical body: [`broadcast_hier`] and [`reduce_hier`]
-//! name their schedule as a [`Shape::Hier`] row (the flat binomial row
-//! without a topology) and hand it to the broadcast and reduction bodies,
-//! which stage, check, key and run it like any other row.
+//! issue a [`CallKind::Hier`] call (the flat binomial call without a
+//! topology), whose row the broadcast and reduction bodies stage, check,
+//! key and run like any other.
 
-use crate::collectives::broadcast::broadcast_core;
-use crate::collectives::policy::{Algorithm, SyncMode};
-use crate::collectives::reduce::reduce_core;
-use crate::collectives::schedule::{
-    broadcast_binomial, CommSchedule, OpKind, Payload, Row, Shape, Stage,
-};
+use crate::collectives::call::{no_fold, Buf, Bufs, Call, CallKind};
+use crate::collectives::policy::{AlgorithmPolicy, SyncMode};
+use crate::collectives::schedule::{broadcast_binomial, CommSchedule, OpKind, Stage};
 use crate::fabric::{CollectiveKind, Pe, SymmAlloc};
 use crate::types::XbrType;
 
@@ -127,28 +124,25 @@ pub fn reduce_hier_sched(
         .transposed(CollectiveKind::Reduce, OpKind::GetFold)
 }
 
-/// The row a hierarchical call runs: two tiers under the fabric's
-/// topology, the flat binomial tree without one.
-fn hier_row(pe: &Pe, family: CollectiveKind, root: usize, nelems: usize) -> Row<'static> {
-    let shape = match pe.topology() {
-        Some(topo) => Shape::Hier {
+/// A hierarchical call: two tiers under the fabric's topology, the flat
+/// binomial tree without one.
+fn hier_call(
+    pe: &Pe,
+    family: CollectiveKind,
+    root: usize,
+    nelems: usize,
+    sync: SyncMode,
+) -> Call<'static> {
+    let tree = AlgorithmPolicy::Binomial;
+    let kind = match (pe.topology(), family) {
+        (Some(topo), _) => CallKind::Hier {
             family,
             pes_per_node: topo.pes_per_node,
-            root,
-            nelems,
         },
-        None => Shape::Rooted {
-            family,
-            algo: Algorithm::Binomial,
-            root,
-            payload: Payload::Whole { nelems, stride: 1 },
-        },
+        (None, CollectiveKind::Reduce) => CallKind::Reduce(tree),
+        (None, _) => CallKind::Broadcast(tree),
     };
-    Row {
-        shape,
-        members: None,
-        world: pe.n_pes(),
-    }
+    Call::whole(kind, root, nelems, 1, sync)
 }
 
 /// Hierarchical broadcast: tier 1 across node leaders, tier 2 within
@@ -164,8 +158,10 @@ pub fn broadcast_hier<T: XbrType>(
     root: usize,
     sync: SyncMode,
 ) {
-    let row = hier_row(pe, CollectiveKind::Broadcast, root, nelems);
-    broadcast_core(pe, dest, src, &row, sync);
+    let bufs = Bufs::new(Buf::Heap(dest), Buf::Local(src));
+    hier_call(pe, CollectiveKind::Broadcast, root, nelems, sync)
+        .issue(pe, bufs, no_fold)
+        .expect("a broadcast has no count table");
 }
 
 /// Hierarchical reduction with an arbitrary combiner under an explicit
@@ -181,8 +177,10 @@ pub fn reduce_hier<T: XbrType>(
     f: impl Fn(T, T) -> T + Copy,
     sync: SyncMode,
 ) {
-    let row = hier_row(pe, CollectiveKind::Reduce, root, nelems);
-    reduce_core(pe, dest, src, &row, f, sync);
+    let bufs = Bufs::new(Buf::Local(dest), Buf::Heap(src));
+    hier_call(pe, CollectiveKind::Reduce, root, nelems, sync)
+        .issue(pe, bufs, f)
+        .expect("a reduction has no count table");
 }
 
 #[cfg(test)]

@@ -20,13 +20,24 @@
 //! [`all_to_all_sync`]. A new algorithm is an arm of its walker plus an
 //! arm of [`schedule::Row::schedule`], not a new entry point.
 //!
+//! Every entry point is a wrapper of a few lines around one value: it
+//! builds a [`Call`] — the collective with its algorithm arm, the root,
+//! the vector or count table it moves, the members and the sync mode —
+//! on the stack, borrowing the caller's tables, and issues it
+//! ([`Call::issue`]). [`Call::row`] is the one place an `Auto` arm is
+//! resolved into the [`schedule::Row`] a body runs, and [`Call::spec`]
+//! the contract the conformance oracle holds that row's schedule to, so
+//! the harnesses, the conformance plane and the traffic plane describe a
+//! call the same way the library does.
+//!
 //! Scatter, gather and all-gather are *counts-table* collectives — the
 //! paper's own `pe_msgs`/`pe_disp` signatures say so — and each family
 //! has one body: the uniform entry points above and the v-variants
 //! ([`scatterv`], [`gatherv`], [`allgatherv`] and their `try_*` forms)
 //! run it on the caller's table, [`all_gather`] on a constant one. They
-//! differ only in how `Auto` resolves and in how a malformed table is
-//! reported.
+//! differ only in how `Auto` resolves — the v-variants resolve theirs by
+//! the skew-aware rules before they build the call — and in how a
+//! malformed table is reported.
 //!
 //! Every collective here is built on the [`schedule`] layer: a generator
 //! materialises the communication pattern as a [`schedule::CommSchedule`]
@@ -42,6 +53,7 @@
 //! exhaustively — and mutation-tests the oracle itself.
 
 pub mod broadcast;
+pub mod call;
 pub mod explore;
 pub mod extended;
 pub mod gather;
@@ -56,6 +68,7 @@ pub mod verify;
 pub mod vrank;
 
 pub use broadcast::{broadcast, broadcast_policy_sync};
+pub use call::{no_fold, Buf, Bufs, Call, CallKind, Extent};
 pub use explore::{
     explore_exhaustive, run_mutation_harness, ExploreOutcome, Mutation, MutationReport,
     RandomPriority, RoundRobin, Scheduler,

@@ -34,17 +34,17 @@
 //! floor with a table of exactly its size.
 
 use std::hash::BuildHasher;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use xbgas_sim::hash::{WordBuildHasher, WordMap};
 
+use crate::collectives::call::{Call, CallKind};
 use crate::collectives::extended::AllReduceAlgo;
 use crate::collectives::policy::{
-    pipeline_chunks, Algorithm, SyncMode, ACK_SLOT, READY_SLOT, SLOTS_PER_OP,
+    pipeline_chunks, Algorithm, AlgorithmPolicy, SyncMode, ACK_SLOT, READY_SLOT, SLOTS_PER_OP,
 };
-use crate::collectives::schedule::{
-    is_put_kind, CommSchedule, OpKind, Payload, Row, Shape, TransferOp,
-};
+use crate::collectives::schedule::{is_put_kind, CommSchedule, OpKind, Row, TransferOp};
 use crate::fabric::{span, CollectiveKind, FoldKernel, Local, Pe, SymmAlloc, SymmRef};
 use crate::trace::TraceKind;
 use crate::types::XbrType;
@@ -1239,23 +1239,6 @@ pub(crate) fn plan_for(
     })
 }
 
-/// The cached plan of all-reduce row `algo` — one row for the blocking,
-/// nonblocking and persistent routes, so warm plans are shared among them.
-pub(crate) fn allreduce_plan<T: XbrType>(
-    pe: &Pe,
-    algo: AllReduceAlgo,
-    nelems: usize,
-    sync: SyncMode,
-) -> Arc<Plan> {
-    let row = Row {
-        shape: Shape::AllReduce { algo, nelems },
-        members: None,
-        world: pe.n_pes(),
-    };
-    let kind = CollectiveKind::AllReduce;
-    plan_for(pe, &row, kind, sync, std::mem::size_of::<T>())
-}
-
 // ---------------------------------------------------------------------------
 // Handles: every route's episode, open until waited on
 // ---------------------------------------------------------------------------
@@ -1506,26 +1489,15 @@ pub fn ixbroadcast<'a, T: XbrType>(
     plan_create_broadcast(pe, dest, nelems, root, sync).start(pe, src)
 }
 
-/// The binomial row of `family` — what the nonblocking and persistent
+/// The binomial call of `kind` — what the nonblocking and persistent
 /// rooted routes run, sharing warm plans with the blocking bodies.
-fn binomial_plan<T: XbrType>(
-    pe: &Pe,
-    family: CollectiveKind,
-    nelems: usize,
+fn binomial(
+    kind: fn(AlgorithmPolicy) -> CallKind,
     root: usize,
+    nelems: usize,
     sync: SyncMode,
-) -> Arc<Plan> {
-    let row = Row {
-        shape: Shape::Rooted {
-            family,
-            algo: Algorithm::Binomial,
-            root,
-            payload: Payload::Whole { nelems, stride: 1 },
-        },
-        members: None,
-        world: pe.n_pes(),
-    };
-    plan_for(pe, &row, family, sync, std::mem::size_of::<T>())
+) -> Call<'static> {
+    Call::whole(kind(AlgorithmPolicy::Binomial), root, nelems, 1, sync)
 }
 
 /// Nonblocking reduction of every PE's symmetric `src` window toward
@@ -1545,7 +1517,7 @@ pub fn ixreduce<'a, T: XbrType>(
         nelems,
         stride,
     };
-    let plan = || binomial_plan::<T>(pe, kind, nelems, root, sync);
+    let plan = || binomial(CallKind::Reduce, root, nelems, sync).plan(pe, size_of::<T>());
     issue_reduce(pe, kind, Some(src), readout, None, plan, f, true)
 }
 
@@ -1567,8 +1539,8 @@ pub fn ixallreduce<'a, T: XbrType>(
     algo: AllReduceAlgo,
     sync: SyncMode,
 ) -> CollHandle<'a, T> {
-    let algo = algo.resolve(pe.n_pes(), nelems * std::mem::size_of::<T>());
-    let plan = || allreduce_plan::<T>(pe, algo, nelems, sync);
+    let call = Call::whole(CallKind::AllReduce(algo), 0, nelems, 1, sync);
+    let plan = || call.plan(pe, size_of::<T>());
     let (kind, readout) = (CollectiveKind::AllReduce, Readout::All { nelems });
     issue_reduce(pe, kind, Some(src), readout, None, plan, f, true)
 }
@@ -1594,7 +1566,7 @@ pub fn plan_create_broadcast<T: XbrType>(
     sync: SyncMode,
 ) -> PersistentBroadcast<T> {
     PersistentBroadcast {
-        plan: binomial_plan::<T>(pe, CollectiveKind::Broadcast, nelems, root, sync),
+        plan: binomial(CallKind::Broadcast, root, nelems, sync).plan(pe, size_of::<T>()),
         dest: *dest,
         nelems,
         root,
@@ -1629,8 +1601,9 @@ pub fn plan_create_allreduce<T: XbrType>(
     nelems: usize,
     sync: SyncMode,
 ) -> PersistentAllReduce<T> {
+    let fused = CallKind::AllReduce(AllReduceAlgo::ReduceThenBroadcast);
     PersistentAllReduce {
-        plan: allreduce_plan::<T>(pe, AllReduceAlgo::ReduceThenBroadcast, nelems, sync),
+        plan: Call::whole(fused, 0, nelems, 1, sync).plan(pe, size_of::<T>()),
         src: *src,
         staging: pe.shared_malloc::<T>(nelems.max(1)),
         nelems,
@@ -1670,6 +1643,7 @@ mod tests {
     use super::*;
     use crate::collectives::extended::allreduce_fused;
     use crate::collectives::schedule::{broadcast_binomial, rooted_schedule};
+    use crate::collectives::schedule::{Payload, Shape};
     use crate::collectives::verify::{check_schedule, CollectiveSpec, ModelConfig};
     use crate::fabric::{Fabric, FabricConfig};
     use xbgas_sim::hash::WordSet;

@@ -256,6 +256,17 @@ impl AlgorithmPolicy {
     }
 }
 
+/// A resolved algorithm as the fixed policy that selects it.
+impl From<Algorithm> for AlgorithmPolicy {
+    fn from(algo: Algorithm) -> Self {
+        match algo {
+            Algorithm::Binomial => AlgorithmPolicy::Binomial,
+            Algorithm::Linear => AlgorithmPolicy::Linear,
+            Algorithm::Ring => AlgorithmPolicy::Ring,
+        }
+    }
+}
+
 fn auto_select(kind: CollectiveKind, n_pes: usize, nbytes: usize) -> Algorithm {
     let _ = kind; // crossovers are shared across the four rooted collectives
     if n_pes <= AUTO_LINEAR_MAX_PES {

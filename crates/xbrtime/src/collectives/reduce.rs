@@ -12,9 +12,10 @@
 //! buffer as the tree; only the star (`Linear`) folds into a private
 //! accumulator on the root.
 
+use crate::collectives::call::{Buf, Bufs, Call, CallKind};
 use crate::collectives::plan::{self, Readout};
 use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::schedule::{Payload, Row, Shape};
+use crate::collectives::schedule::{Row, Shape};
 use crate::fabric::{span, CollectiveKind, Pe, SymmAlloc};
 use crate::types::{with_combiner, ReduceOp, XbrBitwise, XbrNumeric, XbrType};
 
@@ -40,19 +41,9 @@ pub fn reduce_with<T: XbrType>(
     policy: AlgorithmPolicy,
     sync: SyncMode,
 ) {
-    let family = CollectiveKind::Reduce;
-    let nbytes = nelems * std::mem::size_of::<T>();
-    let row = Row {
-        shape: Shape::Rooted {
-            family,
-            algo: policy.select(family, pe.n_pes(), nbytes),
-            root,
-            payload: Payload::Whole { nelems, stride },
-        },
-        members: None,
-        world: pe.n_pes(),
-    };
-    reduce_core(pe, dest, src, &row, f, sync);
+    let call = Call::whole(CallKind::Reduce(policy), root, nelems, stride, sync);
+    call.issue(pe, Bufs::new(Buf::Local(dest), Buf::Heap(src)), &f)
+        .expect("a reduction has no count table");
 }
 
 /// The one reduction body, over `row` — the flat trees and the two-tier
@@ -182,6 +173,7 @@ pub fn reduce_bitwise<T: XbrBitwise>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::schedule::Payload;
     use crate::fabric::{Fabric, FabricConfig};
 
     fn check_sum(n_pes: usize, root: usize, nelems: usize, stride: usize) {

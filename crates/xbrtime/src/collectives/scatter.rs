@@ -20,10 +20,10 @@
 //! [`scatterv`](crate::collectives::vcoll::scatterv) is the same body with
 //! the total inferred from `pe_msgs`.
 
+use crate::collectives::call::{no_fold, Bufs, Call, CallKind};
 use crate::collectives::plan;
-use crate::collectives::policy::{Algorithm, AlgorithmPolicy, SyncMode};
+use crate::collectives::policy::{AlgorithmPolicy, SyncMode};
 use crate::collectives::schedule::{Payload, Row, Shape};
-use crate::collectives::vcoll::{validate_v_shape, VCountError};
 use crate::collectives::vrank::{logical_rank, virtual_rank};
 use crate::fabric::{CollectiveKind, Pe};
 use crate::types::XbrType;
@@ -113,42 +113,46 @@ pub fn scatter_policy_sync<T: XbrType>(
         total, nelems,
         "pe_msgs sums to {total} but nelems is {nelems}"
     );
-    let nbytes = nelems * std::mem::size_of::<T>();
-    let algo = policy.select(CollectiveKind::Scatter, pe.n_pes(), nbytes);
-    scatter_core(pe, dest, src, pe_msgs, pe_disp, root, algo, sync)
+    let call = Call::table(
+        CallKind::Scatter(policy),
+        root,
+        pe_msgs,
+        Some(pe_disp),
+        sync,
+    );
+    call.issue(pe, Bufs::local(dest, src), no_fold)
         .unwrap_or_else(|e| panic!("scatter: {e}"));
 }
 
-/// The one scatter body, under an already-resolved algorithm. A malformed
-/// count vector is rejected before any allocation, barrier or signal-slot
-/// activity, and a zero-total scatter is fully inert (telemetry only).
-#[allow(clippy::too_many_arguments)]
+/// The one scatter body, over a validated, non-empty call's `row` — a
+/// rooted row on the adjusted displacements of `pe_msgs`: the root
+/// reorders `src` by virtual rank into a staging buffer, the row runs,
+/// and every PE reads its segment out.
 pub(crate) fn scatter_core<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &[T],
     pe_msgs: &[usize],
     pe_disp: &[usize],
-    root: usize,
-    algo: Algorithm,
+    row: &Row<'_>,
     sync: SyncMode,
-) -> Result<(), VCountError> {
-    let n_pes = pe.n_pes();
-    let log_rank = pe.rank();
-    validate_v_shape(n_pes, root, pe_msgs, Some(pe_disp))?;
-    let nelems: usize = pe_msgs.iter().sum();
-    let my_count = pe_msgs[log_rank];
+) {
+    let Shape::Rooted {
+        root,
+        payload: Payload::Ranges(adj_disp),
+        ..
+    } = row.shape
+    else {
+        panic!("scatter runs a rooted count-table row");
+    };
+    let (n_pes, log_rank) = (pe.n_pes(), pe.rank());
+    let (nelems, my_count) = (adj_disp[n_pes], pe_msgs[log_rank]);
     assert!(
         dest.len() >= my_count,
         "dest holds {} elements but this PE receives {my_count}",
         dest.len()
     );
-    if nelems == 0 {
-        plan::note_inert(pe, CollectiveKind::Scatter);
-        return Ok(());
-    }
 
-    let adj_disp = adjusted_displacements(pe_msgs, root, n_pes);
     let s_buff = pe.shared_malloc::<T>(nelems);
     // Root: reorder src by virtual rank into the staging buffer
     // (adj_disp's trailing entry is the total, not a displacement).
@@ -170,18 +174,8 @@ pub(crate) fn scatter_core<T: XbrType>(
     pe.barrier();
 
     let family = CollectiveKind::Scatter;
-    let row = Row {
-        shape: Shape::Rooted {
-            family,
-            algo,
-            root,
-            payload: Payload::Ranges(&adj_disp),
-        },
-        members: None,
-        world: n_pes,
-    };
     let staged = s_buff.whole();
-    plan::run_schedule(pe, &row, family, staged, &[], &mut [], None, sync);
+    plan::run_schedule(pe, row, family, staged, &[], &mut [], None, sync);
 
     // Relocate this PE's assigned values from the staging buffer to dest.
     if my_count > 0 {
@@ -195,7 +189,6 @@ pub(crate) fn scatter_core<T: XbrType>(
     }
     pe.barrier();
     pe.shared_free(s_buff);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -32,13 +32,15 @@
 //!
 //! Which of these a call runs is one value, a [`Row`]: a [`Shape`] (the
 //! generator and everything it reads), an optional member list and the
-//! world size. [`Row::schedule`] is the only `match` from a resolved
-//! algorithm to a generator, [`Row::key`] the only place a plan-cache key
-//! is written, and [`Row::check`] rejects a malformed call before either
-//! runs — so the collective bodies, the nonblocking and persistent
-//! routes, the traffic plane and the conformance harness all name a
-//! schedule the same way, and a key can never be paired with the wrong
-//! generator.
+//! world size. A `Row` is what
+//! [`Call::row`](crate::collectives::Call::row) resolves a call into —
+//! every algorithm resolved, a rooted table's displacements adjusted.
+//! [`Row::schedule`] is the only `match` from a resolved algorithm to a
+//! generator, [`Row::key`] the only place a plan-cache key is written,
+//! and [`Row::check`] rejects a malformed row before either runs — so the
+//! collective bodies, the nonblocking and persistent routes, the traffic
+//! plane and the conformance harness all name a schedule the same way,
+//! and a key can never be paired with the wrong generator.
 //!
 //! A schedule runs by being lowered once into a flat per-PE
 //! [`Plan`](crate::collectives::plan::Plan) — [`plan::lower`] is the only

@@ -4,8 +4,9 @@
 //! The paper's own `scatter`/`gather` signatures (`pe_msgs`, `pe_disp`)
 //! *are* counts-table collectives, so each family has exactly one body:
 //! `scatter_core` and `gather_core` live next to Algorithms 3 and 4,
-//! `allgather_core` here, and the uniform entry points are the same
-//! bodies on the caller's table (`all_gather`: a constant one, in the
+//! `allgather_core` here, each run by
+//! [`Call::issue`](crate::collectives::Call::issue), and the uniform
+//! entry points are the same bodies on the caller's table (`all_gather`: a constant one, in the
 //! spirit of Jocksch et al., who treat the uniform allgather as the
 //! constant-count case of allgatherv). The `try_*` entry points differ
 //! from the uniform ones only in their `Auto` rule — which also keys on
@@ -29,14 +30,14 @@
 
 use std::fmt;
 
-use crate::collectives::gather::gather_core;
+use crate::collectives::call::{no_fold, Bufs, Call, CallKind};
 use crate::collectives::plan;
-use crate::collectives::policy::{self, Algorithm, AlgorithmPolicy, SyncMode};
-use crate::collectives::scatter::scatter_core;
+use crate::collectives::policy::{self, AlgorithmPolicy, SyncMode};
 use crate::collectives::schedule::{
     exchange_stages, is_put_kind, publish, CommSchedule, Exchange, OpKind, Payload, Row, Shape,
 };
-use crate::fabric::{CollectiveKind, Pe};
+use crate::fabric::CollectiveKind::{self, AllGather, Gather, Scatter};
+use crate::fabric::Pe;
 use crate::types::XbrType;
 
 // ---------------------------------------------------------------------------
@@ -330,17 +331,15 @@ fn select_vrooted(
     elem_bytes: usize,
     policy: AlgorithmPolicy,
     sync: SyncMode,
-) -> Algorithm {
+) -> AlgorithmPolicy {
     let total_bytes = counts.iter().sum::<usize>() * elem_bytes;
+    let skew = skew_permille(counts);
     match policy {
-        AlgorithmPolicy::Auto => policy::auto_select_vrooted(
-            kind,
-            n_pes,
-            total_bytes,
-            skew_permille(counts),
-            sync.resolve(n_pes, total_bytes),
-        ),
-        fixed => fixed.select(kind, n_pes, total_bytes),
+        AlgorithmPolicy::Auto => {
+            let resolved = sync.resolve(n_pes, total_bytes);
+            policy::auto_select_vrooted(kind, n_pes, total_bytes, skew, resolved).into()
+        }
+        fixed => fixed,
     }
 }
 
@@ -364,15 +363,9 @@ pub fn try_scatterv_policy_sync<T: XbrType>(
     sync: SyncMode,
 ) -> Result<(), VCountError> {
     let es = std::mem::size_of::<T>();
-    let algo = select_vrooted(
-        CollectiveKind::Scatter,
-        pe.n_pes(),
-        counts,
-        es,
-        policy,
-        sync,
-    );
-    scatter_core(pe, dest, src, counts, displs, root, algo, sync)
+    let policy = select_vrooted(Scatter, pe.n_pes(), counts, es, policy, sync);
+    let call = Call::table(CallKind::Scatter(policy), root, counts, Some(displs), sync);
+    call.issue(pe, Bufs::local(dest, src), no_fold)
 }
 
 /// Gather `counts[r]` elements from every PE `r`'s `src` to the root,
@@ -429,8 +422,9 @@ pub fn try_gatherv_policy_sync<T: XbrType>(
     sync: SyncMode,
 ) -> Result<(), VCountError> {
     let es = std::mem::size_of::<T>();
-    let algo = select_vrooted(CollectiveKind::Gather, pe.n_pes(), counts, es, policy, sync);
-    gather_core(pe, dest, src, counts, displs, root, algo, sync)
+    let policy = select_vrooted(Gather, pe.n_pes(), counts, es, policy, sync);
+    let call = Call::table(CallKind::Gather(policy), root, counts, Some(displs), sync);
+    call.issue(pe, Bufs::local(dest, src), no_fold)
 }
 
 /// All-gather with per-PE counts (OpenSHMEM `collect` with explicit
@@ -469,22 +463,23 @@ pub fn try_allgatherv_algo_sync<T: XbrType>(
 ) -> Result<(), VCountError> {
     let total_bytes = counts.iter().sum::<usize>() * std::mem::size_of::<T>();
     let algo = algo.resolve(pe.n_pes(), total_bytes, skew_permille(counts));
-    allgather_core(pe, dest, src, counts, algo, sync)
+    let call = Call::table(CallKind::AllGather(algo), 0, counts, None, sync);
+    call.issue(pe, Bufs::local(dest, src), no_fold)
 }
 
-/// The one all-gather body, under an already-resolved strategy: the
-/// uniform [`all_gather`](crate::collectives::all_gather) calls it with a
-/// constant count table.
+/// The one all-gather body, over `row`'s count table: the uniform
+/// [`all_gather`](crate::collectives::all_gather) runs it on a constant
+/// one.
 pub(crate) fn allgather_core<T: XbrType>(
     pe: &Pe,
     dest: &mut [T],
     src: &[T],
-    counts: &[usize],
-    algo: AllGatherVAlgo,
+    row: &Row<'_>,
     sync: SyncMode,
-) -> Result<(), VCountError> {
-    let n_pes = pe.n_pes();
-    validate_v_shape(n_pes, 0, counts, None)?;
+) {
+    let Shape::AllGather { counts, .. } = row.shape else {
+        panic!("all-gather runs an all-gather row");
+    };
     let total: usize = counts.iter().sum();
     let my_count = counts[pe.rank()];
     assert!(
@@ -498,26 +493,20 @@ pub(crate) fn allgather_core<T: XbrType>(
         dest.len()
     );
     if total == 0 {
-        plan::note_inert(pe, CollectiveKind::AllGather);
-        return Ok(());
+        plan::note_inert(pe, AllGather);
+        return;
     }
     let board = pe.shared_malloc::<T>(total);
-    let row = Row {
-        shape: Shape::AllGather { algo, counts },
-        members: None,
-        world: n_pes,
-    };
-    let kind = CollectiveKind::AllGather;
-    plan::run_schedule(pe, &row, kind, board.whole(), src, &mut [], None, sync);
+    plan::run_schedule(pe, row, AllGather, board.whole(), src, &mut [], None, sync);
     pe.heap_read_strided(board.whole(), &mut dest[..total], total, 1);
     pe.barrier();
     pe.shared_free(board);
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::policy::Algorithm;
     use crate::collectives::scatter::adjusted_displacements;
     use crate::collectives::schedule::rooted_schedule;
     use crate::fabric::{Fabric, FabricConfig};

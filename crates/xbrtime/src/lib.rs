@@ -68,6 +68,6 @@ pub use timing::TimingConfig;
 pub use trace::{CriticalPath, Trace, TraceCategory, TraceEvent, TraceKind};
 pub use traffic::{
     run_traffic, tenant_members, tenant_of, tenant_plan, PeTraffic, TenantStats, TrafficConfig,
-    TrafficConfigError, TrafficError, TrafficKind, TrafficOp, TrafficReport,
+    TrafficConfigError, TrafficError, TrafficReport,
 };
 pub use types::{ReduceOp, TypeEntry, XbrBitwise, XbrNumeric, XbrType, TABLE1};

@@ -26,7 +26,7 @@
 //!   element stride, matching the paper's observation that "the
 //!   OpenSHMEM model does not support a non-default stride size".
 
-use crate::collectives::broadcast::broadcast_on;
+use crate::collectives::call::{no_fold, Buf, Bufs, Call, CallKind};
 use crate::collectives::extended::Team;
 use crate::collectives::{AlgorithmPolicy, CollHandle, SyncMode};
 use crate::fabric::{Pe, SymmAlloc, SymmRef};
@@ -201,8 +201,11 @@ fn shmem_broadcast_sync<T: XbrType>(
     } else {
         Vec::new()
     };
-    let set = Some(&members[..]);
-    broadcast_on(pe, dest, src, nelems, 1, pe_root, set, policy, sync);
+    let bufs = Bufs::new(Buf::Heap(dest), Buf::Local(src));
+    Call::whole(CallKind::Broadcast(policy), pe_root, nelems, 1, sync)
+        .on(&members)
+        .issue(pe, bufs, no_fold)
+        .expect("a broadcast has no count table");
     pe.barrier();
     if root_is_me && nelems > 0 {
         pe.heap_write(dest.whole(), &saved);

@@ -27,7 +27,8 @@
 //!   launch, on the host, and hands it to every PE.
 //!
 //! Each tenant's op stream is a pure function of `(seed, tenant)`
-//! ([`tenant_plan`]), drawn from a small palette of repeated shapes the
+//! ([`tenant_plan`]: a list of [`Call`]s over team ranks, each run
+//! [`on`](Call::on) the tenant's PEs), drawn from a small palette of repeated shapes the
 //! way service traffic repeats request types — which is also what gives
 //! the plan cache something to hit. The report carries per-tenant
 //! p50/p99/p999 completion-cycle percentiles, plan-cache hit rates, and
@@ -47,10 +48,11 @@
 
 use std::fmt;
 
+use crate::collectives::call::{Call, CallKind, Extent};
 use crate::collectives::plan;
-use crate::collectives::policy::{Algorithm, SyncMode, SLOTS_PER_OP};
-use crate::collectives::scatter::adjusted_displacements;
-use crate::collectives::schedule::{CommSchedule, Payload, Row, Shape};
+use crate::collectives::policy::AlgorithmPolicy::{Binomial, Linear, Ring};
+use crate::collectives::policy::{SyncMode, SLOTS_PER_OP};
+use crate::collectives::schedule::{Payload, Shape};
 use crate::collectives::vcoll::AllGatherVAlgo;
 use crate::collectives::PlanCacheStats;
 use crate::fabric::{
@@ -196,64 +198,21 @@ pub fn tenant_members(t: usize, n_pes: usize, tenants: usize) -> Vec<usize> {
 // Op streams
 // ---------------------------------------------------------------------------
 
-/// The collective shapes a tenant's request mix draws from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrafficKind {
-    /// Single-origin exchange: the root's block lands on every member (a
-    /// degenerate allgatherv whose count vector is concentrated at the
-    /// root).
-    Broadcast,
-    /// Rooted irregular scatter.
-    Scatterv,
-    /// Rooted irregular gather.
-    Gatherv,
-    /// Rootless irregular all-gather.
-    Allgatherv,
-}
-
-impl TrafficKind {
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            TrafficKind::Broadcast => "broadcast",
-            TrafficKind::Scatterv => "scatterv",
-            TrafficKind::Gatherv => "gatherv",
-            TrafficKind::Allgatherv => "allgatherv",
-        }
-    }
-}
-
-/// One generated collective request: a kind, a team-rank root (ignored
-/// by rootless kinds), a per-member count vector, and an algorithm draw.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TrafficOp {
-    /// Collective shape.
-    pub kind: TrafficKind,
-    /// Team-rank root for the rooted kinds.
-    pub root: usize,
-    /// Per-member element counts (u64 elements), one per team PE.
-    pub counts: Vec<usize>,
-    /// Algorithm draw: rooted kinds map it onto
-    /// binomial/linear/ring, allgatherv onto fan/ring/dissemination.
-    pub algo: usize,
-}
-
-impl TrafficOp {
-    /// Total elements the op moves through its staging board.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-}
-
-fn gen_op(rng: &mut SplitMix64, team: usize, max_block: usize) -> TrafficOp {
-    let kind = match rng.pick(4) {
-        0 => TrafficKind::Broadcast,
-        1 => TrafficKind::Scatterv,
-        2 => TrafficKind::Gatherv,
-        _ => TrafficKind::Allgatherv,
-    };
+/// One generated request over a team of `team` ranks: a scatterv, a
+/// gatherv, an allgatherv, or a single-origin exchange — an all-gather
+/// whose counts are concentrated at its origin, so the origin's block
+/// lands on every member. The algorithm draw maps onto
+/// binomial/linear/ring or fan/ring/dissemination.
+fn gen_op(rng: &mut SplitMix64, team: usize, max_block: usize, sync: SyncMode) -> Call<'static> {
+    let draw = rng.pick(4);
     let root = rng.pick(team as u64) as usize;
     let algo = rng.pick(3) as usize;
+    let tree = [Binomial, Linear, Ring][algo];
+    let kind = match draw {
+        1 => CallKind::Scatter(tree),
+        2 => CallKind::Gather(tree),
+        _ => CallKind::AllGather(AllGatherVAlgo::CONCRETE[algo]),
+    };
     // Offered load per op lands in [max_block, ~4·max_block] total
     // elements regardless of team size or count shape: tenants stay
     // demand-comparable, so the fairness ratio measures how evenly the
@@ -276,41 +235,46 @@ fn gen_op(rng: &mut SplitMix64, team: usize, max_block: usize) -> TrafficOp {
             c
         }
     };
-    match kind {
-        TrafficKind::Broadcast => {
-            // Concentrate everything at the root.
+    match draw {
+        0 => {
+            // Concentrate everything at the origin.
             counts = vec![0; team];
             counts[root] = target;
         }
-        TrafficKind::Scatterv | TrafficKind::Gatherv => {
+        1 | 2 => {
             // A rooted schedule with no non-root data has no ops, and an
             // empty schedule skips its closing barrier — guarantee one.
             if counts.iter().enumerate().all(|(r, &c)| r == root || c == 0) {
                 counts[(root + 1) % team] = 1;
             }
         }
-        TrafficKind::Allgatherv => {
+        _ => {
             if counts.iter().all(|&c| c == 0) {
                 counts[0] = 1;
             }
         }
     }
-    TrafficOp {
+    Call {
         kind,
-        root,
-        counts,
-        algo,
+        root: if matches!(draw, 1 | 2) { root } else { 0 },
+        extent: Extent::Table {
+            counts: counts.into(),
+            displs: None,
+        },
+        members: None,
+        sync,
     }
 }
 
 /// Tenant `t`'s full op sequence — a pure function of `(cfg.seed, t)`,
 /// which is what makes same-seed runs replay identical per-tenant
 /// traffic. The stream draws `ops_per_tenant` requests (with repetition)
-/// from a palette of `cfg.palette` generated shapes.
-pub fn tenant_plan(cfg: &TrafficConfig, t: usize, team: usize) -> Vec<TrafficOp> {
+/// from a palette of `cfg.palette` generated shapes, each a call over
+/// team ranks `0..team` under `cfg.sync`.
+pub fn tenant_plan(cfg: &TrafficConfig, t: usize, team: usize) -> Vec<Call<'static>> {
     let mut rng = SplitMix64::new(cfg.seed ^ ((t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-    let palette: Vec<TrafficOp> = (0..cfg.palette)
-        .map(|_| gen_op(&mut rng, team, cfg.max_block))
+    let palette: Vec<Call<'static>> = (0..cfg.palette)
+        .map(|_| gen_op(&mut rng, team, cfg.max_block, cfg.sync))
         .collect();
     (0..cfg.ops_per_tenant)
         .map(|_| palette[rng.pick(palette.len() as u64) as usize].clone())
@@ -338,69 +302,22 @@ fn val(seed: u64, t: usize, i: usize, tr: usize, k: usize) -> u64 {
     seed ^ ((t as u64) << 48) ^ ((i as u64) << 32) ^ ((tr as u64) << 16) ^ k as u64
 }
 
-/// The adjusted displacement table a rooted op stages and runs by; `None`
-/// for the allgatherv-shaped kinds.
-fn op_adj(op: &TrafficOp) -> Option<Vec<usize>> {
-    matches!(op.kind, TrafficKind::Scatterv | TrafficKind::Gatherv)
-        .then(|| adjusted_displacements(&op.counts, op.root, op.counts.len()))
-}
-
-/// The row an op runs — the one the collective bodies would name for it,
-/// team-local and mapped on the tenant's PEs — and the kind it reports
-/// as. `adj` is the op's [`op_adj`]; the algorithm draw maps onto
-/// binomial/linear/ring or fan/ring/dissemination.
-fn op_row<'a>(
-    op: &'a TrafficOp,
-    adj: &'a Option<Vec<usize>>,
-    members: &'a [usize],
-    world: usize,
-) -> (CollectiveKind, Row<'a>) {
-    let family = match op.kind {
-        TrafficKind::Scatterv => CollectiveKind::Scatter,
-        TrafficKind::Gatherv => CollectiveKind::Gather,
-        TrafficKind::Broadcast | TrafficKind::Allgatherv => CollectiveKind::AllGather,
-    };
-    let shape = match adj {
-        Some(adj) => Shape::Rooted {
-            family,
-            algo: [Algorithm::Binomial, Algorithm::Linear, Algorithm::Ring][op.algo % 3],
-            root: op.root,
-            payload: Payload::Ranges(adj),
-        },
-        None => Shape::AllGather {
-            algo: AllGatherVAlgo::CONCRETE[op.algo % 3],
-            counts: &op.counts,
-        },
-    };
-    let row = Row {
-        shape,
-        members: Some(members),
-        world,
-    };
-    (family, row)
-}
-
-/// Materialise the schedule an op will run, to size the signal table.
-fn op_schedule(op: &TrafficOp, members: &[usize], world: usize) -> CommSchedule {
-    op_row(op, &op_adj(op), members, world).1.schedule()
-}
-
 /// Signal-table slots enough for every op tenant `t` plays as the team
 /// `members` of a `world`-PE fabric (at least 64).
 fn plan_slots(cfg: &TrafficConfig, t: usize, members: &[usize], world: usize) -> usize {
     tenant_plan(cfg, t, members.len())
         .iter()
-        .map(|op| op_schedule(op, members, world).total_ops() * SLOTS_PER_OP)
+        .map(|call| SLOTS_PER_OP * call.on(members).row(world, 8, |r| r.schedule().total_ops()))
         .fold(64, usize::max)
 }
 
-/// Issue one traffic op on this PE. Exactly three world barriers per
-/// call on every PE of every tenant: the staging barrier, the schedule's
-/// single closing barrier (signaled/pipelined, non-empty by
-/// construction), and the readback barrier. Returns the op's digest
-/// contribution and bytes moved. `myvals` and `got` are the PE's scratch
-/// buffers for its own contribution and what it reads back, reused from
-/// op to op.
+/// Issue one traffic op, `call` over the tenant's `members`, on this PE.
+/// Exactly three world barriers per call on every PE of every tenant: the
+/// staging barrier, the schedule's single closing barrier
+/// (signaled/pipelined, non-empty by construction), and the readback
+/// barrier. Returns the op's digest contribution and bytes moved.
+/// `myvals` and `got` are the PE's scratch buffers for its own
+/// contribution and what it reads back, reused from op to op.
 #[allow(clippy::too_many_arguments)]
 fn run_op(
     pe: &Pe,
@@ -408,71 +325,81 @@ fn run_op(
     tr: usize,
     t: usize,
     i: usize,
-    op: &TrafficOp,
-    sync: SyncMode,
+    call: &Call<'_>,
     seed: u64,
     myvals: &mut Vec<u64>,
     got: &mut Vec<u64>,
 ) -> (u64, u64) {
-    let world = pe.n_pes();
-    let team = members.len();
-    let total = op.total();
+    let (world, team, root) = (pe.n_pes(), members.len(), call.root);
+    let Extent::Table { counts, .. } = &call.extent else {
+        panic!("traffic ops carry count tables");
+    };
+    let total: usize = counts.iter().sum();
     let es = std::mem::size_of::<u64>();
     let board = pe.shared_malloc::<u64>(total);
-    let my_count = op.counts[tr];
+    let my_count = counts[tr];
     myvals.clear();
     myvals.extend((0..my_count).map(|k| val(seed, t, i, tr, k)));
 
-    // Stage. Rooted ops reorder through the root's staging board exactly
-    // like the vcoll wrappers; allgatherv-shaped ops publish from
-    // local_src inside the schedule and need no staging writes.
-    let adj = op_adj(op);
-    match (op.kind, &adj) {
-        (TrafficKind::Scatterv, Some(adj)) if tr == op.root => {
-            for (v, &at) in adj.iter().take(team).enumerate() {
-                let l = crate::collectives::logical_rank(v, op.root, team);
-                if op.counts[l] > 0 {
-                    let seg: Vec<u64> = (0..op.counts[l]).map(|k| val(seed, t, i, l, k)).collect();
-                    pe.heap_write(board.at(at), &seg);
+    let (call, kind, sync) = (call.on(members), call.family(), call.sync);
+    call.row(world, es, |row| {
+        // Stage. Rooted ops reorder through the root's staging board
+        // exactly like the scatter and gather bodies; all-gather-shaped
+        // ops publish from local_src inside the schedule and need no
+        // staging writes.
+        let adj = match row.shape {
+            Shape::Rooted {
+                payload: Payload::Ranges(adj),
+                ..
+            } => adj,
+            _ => &[],
+        };
+        match kind {
+            CollectiveKind::Scatter if tr == root => {
+                for (v, &at) in adj.iter().take(team).enumerate() {
+                    let l = crate::collectives::logical_rank(v, root, team);
+                    if counts[l] > 0 {
+                        let seg: Vec<u64> = (0..counts[l]).map(|k| val(seed, t, i, l, k)).collect();
+                        pe.heap_write(board.at(at), &seg);
+                    }
                 }
             }
-        }
-        (TrafficKind::Gatherv, Some(adj)) if my_count > 0 => {
-            let v = crate::collectives::virtual_rank(tr, op.root, team);
-            pe.heap_write(board.at(adj[v]), myvals);
-        }
-        _ => {}
-    }
-    pe.barrier();
-
-    let (kind, row) = op_row(op, &adj, members, world);
-    plan::run_schedule(pe, &row, kind, board.whole(), myvals, &mut [], None, sync);
-
-    // Read back what this PE is entitled to see and fold it into the
-    // tenant digest.
-    got.clear();
-    let seen: &[u64] = match op.kind {
-        TrafficKind::Scatterv => {
-            if my_count > 0 {
-                let v = crate::collectives::virtual_rank(tr, op.root, team);
-                got.resize(my_count, 0);
-                pe.heap_read_strided(board.at(adj.as_ref().expect("rooted")[v]), got, my_count, 1);
+            CollectiveKind::Gather if my_count > 0 => {
+                let v = crate::collectives::virtual_rank(tr, root, team);
+                pe.heap_write(board.at(adj[v]), myvals);
             }
-            got
+            _ => {}
         }
-        TrafficKind::Gatherv if !(tr == op.root && total > 0) => myvals,
-        TrafficKind::Gatherv | TrafficKind::Broadcast | TrafficKind::Allgatherv => {
-            if total > 0 {
-                got.resize(total, 0);
-                pe.heap_read_strided(board.whole(), got, total, 1);
+        pe.barrier();
+
+        plan::run_schedule(pe, row, kind, board.whole(), myvals, &mut [], None, sync);
+
+        // Read back what this PE is entitled to see and fold it into the
+        // tenant digest.
+        got.clear();
+        let seen = match kind {
+            CollectiveKind::Scatter => {
+                if my_count > 0 {
+                    let v = crate::collectives::virtual_rank(tr, root, team);
+                    got.resize(my_count, 0);
+                    pe.heap_read_strided(board.at(adj[v]), got, my_count, 1);
+                }
+                &got[..]
             }
-            got
-        }
-    };
-    let digest = fnv_mix(FNV_OFFSET ^ (i as u64), seen);
-    pe.barrier();
-    pe.shared_free(board);
-    (digest, (total * es) as u64)
+            CollectiveKind::Gather if !(tr == root && total > 0) => &myvals[..],
+            _ => {
+                if total > 0 {
+                    got.resize(total, 0);
+                    pe.heap_read_strided(board.whole(), got, total, 1);
+                }
+                &got[..]
+            }
+        };
+        let digest = fnv_mix(FNV_OFFSET ^ (i as u64), seen);
+        pe.barrier();
+        pe.shared_free(board);
+        (digest, (total * es) as u64)
+    })
 }
 
 /// What one PE brings back from a traffic run.
@@ -483,7 +410,7 @@ pub struct PeTraffic {
     /// Rank within the tenant team.
     pub team_rank: usize,
     /// Kinds of the ops this tenant issued, in order.
-    pub kinds: Vec<TrafficKind>,
+    pub kinds: Vec<CollectiveKind>,
     /// Completion cycles per op (staging through readback barrier).
     pub op_cycles: Vec<u64>,
     /// Rolling FNV digest of every value this PE read back.
@@ -498,17 +425,16 @@ fn play_plan(
     members: &[usize],
     tr: usize,
     t: usize,
-    plan: &[TrafficOp],
-    sync: SyncMode,
+    plan: &[Call<'_>],
     seed: u64,
 ) -> PeTraffic {
     let mut op_cycles = Vec::with_capacity(plan.len());
     let mut digest = FNV_OFFSET ^ t as u64;
     let mut bytes = 0u64;
     let (mut myvals, mut got) = (Vec::new(), Vec::new());
-    for (i, op) in plan.iter().enumerate() {
+    for (i, call) in plan.iter().enumerate() {
         let t0 = pe.cycles();
-        let (d, b) = run_op(pe, members, tr, t, i, op, sync, seed, &mut myvals, &mut got);
+        let (d, b) = run_op(pe, members, tr, t, i, call, seed, &mut myvals, &mut got);
         digest = fnv_mix(digest, &[d]);
         bytes += b;
         op_cycles.push(pe.cycles().saturating_sub(t0));
@@ -516,7 +442,7 @@ fn play_plan(
     PeTraffic {
         tenant: t,
         team_rank: tr,
-        kinds: plan.iter().map(|o| o.kind).collect(),
+        kinds: plan.iter().map(Call::family).collect(),
         op_cycles,
         digest,
         bytes,
@@ -536,7 +462,7 @@ fn traffic_body(pe: &Pe, cfg: &TrafficConfig, slots: usize) -> PeTraffic {
     let tr = me - members[0];
     pe.signal_table(slots);
     let plan = tenant_plan(cfg, t, members.len());
-    play_plan(pe, &members, tr, t, &plan, cfg.sync, cfg.seed)
+    play_plan(pe, &members, tr, t, &plan, cfg.seed)
 }
 
 /// The per-PE body of a tenant's *solo* baseline: the same op stream
@@ -550,7 +476,7 @@ fn solo_body(pe: &Pe, cfg: &TrafficConfig, t: usize, slots: usize) -> PeTraffic 
     let members: Vec<usize> = (0..team).collect();
     pe.signal_table(slots);
     let plan = tenant_plan(cfg, t, team);
-    play_plan(pe, &members, pe.rank(), t, &plan, cfg.sync, cfg.seed)
+    play_plan(pe, &members, pe.rank(), t, &plan, cfg.seed)
 }
 
 // ---------------------------------------------------------------------------
@@ -567,7 +493,7 @@ pub struct TenantStats {
     /// Ops issued.
     pub ops: usize,
     /// Kinds of those ops, in issue order.
-    pub kinds: Vec<TrafficKind>,
+    pub kinds: Vec<CollectiveKind>,
     /// Bytes moved through staging boards.
     pub bytes: u64,
     /// Median completion cycles (team leader's clock).
@@ -867,7 +793,7 @@ mod tests {
         for t in 0..cfg.tenants {
             for op in tenant_plan(&cfg, t, 3) {
                 let members = [0, 1, 2];
-                let sched = op_schedule(&op, &members, 12);
+                let sched = op.on(&members).row(12, 8, |row| row.schedule());
                 assert!(
                     sched.ops().any(|o| o.nelems > 0),
                     "empty schedule from {op:?}"
