@@ -125,7 +125,7 @@ pub struct Bufs<'b, T: XbrType> {
 }
 
 impl<'b, T: XbrType> Bufs<'b, T> {
-    /// `dest` and `src`.
+    /// The buffers `dest` and `src`, each symmetric or private.
     pub fn new(dest: Buf<'b, T, &'b mut [T]>, src: Buf<'b, T, &'b [T]>) -> Self {
         Bufs { dest, src }
     }
@@ -381,34 +381,34 @@ impl<'a> Call<'a> {
                 return Ok(());
             }
         }
-        match (self.family(), bufs.dest, bufs.src) {
-            (C::Broadcast, Buf::Heap(dest), Buf::Local(src)) => {
-                self.row(world, es, |row| broadcast_core(pe, dest, src, row, sync))
+        self.row(world, es, |row| {
+            match (self.family(), bufs.dest, bufs.src) {
+                (C::Broadcast, Buf::Heap(dest), Buf::Local(src)) => {
+                    broadcast_core(pe, dest, src, row, sync)
+                }
+                (C::Reduce, Buf::Local(dest), Buf::Heap(src)) => {
+                    reduce_core(pe, dest, src, row, f, sync)
+                }
+                (C::Scatter, Buf::Local(dest), Buf::Local(src)) => {
+                    let (counts, displs) = self.rooted_table();
+                    scatter_core(pe, dest, src, counts, displs, row, sync)
+                }
+                (C::Gather, Buf::Local(dest), Buf::Local(src)) => {
+                    let (counts, displs) = self.rooted_table();
+                    gather_core(pe, dest, src, counts, displs, row, sync)
+                }
+                (C::AllGather, Buf::Local(dest), Buf::Local(src)) => {
+                    allgather_core(pe, dest, src, row, sync)
+                }
+                (C::AllReduce, Buf::Local(dest), Buf::Heap(src)) => {
+                    allreduce_core(pe, dest, src, row, f, sync)
+                }
+                (C::AllToAll, Buf::Local(dest), Buf::Local(src)) => {
+                    all_to_all_core(pe, dest, src, row, sync)
+                }
+                (kind, ..) => panic!("{kind:?} does not run over these buffers"),
             }
-            (C::Reduce, Buf::Local(dest), Buf::Heap(src)) => {
-                self.row(world, es, |row| reduce_core(pe, dest, src, row, f, sync))
-            }
-            (C::Scatter, Buf::Local(dest), Buf::Local(src)) => {
-                let (counts, displs) = self.rooted_table();
-                let scatter = |row: &Row| scatter_core(pe, dest, src, counts, displs, row, sync);
-                self.row(world, es, scatter)
-            }
-            (C::Gather, Buf::Local(dest), Buf::Local(src)) => {
-                let (counts, displs) = self.rooted_table();
-                let gather = |row: &Row| gather_core(pe, dest, src, counts, displs, row, sync);
-                self.row(world, es, gather)
-            }
-            (C::AllGather, Buf::Local(dest), Buf::Local(src)) => {
-                self.row(world, es, |row| allgather_core(pe, dest, src, row, sync))
-            }
-            (C::AllReduce, Buf::Local(dest), Buf::Heap(src)) => {
-                self.row(world, es, |row| allreduce_core(pe, dest, src, row, f, sync))
-            }
-            (C::AllToAll, Buf::Local(dest), Buf::Local(src)) => {
-                self.row(world, es, |row| all_to_all_core(pe, dest, src, row, sync))
-            }
-            (kind, ..) => panic!("{kind:?} does not run over these buffers"),
-        }
+        });
         Ok(())
     }
 
